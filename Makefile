@@ -32,7 +32,7 @@ BENCHTIME     ?= 5x
 # their own, much higher iteration floor.
 MATCHER_BENCHTIME ?= 500x
 
-.PHONY: build test race bench bench-json bench-compare bench-rss cover cover-check fuzz fmt vet clean service-smoke chaos-smoke store-smoke scale-test
+.PHONY: build test race bench bench-json bench-compare bench-rss cover cover-check fuzz fmt vet clean service-smoke chaos-smoke store-smoke bench-smoke scale-test
 
 build:
 	$(GO) build $(GOFLAGS) ./...
@@ -120,6 +120,13 @@ store-smoke:
 # single-process run. CI runs it as its own job.
 chaos-smoke:
 	bash scripts/chaos-smoke.sh
+
+# bench-smoke vets and tests the bench/ module. It is its own Go module
+# (repro/bench, replace repro => ../), so `go build ./... && go test
+# ./...` at the root never compiles it, yet it calls core.SMP, core.MMP,
+# core.Config and the Runner options directly. CI runs it in the test job.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test $(GOFLAGS) ./...
 
 # fuzz smoke-runs the engine's two correctness-critical fuzz targets:
 # dense-vs-naive scoring and the wire codec round trip (the nightly CI

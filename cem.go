@@ -39,11 +39,14 @@
 //		return myMatcher{cands: mc.Candidates}, nil
 //	})
 //
-// Runs accept a context.Context for cancellation and deadlines, and
-// WithParallelism(n) evaluates independent neighborhoods concurrently —
-// NO-MP on a worker pool, SMP/MMP in the grid executor's round-based
-// map/reduce structure on shared memory — without changing the output
-// (consistency, Theorems 2 and 4).
+// Runs accept a context.Context for cancellation and deadlines. NO-MP,
+// SMP and MMP all run on one round engine — evaluate the active
+// neighborhoods, reduce the new evidence centrally, re-activate the
+// affected ones, stop at the fixpoint — and a Backend only decides where
+// each round's evaluations run: the shared-memory pool
+// (WithParallelism), partitioned shards (WithShardCount), networked
+// workers, or the simulated grid (Runner.RunGrid). None of them changes
+// the output (consistency, Theorems 2 and 4).
 package cem
 
 import (
@@ -95,12 +98,7 @@ const (
 	SchemeUB   Scheme = "ub"
 )
 
-// MatcherKind names a registered matcher.
-//
-// Deprecated: matcher selection is by registry name (a plain string);
-// use the constants below or the name passed to RegisterMatcher.
-type MatcherKind = string
-
+// Registry names of the built-in matchers.
 const (
 	// MatcherMLN is the Type-II probabilistic Markov-Logic matcher.
 	MatcherMLN = "mln"
@@ -131,9 +129,8 @@ type MLNWeights = mln.Weights
 // the report without importing internal packages.
 type CacheReport = match.CacheReport
 
-// Options configures experiment construction. Prefer the functional
-// Option helpers with New; the struct remains for the deprecated Setup
-// path.
+// Options is the experiment configuration the functional Option helpers
+// of New edit; matcher factories read it from MatcherContext.
 type Options struct {
 	// Canopy controls cover construction.
 	Canopy CanopyConfig
@@ -252,13 +249,6 @@ func New(d *match.Dataset, options ...Option) (*Experiment, error) {
 	for _, o := range options {
 		o(&opts)
 	}
-	return Setup(d, opts)
-}
-
-// Setup is the struct-options constructor.
-//
-// Deprecated: use New with functional options.
-func Setup(d *match.Dataset, opts Options) (*Experiment, error) {
 	if err := opts.Canopy.Validate(); err != nil {
 		return nil, fmt.Errorf("cem: %w", err)
 	}

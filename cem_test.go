@@ -67,35 +67,32 @@ func TestNewDatasetKinds(t *testing.T) {
 	NewDataset("nope", 1, 1)
 }
 
-// TestRunRejectsBadArgs: unknown schemes/matchers error cleanly,
-// through the deprecated wrapper and the Runner API alike.
+// TestRunRejectsBadArgs: unknown schemes/matchers error cleanly.
 func TestRunRejectsBadArgs(t *testing.T) {
 	d := NewDataset(DBLP, 0.1, 3)
 	exp, err := New(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exp.Run("warp", MatcherMLN); err == nil {
-		t.Error("unknown scheme accepted")
-	}
-	if _, err := exp.Run(SchemeSMP, "psychic"); err == nil {
-		t.Error("unknown matcher accepted")
-	}
-	if _, err := exp.Run(SchemeMMP, MatcherRules); err == nil {
-		t.Error("MMP with the Type-I RULES matcher must fail")
-	}
-	if _, err := exp.Run(SchemeUB, MatcherRules); err == nil {
-		t.Error("UB with the RULES matcher must fail (no DecideGiven)")
-	}
 	if _, err := exp.Runner("psychic"); err == nil {
 		t.Error("Runner accepted an unregistered matcher")
 	}
-	r, err := exp.Runner(MatcherMLN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Run(context.Background(), "warp"); err == nil {
-		t.Error("Runner accepted an unknown scheme")
+	for _, bad := range []struct {
+		scheme  Scheme
+		matcher string
+		why     string
+	}{
+		{"warp", MatcherMLN, "unknown scheme accepted"},
+		{SchemeMMP, MatcherRules, "MMP with the Type-I RULES matcher must fail"},
+		{SchemeUB, MatcherRules, "UB with the RULES matcher must fail (no DecideGiven)"},
+	} {
+		r, err := exp.Runner(bad.matcher)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(context.Background(), bad.scheme); err == nil {
+			t.Error(bad.why)
+		}
 	}
 }
 
@@ -216,23 +213,41 @@ func TestTransitiveClosureHelper(t *testing.T) {
 	}
 }
 
-// TestGridFacade: the grid runner agrees with the sequential scheme.
-func TestGridFacade(t *testing.T) {
-	d := NewDataset(DBLP, 0.2, 11)
-	exp, err := New(d)
+// TestRunGridHonorsRunnerOptions: the grid is a backend of the one run
+// path, so the runner's options apply to it — stats and progress fire,
+// and the grid's job count is the run's evaluation count (skipped
+// re-activations are not jobs).
+func TestRunGridHonorsRunnerOptions(t *testing.T) {
+	exp, err := New(NewDataset(DBLP, 0.2, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := run(t, exp, SchemeSMP, MatcherMLN)
-	gres, err := exp.RunGrid(SchemeSMP, MatcherMLN, gridDefaults())
+	var stats []core.RunStats
+	events, lastRound := 0, 0
+	r, err := exp.Runner(MatcherMLN,
+		WithStats(func(s core.RunStats) { stats = append(stats, s) }),
+		WithProgress(func(e core.ProgressEvent) { events++; lastRound = e.Round }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gres.Matches.Equal(seq.Matches) {
-		t.Errorf("grid SMP diverges from sequential: %d vs %d matches",
-			gres.Matches.Len(), seq.Matches.Len())
+	gres, err := r.RunGrid(context.Background(), SchemeSMP, gridDefaults())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := exp.RunGrid(SchemeUB, MatcherMLN, gridDefaults()); err == nil {
+	if len(stats) != 1 {
+		t.Fatalf("WithStats fired %d times on RunGrid, want 1", len(stats))
+	}
+	if events != stats[0].Evaluations || gres.JobsRun != stats[0].Evaluations {
+		t.Errorf("progress events = %d, grid jobs = %d, want the run's %d evaluations",
+			events, gres.JobsRun, stats[0].Evaluations)
+	}
+	if stats[0].Skips == 0 {
+		t.Error("no re-activation was skipped on the grid; the job/evaluation identity was not exercised")
+	}
+	if lastRound != gres.Rounds || gres.Rounds < 2 {
+		t.Errorf("last progress round = %d, grid rounds = %d, want equal and ≥ 2", lastRound, gres.Rounds)
+	}
+	if _, err := r.RunGrid(context.Background(), SchemeUB, gridDefaults()); err == nil {
 		t.Error("UB on the grid must be rejected")
 	}
 }

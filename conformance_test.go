@@ -1,0 +1,196 @@
+package cem_test
+
+// The conformance matrix: every way this repository can place a run's
+// neighborhood evaluations × every evidence store × matcher × scheme, on
+// the golden corpora, checked against the paper's three properties —
+// consistency (Theorems 2 and 4: the output is the pinned fixture no
+// matter the placement, the evaluation order or the store), soundness
+// (SMP, MMP ⊆ FULL) and MMP ⊇ SMP ⊇ NO-MP. Two option rows hold the
+// logical knobs (transitive closure, negative evidence) to the same
+// placement-independence. Run under -race in CI, this is also the
+// data-race gauntlet of the concurrent backends.
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	cem "repro"
+	"repro/match"
+)
+
+// shuffledBackend is the matrix's adversarial schedule: every round it
+// evaluates the active set one neighborhood at a time in a seeded random
+// order, reducing each before the next.
+type shuffledBackend struct{ rng *rand.Rand }
+
+func (b shuffledBackend) RunRounds(_ context.Context, _ *match.RoundPlan, d *match.RoundDriver) error {
+	for !d.Done() {
+		ids := slices.Clone(d.Active())
+		b.rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		for _, id := range ids {
+			d.Reduce(d.Evaluate(id))
+		}
+		if err := d.EndRound(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// execution is one placement: a runner option, or the simulated grid.
+type execution struct {
+	name string
+	opt  cem.RunnerOption // nil: Runner.RunGrid
+}
+
+func executions() []execution {
+	ex := []execution{
+		{"pool-1", cem.WithParallelism(1)},
+		{"pool-4", cem.WithParallelism(4)},
+		{"shuffled", cem.WithBackend(shuffledBackend{rand.New(rand.NewSource(7))})},
+		{"grid", nil},
+	}
+	for _, k := range []int{1, 2, 4} {
+		ex = append(ex, execution{fmt.Sprintf("sharded-%d", k), cem.WithShardCount(k)})
+	}
+	for _, k := range []int{1, 2} {
+		ex = append(ex, execution{fmt.Sprintf("sharded-net-%d", k), cem.WithBackend(cem.NewShardedNetBackend(k))})
+	}
+	return ex
+}
+
+// run executes one scheme under the execution on a fresh runner carrying
+// the row's option (nil for none).
+func (ex execution) run(t *testing.T, exp *cem.Experiment, matcher string, scheme cem.Scheme, rowOpt cem.RunnerOption) (match.PairSet, *cem.Runner) {
+	t.Helper()
+	var opts []cem.RunnerOption
+	for _, o := range []cem.RunnerOption{rowOpt, ex.opt} {
+		if o != nil {
+			opts = append(opts, o)
+		}
+	}
+	runner, err := exp.Runner(matcher, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.opt == nil {
+		res, err := runner.RunGrid(context.Background(), scheme, cem.GridConfig{Machines: 4, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Matches, runner
+	}
+	res, err := runner.Run(context.Background(), scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Matches, runner
+}
+
+func wholeSet(s cem.Scheme) bool { return s == cem.SchemeFull || s == cem.SchemeUB }
+
+func TestConformance(t *testing.T) {
+	placements := executions()
+	for _, ds := range goldenSeeds {
+		exp, err := cem.New(cem.NewDataset(ds.kind, ds.scale, ds.seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, matcher := range []string{cem.MatcherMLN, cem.MatcherRules} {
+			// The reference: the default placement, held to the fixtures.
+			ref := map[cem.Scheme]match.PairSet{}
+			for _, scheme := range goldenMatrix[matcher] {
+				path := filepath.Join("testdata", "golden", fmt.Sprintf("%s-%s-%s.golden", ds.kind, matcher, scheme))
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("missing fixture (run `go test -run TestGoldenMatchSets -update`): %v", err)
+				}
+				ref[scheme], _ = placements[0].run(t, exp, matcher, scheme, nil)
+				if got := renderPairs(ref[scheme]); got != string(want) {
+					t.Fatalf("%s: reference run diverges from its fixture: %s", path, firstDiff(got, string(want)))
+				}
+			}
+			victim := ref[cem.SchemeSMP].Sorted()[0] // a pair SMP matches: the negative row's V−
+
+			// A row fixes the logical configuration; every placement must
+			// land on the row's one expected output per scheme.
+			type row struct {
+				name    string
+				opt     cem.RunnerOption
+				store   bool
+				schemes []cem.Scheme
+				want    func(cem.Scheme) match.PairSet
+			}
+			fixtures := func(s cem.Scheme) match.PairSet { return ref[s] }
+			// The option rows run the schemes both matchers share. V− binds
+			// matcher calls, not MMP's message promotion, so "the victim
+			// stays unmatched" is a claim about NO-MP and SMP only.
+			shared := []cem.Scheme{cem.SchemeNoMP, cem.SchemeSMP}
+			negOpt, negative := cem.WithNegativeEvidence(match.NewPairSet(victim)), map[cem.Scheme]match.PairSet{}
+			for _, s := range shared {
+				negative[s], _ = placements[0].run(t, exp, matcher, s, negOpt)
+				if negative[s].Has(victim) {
+					t.Errorf("%s/%s: negative evidence ignored: victim pair matched", matcher, s)
+				}
+			}
+			rows := []row{{name: "nostore", schemes: goldenMatrix[matcher], want: fixtures}}
+			for _, sv := range storeVariants(t) {
+				rows = append(rows, row{name: sv.name, opt: sv.opt, store: true, schemes: goldenMatrix[matcher], want: fixtures})
+			}
+			rows = append(rows,
+				row{name: "closure", opt: cem.WithTransitiveClosure(), schemes: shared,
+					want: func(s cem.Scheme) match.PairSet { return exp.TransitiveClosure(ref[s]) }},
+				row{name: "negative", opt: negOpt, schemes: shared,
+					want: func(s cem.Scheme) match.PairSet { return negative[s] }})
+
+			for _, r := range rows {
+				for i, ex := range placements {
+					t.Run(fmt.Sprintf("%s/%s/%s/%s", ds.kind, matcher, r.name, ex.name), func(t *testing.T) {
+						got := map[cem.Scheme]match.PairSet{}
+						for _, scheme := range r.schemes {
+							if wholeSet(scheme) && i > 0 {
+								continue // no placement to vary: once per row, the store idle
+							}
+							matches, runner := ex.run(t, exp, matcher, scheme, r.opt)
+							got[scheme] = matches
+							if want := r.want(scheme); !matches.Equal(want) {
+								t.Errorf("%s: match set diverges: %s", scheme, firstDiff(renderPairs(matches), renderPairs(want)))
+							}
+							if !r.store || wholeSet(scheme) {
+								continue
+							}
+							// After a round run the store holds exactly its M+.
+							st, err := runner.Store()
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !slices.EqualFunc(evidenceKeys(t, st), matches.SortedKeys(),
+								func(a uint64, b match.PairKey) bool { return a == uint64(b) }) {
+								t.Errorf("%s: the store's evidence stream is not the run's match set", scheme)
+							}
+						}
+						smp := got[cem.SchemeSMP]
+						if !got[cem.SchemeNoMP].Subset(smp) {
+							t.Error("SMP lost NO-MP matches")
+						}
+						if mmp, ok := got[cem.SchemeMMP]; ok && !smp.Subset(mmp) {
+							t.Error("MMP lost SMP matches")
+						}
+						if r.opt == nil || r.store {
+							for _, s := range []cem.Scheme{cem.SchemeSMP, cem.SchemeMMP} {
+								if !got[s].Subset(ref[cem.SchemeFull]) {
+									t.Errorf("%s is unsound: not contained in FULL", s)
+								}
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}

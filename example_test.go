@@ -60,20 +60,3 @@ func ExampleRunner_Run() {
 	// nomp ⊆ smp: true
 	// smp ⊆ mmp: true
 }
-
-// ExampleExperiment_Run exercises the deprecated enum-style wrapper,
-// which remains for one release: it delegates to a Runner with
-// context.Background and no options.
-func ExampleExperiment_Run() {
-	exp, err := cem.New(cem.NewDataset(cem.DBLP, 0.2, 7))
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := exp.Run(cem.SchemeSMP, cem.MatcherMLN)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("matcher:", res.Matcher)
-	// Output:
-	// matcher: mln
-}

@@ -1,9 +1,9 @@
-// Parallelgrid: run the framework on the simulated grid of §6.3 — a
-// rounds-based MapReduce-style executor over simulated machines — and
-// reproduce the Table 1 observation that speedup stays well below the
-// machine count because of assignment skew and per-round overhead.
-// Contrast with cem.WithParallelism, which parallelizes for real on
-// shared memory; the grid additionally models the distributed clock.
+// Parallelgrid: run the framework with the simulated grid of §6.3 as
+// its backend — the engine's own rounds, timed on a clock of simulated
+// machines — and reproduce the Table 1 observation that speedup stays
+// well below the machine count because of assignment skew and per-round
+// overhead. Contrast with cem.WithParallelism, which only parallelizes
+// on shared memory; the grid additionally models the distributed clock.
 //
 // Run with:
 //
@@ -17,7 +17,6 @@ import (
 	"time"
 
 	cem "repro"
-	"repro/internal/grid"
 )
 
 func main() {
@@ -46,7 +45,7 @@ func main() {
 		return time.Duration(active*active) * time.Millisecond
 	}
 	for _, machines := range []int{1, 5, 30} {
-		gcfg := grid.Config{
+		gcfg := cem.GridConfig{
 			Machines:      machines,
 			RoundOverhead: 200 * time.Millisecond,
 			Seed:          1,
@@ -66,16 +65,17 @@ func main() {
 	fmt.Println("\nspeedup < machines: random assignment skews per-machine load and")
 	fmt.Println("every round pays a scheduling overhead — the Table 1 mechanism.")
 
-	// The parallel run is consistent with the sequential one.
+	// The grid is one more placement of the same rounds: its output is
+	// the default pool's.
 	seq, err := runner.Run(ctx, cem.SchemeSMP)
 	if err != nil {
 		log.Fatal(err)
 	}
 	par, err := runner.RunGrid(ctx, cem.SchemeSMP,
-		grid.Config{Machines: 30, Seed: 2})
+		cem.GridConfig{Machines: 30, Seed: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nconsistency: sequential SMP %d matches, grid SMP %d matches, equal=%v\n",
+	fmt.Printf("\nconsistency: pool SMP %d matches, grid SMP %d matches, equal=%v\n",
 		seq.Matches.Len(), par.Matches.Len(), seq.Matches.Equal(par.Matches))
 }

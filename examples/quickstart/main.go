@@ -33,9 +33,9 @@ func main() {
 	fmt.Printf("pairs:   %d matching decisions\n\n", len(exp.Candidates))
 
 	// A Runner binds one registered matcher ("mln" here; see
-	// cem.Matchers() for all) to execution options. Independent
+	// cem.Matchers() for all) to execution options. Each round's active
 	// neighborhoods are evaluated on all cores; the output is identical
-	// to a serial run (consistency, Theorems 2 and 4).
+	// to a one-worker run (consistency, Theorems 2 and 4).
 	runner, err := exp.Runner(cem.MatcherMLN,
 		cem.WithParallelism(runtime.NumCPU()))
 	if err != nil {

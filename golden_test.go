@@ -4,7 +4,9 @@ package cem_test
 // HEPTH and DBLP seed corpora, per scheme × matcher, are pinned in
 // testdata/golden/. Any change to blocking, candidate generation, the
 // matchers or the message-passing schemes that shifts a single pair
-// fails here.
+// fails here. This file pins the default runner on every scheme (FULL
+// and UB included); conformance_test.go holds every other execution to
+// the same fixtures.
 //
 // To refresh the fixtures after an INTENDED behavior change:
 //
@@ -22,6 +24,7 @@ import (
 	"testing"
 
 	cem "repro"
+	"repro/match"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden match-set fixtures")
@@ -44,10 +47,14 @@ var goldenMatrix = map[string][]cem.Scheme{
 	cem.MatcherRules: {cem.SchemeNoMP, cem.SchemeSMP, cem.SchemeFull},
 }
 
-// renderMatches serializes a match set in canonical fixture form: one
-// "a b" pair per line, sorted, with a count header for readable diffs.
-func renderMatches(res *cem.Result) string {
-	pairs := res.Matches.Sorted()
+// renderMatches serializes a result's match set in canonical fixture
+// form.
+func renderMatches(res *cem.Result) string { return renderPairs(res.Matches) }
+
+// renderPairs is the canonical fixture form: one "a b" pair per line,
+// sorted, with a count header for readable diffs.
+func renderPairs(matches match.PairSet) string {
+	pairs := matches.Sorted()
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %d matches\n", len(pairs))
 	for _, p := range pairs {
@@ -66,23 +73,6 @@ func TestGoldenMatchSets(t *testing.T) {
 			runner, err := exp.Runner(matcher)
 			if err != nil {
 				t.Fatal(err)
-			}
-			parallel, err := exp.Runner(matcher, cem.WithParallelism(4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			shardCounts := []int{1, 2, 4}
-			sharded := make([]*cem.Runner, len(shardCounts))
-			shardedNet := make([]*cem.Runner, len(shardCounts))
-			for i, k := range shardCounts {
-				sharded[i], err = exp.Runner(matcher, cem.WithShardCount(k))
-				if err != nil {
-					t.Fatal(err)
-				}
-				shardedNet[i], err = exp.Runner(matcher, cem.WithBackend(cem.NewShardedNetBackend(k)))
-				if err != nil {
-					t.Fatal(err)
-				}
 			}
 			for _, scheme := range goldenMatrix[matcher] {
 				name := fmt.Sprintf("%s-%s-%s", ds.kind, matcher, scheme)
@@ -109,49 +99,6 @@ func TestGoldenMatchSets(t *testing.T) {
 					if got != string(want) {
 						t.Errorf("match set diverges from %s\ngot:  %s\nwant: %s\n(re-run with -update if the change is intended)",
 							path, firstDiff(got, string(want)), path)
-					}
-					// The parallel executors must land on the byte-identical
-					// fixture (consistency, Theorems 2 and 4). FULL and UB
-					// have no parallel path; skip the redundant re-run.
-					if scheme == cem.SchemeFull || scheme == cem.SchemeUB {
-						return
-					}
-					pres, err := parallel.Run(context.Background(), scheme)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if pgot := renderMatches(pres); pgot != string(want) {
-						t.Errorf("parallel(4) match set diverges from %s: %s",
-							path, firstDiff(pgot, string(want)))
-					}
-					// The shard-partitioned backend — private evidence
-					// replicas synchronized only by serialized delta
-					// batches — must also land on the byte-identical
-					// fixture for every shard count (consistency again;
-					// the wire codec must be lossless for that to hold).
-					for i, k := range shardCounts {
-						sres, err := sharded[i].Run(context.Background(), scheme)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if sgot := renderMatches(sres); sgot != string(want) {
-							t.Errorf("sharded(%d) match set diverges from %s: %s",
-								k, path, firstDiff(sgot, string(want)))
-						}
-					}
-					// The distributed sharded-net backend — coordinator plus
-					// K wire-connected workers — must reproduce the fixture
-					// too: the worker boundary adds supervision, never
-					// semantics.
-					for i, k := range shardCounts {
-						nres, err := shardedNet[i].Run(context.Background(), scheme)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if ngot := renderMatches(nres); ngot != string(want) {
-							t.Errorf("sharded-net(%d) match set diverges from %s: %s",
-								k, path, firstDiff(ngot, string(want)))
-						}
 					}
 				})
 			}

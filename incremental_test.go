@@ -79,13 +79,14 @@ func ingest(t *testing.T, pipe *cem.Pipeline, batches [][]cem.Record, cold *cem.
 	return res
 }
 
-// incrementalMatrix: every scheme with round structure, on both
-// execution backends. FULL and UB have no incremental path.
+// incrementalMatrix: every scheme with round structure, on the in-order
+// one-worker pool and on a snapshot-round backend. FULL and UB have no
+// incremental path.
 var incrementalBackends = []struct {
 	name string
 	opt  cem.RunnerOption
 }{
-	{"pool", cem.WithBackend(cem.NewPoolBackend())},
+	{"pool", cem.WithParallelism(1)},
 	{"sharded4", cem.WithShardCount(4)},
 }
 
@@ -105,11 +106,12 @@ func TestIncrementalMatchesColdRun(t *testing.T) {
 				union = append(union, b...)
 			}
 			for _, scheme := range []cem.Scheme{cem.SchemeNoMP, cem.SchemeSMP, cem.SchemeMMP} {
-				// One cold reference per scheme: backends are output- and
-				// stats-identical (consistency), so the pool run grades both.
+				// One cold reference per scheme: backends are output-identical
+				// (consistency), and the two-worker pool's snapshot rounds are
+				// the matcher-call ceiling the savings are graded against.
 				coldPipe, err := cem.NewPipeline(
 					cem.WithScheme(scheme),
-					cem.WithRunnerOptions(cem.WithBackend(cem.NewPoolBackend())),
+					cem.WithRunnerOptions(cem.WithParallelism(2)),
 				)
 				if err != nil {
 					t.Fatal(err)
@@ -196,7 +198,6 @@ func TestIncrementalRulesMatcher(t *testing.T) {
 				opts := []cem.PipelineOption{
 					cem.WithMatcher(cem.MatcherRules),
 					cem.WithScheme(scheme),
-					cem.WithRunnerOptions(cem.WithBackend(cem.NewPoolBackend())),
 				}
 				if closure {
 					opts = append(opts, cem.WithRunnerOptions(cem.WithTransitiveClosure()))

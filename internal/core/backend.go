@@ -55,51 +55,56 @@ func NewRoundPlan(cfg Config, scheme string) (*RoundPlan, error) {
 	return plan, nil
 }
 
-// Evaluate runs one neighborhood against the given evidence replica —
-// the Map unit a remote worker executes against its private copy of
-// M+. It is a read-only use of the plan and safe to call concurrently.
-func (p *RoundPlan) Evaluate(id int32, evidence PairSet, allowSkip bool) Job {
-	return evalNeighborhood(&p.Config, id, evidence, p.WithMessages, allowSkip, p.Prob)
-}
-
 // Backend executes the rounds of a message-passing scheme. A backend
 // owns the Map side — where and how the active neighborhoods are
 // evaluated each round — while the RoundDriver owns the Reduce side:
 // merging evidence, promoting messages, deriving the next active set,
 // and checkpointing. Theorems 2 and 4 (consistency) are what make the
 // backend choice invisible in the output: any topology that evaluates
-// each round's active set against the round-start evidence snapshot
-// produces the identical match set for well-behaved matchers.
+// each round's active set against at least the round-start evidence —
+// the frozen snapshot, or M+ as it grows within the round — produces the
+// identical match set for well-behaved matchers.
 //
-// The contract per round: call driver.Evaluate (or equivalent) for every
-// id in driver.Active(), against an evidence snapshot equal to
-// driver.Snapshot() at round start, and pass the jobs — in active-set
-// order — to driver.FinishRound. Repeat until driver.Done().
+// The contract per round: evaluate every id in driver.Active() —
+// driver.Evaluate, driver.MapRound, or plan.Evaluate against a replica
+// equal to driver.Snapshot() at round start — and reduce the jobs in
+// active-set order, with driver.FinishRound or Reduce…EndRound. Repeat
+// until driver.Done().
 type Backend interface {
 	RunRounds(ctx context.Context, plan *RoundPlan, driver *RoundDriver) error
 }
 
-// PoolBackend is the default execution backend: rounds are mapped on an
-// in-process worker pool over shared memory (plan.Config.Parallelism
-// workers), exactly the executor WithParallelism has always used.
+// PoolBackend is the default execution backend: an in-process pool of
+// plan.Config.Parallelism workers over shared memory. With several
+// workers a round is mapped concurrently against the frozen round-start
+// snapshot and reduced afterwards. A single worker has no concurrency to
+// protect, so it reduces each job before evaluating the next: the rest
+// of the round already sees the new matches — the immediate evidence
+// propagation of Algorithm 1 as written, which is why a serial SMP
+// sweep decides fewer pairs than NO-MP's (§6.2, Fig 3(d)).
 type PoolBackend struct{}
 
 // RunRounds implements Backend.
 func (PoolBackend) RunRounds(ctx context.Context, plan *RoundPlan, d *RoundDriver) error {
+	workers := plan.Config.workers()
 	for !d.Done() {
-		if err := ctx.Err(); err != nil {
-			return err
+		if workers > 1 {
+			jobs, err := d.MapRound(ctx, workers)
+			if err != nil {
+				return err
+			}
+			if err := d.FinishRound(jobs); err != nil {
+				return err
+			}
+			continue
 		}
-		// Round 1 visits every neighborhood for the first time; later
-		// rounds are re-activations, where undecided-free scopes may be
-		// discharged without a matcher call (candidate-closure matchers
-		// only; see ScopePreparer).
-		jobs, err := mapNeighborhoods(ctx, plan.Config, d.Active(), d.Snapshot(),
-			plan.WithMessages, d.AllowSkip(), plan.Prob)
-		if err != nil {
-			return err
+		for _, id := range d.Active() {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			d.Reduce(d.Evaluate(id))
 		}
-		if err := d.FinishRound(jobs); err != nil {
+		if err := d.EndRound(); err != nil {
 			return err
 		}
 	}

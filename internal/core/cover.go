@@ -155,25 +155,33 @@ func (s CoverStats) String() string {
 // soundness and consistency (re-running an unaffected neighborhood is a
 // no-op for an idempotent matcher).
 func (c *Cover) Affected(newMatches []Pair, rel *graph.Graph) []int32 {
-	seen := map[int32]bool{}
+	return c.affectedUnseen(newMatches, rel, nil)
+}
+
+// affectedUnseen is Affected for a neighborhood that may have seen a
+// prefix of newMatches already: seen[id] (when non-nil) is the number of
+// leading pairs neighborhood id was evaluated against, and only a later
+// pair re-activates it.
+func (c *Cover) affectedUnseen(newMatches []Pair, rel *graph.Graph, seen []int32) []int32 {
+	added := map[int32]bool{}
 	var out []int32
-	visit := func(e EntityID) {
+	visit := func(e EntityID, i int) {
 		for _, id := range c.containing[e] {
-			if !seen[id] {
-				seen[id] = true
+			if !added[id] && (seen == nil || i >= int(seen[id])) {
+				added[id] = true
 				out = append(out, id)
 			}
 		}
 	}
-	for _, p := range newMatches {
-		visit(p.A)
-		visit(p.B)
+	for i, p := range newMatches {
+		visit(p.A, i)
+		visit(p.B, i)
 		if rel != nil {
 			for _, u := range rel.Neighbors(p.A) {
-				visit(u)
+				visit(u, i)
 			}
 			for _, u := range rel.Neighbors(p.B) {
-				visit(u)
+				visit(u, i)
 			}
 		}
 	}

@@ -107,30 +107,14 @@ func TestAffectedDedupes(t *testing.T) {
 	}
 }
 
-func TestWorkQueue(t *testing.T) {
-	q := newWorkQueue(3, OrderFIFO, []int{1, 1, 1})
-	seen := []int32{}
-	requeued := false
-	for {
-		id, ok := q.pop()
-		if !ok {
-			break
-		}
-		seen = append(seen, id)
-		if id == 0 && !requeued {
-			requeued = true
-			q.push(2) // requeue; must dedupe with pending entry
-			q.push(0) // self-requeue allowed after pop
-		}
-	}
-	// 0,1,2 then 0 again (2 was still queued when re-pushed).
-	want := []int32{0, 1, 2, 0}
-	if len(seen) != len(want) {
-		t.Fatalf("pop sequence = %v, want %v", seen, want)
-	}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Fatalf("pop sequence = %v, want %v", seen, want)
-		}
+// TestAffectedUnseen: a neighborhood evaluated against a prefix of the
+// round's new pairs is re-activated only by a later pair.
+func TestAffectedUnseen(t *testing.T) {
+	c := NewCover(4, [][]EntityID{{0, 1}, {1, 2}, {2, 3}})
+	pairs := []Pair{MakePair(0, 1), MakePair(2, 3)}
+	// 0 saw nothing; 1 saw (0,1) but not (2,3); 2 saw both.
+	got := c.affectedUnseen(pairs, nil, []int32{0, 1, 2})
+	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Errorf("affectedUnseen = %v, want [0 1]", got)
 	}
 }

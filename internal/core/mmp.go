@@ -1,10 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-	"time"
-)
+import "context"
 
 // MMP is the maximal message-passing scheme (Algorithm 3). It requires a
 // Type-II (Probabilistic) matcher: besides exchanging found matches like
@@ -15,114 +11,21 @@ import (
 // decrease (Step 7: PE(M+ ∪ M) ≥ PE(M+)).
 //
 // For a supermodular Type-II matcher, MMP converges and is sound and
-// consistent (Theorem 4) in time O(k⁴·f(k)·n) (Theorem 5). With
-// cfg.Parallelism > 1 the active set is processed in parallel rounds
-// (see Config.Parallelism); consistency makes the output identical.
+// consistent (Theorem 4) in time O(k⁴·f(k)·n) (Theorem 5). Rounds run on
+// the pool backend with cfg.Parallelism workers (see Config.Parallelism);
+// the driver collects each round's maximal messages — dropping
+// singletons, see Reduce — and runs the Step 7 promotion once per round.
 // Cancellation of ctx aborts between neighborhood evaluations.
 func MMP(ctx context.Context, cfg Config) (*Result, error) {
-	prob, ok := cfg.Matcher.(Probabilistic)
-	if !ok {
-		return nil, fmt.Errorf("core: MMP requires a Probabilistic (Type-II) matcher, got %T", cfg.Matcher)
-	}
-	if cfg.workers() > 1 {
-		return runRounds(ctx, cfg, "MMP")
-	}
-
-	start := time.Now()
-	canSkip := prepareScopes(&cfg)
-	cacheStart, _ := cacheSnapshot(cfg.Matcher)
-	res := &Result{Scheme: "MMP", Matches: NewPairSet()}
-	res.Stats.Neighborhoods = cfg.Cover.Len()
-
-	active := queueFor(cfg)
-	visits := make([]int, cfg.Cover.Len())
-	mPlus := res.Matches
-	store := NewMessageStore()
-
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		id, ok := active.pop()
-		if !ok {
-			break
-		}
-		entities := cfg.Cover.Sets[id]
-		activeSize := activeDecisions(cfg.Matcher, entities, mPlus)
-		if canSkip && visits[id] > 0 && activeSize == 0 {
-			// Re-activated but nothing left to decide: for a matcher with
-			// the candidate-closure property Match echoes M+ and
-			// COMPUTEMAXIMAL has no probes, so the evaluation is a provable
-			// no-op (see RunStats.Skips and ScopePreparer).
-			res.Stats.Skips++
-			continue
-		}
-		visits[id]++
-		res.Stats.Evaluations++
-		res.Stats.ActiveSizes = append(res.Stats.ActiveSizes, activeSize)
-
-		// Step 5: matches and maximal messages of this neighborhood.
-		t0 := time.Now()
-		mc := prob.Match(entities, mPlus, cfg.Negative)
-		res.Stats.MatcherCalls++
-		msgs, calls := ComputeMaximal(prob, entities, mPlus, cfg.Negative, mc)
-		res.Stats.MatcherCalls += calls
-		res.Stats.MatcherTime += time.Since(t0)
-		res.Stats.MaximalMessages += len(msgs)
-
-		newMatches := collectNew(mc, mPlus)
-		for _, p := range newMatches {
-			mPlus.Add(p)
-		}
-		// Step 6: T = (T ∪ TC)*. Singleton messages are dropped: a
-		// singleton {p} promotes exactly when p's conditional gain turns
-		// non-negative, which the evidence-driven re-evaluation of p's
-		// neighborhood derives anyway (monotonicity); keeping them only
-		// bloats T.
-		for _, msg := range msgs {
-			if len(msg) >= 2 {
-				store.Add(msg)
-			}
-		}
-
-		// Step 7: promote sound maximal messages until fixpoint.
-		promoted := promoteMessages(prob, store, mPlus, &res.Stats)
-		newMatches = append(newMatches, promoted...)
-
-		// Step 8: re-activate affected neighborhoods.
-		if len(newMatches) > 0 {
-			affected := cfg.Cover.Affected(newMatches, cfg.Relation)
-			for _, a := range affected {
-				active.push(a)
-			}
-			res.Stats.MessagesSent += len(affected)
-		}
-		cfg.emit("MMP", id, 0, res)
-	}
-
-	for _, v := range visits {
-		if v > res.Stats.MaxRevisits {
-			res.Stats.MaxRevisits = v
-		}
-	}
-	res.Messages = copyMessages(store.Messages())
-	res.Stats.Cache = cacheDelta(cfg.Matcher, cacheStart)
-	res.Stats.Elapsed = time.Since(start)
-	return res, nil
+	return RunBackend(ctx, cfg, "MMP", PoolBackend{}, CheckpointConfig{})
 }
 
-// promoteMessages repeatedly scans the message store for a message M with
+// promote repeatedly scans the message store for a message M with
 // PE(M+ ∪ M) ≥ PE(M+), adds it to mPlus, and rescans (a promotion can
 // unlock further promotions). The newly promoted pairs are returned.
 // Soundness: by supermodularity, PE(M+∪M) ≥ PE(M+) with sound M+ implies
-// M ⊆ E(E) (proof of Theorem 4). Alternative schedulers (the round
-// executors in parallel.go and internal/grid) reach this step through
-// RoundReducer.Promote.
-func promoteMessages(prob Probabilistic, store *MessageStore, mPlus PairSet, stats *RunStats) []Pair {
-	return promoteMessagesImpl(prob, store, mPlus, stats)
-}
-
-func promoteMessagesImpl(prob Probabilistic, store *MessageStore, mPlus PairSet, stats *RunStats) []Pair {
+// M ⊆ E(E) (proof of Theorem 4).
+func promote(prob Probabilistic, store *MessageStore, mPlus PairSet, stats *RunStats) []Pair {
 	// The promotion test PE(M+ ∪ M) ≥ PE(M+) is a score-delta sign test.
 	// Prefer the matcher's incremental delta when available; otherwise
 	// fall back to two full LogScore evaluations.

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// Job is the outcome of one neighborhood evaluation: the
-// Map side of the shared-memory round executor.
+// Job is the outcome of one neighborhood evaluation: the unit a backend's
+// Map side hands to the driver's Reduce.
 type Job struct {
 	id      int32
 	matches PairSet
@@ -18,6 +18,17 @@ type Job struct {
 	skipped bool // re-activation discharged without a matcher call
 }
 
+// Skipped reports whether the re-activation was discharged without a
+// matcher call (see RunStats.Skips).
+func (j *Job) Skipped() bool { return j.skipped }
+
+// ActiveDecisions is the number of in-scope candidate pairs the evidence
+// had not decided when the job ran (its RunStats.ActiveSizes entry).
+func (j *Job) ActiveDecisions() int { return j.active }
+
+// Duration is the measured wall time of the job's matcher work.
+func (j *Job) Duration() time.Duration { return j.dur }
+
 // allNeighborhoods returns the ids 0..n-1.
 func allNeighborhoods(n int) []int32 {
 	ids := make([]int32, n)
@@ -27,13 +38,15 @@ func allNeighborhoods(n int) []int32 {
 	return ids
 }
 
-// evalNeighborhood runs one neighborhood against an evidence snapshot:
-// the Map-side unit of work shared by every backend. The evidence set is
-// only read. withMessages additionally runs COMPUTEMAXIMAL (prob must
-// then be non-nil); allowSkip discharges neighborhoods with no undecided
-// in-scope pair without calling the matcher (re-activation rounds only;
-// see RunStats.Skips).
-func evalNeighborhood(cfg *Config, id int32, evidence PairSet, withMessages, allowSkip bool, prob Probabilistic) Job {
+// Evaluate runs one neighborhood against an evidence set that is only
+// read — the Map unit every backend executes, in-process against the
+// driver's M+ or remotely against a private replica. MMP plans
+// additionally run COMPUTEMAXIMAL; allowSkip discharges neighborhoods
+// with no undecided in-scope pair without calling the matcher
+// (re-activation rounds only; see RunStats.Skips). It is a read-only use
+// of the plan and safe to call concurrently.
+func (p *RoundPlan) Evaluate(id int32, evidence PairSet, allowSkip bool) Job {
+	cfg := &p.Config
 	entities := cfg.Cover.Sets[id]
 	active := activeDecisions(cfg.Matcher, entities, evidence)
 	if allowSkip && active == 0 {
@@ -43,9 +56,9 @@ func evalNeighborhood(cfg *Config, id int32, evidence PairSet, withMessages, all
 	mc := cfg.Matcher.Match(entities, evidence, cfg.Negative)
 	calls := 1
 	var msgs [][]Pair
-	if withMessages {
+	if p.WithMessages {
 		var probes int
-		msgs, probes = ComputeMaximal(prob, entities, evidence, cfg.Negative, mc)
+		msgs, probes = ComputeMaximal(p.Prob, entities, evidence, cfg.Negative, mc)
 		calls += probes
 	}
 	return Job{
@@ -58,30 +71,15 @@ func evalNeighborhood(cfg *Config, id int32, evidence PairSet, withMessages, all
 	}
 }
 
-// mapNeighborhoods evaluates the given neighborhoods against a fixed
-// evidence snapshot, in parallel when cfg.Parallelism > 1, and returns
-// the per-neighborhood jobs in input order. A canceled ctx aborts the
-// round; started evaluations finish, queued ones are skipped.
-func mapNeighborhoods(ctx context.Context, cfg Config, ids []int32, evidence PairSet, withMessages, allowSkip bool, prob Probabilistic) ([]Job, error) {
+// MapRound evaluates the round's active set concurrently, on at most
+// workers goroutines, against the round-start Snapshot — the Map side of
+// a shared-memory round. The jobs come back in Active() order, ready for
+// FinishRound. A canceled ctx aborts the round; started evaluations
+// finish, queued ones are skipped.
+func (d *RoundDriver) MapRound(ctx context.Context, workers int) ([]Job, error) {
+	ids := d.Active()
 	jobs := make([]Job, len(ids))
-	eval := func(i int) {
-		jobs[i] = evalNeighborhood(&cfg, ids[i], evidence, withMessages, allowSkip, prob)
-	}
-
-	workers := cfg.workers()
-	if workers <= 1 {
-		for i := range ids {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			eval(i)
-		}
-		return jobs, nil
-	}
-
-	if workers > len(ids) {
-		workers = len(ids)
-	}
+	workers = max(1, min(workers, len(ids)))
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -92,7 +90,7 @@ func mapNeighborhoods(ctx context.Context, cfg Config, ids []int32, evidence Pai
 				if ctx.Err() != nil {
 					continue // drain the queue without working
 				}
-				eval(i)
+				jobs[i] = d.Evaluate(ids[i])
 			}
 		}()
 	}
@@ -105,65 +103,4 @@ func mapNeighborhoods(ctx context.Context, cfg Config, ids []int32, evidence Pai
 		return nil, err
 	}
 	return jobs, nil
-}
-
-// RoundReducer implements the Reduce semantics shared by the parallel
-// executors (the shared-memory rounds here and the simulated grid in
-// internal/grid): merge a round's per-neighborhood matches into the
-// global set, collect maximal messages (dropping singletons, which the
-// evidence-driven re-evaluation subsumes), and promote sound messages
-// per Algorithm 3 Step 7. New accumulates the round's newly decided
-// pairs — the input to Cover.Affected.
-type RoundReducer struct {
-	matches PairSet
-	store   *MessageStore
-	prob    Probabilistic
-	stats   *RunStats
-	New     []Pair
-}
-
-// NewRoundReducer builds a reducer over the global match set. store and
-// prob are nil for schemes without maximal messages; stats may be nil
-// when the caller keeps no counters. Build one per round.
-func NewRoundReducer(matches PairSet, store *MessageStore, prob Probabilistic, stats *RunStats) *RoundReducer {
-	if stats == nil {
-		stats = &RunStats{}
-	}
-	return &RoundReducer{matches: matches, store: store, prob: prob, stats: stats}
-}
-
-// Add merges one job's matches and maximal messages. The job's new pairs
-// are appended to New in packed-key order, so the round's evidence delta
-// is reproducible run-to-run (map iteration order never leaks out).
-func (r *RoundReducer) Add(mc PairSet, msgs [][]Pair) {
-	for _, p := range collectNew(mc, r.matches) {
-		r.matches.Add(p)
-		r.New = append(r.New, p)
-	}
-	if r.store != nil {
-		r.stats.MaximalMessages += len(msgs)
-		for _, msg := range msgs {
-			if len(msg) >= 2 { // singletons are subsumed by re-evaluation
-				r.store.Add(msg)
-			}
-		}
-	}
-}
-
-// Promote runs the Step 7 promotion fixpoint over the accumulated
-// store, appending the promoted pairs to New.
-func (r *RoundReducer) Promote() {
-	if r.store != nil && r.prob != nil {
-		r.New = append(r.New, promoteMessagesImpl(r.prob, r.store, r.matches, r.stats)...)
-	}
-}
-
-// runRounds executes SMP or MMP as parallel rounds over shared memory —
-// the grid executor's Map/Reduce structure without the simulated clock.
-// It is the historical entry point of the round executor; the loop now
-// lives in the Backend abstraction (backend.go) with the shared-memory
-// pool as its default implementation, so WithParallelism and WithBackend
-// run the exact same code.
-func runRounds(ctx context.Context, cfg Config, scheme string) (*Result, error) {
-	return RunBackend(ctx, cfg, scheme, PoolBackend{}, CheckpointConfig{})
 }

@@ -2,45 +2,54 @@ package core_test
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
+	"repro/internal/canopy"
 	"repro/internal/core"
+	"repro/internal/datagen"
+	"repro/internal/mln"
 	"repro/internal/testmodel"
 )
 
-// TestParallelMatchesSerial: with Parallelism > 1 every scheme's output
-// equals the serial scheduler's on random supermodular instances —
-// consistency (Theorems 2 and 4) carried over to the shared-memory
-// round executor.
-func TestParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(909))
-	for trial := 0; trial < 60; trial++ {
-		m, cover := randomModel(rng)
-		serial := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
-		par := serial
-		par.Parallelism = 4
-
-		if got, want := mustRun(t, core.NoMP, par), mustRun(t, core.NoMP, serial); !got.Matches.Equal(want.Matches) {
-			t.Fatalf("trial %d: parallel NO-MP diverges: %v vs %v",
-				trial, got.Matches.Sorted(), want.Matches.Sorted())
+// TestInOrderReduceShrinksFirstSweep pins the mechanism behind Fig 3(d)
+// (SMP cheaper than NO-MP, §6.2: "messages often reduce the active size
+// of the neighborhoods") where it is implemented. On a HEPTH-like cover a
+// one-worker SMP run reduces each neighborhood before evaluating the
+// next, so its first sweep over the cover decides strictly fewer pairs
+// than NO-MP's; a two-worker run maps round 1 against the empty
+// round-start snapshot and decides exactly NO-MP's — and then re-runs
+// every affected neighborhood, where the one-worker run re-runs only
+// those a new pair reached after their evaluation.
+func TestInOrderReduceShrinksFirstSweep(t *testing.T) {
+	d := datagen.MustGenerate(datagen.HEPTHLike(0.1, 21))
+	cover := canopy.BuildCover(d, canopy.DefaultConfig())
+	sp := canopy.CandidatePairs(d, cover)
+	cands := make([]mln.Candidate, len(sp))
+	for i, s := range sp {
+		cands[i] = mln.Candidate{Pair: s.Pair, Level: s.Level}
+	}
+	m, err := mln.New(d, cands, mln.PaperWeights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(scheme func(context.Context, core.Config) (*core.Result, error), workers int) (firstSweep, evaluations int) {
+		res := mustRun(t, scheme, core.Config{Cover: cover, Matcher: m, Relation: d.Coauthor(), Parallelism: workers})
+		for _, a := range res.Stats.ActiveSizes[:cover.Len()] {
+			firstSweep += a
 		}
-		if got, want := mustRun(t, core.SMP, par), mustRun(t, core.SMP, serial); !got.Matches.Equal(want.Matches) {
-			t.Fatalf("trial %d: parallel SMP diverges: %v vs %v",
-				trial, got.Matches.Sorted(), want.Matches.Sorted())
-		}
-		got, err := core.MMP(bg, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := core.MMP(bg, serial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Matches.Equal(want.Matches) {
-			t.Fatalf("trial %d: parallel MMP diverges: %v vs %v",
-				trial, got.Matches.Sorted(), want.Matches.Sorted())
-		}
+		return firstSweep, res.Stats.Evaluations
+	}
+	nomp, _ := sweep(core.NoMP, 1)
+	inOrder, inOrderEvals := sweep(core.SMP, 1)
+	snapshot, snapshotEvals := sweep(core.SMP, 2)
+	if inOrder >= nomp {
+		t.Errorf("one-worker SMP first sweep decides %d pairs, want fewer than NO-MP's %d", inOrder, nomp)
+	}
+	if snapshot != nomp {
+		t.Errorf("two-worker SMP first sweep decides %d pairs, want NO-MP's %d", snapshot, nomp)
+	}
+	if inOrderEvals >= snapshotEvals {
+		t.Errorf("one-worker SMP evaluates %d neighborhoods, want fewer than the snapshot rounds' %d", inOrderEvals, snapshotEvals)
 	}
 }
 
@@ -90,7 +99,8 @@ func TestCanceledContext(t *testing.T) {
 }
 
 // TestProgressCallback: progress events fire once per evaluation with
-// monotonically non-decreasing counters.
+// monotonically non-decreasing counters and 1-based round numbers at
+// every worker count.
 func TestProgressCallback(t *testing.T) {
 	m, cover, _ := testmodel.PaperExample()
 	for _, parallelism := range []int{0, 3} {
@@ -109,6 +119,9 @@ func TestProgressCallback(t *testing.T) {
 			}
 			if e.Evaluations != i+1 {
 				t.Fatalf("event %d: evaluations = %d", i, e.Evaluations)
+			}
+			if first := i < cover.Len(); first != (e.Round == 1) {
+				t.Fatalf("parallelism %d: event %d reports round %d", parallelism, i, e.Round)
 			}
 			if i > 0 && e.Matches < events[i-1].Matches {
 				t.Fatalf("event %d: match count decreased", i)

@@ -146,101 +146,12 @@ func (c CacheReport) String() string {
 }
 
 // ProgressEvent reports one neighborhood evaluation to a Config.Progress
-// callback. Events are delivered sequentially, in evaluation order for
-// serial runs and in reduce order (per round) for parallel runs.
+// callback. Events are delivered sequentially, in reduce order (which is
+// evaluation order on a one-worker pool).
 type ProgressEvent struct {
 	Scheme       string
 	Neighborhood int32 // id of the evaluated neighborhood; -1 for whole-set runs
-	Round        int   // parallel round number; 0 for serial schedulers
+	Round        int   // 1-based round number, on every backend; 1 for whole-set runs
 	Evaluations  int   // neighborhood evaluations completed so far
 	Matches      int   // matches accumulated so far
 }
-
-// Order selects the scheduling discipline of the active set A in
-// Algorithms 1 and 3. The choice is immaterial for correctness —
-// Theorems 2 and 4 guarantee the output is order-invariant for
-// well-behaved matchers (and the test suite verifies this across all
-// disciplines) — but it can shift how quickly evidence accumulates and
-// therefore the number of re-evaluations.
-type Order int
-
-const (
-	// OrderFIFO processes neighborhoods in arrival order (default).
-	OrderFIFO Order = iota
-	// OrderLIFO processes the most recently activated neighborhood first
-	// (depth-first evidence propagation).
-	OrderLIFO
-	// OrderSmallestFirst prefers small neighborhoods — cheap evidence
-	// early, the heuristic behind "process the easy blocks first".
-	OrderSmallestFirst
-	// OrderLargestFirst prefers large neighborhoods — most evidence per
-	// evaluation.
-	OrderLargestFirst
-)
-
-// workQueue is a scheduling queue over neighborhood ids with set
-// semantics: a neighborhood already queued is not enqueued twice.
-type workQueue struct {
-	order  Order
-	sizes  []int // neighborhood sizes for size-based disciplines
-	queue  []int32
-	queued []bool
-}
-
-func newWorkQueue(n int, order Order, sizes []int) *workQueue {
-	q := &workQueue{
-		order:  order,
-		sizes:  sizes,
-		queue:  make([]int32, 0, n),
-		queued: make([]bool, n),
-	}
-	for i := 0; i < n; i++ {
-		q.push(int32(i))
-	}
-	return q
-}
-
-// queueFor builds the scheduler's active set from a Config.
-func queueFor(cfg Config) *workQueue {
-	sizes := make([]int, cfg.Cover.Len())
-	for i, set := range cfg.Cover.Sets {
-		sizes[i] = len(set)
-	}
-	return newWorkQueue(cfg.Cover.Len(), cfg.Order, sizes)
-}
-
-func (q *workQueue) push(id int32) {
-	if !q.queued[id] {
-		q.queued[id] = true
-		q.queue = append(q.queue, id)
-	}
-}
-
-func (q *workQueue) pop() (int32, bool) {
-	if len(q.queue) == 0 {
-		return 0, false
-	}
-	at := 0
-	switch q.order {
-	case OrderLIFO:
-		at = len(q.queue) - 1
-	case OrderSmallestFirst:
-		for i := 1; i < len(q.queue); i++ {
-			if q.sizes[q.queue[i]] < q.sizes[q.queue[at]] {
-				at = i
-			}
-		}
-	case OrderLargestFirst:
-		for i := 1; i < len(q.queue); i++ {
-			if q.sizes[q.queue[i]] > q.sizes[q.queue[at]] {
-				at = i
-			}
-		}
-	}
-	id := q.queue[at]
-	q.queue = append(q.queue[:at], q.queue[at+1:]...)
-	q.queued[id] = false
-	return id, true
-}
-
-func (q *workQueue) empty() bool { return len(q.queue) == 0 }

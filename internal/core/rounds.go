@@ -10,9 +10,11 @@ import (
 // RoundDriver owns the central (Reduce) state of a round-based run: the
 // accumulated evidence, the maximal-message store, visit counts, run
 // statistics, the active set, and — when configured — the per-round
-// checkpoint trail. Backends drive it round by round; it is not safe for
-// concurrent use (reduce is central by design, as in the paper's §6.3
-// grid where a designated machine merges each round).
+// checkpoint trail. It is the one fixpoint loop's state: every backend
+// drives it round by round. Evaluate may run concurrently between two
+// reduces, for distinct ids; everything else belongs to one goroutine
+// (reduce is central by design, as in the paper's §6.3 grid where a
+// designated machine merges each round).
 type RoundDriver struct {
 	plan   *RoundPlan
 	res    *Result
@@ -21,7 +23,12 @@ type RoundDriver struct {
 	ckpt   *checkpointer // nil when not checkpointing
 
 	active  []int32
-	lastNew []Pair // the just-finished round's new pairs (reducer order)
+	pending []Pair // the running round's new pairs, in reduce order
+	// seen[id] is how many of pending neighborhood id's evaluation this
+	// round already had as evidence (0 for snapshot and replica rounds):
+	// only a later pair re-activates it.
+	seen    []int32
+	lastNew []Pair // the just-finished round's new pairs (reduce order)
 	round   int    // last completed round
 	done    bool
 
@@ -45,6 +52,7 @@ func newRoundDriver(plan *RoundPlan, ck CheckpointConfig) (*RoundDriver, error) 
 	d.res = &Result{Scheme: plan.Scheme, Matches: NewPairSet()}
 	d.res.Stats.Neighborhoods = plan.Config.Cover.Len()
 	d.visits = make([]int, plan.Config.Cover.Len())
+	d.seen = make([]int32, plan.Config.Cover.Len())
 	if plan.WithMessages {
 		d.store = NewMessageStore()
 	}
@@ -101,10 +109,10 @@ func (d *RoundDriver) Round() int { return d.round + 1 }
 // Backends must treat the slice as read-only.
 func (d *RoundDriver) Active() []int32 { return d.active }
 
-// Snapshot returns the evidence snapshot for the round about to
-// execute: the accumulated M+ for evidence-exchanging schemes, nil for
-// NO-MP (whose matcher contract is evidence-free first visits). The set
-// is only valid to read until FinishRound is called.
+// Snapshot returns the evidence for the round about to execute: the
+// accumulated M+ for evidence-exchanging schemes, nil for NO-MP (whose
+// matcher contract is evidence-free first visits). The set is the live
+// M+: read-only, and unchanged only until the next Reduce.
 func (d *RoundDriver) Snapshot() PairSet {
 	if !d.plan.Exchange {
 		return nil
@@ -122,45 +130,74 @@ func (d *RoundDriver) AllowSkip() bool {
 }
 
 // Evaluate runs one neighborhood of the current round against the
-// driver's own snapshot — the single-node convenience for custom
-// backends that schedule work but do not distribute state.
+// driver's own Snapshot — for backends that schedule work but do not
+// distribute state. Besides reading, it writes only id's own seen slot.
 func (d *RoundDriver) Evaluate(id int32) Job {
-	return evalNeighborhood(&d.plan.Config, id, d.Snapshot(), d.plan.WithMessages, d.AllowSkip(), d.plan.Prob)
+	d.seen[id] = int32(len(d.pending))
+	return d.plan.Evaluate(id, d.Snapshot(), d.AllowSkip())
 }
 
-// FinishRound is the central Reduce of one round: it merges the jobs'
-// matches (and maximal messages) into the global state in active-set
-// order, promotes sound messages (Algorithm 3 Step 7), derives the next
-// active set from the affected neighborhoods, and persists a checkpoint
-// when configured. jobs must be in Active() order, evaluated against
-// the round-start Snapshot. The round's evidence delta is available
-// from RoundDelta afterwards.
-func (d *RoundDriver) FinishRound(jobs []Job) error {
-	round := d.round + 1
-	red := NewRoundReducer(d.res.Matches, d.store, d.plan.Prob, &d.res.Stats)
-	for _, j := range jobs {
-		if j.skipped {
-			d.res.Stats.Skips++
-			continue
-		}
-		d.visits[j.id]++
-		d.res.Stats.Evaluations++
-		d.res.Stats.MatcherCalls += j.calls
-		d.res.Stats.MatcherTime += j.dur
-		d.res.Stats.ActiveSizes = append(d.res.Stats.ActiveSizes, j.active)
-		red.Add(j.matches, j.msgs)
-		d.plan.Config.emit(d.plan.Scheme, j.id, round, d.res)
+// Reduce merges one evaluated job of the current round into the global
+// state: its matches join M+ (new pairs in packed-key order, so the
+// round's evidence delta is reproducible run-to-run) and its maximal
+// messages join the store — minus singletons: {p} promotes exactly when
+// p's conditional gain turns non-negative, which the evidence-driven
+// re-evaluation of p's neighborhood derives anyway (monotonicity).
+// Reducing in Active() order keeps counters, progress events and the
+// delta order reproducible; the output does not depend on the order
+// (consistency). A backend that reduces each job before evaluating the
+// next propagates evidence within the round (Algorithm 1 as written);
+// one that maps the whole round against the round-start Snapshot reduces
+// it afterwards with FinishRound.
+func (d *RoundDriver) Reduce(j Job) {
+	if j.skipped {
+		d.res.Stats.Skips++
+		return
 	}
-	red.Promote()
-	d.round = round
-	d.lastNew = red.New
+	stats := &d.res.Stats
+	d.visits[j.id]++
+	stats.Evaluations++
+	stats.MatcherCalls += j.calls
+	stats.MatcherTime += j.dur
+	stats.ActiveSizes = append(stats.ActiveSizes, j.active)
+	for _, p := range collectNew(j.matches, d.res.Matches) {
+		d.res.Matches.Add(p)
+		d.pending = append(d.pending, p)
+	}
+	if d.store != nil {
+		stats.MaximalMessages += len(j.msgs)
+		for _, msg := range j.msgs {
+			if len(msg) >= 2 {
+				d.store.Add(msg)
+			}
+		}
+	}
+	d.plan.Config.emit(d.plan.Scheme, j.id, d.round+1, d.res)
+}
+
+// EndRound closes the current round once every active job is reduced:
+// it promotes sound maximal messages (Algorithm 3 Step 7), derives the
+// next active set from the neighborhoods the round's new pairs affect
+// (a neighborhood Evaluate ran after a pair was reduced already had it
+// as evidence, and is not re-activated by it), mirrors the evidence
+// delta into the store and persists a checkpoint when configured. The
+// delta is available from RoundDelta afterwards.
+func (d *RoundDriver) EndRound() error {
+	if d.store != nil {
+		d.pending = append(d.pending, promote(d.plan.Prob, d.store, d.res.Matches, &d.res.Stats)...)
+	}
+	d.round++
+	d.lastNew, d.pending = d.pending, nil
 
 	switch {
-	case !d.plan.Exchange, len(red.New) == 0:
+	case !d.plan.Exchange, len(d.lastNew) == 0:
 		d.active, d.done = nil, true
 	default:
-		affected := d.plan.Config.Cover.Affected(red.New, d.plan.Config.Relation)
+		affected := d.plan.Config.Cover.affectedUnseen(d.lastNew, d.plan.Config.Relation, d.seen)
 		d.res.Stats.MessagesSent += len(affected)
+		for _, id := range d.active {
+			d.seen[id] = 0
+		}
 		d.active = affected
 	}
 
@@ -177,6 +214,16 @@ func (d *RoundDriver) FinishRound(jobs []Job) error {
 		}
 	}
 	return nil
+}
+
+// FinishRound is the batch form of the central Reduce: jobs are the
+// whole round, in Active() order, evaluated against the round-start
+// Snapshot.
+func (d *RoundDriver) FinishRound(jobs []Job) error {
+	for _, j := range jobs {
+		d.Reduce(j)
+	}
+	return d.EndRound()
 }
 
 // AccountResilience adds a distributed backend's transport events to
@@ -245,20 +292,7 @@ func copyMessages(msgs [][]Pair) [][]Pair {
 // whose run already completed rebuilds the result from the checkpoint
 // trail without evaluating anything.
 func RunBackend(ctx context.Context, cfg Config, scheme string, b Backend, ck CheckpointConfig) (*Result, error) {
-	plan, err := NewRoundPlan(cfg, scheme)
-	if err != nil {
-		return nil, err
-	}
-	d, err := newRoundDriver(plan, ck)
-	if err != nil {
-		return nil, err
-	}
-	if !d.Done() {
-		if err := driveRounds(ctx, b, plan, d); err != nil {
-			return nil, err
-		}
-	}
-	return d.finish(), nil
+	return RunBackendFrom(ctx, cfg, scheme, b, ck, nil)
 }
 
 // driveRounds delegates to the backend and unifies the cancellation

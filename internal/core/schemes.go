@@ -22,19 +22,16 @@ type Config struct {
 	// (Definition 3(iii)). May be nil.
 	Negative PairSet
 
-	// Order is the scheduling discipline of the serial active set
-	// (default FIFO). Output is order-invariant for well-behaved
-	// matchers. Ignored when Parallelism > 1 (rounds are set-at-a-time).
-	Order Order
-
-	// Parallelism bounds concurrent neighborhood evaluations. 0 or 1
-	// runs serially. For n > 1, NoMP evaluates independent neighborhoods
-	// on a worker pool, and SMP/MMP adopt the grid's round-based
-	// map/reduce structure on shared memory: every round maps the active
-	// set in parallel against a snapshot of the evidence, then reduces
-	// the new evidence centrally. Output is unchanged for well-behaved
-	// matchers (consistency, Theorems 2 and 4). The Matcher must be safe
-	// for concurrent Match/Candidates calls when Parallelism > 1.
+	// Parallelism is the pool backend's worker count (values < 1 mean 1).
+	// Every round evaluates the active set and reduces the new evidence
+	// centrally. One worker evaluates the set in order and reduces each
+	// neighborhood at once, so later neighborhoods of the same round
+	// already see its matches (Algorithm 1's immediate propagation);
+	// n > 1 workers map the set concurrently against the round-start
+	// evidence snapshot and reduce afterwards. Output is the same either
+	// way for well-behaved matchers (consistency, Theorems 2 and 4). The
+	// Matcher must be safe for concurrent Match/Candidates calls when
+	// Parallelism > 1.
 	Parallelism int
 
 	// Progress, when non-nil, is invoked sequentially after every
@@ -45,8 +42,8 @@ type Config struct {
 	// Evidence, when non-nil, mirrors the round driver's accumulated
 	// M+ into external storage: cleared (and re-seeded) at run start,
 	// then appended one sorted delta per completed round, so the store
-	// always holds exactly the current run's evidence. Only round-based
-	// executions consult it.
+	// always holds exactly the current run's evidence. FULL and UB have
+	// no rounds and never consult it.
 	Evidence EvidenceStore
 }
 
@@ -73,37 +70,11 @@ func (cfg *Config) emit(scheme string, id int32, round int, res *Result) {
 }
 
 // NoMP runs the matcher once on every neighborhood independently and
-// unions the results — the NO-MP baseline of §6. No evidence flows
-// between neighborhoods, so the neighborhoods are evaluated on a worker
-// pool when cfg.Parallelism > 1; the result is identical to the serial
-// run. Cancellation of ctx aborts between neighborhood evaluations.
+// unions the results — the NO-MP baseline of §6: a single round with no
+// evidence flowing between neighborhoods. Cancellation of ctx aborts
+// between neighborhood evaluations.
 func NoMP(ctx context.Context, cfg Config) (*Result, error) {
-	start := time.Now()
-	prepareScopes(&cfg) // NO-MP never revisits, so no skips apply
-	cacheStart, _ := cacheSnapshot(cfg.Matcher)
-	res := &Result{Scheme: "NO-MP", Matches: NewPairSet()}
-	res.Stats.Neighborhoods = cfg.Cover.Len()
-
-	jobs, err := mapNeighborhoods(ctx, cfg, allNeighborhoods(cfg.Cover.Len()), nil, false, false, nil)
-	if err != nil {
-		return nil, err
-	}
-	round := 0 // serial runs report round 0, parallel rounds count from 1
-	if cfg.workers() > 1 {
-		round = 1
-	}
-	for _, j := range jobs {
-		res.Stats.ActiveSizes = append(res.Stats.ActiveSizes, j.active)
-		res.Stats.MatcherTime += j.dur
-		res.Stats.MatcherCalls++
-		res.Stats.Evaluations++
-		res.Matches.AddAll(j.matches)
-		cfg.emit("NO-MP", j.id, round, res)
-	}
-	res.Stats.MaxRevisits = 1
-	res.Stats.Cache = cacheDelta(cfg.Matcher, cacheStart)
-	res.Stats.Elapsed = time.Since(start)
-	return res, nil
+	return RunBackend(ctx, cfg, "NO-MP", PoolBackend{}, CheckpointConfig{})
 }
 
 // Full runs the matcher once on the entire entity set — the FULL
@@ -128,7 +99,7 @@ func Full(ctx context.Context, cfg Config) (*Result, error) {
 	res.Stats.Evaluations = 1
 	res.Stats.MaxRevisits = 1
 	res.Stats.Elapsed = time.Since(start)
-	cfg.emit("FULL", -1, 0, res)
+	cfg.emit("FULL", -1, 1, res)
 	return res, nil
 }
 
@@ -139,73 +110,10 @@ func Full(ctx context.Context, cfg Config) (*Result, error) {
 //
 // For a well-behaved matcher, SMP converges, is sound (output ⊆ E(E))
 // and consistent (output independent of evaluation order) — Theorem 2 —
-// in time O(k²·f(k)·n) — Theorem 3. With cfg.Parallelism > 1 the active
-// set is processed in parallel rounds (see Config.Parallelism);
-// consistency makes the output identical.
+// in time O(k²·f(k)·n) — Theorem 3. Rounds run on the pool backend with
+// cfg.Parallelism workers (see Config.Parallelism).
 func SMP(ctx context.Context, cfg Config) (*Result, error) {
-	if cfg.workers() > 1 {
-		return runRounds(ctx, cfg, "SMP")
-	}
-	start := time.Now()
-	canSkip := prepareScopes(&cfg)
-	cacheStart, _ := cacheSnapshot(cfg.Matcher)
-	res := &Result{Scheme: "SMP", Matches: NewPairSet()}
-	res.Stats.Neighborhoods = cfg.Cover.Len()
-
-	active := queueFor(cfg)
-	visits := make([]int, cfg.Cover.Len())
-	mPlus := res.Matches
-
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		id, ok := active.pop()
-		if !ok {
-			break
-		}
-		entities := cfg.Cover.Sets[id]
-		activeSize := activeDecisions(cfg.Matcher, entities, mPlus)
-		if canSkip && visits[id] > 0 && activeSize == 0 {
-			// Re-activated but nothing left to decide: for a matcher with
-			// the candidate-closure property the evaluation is a provable
-			// no-op (see RunStats.Skips and ScopePreparer).
-			res.Stats.Skips++
-			continue
-		}
-		visits[id]++
-		res.Stats.Evaluations++
-		res.Stats.ActiveSizes = append(res.Stats.ActiveSizes, activeSize)
-
-		t0 := time.Now()
-		mc := cfg.Matcher.Match(entities, mPlus, cfg.Negative)
-		res.Stats.MatcherTime += time.Since(t0)
-		res.Stats.MatcherCalls++
-
-		newMatches := collectNew(mc, mPlus)
-		if len(newMatches) == 0 {
-			cfg.emit("SMP", id, 0, res)
-			continue
-		}
-		for _, p := range newMatches {
-			mPlus.Add(p)
-		}
-		affected := cfg.Cover.Affected(newMatches, cfg.Relation)
-		for _, a := range affected {
-			active.push(a)
-		}
-		res.Stats.MessagesSent += len(affected)
-		cfg.emit("SMP", id, 0, res)
-	}
-
-	for _, v := range visits {
-		if v > res.Stats.MaxRevisits {
-			res.Stats.MaxRevisits = v
-		}
-	}
-	res.Stats.Cache = cacheDelta(cfg.Matcher, cacheStart)
-	res.Stats.Elapsed = time.Since(start)
-	return res, nil
+	return RunBackend(ctx, cfg, "SMP", PoolBackend{}, CheckpointConfig{})
 }
 
 // activeDecisions counts the in-scope candidate pairs not yet decided by
@@ -222,8 +130,8 @@ func activeDecisions(m Matcher, entities []EntityID, evidence PairSet) int {
 
 // collectNew returns the pairs of mc missing from mPlus, sorted by
 // packed key so evidence propagates in the same order run-to-run —
-// MessagesSent, ActiveSizes, progress events and the serial queue order
-// are reproducible instead of following map iteration.
+// MessagesSent, ActiveSizes and progress events are reproducible instead
+// of following map iteration.
 func collectNew(mc, mPlus PairSet) []Pair {
 	var keys []PairKey
 	for k := range mc {

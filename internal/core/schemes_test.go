@@ -183,37 +183,6 @@ func TestMMPSoundnessRandom(t *testing.T) {
 	}
 }
 
-// TestOrderInvariance checks Theorem 2(3)/4 across scheduling
-// disciplines: every Order yields identical SMP and MMP outputs.
-func TestOrderInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(606))
-	orders := []core.Order{core.OrderFIFO, core.OrderLIFO,
-		core.OrderSmallestFirst, core.OrderLargestFirst}
-	for trial := 0; trial < 40; trial++ {
-		m, cover := randomModel(rng)
-		base := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
-		ref := mustRun(t, core.SMP, base)
-		refM, err := core.MMP(bg, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, o := range orders[1:] {
-			cfg := base
-			cfg.Order = o
-			if got := mustRun(t, core.SMP, cfg); !got.Matches.Equal(ref.Matches) {
-				t.Fatalf("trial %d: SMP output differs under order %d", trial, o)
-			}
-			gotM, err := core.MMP(bg, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !gotM.Matches.Equal(refM.Matches) {
-				t.Fatalf("trial %d: MMP output differs under order %d", trial, o)
-			}
-		}
-	}
-}
-
 // TestConsistencyRandom checks Theorem 2(3)/4: the outputs of SMP and MMP
 // do not depend on the order in which neighborhoods are evaluated. We
 // permute the cover's neighborhood list (which permutes the initial

@@ -55,7 +55,7 @@ type shard struct {
 func (s *shard) runRound(plan *RoundPlan, round int, ids []int32, allowSkip bool, format wire.Format) ([]byte, error) {
 	batch := &wire.ShardBatch{Round: round, Shard: s.id, Jobs: make([]wire.Job, len(ids))}
 	for i, id := range ids {
-		j := evalNeighborhood(&plan.Config, id, s.evidence, plan.WithMessages, allowSkip, plan.Prob)
+		j := plan.Evaluate(id, s.evidence, allowSkip)
 		batch.Jobs[i] = JobToWire(&j)
 	}
 	return batch.Marshal(format)

@@ -103,15 +103,12 @@ func (d *RoundDriver) seed(w *WarmStart) error {
 }
 
 // RunBackendFrom is RunBackend continued from a warm-start seed instead
-// of a cold all-neighborhoods round 1. ck.Resume must be false — a
-// warm-started checkpointing run writes its seed as the trail's first
-// record, and continuing THAT trail later goes through the ordinary
-// RunBackend resume path.
+// of a cold all-neighborhoods round 1 (a nil seed runs cold). A seed and
+// ck.Resume exclude each other — a warm-started checkpointing run writes
+// its seed as the trail's first record, and continuing THAT trail later
+// is an ordinary resume.
 func RunBackendFrom(ctx context.Context, cfg Config, scheme string, b Backend, ck CheckpointConfig, warm *WarmStart) (*Result, error) {
-	if warm == nil {
-		return RunBackend(ctx, cfg, scheme, b, ck)
-	}
-	if ck.Resume {
+	if warm != nil && ck.Resume {
 		return nil, fmt.Errorf("core: warm start and checkpoint resume are mutually exclusive (resume a warm-started trail with RunBackend)")
 	}
 	plan, err := NewRoundPlan(cfg, scheme)
@@ -122,8 +119,10 @@ func RunBackendFrom(ctx context.Context, cfg Config, scheme string, b Backend, c
 	if err != nil {
 		return nil, err
 	}
-	if err := d.seed(warm); err != nil {
-		return nil, err
+	if warm != nil {
+		if err := d.seed(warm); err != nil {
+			return nil, err
+		}
 	}
 	if !d.Done() {
 		if err := driveRounds(ctx, b, plan, d); err != nil {

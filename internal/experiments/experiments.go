@@ -148,7 +148,7 @@ func run(exp *cem.Experiment, matcher string, s cem.Scheme, cfg Config, opts ...
 
 // accuracyTable runs the given schemes with a matcher and tabulates
 // P/R/F1 (figures 3a, 3b, 4a, 4b).
-func accuracyTable(id, title string, kind cem.DatasetKind, matcher cem.MatcherKind, schemes []cem.Scheme, cfg Config) (*Table, error) {
+func accuracyTable(id, title string, kind cem.DatasetKind, matcher string, schemes []cem.Scheme, cfg Config) (*Table, error) {
 	exp, err := setup(kind, cfg)
 	if err != nil {
 		return nil, err
@@ -509,10 +509,10 @@ func AblationCover(cfg Config) (*Table, error) {
 	}
 	d := cem.NewDataset(cem.HEPTH, cfg.Scale, cfg.Seed)
 	for _, v := range variants {
-		opts := cem.DefaultOptions()
-		opts.Canopy.MaxAligned = v.maxAligned
-		opts.Canopy.FullBoundary = v.full
-		exp, err := cem.Setup(d, opts)
+		canopy := cem.DefaultOptions().Canopy
+		canopy.MaxAligned = v.maxAligned
+		canopy.FullBoundary = v.full
+		exp, err := cem.New(d, cem.WithCanopy(canopy))
 		if err != nil {
 			return nil, err
 		}

@@ -1,15 +1,16 @@
-// Package grid implements the parallel, rounds-based execution of the
-// framework described in §6.3: every round, the active neighborhoods are
+// Package grid simulates the clock of the parallel, rounds-based
+// execution described in §6.3: every round, the active neighborhoods are
 // processed in parallel (a Map job), the new evidence is collected
 // centrally (a Reduce job), and the next round's active set is derived
 // from the affected neighborhoods. The paper ran this on a 30-machine
-// Hadoop grid; here the *execution* is real (a goroutine worker pool)
-// while the *grid clock* is simulated: jobs are randomly assigned to G
-// virtual machines, each machine's round time is the sum of its jobs'
-// measured service times, and a round costs the maximum machine time plus
-// a fixed scheduling overhead. Random assignment skew plus per-round
-// overhead is exactly the mechanism the paper gives for observing ~11×
-// (not 30×) speedup on 30 machines (Table 1).
+// Hadoop grid; here the *execution* is the engine's own (the round
+// driver's pool map and central reduce) while the *grid clock* is
+// simulated: jobs are randomly assigned to G virtual machines, each
+// machine's round time is the sum of its jobs' service times, and a round
+// costs the maximum machine time plus a fixed scheduling overhead. Random
+// assignment skew plus per-round overhead is exactly the mechanism the
+// paper gives for observing ~11× (not 30×) speedup on 30 machines
+// (Table 1).
 package grid
 
 import (
@@ -17,8 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
-	"sync"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -42,7 +42,7 @@ type Config struct {
 	// the simulated grid reflect the steeply superlinear cost of the
 	// paper's Alchemy-based matcher, which our exact solver does not
 	// have; real execution is unaffected.
-	ServiceModel func(activeDecisions int) time.Duration
+	ServiceModel func(active int) time.Duration
 }
 
 // Validate reports configuration errors.
@@ -73,7 +73,9 @@ type Result struct {
 	SimulatedSingleTime time.Duration
 	// Speedup = SimulatedSingleTime / SimulatedGridTime.
 	Speedup float64
-	// JobsRun counts neighborhood evaluations across all rounds.
+	// JobsRun counts neighborhood evaluations across all rounds — the
+	// run's RunStats.Evaluations. Re-activations discharged without a
+	// matcher call (RunStats.Skips) are not jobs and cost no service time.
 	JobsRun int
 	// RealElapsed is the actual wall-clock time of the run.
 	RealElapsed time.Duration
@@ -84,172 +86,70 @@ func (r *Result) String() string {
 		r.Scheme, r.Rounds, r.JobsRun, r.SimulatedGridTime, r.SimulatedSingleTime, r.Speedup)
 }
 
-// job is one neighborhood evaluation task.
-type job struct {
-	neighborhood int32
-	serviceTime  time.Duration
-	matches      core.PairSet
-	messages     [][]core.Pair // MMP only
+// Backend runs a scheme's rounds on the driver's shared-memory pool map
+// and keeps the simulated grid clock of what it saw. A Backend times one
+// run; read the clock with Result afterwards.
+type Backend struct {
+	cfg   Config
+	rng   *rand.Rand
+	clock Result
 }
 
-// activeDecisions counts the in-scope candidate pairs not yet decided.
-func activeDecisions(m core.Matcher, entities []core.EntityID, evidence core.PairSet) int {
-	active := 0
-	for _, p := range m.Candidates(entities) {
-		if !evidence.Has(p) {
-			active++
-		}
-	}
-	return active
-}
-
-// runRound executes the given neighborhoods in parallel with the current
-// evidence snapshot and returns the per-job results. withMessages also
-// runs COMPUTEMAXIMAL per job (MMP). Jobs not yet started when ctx is
-// canceled are skipped.
-func runRound(ctx context.Context, cfg core.Config, gcfg Config, active []int32, evidence core.PairSet, withMessages bool) []job {
-	workers := gcfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	jobs := make([]job, len(active))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, id := range active {
-		wg.Add(1)
-		go func(i int, id int32) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return
-			}
-			entities := cfg.Cover.Sets[id]
-			start := time.Now()
-			mc := cfg.Matcher.Match(entities, evidence, cfg.Negative)
-			var msgs [][]core.Pair
-			if withMessages {
-				msgs, _ = core.ComputeMaximal(cfg.Matcher, entities, evidence, cfg.Negative, mc)
-			}
-			service := time.Since(start)
-			if gcfg.ServiceModel != nil {
-				service = gcfg.ServiceModel(activeDecisions(cfg.Matcher, entities, evidence))
-			}
-			jobs[i] = job{
-				neighborhood: id,
-				serviceTime:  service,
-				matches:      mc,
-				messages:     msgs,
-			}
-		}(i, id)
-	}
-	wg.Wait()
-	return jobs
-}
-
-// simulateAssignment randomly assigns the jobs to machines and returns
-// the simulated round makespan (max machine load).
-func simulateAssignment(rng *rand.Rand, jobs []job, machines int) time.Duration {
-	load := make([]time.Duration, machines)
-	for _, j := range jobs {
-		load[rng.Intn(machines)] += j.serviceTime
-	}
-	var maxLoad time.Duration
-	for _, l := range load {
-		if l > maxLoad {
-			maxLoad = l
-		}
-	}
-	return maxLoad
-}
-
-// sumService totals the jobs' service times.
-func sumService(jobs []job) time.Duration {
-	var total time.Duration
-	for _, j := range jobs {
-		total += j.serviceTime
-	}
-	return total
-}
-
-// NoMP runs the NO-MP baseline on the grid: a single parallel round over
-// all neighborhoods.
-func NoMP(ctx context.Context, cfg core.Config, gcfg Config) (*Result, error) {
-	return run(ctx, cfg, gcfg, "NO-MP", false, false)
-}
-
-// SMP runs the simple message-passing scheme in parallel rounds. The
-// output equals sequential core.SMP for well-behaved matchers
-// (consistency, Theorem 2).
-func SMP(ctx context.Context, cfg core.Config, gcfg Config) (*Result, error) {
-	return run(ctx, cfg, gcfg, "SMP", true, false)
-}
-
-// MMP runs the maximal message-passing scheme in parallel rounds: the
-// Reduce phase merges maximal messages and promotes sound ones.
-func MMP(ctx context.Context, cfg core.Config, gcfg Config) (*Result, error) {
-	if _, ok := cfg.Matcher.(core.Probabilistic); !ok {
-		return nil, fmt.Errorf("grid: MMP requires a Probabilistic matcher, got %T", cfg.Matcher)
-	}
-	return run(ctx, cfg, gcfg, "MMP", true, true)
-}
-
-func run(ctx context.Context, cfg core.Config, gcfg Config, scheme string, iterate, withMessages bool) (*Result, error) {
-	if err := gcfg.Validate(); err != nil {
+// NewBackend validates the configuration and builds the backend.
+func NewBackend(cfg Config) (*Backend, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	if sp, ok := cfg.Matcher.(core.ScopePreparer); ok {
-		sp.PrepareCover(cfg.Cover)
-	}
-	rng := rand.New(rand.NewSource(gcfg.Seed))
-	res := &Result{Scheme: scheme, Matches: core.NewPairSet()}
+	return &Backend{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
+}
 
-	active := make([]int32, cfg.Cover.Len())
-	for i := range active {
-		active[i] = int32(i)
+// RunRounds implements core.Backend: every round is one Map job over the
+// active set against the round-start evidence snapshot, then the central
+// reduce; in between, the round's jobs are randomly assigned to the
+// simulated machines and the round's makespan is charged to the clock.
+func (b *Backend) RunRounds(ctx context.Context, _ *core.RoundPlan, d *core.RoundDriver) error {
+	workers := b.cfg.Workers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	var store *core.MessageStore
-	if withMessages {
-		store = core.NewMessageStore()
+	load := make([]time.Duration, b.cfg.Machines)
+	for !d.Done() {
+		jobs, err := d.MapRound(ctx, workers)
+		if err != nil {
+			return err
+		}
+		clear(load)
+		var total time.Duration
+		for i := range jobs {
+			j := &jobs[i]
+			if j.Skipped() {
+				continue
+			}
+			service := j.Duration()
+			if b.cfg.ServiceModel != nil {
+				service = b.cfg.ServiceModel(j.ActiveDecisions())
+			}
+			load[b.rng.Intn(len(load))] += service
+			total += service
+			b.clock.JobsRun++
+		}
+		b.clock.Rounds++
+		b.clock.SimulatedGridTime += slices.Max(load) + b.cfg.RoundOverhead
+		b.clock.SimulatedSingleTime += total + b.cfg.RoundOverhead
+		if err := d.FinishRound(jobs); err != nil {
+			return err
+		}
 	}
-	prob, _ := cfg.Matcher.(core.Probabilistic)
+	return nil
+}
 
-	for len(active) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res.Rounds++
-		jobs := runRound(ctx, cfg, gcfg, active, res.Matches, withMessages)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res.JobsRun += len(jobs)
-		res.SimulatedGridTime += simulateAssignment(rng, jobs, gcfg.Machines) + gcfg.RoundOverhead
-		res.SimulatedSingleTime += sumService(jobs) + gcfg.RoundOverhead
-
-		// Reduce: merge new matches (and messages) through the shared
-		// round reducer, then find affected.
-		red := core.NewRoundReducer(res.Matches, store, prob, nil)
-		for _, j := range jobs {
-			red.Add(j.matches, j.messages)
-		}
-		red.Promote()
-		if !iterate {
-			break
-		}
-		if len(red.New) == 0 {
-			break
-		}
-		affectedSet := cfg.Cover.Affected(red.New, cfg.Relation)
-		active = active[:0]
-		active = append(active, affectedSet...)
-		sort.Slice(active, func(i, j int) bool { return active[i] < active[j] })
-	}
-
+// Result reports the simulated clock together with the output of the
+// run the backend executed.
+func (b *Backend) Result(run *core.Result) *Result {
+	res := b.clock
+	res.Scheme, res.Matches, res.RealElapsed = run.Scheme, run.Matches, run.Stats.Elapsed
 	if res.SimulatedGridTime > 0 {
 		res.Speedup = float64(res.SimulatedSingleTime) / float64(res.SimulatedGridTime)
 	}
-	res.RealElapsed = time.Since(start)
-	return res, nil
+	return &res
 }

@@ -12,16 +12,17 @@ import (
 	"repro/internal/testmodel"
 )
 
-var bg = context.Background()
-
-// mustSeq runs a sequential core scheme, failing the test on error.
-func mustSeq(t *testing.T, fn func(context.Context, core.Config) (*core.Result, error), cfg core.Config) *core.Result {
-	t.Helper()
-	res, err := fn(bg, cfg)
+// run executes one scheme with the simulated grid as its backend.
+func run(cfg core.Config, scheme string, g Config) (*Result, error) {
+	b, err := NewBackend(g)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return res
+	res, err := core.RunBackend(context.Background(), cfg, scheme, b, core.CheckpointConfig{})
+	if err != nil {
+		return nil, err
+	}
+	return b.Result(res), nil
 }
 
 func gridConfig() Config {
@@ -33,98 +34,6 @@ func paperCfg() core.Config {
 	return core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 }
 
-// TestGridMatchesSequential: the rounds-based parallel schedule must
-// produce exactly the sequential outputs (consistency under §6.3's
-// parallelization).
-func TestGridMatchesSequential(t *testing.T) {
-	cfg := paperCfg()
-
-	seqNo := mustSeq(t, core.NoMP, cfg)
-	gridNo, err := NoMP(bg, cfg, gridConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gridNo.Matches.Equal(seqNo.Matches) {
-		t.Errorf("grid NO-MP = %v, sequential = %v",
-			gridNo.Matches.Sorted(), seqNo.Matches.Sorted())
-	}
-
-	seqSMP := mustSeq(t, core.SMP, cfg)
-	gridSMP, err := SMP(bg, cfg, gridConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gridSMP.Matches.Equal(seqSMP.Matches) {
-		t.Errorf("grid SMP = %v, sequential = %v",
-			gridSMP.Matches.Sorted(), seqSMP.Matches.Sorted())
-	}
-
-	seqMMP, err := core.MMP(bg, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gridMMP, err := MMP(bg, cfg, gridConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gridMMP.Matches.Equal(seqMMP.Matches) {
-		t.Errorf("grid MMP = %v, sequential = %v",
-			gridMMP.Matches.Sorted(), seqMMP.Matches.Sorted())
-	}
-}
-
-// TestGridMatchesSequentialGenerated repeats the consistency check on a
-// generated bibliography with the real MLN matcher.
-func TestGridMatchesSequentialGenerated(t *testing.T) {
-	d := datagen.MustGenerate(datagen.HEPTHLike(0.1, 21))
-	cover := canopy.BuildCover(d, canopy.DefaultConfig())
-	sp := canopy.CandidatePairs(d, cover)
-	cands := make([]mln.Candidate, len(sp))
-	for i, s := range sp {
-		cands[i] = mln.Candidate{Pair: s.Pair, Level: s.Level}
-	}
-	m, err := mln.New(d, cands, mln.PaperWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.Config{Cover: cover, Matcher: m, Relation: d.Coauthor()}
-
-	seq := mustSeq(t, core.SMP, cfg)
-	par, err := SMP(bg, cfg, gridConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !par.Matches.Equal(seq.Matches) {
-		t.Fatalf("grid SMP diverges from sequential on generated data: %d vs %d matches",
-			par.Matches.Len(), seq.Matches.Len())
-	}
-
-	seqM, err := core.MMP(bg, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parM, err := MMP(bg, cfg, gridConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !parM.Matches.Equal(seqM.Matches) {
-		t.Fatalf("grid MMP diverges from sequential: %d vs %d matches",
-			parM.Matches.Len(), seqM.Matches.Len())
-	}
-}
-
-func TestGridRejectsTypeIForMMP(t *testing.T) {
-	plain := core.MatcherFunc{
-		MatchFn: func(e []core.EntityID, pos, neg core.PairSet) core.PairSet {
-			return core.NewPairSet()
-		},
-	}
-	cfg := core.Config{Cover: core.NewCover(2, [][]core.EntityID{{0, 1}}), Matcher: plain}
-	if _, err := MMP(bg, cfg, gridConfig()); err == nil {
-		t.Fatal("grid MMP accepted a Type-I matcher")
-	}
-}
-
 func TestGridConfigValidation(t *testing.T) {
 	cfg := paperCfg()
 	bad := []Config{
@@ -133,7 +42,7 @@ func TestGridConfigValidation(t *testing.T) {
 		{Machines: 2, Workers: -1},
 	}
 	for i, g := range bad {
-		if _, err := NoMP(bg, cfg, g); err == nil {
+		if _, err := run(cfg, "NO-MP", g); err == nil {
 			t.Errorf("case %d: invalid grid config accepted", i)
 		}
 	}
@@ -156,7 +65,7 @@ func TestSpeedupBounds(t *testing.T) {
 	}
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: d.Coauthor()}
 	g := Config{Machines: 8, RoundOverhead: 0, Seed: 3}
-	res, err := SMP(bg, cfg, g)
+	res, err := run(cfg, "SMP", g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +90,11 @@ func TestSpeedupBounds(t *testing.T) {
 // advantage shrinks — the Table 1 mechanism.
 func TestOverheadReducesSpeedup(t *testing.T) {
 	cfg := paperCfg()
-	fast, err := SMP(bg, cfg, Config{Machines: 4, RoundOverhead: 0, Seed: 1})
+	fast, err := run(cfg, "SMP", Config{Machines: 4, RoundOverhead: 0, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := SMP(bg, cfg, Config{Machines: 4, RoundOverhead: 50 * time.Millisecond, Seed: 1})
+	slow, err := run(cfg, "SMP", Config{Machines: 4, RoundOverhead: 50 * time.Millisecond, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +107,7 @@ func TestOverheadReducesSpeedup(t *testing.T) {
 
 func TestSingleRoundNoMP(t *testing.T) {
 	cfg := paperCfg()
-	res, err := NoMP(bg, cfg, gridConfig())
+	res, err := run(cfg, "NO-MP", gridConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +129,7 @@ func TestServiceModel(t *testing.T) {
 		Seed:         1,
 		ServiceModel: func(active int) time.Duration { return time.Duration(active) * unit },
 	}
-	res, err := NoMP(bg, cfg, g)
+	res, err := run(cfg, "NO-MP", g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +146,7 @@ func TestServiceModel(t *testing.T) {
 		t.Error("grid time exceeds single-machine time")
 	}
 	// The model must not change the matching output.
-	plain, err := NoMP(bg, cfg, Config{Machines: 2, Seed: 1})
+	plain, err := run(cfg, "NO-MP", Config{Machines: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

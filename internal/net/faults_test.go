@@ -39,7 +39,7 @@ func TestNetKillWorkerEveryRound(t *testing.T) {
 		m, cover := randomModel(rng)
 		cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 		for _, scheme := range netSchemes {
-			pool := runOn(t, cfg, scheme, core.PoolBackend{})
+			pool := poolRef(t, cfg, scheme)
 			k := 2 + trial%2 // k=2 and k=3 fleets
 			for round := 1; round <= 8; round++ {
 				for victim := 0; victim < k; victim++ {
@@ -69,7 +69,7 @@ func TestNetFaultSchedules(t *testing.T) {
 	m, cover := randomModel(rng)
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 	for _, scheme := range netSchemes {
-		pool := runOn(t, cfg, scheme, core.PoolBackend{})
+		pool := poolRef(t, cfg, scheme)
 		for seed := int64(1); seed <= 3; seed++ {
 			inj := faultnet.New(faultnet.Plan{
 				Seed:      seed,
@@ -90,7 +90,7 @@ func TestNetFaultSchedules(t *testing.T) {
 func TestNetDuplicateBatchesDropped(t *testing.T) {
 	m, cover, _ := testmodel.PaperExample()
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
-	pool := runOn(t, cfg, "SMP", core.PoolBackend{})
+	pool := poolRef(t, cfg, "SMP")
 	inj := faultnet.New(faultnet.Plan{Seed: 5, DupRate: 1})
 	res := runOn(t, cfg, "SMP", faultyBackend(cfg, "SMP", 2, inj))
 	assertSameRun(t, "dup-everything", res, pool)
@@ -107,7 +107,7 @@ func TestNetTornStreams(t *testing.T) {
 	m, cover := randomModel(rng)
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 	for _, scheme := range []string{"SMP", "MMP"} {
-		pool := runOn(t, cfg, scheme, core.PoolBackend{})
+		pool := poolRef(t, cfg, scheme)
 		for seed := int64(1); seed <= 3; seed++ {
 			inj := faultnet.New(faultnet.Plan{Seed: seed, TruncRate: 0.1})
 			res := runOn(t, cfg, scheme, faultyBackend(cfg, scheme, 2, inj))
@@ -121,7 +121,7 @@ func TestNetTornStreams(t *testing.T) {
 func TestNetFaultsBothFormats(t *testing.T) {
 	m, cover, _ := testmodel.PaperExample()
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
-	pool := runOn(t, cfg, "MMP", core.PoolBackend{})
+	pool := poolRef(t, cfg, "MMP")
 	for _, format := range []wire.Format{wire.Binary, wire.JSON} {
 		inj := faultnet.New(faultnet.Plan{Seed: 11, DropRate: 0.2, DupRate: 0.2})
 		b := faultyBackend(cfg, "MMP", 2, inj)

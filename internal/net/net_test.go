@@ -71,6 +71,16 @@ func runOn(t *testing.T, cfg core.Config, scheme string, b core.Backend) *core.R
 	return res
 }
 
+// poolRef is the reference every networked run is graded against: the
+// pool's snapshot rounds (two workers), the execution shape the workers'
+// private replicas reproduce. (A one-worker pool reduces in order and
+// lands on the same matches with different counters.)
+func poolRef(t *testing.T, cfg core.Config, scheme string) *core.Result {
+	t.Helper()
+	cfg.Parallelism = 2
+	return runOn(t, cfg, scheme, core.PoolBackend{})
+}
+
 // assertSameRun fails unless the two results carry the same match set
 // and the same deterministic statistics. Wall-clock and resilience
 // counters are excluded: how often the transport stumbled is exactly
@@ -103,7 +113,7 @@ func TestNetMatchesPoolRandom(t *testing.T) {
 		m, cover := randomModel(rng)
 		cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 		for _, scheme := range netSchemes {
-			pool := runOn(t, cfg, scheme, core.PoolBackend{})
+			pool := poolRef(t, cfg, scheme)
 			for _, k := range []int{1, 2, 3} {
 				for _, format := range []wire.Format{wire.Binary, wire.JSON} {
 					net := runOn(t, cfg, scheme, &emnet.Backend{Workers: k, Opts: emnet.Options{Format: format}})
@@ -123,7 +133,7 @@ func TestNetMatchesPoolRandom(t *testing.T) {
 func TestNetMoreWorkersThanNeighborhoods(t *testing.T) {
 	m, cover, _ := testmodel.PaperExample()
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
-	pool := runOn(t, cfg, "SMP", core.PoolBackend{})
+	pool := poolRef(t, cfg, "SMP")
 	net := runOn(t, cfg, "SMP", &emnet.Backend{Workers: cover.Len() + 3})
 	assertSameRun(t, "oversized fleet", net, pool)
 }
@@ -186,7 +196,7 @@ func TestNetOverSockets(t *testing.T) {
 		go emnet.Serve(ctx, l, cfg, scheme, emnet.WorkerOptions{})
 	}
 
-	pool := runOn(t, cfg, scheme, core.PoolBackend{})
+	pool := poolRef(t, cfg, scheme)
 	net := runOn(t, cfg, scheme, &emnet.Backend{
 		Addrs: []string{"unix:" + sock, tl.Addr().String()},
 	})

@@ -83,17 +83,6 @@ type CacheReporter = core.CacheReporter
 // neighborhood evaluation.
 type ProgressEvent = core.ProgressEvent
 
-// Order selects the scheduling discipline of the serial schedulers.
-type Order = core.Order
-
-// Scheduling disciplines (immaterial for correctness — Theorems 2/4).
-const (
-	OrderFIFO          = core.OrderFIFO
-	OrderLIFO          = core.OrderLIFO
-	OrderSmallestFirst = core.OrderSmallestFirst
-	OrderLargestFirst  = core.OrderLargestFirst
-)
-
 // Backend executes the rounds of a message-passing scheme: it owns the
 // Map side (where each round's active neighborhoods are evaluated),
 // while the engine's RoundDriver owns the central Reduce (evidence
@@ -101,7 +90,7 @@ const (
 // backends: the shared-memory worker pool (default) and the
 // shard-partitioned backend exchanging serialized evidence deltas.
 // Select one with cem.WithBackend or cem.NewBackend; custom backends
-// drive the RoundDriver's Evaluate/FinishRound cycle.
+// drive the RoundDriver's Evaluate/Reduce/EndRound cycle.
 type Backend = core.Backend
 
 // RoundPlan is the immutable description of a round-based run handed to
@@ -113,7 +102,7 @@ type RoundPlan = core.RoundPlan
 type RoundDriver = core.RoundDriver
 
 // Job is the outcome of one neighborhood evaluation, produced by
-// RoundDriver.Evaluate and consumed by RoundDriver.FinishRound.
+// RoundDriver.Evaluate and consumed by RoundDriver.Reduce.
 type Job = core.Job
 
 // Dataset is a bibliographic corpus: papers, author references, and

@@ -35,7 +35,6 @@ type Runner struct {
 	name        string
 	matcher     match.Matcher
 	parallelism int
-	order       match.Order
 	negative    match.PairSet
 	progress    func(match.ProgressEvent)
 	stats       func(match.RunStats)
@@ -49,10 +48,11 @@ type Runner struct {
 // RunnerOption customizes a Runner.
 type RunnerOption func(*Runner)
 
-// WithParallelism evaluates up to n neighborhoods concurrently: NO-MP on
-// a worker pool, SMP/MMP in round-based map/reduce over shared memory.
-// The output is unchanged for well-behaved matchers (Theorems 2 and 4).
-// n <= 1 runs serially.
+// WithParallelism sets the default pool backend's worker count. n > 1
+// maps every round's active neighborhoods concurrently against the
+// round-start evidence and reduces afterwards; n <= 1 evaluates them in
+// order, each one already seeing the matches of those before it. The
+// output is the same for well-behaved matchers (Theorems 2 and 4).
 func WithParallelism(n int) RunnerOption {
 	return func(r *Runner) { r.parallelism = n }
 }
@@ -75,13 +75,6 @@ func WithStats(fn func(match.RunStats)) RunnerOption {
 // paper prescribes for the RULES matcher.
 func WithTransitiveClosure() RunnerOption {
 	return func(r *Runner) { r.closure = true }
-}
-
-// WithOrder sets the serial scheduling discipline of the active set.
-// Output is order-invariant for well-behaved matchers; the knob shifts
-// how quickly evidence accumulates. Ignored when parallelism > 1.
-func WithOrder(o match.Order) RunnerOption {
-	return func(r *Runner) { r.order = o }
 }
 
 // WithNegativeEvidence seeds the run with V− — pairs known NOT to match,
@@ -112,10 +105,8 @@ func WithShardCount(k int) RunnerOption {
 // round of a neighborhood-scheme run: the round's evidence delta plus
 // the state needed to restart at the next round boundary, in the
 // internal/wire format. A killed run is continued with Runner.Resume;
-// a fresh Run clears any previous trail in dir first. Checkpointing
-// forces the round-based executor even at parallelism 1 (the serial
-// queue schedulers have no round boundaries to checkpoint). FULL and UB
-// runs ignore the option.
+// a fresh Run clears any previous trail in dir first. FULL and UB have
+// no rounds and ignore the option.
 //
 // The trail is the MID-RUN durability mechanism: it replays rounds to
 // recover a killed run. It is not the only persistence the engine has —
@@ -155,7 +146,6 @@ func (r *Runner) coreConfig() core.Config {
 		Matcher:     r.matcher,
 		Relation:    r.exp.Dataset.Coauthor(),
 		Negative:    r.negative,
-		Order:       r.order,
 		Parallelism: r.parallelism,
 		Progress:    r.progress,
 	}
@@ -178,11 +168,11 @@ func coreScheme(s Scheme) string {
 
 // Run executes one scheme. The context cancels or deadlines the run
 // between neighborhood evaluations; a canceled run returns ctx.Err().
-// When a backend or a checkpoint directory is configured, the
-// neighborhood schemes run on the round-based executor (see WithBackend
-// and WithCheckpointDir).
+// The neighborhood schemes run their rounds on the runner's backend (the
+// shared-memory pool unless WithBackend says otherwise); FULL and UB are
+// single whole-set matcher calls.
 func (r *Runner) Run(ctx context.Context, s Scheme) (*Result, error) {
-	return r.run(ctx, s, false)
+	return r.run(ctx, s, r.backend, nil, false)
 }
 
 // Resume continues a previous checkpointed run of scheme s from the
@@ -200,10 +190,13 @@ func (r *Runner) Resume(ctx context.Context, s Scheme) (*Result, error) {
 	if coreScheme(s) == "" {
 		return nil, fmt.Errorf("cem: scheme %q does not checkpoint (no round structure)", s)
 	}
-	return r.run(ctx, s, true)
+	return r.run(ctx, s, r.backend, nil, true)
 }
 
-func (r *Runner) run(ctx context.Context, s Scheme, resume bool) (*Result, error) {
+// run is the one execution path: a round scheme goes to the engine's
+// round driver on backend b (nil means the pool), cold or from a warm
+// seed; FULL and UB are whole-set calls. Every result is sealed.
+func (r *Runner) run(ctx context.Context, s Scheme, b match.Backend, warm *core.WarmStart, resume bool) (*Result, error) {
 	cfg := r.coreConfig()
 	st, err := r.evidenceStore()
 	if err != nil {
@@ -213,20 +206,13 @@ func (r *Runner) run(ctx context.Context, s Scheme, resume bool) (*Result, error
 		cfg.Evidence = st
 	}
 	var raw *core.Result
-	switch {
-	case coreScheme(s) != "" && (r.backend != nil || r.ckptDir != "" || st != nil):
-		b := r.backend
+	switch cs := coreScheme(s); {
+	case cs != "":
 		if b == nil {
 			b = core.PoolBackend{}
 		}
-		raw, err = core.RunBackend(ctx, cfg, coreScheme(s), b,
-			core.CheckpointConfig{Dir: r.ckptDir, Resume: resume, Matcher: r.name})
-	case s == SchemeNoMP:
-		raw, err = core.NoMP(ctx, cfg)
-	case s == SchemeSMP:
-		raw, err = core.SMP(ctx, cfg)
-	case s == SchemeMMP:
-		raw, err = core.MMP(ctx, cfg)
+		raw, err = core.RunBackendFrom(ctx, cfg, cs, b,
+			core.CheckpointConfig{Dir: r.ckptDir, Resume: resume, Matcher: r.name}, warm)
 	case s == SchemeFull:
 		raw, err = core.Full(ctx, cfg)
 	case s == SchemeUB:
@@ -263,10 +249,10 @@ func (r *Runner) seal(raw *core.Result) *Result {
 // space must embed into the current cover's (ids stable, only appended),
 // which is exactly what Pipeline.Update guarantees.
 //
-// The continuation runs on the round-based executor (the runner's
-// backend, or the shared-memory pool). With WithCheckpointDir the seed
-// itself is persisted as the trail's first record, so a killed
-// continuation resumes through the ordinary Runner.Resume path. For
+// The continuation runs on the runner's backend like any other run. With
+// WithCheckpointDir the seed itself is persisted as the trail's first
+// record, so a killed continuation resumes through the ordinary
+// Runner.Resume path. For
 // well-behaved delta-monotone matchers the result is identical to a
 // cold Run over the grown experiment (see the incremental differential
 // harness); schemes without round structure (FULL, UB) have no
@@ -275,8 +261,7 @@ func (r *Runner) RunFrom(ctx context.Context, s Scheme, snap *Snapshot, activeSe
 	if snap == nil {
 		return nil, fmt.Errorf("cem: RunFrom requires a snapshot (use Run for cold runs)")
 	}
-	cs := coreScheme(s)
-	if cs == "" {
+	if coreScheme(s) == "" {
 		return nil, fmt.Errorf("cem: scheme %q has no incremental path (no round structure)", s)
 	}
 	if snap.Scheme != "" && snap.Scheme != s {
@@ -293,25 +278,8 @@ func (r *Runner) RunFrom(ctx context.Context, s Scheme, snap *Snapshot, activeSe
 		return nil, fmt.Errorf("cem: snapshot spans %d neighborhoods but the cover holds %d (snapshots only embed into grown experiments)",
 			snap.Neighborhoods, r.exp.Cover.Len())
 	}
-	b := r.backend
-	if b == nil {
-		b = core.PoolBackend{}
-	}
-	cfg := r.coreConfig()
-	st, err := r.evidenceStore()
-	if err != nil {
-		return nil, err
-	}
-	if st != nil {
-		cfg.Evidence = st
-	}
 	warm := &core.WarmStart{Evidence: snap.Evidence, Messages: snap.Messages, Active: activeSeed}
-	raw, err := core.RunBackendFrom(ctx, cfg, cs, b,
-		core.CheckpointConfig{Dir: r.ckptDir, Matcher: r.name}, warm)
-	if err != nil {
-		return nil, err
-	}
-	return r.seal(raw), nil
+	return r.run(ctx, s, r.backend, warm, false)
 }
 
 // GridConfig configures the simulated grid executor (§6.3). Aliased so
@@ -321,58 +289,23 @@ type GridConfig = grid.Config
 // GridResult is the outcome of a simulated-grid run.
 type GridResult = grid.Result
 
-// RunGrid executes one scheme on the simulated grid (§6.3): parallel
-// rounds with real goroutine execution and a simulated G-machine clock.
-// The configuration is validated up front; an invalid one (e.g. zero
-// machines) is reported as an error rather than a panic deep in the
-// executor.
-func (r *Runner) RunGrid(ctx context.Context, s Scheme, gcfg grid.Config) (*grid.Result, error) {
-	if err := gcfg.Validate(); err != nil {
+// RunGrid executes one scheme with the simulated grid (§6.3) as the
+// backend: the engine's own parallel rounds, timed on a simulated
+// G-machine clock. It is a Run in every other respect — the runner's
+// options (stats, progress, closure, store, checkpoints) all apply. An
+// invalid configuration (e.g. zero machines) is reported as an error up
+// front.
+func (r *Runner) RunGrid(ctx context.Context, s Scheme, gcfg GridConfig) (*GridResult, error) {
+	b, err := grid.NewBackend(gcfg)
+	if err != nil {
 		return nil, fmt.Errorf("cem: grid config: %w", err)
 	}
-	cfg := r.coreConfig()
-	var (
-		res *grid.Result
-		err error
-	)
-	switch s {
-	case SchemeNoMP:
-		res, err = grid.NoMP(ctx, cfg, gcfg)
-	case SchemeSMP:
-		res, err = grid.SMP(ctx, cfg, gcfg)
-	case SchemeMMP:
-		res, err = grid.MMP(ctx, cfg, gcfg)
-	default:
+	if coreScheme(s) == "" {
 		return nil, fmt.Errorf("cem: scheme %q not supported on the grid", s)
 	}
+	res, err := r.run(ctx, s, b, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	if r.closure {
-		res.Matches = r.exp.TransitiveClosure(res.Matches)
-	}
-	return res, nil
-}
-
-// Run executes one scheme with one matcher and returns the result.
-//
-// Deprecated: build a Runner and pass a context; this wrapper uses
-// context.Background and no options.
-func (e *Experiment) Run(s Scheme, kind MatcherKind) (*Result, error) {
-	r, err := e.Runner(kind)
-	if err != nil {
-		return nil, err
-	}
-	return r.Run(context.Background(), s)
-}
-
-// RunGrid executes one scheme on the simulated grid (§6.3).
-//
-// Deprecated: build a Runner and use Runner.RunGrid with a context.
-func (e *Experiment) RunGrid(s Scheme, kind MatcherKind, gcfg grid.Config) (*grid.Result, error) {
-	r, err := e.Runner(kind)
-	if err != nil {
-		return nil, err
-	}
-	return r.RunGrid(context.Background(), s, gcfg)
+	return b.Result(res.Result), nil
 }

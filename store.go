@@ -84,10 +84,9 @@ func (h *storeHandle) open() (match.Store, error) {
 // ("mem", "disk", or anything passed to RegisterStore). The store is
 // opened lazily on first use and shared by every run of the Runner (or
 // Pipeline) the option is applied to; after each completed round it
-// holds exactly the run's accumulated evidence. Like WithCheckpointDir,
-// a store forces the neighborhood schemes onto the round-based executor
-// (evidence is mirrored at round boundaries); FULL and UB have no round
-// structure and leave the store untouched.
+// holds exactly the run's accumulated evidence (it is mirrored at round
+// boundaries). FULL and UB have no round structure and leave the store
+// untouched.
 //
 // The caller owns the store's lifetime end of things only insofar as the
 // process exit: WithStore never closes it. To manage Close explicitly,

@@ -1,19 +1,14 @@
 package cem_test
 
-// Differential harness for the storage backends: a runner wired to the
-// "mem" store and one wired to the "disk" store must land on the exact
-// golden fixtures — all of them, including FULL and UB where the store
-// is attached but idle — and the two stores must end holding the
-// byte-identical evidence stream. The same equivalence is pinned on the
-// sharded executor and on the incremental ingestion path, so no
-// execution mode can drift between backends.
+// Differential harness for the storage backends on the incremental
+// ingestion path (the batch runs are store rows of the conformance
+// matrix): batched arrivals over the "mem" and the "disk" store must
+// land on the cold run's exact result.
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	cem "repro"
@@ -47,86 +42,6 @@ func evidenceKeys(t *testing.T, s match.Store) []uint64 {
 	return keys
 }
 
-// TestGoldenStoreBackends runs every golden fixture under both storage
-// backends: the match sets must be byte-identical to the fixtures, and
-// after each round-structured run the two stores must hold the same
-// evidence stream. Round schemes additionally re-run on the sharded
-// executor with the disk store underneath.
-func TestGoldenStoreBackends(t *testing.T) {
-	for _, ds := range goldenSeeds {
-		exp, err := cem.New(cem.NewDataset(ds.kind, ds.scale, ds.seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, matcher := range []string{cem.MatcherMLN, cem.MatcherRules} {
-			for _, scheme := range goldenMatrix[matcher] {
-				name := fmt.Sprintf("%s-%s-%s", ds.kind, matcher, scheme)
-				t.Run(name, func(t *testing.T) {
-					path := filepath.Join("testdata", "golden", name+".golden")
-					want, err := os.ReadFile(path)
-					if err != nil {
-						t.Skipf("fixture %s not generated yet", path)
-					}
-					var streams [][]uint64
-					for _, sv := range storeVariants(t) {
-						runner, err := exp.Runner(matcher, sv.opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						res, err := runner.Run(context.Background(), scheme)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := renderMatches(res); got != string(want) {
-							t.Errorf("%s store: match set diverges from %s: %s",
-								sv.name, path, firstDiff(got, string(want)))
-						}
-						st, err := runner.Store()
-						if err != nil {
-							t.Fatal(err)
-						}
-						streams = append(streams, evidenceKeys(t, st))
-					}
-					// FULL and UB never consult the store (no round
-					// structure); for round schemes the mirrored M+ must be
-					// identical across backends and non-trivial.
-					if scheme == cem.SchemeFull || scheme == cem.SchemeUB {
-						return
-					}
-					mem, disk := streams[0], streams[1]
-					if len(mem) == 0 {
-						t.Errorf("mem store ended empty after a round-structured run")
-					}
-					if len(mem) != len(disk) {
-						t.Fatalf("evidence streams diverge: mem holds %d keys, disk %d", len(mem), len(disk))
-					}
-					for i := range mem {
-						if mem[i] != disk[i] {
-							t.Fatalf("evidence streams diverge at key %d: %#x vs %#x", i, mem[i], disk[i])
-						}
-					}
-					// The sharded executor over the disk store lands on the
-					// same fixture — partitioned evidence replicas reduce
-					// into the same persistent stream.
-					sharded, err := exp.Runner(matcher, cem.WithShardCount(2),
-						cem.WithStore("disk", cem.WithStoreDir(t.TempDir())))
-					if err != nil {
-						t.Fatal(err)
-					}
-					sres, err := sharded.Run(context.Background(), scheme)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := renderMatches(sres); got != string(want) {
-						t.Errorf("sharded(2) on disk store diverges from %s: %s",
-							path, firstDiff(got, string(want)))
-					}
-				})
-			}
-		}
-	}
-}
-
 // TestIncrementalStoreBackends runs the randomized ingestion harness
 // with each storage backend underneath the pipeline: the final state
 // after batched arrivals must be byte-identical to the cold run, with
@@ -142,13 +57,7 @@ func TestIncrementalStoreBackends(t *testing.T) {
 		for _, b := range batches {
 			union = append(union, b...)
 		}
-		// The cold reference runs on the pool backend: a store forces the
-		// round executor, and matcher-call counts only grade against the
-		// same execution shape.
-		coldPipe, err := cem.NewPipeline(
-			cem.WithScheme(cem.SchemeSMP),
-			cem.WithRunnerOptions(cem.WithBackend(cem.NewPoolBackend())),
-		)
+		coldPipe, err := cem.NewPipeline(cem.WithScheme(cem.SchemeSMP))
 		if err != nil {
 			t.Fatal(err)
 		}
