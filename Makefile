@@ -128,12 +128,16 @@ chaos-smoke:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test $(GOFLAGS) ./...
 
-# fuzz smoke-runs the engine's two correctness-critical fuzz targets:
-# dense-vs-naive scoring and the wire codec round trip (the nightly CI
-# job runs every Fuzz* target for longer).
+# fuzz smoke-runs the correctness-critical fuzz targets: dense-vs-naive
+# scoring, the wire codec round trip, and blocking — sharded vs serial
+# canopies, incremental vs scratch covers, index blob loading (the
+# nightly CI job runs every Fuzz* target, found by name, for longer).
 fuzz:
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz FuzzDenseLogScore -fuzztime 10s ./internal/mln/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/wire/
+	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzShardedCanopiesIdentical$$' -fuzztime 10s ./internal/canopy/
+	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzIndexAdd$$' -fuzztime 10s ./internal/canopy/
+	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzLoadIndex$$' -fuzztime 10s ./internal/canopy/
 
 clean:
 	$(GO) clean ./...

@@ -9,11 +9,13 @@
 package canopy
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/bib"
@@ -108,10 +110,120 @@ func Canopies(names []string, cfg Config) [][]core.EntityID {
 }
 
 // scored is one canopy candidate of a seed: a record id with its cheap
-// q-gram similarity to the seed.
+// q-gram similarity to the seed (fields exported for the index blob).
 type scored struct {
-	id  core.EntityID
-	sim float64
+	ID  core.EntityID
+	Sim float64
+}
+
+// gramTable is the inverted q-gram index both blocking paths score
+// against. Each distinct byte q-gram is interned to a dense id when a
+// record first contains it; after insert nothing is keyed by string.
+type gramTable struct {
+	q        int
+	ids      map[string]int32 // gram dictionary, consulted once per gram at insert
+	grams    [][]int32        // record -> ascending distinct gram ids
+	postings [][]int32        // gram id -> record ids, ascending as records only append
+}
+
+func newGramTable(q int) *gramTable {
+	return &gramTable{q: q, ids: map[string]int32{}}
+}
+
+// insert appends the record with normalized name s. Its grams are the byte
+// q-grams of s, or s itself when it is shorter than q; "" has none.
+func (t *gramTable) insert(s string) {
+	q := min(t.q, len(s))
+	gs := make([]int32, 0, len(s)-q+1)
+	for i := 0; q > 0 && i+q <= len(s); i++ {
+		gs = append(gs, t.intern(s[i:i+q]))
+	}
+	slices.Sort(gs)
+	gs = slices.Compact(gs)
+	id := int32(len(t.grams))
+	for _, g := range gs {
+		t.postings[g] = append(t.postings[g], id)
+	}
+	t.grams = append(t.grams, gs)
+}
+
+func (t *gramTable) intern(g string) int32 {
+	id, ok := t.ids[g]
+	if !ok {
+		id = int32(len(t.postings))
+		// Cloned so the dictionary does not pin the name g was cut from.
+		t.ids[strings.Clone(g)] = id
+		t.postings = append(t.postings, nil)
+	}
+	return id
+}
+
+// probeScratch is one worker's counting state, grown with the table.
+type probeScratch struct {
+	cnt     []int32 // cnt[j]: grams record j shares with the seed; zero between probes
+	touched []int32 // records with cnt > 0, in first-touch order
+}
+
+// probe returns, in ascending id order, every inserted record whose gram
+// set has Jaccard >= loose with the gram ids gs. Walking the postings of gs
+// visits each (candidate, shared gram) incidence exactly once, so a counter
+// per candidate is the intersection size c and sim = c / (|gs|+|grams[j]|-c)
+// without reading a gram set again. An inserted record is its own candidate
+// (sim 1); one with no grams has none.
+func (t *gramTable) probe(gs []int32, loose float64, sc *probeScratch) []scored {
+	if grow := len(t.grams) - len(sc.cnt); grow > 0 {
+		sc.cnt = append(sc.cnt, make([]int32, grow)...)
+	}
+	cnt, touched := sc.cnt, sc.touched[:0]
+	for _, g := range gs {
+		for _, j := range t.postings[g] {
+			if cnt[j] == 0 {
+				touched = append(touched, j)
+			}
+			cnt[j]++
+		}
+	}
+	var out []scored
+	for _, j := range touched {
+		c := int(cnt[j])
+		cnt[j] = 0
+		if s := float64(c) / float64(len(gs)+len(t.grams[j])-c); s >= loose {
+			out = append(out, scored{ID: j, Sim: s})
+		}
+	}
+	sc.touched = touched
+	slices.SortFunc(out, func(a, b scored) int { return cmp.Compare(a.ID, b.ID) })
+	return out
+}
+
+// emitter is the serial half of Canopies: fed each record's loose
+// candidates in ascending seed order, it emits a canopy for every seed still
+// in the pool and removes that canopy's tightly similar members from it.
+type emitter struct {
+	cfg      Config
+	removed  []bool // per record: no longer in the seed pool
+	canopies [][]core.EntityID
+}
+
+func (e *emitter) emit(seed int, kept []scored) {
+	if e.removed[seed] {
+		return
+	}
+	if len(kept) == 0 {
+		kept = []scored{{ID: core.EntityID(seed), Sim: 1}}
+	}
+	if e.cfg.MaxNeighborhood > 0 && len(kept) > e.cfg.MaxNeighborhood {
+		kept = capCanopy(kept, core.EntityID(seed), e.cfg.MaxNeighborhood)
+	}
+	canopy := make([]core.EntityID, len(kept))
+	for i, c := range kept {
+		canopy[i] = c.ID
+		if c.Sim >= e.cfg.Tight {
+			e.removed[c.ID] = true
+		}
+	}
+	e.removed[seed] = true
+	e.canopies = append(e.canopies, canopy)
 }
 
 // batchPerShard is how many seeds each shard scores per parallel round.
@@ -120,18 +232,17 @@ type scored struct {
 const batchPerShard = 32
 
 // CanopiesContext is Canopies with context cancellation and sharded
-// execution: seed scoring — the expensive phase, one q-gram index probe
-// plus a Jaccard per candidate — runs on a pool of `shards` workers
-// (shards <= 0 means GOMAXPROCS), while canopy emission stays serial in
-// ascending seed order. A seed's candidate list depends only on the
-// immutable gram index, never on the evolving seed pool, so the output is
-// byte-identical for every shard count, including 1. A canceled context
-// aborts between rounds with ctx.Err().
+// execution: names are normalized in parallel and interned serially into
+// one gramTable; seed scoring — one counting probe per seed — runs on a
+// pool of `shards` workers (shards <= 0 means GOMAXPROCS), while canopy
+// emission stays serial in ascending seed order. A seed's candidate list
+// depends only on the immutable gram table, never on the evolving seed
+// pool, so the output is byte-identical for every shard count, including
+// 1. A canceled context aborts between rounds with ctx.Err().
 //
-// Each worker keeps a private candidate-dedupe stamp array of n int32s,
-// so working memory is O(shards·n) on top of the gram index; on very
-// large corpora, bound shards accordingly rather than defaulting to one
-// per core.
+// Each worker keeps a private counter array of n int32s, so working
+// memory is O(shards·n) on top of the gram table; on very large corpora,
+// bound shards accordingly rather than defaulting to one per core.
 func CanopiesContext(ctx context.Context, names []string, cfg Config, shards int) ([][]core.EntityID, error) {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -141,59 +252,24 @@ func CanopiesContext(ctx context.Context, names []string, cfg Config, shards int
 		shards = max
 	}
 	norm := make([]string, n)
-	grams := make([]map[string]int, n)
 	if err := eachShard(ctx, n, shards, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			norm[i] = normalize(names[i])
-			grams[i] = similarity.QGrams(norm[i], cfg.Q)
 		}
 	}); err != nil {
 		return nil, err
 	}
-	// Inverted index: gram -> ids containing it (ids ascending by
-	// construction).
-	index := map[string][]int32{}
-	for i := 0; i < n; i++ {
-		for g := range grams[i] {
-			index[g] = append(index[g], int32(i))
-		}
+	tab := newGramTable(cfg.Q)
+	for _, s := range norm {
+		tab.insert(s)
 	}
-	// score collects a seed's candidates — everyone sharing at least one
-	// gram, kept when Jaccard >= Loose — using a per-worker dedupe stamp.
-	score := func(seed int, seen []int32) []scored {
-		var out []scored
-		stamp := int32(seed)
-		for g := range grams[seed] {
-			for _, j := range index[g] {
-				if seen[j] == stamp {
-					continue
-				}
-				seen[j] = stamp
-				if s := jaccard(grams[seed], grams[j]); s >= cfg.Loose {
-					out = append(out, scored{id: j, sim: s})
-				}
-			}
-		}
-		sort.Slice(out, func(a, b int) bool { return out[a].id < out[b].id })
-		return out
-	}
-	stamps := make([][]int32, shards)
-	for w := range stamps {
-		stamps[w] = make([]int32, n)
-		for i := range stamps[w] {
-			stamps[w][i] = -1
-		}
-	}
-	inPool := make([]bool, n)
-	for i := range inPool {
-		inPool[i] = true
-	}
-	var canopies [][]core.EntityID
+	scratch := make([]probeScratch, shards)
+	e := &emitter{cfg: cfg, removed: make([]bool, n)}
 	for next := 0; next < n; {
 		// Gather the next round of in-pool seeds.
 		batch := make([]int, 0, shards*batchPerShard)
 		for next < n && len(batch) < shards*batchPerShard {
-			if inPool[next] {
+			if !e.removed[next] {
 				batch = append(batch, next)
 			}
 			next++
@@ -212,7 +288,7 @@ func CanopiesContext(ctx context.Context, names []string, cfg Config, shards int
 			go func(w int) {
 				defer wg.Done()
 				for bi := w; bi < len(batch); bi += shards {
-					cands[bi] = score(batch[bi], stamps[w])
+					cands[bi] = tab.probe(tab.grams[batch[bi]], cfg.Loose, &scratch[w])
 				}
 			}(w)
 		}
@@ -220,28 +296,10 @@ func CanopiesContext(ctx context.Context, names []string, cfg Config, shards int
 		// Serial phase: emit canopies in seed order, honoring removals
 		// made by earlier seeds of the same round.
 		for bi, seed := range batch {
-			if !inPool[seed] {
-				continue
-			}
-			kept := cands[bi]
-			if len(kept) == 0 {
-				kept = []scored{{id: core.EntityID(seed), sim: 1}}
-			}
-			if cfg.MaxNeighborhood > 0 && len(kept) > cfg.MaxNeighborhood {
-				kept = capCanopy(kept, core.EntityID(seed), cfg.MaxNeighborhood)
-			}
-			canopy := make([]core.EntityID, len(kept))
-			for i, c := range kept {
-				canopy[i] = c.id
-				if c.sim >= cfg.Tight {
-					inPool[c.id] = false
-				}
-			}
-			inPool[seed] = false
-			canopies = append(canopies, canopy)
+			e.emit(seed, cands[bi])
 		}
 	}
-	return canopies, nil
+	return e.canopies, nil
 }
 
 // capCanopy keeps the seed plus the k-1 most similar candidates (ties by
@@ -251,16 +309,16 @@ func CanopiesContext(ctx context.Context, names []string, cfg Config, shards int
 func capCanopy(cands []scored, seed core.EntityID, k int) []scored {
 	byRank := append([]scored(nil), cands...)
 	sort.Slice(byRank, func(a, b int) bool {
-		if byRank[a].id == seed || byRank[b].id == seed {
-			return byRank[a].id == seed
+		if byRank[a].ID == seed || byRank[b].ID == seed {
+			return byRank[a].ID == seed
 		}
-		if byRank[a].sim != byRank[b].sim {
-			return byRank[a].sim > byRank[b].sim
+		if byRank[a].Sim != byRank[b].Sim {
+			return byRank[a].Sim > byRank[b].Sim
 		}
-		return byRank[a].id < byRank[b].id
+		return byRank[a].ID < byRank[b].ID
 	})
 	byRank = byRank[:k]
-	sort.Slice(byRank, func(a, b int) bool { return byRank[a].id < byRank[b].id })
+	sort.Slice(byRank, func(a, b int) bool { return byRank[a].ID < byRank[b].ID })
 	return byRank
 }
 
@@ -292,26 +350,6 @@ func eachShard(ctx context.Context, n, shards int, fn func(lo, hi int)) error {
 	}
 	wg.Wait()
 	return nil
-}
-
-// jaccard computes set Jaccard over two gram maps.
-func jaccard(a, b map[string]int) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	inter := 0
-	for g := range a {
-		if _, ok := b[g]; ok {
-			inter++
-		}
-	}
-	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
 // ExpandBoundary grows every neighborhood by its boundary w.r.t. rel:
@@ -578,12 +616,18 @@ func BuildCoverContext(ctx context.Context, d *bib.Dataset, cfg Config, shards i
 	for i := range d.Refs {
 		names[i] = d.Refs[i].Name
 	}
-	sets, err := CanopiesContext(ctx, names, cfg, shards)
+	canopies, err := CanopiesContext(ctx, names, cfg, shards)
 	if err != nil {
 		return nil, err
 	}
+	return finishCover(ctx, d, cfg, canopies)
+}
+
+// finishCover turns canopies into the total cover, batch or incremental.
+func finishCover(ctx context.Context, d *bib.Dataset, cfg Config, canopies [][]core.EntityID) (*core.Cover, error) {
+	var sets [][]core.EntityID
 	if cfg.FullBoundary {
-		sets = ExpandBoundary(sets, d.Coauthor())
+		sets = ExpandBoundary(canopies, d.Coauthor())
 	} else {
 		// Totality patching runs FIRST, on the raw canopies: canopy sets
 		// and their ids are append-stable under record ingestion, so
@@ -593,7 +637,6 @@ func BuildCoverContext(ctx context.Context, d *bib.Dataset, cfg Config, shards i
 		// context is absorbed afterwards (driven by the canopy pairs,
 		// added to the patched sets); it only grows sets and cannot
 		// re-route patches.
-		canopies := sets
 		sets = GreedyTotalCover(canopies, d.Coauthor())
 		if err := ctx.Err(); err != nil {
 			return nil, err

@@ -1,6 +1,8 @@
 package canopy
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -223,17 +225,40 @@ func TestCandidatePairs(t *testing.T) {
 	}
 }
 
-func TestJaccardHelper(t *testing.T) {
-	a := map[string]int{"ab": 1, "bc": 1}
-	b := map[string]int{"bc": 1, "cd": 1}
-	if got := jaccard(a, b); got != 1.0/3.0 {
-		t.Errorf("jaccard = %v, want 1/3", got)
+// TestProbeCountsSharedGrams drives the counting probe directly: the
+// similarity is |A∩B| / |A∪B| over distinct grams, candidates come back in
+// ascending id order whatever order the postings touched them in, the
+// loose threshold filters, and the scratch is clean for the next probe.
+func TestProbeCountsSharedGrams(t *testing.T) {
+	tab := newGramTable(2)
+	for _, s := range []string{"bcd", "abc", "", "x", "abab", "abc"} {
+		tab.insert(s)
 	}
-	if jaccard(nil, nil) != 1 {
-		t.Error("jaccard(∅,∅) must be 1")
+	if got := tab.grams[4]; len(got) != 2 || got[0] >= got[1] {
+		t.Fatalf("grams(abab) = %v, want its two distinct grams ab, ba, ascending", got)
 	}
-	if jaccard(a, nil) != 0 {
-		t.Error("jaccard(a,∅) must be 0")
+	var sc probeScratch
+	abc := tab.grams[1] // {ab, bc}
+	want := []scored{{ID: 0, Sim: 1.0 / 3.0}, {ID: 1, Sim: 1}, {ID: 4, Sim: 1.0 / 3.0}, {ID: 5, Sim: 1}}
+	for round := 0; round < 2; round++ { // twice: the counters must have been reset
+		if got := tab.probe(abc, 0.1, &sc); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: probe(abc) = %v, want %v", round, got, want)
+		}
+	}
+	if got := tab.probe(abc, 0.5, &sc); !reflect.DeepEqual(got, []scored{want[1], want[3]}) {
+		t.Errorf("probe(abc, loose 0.5) = %v, want only the two exact copies", got)
+	}
+	if got := tab.probe(tab.grams[2], 0.1, &sc); len(got) != 0 {
+		t.Errorf("a record without grams has candidates %v", got)
+	}
+	// Shorter than q: the whole string is the gram, shared only with itself.
+	if got := tab.probe(tab.grams[3], 0.1, &sc); !reflect.DeepEqual(got, []scored{{ID: 3, Sim: 1}}) {
+		t.Errorf("probe(x) = %v, want only itself", got)
+	}
+	for j, c := range sc.cnt {
+		if c != 0 {
+			t.Errorf("counter %d left at %d after the probes", j, c)
+		}
 	}
 }
 
@@ -242,5 +267,22 @@ func BenchmarkBuildCoverHEPTH(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BuildCover(d, DefaultConfig())
+	}
+}
+
+// BenchmarkCanopiesDBLP is the canopy-scoring stage on its own, on the
+// corpus where it is nearly all of a cold run (bench workload dblp-cold).
+func BenchmarkCanopiesDBLP(b *testing.B) {
+	d := datagen.MustGenerate(datagen.DBLPLike(1.0, 42))
+	names := make([]string, d.NumRefs())
+	for i := range d.Refs {
+		names[i] = d.Refs[i].Name
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CanopiesContext(context.Background(), names, DefaultConfig(), 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

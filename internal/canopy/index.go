@@ -4,21 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/bib"
 	"repro/internal/core"
-	"repro/internal/similarity"
 )
 
 // Index is the mutable blocking state of the incremental ingestion path:
-// the q-gram structures of BuildCover — normalized names, gram multisets,
-// the inverted gram index — plus a cached loose-candidate list per
-// record. New records are absorbed with Add, which only scores the
-// arriving suffix against the index (the candidate list of a record can
-// only *grow* under ingestion, because postings are append-only), and
-// then re-emits canopies and the total cover from the cached lists.
+// the gramTable of BuildCover — interned gram ids per record and their
+// postings — plus a cached loose-candidate list per record. New records
+// are absorbed with Add, which only probes the table for the arriving
+// suffix (the candidate list of a record can only *grow* under ingestion,
+// because postings are append-only), and then re-emits canopies and the
+// total cover from the cached lists.
 //
 // The cover Add produces is byte-identical to rebuilding from scratch
 // with BuildCover on the union dataset — the property the differential
@@ -32,11 +30,11 @@ import (
 type Index struct {
 	cfg Config
 
-	mu       sync.Mutex
-	n        int                // records ingested so far
-	grams    []map[string]int   // q-gram multiset per record
-	postings map[string][]int32 // gram -> ids containing it, ascending
-	cands    [][]scored         // loose candidates per record, ascending id
+	mu      sync.Mutex
+	n       int          // records ingested so far
+	tab     *gramTable   // gram ids and postings of those records
+	scratch probeScratch // counting state of the (serialized) probes
+	cands   [][]scored   // loose candidates per record, ascending id
 
 	prevSets map[string]bool   // content keys of the previous cover's sets
 	prevByID [][]core.EntityID // previous cover's sets by id (aliases, read-only)
@@ -83,7 +81,7 @@ func NewIndex(cfg Config) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Index{cfg: cfg, postings: map[string][]int32{}, prevSets: map[string]bool{}}, nil
+	return &Index{cfg: cfg, tab: newGramTable(cfg.Q), prevSets: map[string]bool{}}, nil
 }
 
 // Config returns the blocking configuration the index was built with.
@@ -112,7 +110,7 @@ func (ix *Index) Cover() *core.Cover {
 // guarantees for appended record batches.
 //
 // Cost is proportional to the delta: each new record is scored once
-// against the gram index (exactly one seed probe, as in Canopies), old
+// against the gram table (exactly one seed probe, as in Canopies), old
 // records are never re-scored, and only canopy emission plus cover
 // patching — bookkeeping over cached candidate lists — runs over the
 // full corpus. A canceled ctx aborts between phases with ctx.Err().
@@ -148,75 +146,42 @@ func (ix *Index) add(ctx context.Context, d *bib.Dataset) (*core.Cover, *Delta, 
 	}
 	delta := &Delta{NewEntities: make([]core.EntityID, 0, n-ix.n)}
 
-	// Phase 1 — score the arriving suffix. Inserting a record's grams
-	// into the postings *before* probing makes the record its own
-	// candidate (jaccard 1 ≥ Loose), exactly as the batch scorer's
-	// self-probe does, and lets later records of the same batch see
-	// earlier ones.
-	seen := map[int32]bool{}
+	// Phase 1 — score the arriving suffix. Inserting a record into the
+	// table *before* probing makes the record its own candidate (Jaccard
+	// 1 ≥ Loose), exactly as the batch scorer's self-probe does, and lets
+	// later records of the same batch see earlier ones.
 	for id := ix.n; id < n; id++ {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
 		delta.NewEntities = append(delta.NewEntities, core.EntityID(id))
-		g := similarity.QGrams(normalize(d.Refs[id].Name), ix.cfg.Q)
-		ix.grams = append(ix.grams, g)
-		ix.cands = append(ix.cands, nil)
-		for gram := range g {
-			ix.postings[gram] = append(ix.postings[gram], int32(id))
-		}
-		clear(seen)
-		var own []scored
-		for gram := range g {
-			for _, j := range ix.postings[gram] {
-				if seen[j] {
-					continue
-				}
-				seen[j] = true
-				if s := jaccard(g, ix.grams[j]); s >= ix.cfg.Loose {
-					own = append(own, scored{id: j, sim: s})
-					if int(j) != id {
-						// The candidate relation is symmetric and new ids
-						// exceed all previous ones, so appending keeps
-						// cands[j] in ascending id order.
-						ix.cands[j] = append(ix.cands[j], scored{id: core.EntityID(id), sim: s})
-					}
-				}
+		ix.tab.insert(normalize(d.Refs[id].Name))
+		own := ix.tab.probe(ix.tab.grams[id], ix.cfg.Loose, &ix.scratch)
+		for _, c := range own {
+			if int(c.ID) != id {
+				// The candidate relation is symmetric and new ids exceed
+				// all previous ones, so appending keeps cands[c.ID] in
+				// ascending id order.
+				ix.cands[c.ID] = append(ix.cands[c.ID], scored{ID: core.EntityID(id), Sim: c.Sim})
 			}
 		}
-		sort.Slice(own, func(a, b int) bool { return own[a].id < own[b].id })
-		ix.cands[id] = own
+		ix.cands = append(ix.cands, own)
 	}
 	ix.n = n
 
 	// Phase 2 — re-emit canopies over the full corpus from the cached
-	// candidate lists: the serial emission of CanopiesContext verbatim,
-	// with the scoring already done.
+	// candidate lists (the serial emission of CanopiesContext, with the
+	// scoring already done) and build the total cover as BuildCover does.
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	sets := ix.emit()
-
-	// Phase 3 — total-cover construction, identical to BuildCover:
-	// totality patching on the append-stable canopies first, aligned
-	// context second (see BuildCoverContext on why this order keeps the
-	// cover additive under ingestion).
-	if ix.cfg.FullBoundary {
-		sets = ExpandBoundary(sets, d.Coauthor())
-	} else {
-		canopies := sets
-		sets = GreedyTotalCover(canopies, d.Coauthor())
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		sets = alignedExpandInto(d, canopies, sets, ix.cfg.MaxAligned)
-	}
-	if err := ctx.Err(); err != nil {
+	cover, err := finishCover(ctx, d, ix.cfg, ix.emit())
+	if err != nil {
 		return nil, nil, err
 	}
-	ix.cover = core.NewCover(n, sets)
+	ix.cover = cover
 
-	// Phase 4 — diff against the previous cover, by content (Changed)
+	// Phase 3 — diff against the previous cover, by content (Changed)
 	// and by id (Additive). Set ids are stable under ingestion, so the
 	// id-wise subset test detects neighborhoods that SHRANK relative to
 	// their predecessor — the case that invalidates warm starts.
@@ -256,33 +221,11 @@ func subsetOf(a, b []core.EntityID) bool {
 // emit runs the canopy emission loop of CanopiesContext over the cached
 // candidate lists (already loose-filtered and id-sorted).
 func (ix *Index) emit() [][]core.EntityID {
-	inPool := make([]bool, ix.n)
-	for i := range inPool {
-		inPool[i] = true
+	e := &emitter{cfg: ix.cfg, removed: make([]bool, ix.n)}
+	for seed, kept := range ix.cands {
+		e.emit(seed, kept)
 	}
-	var canopies [][]core.EntityID
-	for seed := 0; seed < ix.n; seed++ {
-		if !inPool[seed] {
-			continue
-		}
-		kept := ix.cands[seed]
-		if len(kept) == 0 {
-			kept = []scored{{id: core.EntityID(seed), sim: 1}}
-		}
-		if ix.cfg.MaxNeighborhood > 0 && len(kept) > ix.cfg.MaxNeighborhood {
-			kept = capCanopy(kept, core.EntityID(seed), ix.cfg.MaxNeighborhood)
-		}
-		canopy := make([]core.EntityID, len(kept))
-		for i, c := range kept {
-			canopy[i] = c.id
-			if c.sim >= ix.cfg.Tight {
-				inPool[c.id] = false
-			}
-		}
-		inPool[seed] = false
-		canopies = append(canopies, canopy)
-	}
-	return canopies
+	return e.canopies
 }
 
 // setKey renders a sorted entity slice as a map key for content diffing.

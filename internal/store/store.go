@@ -33,8 +33,8 @@ const (
 	// KindSnapshot holds serialized run snapshots (wire.Checkpoint
 	// payloads stamped by the cem snapshot plumbing).
 	KindSnapshot = "snapshot"
-	// KindPostings holds serialized blocking state (canopy q-gram
-	// postings and cached candidate lists).
+	// KindPostings holds serialized blocking state (the canopy gram
+	// table and cached candidate lists).
 	KindPostings = "postings"
 )
 

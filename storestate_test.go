@@ -1,9 +1,11 @@
 package cem_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	cem "repro"
@@ -132,6 +134,71 @@ func TestStoreStateReopen(t *testing.T) {
 	}
 	if !afterReopen.WarmStarted {
 		t.Fatal("post-reopen update did not warm-start (postings blob not honored?)")
+	}
+}
+
+// TestStoreStateReopenOldIndexBlob pins that the index blob is a cache:
+// a store whose postings blob carries the previous format's magic (as
+// every store written before the gram-table layout does) still reopens,
+// by replaying the records through a fresh index, to the byte-identical
+// cover, and keeps ingesting incrementally.
+func TestStoreStateReopenOldIndexBlob(t *testing.T) {
+	ctx := context.Background()
+	records := storeRecords(t)
+	s, err := cem.OpenStore("mem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := cem.NewPipeline(cem.WithMatcher(cem.MatcherMLN), cem.WithScheme(cem.SchemeSMP))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pipe.Update(ctx, nil, records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cem.SaveState(s, res, 1); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := s.OpenBlob(match.KindPostings, "latest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(blob, []byte("CEMP2\n")) {
+		t.Fatalf("index blob starts %q, want the CEMP2 magic", blob[:6])
+	}
+	old := append([]byte("CEMP1\n"), blob[6:]...)
+	if err := s.SaveBlob(match.KindPostings, "latest", old); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, _, err := pipe.Reopen(ctx, records, s)
+	if err != nil {
+		t.Fatalf("Reopen over an old-magic index blob: %v", err)
+	}
+	if !reflect.DeepEqual(reopened.Experiment.Cover.Sets, res.Experiment.Cover.Sets) {
+		t.Fatal("cover rebuilt by replay differs from the saved run's")
+	}
+	if got, want := renderMatches(reopened.Result), renderMatches(res.Result); got != want {
+		t.Fatalf("reopened matches diverge: %s", firstDiff(got, want))
+	}
+	extra, err := cem.GenerateRecords(cem.HEPTH, 0.05, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := pipe.Update(ctx, reopened, extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := pipe.Update(ctx, res, extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := renderMatches(after.Result), renderMatches(live.Result); got != want {
+		t.Fatalf("post-reopen update diverges from the live stream: %s", firstDiff(got, want))
+	}
+	if !after.WarmStarted {
+		t.Fatal("post-reopen update did not warm-start: the replayed index is not incremental")
 	}
 }
 
