@@ -32,7 +32,7 @@ BENCHTIME     ?= 5x
 # their own, much higher iteration floor.
 MATCHER_BENCHTIME ?= 500x
 
-.PHONY: build test race bench bench-json bench-compare bench-rss cover cover-check fuzz fmt vet clean service-smoke chaos-smoke store-smoke bench-smoke scale-test
+.PHONY: build test race bench bench-json bench-compare bench-rss cover cover-check fuzz fmt vet clean service-smoke chaos-smoke store-smoke bench-smoke bench-frozen scale-test
 
 build:
 	$(GO) build $(GOFLAGS) ./...
@@ -125,14 +125,33 @@ chaos-smoke:
 # (repro/bench, replace repro => ../), so `go build ./... && go test
 # ./...` at the root never compiles it, yet it calls core.SMP, core.MMP,
 # core.Config and the Runner options directly. CI runs it in the test job.
-bench-smoke:
+bench-smoke: bench-frozen
 	cd bench && $(GO) vet ./... && $(GO) test $(GOFLAGS) ./...
 
+# bench-frozen fails when a change edits what it is measured with. The
+# driver measures a change against its parent with the parent's bench/ and
+# BENCHMARK.json, and rejects one that touches them (PR 14 was thrown away
+# for exactly that); a benchmark edit is a change of its own that claims no
+# gain. Two checks: nothing uncommitted or untracked under those paths, and
+# no difference from BENCH_BASE, the commit the change is measured against:
+# CI passes the merge base with the target branch, a committed local change
+# passes its parent (BENCH_BASE=HEAD~1); the default only sees the work tree.
+BENCH_BASE ?= HEAD
+bench-frozen:
+	@dirty="$$(git status --porcelain -- bench BENCHMARK.json)"; \
+	 if [ -n "$$dirty" ]; then echo "FAIL: uncommitted changes under the frozen benchmark paths:"; echo "$$dirty"; exit 1; fi
+	@git diff --quiet $(BENCH_BASE) -- bench BENCHMARK.json \
+	 || { echo "FAIL: bench/ or BENCHMARK.json differ from $(BENCH_BASE):"; git diff --stat $(BENCH_BASE) -- bench BENCHMARK.json; exit 1; }
+
 # fuzz smoke-runs the correctness-critical fuzz targets: dense-vs-naive
-# scoring, the wire codec round trip, and blocking — sharded vs serial
-# canopies, incremental vs scratch covers, index blob loading (the
-# nightly CI job runs every Fuzz* target, found by name, for longer).
+# scoring, the wire codec round trip, the name kernels against their
+# retained references (and NameLevel's symmetry, which the blocking stage's
+# level cache relies on), and blocking — sharded vs serial canopies,
+# incremental vs scratch covers, index blob loading (the nightly CI job
+# runs every Fuzz* target, found by name, for longer).
 fuzz:
+	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzJaroMatchesReference$$' -fuzztime 10s ./internal/similarity/
+	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzNameLevelSymmetric$$' -fuzztime 10s ./internal/similarity/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz FuzzDenseLogScore -fuzztime 10s ./internal/mln/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/wire/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzShardedCanopiesIdentical$$' -fuzztime 10s ./internal/canopy/

@@ -110,7 +110,9 @@ func BenchmarkFullRulesDblp(b *testing.B) {
 // --- blocking stage and end-to-end pipeline ---------------------------
 
 // benchBlocking measures the sharded blocking stage alone (dataset →
-// total cover) through the public pipeline configuration.
+// total cover → candidate pairs → grounded matchers: everything
+// PipelineResult.BlockingTime spans) through the public pipeline
+// configuration.
 func benchBlocking(b *testing.B, kind cem.DatasetKind, shards int) {
 	b.Helper()
 	records, err := cem.GenerateRecords(kind, 0.25, 42)

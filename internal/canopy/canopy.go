@@ -6,6 +6,12 @@
 // the construction §4 describes ("we construct a total cover by first
 // constructing a total cover over Similar using Canopies, and then taking
 // the boundary of each neighborhood with respect to other relations").
+//
+// Wherever blocking needs the discretized name similarity — the pairs that
+// drive aligned expansion, the candidate pairs handed to the matchers — it
+// asks a nameTable (names.go): references are grouped by parsed name, the
+// level is evaluated once per pair of distinct names, and reference pairs
+// are only walked under name pairs that are similar.
 package canopy
 
 import (
@@ -145,6 +151,28 @@ func (t *gramTable) insert(s string) {
 		t.postings[g] = append(t.postings[g], id)
 	}
 	t.grams = append(t.grams, gs)
+}
+
+// truncate undoes every insert after the first n records, given that the
+// dictionary held dict grams when record n was inserted: ids are handed out
+// in order, so exactly the grams from dict on were first seen since.
+func (t *gramTable) truncate(n, dict int) {
+	for id := len(t.grams) - 1; id >= n; id-- {
+		for _, g := range t.grams[id] {
+			t.postings[g] = t.postings[g][:len(t.postings[g])-1] // ascending: id is last
+		}
+	}
+	clear(t.grams[n:])
+	t.grams = t.grams[:n]
+	if len(t.postings) > dict {
+		for g, id := range t.ids {
+			if int(id) >= dict {
+				delete(t.ids, g)
+			}
+		}
+		clear(t.postings[dict:])
+		t.postings = t.postings[:dict]
+	}
 }
 
 func (t *gramTable) intern(g string) int32 {
@@ -357,24 +385,36 @@ func eachShard(ctx context.Context, n, shards int, fn func(lo, hi int)) error {
 // neighborhood. The result is a total cover w.r.t. rel (§4).
 func ExpandBoundary(sets [][]core.EntityID, rel *graph.Graph) [][]core.EntityID {
 	out := make([][]core.EntityID, len(sets))
+	member := make([]int32, entitySpan(sets, rel)) // member[e] == i+1: e is in out[i]
 	for i, set := range sets {
-		member := map[core.EntityID]bool{}
+		stamp := int32(i + 1)
 		for _, e := range set {
-			member[e] = true
+			member[e] = stamp
 		}
 		expanded := append([]core.EntityID(nil), set...)
 		for _, e := range set {
 			for _, u := range rel.Neighbors(e) {
-				if !member[u] {
-					member[u] = true
+				if member[u] != stamp {
+					member[u] = stamp
 					expanded = append(expanded, u)
 				}
 			}
 		}
-		sort.Slice(expanded, func(a, b int) bool { return expanded[a] < expanded[b] })
+		slices.Sort(expanded)
 		out[i] = expanded
 	}
 	return out
+}
+
+// entitySpan is one past the highest entity id rel or sets can name.
+func entitySpan(sets [][]core.EntityID, rel *graph.Graph) int {
+	n := rel.N()
+	for _, set := range sets {
+		for _, e := range set {
+			n = max(n, int(e)+1)
+		}
+	}
+	return n
 }
 
 // GreedyTotalCover turns canopies into a total cover (Definition 7) with
@@ -397,36 +437,13 @@ func ExpandBoundary(sets [][]core.EntityID, rel *graph.Graph) [][]core.EntityID 
 // cold; a size-based rule re-routes patches every time any neighborhood
 // grows.
 func GreedyTotalCover(sets [][]core.EntityID, rel *graph.Graph) [][]core.EntityID {
-	n := rel.N()
-	for _, set := range sets {
-		for _, e := range set {
-			if int(e) >= n {
-				n = int(e) + 1
-			}
-		}
-	}
 	out := make([][]core.EntityID, len(sets))
-	member := make([]map[core.EntityID]bool, len(sets))
-	containing := make([][]int32, n)
+	containing := make([][]int32, entitySpan(sets, rel))
 	for i, set := range sets {
 		out[i] = append([]core.EntityID(nil), set...)
-		member[i] = make(map[core.EntityID]bool, len(set))
 		for _, e := range set {
-			member[i][e] = true
 			containing[e] = append(containing[e], int32(i))
 		}
-	}
-	share := func(u, v core.EntityID) bool {
-		cu, cv := containing[u], containing[v]
-		if len(cv) < len(cu) {
-			cu, u, v = cv, v, u
-		}
-		for _, s := range cu {
-			if member[s][v] {
-				return true
-			}
-		}
-		return false
 	}
 	// Membership lists start ascending and gain only patched (arbitrary)
 	// ids at the tail, so the lowest id is the head unless a patch
@@ -442,13 +459,18 @@ func GreedyTotalCover(sets [][]core.EntityID, rel *graph.Graph) [][]core.EntityI
 	}
 	add := func(s int32, e core.EntityID) {
 		out[s] = append(out[s], e)
-		member[s][e] = true
 		containing[e] = append(containing[e], s)
 	}
+	// withU[s] == u+1: set s contains u, the endpoint being patched.
+	withU := make([]int32, len(sets))
 	for u := int32(0); u < int32(rel.N()); u++ {
+		stamp := u + 1
+		for _, s := range containing[u] {
+			withU[s] = stamp
+		}
 		for _, v := range rel.Neighbors(u) {
-			if v <= u || share(u, v) {
-				continue
+			if v <= u || slices.ContainsFunc(containing[v], func(s int32) bool { return withU[s] == stamp }) {
+				continue // the lower endpoint's turn, or one set already holds both
 			}
 			su, sv := lowestWith(u), lowestWith(v)
 			switch {
@@ -458,11 +480,12 @@ func GreedyTotalCover(sets [][]core.EntityID, rel *graph.Graph) [][]core.EntityI
 				add(su, v)
 			default:
 				add(sv, u)
+				withU[sv] = stamp
 			}
 		}
 	}
 	for i := range out {
-		sort.Slice(out[i], func(a, b int) bool { return out[i][a] < out[i][b] })
+		slices.Sort(out[i])
 	}
 	return out
 }
@@ -493,78 +516,66 @@ func AlignedExpand(d *bib.Dataset, sets [][]core.EntityID, maxAligned int) [][]c
 // driving pairs would cost quadratic similarity work for nothing, and
 // the canopy pair source is append-stable under ingestion by
 // construction. pairSets[i] must be a subset of sets[i].
+//
+// Both similarity tests go through one nameTable: the driving pairs of a
+// pair set are the member products of its similar name classes
+// (classGroups.similarPairs), and an aligned (c1, c2) is tested by the level
+// of its two classes. The level depends on the parsed names alone, so this
+// visits exactly the pairs a scan of every reference pair would keep; the
+// order differs, which cannot show: each driving pair contributes its own
+// endpoints, independently of the others, to a set that is sorted at the
+// end.
 func alignedExpandInto(d *bib.Dataset, pairSets, sets [][]core.EntityID, maxAligned int) [][]core.EntityID {
 	if maxAligned <= 0 {
 		return sets
 	}
 	rel := d.Coauthor()
-	parsed := make([]similarity.Name, d.NumRefs())
-	for i := range d.Refs {
-		parsed[i] = similarity.ParseName(d.Refs[i].Name)
-	}
-	// Sets overlap heavily and the coauthor products revisit the same
-	// pairs constantly; one cached similarity evaluation per distinct
-	// pair replaces thousands of repeated (allocating) Jaro runs.
-	levels := map[core.PairKey]similarity.Level{}
-	lvl := func(x, y core.EntityID) similarity.Level {
-		k := core.MakePair(x, y).Key()
-		if v, ok := levels[k]; ok {
-			return v
-		}
-		v := similarity.NameLevel(parsed[x], parsed[y])
-		levels[k] = v
-		return v
-	}
+	names := newNameTable(d)
+	groups := newClassGroups(names)
 	out := make([][]core.EntityID, len(sets))
-	var combos []alignedPair // reused scratch
+	member := make([]int32, d.NumRefs()) // member[e] == si+1: e is in out[si]
+	var combos []alignedPair             // reused scratch
 	for si, set := range sets {
-		member := make(map[core.EntityID]bool, len(set))
+		stamp := int32(si + 1)
 		expanded := append([]core.EntityID(nil), set...)
 		for _, e := range set {
-			member[e] = true
+			member[e] = stamp
 		}
 		add := func(e core.EntityID) {
-			if !member[e] {
-				member[e] = true
+			if member[e] != stamp {
+				member[e] = stamp
 				expanded = append(expanded, e)
 			}
 		}
-		pairSet := pairSets[si]
-		for i := 0; i < len(pairSet); i++ {
-			for j := i + 1; j < len(pairSet); j++ {
-				a, b := pairSet[i], pairSet[j]
-				if lvl(a, b) == similarity.LevelNone {
-					continue
-				}
-				// Gather the coauthor combinations (cheap, no similarity
-				// yet), order them by the ingestion-stable priority, and
-				// only then test name similarity, stopping at maxAligned
-				// qualifying pairs — the expensive comparisons stay
-				// proportional to the scan prefix, not the full product.
-				combos = combos[:0]
-				for _, c1 := range rel.Neighbors(a) {
-					for _, c2 := range rel.Neighbors(b) {
-						if c1 != c2 {
-							combos = append(combos, alignedPair{c1: c1, c2: c2})
-						}
+		groups.similarPairs(pairSets[si], func(a, b core.EntityID) {
+			// Gather the coauthor combinations (cheap, no similarity
+			// yet), order them by the ingestion-stable priority, and
+			// only then test name similarity, stopping at maxAligned
+			// qualifying pairs — the comparisons stay proportional to
+			// the scan prefix, not the full product.
+			combos = combos[:0]
+			for _, c1 := range rel.Neighbors(a) {
+				for _, c2 := range rel.Neighbors(b) {
+					if c1 != c2 {
+						combos = append(combos, alignedPair{c1: c1, c2: c2})
 					}
-				}
-				slices.SortFunc(combos, alignedPair.compare)
-				taken := 0
-				for _, q := range combos {
-					if taken >= maxAligned {
-						break
-					}
-					if lvl(q.c1, q.c2) == similarity.LevelNone {
-						continue
-					}
-					add(q.c1)
-					add(q.c2)
-					taken++
 				}
 			}
-		}
-		sort.Slice(expanded, func(a, b int) bool { return expanded[a] < expanded[b] })
+			slices.SortFunc(combos, alignedPair.compare)
+			taken := 0
+			for _, q := range combos {
+				if taken >= maxAligned {
+					break
+				}
+				if names.refLevel(q.c1, q.c2) == similarity.LevelNone {
+					continue
+				}
+				add(q.c1)
+				add(q.c2)
+				taken++
+			}
+		})
+		slices.Sort(expanded)
 		out[si] = expanded
 	}
 	return out
@@ -612,18 +623,27 @@ func BuildCover(d *bib.Dataset, cfg Config) *core.Cover {
 // byte-identical for every shard count; a canceled context aborts with
 // ctx.Err().
 func BuildCoverContext(ctx context.Context, d *bib.Dataset, cfg Config, shards int) (*core.Cover, error) {
-	names := make([]string, d.NumRefs())
-	for i := range d.Refs {
-		names[i] = d.Refs[i].Name
-	}
-	canopies, err := CanopiesContext(ctx, names, cfg, shards)
+	canopies, err := CanopiesContext(ctx, refNames(d), cfg, shards)
 	if err != nil {
 		return nil, err
 	}
 	return finishCover(ctx, d, cfg, canopies)
 }
 
+// refNames lists the references' surface strings by reference id.
+func refNames(d *bib.Dataset) []string {
+	names := make([]string, d.NumRefs())
+	for i := range d.Refs {
+		names[i] = d.Refs[i].Name
+	}
+	return names
+}
+
 // finishCover turns canopies into the total cover, batch or incremental.
+// Set membership in all three steps is a stamp array over entity ids, and
+// name similarity one nameTable built by alignedExpandInto, so the cost is
+// the cover's size plus the similar pairs' coauthor products — no per-set or
+// per-pair hash map.
 func finishCover(ctx context.Context, d *bib.Dataset, cfg Config, canopies [][]core.EntityID) (*core.Cover, error) {
 	var sets [][]core.EntityID
 	if cfg.FullBoundary {
@@ -658,34 +678,33 @@ type SimilarPair struct {
 	Level similarity.Level
 }
 
-// CandidatePairs scans a cover and returns every in-neighborhood pair
-// with non-zero name-similarity level, deduplicated across neighborhoods.
+// CandidatePairs returns every in-neighborhood pair with non-zero
+// name-similarity level, once each, in ascending (A, B) order.
+//
+// It never enumerates a neighborhood's reference pairs. Each neighborhood is
+// grouped by parsed name and only the member products of similar name pairs
+// are emitted (classGroups.similarPairs) — the level is a function of the
+// two parsed names, so every pair of such a product is a candidate at that
+// level and no pair outside one is. On abbreviated corpora that is an order
+// of magnitude fewer steps than pairs (HEPTH-like 0.5: 574 k in-neighborhood
+// reference pairs, 47 k name pairs, 14.6 k of them distinct, 9.3 k
+// candidates). Only emitted pairs are deduplicated: overlapping
+// neighborhoods emit a pair once each, into the list of its lower endpoint.
 func CandidatePairs(d *bib.Dataset, cover *core.Cover) []SimilarPair {
-	parsed := make([]similarity.Name, d.NumRefs())
-	for i := range d.Refs {
-		parsed[i] = similarity.ParseName(d.Refs[i].Name)
-	}
-	seen := core.NewPairSet()
-	var out []SimilarPair
+	names := newNameTable(d)
+	groups := newClassGroups(names)
+	// later[a]: every b > a similar to a, once per neighborhood they share.
+	later := make([][]core.EntityID, d.NumRefs())
 	for _, set := range cover.Sets {
-		for i := 0; i < len(set); i++ {
-			for j := i + 1; j < len(set); j++ {
-				p := core.MakePair(set[i], set[j])
-				if seen.Has(p) {
-					continue
-				}
-				seen.Add(p)
-				if lvl := similarity.NameLevel(parsed[p.A], parsed[p.B]); lvl > similarity.LevelNone {
-					out = append(out, SimilarPair{Pair: p, Level: lvl})
-				}
-			}
+		groups.similarPairs(set, func(a, b core.EntityID) { later[a] = append(later[a], b) })
+	}
+	var out []SimilarPair
+	for a, bs := range later {
+		slices.Sort(bs)
+		for _, b := range slices.Compact(bs) {
+			p := core.Pair{A: core.EntityID(a), B: b}
+			out = append(out, SimilarPair{Pair: p, Level: names.refLevel(p.A, p.B)})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pair.A != out[j].Pair.A {
-			return out[i].Pair.A < out[j].Pair.A
-		}
-		return out[i].Pair.B < out[j].Pair.B
-	})
 	return out
 }

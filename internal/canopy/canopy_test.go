@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bib"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/graph"
@@ -282,6 +283,47 @@ func BenchmarkCanopiesDBLP(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := CanopiesContext(context.Background(), names, DefaultConfig(), 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// hepthHalf is the corpus of the two class-table benchmarks below: HEPTH
+// 0.5, seed 42 (1461 references, 370 distinct parsed names), with its
+// canopies and cover built once outside the timer.
+func hepthHalf(b *testing.B) (*bib.Dataset, [][]core.EntityID, *core.Cover) {
+	b.Helper()
+	d := datagen.MustGenerate(datagen.HEPTHLike(0.5, 42))
+	canopies := Canopies(refNames(d), DefaultConfig())
+	cover, err := finishCover(context.Background(), d, DefaultConfig(), canopies)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d, canopies, cover
+}
+
+// BenchmarkCandidatePairsHEPTH is candidate enumeration on its own, on the
+// corpus where it was the largest stage of a cold run (bench workload
+// hepth-cold, canopy.candidates_s).
+func BenchmarkCandidatePairsHEPTH(b *testing.B) {
+	d, _, cover := hepthHalf(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(CandidatePairs(d, cover)) == 0 {
+			b.Fatal("no candidates")
+		}
+	}
+}
+
+// BenchmarkFinishCoverHEPTH is totality patching plus aligned expansion
+// given the canopies (bench workload hepth-cold, canopy.cover_finish_s).
+func BenchmarkFinishCoverHEPTH(b *testing.B) {
+	d, canopies, _ := hepthHalf(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := finishCover(context.Background(), d, DefaultConfig(), canopies); err != nil {
 			b.Fatal(err)
 		}
 	}

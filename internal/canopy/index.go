@@ -113,7 +113,8 @@ func (ix *Index) Cover() *core.Cover {
 // against the gram table (exactly one seed probe, as in Canopies), old
 // records are never re-scored, and only canopy emission plus cover
 // patching — bookkeeping over cached candidate lists — runs over the
-// full corpus. A canceled ctx aborts between phases with ctx.Err().
+// full corpus. A canceled ctx aborts with ctx.Err() and leaves the index
+// exactly as it was before the call, so the same Add can simply be retried.
 func (ix *Index) Add(ctx context.Context, d *bib.Dataset) (*core.Cover, *Delta, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -144,42 +145,27 @@ func (ix *Index) add(ctx context.Context, d *bib.Dataset) (*core.Cover, *Delta, 
 		// additive.
 		return ix.cover, &Delta{Additive: true}, nil
 	}
-	delta := &Delta{NewEntities: make([]core.EntityID, 0, n-ix.n)}
-
-	// Phase 1 — score the arriving suffix. Inserting a record into the
-	// table *before* probing makes the record its own candidate (Jaccard
-	// 1 ≥ Loose), exactly as the batch scorer's self-probe does, and lets
-	// later records of the same batch see earlier ones.
-	for id := ix.n; id < n; id++ {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		delta.NewEntities = append(delta.NewEntities, core.EntityID(id))
-		ix.tab.insert(normalize(d.Refs[id].Name))
-		own := ix.tab.probe(ix.tab.grams[id], ix.cfg.Loose, &ix.scratch)
-		for _, c := range own {
-			if int(c.ID) != id {
-				// The candidate relation is symmetric and new ids exceed
-				// all previous ones, so appending keeps cands[c.ID] in
-				// ascending id order.
-				ix.cands[c.ID] = append(ix.cands[c.ID], scored{ID: core.EntityID(id), Sim: c.Sim})
-			}
-		}
-		ix.cands = append(ix.cands, own)
-	}
-	ix.n = n
-
-	// Phase 2 — re-emit canopies over the full corpus from the cached
-	// candidate lists (the serial emission of CanopiesContext, with the
-	// scoring already done) and build the total cover as BuildCover does.
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	cover, err := finishCover(ctx, d, ix.cfg, ix.emit())
+	dict := len(ix.tab.postings)
+	cover, err := ix.ingest(ctx, d)
 	if err != nil {
+		// All or nothing: a half-ingested suffix would be inserted again,
+		// under later ids, by the next Add.
+		ix.tab.truncate(ix.n, dict)
+		clear(ix.cands[ix.n:])
+		ix.cands = ix.cands[:ix.n]
+		for i, own := range ix.cands {
+			for len(own) > 0 && int(own[len(own)-1].ID) >= ix.n {
+				own = own[:len(own)-1]
+			}
+			ix.cands[i] = own
+		}
 		return nil, nil, err
 	}
-	ix.cover = cover
+	delta := &Delta{NewEntities: make([]core.EntityID, 0, n-ix.n)}
+	for id := ix.n; id < n; id++ {
+		delta.NewEntities = append(delta.NewEntities, core.EntityID(id))
+	}
+	ix.n, ix.cover = n, cover
 
 	// Phase 3 — diff against the previous cover, by content (Changed)
 	// and by id (Additive). Set ids are stable under ingestion, so the
@@ -203,6 +189,40 @@ func (ix *Index) add(ctx context.Context, d *bib.Dataset) (*core.Cover, *Delta, 
 	return ix.cover, delta, nil
 }
 
+// ingest scores the records d.Refs[ix.n:] into the table and the candidate
+// lists and builds the cover over all of d. It leaves ix.n and ix.cover to
+// the caller, who commits them on success and rolls the suffix back on error.
+func (ix *Index) ingest(ctx context.Context, d *bib.Dataset) (*core.Cover, error) {
+	// Phase 1 — score the arriving suffix. Inserting a record into the
+	// table *before* probing makes the record its own candidate (Jaccard
+	// 1 ≥ Loose), exactly as the batch scorer's self-probe does, and lets
+	// later records of the same batch see earlier ones.
+	for id := ix.n; id < d.NumRefs(); id++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		ix.tab.insert(normalize(d.Refs[id].Name))
+		own := ix.tab.probe(ix.tab.grams[id], ix.cfg.Loose, &ix.scratch)
+		for _, c := range own {
+			if int(c.ID) != id {
+				// The candidate relation is symmetric and new ids exceed
+				// all previous ones, so appending keeps cands[c.ID] in
+				// ascending id order.
+				ix.cands[c.ID] = append(ix.cands[c.ID], scored{ID: core.EntityID(id), Sim: c.Sim})
+			}
+		}
+		ix.cands = append(ix.cands, own)
+	}
+
+	// Phase 2 — re-emit canopies over the full corpus from the cached
+	// candidate lists (the serial emission of CanopiesContext, with the
+	// scoring already done) and build the total cover as BuildCover does.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return finishCover(ctx, d, ix.cfg, ix.emit())
+}
+
 // subsetOf reports a ⊆ b for ascending-sorted entity slices.
 func subsetOf(a, b []core.EntityID) bool {
 	j := 0
@@ -221,7 +241,7 @@ func subsetOf(a, b []core.EntityID) bool {
 // emit runs the canopy emission loop of CanopiesContext over the cached
 // candidate lists (already loose-filtered and id-sorted).
 func (ix *Index) emit() [][]core.EntityID {
-	e := &emitter{cfg: ix.cfg, removed: make([]bool, ix.n)}
+	e := &emitter{cfg: ix.cfg, removed: make([]bool, len(ix.cands))}
 	for seed, kept := range ix.cands {
 		e.emit(seed, kept)
 	}

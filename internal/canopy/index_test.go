@@ -1,7 +1,10 @@
 package canopy
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -264,4 +267,97 @@ func fuzzRecords(raw []byte, groups uint16) []bib.Record {
 	}
 	emit(raw[start:])
 	return recs
+}
+
+// cancelAt is a context whose Err reports cancellation from its k-th call
+// on: a cancellation landing exactly at the k-th check inside one Add.
+type cancelAt struct {
+	context.Context
+	k int
+}
+
+func (c *cancelAt) Err() error {
+	if c.k <= 0 {
+		return context.Canceled
+	}
+	c.k--
+	return nil
+}
+
+// TestIndexAddIsAllOrNothing cancels an Add at every context check it makes
+// — before each record of the batch, before emission, and the two inside
+// finishCover — and requires the index to be exactly where it was: same
+// length, same cover, and after the same Add is retried the same cover,
+// delta and saved state as an index that never saw a cancellation. (Saved
+// state is compared decoded: gob writes PrevSets in map order.)
+func TestIndexAddIsAllOrNothing(t *testing.T) {
+	records := bib.ToRecords(datagen.MustGenerate(datagen.HEPTHLike(0.05, 42)))
+	base := 2 * len(records) / 3
+	first, err := bib.DatasetFromRecords("atomic", records[:base])
+	if err != nil {
+		t.Fatal(err)
+	}
+	union, err := bib.DatasetFromRecords("atomic", records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	grown := func() *Index {
+		ix, err := NewIndex(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ix.Add(ctx, first); err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	saved := func(ix *Index) indexWire {
+		blob, err := ix.Save()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w indexWire
+		if err := gob.NewDecoder(bytes.NewReader(blob[len(indexBlobMagic):])).Decode(&w); err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+
+	ref := grown()
+	before := saved(ref)
+	wantCover, wantDelta, err := ref.Add(ctx, union)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := saved(ref)
+
+	checks := len(records) - base + 3
+	for k := 0; k <= checks; k++ {
+		ix := grown()
+		_, _, err := ix.Add(&cancelAt{Context: ctx, k: k}, union)
+		if k == checks {
+			if err != nil {
+				t.Fatalf("Add makes more than %d context checks: %v", checks, err)
+			}
+			break
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel at check %d: err = %v, want context.Canceled", k, err)
+		}
+		if ix.Len() != base || !reflect.DeepEqual(saved(ix), before) {
+			t.Fatalf("cancel at check %d: the index moved (Len %d, want %d)", k, ix.Len(), base)
+		}
+		// An empty delta must not hand out a cover the canceled Add built.
+		if c, _, err := ix.Add(ctx, first); err != nil || !coversEqual(c, ix.Cover()) || c.NumEntities != base {
+			t.Fatalf("cancel at check %d: Add of the old dataset: cover over %d entities, err %v", k, c.NumEntities, err)
+		}
+		cover, delta, err := ix.Add(ctx, union)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !coversEqual(cover, wantCover) || !reflect.DeepEqual(delta, wantDelta) || !reflect.DeepEqual(saved(ix), after) {
+			t.Fatalf("cancel at check %d: the retried Add differs from an index that never saw the cancel", k)
+		}
+	}
 }

@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/bib"
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/graph"
 	"repro/internal/similarity"
 )
 
@@ -117,6 +119,280 @@ func canopiesOld(names []string, cfg Config) [][]core.EntityID {
 	return canopies
 }
 
+// The scans this package used before the name table — every reference pair
+// of every neighborhood, one NameLevel per distinct reference pair, a PairSet
+// of pairs seen, map membership per set — kept as the test-only oracle for
+// the class-pair walk and the stamp arrays.
+
+// candidatePairsOld is CandidatePairs by all-pairs scan.
+func candidatePairsOld(d *bib.Dataset, cover *core.Cover) []SimilarPair {
+	parsed := make([]similarity.Name, d.NumRefs())
+	for i := range d.Refs {
+		parsed[i] = similarity.ParseName(d.Refs[i].Name)
+	}
+	seen := core.NewPairSet()
+	var out []SimilarPair
+	for _, set := range cover.Sets {
+		for i := 0; i < len(set); i++ {
+			for j := i + 1; j < len(set); j++ {
+				p := core.MakePair(set[i], set[j])
+				if seen.Has(p) {
+					continue
+				}
+				seen.Add(p)
+				if lvl := similarity.NameLevel(parsed[p.A], parsed[p.B]); lvl > similarity.LevelNone {
+					out = append(out, SimilarPair{Pair: p, Level: lvl})
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Pair.A != out[j].Pair.A {
+			return out[i].Pair.A < out[j].Pair.A
+		}
+		return out[i].Pair.B < out[j].Pair.B
+	})
+	return out
+}
+
+// expandBoundaryOld is ExpandBoundary with a membership map per set.
+func expandBoundaryOld(sets [][]core.EntityID, rel *graph.Graph) [][]core.EntityID {
+	out := make([][]core.EntityID, len(sets))
+	for i, set := range sets {
+		member := map[core.EntityID]bool{}
+		for _, e := range set {
+			member[e] = true
+		}
+		expanded := append([]core.EntityID(nil), set...)
+		for _, e := range set {
+			for _, u := range rel.Neighbors(e) {
+				if !member[u] {
+					member[u] = true
+					expanded = append(expanded, u)
+				}
+			}
+		}
+		sort.Slice(expanded, func(a, b int) bool { return expanded[a] < expanded[b] })
+		out[i] = expanded
+	}
+	return out
+}
+
+// greedyTotalCoverOld is GreedyTotalCover with a membership map per set.
+func greedyTotalCoverOld(sets [][]core.EntityID, rel *graph.Graph) [][]core.EntityID {
+	n := rel.N()
+	for _, set := range sets {
+		for _, e := range set {
+			if int(e) >= n {
+				n = int(e) + 1
+			}
+		}
+	}
+	out := make([][]core.EntityID, len(sets))
+	member := make([]map[core.EntityID]bool, len(sets))
+	containing := make([][]int32, n)
+	for i, set := range sets {
+		out[i] = append([]core.EntityID(nil), set...)
+		member[i] = make(map[core.EntityID]bool, len(set))
+		for _, e := range set {
+			member[i][e] = true
+			containing[e] = append(containing[e], int32(i))
+		}
+	}
+	share := func(u, v core.EntityID) bool {
+		cu, cv := containing[u], containing[v]
+		if len(cv) < len(cu) {
+			cu, u, v = cv, v, u
+		}
+		for _, s := range cu {
+			if member[s][v] {
+				return true
+			}
+		}
+		return false
+	}
+	lowestWith := func(e core.EntityID) int32 {
+		best := int32(-1)
+		for _, s := range containing[e] {
+			if best < 0 || s < best {
+				best = s
+			}
+		}
+		return best
+	}
+	add := func(s int32, e core.EntityID) {
+		out[s] = append(out[s], e)
+		member[s][e] = true
+		containing[e] = append(containing[e], s)
+	}
+	for u := int32(0); u < int32(rel.N()); u++ {
+		for _, v := range rel.Neighbors(u) {
+			if v <= u || share(u, v) {
+				continue
+			}
+			su, sv := lowestWith(u), lowestWith(v)
+			switch {
+			case su < 0 && sv < 0:
+			case sv < 0 || (su >= 0 && su <= sv):
+				add(su, v)
+			default:
+				add(sv, u)
+			}
+		}
+	}
+	for i := range out {
+		sort.Slice(out[i], func(a, b int) bool { return out[i][a] < out[i][b] })
+	}
+	return out
+}
+
+// alignedExpandIntoOld is alignedExpandInto over every reference pair of
+// every pair set, with the level cached per reference pair.
+func alignedExpandIntoOld(d *bib.Dataset, pairSets, sets [][]core.EntityID, maxAligned int) [][]core.EntityID {
+	if maxAligned <= 0 {
+		return sets
+	}
+	rel := d.Coauthor()
+	parsed := make([]similarity.Name, d.NumRefs())
+	for i := range d.Refs {
+		parsed[i] = similarity.ParseName(d.Refs[i].Name)
+	}
+	levels := map[core.PairKey]similarity.Level{}
+	lvl := func(x, y core.EntityID) similarity.Level {
+		k := core.MakePair(x, y).Key()
+		if v, ok := levels[k]; ok {
+			return v
+		}
+		v := similarity.NameLevel(parsed[x], parsed[y])
+		levels[k] = v
+		return v
+	}
+	out := make([][]core.EntityID, len(sets))
+	var combos []alignedPair
+	for si, set := range sets {
+		member := make(map[core.EntityID]bool, len(set))
+		expanded := append([]core.EntityID(nil), set...)
+		for _, e := range set {
+			member[e] = true
+		}
+		add := func(e core.EntityID) {
+			if !member[e] {
+				member[e] = true
+				expanded = append(expanded, e)
+			}
+		}
+		pairSet := pairSets[si]
+		for i := 0; i < len(pairSet); i++ {
+			for j := i + 1; j < len(pairSet); j++ {
+				a, b := pairSet[i], pairSet[j]
+				if lvl(a, b) == similarity.LevelNone {
+					continue
+				}
+				combos = combos[:0]
+				for _, c1 := range rel.Neighbors(a) {
+					for _, c2 := range rel.Neighbors(b) {
+						if c1 != c2 {
+							combos = append(combos, alignedPair{c1: c1, c2: c2})
+						}
+					}
+				}
+				slices.SortFunc(combos, alignedPair.compare)
+				taken := 0
+				for _, q := range combos {
+					if taken >= maxAligned {
+						break
+					}
+					if lvl(q.c1, q.c2) == similarity.LevelNone {
+						continue
+					}
+					add(q.c1)
+					add(q.c2)
+					taken++
+				}
+			}
+		}
+		sort.Slice(expanded, func(a, b int) bool { return expanded[a] < expanded[b] })
+		out[si] = expanded
+	}
+	return out
+}
+
+// finishCoverOld is the set construction of finishCover over the old scans.
+func finishCoverOld(d *bib.Dataset, cfg Config, canopies [][]core.EntityID) [][]core.EntityID {
+	if cfg.FullBoundary {
+		return expandBoundaryOld(canopies, d.Coauthor())
+	}
+	return alignedExpandIntoOld(d, canopies, greedyTotalCoverOld(canopies, d.Coauthor()), cfg.MaxAligned)
+}
+
+// oracleDatasets are the datasets the name table is pinned on: the three
+// generated corpora at three seeds and a hand-made list of its edge cases,
+// grouped into papers — neighbors in the list are coauthors, so totality
+// patching puts the two empty names into one neighborhood.
+func oracleDatasets(t *testing.T) []*bib.Dataset {
+	t.Helper()
+	fromRecords := func(name string, recs []bib.Record) *bib.Dataset {
+		d, err := bib.DatasetFromRecords(name, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	var edge []bib.Record
+	for i, name := range []string{
+		".", ",", // no tokens: the empty Name, whose level with itself is LevelNone
+		"Rastogi", "rastogi", "Rastogy", // a single token is a last name
+		"V. R.", "V R", "v. r", "K. R.", // initials only
+		"Vibhor Rastogi", "Vibhor Rastogi", "vibhor rastogi", "VIBHOR  RASTOGI", "Vibhor, Rastogi", // one Name, repeated and respelled
+		"V. Rastogi", "V Rastogi", "V. Rastogy", "K. Rastogi", "Vibhor Rastogy", "Vikram Rastogi",
+		"Nilesh Dalvi", "N. Dalvi", "N. Dalvi", "Nilesh Dalvy", "M. Garofalakis", "Minos Garofalakis",
+		"John Smith", "Jane Smith", "J. Smith", "Jon Smith",
+	} {
+		edge = append(edge, bib.Record{Name: name, Group: int32(i / 2 % 5), Gold: -1})
+	}
+	out := []*bib.Dataset{fromRecords("edge-cases", edge)}
+	for _, seed := range []int64{1, 42, 1337} {
+		out = append(out,
+			datagen.MustGenerate(datagen.HEPTHLike(0.25, seed)),
+			datagen.MustGenerate(datagen.DBLPLike(0.25, seed)),
+			fromRecords("people-like", datagen.MustGeneratePeople(datagen.PeopleLike(0.25, seed))))
+	}
+	return out
+}
+
+// nameTableMatchesOldScans pins the name table against the all-pairs
+// scans: identical cover sets out of finishCover and identical candidate
+// lists, pairs and levels, for every cover configuration.
+func nameTableMatchesOldScans(t *testing.T) {
+	ctx := context.Background()
+	for _, d := range oracleDatasets(t) {
+		for _, maxNbr := range []int{0, 2, 8} {
+			cfg := DefaultConfig()
+			cfg.MaxNeighborhood = maxNbr
+			canopies := Canopies(refNames(d), cfg)
+			for _, shape := range []struct {
+				maxAligned   int
+				fullBoundary bool
+			}{{0, false}, {1, false}, {3, false}, {0, true}} {
+				cfg.MaxAligned, cfg.FullBoundary = shape.maxAligned, shape.fullBoundary
+				t.Run(fmt.Sprintf("%s/max%d/aligned%d/full=%v", d.Name, maxNbr, cfg.MaxAligned, cfg.FullBoundary), func(t *testing.T) {
+					cover, err := finishCover(ctx, d, cfg, canopies)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := finishCoverOld(d, cfg, canopies); !reflect.DeepEqual(cover.Sets, want) {
+						t.Fatal("finishCover sets differ from the old scans")
+					}
+					got, want := CandidatePairs(d, cover), candidatePairsOld(d, cover)
+					if !slices.Equal(got, want) {
+						t.Fatalf("CandidatePairs: %d pairs, old scan %d, or a pair or level differs", len(got), len(want))
+					}
+				})
+			}
+		}
+	}
+}
+
 // oracleCorpora are the name lists the probe is pinned on: the three
 // generated corpora and a hand-made list of the gram table's edge cases.
 func oracleCorpora(t *testing.T) map[string][]string {
@@ -144,8 +420,10 @@ func oracleCorpora(t *testing.T) map[string][]string {
 // TestRefactorMatchesOldAlgorithm pins the counting probe against the map
 // scorer: identical candidate lists with bit-identical similarities, and
 // identical canopies, from the batch path at several shard counts and
-// from the incremental index fed in chunks.
+// from the incremental index fed in chunks. Its "names" subtests pin the
+// name table against the all-pairs scans.
 func TestRefactorMatchesOldAlgorithm(t *testing.T) {
+	t.Run("names", nameTableMatchesOldScans)
 	ctx := context.Background()
 	for corpus, names := range oracleCorpora(t) {
 		for _, q := range []int{1, 2, 3} {

@@ -119,7 +119,7 @@ type Metrics struct {
 	// Distributions.
 	IngestLag        *Histogram // enqueue → commit, seconds
 	UpdateSeconds    *Histogram // whole Pipeline.Update wall time
-	BlockingSeconds  *Histogram // blocking stage of each update
+	BlockingSeconds  *Histogram // each update up to the matching stage (PipelineResult.BlockingTime)
 	MatchingSeconds  *Histogram // matching stage of each update
 	RoundSeconds     *Histogram // per matching round, via progress events
 	BatchRecords     *Histogram // records per committed batch
@@ -246,7 +246,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, g GaugeValues) error {
 
 	histogram(bw, "emserve_ingest_lag_commit_seconds", "Enqueue-to-commit latency of ingest requests.", m.IngestLag)
 	histogram(bw, "emserve_update_seconds", "Wall time of each Pipeline.Update (blocking + matching).", m.UpdateSeconds)
-	histogram(bw, "emserve_update_blocking_seconds", "Blocking-stage wall time of each update.", m.BlockingSeconds)
+	histogram(bw, "emserve_update_blocking_seconds", "Wall time of each update before matching: delta blocking, candidate enumeration and matcher grounding.", m.BlockingSeconds)
 	histogram(bw, "emserve_update_matching_seconds", "Matching-stage wall time of each update.", m.MatchingSeconds)
 	histogram(bw, "emserve_round_seconds", "Wall time of each matching round.", m.RoundSeconds)
 	histogram(bw, "emserve_batch_records", "Records per committed batch.", m.BatchRecords)

@@ -5,9 +5,18 @@
 // {1, 2, 3} that the MLN and RULES matchers consume.
 package similarity
 
+// jaroStackLen is the longest string Jaro scores without allocating.
+const jaroStackLen = 64
+
 // Jaro returns the Jaro similarity of a and b in [0, 1].
 // It is 1 for identical strings and 0 for strings with no common
 // characters (or when either string is empty and the other is not).
+//
+// Jaro(a, b) == Jaro(b, a) exactly. Per byte value, the greedy scan is a
+// two-pointer merge of that byte's positions in a and in b — advance past
+// a position more than window behind the other, else match both — and
+// that rule reads the same from either side, so both orders pick the same
+// matched positions and therefore the same transpositions.
 func Jaro(a, b string) float64 {
 	if a == b {
 		return 1
@@ -21,8 +30,16 @@ func Jaro(a, b string) float64 {
 	if window < 0 {
 		window = 0
 	}
-	aMatched := make([]bool, la)
-	bMatched := make([]bool, lb)
+	// Matched flags live on the stack for name-sized input; only longer
+	// strings pay for a heap slice.
+	var aBuf, bBuf [jaroStackLen]bool
+	aMatched, bMatched := aBuf[:min(la, jaroStackLen)], bBuf[:min(lb, jaroStackLen)]
+	if la > jaroStackLen {
+		aMatched = make([]bool, la)
+	}
+	if lb > jaroStackLen {
+		bMatched = make([]bool, lb)
+	}
 	matches := 0
 	for i := 0; i < la; i++ {
 		lo := i - window

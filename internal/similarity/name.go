@@ -88,6 +88,9 @@ const (
 // last-name similarity, capped at LevelMedium: an initial can never be
 // strong evidence on its own, because "V. Rastogi" may be any author
 // whose first name starts with V.
+//
+// NameLevel(a, b) == NameLevel(b, a): every branch is a symmetric test or
+// a JaroWinkler score, and Jaro is symmetric by construction.
 func NameLevel(a, b Name) Level {
 	if a.Last == "" || b.Last == "" {
 		return LevelNone
@@ -110,16 +113,18 @@ func NameLevel(a, b Name) Level {
 	if a == b {
 		return LevelStrong
 	}
-	s := JaroWinkler(a.String(), b.String())
 	// Guard against first or last names that disagree wholesale even
 	// though the combined string happens to score well ("John Smith" vs
 	// "Jane Smith" shares most of its characters but is no candidate).
+	// The guards run first: they reject most pairs, on short strings,
+	// before the full names are concatenated and scored.
 	if JaroWinkler(a.Last, b.Last) < lastWeakThreshold {
 		return LevelNone
 	}
 	if a.First != "" && b.First != "" && JaroWinkler(a.First, b.First) < firstCompatibility {
 		return LevelNone
 	}
+	s := JaroWinkler(a.String(), b.String())
 	switch {
 	case s >= fullMediumThreshold:
 		return LevelMedium

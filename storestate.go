@@ -154,7 +154,6 @@ func (p *Pipeline) Reopen(ctx context.Context, records []Record, s match.Store) 
 		return nil, 0, fmt.Errorf("cem: reopened blocking state (%d sets) disagrees with the snapshot (%d sets) — were the records the saved stream?",
 			cover.Len(), ck.Neighborhoods)
 	}
-	blockingTime := time.Since(start)
 
 	opts := DefaultOptions()
 	for _, o := range p.expOpts {
@@ -169,6 +168,7 @@ func (p *Pipeline) Reopen(ctx context.Context, records []Record, s match.Store) 
 	if err != nil {
 		return nil, 0, err
 	}
+	blockingTime := time.Since(start)
 
 	// Fabricate the engine result from the snapshot: evidence and
 	// messages verbatim, no matcher involvement.
