@@ -53,6 +53,7 @@ vet:
 bench:
 	$(GO) test $(GOFLAGS) -run '^$$' -bench '$(SCHEME_BENCH)' -benchmem -benchtime $(BENCHTIME) .
 	$(GO) test $(GOFLAGS) -run '^$$' -bench '$(MATCHER_BENCH)' -benchmem -benchtime $(MATCHER_BENCHTIME) ./internal/mln/
+	$(GO) test $(GOFLAGS) -run '^$$' -bench '^BenchmarkRulesSMP' -benchmem -benchtime 20x -cpu 1 ./internal/rules/
 
 # bench-json refreshes the $(BENCH_LABEL) run in $(BENCHOUT), preserving
 # any other labels (e.g. the committed baseline) already there. A
@@ -144,7 +145,8 @@ bench-frozen:
 	 || { echo "FAIL: bench/ or BENCHMARK.json differ from $(BENCH_BASE):"; git diff --stat $(BENCH_BASE) -- bench BENCHMARK.json; exit 1; }
 
 # fuzz smoke-runs the correctness-critical fuzz targets: dense-vs-naive
-# scoring, the wire codec round trip, the name kernels against their
+# scoring, the ground-once rules engine against the evaluator it replaced,
+# the wire codec round trip, the name kernels against their
 # retained references (and NameLevel's symmetry, which the blocking stage's
 # level cache relies on), and blocking — sharded vs serial canopies,
 # incremental vs scratch covers, index blob loading (the nightly CI job
@@ -153,6 +155,7 @@ fuzz:
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzJaroMatchesReference$$' -fuzztime 10s ./internal/similarity/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzNameLevelSymmetric$$' -fuzztime 10s ./internal/similarity/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz FuzzDenseLogScore -fuzztime 10s ./internal/mln/
+	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzDenseMatchesOld$$' -fuzztime 10s ./internal/rules/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/wire/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzShardedCanopiesIdentical$$' -fuzztime 10s ./internal/canopy/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzIndexAdd$$' -fuzztime 10s ./internal/canopy/

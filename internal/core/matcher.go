@@ -9,12 +9,20 @@ package core
 // soundness and consistency guarantees (Theorems 2 and 4) hold only for
 // well-behaved matchers, and internal/core's wellbehaved.go provides
 // checkers used by the matcher packages' test suites.
+//
+// The evidence contract: a matcher reads evidence on its own match
+// variables — the pairs Candidates enumerates over the whole entity set —
+// and nowhere else. A pair in pos or neg that is not such a variable is
+// neither echoed nor consulted. The schedulers never produce one (M+
+// only ever holds matcher outputs); a warm start may carry one whose
+// candidate has vanished, and it must change nothing. Both built-in
+// matchers behave this way (TestEvidenceContract).
 type Matcher interface {
 	// Match runs the matcher on the given entities. pos is V+ (pairs known
 	// to match) and neg is V− (pairs known not to match); either may be
 	// nil. The result contains only valid (normalized, non-reflexive)
-	// pairs over the given entities, and must include pos restricted to
-	// those entities.
+	// pairs over the given entities, and must include every candidate
+	// over those entities that is in pos and not in neg.
 	Match(entities []EntityID, pos, neg PairSet) PairSet
 
 	// Candidates enumerates the match variables the matcher would consider
@@ -39,12 +47,14 @@ type Matcher interface {
 // prepared cover.
 //
 // Implementing ScopePreparer additionally asserts the candidate-closure
-// property: Match(E, pos, neg) ⊆ Candidates(E) ∪ (pos restricted to E).
-// The schedulers rely on it to discharge re-activated neighborhoods with
-// no undecided candidate without a matcher call (RunStats.Skips), which
-// is only output-identical under this closure. Matchers that can derive
-// pairs outside their candidate enumeration (e.g. an interleaved
-// transitive closure) must not implement this interface.
+// property: Match(E, pos, neg) ⊆ Candidates(E) — with the evidence
+// contract above, echoed evidence is candidates too. The schedulers rely
+// on it to discharge re-activated neighborhoods with no undecided
+// candidate without a matcher call (RunStats.Skips), which is only
+// output-identical under this closure. Matchers that can derive pairs
+// outside their candidate enumeration (e.g. an interleaved transitive
+// closure) must not implement this interface. CoverScopes is the index
+// both built-in matchers keep their per-neighborhood skeletons in.
 type ScopePreparer interface {
 	PrepareCover(c *Cover)
 }

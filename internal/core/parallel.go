@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -76,28 +77,37 @@ func (p *RoundPlan) Evaluate(id int32, evidence PairSet, allowSkip bool) Job {
 // a shared-memory round. The jobs come back in Active() order, ready for
 // FinishRound. A canceled ctx aborts the round; started evaluations
 // finish, queued ones are skipped.
+//
+// Workers claim runs of consecutive indices from a shared cursor: one
+// atomic add per run, where a channel hand-off per id costs as much as a
+// cheap evaluation. Runs stay short against the round (at least eight per
+// worker), so a few large neighborhoods still spread over the workers;
+// jobs[i] is positional, so the schedule is invisible in the result.
 func (d *RoundDriver) MapRound(ctx context.Context, workers int) ([]Job, error) {
 	ids := d.Active()
 	jobs := make([]Job, len(ids))
 	workers = max(1, min(workers, len(ids)))
-	idx := make(chan int)
+	run := max(1, min(16, len(ids)/(8*workers)))
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					continue // drain the queue without working
+			for {
+				hi := int(next.Add(int64(run)))
+				for i := hi - run; i < min(hi, len(ids)); i++ {
+					if ctx.Err() != nil {
+						return
+					}
+					jobs[i] = d.Evaluate(ids[i])
 				}
-				jobs[i] = d.Evaluate(ids[i])
+				if hi >= len(ids) {
+					return
+				}
 			}
 		}()
 	}
-	for i := range ids {
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err

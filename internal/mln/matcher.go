@@ -1,6 +1,7 @@
 package mln
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -94,7 +95,7 @@ type Matcher struct {
 	// scopes caches per-neighborhood skeletons for the prepared cover
 	// (core.ScopePreparer); wsPool recycles per-call workspaces with
 	// dense evidence views. See scope.go.
-	scopes atomic.Pointer[coverScopes]
+	scopes atomic.Pointer[core.CoverScopes[scope]]
 	wsPool sync.Pool
 
 	// Verdict-memo state (see memo.go): memoOff disables the layer for
@@ -111,6 +112,10 @@ type Candidate struct {
 	Pair  core.Pair
 	Level similarity.Level
 }
+
+// ErrCandidateRange marks a candidate pair with an endpoint that is not a
+// reference of the dataset.
+var ErrCandidateRange = errors.New("mln: candidate pair outside the dataset")
 
 // New grounds the MLN for a dataset over the given candidate pairs
 // (typically canopy.CandidatePairs of a total cover). Groundings of the
@@ -138,6 +143,9 @@ func New(d *bib.Dataset, cands []Candidate, w Weights) (*Matcher, error) {
 	for i, c := range cands {
 		if !c.Pair.Valid() {
 			return nil, fmt.Errorf("mln: invalid candidate pair %v", c.Pair)
+		}
+		if c.Pair.A < 0 || int(c.Pair.B) >= m.n {
+			return nil, fmt.Errorf("%w: %v, references are 0..%d", ErrCandidateRange, c.Pair, m.n-1)
 		}
 		if _, dup := m.idOf[c.Pair.Key()]; dup {
 			return nil, fmt.Errorf("mln: duplicate candidate pair %v", c.Pair)

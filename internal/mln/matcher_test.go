@@ -1,6 +1,7 @@
 package mln
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -283,6 +284,12 @@ func TestNewRejectsBadCandidates(t *testing.T) {
 	p := core.MakePair(0, 1)
 	if _, err := New(d, []Candidate{{Pair: p}, {Pair: p}}, PaperWeights()); err == nil {
 		t.Error("duplicate candidate accepted")
+	}
+	// An endpoint that is no reference used to index out of range.
+	for _, bad := range []core.Pair{{A: -1, B: 1}, {A: 0, B: 2}, {A: 5, B: 9}} {
+		if _, err := New(d, []Candidate{{Pair: bad}}, PaperWeights()); !errors.Is(err, ErrCandidateRange) {
+			t.Errorf("candidate %v: got %v, want ErrCandidateRange", bad, err)
+		}
 	}
 }
 

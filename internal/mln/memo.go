@@ -213,11 +213,7 @@ func (m *Matcher) SetMemoization(on bool) { m.memoOff = !on }
 // invalidateMemos marks every cached verdict of the prepared cover stale
 // (capacity is kept for the next store).
 func (m *Matcher) invalidateMemos() {
-	cs := m.scopes.Load()
-	if cs == nil {
-		return
-	}
-	for _, sc := range cs.byKey {
+	for sc := range m.scopes.Load().All() {
 		e := sc.memo.Load()
 		if e == nil {
 			continue

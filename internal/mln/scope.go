@@ -39,32 +39,14 @@ type boundaryEdge struct {
 
 // scope is the prebuilt skeleton of one neighborhood: scoped candidate
 // ids (ascending), their Pair forms (the cached Candidates answer), the
-// local interaction list and the out-of-scope boundary. ents pins the
-// entity membership the skeleton was built from (a private copy — never
-// an alias of the cover's slice), so lookups can verify a key collision
-// away; memo holds the scope's last verdict (see memo.go).
+// local interaction list and the out-of-scope boundary. memo holds the
+// scope's last verdict (see memo.go).
 type scope struct {
 	ids      []int32
 	pairs    []core.Pair
 	edges    []scopeEdge
 	boundary []boundaryEdge
-	ents     []core.EntityID
 	memo     atomic.Pointer[scopeMemo]
-}
-
-// scopeKey identifies a cover neighborhood by the identity of its entity
-// slice — the schedulers pass Cover.Sets[id] through unchanged, so the
-// backing array's first element plus the length pin the neighborhood
-// without hashing its contents.
-type scopeKey struct {
-	first *core.EntityID
-	n     int
-}
-
-// coverScopes is the product of PrepareCover for one cover.
-type coverScopes struct {
-	cover *core.Cover
-	byKey map[scopeKey]*scope
 }
 
 // PrepareCover implements core.ScopePreparer: precompute every
@@ -73,45 +55,22 @@ type coverScopes struct {
 // calls are safe either way (they fall back to the ephemeral path when
 // their entity slice is unknown).
 func (m *Matcher) PrepareCover(c *core.Cover) {
-	if cs := m.scopes.Load(); cs != nil && cs.cover == c {
+	if m.scopes.Load().Covers(c) {
 		return
 	}
 	ws := m.getWS()
 	defer m.putWS(ws)
-	cs := &coverScopes{cover: c, byKey: make(map[scopeKey]*scope, c.Len())}
-	for _, set := range c.Sets {
-		if len(set) == 0 {
-			continue
-		}
+	m.scopes.Store(core.BuildCoverScopes(c, func(set []core.EntityID) *scope {
 		sc := &scope{}
 		m.buildScope(set, ws, sc)
-		sc.ents = slices.Clone(set)
-		cs.byKey[scopeKey{&set[0], len(set)}] = sc
-	}
-	m.scopes.Store(cs)
+		return sc
+	}))
 }
 
 // scopeFor returns the prepared skeleton for a cover neighborhood, or
-// nil when the entity slice is not part of the prepared cover. The
-// identity key is only a fast index: a slice whose backing array was
-// recycled by a cover rebuild can collide with a prior neighborhood's
-// key (same first-element address, same length, different membership),
-// so the skeleton's pinned membership is verified before it is trusted —
-// a mismatch falls back to the always-correct ephemeral path instead of
-// silently mis-scoring against a stale skeleton.
+// nil when the entity slice is not part of the prepared cover.
 func (m *Matcher) scopeFor(entities []core.EntityID) *scope {
-	if len(entities) == 0 {
-		return nil
-	}
-	cs := m.scopes.Load()
-	if cs == nil {
-		return nil
-	}
-	sc := cs.byKey[scopeKey{&entities[0], len(entities)}]
-	if sc == nil || !slices.Equal(sc.ents, entities) {
-		return nil
-	}
-	return sc
+	return m.scopes.Load().Lookup(entities)
 }
 
 // buildScope assembles a neighborhood skeleton into sc using the

@@ -3,7 +3,7 @@ package lang
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/rules"
 	"repro/internal/similarity"
@@ -30,13 +30,54 @@ var (
 )
 
 // Plan is a compiled, validated program ready for grounding: the match
-// clauses lowered to the engine's rule slice and the level clauses
-// ordered strongest-first for candidate re-discretization.
+// clauses lowered to the engine's rule slice, the level clauses ordered
+// strongest-first for candidate re-discretization, and the seed clauses
+// lowered to the ground constant they assign. Prog keeps the source
+// order; only the executed conjunctions are reordered (see bind).
 type Plan struct {
-	Prog       *Program
-	Rules      []rules.Rule
-	fieldIdx   map[string]int
-	byStrength []LevelClause
+	Prog     *Program
+	Rules    []rules.Rule
+	fieldIdx map[string]int
+	levels   []levelPlan // strongest first
+	seeds    []seedPlan
+}
+
+// test is one predicate bound to the position of its field in a split
+// composite key.
+type test struct {
+	field int
+	op    Op
+	num   float64
+}
+
+type levelPlan struct {
+	level similarity.Level
+	cond  []test
+}
+
+type seedPlan struct {
+	seed rules.Seed
+	cond []test
+}
+
+// bind lowers a validated conjunction to its executed form: fields
+// resolved to positions and the constant-time guards (equal, differ,
+// absdiff) moved, stably, ahead of the string kernels (lev, jaro, qgram),
+// so a failing guard spares the kernel. Predicates are pure and a
+// conjunction commutes, so the order is invisible in the result.
+func (pl *Plan) bind(cond []Pred) []test {
+	out := make([]test, len(cond))
+	for i, pr := range cond {
+		out[i] = test{field: pl.fieldIdx[pr.Field], op: pr.Op, num: pr.Num}
+	}
+	kernel := func(t test) int {
+		if t.op == OpLev || t.op == OpJaro || t.op == OpQGram {
+			return 1
+		}
+		return 0
+	}
+	slices.SortStableFunc(out, func(a, b test) int { return kernel(a) - kernel(b) })
+	return out
 }
 
 // Compile validates the parsed program and lowers it to a Plan. Errors
@@ -90,10 +131,17 @@ func Compile(p *Program) (*Plan, error) {
 	if err := rules.Validate(pl.Rules); err != nil {
 		return nil, err
 	}
-	pl.byStrength = append([]LevelClause(nil), p.Levels...)
-	sort.Slice(pl.byStrength, func(i, j int) bool {
-		return pl.byStrength[i].Level > pl.byStrength[j].Level
-	})
+	for _, lc := range p.Levels {
+		pl.levels = append(pl.levels, levelPlan{similarity.Level(lc.Level), pl.bind(lc.Cond)})
+	}
+	slices.SortFunc(pl.levels, func(a, b levelPlan) int { return int(b.level - a.level) })
+	for _, sc := range p.Seeds {
+		seed := rules.SeedEqual
+		if sc.Negated {
+			seed = rules.SeedDistinct
+		}
+		pl.seeds = append(pl.seeds, seedPlan{seed, pl.bind(sc.Cond)})
+	}
 	return pl, nil
 }
 
@@ -132,39 +180,38 @@ func fieldNames(fs []FieldDecl) []string {
 	return out
 }
 
-// fieldVal returns the named field of a split composite key; fields past
-// the end of a short key are empty (missing data, never evidence).
-func (pl *Plan) fieldVal(fields []string, name string) string {
-	idx := pl.fieldIdx[name]
+// fieldVal returns a field of a split composite key; fields past the end
+// of a short key are empty (missing data, never evidence).
+func fieldVal(fields []string, idx int) string {
 	if idx >= len(fields) {
 		return ""
 	}
 	return fields[idx]
 }
 
-func evalPred(pr Pred, a, b string) bool {
-	switch pr.Op {
+func (t test) holds(a, b string) bool {
+	switch t.op {
 	case OpEqual:
 		return similarity.FieldEqual(a, b)
 	case OpDiffer:
 		return similarity.FieldDiffer(a, b)
 	case OpJaro:
-		return similarity.FieldJaro(a, b) >= pr.Num
+		return similarity.FieldJaro(a, b) >= t.num
 	case OpQGram:
-		return similarity.FieldQGram(a, b) >= pr.Num
+		return similarity.FieldQGram(a, b) >= t.num
 	case OpLev:
-		return similarity.FieldLev(a, b) <= int(pr.Num)
+		return similarity.FieldLev(a, b) <= int(t.num)
 	case OpAbsDiff:
 		d, ok := similarity.AbsDiff(a, b)
-		return ok && d <= pr.Num
+		return ok && d <= t.num
 	}
 	return false
 }
 
-// holds evaluates a conjunction over two split composite keys.
-func (pl *Plan) holds(cond []Pred, fa, fb []string) bool {
-	for _, pr := range cond {
-		if !evalPred(pr, pl.fieldVal(fa, pr.Field), pl.fieldVal(fb, pr.Field)) {
+// holds evaluates a bound conjunction over two split composite keys.
+func holds(cond []test, fa, fb []string) bool {
+	for _, t := range cond {
+		if !t.holds(fieldVal(fa, t.field), fieldVal(fb, t.field)) {
 			return false
 		}
 	}
@@ -174,12 +221,24 @@ func (pl *Plan) holds(cond []Pred, fa, fb []string) bool {
 // levelOfFields assigns the highest declared level whose condition holds,
 // or LevelNone when none does.
 func (pl *Plan) levelOfFields(fa, fb []string) similarity.Level {
-	for _, lc := range pl.byStrength {
-		if pl.holds(lc.Cond, fa, fb) {
-			return similarity.Level(lc.Level)
+	for _, lp := range pl.levels {
+		if holds(lp.cond, fa, fb) {
+			return lp.level
 		}
 	}
 	return similarity.LevelNone
+}
+
+// seedOfFields is the ground hard evidence the seed clauses assign: the
+// union of every clause that holds.
+func (pl *Plan) seedOfFields(fa, fb []string) rules.Seed {
+	var seed rules.Seed
+	for _, sp := range pl.seeds {
+		if seed&sp.seed == 0 && holds(sp.cond, fa, fb) {
+			seed |= sp.seed
+		}
+	}
+	return seed
 }
 
 // LevelOf discretizes the similarity of two composite record keys with
@@ -191,7 +250,7 @@ func (pl *Plan) LevelOf(keyA, keyB string) similarity.Level {
 
 // Relevels reports whether the plan re-discretizes candidate levels
 // (i.e. the program declares level clauses).
-func (pl *Plan) Relevels() bool { return len(pl.byStrength) > 0 }
+func (pl *Plan) Relevels() bool { return len(pl.levels) > 0 }
 
 // Seeded reports whether the plan injects hard evidence seeds.
-func (pl *Plan) Seeded() bool { return len(pl.Prog.Seeds) > 0 }
+func (pl *Plan) Seeded() bool { return len(pl.seeds) > 0 }

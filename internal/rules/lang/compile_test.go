@@ -2,6 +2,7 @@ package lang
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/rules"
@@ -94,6 +95,52 @@ func TestLevelOf(t *testing.T) {
 		}
 		if sym := pl.LevelOf(tc.b, tc.a); sym != pl.LevelOf(tc.a, tc.b) {
 			t.Errorf("LevelOf asymmetric on %q/%q", tc.a, tc.b)
+		}
+	}
+}
+
+// TestCheapestFirst: the executed conjunction runs the constant-time
+// guards before the string kernels, stably, while the printed program
+// keeps the source order — and the order changes no verdict.
+func TestCheapestFirst(t *testing.T) {
+	src := "program p\nfields name, zip, age\n" +
+		"level 2 when name jaro >= 0.9 and zip equal and name lev <= 2 and age absdiff <= 1\n" +
+		"match level 2\n" +
+		"distinct when name qgram >= 0.1 and zip differ\n"
+	pl := mustCompile(t, src)
+	ops := func(cond []test) []Op {
+		out := make([]Op, len(cond))
+		for i, c := range cond {
+			out[i] = c.op
+		}
+		return out
+	}
+	if got, want := ops(pl.levels[0].cond), []Op{OpEqual, OpAbsDiff, OpJaro, OpLev}; !slices.Equal(got, want) {
+		t.Errorf("level clause executes %v, want %v", got, want)
+	}
+	if got, want := ops(pl.seeds[0].cond), []Op{OpDiffer, OpQGram}; !slices.Equal(got, want) {
+		t.Errorf("seed clause executes %v, want %v", got, want)
+	}
+	if got := pl.Prog.Print(); got != src {
+		t.Errorf("Print reordered the program:\n%s", got)
+	}
+	// Every combination of passing and failing guard and kernel.
+	keys := []string{"ann smith | 94110 | 30", "ann smyth | 94110 | 31", "ann smith | 90210 | 30", "zed quux | 94110 | 55", "ann smith | |"}
+	for _, a := range keys {
+		for _, b := range keys {
+			fa, fb := similarity.SplitFields(a), similarity.SplitFields(b)
+			for _, cl := range pl.Prog.Levels {
+				want := true
+				for _, pr := range cl.Cond { // source order, as written
+					idx := pl.fieldIdx[pr.Field]
+					if !(test{idx, pr.Op, pr.Num}).holds(fieldVal(fa, idx), fieldVal(fb, idx)) {
+						want = false
+					}
+				}
+				if got := pl.levelOfFields(fa, fb) == similarity.Level(cl.Level); got != want {
+					t.Errorf("level %d on %q / %q: planned %v, source order %v", cl.Level, a, b, got, want)
+				}
+			}
 		}
 	}
 }

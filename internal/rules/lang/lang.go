@@ -9,7 +9,8 @@
 // engine's invariants (known fields, thresholds in range, one rule per
 // level — sharing the rules package's typed errors) and produces a Plan;
 // Plan.NewMatcher grounds the plan over a dataset and candidate set,
-// yielding a core.Matcher.
+// yielding the one rules engine (*rules.Matcher) whatever the program
+// declares: levels and seeds become constants of its candidates.
 //
 // A program is line-oriented; '#' starts a comment. Example:
 //
@@ -41,10 +42,16 @@
 //     co-members, …) are already matched. Omitting the support clause
 //     means K = 0: the level fires unconditionally.
 //   - "equal when <conj>" / "distinct when <conj>" are hard seeds:
-//     candidate pairs satisfying the condition enter the V+ (positive
-//     evidence) or Negative slot of every Match call, exactly like
-//     caller-supplied evidence (see rules/hardseed_doc.go). Negative
-//     seeds win on overlap, as everywhere else in the engine.
+//     candidate pairs satisfying the condition are ground as hard-equal
+//     or hard-distinct (rules.Candidate.Seed) and behave in every Match
+//     call exactly like caller-supplied positive or negative evidence
+//     (see rules/hardseed_doc.go). Distinct wins on overlap, as
+//     negative evidence does everywhere else in the engine.
+//
+// Conjunctions run cheapest-first: Compile moves the constant-time
+// predicates (equal, differ, absdiff) ahead of the string kernels (lev,
+// jaro, qgram) in the executed plan. Predicates are pure, so only the
+// cost changes; Print keeps the order the program was written in.
 //
 // Predicates compare one named field of both records with the typed
 // kernels of internal/similarity: "f equal", "f differ",

@@ -8,83 +8,40 @@ import (
 )
 
 // NewMatcher grounds the plan over a dataset and the blocking stage's
-// candidate pairs, returning a core.Matcher.
-//
-// A plain program — no level clauses, no seeds — compiles to exactly
-// rules.New(d, cands, plan.Rules): byte-for-byte the matcher a
-// handwritten []rules.Rule program would produce. Level clauses replace
-// each candidate's blocking-assigned level with the program's own
-// discretization over the record's typed fields; seed clauses wrap the
-// engine so every Match call sees the program's hard equalities in V+
-// and hard inequalities in the negative slot (see rules/hardseed_doc.go
-// — the V+ union keeps the matcher monotone and idempotent, so the
-// SMP-equals-FULL property of the monotone fragment survives seeding).
-// Seeds are evaluated over candidate pairs only, preserving the
-// candidate-closure contract: output ⊆ candidates ∪ echoed evidence.
-func (pl *Plan) NewMatcher(d *bib.Dataset, cands []rules.Candidate) (core.Matcher, error) {
-	fieldCache := make(map[core.EntityID][]string)
+// candidate pairs. Every program grounds to the one rules engine: level
+// and seed clauses are evaluated here, once per candidate over the
+// record's typed fields, and reach the engine as constants of the
+// candidate — its Level (replacing the one blocking assigned) and its
+// Seed (see rules/hardseed_doc.go). A plain program — no level clauses,
+// no seeds — is exactly rules.New(d, cands, plan.Rules), the matcher a
+// handwritten []rules.Rule program would produce. Seeds are evaluated
+// over candidate pairs only, so the matcher keeps the candidate-closure
+// contract: output ⊆ candidates.
+func (pl *Plan) NewMatcher(d *bib.Dataset, cands []rules.Candidate) (*rules.Matcher, error) {
+	if !pl.Relevels() && !pl.Seeded() {
+		return rules.New(d, cands, pl.Rules)
+	}
+	// SplitFields never returns nil, so nil marks a key not split yet. An
+	// endpoint that is no reference has no fields here; rules.New rejects
+	// its pair.
+	split := make([][]string, d.NumRefs())
 	fieldsOf := func(e core.EntityID) []string {
-		if fs, ok := fieldCache[e]; ok {
-			return fs
+		if e < 0 || int(e) >= len(split) {
+			return nil
 		}
-		var fs []string
-		if e >= 0 && int(e) < len(d.Refs) {
-			fs = similarity.SplitFields(d.Refs[e].Name)
+		if split[e] == nil {
+			split[e] = similarity.SplitFields(d.Refs[e].Name)
 		}
-		fieldCache[e] = fs
-		return fs
+		return split[e]
 	}
-
-	work := cands
-	if pl.Relevels() {
-		work = make([]rules.Candidate, len(cands))
-		for i, c := range cands {
-			work[i] = rules.Candidate{
-				Pair:  c.Pair,
-				Level: pl.levelOfFields(fieldsOf(c.Pair.A), fieldsOf(c.Pair.B)),
-			}
-		}
-	}
-	inner, err := rules.New(d, work, pl.Rules)
-	if err != nil {
-		return nil, err
-	}
-	if !pl.Seeded() {
-		return inner, nil
-	}
-	pos, neg := core.NewPairSet(), core.NewPairSet()
-	for _, c := range work {
+	ground := make([]rules.Candidate, len(cands))
+	for i, c := range cands {
 		fa, fb := fieldsOf(c.Pair.A), fieldsOf(c.Pair.B)
-		for _, sc := range pl.Prog.Seeds {
-			if pl.holds(sc.Cond, fa, fb) {
-				if sc.Negated {
-					neg.Add(c.Pair)
-				} else {
-					pos.Add(c.Pair)
-				}
-			}
+		if pl.Relevels() {
+			c.Level = pl.levelOfFields(fa, fb)
 		}
+		c.Seed |= pl.seedOfFields(fa, fb)
+		ground[i] = c
 	}
-	return &seeded{inner: inner, pos: pos, neg: neg}, nil
+	return rules.New(d, ground, pl.Rules)
 }
-
-// seeded wraps the ground rules engine with the program's hard evidence:
-// each Match call sees the union of the caller's evidence and the seeds.
-// Negative seeds win on overlap because the engine consults the negative
-// slot first, the same tie-break callers get.
-type seeded struct {
-	inner    *rules.Matcher
-	pos, neg core.PairSet
-}
-
-// Candidates implements core.Matcher.
-func (s *seeded) Candidates(entities []core.EntityID) []core.Pair {
-	return s.inner.Candidates(entities)
-}
-
-// Match implements core.Matcher.
-func (s *seeded) Match(entities []core.EntityID, pos, neg core.PairSet) core.PairSet {
-	return s.inner.Match(entities, pos.Union(s.pos), neg.Union(s.neg))
-}
-
-var _ core.Matcher = (*seeded)(nil)

@@ -66,9 +66,6 @@ func TestPlainProgramIsExactEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.(*rules.Matcher); !ok {
-		t.Fatalf("plain program compiled to %T, want *rules.Matcher", m)
-	}
 	hand, err := rules.New(d, cands, rules.PaperRules())
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package rules implements the paper's second matcher, RULES: a
 // declarative collective matcher in the style of Dedupalog (Arasu, Ré &
 // Suciu, reference [2]), restricted to the monotone fragment Dedupalog*
-// of Appendix A (no negation, transitive closure as a derivation step
+// of Appendix A (no negation, transitive closure as an end-of-run step
 // rather than a global constraint — Proposition 5 shows this fragment is
 // monotone, so SMP is sound and, empirically, complete for it).
 //
@@ -11,21 +11,39 @@
 //  2. similar(e1,e2,2) ∧ one matched coauthor pair   ⇒ equals(e1,e2)
 //  3. similar(e1,e2,1) ∧ two distinct matched pairs  ⇒ equals(e1,e2)
 //
-// evaluated by a semi-naive fixpoint interleaved with transitive closure,
-// which mirrors "the 3-approximate algorithm in [2] … followed by a
-// transitive closure".
+// Every rule body is the same join, similar ⋈ coauthor ⋈ equals, so the
+// program is ground once instead of interpreted per call. New lowers the
+// rules to one support requirement per candidate. The first use of the
+// matcher then materializes the join's static side (ground.go): how many
+// coauthors the two references share — matched by reflexivity whatever
+// the evidence — and, for the candidates that still need more, the
+// sorted ids of the candidate pairs {c1, c2} with c1 a coauthor of one
+// side and c2 of the other. A rule check is then "count the supports
+// that are equals, stop at k". PrepareCover (core.ScopePreparer) adds the
+// scoped candidate ids of every neighborhood, and Match runs the
+// fixpoint over a pooled dense state vector, reading the evidence
+// through it rather than copying it (match.go).
+//
+// Evidence — the caller's pos/neg sets and the ground Seed constants of
+// compiled programs (hardseed_doc.go) — is read on ground candidate
+// pairs only: a pair outside the candidate set is neither echoed nor
+// counted as support. No scheme can produce such a pair (M+ only ever
+// holds matcher outputs), and the MLN matcher reads evidence the same way.
 package rules
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/bib"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/similarity"
-	"repro/internal/unionfind"
 )
 
 // Rule is one threshold rule of the Dedupalog* program: a pair at exactly
@@ -52,6 +70,9 @@ var (
 	// more-demanding duplicate is dead weight — almost always a program
 	// mistake (the author meant a different level).
 	ErrDuplicateLevel = errors.New("rules: duplicate rule level")
+	// ErrCandidateRange marks a candidate pair with an endpoint that is
+	// not a reference of the dataset.
+	ErrCandidateRange = errors.New("rules: candidate pair outside the dataset")
 )
 
 // Validate checks a rule program for the degenerate shapes New used to
@@ -85,248 +106,119 @@ func PaperRules() []Rule {
 	}
 }
 
-// Candidate is a match variable: a reference pair with its level.
+// Seed is the hard evidence a compiled program grounds on a candidate
+// (see hardseed_doc.go). The zero value is no seed. A candidate meeting
+// both an equal and a distinct clause carries both bits and behaves like
+// caller evidence in pos ∩ neg: it supports other pairs and is never
+// reported.
+type Seed uint8
+
+const (
+	// SeedEqual marks a hard equality: the pair counts as equals in every
+	// Match call and is echoed when in scope.
+	SeedEqual = Seed(stPos)
+	// SeedDistinct marks a hard inequality: the pair never fires and is
+	// never echoed, also when the evidence or SeedEqual says otherwise.
+	SeedDistinct = Seed(stNeg)
+)
+
+// Candidate is a match variable: a reference pair with its level and,
+// for compiled programs, its ground seed.
 type Candidate struct {
 	Pair  core.Pair
 	Level similarity.Level
+	Seed  Seed
 }
+
+// never is the support requirement of a candidate no rule can derive.
+const never = -1
 
 // Matcher is the ground RULES program over one dataset. It implements
 // core.Matcher (Type-I only — RULES is not probabilistic, so MMP does not
-// apply; Appendix C evaluates it with NO-MP, SMP and FULL). The model is
-// immutable after construction and safe for concurrent use.
+// apply; Appendix C evaluates it with NO-MP, SMP and FULL) and
+// core.ScopePreparer. The model is immutable once ground and safe for
+// concurrent use.
+//
+// Candidate ids are positions in (A, B) order, so the candidates with
+// first endpoint e are the id range first[e]..first[e+1], ascending in B:
+// the adjacency, duplicate detection and Candidates' output order all
+// fall out of that one ordering.
 type Matcher struct {
-	rules    []Rule
-	co       *graph.Graph
-	pairs    []core.Pair
-	idOf     map[core.Pair]int32
-	level    []similarity.Level
-	pairsOf  [][]int32
-	applyTC  bool
-	maxLevel map[similarity.Level][]Rule // rules indexed by level
+	co    *graph.Graph
+	pairs []core.Pair
+	seed  []Seed
+	first []int32
+
+	// want[id] is how many matched supporting pairs candidate id still
+	// needs to fire: 0 fires unconditionally, never cannot fire. New sets
+	// the rule's demand; ground lowers it by the shared coauthors and
+	// fills the support relation sup[supOff[id]:supOff[id+1]].
+	want       []int32
+	supOff     []int32
+	sup        []int32
+	groundOnce sync.Once
+
+	scopes atomic.Pointer[core.CoverScopes[scope]]
+	wsPool sync.Pool
 }
 
-// Option configures a Matcher.
-type Option func(*Matcher)
-
-// WithInterleavedClosure enables transitive closure *inside* the rule
-// fixpoint (Dedupalog's global-constraint semantics). The default is off,
-// matching the paper's own evaluation ("we use the 3-approximate
-// algorithm … WITHOUT transitive closure, followed by a transitive
-// closure at the end", Appendix B): interleaved closure uses pairs that
-// never share a neighborhood and therefore breaks the exact
-// SMP-equals-FULL property; end-of-run closure (a harness step) does not.
-func WithInterleavedClosure() Option {
-	return func(m *Matcher) { m.applyTC = true }
-}
-
-// New grounds the program for a dataset over candidate pairs.
-func New(d *bib.Dataset, cands []Candidate, rs []Rule, opts ...Option) (*Matcher, error) {
-	m := &Matcher{
-		rules:    rs,
-		co:       d.Coauthor(),
-		pairs:    make([]core.Pair, len(cands)),
-		idOf:     make(map[core.Pair]int32, len(cands)),
-		level:    make([]similarity.Level, len(cands)),
-		pairsOf:  make([][]int32, d.NumRefs()),
-		applyTC:  false,
-		maxLevel: map[similarity.Level][]Rule{},
-	}
+// New grounds the program for a dataset over candidate pairs, in time
+// linear in the candidates when they arrive in (A, B) order, as blocking
+// emits them; any other order is sorted first.
+func New(d *bib.Dataset, cands []Candidate, rs []Rule) (*Matcher, error) {
 	if err := Validate(rs); err != nil {
 		return nil, err
 	}
+	// One rule per level (Validate), so the program is four numbers.
+	need := [similarity.LevelStrong + 1]int32{never, never, never, never}
 	for _, r := range rs {
-		m.maxLevel[r.Level] = append(m.maxLevel[r.Level], r)
+		need[r.Level] = int32(min(r.MinCoauthorMatches, math.MaxInt32))
+	}
+	// Packed-key order is (A, B) order on valid pairs, and puts equal
+	// pairs side by side whatever else it is handed.
+	byPair := func(a, b Candidate) int { return cmp.Compare(a.Pair.Key(), b.Pair.Key()) }
+	if !slices.IsSortedFunc(cands, byPair) {
+		cands = slices.Clone(cands)
+		slices.SortFunc(cands, byPair)
+	}
+	n := d.NumRefs()
+	m := &Matcher{
+		co:    d.Coauthor(),
+		pairs: make([]core.Pair, len(cands)),
+		seed:  make([]Seed, len(cands)),
+		want:  make([]int32, len(cands)),
+		first: make([]int32, n+1),
 	}
 	for i, c := range cands {
-		if !c.Pair.Valid() {
-			return nil, fmt.Errorf("rules: invalid candidate pair %v", c.Pair)
+		p := c.Pair
+		if !p.Valid() {
+			return nil, fmt.Errorf("rules: invalid candidate pair %v", p)
 		}
-		if _, dup := m.idOf[c.Pair]; dup {
-			return nil, fmt.Errorf("rules: duplicate candidate pair %v", c.Pair)
+		if p.A < 0 || int(p.B) >= n {
+			return nil, fmt.Errorf("%w: %v, references are 0..%d", ErrCandidateRange, p, n-1)
 		}
-		m.pairs[i] = c.Pair
-		m.idOf[c.Pair] = int32(i)
-		m.level[i] = c.Level
-		m.pairsOf[c.Pair.A] = append(m.pairsOf[c.Pair.A], int32(i))
-		m.pairsOf[c.Pair.B] = append(m.pairsOf[c.Pair.B], int32(i))
+		if i > 0 && p == cands[i-1].Pair {
+			return nil, fmt.Errorf("rules: duplicate candidate pair %v", p)
+		}
+		m.pairs[i] = p
+		m.seed[i] = c.Seed & (SeedEqual | SeedDistinct)
+		m.want[i] = never
+		if c.Level >= 0 && int(c.Level) < len(need) {
+			m.want[i] = need[c.Level]
+		}
+		m.first[p.A+1]++
 	}
-	for _, o := range opts {
-		o(m)
+	for e := 0; e < n; e++ {
+		m.first[e+1] += m.first[e]
 	}
+	m.wsPool.New = func() any { return newWorkspace(len(m.pairs), n) }
 	return m, nil
 }
 
 // NumPairs returns the number of ground candidates.
 func (m *Matcher) NumPairs() int { return len(m.pairs) }
 
-// Candidates implements core.Matcher.
-func (m *Matcher) Candidates(entities []core.EntityID) []core.Pair {
-	in := make(map[core.EntityID]bool, len(entities))
-	for _, e := range entities {
-		in[e] = true
-	}
-	var out []core.Pair
-	for _, e := range entities {
-		for _, id := range m.pairsOf[e] {
-			p := m.pairs[id]
-			if p.A == e && in[p.B] {
-				out = append(out, p)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
-}
-
-// matchedCoauthorPairs counts distinct coauthor-pair support for p given
-// the current equals set: unordered pairs (c1, c2) with c1 ∈ N(p.A),
-// c2 ∈ N(p.B), and either c1 == c2 (reflexivity) or (c1, c2) ∈ equals.
-// Counting stops at enough, keeping rule checks cheap.
-func (m *Matcher) matchedCoauthorPairs(p core.Pair, equals core.PairSet, enough int) int {
-	if enough == 0 {
-		return 0
-	}
-	seen := map[core.Pair]bool{}
-	count := 0
-	for _, c1 := range m.co.Neighbors(p.A) {
-		for _, c2 := range m.co.Neighbors(p.B) {
-			var q core.Pair
-			if c1 == c2 {
-				q = core.Pair{A: c1, B: c1} // reflexive marker
-			} else {
-				q = core.MakePair(c1, c2)
-				if !equals.Has(q) {
-					continue
-				}
-			}
-			if !seen[q] {
-				seen[q] = true
-				count++
-				if count >= enough {
-					return count
-				}
-			}
-		}
-	}
-	return count
-}
-
-// fires reports whether any rule derives p under equals.
-func (m *Matcher) fires(id int32, equals core.PairSet) bool {
-	rules := m.maxLevel[m.level[id]]
-	if len(rules) == 0 {
-		return false
-	}
-	need := -1
-	for _, r := range rules {
-		if need < 0 || r.MinCoauthorMatches < need {
-			need = r.MinCoauthorMatches
-		}
-	}
-	if need == 0 {
-		return true
-	}
-	return m.matchedCoauthorPairs(m.pairs[id], equals, need) >= need
-}
-
-// Match implements core.Matcher: semi-naive fixpoint of the rules over
-// the in-scope candidates, interleaved with transitive closure over the
-// in-scope entities, seeded by the positive evidence (which, like the
-// MLN matcher, is consulted globally for coauthor support). Negative
-// evidence suppresses pairs from derivation and output.
-func (m *Matcher) Match(entities []core.EntityID, pos, neg core.PairSet) core.PairSet {
-	in := make(map[core.EntityID]int32, len(entities))
-	for i, e := range entities {
-		in[e] = int32(i)
-	}
-	var scoped []int32
-	for _, e := range entities {
-		for _, id := range m.pairsOf[e] {
-			p := m.pairs[id]
-			if p.A == e {
-				if _, ok := in[p.B]; ok {
-					scoped = append(scoped, id)
-				}
-			}
-		}
-	}
-	sort.Slice(scoped, func(a, b int) bool { return scoped[a] < scoped[b] })
-
-	// equals holds the global view: all positive evidence plus everything
-	// derived so far. out holds the in-scope portion.
-	equals := pos.Clone()
-	out := core.NewPairSet()
-	for p := range pos.All() {
-		if neg.Has(p) {
-			continue
-		}
-		_, okA := in[p.A]
-		_, okB := in[p.B]
-		if okA && okB {
-			out.Add(p)
-		}
-	}
-
-	for {
-		changed := false
-		for _, id := range scoped {
-			p := m.pairs[id]
-			if equals.Has(p) || neg.Has(p) {
-				continue
-			}
-			if m.fires(id, equals) {
-				equals.Add(p)
-				out.Add(p)
-				changed = true
-			}
-		}
-		if m.applyTC && m.closeTransitively(entities, in, equals, neg, out) {
-			changed = true
-		}
-		if !changed {
-			break
-		}
-	}
-	return out
-}
-
-// closeTransitively adds, for every connected component of in-scope
-// matched pairs, all missing component pairs (except negated ones) to
-// equals/out. Reports whether anything was added.
-func (m *Matcher) closeTransitively(entities []core.EntityID, in map[core.EntityID]int32, equals, neg, out core.PairSet) bool {
-	dsu := unionfind.New(len(entities))
-	for p := range out.All() {
-		dsu.Union(int(in[p.A]), int(in[p.B]))
-	}
-	members := map[int][]core.EntityID{}
-	for i, e := range entities {
-		r := dsu.Find(i)
-		members[r] = append(members[r], e)
-	}
-	changed := false
-	for _, comp := range members {
-		if len(comp) < 2 {
-			continue
-		}
-		for i := 0; i < len(comp); i++ {
-			for j := i + 1; j < len(comp); j++ {
-				p := core.MakePair(comp[i], comp[j])
-				if equals.Has(p) || neg.Has(p) {
-					continue
-				}
-				equals.Add(p)
-				out.Add(p)
-				changed = true
-			}
-		}
-	}
-	return changed
-}
-
-var _ core.Matcher = (*Matcher)(nil)
+var (
+	_ core.Matcher       = (*Matcher)(nil)
+	_ core.ScopePreparer = (*Matcher)(nil)
+)

@@ -48,9 +48,9 @@ func allPairsCandidates(d *bib.Dataset) []Candidate {
 	return out
 }
 
-func newMatcher(t *testing.T, d *bib.Dataset, opts ...Option) *Matcher {
+func newMatcher(t *testing.T, d *bib.Dataset) *Matcher {
 	t.Helper()
-	m, err := New(d, allPairsCandidates(d), PaperRules(), opts...)
+	m, err := New(d, allPairsCandidates(d), PaperRules())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,9 +146,8 @@ func TestIterativeCascade(t *testing.T) {
 	}
 }
 
-// TestTransitiveClosure: with the interleaved-closure option matched
-// chains are closed inside Match; by default (the paper's configuration)
-// they stay open and closure is a harness post-processing step.
+// TestTransitiveClosure: matched chains stay open inside Match (the
+// paper's configuration); closure is a harness post-processing step.
 func TestTransitiveClosure(t *testing.T) {
 	d := buildDataset([][]ref{
 		{{"Vibhor Rastogi", 0}, {"X Y", 9}},
@@ -162,23 +161,23 @@ func TestTransitiveClosure(t *testing.T) {
 		t.Fatalf("clique incomplete: %v", out.Sorted())
 	}
 
-	// An open chain given as evidence: default keeps it open, interleaved
-	// closure closes it.
+	// An open chain given as evidence stays open.
 	d2 := buildDataset([][]ref{
 		{{"Aaaa Bbbb", 0}},
 		{{"Cccc Dddd", 0}},
 		{{"Eeee Ffff", 0}},
 	})
 	chain := core.NewPairSet(core.MakePair(0, 1), core.MakePair(1, 2))
-	m2 := newMatcher(t, d2)
-	out2 := m2.Match(allRefs(d2), chain, nil)
-	if out2.Has(core.MakePair(0, 2)) {
-		t.Fatalf("default matcher applied closure: %v", out2.Sorted())
+	none := similarity.LevelNone
+	m2, err := New(d2, []Candidate{
+		{Pair: core.MakePair(0, 1), Level: none}, {Pair: core.MakePair(0, 2), Level: none}, {Pair: core.MakePair(1, 2), Level: none},
+	}, PaperRules())
+	if err != nil {
+		t.Fatal(err)
 	}
-	m3 := newMatcher(t, d2, WithInterleavedClosure())
-	out3 := m3.Match(allRefs(d2), chain, nil)
-	if !out3.Has(core.MakePair(0, 2)) {
-		t.Fatalf("closure pair missing with interleaved option: %v", out3.Sorted())
+	out2 := m2.Match(allRefs(d2), chain, nil)
+	if out2.Has(core.MakePair(0, 2)) || !out2.Equal(chain) {
+		t.Fatalf("matcher applied closure: %v", out2.Sorted())
 	}
 }
 
@@ -336,6 +335,34 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(d, nil, []Rule{{Level: 1, MinCoauthorMatches: -1}}); err == nil {
 		t.Error("negative rule accepted")
+	}
+	// An endpoint that is no reference used to index out of range.
+	for _, bad := range []core.Pair{{A: -1, B: 1}, {A: 0, B: 2}, {A: 5, B: 9}} {
+		if _, err := New(d, []Candidate{{Pair: bad}}, PaperRules()); !errors.Is(err, ErrCandidateRange) {
+			t.Errorf("candidate %v: got %v, want ErrCandidateRange", bad, err)
+		}
+	}
+	// Candidates out of (A, B) order are sorted, and a duplicate is found
+	// wherever it sits.
+	d3 := buildDataset([][]ref{{{"A B", 0}, {"A B", 0}, {"A B", 0}}})
+	shuffled := []Candidate{
+		{Pair: core.MakePair(1, 2), Level: similarity.LevelStrong},
+		{Pair: core.MakePair(0, 2), Level: similarity.LevelNone},
+		{Pair: core.MakePair(0, 1), Level: similarity.LevelStrong},
+	}
+	m, err := New(d3, shuffled, PaperRules())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.NewPairSet(core.MakePair(0, 1), core.MakePair(1, 2))
+	if got := m.Match(allRefs(d3), nil, nil); !got.Equal(want) {
+		t.Errorf("unsorted candidates: Match = %v, want %v", got.Sorted(), want.Sorted())
+	}
+	if shuffled[0].Pair != core.MakePair(1, 2) {
+		t.Error("New reordered the caller's slice")
+	}
+	if _, err := New(d3, append(shuffled, shuffled[0]), PaperRules()); err == nil {
+		t.Error("duplicate among unsorted candidates accepted")
 	}
 }
 

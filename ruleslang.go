@@ -45,15 +45,19 @@ func (p *RuleProgram) String() string { return p.plan.Prog.Print() }
 
 // Factory returns the matcher factory grounding this program: blocking
 // candidates (releveled by the program's level clauses when present) fed
-// to the rules engine, with hard equal/distinct seeds joining the
-// V+/negative evidence slots of every Match call.
+// to the rules engine, each carrying the hard equal/distinct seed the
+// program's seed clauses ground on it.
 func (p *RuleProgram) Factory() MatcherFactory {
 	return func(mc MatcherContext) (match.Matcher, error) {
 		cands := make([]rules.Candidate, len(mc.Candidates))
 		for i, c := range mc.Candidates {
 			cands[i] = rules.Candidate{Pair: c.Pair, Level: c.Level}
 		}
-		return p.plan.NewMatcher(mc.Dataset, cands)
+		m, err := p.plan.NewMatcher(mc.Dataset, cands)
+		if err != nil {
+			return nil, err
+		}
+		return m, nil
 	}
 }
 
