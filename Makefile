@@ -32,7 +32,7 @@ BENCHTIME     ?= 5x
 # their own, much higher iteration floor.
 MATCHER_BENCHTIME ?= 500x
 
-.PHONY: build test race bench bench-json bench-compare bench-rss cover cover-check fuzz fmt vet clean service-smoke chaos-smoke store-smoke bench-smoke bench-frozen scale-test
+.PHONY: build test race bench bench-json bench-compare bench-rss cover cover-check fuzz fmt vet clean service-smoke chaos-smoke store-smoke bench-smoke bench-frozen bench-pair scale-test
 
 build:
 	$(GO) build $(GOFLAGS) ./...
@@ -144,8 +144,22 @@ bench-frozen:
 	@git diff --quiet $(BENCH_BASE) -- bench BENCHMARK.json \
 	 || { echo "FAIL: bench/ or BENCHMARK.json differ from $(BENCH_BASE):"; git diff --stat $(BENCH_BASE) -- bench BENCHMARK.json; exit 1; }
 
+# bench-pair is how a change claims or disclaims a gain: N alternating
+# parent/change pairs of one benchmark workload (the parent checked out into
+# a temporary worktree, the change being the work tree), then per end-to-end
+# metric both medians, quartiles, pairs won and the verdict by the rule in
+# bench/README.md. About 50 s per pair.
+#   make bench-pair WORKLOAD=hepth-schemes PARENT=HEAD~1 N=10 SEED=42
+WORKLOAD ?= hepth-schemes
+PARENT   ?= HEAD
+N        ?= 10
+SEED     ?= 42
+bench-pair:
+	bash scripts/bench-pair.sh $(WORKLOAD) $(PARENT) $(N) $(SEED)
+
 # fuzz smoke-runs the correctness-critical fuzz targets: dense-vs-naive
-# scoring, the ground-once rules engine against the evaluator it replaced,
+# scoring, the engine's evidence bitset against a plain pair set,
+# the ground-once rules engine against the evaluator it replaced,
 # the wire codec round trip, the name kernels against their
 # retained references (and NameLevel's symmetry, which the blocking stage's
 # level cache relies on), and blocking — sharded vs serial canopies,
@@ -155,6 +169,7 @@ fuzz:
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzJaroMatchesReference$$' -fuzztime 10s ./internal/similarity/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzNameLevelSymmetric$$' -fuzztime 10s ./internal/similarity/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz FuzzDenseLogScore -fuzztime 10s ./internal/mln/
+	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzEvidenceModel$$' -fuzztime 10s ./internal/core/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzDenseMatchesOld$$' -fuzztime 10s ./internal/rules/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/wire/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzShardedCanopiesIdentical$$' -fuzztime 10s ./internal/canopy/

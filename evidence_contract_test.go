@@ -9,10 +9,14 @@ package cem_test
 
 import (
 	"context"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	cem "repro"
 	"repro/internal/core"
+	"repro/internal/wire"
 	"repro/match"
 )
 
@@ -108,13 +112,54 @@ func TestEvidenceContract(t *testing.T) {
 			if tc.scheme == "MMP" {
 				warm.Messages = cold.Messages
 			}
-			res, err := core.RunBackendFrom(context.Background(), cfg, tc.scheme, core.PoolBackend{}, core.CheckpointConfig{}, warm)
+			// The run mirrors into an evidence store and leaves a checkpoint
+			// trail, so the carried pairs can be followed through both.
+			mirror, err := cem.OpenStore("mem") // refuses a batch that is not strictly increasing
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Evidence = mirror
+			ck := core.CheckpointConfig{Dir: t.TempDir()}
+			res, err := core.RunBackendFrom(context.Background(), cfg, tc.scheme, core.PoolBackend{}, ck, warm)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := res.Matches.Minus(foreign); !got.Equal(cold.Matches) {
 				t.Fatalf("warm start with vanished candidates: extra %v, missing %v",
 					got.Minus(cold.Matches).Sorted(), cold.Matches.Minus(got).Sorted())
+			}
+			if !foreign.Subset(res.Matches) {
+				t.Fatalf("the run dropped %d of the pairs it was seeded with", foreign.Minus(res.Matches).Len())
+			}
+			want := res.Matches.SortedKeys()
+			if got := evidenceKeys(t, mirror); !slices.EqualFunc(got, want, func(a uint64, b match.PairKey) bool { return a == uint64(b) }) {
+				t.Fatalf("the evidence store holds %d keys, the match set %d", len(got), len(want))
+			}
+			// The trail's first record is the seed itself, vanished
+			// candidates included, as one ascending batch.
+			raw, err := os.ReadFile(filepath.Join(ck.Dir, "round-000001.ckpt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := wire.UnmarshalCheckpoint(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.EqualFunc(first.Delta, warm.Evidence, func(a uint64, b match.PairKey) bool { return a == uint64(b) }) {
+				t.Fatalf("the trail's seed record holds %d keys, the seed %d", len(first.Delta), len(warm.Evidence))
+			}
+			// And replaying the trail rebuilds the same result.
+			ck.Resume = true
+			resumed, err := core.RunBackend(context.Background(), cfg, tc.scheme, core.PoolBackend{}, ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resumed.Matches.Equal(res.Matches) {
+				t.Fatalf("resuming the trail: extra %v, missing %v",
+					resumed.Matches.Minus(res.Matches).Sorted(), res.Matches.Minus(resumed.Matches).Sorted())
+			}
+			if got := evidenceKeys(t, mirror); !slices.EqualFunc(got, want, func(a uint64, b match.PairKey) bool { return a == uint64(b) }) {
+				t.Fatal("the evidence store no longer holds the match set after the resume")
 			}
 		})
 	}

@@ -29,6 +29,16 @@ type RoundPlan struct {
 	// candidate-closure contract (ScopePreparer), allowing undecided-free
 	// re-activations to be discharged without a matcher call.
 	CanSkip bool
+
+	// The matcher's dense extension, when it has the one the scheme needs
+	// (DenseProbabilistic for plans WithMessages): evaluations then go
+	// through the id-form methods and every Evidence of the run is a
+	// bitset over its table. Nil for any other matcher, whose evidence
+	// lives in the overflow set and whose Match is called as declared.
+	dense     DenseMatcher
+	denseProb DenseProbabilistic // dense, for plans WithMessages
+	table     []Pair             // dense's candidate table; nil without one
+	negative  *Evidence          // Config.Negative over the table
 }
 
 // NewRoundPlan validates the scheme, announces the cover to a
@@ -52,8 +62,28 @@ func NewRoundPlan(cfg Config, scheme string) (*RoundPlan, error) {
 		return nil, fmt.Errorf("core: scheme %q has no round-based executor", scheme)
 	}
 	plan.CanSkip = prepareScopes(&plan.Config)
+	if plan.WithMessages {
+		if dp, ok := cfg.Matcher.(DenseProbabilistic); ok {
+			plan.dense, plan.denseProb = dp, dp
+		}
+	} else {
+		plan.dense, _ = cfg.Matcher.(DenseMatcher)
+	}
+	if plan.dense != nil {
+		plan.table = plan.dense.CandidateTable()
+		if err := checkTable(plan.table); err != nil {
+			return nil, fmt.Errorf("%w (matcher %T)", err, cfg.Matcher)
+		}
+		plan.negative = EvidenceOf(plan.table, cfg.Negative)
+	}
 	return plan, nil
 }
+
+// NewEvidence returns an empty evidence set in the plan's form — over the
+// dense matcher's candidate table, or all-overflow without one. It is
+// what a backend that keeps replicas of M+ (shards, remote workers)
+// starts each replica from.
+func (p *RoundPlan) NewEvidence() *Evidence { return NewEvidence(p.table) }
 
 // Backend executes the rounds of a message-passing scheme. A backend
 // owns the Map side — where and how the active neighborhoods are
@@ -69,7 +99,9 @@ func NewRoundPlan(cfg Config, scheme string) (*RoundPlan, error) {
 // driver.Evaluate, driver.MapRound, or plan.Evaluate against a replica
 // equal to driver.Snapshot() at round start — and reduce the jobs in
 // active-set order, with driver.FinishRound or Reduce…EndRound. Repeat
-// until driver.Done().
+// until driver.Done(). Evidence changes hands as *Evidence throughout
+// (plan.NewEvidence, Snapshot().Clone(), AddKey for a received delta):
+// a backend never sees, and never needs, which form the matcher took.
 type Backend interface {
 	RunRounds(ctx context.Context, plan *RoundPlan, driver *RoundDriver) error
 }

@@ -84,10 +84,10 @@ func (c *checkpointer) write(d *RoundDriver, delta []PairKey) error {
 		ck.Delta[i] = uint64(k)
 	}
 	if d.store != nil {
-		for _, msg := range d.store.Messages() {
+		for _, msg := range d.store.components() {
 			g := make([]uint64, len(msg))
-			for i, p := range msg {
-				g[i] = uint64(p.Key())
+			for x, i := range msg {
+				g[x] = uint64(d.store.pairs[i].Key())
 			}
 			ck.Messages = append(ck.Messages, g)
 		}
@@ -112,7 +112,7 @@ func (c *checkpointer) write(d *RoundDriver, delta []PairKey) error {
 
 // resumeState is a checkpoint trail decoded back into driver state.
 type resumeState struct {
-	matches  PairSet
+	evidence []PairKey // the trail's deltas, in round order
 	visits   []int
 	stats    RunStats
 	messages [][]Pair
@@ -135,7 +135,7 @@ func loadCheckpointState(dir string, plan *RoundPlan, matcher string) (*resumeSt
 	}
 	sort.Strings(files)
 
-	st := &resumeState{matches: NewPairSet()}
+	st := &resumeState{}
 	var last *wire.Checkpoint
 	for i, f := range files {
 		raw, err := os.ReadFile(f)
@@ -165,7 +165,7 @@ func loadCheckpointState(dir string, plan *RoundPlan, matcher string) (*resumeSt
 				filepath.Base(f), plan.Scheme)
 		}
 		for _, k := range ck.Delta {
-			st.matches.AddKey(PairKey(k))
+			st.evidence = append(st.evidence, PairKey(k))
 		}
 		last = ck
 	}

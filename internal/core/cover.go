@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -155,20 +156,20 @@ func (s CoverStats) String() string {
 // soundness and consistency (re-running an unaffected neighborhood is a
 // no-op for an idempotent matcher).
 func (c *Cover) Affected(newMatches []Pair, rel *graph.Graph) []int32 {
-	return c.affectedUnseen(newMatches, rel, nil)
+	return c.affectedUnseen(newMatches, rel, nil, make([]bool, c.Len()))
 }
 
 // affectedUnseen is Affected for a neighborhood that may have seen a
 // prefix of newMatches already: seen[id] (when non-nil) is the number of
 // leading pairs neighborhood id was evaluated against, and only a later
-// pair re-activates it.
-func (c *Cover) affectedUnseen(newMatches []Pair, rel *graph.Graph, seen []int32) []int32 {
-	added := map[int32]bool{}
+// pair re-activates it. marks is scratch, one entry per neighborhood, all
+// false on entry and again on return — a caller with many rounds keeps it.
+func (c *Cover) affectedUnseen(newMatches []Pair, rel *graph.Graph, seen []int32, marks []bool) []int32 {
 	var out []int32
 	visit := func(e EntityID, i int) {
 		for _, id := range c.containing[e] {
-			if !added[id] && (seen == nil || i >= int(seen[id])) {
-				added[id] = true
+			if !marks[id] && (seen == nil || i >= int(seen[id])) {
+				marks[id] = true
 				out = append(out, id)
 			}
 		}
@@ -185,7 +186,10 @@ func (c *Cover) affectedUnseen(newMatches []Pair, rel *graph.Graph, seen []int32
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	for _, id := range out {
+		marks[id] = false
+	}
+	slices.Sort(out)
 	return out
 }
 
@@ -195,12 +199,12 @@ func (c *Cover) affectedUnseen(newMatches []Pair, rel *graph.Graph, seen []int32
 // neighborhoods whose scope or boundary evidence a batch of new entities
 // can touch. rel may be nil, in which case only containment applies.
 func (c *Cover) AffectedEntities(entities []EntityID, rel *graph.Graph) []int32 {
-	seen := map[int32]bool{}
+	marks := make([]bool, c.Len())
 	var out []int32
 	visit := func(e EntityID) {
 		for _, id := range c.containing[e] {
-			if !seen[id] {
-				seen[id] = true
+			if !marks[id] {
+				marks[id] = true
 				out = append(out, id)
 			}
 		}
@@ -213,6 +217,6 @@ func (c *Cover) AffectedEntities(entities []EntityID, rel *graph.Graph) []int32 
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

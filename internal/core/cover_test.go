@@ -113,8 +113,12 @@ func TestAffectedUnseen(t *testing.T) {
 	c := NewCover(4, [][]EntityID{{0, 1}, {1, 2}, {2, 3}})
 	pairs := []Pair{MakePair(0, 1), MakePair(2, 3)}
 	// 0 saw nothing; 1 saw (0,1) but not (2,3); 2 saw both.
-	got := c.affectedUnseen(pairs, nil, []int32{0, 1, 2})
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("affectedUnseen = %v, want [0 1]", got)
+	// The scratch marks come back clean, so a second round reuses them.
+	marks := make([]bool, c.Len())
+	for round := 0; round < 2; round++ {
+		got := c.affectedUnseen(pairs, nil, []int32{0, 1, 2}, marks)
+		if len(got) != 2 || got[0] != 0 || got[1] != 1 {
+			t.Errorf("round %d: affectedUnseen = %v, want [0 1]", round, got)
+		}
 	}
 }

@@ -1,0 +1,318 @@
+package core
+
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
+
+// DenseMatcher is the optional matcher extension that lets the engine
+// carry evidence in the matcher's own id space instead of hashing pairs.
+// A matcher that numbers its match variables 0..n-1 publishes that
+// numbering once, and the engine then keeps M+ as a bitset over it (see
+// Evidence), hands it to the matcher as is, and takes match sets back as
+// id lists — no PairSet is built, probed, cloned or sorted on the round
+// path. The extension is output-neutral: MatchIDs must decide exactly
+// what Match decides, so a run through it and a run through the plain
+// Matcher methods produce the same matches, messages and counters
+// (TestDenseEqualsGeneric). It is optional: a matcher without it runs
+// through the same driver, all of its evidence in Evidence's overflow set.
+//
+// What ids mean: id i is the pair CandidateTable()[i]. The table holds
+// every match variable — every pair Candidates can ever enumerate — in
+// strictly ascending packed-key order, so ascending ids are ascending
+// keys and an id list needs no sort to become a wire or store batch. The
+// table is immutable for the matcher's lifetime. NewRoundPlan verifies
+// the order.
+//
+// The extension includes ScopePreparer, and with it the candidate-closure
+// property: MatchIDs(E, …) ⊆ ScopeIDs(E).
+type DenseMatcher interface {
+	Matcher
+	ScopePreparer
+
+	// CandidateTable returns the id → Pair table. Read-only.
+	CandidateTable() []Pair
+
+	// ScopeIDs returns the ids of Candidates(entities), ascending. For a
+	// neighborhood of the prepared cover it is the cached list; read-only.
+	ScopeIDs(entities []EntityID) []int32
+
+	// MatchIDs is Match in id form: pos and neg are evidence over this
+	// matcher's table (either may be nil), read by HasID only — a pair in
+	// their overflow is no match variable and changes nothing, per the
+	// evidence contract. The result is a fresh ascending id list.
+	MatchIDs(entities []EntityID, pos, neg *Evidence) []int32
+}
+
+// DenseProbabilistic is DenseMatcher for a Type-II matcher: the two
+// operations MMP adds, in id form.
+type DenseProbabilistic interface {
+	DenseMatcher
+	Probabilistic
+
+	// MaximalMessagesIDs is MaximalMessenger.MaximalMessages with the
+	// evidence in dense form and base — MatchIDs' output under the same
+	// evidence — as an ascending id list.
+	MaximalMessagesIDs(entities []EntityID, mPlus, neg *Evidence, base []int32) (msgs [][]Pair, calls int)
+
+	// ScoreSetDeltaIDs is DeltaScorer.ScoreSetDelta for add given as ids
+	// that s does not hold.
+	ScoreSetDeltaIDs(add []int32, s *Evidence) float64
+}
+
+// checkTable verifies a candidate table is in strictly ascending
+// packed-key order over valid pairs.
+func checkTable(table []Pair) error {
+	for i, p := range table {
+		if p.A < 0 || !p.Valid() {
+			return fmt.Errorf("core: candidate table entry %d is the invalid pair %v", i, p)
+		}
+		if i > 0 && table[i-1].Key() >= p.Key() {
+			return fmt.Errorf("core: candidate table not in strictly ascending pair order at entry %d (%v after %v)", i, p, table[i-1])
+		}
+	}
+	return nil
+}
+
+// findID returns the id of key k in an ascending candidate table, looking
+// at ids from and above only: a gallop out from there, then a binary
+// search, so resolving an ascending key list — each search starting where
+// the last one ended — is a merge walk, and a lone lookup (from 0) is a
+// binary search. The key is only ever compared, never used as an index,
+// so no key — valid or not — can reach outside the table.
+func findID(table []Pair, from int, k PairKey) (int32, bool) {
+	lo, hi := from, from+1
+	for hi < len(table) && table[hi].Key() < k {
+		lo, hi = hi+1, hi+2*(hi-from+1)
+	}
+	hi = min(hi, len(table))
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if table[mid].Key() < k {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(table) && table[lo].Key() == k {
+		return int32(lo), true
+	}
+	return 0, false
+}
+
+// Evidence is a monotone set of pairs in the engine's dense form: one bit
+// per candidate id of a DenseMatcher's table, plus an overflow PairSet
+// for pairs outside the table. The engine's M+, every shard's and
+// worker's replica of it, and the plan's V− are Evidence values.
+//
+// Under a dense matcher the overflow holds only what a warm start or a
+// checkpoint trail carried in for a candidate that has since vanished:
+// the engine keeps carrying such a pair and the matcher never reads it.
+// Under a matcher without the extension the table is empty, so the
+// overflow is the whole set — and is handed to Match as it is.
+//
+// Additions are logged in insertion order, which is how a round's
+// evidence delta is read off without diffing sets (Mark, Since). A nil
+// *Evidence is a valid empty set for reading. Concurrent readers are
+// safe while nobody adds.
+type Evidence struct {
+	table []Pair
+	bits  []uint64
+	count int     // set bits
+	over  PairSet // nil until a pair outside the table arrives
+	log   []Pair
+}
+
+// NewEvidence returns an empty set over a candidate table (nil or empty
+// for a matcher without one), which must be in strictly ascending
+// packed-key order.
+func NewEvidence(table []Pair) *Evidence {
+	return &Evidence{table: table, bits: make([]uint64, (len(table)+63)/64)}
+}
+
+// EvidenceOf returns set in dense form over table — what the PairSet
+// forms of a DenseMatcher's methods hand their dense core. An empty set
+// yields nil.
+func EvidenceOf(table []Pair, set PairSet) *Evidence {
+	if len(set) == 0 {
+		return nil
+	}
+	e := NewEvidence(table)
+	for k := range set {
+		if id, ok := findID(table, 0, k); ok {
+			e.setID(id)
+		} else {
+			e.setOver(k)
+		}
+	}
+	return e
+}
+
+// MatchByIDs is Matcher.Match for a DenseMatcher, by way of MatchIDs: the
+// evidence sets are translated to dense form — in full, once per call —
+// and the id list back to a PairSet. It is the whole PairSet-form Match of
+// a matcher whose inference runs on ids; the engine, which calls often,
+// calls MatchIDs itself.
+func MatchByIDs(m DenseMatcher, entities []EntityID, pos, neg PairSet) PairSet {
+	table := m.CandidateTable()
+	ids := m.MatchIDs(entities, EvidenceOf(table, pos), EvidenceOf(table, neg))
+	out := make(PairSet, len(ids))
+	for _, id := range ids {
+		out.Add(table[id])
+	}
+	return out
+}
+
+// ID returns the candidate id of key k in the evidence's table.
+func (e *Evidence) ID(k PairKey) (int32, bool) {
+	if e == nil {
+		return 0, false
+	}
+	return findID(e.table, 0, k)
+}
+
+// HasID reports whether candidate id is in the set.
+func (e *Evidence) HasID(id int32) bool {
+	return e != nil && e.bits[uint32(id)>>6]&(1<<(uint32(id)&63)) != 0
+}
+
+// setID sets candidate id's bit and reports whether it was clear.
+func (e *Evidence) setID(id int32) bool {
+	w, b := uint32(id)>>6, uint64(1)<<(uint32(id)&63)
+	if e.bits[w]&b != 0 {
+		return false
+	}
+	e.bits[w] |= b
+	e.count++
+	return true
+}
+
+// setOver inserts a pair outside the table and reports whether it was new.
+func (e *Evidence) setOver(k PairKey) bool {
+	if e.over.HasKey(k) {
+		return false
+	}
+	if e.over == nil {
+		e.over = NewPairSet()
+	}
+	e.over.AddKey(k)
+	return true
+}
+
+// AddID inserts candidate id and reports whether it was new.
+func (e *Evidence) AddID(id int32) bool {
+	if !e.setID(id) {
+		return false
+	}
+	e.log = append(e.log, e.table[id])
+	return true
+}
+
+// HasKey reports membership of a packed pair, candidate or not.
+func (e *Evidence) HasKey(k PairKey) bool {
+	if id, ok := e.ID(k); ok {
+		return e.HasID(id)
+	}
+	return e != nil && e.over.HasKey(k)
+}
+
+// AddKey inserts a packed pair — as its candidate bit when the table
+// holds it, into the overflow otherwise — and reports whether it was new.
+func (e *Evidence) AddKey(k PairKey) bool {
+	if id, ok := findID(e.table, 0, k); ok {
+		return e.AddID(id)
+	}
+	if !e.setOver(k) {
+		return false
+	}
+	e.log = append(e.log, k.Pair())
+	return true
+}
+
+// Len returns the cardinality.
+func (e *Evidence) Len() int {
+	if e == nil {
+		return 0
+	}
+	return e.count + len(e.over)
+}
+
+// Overflow returns the pairs outside the candidate table: everything, for
+// a matcher without one. Read-only, and live — it grows with the set.
+func (e *Evidence) Overflow() PairSet {
+	if e == nil {
+		return nil
+	}
+	return e.over
+}
+
+// CountUnset returns how many of the given candidate ids are not in the
+// set — a neighborhood's undecided in-scope pairs, given its scope.
+func (e *Evidence) CountUnset(ids []int32) int {
+	n := 0
+	for _, id := range ids {
+		if !e.HasID(id) {
+			n++
+		}
+	}
+	return n
+}
+
+// Clone returns an independent copy of the set: a word copy of the bits
+// and a copy of the (small) overflow. The copy starts its own log.
+func (e *Evidence) Clone() *Evidence {
+	out := &Evidence{table: e.table, bits: slices.Clone(e.bits), count: e.count}
+	if len(e.over) > 0 {
+		out.over = e.over.Clone()
+	}
+	return out
+}
+
+// Mark returns the current position of the insertion log.
+func (e *Evidence) Mark() int { return len(e.log) }
+
+// Since returns the pairs added after the given mark, in insertion
+// order. Read-only; the log is append-only, so the slice stays valid.
+func (e *Evidence) Since(mark int) []Pair { return e.log[mark:] }
+
+// SortedKeys returns the set's packed keys in ascending order: the
+// candidate bits in id order — which is key order — merged with the
+// sorted overflow.
+func (e *Evidence) SortedKeys() []PairKey {
+	if e.Len() == 0 {
+		return nil
+	}
+	out := make([]PairKey, 0, e.Len())
+	var over []PairKey
+	if len(e.over) > 0 {
+		over = e.over.SortedKeys()
+	}
+	for w, word := range e.bits {
+		for ; word != 0; word &= word - 1 {
+			k := e.table[w<<6|bits.TrailingZeros64(word)].Key()
+			for len(over) > 0 && over[0] < k {
+				out, over = append(out, over[0]), over[1:]
+			}
+			out = append(out, k)
+		}
+	}
+	return append(out, over...)
+}
+
+// PairSet materializes the set.
+func (e *Evidence) PairSet() PairSet {
+	out := make(PairSet, e.Len())
+	if e == nil {
+		return out
+	}
+	for w, word := range e.bits {
+		for ; word != 0; word &= word - 1 {
+			out.Add(e.table[w<<6|bits.TrailingZeros64(word)])
+		}
+	}
+	for k := range e.over {
+		out.AddKey(k)
+	}
+	return out
+}

@@ -17,6 +17,11 @@ package core
 // only ever holds matcher outputs); a warm start may carry one whose
 // candidate has vanished, and it must change nothing. Both built-in
 // matchers behave this way (TestEvidenceContract).
+//
+// Match takes and returns PairSets, and that is all a matcher needs. A
+// matcher that numbers its match variables may also implement
+// DenseMatcher (dense.go), the optional id form of the same function;
+// the engine then never hashes a pair on its behalf. It changes no output.
 type Matcher interface {
 	// Match runs the matcher on the given entities. pos is V+ (pairs known
 	// to match) and neg is V− (pairs known not to match); either may be
@@ -55,6 +60,10 @@ type Matcher interface {
 // outside their candidate enumeration (e.g. an interleaved transitive
 // closure) must not implement this interface. CoverScopes is the index
 // both built-in matchers keep their per-neighborhood skeletons in.
+//
+// DenseMatcher builds on this interface: its ScopeIDs is the prepared
+// neighborhood's candidate list as ids, which is what turns the
+// undecided-candidate count above into a walk over evidence bits.
 type ScopePreparer interface {
 	PrepareCover(c *Cover)
 }

@@ -9,14 +9,23 @@ import (
 // are replaced by their union (sound by Proposition 3(ii)). The closure
 // is maintained incrementally with a union-find keyed by pair.
 type MessageStore struct {
-	idOf   map[PairKey]int
-	pairs  []Pair
+	idOf  map[PairKey]int
+	pairs []Pair
+	// cand[i] is pairs[i]'s candidate id in the run's evidence table, -1
+	// outside it (always, for a store without one): resolved once when
+	// the pair enters the store, so promotion tests membership by bit.
+	cand   []int32
+	table  []Pair // the candidate table cand refers to; nil for a bare store
 	dsu    *unionfind.DSU
-	cached [][]Pair // memoized Messages(); nil after a mutating Add
+	cached [][]int // memoized components(); nil after a mutating Add
 }
 
-func NewMessageStore() *MessageStore {
-	return &MessageStore{idOf: map[PairKey]int{}, dsu: unionfind.New(0)}
+func NewMessageStore() *MessageStore { return newMessageStore(nil) }
+
+// newMessageStore returns a store whose pairs are resolved against a
+// plan's candidate table.
+func newMessageStore(table []Pair) *MessageStore {
+	return &MessageStore{idOf: map[PairKey]int{}, table: table, dsu: unionfind.New(0)}
 }
 
 func (st *MessageStore) pairID(p Pair) int {
@@ -26,6 +35,11 @@ func (st *MessageStore) pairID(p Pair) int {
 	id := len(st.pairs)
 	st.idOf[p.Key()] = id
 	st.pairs = append(st.pairs, p)
+	cand, ok := findID(st.table, 0, p.Key())
+	if !ok {
+		cand = -1
+	}
+	st.cand = append(st.cand, cand)
 	st.dsu.Grow(id + 1)
 	return id
 }
@@ -51,29 +65,47 @@ func (st *MessageStore) Add(msg []Pair) {
 	}
 }
 
-// Messages returns the current disjoint maximal messages, i.e. the
-// connected components of the store, in deterministic order. The result
-// is memoized until the next Add — the promotion fixpoint rescans the
-// store many times between mutations — and must be treated as read-only
-// by callers.
-func (st *MessageStore) Messages() [][]Pair {
+// components returns the current disjoint maximal messages — the
+// connected components of the store — as lists of indices into pairs and
+// cand, in deterministic order. The result is memoized until the next
+// mutating Add — the promotion fixpoint rescans the store many times
+// between mutations — and is read-only.
+func (st *MessageStore) components() [][]int {
 	if st.cached != nil {
 		return st.cached
 	}
-	byRoot := map[int][]Pair{}
+	byRoot := map[int][]int{}
 	var rootOrder []int
-	for id, p := range st.pairs {
+	for id := range st.pairs {
 		r := st.dsu.Find(id)
 		if _, ok := byRoot[r]; !ok {
 			rootOrder = append(rootOrder, r)
 		}
-		byRoot[r] = append(byRoot[r], p)
+		byRoot[r] = append(byRoot[r], id)
 	}
-	out := make([][]Pair, 0, len(rootOrder))
+	out := make([][]int, 0, len(rootOrder))
 	for _, r := range rootOrder {
 		out = append(out, byRoot[r])
 	}
 	st.cached = out
+	return out
+}
+
+// Messages returns the current disjoint maximal messages in deterministic
+// order, as fresh slices.
+func (st *MessageStore) Messages() [][]Pair {
+	comps := st.components()
+	if len(comps) == 0 {
+		return nil
+	}
+	out := make([][]Pair, len(comps))
+	for i, comp := range comps {
+		msg := make([]Pair, len(comp))
+		for x, id := range comp {
+			msg[x] = st.pairs[id]
+		}
+		out[i] = msg
+	}
 	return out
 }
 

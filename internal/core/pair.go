@@ -34,6 +34,12 @@ func MakePair(a, b EntityID) Pair {
 // Valid reports whether the pair is normalized and non-reflexive.
 func (p Pair) Valid() bool { return p.A < p.B }
 
+// ValidOver reports whether the pair is valid over the entity ids [0, n).
+// It is the check for a pair that arrives from outside — a warm-start
+// seed, a stored snapshot: Valid alone accepts a negative A, which a
+// packed key with its top bit set unpacks to.
+func (p Pair) ValidOver(n int) bool { return 0 <= p.A && p.A < p.B && int(p.B) < n }
+
 func (p Pair) String() string { return fmt.Sprintf("(%d,%d)", p.A, p.B) }
 
 // PairKey packs a normalized pair into one machine word: A in the high 32

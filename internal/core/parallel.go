@@ -10,8 +10,13 @@ import (
 // Job is the outcome of one neighborhood evaluation: the unit a backend's
 // Map side hands to the driver's Reduce.
 type Job struct {
-	id      int32
-	matches PairSet
+	id int32
+	// The match set, as what the plan's evidence is made of: ids holds
+	// candidate ids (all of a dense matcher's output), keys the pairs
+	// outside the candidate table (all of any other matcher's). Both
+	// ascending.
+	ids     []int32
+	keys    []PairKey
 	msgs    [][]Pair // maximal messages (MMP rounds only)
 	active  int      // active decisions at evaluation time
 	dur     time.Duration
@@ -46,30 +51,41 @@ func allNeighborhoods(n int) []int32 {
 // with no undecided in-scope pair without calling the matcher
 // (re-activation rounds only; see RunStats.Skips). It is a read-only use
 // of the plan and safe to call concurrently.
-func (p *RoundPlan) Evaluate(id int32, evidence PairSet, allowSkip bool) Job {
+//
+// A dense matcher is evaluated in id form, start to finish. Any other
+// matcher gets the evidence's overflow set — all of it, under an empty
+// table — and its output is brought into engine form here, the one place
+// a match set is sorted.
+func (p *RoundPlan) Evaluate(id int32, evidence *Evidence, allowSkip bool) Job {
 	cfg := &p.Config
 	entities := cfg.Cover.Sets[id]
-	active := activeDecisions(cfg.Matcher, entities, evidence)
-	if allowSkip && active == 0 {
+	j := Job{id: id, calls: 1}
+	if p.dense != nil {
+		j.active = evidence.CountUnset(p.dense.ScopeIDs(entities))
+	} else {
+		j.active = activeDecisions(cfg.Matcher, entities, evidence.Overflow())
+	}
+	if allowSkip && j.active == 0 {
 		return Job{id: id, skipped: true}
 	}
 	t0 := time.Now()
-	mc := cfg.Matcher.Match(entities, evidence, cfg.Negative)
-	calls := 1
-	var msgs [][]Pair
-	if p.WithMessages {
-		var probes int
-		msgs, probes = ComputeMaximal(p.Prob, entities, evidence, cfg.Negative, mc)
-		calls += probes
+	var probes int
+	if p.dense != nil {
+		j.ids = p.dense.MatchIDs(entities, evidence, p.negative)
+		if p.WithMessages {
+			j.msgs, probes = p.denseProb.MaximalMessagesIDs(entities, evidence, p.negative, j.ids)
+		}
+	} else {
+		pos := evidence.Overflow()
+		mc := cfg.Matcher.Match(entities, pos, cfg.Negative)
+		if p.WithMessages {
+			j.msgs, probes = ComputeMaximal(p.Prob, entities, pos, cfg.Negative, mc)
+		}
+		j.keys = mc.SortedKeys()
 	}
-	return Job{
-		id:      id,
-		matches: mc,
-		msgs:    msgs,
-		active:  active,
-		dur:     time.Since(t0),
-		calls:   calls,
-	}
+	j.calls += probes
+	j.dur = time.Since(t0)
+	return j
 }
 
 // MapRound evaluates the round's active set concurrently, on at most

@@ -8,26 +8,31 @@ import (
 )
 
 // RoundDriver owns the central (Reduce) state of a round-based run: the
-// accumulated evidence, the maximal-message store, visit counts, run
-// statistics, the active set, and — when configured — the per-round
-// checkpoint trail. It is the one fixpoint loop's state: every backend
-// drives it round by round. Evaluate may run concurrently between two
-// reduces, for distinct ids; everything else belongs to one goroutine
-// (reduce is central by design, as in the paper's §6.3 grid where a
-// designated machine merges each round).
+// accumulated evidence M+ (an Evidence in the plan's form, materialized
+// as Result.Matches only when the run finishes), the maximal-message
+// store, visit counts, run statistics, the active set, and — when
+// configured — the per-round checkpoint trail. It is the one fixpoint
+// loop's state: every backend drives it round by round. Evaluate may run
+// concurrently between two reduces, for distinct ids; everything else
+// belongs to one goroutine (reduce is central by design, as in the
+// paper's §6.3 grid where a designated machine merges each round).
 type RoundDriver struct {
 	plan   *RoundPlan
 	res    *Result
+	ev     *Evidence // M+
 	visits []int
 	store  *MessageStore // MMP only
 	ckpt   *checkpointer // nil when not checkpointing
 
-	active  []int32
-	pending []Pair // the running round's new pairs, in reduce order
-	// seen[id] is how many of pending neighborhood id's evaluation this
+	active []int32
+	// roundMark is where the running round starts in M+'s insertion log:
+	// what was added since is the round's new pairs, in reduce order.
+	roundMark int
+	// seen[id] is how many of those neighborhood id's evaluation this
 	// round already had as evidence (0 for snapshot and replica rounds):
 	// only a later pair re-activates it.
 	seen    []int32
+	marks   []bool // Cover.affectedUnseen's scratch, all false between calls
 	lastNew []Pair // the just-finished round's new pairs (reduce order)
 	round   int    // last completed round
 	done    bool
@@ -49,12 +54,14 @@ type RoundDriver struct {
 func newRoundDriver(plan *RoundPlan, ck CheckpointConfig) (*RoundDriver, error) {
 	d := &RoundDriver{plan: plan, start: time.Now()}
 	d.cacheStart, _ = cacheSnapshot(plan.Config.Matcher)
-	d.res = &Result{Scheme: plan.Scheme, Matches: NewPairSet()}
+	d.res = &Result{Scheme: plan.Scheme}
+	d.ev = plan.NewEvidence()
 	d.res.Stats.Neighborhoods = plan.Config.Cover.Len()
 	d.visits = make([]int, plan.Config.Cover.Len())
 	d.seen = make([]int32, plan.Config.Cover.Len())
+	d.marks = make([]bool, plan.Config.Cover.Len())
 	if plan.WithMessages {
-		d.store = NewMessageStore()
+		d.store = newMessageStore(plan.table)
 	}
 	if ck.Dir != "" {
 		d.ckpt = &checkpointer{dir: ck.Dir, format: ck.Format, matcher: ck.Matcher}
@@ -65,7 +72,10 @@ func newRoundDriver(plan *RoundPlan, ck CheckpointConfig) (*RoundDriver, error) 
 			return nil, err
 		}
 		if st != nil {
-			d.res.Matches = st.matches
+			for _, k := range st.evidence {
+				d.ev.AddKey(k)
+			}
+			d.roundMark = d.ev.Mark()
 			d.res.Stats = st.stats
 			d.visits = st.visits
 			for _, msg := range st.messages {
@@ -77,7 +87,7 @@ func newRoundDriver(plan *RoundPlan, ck CheckpointConfig) (*RoundDriver, error) 
 			d.prior = st.stats.Elapsed
 			// The evidence store must reflect the trail's state, not
 			// whatever run the directory held before.
-			if err := resetEvidence(plan.Config.Evidence, d.res.Matches.SortedKeys()); err != nil {
+			if err := resetEvidence(plan.Config.Evidence, d.ev.SortedKeys()); err != nil {
 				return nil, err
 			}
 			return d, nil
@@ -111,13 +121,15 @@ func (d *RoundDriver) Active() []int32 { return d.active }
 
 // Snapshot returns the evidence for the round about to execute: the
 // accumulated M+ for evidence-exchanging schemes, nil for NO-MP (whose
-// matcher contract is evidence-free first visits). The set is the live
-// M+: read-only, and unchanged only until the next Reduce.
-func (d *RoundDriver) Snapshot() PairSet {
+// matcher contract is evidence-free first visits). It is the live M+ in
+// the plan's form — a bitset over the dense matcher's candidate ids, or
+// all overflow — read-only, and unchanged only until the next Reduce; a
+// backend that keeps replicas takes Snapshot().Clone().
+func (d *RoundDriver) Snapshot() *Evidence {
 	if !d.plan.Exchange {
 		return nil
 	}
-	return d.res.Matches
+	return d.ev
 }
 
 // AllowSkip reports whether this round's evaluations may discharge
@@ -133,13 +145,13 @@ func (d *RoundDriver) AllowSkip() bool {
 // driver's own Snapshot — for backends that schedule work but do not
 // distribute state. Besides reading, it writes only id's own seen slot.
 func (d *RoundDriver) Evaluate(id int32) Job {
-	d.seen[id] = int32(len(d.pending))
+	d.seen[id] = int32(d.ev.Mark() - d.roundMark)
 	return d.plan.Evaluate(id, d.Snapshot(), d.AllowSkip())
 }
 
 // Reduce merges one evaluated job of the current round into the global
-// state: its matches join M+ (new pairs in packed-key order, so the
-// round's evidence delta is reproducible run-to-run) and its maximal
+// state: its matches join M+ (a job lists them in packed-key order, so
+// the round's evidence delta is reproducible run-to-run) and its maximal
 // messages join the store — minus singletons: {p} promotes exactly when
 // p's conditional gain turns non-negative, which the evidence-driven
 // re-evaluation of p's neighborhood derives anyway (monotonicity).
@@ -160,9 +172,11 @@ func (d *RoundDriver) Reduce(j Job) {
 	stats.MatcherCalls += j.calls
 	stats.MatcherTime += j.dur
 	stats.ActiveSizes = append(stats.ActiveSizes, j.active)
-	for _, p := range collectNew(j.matches, d.res.Matches) {
-		d.res.Matches.Add(p)
-		d.pending = append(d.pending, p)
+	for _, id := range j.ids {
+		d.ev.AddID(id)
+	}
+	for _, k := range j.keys {
+		d.ev.AddKey(k)
 	}
 	if d.store != nil {
 		stats.MaximalMessages += len(j.msgs)
@@ -172,7 +186,7 @@ func (d *RoundDriver) Reduce(j Job) {
 			}
 		}
 	}
-	d.plan.Config.emit(d.plan.Scheme, j.id, d.round+1, d.res)
+	d.plan.Config.emit(d.plan.Scheme, j.id, d.round+1, stats.Evaluations, d.ev.Len())
 }
 
 // EndRound closes the current round once every active job is reduced:
@@ -184,16 +198,17 @@ func (d *RoundDriver) Reduce(j Job) {
 // delta is available from RoundDelta afterwards.
 func (d *RoundDriver) EndRound() error {
 	if d.store != nil {
-		d.pending = append(d.pending, promote(d.plan.Prob, d.store, d.res.Matches, &d.res.Stats)...)
+		d.promote()
 	}
 	d.round++
-	d.lastNew, d.pending = d.pending, nil
+	d.lastNew = d.ev.Since(d.roundMark)
+	d.roundMark = d.ev.Mark()
 
 	switch {
 	case !d.plan.Exchange, len(d.lastNew) == 0:
 		d.active, d.done = nil, true
 	default:
-		affected := d.plan.Config.Cover.affectedUnseen(d.lastNew, d.plan.Config.Relation, d.seen)
+		affected := d.plan.Config.Cover.affectedUnseen(d.lastNew, d.plan.Config.Relation, d.seen, d.marks)
 		d.res.Stats.MessagesSent += len(affected)
 		for _, id := range d.active {
 			d.seen[id] = 0
@@ -257,33 +272,21 @@ func (d *RoundDriver) RoundDelta() []PairKey {
 	return delta
 }
 
-// finish seals the result (max revisits, outstanding messages, wall
-// clock) and returns it.
+// finish seals the result (the match set, materialized from M+ this once;
+// max revisits, outstanding messages, wall clock) and returns it.
 func (d *RoundDriver) finish() *Result {
+	d.res.Matches = d.ev.PairSet()
 	for _, v := range d.visits {
 		if v > d.res.Stats.MaxRevisits {
 			d.res.Stats.MaxRevisits = v
 		}
 	}
 	if d.store != nil {
-		d.res.Messages = copyMessages(d.store.Messages())
+		d.res.Messages = d.store.Messages()
 	}
 	d.res.Stats.Cache = cacheDelta(d.plan.Config.Matcher, d.cacheStart)
 	d.res.Stats.Elapsed = d.prior + time.Since(d.start)
 	return d.res
-}
-
-// copyMessages deep-copies a message view so results never alias a
-// store's memoized internals.
-func copyMessages(msgs [][]Pair) [][]Pair {
-	if len(msgs) == 0 {
-		return nil
-	}
-	out := make([][]Pair, len(msgs))
-	for i, msg := range msgs {
-		out[i] = slices.Clone(msg)
-	}
-	return out
 }
 
 // RunBackend executes a neighborhood scheme ("NO-MP", "SMP", "MMP") on

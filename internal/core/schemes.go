@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -28,7 +27,8 @@ type Config struct {
 	// neighborhood at once, so later neighborhoods of the same round
 	// already see its matches (Algorithm 1's immediate propagation);
 	// n > 1 workers map the set concurrently against the round-start
-	// evidence snapshot and reduce afterwards. Output is the same either
+	// evidence — the driver's one Evidence, which nothing writes while
+	// they read it — and reduce afterwards. Output is the same either
 	// way for well-behaved matchers (consistency, Theorems 2 and 4). The
 	// Matcher must be safe for concurrent Match/Candidates calls when
 	// Parallelism > 1.
@@ -56,7 +56,7 @@ func (cfg *Config) workers() int {
 }
 
 // emit delivers a progress event if a callback is installed.
-func (cfg *Config) emit(scheme string, id int32, round int, res *Result) {
+func (cfg *Config) emit(scheme string, id int32, round, evaluations, matches int) {
 	if cfg.Progress == nil {
 		return
 	}
@@ -64,8 +64,8 @@ func (cfg *Config) emit(scheme string, id int32, round int, res *Result) {
 		Scheme:       scheme,
 		Neighborhood: id,
 		Round:        round,
-		Evaluations:  res.Stats.Evaluations,
-		Matches:      res.Matches.Len(),
+		Evaluations:  evaluations,
+		Matches:      matches,
 	})
 }
 
@@ -99,7 +99,7 @@ func Full(ctx context.Context, cfg Config) (*Result, error) {
 	res.Stats.Evaluations = 1
 	res.Stats.MaxRevisits = 1
 	res.Stats.Elapsed = time.Since(start)
-	cfg.emit("FULL", -1, 1, res)
+	cfg.emit("FULL", -1, 1, 1, res.Matches.Len())
 	return res, nil
 }
 
@@ -126,23 +126,4 @@ func activeDecisions(m Matcher, entities []EntityID, evidence PairSet) int {
 		}
 	}
 	return active
-}
-
-// collectNew returns the pairs of mc missing from mPlus, sorted by
-// packed key so evidence propagates in the same order run-to-run —
-// MessagesSent, ActiveSizes and progress events are reproducible instead
-// of following map iteration.
-func collectNew(mc, mPlus PairSet) []Pair {
-	var keys []PairKey
-	for k := range mc {
-		if !mPlus.HasKey(k) {
-			keys = append(keys, k)
-		}
-	}
-	slices.Sort(keys)
-	out := make([]Pair, len(keys))
-	for i, k := range keys {
-		out[i] = k.Pair()
-	}
-	return out
 }

@@ -23,6 +23,11 @@ import (
 // evidence back as an encoded PairKey-ordered Delta batch, which it
 // decodes and applies to its replica. Consistency (Theorems 2 and 4)
 // makes the output byte-identical to the pool backend for every K.
+//
+// A replica is an Evidence in the plan's form, cloned from the driver's
+// at the start (a word copy under a dense matcher) and advanced by
+// AddKey; what crosses the codec is packed pair keys in ascending order
+// either way, so the bytes do not depend on the matcher's form.
 type ShardedBackend struct {
 	// Shards is the partition count K. Values < 1 mean one shard per CPU.
 	Shards int
@@ -47,7 +52,7 @@ func (b *ShardedBackend) shardCount() int {
 // batches.
 type shard struct {
 	id       int
-	evidence PairSet // private replica of M+; nil for NO-MP
+	evidence *Evidence // private replica of M+; nil for NO-MP
 }
 
 // runRound evaluates the shard's share of the active set (ids, in
@@ -56,7 +61,7 @@ func (s *shard) runRound(plan *RoundPlan, round int, ids []int32, allowSkip bool
 	batch := &wire.ShardBatch{Round: round, Shard: s.id, Jobs: make([]wire.Job, len(ids))}
 	for i, id := range ids {
 		j := plan.Evaluate(id, s.evidence, allowSkip)
-		batch.Jobs[i] = JobToWire(&j)
+		batch.Jobs[i] = plan.JobToWire(&j)
 	}
 	return batch.Marshal(format)
 }
@@ -157,7 +162,7 @@ func (b *ShardedBackend) RunRounds(ctx context.Context, plan *RoundPlan, d *Roun
 				return fmt.Errorf("core: shard %d round %d: job %d evaluates neighborhood %d, want %d",
 					s, round, cursor[s]-1, wj.ID, id)
 			}
-			jobs[i] = JobFromWire(wj)
+			jobs[i] = plan.JobFromWire(wj)
 		}
 
 		// Reduce centrally, then broadcast the round's merged evidence
@@ -190,8 +195,10 @@ func (b *ShardedBackend) RunRounds(ctx context.Context, plan *RoundPlan, d *Roun
 
 // JobToWire serializes one evaluation result for shipment to the
 // central reducer. Exported so out-of-process workers (internal/net,
-// cmd/emworker) ship exactly what the in-process sharded backend ships.
-func JobToWire(j *Job) wire.Job {
+// cmd/emworker) ship exactly what the in-process sharded backend ships:
+// the match set as ascending packed keys, whichever form the job holds
+// it in.
+func (p *RoundPlan) JobToWire(j *Job) wire.Job {
 	w := wire.Job{
 		ID:      j.id,
 		Skipped: j.skipped,
@@ -199,11 +206,13 @@ func JobToWire(j *Job) wire.Job {
 		Calls:   j.calls,
 		Dur:     int64(j.dur),
 	}
-	if j.matches.Len() > 0 {
-		keys := j.matches.SortedKeys()
-		w.Matches = make([]uint64, len(keys))
-		for i, k := range keys {
-			w.Matches[i] = uint64(k)
+	if n := len(j.ids) + len(j.keys); n > 0 {
+		w.Matches = make([]uint64, 0, n)
+		for _, id := range j.ids {
+			w.Matches = append(w.Matches, uint64(p.table[id].Key()))
+		}
+		for _, k := range j.keys {
+			w.Matches = append(w.Matches, uint64(k))
 		}
 	}
 	if len(j.msgs) > 0 {
@@ -219,8 +228,9 @@ func JobToWire(j *Job) wire.Job {
 	return w
 }
 
-// JobFromWire reconstructs an evaluation result from the wire form.
-func JobFromWire(w *wire.Job) Job {
+// JobFromWire reconstructs an evaluation result from the wire form,
+// sorting its match keys into candidate ids and the rest.
+func (p *RoundPlan) JobFromWire(w *wire.Job) Job {
 	j := Job{
 		id:      w.ID,
 		skipped: w.Skipped,
@@ -231,9 +241,19 @@ func JobFromWire(w *wire.Job) Job {
 	if w.Skipped {
 		return j
 	}
-	j.matches = make(PairSet, len(w.Matches))
+	if p.dense != nil {
+		j.ids = make([]int32, 0, len(w.Matches))
+	} else {
+		j.keys = make([]PairKey, 0, len(w.Matches))
+	}
+	from := 0 // the keys ascend, so the ids do
 	for _, k := range w.Matches {
-		j.matches.AddKey(PairKey(k))
+		if id, ok := findID(p.table, from, PairKey(k)); ok {
+			j.ids = append(j.ids, id)
+			from = int(id) + 1
+		} else {
+			j.keys = append(j.keys, PairKey(k))
+		}
 	}
 	if len(w.Msgs) > 0 {
 		j.msgs = make([][]Pair, len(w.Msgs))

@@ -35,10 +35,9 @@ type WarmStart struct {
 
 // validate checks the seed against the plan it will drive.
 func (w *WarmStart) validate(plan *RoundPlan) error {
-	n := EntityID(plan.Config.Cover.NumEntities)
+	n := plan.Config.Cover.NumEntities
 	for _, k := range w.Evidence {
-		p := k.Pair()
-		if !p.Valid() || p.B >= n {
+		if p := k.Pair(); !p.ValidOver(n) {
 			return fmt.Errorf("core: warm-start evidence pair %v invalid over %d entities", p, n)
 		}
 	}
@@ -47,7 +46,7 @@ func (w *WarmStart) validate(plan *RoundPlan) error {
 	}
 	for _, msg := range w.Messages {
 		for _, p := range msg {
-			if !p.Valid() || p.B >= n {
+			if !p.ValidOver(n) {
 				return fmt.Errorf("core: warm-start message pair %v invalid over %d entities", p, n)
 			}
 		}
@@ -74,8 +73,9 @@ func (d *RoundDriver) seed(w *WarmStart) error {
 		return err
 	}
 	for _, k := range w.Evidence {
-		d.res.Matches.AddKey(k)
+		d.ev.AddKey(k)
 	}
+	d.roundMark = d.ev.Mark()
 	for _, msg := range w.Messages {
 		d.store.Add(msg)
 	}
@@ -85,9 +85,7 @@ func (d *RoundDriver) seed(w *WarmStart) error {
 	d.round = 1
 	d.done = len(d.active) == 0
 	if d.ckpt != nil || d.plan.Config.Evidence != nil {
-		delta := slices.Clone(w.Evidence)
-		slices.Sort(delta)
-		delta = slices.Compact(delta)
+		delta := d.ev.SortedKeys()
 		// The store restarts from the seed, mirroring the trail's
 		// round-1 record.
 		if err := resetEvidence(d.plan.Config.Evidence, delta); err != nil {

@@ -210,6 +210,11 @@ func TestWarmStartValidation(t *testing.T) {
 			&core.WarmStart{Evidence: []core.PairKey{core.MakePair(0, core.EntityID(cover.NumEntities)).Key()}}},
 		{"reflexive evidence", "SMP", core.CheckpointConfig{},
 			&core.WarmStart{Evidence: []core.PairKey{core.Pair{A: 2, B: 2}.Key()}}},
+		// (-2147483648, 2): normalized, B in range, and no entity.
+		{"negative entity in evidence", "SMP", core.CheckpointConfig{},
+			&core.WarmStart{Evidence: []core.PairKey{1<<63 | 2}}},
+		{"negative entity in a message", "MMP", core.CheckpointConfig{},
+			&core.WarmStart{Messages: [][]core.Pair{{{A: -1, B: 2}, core.MakePair(0, 1)}}}},
 		{"warm with resume", "SMP", core.CheckpointConfig{Dir: t.TempDir(), Resume: true},
 			&core.WarmStart{}},
 	}

@@ -125,7 +125,7 @@ func Learn(m *Matcher, cover *core.Cover, truth core.PairSet, cfg LearnConfig) (
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, ni := range order {
 			entities := cover.Sets[ni]
-			ids := m.scopedIDs(entities)
+			ids := m.ScopeIDs(entities)
 			if len(ids) == 0 {
 				continue
 			}

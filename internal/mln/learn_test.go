@@ -137,7 +137,7 @@ func TestFeatureCounts(t *testing.T) {
 	})
 	m := newMatcher(t, d)
 	all := allRefs(d)
-	ids := m.scopedIDs(all)
+	ids := m.ScopeIDs(all)
 	rastogi, dalvi := core.MakePair(0, 2), core.MakePair(1, 3)
 
 	f := m.featureCounts(ids, core.NewPairSet(rastogi, dalvi))

@@ -1,6 +1,7 @@
 package mln
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -76,21 +77,27 @@ type interEdge struct {
 }
 
 // Matcher is the ground MLN over one dataset's candidate pairs. It
-// implements core.Matcher, core.Probabilistic, core.ConditionalDecider
-// and core.ScopePreparer. The model (pairs, weights, interactions) is
-// immutable after construction; Match uses only pooled per-call state
-// and the matcher is safe for concurrent use.
+// implements core.Matcher, core.Probabilistic, core.ConditionalDecider,
+// core.ScopePreparer and the engine's dense extension
+// (core.DenseProbabilistic). The model (pairs, weights,
+// interactions) is immutable after construction; Match uses only pooled
+// per-call state and the matcher is safe for concurrent use.
+//
+// Candidate ids are positions in (A, B) order — packed-key order — so
+// the candidates with first endpoint e are the id range
+// first[e]..first[e+1], ascending in B: a pair is found by a binary
+// search of its A's range, and ascending ids are ascending keys, which
+// is what lets the engine exchange id lists for key batches unsorted.
 type Matcher struct {
 	w        Weights
 	pairs    []core.Pair
-	idOf     map[core.PairKey]int32
+	first    []int32 // entity e -> first id with A == e; len n+1
 	level    []similarity.Level
 	reflex   []int32 // reflexive coauthor groundings per pair (both roles)
 	selfCite []int8  // 1 when the pair's papers cite each other (extension)
 	unary    []float64
 	adj      [][]interEdge
-	pairsOf  [][]int32 // entity -> ids of candidate pairs touching it
-	n        int       // number of entities
+	n        int // number of entities
 
 	// scopes caches per-neighborhood skeletons for the prepared cover
 	// (core.ScopePreparer); wsPool recycles per-call workspaces with
@@ -124,37 +131,55 @@ var ErrCandidateRange = errors.New("mln: candidate pair outside the dataset")
 // once per role assignment — twice per combination — when (c1, c2) is
 // matched, and c1 = c2 (the trivial reflexivity match of §2.1) yields a
 // constant unary bonus.
+//
+// Candidate ids follow (A, B) order. Blocking emits the candidates in
+// that order and the validation pass below only verifies it; candidates
+// in any other order are sorted first (a copy — the caller's slice is
+// left alone), so ids, levels and interactions are consistent either way.
 func New(d *bib.Dataset, cands []Candidate, w Weights) (*Matcher, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
+	n := d.NumRefs()
+	sorted := true
+	for i, c := range cands {
+		if !c.Pair.Valid() {
+			return nil, fmt.Errorf("mln: invalid candidate pair %v", c.Pair)
+		}
+		if c.Pair.A < 0 || int(c.Pair.B) >= n {
+			return nil, fmt.Errorf("%w: %v, references are 0..%d", ErrCandidateRange, c.Pair, n-1)
+		}
+		if i > 0 && cands[i-1].Pair.Key() >= c.Pair.Key() {
+			sorted = false
+		}
+	}
+	if !sorted {
+		cands = slices.Clone(cands)
+		slices.SortFunc(cands, func(a, b Candidate) int { return cmp.Compare(a.Pair.Key(), b.Pair.Key()) })
+		for i := 1; i < len(cands); i++ {
+			if cands[i].Pair == cands[i-1].Pair {
+				return nil, fmt.Errorf("mln: duplicate candidate pair %v", cands[i].Pair)
+			}
+		}
+	}
 	m := &Matcher{
 		w:        w,
 		pairs:    make([]core.Pair, len(cands)),
-		idOf:     make(map[core.PairKey]int32, len(cands)),
+		first:    make([]int32, n+1),
 		level:    make([]similarity.Level, len(cands)),
 		reflex:   make([]int32, len(cands)),
 		selfCite: make([]int8, len(cands)),
 		unary:    make([]float64, len(cands)),
 		adj:      make([][]interEdge, len(cands)),
-		pairsOf:  make([][]int32, d.NumRefs()),
-		n:        d.NumRefs(),
+		n:        n,
 	}
 	for i, c := range cands {
-		if !c.Pair.Valid() {
-			return nil, fmt.Errorf("mln: invalid candidate pair %v", c.Pair)
-		}
-		if c.Pair.A < 0 || int(c.Pair.B) >= m.n {
-			return nil, fmt.Errorf("%w: %v, references are 0..%d", ErrCandidateRange, c.Pair, m.n-1)
-		}
-		if _, dup := m.idOf[c.Pair.Key()]; dup {
-			return nil, fmt.Errorf("mln: duplicate candidate pair %v", c.Pair)
-		}
 		m.pairs[i] = c.Pair
-		m.idOf[c.Pair.Key()] = int32(i)
 		m.level[i] = c.Level
-		m.pairsOf[c.Pair.A] = append(m.pairsOf[c.Pair.A], int32(i))
-		m.pairsOf[c.Pair.B] = append(m.pairsOf[c.Pair.B], int32(i))
+		m.first[c.Pair.A+1]++
+	}
+	for e := 0; e < n; e++ {
+		m.first[e+1] += m.first[e]
 	}
 	co := d.Coauthor()
 	cites := citesIndex(d)
@@ -175,7 +200,7 @@ func New(d *bib.Dataset, cands []Candidate, w Weights) (*Matcher, error) {
 					reflex++
 					continue
 				}
-				if j, ok := m.idOf[core.MakePair(c1, c2).Key()]; ok && int(j) != i {
+				if j, ok := m.find(core.MakePair(c1, c2)); ok && int(j) != i {
 					scratch = append(scratch, j)
 				}
 			}
@@ -251,10 +276,32 @@ func (m *Matcher) Pairs() []core.Pair { return m.pairs }
 
 // Level returns the similarity level of a candidate pair, or LevelNone.
 func (m *Matcher) Level(p core.Pair) similarity.Level {
-	if id, ok := m.idOf[p.Key()]; ok {
+	if id, ok := m.find(p); ok {
 		return m.level[id]
 	}
 	return similarity.LevelNone
+}
+
+// find returns the id of candidate pair p: a binary search for B in the
+// id range of A. A pair with an endpoint outside the dataset — whatever
+// an unvalidated key unpacks to — is no candidate and never indexes.
+func (m *Matcher) find(p core.Pair) (int32, bool) {
+	if p.A < 0 || int(p.A) >= m.n {
+		return 0, false
+	}
+	lo, hi := m.first[p.A], m.first[p.A+1]
+	for lo < hi {
+		mid := int32(uint32(lo+hi) >> 1)
+		if m.pairs[mid].B < p.B {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < m.first[p.A+1] && m.pairs[lo].B == p.B {
+		return lo, true
+	}
+	return 0, false
 }
 
 // Candidates implements core.Matcher. For neighborhoods of a prepared
@@ -264,7 +311,7 @@ func (m *Matcher) Candidates(entities []core.EntityID) []core.Pair {
 	if sc := m.scopeFor(entities); sc != nil {
 		return sc.pairs
 	}
-	ids := m.scopedIDs(entities)
+	ids := m.ScopeIDs(entities)
 	out := make([]core.Pair, len(ids))
 	for i, id := range ids {
 		out[i] = m.pairs[id]
@@ -272,37 +319,28 @@ func (m *Matcher) Candidates(entities []core.EntityID) []core.Pair {
 	return out
 }
 
-// scopedIDs returns the ids of candidate pairs with both endpoints in the
-// entity set, in ascending id order.
-func (m *Matcher) scopedIDs(entities []core.EntityID) []int32 {
-	in := make(map[core.EntityID]bool, len(entities))
-	for _, e := range entities {
-		in[e] = true
-	}
-	var ids []int32
-	for _, e := range entities {
-		for _, id := range m.pairsOf[e] {
-			p := m.pairs[id]
-			if p.A == e && in[p.B] { // dedupe: count a pair at its A endpoint
-				ids = append(ids, id)
-			}
-		}
-	}
-	slices.Sort(ids)
-	return ids
-}
-
 // Match implements core.Matcher: exact conditional MAP inference over the
 // candidate pairs inside the entity set. Evidence semantics follow §3.2:
 // pos pairs are conditioned true (in or out of scope — an out-of-scope
 // matched coauthor pair contributes its groundings as a unary bonus),
-// neg pairs are conditioned false.
+// neg pairs are conditioned false. The inference itself is MatchIDs.
+func (m *Matcher) Match(entities []core.EntityID, pos, neg core.PairSet) core.PairSet {
+	return core.MatchByIDs(m, entities, pos, neg)
+}
+
+// CandidateTable implements core.DenseMatcher: the id → pair table, in
+// (A, B) order by construction.
+func (m *Matcher) CandidateTable() []core.Pair { return m.pairs }
+
+// MatchIDs implements core.DenseMatcher and is the inference core Match
+// wraps: the evidence is read by candidate id, the output is the
+// ascending ids of the matched in-scope candidates.
 //
 // On prepared cover neighborhoods the call first consults the scope's
 // verdict memo (memo.go): when the read-set fingerprint matches the
 // cached entry, the cached match set is returned without building or
 // solving the submodel — provably the set recomputation would produce.
-func (m *Matcher) Match(entities []core.EntityID, pos, neg core.PairSet) core.PairSet {
+func (m *Matcher) MatchIDs(entities []core.EntityID, pos, neg *core.Evidence) []int32 {
 	ws := m.getWS()
 	defer m.putWS(ws)
 	sc := m.scopeOf(entities, ws)
@@ -313,27 +351,35 @@ func (m *Matcher) Match(entities []core.EntityID, pos, neg core.PairSet) core.Pa
 		}
 	}
 	lm := m.buildLocal(sc, pos, neg, ws)
-	out := lm.out
+	if cap(ws.x) < len(lm.free) {
+		ws.x = make([]bool, len(lm.free))
+	}
+	x := ws.x[:len(lm.free)]
 	if len(lm.free) > 0 {
-		if cap(ws.x) < len(lm.free) {
-			ws.x = make([]bool, len(lm.free))
-		}
-		x := ws.x[:len(lm.free)]
 		solveMAPInto(lm.eff, lm.edges, x)
-		for fi, id := range lm.free {
+	}
+	// One sweep in scope order — id order — over the decided positions
+	// (in-scope positive evidence is echoed) and the solved ones.
+	out := ws.out[:0]
+	for pi, id := range sc.ids {
+		if fi := ws.slots[pi]; fi >= 0 {
 			if x[fi] {
-				out.Add(m.pairs[id])
+				out = append(out, id)
 			}
+		} else if v := ws.state[id]; v&stNeg == 0 && v&stPos != 0 {
+			out = append(out, id)
 		}
 	}
+	ws.out = out
 	if memoKey != nil {
 		m.memoStoreMatch(sc, memoKey, out)
 	}
-	return out
+	return slices.Clone(out)
 }
 
 var (
 	_ core.Matcher            = (*Matcher)(nil)
 	_ core.Probabilistic      = (*Matcher)(nil)
 	_ core.ConditionalDecider = (*Matcher)(nil)
+	_ core.DenseProbabilistic = (*Matcher)(nil)
 )

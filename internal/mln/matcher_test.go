@@ -1,9 +1,12 @@
 package mln
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bib"
@@ -289,6 +292,67 @@ func TestNewRejectsBadCandidates(t *testing.T) {
 	for _, bad := range []core.Pair{{A: -1, B: 1}, {A: 0, B: 2}, {A: 5, B: 9}} {
 		if _, err := New(d, []Candidate{{Pair: bad}}, PaperWeights()); !errors.Is(err, ErrCandidateRange) {
 			t.Errorf("candidate %v: got %v, want ErrCandidateRange", bad, err)
+		}
+	}
+}
+
+// TestNewOrdersCandidates: ids follow (A, B) order whatever order the
+// candidates arrive in — verified for blocking's order, established by a
+// sort for any other — and the ground model is the same model either way:
+// same table, same levels, same interactions, so the same matches.
+func TestNewOrdersCandidates(t *testing.T) {
+	env, cands := benchGround(t)
+	if !slices.IsSortedFunc(cands, func(a, b Candidate) int { return cmp.Compare(a.Pair.Key(), b.Pair.Key()) }) {
+		t.Fatal("blocking no longer emits candidates in (A, B) order")
+	}
+	ordered, err := New(env.d, cands, PaperWeights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shuffled := slices.Clone(cands)
+	rand.New(rand.NewSource(5)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	before := slices.Clone(shuffled)
+	m, err := New(env.d, shuffled, PaperWeights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(shuffled, before) {
+		t.Error("New reordered the caller's slice")
+	}
+	if !slices.Equal(m.CandidateTable(), ordered.CandidateTable()) {
+		t.Fatal("shuffled candidates ground a different table")
+	}
+	for i, p := range m.CandidateTable() {
+		if i > 0 && m.CandidateTable()[i-1].Key() >= p.Key() {
+			t.Fatalf("table not ascending at id %d", i)
+		}
+		if id, ok := m.find(p); !ok || int(id) != i {
+			t.Fatalf("find(%v) = %d, %v; want id %d", p, id, ok, i)
+		}
+		if m.Level(p) != ordered.Level(p) {
+			t.Fatalf("level of %v differs", p)
+		}
+	}
+	if !reflect.DeepEqual(m.adj, ordered.adj) || !slices.Equal(m.unary, ordered.unary) {
+		t.Error("shuffled candidates ground different interactions")
+	}
+	all := make([]core.EntityID, env.d.NumRefs())
+	for i := range all {
+		all[i] = core.EntityID(i)
+	}
+	if got, want := m.Match(all, nil, nil), ordered.Match(all, nil, nil); !got.Equal(want) {
+		t.Errorf("shuffled candidates match differently: extra %v, missing %v", got.Minus(want).Sorted(), want.Minus(got).Sorted())
+	}
+	// A duplicate hides anywhere in an unordered list.
+	dup := append(slices.Clone(shuffled), shuffled[len(shuffled)/2])
+	if _, err := New(env.d, dup, PaperWeights()); err == nil {
+		t.Error("duplicate candidate accepted in an unordered list")
+	}
+	// A pair that is no candidate — in range, out of range, or what a
+	// key with its top bit set unpacks to — is not found.
+	for _, p := range []core.Pair{{A: -2147483648, B: 2}, {A: 0, B: core.EntityID(env.d.NumRefs())}, {A: 1 << 30, B: 1<<30 + 1}} {
+		if _, ok := m.find(p); ok {
+			t.Errorf("find(%v) found a candidate", p)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package mln
 
 import (
 	"bytes"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/unionfind"
@@ -43,7 +44,22 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// MaximalMessages implements core.MaximalMessenger — a specialized
+// MaximalMessages implements core.MaximalMessenger: MaximalMessagesIDs
+// with the evidence and base translated to dense form first. A pair of
+// base outside the candidate table is dropped — only candidates are ever
+// probed.
+func (m *Matcher) MaximalMessages(entities []core.EntityID, mPlus, neg, base core.PairSet) (msgs [][]core.Pair, calls int) {
+	ids := make([]int32, 0, len(base))
+	for k := range base {
+		if id, ok := m.find(k.Pair()); ok {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return m.MaximalMessagesIDs(entities, core.EvidenceOf(m.pairs, mPlus), core.EvidenceOf(m.pairs, neg), ids)
+}
+
+// MaximalMessagesIDs implements core.DenseProbabilistic — a specialized
 // Algorithm 2 for the ground MLN. It builds the conditioned submodel
 // once (from the prepared neighborhood skeleton when available),
 // decomposes it into connected components of the local interaction graph
@@ -55,11 +71,11 @@ func grow[T any](s []T, n int) []T {
 // bookkeeping from the pooled workspace.
 // Prepared cover neighborhoods consult the scope's verdict memo first:
 // when the read-set fingerprint matches the cached entry AND base equals
-// the cached match verdict (the Step-5 protocol — Match feeds its output
-// straight back in), the cached message list is returned as a deep copy,
-// skipping every probe solve. calls reports the cached probe count so
-// run statistics stay identical with memoization on or off.
-func (m *Matcher) MaximalMessages(entities []core.EntityID, mPlus, neg, base core.PairSet) (msgs [][]core.Pair, calls int) {
+// the cached match verdict (the Step-5 protocol — MatchIDs feeds its
+// output straight back in), the cached message list is returned as a deep
+// copy, skipping every probe solve. calls reports the cached probe count
+// so run statistics stay identical with memoization on or off.
+func (m *Matcher) MaximalMessagesIDs(entities []core.EntityID, mPlus, neg *core.Evidence, base []int32) (msgs [][]core.Pair, calls int) {
 	ws := m.getWS()
 	defer m.putWS(ws)
 	sc := m.scopeOf(entities, ws)
@@ -75,7 +91,7 @@ func (m *Matcher) MaximalMessages(entities []core.EntityID, mPlus, neg, base cor
 				m.cacheMisses.Add(1)
 			case !bytes.Equal(e.states, key):
 				m.cacheInvals.Add(1)
-			case e.msgsValid && baseMatches(base, e.match):
+			case e.msgsValid && slices.Equal(base, e.match):
 				m.cacheHits.Add(1)
 				msgs, calls = copyMsgs(e.msgs), e.msgCalls
 				e.mu.Unlock()
@@ -86,7 +102,7 @@ func (m *Matcher) MaximalMessages(entities []core.EntityID, mPlus, neg, base cor
 				// (base equals the cached match verdict): any other base
 				// changes the probe set, so the verdict is not the
 				// memoizable one.
-				store = baseMatches(base, e.match)
+				store = slices.Equal(base, e.match)
 			}
 			e.mu.Unlock()
 			if store {
@@ -100,6 +116,14 @@ func (m *Matcher) MaximalMessages(entities []core.EntityID, mPlus, neg, base cor
 		return nil, 0
 	}
 	mm := &ws.mm
+	// Free variables already in base are not probed; the state vector
+	// carries the mark (every scoped id was read by buildLocal, and an id
+	// outside the scope is no free variable).
+	for _, id := range base {
+		if ws.state[id] != 0 {
+			ws.state[id] |= stBase
+		}
+	}
 
 	// Connected components of the local interaction graph. Isolated
 	// variables (degree 0) yield only singleton messages and are dropped.
@@ -189,8 +213,9 @@ func (m *Matcher) MaximalMessages(entities []core.EntityID, mPlus, neg, base cor
 		// Probe each viable variable in the component.
 		mm.probes = mm.probes[:0]
 		for li, fi := range vars {
-			p := m.pairs[lm.free[fi]]
-			if base.Has(p) || mPlus.Has(p) || mm.localMax[fi] < 0 {
+			// A free variable is in neither evidence set, so base is the
+			// only set that can already hold it.
+			if ws.state[lm.free[fi]]&stBase != 0 || mm.localMax[fi] < 0 {
 				continue
 			}
 			mm.probes = append(mm.probes, int32(li))

@@ -38,7 +38,7 @@ import (
 // never reused. states is the read-set fingerprint: the dense evidence
 // state of every scoped candidate id (in skeleton order) followed by
 // every boundary partner (in boundary-edge order). match is the cached
-// Match output in ascending PairKey order; valid distinguishes a stored
+// MatchIDs output (ascending ids); valid distinguishes a stored
 // verdict from a never-filled or weight-invalidated entry. msgs/msgCalls
 // cache the MaximalMessages verdict for the same fingerprint, valid only
 // when the caller's base equals match (the protocol of Algorithm 3
@@ -48,7 +48,7 @@ type scopeMemo struct {
 	mu        sync.Mutex
 	valid     bool
 	states    []uint8
-	match     []core.PairKey
+	match     []int32
 	msgs      [][]core.Pair
 	msgCalls  int
 	msgsValid bool
@@ -58,14 +58,14 @@ type scopeMemo struct {
 // The per-pair translation shares the workspace's dense state vector with
 // buildLocal, so on a miss the subsequent rebuild pays no second lookup.
 // The returned slice aliases the workspace; copy before retaining.
-func (m *Matcher) fingerprint(sc *scope, pos, neg core.PairSet, ws *workspace) []uint8 {
+func (m *Matcher) fingerprint(sc *scope, pos, neg *core.Evidence, ws *workspace) []uint8 {
 	n := len(sc.ids)
 	ws.fp = grow(ws.fp, n+len(sc.boundary))
 	for i, id := range sc.ids {
-		ws.fp[i] = ws.fillState(m, id, pos, neg)
+		ws.fp[i] = ws.fillState(id, pos, neg)
 	}
 	for j, be := range sc.boundary {
-		ws.fp[n+j] = ws.fillState(m, be.other, pos, neg)
+		ws.fp[n+j] = ws.fillState(be.other, pos, neg)
 	}
 	return ws.fp
 }
@@ -73,7 +73,7 @@ func (m *Matcher) fingerprint(sc *scope, pos, neg core.PairSet, ws *workspace) [
 // memoKey returns the scope's read-set fingerprint, or nil when
 // memoization does not apply (ephemeral scope or memoization disabled).
 // The returned slice aliases the workspace; copy before retaining.
-func (m *Matcher) memoKey(sc *scope, pos, neg core.PairSet, ws *workspace) []uint8 {
+func (m *Matcher) memoKey(sc *scope, pos, neg *core.Evidence, ws *workspace) []uint8 {
 	if sc == &ws.eph || m.memoOff {
 		return nil
 	}
@@ -95,8 +95,9 @@ func (sc *scope) memoEntry() *scopeMemo {
 }
 
 // memoMatch consults the scope's cached Match verdict under the given
-// fingerprint, counting the hit, miss, or invalidation.
-func (m *Matcher) memoMatch(sc *scope, key []uint8) (core.PairSet, bool) {
+// fingerprint, counting the hit, miss, or invalidation. A hit returns a
+// copy: the entry is overwritten in place by later stores.
+func (m *Matcher) memoMatch(sc *scope, key []uint8) ([]int32, bool) {
 	e := sc.memo.Load()
 	if e == nil {
 		m.cacheMisses.Add(1)
@@ -111,7 +112,7 @@ func (m *Matcher) memoMatch(sc *scope, key []uint8) (core.PairSet, bool) {
 		m.cacheInvals.Add(1)
 	default:
 		m.cacheHits.Add(1)
-		return pairSetOfKeys(e.match), true
+		return slices.Clone(e.match), true
 	}
 	return nil, false
 }
@@ -119,11 +120,11 @@ func (m *Matcher) memoMatch(sc *scope, key []uint8) (core.PairSet, bool) {
 // memoStoreMatch records a freshly computed Match verdict, recycling the
 // entry's slice capacity. The message cache is dropped: it was computed
 // for the previous fingerprint.
-func (m *Matcher) memoStoreMatch(sc *scope, key []uint8, out core.PairSet) {
+func (m *Matcher) memoStoreMatch(sc *scope, key []uint8, out []int32) {
 	e := sc.memoEntry()
 	e.mu.Lock()
 	e.states = append(e.states[:0], key...)
-	e.match = appendSortedKeys(e.match[:0], out)
+	e.match = append(e.match[:0], out...)
 	e.valid = true
 	e.msgsValid = false
 	e.mu.Unlock()
@@ -141,39 +142,6 @@ func (m *Matcher) memoStoreMsgs(e *scopeMemo, key []uint8, msgs [][]core.Pair, c
 		e.msgsValid = true
 	}
 	e.mu.Unlock()
-}
-
-// appendSortedKeys appends s's keys to dst in ascending order.
-func appendSortedKeys(dst []core.PairKey, s core.PairSet) []core.PairKey {
-	for k := range s {
-		dst = append(dst, k)
-	}
-	slices.Sort(dst)
-	return dst
-}
-
-// pairSetOfKeys materializes a cached match verdict as a fresh PairSet.
-func pairSetOfKeys(keys []core.PairKey) core.PairSet {
-	out := make(core.PairSet, len(keys))
-	for _, k := range keys {
-		out.AddKey(k)
-	}
-	return out
-}
-
-// baseMatches reports whether base is exactly the cached match verdict —
-// the precondition for reusing a cached MaximalMessages answer (Algorithm
-// 2 probes skip pairs already in base).
-func baseMatches(base core.PairSet, match []core.PairKey) bool {
-	if base.Len() != len(match) {
-		return false
-	}
-	for _, k := range match {
-		if !base.HasKey(k) {
-			return false
-		}
-	}
-	return true
 }
 
 // copyMsgs deep-copies a message list so cached verdicts never alias

@@ -60,11 +60,30 @@ func (m *Matcher) PrepareCover(c *core.Cover) {
 	}
 	ws := m.getWS()
 	defer m.putWS(ws)
+	// Built in the workspace's reused skeleton, then copied out at exact
+	// size: appending into a fresh scope pays a regrowth series per list.
 	m.scopes.Store(core.BuildCoverScopes(c, func(set []core.EntityID) *scope {
-		sc := &scope{}
-		m.buildScope(set, ws, sc)
-		return sc
+		m.buildScope(set, ws, &ws.eph)
+		return &scope{
+			ids:      slices.Clone(ws.eph.ids),
+			pairs:    slices.Clone(ws.eph.pairs),
+			edges:    slices.Clone(ws.eph.edges),
+			boundary: slices.Clone(ws.eph.boundary),
+		}
 	}))
+}
+
+// ScopeIDs implements core.DenseMatcher: the ids of the candidate pairs
+// with both endpoints in the entity set, ascending — the cached skeleton's
+// list (read-only) for a neighborhood of the prepared cover.
+func (m *Matcher) ScopeIDs(entities []core.EntityID) []int32 {
+	if sc := m.scopeFor(entities); sc != nil {
+		return sc.ids
+	}
+	ws := m.getWS()
+	defer m.putWS(ws)
+	m.buildScope(entities, ws, &ws.eph)
+	return slices.Clone(ws.eph.ids)
 }
 
 // scopeFor returns the prepared skeleton for a cover neighborhood, or
@@ -83,9 +102,8 @@ func (m *Matcher) buildScope(entities []core.EntityID, ws *workspace, sc *scope)
 	}
 	ids := sc.ids[:0]
 	for _, e := range entities {
-		for _, id := range m.pairsOf[e] {
-			p := m.pairs[id]
-			if p.A == e && ws.inSet[p.B] { // dedupe: count a pair at its A endpoint
+		for id := m.first[e]; id < m.first[e+1]; id++ {
+			if ws.inSet[m.pairs[id].B] {
 				ids = append(ids, id)
 			}
 		}
@@ -126,6 +144,7 @@ const (
 	stFilled uint8 = 1 << 7
 	stPos    uint8 = 1
 	stNeg    uint8 = 2
+	stBase   uint8 = 4 // MaximalMessagesIDs only: the id is in base
 )
 
 // workspace is the per-call scratch of one Match / MaximalMessages /
@@ -146,6 +165,7 @@ type workspace struct {
 	deg   []int32
 	edges []Edge
 	x     []bool
+	out   []int32 // MatchIDs' output before it is copied out
 
 	eph scope          // ephemeral skeleton for non-cover entity slices
 	mm  maximalScratch // MaximalMessages component bookkeeping
@@ -182,19 +202,18 @@ func newWorkspace(numPairs, numEntities int) *workspace {
 	return ws
 }
 
-// fillState translates the evidence membership of candidate pair id into
-// the dense vector (once per id per call) and returns it.
-func (ws *workspace) fillState(m *Matcher, id int32, pos, neg core.PairSet) uint8 {
+// fillState reads the evidence bits of candidate pair id into the state
+// vector (once per id per call) and returns the state.
+func (ws *workspace) fillState(id int32, pos, neg *core.Evidence) uint8 {
 	v := ws.state[id]
 	if v != 0 {
 		return v
 	}
 	v = stFilled
-	k := m.pairs[id].Key()
-	if pos.HasKey(k) {
+	if pos.HasID(id) {
 		v |= stPos
 	}
-	if neg.HasKey(k) {
+	if neg.HasID(id) {
 		v |= stNeg
 	}
 	ws.state[id] = v
@@ -211,14 +230,13 @@ type localModel struct {
 	eff   []float64
 	edges []Edge // indices refer to positions in free
 	deg   []int32
-	out   core.PairSet
 }
 
 // buildLocal assembles the conditioned submodel from a prebuilt skeleton
-// and the dense evidence view; out is pre-seeded with the in-scope
-// positive evidence (echoed in every Match output).
-func (m *Matcher) buildLocal(sc *scope, pos, neg core.PairSet, ws *workspace) localModel {
-	lm := localModel{out: core.NewPairSet()}
+// and the evidence. It leaves ws.slots mapping every scope position to
+// its free-variable slot, -1 for a position the evidence decides.
+func (m *Matcher) buildLocal(sc *scope, pos, neg *core.Evidence, ws *workspace) localModel {
+	var lm localModel
 	n := len(sc.ids)
 	if cap(ws.slots) < n {
 		ws.slots = make([]int32, n)
@@ -226,15 +244,11 @@ func (m *Matcher) buildLocal(sc *scope, pos, neg core.PairSet, ws *workspace) lo
 	slots := ws.slots[:n]
 	free := ws.free[:0]
 	for pi, id := range sc.ids {
-		v := ws.fillState(m, id, pos, neg)
-		if v == stFilled { // in neither evidence set: free variable
+		if ws.fillState(id, pos, neg) == stFilled { // in neither evidence set: free variable
 			slots[pi] = int32(len(free))
 			free = append(free, id)
-			continue
-		}
-		slots[pi] = -1
-		if v&stNeg == 0 && v&stPos != 0 {
-			lm.out.Add(sc.pairs[pi])
+		} else {
+			slots[pi] = -1
 		}
 	}
 	nf := len(free)
@@ -268,12 +282,12 @@ func (m *Matcher) buildLocal(sc *scope, pos, neg core.PairSet, ws *workspace) lo
 	}
 	for _, be := range sc.boundary {
 		if si := slots[be.pi]; si >= 0 {
-			if ws.fillState(m, be.other, pos, neg)&stPos != 0 {
+			if ws.fillState(be.other, pos, neg)&stPos != 0 {
 				eff[si] += cw * float64(be.count)
 			}
 		}
 	}
-	ws.free, ws.edges = free, edges
+	ws.slots, ws.free, ws.edges = slots, free, edges
 	lm.free, lm.eff, lm.deg, lm.edges = free, eff, deg, edges
 	return lm
 }

@@ -16,7 +16,7 @@ func (m *Matcher) LogScore(s core.PairSet) float64 {
 	defer m.putWS(ws)
 	st := ws.state
 	for k := range s {
-		id, ok := m.idOf[k]
+		id, ok := m.find(k.Pair())
 		if !ok {
 			return nonCandidateLogScore
 		}
@@ -42,7 +42,7 @@ func (m *Matcher) LogScore(s core.PairSet) float64 {
 func (m *Matcher) logScoreNaive(s core.PairSet) float64 {
 	total := 0.0
 	for p := range s.All() {
-		id, ok := m.idOf[p.Key()]
+		id, ok := m.find(p)
 		if !ok {
 			return nonCandidateLogScore
 		}
@@ -64,7 +64,7 @@ const nonCandidateLogScore = -1e12
 // the cheap conditional-probability computation Algorithm 3's Step 7
 // depends on.
 func (m *Matcher) ScoreDelta(p core.Pair, s core.PairSet) float64 {
-	id, ok := m.idOf[p.Key()]
+	id, ok := m.find(p)
 	if !ok {
 		return nonCandidateLogScore
 	}
@@ -81,30 +81,41 @@ func (m *Matcher) ScoreDelta(p core.Pair, s core.PairSet) float64 {
 }
 
 // ScoreSetDelta implements core.DeltaScorer:
-// LogScore(s ∪ add) − LogScore(s) in O(|add|·deg), counting interactions
-// internal to add exactly once. The added-so-far bookkeeping lives in
-// the workspace's dense vector (one bit per candidate pair) instead of a
-// per-call map.
+// LogScore(s ∪ add) − LogScore(s), counting interactions internal to add
+// exactly once. It is ScoreSetDeltaIDs with s translated to dense form
+// first.
 func (m *Matcher) ScoreSetDelta(add []core.Pair, s core.PairSet) float64 {
-	ws := m.getWS()
-	defer m.putWS(ws)
-	st := ws.state
-	total := 0.0
+	ids := make([]int32, 0, len(add))
 	for _, p := range add {
 		if s.Has(p) {
 			// Already in s (candidate or not): s ∪ add is unchanged by p.
 			continue
 		}
-		id, ok := m.idOf[p.Key()]
+		id, ok := m.find(p)
 		if !ok {
 			return nonCandidateLogScore
 		}
+		ids = append(ids, id)
+	}
+	return m.ScoreSetDeltaIDs(ids, core.EvidenceOf(m.pairs, s))
+}
+
+// ScoreSetDeltaIDs implements core.DenseProbabilistic: the score delta in
+// O(|add|·deg) for candidate ids s does not hold. The added-so-far
+// bookkeeping lives in the workspace's dense vector (one bit per
+// candidate pair) instead of a per-call map.
+func (m *Matcher) ScoreSetDeltaIDs(add []int32, s *core.Evidence) float64 {
+	ws := m.getWS()
+	defer m.putWS(ws)
+	st := ws.state
+	total := 0.0
+	for _, id := range add {
 		if st[id]&stPos != 0 {
 			continue
 		}
 		total += m.unary[id] + m.w.TieEps
 		for _, e := range m.adj[id] {
-			if st[e.other]&stPos != 0 || s.HasKey(m.pairs[e.other].Key()) {
+			if st[e.other]&stPos != 0 || s.HasID(e.other) {
 				total += m.w.Coauthor * float64(e.count)
 			}
 		}
@@ -120,7 +131,7 @@ func (m *Matcher) ScoreSetDelta(add []core.Pair, s core.PairSet) float64 {
 // non-negative under total support. This prunes the probe set from k² to
 // the structurally relevant pairs without changing any output.
 func (m *Matcher) Probeable(p core.Pair) bool {
-	id, ok := m.idOf[p.Key()]
+	id, ok := m.find(p)
 	if !ok {
 		return false
 	}
@@ -138,7 +149,7 @@ func (m *Matcher) Probeable(p core.Pair) bool {
 // matched when its conditional score gain, with every other pair clamped
 // to its membership in given, is non-negative.
 func (m *Matcher) DecideGiven(p core.Pair, given core.PairSet) bool {
-	id, ok := m.idOf[p.Key()]
+	id, ok := m.find(p)
 	if !ok {
 		return false
 	}

@@ -419,7 +419,7 @@ func (c *coordinator) runRound(ctx context.Context) error {
 			return fmt.Errorf("net: partition %d round %d: job %d evaluates neighborhood %d, want %d",
 				p, round, cursor[p]-1, wj.ID, id)
 		}
-		jobs[i] = core.JobFromWire(wj)
+		jobs[i] = c.plan.JobFromWire(wj)
 	}
 	if err := d.FinishRound(jobs); err != nil {
 		return err

@@ -41,9 +41,12 @@ func ServeConn(ctx context.Context, cfg core.Config, scheme string, rw io.ReadWr
 	}
 	opts.logf("worker %d: handshake complete (%s, %d neighborhoods)", worker, scheme, cfg.Cover.Len())
 
-	var replica core.PairSet
+	// The replica is evidence in the plan's own form (plan.NewEvidence):
+	// a bitset over the candidate ids the worker's matcher grounded, the
+	// same ids as the coordinator's since both ground the same model.
+	var replica *core.Evidence
 	if plan.Exchange {
-		replica = core.NewPairSet()
+		replica = plan.NewEvidence()
 	}
 	// pending holds the encoded batch of each partition until the
 	// coordinator acks it — the resend cache a re-assignment to this
@@ -75,7 +78,7 @@ func ServeConn(ctx context.Context, cfg core.Config, scheme string, rw io.ReadWr
 				worker, a.Round, a.Part, len(a.IDs), len(a.Keys))
 			if plan.Exchange {
 				if a.FromRound == 0 && replica.Len() > 0 {
-					replica = core.NewPairSet() // full-sync resets the replica
+					replica = plan.NewEvidence() // full-sync resets the replica
 				}
 				for _, k := range a.Keys {
 					replica.AddKey(core.PairKey(k))
@@ -156,7 +159,7 @@ func fingerprintMismatch(a, b *wire.Hello) error {
 // evaluateAssign runs one partition assignment against the replica and
 // returns the encoded epoch-tagged batch. A heartbeat goroutine keeps
 // the coordinator's deadline at bay while the evaluation runs.
-func evaluateAssign(ctx context.Context, conn *Conn, plan *core.RoundPlan, replica core.PairSet,
+func evaluateAssign(ctx context.Context, conn *Conn, plan *core.RoundPlan, replica *core.Evidence,
 	a *wire.Assign, worker int, heartbeat time.Duration, format wire.Format) ([]byte, error) {
 	stop := make(chan struct{})
 	if heartbeat > 0 {
@@ -186,7 +189,7 @@ func evaluateAssign(ctx context.Context, conn *Conn, plan *core.RoundPlan, repli
 			return nil, err
 		}
 		j := plan.Evaluate(id, replica, a.AllowSkip)
-		batch.Jobs[i] = core.JobToWire(&j)
+		batch.Jobs[i] = plan.JobToWire(&j)
 	}
 	return batch.Marshal(format)
 }

@@ -26,10 +26,11 @@ func (m *Matcher) PrepareCover(c *core.Cover) {
 	}
 	ws := m.wsPool.Get().(*workspace)
 	defer m.wsPool.Put(ws)
+	// Built in the workspace's reused skeleton, then copied out at exact
+	// size: appending into a fresh scope pays a regrowth series per list.
 	m.scopes.Store(core.BuildCoverScopes(c, func(set []core.EntityID) *scope {
-		sc := &scope{}
-		m.buildScope(set, ws, sc)
-		return sc
+		m.buildScope(set, ws, &ws.eph)
+		return &scope{ids: slices.Clone(ws.eph.ids), pairs: slices.Clone(ws.eph.pairs)}
 	}))
 }
 
@@ -67,6 +68,22 @@ func (m *Matcher) scopeOf(entities []core.EntityID, ws *workspace) *scope {
 	}
 	m.buildScope(entities, ws, &ws.eph)
 	return &ws.eph
+}
+
+// CandidateTable implements core.DenseMatcher: the id → pair table, in
+// (A, B) order by construction.
+func (m *Matcher) CandidateTable() []core.Pair { return m.pairs }
+
+// ScopeIDs implements core.DenseMatcher: the ids of Candidates(entities),
+// the cached list (read-only) for a neighborhood of the prepared cover.
+func (m *Matcher) ScopeIDs(entities []core.EntityID) []int32 {
+	if sc := m.scopes.Load().Lookup(entities); sc != nil {
+		return sc.ids
+	}
+	ws := m.wsPool.Get().(*workspace)
+	defer m.wsPool.Put(ws)
+	m.buildScope(entities, ws, &ws.eph)
+	return slices.Clone(ws.eph.ids)
 }
 
 // Candidates implements core.Matcher. For neighborhoods of a prepared
@@ -107,47 +124,50 @@ func newWorkspace(numPairs, numEntities int) *workspace {
 	return &workspace{state: make([]uint8, numPairs), inSet: make([]bool, numEntities)}
 }
 
-// read returns candidate id's state, translating its evidence membership
+// read returns candidate id's state, reading its seed and evidence bits
 // into the dense vector on first sight in this call.
-func (ws *workspace) read(m *Matcher, id int32, pos, neg core.PairSet) uint8 {
+func (ws *workspace) read(m *Matcher, id int32, pos, neg *core.Evidence) uint8 {
 	v := ws.state[id]
 	if v != 0 {
 		return v
 	}
 	v = stFilled | uint8(m.seed[id])
-	if len(pos) > 0 || len(neg) > 0 {
-		k := m.pairs[id].Key()
-		if pos.HasKey(k) {
-			v |= stPos
-		}
-		if neg.HasKey(k) {
-			v |= stNeg
-		}
+	if pos.HasID(id) {
+		v |= stPos
+	}
+	if neg.HasID(id) {
+		v |= stNeg
 	}
 	ws.state[id] = v
 	ws.touched = append(ws.touched, id)
 	return v
 }
 
-// Match implements core.Matcher: the least fixpoint of the rules over the
-// in-scope candidates. A candidate is equals when the positive evidence
-// or its seed says so, or once a rule derived it; equals pairs support
-// rules wherever they lie, in or out of scope. Negative evidence and
-// distinct seeds keep a pair out of derivation and output, whatever else
-// holds of it. The output is the in-scope equals candidates not so
-// suppressed. Nothing is copied: evidence is read through, once per
-// touched candidate, and the returned set is the only allocation.
+// Match implements core.Matcher; the evaluator itself is MatchIDs.
 func (m *Matcher) Match(entities []core.EntityID, pos, neg core.PairSet) core.PairSet {
+	return core.MatchByIDs(m, entities, pos, neg)
+}
+
+// MatchIDs implements core.DenseMatcher and is the evaluator Match wraps:
+// the least fixpoint of the rules over the in-scope candidates. A
+// candidate is equals when the positive evidence or its seed says so, or
+// once a rule derived it; equals pairs support rules wherever they lie, in
+// or out of scope. Negative evidence and distinct seeds keep a pair out of
+// derivation and output, whatever else holds of it. The output is the
+// ascending ids of the in-scope equals candidates not so suppressed.
+// Nothing is copied: evidence is read through, one bit test per touched
+// candidate, and the returned list is the only allocation.
+func (m *Matcher) MatchIDs(entities []core.EntityID, pos, neg *core.Evidence) []int32 {
 	m.ground()
 	ws := m.wsPool.Get().(*workspace)
 	sc := m.scopeOf(entities, ws)
-	out := core.NewPairSet()
 	open := ws.open[:0]
-	for pi, id := range sc.ids {
+	matched := 0
+	for _, id := range sc.ids {
 		switch v := ws.read(m, id, pos, neg); {
 		case v&stNeg != 0:
 		case v&stPos != 0:
-			out.Add(sc.pairs[pi])
+			matched++
 		case m.want[id] != never:
 			open = append(open, id)
 		}
@@ -164,10 +184,18 @@ func (m *Matcher) Match(entities []core.EntityID, pos, neg core.PairSet) core.Pa
 				continue
 			}
 			ws.state[id] |= stPos
-			out.Add(m.pairs[id])
+			matched++
 			derived = true
 		}
 		open = rest
+	}
+	// Derivation order is not id order; the state vector is, so the output
+	// is one more sweep of the scope.
+	out := make([]int32, 0, matched)
+	for _, id := range sc.ids {
+		if v := ws.state[id]; v&stNeg == 0 && v&stPos != 0 {
+			out = append(out, id)
+		}
 	}
 	ws.open = open[:0]
 	for _, id := range ws.touched {
@@ -181,7 +209,7 @@ func (m *Matcher) Match(entities []core.EntityID, pos, neg core.PairSet) core.Pa
 // fires reports whether candidate id has the support its rule wants:
 // "count the supports that are equals, stop at k". A support outside the
 // scope is read with no negative evidence — only its equals bit matters.
-func (m *Matcher) fires(id int32, pos core.PairSet, ws *workspace) bool {
+func (m *Matcher) fires(id int32, pos *core.Evidence, ws *workspace) bool {
 	k := m.want[id]
 	if k == 0 {
 		return true

@@ -164,7 +164,10 @@ type Matcher struct {
 
 // New grounds the program for a dataset over candidate pairs, in time
 // linear in the candidates when they arrive in (A, B) order, as blocking
-// emits them; any other order is sorted first.
+// emits them; any other order is sorted first. Either way candidate ids
+// are positions in (A, B) order — packed-key order — which is the
+// invariant CandidateTable publishes to the engine (core.DenseMatcher):
+// ascending ids are ascending keys.
 func New(d *bib.Dataset, cands []Candidate, rs []Rule) (*Matcher, error) {
 	if err := Validate(rs); err != nil {
 		return nil, err
@@ -219,6 +222,6 @@ func New(d *bib.Dataset, cands []Candidate, rs []Rule) (*Matcher, error) {
 func (m *Matcher) NumPairs() int { return len(m.pairs) }
 
 var (
-	_ core.Matcher       = (*Matcher)(nil)
-	_ core.ScopePreparer = (*Matcher)(nil)
+	_ core.Matcher      = (*Matcher)(nil)
+	_ core.DenseMatcher = (*Matcher)(nil)
 )

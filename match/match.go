@@ -43,6 +43,30 @@ type Cover = core.Cover
 // entity slices outside the prepared cover.
 type ScopePreparer = core.ScopePreparer
 
+// DenseMatcher is the optional, output-neutral matcher extension that
+// publishes the matcher's candidate numbering (CandidateTable: every match
+// variable, in strictly ascending PairKey order) so the engine can carry
+// evidence as a bitset over those ids and exchange match sets as id
+// lists instead of hashing pairs. Both built-in matchers implement it; a
+// matcher without it runs through the same engine on PairSets.
+type DenseMatcher = core.DenseMatcher
+
+// DenseProbabilistic is DenseMatcher for a Type-II matcher: the id forms
+// of the two operations MMP adds.
+type DenseProbabilistic = core.DenseProbabilistic
+
+// Evidence is a set of pairs in the engine's dense form: one bit per id
+// of a DenseMatcher's candidate table plus an overflow PairSet for pairs
+// outside it. A DenseMatcher reads it with HasID.
+type Evidence = core.Evidence
+
+// MatchByIDs is the PairSet-form Match of a DenseMatcher, by way of its
+// MatchIDs: implement Match as `return match.MatchByIDs(m, entities, pos,
+// neg)` and keep one inference core.
+func MatchByIDs(m DenseMatcher, entities []EntityID, pos, neg PairSet) PairSet {
+	return core.MatchByIDs(m, entities, pos, neg)
+}
+
 // Matcher is the Type-I black-box abstraction (Definition 1): a
 // deterministic function E(E, V+, V−) from an entity subset and
 // positive/negative evidence to a set of matches. Implementations must

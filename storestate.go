@@ -174,10 +174,10 @@ func (p *Pipeline) Reopen(ctx context.Context, records []Record, s match.Store) 
 	// messages verbatim, no matcher involvement.
 	rawRes := &core.Result{Scheme: ck.Scheme, Matches: core.NewPairSet()}
 	rawRes.Stats.Neighborhoods = cover.Len()
-	n := core.EntityID(cover.NumEntities)
+	n := cover.NumEntities
 	for _, k := range ck.Delta {
 		pr := core.PairKey(k).Pair()
-		if !pr.Valid() || pr.B >= n {
+		if !pr.ValidOver(n) {
 			return nil, 0, fmt.Errorf("cem: state snapshot evidence pair %v invalid over %d entities", pr, n)
 		}
 		rawRes.Matches.AddKey(core.PairKey(k))

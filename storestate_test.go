@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	cem "repro"
+	"repro/internal/wire"
 	"repro/match"
 )
 
@@ -240,6 +242,33 @@ func TestStoreStateReopenValidation(t *testing.T) {
 	}
 	if _, _, err := rulesPipe.Reopen(ctx, records, s); err == nil {
 		t.Fatal("Reopen accepted a snapshot saved by a different matcher")
+	}
+
+	// A snapshot whose evidence holds a key that unpacks to a negative
+	// entity id — (-2147483648, 2) passes "A < B" and "B < n" — is
+	// refused: nothing downstream may ever see such a pair.
+	blob, err := s.OpenBlob(match.KindSnapshot, "latest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := wire.UnmarshalCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Delta = nil
+	forged, err := ck.Marshal(wire.JSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(forged, []byte(`"delta":null`)) {
+		t.Fatalf("snapshot JSON changed shape: %s", forged)
+	}
+	forged = bytes.Replace(forged, []byte(`"delta":null`), []byte(fmt.Sprintf(`"delta":[%d]`, uint64(1<<63|2))), 1)
+	if err := s.SaveBlob(match.KindSnapshot, "latest", forged); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := pipe.Reopen(ctx, records, s); err == nil {
+		t.Fatal("Reopen accepted evidence with a negative entity id")
 	}
 }
 
