@@ -161,13 +161,15 @@ bench-pair:
 # scoring, the engine's evidence bitset against a plain pair set,
 # the ground-once rules engine against the evaluator it replaced,
 # the wire codec round trip, the name kernels against their
-# retained references (and NameLevel's symmetry, which the blocking stage's
-# level cache relies on), and blocking — sharded vs serial canopies,
+# retained references (both Jaro loops; and NameLevel's symmetry, which the
+# dataset's level cache relies on), that cache's open-addressed table
+# against a plain map, and blocking — sharded vs serial canopies,
 # incremental vs scratch covers, index blob loading (the nightly CI job
 # runs every Fuzz* target, found by name, for longer).
 fuzz:
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzJaroMatchesReference$$' -fuzztime 10s ./internal/similarity/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzNameLevelSymmetric$$' -fuzztime 10s ./internal/similarity/
+	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzLevelCacheModel$$' -fuzztime 10s ./internal/bib/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz FuzzDenseLogScore -fuzztime 10s ./internal/mln/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzEvidenceModel$$' -fuzztime 10s ./internal/core/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzDenseMatchesOld$$' -fuzztime 10s ./internal/rules/

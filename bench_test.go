@@ -10,6 +10,7 @@ package cem_test
 
 import (
 	"context"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -113,9 +114,9 @@ func BenchmarkFullRulesDblp(b *testing.B) {
 // total cover → candidate pairs → grounded matchers: everything
 // PipelineResult.BlockingTime spans) through the public pipeline
 // configuration.
-func benchBlocking(b *testing.B, kind cem.DatasetKind, shards int) {
+func benchBlocking(b *testing.B, kind cem.DatasetKind, scale float64, shards int) {
 	b.Helper()
-	records, err := cem.GenerateRecords(kind, 0.25, 42)
+	records, err := cem.GenerateRecords(kind, scale, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -142,20 +143,29 @@ func benchBlocking(b *testing.B, kind cem.DatasetKind, shards int) {
 	b.ReportMetric(float64(blocking.Nanoseconds())/float64(b.N), "blocking-ns/op")
 }
 
-func BenchmarkBlockingSerialHepth(b *testing.B)  { benchBlocking(b, cem.HEPTH, 1) }
-func BenchmarkBlockingShardedHepth(b *testing.B) { benchBlocking(b, cem.HEPTH, runtime.NumCPU()) }
-func BenchmarkBlockingSerialDblp(b *testing.B)   { benchBlocking(b, cem.DBLP, 1) }
-func BenchmarkBlockingShardedDblp(b *testing.B)  { benchBlocking(b, cem.DBLP, runtime.NumCPU()) }
+func BenchmarkBlockingSerialHepth(b *testing.B) { benchBlocking(b, cem.HEPTH, 0.25, 1) }
+func BenchmarkBlockingShardedHepth(b *testing.B) {
+	benchBlocking(b, cem.HEPTH, 0.25, runtime.NumCPU())
+}
+func BenchmarkBlockingSerialDblp(b *testing.B) { benchBlocking(b, cem.DBLP, 0.25, 1) }
+func BenchmarkBlockingShardedDblp(b *testing.B) {
+	benchBlocking(b, cem.DBLP, 0.25, runtime.NumCPU())
+}
+
+// The people corpus at the people-cold benchmark workload's scale: composite
+// typed-field keys of 30-45 bytes, where name similarity is the long-input
+// Jaro kernel rather than the short-name one.
+func BenchmarkBlockingSerialPeople(b *testing.B) { benchBlocking(b, cem.People, 0.7, 1) }
 
 // benchPipeline measures the full records→matches→metrics path.
-func benchPipeline(b *testing.B, kind cem.DatasetKind, scheme cem.Scheme) {
+func benchPipeline(b *testing.B, kind cem.DatasetKind, scale float64, matcher string, scheme cem.Scheme) {
 	b.Helper()
-	records, err := cem.GenerateRecords(kind, 0.25, 42)
+	records, err := cem.GenerateRecords(kind, scale, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
 	pipe, err := cem.NewPipeline(
-		cem.WithMatcher(cem.MatcherMLN),
+		cem.WithMatcher(matcher),
 		cem.WithScheme(scheme),
 		cem.WithShards(runtime.NumCPU()),
 		cem.WithRunnerOptions(cem.WithParallelism(runtime.NumCPU())),
@@ -172,9 +182,23 @@ func benchPipeline(b *testing.B, kind cem.DatasetKind, scheme cem.Scheme) {
 	}
 }
 
-func BenchmarkPipelineSMPHepth(b *testing.B) { benchPipeline(b, cem.HEPTH, cem.SchemeSMP) }
-func BenchmarkPipelineSMPDblp(b *testing.B)  { benchPipeline(b, cem.DBLP, cem.SchemeSMP) }
-func BenchmarkPipelineMMPDblp(b *testing.B)  { benchPipeline(b, cem.DBLP, cem.SchemeMMP) }
+func BenchmarkPipelineSMPHepth(b *testing.B) {
+	benchPipeline(b, cem.HEPTH, 0.25, cem.MatcherMLN, cem.SchemeSMP)
+}
+func BenchmarkPipelineSMPDblp(b *testing.B) {
+	benchPipeline(b, cem.DBLP, 0.25, cem.MatcherMLN, cem.SchemeSMP)
+}
+func BenchmarkPipelineMMPDblp(b *testing.B) {
+	benchPipeline(b, cem.DBLP, 0.25, cem.MatcherMLN, cem.SchemeMMP)
+}
+
+// BenchmarkPipelinePeopleRules is the people-cold benchmark workload's
+// operation — a cold Pipeline.Run of the compiled people.rules program —
+// as a testing.B, so `-cpuprofile` shows what that workload measures.
+func BenchmarkPipelinePeopleRules(b *testing.B) {
+	program := loadProgram(b, filepath.Join("testdata", "rules", "people.rules"))
+	benchPipeline(b, cem.People, 0.7, program, cem.SchemeSMP)
+}
 
 // BenchmarkSetup measures cover construction plus matcher grounding.
 func BenchmarkSetup(b *testing.B) {

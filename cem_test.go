@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/bib"
+	"repro/internal/canopy"
 	"repro/internal/core"
 	"repro/internal/eval"
 )
@@ -294,4 +296,56 @@ func TestEvaluateAgainst(t *testing.T) {
 	if rep.Completeness <= 0 {
 		t.Errorf("bogus completeness %v", rep.Completeness)
 	}
+}
+
+// TestSetupScoresEachNamePairOnce: a cold New — cover construction, then
+// candidate enumeration — costs one NameLevel evaluation per distinct
+// unordered pair of name classes either stage asks about, because both read
+// the dataset's one name table. Run apart, each on its own freshly built
+// dataset, the two stages score every pair of the canopies twice over; that
+// sum is what a table per stage cost.
+func TestSetupScoresEachNamePairOnce(t *testing.T) {
+	fresh := func() *bib.Dataset { return NewDataset(People, 0.25, 42) }
+	d := fresh()
+	exp, err := New(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := d.Names()
+	once := names.Scored()
+
+	// Every pair candidate enumeration needs — two distinct classes sharing
+	// a neighborhood — is in the table New left behind, so asking for all of
+	// them again scores nothing.
+	needed := map[[2]int32]bool{}
+	for _, set := range exp.Cover.Sets {
+		for i, a := range set {
+			for _, b := range set[i+1:] {
+				if x, y := names.Class(a), names.Class(b); x != y {
+					needed[[2]int32{min(x, y), max(x, y)}] = true
+					names.Level(x, y)
+				}
+			}
+		}
+	}
+	if len(needed) == 0 || once < len(needed) {
+		t.Fatalf("New scored %d class pairs, its neighborhoods hold %d distinct ones", once, len(needed))
+	}
+	if again := names.Scored(); again != once {
+		t.Errorf("%d class pairs of the cover were not scored by New", again-once)
+	}
+
+	coverOnly := fresh()
+	cover := canopy.BuildCover(coverOnly, DefaultOptions().Canopy)
+	candidatesOnly := fresh()
+	canopy.CandidatePairs(candidatesOnly, cover)
+	apart := coverOnly.Names().Scored() + candidatesOnly.Names().Scored()
+	if candidatesOnly.Names().Scored() != len(needed) {
+		t.Errorf("candidate enumeration alone scored %d pairs, the cover holds %d", candidatesOnly.Names().Scored(), len(needed))
+	}
+	if once >= apart || once > coverOnly.Names().Scored()+len(needed) {
+		t.Errorf("New scored %d class pairs; cover construction alone scores %d and candidate enumeration alone %d",
+			once, coverOnly.Names().Scored(), candidatesOnly.Names().Scored())
+	}
+	t.Logf("class pairs scored: %d by New, %d + %d by the two stages apart", once, coverOnly.Names().Scored(), candidatesOnly.Names().Scored())
 }

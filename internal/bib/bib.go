@@ -47,7 +47,9 @@ type Dataset struct {
 	Refs   []Reference
 	Papers []Paper
 
-	coauthor *graph.Graph // lazily built Coauthor relation over references
+	// Derived state, built on first use and dropped by InvalidateCoauthor.
+	coauthor *graph.Graph // the Coauthor relation over references
+	names    *NameTable   // the references quotiented by parsed name
 }
 
 // NumRefs returns the number of author-reference entities.
@@ -69,6 +71,14 @@ func (d *Dataset) NumAuthors() int {
 // undirected graph over references: two references are coauthors when
 // they appear on the same paper. This is the self-join of Authored that
 // Example 1 describes.
+//
+// Coauthor and Names build lazily and without synchronization: the first
+// call of either must not race with any other use of the dataset. The
+// blocking stage makes both first calls on the goroutine that runs it,
+// before the round engine fans the dataset out to its workers, and
+// concurrent Pipeline.Update forks each synthesize their own Dataset. Once
+// built the graph is read-only and safe to share; the name table is not
+// (see Names).
 func (d *Dataset) Coauthor() *graph.Graph {
 	if d.coauthor != nil {
 		return d.coauthor
@@ -86,9 +96,28 @@ func (d *Dataset) Coauthor() *graph.Graph {
 	return d.coauthor
 }
 
-// InvalidateCoauthor drops the cached Coauthor graph; call after mutating
-// Papers or Refs.
-func (d *Dataset) InvalidateCoauthor() { d.coauthor = nil }
+// Names returns (building on first use) the dataset's name table: every
+// reference parsed once, references of one parsed name sharing a class, and
+// the NameLevel of two classes scored once however many stages of a run ask
+// for it — cover construction and candidate enumeration read the same
+// table, so the second finds the pairs of the first already scored. It is a
+// quotient of Refs the way Coauthor is a self-join of Authored.
+//
+// A table that no longer has one entry per reference (Refs grew or shrank
+// since it was built) is rebuilt; after renaming a reference in place, call
+// InvalidateCoauthor. Lookups fill the table's level cache, so unlike the
+// Coauthor graph it stays single-goroutine after it is built: the blocking
+// stage, its only reader, is serial wherever it compares names.
+func (d *Dataset) Names() *NameTable {
+	if d.names == nil || len(d.names.class) != len(d.Refs) {
+		d.names = newNameTable(d.Refs)
+	}
+	return d.names
+}
+
+// InvalidateCoauthor drops every cached derivation of the dataset — the
+// Coauthor graph and the name table; call after mutating Papers or Refs.
+func (d *Dataset) InvalidateCoauthor() { d.coauthor, d.names = nil, nil }
 
 // TruePairs returns the ground-truth match set: every unordered pair of
 // references with the same true author. References with an unknown label

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/similarity"
 )
 
 // tiny returns a 3-paper, 6-reference dataset:
@@ -60,9 +62,27 @@ func TestCoauthor(t *testing.T) {
 	if d.Coauthor() != g {
 		t.Error("Coauthor graph must be cached")
 	}
+	names := d.Names()
+	if got := names.RefLevel(0, 2); got == similarity.LevelNone {
+		t.Fatalf("A. Smith / Alice Smith at level %d, want similar", got)
+	}
+	// Renamed in place: the cached table cannot tell, the invalidation must.
+	d.Refs[2].Name = "Zelda Quux"
+	if d.Names() != names {
+		t.Error("name table must be cached")
+	}
 	d.InvalidateCoauthor()
 	if d.Coauthor() == g {
 		t.Error("InvalidateCoauthor must drop the cache")
+	}
+	if d.Names() == names {
+		t.Error("InvalidateCoauthor must drop the name table with the graph")
+	}
+	if got := d.Names().RefLevel(0, 2); got != similarity.LevelNone {
+		t.Errorf("A. Smith / Zelda Quux at level %d after invalidation, want none", got)
+	}
+	if got, want := d.Names().Normalized(2), "zelda quux"; got != want {
+		t.Errorf("Normalized(2) = %q after invalidation, want %q", got, want)
 	}
 }
 

@@ -9,9 +9,12 @@
 //
 // Wherever blocking needs the discretized name similarity — the pairs that
 // drive aligned expansion, the candidate pairs handed to the matchers — it
-// asks a nameTable (names.go): references are grouped by parsed name, the
-// level is evaluated once per pair of distinct names, and reference pairs
-// are only walked under name pairs that are similar.
+// asks the dataset's name table (bib.Dataset.Names): references are grouped
+// by parsed name, the level is evaluated once per pair of distinct names per
+// dataset — BuildCover, Index.Add and CandidatePairs all read the one table,
+// so what cover construction scored candidate enumeration finds scored — and
+// reference pairs are only walked under name pairs that are similar
+// (classGroups, names.go).
 package canopy
 
 import (
@@ -272,21 +275,38 @@ const batchPerShard = 32
 // memory is O(shards·n) on top of the gram table; on very large corpora,
 // bound shards accordingly rather than defaulting to one per core.
 func CanopiesContext(ctx context.Context, names []string, cfg Config, shards int) ([][]core.EntityID, error) {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	n := len(names)
-	if max := (n + batchPerShard - 1) / batchPerShard; shards > max && max > 0 {
-		shards = max
-	}
-	norm := make([]string, n)
-	if err := eachShard(ctx, n, shards, func(lo, hi int) {
+	shards = scoringShards(shards, len(names))
+	norm := make([]string, len(names))
+	if err := eachShard(ctx, len(names), shards, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			norm[i] = normalize(names[i])
 		}
 	}); err != nil {
 		return nil, err
 	}
+	return canopiesOfNormalized(ctx, norm, cfg, shards)
+}
+
+// scoringShards resolves a shard count: GOMAXPROCS when unset, and never
+// more workers than there are seed batches to score.
+func scoringShards(shards, n int) int {
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	if max := (n + batchPerShard - 1) / batchPerShard; shards > max && max > 0 {
+		shards = max
+	}
+	return shards
+}
+
+// canopiesOfNormalized is CanopiesContext over names already in normalized
+// form, which BuildCoverContext reads off the dataset's name table instead
+// of parsing every reference again. shards is a scoringShards result.
+func canopiesOfNormalized(ctx context.Context, norm []string, cfg Config, shards int) ([][]core.EntityID, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	n := len(norm)
 	tab := newGramTable(cfg.Q)
 	for _, s := range norm {
 		tab.insert(s)
@@ -517,8 +537,8 @@ func AlignedExpand(d *bib.Dataset, sets [][]core.EntityID, maxAligned int) [][]c
 // the canopy pair source is append-stable under ingestion by
 // construction. pairSets[i] must be a subset of sets[i].
 //
-// Both similarity tests go through one nameTable: the driving pairs of a
-// pair set are the member products of its similar name classes
+// Both similarity tests go through the dataset's name table: the driving
+// pairs of a pair set are the member products of its similar name classes
 // (classGroups.similarPairs), and an aligned (c1, c2) is tested by the level
 // of its two classes. The level depends on the parsed names alone, so this
 // visits exactly the pairs a scan of every reference pair would keep; the
@@ -530,7 +550,7 @@ func alignedExpandInto(d *bib.Dataset, pairSets, sets [][]core.EntityID, maxAlig
 		return sets
 	}
 	rel := d.Coauthor()
-	names := newNameTable(d)
+	names := d.Names()
 	groups := newClassGroups(names)
 	out := make([][]core.EntityID, len(sets))
 	member := make([]int32, d.NumRefs()) // member[e] == si+1: e is in out[si]
@@ -567,7 +587,7 @@ func alignedExpandInto(d *bib.Dataset, pairSets, sets [][]core.EntityID, maxAlig
 				if taken >= maxAligned {
 					break
 				}
-				if names.refLevel(q.c1, q.c2) == similarity.LevelNone {
+				if names.RefLevel(q.c1, q.c2) == similarity.LevelNone {
 					continue
 				}
 				add(q.c1)
@@ -623,27 +643,25 @@ func BuildCover(d *bib.Dataset, cfg Config) *core.Cover {
 // byte-identical for every shard count; a canceled context aborts with
 // ctx.Err().
 func BuildCoverContext(ctx context.Context, d *bib.Dataset, cfg Config, shards int) (*core.Cover, error) {
-	canopies, err := CanopiesContext(ctx, refNames(d), cfg, shards)
+	names := d.Names()
+	norm := make([]string, d.NumRefs())
+	for i := range norm {
+		norm[i] = names.Normalized(bib.RefID(i))
+	}
+	canopies, err := canopiesOfNormalized(ctx, norm, cfg, scoringShards(shards, len(norm)))
 	if err != nil {
 		return nil, err
 	}
 	return finishCover(ctx, d, cfg, canopies)
 }
 
-// refNames lists the references' surface strings by reference id.
-func refNames(d *bib.Dataset) []string {
-	names := make([]string, d.NumRefs())
-	for i := range d.Refs {
-		names[i] = d.Refs[i].Name
-	}
-	return names
-}
-
 // finishCover turns canopies into the total cover, batch or incremental.
 // Set membership in all three steps is a stamp array over entity ids, and
-// name similarity one nameTable built by alignedExpandInto, so the cost is
-// the cover's size plus the similar pairs' coauthor products — no per-set or
-// per-pair hash map.
+// name similarity the dataset's name table (d.Names(), which the caller's
+// canopy step has usually built already and CandidatePairs reads next), so
+// the cost is the cover's size, the similar pairs' coauthor products and one
+// NameLevel per class pair not scored before — no per-set or per-pair hash
+// map.
 func finishCover(ctx context.Context, d *bib.Dataset, cfg Config, canopies [][]core.EntityID) (*core.Cover, error) {
 	var sets [][]core.EntityID
 	if cfg.FullBoundary {
@@ -690,8 +708,13 @@ type SimilarPair struct {
 // reference pairs, 47 k name pairs, 14.6 k of them distinct, 9.3 k
 // candidates). Only emitted pairs are deduplicated: overlapping
 // neighborhoods emit a pair once each, into the list of its lower endpoint.
+//
+// The levels come from d.Names(). When d is the dataset the cover was built
+// on, the canopies' class pairs — most of what a neighborhood holds — were
+// scored by BuildCover, and only the pairs that totality patching and
+// aligned expansion brought together are scored here.
 func CandidatePairs(d *bib.Dataset, cover *core.Cover) []SimilarPair {
-	names := newNameTable(d)
+	names := d.Names()
 	groups := newClassGroups(names)
 	// later[a]: every b > a similar to a, once per neighborhood they share.
 	later := make([][]core.EntityID, d.NumRefs())
@@ -703,7 +726,7 @@ func CandidatePairs(d *bib.Dataset, cover *core.Cover) []SimilarPair {
 		slices.Sort(bs)
 		for _, b := range slices.Compact(bs) {
 			p := core.Pair{A: core.EntityID(a), B: b}
-			out = append(out, SimilarPair{Pair: p, Level: names.refLevel(p.A, p.B)})
+			out = append(out, SimilarPair{Pair: p, Level: names.RefLevel(p.A, p.B)})
 		}
 	}
 	return out

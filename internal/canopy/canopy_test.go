@@ -328,3 +328,12 @@ func BenchmarkFinishCoverHEPTH(b *testing.B) {
 		}
 	}
 }
+
+// refNames lists the references' surface strings by reference id.
+func refNames(d *bib.Dataset) []string {
+	names := make([]string, d.NumRefs())
+	for i := range d.Refs {
+		names[i] = d.Refs[i].Name
+	}
+	return names
+}

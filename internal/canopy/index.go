@@ -197,11 +197,12 @@ func (ix *Index) ingest(ctx context.Context, d *bib.Dataset) (*core.Cover, error
 	// table *before* probing makes the record its own candidate (Jaccard
 	// 1 ≥ Loose), exactly as the batch scorer's self-probe does, and lets
 	// later records of the same batch see earlier ones.
+	names := d.Names()
 	for id := ix.n; id < d.NumRefs(); id++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ix.tab.insert(normalize(d.Refs[id].Name))
+		ix.tab.insert(names.Normalized(bib.RefID(id)))
 		own := ix.tab.probe(ix.tab.grams[id], ix.cfg.Loose, &ix.scratch)
 		for _, c := range own {
 			if int(c.ID) != id {

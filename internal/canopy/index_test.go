@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bib"
@@ -88,6 +89,12 @@ func TestIndexAddMatchesBuildCover(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					// Add filled union's name table (ingest reads the normalized
+					// names off it, finishCover the levels); candidates read off
+					// that warm table are the old scan's.
+					if cands, old := CandidatePairs(union, got), candidatePairsOld(union, got); !slices.Equal(cands, old) {
+						t.Fatalf("batch %d: %d candidates after Add, old scan %d, or a pair or level differs", bi, len(cands), len(old))
+					}
 					want := BuildCover(union, DefaultConfig())
 					if !coversEqual(got, want) {
 						t.Fatalf("batch %d: incremental cover differs from scratch rebuild over %d records",
@@ -109,6 +116,11 @@ func TestIndexAddMatchesBuildCover(t *testing.T) {
 				if ix.Len() != len(records) {
 					t.Fatalf("index ingested %d records, want %d", ix.Len(), len(records))
 				}
+				full, err := bib.DatasetFromRecords(preset.Name, ingested)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkWarmAndColdTables(t, full, DefaultConfig())
 			})
 		}
 	}

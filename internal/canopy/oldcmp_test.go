@@ -393,6 +393,45 @@ func nameTableMatchesOldScans(t *testing.T) {
 	}
 }
 
+// freshCopy is d as just built: the same references and papers, none of the
+// derived state (Coauthor graph, name table) d has cached.
+func freshCopy(d *bib.Dataset) *bib.Dataset {
+	return &bib.Dataset{Name: d.Name, Refs: slices.Clone(d.Refs), Papers: slices.Clone(d.Papers)}
+}
+
+// checkWarmAndColdTables: BuildCover then CandidatePairs give the old scans'
+// cover and candidate list — order and levels included — both ways the
+// dataset's name table can meet them: warm, the two calls sharing ONE
+// dataset, so the second is served the pairs the first scored; and cold,
+// each call on its own freshly built equal dataset, scoring from nothing.
+func checkWarmAndColdTables(t *testing.T, d *bib.Dataset, cfg Config) {
+	t.Helper()
+	wantSets := finishCoverOld(d, cfg, canopiesOld(refNames(d), cfg))
+	want := candidatePairsOld(d, core.NewCover(d.NumRefs(), wantSets))
+
+	warm := freshCopy(d)
+	cover := BuildCover(warm, cfg)
+	if !reflect.DeepEqual(cover.Sets, wantSets) {
+		t.Fatal("BuildCover sets differ from the old scans")
+	}
+	if got := CandidatePairs(warm, cover); !slices.Equal(got, want) {
+		t.Fatalf("warm table: %d candidates, old scan %d, or a pair or level differs", len(got), len(want))
+	}
+	scored := warm.Names().Scored()
+	if got := CandidatePairs(warm, cover); !slices.Equal(got, want) || warm.Names().Scored() != scored {
+		t.Fatalf("asked again, the warm table gave %d candidates (old scan %d) and scored %d more pairs",
+			len(got), len(want), warm.Names().Scored()-scored)
+	}
+
+	coldCover := BuildCover(freshCopy(d), cfg)
+	if !reflect.DeepEqual(coldCover.Sets, wantSets) {
+		t.Fatal("BuildCover sets on a second fresh dataset differ from the old scans")
+	}
+	if got := CandidatePairs(freshCopy(d), coldCover); !slices.Equal(got, want) {
+		t.Fatalf("cold table: %d candidates, old scan %d, or a pair or level differs", len(got), len(want))
+	}
+}
+
 // oracleCorpora are the name lists the probe is pinned on: the three
 // generated corpora and a hand-made list of the gram table's edge cases.
 func oracleCorpora(t *testing.T) map[string][]string {
@@ -421,9 +460,13 @@ func oracleCorpora(t *testing.T) map[string][]string {
 // scorer: identical candidate lists with bit-identical similarities, and
 // identical canopies, from the batch path at several shard counts and
 // from the incremental index fed in chunks. Its "names" subtests pin the
-// name table against the all-pairs scans.
+// name table against the all-pairs scans, its "tables" subtests the two ways
+// BuildCover and CandidatePairs can share one.
 func TestRefactorMatchesOldAlgorithm(t *testing.T) {
 	t.Run("names", nameTableMatchesOldScans)
+	for _, d := range oracleDatasets(t) {
+		t.Run("tables/"+d.Name, func(t *testing.T) { checkWarmAndColdTables(t, d, DefaultConfig()) })
+	}
 	ctx := context.Background()
 	for corpus, names := range oracleCorpora(t) {
 		for _, q := range []int{1, 2, 3} {

@@ -38,6 +38,7 @@ type Plan struct {
 	Prog     *Program
 	Rules    []rules.Rule
 	fieldIdx map[string]int
+	text     []bool      // by field position: some predicate reads it normalized
 	levels   []levelPlan // strongest first
 	seeds    []seedPlan
 }
@@ -69,6 +70,9 @@ func (pl *Plan) bind(cond []Pred) []test {
 	out := make([]test, len(cond))
 	for i, pr := range cond {
 		out[i] = test{field: pl.fieldIdx[pr.Field], op: pr.Op, num: pr.Num}
+		if pr.Op != OpAbsDiff {
+			pl.text[out[i].field] = true
+		}
 	}
 	kernel := func(t test) int {
 		if t.op == OpLev || t.op == OpJaro || t.op == OpQGram {
@@ -84,7 +88,7 @@ func (pl *Plan) bind(cond []Pred) []test {
 // are *CompileError values positioned at the offending clause and
 // wrapping a typed sentinel.
 func Compile(p *Program) (*Plan, error) {
-	pl := &Plan{Prog: p, fieldIdx: make(map[string]int, len(p.Fields))}
+	pl := &Plan{Prog: p, fieldIdx: make(map[string]int, len(p.Fields)), text: make([]bool, len(p.Fields))}
 	for i, f := range p.Fields {
 		if _, dup := pl.fieldIdx[f.Name]; dup {
 			return nil, &CompileError{f.Pos, fmt.Errorf("%w: %q declared twice", ErrDuplicateField, f.Name)}
@@ -180,6 +184,27 @@ func fieldNames(fs []FieldDecl) []string {
 	return out
 }
 
+// record is one composite key as the predicates read it: split into fields
+// and, per field some string predicate names, normalized — once, however
+// many candidates and clauses compare the record. absdiff reads the raw
+// payload (normalizing would break "3.5" into "3 5"); every other
+// predicate reads the normalized one.
+type record struct {
+	raw  []string
+	norm []string // norm[i] is set only where the plan's text[i] is
+}
+
+func (pl *Plan) newRecord(key string) record {
+	r := record{raw: similarity.SplitFields(key)}
+	r.norm = make([]string, len(r.raw))
+	for i, f := range r.raw {
+		if i < len(pl.text) && pl.text[i] {
+			r.norm[i] = similarity.NormalizeField(f)
+		}
+	}
+	return r
+}
+
 // fieldVal returns a field of a split composite key; fields past the end
 // of a short key are empty (missing data, never evidence).
 func fieldVal(fields []string, idx int) string {
@@ -189,52 +214,54 @@ func fieldVal(fields []string, idx int) string {
 	return fields[idx]
 }
 
-func (t test) holds(a, b string) bool {
+func (t test) holds(a, b *record) bool {
+	if t.op == OpAbsDiff {
+		d, ok := similarity.AbsDiff(fieldVal(a.raw, t.field), fieldVal(b.raw, t.field))
+		return ok && d <= t.num
+	}
+	x, y := fieldVal(a.norm, t.field), fieldVal(b.norm, t.field)
 	switch t.op {
 	case OpEqual:
-		return similarity.FieldEqual(a, b)
+		return similarity.NormalizedEqual(x, y)
 	case OpDiffer:
-		return similarity.FieldDiffer(a, b)
+		return similarity.NormalizedDiffer(x, y)
 	case OpJaro:
-		return similarity.FieldJaro(a, b) >= t.num
+		return similarity.NormalizedJaro(x, y) >= t.num
 	case OpQGram:
-		return similarity.FieldQGram(a, b) >= t.num
+		return similarity.NormalizedQGram(x, y) >= t.num
 	case OpLev:
-		return similarity.FieldLev(a, b) <= int(t.num)
-	case OpAbsDiff:
-		d, ok := similarity.AbsDiff(a, b)
-		return ok && d <= t.num
+		return similarity.NormalizedLev(x, y) <= int(t.num)
 	}
 	return false
 }
 
-// holds evaluates a bound conjunction over two split composite keys.
-func holds(cond []test, fa, fb []string) bool {
+// holds evaluates a bound conjunction over two records.
+func holds(cond []test, a, b *record) bool {
 	for _, t := range cond {
-		if !t.holds(fieldVal(fa, t.field), fieldVal(fb, t.field)) {
+		if !t.holds(a, b) {
 			return false
 		}
 	}
 	return true
 }
 
-// levelOfFields assigns the highest declared level whose condition holds,
-// or LevelNone when none does.
-func (pl *Plan) levelOfFields(fa, fb []string) similarity.Level {
+// levelOf assigns the highest declared level whose condition holds, or
+// LevelNone when none does.
+func (pl *Plan) levelOf(a, b *record) similarity.Level {
 	for _, lp := range pl.levels {
-		if holds(lp.cond, fa, fb) {
+		if holds(lp.cond, a, b) {
 			return lp.level
 		}
 	}
 	return similarity.LevelNone
 }
 
-// seedOfFields is the ground hard evidence the seed clauses assign: the
-// union of every clause that holds.
-func (pl *Plan) seedOfFields(fa, fb []string) rules.Seed {
+// seedOf is the ground hard evidence the seed clauses assign: the union of
+// every clause that holds.
+func (pl *Plan) seedOf(a, b *record) rules.Seed {
 	var seed rules.Seed
 	for _, sp := range pl.seeds {
-		if seed&sp.seed == 0 && holds(sp.cond, fa, fb) {
+		if seed&sp.seed == 0 && holds(sp.cond, a, b) {
 			seed |= sp.seed
 		}
 	}
@@ -245,7 +272,8 @@ func (pl *Plan) seedOfFields(fa, fb []string) rules.Seed {
 // the program's level clauses. It is only meaningful for programs that
 // declare level clauses; without any it returns LevelNone for everything.
 func (pl *Plan) LevelOf(keyA, keyB string) similarity.Level {
-	return pl.levelOfFields(similarity.SplitFields(keyA), similarity.SplitFields(keyB))
+	a, b := pl.newRecord(keyA), pl.newRecord(keyB)
+	return pl.levelOf(&a, &b)
 }
 
 // Relevels reports whether the plan re-discretizes candidate levels

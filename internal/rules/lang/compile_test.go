@@ -128,16 +128,15 @@ func TestCheapestFirst(t *testing.T) {
 	keys := []string{"ann smith | 94110 | 30", "ann smyth | 94110 | 31", "ann smith | 90210 | 30", "zed quux | 94110 | 55", "ann smith | |"}
 	for _, a := range keys {
 		for _, b := range keys {
-			fa, fb := similarity.SplitFields(a), similarity.SplitFields(b)
+			ra, rb := pl.newRecord(a), pl.newRecord(b)
 			for _, cl := range pl.Prog.Levels {
 				want := true
 				for _, pr := range cl.Cond { // source order, as written
-					idx := pl.fieldIdx[pr.Field]
-					if !(test{idx, pr.Op, pr.Num}).holds(fieldVal(fa, idx), fieldVal(fb, idx)) {
+					if !(test{pl.fieldIdx[pr.Field], pr.Op, pr.Num}).holds(&ra, &rb) {
 						want = false
 					}
 				}
-				if got := pl.levelOfFields(fa, fb) == similarity.Level(cl.Level); got != want {
+				if got := pl.levelOf(&ra, &rb) == similarity.Level(cl.Level); got != want {
 					t.Errorf("level %d on %q / %q: planned %v, source order %v", cl.Level, a, b, got, want)
 				}
 			}

@@ -4,7 +4,6 @@ import (
 	"repro/internal/bib"
 	"repro/internal/core"
 	"repro/internal/rules"
-	"repro/internal/similarity"
 )
 
 // NewMatcher grounds the plan over a dataset and the blocking stage's
@@ -21,27 +20,34 @@ func (pl *Plan) NewMatcher(d *bib.Dataset, cands []rules.Candidate) (*rules.Matc
 	if !pl.Relevels() && !pl.Seeded() {
 		return rules.New(d, cands, pl.Rules)
 	}
-	// SplitFields never returns nil, so nil marks a key not split yet. An
-	// endpoint that is no reference has no fields here; rules.New rejects
-	// its pair.
-	split := make([][]string, d.NumRefs())
-	fieldsOf := func(e core.EntityID) []string {
-		if e < 0 || int(e) >= len(split) {
-			return nil
+	return rules.New(d, pl.ground(d, cands), pl.Rules)
+}
+
+// ground evaluates the level and seed clauses on every candidate. A
+// record's key is split and normalized on its first candidate and read by
+// all the others. An endpoint that is no reference has no fields here;
+// rules.New rejects its pair.
+func (pl *Plan) ground(d *bib.Dataset, cands []rules.Candidate) []rules.Candidate {
+	// SplitFields never returns nil, so a nil raw marks a key not read yet.
+	recs := make([]record, d.NumRefs())
+	var noFields record
+	recordOf := func(e core.EntityID) *record {
+		if e < 0 || int(e) >= len(recs) {
+			return &noFields
 		}
-		if split[e] == nil {
-			split[e] = similarity.SplitFields(d.Refs[e].Name)
+		if recs[e].raw == nil {
+			recs[e] = pl.newRecord(d.Refs[e].Name)
 		}
-		return split[e]
+		return &recs[e]
 	}
 	ground := make([]rules.Candidate, len(cands))
 	for i, c := range cands {
-		fa, fb := fieldsOf(c.Pair.A), fieldsOf(c.Pair.B)
+		a, b := recordOf(c.Pair.A), recordOf(c.Pair.B)
 		if pl.Relevels() {
-			c.Level = pl.levelOfFields(fa, fb)
+			c.Level = pl.levelOf(a, b)
 		}
-		c.Seed |= pl.seedOfFields(fa, fb)
+		c.Seed |= pl.seedOf(a, b)
 		ground[i] = c
 	}
-	return rules.New(d, ground, pl.Rules)
+	return ground
 }

@@ -1,10 +1,14 @@
 package lang
 
 import (
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/bib"
+	"repro/internal/canopy"
 	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/rules"
 	"repro/internal/similarity"
 )
@@ -176,6 +180,101 @@ func TestSeededWellBehaved(t *testing.T) {
 	for p := range base.All() {
 		if !grown.Has(p) {
 			t.Fatalf("evidence removed pair %v", p)
+		}
+	}
+}
+
+// holdsRaw evaluates a conjunction the way the plan did before records were
+// normalized once: every predicate through the exported Field* kernel, which
+// normalizes both raw payloads on each call.
+func holdsRaw(cond []test, fa, fb []string) bool {
+	for _, t := range cond {
+		a, b := fieldVal(fa, t.field), fieldVal(fb, t.field)
+		var ok bool
+		switch t.op {
+		case OpEqual:
+			ok = similarity.FieldEqual(a, b)
+		case OpDiffer:
+			ok = similarity.FieldDiffer(a, b)
+		case OpJaro:
+			ok = similarity.FieldJaro(a, b) >= t.num
+		case OpQGram:
+			ok = similarity.FieldQGram(a, b) >= t.num
+		case OpLev:
+			ok = similarity.FieldLev(a, b) <= int(t.num)
+		case OpAbsDiff:
+			d, parsed := similarity.AbsDiff(a, b)
+			ok = parsed && d <= t.num
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGroundMatchesPerCallNormalization: grounding from records normalized
+// once assigns every candidate of the people corpus the level and seed that
+// per-call normalization of the raw fields does, and the level LevelOf gives
+// for the two raw keys. Two programs: the benchmark's, and one naming every
+// operator (so absdiff's raw payload and a field no predicate normalizes are
+// both on the path).
+func TestGroundMatchesPerCallNormalization(t *testing.T) {
+	d, err := bib.DatasetFromRecords("people-like", datagen.MustGeneratePeople(datagen.PeopleLike(0.25, 42)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Mixed case and punctuation, which the generator never emits.
+	d.Refs[0].Name = strings.ToUpper(d.Refs[0].Name)
+	d.Refs[1].Name = strings.ReplaceAll(d.Refs[1].Name, " ", ". ")
+	d.InvalidateCoauthor()
+	sp := canopy.CandidatePairs(d, canopy.BuildCover(d, canopy.DefaultConfig()))
+	cands := make([]rules.Candidate, len(sp))
+	for i, c := range sp {
+		cands[i] = rules.Candidate{Pair: c.Pair, Level: c.Level}
+	}
+	benchmark, err := os.ReadFile("../../../testdata/rules/people.rules")
+	if err != nil {
+		t.Fatal(err)
+	}
+	everyOp := "program every-op\nfields name, street, phone, zip\n" +
+		"level 3 when phone equal and name lev <= 2\n" +
+		"level 2 when name jaro >= 0.85 and zip absdiff <= 1\n" +
+		"level 1 when name qgram >= 0.5\n" +
+		"match level 3\nmatch level 2\nmatch level 1 when cooccur >= 1\n" +
+		"equal when phone equal and zip absdiff <= 0\ndistinct when phone differ and name differ\n"
+	for _, src := range []string{string(benchmark), everyOp} {
+		pl := mustCompile(t, src)
+		levels := map[similarity.Level]int{}
+		seeds := map[rules.Seed]int{}
+		for i, g := range pl.ground(d, cands) {
+			keyA, keyB := d.Refs[g.Pair.A].Name, d.Refs[g.Pair.B].Name
+			fa, fb := similarity.SplitFields(keyA), similarity.SplitFields(keyB)
+			wantLevel := similarity.LevelNone
+			for _, lp := range pl.levels {
+				if holdsRaw(lp.cond, fa, fb) {
+					wantLevel = lp.level
+					break
+				}
+			}
+			var wantSeed rules.Seed
+			for _, sp := range pl.seeds {
+				if holdsRaw(sp.cond, fa, fb) {
+					wantSeed |= sp.seed
+				}
+			}
+			if g.Pair != cands[i].Pair || g.Level != wantLevel || g.Seed != wantSeed {
+				t.Fatalf("%s: %q / %q ground to level %d seed %d, per-call normalization gives level %d seed %d",
+					pl.Prog.Name, keyA, keyB, g.Level, g.Seed, wantLevel, wantSeed)
+			}
+			if got := pl.LevelOf(keyA, keyB); got != g.Level {
+				t.Fatalf("%s: LevelOf(%q, %q) = %d, ground level %d", pl.Prog.Name, keyA, keyB, got, g.Level)
+			}
+			levels[g.Level]++
+			seeds[g.Seed]++
+		}
+		if len(levels) < 3 || len(seeds) < 3 {
+			t.Errorf("%s: fixture exercises levels %v and seeds %v only", pl.Prog.Name, levels, seeds)
 		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 // domain carries several named fields (name, street, zip, …) packed into
 // one composite key separated by FieldSep; the declarative rule language
 // (internal/rules/lang) addresses the fields by name and compares them
-// with the kernels below, which are thin normalizing wrappers over the
-// package's string measures plus a numeric comparator. Keeping them here
+// with the kernels below: the package's string measures over normalized
+// payloads, plus a numeric comparator. Keeping them here
 // gives every domain one set of measures with one set of parity tests.
 
 // FieldSep separates fields inside a composite record key:
@@ -48,34 +48,53 @@ func NormalizeField(s string) string {
 	return strings.Join(strings.Fields(clean), " ")
 }
 
+// The Field* kernels normalize both payloads on every call. A caller that
+// compares one record with many (rules/lang grounds every candidate pair of
+// a record) normalizes each payload once with NormalizeField and calls the
+// Normalized* forms, which are the kernels proper.
+
 // FieldEqual reports normalized equality of two non-empty fields. Two
 // empty fields are NOT equal: absence of a value is no evidence.
 func FieldEqual(a, b string) bool {
-	na, nb := NormalizeField(a), NormalizeField(b)
-	return na != "" && na == nb
+	return NormalizedEqual(NormalizeField(a), NormalizeField(b))
 }
 
 // FieldDiffer reports that both fields are present and normalize to
 // different values — the hard-inequality predicate of the rule language.
 func FieldDiffer(a, b string) bool {
-	na, nb := NormalizeField(a), NormalizeField(b)
-	return na != "" && nb != "" && na != nb
+	return NormalizedDiffer(NormalizeField(a), NormalizeField(b))
 }
 
 // FieldJaro is Jaro-Winkler over normalized fields.
 func FieldJaro(a, b string) float64 {
-	return JaroWinkler(NormalizeField(a), NormalizeField(b))
+	return NormalizedJaro(NormalizeField(a), NormalizeField(b))
 }
 
 // FieldQGram is q-gram Jaccard (q = 2) over normalized fields.
 func FieldQGram(a, b string) float64 {
-	return QGramJaccard(NormalizeField(a), NormalizeField(b), 2)
+	return NormalizedQGram(NormalizeField(a), NormalizeField(b))
 }
 
 // FieldLev is Levenshtein edit distance over normalized fields.
 func FieldLev(a, b string) int {
-	return Levenshtein(NormalizeField(a), NormalizeField(b))
+	return NormalizedLev(NormalizeField(a), NormalizeField(b))
 }
+
+// NormalizedEqual is FieldEqual over payloads already in NormalizeField form.
+func NormalizedEqual(na, nb string) bool { return na != "" && na == nb }
+
+// NormalizedDiffer is FieldDiffer over payloads already in NormalizeField
+// form.
+func NormalizedDiffer(na, nb string) bool { return na != "" && nb != "" && na != nb }
+
+// NormalizedJaro is FieldJaro over payloads already in NormalizeField form.
+func NormalizedJaro(na, nb string) float64 { return JaroWinkler(na, nb) }
+
+// NormalizedQGram is FieldQGram over payloads already in NormalizeField form.
+func NormalizedQGram(na, nb string) float64 { return QGramJaccard(na, nb, 2) }
+
+// NormalizedLev is FieldLev over payloads already in NormalizeField form.
+func NormalizedLev(na, nb string) int { return Levenshtein(na, nb) }
 
 // ParseNumber parses a field as a finite decimal number. Leading and
 // trailing whitespace is ignored; anything else non-numeric fails.

@@ -91,7 +91,19 @@ const (
 //
 // NameLevel(a, b) == NameLevel(b, a): every branch is a symmetric test or
 // a JaroWinkler score, and Jaro is symmetric by construction.
-func NameLevel(a, b Name) Level {
+func NameLevel(a, b Name) Level { return nameLevel(a, b, "", "") }
+
+// NameLevelRendered is NameLevel for a caller that keeps every name's
+// String() beside it (bib.NameTable does, once per distinct name): as must
+// be a.String() and bs b.String(). The full names are then scored without
+// being concatenated again, which allocates once they outgrow the runtime's
+// 32-byte temporary, as the composite keys of record corpora do.
+func NameLevelRendered(a, b Name, as, bs string) Level { return nameLevel(a, b, as, bs) }
+
+// nameLevel is NameLevel given the rendered names, or "" for both to have
+// them rendered if the guards let the pair through. (A name that gets that
+// far has a last token, so its rendering is never "".)
+func nameLevel(a, b Name, as, bs string) Level {
 	if a.Last == "" || b.Last == "" {
 		return LevelNone
 	}
@@ -124,7 +136,10 @@ func NameLevel(a, b Name) Level {
 	if a.First != "" && b.First != "" && JaroWinkler(a.First, b.First) < firstCompatibility {
 		return LevelNone
 	}
-	s := JaroWinkler(a.String(), b.String())
+	if as == "" {
+		as, bs = a.String(), b.String()
+	}
+	s := JaroWinkler(as, bs)
 	switch {
 	case s >= fullMediumThreshold:
 		return LevelMedium

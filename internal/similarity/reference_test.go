@@ -1,6 +1,7 @@
 package similarity
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -119,17 +120,29 @@ func nameLevelRef(a, b Name) Level {
 var NameLevelRef = nameLevelRef
 
 // FuzzJaroMatchesReference: Jaro is the reference to the last bit (== on
-// the float64) and symmetric, on both sides of the stack-buffer length.
+// the float64) and symmetric, on both sides of every choice the kernel
+// makes: the two lengths that select the loop, an empty window, a window
+// running past either end, bytes the sign bit would mangle, and runs of one
+// byte, where which equal position is taken decides the transpositions.
 func FuzzJaroMatchesReference(f *testing.F) {
 	f.Add("martha", "marhta")
 	f.Add("", "x")
 	f.Add("vibhor rastogi", "vibhor rastogy")
-	for _, n := range []int{jaroStackLen - 1, jaroStackLen, jaroStackLen + 1, 3 * jaroStackLen} {
+	for _, n := range []int{1, jaroBitsMin - 1, jaroBitsMin, jaroBitsMin + 1, jaroStackLen - 1, jaroStackLen, jaroStackLen + 1, 3 * jaroStackLen} {
 		long := strings.Repeat("abcdefghij", n/10+1)[:n]
 		f.Add(long, long[1:]+"x")
 		f.Add(long, "abc")
 		f.Add("jihgfedcba", long)
+		f.Add(long, "a") // the window of a's tail lies wholly past b's end
+		same := strings.Repeat("a", n)
+		f.Add(same, same[1:]+"b")
+		f.Add(same+"b", "b"+same)
 	}
+	f.Add("ab", "ba")                    // window 0: only aligned positions match
+	f.Add("abcdefghijk", "bcdefghijkab") // window 4, every match off the diagonal
+	f.Add("jos\xe9 garc\xeda l\xf3pez", "jose garc\xeda lop\xe9z")
+	f.Add(strings.Repeat("\xff\x80", 32), strings.Repeat("\x80\xff", 32)) // 64 bytes each way, window 31
+	f.Add(strings.Repeat("ab", 32), strings.Repeat("a", 64))
 	f.Fuzz(func(t *testing.T, a, b string) {
 		if len(a) > 1024 || len(b) > 1024 {
 			return
@@ -142,6 +155,32 @@ func FuzzJaroMatchesReference(f *testing.F) {
 			t.Fatalf("Jaro(%q, %q) = %v but swapped %v", a, b, got, swapped)
 		}
 	})
+}
+
+// TestJaroMatchesReferenceSmallAlphabet is the fuzz property on what plain
+// `go test` can afford: every length pair up to past the stack length, over
+// two- and three-letter alphabets, where most positions have several equal
+// candidates and the kernels agree only if they take the same one.
+func TestJaroMatchesReferenceSmallAlphabet(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	random := func(n, letters int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = "ab\xe9"[rng.Intn(letters)]
+		}
+		return string(b)
+	}
+	for la := 0; la <= jaroStackLen+3; la++ {
+		for lb := la; lb <= jaroStackLen+3; lb++ {
+			a, b := random(la, 2+la%2), random(lb, 2+lb%2)
+			if got, want := Jaro(a, b), jaroRef(a, b); got != want {
+				t.Fatalf("Jaro(%q, %q) = %v, reference %v", a, b, got, want)
+			}
+			if got, want := Jaro(b, a), jaroRef(b, a); got != want {
+				t.Fatalf("Jaro(%q, %q) = %v, reference %v", b, a, got, want)
+			}
+		}
+	}
 }
 
 func TestJaroDoesNotAllocate(t *testing.T) {

@@ -2,6 +2,7 @@ package similarity
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -278,11 +279,43 @@ func TestAbbreviatedNeverStrong(t *testing.T) {
 	}
 }
 
+// BenchmarkJaroWinkler has one case per length regime Jaro distinguishes:
+// author names (the scalar loop, below jaroBitsMin), the composite record
+// keys of the people corpus (the word-parallel loop) and strings past
+// jaroStackLen (the scalar loop on heap flags).
 func BenchmarkJaroWinkler(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		JaroWinkler("vibhor rastogi", "vibhor rastogy")
+	long := strings.Repeat("collective entity matching ", 3)
+	for _, bc := range []struct {
+		name  string
+		pairs [][2]string
+	}{
+		{"name", [][2]string{ // 6-14 bytes
+			{"vibhor rastogi", "vibhor rastogy"},
+			{"rastogi", "rastogy"},
+			{"n dalvi", "nilesh dalvi"},
+			{"garofalakis", "garofalaks"},
+		}},
+		{"key", [][2]string{ // 30-45 bytes
+			{"jin dela | 91 cedar ln | 555-0168 |", "jin della | 91 cedar lane | 555-0168 |"},
+			{"jin dela | 91 cedar ln | 555-0168 | 97553", "maria alvarez | 7 oak st | 555-0101 | 94110"},
+			{"ann smith | 12 oak st | 555-0101 |", "anne smith | 12 oak street | 555-0101 |"},
+			{"vibhor rastogi nilesh dalvi minos", "vibhor rastogy nilesh dalvi minos g"},
+		}},
+		{"long", [][2]string{ // > 64 bytes
+			{long, long[1:] + "x"},
+			{long, strings.ToUpper(long[:40]) + long[40:]},
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p := bc.pairs[i%len(bc.pairs)]
+				benchSink += JaroWinkler(p[0], p[1])
+			}
+		})
 	}
 }
+
+var benchSink float64
 
 func BenchmarkStringLevel(b *testing.B) {
 	for i := 0; i < b.N; i++ {

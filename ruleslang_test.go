@@ -27,7 +27,7 @@ var (
 	programs   = map[string]string{}
 )
 
-func loadProgram(t *testing.T, path string) string {
+func loadProgram(t testing.TB, path string) string {
 	t.Helper()
 	programsMu.Lock()
 	defer programsMu.Unlock()
