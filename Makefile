@@ -49,11 +49,13 @@ fmt:
 vet:
 	$(GO) vet $(GOFLAGS) ./...
 
-# bench prints the hot-path benchmark table.
+# bench prints the hot-path benchmark table; its last command is the blocking
+# stage at the workloads' sizes and at scale 8, batch and incremental.
 bench:
 	$(GO) test $(GOFLAGS) -run '^$$' -bench '$(SCHEME_BENCH)' -benchmem -benchtime $(BENCHTIME) .
 	$(GO) test $(GOFLAGS) -run '^$$' -bench '$(MATCHER_BENCH)' -benchmem -benchtime $(MATCHER_BENCHTIME) ./internal/mln/
 	$(GO) test $(GOFLAGS) -run '^$$' -bench '^BenchmarkRulesSMP' -benchmem -benchtime 20x -cpu 1 ./internal/rules/
+	$(GO) test $(GOFLAGS) -run '^$$' -bench '^Benchmark(Canopies|IndexAdd)$$' -benchmem -benchtime $(BENCHTIME) ./internal/canopy/
 
 # bench-json refreshes the $(BENCH_LABEL) run in $(BENCHOUT), preserving
 # any other labels (e.g. the committed baseline) already there. A
@@ -163,8 +165,9 @@ bench-pair:
 # the wire codec round trip, the name kernels against their
 # retained references (both Jaro loops; and NameLevel's symmetry, which the
 # dataset's level cache relies on), that cache's open-addressed table
-# against a plain map, and blocking — sharded vs serial canopies,
-# incremental vs scratch covers, index blob loading (the nightly CI job
+# against a plain map, and blocking — sharded vs serial canopies, the row
+# scorer vs the per-record one it replaced, incremental vs scratch covers,
+# index blob loading (the nightly CI job
 # runs every Fuzz* target, found by name, for longer).
 fuzz:
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzJaroMatchesReference$$' -fuzztime 10s ./internal/similarity/
@@ -175,6 +178,7 @@ fuzz:
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzDenseMatchesOld$$' -fuzztime 10s ./internal/rules/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/wire/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzShardedCanopiesIdentical$$' -fuzztime 10s ./internal/canopy/
+	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzCanopiesMatchOld$$' -fuzztime 10s ./internal/canopy/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzIndexAdd$$' -fuzztime 10s ./internal/canopy/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzLoadIndex$$' -fuzztime 10s ./internal/canopy/
 

@@ -7,6 +7,14 @@
 // constructing a total cover over Similar using Canopies, and then taking
 // the boundary of each neighborhood with respect to other relations").
 //
+// Canopy scoring is over distinct normalized names, not references: the
+// q-gram table (gramTable) holds one row per distinct name — gram ids,
+// posting entries, counters — scores a row at most once, by counting along
+// its postings, and only emission turns candidate rows into the references
+// that carry them. Batch construction (CanopiesContext) and the incremental
+// Index share the table, the probe and the emitter; the per-record scorer
+// they replaced is the oracle in oldcmp_test.go.
+//
 // Wherever blocking needs the discretized name similarity — the pairs that
 // drive aligned expansion, the candidate pairs handed to the matchers — it
 // asks the dataset's name table (bib.Dataset.Names): references are grouped
@@ -23,8 +31,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/bib"
@@ -118,30 +124,61 @@ func Canopies(names []string, cfg Config) [][]core.EntityID {
 	return sets
 }
 
-// scored is one canopy candidate of a seed: a record id with its cheap
-// q-gram similarity to the seed (fields exported for the index blob).
+// scored is one canopy candidate of a seed with its cheap q-gram similarity
+// to the seed. Scoring is over name rows, so in the table's candidate lists
+// ID is a row id; the emitter expands rows to record ids (fields exported
+// for the index blob).
 type scored struct {
-	ID  core.EntityID
+	ID  int32
 	Sim float64
 }
 
-// gramTable is the inverted q-gram index both blocking paths score
-// against. Each distinct byte q-gram is interned to a dense id when a
-// record first contains it; after insert nothing is keyed by string.
+// gramTable is the inverted q-gram index both blocking paths score against,
+// a table over DISTINCT normalized names: references whose names normalize to
+// one string share a row, and everything the scorer reads — gram lists,
+// postings, counters — is per row. Two references of one row have the same
+// grams, hence the same similarity to everything, so a row is scored once
+// and its references stand or fall together; only emission (emitter) walks
+// references. Each distinct byte q-gram is interned to a dense id when a row
+// first contains it; after insert nothing on the scoring path is keyed by
+// string.
 type gramTable struct {
 	q        int
-	ids      map[string]int32 // gram dictionary, consulted once per gram at insert
-	grams    [][]int32        // record -> ascending distinct gram ids
-	postings [][]int32        // gram id -> record ids, ascending as records only append
+	ids      map[string]int32 // gram dictionary, consulted once per gram of a new row
+	rows     map[string]int32 // normalized name -> row
+	names    []string         // row -> normalized name, rows in order of first appearance
+	grams    [][]int32        // row -> ascending distinct gram ids
+	postings [][]int32        // gram id -> rows, ascending as rows only append
+	rowOf    []int32          // record -> row
+
+	// row -> its records, ascending, as CSR; derived from rowOf by
+	// indexMembers and stale after an insert until it is called again.
+	memberOff []int32
+	members   []core.EntityID
 }
 
 func newGramTable(q int) *gramTable {
-	return &gramTable{q: q, ids: map[string]int32{}}
+	return &gramTable{q: q, ids: map[string]int32{}, rows: map[string]int32{}}
 }
 
-// insert appends the record with normalized name s. Its grams are the byte
-// q-grams of s, or s itself when it is shorter than q; "" has none.
-func (t *gramTable) insert(s string) {
+// insert appends the record with normalized name s and reports its row and
+// whether the record opened it.
+func (t *gramTable) insert(s string) (row int32, fresh bool) {
+	row, fresh = t.rowFor(s)
+	t.rowOf = append(t.rowOf, row)
+	return row, fresh
+}
+
+// rowFor returns the row of normalized name s, opening it when s is new. A
+// row's grams are the byte q-grams of s, or s itself when it is shorter than
+// q; "" has none.
+func (t *gramTable) rowFor(s string) (row int32, fresh bool) {
+	if row, ok := t.rows[s]; ok {
+		return row, false
+	}
+	row = int32(len(t.names))
+	t.rows[s] = row
+	t.names = append(t.names, s)
 	q := min(t.q, len(s))
 	gs := make([]int32, 0, len(s)-q+1)
 	for i := 0; q > 0 && i+q <= len(s); i++ {
@@ -149,102 +186,178 @@ func (t *gramTable) insert(s string) {
 	}
 	slices.Sort(gs)
 	gs = slices.Compact(gs)
-	id := int32(len(t.grams))
 	for _, g := range gs {
-		t.postings[g] = append(t.postings[g], id)
+		t.postings[g] = append(t.postings[g], row)
 	}
 	t.grams = append(t.grams, gs)
+	return row, true
 }
 
-// truncate undoes every insert after the first n records, given that the
-// dictionary held dict grams when record n was inserted: ids are handed out
-// in order, so exactly the grams from dict on were first seen since.
-func (t *gramTable) truncate(n, dict int) {
-	for id := len(t.grams) - 1; id >= n; id-- {
-		for _, g := range t.grams[id] {
-			t.postings[g] = t.postings[g][:len(t.postings[g])-1] // ascending: id is last
-		}
-	}
-	clear(t.grams[n:])
-	t.grams = t.grams[:n]
-	if len(t.postings) > dict {
-		for g, id := range t.ids {
-			if int(id) >= dict {
-				delete(t.ids, g)
-			}
-		}
-		clear(t.postings[dict:])
-		t.postings = t.postings[:dict]
-	}
-}
-
+// intern returns the id of gram g, a substring of a row name: the table
+// keeps every row name, so keying the dictionary by the substring pins
+// nothing more.
 func (t *gramTable) intern(g string) int32 {
 	id, ok := t.ids[g]
 	if !ok {
 		id = int32(len(t.postings))
-		// Cloned so the dictionary does not pin the name g was cut from.
-		t.ids[strings.Clone(g)] = id
+		t.ids[g] = id
 		t.postings = append(t.postings, nil)
 	}
 	return id
 }
 
-// probeScratch is one worker's counting state, grown with the table.
-type probeScratch struct {
-	cnt     []int32 // cnt[j]: grams record j shares with the seed; zero between probes
-	touched []int32 // records with cnt > 0, in first-touch order
+// tableMark is a gramTable's size at one moment; truncate returns to it.
+type tableMark struct{ records, rows, dict int }
+
+func (t *gramTable) mark() tableMark {
+	return tableMark{records: len(t.rowOf), rows: len(t.names), dict: len(t.postings)}
 }
 
-// probe returns, in ascending id order, every inserted record whose gram
-// set has Jaccard >= loose with the gram ids gs. Walking the postings of gs
-// visits each (candidate, shared gram) incidence exactly once, so a counter
-// per candidate is the intersection size c and sim = c / (|gs|+|grams[j]|-c)
-// without reading a gram set again. An inserted record is its own candidate
-// (sim 1); one with no grams has none.
-func (t *gramTable) probe(gs []int32, loose float64, sc *probeScratch) []scored {
-	if grow := len(t.grams) - len(sc.cnt); grow > 0 {
-		sc.cnt = append(sc.cnt, make([]int32, grow)...)
+// truncate undoes every insert since m was taken. Row and gram ids are
+// handed out in order, so exactly the rows from m.rows on and the grams from
+// m.dict on were first seen since.
+func (t *gramTable) truncate(m tableMark) {
+	t.rowOf = t.rowOf[:m.records]
+	for row := len(t.names) - 1; row >= m.rows; row-- {
+		for _, g := range t.grams[row] {
+			t.postings[g] = t.postings[g][:len(t.postings[g])-1] // ascending: row is last
+		}
+		delete(t.rows, t.names[row])
 	}
-	cnt, touched := sc.cnt, sc.touched[:0]
-	for _, g := range gs {
-		for _, j := range t.postings[g] {
-			if cnt[j] == 0 {
-				touched = append(touched, j)
+	clear(t.names[m.rows:])
+	t.names = t.names[:m.rows]
+	clear(t.grams[m.rows:])
+	t.grams = t.grams[:m.rows]
+	if len(t.postings) > m.dict {
+		for g, id := range t.ids {
+			if int(id) >= m.dict {
+				delete(t.ids, g)
 			}
-			cnt[j]++
+		}
+		clear(t.postings[m.dict:])
+		t.postings = t.postings[:m.dict]
+	}
+}
+
+// indexMembers rebuilds the row -> records CSR from rowOf: one counting pass,
+// into the arrays of the last call.
+func (t *gramTable) indexMembers() {
+	off := append(t.memberOff[:0], make([]int32, len(t.names)+1)...)
+	for _, row := range t.rowOf {
+		off[row+1]++
+	}
+	for row := range t.names {
+		off[row+1] += off[row]
+	}
+	members := slices.Grow(t.members[:0], len(t.rowOf))[:len(t.rowOf)]
+	for rec, row := range t.rowOf {
+		members[off[row]] = core.EntityID(rec)
+		off[row]++
+	}
+	// Every off[row] now sits at the end of its row: shift back by one.
+	copy(off[1:], off)
+	off[0] = 0
+	t.memberOff, t.members = off, members
+}
+
+// membersOf returns row's records, ascending (as of the last indexMembers).
+func (t *gramTable) membersOf(row int32) []core.EntityID {
+	return t.members[t.memberOff[row]:t.memberOff[row+1]]
+}
+
+// minShared returns the least intersection size c a row of n > 0 grams can
+// have with any row at similarity >= loose: the similarity is
+// c / (n + |y| - c) with |y| >= c, at most c / n, and float division is
+// monotone in both operands, so the test below can only pass when
+// float64(c)/float64(n) >= loose does. The bound is taken from that very
+// expression, not from ceil(loose*n), whose product may round up across an
+// integer (0.28 * 25 is 7.000000000000001) and drop a row the float test
+// keeps (7/25 >= 0.28).
+func minShared(n int, loose float64) int32 {
+	c := int(loose * float64(n))
+	for c > 0 && float64(c-1)/float64(n) >= loose {
+		c--
+	}
+	for float64(c)/float64(n) < loose {
+		c++
+	}
+	return int32(c)
+}
+
+// probe returns, in ascending row order, every row whose gram set has
+// Jaccard >= loose with row x's. Walking the postings of x's grams visits
+// each (row, shared gram) incidence exactly once, so a counter per row is the
+// intersection size c and sim = c / (|x|+|y|-c) without reading a gram set
+// again. Both loops are dense: the count is a bare increment — no
+// first-touch test, no list of touched rows — and one in-order, read-only
+// scan of the counters then drops nearly every row on the integer bound
+// minShared and scores the few that pass it; the scan order is the output
+// order, and one clear resets the counters (measured against clearing inside
+// the scan: the store per row cost more than the second pass). cnt holds a
+// zero per row, before and after. A row is its own candidate (sim 1); one
+// with no grams has none.
+func (t *gramTable) probe(x int32, loose float64, cnt []int32) []scored {
+	gs := t.grams[x]
+	if len(gs) == 0 {
+		return nil
+	}
+	for _, g := range gs {
+		for _, y := range t.postings[g] {
+			cnt[y]++
 		}
 	}
+	need := minShared(len(gs), loose)
 	var out []scored
-	for _, j := range touched {
-		c := int(cnt[j])
-		cnt[j] = 0
-		if s := float64(c) / float64(len(gs)+len(t.grams[j])-c); s >= loose {
-			out = append(out, scored{ID: j, Sim: s})
+	cnt = cnt[:len(t.grams)]
+	for y, c := range cnt {
+		if c < need {
+			continue
+		}
+		if s := float64(c) / float64(len(gs)+len(t.grams[y])-int(c)); s >= loose {
+			out = append(out, scored{ID: int32(y), Sim: s})
 		}
 	}
-	sc.touched = touched
-	slices.SortFunc(out, func(a, b scored) int { return cmp.Compare(a.ID, b.ID) })
+	clear(cnt)
 	return out
 }
 
-// emitter is the serial half of Canopies: fed each record's loose
-// candidates in ascending seed order, it emits a canopy for every seed still
-// in the pool and removes that canopy's tightly similar members from it.
+// emitter is the serial half of Canopies: fed each seed's loose candidate
+// rows in ascending seed order, it emits the canopy of every seed still in
+// the pool — the records of those rows — and removes that canopy's tightly
+// similar members from the pool.
 type emitter struct {
 	cfg      Config
-	removed  []bool // per record: no longer in the seed pool
+	tab      *gramTable // members indexed
+	removed  []bool     // per record: no longer in the seed pool
 	canopies [][]core.EntityID
+	kept     []scored // scratch: the seed's record-level candidates
 }
 
-func (e *emitter) emit(seed int, kept []scored) {
+func newEmitter(cfg Config, tab *gramTable) *emitter {
+	tab.indexMembers()
+	return &emitter{cfg: cfg, tab: tab, removed: make([]bool, len(tab.rowOf))}
+}
+
+// emit emits seed's canopy given the candidates of its row, unless an
+// earlier canopy took seed out of the pool. Every record of a candidate row
+// is a candidate at the row's similarity; a seed without candidates (a name
+// with no grams is not even its own) is a canopy by itself.
+func (e *emitter) emit(seed core.EntityID, rows []scored) {
 	if e.removed[seed] {
 		return
 	}
-	if len(kept) == 0 {
-		kept = []scored{{ID: core.EntityID(seed), Sim: 1}}
+	kept := e.kept[:0]
+	for _, r := range rows {
+		for _, rec := range e.tab.membersOf(r.ID) {
+			kept = append(kept, scored{ID: rec, Sim: r.Sim})
+		}
 	}
+	if len(kept) == 0 {
+		kept = append(kept, scored{ID: seed, Sim: 1})
+	}
+	e.kept = kept
 	if e.cfg.MaxNeighborhood > 0 && len(kept) > e.cfg.MaxNeighborhood {
-		kept = capCanopy(kept, core.EntityID(seed), e.cfg.MaxNeighborhood)
+		kept = capCanopy(kept, seed, e.cfg.MaxNeighborhood)
 	}
 	canopy := make([]core.EntityID, len(kept))
 	for i, c := range kept {
@@ -254,26 +367,31 @@ func (e *emitter) emit(seed int, kept []scored) {
 		}
 	}
 	e.removed[seed] = true
+	// Rows ascend and so do a row's records, but records of different rows
+	// interleave.
+	slices.Sort(canopy)
 	e.canopies = append(e.canopies, canopy)
 }
 
-// batchPerShard is how many seeds each shard scores per parallel round.
-// Seeds removed from the pool by an earlier seed of the same round are
-// scored speculatively and discarded, so the batch bounds wasted work.
+// batchPerShard is how many seeds each shard's worker is handed per parallel
+// round. A seed removed from the pool by an earlier seed of the same round
+// has had its row scored speculatively, so the batch bounds wasted work.
 const batchPerShard = 32
 
 // CanopiesContext is Canopies with context cancellation and sharded
-// execution: names are normalized in parallel and interned serially into
-// one gramTable; seed scoring — one counting probe per seed — runs on a
-// pool of `shards` workers (shards <= 0 means GOMAXPROCS), while canopy
-// emission stays serial in ascending seed order. A seed's candidate list
-// depends only on the immutable gram table, never on the evolving seed
-// pool, so the output is byte-identical for every shard count, including
-// 1. A canceled context aborts between rounds with ctx.Err().
+// execution: names are normalized in parallel and inserted serially into
+// one gramTable; scoring — one counting probe per distinct normalized name
+// that seeds a canopy, however many references carry it — runs on a pool of
+// `shards` workers (shards <= 0 means GOMAXPROCS), while canopy emission
+// stays serial in ascending seed order. A row's candidate list depends only
+// on the immutable gram table, never on the evolving seed pool, so the
+// output is byte-identical for every shard count, including 1. A canceled
+// context aborts between rounds with ctx.Err().
 //
-// Each worker keeps a private counter array of n int32s, so working
-// memory is O(shards·n) on top of the gram table; on very large corpora,
-// bound shards accordingly rather than defaulting to one per core.
+// Each worker keeps a private counter array of one int32 per row, so
+// working memory is O(shards·rows) on top of the gram table and the scored
+// rows' candidate lists; on very large corpora, bound shards accordingly
+// rather than defaulting to one per core.
 func CanopiesContext(ctx context.Context, names []string, cfg Config, shards int) ([][]core.EntityID, error) {
 	shards = scoringShards(shards, len(names))
 	norm := make([]string, len(names))
@@ -293,10 +411,7 @@ func scoringShards(shards, n int) int {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	if max := (n + batchPerShard - 1) / batchPerShard; shards > max && max > 0 {
-		shards = max
-	}
-	return shards
+	return max(1, min(shards, (n+batchPerShard-1)/batchPerShard))
 }
 
 // canopiesOfNormalized is CanopiesContext over names already in normalized
@@ -311,63 +426,67 @@ func canopiesOfNormalized(ctx context.Context, norm []string, cfg Config, shards
 	for _, s := range norm {
 		tab.insert(s)
 	}
-	scratch := make([]probeScratch, shards)
-	e := &emitter{cfg: cfg, removed: make([]bool, n)}
+	e := newEmitter(cfg, tab)
+	cands := make([][]scored, len(tab.names)) // row -> loose candidate rows, once scored
+	queued := make([]bool, len(tab.names))    // row is scored, or about to be
+	cnt := make([][]int32, shards)
+	for w := range cnt {
+		cnt[w] = make([]int32, len(tab.names))
+	}
+	seeds := make([]core.EntityID, 0, shards*batchPerShard)
+	todo := make([]int32, 0, cap(seeds))
 	for next := 0; next < n; {
-		// Gather the next round of in-pool seeds.
-		batch := make([]int, 0, shards*batchPerShard)
-		for next < n && len(batch) < shards*batchPerShard {
+		// Gather the next round of in-pool seeds, and the rows among them
+		// that no earlier seed had scored.
+		seeds, todo = seeds[:0], todo[:0]
+		for next < n && len(seeds) < cap(seeds) {
 			if !e.removed[next] {
-				batch = append(batch, next)
+				seeds = append(seeds, core.EntityID(next))
+				if row := tab.rowOf[next]; !queued[row] {
+					queued[row] = true
+					todo = append(todo, row)
+				}
 			}
 			next++
-		}
-		if len(batch) == 0 {
-			continue
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Parallel phase: score every seed of the round.
-		cands := make([][]scored, len(batch))
+		// Parallel phase: score every such row.
 		var wg sync.WaitGroup
-		for w := 0; w < shards; w++ {
+		for w := 0; w < min(shards, len(todo)); w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				for bi := w; bi < len(batch); bi += shards {
-					cands[bi] = tab.probe(tab.grams[batch[bi]], cfg.Loose, &scratch[w])
+				for i := w; i < len(todo); i += shards {
+					cands[todo[i]] = tab.probe(todo[i], cfg.Loose, cnt[w])
 				}
 			}(w)
 		}
 		wg.Wait()
 		// Serial phase: emit canopies in seed order, honoring removals
 		// made by earlier seeds of the same round.
-		for bi, seed := range batch {
-			e.emit(seed, cands[bi])
+		for _, seed := range seeds {
+			e.emit(seed, cands[tab.rowOf[seed]])
 		}
 	}
 	return e.canopies, nil
 }
 
-// capCanopy keeps the seed plus the k-1 most similar candidates (ties by
-// ascending id), returned in ascending id order. Dropped candidates are
-// NOT removed from the seed pool by the caller, preserving the cover
-// property.
+// capCanopy cuts cands, in place, to the seed plus the k-1 most similar
+// candidates (ties by ascending id). Dropped candidates are NOT removed from
+// the seed pool by the caller, preserving the cover property.
 func capCanopy(cands []scored, seed core.EntityID, k int) []scored {
-	byRank := append([]scored(nil), cands...)
-	sort.Slice(byRank, func(a, b int) bool {
-		if byRank[a].ID == seed || byRank[b].ID == seed {
-			return byRank[a].ID == seed
+	rank := func(c scored) float64 {
+		if c.ID == seed {
+			return 2 // above every similarity
 		}
-		if byRank[a].Sim != byRank[b].Sim {
-			return byRank[a].Sim > byRank[b].Sim
-		}
-		return byRank[a].ID < byRank[b].ID
+		return c.Sim
+	}
+	slices.SortFunc(cands, func(a, b scored) int {
+		return cmp.Or(cmp.Compare(rank(b), rank(a)), cmp.Compare(a.ID, b.ID))
 	})
-	byRank = byRank[:k]
-	sort.Slice(byRank, func(a, b int) bool { return byRank[a].ID < byRank[b].ID })
-	return byRank
+	return cands[:k]
 }
 
 // eachShard splits [0, n) into `shards` contiguous blocks and runs fn on

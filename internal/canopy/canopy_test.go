@@ -2,7 +2,9 @@ package canopy
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bib"
@@ -226,37 +228,49 @@ func TestCandidatePairs(t *testing.T) {
 	}
 }
 
-// TestProbeCountsSharedGrams drives the counting probe directly: the
-// similarity is |A∩B| / |A∪B| over distinct grams, candidates come back in
-// ascending id order whatever order the postings touched them in, the
-// loose threshold filters, and the scratch is clean for the next probe.
+// TestProbeCountsSharedGrams drives the counting probe directly: records of
+// one normalized name share a row, the similarity is |A∩B| / |A∪B| over
+// distinct grams, candidate rows come back in ascending order, the loose
+// threshold filters, and the counters are clean for the next probe.
 func TestProbeCountsSharedGrams(t *testing.T) {
 	tab := newGramTable(2)
+	var rows []int32
 	for _, s := range []string{"bcd", "abc", "", "x", "abab", "abc"} {
-		tab.insert(s)
+		row, fresh := tab.insert(s)
+		if want := len(rows) < 5; fresh != want {
+			t.Fatalf("insert(%q) opened a row: %v, want %v", s, fresh, want)
+		}
+		rows = append(rows, row)
+	}
+	if want := []int32{0, 1, 2, 3, 4, 1}; !slices.Equal(rows, want) || !slices.Equal(tab.rowOf, want) {
+		t.Fatalf("rows of the six records = %v (table %v), want %v: the two abc share one", rows, tab.rowOf, want)
+	}
+	tab.indexMembers()
+	if got := tab.membersOf(1); !slices.Equal(got, []core.EntityID{1, 5}) {
+		t.Fatalf("records of row abc = %v, want [1 5]", got)
 	}
 	if got := tab.grams[4]; len(got) != 2 || got[0] >= got[1] {
 		t.Fatalf("grams(abab) = %v, want its two distinct grams ab, ba, ascending", got)
 	}
-	var sc probeScratch
-	abc := tab.grams[1] // {ab, bc}
-	want := []scored{{ID: 0, Sim: 1.0 / 3.0}, {ID: 1, Sim: 1}, {ID: 4, Sim: 1.0 / 3.0}, {ID: 5, Sim: 1}}
+	cnt := make([]int32, len(tab.names))
+	const abc = 1 // {ab, bc}
+	want := []scored{{ID: 0, Sim: 1.0 / 3.0}, {ID: 1, Sim: 1}, {ID: 4, Sim: 1.0 / 3.0}}
 	for round := 0; round < 2; round++ { // twice: the counters must have been reset
-		if got := tab.probe(abc, 0.1, &sc); !reflect.DeepEqual(got, want) {
+		if got := tab.probe(abc, 0.1, cnt); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: probe(abc) = %v, want %v", round, got, want)
 		}
 	}
-	if got := tab.probe(abc, 0.5, &sc); !reflect.DeepEqual(got, []scored{want[1], want[3]}) {
-		t.Errorf("probe(abc, loose 0.5) = %v, want only the two exact copies", got)
+	if got := tab.probe(abc, 0.5, cnt); !reflect.DeepEqual(got, want[1:2]) {
+		t.Errorf("probe(abc, loose 0.5) = %v, want only its own row", got)
 	}
-	if got := tab.probe(tab.grams[2], 0.1, &sc); len(got) != 0 {
-		t.Errorf("a record without grams has candidates %v", got)
+	if got := tab.probe(2, 0.1, cnt); len(got) != 0 {
+		t.Errorf("a row without grams has candidates %v", got)
 	}
 	// Shorter than q: the whole string is the gram, shared only with itself.
-	if got := tab.probe(tab.grams[3], 0.1, &sc); !reflect.DeepEqual(got, []scored{{ID: 3, Sim: 1}}) {
+	if got := tab.probe(3, 0.1, cnt); !reflect.DeepEqual(got, []scored{{ID: 3, Sim: 1}}) {
 		t.Errorf("probe(x) = %v, want only itself", got)
 	}
-	for j, c := range sc.cnt {
+	for j, c := range cnt {
 		if c != 0 {
 			t.Errorf("counter %d left at %d after the probes", j, c)
 		}
@@ -271,21 +285,118 @@ func BenchmarkBuildCoverHEPTH(b *testing.B) {
 	}
 }
 
-// BenchmarkCanopiesDBLP is the canopy-scoring stage on its own, on the
-// corpus where it is nearly all of a cold run (bench workload dblp-cold).
-func BenchmarkCanopiesDBLP(b *testing.B) {
-	d := datagen.MustGenerate(datagen.DBLPLike(1.0, 42))
-	names := make([]string, d.NumRefs())
-	for i := range d.Refs {
-		names[i] = d.Refs[i].Name
+// serialWork counts what scoring names costs when seeds are taken strictly
+// one at a time: the table's rows, the rows probed (those of a seed still in
+// the pool when its turn comes; a sharded round scores a few more, ahead of
+// the removals of its own earlier seeds) and the incidences those probes
+// count — the sum, over a probed row's grams, of the posting lengths.
+func serialWork(tb testing.TB, names []string, cfg Config) (rows, probes, incidences int) {
+	tb.Helper()
+	tab := newGramTable(cfg.Q)
+	for _, name := range names {
+		tab.insert(normalize(name))
+	}
+	e := newEmitter(cfg, tab)
+	cnt := make([]int32, len(tab.names))
+	cands := make([][]scored, len(tab.names))
+	probed := make([]bool, len(tab.names))
+	for seed, row := range tab.rowOf {
+		if !e.removed[seed] && !probed[row] {
+			probed[row] = true
+			probes++
+			for _, g := range tab.grams[row] {
+				incidences += len(tab.postings[g])
+			}
+			cands[row] = tab.probe(row, cfg.Loose, cnt)
+		}
+		e.emit(core.EntityID(seed), cands[row])
+	}
+	if !reflect.DeepEqual(e.canopies, Canopies(names, cfg)) {
+		tb.Fatal("one seed at a time gives other canopies than Canopies")
+	}
+	return len(tab.names), probes, incidences
+}
+
+// BenchmarkCanopies is the canopy-scoring stage on its own (bench metric
+// canopy.canopies_s; nearly all of a cold run on workload dblp-cold, which
+// is DBLP-like 1.0), on the committed workloads' corpora and one step up in
+// size, with the work behind the time: rows/op distinct normalized names,
+// probes/op and incidences/op as serialWork counts them.
+func BenchmarkCanopies(b *testing.B) {
+	for _, corpus := range []struct {
+		name  string
+		names func() []string
+	}{
+		{"dblp-1", func() []string { return refNames(datagen.MustGenerate(datagen.DBLPLike(1.0, 42))) }},
+		{"dblp-8", func() []string { return refNames(datagen.MustGenerate(datagen.DBLPLike(8, 42))) }},
+		{"hepth-8", func() []string { return refNames(datagen.MustGenerate(datagen.HEPTHLike(8, 42))) }},
+		{"people-0.7", func() []string {
+			var names []string
+			for _, r := range datagen.MustGeneratePeople(datagen.PeopleLike(0.7, 42)) {
+				names = append(names, r.Name)
+			}
+			return names
+		}},
+	} {
+		var names []string // generated when the first of its sub-benchmarks is selected
+		var rows, probes, incidences int
+		for _, shards := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/shards=%d", corpus.name, shards), func(b *testing.B) {
+				if names == nil {
+					names = corpus.names()
+					rows, probes, incidences = serialWork(b, names, DefaultConfig())
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := CanopiesContext(context.Background(), names, DefaultConfig(), shards); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(len(names)), "records/op")
+				b.ReportMetric(float64(rows), "rows/op")
+				b.ReportMetric(float64(probes), "probes/op")
+				b.ReportMetric(float64(incidences), "incidences/op")
+			})
+		}
+	}
+}
+
+// BenchmarkIndexAdd is the incremental path as a service drives it (bench
+// metric canopy.index_add_s): DBLP-like 0.5 arriving in batches of 32, each
+// Add on a dataset as just built, so the batch pays for its name table as
+// an ingest does.
+func BenchmarkIndexAdd(b *testing.B) {
+	records := bib.ToRecords(datagen.MustGenerate(datagen.DBLPLike(0.5, 42)))
+	var unions []*bib.Dataset
+	for hi := 32; ; hi += 32 {
+		d, err := bib.DatasetFromRecords("index-add", records[:min(hi, len(records))])
+		if err != nil {
+			b.Fatal(err)
+		}
+		unions = append(unions, d)
+		if hi >= len(records) {
+			break
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CanopiesContext(context.Background(), names, DefaultConfig(), 1); err != nil {
+		ix, err := NewIndex(DefaultConfig())
+		if err != nil {
 			b.Fatal(err)
 		}
+		for _, d := range unions {
+			b.StopTimer()
+			d = freshCopy(d)
+			b.StartTimer()
+			if _, _, err := ix.Add(context.Background(), d); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
+	b.ReportMetric(float64(len(records)), "records/op")
+	b.ReportMetric(float64(len(unions)), "batches/op")
 }
 
 // hepthHalf is the corpus of the two class-table benchmarks below: HEPTH

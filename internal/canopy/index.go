@@ -11,12 +11,14 @@ import (
 )
 
 // Index is the mutable blocking state of the incremental ingestion path:
-// the gramTable of BuildCover — interned gram ids per record and their
-// postings — plus a cached loose-candidate list per record. New records
-// are absorbed with Add, which only probes the table for the arriving
-// suffix (the candidate list of a record can only *grow* under ingestion,
-// because postings are append-only), and then re-emits canopies and the
-// total cover from the cached lists.
+// the gramTable of BuildCover — one row per distinct normalized name, its
+// interned gram ids and their postings, and each record's row — plus a
+// cached loose-candidate list per row. New records are absorbed with Add,
+// which probes the table only for the names the arriving suffix brings for
+// the first time (a record with a known name just joins its row, and the
+// candidate list of a row can only *grow* under ingestion, because postings
+// are append-only), and then re-emits canopies and the total cover from the
+// cached lists, expanding rows to their records as it goes.
 //
 // The cover Add produces is byte-identical to rebuilding from scratch
 // with BuildCover on the union dataset — the property the differential
@@ -30,11 +32,10 @@ import (
 type Index struct {
 	cfg Config
 
-	mu      sync.Mutex
-	n       int          // records ingested so far
-	tab     *gramTable   // gram ids and postings of those records
-	scratch probeScratch // counting state of the (serialized) probes
-	cands   [][]scored   // loose candidates per record, ascending id
+	mu    sync.Mutex
+	tab   *gramTable // rows, gram ids and postings of the records ingested so far
+	cnt   []int32    // counting state of the (serialized) probes: a zero per row
+	cands [][]scored // loose candidate rows per row, ascending
 
 	prevSets map[string]bool   // content keys of the previous cover's sets
 	prevByID [][]core.EntityID // previous cover's sets by id (aliases, read-only)
@@ -92,7 +93,7 @@ func (ix *Index) Config() Config { return ix.cfg }
 func (ix *Index) Len() int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	return ix.n
+	return len(ix.tab.rowOf)
 }
 
 // Cover returns the cover built by the last Add (nil before the first).
@@ -109,9 +110,9 @@ func (ix *Index) Cover() *core.Cover {
 // (names of records [0, ix.Len()) unchanged), which DatasetFromRecords
 // guarantees for appended record batches.
 //
-// Cost is proportional to the delta: each new record is scored once
-// against the gram table (exactly one seed probe, as in Canopies), old
-// records are never re-scored, and only canopy emission plus cover
+// Cost is proportional to the delta: each name not seen before is scored
+// once against the gram table (exactly one probe per row, as in Canopies),
+// old rows are never re-scored, and only canopy emission plus cover
 // patching — bookkeeping over cached candidate lists — runs over the
 // full corpus. A canceled ctx aborts with ctx.Err() and leaves the index
 // exactly as it was before the call, so the same Add can simply be retried.
@@ -129,43 +130,43 @@ func (ix *Index) Add(ctx context.Context, d *bib.Dataset) (*core.Cover, *Delta, 
 func (ix *Index) AddFrom(ctx context.Context, d *bib.Dataset, base int) (*core.Cover, *Delta, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.n != base {
-		return nil, nil, fmt.Errorf("%w (index at %d, caller at %d)", ErrStale, ix.n, base)
+	if at := len(ix.tab.rowOf); at != base {
+		return nil, nil, fmt.Errorf("%w (index at %d, caller at %d)", ErrStale, at, base)
 	}
 	return ix.add(ctx, d)
 }
 
 func (ix *Index) add(ctx context.Context, d *bib.Dataset) (*core.Cover, *Delta, error) {
-	n := d.NumRefs()
-	if n < ix.n {
-		return nil, nil, fmt.Errorf("canopy: index holds %d records but dataset has %d (records must only be appended)", ix.n, n)
+	n, at := d.NumRefs(), ix.tab.mark()
+	if n < at.records {
+		return nil, nil, fmt.Errorf("canopy: index holds %d records but dataset has %d (records must only be appended)", at.records, n)
 	}
-	if n == ix.n && ix.cover != nil {
+	if n == at.records && ix.cover != nil {
 		// Nothing arrived: the cover is unchanged, which is trivially
 		// additive.
 		return ix.cover, &Delta{Additive: true}, nil
 	}
-	dict := len(ix.tab.postings)
 	cover, err := ix.ingest(ctx, d)
 	if err != nil {
 		// All or nothing: a half-ingested suffix would be inserted again,
 		// under later ids, by the next Add.
-		ix.tab.truncate(ix.n, dict)
-		clear(ix.cands[ix.n:])
-		ix.cands = ix.cands[:ix.n]
+		ix.tab.truncate(at)
+		ix.cnt = ix.cnt[:at.rows]
+		clear(ix.cands[at.rows:])
+		ix.cands = ix.cands[:at.rows]
 		for i, own := range ix.cands {
-			for len(own) > 0 && int(own[len(own)-1].ID) >= ix.n {
+			for len(own) > 0 && int(own[len(own)-1].ID) >= at.rows {
 				own = own[:len(own)-1]
 			}
 			ix.cands[i] = own
 		}
 		return nil, nil, err
 	}
-	delta := &Delta{NewEntities: make([]core.EntityID, 0, n-ix.n)}
-	for id := ix.n; id < n; id++ {
+	delta := &Delta{NewEntities: make([]core.EntityID, 0, n-at.records)}
+	for id := at.records; id < n; id++ {
 		delta.NewEntities = append(delta.NewEntities, core.EntityID(id))
 	}
-	ix.n, ix.cover = n, cover
+	ix.cover = cover
 
 	// Phase 3 — diff against the previous cover, by content (Changed)
 	// and by id (Additive). Set ids are stable under ingestion, so the
@@ -189,27 +190,32 @@ func (ix *Index) add(ctx context.Context, d *bib.Dataset) (*core.Cover, *Delta, 
 	return ix.cover, delta, nil
 }
 
-// ingest scores the records d.Refs[ix.n:] into the table and the candidate
-// lists and builds the cover over all of d. It leaves ix.n and ix.cover to
-// the caller, who commits them on success and rolls the suffix back on error.
+// ingest inserts the records past those the table holds into it, scores the
+// rows they open into the candidate lists and builds the cover over all of d.
+// It leaves ix.cover to the caller, who commits it on success and rolls the
+// suffix back on error.
 func (ix *Index) ingest(ctx context.Context, d *bib.Dataset) (*core.Cover, error) {
-	// Phase 1 — score the arriving suffix. Inserting a record into the
-	// table *before* probing makes the record its own candidate (Jaccard
-	// 1 ≥ Loose), exactly as the batch scorer's self-probe does, and lets
-	// later records of the same batch see earlier ones.
+	// Phase 1 — score the arriving names. Inserting a row into the table
+	// *before* probing makes the row its own candidate (Jaccard 1 ≥ Loose),
+	// exactly as the batch scorer's self-probe does, and lets later records
+	// of the same batch see earlier ones.
 	names := d.Names()
-	for id := ix.n; id < d.NumRefs(); id++ {
+	for id := len(ix.tab.rowOf); id < d.NumRefs(); id++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ix.tab.insert(names.Normalized(bib.RefID(id)))
-		own := ix.tab.probe(ix.tab.grams[id], ix.cfg.Loose, &ix.scratch)
+		row, fresh := ix.tab.insert(names.Normalized(bib.RefID(id)))
+		if !fresh {
+			continue // its row is scored; emission finds the record there
+		}
+		ix.cnt = append(ix.cnt, 0)
+		own := ix.tab.probe(row, ix.cfg.Loose, ix.cnt)
 		for _, c := range own {
-			if int(c.ID) != id {
-				// The candidate relation is symmetric and new ids exceed
+			if c.ID != row {
+				// The candidate relation is symmetric and new rows exceed
 				// all previous ones, so appending keeps cands[c.ID] in
-				// ascending id order.
-				ix.cands[c.ID] = append(ix.cands[c.ID], scored{ID: core.EntityID(id), Sim: c.Sim})
+				// ascending order.
+				ix.cands[c.ID] = append(ix.cands[c.ID], scored{ID: row, Sim: c.Sim})
 			}
 		}
 		ix.cands = append(ix.cands, own)
@@ -240,11 +246,11 @@ func subsetOf(a, b []core.EntityID) bool {
 }
 
 // emit runs the canopy emission loop of CanopiesContext over the cached
-// candidate lists (already loose-filtered and id-sorted).
+// candidate lists (already loose-filtered and in row order).
 func (ix *Index) emit() [][]core.EntityID {
-	e := &emitter{cfg: ix.cfg, removed: make([]bool, len(ix.cands))}
-	for seed, kept := range ix.cands {
-		e.emit(seed, kept)
+	e := newEmitter(ix.cfg, ix.tab)
+	for seed, row := range ix.tab.rowOf {
+		e.emit(core.EntityID(seed), ix.cands[row])
 	}
 	return e.canopies
 }

@@ -1,9 +1,7 @@
 package canopy
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -296,12 +294,32 @@ func (c *cancelAt) Err() error {
 	return nil
 }
 
+// blockingState is everything an Add writes before it can fail, for
+// comparison between indexes: the saved blob covers names, rows of records
+// and candidate lists, and the table's derived half — gram dictionary, name
+// lookup, gram lists, postings — and the probe counters are read directly.
+type blockingState struct {
+	blob            []byte
+	ids, rows       map[string]int32
+	grams, postings [][]int32
+	cnt             []int32
+}
+
+func stateOf(t *testing.T, ix *Index) blockingState {
+	t.Helper()
+	blob, err := ix.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blockingState{blob, ix.tab.ids, ix.tab.rows, ix.tab.grams, ix.tab.postings, ix.cnt}
+}
+
 // TestIndexAddIsAllOrNothing cancels an Add at every context check it makes
 // — before each record of the batch, before emission, and the two inside
 // finishCover — and requires the index to be exactly where it was: same
-// length, same cover, and after the same Add is retried the same cover,
-// delta and saved state as an index that never saw a cancellation. (Saved
-// state is compared decoded: gob writes PrevSets in map order.)
+// length, same cover, same rows, members, dictionary and postings, and after
+// the same Add is retried the same cover, delta and state as an index that
+// never saw a cancellation.
 func TestIndexAddIsAllOrNothing(t *testing.T) {
 	records := bib.ToRecords(datagen.MustGenerate(datagen.HEPTHLike(0.05, 42)))
 	base := 2 * len(records) / 3
@@ -324,25 +342,17 @@ func TestIndexAddIsAllOrNothing(t *testing.T) {
 		}
 		return ix
 	}
-	saved := func(ix *Index) indexWire {
-		blob, err := ix.Save()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var w indexWire
-		if err := gob.NewDecoder(bytes.NewReader(blob[len(indexBlobMagic):])).Decode(&w); err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
 
 	ref := grown()
-	before := saved(ref)
+	before := stateOf(t, grown())
 	wantCover, wantDelta, err := ref.Add(ctx, union)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := saved(ref)
+	after := stateOf(t, ref)
+	if len(after.grams) == len(before.grams) || len(after.postings) == len(before.postings) {
+		t.Fatalf("the batch brings no new name or no new gram (%d rows, %d grams after it): nothing to roll back", len(after.grams), len(after.postings))
+	}
 
 	checks := len(records) - base + 3
 	for k := 0; k <= checks; k++ {
@@ -357,7 +367,7 @@ func TestIndexAddIsAllOrNothing(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancel at check %d: err = %v, want context.Canceled", k, err)
 		}
-		if ix.Len() != base || !reflect.DeepEqual(saved(ix), before) {
+		if ix.Len() != base || !reflect.DeepEqual(stateOf(t, ix), before) {
 			t.Fatalf("cancel at check %d: the index moved (Len %d, want %d)", k, ix.Len(), base)
 		}
 		// An empty delta must not hand out a cover the canceled Add built.
@@ -368,7 +378,7 @@ func TestIndexAddIsAllOrNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !coversEqual(cover, wantCover) || !reflect.DeepEqual(delta, wantDelta) || !reflect.DeepEqual(saved(ix), after) {
+		if !coversEqual(cover, wantCover) || !reflect.DeepEqual(delta, wantDelta) || !reflect.DeepEqual(stateOf(t, ix), after) {
 			t.Fatalf("cancel at check %d: the retried Add differs from an index that never saw the cancel", k)
 		}
 	}

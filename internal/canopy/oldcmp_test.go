@@ -3,9 +3,12 @@ package canopy
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/bib"
@@ -456,82 +459,259 @@ func oracleCorpora(t *testing.T) map[string][]string {
 	return corpora
 }
 
-// TestRefactorMatchesOldAlgorithm pins the counting probe against the map
-// scorer: identical candidate lists with bit-identical similarities, and
-// identical canopies, from the batch path at several shard counts and
-// from the incremental index fed in chunks. Its "names" subtests pin the
-// name table against the all-pairs scans, its "tables" subtests the two ways
-// BuildCover and CandidatePairs can share one.
+// duplicatedCorpus is the regime rows exist for, pushed to the extreme: every
+// base name appears 1-20 times, respelled so that the copies normalize to
+// one string, with typo variants a character away (q-gram similarity around
+// 0.9, above most Tights the grid draws) and a few names without grams, all
+// shuffled together — so the records of one row are spread over
+// the ids, interleaved with those of its near-duplicates, and a
+// MaxNeighborhood cap cuts through the middle of rows.
+func duplicatedCorpus(rng *rand.Rand, bases int) []string {
+	respell := []func(string) string{
+		func(s string) string { return s },
+		strings.ToUpper,
+		func(s string) string { return s + " " },
+		func(s string) string { return strings.Replace(s, " ", "  ", 1) },
+	}
+	var names []string
+	for b := 0; b < bases; b++ {
+		first := fmt.Sprintf("%c%s", 'a'+rune(rng.Intn(26)), []string{"lexander", "nastasia", "rancisco", "."}[rng.Intn(4)])
+		last := fmt.Sprintf("%s%c%s", []string{"Rasto", "Garofala", "Dal", "Smi"}[rng.Intn(4)], 'a'+rune(rng.Intn(26)), []string{"gi", "kis", "vi", "th"}[rng.Intn(4)])
+		base := first + " " + last
+		for _, name := range []string{base, base + "y", "x" + base} {
+			for k := 1 + rng.Intn(20); k > 0; k-- {
+				names = append(names, respell[rng.Intn(len(respell))](name))
+			}
+		}
+		if b%4 == 0 {
+			names = append(names, []string{".", "-", "..."}[rng.Intn(3)])
+		}
+	}
+	rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
+	return names
+}
+
+// recordScores expands candidate rows to the records in them, ascending by
+// id: what the per-record scorer lists for every record of the probed row.
+func recordScores(tab *gramTable, rows []scored) []scored {
+	var out []scored
+	for _, r := range rows {
+		for _, rec := range tab.membersOf(r.ID) {
+			out = append(out, scored{ID: rec, Sim: r.Sim})
+		}
+	}
+	slices.SortFunc(out, func(a, b scored) int { return int(a.ID) - int(b.ID) })
+	return out
+}
+
+// checkMatchesOldScorer pins the row scorer against the per-record map scorer
+// on one name list and configuration: every record's candidates — its row's,
+// expanded — with bit-identical similarities, and identical canopies, from
+// the probe itself, from the batch path at each shard count and from the
+// incremental index fed in three chunks and reloaded from its blob in
+// between.
+func checkMatchesOldScorer(t *testing.T, names []string, cfg Config, shardCounts ...int) {
+	t.Helper()
+	ctx := context.Background()
+	wantScores, want := scoresOld(names, cfg), canopiesOld(names, cfg)
+	sameAsOld := func(what string, tab *gramTable, cands func(row int32) []scored) {
+		t.Helper()
+		byRow := make([][]scored, len(tab.names))
+		for row := range byRow {
+			byRow[row] = recordScores(tab, cands(int32(row)))
+		}
+		for i, row := range tab.rowOf {
+			if !sameScores(byRow[row], wantScores[i]) { // == on the float64 similarities, via DeepEqual
+				t.Fatalf("%s: candidates of %d %q = %v, old scorer %v", what, i, names[i], byRow[row], wantScores[i])
+			}
+		}
+	}
+
+	tab := newGramTable(cfg.Q)
+	for _, name := range names {
+		tab.insert(normalize(name))
+	}
+	tab.indexMembers()
+	cnt := make([]int32, len(tab.names))
+	sameAsOld("probe", tab, func(row int32) []scored { return tab.probe(row, cfg.Loose, cnt) })
+
+	for _, shards := range shardCounts {
+		got, err := CanopiesContext(ctx, names, cfg, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d: canopies differ from the old algorithm", shards)
+		}
+	}
+
+	ix, err := NewIndex(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]bib.Record, len(names))
+	for i, name := range names {
+		if name == "" {
+			name = "." // datasets reject "", and both normalize to no grams
+		}
+		recs[i] = bib.Record{Name: name, Group: -1, Gold: -1}
+	}
+	for _, hi := range []int{len(recs) / 3, 2 * len(recs) / 3, len(recs)} {
+		if hi == 0 {
+			continue
+		}
+		d, err := bib.DatasetFromRecords("oracle", recs[:hi])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ix.Add(ctx, d); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := ix.Save()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ix, err = LoadIndex(blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ix.emit(); !reflect.DeepEqual(got, want) {
+		t.Fatal("index canopies differ from the old algorithm")
+	}
+	sameAsOld("index", ix.tab, func(row int32) []scored { return ix.cands[row] })
+}
+
+// TestRefactorMatchesOldAlgorithm pins the row scorer against the map
+// scorer (checkMatchesOldScorer) on the oracle corpora and, in its
+// "duplicated" subtests, on heavily duplicated ones under random thresholds,
+// gram sizes, caps and shard counts. Its "names" subtests pin the name table
+// against the all-pairs scans, its "tables" subtests the two ways BuildCover
+// and CandidatePairs can share one.
 func TestRefactorMatchesOldAlgorithm(t *testing.T) {
 	t.Run("names", nameTableMatchesOldScans)
 	for _, d := range oracleDatasets(t) {
 		t.Run("tables/"+d.Name, func(t *testing.T) { checkWarmAndColdTables(t, d, DefaultConfig()) })
 	}
-	ctx := context.Background()
 	for corpus, names := range oracleCorpora(t) {
 		for _, q := range []int{1, 2, 3} {
 			for _, maxNbr := range []int{0, 2, 8} {
 				cfg := DefaultConfig()
 				cfg.Q, cfg.MaxNeighborhood = q, maxNbr
 				t.Run(fmt.Sprintf("%s/q%d/max%d", corpus, q, maxNbr), func(t *testing.T) {
-					wantScores, want := scoresOld(names, cfg), canopiesOld(names, cfg)
-
-					// The probe itself, every record as seed. == on the
-					// float64 similarities, via DeepEqual.
-					tab := newGramTable(cfg.Q)
-					for _, name := range names {
-						tab.insert(normalize(name))
-					}
-					var sc probeScratch
-					for i := range names {
-						if got := tab.probe(tab.grams[i], cfg.Loose, &sc); !sameScores(got, wantScores[i]) {
-							t.Fatalf("probe(%d %q) = %v, old scorer %v", i, names[i], got, wantScores[i])
-						}
-					}
-
-					for _, shards := range []int{1, 3} {
-						got, err := CanopiesContext(ctx, names, cfg, shards)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("shards=%d: canopies differ from the old algorithm", shards)
-						}
-					}
-
-					// The incremental index, fed in three chunks.
-					ix, err := NewIndex(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					recs := make([]bib.Record, len(names))
-					for i, name := range names {
-						if name == "" {
-							name = "." // datasets reject "", and both normalize to no grams
-						}
-						recs[i] = bib.Record{Name: name, Group: -1, Gold: -1}
-					}
-					for _, hi := range []int{len(recs) / 3, 2 * len(recs) / 3, len(recs)} {
-						d, err := bib.DatasetFromRecords(corpus, recs[:hi])
-						if err != nil {
-							t.Fatal(err)
-						}
-						if _, _, err := ix.Add(ctx, d); err != nil {
-							t.Fatal(err)
-						}
-					}
-					for i := range names {
-						if !sameScores(ix.cands[i], wantScores[i]) {
-							t.Fatalf("index candidates of %d %q = %v, old scorer %v", i, names[i], ix.cands[i], wantScores[i])
-						}
-					}
-					if got := ix.emit(); !reflect.DeepEqual(got, want) {
-						t.Fatal("index canopies differ from the old algorithm")
-					}
+					checkMatchesOldScorer(t, names, cfg, 1, 3)
 				})
 			}
 		}
 	}
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		names := duplicatedCorpus(rng, 4+rng.Intn(12))
+		cfg := Config{Loose: 0.2 + 0.5*rng.Float64(), Q: 1 + rng.Intn(3), MaxAligned: 1}
+		cfg.Tight = cfg.Loose + (0.9-cfg.Loose)*rng.Float64()
+		if rng.Intn(3) > 0 {
+			cfg.MaxNeighborhood = 2 + rng.Intn(12)
+		}
+		t.Run(fmt.Sprintf("duplicated/seed%d", seed), func(t *testing.T) {
+			t.Logf("%d names, %+v", len(names), cfg)
+			checkMatchesOldScorer(t, names, cfg, 1, 2, 3, 4)
+		})
+	}
+}
+
+// TestGramlessNamesStaySingletons pins the edge a shared row could blur:
+// names that normalize to "", which has no grams (".", ",", "..."), all
+// share one row, but a record without grams is not its own candidate, let
+// alone its namesakes', so each is a canopy by itself — as the per-record
+// scorer has it, batch, sharded and from the index, whose three chunks
+// (checkMatchesOldScorer) each add records to the gramless row and are each
+// followed by a Save and LoadIndex. ("-" normalizes to itself, one gram: its
+// records do share a canopy.)
+func TestGramlessNamesStaySingletons(t *testing.T) {
+	names := []string{".", "John Smith", ",", ".", "john smith", "-", "...", "Jon Smith", ".", "-"}
+	gramless := map[core.EntityID]bool{0: true, 2: true, 3: true, 6: true, 8: true}
+	for _, maxNbr := range []int{0, 2} {
+		cfg := DefaultConfig()
+		cfg.MaxNeighborhood = maxNbr
+		checkMatchesOldScorer(t, names, cfg, 1, 2, 3) // every path gives these canopies
+		in := map[core.EntityID]int{}
+		for _, c := range Canopies(names, cfg) {
+			for _, e := range c {
+				in[e]++
+				if gramless[e] && len(c) != 1 {
+					t.Errorf("max %d: gramless record %d %q is in canopy %v, want a singleton", maxNbr, e, names[e], c)
+				}
+			}
+		}
+		for e := range gramless {
+			if in[e] != 1 {
+				t.Errorf("max %d: gramless record %d is in %d canopies, want its own only", maxNbr, e, in[e])
+			}
+		}
+	}
+}
+
+// TestIntegerBoundKeepsExactThreshold: where Loose·|x| is an integer, a row
+// sharing exactly that many grams, and having no others, sits on the
+// threshold and the float test keeps it — while the float product may land
+// above the integer (0.28 * 25 is 7.000000000000001, so its ceiling is 8).
+// minShared must be the least count the float test can pass, for every size
+// and threshold, and the probe must keep such a row.
+func TestIntegerBoundKeepsExactThreshold(t *testing.T) {
+	for _, loose := range []float64{0.42, 0.28, 0.3, 0.07, 0.1, 0.2, 0.5, 0.55, 0.6, 0.7, 0.9, 1} {
+		for n := 1; n <= 400; n++ {
+			least := 0
+			for float64(least)/float64(n) < loose {
+				least++
+			}
+			if got := int(minShared(n, loose)); got != least {
+				t.Fatalf("minShared(%d, %v) = %d, but %d shared grams is the least that can reach the threshold", n, loose, got, least)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		loose  float64
+		n, hit int // |x|, and the shared grams that make Jaccard exactly loose
+	}{{0.28, 25, 7}, {0.42, 50, 21}} {
+		if got := math.Ceil(tc.loose * float64(tc.n)); tc.loose == 0.28 && int(got) == tc.hit {
+			t.Errorf("ceil(%v * %d) = %v: the case no longer shows the product crossing the integer", tc.loose, tc.n, got)
+		}
+		x := make([]byte, tc.n)
+		for i := range x {
+			x[i] = 0x80 + byte(i) // distinct 1-grams; the table takes any string
+		}
+		tab := newGramTable(1)
+		for _, s := range []string{string(x), string(x[:tc.hit]), string(x[:tc.hit-1])} {
+			tab.insert(s)
+		}
+		got := tab.probe(0, tc.loose, make([]int32, len(tab.names)))
+		if want := []scored{{ID: 0, Sim: 1}, {ID: 1, Sim: float64(tc.hit) / float64(tc.n)}}; !reflect.DeepEqual(got, want) {
+			t.Errorf("Loose %v, probe of the %d-gram row = %v, want %v: %d shared grams is exactly Loose", tc.loose, tc.n, got, want, tc.hit)
+		}
+	}
+}
+
+// FuzzCanopiesMatchOld: no name list, thresholds, gram size, cap or shard
+// count makes the row scorer — batch, sharded or incremental — differ from
+// the per-record map scorer.
+func FuzzCanopiesMatchOld(f *testing.F) {
+	f.Add("John Smith\nJon Smith\njohn  SMITH\nJ. Smith\nJohn Smith\n.\n-\nJohn Smith", uint8(42), uint8(85), uint8(2), uint8(0), uint8(2))
+	f.Add("a\na\nab\nab\nabc\n\n...\na", uint8(10), uint8(10), uint8(1), uint8(2), uint8(3))
+	f.Add("Vibhor Rastogi\nVibhor Rastogy\nVibhor Rastogi\nV. Rastogi\nVibhor Rastogy\nvibhor rastogi", uint8(30), uint8(60), uint8(3), uint8(3), uint8(4))
+	f.Fuzz(func(t *testing.T, blob string, loose, tight, q, maxNbr, shards uint8) {
+		names := strings.Split(blob, "\n")
+		if len(names) > 120 {
+			names = names[:120]
+		}
+		cfg := Config{Loose: float64(1+loose%100) / 100, Q: 1 + int(q%4), MaxAligned: 1}
+		cfg.Tight = min(1, cfg.Loose+float64(tight%100)/100)
+		if maxNbr%16 >= 2 {
+			cfg.MaxNeighborhood = int(maxNbr % 16)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		checkMatchesOldScorer(t, names, cfg, 1, 2+int(shards%3))
+	})
 }
 
 // sameScores compares candidate lists exactly (== on the similarities),

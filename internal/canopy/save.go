@@ -14,21 +14,24 @@ import (
 // delta index alongside the run snapshot; on restart, LoadIndex
 // restores the full blocking state so ingestion resumes incrementally
 // without re-probing the corpus. The blob holds what cannot be derived —
-// the gram dictionary, each record's gram ids, the cached candidate
-// lists and the previous cover — and postings are rebuilt on load. The
-// format is gob over a mirror struct behind a magic line naming the
-// version; it is a cache, so a failed load (garbage, an older version, ids
-// out of range) is recoverable by replaying records through a fresh index.
+// the distinct normalized names in row order, each record's row, the rows'
+// cached candidate lists and the previous cover. The gram dictionary, the
+// rows' gram ids and the postings are rebuilt on load by opening the rows
+// again in order (gram ids are handed out in order of first appearance, so
+// they come out as they were), the previous cover's content keys from its
+// sets. The format is gob over a mirror struct — slices only, so saving one
+// state twice gives the same bytes — behind a magic line naming the version;
+// it is a cache, so a failed load (garbage, an older version, ids out of
+// range) is recoverable by replaying records through a fresh index.
 
-const indexBlobMagic = "CEMP2\n"
+const indexBlobMagic = "CEMP3\n"
 
 // indexWire mirrors Index with exported fields for gob.
 type indexWire struct {
 	Cfg      Config
-	Dict     []string  // gram id -> gram
-	Grams    [][]int32 // record -> ascending distinct gram ids
-	Cands    [][]scored
-	PrevSets map[string]bool
+	Names    []string          // row -> normalized name
+	RowOf    []int32           // record -> row
+	Cands    [][]scored        // row -> loose candidate rows, ascending
 	Sets     [][]core.EntityID // the last cover's sets
 	HasCover bool              // false before the first Add
 }
@@ -37,16 +40,7 @@ type indexWire struct {
 func (ix *Index) Save() ([]byte, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	w := indexWire{
-		Cfg:      ix.cfg,
-		Dict:     make([]string, len(ix.tab.ids)),
-		Grams:    ix.tab.grams,
-		Cands:    ix.cands,
-		PrevSets: ix.prevSets,
-	}
-	for g, id := range ix.tab.ids {
-		w.Dict[id] = g
-	}
+	w := indexWire{Cfg: ix.cfg, Names: ix.tab.names, RowOf: ix.tab.rowOf, Cands: ix.cands}
 	if ix.cover != nil {
 		w.HasCover = true
 		w.Sets = ix.cover.Sets
@@ -76,44 +70,50 @@ func LoadIndex(data []byte) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("canopy: index blob config: %w", err)
 	}
-	n := len(w.Grams)
-	if n != len(w.Cands) {
-		return nil, fmt.Errorf("canopy: index blob inconsistent: %d gram lists, %d candidate lists", n, len(w.Cands))
+	rows, n := len(w.Names), len(w.RowOf)
+	if rows != len(w.Cands) {
+		return nil, fmt.Errorf("canopy: index blob inconsistent: %d names, %d candidate lists", rows, len(w.Cands))
 	}
-	for id, g := range w.Dict {
-		if _, dup := ix.tab.ids[g]; dup {
-			return nil, fmt.Errorf("canopy: index blob lists gram %q twice", g)
+	for _, s := range w.Names {
+		if _, fresh := ix.tab.rowFor(s); !fresh {
+			return nil, fmt.Errorf("canopy: index blob lists name %q twice", s)
 		}
-		ix.tab.ids[g] = int32(id)
 	}
-	ix.tab.postings = make([][]int32, len(w.Dict))
-	ix.tab.grams, ix.cands, ix.n = w.Grams, w.Cands, n
-	for i, gs := range w.Grams {
-		if !ascendingBelow(gs, len(w.Dict)) {
-			return nil, fmt.Errorf("canopy: index blob record %d: gram ids not ascending in [0,%d)", i, len(w.Dict))
+	// Rows are numbered in order of first appearance, so a record is in a row
+	// seen before it or in the next one, and every row has a record.
+	seen := 0
+	for i, row := range w.RowOf {
+		if row < 0 || int(row) > seen || int(row) >= rows {
+			return nil, fmt.Errorf("canopy: index blob record %d: row %d, want one of the %d seen so far or the next of %d", i, row, seen, rows)
 		}
-		for _, g := range gs {
-			ix.tab.postings[g] = append(ix.tab.postings[g], int32(i))
+		if int(row) == seen {
+			seen++
 		}
-		// A record with grams is its own candidate, one without has none:
+	}
+	if seen != rows {
+		return nil, fmt.Errorf("canopy: index blob inconsistent: %d of %d names have no record", rows-seen, rows)
+	}
+	for row, cands := range w.Cands {
+		// A row with grams is its own candidate, one without has none:
 		// emit relies on a seed's canopy containing the seed.
 		self := false
-		for j, c := range w.Cands[i] {
-			if c.ID < 0 || int(c.ID) >= n || (j > 0 && c.ID <= w.Cands[i][j-1].ID) {
-				return nil, fmt.Errorf("canopy: index blob record %d: candidate ids not ascending in [0,%d)", i, n)
+		for j, c := range cands {
+			if c.ID < 0 || int(c.ID) >= rows || (j > 0 && c.ID <= cands[j-1].ID) {
+				return nil, fmt.Errorf("canopy: index blob row %d: candidate rows not ascending in [0,%d)", row, rows)
 			}
-			self = self || int(c.ID) == i
+			self = self || int(c.ID) == row
 		}
-		if self != (len(gs) > 0) {
-			return nil, fmt.Errorf("canopy: index blob record %d: candidate list disagrees with its grams", i)
+		if self != (len(ix.tab.grams[row]) > 0) {
+			return nil, fmt.Errorf("canopy: index blob row %d: candidate list disagrees with its grams", row)
 		}
 	}
-	ix.prevSets = w.PrevSets // nil when empty: only ever read, then replaced
+	ix.tab.rowOf, ix.cands, ix.cnt = w.RowOf, w.Cands, make([]int32, rows)
 	if w.HasCover {
 		for i, set := range w.Sets {
 			if !ascendingBelow(set, n) {
 				return nil, fmt.Errorf("canopy: index blob cover set %d: members not ascending in [0,%d)", i, n)
 			}
+			ix.prevSets[setKey(set)] = true
 		}
 		ix.cover = core.NewCover(n, w.Sets)
 		ix.prevByID = ix.cover.Sets

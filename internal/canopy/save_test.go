@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"slices"
 	"strings"
 	"testing"
 
@@ -80,11 +81,14 @@ func TestLoadIndexRejectsGarbage(t *testing.T) {
 	if _, err := LoadIndex([]byte(indexBlobMagic + "trailing junk")); err == nil {
 		t.Fatal("LoadIndex accepted a corrupt gob body")
 	}
-	// The previous layout (gram maps + string-keyed postings) is refused by
-	// its magic, naming both versions, before any decoding.
-	if _, err := LoadIndex([]byte("CEMP1\nwhatever")); err == nil ||
-		!strings.Contains(err.Error(), "CEMP1") || !strings.Contains(err.Error(), "CEMP2") {
-		t.Fatalf("LoadIndex on a CEMP1 blob: err = %v, want a version error naming CEMP1 and CEMP2", err)
+	// The previous layouts (gram maps + string-keyed postings; a gram-table
+	// row per record) are refused by their magic, naming both versions,
+	// before any decoding.
+	for _, old := range []string{"CEMP1", "CEMP2"} {
+		if _, err := LoadIndex([]byte(old + "\nwhatever")); err == nil ||
+			!strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "CEMP3") {
+			t.Fatalf("LoadIndex on a %s blob: err = %v, want a version error naming %s and CEMP3", old, err, old)
+		}
 	}
 	ix, err := NewIndex(DefaultConfig())
 	if err != nil {
@@ -141,23 +145,30 @@ func encodeWire(t testing.TB, w indexWire) []byte {
 
 // TestLoadIndexValidatesIDs: a well-formed gob whose ids do not fit the
 // sizes they index used to load and panic in the next emit or Add; every
-// such blob must be refused at load.
+// such blob must be refused at load. savedWire's five records are in four
+// rows: john smith {0, 2}, jon smith {1}, the gramless "." {3} and x {4}.
 func TestLoadIndexValidatesIDs(t *testing.T) {
+	if w := savedWire(t); !slices.Equal(w.RowOf, []int32{0, 1, 0, 2, 3}) || len(w.Names) != 4 || len(w.Cands[0]) != 2 || len(w.Cands[2]) != 0 {
+		t.Fatalf("the wire form is not the one the corruptions below address: %+v", w)
+	}
 	if _, err := LoadIndex(encodeWire(t, savedWire(t))); err != nil {
 		t.Fatalf("the uncorrupted wire form does not load: %v", err)
 	}
 	for name, corrupt := range map[string]func(w *indexWire){
-		"candidate id >= N":         func(w *indexWire) { w.Cands[0][len(w.Cands[0])-1].ID = 99 },
-		"negative candidate id":     func(w *indexWire) { w.Cands[1][0].ID = -1 },
+		"candidate row >= rows":     func(w *indexWire) { w.Cands[0][len(w.Cands[0])-1].ID = 4 },
+		"negative candidate row":    func(w *indexWire) { w.Cands[1][0].ID = -1 },
 		"candidates not ascending":  func(w *indexWire) { w.Cands[0][0], w.Cands[0][1] = w.Cands[0][1], w.Cands[0][0] },
 		"duplicate candidate":       func(w *indexWire) { w.Cands[0][1] = w.Cands[0][0] },
-		"record not its own cand":   func(w *indexWire) { w.Cands[4] = nil },
-		"candidates without grams":  func(w *indexWire) { w.Cands[3] = []scored{{ID: 3, Sim: 1}} },
-		"gram id >= dictionary":     func(w *indexWire) { w.Grams[0][len(w.Grams[0])-1] = int32(len(w.Dict)) },
-		"negative gram id":          func(w *indexWire) { w.Grams[0][0] = -5 },
-		"gram ids not ascending":    func(w *indexWire) { w.Grams[0][0], w.Grams[0][1] = w.Grams[0][1], w.Grams[0][0] },
-		"duplicate dictionary gram": func(w *indexWire) { w.Dict[1] = w.Dict[0] },
+		"row not its own candidate": func(w *indexWire) { w.Cands[3] = nil },
+		"candidates without grams":  func(w *indexWire) { w.Cands[2] = []scored{{ID: 2, Sim: 1}} },
+		"duplicate name":            func(w *indexWire) { w.Names[1] = w.Names[0] },
 		"fewer candidate lists":     func(w *indexWire) { w.Cands = w.Cands[:len(w.Cands)-1] },
+		"fewer names than rows":     func(w *indexWire) { w.Names, w.Cands = w.Names[:3], w.Cands[:3] },
+		"record row >= rows":        func(w *indexWire) { w.RowOf[4] = 4 },
+		"negative record row":       func(w *indexWire) { w.RowOf[0] = -1 },
+		"rows not in arrival order": func(w *indexWire) { w.RowOf[0], w.RowOf[1] = 1, 0 },
+		"record skips a row":        func(w *indexWire) { w.RowOf[3] = 3 },
+		"row without a record":      func(w *indexWire) { w.RowOf[4] = 0 },
 		"cover member >= N":         func(w *indexWire) { w.Sets[0][len(w.Sets[0])-1] = 99 },
 		"negative cover member":     func(w *indexWire) { w.Sets[0][0] = -1 },
 	} {
@@ -165,6 +176,52 @@ func TestLoadIndexValidatesIDs(t *testing.T) {
 		corrupt(&w)
 		if ix, err := LoadIndex(encodeWire(t, w)); err == nil {
 			t.Errorf("%s: LoadIndex accepted the blob (index of %d records)", name, ix.Len())
+		}
+	}
+}
+
+// TestIndexSaveDeterministic: a state has one blob. Two saves of one index,
+// and the saves of two indexes fed the same batches, are byte-equal (the
+// previous format held a map, which gob writes in iteration order), also
+// after a round trip through LoadIndex.
+func TestIndexSaveDeterministic(t *testing.T) {
+	records := bib.ToRecords(datagen.MustGenerate(datagen.DBLPLike(0.1, 42)))
+	ctx := context.Background()
+	var blobs [][]byte
+	for range 2 {
+		ix, err := NewIndex(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, hi := range []int{len(records) / 2, len(records)} {
+			d, err := bib.DatasetFromRecords("det", records[:hi])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := ix.Add(ctx, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 2 {
+			blob, err := ix.Save()
+			if err != nil {
+				t.Fatal(err)
+			}
+			blobs = append(blobs, blob)
+		}
+		loaded, err := LoadIndex(blobs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := loaded.Save()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs = append(blobs, blob)
+	}
+	for i, blob := range blobs {
+		if !bytes.Equal(blob, blobs[0]) {
+			t.Fatalf("save %d of the same state differs from the first (%d and %d bytes)", i, len(blob), len(blobs[0]))
 		}
 	}
 }
@@ -179,7 +236,12 @@ func FuzzLoadIndex(f *testing.F) {
 	w.HasCover, w.Sets = false, nil
 	f.Add(encodeWire(f, w))
 	f.Add([]byte(indexBlobMagic))
-	f.Add([]byte("CEMP1\n"))
+	f.Add([]byte("CEMP2\n"))
+	w = savedWire(f)
+	w.RowOf = append(w.RowOf, 1, 3, 0) // more records in known rows
+	f.Add(encodeWire(f, w))
+	w.RowOf[2], w.Cands[1] = 7, append(w.Cands[1], scored{ID: 9, Sim: 0.5}) // ids past every range
+	f.Add(encodeWire(f, w))
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		ix, err := LoadIndex(blob)
 		if err != nil || ix.Len() == 0 || ix.Len() > 1<<10 {

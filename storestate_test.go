@@ -166,10 +166,10 @@ func TestStoreStateReopenOldIndexBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(blob, []byte("CEMP2\n")) {
-		t.Fatalf("index blob starts %q, want the CEMP2 magic", blob[:6])
+	if !bytes.HasPrefix(blob, []byte("CEMP3\n")) {
+		t.Fatalf("index blob starts %q, want the CEMP3 magic", blob[:6])
 	}
-	old := append([]byte("CEMP1\n"), blob[6:]...)
+	old := append([]byte("CEMP2\n"), blob[6:]...)
 	if err := s.SaveBlob(match.KindPostings, "latest", old); err != nil {
 		t.Fatal(err)
 	}
