@@ -2,24 +2,13 @@
 
 GO       ?= go
 GOFLAGS  ?=
-PR       ?= 9
-BENCHOUT ?= BENCH_$(PR).json
 
-# BENCH_LABEL is the label bench-json stores its run under, and the run
-# bench-compare grades; BASELINE_LABEL is the committed reference it is
-# graded against. CI and local runs share these knobs, so the gate and a
-# developer's `make bench-json bench-compare` see the same data. The
-# committed baseline and the gated run MUST use the same benchtimes —
-# iteration count shifts pooled benchmarks' per-op numbers, which is how
-# the PR-3 baseline (20x) became unreproducible under the old 3x gate.
-BENCH_LABEL    ?= current
-BASELINE_LABEL ?= pr6-baseline
-
-# Benchmarks recorded in the committed trajectory: the scheme executors
-# (the matching hot path this engine optimizes), the blocking stage, and
-# the matcher-level micro-benchmarks (grounding, warm Match, and the
-# verdict-memo hit/miss/maximal paths).
-SCHEME_BENCH   = ^Benchmark(NoMP|SMP|MMP|UB|Full|Blocking|Pipeline|Setup|Grid)
+# The hot-path micro-benchmarks `make bench` prints: the scheme executors
+# (the matching hot path this engine optimizes), the blocking stage, cover
+# preparation over the shared candidate table, and the matcher-level
+# micro-benchmarks (grounding, warm Match, and the verdict-memo
+# hit/miss/maximal paths). Gains are claimed with bench-pair, not these.
+SCHEME_BENCH   = ^Benchmark(NoMP|SMP|MMP|UB|Full|Blocking|Pipeline|Setup|PrepareCover|Grid)
 MATCHER_BENCH  = ^Benchmark(New|MatchWarm|MemoHit|MemoMiss|MemoMaximal)$$
 # The storage-backend RSS benchmark matches the million-reference corpus
 # once per backend in a child process and reports the kernel-measured
@@ -32,7 +21,7 @@ BENCHTIME     ?= 5x
 # their own, much higher iteration floor.
 MATCHER_BENCHTIME ?= 500x
 
-.PHONY: build test race bench bench-json bench-compare bench-rss cover cover-check fuzz fmt vet clean service-smoke chaos-smoke store-smoke bench-smoke bench-frozen bench-pair scale-test
+.PHONY: build test race bench bench-rss cover cover-check fuzz fmt vet clean service-smoke chaos-smoke store-smoke bench-smoke bench-frozen bench-pair scale-test
 
 build:
 	$(GO) build $(GOFLAGS) ./...
@@ -57,22 +46,6 @@ bench:
 	$(GO) test $(GOFLAGS) -run '^$$' -bench '^BenchmarkRulesSMP' -benchmem -benchtime 20x -cpu 1 ./internal/rules/
 	$(GO) test $(GOFLAGS) -run '^$$' -bench '^Benchmark(Canopies|IndexAdd)$$' -benchmem -benchtime $(BENCHTIME) ./internal/canopy/
 
-# bench-json refreshes the $(BENCH_LABEL) run in $(BENCHOUT), preserving
-# any other labels (e.g. the committed baseline) already there. A
-# failing benchmark run fails the target — no partial trajectories.
-bench-json:
-	@$(GO) test $(GOFLAGS) -run '^$$' -bench '$(SCHEME_BENCH)' -benchmem -benchtime $(BENCHTIME) . > .bench.scheme.tmp \
-	 && $(GO) test $(GOFLAGS) -run '^$$' -bench '$(MATCHER_BENCH)' -benchmem -benchtime $(MATCHER_BENCHTIME) ./internal/mln/ > .bench.mln.tmp \
-	 && $(GO) test $(GOFLAGS) -run '^$$' -bench '$(STORE_BENCH)' -benchtime 1x -timeout 60m ./internal/store/ > .bench.store.tmp \
-	 && cat .bench.scheme.tmp .bench.mln.tmp .bench.store.tmp | $(GO) run $(GOFLAGS) ./cmd/benchjson -o $(BENCHOUT) -label $(BENCH_LABEL); \
-	 status=$$?; rm -f .bench.scheme.tmp .bench.mln.tmp .bench.store.tmp; exit $$status
-
-# bench-compare is the regression gate: fail if $(BENCH_LABEL) regressed
-# against $(BASELINE_LABEL) beyond the thresholds (>25% ns/op on the
-# same machine, >10% allocs/op anywhere). CI runs it after bench-json.
-bench-compare:
-	$(GO) run $(GOFLAGS) ./cmd/benchjson -o $(BENCHOUT) -compare $(BASELINE_LABEL) -label $(BENCH_LABEL)
-
 # cover runs the test suite with a coverage profile and grades it
 # against the committed ratchet; cover-check grades an existing
 # coverage.out (CI reuses the race run's profile). The floor in
@@ -90,8 +63,7 @@ cover-check:
 	  || { echo "FAIL: total coverage $${total}% dropped below the committed floor $${floor}%"; exit 1; }
 
 # bench-rss prints the storage backends' peak-RSS table for the
-# million-reference corpus (also folded into bench-json / BENCH_9.json
-# as the maxrss-mb column).
+# million-reference corpus.
 bench-rss:
 	$(GO) test $(GOFLAGS) -run '^$$' -bench '$(STORE_BENCH)' -benchtime 1x -timeout 60m -v ./internal/store/
 
@@ -160,7 +132,8 @@ bench-pair:
 	bash scripts/bench-pair.sh $(WORKLOAD) $(PARENT) $(N) $(SEED)
 
 # fuzz smoke-runs the correctness-critical fuzz targets: dense-vs-naive
-# scoring, the engine's evidence bitset against a plain pair set,
+# scoring, the engine's evidence bitset against a plain pair set, the
+# candidate table (search, scoping, support join) against brute force,
 # the ground-once rules engine against the evaluator it replaced,
 # the wire codec round trip, the name kernels against their
 # retained references (both Jaro loops; and NameLevel's symmetry, which the
@@ -175,6 +148,7 @@ fuzz:
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzLevelCacheModel$$' -fuzztime 10s ./internal/bib/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz FuzzDenseLogScore -fuzztime 10s ./internal/mln/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzEvidenceModel$$' -fuzztime 10s ./internal/core/
+	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzCandidateTable$$' -fuzztime 10s ./internal/core/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzDenseMatchesOld$$' -fuzztime 10s ./internal/rules/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/wire/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzShardedCanopiesIdentical$$' -fuzztime 10s ./internal/canopy/

@@ -10,6 +10,7 @@ package cem_test
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	cem "repro"
 	"repro/internal/experiments"
 	"repro/internal/grid"
+	"repro/match"
 )
 
 // benchConfig keeps per-iteration work bounded.
@@ -208,6 +210,45 @@ func BenchmarkSetup(b *testing.B) {
 		if _, err := cem.New(d); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPrepareCover measures what a run pays to announce its cover to
+// the built-in matchers, which share one candidate table: the MLN's
+// preparation — the table's scoping of every neighborhood plus the MLN's
+// interaction skeletons over it — and the rules matcher's after it, which
+// finds the scoping done. HEPTH-like 0.5 is the hepth-cold workload's size;
+// 4 is 12 k references and 2 M scoped ids. Preparing a cover twice is a
+// no-op, so every iteration prepares a fresh Cover over the same
+// neighborhoods.
+func BenchmarkPrepareCover(b *testing.B) {
+	for _, scale := range []float64{0.5, 4} {
+		exp, err := cem.New(cem.NewDataset(cem.HEPTH, scale, 42))
+		if err != nil {
+			b.Fatal(err)
+		}
+		fresh := func() *match.Cover {
+			return &match.Cover{Sets: exp.Cover.Sets, NumEntities: exp.Cover.NumEntities}
+		}
+		b.Run(fmt.Sprintf("mln/hepth-%v", scale), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := fresh()
+				b.StartTimer()
+				exp.MLN.PrepareCover(c)
+			}
+		})
+		b.Run(fmt.Sprintf("rules-after-mln/hepth-%v", scale), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := fresh()
+				exp.MLN.PrepareCover(c)
+				b.StartTimer()
+				exp.Rules.PrepareCover(c)
+			}
+		})
 	}
 }
 

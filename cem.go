@@ -225,11 +225,14 @@ func datagenConfig(kind DatasetKind, scale float64, seed int64) (datagen.Config,
 }
 
 // Experiment is a fully wired instance: dataset, total cover, candidate
-// pairs, the built-in matchers, and ground truth. Build one with New.
+// pairs and their table (Candidates[i] is the table's pair i), the
+// built-in matchers ground over that table, and ground truth. Build one
+// with New.
 type Experiment struct {
 	Dataset    *match.Dataset
 	Cover      *core.Cover
 	Candidates []match.Candidate
+	Table      *match.CandidateTable
 	MLN        *mln.Matcher
 	Rules      *rules.Matcher
 	Truth      match.PairSet
@@ -265,10 +268,11 @@ func setup(d *match.Dataset, opts Options, cover *core.Cover) (*Experiment, erro
 	if cover == nil {
 		cover = canopy.BuildCover(d, opts.Canopy)
 	}
-	sp := canopy.CandidatePairs(d, cover)
-	cands := make([]match.Candidate, len(sp))
-	for i, c := range sp {
-		cands[i] = match.Candidate{Pair: c.Pair, Level: c.Level}
+	// The one candidate table of the experiment: blocking's pairs,
+	// validated here and handed to every matcher factory by reference.
+	table, cands, err := tableOf(d, canopy.CandidatePairs(d, cover))
+	if err != nil {
+		return nil, fmt.Errorf("cem: %w", err)
 	}
 
 	truth := match.NewPairSet()
@@ -279,6 +283,7 @@ func setup(d *match.Dataset, opts Options, cover *core.Cover) (*Experiment, erro
 		Dataset:    d,
 		Cover:      cover,
 		Candidates: cands,
+		Table:      table,
 		Truth:      truth,
 		opts:       opts,
 		built:      map[string]match.Matcher{},
@@ -301,7 +306,7 @@ func setup(d *match.Dataset, opts Options, cover *core.Cover) (*Experiment, erro
 
 // matcherContext assembles the factory input for this experiment.
 func (e *Experiment) matcherContext() MatcherContext {
-	return MatcherContext{Dataset: e.Dataset, Candidates: e.Candidates, Options: e.opts}
+	return MatcherContext{Dataset: e.Dataset, Candidates: e.Candidates, Table: e.Table, Options: e.opts}
 }
 
 // matcher returns the named matcher, instantiating and caching it on

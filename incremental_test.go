@@ -18,10 +18,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
 	cem "repro"
+	"repro/internal/canopy"
 	"repro/match"
 )
 
@@ -50,6 +53,69 @@ func arrival(rng *rand.Rand, records []cem.Record) [][]cem.Record {
 	return batches
 }
 
+// affectedByDeltaOld is the warm-start seed computation as it stood before
+// the candidate table — a hash set of every old candidate, a map of seen
+// cover ids — kept verbatim as the oracle of cem.AffectedByDelta.
+func affectedByDeltaOld(exp, old *cem.Experiment, delta *canopy.Delta) []int32 {
+	rel := exp.Dataset.Coauthor()
+	oldCands := match.NewPairSet()
+	for _, c := range old.Candidates {
+		oldCands.Add(c.Pair)
+	}
+	var newPairs []match.Pair
+	for _, c := range exp.Candidates {
+		if !oldCands.Has(c.Pair) {
+			newPairs = append(newPairs, c.Pair)
+		}
+	}
+	seen := map[int32]bool{}
+	var out []int32
+	for _, ids := range [][]int32{
+		delta.Changed,
+		exp.Cover.AffectedEntities(delta.NewEntities, rel),
+		exp.Cover.Affected(newPairs, rel),
+	} {
+		for _, id := range ids {
+			if !seen[id] {
+				seen[id] = true
+				out = append(out, id)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// affectedOracle follows one Update chain under the default blocking
+// configuration with a blocking index of its own, which yields the delta
+// each Update saw, and holds the warm-start seed of every batch to the old
+// computation.
+type affectedOracle struct {
+	index *canopy.Index
+	prior *cem.PipelineResult
+}
+
+func (o *affectedOracle) check(t *testing.T, res *cem.PipelineResult) {
+	t.Helper()
+	if o.index == nil {
+		var err error
+		if o.index, err = canopy.NewIndex(cem.DefaultOptions().Canopy); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, delta, err := o.index.Add(context.Background(), res.Experiment.Dataset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.prior != nil {
+		got := cem.AffectedByDelta(res.Experiment, o.prior.Experiment, delta)
+		if want := affectedByDeltaOld(res.Experiment, o.prior.Experiment, delta); !slices.Equal(got, want) {
+			t.Errorf("after %d records: warm-start seed %v, the old computation gives %v", res.Records, got, want)
+		}
+	}
+	o.prior = res
+}
+
 // ingest folds Update over an arrival sequence and asserts the warm-path
 // invariants: every trailing batch warm-starts (the arrival splits used
 // here keep the cover additive) and, when a cold reference is supplied,
@@ -59,11 +125,13 @@ func ingest(t *testing.T, pipe *cem.Pipeline, batches [][]cem.Record, cold *cem.
 	t.Helper()
 	var res *cem.PipelineResult
 	var err error
+	var oracle affectedOracle
 	for bi, batch := range batches {
 		res, err = pipe.Update(context.Background(), res, batch)
 		if err != nil {
 			t.Fatalf("update %d: %v", bi, err)
 		}
+		oracle.check(t, res)
 		if bi == 0 {
 			continue
 		}
@@ -159,12 +227,14 @@ func TestIncrementalPrefixesMatchColdRuns(t *testing.T) {
 		}
 		var res *cem.PipelineResult
 		var prefix []cem.Record
+		var oracle affectedOracle
 		for bi, batch := range batches {
 			prefix = append(prefix, batch...)
 			res, err = pipe.Update(context.Background(), res, batch)
 			if err != nil {
 				t.Fatal(err)
 			}
+			oracle.check(t, res)
 			cold, err := pipe.Run(context.Background(), prefix)
 			if err != nil {
 				t.Fatal(err)

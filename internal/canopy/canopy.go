@@ -806,13 +806,26 @@ func finishCover(ctx context.Context, d *bib.Dataset, cfg Config, canopies [][]c
 	return core.NewCover(d.NumRefs(), sets), nil
 }
 
-// SimilarPairs enumerates the candidate pairs of a dataset: unordered
-// reference pairs with non-zero discretized name similarity that share at
-// least one canopy. This is the pair universe the matchers decide (the
-// paper's "1.3M matching decisions"). Pairs are returned with their level.
+// SimilarPair is one candidate pair of a dataset: an unordered reference
+// pair with non-zero discretized name similarity that shares at least one
+// canopy, with its level. The candidates are the pair universe the
+// matchers decide (the paper's "1.3M matching decisions"). This is the one
+// declaration of the (pair, level) struct: match.Candidate and
+// mln.Candidate are aliases of it.
 type SimilarPair struct {
 	Pair  core.Pair
 	Level similarity.Level
+}
+
+// Levels returns the level column of a candidate list: position i holds
+// pairs[i].Level, which is candidate id i's level when the list is in
+// table order (core.TableOf).
+func Levels(pairs []SimilarPair) []similarity.Level {
+	out := make([]similarity.Level, len(pairs))
+	for i, c := range pairs {
+		out[i] = c.Level
+	}
+	return out
 }
 
 // CandidatePairs returns every in-neighborhood pair with non-zero

@@ -33,11 +33,13 @@ type RoundPlan struct {
 	// The matcher's dense extension, when it has the one the scheme needs
 	// (DenseProbabilistic for plans WithMessages): evaluations then go
 	// through the id-form methods and every Evidence of the run is a
-	// bitset over its table. Nil for any other matcher, whose evidence
-	// lives in the overflow set and whose Match is called as declared.
+	// bitset over its table — read as handed over: a CandidateTable was
+	// validated where it was built. Nil for any other matcher, whose
+	// evidence lives in the overflow set and whose Match is called as
+	// declared.
 	dense     DenseMatcher
 	denseProb DenseProbabilistic // dense, for plans WithMessages
-	table     []Pair             // dense's candidate table; nil without one
+	table     *CandidateTable    // dense's candidate table; nil without one
 	negative  *Evidence          // Config.Negative over the table
 }
 
@@ -70,9 +72,8 @@ func NewRoundPlan(cfg Config, scheme string) (*RoundPlan, error) {
 		plan.dense, _ = cfg.Matcher.(DenseMatcher)
 	}
 	if plan.dense != nil {
-		plan.table = plan.dense.CandidateTable()
-		if err := checkTable(plan.table); err != nil {
-			return nil, fmt.Errorf("%w (matcher %T)", err, cfg.Matcher)
+		if plan.table = plan.dense.CandidateTable(); plan.table == nil {
+			return nil, fmt.Errorf("core: dense matcher %T has no candidate table", cfg.Matcher)
 		}
 		plan.negative = EvidenceOf(plan.table, cfg.Negative)
 	}

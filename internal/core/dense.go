@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 )
@@ -18,12 +17,14 @@ import (
 // (TestDenseEqualsGeneric). It is optional: a matcher without it runs
 // through the same driver, all of its evidence in Evidence's overflow set.
 //
-// What ids mean: id i is the pair CandidateTable()[i]. The table holds
-// every match variable — every pair Candidates can ever enumerate — in
-// strictly ascending packed-key order, so ascending ids are ascending
-// keys and an id list needs no sort to become a wire or store batch. The
-// table is immutable for the matcher's lifetime. NewRoundPlan verifies
-// the order.
+// What ids mean: id i is the pair CandidateTable().Pair(i). The table
+// holds every match variable — every pair Candidates can ever enumerate —
+// in strictly ascending packed-key order, so ascending ids are ascending
+// keys and an id list needs no sort to become a wire or store batch. A
+// CandidateTable is validated where it is built and immutable afterwards,
+// so the engine takes the one it is handed as it is; a matcher returns
+// the same table for its whole lifetime — the one its factory was given
+// (MatcherContext.Table), or one it built with NewCandidateTable.
 //
 // The extension includes ScopePreparer, and with it the candidate-closure
 // property: MatchIDs(E, …) ⊆ ScopeIDs(E).
@@ -31,11 +32,13 @@ type DenseMatcher interface {
 	Matcher
 	ScopePreparer
 
-	// CandidateTable returns the id → Pair table. Read-only.
-	CandidateTable() []Pair
+	// CandidateTable returns the table the matcher's ids refer to; never
+	// nil.
+	CandidateTable() *CandidateTable
 
 	// ScopeIDs returns the ids of Candidates(entities), ascending. For a
 	// neighborhood of the prepared cover it is the cached list; read-only.
+	// A matcher over a shared table returns the table's ScopeIDs.
 	ScopeIDs(entities []EntityID) []int32
 
 	// MatchIDs is Match in id form: pos and neg are evidence over this
@@ -61,46 +64,6 @@ type DenseProbabilistic interface {
 	ScoreSetDeltaIDs(add []int32, s *Evidence) float64
 }
 
-// checkTable verifies a candidate table is in strictly ascending
-// packed-key order over valid pairs.
-func checkTable(table []Pair) error {
-	for i, p := range table {
-		if p.A < 0 || !p.Valid() {
-			return fmt.Errorf("core: candidate table entry %d is the invalid pair %v", i, p)
-		}
-		if i > 0 && table[i-1].Key() >= p.Key() {
-			return fmt.Errorf("core: candidate table not in strictly ascending pair order at entry %d (%v after %v)", i, p, table[i-1])
-		}
-	}
-	return nil
-}
-
-// findID returns the id of key k in an ascending candidate table, looking
-// at ids from and above only: a gallop out from there, then a binary
-// search, so resolving an ascending key list — each search starting where
-// the last one ended — is a merge walk, and a lone lookup (from 0) is a
-// binary search. The key is only ever compared, never used as an index,
-// so no key — valid or not — can reach outside the table.
-func findID(table []Pair, from int, k PairKey) (int32, bool) {
-	lo, hi := from, from+1
-	for hi < len(table) && table[hi].Key() < k {
-		lo, hi = hi+1, hi+2*(hi-from+1)
-	}
-	hi = min(hi, len(table))
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if table[mid].Key() < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(table) && table[lo].Key() == k {
-		return int32(lo), true
-	}
-	return 0, false
-}
-
 // Evidence is a monotone set of pairs in the engine's dense form: one bit
 // per candidate id of a DenseMatcher's table, plus an overflow PairSet
 // for pairs outside the table. The engine's M+, every shard's and
@@ -117,30 +80,29 @@ func findID(table []Pair, from int, k PairKey) (int32, bool) {
 // *Evidence is a valid empty set for reading. Concurrent readers are
 // safe while nobody adds.
 type Evidence struct {
-	table []Pair
+	table *CandidateTable
 	bits  []uint64
 	count int     // set bits
 	over  PairSet // nil until a pair outside the table arrives
 	log   []Pair
 }
 
-// NewEvidence returns an empty set over a candidate table (nil or empty
-// for a matcher without one), which must be in strictly ascending
-// packed-key order.
-func NewEvidence(table []Pair) *Evidence {
-	return &Evidence{table: table, bits: make([]uint64, (len(table)+63)/64)}
+// NewEvidence returns an empty set over a candidate table (nil for a
+// matcher without one).
+func NewEvidence(table *CandidateTable) *Evidence {
+	return &Evidence{table: table, bits: make([]uint64, (table.Len()+63)/64)}
 }
 
 // EvidenceOf returns set in dense form over table — what the PairSet
 // forms of a DenseMatcher's methods hand their dense core. An empty set
 // yields nil.
-func EvidenceOf(table []Pair, set PairSet) *Evidence {
+func EvidenceOf(table *CandidateTable, set PairSet) *Evidence {
 	if len(set) == 0 {
 		return nil
 	}
 	e := NewEvidence(table)
 	for k := range set {
-		if id, ok := findID(table, 0, k); ok {
+		if id, ok := table.Find(k.Pair()); ok {
 			e.setID(id)
 		} else {
 			e.setOver(k)
@@ -159,7 +121,7 @@ func MatchByIDs(m DenseMatcher, entities []EntityID, pos, neg PairSet) PairSet {
 	ids := m.MatchIDs(entities, EvidenceOf(table, pos), EvidenceOf(table, neg))
 	out := make(PairSet, len(ids))
 	for _, id := range ids {
-		out.Add(table[id])
+		out.Add(table.pairs[id])
 	}
 	return out
 }
@@ -169,7 +131,7 @@ func (e *Evidence) ID(k PairKey) (int32, bool) {
 	if e == nil {
 		return 0, false
 	}
-	return findID(e.table, 0, k)
+	return e.table.Find(k.Pair())
 }
 
 // HasID reports whether candidate id is in the set.
@@ -205,7 +167,7 @@ func (e *Evidence) AddID(id int32) bool {
 	if !e.setID(id) {
 		return false
 	}
-	e.log = append(e.log, e.table[id])
+	e.log = append(e.log, e.table.pairs[id])
 	return true
 }
 
@@ -220,7 +182,7 @@ func (e *Evidence) HasKey(k PairKey) bool {
 // AddKey inserts a packed pair — as its candidate bit when the table
 // holds it, into the overflow otherwise — and reports whether it was new.
 func (e *Evidence) AddKey(k PairKey) bool {
-	if id, ok := findID(e.table, 0, k); ok {
+	if id, ok := e.table.Find(k.Pair()); ok {
 		return e.AddID(id)
 	}
 	if !e.setOver(k) {
@@ -290,7 +252,7 @@ func (e *Evidence) SortedKeys() []PairKey {
 	}
 	for w, word := range e.bits {
 		for ; word != 0; word &= word - 1 {
-			k := e.table[w<<6|bits.TrailingZeros64(word)].Key()
+			k := e.table.pairs[w<<6|bits.TrailingZeros64(word)].Key()
 			for len(over) > 0 && over[0] < k {
 				out, over = append(out, over[0]), over[1:]
 			}
@@ -308,7 +270,7 @@ func (e *Evidence) PairSet() PairSet {
 	}
 	for w, word := range e.bits {
 		for ; word != 0; word &= word - 1 {
-			out.Add(e.table[w<<6|bits.TrailingZeros64(word)])
+			out.Add(e.table.pairs[w<<6|bits.TrailingZeros64(word)])
 		}
 	}
 	for k := range e.over {

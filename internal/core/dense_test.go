@@ -27,7 +27,8 @@ func FuzzEvidenceModel(f *testing.F) {
 				}
 			}
 		}
-		if err := checkTable(table); err != nil {
+		tbl, err := NewCandidateTable(16, table)
+		if err != nil {
 			t.Fatal(err)
 		}
 		pairAt := func(x, y byte) Pair {
@@ -38,7 +39,7 @@ func FuzzEvidenceModel(f *testing.F) {
 			return MakePair(a, b)
 		}
 
-		ev, model := NewEvidence(table), NewPairSet()
+		ev, model := NewEvidence(tbl), NewPairSet()
 		var log []Pair
 		mark, markLen := ev.Mark(), 0
 		var clone *Evidence
@@ -126,16 +127,16 @@ func FuzzEvidenceModel(f *testing.F) {
 				t.Fatal("a clone inherited its origin's log")
 			}
 		}
-		if of := EvidenceOf(table, model); model.Len() > 0 && !slices.Equal(of.SortedKeys(), model.SortedKeys()) {
+		if of := EvidenceOf(tbl, model); model.Len() > 0 && !slices.Equal(of.SortedKeys(), model.SortedKeys()) {
 			t.Fatal("EvidenceOf(model) differs from the model")
 		}
 		// An ascending key list resolves by a merge walk: each search
 		// starts where the last one ended.
 		from := 0
 		for _, k := range model.SortedKeys() {
-			id, ok := findID(table, from, k)
+			id, ok := tbl.FindFrom(from, k)
 			if want := slices.Index(table, k.Pair()); ok != (want >= 0) || (ok && int(id) != want) {
-				t.Fatalf("findID from %d of %v = %d, %v; the table has it at %d", from, k.Pair(), id, ok, want)
+				t.Fatalf("FindFrom %d of %v = %d, %v; the table has it at %d", from, k.Pair(), id, ok, want)
 			}
 			if ok {
 				from = int(id) + 1
@@ -152,7 +153,7 @@ func TestEvidenceNilAndEmpty(t *testing.T) {
 		none.CountUnset([]int32{1, 2}) != 2 || none.SortedKeys() != nil || none.PairSet().Len() != 0 {
 		t.Error("nil Evidence is not an empty set")
 	}
-	if EvidenceOf([]Pair{{0, 1}}, nil) != nil {
+	if EvidenceOf(mustTable(t, 2, []Pair{{0, 1}}), nil) != nil {
 		t.Error("EvidenceOf an empty set should be nil")
 	}
 	ev := NewEvidence(nil)
@@ -165,30 +166,17 @@ func TestEvidenceNilAndEmpty(t *testing.T) {
 // TestFindIDNeverIndexesByKey: a key with its top bit set unpacks to a
 // negative entity id; looking it up compares it and finds nothing.
 func TestFindIDNeverIndexesByKey(t *testing.T) {
-	table := []Pair{{0, 1}, {0, 2}, {1, 2}}
+	table := mustTable(t, 3, []Pair{{0, 1}, {0, 2}, {1, 2}})
 	for _, k := range []PairKey{1<<63 | 2, ^PairKey(0), 0} {
-		if id, ok := findID(table, 0, k); ok {
-			t.Errorf("findID(%#x) found id %d", uint64(k), id)
+		if id, ok := table.Find(k.Pair()); ok {
+			t.Errorf("Find(%#x) found id %d", uint64(k), id)
+		}
+		if id, ok := table.FindFrom(0, k); ok {
+			t.Errorf("FindFrom(0, %#x) found id %d", uint64(k), id)
 		}
 		ev := NewEvidence(table)
 		if ev.HasKey(k) {
 			t.Errorf("HasKey(%#x) on an empty set", uint64(k))
 		}
-	}
-}
-
-func TestCheckTable(t *testing.T) {
-	for name, table := range map[string][]Pair{
-		"unsorted":  {{0, 2}, {0, 1}},
-		"duplicate": {{0, 1}, {0, 1}},
-		"reflexive": {{1, 1}},
-		"negative":  {{-1, 2}},
-	} {
-		if checkTable(table) == nil {
-			t.Errorf("%s table accepted", name)
-		}
-	}
-	if err := checkTable([]Pair{{0, 1}, {0, 2}, {1, 2}}); err != nil {
-		t.Errorf("ordered table rejected: %v", err)
 	}
 }

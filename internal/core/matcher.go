@@ -32,8 +32,10 @@ type Matcher interface {
 
 	// Candidates enumerates the match variables the matcher would consider
 	// over the given entities (for the bibliographic matchers: the
-	// similarity-candidate pairs). COMPUTEMAXIMAL (Algorithm 2) and the UB
-	// oracle iterate over these.
+	// similarity-candidate pairs). COMPUTEMAXIMAL (Algorithm 2), FULL and
+	// the UB oracle iterate over these; the result is the caller's — the
+	// built-in matchers materialize it from their table's scoped ids on
+	// each call, and the dense round path never asks (it reads ScopeIDs).
 	Candidates(entities []EntityID) []Pair
 }
 
@@ -42,8 +44,10 @@ type Matcher interface {
 // model are immutable for the whole run — only evidence grows — so a
 // matcher can precompute each neighborhood's scoped candidate set, local
 // interaction structure and out-of-scope boundary once, turning every
-// subsequent Match/Candidates call on a cover neighborhood into an array
-// walk over a prebuilt skeleton instead of per-call map building.
+// subsequent Match call on a cover neighborhood into an array walk over a
+// prebuilt skeleton instead of per-call map building. The scoped
+// candidate sets are the CandidateTable's (CandidateTable.PrepareCover):
+// matchers over one table share them, and each adds only what is its own.
 //
 // PrepareCover must be idempotent and safe to call concurrently with
 // Match/Candidates (schedulers may share a matcher across runs); calls
@@ -58,8 +62,7 @@ type Matcher interface {
 // candidate without a matcher call (RunStats.Skips), which is only
 // output-identical under this closure. Matchers that can derive pairs
 // outside their candidate enumeration (e.g. an interleaved transitive
-// closure) must not implement this interface. CoverScopes is the index
-// both built-in matchers keep their per-neighborhood skeletons in.
+// closure) must not implement this interface.
 //
 // DenseMatcher builds on this interface: its ScopeIDs is the prepared
 // neighborhood's candidate list as ids, which is what turns the

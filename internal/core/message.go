@@ -15,7 +15,7 @@ type MessageStore struct {
 	// outside it (always, for a store without one): resolved once when
 	// the pair enters the store, so promotion tests membership by bit.
 	cand   []int32
-	table  []Pair // the candidate table cand refers to; nil for a bare store
+	table  *CandidateTable // the table cand refers to; nil for a bare store
 	dsu    *unionfind.DSU
 	cached [][]int // memoized components(); nil after a mutating Add
 }
@@ -24,7 +24,7 @@ func NewMessageStore() *MessageStore { return newMessageStore(nil) }
 
 // newMessageStore returns a store whose pairs are resolved against a
 // plan's candidate table.
-func newMessageStore(table []Pair) *MessageStore {
+func newMessageStore(table *CandidateTable) *MessageStore {
 	return &MessageStore{idOf: map[PairKey]int{}, table: table, dsu: unionfind.New(0)}
 }
 
@@ -35,7 +35,7 @@ func (st *MessageStore) pairID(p Pair) int {
 	id := len(st.pairs)
 	st.idOf[p.Key()] = id
 	st.pairs = append(st.pairs, p)
-	cand, ok := findID(st.table, 0, p.Key())
+	cand, ok := st.table.Find(p)
 	if !ok {
 		cand = -1
 	}

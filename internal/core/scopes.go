@@ -1,16 +1,13 @@
 package core
 
-import (
-	"iter"
-	"slices"
-)
+import "slices"
 
-// CoverScopes is what a ScopePreparer keeps per prepared cover: one
-// matcher-built skeleton of type S for every non-empty neighborhood,
-// found again from the entity slice a scheduler passes to Match or
-// Candidates. A nil *CoverScopes is an empty preparation, so matchers can
-// hold one in an atomic.Pointer and consult it before the first
-// PrepareCover.
+// CoverScopes is what is kept per prepared cover: one skeleton of type S
+// for every non-empty neighborhood, found again from the entity slice a
+// scheduler passes to Match or Candidates. CandidateTable.PrepareCover
+// builds the one the built-in matchers share (S = Scope). A nil
+// *CoverScopes is an empty preparation, so it can sit in an
+// atomic.Pointer and be consulted before the first PrepareCover.
 type CoverScopes[S any] struct {
 	cover *Cover
 	byKey map[scopeKey]preparedScope[S]
@@ -67,18 +64,4 @@ func (cs *CoverScopes[S]) Lookup(entities []EntityID) *S {
 		return nil
 	}
 	return ps.skel
-}
-
-// All iterates over every prepared skeleton, in no particular order.
-func (cs *CoverScopes[S]) All() iter.Seq[*S] {
-	return func(yield func(*S) bool) {
-		if cs == nil {
-			return
-		}
-		for _, ps := range cs.byKey {
-			if !yield(ps.skel) {
-				return
-			}
-		}
-	}
 }

@@ -209,7 +209,7 @@ func (p *RoundPlan) JobToWire(j *Job) wire.Job {
 	if n := len(j.ids) + len(j.keys); n > 0 {
 		w.Matches = make([]uint64, 0, n)
 		for _, id := range j.ids {
-			w.Matches = append(w.Matches, uint64(p.table[id].Key()))
+			w.Matches = append(w.Matches, uint64(p.table.pairs[id].Key()))
 		}
 		for _, k := range j.keys {
 			w.Matches = append(w.Matches, uint64(k))
@@ -248,7 +248,7 @@ func (p *RoundPlan) JobFromWire(w *wire.Job) Job {
 	}
 	from := 0 // the keys ascend, so the ids do
 	for _, k := range w.Matches {
-		if id, ok := findID(p.table, from, PairKey(k)); ok {
+		if id, ok := p.table.FindFrom(from, PairKey(k)); ok {
 			j.ids = append(j.ids, id)
 			from = int(id) + 1
 		} else {

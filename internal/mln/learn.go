@@ -70,15 +70,15 @@ func abs(v float64) float64 {
 func (m *Matcher) featureCounts(ids []int32, s core.PairSet) features {
 	var f features
 	for _, id := range ids {
-		p := m.pairs[id]
+		p := m.table.Pair(id)
 		if !s.Has(p) {
 			continue
 		}
 		f.sim[m.level[id]]++
-		f.coau += float64(m.reflex[id])
-		for _, e := range m.adj[id] {
-			if e.other > id && s.Has(m.pairs[e.other]) {
-				f.coau += float64(e.count)
+		f.coau += float64(2 * m.sup.Shared(id))
+		for _, e := range m.sup.Of(id) {
+			if e.ID > id && s.Has(m.table.Pair(e.ID)) {
+				f.coau += float64(2 * e.N)
 			}
 		}
 	}
@@ -131,8 +131,8 @@ func Learn(m *Matcher, cover *core.Cover, truth core.PairSet, cfg LearnConfig) (
 			}
 			gold := core.NewPairSet()
 			for _, id := range ids {
-				if truth.Has(m.pairs[id]) {
-					gold.Add(m.pairs[id])
+				if truth.Has(m.table.Pair(id)) {
+					gold.Add(m.table.Pair(id))
 				}
 			}
 			m.w = w

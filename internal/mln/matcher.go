@@ -1,14 +1,13 @@
 package mln
 
 import (
-	"cmp"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/bib"
+	"repro/internal/canopy"
 	"repro/internal/core"
 	"repro/internal/similarity"
 )
@@ -69,40 +68,31 @@ func (w Weights) Validate() error {
 	return nil
 }
 
-// interEdge is one interaction partner of a candidate pair: matching
-// pairs[other] contributes count coauthor-rule groundings to this pair.
-type interEdge struct {
-	other int32
-	count int32
-}
-
-// Matcher is the ground MLN over one dataset's candidate pairs. It
+// Matcher is the ground MLN over one dataset's candidate table. It
 // implements core.Matcher, core.Probabilistic, core.ConditionalDecider,
 // core.ScopePreparer and the engine's dense extension
-// (core.DenseProbabilistic). The model (pairs, weights,
-// interactions) is immutable after construction; Match uses only pooled
-// per-call state and the matcher is safe for concurrent use.
+// (core.DenseProbabilistic). The model (table, weights, interactions) is
+// immutable after construction; Match uses only pooled per-call state and
+// the matcher is safe for concurrent use.
 //
-// Candidate ids are positions in (A, B) order — packed-key order — so
-// the candidates with first endpoint e are the id range
-// first[e]..first[e+1], ascending in B: a pair is found by a binary
-// search of its A's range, and ascending ids are ascending keys, which
-// is what lets the engine exchange id lists for key batches unsorted.
+// Ids, id ranges, the pair → id search, neighborhood scoping and the
+// coauthor join all belong to the core.CandidateTable, which the matcher
+// shares with the engine and with any other matcher ground over the same
+// candidates. What is the MLN's own: the weights, the level column, the
+// unary scores, and per prepared neighborhood the interaction skeleton
+// and the verdict memo.
 type Matcher struct {
 	w        Weights
-	pairs    []core.Pair
-	first    []int32 // entity e -> first id with A == e; len n+1
+	table    *core.CandidateTable
+	sup      *core.Supports // coauthor-rule groundings: 2·N per support, 2·Shared reflexive
 	level    []similarity.Level
-	reflex   []int32 // reflexive coauthor groundings per pair (both roles)
-	selfCite []int8  // 1 when the pair's papers cite each other (extension)
+	selfCite []int8 // 1 when the pair's papers cite each other (extension)
 	unary    []float64
-	adj      [][]interEdge
-	n        int // number of entities
 
-	// scopes caches per-neighborhood skeletons for the prepared cover
-	// (core.ScopePreparer); wsPool recycles per-call workspaces with
-	// dense evidence views. See scope.go.
-	scopes atomic.Pointer[core.CoverScopes[scope]]
+	// prep holds the skeletons of the prepared cover (core.ScopePreparer);
+	// wsPool recycles per-call workspaces with dense evidence views. See
+	// scope.go.
+	prep   atomic.Pointer[prepared]
 	wsPool sync.Pool
 
 	// Verdict-memo state (see memo.go): memoOff disables the layer for
@@ -113,128 +103,62 @@ type Matcher struct {
 	cacheInvals atomic.Int64
 }
 
-// Candidate is one match variable: a reference pair with its discretized
-// similarity level.
-type Candidate struct {
-	Pair  core.Pair
-	Level similarity.Level
-}
-
-// ErrCandidateRange marks a candidate pair with an endpoint that is not a
-// reference of the dataset.
-var ErrCandidateRange = errors.New("mln: candidate pair outside the dataset")
+// Candidate is one match variable as blocking emits it: a reference pair
+// with its discretized similarity level.
+type Candidate = canopy.SimilarPair
 
 // New grounds the MLN for a dataset over the given candidate pairs
-// (typically canopy.CandidatePairs of a total cover). Groundings of the
-// coauthor rule are precomputed: for each candidate pair p = (e1, e2) and
-// each (c1, c2) ∈ N(e1) × N(e2) of the Coauthor graph, the rule fires
-// once per role assignment — twice per combination — when (c1, c2) is
-// matched, and c1 = c2 (the trivial reflexivity match of §2.1) yields a
-// constant unary bonus.
-//
-// Candidate ids follow (A, B) order. Blocking emits the candidates in
-// that order and the validation pass below only verifies it; candidates
-// in any other order are sorted first (a copy — the caller's slice is
-// left alone), so ids, levels and interactions are consistent either way.
+// (typically canopy.CandidatePairs of a total cover): it builds their
+// core.CandidateTable — candidates in any order, validated there — and
+// grounds over it.
 func New(d *bib.Dataset, cands []Candidate, w Weights) (*Matcher, error) {
+	t, cands, err := core.TableOf(d.NumRefs(), cands, func(c Candidate) core.Pair { return c.Pair })
+	if err != nil {
+		return nil, err
+	}
+	return Ground(d, t, canopy.Levels(cands), w)
+}
+
+// Ground grounds the MLN over a candidate table of the dataset and the
+// level column in table order (kept, not copied). Groundings of the
+// coauthor rule come from the table's support join: for candidate
+// p = (e1, e2) and each (c1, c2) ∈ N(e1) × N(e2) of the Coauthor graph the
+// rule fires once per role assignment — twice per combination — when
+// (c1, c2) is matched, and c1 = c2 (the trivial reflexivity match of
+// §2.1) yields a constant unary bonus.
+func Ground(d *bib.Dataset, t *core.CandidateTable, levels []similarity.Level, w Weights) (*Matcher, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	n := d.NumRefs()
-	sorted := true
-	for i, c := range cands {
-		if !c.Pair.Valid() {
-			return nil, fmt.Errorf("mln: invalid candidate pair %v", c.Pair)
-		}
-		if c.Pair.A < 0 || int(c.Pair.B) >= n {
-			return nil, fmt.Errorf("%w: %v, references are 0..%d", ErrCandidateRange, c.Pair, n-1)
-		}
-		if i > 0 && cands[i-1].Pair.Key() >= c.Pair.Key() {
-			sorted = false
-		}
-	}
-	if !sorted {
-		cands = slices.Clone(cands)
-		slices.SortFunc(cands, func(a, b Candidate) int { return cmp.Compare(a.Pair.Key(), b.Pair.Key()) })
-		for i := 1; i < len(cands); i++ {
-			if cands[i].Pair == cands[i-1].Pair {
-				return nil, fmt.Errorf("mln: duplicate candidate pair %v", cands[i].Pair)
-			}
-		}
+	if len(levels) != t.Len() {
+		return nil, fmt.Errorf("mln: %d levels for %d candidates", len(levels), t.Len())
 	}
 	m := &Matcher{
 		w:        w,
-		pairs:    make([]core.Pair, len(cands)),
-		first:    make([]int32, n+1),
-		level:    make([]similarity.Level, len(cands)),
-		reflex:   make([]int32, len(cands)),
-		selfCite: make([]int8, len(cands)),
-		unary:    make([]float64, len(cands)),
-		adj:      make([][]interEdge, len(cands)),
-		n:        n,
+		table:    t,
+		sup:      t.Supports(d.Coauthor()),
+		level:    levels,
+		selfCite: make([]int8, t.Len()),
+		unary:    make([]float64, t.Len()),
 	}
-	for i, c := range cands {
-		m.pairs[i] = c.Pair
-		m.level[i] = c.Level
-		m.first[c.Pair.A+1]++
-	}
-	for e := 0; e < n; e++ {
-		m.first[e+1] += m.first[e]
-	}
-	co := d.Coauthor()
+	// Self-citation groundings (extension; zero-weight by default).
 	cites := citesIndex(d)
-	// The O(deg²) coauthor loop collects interaction partners into a
-	// reusable scratch slice and merges duplicates by a sort + run-length
-	// pass — no per-pair map allocation, clearing, or rehashing. Each
-	// (c1, c2) combination fires the rule twice (two role assignments), so
-	// a run of length r becomes count 2r; sorting keeps adj ascending by
-	// partner id, identical to the old map+sort construction.
-	var scratch []int32
-	for i := range m.pairs {
-		p := m.pairs[i]
-		scratch = scratch[:0]
-		reflex := 0
-		for _, c1 := range co.Neighbors(p.A) {
-			for _, c2 := range co.Neighbors(p.B) {
-				if c1 == c2 {
-					reflex++
-					continue
-				}
-				if j, ok := m.find(core.MakePair(c1, c2)); ok && int(j) != i {
-					scratch = append(scratch, j)
-				}
-			}
-		}
-		m.reflex[i] = int32(2 * reflex)
-		// Self-citation groundings (extension; zero-weight by default).
+	for id, p := range t.Pairs() {
 		pa, pb := d.Refs[p.A].Paper, d.Refs[p.B].Paper
 		if cites[[2]int32{pa, pb}] || cites[[2]int32{pb, pa}] {
-			m.selfCite[i] = 1
-		}
-		if len(scratch) > 0 {
-			slices.Sort(scratch)
-			edges := make([]interEdge, 0, len(scratch))
-			for k := 0; k < len(scratch); {
-				run := k + 1
-				for run < len(scratch) && scratch[run] == scratch[k] {
-					run++
-				}
-				edges = append(edges, interEdge{other: scratch[k], count: int32(2 * (run - k))})
-				k = run
-			}
-			m.adj[i] = edges
+			m.selfCite[id] = 1
 		}
 	}
 	m.applyWeights()
-	m.wsPool.New = func() any { return newWorkspace(len(m.pairs), m.n) }
+	m.wsPool.New = func() any { return newWorkspace(t.Len()) }
 	return m, nil
 }
 
 // applyWeights recomputes the unary vector from the current weights.
 func (m *Matcher) applyWeights() {
-	for i := range m.pairs {
+	for i := range m.unary {
 		m.unary[i] = m.w.sim(m.level[i]) +
-			m.w.Coauthor*float64(m.reflex[i]) +
+			m.w.Coauthor*float64(2*m.sup.Shared(int32(i))) +
 			m.w.SelfCite*float64(m.selfCite[i])
 	}
 }
@@ -269,54 +193,23 @@ func (m *Matcher) CurrentWeights() Weights { return m.w }
 
 // NumPairs returns the number of ground match variables ("matching
 // decisions" in the paper's counting).
-func (m *Matcher) NumPairs() int { return len(m.pairs) }
+func (m *Matcher) NumPairs() int { return m.table.Len() }
 
-// Pairs returns all candidate pairs (aliases internal storage).
-func (m *Matcher) Pairs() []core.Pair { return m.pairs }
+// Pairs returns all candidate pairs (the table's; read-only).
+func (m *Matcher) Pairs() []core.Pair { return m.table.Pairs() }
 
 // Level returns the similarity level of a candidate pair, or LevelNone.
 func (m *Matcher) Level(p core.Pair) similarity.Level {
-	if id, ok := m.find(p); ok {
+	if id, ok := m.table.Find(p); ok {
 		return m.level[id]
 	}
 	return similarity.LevelNone
 }
 
-// find returns the id of candidate pair p: a binary search for B in the
-// id range of A. A pair with an endpoint outside the dataset — whatever
-// an unvalidated key unpacks to — is no candidate and never indexes.
-func (m *Matcher) find(p core.Pair) (int32, bool) {
-	if p.A < 0 || int(p.A) >= m.n {
-		return 0, false
-	}
-	lo, hi := m.first[p.A], m.first[p.A+1]
-	for lo < hi {
-		mid := int32(uint32(lo+hi) >> 1)
-		if m.pairs[mid].B < p.B {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < m.first[p.A+1] && m.pairs[lo].B == p.B {
-		return lo, true
-	}
-	return 0, false
-}
-
-// Candidates implements core.Matcher. For neighborhoods of a prepared
-// cover (core.ScopePreparer) the answer is the skeleton's cached slice —
-// callers must treat it as read-only.
+// Candidates implements core.Matcher: the table's candidates over the
+// entity set, materialized on each call.
 func (m *Matcher) Candidates(entities []core.EntityID) []core.Pair {
-	if sc := m.scopeFor(entities); sc != nil {
-		return sc.pairs
-	}
-	ids := m.ScopeIDs(entities)
-	out := make([]core.Pair, len(ids))
-	for i, id := range ids {
-		out[i] = m.pairs[id]
-	}
-	return out
+	return m.table.Candidates(entities)
 }
 
 // Match implements core.Matcher: exact conditional MAP inference over the
@@ -328,9 +221,8 @@ func (m *Matcher) Match(entities []core.EntityID, pos, neg core.PairSet) core.Pa
 	return core.MatchByIDs(m, entities, pos, neg)
 }
 
-// CandidateTable implements core.DenseMatcher: the id → pair table, in
-// (A, B) order by construction.
-func (m *Matcher) CandidateTable() []core.Pair { return m.pairs }
+// CandidateTable implements core.DenseMatcher.
+func (m *Matcher) CandidateTable() *core.CandidateTable { return m.table }
 
 // MatchIDs implements core.DenseMatcher and is the inference core Match
 // wraps: the evidence is read by candidate id, the output is the

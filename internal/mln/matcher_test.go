@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -279,20 +278,12 @@ func TestWeightsValidate(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadCandidates: New reports what the candidate table
+// refuses (core.TestCandidateTableValidation has the cases).
 func TestNewRejectsBadCandidates(t *testing.T) {
 	d := buildDataset([][]ref{{{"A B", 0}, {"A B", 0}}})
-	if _, err := New(d, []Candidate{{Pair: core.Pair{A: 1, B: 1}}}, PaperWeights()); err == nil {
-		t.Error("reflexive candidate accepted")
-	}
-	p := core.MakePair(0, 1)
-	if _, err := New(d, []Candidate{{Pair: p}, {Pair: p}}, PaperWeights()); err == nil {
-		t.Error("duplicate candidate accepted")
-	}
-	// An endpoint that is no reference used to index out of range.
-	for _, bad := range []core.Pair{{A: -1, B: 1}, {A: 0, B: 2}, {A: 5, B: 9}} {
-		if _, err := New(d, []Candidate{{Pair: bad}}, PaperWeights()); !errors.Is(err, ErrCandidateRange) {
-			t.Errorf("candidate %v: got %v, want ErrCandidateRange", bad, err)
-		}
+	if _, err := New(d, []Candidate{{Pair: core.Pair{A: 0, B: 2}}}, PaperWeights()); !errors.Is(err, core.ErrCandidateRange) {
+		t.Errorf("got %v, want core.ErrCandidateRange", err)
 	}
 }
 
@@ -319,22 +310,22 @@ func TestNewOrdersCandidates(t *testing.T) {
 	if !slices.Equal(shuffled, before) {
 		t.Error("New reordered the caller's slice")
 	}
-	if !slices.Equal(m.CandidateTable(), ordered.CandidateTable()) {
+	if !slices.Equal(m.Pairs(), ordered.Pairs()) {
 		t.Fatal("shuffled candidates ground a different table")
 	}
-	for i, p := range m.CandidateTable() {
-		if i > 0 && m.CandidateTable()[i-1].Key() >= p.Key() {
+	for i, p := range m.Pairs() {
+		if i > 0 && m.Pairs()[i-1].Key() >= p.Key() {
 			t.Fatalf("table not ascending at id %d", i)
-		}
-		if id, ok := m.find(p); !ok || int(id) != i {
-			t.Fatalf("find(%v) = %d, %v; want id %d", p, id, ok, i)
 		}
 		if m.Level(p) != ordered.Level(p) {
 			t.Fatalf("level of %v differs", p)
 		}
+		if !slices.Equal(m.sup.Of(int32(i)), ordered.sup.Of(int32(i))) {
+			t.Fatalf("interactions of %v differ", p)
+		}
 	}
-	if !reflect.DeepEqual(m.adj, ordered.adj) || !slices.Equal(m.unary, ordered.unary) {
-		t.Error("shuffled candidates ground different interactions")
+	if !slices.Equal(m.unary, ordered.unary) {
+		t.Error("shuffled candidates ground different unary scores")
 	}
 	all := make([]core.EntityID, env.d.NumRefs())
 	for i := range all {
@@ -347,13 +338,6 @@ func TestNewOrdersCandidates(t *testing.T) {
 	dup := append(slices.Clone(shuffled), shuffled[len(shuffled)/2])
 	if _, err := New(env.d, dup, PaperWeights()); err == nil {
 		t.Error("duplicate candidate accepted in an unordered list")
-	}
-	// A pair that is no candidate — in range, out of range, or what a
-	// key with its top bit set unpacks to — is not found.
-	for _, p := range []core.Pair{{A: -2147483648, B: 2}, {A: 0, B: core.EntityID(env.d.NumRefs())}, {A: 1 << 30, B: 1<<30 + 1}} {
-		if _, ok := m.find(p); ok {
-			t.Errorf("find(%v) found a candidate", p)
-		}
 	}
 }
 

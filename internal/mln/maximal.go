@@ -51,12 +51,12 @@ func grow[T any](s []T, n int) []T {
 func (m *Matcher) MaximalMessages(entities []core.EntityID, mPlus, neg, base core.PairSet) (msgs [][]core.Pair, calls int) {
 	ids := make([]int32, 0, len(base))
 	for k := range base {
-		if id, ok := m.find(k.Pair()); ok {
+		if id, ok := m.table.Find(k.Pair()); ok {
 			ids = append(ids, id)
 		}
 	}
 	slices.Sort(ids)
-	return m.MaximalMessagesIDs(entities, core.EvidenceOf(m.pairs, mPlus), core.EvidenceOf(m.pairs, neg), ids)
+	return m.MaximalMessagesIDs(entities, core.EvidenceOf(m.table, mPlus), core.EvidenceOf(m.table, neg), ids)
 }
 
 // MaximalMessagesIDs implements core.DenseProbabilistic — a specialized
@@ -264,7 +264,7 @@ func (m *Matcher) MaximalMessagesIDs(entities []core.EntityID, mPlus, neg *core.
 				msgs = append(msgs, make([]core.Pair, 0, mm.grpCnt[gr]))
 			}
 			mi := mm.msgIdx[gr]
-			msgs[mi] = append(msgs[mi], m.pairs[lm.free[vars[li]]])
+			msgs[mi] = append(msgs[mi], m.table.Pair(lm.free[vars[li]]))
 		}
 	}
 	return msgs, calls

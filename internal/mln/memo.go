@@ -181,8 +181,12 @@ func (m *Matcher) SetMemoization(on bool) { m.memoOff = !on }
 // invalidateMemos marks every cached verdict of the prepared cover stale
 // (capacity is kept for the next store).
 func (m *Matcher) invalidateMemos() {
-	for sc := range m.scopes.Load().All() {
-		e := sc.memo.Load()
+	p := m.prep.Load()
+	if p == nil {
+		return
+	}
+	for i := range p.skel {
+		e := p.skel[i].memo.Load()
 		if e == nil {
 			continue
 		}

@@ -37,98 +37,83 @@ type boundaryEdge struct {
 	count int32
 }
 
-// scope is the prebuilt skeleton of one neighborhood: scoped candidate
-// ids (ascending), their Pair forms (the cached Candidates answer), the
+// scope is the skeleton of one neighborhood: its scoped candidate ids
+// (ascending; the table's own list for a prepared neighborhood), the
 // local interaction list and the out-of-scope boundary. memo holds the
 // scope's last verdict (see memo.go).
 type scope struct {
 	ids      []int32
-	pairs    []core.Pair
 	edges    []scopeEdge
 	boundary []boundaryEdge
 	memo     atomic.Pointer[scopeMemo]
 }
 
-// PrepareCover implements core.ScopePreparer: precompute every
-// neighborhood's skeleton. Idempotent per cover; a different cover
-// replaces the previous preparation atomically, so concurrent Match
-// calls are safe either way (they fall back to the ephemeral path when
-// their entity slice is unknown).
-func (m *Matcher) PrepareCover(c *core.Cover) {
-	if m.scopes.Load().Covers(c) {
-		return
-	}
-	ws := m.getWS()
-	defer m.putWS(ws)
-	// Built in the workspace's reused skeleton, then copied out at exact
-	// size: appending into a fresh scope pays a regrowth series per list.
-	m.scopes.Store(core.BuildCoverScopes(c, func(set []core.EntityID) *scope {
-		m.buildScope(set, ws, &ws.eph)
-		return &scope{
-			ids:      slices.Clone(ws.eph.ids),
-			pairs:    slices.Clone(ws.eph.pairs),
-			edges:    slices.Clone(ws.eph.edges),
-			boundary: slices.Clone(ws.eph.boundary),
-		}
-	}))
+// prepared is one cover's preparation: the table's scoping of it and, by
+// core.Scope.Index, this matcher's skeletons over those scopes.
+type prepared struct {
+	scopes *core.CoverScopes[core.Scope]
+	skel   []scope
 }
 
-// ScopeIDs implements core.DenseMatcher: the ids of the candidate pairs
-// with both endpoints in the entity set, ascending — the cached skeleton's
-// list (read-only) for a neighborhood of the prepared cover.
-func (m *Matcher) ScopeIDs(entities []core.EntityID) []int32 {
-	if sc := m.scopeFor(entities); sc != nil {
-		return sc.ids
+// PrepareCover implements core.ScopePreparer: have the table scope the
+// cover — done once however many matchers share the table — and link
+// every neighborhood's interaction skeleton over its ids. Idempotent per
+// cover; a different cover replaces the previous preparation atomically,
+// so concurrent Match calls are safe either way (they fall back to the
+// ephemeral path when their entity slice is unknown).
+func (m *Matcher) PrepareCover(c *core.Cover) {
+	if p := m.prep.Load(); p != nil && p.scopes.Covers(c) {
+		return
 	}
+	cs := m.table.PrepareCover(c)
 	ws := m.getWS()
 	defer m.putWS(ws)
-	m.buildScope(entities, ws, &ws.eph)
-	return slices.Clone(ws.eph.ids)
+	// Linked in the workspace's reused skeleton, then copied out at exact
+	// size: appending into a fresh scope pays a regrowth series per list.
+	p := &prepared{scopes: cs, skel: make([]scope, c.Len())}
+	for _, set := range c.Sets {
+		if s := cs.Lookup(set); s != nil {
+			m.linkScope(s.IDs, ws, &ws.eph)
+			sk := &p.skel[s.Index]
+			sk.ids, sk.edges, sk.boundary = s.IDs, slices.Clone(ws.eph.edges), slices.Clone(ws.eph.boundary)
+		}
+	}
+	m.prep.Store(p)
 }
+
+// ScopeIDs implements core.DenseMatcher: the table's.
+func (m *Matcher) ScopeIDs(entities []core.EntityID) []int32 { return m.table.ScopeIDs(entities) }
 
 // scopeFor returns the prepared skeleton for a cover neighborhood, or
 // nil when the entity slice is not part of the prepared cover.
 func (m *Matcher) scopeFor(entities []core.EntityID) *scope {
-	return m.scopes.Load().Lookup(entities)
-}
-
-// buildScope assembles a neighborhood skeleton into sc using the
-// workspace's entity and position marks (left clean on return). The
-// construction mirrors the original per-call scopedIDs + adjacency walk
-// exactly — including edge order, which ties must not disturb.
-func (m *Matcher) buildScope(entities []core.EntityID, ws *workspace, sc *scope) {
-	for _, e := range entities {
-		ws.inSet[e] = true
-	}
-	ids := sc.ids[:0]
-	for _, e := range entities {
-		for id := m.first[e]; id < m.first[e+1]; id++ {
-			if ws.inSet[m.pairs[id].B] {
-				ids = append(ids, id)
-			}
+	if p := m.prep.Load(); p != nil {
+		if s := p.scopes.Lookup(entities); s != nil {
+			return &p.skel[s.Index]
 		}
 	}
-	slices.Sort(ids)
-	sc.ids = ids
-	sc.pairs = sc.pairs[:0]
+	return nil
+}
+
+// linkScope assembles the interactions of the scoped ids into sc's edge
+// and boundary lists, using the workspace's position marks (left clean on
+// return). Edge order follows id order and, within an id, its support
+// list — which ties must not disturb.
+func (m *Matcher) linkScope(ids []int32, ws *workspace, sc *scope) {
 	for pi, id := range ids {
-		sc.pairs = append(sc.pairs, m.pairs[id])
 		ws.posOf[id] = int32(pi)
 	}
 	sc.edges, sc.boundary = sc.edges[:0], sc.boundary[:0]
 	for pi, id := range ids {
-		for _, e := range m.adj[id] {
-			if pj := ws.posOf[e.other]; pj >= 0 {
-				if e.other > id { // each undirected interaction once
-					sc.edges = append(sc.edges, scopeEdge{pi: int32(pi), pj: pj, count: e.count})
+		for _, e := range m.sup.Of(id) {
+			if pj := ws.posOf[e.ID]; pj >= 0 {
+				if e.ID > id { // each undirected interaction once
+					sc.edges = append(sc.edges, scopeEdge{pi: int32(pi), pj: pj, count: 2 * e.N})
 				}
 			} else {
-				sc.boundary = append(sc.boundary, boundaryEdge{pi: int32(pi), other: e.other, count: e.count})
+				sc.boundary = append(sc.boundary, boundaryEdge{pi: int32(pi), other: e.ID, count: 2 * e.N})
 			}
 		}
-	}
-	for _, e := range entities {
-		ws.inSet[e] = false
 	}
 	for _, id := range ids {
 		ws.posOf[id] = -1
@@ -149,12 +134,11 @@ const (
 
 // workspace is the per-call scratch of one Match / MaximalMessages /
 // LogScore invocation, pooled on the matcher. state and posOf are sized
-// to the global candidate-pair universe; inSet to the entity universe.
+// to the global candidate-pair universe.
 type workspace struct {
 	state   []uint8 // dense evidence view, indexed by candidate-pair id
 	touched []int32 // state indices to zero on release
 	posOf   []int32 // global pair id -> scope position (-1 outside)
-	inSet   []bool  // entity membership marks (buildScope only)
 	slots   []int32 // scope position -> free-variable slot (-1 decided)
 	fp      []uint8 // read-set fingerprint buffer (memo lookups)
 
@@ -187,12 +171,11 @@ func (m *Matcher) putWS(ws *workspace) {
 	m.wsPool.Put(ws)
 }
 
-// newWorkspace sizes a workspace for the matcher's universes.
-func newWorkspace(numPairs, numEntities int) *workspace {
+// newWorkspace sizes a workspace for the candidate universe.
+func newWorkspace(numPairs int) *workspace {
 	ws := &workspace{
 		state: make([]uint8, numPairs),
 		posOf: make([]int32, numPairs),
-		inSet: make([]bool, numEntities),
 	}
 	for i := range ws.posOf {
 		ws.posOf[i] = -1
@@ -300,7 +283,8 @@ func (m *Matcher) scopeOf(entities []core.EntityID, ws *workspace) *scope {
 	if sc := m.scopeFor(entities); sc != nil {
 		return sc
 	}
-	m.buildScope(entities, ws, &ws.eph)
+	ws.eph.ids = m.table.AppendScopeIDs(ws.eph.ids[:0], entities)
+	m.linkScope(ws.eph.ids, ws, &ws.eph)
 	return &ws.eph
 }
 

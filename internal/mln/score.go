@@ -16,7 +16,7 @@ func (m *Matcher) LogScore(s core.PairSet) float64 {
 	defer m.putWS(ws)
 	st := ws.state
 	for k := range s {
-		id, ok := m.find(k.Pair())
+		id, ok := m.table.Find(k.Pair())
 		if !ok {
 			return nonCandidateLogScore
 		}
@@ -26,11 +26,11 @@ func (m *Matcher) LogScore(s core.PairSet) float64 {
 	total := 0.0
 	for _, id := range ws.touched {
 		total += m.unary[id] + m.w.TieEps
-		for _, e := range m.adj[id] {
-			if st[e.other]&stPos != 0 {
+		for _, e := range m.sup.Of(id) {
+			if st[e.ID]&stPos != 0 {
 				// Each unordered (p, q) interaction is stored on both
 				// adjacency lists; halve to count it once.
-				total += m.w.Coauthor * float64(e.count) / 2
+				total += m.w.Coauthor * float64(2*e.N) / 2
 			}
 		}
 	}
@@ -42,14 +42,14 @@ func (m *Matcher) LogScore(s core.PairSet) float64 {
 func (m *Matcher) logScoreNaive(s core.PairSet) float64 {
 	total := 0.0
 	for p := range s.All() {
-		id, ok := m.find(p)
+		id, ok := m.table.Find(p)
 		if !ok {
 			return nonCandidateLogScore
 		}
 		total += m.unary[id] + m.w.TieEps
-		for _, e := range m.adj[id] {
-			if s.Has(m.pairs[e.other]) {
-				total += m.w.Coauthor * float64(e.count) / 2
+		for _, e := range m.sup.Of(id) {
+			if s.Has(m.table.Pair(e.ID)) {
+				total += m.w.Coauthor * float64(2*e.N) / 2
 			}
 		}
 	}
@@ -64,7 +64,7 @@ const nonCandidateLogScore = -1e12
 // the cheap conditional-probability computation Algorithm 3's Step 7
 // depends on.
 func (m *Matcher) ScoreDelta(p core.Pair, s core.PairSet) float64 {
-	id, ok := m.find(p)
+	id, ok := m.table.Find(p)
 	if !ok {
 		return nonCandidateLogScore
 	}
@@ -72,9 +72,9 @@ func (m *Matcher) ScoreDelta(p core.Pair, s core.PairSet) float64 {
 		return 0
 	}
 	delta := m.unary[id] + m.w.TieEps
-	for _, e := range m.adj[id] {
-		if s.HasKey(m.pairs[e.other].Key()) {
-			delta += m.w.Coauthor * float64(e.count)
+	for _, e := range m.sup.Of(id) {
+		if s.HasKey(m.table.Pair(e.ID).Key()) {
+			delta += m.w.Coauthor * float64(2*e.N)
 		}
 	}
 	return delta
@@ -91,13 +91,13 @@ func (m *Matcher) ScoreSetDelta(add []core.Pair, s core.PairSet) float64 {
 			// Already in s (candidate or not): s ∪ add is unchanged by p.
 			continue
 		}
-		id, ok := m.find(p)
+		id, ok := m.table.Find(p)
 		if !ok {
 			return nonCandidateLogScore
 		}
 		ids = append(ids, id)
 	}
-	return m.ScoreSetDeltaIDs(ids, core.EvidenceOf(m.pairs, s))
+	return m.ScoreSetDeltaIDs(ids, core.EvidenceOf(m.table, s))
 }
 
 // ScoreSetDeltaIDs implements core.DenseProbabilistic: the score delta in
@@ -114,9 +114,9 @@ func (m *Matcher) ScoreSetDeltaIDs(add []int32, s *core.Evidence) float64 {
 			continue
 		}
 		total += m.unary[id] + m.w.TieEps
-		for _, e := range m.adj[id] {
-			if st[e.other]&stPos != 0 || s.HasID(e.other) {
-				total += m.w.Coauthor * float64(e.count)
+		for _, e := range m.sup.Of(id) {
+			if st[e.ID]&stPos != 0 || s.HasID(e.ID) {
+				total += m.w.Coauthor * float64(2*e.N)
 			}
 		}
 		st[id] = stFilled | stPos
@@ -131,16 +131,16 @@ func (m *Matcher) ScoreSetDeltaIDs(add []int32, s *core.Evidence) float64 {
 // non-negative under total support. This prunes the probe set from k² to
 // the structurally relevant pairs without changing any output.
 func (m *Matcher) Probeable(p core.Pair) bool {
-	id, ok := m.find(p)
+	id, ok := m.table.Find(p)
 	if !ok {
 		return false
 	}
-	if len(m.adj[id]) == 0 {
+	if len(m.sup.Of(id)) == 0 {
 		return false
 	}
 	best := m.unary[id] + m.w.TieEps
-	for _, e := range m.adj[id] {
-		best += m.w.Coauthor * float64(e.count)
+	for _, e := range m.sup.Of(id) {
+		best += m.w.Coauthor * float64(2*e.N)
 	}
 	return best >= 0
 }
@@ -149,14 +149,14 @@ func (m *Matcher) Probeable(p core.Pair) bool {
 // matched when its conditional score gain, with every other pair clamped
 // to its membership in given, is non-negative.
 func (m *Matcher) DecideGiven(p core.Pair, given core.PairSet) bool {
-	id, ok := m.find(p)
+	id, ok := m.table.Find(p)
 	if !ok {
 		return false
 	}
 	delta := m.unary[id] + m.w.TieEps
-	for _, e := range m.adj[id] {
-		if given.HasKey(m.pairs[e.other].Key()) {
-			delta += m.w.Coauthor * float64(e.count)
+	for _, e := range m.sup.Of(id) {
+		if given.HasKey(m.table.Pair(e.ID).Key()) {
+			delta += m.w.Coauthor * float64(2*e.N)
 		}
 	}
 	return delta >= 0

@@ -15,6 +15,14 @@
 // match variables are non-negative. MAP inference is therefore *exact*
 // via a single s-t minimum cut (Kolmogorov & Zabih [11], which the paper
 // cites for precisely this fact), implemented on internal/maxflow.
+//
+// The ground model sits on a core.CandidateTable: ids, the pair → id
+// search, each neighborhood's scoped ids and the groundings of the
+// coauthor rule (core.Supports) are the table's, shared with the engine
+// and with any other matcher ground over the same candidates (Ground;
+// New builds a table first). This package adds the weights, the level
+// column, the interaction skeleton of each prepared neighborhood and the
+// verdict memo.
 package mln
 
 import (

@@ -2,8 +2,9 @@ package rules
 
 // Hard seeds — the Dedupalog rule "equals(x, y) ⇐ AuthorEQ(x, y)" of
 // Appendix A and its negative twin — are evidence that is known when the
-// program is ground, so they are ground with it: Candidate.Seed marks a
-// candidate hard-equal (SeedEqual) or hard-distinct (SeedDistinct), and
+// program is ground, so they are ground with it: the seed column of
+// Ground (Candidate.Seed for New) marks a candidate hard-equal (SeedEqual)
+// or hard-distinct (SeedDistinct), and
 // Match merges the mark with the caller's evidence bit by bit. A
 // hard-equal candidate is exactly a pair in the V+ slot of Definition 1
 // on every call: it supports other pairs wherever it lies and is echoed

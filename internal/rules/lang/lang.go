@@ -8,9 +8,11 @@
 // line:col coordinates; Compile validates the program against the
 // engine's invariants (known fields, thresholds in range, one rule per
 // level — sharing the rules package's typed errors) and produces a Plan;
-// Plan.NewMatcher grounds the plan over a dataset and candidate set,
-// yielding the one rules engine (*rules.Matcher) whatever the program
-// declares: levels and seeds become constants of its candidates.
+// Plan.NewMatcher grounds the plan over a dataset and its
+// core.CandidateTable, yielding the one rules engine (*rules.Matcher)
+// whatever the program declares: levels and seeds become columns over
+// the table, which the matcher shares with every other matcher of the
+// experiment.
 //
 // A program is line-oriented; '#' starts a comment. Example:
 //
@@ -43,7 +45,7 @@
 //     means K = 0: the level fires unconditionally.
 //   - "equal when <conj>" / "distinct when <conj>" are hard seeds:
 //     candidate pairs satisfying the condition are ground as hard-equal
-//     or hard-distinct (rules.Candidate.Seed) and behave in every Match
+//     or hard-distinct (the rules.Seed column) and behave in every Match
 //     call exactly like caller-supplied positive or negative evidence
 //     (see rules/hardseed_doc.go). Distinct wins on overlap, as
 //     negative evidence does everywhere else in the engine.

@@ -4,50 +4,51 @@ import (
 	"repro/internal/bib"
 	"repro/internal/core"
 	"repro/internal/rules"
+	"repro/internal/similarity"
 )
 
-// NewMatcher grounds the plan over a dataset and the blocking stage's
-// candidate pairs. Every program grounds to the one rules engine: level
-// and seed clauses are evaluated here, once per candidate over the
-// record's typed fields, and reach the engine as constants of the
-// candidate — its Level (replacing the one blocking assigned) and its
-// Seed (see rules/hardseed_doc.go). A plain program — no level clauses,
-// no seeds — is exactly rules.New(d, cands, plan.Rules), the matcher a
-// handwritten []rules.Rule program would produce. Seeds are evaluated
-// over candidate pairs only, so the matcher keeps the candidate-closure
-// contract: output ⊆ candidates.
-func (pl *Plan) NewMatcher(d *bib.Dataset, cands []rules.Candidate) (*rules.Matcher, error) {
+// NewMatcher grounds the plan over a dataset, its candidate table and the
+// level column blocking assigned (in table order). Every program grounds
+// to the one rules engine: level and seed clauses are evaluated here, once
+// per candidate over the record's typed fields, and reach the engine as
+// columns over the same table — the levels (replacing blocking's) and the
+// seeds (see rules/hardseed_doc.go). A plain program — no level clauses,
+// no seeds — is exactly rules.Ground(d, t, levels, nil, plan.Rules), the
+// matcher a handwritten []rules.Rule program would produce. Seeds are
+// evaluated over candidate pairs only, so the matcher keeps the
+// candidate-closure contract: output ⊆ candidates.
+func (pl *Plan) NewMatcher(d *bib.Dataset, t *core.CandidateTable, levels []similarity.Level) (*rules.Matcher, error) {
 	if !pl.Relevels() && !pl.Seeded() {
-		return rules.New(d, cands, pl.Rules)
+		return rules.Ground(d, t, levels, nil, pl.Rules)
 	}
-	return rules.New(d, pl.ground(d, cands), pl.Rules)
+	levels, seeds := pl.ground(d, t, levels)
+	return rules.Ground(d, t, levels, seeds, pl.Rules)
 }
 
-// ground evaluates the level and seed clauses on every candidate. A
-// record's key is split and normalized on its first candidate and read by
-// all the others. An endpoint that is no reference has no fields here;
-// rules.New rejects its pair.
-func (pl *Plan) ground(d *bib.Dataset, cands []rules.Candidate) []rules.Candidate {
+// ground evaluates the level and seed clauses on every candidate of the
+// table and returns the two columns; the level column is the one handed in
+// when the program has no level clauses. A record's key is split and
+// normalized on its first candidate and read by all the others.
+func (pl *Plan) ground(d *bib.Dataset, t *core.CandidateTable, levels []similarity.Level) ([]similarity.Level, []rules.Seed) {
 	// SplitFields never returns nil, so a nil raw marks a key not read yet.
 	recs := make([]record, d.NumRefs())
-	var noFields record
 	recordOf := func(e core.EntityID) *record {
-		if e < 0 || int(e) >= len(recs) {
-			return &noFields
-		}
 		if recs[e].raw == nil {
 			recs[e] = pl.newRecord(d.Refs[e].Name)
 		}
 		return &recs[e]
 	}
-	ground := make([]rules.Candidate, len(cands))
-	for i, c := range cands {
-		a, b := recordOf(c.Pair.A), recordOf(c.Pair.B)
-		if pl.Relevels() {
-			c.Level = pl.levelOf(a, b)
-		}
-		c.Seed |= pl.seedOf(a, b)
-		ground[i] = c
+	seeds := make([]rules.Seed, t.Len())
+	relevel := pl.Relevels()
+	if relevel {
+		levels = make([]similarity.Level, t.Len())
 	}
-	return ground
+	for id, p := range t.Pairs() {
+		a, b := recordOf(p.A), recordOf(p.B)
+		if relevel {
+			levels[id] = pl.levelOf(a, b)
+		}
+		seeds[id] = pl.seedOf(a, b)
+	}
+	return levels, seeds
 }

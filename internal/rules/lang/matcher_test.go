@@ -40,6 +40,20 @@ func allPairs(d *bib.Dataset, lvl similarity.Level) []rules.Candidate {
 	return out
 }
 
+// newMatcher grounds the plan the way the registry does: a table of the
+// candidates, blocking's levels as a column over it.
+func newMatcher(pl *Plan, d *bib.Dataset, cands []rules.Candidate) (*rules.Matcher, error) {
+	table, cands, err := core.TableOf(d.NumRefs(), cands, func(c rules.Candidate) core.Pair { return c.Pair })
+	if err != nil {
+		return nil, err
+	}
+	levels := make([]similarity.Level, len(cands))
+	for i, c := range cands {
+		levels[i] = c.Level
+	}
+	return pl.NewMatcher(d, table, levels)
+}
+
 func entities(d *bib.Dataset) []core.EntityID {
 	out := make([]core.EntityID, d.NumRefs())
 	for i := range out {
@@ -66,7 +80,7 @@ func TestPlainProgramIsExactEngine(t *testing.T) {
 		p := cands[i].Pair
 		cands[i].Level = similarity.StringLevel(d.Refs[p.A].Name, d.Refs[p.B].Name)
 	}
-	m, err := pl.NewMatcher(d, cands)
+	m, err := newMatcher(pl, d, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +105,7 @@ func TestRelevelAndCooccur(t *testing.T) {
 		{"Ann Smith | 12 Oak St. | 94110 | 555-0101", "bob smyth | 12 oak st | 94110 | 555-0202"},
 	})
 	// Deliberately wrong input levels: the program's level clauses govern.
-	m, err := pl.NewMatcher(d, allPairs(d, similarity.LevelNone))
+	m, err := newMatcher(pl, d, allPairs(d, similarity.LevelNone))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +131,7 @@ func TestEqualSeed(t *testing.T) {
 		{"ann smith | 555-0101"},
 		{"zelda quux | 555-0101"},
 	})
-	m, err := pl.NewMatcher(d, allPairs(d, similarity.LevelNone))
+	m, err := newMatcher(pl, d, allPairs(d, similarity.LevelNone))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +155,7 @@ func TestDistinctSeed(t *testing.T) {
 		{"ann smith | 90210"},
 		{"ann smith | 94110"},
 	})
-	m, err := pl.NewMatcher(d, allPairs(d, similarity.LevelNone))
+	m, err := newMatcher(pl, d, allPairs(d, similarity.LevelNone))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +177,7 @@ func TestSeededWellBehaved(t *testing.T) {
 		{"Ann Smith | 12 Oak St. | 94110 | 555-0101", "bob smyth | 12 oak st | 94110 |"},
 		{"carla jones | 9 elm ave | 90210 | 555-0303"},
 	})
-	m, err := pl.NewMatcher(d, allPairs(d, similarity.LevelNone))
+	m, err := newMatcher(pl, d, allPairs(d, similarity.LevelNone))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,9 +243,9 @@ func TestGroundMatchesPerCallNormalization(t *testing.T) {
 	d.Refs[1].Name = strings.ReplaceAll(d.Refs[1].Name, " ", ". ")
 	d.InvalidateCoauthor()
 	sp := canopy.CandidatePairs(d, canopy.BuildCover(d, canopy.DefaultConfig()))
-	cands := make([]rules.Candidate, len(sp))
-	for i, c := range sp {
-		cands[i] = rules.Candidate{Pair: c.Pair, Level: c.Level}
+	table, sp, err := core.TableOf(d.NumRefs(), sp, func(c canopy.SimilarPair) core.Pair { return c.Pair })
+	if err != nil {
+		t.Fatal(err)
 	}
 	benchmark, err := os.ReadFile("../../../testdata/rules/people.rules")
 	if err != nil {
@@ -247,7 +261,9 @@ func TestGroundMatchesPerCallNormalization(t *testing.T) {
 		pl := mustCompile(t, src)
 		levels := map[similarity.Level]int{}
 		seeds := map[rules.Seed]int{}
-		for i, g := range pl.ground(d, cands) {
+		groundLevels, groundSeeds := pl.ground(d, table, canopy.Levels(sp))
+		for i, c := range sp {
+			g := rules.Candidate{Pair: c.Pair, Level: groundLevels[i], Seed: groundSeeds[i]}
 			keyA, keyB := d.Refs[g.Pair.A].Name, d.Refs[g.Pair.B].Name
 			fa, fb := similarity.SplitFields(keyA), similarity.SplitFields(keyB)
 			wantLevel := similarity.LevelNone
@@ -263,7 +279,7 @@ func TestGroundMatchesPerCallNormalization(t *testing.T) {
 					wantSeed |= sp.seed
 				}
 			}
-			if g.Pair != cands[i].Pair || g.Level != wantLevel || g.Seed != wantSeed {
+			if g.Level != wantLevel || g.Seed != wantSeed {
 				t.Fatalf("%s: %q / %q ground to level %d seed %d, per-call normalization gives level %d seed %d",
 					pl.Prog.Name, keyA, keyB, g.Level, g.Seed, wantLevel, wantSeed)
 			}

@@ -1,102 +1,25 @@
 package rules
 
-import (
-	"slices"
+import "repro/internal/core"
 
-	"repro/internal/core"
-)
-
-// scope is the skeleton of one neighborhood: the candidate ids with both
-// endpoints inside, ascending, and their Pair forms — the Candidates
-// answer, which is in (A, B) order because the ids are.
-type scope struct {
-	ids   []int32
-	pairs []core.Pair
-}
-
-// PrepareCover implements core.ScopePreparer: ground the support relation
-// and precompute every neighborhood's skeleton. Idempotent per cover; a
-// different cover replaces the previous preparation atomically, so
-// concurrent Match calls are safe either way (an entity slice they do not
-// find gets an ephemeral skeleton).
+// PrepareCover implements core.ScopePreparer: finish the grounding and
+// have the table scope the cover — a no-op when another matcher over the
+// same table already prepared it. Safe to call concurrently with Match.
 func (m *Matcher) PrepareCover(c *core.Cover) {
-	m.ground()
-	if m.scopes.Load().Covers(c) {
-		return
-	}
-	ws := m.wsPool.Get().(*workspace)
-	defer m.wsPool.Put(ws)
-	// Built in the workspace's reused skeleton, then copied out at exact
-	// size: appending into a fresh scope pays a regrowth series per list.
-	m.scopes.Store(core.BuildCoverScopes(c, func(set []core.EntityID) *scope {
-		m.buildScope(set, ws, &ws.eph)
-		return &scope{ids: slices.Clone(ws.eph.ids), pairs: slices.Clone(ws.eph.pairs)}
-	}))
+	m.lower()
+	m.table.PrepareCover(c)
 }
 
-// buildScope fills sc for an entity slice, using the workspace's
-// membership marks (left clean on return).
-func (m *Matcher) buildScope(entities []core.EntityID, ws *workspace, sc *scope) {
-	for _, e := range entities {
-		ws.inSet[e] = true
-	}
-	ids := sc.ids[:0]
-	for _, e := range entities {
-		for id := m.first[e]; id < m.first[e+1]; id++ {
-			if ws.inSet[m.pairs[id].B] {
-				ids = append(ids, id)
-			}
-		}
-	}
-	for _, e := range entities {
-		ws.inSet[e] = false
-	}
-	slices.Sort(ids)
-	sc.ids = ids
-	sc.pairs = sc.pairs[:0]
-	for _, id := range sc.ids {
-		sc.pairs = append(sc.pairs, m.pairs[id])
-	}
-}
+// CandidateTable implements core.DenseMatcher.
+func (m *Matcher) CandidateTable() *core.CandidateTable { return m.table }
 
-// scopeOf resolves the skeleton for an entity slice: the prepared one for
-// a cover neighborhood, or an ephemeral one built into the workspace for
-// any other slice (FULL's whole entity set, tests).
-func (m *Matcher) scopeOf(entities []core.EntityID, ws *workspace) *scope {
-	if sc := m.scopes.Load().Lookup(entities); sc != nil {
-		return sc
-	}
-	m.buildScope(entities, ws, &ws.eph)
-	return &ws.eph
-}
+// ScopeIDs implements core.DenseMatcher: the table's.
+func (m *Matcher) ScopeIDs(entities []core.EntityID) []int32 { return m.table.ScopeIDs(entities) }
 
-// CandidateTable implements core.DenseMatcher: the id → pair table, in
-// (A, B) order by construction.
-func (m *Matcher) CandidateTable() []core.Pair { return m.pairs }
-
-// ScopeIDs implements core.DenseMatcher: the ids of Candidates(entities),
-// the cached list (read-only) for a neighborhood of the prepared cover.
-func (m *Matcher) ScopeIDs(entities []core.EntityID) []int32 {
-	if sc := m.scopes.Load().Lookup(entities); sc != nil {
-		return sc.ids
-	}
-	ws := m.wsPool.Get().(*workspace)
-	defer m.wsPool.Put(ws)
-	m.buildScope(entities, ws, &ws.eph)
-	return slices.Clone(ws.eph.ids)
-}
-
-// Candidates implements core.Matcher. For neighborhoods of a prepared
-// cover the answer is the skeleton's cached slice — callers must treat it
-// as read-only.
+// Candidates implements core.Matcher: the table's candidates over the
+// entity set, in (A, B) order, materialized on each call.
 func (m *Matcher) Candidates(entities []core.EntityID) []core.Pair {
-	if sc := m.scopes.Load().Lookup(entities); sc != nil {
-		return sc.pairs
-	}
-	ws := m.wsPool.Get().(*workspace)
-	defer m.wsPool.Put(ws)
-	m.buildScope(entities, ws, &ws.eph)
-	return slices.Clone(ws.eph.pairs)
+	return m.table.Candidates(entities)
 }
 
 // Evidence states in the workspace's dense vector. A zero byte means "not
@@ -111,17 +34,12 @@ const (
 )
 
 // workspace is the per-call scratch of one Match, pooled on the matcher:
-// state is sized to the candidate universe, inSet to the entity universe.
+// state is sized to the candidate universe.
 type workspace struct {
 	state   []uint8 // dense view of evidence ∪ seeds ∪ derived, by candidate id
 	touched []int32 // state indices to zero on release
 	open    []int32 // scoped candidates still underived
-	inSet   []bool  // entity membership marks (buildScope only)
-	eph     scope   // skeleton of a slice outside the prepared cover
-}
-
-func newWorkspace(numPairs, numEntities int) *workspace {
-	return &workspace{state: make([]uint8, numPairs), inSet: make([]bool, numEntities)}
+	eph     []int32 // scoped ids of a slice outside the prepared cover
 }
 
 // read returns candidate id's state, reading its seed and evidence bits
@@ -158,12 +76,20 @@ func (m *Matcher) Match(entities []core.EntityID, pos, neg core.PairSet) core.Pa
 // Nothing is copied: evidence is read through, one bit test per touched
 // candidate, and the returned list is the only allocation.
 func (m *Matcher) MatchIDs(entities []core.EntityID, pos, neg *core.Evidence) []int32 {
-	m.ground()
+	m.lower()
 	ws := m.wsPool.Get().(*workspace)
-	sc := m.scopeOf(entities, ws)
+	// The prepared list for a cover neighborhood; any other slice (FULL's
+	// whole entity set, tests) is scoped into the workspace.
+	var ids []int32
+	if s := m.table.Scope(entities); s != nil {
+		ids = s.IDs
+	} else {
+		ws.eph = m.table.AppendScopeIDs(ws.eph[:0], entities)
+		ids = ws.eph
+	}
 	open := ws.open[:0]
 	matched := 0
-	for _, id := range sc.ids {
+	for _, id := range ids {
 		switch v := ws.read(m, id, pos, neg); {
 		case v&stNeg != 0:
 		case v&stPos != 0:
@@ -192,7 +118,7 @@ func (m *Matcher) MatchIDs(entities []core.EntityID, pos, neg *core.Evidence) []
 	// Derivation order is not id order; the state vector is, so the output
 	// is one more sweep of the scope.
 	out := make([]int32, 0, matched)
-	for _, id := range sc.ids {
+	for _, id := range ids {
 		if v := ws.state[id]; v&stNeg == 0 && v&stPos != 0 {
 			out = append(out, id)
 		}
@@ -214,8 +140,8 @@ func (m *Matcher) fires(id int32, pos *core.Evidence, ws *workspace) bool {
 	if k == 0 {
 		return true
 	}
-	for _, s := range m.sup[m.supOff[id]:m.supOff[id+1]] {
-		if ws.read(m, s, pos, nil)&stPos != 0 {
+	for _, s := range m.sup.Of(id) {
+		if ws.read(m, s.ID, pos, nil)&stPos != 0 {
 			if k--; k == 0 {
 				return true
 			}

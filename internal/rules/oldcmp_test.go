@@ -346,7 +346,15 @@ func (p program) ground(t testing.TB, d *bib.Dataset, cands []rules.Candidate) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := pl.NewMatcher(d, cands)
+	table, inOrder, err := core.TableOf(d.NumRefs(), cands, func(c rules.Candidate) core.Pair { return c.Pair })
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels := make([]similarity.Level, len(inOrder))
+	for i, c := range inOrder {
+		levels[i] = c.Level
+	}
+	m, err := pl.NewMatcher(d, table, levels)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,17 +12,19 @@
 //  3. similar(e1,e2,1) ∧ two distinct matched pairs  ⇒ equals(e1,e2)
 //
 // Every rule body is the same join, similar ⋈ coauthor ⋈ equals, so the
-// program is ground once instead of interpreted per call. New lowers the
-// rules to one support requirement per candidate. The first use of the
-// matcher then materializes the join's static side (ground.go): how many
-// coauthors the two references share — matched by reflexivity whatever
-// the evidence — and, for the candidates that still need more, the
-// sorted ids of the candidate pairs {c1, c2} with c1 a coauthor of one
-// side and c2 of the other. A rule check is then "count the supports
-// that are equals, stop at k". PrepareCover (core.ScopePreparer) adds the
-// scoped candidate ids of every neighborhood, and Match runs the
-// fixpoint over a pooled dense state vector, reading the evidence
-// through it rather than copying it (match.go).
+// program is ground once instead of interpreted per call. Ground lowers
+// the rules to one support requirement per candidate of a
+// core.CandidateTable. The join's static side is the table's
+// (core.Supports, computed once per table whichever matcher asks first):
+// how many coauthors the two references share — matched by reflexivity
+// whatever the evidence, so they come off the requirement for good on the
+// matcher's first use — and the ids of the candidate pairs {c1, c2} with
+// c1 a coauthor of one side and c2 of the other. A rule check is then
+// "count the supports that are equals, stop at k". Ids, scoping
+// (PrepareCover) and Candidates are the table's too; what this package
+// owns is the seeds, the requirements and the fixpoint, which Match runs
+// over a pooled dense state vector, reading the evidence through it
+// rather than copying it (match.go).
 //
 // Evidence — the caller's pos/neg sets and the ground Seed constants of
 // compiled programs (hardseed_doc.go) — is read on ground candidate
@@ -32,13 +34,10 @@
 package rules
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bib"
 	"repro/internal/core"
@@ -70,9 +69,6 @@ var (
 	// more-demanding duplicate is dead weight — almost always a program
 	// mistake (the author meant a different level).
 	ErrDuplicateLevel = errors.New("rules: duplicate rule level")
-	// ErrCandidateRange marks a candidate pair with an endpoint that is
-	// not a reference of the dataset.
-	ErrCandidateRange = errors.New("rules: candidate pair outside the dataset")
 )
 
 // Validate checks a rule program for the degenerate shapes New used to
@@ -133,93 +129,91 @@ type Candidate struct {
 // never is the support requirement of a candidate no rule can derive.
 const never = -1
 
-// Matcher is the ground RULES program over one dataset. It implements
-// core.Matcher (Type-I only — RULES is not probabilistic, so MMP does not
-// apply; Appendix C evaluates it with NO-MP, SMP and FULL) and
-// core.ScopePreparer. The model is immutable once ground and safe for
+// Matcher is the ground RULES program over one dataset's candidate table.
+// It implements core.Matcher (Type-I only — RULES is not probabilistic, so
+// MMP does not apply; Appendix C evaluates it with NO-MP, SMP and FULL)
+// and core.DenseMatcher. The model is immutable once ground and safe for
 // concurrent use.
-//
-// Candidate ids are positions in (A, B) order, so the candidates with
-// first endpoint e are the id range first[e]..first[e+1], ascending in B:
-// the adjacency, duplicate detection and Candidates' output order all
-// fall out of that one ordering.
 type Matcher struct {
+	table *core.CandidateTable
 	co    *graph.Graph
-	pairs []core.Pair
 	seed  []Seed
-	first []int32
 
 	// want[id] is how many matched supporting pairs candidate id still
-	// needs to fire: 0 fires unconditionally, never cannot fire. New sets
-	// the rule's demand; ground lowers it by the shared coauthors and
-	// fills the support relation sup[supOff[id]:supOff[id+1]].
-	want       []int32
-	supOff     []int32
-	sup        []int32
-	groundOnce sync.Once
+	// needs to fire: 0 fires unconditionally, never cannot fire. Ground
+	// sets the rule's demand; the first use lowers it by the shared
+	// coauthors and takes the table's support relation (lower).
+	want      []int32
+	sup       *core.Supports
+	lowerOnce sync.Once
 
-	scopes atomic.Pointer[core.CoverScopes[scope]]
 	wsPool sync.Pool
 }
 
-// New grounds the program for a dataset over candidate pairs, in time
-// linear in the candidates when they arrive in (A, B) order, as blocking
-// emits them; any other order is sorted first. Either way candidate ids
-// are positions in (A, B) order — packed-key order — which is the
-// invariant CandidateTable publishes to the engine (core.DenseMatcher):
-// ascending ids are ascending keys.
+// New grounds the program for a dataset over candidate pairs: it builds
+// their core.CandidateTable — candidates in any order, validated there —
+// and grounds over it.
 func New(d *bib.Dataset, cands []Candidate, rs []Rule) (*Matcher, error) {
+	t, cands, err := core.TableOf(d.NumRefs(), cands, func(c Candidate) core.Pair { return c.Pair })
+	if err != nil {
+		return nil, err
+	}
+	levels, seeds := make([]similarity.Level, len(cands)), make([]Seed, len(cands))
+	for i, c := range cands {
+		levels[i], seeds[i] = c.Level, c.Seed
+	}
+	return Ground(d, t, levels, seeds, rs)
+}
+
+// Ground grounds the program over a candidate table of the dataset, in
+// time linear in the candidates: levels and seeds are columns in table
+// order, seeds nil for a program without any.
+func Ground(d *bib.Dataset, t *core.CandidateTable, levels []similarity.Level, seeds []Seed, rs []Rule) (*Matcher, error) {
 	if err := Validate(rs); err != nil {
 		return nil, err
+	}
+	if len(levels) != t.Len() || (seeds != nil && len(seeds) != t.Len()) {
+		return nil, fmt.Errorf("rules: %d levels and %d seeds for %d candidates", len(levels), len(seeds), t.Len())
 	}
 	// One rule per level (Validate), so the program is four numbers.
 	need := [similarity.LevelStrong + 1]int32{never, never, never, never}
 	for _, r := range rs {
 		need[r.Level] = int32(min(r.MinCoauthorMatches, math.MaxInt32))
 	}
-	// Packed-key order is (A, B) order on valid pairs, and puts equal
-	// pairs side by side whatever else it is handed.
-	byPair := func(a, b Candidate) int { return cmp.Compare(a.Pair.Key(), b.Pair.Key()) }
-	if !slices.IsSortedFunc(cands, byPair) {
-		cands = slices.Clone(cands)
-		slices.SortFunc(cands, byPair)
+	m := &Matcher{table: t, co: d.Coauthor(), seed: make([]Seed, t.Len()), want: make([]int32, t.Len())}
+	for id, s := range seeds {
+		m.seed[id] = s & (SeedEqual | SeedDistinct)
 	}
-	n := d.NumRefs()
-	m := &Matcher{
-		co:    d.Coauthor(),
-		pairs: make([]core.Pair, len(cands)),
-		seed:  make([]Seed, len(cands)),
-		want:  make([]int32, len(cands)),
-		first: make([]int32, n+1),
+	for id, l := range levels {
+		m.want[id] = never
+		if l >= 0 && int(l) < len(need) {
+			m.want[id] = need[l]
+		}
 	}
-	for i, c := range cands {
-		p := c.Pair
-		if !p.Valid() {
-			return nil, fmt.Errorf("rules: invalid candidate pair %v", p)
-		}
-		if p.A < 0 || int(p.B) >= n {
-			return nil, fmt.Errorf("%w: %v, references are 0..%d", ErrCandidateRange, p, n-1)
-		}
-		if i > 0 && p == cands[i-1].Pair {
-			return nil, fmt.Errorf("rules: duplicate candidate pair %v", p)
-		}
-		m.pairs[i] = p
-		m.seed[i] = c.Seed & (SeedEqual | SeedDistinct)
-		m.want[i] = never
-		if c.Level >= 0 && int(c.Level) < len(need) {
-			m.want[i] = need[c.Level]
-		}
-		m.first[p.A+1]++
-	}
-	for e := 0; e < n; e++ {
-		m.first[e+1] += m.first[e]
-	}
-	m.wsPool.New = func() any { return newWorkspace(len(m.pairs), n) }
+	m.wsPool.New = func() any { return &workspace{state: make([]uint8, t.Len())} }
 	return m, nil
 }
 
+// lower finishes the grounding on the matcher's first use (every pipeline
+// grounds a rules matcher; only the ones that run pay for this): it takes
+// the table's support relation — already there when another matcher over
+// the same table asked first — and lowers every open requirement by the
+// candidate's shared coauthors, which are matched by reflexivity under any
+// evidence. Seeded candidates are decided before any rule runs; their
+// requirement is never read.
+func (m *Matcher) lower() {
+	m.lowerOnce.Do(func() {
+		m.sup = m.table.Supports(m.co)
+		for id, k := range m.want {
+			if k > 0 {
+				m.want[id] = max(0, k-m.sup.Shared(int32(id)))
+			}
+		}
+	})
+}
+
 // NumPairs returns the number of ground candidates.
-func (m *Matcher) NumPairs() int { return len(m.pairs) }
+func (m *Matcher) NumPairs() int { return m.table.Len() }
 
 var (
 	_ core.Matcher      = (*Matcher)(nil)

@@ -236,7 +236,7 @@ func TestWellBehavedGenerated(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	d, m, _ := generated(t, 11, 0.08)
 	entities := allRefs(d)
-	pairs := m.pairs
+	pairs := m.CandidateTable().Pairs()
 	randomEvidence := func(frac float64) core.PairSet {
 		s := core.NewPairSet()
 		for _, p := range pairs {
@@ -326,24 +326,16 @@ func TestSMPCompleteVsFull(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	d := buildDataset([][]ref{{{"A B", 0}, {"A B", 0}}})
-	if _, err := New(d, []Candidate{{Pair: core.Pair{A: 2, B: 2}}}, PaperRules()); err == nil {
-		t.Error("invalid pair accepted")
-	}
-	p := core.MakePair(0, 1)
-	if _, err := New(d, []Candidate{{Pair: p}, {Pair: p}}, PaperRules()); err == nil {
-		t.Error("duplicate accepted")
-	}
 	if _, err := New(d, nil, []Rule{{Level: 1, MinCoauthorMatches: -1}}); err == nil {
 		t.Error("negative rule accepted")
 	}
-	// An endpoint that is no reference used to index out of range.
-	for _, bad := range []core.Pair{{A: -1, B: 1}, {A: 0, B: 2}, {A: 5, B: 9}} {
-		if _, err := New(d, []Candidate{{Pair: bad}}, PaperRules()); !errors.Is(err, ErrCandidateRange) {
-			t.Errorf("candidate %v: got %v, want ErrCandidateRange", bad, err)
-		}
+	// New reports what the candidate table refuses
+	// (core.TestCandidateTableValidation has the cases).
+	if _, err := New(d, []Candidate{{Pair: core.Pair{A: 0, B: 2}}}, PaperRules()); !errors.Is(err, core.ErrCandidateRange) {
+		t.Errorf("got %v, want core.ErrCandidateRange", err)
 	}
-	// Candidates out of (A, B) order are sorted, and a duplicate is found
-	// wherever it sits.
+	// Candidates out of (A, B) order keep their levels: the columns
+	// follow the table's order.
 	d3 := buildDataset([][]ref{{{"A B", 0}, {"A B", 0}, {"A B", 0}}})
 	shuffled := []Candidate{
 		{Pair: core.MakePair(1, 2), Level: similarity.LevelStrong},
@@ -360,9 +352,6 @@ func TestNewValidation(t *testing.T) {
 	}
 	if shuffled[0].Pair != core.MakePair(1, 2) {
 		t.Error("New reordered the caller's slice")
-	}
-	if _, err := New(d3, append(shuffled, shuffled[0]), PaperRules()); err == nil {
-		t.Error("duplicate among unsorted candidates accepted")
 	}
 }
 

@@ -11,6 +11,7 @@ package match
 
 import (
 	"repro/internal/bib"
+	"repro/internal/canopy"
 	"repro/internal/core"
 	"repro/internal/rules"
 	"repro/internal/similarity"
@@ -44,12 +45,29 @@ type Cover = core.Cover
 type ScopePreparer = core.ScopePreparer
 
 // DenseMatcher is the optional, output-neutral matcher extension that
-// publishes the matcher's candidate numbering (CandidateTable: every match
-// variable, in strictly ascending PairKey order) so the engine can carry
-// evidence as a bitset over those ids and exchange match sets as id
-// lists instead of hashing pairs. Both built-in matchers implement it; a
-// matcher without it runs through the same engine on PairSets.
+// publishes the matcher's candidate numbering (its CandidateTable) so the
+// engine can carry evidence as a bitset over those ids and exchange match
+// sets as id lists instead of hashing pairs. Both built-in matchers
+// implement it; a matcher without it runs through the same engine on
+// PairSets.
 type DenseMatcher = core.DenseMatcher
+
+// CandidateTable is the ground candidate relation of one experiment: every
+// match variable, numbered in strictly ascending PairKey order and
+// validated where it was built, with the pair → id search (Find), the
+// per-neighborhood scoped ids of the prepared cover (PrepareCover,
+// ScopeIDs, Candidates) and the coauthor support join (Supports). An
+// experiment builds one and hands it to every matcher factory as
+// MatcherContext.Table; a DenseMatcher adopts it rather than numbering
+// pairs itself.
+type CandidateTable = core.CandidateTable
+
+// NewCandidateTable numbers pairs over the entities [0, n) — sorting a
+// copy when they are not in ascending order — and refuses a pair that is
+// not normalized, has an endpoint outside [0, n) or occurs twice.
+func NewCandidateTable(n int, pairs []Pair) (*CandidateTable, error) {
+	return core.NewCandidateTable(n, pairs)
+}
 
 // DenseProbabilistic is DenseMatcher for a Type-II matcher: the id forms
 // of the two operations MMP adds.
@@ -158,11 +176,9 @@ const (
 type Rule = rules.Rule
 
 // Candidate is one in-scope matching decision handed to matcher
-// factories: a normalized reference pair plus its similarity level.
-type Candidate struct {
-	Pair  Pair
-	Level Level
-}
+// factories: a normalized reference pair (Pair) plus its similarity level
+// (Level) — the pair as blocking emits it.
+type Candidate = canopy.SimilarPair
 
 // MakePair returns the normalized pair {a, b}.
 func MakePair(a, b EntityID) Pair { return core.MakePair(a, b) }

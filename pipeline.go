@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -538,17 +538,19 @@ func (p *Pipeline) rebuildIndex(ctx context.Context, records []Record) (*canopy.
 // a new set can add variables to an unchanged one).
 func affectedByDelta(exp, old *Experiment, delta *canopy.Delta) []int32 {
 	rel := exp.Dataset.Coauthor()
-	oldCands := match.NewPairSet()
-	for _, c := range old.Candidates {
-		oldCands.Add(c.Pair)
-	}
+	// Both tables are in ascending pair order and entity ids are stable
+	// across batches, so the new candidates fall out of one merge walk.
 	var newPairs []match.Pair
-	for _, c := range exp.Candidates {
-		if !oldCands.Has(c.Pair) {
-			newPairs = append(newPairs, c.Pair)
+	was := old.Table.Pairs()
+	for _, p := range exp.Table.Pairs() {
+		for len(was) > 0 && was[0].Key() < p.Key() {
+			was = was[1:]
+		}
+		if len(was) == 0 || was[0] != p {
+			newPairs = append(newPairs, p)
 		}
 	}
-	seen := map[int32]bool{}
+	seen := make([]bool, exp.Cover.Len())
 	var out []int32
 	for _, ids := range [][]int32{
 		delta.Changed,
@@ -562,6 +564,6 @@ func affectedByDelta(exp, old *Experiment, delta *canopy.Delta) []int32 {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

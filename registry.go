@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/canopy"
 	"repro/internal/core"
 	"repro/internal/mln"
 	emnet "repro/internal/net"
@@ -14,12 +15,41 @@ import (
 
 // MatcherContext is the per-experiment input handed to matcher
 // factories: the dataset, the in-scope matching decisions (candidate
-// pairs with similarity levels), and the setup options. Factories must
-// not mutate the context's slices.
+// pairs with similarity levels), their table, and the setup options.
+// Factories must not mutate the context's slices.
+//
+// Table numbers the candidates: Candidates[i] is Table's pair i. An
+// Experiment builds it once and every factory receives the same one, so
+// matchers that adopt it (both built-ins, every rules program) share its
+// ids, its cover scoping and its coauthor join. A context assembled by
+// hand may leave it nil; the built-in factories then build a table of
+// their own from Candidates.
 type MatcherContext struct {
 	Dataset    *match.Dataset
 	Candidates []match.Candidate
+	Table      *match.CandidateTable
 	Options    Options
+}
+
+// grounding returns the context's candidate table with the level column in
+// table order — what a matcher is ground over. With Table set that is the
+// experiment's table and the levels of Candidates as they stand; without,
+// a table built (and validated) from Candidates, in any order.
+func (mc MatcherContext) grounding() (*match.CandidateTable, []match.Level, error) {
+	t, cands := mc.Table, mc.Candidates
+	if t == nil {
+		var err error
+		if t, cands, err = tableOf(mc.Dataset, cands); err != nil {
+			return nil, nil, err
+		}
+	}
+	return t, canopy.Levels(cands), nil
+}
+
+// tableOf builds the candidate table of a dataset's candidates and
+// returns them in table order.
+func tableOf(d *match.Dataset, cands []match.Candidate) (*match.CandidateTable, []match.Candidate, error) {
+	return core.TableOf(d.NumRefs(), cands, func(c match.Candidate) match.Pair { return c.Pair })
 }
 
 // MatcherFactory grounds a black-box matcher for one experiment. The
@@ -178,17 +208,17 @@ func init() {
 		return NewShardedNetBackend(shards), nil
 	})
 	RegisterMatcher(MatcherMLN, func(mc MatcherContext) (match.Matcher, error) {
-		cands := make([]mln.Candidate, len(mc.Candidates))
-		for i, c := range mc.Candidates {
-			cands[i] = mln.Candidate{Pair: c.Pair, Level: c.Level}
+		t, levels, err := mc.grounding()
+		if err != nil {
+			return nil, err
 		}
-		return mln.New(mc.Dataset, cands, mc.Options.MLNWeights)
+		return mln.Ground(mc.Dataset, t, levels, mc.Options.MLNWeights)
 	})
 	RegisterMatcher(MatcherRules, func(mc MatcherContext) (match.Matcher, error) {
-		cands := make([]rules.Candidate, len(mc.Candidates))
-		for i, c := range mc.Candidates {
-			cands[i] = rules.Candidate{Pair: c.Pair, Level: c.Level}
+		t, levels, err := mc.grounding()
+		if err != nil {
+			return nil, err
 		}
-		return rules.New(mc.Dataset, cands, mc.Options.Rules)
+		return rules.Ground(mc.Dataset, t, levels, nil, mc.Options.Rules)
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/rules"
 	"repro/internal/rules/lang"
 	"repro/match"
 )
@@ -49,15 +48,11 @@ func (p *RuleProgram) String() string { return p.plan.Prog.Print() }
 // program's seed clauses ground on it.
 func (p *RuleProgram) Factory() MatcherFactory {
 	return func(mc MatcherContext) (match.Matcher, error) {
-		cands := make([]rules.Candidate, len(mc.Candidates))
-		for i, c := range mc.Candidates {
-			cands[i] = rules.Candidate{Pair: c.Pair, Level: c.Level}
-		}
-		m, err := p.plan.NewMatcher(mc.Dataset, cands)
+		t, levels, err := mc.grounding()
 		if err != nil {
 			return nil, err
 		}
-		return m, nil
+		return p.plan.NewMatcher(mc.Dataset, t, levels)
 	}
 }
 
