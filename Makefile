@@ -140,8 +140,9 @@ bench-pair:
 # dataset's level cache relies on), that cache's open-addressed table
 # against a plain map, and blocking — sharded vs serial canopies, the row
 # scorer vs the per-record one it replaced, incremental vs scratch covers,
-# index blob loading (the nightly CI job
-# runs every Fuzz* target, found by name, for longer).
+# index blob loading, and the durability trail over arbitrary directory
+# listings (the nightly CI job runs every Fuzz* target, found by name, for
+# longer).
 fuzz:
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzJaroMatchesReference$$' -fuzztime 10s ./internal/similarity/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzNameLevelSymmetric$$' -fuzztime 10s ./internal/similarity/
@@ -155,6 +156,7 @@ fuzz:
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzCanopiesMatchOld$$' -fuzztime 10s ./internal/canopy/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzIndexAdd$$' -fuzztime 10s ./internal/canopy/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzLoadIndex$$' -fuzztime 10s ./internal/canopy/
+	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzTrailScan$$' -fuzztime 10s ./internal/store/
 
 clean:
 	$(GO) clean ./...

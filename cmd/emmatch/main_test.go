@@ -224,3 +224,38 @@ func itoa(n int) string {
 	}
 	return string(b[i:])
 }
+
+// TestResumeOverTruncatedTail: a round trail whose newest record was torn
+// (the trail is not fsynced) must not wedge -resume: the record is set
+// aside as *.corrupt and the run continues from the round before it,
+// reporting what the uninterrupted run reported.
+func TestResumeOverTruncatedTail(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-kind", "hepth", "-scale", "0.1", "-scheme", "smp", "-checkpoint-dir", dir}
+	want, err := runQuiet(t, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "round-*.ckpt"))
+	if len(files) < 2 {
+		t.Fatalf("the run left %d round records, the test needs two", len(files))
+	}
+	last := files[len(files)-1]
+	raw, err := os.ReadFile(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(last, raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := runQuiet(t, append(args, "-resume")...)
+	if err != nil {
+		t.Fatalf("-resume over a truncated last record: %v", err)
+	}
+	if got != want {
+		t.Errorf("resumed report differs from the uninterrupted run:\n%s\nwant:\n%s", got, want)
+	}
+	if _, err := os.Stat(last + ".corrupt"); err != nil {
+		t.Errorf("the torn record was not quarantined: %v", err)
+	}
+}

@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"time"
 
 	"repro/internal/wire"
@@ -14,10 +11,10 @@ import (
 // backend-executed run. After every completed round the driver persists
 // {round, evidence delta, next active set, outstanding maximal messages,
 // visit counts, RunStats} to Dir as one wire.Checkpoint file
-// (round-NNNNNN.ckpt), written atomically (temp file + rename) so a kill
-// can never leave a torn record. Replaying the deltas of rounds 1..r
-// rebuilds the evidence set exactly; everything else resumes from the
-// latest record.
+// (round-NNNNNN.ckpt), committed through a store.Trail (temp file +
+// rename, no fsync: see newRoundDriver), so the death of the process never
+// leaves a torn record. Replaying the deltas of rounds 1..r rebuilds the
+// evidence set exactly; everything else resumes from the latest record.
 type CheckpointConfig struct {
 	// Dir is the checkpoint directory; empty disables checkpointing. A
 	// fresh (non-resume) run clears previous round files from Dir first.
@@ -36,153 +33,164 @@ type CheckpointConfig struct {
 	Matcher string
 }
 
-const ckptPattern = "round-*.ckpt"
-
-func ckptFile(round int) string { return fmt.Sprintf("round-%06d.ckpt", round) }
-
-// checkpointer writes one durable record per completed round.
-type checkpointer struct {
-	dir     string
-	format  wire.Format
-	matcher string
+// State is one persisted record of run state — a round of the checkpoint
+// trail, or a store's snapshot blob — in the engine's types: the
+// wire.Checkpoint header as is (fingerprint, round or commit sequence,
+// active set, visits, stats) and, in place of its raw key lists, the
+// evidence (a round's delta, or a snapshot's whole M+, ascending) and the
+// outstanding maximal messages. Marshal and DecodeState are the only
+// conversions between the two forms.
+type State struct {
+	Header   wire.Checkpoint // Delta and Messages are Marshal's to fill
+	Evidence []PairKey
+	Messages [][]Pair
 }
 
-// clear removes the round files of any previous run in the directory,
-// creating it if needed.
-func (c *checkpointer) clear() error {
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return fmt.Errorf("core: checkpoint dir: %w", err)
-	}
-	stale, err := filepath.Glob(filepath.Join(c.dir, ckptPattern))
+// Marshal encodes the state as a wire.Checkpoint in the given format.
+func (s *State) Marshal(f wire.Format) ([]byte, error) {
+	ck := s.Header
+	ck.Delta, ck.Messages = rekey[uint64](s.Evidence), messagesToWire(s.Messages)
+	return ck.Marshal(f)
+}
+
+func stateOf(ck *wire.Checkpoint) *State {
+	s := &State{Header: *ck, Evidence: rekey[PairKey](ck.Delta), Messages: messagesFromWire(ck.Messages)}
+	s.Header.Delta, s.Header.Messages = nil, nil // one copy of a trail's evidence, not two
+	return s
+}
+
+// DecodeState decodes one persisted record (either codec) and validates
+// its pairs over the record's own entity count.
+func DecodeState(data []byte) (*State, error) {
+	ck, err := wire.UnmarshalCheckpoint(data)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for _, f := range stale {
-		if err := os.Remove(f); err != nil {
-			return fmt.Errorf("core: clearing stale checkpoint: %w", err)
+	s := stateOf(ck)
+	return s, validPairs(s.Evidence, s.Messages, ck.Entities)
+}
+
+// rekey converts a key list between PairKey and the raw uint64 form the
+// wire codec and the stores speak.
+func rekey[To, From ~uint64](keys []From) []To {
+	out := make([]To, len(keys))
+	for i, k := range keys {
+		out[i] = To(k)
+	}
+	return out
+}
+
+// regroup converts maximal messages between pairs and raw keys, order-
+// and grouping-preserving; no messages is nil either way.
+func regroup[To, From any](groups [][]From, conv func(From) To) [][]To {
+	if len(groups) == 0 {
+		return nil
+	}
+	out := make([][]To, len(groups))
+	for i, g := range groups {
+		out[i] = make([]To, len(g))
+		for x, v := range g {
+			out[i][x] = conv(v)
+		}
+	}
+	return out
+}
+
+func messagesToWire(msgs [][]Pair) [][]uint64 {
+	return regroup(msgs, func(p Pair) uint64 { return uint64(p.Key()) })
+}
+
+func messagesFromWire(groups [][]uint64) [][]Pair {
+	return regroup(groups, func(k uint64) Pair { return PairKey(k).Pair() })
+}
+
+// validPairs is the one check of evidence and message pairs that come
+// from outside the running engine — a trail, a snapshot blob, a warm
+// seed: each must be a normalized pair over the entity ids [0, n).
+func validPairs(evidence []PairKey, messages [][]Pair, n int) error {
+	for _, k := range evidence {
+		if p := k.Pair(); !p.ValidOver(n) {
+			return fmt.Errorf("core: evidence pair %v invalid over %d entities", p, n)
+		}
+	}
+	for _, msg := range messages {
+		for _, p := range msg {
+			if !p.ValidOver(n) {
+				return fmt.Errorf("core: message pair %v invalid over %d entities", p, n)
+			}
 		}
 	}
 	return nil
 }
 
-// write persists the just-completed round. delta must be the round's
-// evidence delta in ascending key order.
-func (c *checkpointer) write(d *RoundDriver, delta []PairKey) error {
-	ck := &wire.Checkpoint{
+// checkpoint persists the just-completed round. delta must be the
+// round's evidence delta in ascending key order.
+func (d *RoundDriver) checkpoint(delta []PairKey) error {
+	st := &State{Evidence: delta, Header: wire.Checkpoint{
 		Scheme:        d.plan.Scheme,
-		Matcher:       c.matcher,
+		Matcher:       d.ck.Matcher,
 		Neighborhoods: d.plan.Config.Cover.Len(),
 		Entities:      d.plan.Config.Cover.NumEntities,
 		Round:         d.round,
 		Done:          d.done,
-		Delta:         make([]uint64, len(delta)),
 		Active:        d.active,
 		Visits:        d.visits,
 		Stats:         statsToWire(&d.res.Stats),
-	}
-	for i, k := range delta {
-		ck.Delta[i] = uint64(k)
-	}
+	}}
 	if d.store != nil {
-		for _, msg := range d.store.components() {
-			g := make([]uint64, len(msg))
-			for x, i := range msg {
-				g[x] = uint64(d.store.pairs[i].Key())
-			}
-			ck.Messages = append(ck.Messages, g)
-		}
+		st.Messages = d.store.Messages()
 	}
-	b, err := ck.Marshal(c.format)
+	b, err := st.Marshal(d.ck.Format)
 	if err != nil {
 		return fmt.Errorf("core: encoding checkpoint round %d: %w", d.round, err)
 	}
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return fmt.Errorf("core: checkpoint dir: %w", err)
-	}
-	final := filepath.Join(c.dir, ckptFile(d.round))
-	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return fmt.Errorf("core: writing checkpoint round %d: %w", d.round, err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("core: committing checkpoint round %d: %w", d.round, err)
-	}
-	return nil
+	return d.trail.Commit(d.round, b)
 }
 
-// resumeState is a checkpoint trail decoded back into driver state.
-type resumeState struct {
-	evidence []PairKey // the trail's deltas, in round order
-	visits   []int
-	stats    RunStats
-	messages [][]Pair
-	active   []int32
-	round    int
-	done     bool
-}
-
-// loadCheckpointState reads and verifies a checkpoint trail: contiguous
-// rounds 1..r, all fingerprinting the same run as plan (and as matcher,
-// when both the trail and the caller carry a label). Returns nil when
-// the directory holds no checkpoints (resume into a fresh run).
-func loadCheckpointState(dir string, plan *RoundPlan, matcher string) (*resumeState, error) {
-	files, err := filepath.Glob(filepath.Join(dir, ckptPattern))
-	if err != nil {
+// loadTrail reads and verifies the trail and folds it into one State: the
+// latest record's header, every round's delta in round order as its
+// evidence. The rounds must be contiguous 1..r and all fingerprint this
+// run: its plan and, when both sides carry one, its matcher label. A
+// record that does not decode is the trail's business (a torn tail is
+// quarantined, anything else an error); one that decodes but belongs to
+// another run is always an error. Returns nil when the directory holds no
+// checkpoints (resume into a fresh run).
+func (d *RoundDriver) loadTrail() (*State, error) {
+	var (
+		recs  []*State
+		names []string
+	)
+	err := d.trail.Scan(func(seq int, data []byte) error {
+		ck, err := wire.UnmarshalCheckpoint(data)
+		if err != nil {
+			return err
+		}
+		recs = append(recs, stateOf(ck))
+		names = append(names, d.trail.Path(seq))
+		return nil
+	})
+	if err != nil || len(recs) == 0 {
 		return nil, err
 	}
-	if len(files) == 0 {
-		return nil, nil
-	}
-	sort.Strings(files)
-
-	st := &resumeState{}
-	var last *wire.Checkpoint
-	for i, f := range files {
-		raw, err := os.ReadFile(f)
-		if err != nil {
-			return nil, fmt.Errorf("core: reading checkpoint: %w", err)
-		}
-		ck, err := wire.UnmarshalCheckpoint(raw)
-		if err != nil {
-			return nil, fmt.Errorf("core: decoding %s: %w", filepath.Base(f), err)
-		}
-		if ck.Round != i+1 {
+	cover := d.plan.Config.Cover
+	var evidence []PairKey
+	for i, rec := range recs {
+		h := &rec.Header
+		if h.Round != i+1 {
 			return nil, fmt.Errorf("core: checkpoint trail not contiguous: %s carries round %d, want %d",
-				filepath.Base(f), ck.Round, i+1)
+				names[i], h.Round, i+1)
 		}
-		if ck.Scheme != plan.Scheme || ck.Neighborhoods != plan.Config.Cover.Len() ||
-			ck.Entities != plan.Config.Cover.NumEntities {
-			return nil, fmt.Errorf("core: checkpoint %s belongs to a different run (scheme %s over %d neighborhoods/%d entities, resuming %s over %d/%d)",
-				filepath.Base(f), ck.Scheme, ck.Neighborhoods, ck.Entities,
-				plan.Scheme, plan.Config.Cover.Len(), plan.Config.Cover.NumEntities)
+		if h.Scheme != d.plan.Scheme || h.Neighborhoods != cover.Len() || h.Entities != cover.NumEntities ||
+			(h.Matcher != "" && d.ck.Matcher != "" && h.Matcher != d.ck.Matcher) {
+			return nil, fmt.Errorf("core: checkpoint %s belongs to a different run (matcher %q, scheme %s over %d neighborhoods/%d entities; resuming matcher %q, %s over %d/%d)",
+				names[i], h.Matcher, h.Scheme, h.Neighborhoods, h.Entities,
+				d.ck.Matcher, d.plan.Scheme, cover.Len(), cover.NumEntities)
 		}
-		if ck.Matcher != "" && matcher != "" && ck.Matcher != matcher {
-			return nil, fmt.Errorf("core: checkpoint %s was written by matcher %q, resuming with %q",
-				filepath.Base(f), ck.Matcher, matcher)
-		}
-		if len(ck.Messages) > 0 && !plan.WithMessages {
-			return nil, fmt.Errorf("core: checkpoint %s carries maximal messages but scheme %s exchanges none",
-				filepath.Base(f), plan.Scheme)
-		}
-		for _, k := range ck.Delta {
-			st.evidence = append(st.evidence, PairKey(k))
-		}
-		last = ck
+		evidence = append(evidence, rec.Evidence...)
 	}
-
-	st.round = last.Round
-	st.done = last.Done
-	st.active = last.Active
-	st.visits = last.Visits
-	st.stats = statsFromWire(&last.Stats)
-	for _, g := range last.Messages {
-		msg := make([]Pair, len(g))
-		for i, k := range g {
-			msg[i] = PairKey(k).Pair()
-		}
-		st.messages = append(st.messages, msg)
-	}
-	return st, nil
+	last := recs[len(recs)-1]
+	last.Evidence = evidence
+	return last, nil
 }
 
 func statsToWire(s *RunStats) wire.Stats {

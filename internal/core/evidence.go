@@ -1,9 +1,9 @@
 package core
 
 // EvidenceStore is the persistence hook the round driver mirrors its
-// accumulated evidence into — the engine-side slice of the storage
-// abstraction (internal/store implements it; core only knows this
-// two-method surface so the dependency points upward).
+// accumulated evidence into — the two methods of a store.Store the
+// engine calls, declared here so a run can be handed any implementation
+// (a registered third-party store included), not only internal/store's.
 //
 // The driver maintains one invariant: after every completed round the
 // store's evidence set equals the run's accumulated M+ (pre-closure).
@@ -32,15 +32,11 @@ func resetEvidence(es EvidenceStore, keys []PairKey) error {
 	return putEvidence(es, keys)
 }
 
-// putEvidence appends a sorted key batch, translating PairKeys to the
-// store's raw uint64 representation. Empty batches are skipped.
+// putEvidence appends a sorted key batch in the store's raw uint64
+// form. Empty batches are skipped.
 func putEvidence(es EvidenceStore, keys []PairKey) error {
 	if es == nil || len(keys) == 0 {
 		return nil
 	}
-	raw := make([]uint64, len(keys))
-	for i, k := range keys {
-		raw[i] = uint64(k)
-	}
-	return es.PutEvidence(raw)
+	return es.PutEvidence(rekey[uint64](keys))
 }

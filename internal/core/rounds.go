@@ -5,6 +5,8 @@ import (
 	"errors"
 	"slices"
 	"time"
+
+	"repro/internal/store"
 )
 
 // RoundDriver owns the central (Reduce) state of a round-based run: the
@@ -22,7 +24,8 @@ type RoundDriver struct {
 	ev     *Evidence // M+
 	visits []int
 	store  *MessageStore // MMP only
-	ckpt   *checkpointer // nil when not checkpointing
+	ck     CheckpointConfig
+	trail  *store.Trail // the checkpoint trail; nil when not checkpointing
 
 	active []int32
 	// roundMark is where the running round starts in M+'s insertion log:
@@ -52,7 +55,7 @@ type RoundDriver struct {
 // fresh run). A fresh checkpointing run clears any stale round files so
 // a later resume can never mix two runs.
 func newRoundDriver(plan *RoundPlan, ck CheckpointConfig) (*RoundDriver, error) {
-	d := &RoundDriver{plan: plan, start: time.Now()}
+	d := &RoundDriver{plan: plan, ck: ck, start: time.Now()}
 	d.cacheStart, _ = cacheSnapshot(plan.Config.Matcher)
 	d.res = &Result{Scheme: plan.Scheme}
 	d.ev = plan.NewEvidence()
@@ -64,36 +67,22 @@ func newRoundDriver(plan *RoundPlan, ck CheckpointConfig) (*RoundDriver, error) 
 		d.store = newMessageStore(plan.table)
 	}
 	if ck.Dir != "" {
-		d.ckpt = &checkpointer{dir: ck.Dir, format: ck.Format, matcher: ck.Matcher}
+		// NOT fsynced: a round record protects recomputable work, not
+		// accepted input, and three syncs would add a quarter to a service
+		// batch. A power cut may so tear the newest record; a resume
+		// quarantines that one and continues from the round before it.
+		d.trail = &store.Trail{Dir: ck.Dir, Format: "round-%06d.ckpt", Durable: false}
 	}
-	if ck.Resume && d.ckpt != nil {
-		st, err := loadCheckpointState(ck.Dir, plan, ck.Matcher)
+	if ck.Resume && d.trail != nil {
+		st, err := d.loadTrail()
 		if err != nil {
 			return nil, err
 		}
 		if st != nil {
-			for _, k := range st.evidence {
-				d.ev.AddKey(k)
-			}
-			d.roundMark = d.ev.Mark()
-			d.res.Stats = st.stats
-			d.visits = st.visits
-			for _, msg := range st.messages {
-				d.store.Add(msg)
-			}
-			d.active = st.active
-			d.round = st.round
-			d.done = st.done || len(st.active) == 0
-			d.prior = st.stats.Elapsed
-			// The evidence store must reflect the trail's state, not
-			// whatever run the directory held before.
-			if err := resetEvidence(plan.Config.Evidence, d.ev.SortedKeys()); err != nil {
-				return nil, err
-			}
-			return d, nil
+			return d, d.seed(st)
 		}
-	} else if d.ckpt != nil {
-		if err := d.ckpt.clear(); err != nil {
+	} else if d.trail != nil {
+		if err := d.trail.Clear(); err != nil {
 			return nil, err
 		}
 	}
@@ -216,16 +205,14 @@ func (d *RoundDriver) EndRound() error {
 		d.active = affected
 	}
 
-	if d.ckpt != nil || d.plan.Config.Evidence != nil {
+	if d.trail != nil || d.plan.Config.Evidence != nil {
 		delta := d.RoundDelta()
 		if err := putEvidence(d.plan.Config.Evidence, delta); err != nil {
 			return err
 		}
-		if d.ckpt != nil {
+		if d.trail != nil {
 			d.res.Stats.Elapsed = d.prior + time.Since(d.start) // running elapsed, persisted
-			if err := d.ckpt.write(d, delta); err != nil {
-				return err
-			}
+			return d.checkpoint(delta)
 		}
 	}
 	return nil

@@ -215,16 +215,7 @@ func (p *RoundPlan) JobToWire(j *Job) wire.Job {
 			w.Matches = append(w.Matches, uint64(k))
 		}
 	}
-	if len(j.msgs) > 0 {
-		w.Msgs = make([][]uint64, len(j.msgs))
-		for i, msg := range j.msgs {
-			g := make([]uint64, len(msg))
-			for x, p := range msg {
-				g[x] = uint64(p.Key())
-			}
-			w.Msgs[i] = g
-		}
-	}
+	w.Msgs = messagesToWire(j.msgs)
 	return w
 }
 
@@ -255,15 +246,6 @@ func (p *RoundPlan) JobFromWire(w *wire.Job) Job {
 			j.keys = append(j.keys, PairKey(k))
 		}
 	}
-	if len(w.Msgs) > 0 {
-		j.msgs = make([][]Pair, len(w.Msgs))
-		for i, g := range w.Msgs {
-			msg := make([]Pair, len(g))
-			for x, key := range g {
-				msg[x] = PairKey(key).Pair()
-			}
-			j.msgs[i] = msg
-		}
-	}
+	j.msgs = messagesFromWire(w.Msgs)
 	return j
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"slices"
+
+	"repro/internal/wire"
 )
 
 // WarmStart seeds a round-based run with the outcome of a previous run —
@@ -33,69 +35,58 @@ type WarmStart struct {
 	Active []int32
 }
 
-// validate checks the seed against the plan it will drive.
-func (w *WarmStart) validate(plan *RoundPlan) error {
-	n := plan.Config.Cover.NumEntities
-	for _, k := range w.Evidence {
-		if p := k.Pair(); !p.ValidOver(n) {
-			return fmt.Errorf("core: warm-start evidence pair %v invalid over %d entities", p, n)
-		}
-	}
-	if len(w.Messages) > 0 && !plan.WithMessages {
-		return fmt.Errorf("core: warm start carries maximal messages but scheme %s exchanges none", plan.Scheme)
-	}
-	for _, msg := range w.Messages {
-		for _, p := range msg {
-			if !p.ValidOver(n) {
-				return fmt.Errorf("core: warm-start message pair %v invalid over %d entities", p, n)
-			}
-		}
-	}
-	for _, id := range w.Active {
-		if id < 0 || int(id) >= plan.Config.Cover.Len() {
-			return fmt.Errorf("core: warm-start active id %d out of range [0,%d)", id, plan.Config.Cover.Len())
-		}
-	}
-	return nil
-}
-
-// seed installs the warm state into a freshly initialized driver: the
-// evidence becomes the accumulated match set, outstanding messages
-// refill the store, and the active set replaces the all-neighborhoods
-// round 1. The driver's round counter is set to 1 — the continuation's
-// first round is a re-activation round (round 2), so undecided-free
+// seed is the one installer of prior state into a freshly initialized
+// driver, for a warm start and a checkpoint resume alike: the evidence
+// becomes the accumulated match set, outstanding messages refill the
+// store, the active set replaces the all-neighborhoods round 1, and the
+// evidence store restarts from the seed. A resume (the state of a trail:
+// Round > 0) also restores the trail's round counter, visits and stats.
+// A warm start sets the round counter to 1 — the continuation's first
+// round is a re-activation round (round 2), so undecided-free
 // neighborhoods may be discharged as skips — and, when checkpointing,
-// the seed itself is persisted as the trail's round-1 record: a
-// warm-started trail is indistinguishable from a cold one and resumes
-// through the ordinary checkpoint path.
-func (d *RoundDriver) seed(w *WarmStart) error {
-	if err := w.validate(d.plan); err != nil {
+// persists the seed as the trail's round-1 record: a warm-started trail
+// is indistinguishable from a cold one and resumes through the ordinary
+// checkpoint path.
+func (d *RoundDriver) seed(st *State) error {
+	cover, h := d.plan.Config.Cover, &st.Header
+	if err := validPairs(st.Evidence, st.Messages, cover.NumEntities); err != nil {
 		return err
 	}
-	for _, k := range w.Evidence {
+	if len(st.Messages) > 0 && !d.plan.WithMessages {
+		return fmt.Errorf("core: seed carries maximal messages but scheme %s exchanges none", d.plan.Scheme)
+	}
+	for _, id := range h.Active {
+		if id < 0 || int(id) >= cover.Len() {
+			return fmt.Errorf("core: seed active id %d out of range [0,%d)", id, cover.Len())
+		}
+	}
+	for _, k := range st.Evidence {
 		d.ev.AddKey(k)
 	}
 	d.roundMark = d.ev.Mark()
-	for _, msg := range w.Messages {
+	for _, msg := range st.Messages {
 		d.store.Add(msg)
 	}
-	active := slices.Clone(w.Active)
+	active := slices.Clone(h.Active)
 	slices.Sort(active)
 	d.active = slices.Compact(active)
-	d.round = 1
-	d.done = len(d.active) == 0
-	if d.ckpt != nil || d.plan.Config.Evidence != nil {
-		delta := d.ev.SortedKeys()
-		// The store restarts from the seed, mirroring the trail's
-		// round-1 record.
-		if err := resetEvidence(d.plan.Config.Evidence, delta); err != nil {
-			return err
-		}
-		if d.ckpt != nil {
-			if err := d.ckpt.write(d, delta); err != nil {
-				return err
-			}
-		}
+	d.done = h.Done || len(d.active) == 0
+	resumed := h.Round > 0
+	if resumed {
+		d.round, d.visits, d.res.Stats = h.Round, h.Visits, statsFromWire(&h.Stats)
+		d.prior = d.res.Stats.Elapsed
+	} else {
+		d.round = 1
+	}
+	if d.trail == nil && d.plan.Config.Evidence == nil {
+		return nil
+	}
+	delta := d.ev.SortedKeys()
+	if err := resetEvidence(d.plan.Config.Evidence, delta); err != nil {
+		return err
+	}
+	if d.trail != nil && !resumed {
+		return d.checkpoint(delta)
 	}
 	return nil
 }
@@ -118,7 +109,8 @@ func RunBackendFrom(ctx context.Context, cfg Config, scheme string, b Backend, c
 		return nil, err
 	}
 	if warm != nil {
-		if err := d.seed(warm); err != nil {
+		st := &State{Evidence: warm.Evidence, Messages: warm.Messages, Header: wire.Checkpoint{Active: warm.Active}}
+		if err := d.seed(st); err != nil {
 			return nil, err
 		}
 	}

@@ -5,15 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	cem "repro"
+	"repro/internal/store"
 	"repro/match"
 )
 
@@ -28,11 +27,11 @@ import (
 // journal), so the CLI's replay semantics and the service's serving
 // semantics are one code path and cannot drift.
 type Committer struct {
-	pipe       *cem.Pipeline
-	journalDir string
-	store      match.Store
-	metrics    *Metrics
-	logf       func(format string, args ...any)
+	pipe    *cem.Pipeline
+	journal *store.Trail // nil when not journaling
+	store   match.Store
+	metrics *Metrics
+	logf    func(format string, args ...any)
 
 	mu         sync.Mutex // serializes Apply/Recover
 	journalSeq int        // highest journaled batch number
@@ -43,11 +42,14 @@ type Committer struct {
 type CommitterOption func(*Committer)
 
 // WithJournal persists every incoming batch to dir (created if missing)
-// as batch-NNNNNN.tsv BEFORE applying it, so a crash mid-update loses no
-// records: Recover replays the journal into an identical state. Without
-// a journal the committer is ephemeral (the replay-CLI mode).
+// as batch-NNNNNN.tsv BEFORE applying it — a durable store.Trail, so an
+// acknowledged batch survives a power cut, not only a crash mid-update:
+// Recover replays the journal into an identical state. Without a journal
+// the committer is ephemeral (the replay-CLI mode).
 func WithJournal(dir string) CommitterOption {
-	return func(c *Committer) { c.journalDir = dir }
+	return func(c *Committer) {
+		c.journal = &store.Trail{Dir: dir, Format: "batch-%06d.tsv", Durable: true, Logf: c.quarantined}
+	}
 }
 
 // WithStore persists every committed state into s (cem.SaveState after
@@ -84,11 +86,6 @@ func NewCommitter(pipe *cem.Pipeline, opts ...CommitterOption) (*Committer, erro
 	for _, o := range opts {
 		o(c)
 	}
-	if c.journalDir != "" {
-		if err := os.MkdirAll(c.journalDir, 0o755); err != nil {
-			return nil, fmt.Errorf("serve: journal dir: %w", err)
-		}
-	}
 	c.cur.Store(emptyCommitted())
 	return c, nil
 }
@@ -120,21 +117,18 @@ func (c *Committer) Apply(ctx context.Context, records []cem.Record) (*Committed
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	path, err := c.journal(records)
-	if err != nil {
+	if err := c.journalBatch(records); err != nil {
 		return nil, err
 	}
 	state, err := c.apply(ctx, records)
-	if err != nil {
-		if path != "" && ctx.Err() == nil {
-			// The batch itself was rejected (not a kill): drop it from
-			// the journal so a restart does not replay a poison batch.
-			os.Remove(path)
-			c.journalSeq--
-		}
-		return nil, err
+	if err != nil && c.journal != nil && ctx.Err() == nil {
+		// The batch itself was rejected (not a kill): drop it from the
+		// journal so a restart does not replay a poison batch. Best
+		// effort, as the rejection is what the caller must see.
+		_ = c.journal.Remove(c.journalSeq)
+		c.journalSeq--
 	}
-	return state, nil
+	return state, err
 }
 
 // apply runs one Update and publishes the result. Caller holds mu.
@@ -203,206 +197,141 @@ func (c *Committer) apply(ctx context.Context, records []cem.Record) (*Committed
 // of a torn file as a complete batch.
 const journalFooter = "# journal-end %d\n"
 
-// journal persists a batch before it is applied (tmp + rename + fsync,
-// like the checkpoint trail). Returns "" when journaling is disabled.
-func (c *Committer) journal(records []cem.Record) (string, error) {
-	if c.journalDir == "" {
-		return "", nil
+// journalBatch commits a batch to the journal before it is applied: the
+// records TSV and the footer, as one entry. A no-op without a journal.
+func (c *Committer) journalBatch(records []cem.Record) error {
+	if c.journal == nil {
+		return nil
+	}
+	var buf bytes.Buffer
+	err := cem.WriteRecords(&buf, fmt.Sprintf("batch-%06d", c.journalSeq+1), records)
+	if err == nil {
+		fmt.Fprintf(&buf, journalFooter, len(records))
+		err = c.journal.Commit(c.journalSeq+1, buf.Bytes())
+	}
+	if err != nil {
+		return fmt.Errorf("serve: journal: %w", err)
 	}
 	c.journalSeq++
-	path := filepath.Join(c.journalDir, fmt.Sprintf("batch-%06d.tsv", c.journalSeq))
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		c.journalSeq--
-		return "", fmt.Errorf("serve: journal: %w", err)
+	return nil
+}
+
+// quarantined is the journal's Logf: called once per torn trailing batch
+// file Recover renamed aside.
+func (c *Committer) quarantined(format string, args ...any) {
+	if c.metrics != nil {
+		c.metrics.JournalQuarantined.Inc()
 	}
-	err = cem.WriteRecords(f, fmt.Sprintf("batch-%06d", c.journalSeq), records)
-	if err == nil {
-		_, err = fmt.Fprintf(f, journalFooter, len(records))
+	c.log(format, args...)
+}
+
+// log reports a recovery event to the configured logger, if any.
+func (c *Committer) log(format string, args ...any) {
+	if c.logf != nil {
+		c.logf("recover: "+format, args...)
 	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		c.journalSeq--
-		return "", fmt.Errorf("serve: journal: %w", err)
-	}
-	return path, nil
 }
 
 // Recover rebuilds the committed state from the journal: the service's
-// restart path. With a store (WithStore), it first tries the
-// restart-without-replay shortcut — reopen the state snapshot SaveState
-// wrote at the last commit and fold only the batches journaled after it
-// (see reopenFromStore); the paths below run only when the store cannot
-// serve. With tryResume (the pipeline was built with a checkpoint
-// directory), it first attempts Pipeline.Resume over the full journaled
-// stream — a clean shutdown leaves a completed trail, so the matcher is
-// not called at all, and a kill mid-update leaves a partial trail that
-// resumes at the first unfinished round. When the trail cannot serve
-// (killed before the interrupted batch reached its first round boundary,
-// or no trail), it falls back to folding the journaled batches through
-// Pipeline.Update exactly as they were originally applied — equivalent
-// by the incremental differential guarantee. Returns the number of
-// journaled batches restored.
+// restart path. It scans the journal, restores the strongest base the
+// journal covers, and folds the batches past that base through
+// Pipeline.Update exactly as they were originally applied — equivalent by
+// the incremental differential guarantee. The bases, strongest first:
+// the store snapshot SaveState wrote at the last commit (WithStore; zero
+// matcher work, see reopenFromStore), which leaves only batches accepted
+// but killed before their commit completed; with tryResume (the pipeline
+// was built with a checkpoint directory), Pipeline.Resume over the full
+// journaled stream — a clean shutdown leaves a completed round trail, so
+// the matcher is not called at all, and a kill mid-update a partial one
+// that resumes at the first unfinished round; else the empty state, and
+// every batch is replayed. Returns the number of journaled batches
+// restored.
 //
-// A crash can tear the journal itself: die inside journal() and the
-// trailing batch file may hold half a record line, or parse cleanly yet
-// stop short of its commit footer. Such a file describes a batch that
-// was never applied (journaling strictly precedes Update), so Recover
-// quarantines it — renamed to <file>.corrupt, counted in metrics,
-// logged — and restores the intact prefix. An unreadable file anywhere
-// BUT the tail is a hard error: dropping it would silently lose the
-// committed batches journaled after it.
+// A crash can tear the journal itself: die inside a journal commit and
+// the trailing batch file may hold half a record line, or parse cleanly
+// yet stop short of its commit footer. Such a file describes a batch that
+// was never applied (journaling strictly precedes Update), so the scan
+// quarantines it — renamed to <file>.corrupt, counted in metrics, logged
+// — and the intact prefix is restored. A damaged file anywhere BUT the
+// tail is a hard error: dropping it would silently lose the committed
+// batches journaled after it.
 func (c *Committer) Recover(ctx context.Context, tryResume bool) (int, error) {
-	if c.journalDir == "" {
+	if c.journal == nil {
 		return 0, nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	paths, err := filepath.Glob(filepath.Join(c.journalDir, "batch-*.tsv"))
+	var batches [][]cem.Record
+	err := c.journal.Scan(func(_ int, data []byte) error {
+		recs, err := parseJournalBatch(data)
+		if err == nil {
+			batches = append(batches, recs)
+		}
+		return err
+	})
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("serve: recover: %w", err)
 	}
-	sort.Strings(paths)
-	if len(paths) == 0 {
-		return 0, nil
-	}
-	var (
-		batches [][]cem.Record
-		all     []cem.Record
-	)
-	for i, p := range paths {
-		recs, rerr := readJournalFile(p)
-		if rerr != nil {
-			if i != len(paths)-1 {
-				// Damage in the MIDDLE of the journal means committed
-				// history after it would be silently lost on replay —
-				// that is data corruption, not a torn tail, and no
-				// automatic recovery is honest about it.
-				return 0, fmt.Errorf("serve: recover %s: %w (not the trailing file; refusing to drop the journaled batches after it)", p, rerr)
-			}
-			// The trailing file was torn by a crash mid-journal: the
-			// batch was never applied (journaling happens strictly
-			// before Update), so quarantining it loses nothing that was
-			// ever committed. Rename it aside for inspection and
-			// recover the intact prefix.
-			q := p + ".corrupt"
-			if qerr := os.Rename(p, q); qerr != nil {
-				return 0, fmt.Errorf("serve: recover: quarantining %s: %v (parse error: %w)", p, qerr, rerr)
-			}
-			if c.metrics != nil {
-				c.metrics.JournalQuarantined.Inc()
-			}
-			if c.logf != nil {
-				c.logf("recover: quarantined torn journal file %s -> %s: %v", p, q, rerr)
-			}
-			paths = paths[:i]
-			break
-		}
-		batches = append(batches, recs)
-		all = append(all, recs...)
-	}
-	c.journalSeq = len(paths)
-	if len(paths) == 0 {
-		return 0, nil
-	}
-
-	// Store fast path: a committer with a store saved a full state
-	// snapshot at every commit, so the snapshot's sequence number tells
-	// exactly which journal prefix it spans. Reopen restores that state
-	// with ZERO matcher work (no trail replay, no re-matching); only
-	// batches journaled after the snapshot — accepted but killed before
-	// their commit completed — are folded through the engine.
+	c.journalSeq = len(batches)
+	// A base that cannot serve — no snapshot yet, a trail that predates the
+	// last batch because the process died before its first round boundary —
+	// falls through to the next: the journal stays the source of truth.
+	base := 0
 	if c.store != nil {
-		if n, ok := c.reopenFromStore(ctx, batches); ok {
-			for i, recs := range batches[n:] {
-				if _, err := c.apply(ctx, recs); err != nil {
-					return n + i, fmt.Errorf("serve: recover: replaying batch %d after store reopen: %w", n+i+1, err)
-				}
-			}
-			return len(paths), nil
-		}
-		if ctx.Err() != nil {
-			return 0, ctx.Err()
+		base = c.reopenFromStore(ctx, batches)
+	}
+	if base == 0 && tryResume && ctx.Err() == nil {
+		if res, err := c.pipe.Resume(ctx, slices.Concat(batches...)); err == nil {
+			c.cur.Store(newCommitted(len(batches), res))
+			base = len(batches)
 		}
 	}
-
-	if tryResume {
-		if res, err := c.pipe.Resume(ctx, all); err == nil {
-			c.cur.Store(newCommitted(len(paths), res))
-			return len(paths), nil
-		} else if ctx.Err() != nil {
-			return 0, err
-		}
-		// The trail does not cover the journaled stream (e.g. the
-		// process died before the last batch's first round boundary, so
-		// the trail's cover predates it): replay instead.
+	if base == 0 && ctx.Err() != nil {
+		return 0, ctx.Err()
 	}
-	for i, recs := range batches {
+	for i, recs := range batches[base:] {
 		if _, err := c.apply(ctx, recs); err != nil {
-			return i, fmt.Errorf("serve: recover: replaying batch %d: %w", i+1, err)
+			return base + i, fmt.Errorf("serve: recover: replaying batch %d: %w", base+i+1, err)
 		}
 	}
-	return len(paths), nil
+	return len(batches), nil
 }
 
-// reopenFromStore attempts the restart-without-replay path: read the
-// saved snapshot's commit sequence number, reassemble the exact record
-// stream it was built over (the journal prefix it spans — SaveState
-// runs once per committed batch, so snapshot seq N covers exactly the
-// first N journaled batches), and Pipeline.Reopen the state from the
-// store without invoking the matcher. On success the committed state is
-// installed and (seq, true) returned; any inconsistency — a fresh store
-// with no snapshot yet, a snapshot the journal does not cover, a reopen
-// validation failure — returns (0, false) and sends Recover down the
-// trail-resume/replay path instead: the journal stays the source of
-// truth, the store is only ever a shortcut.
-func (c *Committer) reopenFromStore(ctx context.Context, batches [][]cem.Record) (int, bool) {
+// reopenFromStore attempts the restart-without-replay path: SaveState
+// runs once per committed batch, so a snapshot at seq N covers exactly the
+// first N journaled batches; Pipeline.Reopen rebuilds the state over that
+// record stream from the store without invoking the matcher. On success
+// the committed state is installed and N returned; any inconsistency — no
+// snapshot yet, a snapshot the journal does not cover, a reopen
+// validation failure — returns 0: the store is only ever a shortcut.
+func (c *Committer) reopenFromStore(ctx context.Context, batches [][]cem.Record) int {
 	seq, err := cem.StateSeq(c.store)
 	if err != nil {
-		if !errors.Is(err, match.ErrBlobNotFound) && c.logf != nil {
-			c.logf("recover: store snapshot unreadable, replaying the journal: %v", err)
+		if !errors.Is(err, match.ErrBlobNotFound) {
+			c.log("store snapshot unreadable, replaying the journal: %v", err)
 		}
-		return 0, false
+		return 0
 	}
 	if seq <= 0 || seq > len(batches) {
-		if c.logf != nil {
-			c.logf("recover: store snapshot at seq %d does not line up with the journal (%d batches), replaying", seq, len(batches))
-		}
-		return 0, false
+		c.log("store snapshot at seq %d does not line up with the journal (%d batches), replaying", seq, len(batches))
+		return 0
 	}
-	var records []cem.Record
-	for _, b := range batches[:seq] {
-		records = append(records, b...)
-	}
-	res, gotSeq, err := c.pipe.Reopen(ctx, records, c.store)
+	records := slices.Concat(batches[:seq]...)
+	res, seq, err := c.pipe.Reopen(ctx, records, c.store)
 	if err != nil {
-		if c.logf != nil {
-			c.logf("recover: store reopen failed, replaying the journal: %v", err)
-		}
-		return 0, false
+		c.log("store reopen failed, replaying the journal: %v", err)
+		return 0
 	}
-	c.cur.Store(newCommitted(gotSeq, res))
+	c.cur.Store(newCommitted(seq, res))
 	if c.metrics != nil {
 		c.metrics.StoreReopens.Inc()
 	}
-	if c.logf != nil {
-		c.logf("recover: reopened store state at seq %d (%d records, %d matches) with no replay", gotSeq, len(records), res.Matches.Len())
-	}
-	return gotSeq, true
+	c.log("reopened store state at seq %d (%d records, %d matches) with no replay", seq, len(records), res.Matches.Len())
+	return seq
 }
 
-// readJournalFile parses one journal batch file and verifies it is
+// parseJournalBatch parses one journal entry and verifies it is
 // complete: the records parse, and the last line is the commit footer
 // carrying exactly their count. Any truncation that loses content fails
 // here — cutting a record line breaks the parse, and cutting at a line
@@ -411,11 +340,7 @@ func (c *Committer) reopenFromStore(ctx context.Context, batches [][]cem.Record)
 // missing only the footer's trailing newline still holds every record
 // and the full count, so it is accepted: quarantining it would discard
 // an accepted batch for one lost terminator byte.
-func readJournalFile(path string) ([]cem.Record, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
+func parseJournalBatch(data []byte) ([]cem.Record, error) {
 	_, recs, err := cem.ReadRecords(bytes.NewReader(data))
 	if err != nil {
 		return nil, err

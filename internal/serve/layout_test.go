@@ -1,0 +1,71 @@
+package serve
+
+import (
+	"context"
+	"io/fs"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"slices"
+	"testing"
+	"time"
+
+	cem "repro"
+)
+
+// TestStateDirLayout pins what a service leaves under its state
+// directory — the on-disk compatibility the smoke scripts, and a state
+// directory written by an earlier build, rely on: the journal, the round
+// trail and (with a store) the segments and the two blobs, under these
+// names and no others, with no temp file left after a clean shutdown.
+func TestStateDirLayout(t *testing.T) {
+	records := testRecords(t, cem.HEPTH)
+	segment := regexp.MustCompile(`^store/ev-\d{8}\.seg$`)
+	base := []string{
+		"checkpoint/round-000001.ckpt",
+		"checkpoint/round-000002.ckpt",
+		"checkpoint/round-000003.ckpt",
+		"journal/batch-000001.tsv",
+		"journal/batch-000002.tsv",
+		"journal/batch-000003.tsv",
+	}
+	for storeName, want := range map[string][]string{
+		"":     base,
+		"disk": append(slices.Clone(base), "store/blob/postings/latest", "store/blob/snapshot/latest", "store/ev-*.seg"),
+	} {
+		state := t.TempDir()
+		svc, err := New(context.Background(), Config{StateDir: state, Store: storeName, Batching: fastBatching})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range batchCuts(records)[:3] {
+			ingestWait(t, svc, b)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		defer cancel()
+		if err := svc.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		err = filepath.WalkDir(state, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			rel, _ := filepath.Rel(state, path)
+			if rel = filepath.ToSlash(rel); segment.MatchString(rel) {
+				rel = "store/ev-*.seg" // how many segments is compaction's business
+			}
+			if !slices.Contains(got, rel) {
+				got = append(got, rel)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("store %q: the state directory holds\n%v\nwant\n%v", storeName, got, want)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -17,14 +18,12 @@ func init() {
 
 // Disk is the log-structured on-disk store: evidence lives in
 // append-only segment files (ev-NNNNNNNN.seg, see segment.go) under the
-// root directory, blobs under blob/<kind>/<name>. Every commit is a
-// whole-file tmp + fsync + rename, so a crash can never leave a torn
-// file under a committed name; a crash DURING a commit leaves only a
-// *.tmp orphan (removed at open) or — on filesystems that reorder data
-// and rename — a torn trailing segment, which open quarantines by
-// renaming it *.corrupt, exactly like the service journal's trailing
-// batch (damage anywhere but the tail is a hard error: evidence after
-// it would be silently lost).
+// root directory, blobs under blob/<kind>/<name>. The segments are a
+// durable Trail and blobs commit through the same function, so a crash
+// can never leave a torn file under a committed name and a returned put
+// survives a power cut; what a crash DURING a commit leaves behind, open
+// repairs by the trail's rules (orphans removed, a torn trailing segment
+// quarantined, damage anywhere else a hard error).
 //
 // Reads never materialize the evidence set: each segment keeps only a
 // sparse in-memory index (one 32-byte entry per block of ≤ BlockKeys
@@ -33,10 +32,9 @@ func init() {
 // Once more than CompactEvery segments accumulate, a put compacts them
 // into one merged, deduplicated segment.
 type Disk struct {
-	dir          string
+	trail        Trail
 	blockKeys    int
 	compactEvery int
-	logf         func(format string, args ...any)
 
 	mu      sync.RWMutex
 	segs    []*diskSegment
@@ -52,23 +50,22 @@ type diskSegment struct {
 	blocks []segBlock
 }
 
-func segFile(seq int) string { return fmt.Sprintf("ev-%08d.seg", seq) }
-
-const segPattern = "ev-*.seg"
+const segFormat = "ev-%08d.seg"
 
 // OpenDisk opens (creating if needed) a disk store rooted at o.Dir.
-func OpenDisk(o Options) (*Disk, error) {
+func OpenDisk(o Options) (*Disk, error) { return openDisk(o, osFS{}) }
+
+func openDisk(o Options, sys fsys) (*Disk, error) {
 	if o.Dir == "" {
 		return nil, fmt.Errorf("store: the disk store needs a directory (WithDir)")
 	}
-	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
+	if err := sys.MkdirAll(o.Dir); err != nil {
 		return nil, fmt.Errorf("store: disk dir: %w", err)
 	}
 	d := &Disk{
-		dir:          o.Dir,
+		trail:        Trail{Dir: o.Dir, Format: segFormat, Durable: true, Logf: o.Logf, fs: sys},
 		blockKeys:    o.BlockKeys,
 		compactEvery: o.CompactEvery,
-		logf:         o.Logf,
 		cache:        newBlockCache(16),
 	}
 	if d.blockKeys <= 0 {
@@ -77,82 +74,34 @@ func OpenDisk(o Options) (*Disk, error) {
 	if d.compactEvery <= 0 {
 		d.compactEvery = defaultCompactEvery
 	}
-	if err := d.open(); err != nil {
+	// Every segment is fully verified: the whole file decodes and
+	// re-encodes canonically.
+	if err := d.trail.Scan(d.addSegment); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// open scans the directory: orphaned temp files from a crashed commit
-// are removed, every segment is fully verified (the whole file decodes
-// and re-encodes canonically), and a damaged TRAILING segment is
-// quarantined as *.corrupt — the tail is the only place a torn write
-// can land, and nothing after it exists to lose. Damage anywhere else
-// is a hard error.
-func (d *Disk) open() error {
-	tmps, err := filepath.Glob(filepath.Join(d.dir, "*.tmp"))
-	if err != nil {
-		return err
-	}
-	for _, t := range tmps {
-		os.Remove(t)
-	}
-	paths, err := filepath.Glob(filepath.Join(d.dir, segPattern))
-	if err != nil {
-		return err
-	}
-	sort.Strings(paths)
-	for i, p := range paths {
-		seg, serr := openSegment(p)
-		if serr != nil {
-			if i != len(paths)-1 {
-				return fmt.Errorf("store: segment %s: %w (not the trailing segment; refusing to drop the evidence after it)",
-					filepath.Base(p), serr)
-			}
-			q := p + ".corrupt"
-			if qerr := os.Rename(p, q); qerr != nil {
-				return fmt.Errorf("store: quarantining %s: %v (decode error: %w)", p, qerr, serr)
-			}
-			if d.logf != nil {
-				d.logf("store: quarantined torn trailing segment %s -> %s: %v", p, q, serr)
-			}
-			break
-		}
-		d.segs = append(d.segs, seg)
-		if seg.seq >= d.nextSeq {
-			d.nextSeq = seg.seq + 1
-		}
-	}
-	return nil
-}
-
-// openSegment reads and fully verifies one segment file, returning its
-// sparse index.
-func openSegment(path string) (*diskSegment, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	seg := &diskSegment{path: path}
-	base := filepath.Base(path)
-	if _, err := fmt.Sscanf(base, "ev-%08d.seg", &seg.seq); err != nil {
-		return nil, fmt.Errorf("store: segment name %q does not carry a sequence number", base)
-	}
-	err = walkSegment(data, func(meta segBlock, _ []uint64) error {
+// addSegment verifies one segment's bytes and appends its sparse index.
+func (d *Disk) addSegment(seq int, data []byte) error {
+	seg := &diskSegment{path: d.trail.Path(seq), seq: seq}
+	err := walkSegment(data, func(meta segBlock, _ []uint64) error {
 		seg.blocks = append(seg.blocks, meta)
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return seg, nil
+	d.segs = append(d.segs, seg)
+	d.nextSeq = seq + 1
+	return nil
 }
 
 // Name implements Store.
 func (d *Disk) Name() string { return "disk" }
 
 // Dir returns the store's root directory.
-func (d *Disk) Dir() string { return d.dir }
+func (d *Disk) Dir() string { return d.trail.Dir }
 
 // Segments returns the current segment-file count (diagnostics and
 // compaction tests).
@@ -193,21 +142,12 @@ func (d *Disk) writeSegment(keys []uint64) error {
 	if err != nil {
 		return err
 	}
-	seq := d.nextSeq
-	path := filepath.Join(d.dir, segFile(seq))
-	if err := commitFile(path, data); err != nil {
+	if err := d.trail.Commit(d.nextSeq, data); err != nil {
 		return err
 	}
-	seg := &diskSegment{path: path, seq: seq}
-	walkErr := walkSegment(data, func(meta segBlock, _ []uint64) error {
-		seg.blocks = append(seg.blocks, meta)
-		return nil
-	})
-	if walkErr != nil {
-		return fmt.Errorf("store: re-reading just-written segment: %w", walkErr)
+	if err := d.addSegment(d.nextSeq, data); err != nil {
+		return fmt.Errorf("store: re-reading just-written segment: %w", err)
 	}
-	d.nextSeq++
-	d.segs = append(d.segs, seg)
 	return nil
 }
 
@@ -230,8 +170,8 @@ func (d *Disk) compact() error {
 	}
 	d.segs = d.segs[len(old):]
 	for _, seg := range old {
-		if err := os.Remove(seg.path); err != nil {
-			return fmt.Errorf("store: removing compacted segment: %w", err)
+		if err := d.trail.Remove(seg.seq); err != nil {
+			return err
 		}
 	}
 	d.cache.clear()
@@ -402,10 +342,8 @@ func (d *Disk) EvidenceLen() (int, error) {
 func (d *Disk) ClearEvidence() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, seg := range d.segs {
-		if err := os.Remove(seg.path); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return fmt.Errorf("store: clearing evidence: %w", err)
-		}
+	if err := d.trail.Clear(); err != nil {
+		return err
 	}
 	d.segs = nil
 	d.cache.clear()
@@ -420,20 +358,16 @@ func (d *Disk) blobPath(kind, name string) (string, error) {
 	if err := checkBlobName(name); err != nil {
 		return "", err
 	}
-	return filepath.Join(d.dir, "blob", kind, name), nil
+	return filepath.Join(d.trail.Dir, "blob", kind, name), nil
 }
 
-// SaveBlob implements Store (tmp + fsync + rename, like everything
-// else here).
+// SaveBlob implements Store: the same durable commit as a segment.
 func (d *Disk) SaveBlob(kind, name string, data []byte) error {
 	path, err := d.blobPath(kind, name)
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("store: blob dir: %w", err)
-	}
-	return commitFile(path, data)
+	return commitFile(d.trail.fs, path, data, true)
 }
 
 // OpenBlob implements Store.
@@ -454,21 +388,12 @@ func (d *Disk) ListBlobs(kind string) ([]string, error) {
 	if err := checkBlobName(kind); err != nil {
 		return nil, err
 	}
-	entries, err := os.ReadDir(filepath.Join(d.dir, "blob", kind))
+	names, err := d.trail.fs.ReadDir(filepath.Join(d.trail.Dir, "blob", kind))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && !strings.HasSuffix(e.Name(), ".tmp") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	return names, nil
+	// The listing is sorted; an orphan of a crashed SaveBlob is not a blob.
+	return slices.DeleteFunc(names, func(n string) bool { return strings.HasSuffix(n, ".tmp") }), err
 }
 
 // Flush implements Store. Commits are already synchronous (fsync before
@@ -481,37 +406,6 @@ func (d *Disk) Close() error {
 	defer d.mu.Unlock()
 	d.closed = true
 	d.cache.clear()
-	return nil
-}
-
-// commitFile durably replaces path with data: write a sibling temp
-// file, fsync it, rename over path, fsync the directory — the idiom the
-// checkpoint trail and the service journal already use, so a kill at
-// any instant leaves either the old file or the new one, never a tear.
-func commitFile(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: committing %s: %w", filepath.Base(path), err)
-	}
-	if dir, derr := os.Open(filepath.Dir(path)); derr == nil {
-		dir.Sync()
-		dir.Close()
-	}
 	return nil
 }
 

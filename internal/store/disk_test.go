@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -31,7 +32,7 @@ func writeDiskFixture(t *testing.T, batches int) (string, []string, []uint64) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	paths, err := filepath.Glob(filepath.Join(dir, segPattern))
+	paths, err := filepath.Glob(filepath.Join(dir, "ev-*.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestDiskNonTrailingDamageIsFatal(t *testing.T) {
 	}
 	if _, err := OpenDisk(Options{Dir: dir}); err == nil {
 		t.Fatal("store opened despite a damaged non-trailing segment")
-	} else if !strings.Contains(err.Error(), "not the trailing segment") {
+	} else if !strings.Contains(err.Error(), "not the trailing entry") {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }
@@ -211,7 +212,7 @@ func TestDiskNonTrailingDamageIsFatal(t *testing.T) {
 // state.
 func TestDiskOrphanTmpRemoved(t *testing.T) {
 	dir, _, want := writeDiskFixture(t, 2)
-	orphan := filepath.Join(dir, segFile(99)+".tmp")
+	orphan := filepath.Join(dir, fmt.Sprintf(segFormat, 99)+".tmp")
 	if err := os.WriteFile(orphan, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}

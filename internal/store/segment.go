@@ -11,7 +11,7 @@ import (
 // Segment file format — the disk store's evidence unit.
 //
 // A segment is an immutable, sorted run of evidence keys, written in
-// one shot (tmp + fsync + rename) and never modified. The keys are
+// one shot (one durable Trail commit) and never modified. The keys are
 // split into blocks of at most blockKeys entries; each block's payload
 // is a binary wire.Delta (difference-encoded sorted keys — the same
 // fuzzed codec the distributed backend ships deltas with), preceded by

@@ -8,12 +8,17 @@
 // codec, for corpora whose state should not live in RSS and for
 // services that reopen state on restart instead of replaying trails).
 //
+// The package also owns the one durability protocol, Trail (trail.go):
+// the disk store's segments and blobs, the service journal and the
+// engine's checkpoint trail are committed and recovered through it, and
+// nothing else in the module renames, fsyncs or quarantines a file.
+//
 // Stores register by name (database/sql style); third-party
 // implementations use the aliases exported by the public match package
 // and never import internal packages. Keys are plain packed pair keys
 // (uint64, high half A, low half B, A < B) — the same representation
-// internal/wire speaks — so the package depends on nothing in the
-// engine above it.
+// internal/wire speaks — so the package imports nothing of the engine
+// but internal/wire, and the engine (internal/core) imports it.
 package store
 
 import (

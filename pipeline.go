@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bib"
 	"repro/internal/canopy"
+	"repro/internal/core"
 	"repro/match"
 )
 
@@ -303,16 +304,7 @@ func (p *Pipeline) run(ctx context.Context, records []Record, resume bool) (*Pip
 		return nil, err
 	}
 
-	opts := DefaultOptions()
-	for _, o := range p.expOpts {
-		o(&opts)
-	}
-	opts.Canopy = p.blocking // WithCanopy must not desync from the built cover
-	exp, err := setup(d, opts, cover)
-	if err != nil {
-		return nil, err
-	}
-	runner, err := exp.Runner(p.matcher, p.runnerOpts...)
+	exp, runner, err := p.build(d, cover)
 	if err != nil {
 		return nil, err
 	}
@@ -327,27 +319,49 @@ func (p *Pipeline) run(ctx context.Context, records []Record, resume bool) (*Pip
 	if err != nil {
 		return nil, err
 	}
-	out := &PipelineResult{
+	p.stats.runs.Add(1)
+	return p.result(&PipelineResult{
 		Result:       res,
 		Experiment:   exp,
-		Records:      len(records),
-		Labeled:      labeled,
 		BlockingTime: blockingTime,
 		MatchingTime: time.Since(start),
 		records:      append([]Record(nil), records...),
-		blocking:     p.blocking,
+	}, labeled, len(records)), nil
+}
+
+// build makes the experiment and its runner for a dataset under the
+// cover blocking produced — the one place a run, an update and a reopen
+// turn the pipeline's configuration into something executable.
+func (p *Pipeline) build(d *bib.Dataset, cover *core.Cover) (*Experiment, *Runner, error) {
+	opts := DefaultOptions()
+	for _, o := range p.expOpts {
+		o(&opts)
 	}
+	opts.Canopy = p.blocking // WithCanopy must not desync from the built cover
+	exp, err := setup(d, opts, cover)
+	if err != nil {
+		return nil, nil, err
+	}
+	runner, err := exp.Runner(p.matcher, p.runnerOpts...)
+	return exp, runner, err
+}
+
+// result completes the outcome of one call: record count and blocking
+// stamp, metrics when every record is labeled, and the run's statistics
+// folded into the cumulative counters. ingested is how many records the
+// call added to the stream (none for a reopen).
+func (p *Pipeline) result(out *PipelineResult, labeled bool, ingested int) *PipelineResult {
+	out.Records, out.Labeled, out.blocking = len(out.records), labeled, p.blocking
 	if labeled {
-		report := exp.Evaluate(res)
-		bcubed := exp.EvaluateBCubed(res)
+		report := out.Experiment.Evaluate(out.Result)
+		bcubed := out.Experiment.EvaluateBCubed(out.Result)
 		out.Report = &report
 		out.BCubed = &bcubed
 	}
-	p.stats.runs.Add(1)
-	p.stats.matcherCalls.Add(int64(res.Stats.MatcherCalls))
-	p.stats.recordsIngested.Add(int64(len(records)))
-	p.stats.addRun(&res.Stats)
-	return out, nil
+	p.stats.matcherCalls.Add(int64(out.Stats.MatcherCalls))
+	p.stats.recordsIngested.Add(int64(ingested))
+	p.stats.addRun(&out.Stats)
+	return out
 }
 
 // Update ingests a batch of new records on top of a prior result — the
@@ -414,16 +428,7 @@ func (p *Pipeline) Update(ctx context.Context, prior *PipelineResult, newRecords
 		return nil, err
 	}
 
-	opts := DefaultOptions()
-	for _, o := range p.expOpts {
-		o(&opts)
-	}
-	opts.Canopy = p.blocking
-	exp, err := setup(d, opts, cover)
-	if err != nil {
-		return nil, err
-	}
-	runner, err := exp.Runner(p.matcher, p.runnerOpts...)
+	exp, runner, err := p.build(d, cover)
 	if err != nil {
 		return nil, err
 	}
@@ -452,25 +457,16 @@ func (p *Pipeline) Update(ctx context.Context, prior *PipelineResult, newRecords
 		return nil, err
 	}
 
-	out := &PipelineResult{
+	out := p.result(&PipelineResult{
 		Result:       res,
 		Experiment:   exp,
-		Records:      len(records),
-		Labeled:      labeled,
 		BlockingTime: blockingTime,
 		MatchingTime: time.Since(start),
 		WarmStarted:  prior != nil && delta.Additive && prior.blocking == p.blocking,
 		ForcedRerun:  prior != nil && !(delta.Additive && prior.blocking == p.blocking),
 		records:      records,
 		index:        index,
-		blocking:     p.blocking,
-	}
-	if labeled {
-		report := exp.Evaluate(res)
-		bcubed := exp.EvaluateBCubed(res)
-		out.Report = &report
-		out.BCubed = &bcubed
-	}
+	}, labeled, len(newRecords))
 	p.stats.updates.Add(1)
 	switch {
 	case out.WarmStarted:
@@ -480,9 +476,6 @@ func (p *Pipeline) Update(ctx context.Context, prior *PipelineResult, newRecords
 	default:
 		p.stats.coldStarts.Add(1)
 	}
-	p.stats.matcherCalls.Add(int64(res.Stats.MatcherCalls))
-	p.stats.recordsIngested.Add(int64(len(newRecords)))
-	p.stats.addRun(&res.Stats)
 	return out, nil
 }
 

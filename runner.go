@@ -109,7 +109,10 @@ func WithShardCount(k int) RunnerOption {
 // no rounds and ignore the option.
 //
 // The trail is the MID-RUN durability mechanism: it replays rounds to
-// recover a killed run. It is not the only persistence the engine has —
+// recover a killed run. It survives the death of the process, not a
+// power cut (it is not fsynced; a record torn that way is set aside on
+// resume and the run continues from the round before it). It is not the
+// only persistence the engine has —
 // completed state lives in a Store (see WithStore): a disk store holds
 // the accumulated evidence in segment files and reopens on restart with
 // no replay at all. The two compose; a long-lived service typically

@@ -44,27 +44,16 @@ func SaveState(s match.Store, res *PipelineResult, seq int) error {
 	if err != nil {
 		return err
 	}
-	ck := &wire.Checkpoint{
+	st := &core.State{Evidence: snap.Evidence, Messages: snap.Messages, Header: wire.Checkpoint{
 		Scheme:        res.Scheme,
 		Matcher:       res.Matcher,
 		Neighborhoods: snap.Neighborhoods,
 		Entities:      snap.Entities,
 		Round:         seq,
 		Done:          true,
-		Delta:         make([]uint64, len(snap.Evidence)),
 		Visits:        make([]int, snap.Neighborhoods),
-	}
-	for i, k := range snap.Evidence {
-		ck.Delta[i] = uint64(k)
-	}
-	for _, msg := range snap.Messages {
-		g := make([]uint64, len(msg))
-		for i, p := range msg {
-			g[i] = uint64(p.Key())
-		}
-		ck.Messages = append(ck.Messages, g)
-	}
-	data, err := ck.Marshal(wire.Binary)
+	}}
+	data, err := st.Marshal(wire.Binary)
 	if err != nil {
 		return fmt.Errorf("cem: encoding state snapshot: %w", err)
 	}
@@ -83,23 +72,34 @@ func SaveState(s match.Store, res *PipelineResult, seq int) error {
 	return s.Flush()
 }
 
+// openState reads, decodes and validates the snapshot blob SaveState
+// last wrote into s. A store with no saved snapshot returns
+// match.ErrBlobNotFound (wrapped).
+func openState(s match.Store) (*core.State, error) {
+	if s == nil {
+		return nil, fmt.Errorf("cem: reading saved state needs a store")
+	}
+	data, err := s.OpenBlob(match.KindSnapshot, stateBlobName)
+	if err != nil {
+		return nil, fmt.Errorf("cem: reading state snapshot: %w", err)
+	}
+	st, err := core.DecodeState(data)
+	if err != nil {
+		return nil, fmt.Errorf("cem: state snapshot: %w", err)
+	}
+	return st, nil
+}
+
 // StateSeq reads the commit sequence number of the state snapshot
 // SaveState last wrote into s, without rebuilding anything. A store with
 // no saved snapshot returns match.ErrBlobNotFound (wrapped) — callers
 // use this to decide how many journaled batches a Reopen would cover.
 func StateSeq(s match.Store) (int, error) {
-	if s == nil {
-		return 0, fmt.Errorf("cem: StateSeq needs a store")
-	}
-	data, err := s.OpenBlob(match.KindSnapshot, stateBlobName)
+	st, err := openState(s)
 	if err != nil {
-		return 0, fmt.Errorf("cem: reading state snapshot: %w", err)
+		return 0, err
 	}
-	ck, err := wire.UnmarshalCheckpoint(data)
-	if err != nil {
-		return 0, fmt.Errorf("cem: state snapshot: %w", err)
-	}
-	return ck.Round, nil
+	return st.Header.Round, nil
 }
 
 // Reopen restores the pipeline state SaveState persisted into s,
@@ -118,17 +118,11 @@ func StateSeq(s match.Store) (int, error) {
 // (wrapped): the caller decides whether that means "fresh store" or
 // "corruption".
 func (p *Pipeline) Reopen(ctx context.Context, records []Record, s match.Store) (*PipelineResult, int, error) {
-	if s == nil {
-		return nil, 0, fmt.Errorf("cem: Reopen needs a store")
-	}
-	data, err := s.OpenBlob(match.KindSnapshot, stateBlobName)
+	st, err := openState(s)
 	if err != nil {
-		return nil, 0, fmt.Errorf("cem: reopening state: %w", err)
+		return nil, 0, err
 	}
-	ck, err := wire.UnmarshalCheckpoint(data)
-	if err != nil {
-		return nil, 0, fmt.Errorf("cem: state snapshot: %w", err)
-	}
+	ck := &st.Header
 	if got := schemeFromCore(ck.Scheme); got != p.scheme {
 		return nil, 0, fmt.Errorf("cem: store state was saved from scheme %q, pipeline runs %q", ck.Scheme, p.scheme)
 	}
@@ -145,7 +139,7 @@ func (p *Pipeline) Reopen(ctx context.Context, records []Record, s match.Store) 
 	if err != nil {
 		return nil, 0, fmt.Errorf("cem: reopening state: %w", err)
 	}
-	index, err := p.reopenIndex(ctx, records, d, s)
+	index, err := p.reopenIndex(ctx, records, s)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -155,16 +149,7 @@ func (p *Pipeline) Reopen(ctx context.Context, records []Record, s match.Store) 
 			cover.Len(), ck.Neighborhoods)
 	}
 
-	opts := DefaultOptions()
-	for _, o := range p.expOpts {
-		o(&opts)
-	}
-	opts.Canopy = p.blocking
-	exp, err := setup(d, opts, cover)
-	if err != nil {
-		return nil, 0, err
-	}
-	runner, err := exp.Runner(p.matcher, p.runnerOpts...)
+	exp, runner, err := p.build(d, cover)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -172,48 +157,24 @@ func (p *Pipeline) Reopen(ctx context.Context, records []Record, s match.Store) 
 
 	// Fabricate the engine result from the snapshot: evidence and
 	// messages verbatim, no matcher involvement.
-	rawRes := &core.Result{Scheme: ck.Scheme, Matches: core.NewPairSet()}
+	rawRes := &core.Result{Scheme: ck.Scheme, Matches: core.NewPairSet(), Messages: st.Messages}
 	rawRes.Stats.Neighborhoods = cover.Len()
-	n := cover.NumEntities
-	for _, k := range ck.Delta {
-		pr := core.PairKey(k).Pair()
-		if !pr.ValidOver(n) {
-			return nil, 0, fmt.Errorf("cem: state snapshot evidence pair %v invalid over %d entities", pr, n)
-		}
-		rawRes.Matches.AddKey(core.PairKey(k))
+	for _, k := range st.Evidence {
+		rawRes.Matches.AddKey(k)
 	}
-	for _, g := range ck.Messages {
-		msg := make([]match.Pair, len(g))
-		for i, k := range g {
-			msg[i] = core.PairKey(k).Pair()
-		}
-		rawRes.Messages = append(rawRes.Messages, msg)
-	}
-	res := runner.seal(rawRes)
-
-	out := &PipelineResult{
-		Result:       res,
+	return p.result(&PipelineResult{
+		Result:       runner.seal(rawRes),
 		Experiment:   exp,
-		Records:      len(records),
-		Labeled:      labeled,
 		BlockingTime: blockingTime,
 		records:      append([]Record(nil), records...),
 		index:        index,
-		blocking:     p.blocking,
-	}
-	if labeled {
-		report := exp.Evaluate(res)
-		bcubed := exp.EvaluateBCubed(res)
-		out.Report = &report
-		out.BCubed = &bcubed
-	}
-	return out, ck.Round, nil
+	}, labeled, 0), ck.Round, nil
 }
 
 // reopenIndex restores the blocking state: from the postings blob when
 // one is present and consistent with this pipeline, otherwise by
 // replaying the records through a fresh delta index.
-func (p *Pipeline) reopenIndex(ctx context.Context, records []Record, d *bib.Dataset, s match.Store) (*canopy.Index, error) {
+func (p *Pipeline) reopenIndex(ctx context.Context, records []Record, s match.Store) (*canopy.Index, error) {
 	blob, err := s.OpenBlob(match.KindPostings, stateBlobName)
 	if err == nil {
 		ix, lerr := canopy.LoadIndex(blob)
@@ -224,12 +185,5 @@ func (p *Pipeline) reopenIndex(ctx context.Context, records []Record, d *bib.Dat
 	} else if !errors.Is(err, match.ErrBlobNotFound) {
 		return nil, err
 	}
-	index, err := canopy.NewIndex(p.blocking)
-	if err != nil {
-		return nil, err
-	}
-	if _, _, err := index.Add(ctx, d); err != nil {
-		return nil, err
-	}
-	return index, nil
+	return p.rebuildIndex(ctx, records)
 }

@@ -255,8 +255,24 @@ func TestStoreStateReopenValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// So is a maximal message naming entities past the saved stream: it
+	// is refused here, not when a later Update seeds a run with it.
+	n := uint64(len(records))
+	ck.Messages = [][]uint64{{n<<32 | (n + 1), n<<32 | (n + 2)}}
+	forged, err := ck.Marshal(wire.Binary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveBlob(match.KindSnapshot, "latest", forged); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := pipe.Reopen(ctx, records, s); err == nil {
+		t.Fatal("Reopen accepted a maximal message over entities the snapshot does not span")
+	}
+	ck.Messages = nil
+
 	ck.Delta = nil
-	forged, err := ck.Marshal(wire.JSON)
+	forged, err = ck.Marshal(wire.JSON)
 	if err != nil {
 		t.Fatal(err)
 	}
