@@ -89,7 +89,7 @@ service-smoke:
 store-smoke:
 	bash scripts/store-smoke.sh
 
-# chaos-smoke drives the sharded-net backend with real OS processes: a
+# chaos-smoke drives the sharded backend with real OS processes: a
 # coordinator against 3 emworker processes, one SIGKILLed at its round-2
 # assignment, asserting the match set stays byte-identical to a cold
 # single-process run. CI runs it as its own job.

@@ -44,8 +44,9 @@
 // neighborhoods, reduce the new evidence centrally, re-activate the
 // affected ones, stop at the fixpoint — and a Backend only decides where
 // each round's evaluations run: the shared-memory pool
-// (WithParallelism), partitioned shards (WithShardCount), networked
-// workers, or the simulated grid (Runner.RunGrid). None of them changes
+// (WithParallelism), the sharded workers (WithShardCount, or
+// NewShardedNetBackend with emworker addresses), or the simulated grid
+// (Runner.RunGrid). None of them changes
 // the output (consistency, Theorems 2 and 4).
 package cem
 

@@ -17,8 +17,7 @@
 //	emmatch -ingest day1.tsv,day2.tsv,day3.tsv -scheme smp -v
 //	emmatch -kind hepth -backend sharded -backend-shards 4 -checkpoint-dir run1/
 //	emmatch -kind hepth -scheme smp -checkpoint-dir run1/ -resume
-//	emmatch -kind hepth -backend sharded-net -backend-shards 3
-//	emmatch -kind hepth -backend sharded-net -worker-addrs 127.0.0.1:7401,127.0.0.1:7402
+//	emmatch -kind hepth -worker-addrs 127.0.0.1:7401,127.0.0.1:7402
 //	emmatch -kind people -scale 0.25 -rules-file people.rules -scheme smp
 package main
 
@@ -65,8 +64,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		shards   = fs.Int("shards", 0, "blocking shards for -records (0 = one per CPU; -ingest's delta index blocks serially)")
 		maxNbr   = fs.Int("max-neighborhood", 0, "canopy size bound for -records/-ingest (0 = unbounded)")
 		backend  = fs.String("backend", "", "execution backend: "+strings.Join(cem.Backends(), " | ")+" (empty = default pool)")
-		bShards  = fs.Int("backend-shards", 0, "shard/worker count for the sharded and sharded-net backends (0 = default)")
-		wAddrs   = fs.String("worker-addrs", "", "comma-separated emworker addresses (host:port or unix:/path.sock) for -backend sharded-net; empty spawns in-process workers")
+		bShards  = fs.Int("backend-shards", 0, "in-process worker count for -backend sharded (0 = one per CPU)")
+		wAddrs   = fs.String("worker-addrs", "", "comma-separated emworker addresses (host:port or unix:/path.sock) for the sharded backend's workers; implies -backend sharded")
 		ckptDir  = fs.String("checkpoint-dir", "", "persist a checkpoint after every round to this directory")
 		resume   = fs.Bool("resume", false, "continue the run from -checkpoint-dir instead of starting over")
 		stName   = fs.String("store", "", "storage backend for run state: "+strings.Join(cem.Stores(), " | ")+"; evidence is mirrored per round, -records/-ingest also save a reopenable snapshot")
@@ -108,11 +107,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		*matcher = name
 	}
-	if *bShards != 0 && *backend != "sharded" && *backend != "sharded-net" {
-		return fmt.Errorf("-backend-shards requires -backend sharded or sharded-net (got -backend %q)", *backend)
+	if *bShards != 0 && *backend != "sharded" {
+		return fmt.Errorf("-backend-shards requires -backend sharded (got -backend %q)", *backend)
 	}
-	if *wAddrs != "" && *backend != "sharded-net" {
-		return fmt.Errorf("-worker-addrs requires -backend sharded-net (got -backend %q)", *backend)
+	if *wAddrs != "" && *backend != "" && *backend != "sharded" {
+		return fmt.Errorf("-worker-addrs requires -backend sharded (got -backend %q)", *backend)
 	}
 	modes := 0
 	for _, m := range []string{*in, *records, *ingest} {

@@ -57,6 +57,12 @@ func TestFlagValidation(t *testing.T) {
 		{"state dir without store",
 			[]string{"-state-dir", "x"},
 			"-state-dir requires -store"},
+		{"worker addrs with pool backend",
+			[]string{"-backend", "pool", "-worker-addrs", "127.0.0.1:1"},
+			"-worker-addrs requires -backend sharded"},
+		{"retired backend name",
+			[]string{"-backend", "sharded-net"},
+			`unknown backend "sharded-net"`},
 		{"missing rules file",
 			[]string{"-rules-file", "no-such-file.rules"},
 			"reading rules file"},

@@ -1,12 +1,13 @@
-// Command emworker runs one sharded-net worker process: it grounds the
-// same experiment a coordinator runs (dataset, matcher, cover — the
-// model is never serialized) and serves partition assignments over a
-// TCP or unix socket until signaled. A coordinator attaches via
-// emmatch -backend sharded-net -worker-addrs, and the handshake
-// fingerprint (scheme, matcher, cover sizes) refuses coordinators
-// grounded on a different corpus. SIGKILLing an emworker mid-run makes
-// the coordinator reassign its partitions — the run finishes on the
-// surviving workers with identical output.
+// Command emworker runs one worker process of the sharded backend: it
+// grounds the same experiment a coordinator runs (dataset, matcher,
+// cover — the model is never serialized) and serves partition
+// assignments over a TCP or unix socket until signaled. A coordinator
+// attaches via emmatch -worker-addrs (or cem.NewShardedNetBackend with
+// addresses), and the handshake fingerprint — scheme, cover sizes and
+// the -matcher name against the run's matcher — refuses coordinators
+// grounded on a different corpus or model. SIGKILLing an emworker mid-run
+// makes the coordinator reassign its partitions — the run finishes on
+// the surviving workers with identical output.
 //
 // Usage:
 //

@@ -96,3 +96,44 @@ func TestWorkerServesCoordinator(t *testing.T) {
 		t.Errorf("startup banner missing from stdout: %q", out.String())
 	}
 }
+
+// TestWorkerRefusesOtherMatcher: an emworker grounded with -matcher rules
+// must not serve a coordinator running mln over the same corpus — the
+// handshake refuses it, and with no other worker the run fails instead
+// of returning the rules match set.
+func TestWorkerRefusesOtherMatcher(t *testing.T) {
+	sigs := make(chan os.Signal, 1)
+	ready := make(chan string, 1)
+	done := make(chan error, 1)
+	var out, errBuf strings.Builder
+	go func() {
+		done <- run([]string{
+			"-listen", "127.0.0.1:0", "-kind", "hepth", "-scale", "0.2", "-seed", "7",
+			"-scheme", "smp", "-matcher", "rules",
+		}, &out, &errBuf, sigs, ready)
+	}()
+	addr := <-ready
+
+	d, err := cem.GenerateDataset(cem.HEPTH, 0.2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := cem.New(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := exp.Runner("mln", cem.WithBackend(cem.NewShardedNetBackend(0, addr)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := runner.Run(context.Background(), cem.SchemeSMP); err == nil {
+		t.Errorf("an mln run on a rules worker succeeded with %d matches", res.Matches.Len())
+	} else if !strings.Contains(err.Error(), "matcher mismatch") {
+		t.Errorf("run failed for another reason than the matcher label: %v", err)
+	}
+
+	sigs <- syscall.SIGTERM
+	if err := <-done; err != nil {
+		t.Fatalf("worker shutdown: %v", err)
+	}
+}

@@ -20,6 +20,8 @@ import (
 	"testing"
 
 	cem "repro"
+	emnet "repro/internal/net"
+	"repro/internal/wire"
 	"repro/match"
 )
 
@@ -58,8 +60,10 @@ func executions() []execution {
 	for _, k := range []int{1, 2, 4} {
 		ex = append(ex, execution{fmt.Sprintf("sharded-%d", k), cem.WithShardCount(k)})
 	}
+	// The same backend again, its workers speaking the JSON codec.
 	for _, k := range []int{1, 2} {
-		ex = append(ex, execution{fmt.Sprintf("sharded-net-%d", k), cem.WithBackend(cem.NewShardedNetBackend(k))})
+		b := &emnet.Backend{Workers: k, Opts: emnet.Options{Format: wire.JSON}}
+		ex = append(ex, execution{fmt.Sprintf("sharded-net-%d", k), cem.WithBackend(b)})
 	}
 	return ex
 }

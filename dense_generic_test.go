@@ -15,6 +15,8 @@ import (
 
 	cem "repro"
 	"repro/internal/core"
+	emnet "repro/internal/net"
+	"repro/internal/wire"
 	"repro/match"
 )
 
@@ -67,8 +69,11 @@ func TestDenseEqualsGeneric(t *testing.T) {
 	placements := []placement{
 		{"pool-1", 1, func() core.Backend { return core.PoolBackend{} }},
 		{"pool-4", 4, func() core.Backend { return core.PoolBackend{} }},
-		{"sharded-2", 1, func() core.Backend { return &core.ShardedBackend{Shards: 2} }},
-		{"sharded-net-2", 1, func() core.Backend { return cem.NewShardedNetBackend(2) }},
+		{"sharded-2", 1, func() core.Backend { return cem.NewShardedNetBackend(2) }},
+		// The same backend again, its workers speaking the JSON codec.
+		{"sharded-net-2", 1, func() core.Backend {
+			return &emnet.Backend{Workers: 2, Opts: emnet.Options{Format: wire.JSON}}
+		}},
 	}
 	for _, ds := range goldenSeeds {
 		exp, err := cem.New(cem.NewDataset(ds.kind, ds.scale, ds.seed))

@@ -1,7 +1,7 @@
 package cem_test
 
-// Fixture-level fault-injection differentials for the sharded-net
-// backend: a worker killed at every round boundary, and seeded
+// Fixture-level fault-injection differentials for the sharded backend:
+// a worker killed at every round boundary, and seeded
 // drop/delay/duplicate schedules, must all land byte-identically on
 // the uninterrupted pool run's match set. These run the real HEPTH
 // seed corpus with the MLN matcher — the same ground the golden
@@ -11,8 +11,12 @@ package cem_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -22,22 +26,23 @@ import (
 	"repro/internal/net/faultnet"
 )
 
-// faultyNetBackend assembles a sharded-net backend whose streams run
+// workerConfig is what a worker grounds from its own flags: the
+// experiment's cover and coauthor relation, and the runner's matcher.
+func workerConfig(exp *cem.Experiment, runner *cem.Runner) core.Config {
+	return core.Config{Cover: exp.Cover, Matcher: runner.Matcher(), Relation: exp.Dataset.Coauthor()}
+}
+
+// faultyNetBackend assembles a sharded backend whose streams run
 // through the injector, with supervision timings tight enough that a
 // dropped frame costs milliseconds.
 func faultyNetBackend(exp *cem.Experiment, runner *cem.Runner, scheme string, k int, inj *faultnet.Injector) *emnet.Backend {
-	cfg := core.Config{
-		Cover:    exp.Cover,
-		Matcher:  runner.Matcher(),
-		Relation: exp.Dataset.Coauthor(),
-	}
 	opts := emnet.Options{
 		RoundDeadline:     500 * time.Millisecond,
 		HeartbeatInterval: 50 * time.Millisecond,
 		RetryBackoff:      2 * time.Millisecond,
 		MaxRetries:        6,
 	}
-	opts.Spawn = inj.Spawner(emnet.LocalSpawner(cfg, scheme, emnet.WorkerOptions{Wrap: inj.WrapWorker}))
+	opts.Spawn = inj.Spawner(emnet.LocalSpawner(workerConfig(exp, runner), scheme, emnet.WorkerOptions{Wrap: inj.WrapWorker}))
 	return &emnet.Backend{Workers: k, Opts: opts}
 }
 
@@ -155,5 +160,55 @@ func TestDistributedFaultSchedules(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestShardedDefaultsToOneWorkerPerCPU: "sharded" is the one sharded
+// backend in the registry, built by the same constructor as
+// NewShardedNetBackend, and with no worker count it spawns one
+// in-process worker per CPU — the rule BackendFactory documents.
+func TestShardedDefaultsToOneWorkerPerCPU(t *testing.T) {
+	if got := cem.Backends(); !slices.Equal(got, []string{"pool", "sharded"}) {
+		t.Fatalf("Backends() = %v, want [pool sharded]", got)
+	}
+	three, err := cem.NewBackend("sharded", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(three, cem.NewShardedNetBackend(3)) {
+		t.Errorf(`NewBackend("sharded", 3) = %#v, want NewShardedNetBackend(3)`, three)
+	}
+
+	exp, err := cem.New(cem.NewDataset(cem.HEPTH, 0.25, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := exp.Runner(cem.MatcherMLN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := cem.NewBackend("sharded", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb, ok := b.(*emnet.Backend)
+	if !ok {
+		t.Fatalf(`NewBackend("sharded", 0) is a %T, want *net.Backend`, b)
+	}
+	local := emnet.LocalSpawner(workerConfig(exp, runner), "SMP", emnet.WorkerOptions{})
+	slots := map[int]bool{} // the coordinator spawns from one goroutine
+	nb.Opts.Spawn = func(ctx context.Context, worker int) (io.ReadWriteCloser, error) {
+		slots[worker] = true
+		return local(ctx, worker)
+	}
+	sharded, err := exp.Runner(cem.MatcherMLN, cem.WithBackend(nb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sharded.Run(context.Background(), cem.SchemeSMP); err != nil {
+		t.Fatal(err)
+	}
+	if len(slots) != runtime.NumCPU() {
+		t.Errorf("spawned %d worker slots, want one per CPU (%d)", len(slots), runtime.NumCPU())
 	}
 }

@@ -1,7 +1,7 @@
 // Checkpoint: fault-tolerant matching on the sharded backend. The run
-// partitions the cover across shards that exchange evidence only as
-// serialized delta batches (the paper's distributed map/reduce rounds,
-// §6.3), and persists a checkpoint after every round. We then simulate
+// partitions the cover across workers that exchange evidence only as
+// serialized batches (the paper's distributed map/reduce rounds, §6.3),
+// and persists a checkpoint after every round. We then simulate
 // a worker loss — the run is killed mid-flight via context cancellation
 // — and resume it from the on-disk trail: the resumed run lands on the
 // exact match set an uninterrupted run produces, because rounds are

@@ -1,4 +1,4 @@
-// Distributed: multi-process matching on the sharded-net backend, with
+// Distributed: multi-process matching on the sharded backend, with
 // a worker killed mid-run. A coordinator owns the central reduce; K
 // workers each rebuild the round plan from their own configuration and
 // evaluate partition assignments delivered over the wire codec. The

@@ -82,8 +82,8 @@ func NewRoundPlan(cfg Config, scheme string) (*RoundPlan, error) {
 
 // NewEvidence returns an empty evidence set in the plan's form — over the
 // dense matcher's candidate table, or all-overflow without one. It is
-// what a backend that keeps replicas of M+ (shards, remote workers)
-// starts each replica from.
+// what a backend that keeps replicas of M+ (sharded workers) starts each
+// replica from.
 func (p *RoundPlan) NewEvidence() *Evidence { return NewEvidence(p.table) }
 
 // Backend executes the rounds of a message-passing scheme. A backend
@@ -100,9 +100,14 @@ func (p *RoundPlan) NewEvidence() *Evidence { return NewEvidence(p.table) }
 // driver.Evaluate, driver.MapRound, or plan.Evaluate against a replica
 // equal to driver.Snapshot() at round start — and reduce the jobs in
 // active-set order, with driver.FinishRound or Reduce…EndRound. Repeat
-// until driver.Done(). Evidence changes hands as *Evidence throughout
-// (plan.NewEvidence, Snapshot().Clone(), AddKey for a received delta):
-// a backend never sees, and never needs, which form the matcher took.
+// until driver.Done(). Evidence changes hands as *Evidence in process
+// (Snapshot, plan.NewEvidence, AddKey for a received delta) and as
+// ascending packed keys on the wire (Snapshot().SortedKeys, RoundDelta,
+// plan.JobToWire / JobFromWire): a backend never sees, and never needs,
+// which form the matcher took. The built-in backends are PoolBackend, the
+// sharded coordinator of internal/net (workers with private replicas,
+// in-process or cmd/emworker processes) and internal/grid's simulated
+// clock over the pool.
 type Backend interface {
 	RunRounds(ctx context.Context, plan *RoundPlan, driver *RoundDriver) error
 }

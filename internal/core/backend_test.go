@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	emnet "repro/internal/net"
 	"repro/internal/testmodel"
 	"repro/internal/wire"
 )
@@ -34,8 +35,6 @@ func assertSameRun(t *testing.T, label string, got, want *core.Result) {
 		t.Errorf("%s: match sets diverge: %d vs %d matches", label, got.Matches.Len(), want.Matches.Len())
 	}
 	gs, ws := got.Stats, want.Stats
-	gs.Elapsed, ws.Elapsed = 0, 0
-	gs.MatcherTime, ws.MatcherTime = 0, 0
 	if gs.Evaluations != ws.Evaluations || gs.MatcherCalls != ws.MatcherCalls ||
 		gs.MessagesSent != ws.MessagesSent || gs.MaximalMessages != ws.MaximalMessages ||
 		gs.PromotedSets != ws.PromotedSets || gs.Skips != ws.Skips ||
@@ -44,16 +43,17 @@ func assertSameRun(t *testing.T, label string, got, want *core.Result) {
 	}
 }
 
-// TestShardedMatchesPoolRandom: on random supermodular models, the
-// sharded backend must land on the exact output of the pool's
-// snapshot rounds (two workers) — match set AND deterministic statistics
-// — for every shard count and every scheme, in both wire codecs; the
-// one-worker pool, which reduces in order instead, shares the match set.
-// This is Theorem 2/4 consistency applied to the backend boundary.
+// TestShardedMatchesPoolRandom: on random supermodular models, sharded
+// execution (the network backend's in-process workers) must land on the
+// exact output of the pool's snapshot rounds (two workers) — match set
+// AND deterministic statistics — for every shard count and every scheme,
+// in both wire codecs; the one-worker pool, which reduces in order
+// instead, shares the match set. This is Theorem 2/4 consistency applied
+// to the backend boundary.
 func TestShardedMatchesPoolRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 30; trial++ {
-		m, cover := randomModel(rng)
+		m, cover := testmodel.Random(rng)
 		inOrder := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 		cfg := inOrder
 		cfg.Parallelism = 2
@@ -64,8 +64,8 @@ func TestShardedMatchesPoolRandom(t *testing.T) {
 			}
 			for _, k := range []int{1, 2, 3, 7} {
 				for _, format := range []wire.Format{wire.Binary, wire.JSON} {
-					sharded := runOn(t, cfg, scheme, &core.ShardedBackend{Shards: k, Format: format})
-					assertSameRun(t, scheme, sharded, pool)
+					sharded := runOn(t, cfg, scheme, &emnet.Backend{Workers: k, Opts: emnet.Options{Format: format}})
+					assertSameRun(t, fmt.Sprintf("trial %d %s k=%d fmt=%v", trial, scheme, k, format), sharded, pool)
 				}
 			}
 		}
@@ -91,7 +91,7 @@ func trailFiles(t *testing.T, dir string) []string {
 func TestCheckpointResumeAtEveryBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 10; trial++ {
-		m, cover := randomModel(rng)
+		m, cover := testmodel.Random(rng)
 		cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 		for _, scheme := range []string{"SMP", "MMP"} {
 			for _, format := range []wire.Format{wire.Binary, wire.JSON} {
@@ -127,7 +127,7 @@ func TestCheckpointResumeAtEveryBoundary(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					resumed, err := core.RunBackend(bg, cfg, scheme, &core.ShardedBackend{Shards: 2, Format: format},
+					resumed, err := core.RunBackend(bg, cfg, scheme, &emnet.Backend{Workers: 2, Opts: emnet.Options{Format: format}},
 						core.CheckpointConfig{Dir: trunc, Format: format, Resume: true})
 					if err != nil {
 						t.Fatalf("%s: resume after round %d: %v", scheme, r, err)
@@ -313,7 +313,7 @@ func TestBackendsReturnBareCtxErr(t *testing.T) {
 	m, cover, _ := testmodel.PaperExample()
 	backends := map[string]core.Backend{
 		"pool":     core.PoolBackend{},
-		"sharded":  &core.ShardedBackend{Shards: 3},
+		"sharded":  &emnet.Backend{Workers: 3},
 		"wrapping": wrappingBackend{},
 	}
 	for name, b := range backends {
@@ -339,7 +339,7 @@ func TestBackendsReturnBareCtxErr(t *testing.T) {
 func TestBackendsReturnBareDeadlineErr(t *testing.T) {
 	m, cover, _ := testmodel.PaperExample()
 	for name, b := range map[string]core.Backend{
-		"pool": core.PoolBackend{}, "sharded": &core.ShardedBackend{Shards: 2},
+		"pool": core.PoolBackend{}, "sharded": &emnet.Backend{Workers: 2},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), -time.Second)
 		cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}

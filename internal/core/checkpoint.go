@@ -28,8 +28,9 @@ type CheckpointConfig struct {
 	Resume bool
 	// Matcher labels the matcher producing the trail (e.g. its registry
 	// name); it is stamped into every checkpoint and verified on resume,
-	// so a trail cannot silently seed a different matcher's run. Empty
-	// opts out of the check (anonymous matchers).
+	// so a trail cannot silently seed a different matcher's run, and the
+	// sharded backend's handshake refuses workers labeled otherwise. Empty
+	// opts out of both checks (anonymous matchers).
 	Matcher string
 }
 

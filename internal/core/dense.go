@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
 // DenseMatcher is the optional matcher extension that lets the engine
 // carry evidence in the matcher's own id space instead of hashing pairs.
@@ -66,8 +63,8 @@ type DenseProbabilistic interface {
 
 // Evidence is a monotone set of pairs in the engine's dense form: one bit
 // per candidate id of a DenseMatcher's table, plus an overflow PairSet
-// for pairs outside the table. The engine's M+, every shard's and
-// worker's replica of it, and the plan's V− are Evidence values.
+// for pairs outside the table. The engine's M+, every sharded worker's
+// replica of it, and the plan's V− are Evidence values.
 //
 // Under a dense matcher the overflow holds only what a warm start or a
 // checkpoint trail carried in for a candidate that has since vanished:
@@ -219,16 +216,6 @@ func (e *Evidence) CountUnset(ids []int32) int {
 		}
 	}
 	return n
-}
-
-// Clone returns an independent copy of the set: a word copy of the bits
-// and a copy of the (small) overflow. The copy starts its own log.
-func (e *Evidence) Clone() *Evidence {
-	out := &Evidence{table: e.table, bits: slices.Clone(e.bits), count: e.count}
-	if len(e.over) > 0 {
-		out.over = e.over.Clone()
-	}
-	return out
 }
 
 // Mark returns the current position of the insertion log.

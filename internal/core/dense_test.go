@@ -8,7 +8,7 @@ import (
 // FuzzEvidenceModel holds Evidence to a plain PairSet model under a
 // byte-scripted sequence of operations: adds by id and by key (table and
 // overflow keys), membership, the ascending iteration, the insertion log
-// since a mark, and clones that must not follow their origin.
+// since a mark.
 func FuzzEvidenceModel(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{200, 3, 1, 200, 7, 7, 7, 90, 1, 0, 255, 254, 3, 3, 128, 64, 32})
@@ -42,11 +42,9 @@ func FuzzEvidenceModel(f *testing.F) {
 		ev, model := NewEvidence(tbl), NewPairSet()
 		var log []Pair
 		mark, markLen := ev.Mark(), 0
-		var clone *Evidence
-		var cloneModel PairSet
 		for i := 0; i+2 < len(script); i += 3 {
 			op, x, y := script[i], script[i+1], script[i+2]
-			switch op % 6 {
+			switch op % 5 {
 			case 0, 1: // add by key
 				p := pairAt(x, y)
 				if fresh := ev.AddKey(p.Key()); fresh != !model.Has(p) {
@@ -80,9 +78,7 @@ func FuzzEvidenceModel(f *testing.F) {
 				if ok && ev.HasID(id) != model.Has(p) {
 					t.Fatalf("HasID(%d) disagrees with the model", id)
 				}
-			case 4: // clone now, compare later
-				clone, cloneModel = ev.Clone(), model.Clone()
-			case 5: // set a mark
+			case 4: // set a mark
 				mark, markLen = ev.Mark(), len(log)
 			}
 		}
@@ -118,14 +114,6 @@ func FuzzEvidenceModel(f *testing.F) {
 		}
 		if got := ev.CountUnset(ids); got != unset {
 			t.Fatalf("CountUnset over the table = %d, want %d", got, unset)
-		}
-		if clone != nil {
-			if !clone.PairSet().Equal(cloneModel) {
-				t.Fatal("a clone followed its origin's later additions")
-			}
-			if len(clone.Since(0)) != 0 {
-				t.Fatal("a clone inherited its origin's log")
-			}
 		}
 		if of := EvidenceOf(tbl, model); model.Len() > 0 && !slices.Equal(of.SortedKeys(), model.SortedKeys()) {
 			t.Fatal("EvidenceOf(model) differs from the model")

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/testmodel"
 )
 
 // recordingStore is a minimal EvidenceStore capturing the driver's
@@ -57,7 +58,7 @@ func (r *recordingStore) sorted() []core.PairKey {
 func TestEvidenceStoreMirrorsRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 10; trial++ {
-		m, cover := randomModel(rng)
+		m, cover := testmodel.Random(rng)
 		for _, scheme := range []string{"NO-MP", "SMP", "MMP"} {
 			es := newRecordingStore()
 			cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation(), Evidence: es}
@@ -80,7 +81,7 @@ func TestEvidenceStoreMirrorsRun(t *testing.T) {
 // equal to the warm fixpoint.
 func TestEvidenceStoreWarmStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	m, cover := randomModel(rng)
+	m, cover := testmodel.Random(rng)
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 	cold := runOn(t, cfg, "SMP", core.PoolBackend{})
 
@@ -104,7 +105,7 @@ func TestEvidenceStoreWarmStart(t *testing.T) {
 // (never unioned with a previous run's leftovers).
 func TestEvidenceStoreResume(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	m, cover := randomModel(rng)
+	m, cover := testmodel.Random(rng)
 	dir := t.TempDir()
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 

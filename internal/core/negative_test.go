@@ -50,7 +50,7 @@ func TestNegativeEvidenceSuppresses(t *testing.T) {
 func TestNegativeEvidenceMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 60; trial++ {
-		m, cover := randomModel(rng)
+		m, cover := testmodel.Random(rng)
 		base := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 		full := mustRun(t, core.Full, base)
 		if full.Matches.Len() == 0 {

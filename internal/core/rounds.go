@@ -113,13 +113,19 @@ func (d *RoundDriver) Active() []int32 { return d.active }
 // matcher contract is evidence-free first visits). It is the live M+ in
 // the plan's form — a bitset over the dense matcher's candidate ids, or
 // all overflow — read-only, and unchanged only until the next Reduce; a
-// backend that keeps replicas takes Snapshot().Clone().
+// backend that keeps replicas elsewhere ships Snapshot().SortedKeys() once
+// and RoundDelta() after every round.
 func (d *RoundDriver) Snapshot() *Evidence {
 	if !d.plan.Exchange {
 		return nil
 	}
 	return d.ev
 }
+
+// MatcherLabel returns the run's matcher label (CheckpointConfig.Matcher;
+// empty for an anonymous matcher): the fingerprint a distributed backend
+// checks its workers against, as a resume checks a trail.
+func (d *RoundDriver) MatcherLabel() string { return d.ck.Matcher }
 
 // AllowSkip reports whether this round's evaluations may discharge
 // undecided-free neighborhoods without a matcher call: only past round
@@ -248,7 +254,7 @@ func (d *RoundDriver) AccountResilience(reassignments, retriedSends, lateDropped
 
 // RoundDelta returns the just-finished round's evidence delta (new
 // matches plus promotions) in ascending PairKey order — the canonical
-// batch a distributed backend broadcasts to its shards. Computed on
+// batch a distributed backend sends its workers. Computed on
 // demand: the default pool path shares memory and never asks.
 func (d *RoundDriver) RoundDelta() []PairKey {
 	delta := make([]PairKey, len(d.lastNew))

@@ -89,58 +89,12 @@ func TestPaperExampleUB(t *testing.T) {
 	}
 }
 
-// randomModel builds a random supermodular model, a random cover of its
-// entities, and returns both. Free-variable counts stay brute-forceable.
-func randomModel(rng *rand.Rand) (*testmodel.Model, *core.Cover) {
-	n := 6 + rng.Intn(5)
-	m := testmodel.New(n)
-	var pairs []core.Pair
-	target := 4 + rng.Intn(6)
-	for len(pairs) < target {
-		a, b := core.EntityID(rng.Intn(n)), core.EntityID(rng.Intn(n))
-		if a == b {
-			continue
-		}
-		p := core.MakePair(a, b)
-		if _, ok := m.Unary[p]; ok {
-			continue
-		}
-		m.AddPair(p.A, p.B, -6+rng.Float64()*8) // mostly negative unaries
-		pairs = append(pairs, p)
-	}
-	nInter := rng.Intn(2 * len(pairs))
-	for i := 0; i < nInter; i++ {
-		p, q := pairs[rng.Intn(len(pairs))], pairs[rng.Intn(len(pairs))]
-		if p == q {
-			continue
-		}
-		m.AddInteraction(p, q, rng.Float64()*9)
-	}
-	// Random cover: 2-4 neighborhoods, each a random subset, patched so
-	// every entity is covered.
-	k := 2 + rng.Intn(3)
-	sets := make([][]core.EntityID, k)
-	for e := 0; e < n; e++ {
-		placed := false
-		for s := 0; s < k; s++ {
-			if rng.Float64() < 0.55 {
-				sets[s] = append(sets[s], core.EntityID(e))
-				placed = true
-			}
-		}
-		if !placed {
-			sets[rng.Intn(k)] = append(sets[rng.Intn(k)], core.EntityID(e))
-		}
-	}
-	return m, core.NewCover(n, sets)
-}
-
 // TestSMPSoundnessRandom checks Theorem 2(2) on random instances:
 // SMP's output is contained in the full run's output.
 func TestSMPSoundnessRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 120; trial++ {
-		m, cover := randomModel(rng)
+		m, cover := testmodel.Random(rng)
 		cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 		smp := mustRun(t, core.SMP, cfg)
 		full := mustRun(t, core.Full, cfg)
@@ -164,7 +118,7 @@ func TestSMPSoundnessRandom(t *testing.T) {
 func TestMMPSoundnessRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	for trial := 0; trial < 120; trial++ {
-		m, cover := randomModel(rng)
+		m, cover := testmodel.Random(rng)
 		cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 		mmp, err := core.MMP(bg, cfg)
 		if err != nil {
@@ -190,7 +144,7 @@ func TestMMPSoundnessRandom(t *testing.T) {
 func TestConsistencyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	for trial := 0; trial < 60; trial++ {
-		m, cover := randomModel(rng)
+		m, cover := testmodel.Random(rng)
 		cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 		smpRef := mustRun(t, core.SMP, cfg)
 		mmpRef, err := core.MMP(bg, cfg)
@@ -231,7 +185,7 @@ func TestConsistencyRandom(t *testing.T) {
 func TestUBContainsFullRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
 	for trial := 0; trial < 120; trial++ {
-		m, cover := randomModel(rng)
+		m, cover := testmodel.Random(rng)
 		cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 		full := mustRun(t, core.Full, cfg)
 		ub, err := core.UB(bg, cfg, full.Matches)
@@ -251,7 +205,7 @@ func TestUBContainsFullRandom(t *testing.T) {
 func TestRevisitBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(505))
 	for trial := 0; trial < 60; trial++ {
-		m, cover := randomModel(rng)
+		m, cover := testmodel.Random(rng)
 		cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 		k := cover.MaxSize()
 		smp := mustRun(t, core.SMP, cfg)

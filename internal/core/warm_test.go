@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	emnet "repro/internal/net"
 	"repro/internal/testmodel"
 	"repro/internal/wire"
 )
@@ -27,7 +28,7 @@ func warmOf(res *core.Result, active []int32) *core.WarmStart {
 func TestWarmStartFixpointStability(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
-		m, cover := randomModel(rng)
+		m, cover := testmodel.Random(rng)
 		for _, scheme := range []string{"NO-MP", "SMP", "MMP"} {
 			wrapped := &countingMatcher{Model: m}
 			cfg := core.Config{Cover: cover, Matcher: wrapped, Relation: m.Relation()}
@@ -54,7 +55,7 @@ func TestWarmStartFixpointStability(t *testing.T) {
 			for i := range all {
 				all[i] = int32(i)
 			}
-			full, err := core.RunBackendFrom(bg, cfg, scheme, &core.ShardedBackend{Shards: 3},
+			full, err := core.RunBackendFrom(bg, cfg, scheme, &emnet.Backend{Workers: 3},
 				core.CheckpointConfig{}, warmOf(cold, all))
 			if err != nil {
 				t.Fatal(err)
@@ -75,7 +76,7 @@ func TestWarmStartFixpointStability(t *testing.T) {
 func TestWarmStartContinuesFromRoundBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 10; trial++ {
-		m, cover := randomModel(rng)
+		m, cover := testmodel.Random(rng)
 		cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 		for _, scheme := range []string{"SMP", "MMP"} {
 			dir := t.TempDir()
@@ -105,7 +106,7 @@ func TestWarmStartContinuesFromRoundBoundary(t *testing.T) {
 					}
 					warm.Messages = append(warm.Messages, msg)
 				}
-				for _, b := range []core.Backend{core.PoolBackend{}, &core.ShardedBackend{Shards: 2}} {
+				for _, b := range []core.Backend{core.PoolBackend{}, &emnet.Backend{Workers: 2}} {
 					res, err := core.RunBackendFrom(bg, cfg, scheme, b, core.CheckpointConfig{}, warm)
 					if err != nil {
 						t.Fatalf("%s: warm continuation from round %d: %v", scheme, r+1, err)
@@ -128,7 +129,7 @@ func TestWarmStartContinuesFromRoundBoundary(t *testing.T) {
 func TestWarmStartTrailResumes(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 10; trial++ {
-		m, cover := randomModel(rng)
+		m, cover := testmodel.Random(rng)
 		for _, scheme := range []string{"SMP", "MMP"} {
 			wrapped := &countingMatcher{Model: m}
 			cfg := core.Config{Cover: cover, Matcher: wrapped, Relation: m.Relation()}
@@ -175,7 +176,7 @@ func TestWarmStartTrailResumes(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			truncated, err := core.RunBackend(bg, cfg, scheme, &core.ShardedBackend{Shards: 2},
+			truncated, err := core.RunBackend(bg, cfg, scheme, &emnet.Backend{Workers: 2},
 				core.CheckpointConfig{Dir: dir, Resume: true})
 			if err != nil {
 				t.Fatalf("%s: resuming the truncated warm trail: %v", scheme, err)

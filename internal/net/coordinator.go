@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"time"
 
@@ -12,16 +13,16 @@ import (
 	"repro/internal/wire"
 )
 
-// Backend is the distributed executor registered as "sharded-net": a
-// coordinator owning the central RoundDriver plus worker processes
-// speaking the wire codec over framed streams. The partition layout is
-// the sharded backend's id-mod-K with K fixed at the slot count for
-// the whole run; what varies under faults is only WHICH worker
-// evaluates a partition, which the consistency theorems make
-// invisible in the output.
+// Backend is the sharded executor, registered as "sharded": a
+// coordinator owning the central RoundDriver plus K workers speaking the
+// wire codec over framed streams. Neighborhood i belongs to partition
+// i mod K, with K fixed at the slot count for the whole run; what varies
+// under faults is only WHICH worker evaluates a partition, which the
+// consistency theorems make invisible in the output.
 type Backend struct {
-	// Workers is the slot count for locally spawned workers; ignored
-	// when Addrs is set (each address is one slot). Values < 1 mean 1.
+	// Workers is the slot count for in-process workers; ignored when
+	// Addrs is set (each address is one slot). Values < 1 mean one per
+	// CPU.
 	Workers int
 
 	// Addrs attaches remote workers (cmd/emworker), one slot each. See
@@ -38,7 +39,7 @@ func (b *Backend) slots() int {
 		return len(b.Addrs)
 	}
 	if b.Workers < 1 {
-		return 1
+		return runtime.NumCPU()
 	}
 	return b.Workers
 }
@@ -83,10 +84,9 @@ type slot struct {
 	gen int
 }
 
-// outMsg is one queued frame; part/epoch identify the assignment a
-// failed send must be retried for (part -1 for acks).
+// outMsg is one queued assignment frame; part/epoch identify the
+// assignment a failed send must be retried for.
 type outMsg struct {
-	ft      byte
 	payload []byte
 	part    int
 	epoch   int
@@ -117,12 +117,13 @@ type event struct {
 }
 
 type coordinator struct {
-	plan  *core.RoundPlan
-	d     *core.RoundDriver
-	opts  Options
-	spawn Spawner
-	k     int
-	slots []*slot
+	plan    *core.RoundPlan
+	d       *core.RoundDriver
+	opts    Options
+	matcher string // the run's matcher label, checked at every handshake
+	spawn   Spawner
+	k       int
+	slots   []*slot
 
 	events chan event
 	stopc  chan struct{}
@@ -139,12 +140,13 @@ type coordinator struct {
 
 func newCoordinator(b *Backend, plan *core.RoundPlan, d *core.RoundDriver) *coordinator {
 	c := &coordinator{
-		plan:   plan,
-		d:      d,
-		opts:   b.Opts,
-		k:      b.slots(),
-		events: make(chan event, 256),
-		stopc:  make(chan struct{}),
+		plan:    plan,
+		d:       d,
+		opts:    b.Opts,
+		matcher: d.MatcherLabel(),
+		k:       b.slots(),
+		events:  make(chan event, 256),
+		stopc:   make(chan struct{}),
 	}
 	c.rng = rand.New(rand.NewSource(c.opts.seed()))
 	c.epoch = make([]int, c.k)
@@ -161,7 +163,7 @@ func newCoordinator(b *Backend, plan *core.RoundPlan, d *core.RoundDriver) *coor
 			// plan — same protocol, no sockets.
 			c.spawn = LocalSpawner(plan.Config, plan.Scheme, WorkerOptions{
 				Format:  b.Opts.Format,
-				Matcher: b.Opts.Matcher,
+				Matcher: c.matcher,
 			})
 		}
 	}
@@ -261,7 +263,7 @@ func (c *coordinator) connect(ctx context.Context, s *slot) error {
 	hello := &wire.Hello{
 		Worker:        s.id,
 		Scheme:        c.plan.Scheme,
-		Matcher:       c.opts.Matcher,
+		Matcher:       c.matcher,
 		Neighborhoods: c.plan.Config.Cover.Len(),
 		Entities:      c.plan.Config.Cover.NumEntities,
 		HeartbeatNS:   int64(c.opts.heartbeatInterval()),
@@ -325,12 +327,8 @@ func (c *coordinator) runWriter(worker, gen int, conn *Conn, outbox chan outMsg)
 		case <-c.stopc:
 			return
 		case m := <-outbox:
-			if err := conn.Send(m.ft, m.payload); err != nil {
-				if m.part >= 0 {
-					c.post(event{kind: evSendErr, worker: worker, gen: gen, part: m.part, epoch: m.epoch, err: err})
-				} else {
-					c.post(event{kind: evConnErr, worker: worker, gen: gen, err: err})
-				}
+			if err := conn.Send(wire.FrameAssign, m.payload); err != nil {
+				c.post(event{kind: evSendErr, worker: worker, gen: gen, part: m.part, epoch: m.epoch, err: err})
 			}
 		}
 	}
@@ -459,7 +457,7 @@ func (c *coordinator) dispatch(ctx context.Context, round, p int, st *partState,
 	if err != nil {
 		return err
 	}
-	c.enqueue(s, outMsg{ft: wire.FrameAssign, payload: enc, part: p, epoch: st.epoch})
+	c.enqueue(s, outMsg{payload: enc, part: p, epoch: st.epoch})
 	c.armTimer(st, round, p)
 	return nil
 }
@@ -646,15 +644,10 @@ func (c *coordinator) handleFrame(ev event, round int, parts []*partState, lenAt
 		if st.timer != nil {
 			st.timer.Stop()
 		}
-		s := c.slots[ev.worker]
 		// A batch for this round proves the worker's replica holds the
 		// round-start snapshot.
-		if s.synced < lenAt {
+		if s := c.slots[ev.worker]; s.synced < lenAt {
 			s.synced, s.syncedRound = lenAt, round
-		}
-		ack := &wire.BatchAck{Round: round, Part: batch.Shard, Epoch: batch.Epoch}
-		if enc, err := ack.Marshal(c.opts.Format); err == nil && s.alive {
-			c.enqueue(s, outMsg{ft: wire.FrameBatchAck, payload: enc, part: -1})
 		}
 		return 1, nil
 

@@ -1,9 +1,9 @@
 // Package faultnet is a deterministic fault injector for the
-// sharded-net transport. It wraps both ends of a worker stream and
+// sharded backend's transport. It wraps both ends of a worker stream and
 // perturbs whole frames — drop, delay, duplicate, truncate-and-tear —
 // plus a kill-worker-at-round-R hook, all driven by a seeded RNG so a
 // fault schedule is reproducible. Only data frames (Assign, Batch) are
-// faulted: handshakes always succeed and heartbeats/acks pass through,
+// faulted: handshakes always succeed and heartbeats pass through,
 // so the RNG stream advances with protocol progress, not with timing.
 //
 // The harness exploits a transport guarantee: wire.WriteFrame emits

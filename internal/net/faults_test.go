@@ -13,7 +13,7 @@ import (
 	"repro/internal/wire"
 )
 
-// faultyBackend builds a sharded-net backend whose every stream — both
+// faultyBackend builds a sharded backend whose every stream — both
 // directions — runs through the injector, with supervision timings
 // tight enough that dropped frames cost milliseconds, not the default
 // 30s deadline.
@@ -36,7 +36,7 @@ func faultyBackend(cfg core.Config, scheme string, k int, inj *faultnet.Injector
 func TestNetKillWorkerEveryRound(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 4; trial++ {
-		m, cover := randomModel(rng)
+		m, cover := testmodel.Random(rng)
 		cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 		for _, scheme := range netSchemes {
 			pool := poolRef(t, cfg, scheme)
@@ -66,7 +66,7 @@ func TestNetKillWorkerEveryRound(t *testing.T) {
 // dropped late batch, not a double-count.
 func TestNetFaultSchedules(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	m, cover := randomModel(rng)
+	m, cover := testmodel.Random(rng)
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 	for _, scheme := range netSchemes {
 		pool := poolRef(t, cfg, scheme)
@@ -104,7 +104,7 @@ func TestNetDuplicateBatchesDropped(t *testing.T) {
 // respawn with full evidence re-syncs; the output must not move.
 func TestNetTornStreams(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	m, cover := randomModel(rng)
+	m, cover := testmodel.Random(rng)
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 	for _, scheme := range []string{"SMP", "MMP"} {
 		pool := poolRef(t, cfg, scheme)

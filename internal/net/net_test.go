@@ -17,51 +17,6 @@ import (
 
 var bg = context.Background()
 
-// randomModel mirrors the core test-suite's model builder: a random
-// supermodular model with mostly-negative unaries and a random cover
-// patched for full coverage. Free-variable counts stay brute-forceable.
-func randomModel(rng *rand.Rand) (*testmodel.Model, *core.Cover) {
-	n := 6 + rng.Intn(5)
-	m := testmodel.New(n)
-	var pairs []core.Pair
-	target := 4 + rng.Intn(6)
-	for len(pairs) < target {
-		a, b := core.EntityID(rng.Intn(n)), core.EntityID(rng.Intn(n))
-		if a == b {
-			continue
-		}
-		p := core.MakePair(a, b)
-		if _, ok := m.Unary[p]; ok {
-			continue
-		}
-		m.AddPair(p.A, p.B, -6+rng.Float64()*8)
-		pairs = append(pairs, p)
-	}
-	nInter := rng.Intn(2 * len(pairs))
-	for i := 0; i < nInter; i++ {
-		p, q := pairs[rng.Intn(len(pairs))], pairs[rng.Intn(len(pairs))]
-		if p == q {
-			continue
-		}
-		m.AddInteraction(p, q, rng.Float64()*9)
-	}
-	k := 2 + rng.Intn(3)
-	sets := make([][]core.EntityID, k)
-	for e := 0; e < n; e++ {
-		placed := false
-		for s := 0; s < k; s++ {
-			if rng.Float64() < 0.55 {
-				sets[s] = append(sets[s], core.EntityID(e))
-				placed = true
-			}
-		}
-		if !placed {
-			sets[rng.Intn(k)] = append(sets[rng.Intn(k)], core.EntityID(e))
-		}
-	}
-	return m, core.NewCover(n, sets)
-}
-
 func runOn(t *testing.T, cfg core.Config, scheme string, b core.Backend) *core.Result {
 	t.Helper()
 	res, err := core.RunBackend(bg, cfg, scheme, b, core.CheckpointConfig{})
@@ -102,15 +57,15 @@ func assertSameRun(t *testing.T, label string, got, want *core.Result) {
 
 var netSchemes = []string{"NO-MP", "SMP", "MMP"}
 
-// TestNetMatchesPoolRandom: with no faults, the sharded-net backend
-// must land on the pool backend's exact output — match set AND
-// deterministic statistics — for every worker count, every round-based
-// scheme, both wire codecs. Same contract the in-process sharded
-// backend pins, now across the full coordinator/worker protocol.
+// TestNetMatchesPoolRandom: with no faults, the network backend must
+// land on the pool backend's exact output — match set AND deterministic
+// statistics — for every worker count, every round-based scheme, both
+// wire codecs, and report no resilience events. The core package's
+// TestShardedMatchesPoolRandom pins the same contract on other models.
 func TestNetMatchesPoolRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
-		m, cover := randomModel(rng)
+		m, cover := testmodel.Random(rng)
 		cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 		for _, scheme := range netSchemes {
 			pool := poolRef(t, cfg, scheme)
@@ -143,7 +98,7 @@ func TestNetMoreWorkersThanNeighborhoods(t *testing.T) {
 // pins so callers can errors.Is without knowing the executor.
 func TestNetBackendReturnsBareCtxErr(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	m, cover := randomModel(rng)
+	m, cover := testmodel.Random(rng)
 	ctx, cancel := context.WithCancel(bg)
 	defer cancel()
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation(),
@@ -157,18 +112,22 @@ func TestNetBackendReturnsBareCtxErr(t *testing.T) {
 // TestNetHandshakeRejectsMismatch: a worker grounded on a different
 // run fingerprint (here: a different matcher label) must be refused at
 // handshake, and with no other workers the run fails instead of
-// computing against the wrong model.
+// computing against the wrong model. The coordinator's label is the
+// run's own, CheckpointConfig.Matcher; its in-process workers carry the
+// same one.
 func TestNetHandshakeRejectsMismatch(t *testing.T) {
 	m, cover, _ := testmodel.PaperExample()
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
+	labeled := core.CheckpointConfig{Matcher: "model-A"}
 	b := &emnet.Backend{Workers: 1, Opts: emnet.Options{
-		Matcher:      "model-A",
 		RetryBackoff: time.Millisecond,
 		Spawn:        emnet.LocalSpawner(cfg, "SMP", emnet.WorkerOptions{Matcher: "model-B"}),
 	}}
-	_, err := core.RunBackend(bg, cfg, "SMP", b, core.CheckpointConfig{})
-	if err == nil {
+	if _, err := core.RunBackend(bg, cfg, "SMP", b, labeled); err == nil {
 		t.Fatal("mismatched matcher fingerprint was accepted")
+	}
+	if _, err := core.RunBackend(bg, cfg, "SMP", &emnet.Backend{Workers: 2}, labeled); err != nil {
+		t.Fatalf("default workers refused their own run's label: %v", err)
 	}
 }
 
@@ -177,7 +136,7 @@ func TestNetHandshakeRejectsMismatch(t *testing.T) {
 // asserting the socketed run is byte-identical to pool.
 func TestNetOverSockets(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	m, cover := randomModel(rng)
+	m, cover := testmodel.Random(rng)
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 	scheme := "MMP"
 

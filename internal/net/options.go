@@ -9,7 +9,9 @@ import (
 
 // Options tunes the coordinator's supervision of its workers. The zero
 // value is fully usable: local in-process workers, generous deadlines,
-// binary wire format.
+// binary wire format. The handshake's matcher label is not an option: it
+// is the run's own (core.CheckpointConfig.Matcher, set by cem.Runner to
+// the registry name).
 type Options struct {
 	// RoundDeadline bounds one partition assignment: if the assigned
 	// worker neither heartbeats nor returns its batch within it, the
@@ -36,11 +38,6 @@ type Options struct {
 	// Format selects the wire codec for coordinator→worker traffic
 	// (workers answer in their own configured format; both sides sniff).
 	Format wire.Format
-
-	// Matcher optionally labels the model for the handshake fingerprint,
-	// like CheckpointConfig.Matcher: both sides non-empty and different
-	// refuses the worker; empty on either side opts out.
-	Matcher string
 
 	// Spawn overrides how worker streams are created. nil means: dial
 	// Addrs when the backend has addresses, else spawn local in-process
@@ -102,8 +99,10 @@ type WorkerOptions struct {
 	// Format selects the wire codec for worker→coordinator batches.
 	Format wire.Format
 
-	// Matcher optionally labels the worker's model for the handshake
-	// fingerprint (see Options.Matcher).
+	// Matcher labels the worker's model (cmd/emworker: its -matcher
+	// registry name) for the handshake fingerprint. A coordinator whose
+	// run carries a different non-empty label refuses the worker; empty
+	// on either side opts out, as in checkpoint trails.
 	Matcher string
 
 	// Wrap, when non-nil, wraps the worker-side stream — the worker half

@@ -12,7 +12,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Conn is a framed connection: one peer of the sharded-net protocol.
+// Conn is a framed connection: one peer of the sharded protocol.
 // Sends are serialized by a mutex so concurrent senders (the worker's
 // heartbeat goroutine alongside its batch sends) emit whole frames;
 // each frame is written with a single underlying Write call, so
@@ -50,8 +50,8 @@ type Spawner func(ctx context.Context, worker int) (io.ReadWriteCloser, error)
 // LocalSpawner runs workers as in-process goroutines connected by
 // synchronous pipes — the same code path cmd/emworker runs over a
 // socket, with every byte still crossing the wire codec. This is the
-// default spawner of the "sharded-net" backend when no addresses are
-// given, and the harness the fault-injection tests drive.
+// default spawner of the sharded backend when no addresses are given,
+// and the harness the fault-injection tests drive.
 func LocalSpawner(cfg core.Config, scheme string, opts WorkerOptions) Spawner {
 	return func(ctx context.Context, worker int) (io.ReadWriteCloser, error) {
 		coord, work := stdnet.Pipe()

@@ -48,12 +48,6 @@ func ServeConn(ctx context.Context, cfg core.Config, scheme string, rw io.ReadWr
 	if plan.Exchange {
 		replica = plan.NewEvidence()
 	}
-	// pending holds the encoded batch of each partition until the
-	// coordinator acks it — the resend cache a re-assignment to this
-	// worker could answer from (re-evaluation would be byte-identical;
-	// the cache only saves the work).
-	pending := map[int][]byte{}
-
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -68,38 +62,29 @@ func ServeConn(ctx context.Context, cfg core.Config, scheme string, rw io.ReadWr
 			}
 			return fmt.Errorf("net: worker %d: %w", worker, err)
 		}
-		switch ft {
-		case wire.FrameAssign:
-			a, err := wire.UnmarshalAssign(payload)
-			if err != nil {
-				return fmt.Errorf("net: worker %d: bad assign: %w", worker, err)
-			}
-			opts.logf("worker %d: round %d: evaluating partition %d (%d neighborhoods, %d catch-up keys)",
-				worker, a.Round, a.Part, len(a.IDs), len(a.Keys))
-			if plan.Exchange {
-				if a.FromRound == 0 && replica.Len() > 0 {
-					replica = plan.NewEvidence() // full-sync resets the replica
-				}
-				for _, k := range a.Keys {
-					replica.AddKey(core.PairKey(k))
-				}
-			}
-			enc, err := evaluateAssign(ctx, conn, plan, replica, a, worker, heartbeat, opts.Format)
-			if err != nil {
-				return err
-			}
-			pending[a.Part] = enc
-			if err := conn.Send(wire.FrameBatch, enc); err != nil {
-				return fmt.Errorf("net: worker %d: sending round %d batch: %w", worker, a.Round, err)
-			}
-		case wire.FrameBatchAck:
-			ack, err := wire.UnmarshalBatchAck(payload)
-			if err != nil {
-				return fmt.Errorf("net: worker %d: bad ack: %w", worker, err)
-			}
-			delete(pending, ack.Part)
-		default:
+		if ft != wire.FrameAssign {
 			return fmt.Errorf("net: worker %d: unexpected frame type %d", worker, ft)
+		}
+		a, err := wire.UnmarshalAssign(payload)
+		if err != nil {
+			return fmt.Errorf("net: worker %d: bad assign: %w", worker, err)
+		}
+		opts.logf("worker %d: round %d: evaluating partition %d (%d neighborhoods, %d catch-up keys)",
+			worker, a.Round, a.Part, len(a.IDs), len(a.Keys))
+		if plan.Exchange {
+			if a.FromRound == 0 && replica.Len() > 0 {
+				replica = plan.NewEvidence() // full-sync resets the replica
+			}
+			for _, k := range a.Keys {
+				replica.AddKey(core.PairKey(k))
+			}
+		}
+		enc, err := evaluateAssign(ctx, conn, plan, replica, a, worker, heartbeat, opts.Format)
+		if err != nil {
+			return err
+		}
+		if err := conn.Send(wire.FrameBatch, enc); err != nil {
+			return fmt.Errorf("net: worker %d: sending round %d batch: %w", worker, a.Round, err)
 		}
 	}
 }

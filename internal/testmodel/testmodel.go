@@ -15,6 +15,7 @@ package testmodel
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 
 	"repro/internal/core"
@@ -284,4 +285,50 @@ func PaperExample() (m *Model, cover *core.Cover, ids map[string]core.EntityID) 
 		{ids["c1"], ids["c2"], ids["c3"], ids["d1"]},            // C3
 	})
 	return m, cover, ids
+}
+
+// Random builds a random supermodular model over 6–10 entities (mostly
+// negative unaries, non-negative interactions) and a random cover of 2–4
+// neighborhoods, each a random subset, patched so every entity is
+// covered. Free-variable counts stay brute-forceable.
+func Random(rng *rand.Rand) (*Model, *core.Cover) {
+	n := 6 + rng.Intn(5)
+	m := New(n)
+	var pairs []core.Pair
+	target := 4 + rng.Intn(6)
+	for len(pairs) < target {
+		a, b := core.EntityID(rng.Intn(n)), core.EntityID(rng.Intn(n))
+		if a == b {
+			continue
+		}
+		p := core.MakePair(a, b)
+		if _, ok := m.Unary[p]; ok {
+			continue
+		}
+		m.AddPair(p.A, p.B, -6+rng.Float64()*8)
+		pairs = append(pairs, p)
+	}
+	nInter := rng.Intn(2 * len(pairs))
+	for i := 0; i < nInter; i++ {
+		p, q := pairs[rng.Intn(len(pairs))], pairs[rng.Intn(len(pairs))]
+		if p == q {
+			continue
+		}
+		m.AddInteraction(p, q, rng.Float64()*9)
+	}
+	k := 2 + rng.Intn(3)
+	sets := make([][]core.EntityID, k)
+	for e := 0; e < n; e++ {
+		placed := false
+		for s := 0; s < k; s++ {
+			if rng.Float64() < 0.55 {
+				sets[s] = append(sets[s], core.EntityID(e))
+				placed = true
+			}
+		}
+		if !placed {
+			sets[rng.Intn(k)] = append(sets[rng.Intn(k)], core.EntityID(e))
+		}
+	}
+	return m, core.NewCover(n, sets)
 }

@@ -8,11 +8,11 @@ import (
 	"unicode/utf8"
 )
 
-// This file is the stream layer of the distributed ("sharded-net")
-// backend: length-prefixed, versioned frames carrying wire messages over
-// a byte stream (TCP, unix socket, or an in-process pipe), plus the
-// control messages the coordinator and its workers exchange around the
-// existing data messages (ShardBatch, Delta).
+// This file is the stream layer of the sharded backend (internal/net):
+// length-prefixed, versioned frames carrying wire messages over a byte
+// stream (TCP, unix socket, or an in-process pipe), plus the control
+// messages the coordinator and its workers exchange around the data
+// message, ShardBatch.
 //
 // A frame is
 //
@@ -32,7 +32,9 @@ var frameMagic = [4]byte{'C', 'E', 'M', 'F'}
 
 // FrameVersion is the framing-layer version, independent of the message
 // Version (a framing change does not invalidate persisted checkpoints).
-const FrameVersion = 1
+// It changes whenever a frame type is added or retired, so a fleet mixing
+// builds is refused at its first frame rather than failing mid-run.
+const FrameVersion = 2
 
 // frameHeaderLen is magic + version + type + uint32 length.
 const frameHeaderLen = 4 + 1 + 1 + 4
@@ -41,7 +43,7 @@ const frameHeaderLen = 4 + 1 + 1 + 4
 // length prefix is rejected before any allocation.
 const MaxFramePayload = 1 << 26
 
-// Frame types of the sharded-net protocol.
+// Frame types of the sharded protocol.
 const (
 	// FrameHello announces a run: the coordinator sends its run
 	// fingerprint after connecting, the worker answers with FrameHelloAck
@@ -59,9 +61,6 @@ const (
 	// FrameHeartbeat is the worker's liveness signal while it evaluates
 	// an assignment.
 	FrameHeartbeat byte = 5
-	// FrameBatchAck confirms the coordinator accounted a batch; the
-	// worker may drop its resend cache for that partition.
-	FrameBatchAck byte = 6
 )
 
 // ErrTruncated reports a byte stream that ended inside a frame: header
@@ -71,7 +70,7 @@ var ErrTruncated = errors.New("wire: truncated frame")
 
 // validFrameType reports whether t is a known frame type.
 func validFrameType(t byte) bool {
-	return t >= FrameHello && t <= FrameBatchAck
+	return t >= FrameHello && t <= FrameHeartbeat
 }
 
 // AppendFrame appends one encoded frame to dst and returns the extended
@@ -147,7 +146,6 @@ const (
 	typeHello     = 4
 	typeAssign    = 5
 	typeHeartbeat = 6
-	typeBatchAck  = 7
 )
 
 // Hello is the handshake message: the coordinator announces the run it
@@ -193,14 +191,6 @@ type Heartbeat struct {
 	Part   int `json:"part"`
 }
 
-// BatchAck confirms the coordinator accounted the batch of (Round,
-// Part, Epoch); the worker may drop its resend cache for the partition.
-type BatchAck struct {
-	Round int `json:"round"`
-	Part  int `json:"part"`
-	Epoch int `json:"epoch"`
-}
-
 func (h *Hello) validate() error {
 	if !utf8.ValidString(h.Scheme) {
 		return fmt.Errorf("wire: hello.scheme is not valid UTF-8")
@@ -236,10 +226,6 @@ func (a *Assign) validate() error {
 
 func (h *Heartbeat) validate() error {
 	return nonNegative("heartbeat counters", int64(h.Worker), int64(h.Round), int64(h.Part))
-}
-
-func (a *BatchAck) validate() error {
-	return nonNegative("batch-ack counters", int64(a.Round), int64(a.Part), int64(a.Epoch))
 }
 
 // Marshal serializes the hello in the given format.
@@ -389,42 +375,4 @@ func UnmarshalHeartbeat(b []byte) (*Heartbeat, error) {
 		return nil, err
 	}
 	return &h, nil
-}
-
-// Marshal serializes the ack in the given format.
-func (a *BatchAck) Marshal(f Format) ([]byte, error) {
-	if err := a.validate(); err != nil {
-		return nil, err
-	}
-	if f == JSON {
-		return marshalJSON(typeBatchAck, a)
-	}
-	e := newEncoder(typeBatchAck)
-	e.uvarint(uint64(a.Round))
-	e.uvarint(uint64(a.Part))
-	e.uvarint(uint64(a.Epoch))
-	return e.bytes(), nil
-}
-
-// UnmarshalBatchAck decodes a BatchAck (either codec).
-func UnmarshalBatchAck(b []byte) (*BatchAck, error) {
-	var a BatchAck
-	if isBinary(b) {
-		dec, err := newDecoder(b, typeBatchAck)
-		if err != nil {
-			return nil, err
-		}
-		a.Round = int(dec.uvarint("round"))
-		a.Part = int(dec.uvarint("part"))
-		a.Epoch = int(dec.uvarint("epoch"))
-		if err := dec.finish(); err != nil {
-			return nil, err
-		}
-	} else if err := unmarshalJSON(b, typeBatchAck, &a); err != nil {
-		return nil, err
-	}
-	if err := a.validate(); err != nil {
-		return nil, err
-	}
-	return &a, nil
 }

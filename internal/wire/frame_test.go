@@ -140,7 +140,6 @@ func TestControlMessageValidation(t *testing.T) {
 		&Assign{IDs: []int32{4, 2}},
 		&Assign{IDs: []int32{-1}},
 		&Heartbeat{Round: -1},
-		&BatchAck{Epoch: -1},
 	}
 	for i, m := range bad {
 		for _, format := range []Format{Binary, JSON} {
@@ -172,13 +171,6 @@ func TestControlMessageRoundTripJSON(t *testing.T) {
 	if got, err := UnmarshalHeartbeat(b); err != nil || !reflect.DeepEqual(got, hb) {
 		t.Fatalf("heartbeat JSON round trip: %+v, %v", got, err)
 	}
-	ack := &BatchAck{Round: 9, Part: 2, Epoch: 1}
-	if b, err = ack.Marshal(JSON); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := UnmarshalBatchAck(b); err != nil || !reflect.DeepEqual(got, ack) {
-		t.Fatalf("batch-ack JSON round trip: %+v, %v", got, err)
-	}
 }
 
 // randFrameStream encodes a random mix of frames.
@@ -187,7 +179,7 @@ func randFrameStream(rng *rand.Rand) []byte {
 	n := 1 + rng.Intn(4)
 	for i := 0; i < n; i++ {
 		var payload []byte
-		ft := FrameHello + byte(rng.Intn(int(FrameBatchAck)))
+		ft := FrameHello + byte(rng.Intn(int(FrameHeartbeat)))
 		switch rng.Intn(4) {
 		case 0:
 			payload, _ = (&Hello{Worker: rng.Intn(8), Scheme: "SMP",

@@ -50,10 +50,9 @@ const (
 	typeCheckpoint = 3
 )
 
-// Delta is one round's evidence delta: the pairs newly decided in that
-// round, as packed PairKeys in strictly increasing order. This is the
-// only message that ever carries evidence between shards — shards hold
-// no shared mutable state, they converge by applying the same deltas.
+// Delta is a batch of evidence as packed PairKeys in strictly
+// increasing order: one round's newly decided pairs, or one block of a
+// disk store's evidence segment (Round is then the block ordinal).
 type Delta struct {
 	Round int      `json:"round"`
 	Keys  []uint64 `json:"keys"` // strictly increasing valid PairKeys
@@ -73,13 +72,12 @@ type Job struct {
 	Msgs    [][]uint64 `json:"msgs,omitempty"`
 }
 
-// ShardBatch is one shard's serialized output for one round: the
-// evaluations of every active neighborhood owned by the shard, in the
-// shard's deterministic evaluation order. Epoch echoes the assignment
-// epoch in the distributed backend, where the coordinator discards
-// batches whose epoch is stale (the partition was reassigned after a
-// deadline breach — a slow "zombie" worker's late batch must not be
-// double-applied); the in-process sharded backend leaves it 0.
+// ShardBatch is one partition's serialized output for one round: the
+// evaluations of every active neighborhood the partition owns, in
+// ascending id order. Epoch echoes the assignment epoch; the sharded
+// coordinator discards batches whose epoch is stale (the partition was
+// reassigned after a deadline breach — a slow "zombie" worker's late
+// batch must not be double-applied).
 type ShardBatch struct {
 	Round int   `json:"round"`
 	Shard int   `json:"shard"`

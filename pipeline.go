@@ -76,8 +76,8 @@ type PipelineStats struct {
 	CacheInvalidations int64
 	// Reassignments/RetriedSends/LateBatchesDropped accumulate the
 	// per-run resilience counters (RunStats) across every completed run
-	// — all zero unless the pipeline executes on a supervised
-	// distributed backend (sharded-net). Nonzero values mean the stream
+	// — all zero unless the pipeline executes on the supervised sharded
+	// backend and it had faults to absorb. Nonzero values mean the stream
 	// survived worker deaths or transport faults; the output is
 	// unaffected by construction, so these measure degraded throughput,
 	// not degraded answers.

@@ -117,27 +117,22 @@ func lookupMatcher(name string) (MatcherFactory, bool) {
 // taken from WithParallelism.
 func NewPoolBackend() match.Backend { return core.PoolBackend{} }
 
-// NewShardedBackend returns the shard-partitioned execution backend:
-// the cover's neighborhoods are split across k shards (k < 1 means one
-// per CPU), each evaluating against a private evidence replica and an
-// immutable ground-model snapshot; shards exchange evidence exclusively
-// as serialized PairKey-ordered delta batches, never sharing mutable
-// state. Output is identical to the pool backend for every k.
-func NewShardedBackend(k int) match.Backend { return &core.ShardedBackend{Shards: k} }
-
-// NewShardedNetBackend returns the distributed multi-process execution
-// backend ("sharded-net"): a coordinator owning the central reduce plus
-// k worker processes speaking the wire codec over framed streams. With
-// no addrs the workers are spawned in-process (every byte still crosses
-// the codec); addrs attach remote cmd/emworker processes instead, one
-// slot per address ("host:port" or "unix:/path.sock"), and k is
-// ignored. The coordinator supervises the fleet — heartbeats, round
+// NewShardedNetBackend returns the sharded execution backend
+// (registered as "sharded"; WithShardCount(k) is shorthand for it with no
+// addresses): a coordinator owning the central reduce plus k workers,
+// each evaluating neighborhood i mod k against a private evidence replica
+// and speaking the wire codec over framed streams. With no addrs the
+// workers run in-process over pipes (every byte still crosses the codec),
+// one per CPU for k < 1; addrs attach cmd/emworker processes instead, one
+// slot per address ("host:port" or "unix:/path.sock"), and k is ignored.
+// Either way the coordinator supervises the fleet — heartbeats, round
 // deadlines, bounded retries with backoff — and reassigns a dead
 // worker's partitions to the survivors, so losing a worker degrades
 // throughput but never the output: the result is identical to the pool
 // backend for every fleet shape and every fault schedule
 // (RunStats.Reassignments and friends record what the supervision
-// absorbed).
+// absorbed). A worker whose matcher label differs from the run's is
+// refused at the handshake.
 func NewShardedNetBackend(k int, addrs ...string) match.Backend {
 	return &emnet.Backend{Workers: k, Addrs: addrs}
 }
@@ -202,9 +197,6 @@ func init() {
 		return NewPoolBackend(), nil
 	})
 	RegisterBackend("sharded", func(shards int) (match.Backend, error) {
-		return NewShardedBackend(shards), nil
-	})
-	RegisterBackend("sharded-net", func(shards int) (match.Backend, error) {
 		return NewShardedNetBackend(shards), nil
 	})
 	RegisterMatcher(MatcherMLN, func(mc MatcherContext) (match.Matcher, error) {

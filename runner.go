@@ -85,20 +85,20 @@ func WithNegativeEvidence(neg match.PairSet) RunnerOption {
 
 // WithBackend executes the neighborhood schemes (NO-MP, SMP, MMP) on the
 // given execution backend instead of the default shared-memory pool —
-// e.g. NewShardedBackend(k), which partitions the cover across k shards
-// exchanging serialized evidence deltas. The output is identical for
-// every backend (consistency, Theorems 2 and 4); backends trade where
-// the matcher work runs. FULL and UB have no round structure and ignore
+// e.g. NewShardedNetBackend(k, addrs...), which partitions the cover
+// across k supervised workers exchanging serialized evidence. The output
+// is identical for every backend (consistency, Theorems 2 and 4);
+// backends trade where the matcher work runs. FULL and UB have no round structure and ignore
 // the backend.
 func WithBackend(b match.Backend) RunnerOption {
 	return func(r *Runner) { r.backend = b }
 }
 
-// WithShardCount is shorthand for WithBackend(NewShardedBackend(k)):
-// run on the shard-partitioned backend with k shards (k < 1 means one
-// shard per CPU).
+// WithShardCount is shorthand for WithBackend(NewShardedNetBackend(k)):
+// run on the sharded backend with k in-process workers (k < 1 means one
+// per CPU).
 func WithShardCount(k int) RunnerOption {
-	return func(r *Runner) { r.backend = NewShardedBackend(k) }
+	return func(r *Runner) { r.backend = NewShardedNetBackend(k) }
 }
 
 // WithCheckpointDir persists a checkpoint to dir after every completed

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Chaos smoke test: the distributed sharded-net backend under a REAL
+# Chaos smoke test: the sharded backend under a REAL
 # worker kill, as a black box with real OS processes.
 #
 #   build -> cold single-process reference run -> start 3 emworker
@@ -74,7 +74,7 @@ watcher=$!
 
 echo "== distributed run against the fleet"
 "$workdir/emmatch" "${corpus[@]}" -scheme $scheme -matcher $matcher -v \
-  -backend sharded-net -worker-addrs "${addrs[0]},${addrs[1]},${addrs[2]}" \
+  -backend sharded -worker-addrs "${addrs[0]},${addrs[1]},${addrs[2]}" \
   -dump-matches "$workdir/dist.txt" > "$workdir/dist.log" \
   || fail "a killed worker must never fail the run (exit $?)"
 wait "$watcher" || fail "worker 1 never received a round-2 assignment; the kill never fired"
