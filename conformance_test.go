@@ -7,8 +7,11 @@ package cem_test
 // matter the placement, the evaluation order or the store), soundness
 // (SMP, MMP ⊆ FULL) and MMP ⊇ SMP ⊇ NO-MP. Two option rows hold the
 // logical knobs (transitive closure, negative evidence) to the same
-// placement-independence. Run under -race in CI, this is also the
-// data-race gauntlet of the concurrent backends.
+// placement-independence, and a cover-refinement row holds the licence for
+// the non-redundant cover: blocking's cover plus redundant neighborhoods —
+// duplicates and subsets of its own — must give the fixtures exactly. Run
+// under -race in CI, this is also the data-race gauntlet of the concurrent
+// backends.
 
 import (
 	"context"
@@ -20,6 +23,7 @@ import (
 	"testing"
 
 	cem "repro"
+	"repro/internal/core"
 	emnet "repro/internal/net"
 	"repro/internal/wire"
 	"repro/match"
@@ -98,6 +102,34 @@ func (ex execution) run(t *testing.T, exp *cem.Experiment, matcher string, schem
 
 func wholeSet(s cem.Scheme) bool { return s == cem.SchemeFull || s == cem.SchemeUB }
 
+// refined is exp over its cover plus redundant neighborhoods: for every
+// fourth set, on average, a duplicate of a random set or a random non-empty
+// subset of one, each inserted at a random position, so the original sets'
+// ids move too.
+func refined(t *testing.T, exp *cem.Experiment, seed int64) *cem.Experiment {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	sets := slices.Clone(exp.Cover.Sets)
+	for range len(sets) / 4 {
+		extra := slices.Clone(sets[rng.Intn(len(sets))])
+		if rng.Intn(2) == 0 {
+			extra = slices.DeleteFunc(extra, func(core.EntityID) bool { return rng.Intn(3) == 0 })
+			if len(extra) == 0 {
+				continue
+			}
+		}
+		sets = slices.Insert(sets, rng.Intn(len(sets)+1), extra)
+	}
+	out, err := cem.NewWithCover(exp.Dataset, core.NewCover(exp.Cover.NumEntities, sets))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Cover.Len() <= exp.Cover.Len() || out.Table.Len() != exp.Table.Len() {
+		t.Fatalf("refined cover: %d sets and %d candidates, from %d and %d", out.Cover.Len(), out.Table.Len(), exp.Cover.Len(), exp.Table.Len())
+	}
+	return out
+}
+
 func TestConformance(t *testing.T) {
 	placements := executions()
 	for _, ds := range goldenSeeds {
@@ -105,6 +137,7 @@ func TestConformance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		redundant := refined(t, exp, ds.seed)
 		for _, matcher := range []string{cem.MatcherMLN, cem.MatcherRules} {
 			// The reference: the default placement, held to the fixtures.
 			ref := map[cem.Scheme]match.PairSet{}
@@ -125,6 +158,7 @@ func TestConformance(t *testing.T) {
 			// land on the row's one expected output per scheme.
 			type row struct {
 				name    string
+				exp     *cem.Experiment // nil: the fixture's experiment
 				opt     cem.RunnerOption
 				store   bool
 				schemes []cem.Scheme
@@ -147,6 +181,7 @@ func TestConformance(t *testing.T) {
 				rows = append(rows, row{name: sv.name, opt: sv.opt, store: true, schemes: goldenMatrix[matcher], want: fixtures})
 			}
 			rows = append(rows,
+				row{name: "refined", exp: redundant, schemes: goldenMatrix[matcher], want: fixtures},
 				row{name: "closure", opt: cem.WithTransitiveClosure(), schemes: shared,
 					want: func(s cem.Scheme) match.PairSet { return exp.TransitiveClosure(ref[s]) }},
 				row{name: "negative", opt: negOpt, schemes: shared,
@@ -155,12 +190,16 @@ func TestConformance(t *testing.T) {
 			for _, r := range rows {
 				for i, ex := range placements {
 					t.Run(fmt.Sprintf("%s/%s/%s/%s", ds.kind, matcher, r.name, ex.name), func(t *testing.T) {
+						rexp := exp
+						if r.exp != nil {
+							rexp = r.exp
+						}
 						got := map[cem.Scheme]match.PairSet{}
 						for _, scheme := range r.schemes {
 							if wholeSet(scheme) && i > 0 {
 								continue // no placement to vary: once per row, the store idle
 							}
-							matches, runner := ex.run(t, exp, matcher, scheme, r.opt)
+							matches, runner := ex.run(t, rexp, matcher, scheme, r.opt)
 							got[scheme] = matches
 							if want := r.want(scheme); !matches.Equal(want) {
 								t.Errorf("%s: match set diverges: %s", scheme, firstDiff(renderPairs(matches), renderPairs(want)))

@@ -538,6 +538,13 @@ func TestRunFromValidation(t *testing.T) {
 	if _, err := smallRunner.RunFrom(context.Background(), cem.SchemeSMP, bigSnap, nil); err == nil {
 		t.Error("RunFrom accepted a snapshot spanning more entities than the cover")
 	}
+	// Over as many entities but more candidates: a cover that only grew
+	// keeps every candidate pair, so this one did not grow from it.
+	forged := *snap
+	forged.Candidates = small.Table.Len() + 1
+	if _, err := smallRunner.RunFrom(context.Background(), cem.SchemeSMP, &forged, nil); err == nil {
+		t.Error("RunFrom accepted a snapshot spanning more candidate pairs than the experiment")
+	}
 	// The happy path: continuing the same experiment with an empty seed
 	// is a no-op that returns the snapshot's own matches.
 	idle, err := smallRunner.RunFrom(context.Background(), cem.SchemeSMP, snap, nil)

@@ -101,21 +101,36 @@ func TestExpandBoundary(t *testing.T) {
 }
 
 // TestBuildCoverIsTotal: on generated data the built cover must be a
-// cover, and total w.r.t. the Coauthor relation (Definition 7).
+// cover, total w.r.t. the Coauthor relation (Definition 7), and hold no
+// neighborhood contained in another — with aligned context and with full
+// boundaries.
 func TestBuildCoverIsTotal(t *testing.T) {
+	full := DefaultConfig()
+	full.FullBoundary = true
 	for _, preset := range []datagen.Config{
 		datagen.HEPTHLike(0.2, 3),
 		datagen.DBLPLike(0.2, 3),
 	} {
 		d := datagen.MustGenerate(preset)
-		cover := BuildCover(d, DefaultConfig())
-		if !cover.IsCover() {
-			t.Fatalf("%s: not a cover", preset.Name)
+		for _, cfg := range []Config{DefaultConfig(), full} {
+			checkTotalAndMaximal(t, d, BuildCover(d, cfg))
 		}
-		if !cover.IsTotal(d.Coauthor()) {
-			t.Fatalf("%s: cover not total w.r.t. Coauthor; uncovered edge %v",
-				preset.Name, cover.FirstUncovered(d.Coauthor()))
-		}
+	}
+}
+
+// checkTotalAndMaximal fails unless cover is a total cover of d w.r.t.
+// Coauthor in which no neighborhood is a subset of another (brute force).
+func checkTotalAndMaximal(t testing.TB, d *bib.Dataset, cover *core.Cover) {
+	t.Helper()
+	if !cover.IsCover() {
+		t.Fatalf("%s: not a cover", d.Name)
+	}
+	if !cover.IsTotal(d.Coauthor()) {
+		t.Fatalf("%s: cover not total w.r.t. Coauthor; uncovered edge %v",
+			d.Name, cover.FirstUncovered(d.Coauthor()))
+	}
+	if kept := dropSubsumedOld(cover.Sets); len(kept) != cover.Len() {
+		t.Fatalf("%s: %d of %d neighborhoods are contained in another", d.Name, cover.Len()-len(kept), cover.Len())
 	}
 }
 

@@ -23,7 +23,10 @@ import (
 // The cover Add produces is byte-identical to rebuilding from scratch
 // with BuildCover on the union dataset — the property the differential
 // harness and FuzzIndexAdd pin — so an incremental pipeline and a cold
-// one agree on the blocking stage exactly.
+// one agree on the blocking stage exactly. Like BuildCover's, it holds no
+// neighborhood contained in another, so a set id of one Add's cover need
+// not name the same set in the next one's; Delta compares covers by
+// content.
 //
 // Index methods serialize internally, so concurrent Adds do not corrupt
 // state — but the SECOND of two concurrent Adds still observes the
@@ -33,13 +36,10 @@ type Index struct {
 	cfg Config
 
 	mu    sync.Mutex
-	tab   *gramTable // rows, gram ids and postings of the records ingested so far
-	cnt   []int32    // counting state of the (serialized) probes: a zero per row
-	cands [][]scored // loose candidate rows per row, ascending
-
-	prevSets map[string]bool   // content keys of the previous cover's sets
-	prevByID [][]core.EntityID // previous cover's sets by id (aliases, read-only)
-	cover    *core.Cover       // cover built by the last Add
+	tab   *gramTable  // rows, gram ids and postings of the records ingested so far
+	cnt   []int32     // counting state of the (serialized) probes: a zero per row
+	cands [][]scored  // loose candidate rows per row, ascending
+	cover *core.Cover // cover built by the last Add; the next Add diffs against it
 }
 
 // ErrStale reports that AddFrom found the index already advanced past
@@ -49,7 +49,10 @@ type Index struct {
 var ErrStale = errors.New("canopy: index advanced past the caller's base")
 
 // Delta reports what one Add changed: the appended entities and which
-// neighborhoods of the new cover cannot be assumed unchanged.
+// neighborhoods of the new cover cannot be assumed unchanged. Set ids are
+// NOT stable across Adds — the cover drops every set contained in another,
+// so a set that a grown one swallows vanishes and the ids after it shift —
+// and the delta therefore compares the two covers by content.
 type Delta struct {
 	// NewEntities are the record ids ingested by this Add (the dense
 	// suffix [oldLen, newLen) of the union dataset).
@@ -60,19 +63,18 @@ type Delta struct {
 	// entity- and candidate-level Affected expansion these are the
 	// neighborhoods a warm-started run must re-activate.
 	Changed []int32
-	// Additive reports whether the new cover only GREW in place: set ids
-	// are stable under ingestion (old seeds emit their canopies in the
-	// same order, new ones append), and Additive is true when every
-	// previous set is a subset of the set with the same id. That is the
-	// warm-start safety condition — grown neighborhoods can only grow a
-	// monotone matcher's output, so prior matches remain valid committed
-	// evidence. When false (the total-cover patching moved a boundary
-	// member elsewhere, shrinking some neighborhood relative to its
-	// predecessor), prior evidence may be unreproducible from scratch and
-	// the caller must fall back to a full re-run.
+	// Additive reports whether the new cover only GREW: every previous set
+	// is a subset of some set of the new cover. That is the warm-start
+	// safety condition — a monotone matcher derives from a neighborhood at
+	// least what it derived from any subset of it, so prior matches remain
+	// valid committed evidence. When false (the total-cover patching moved
+	// a boundary member elsewhere, so some previous neighborhood is in no
+	// new one), prior evidence may be unreproducible from scratch and the
+	// caller must fall back to a full re-run.
 	Additive bool
-	// Regressed lists the set ids violating Additive (empty when
-	// Additive) — diagnostics for the forced re-run path.
+	// Regressed lists the ids, in the previous cover, of the sets violating
+	// Additive (empty when Additive) — diagnostics for the forced re-run
+	// path.
 	Regressed []int32
 }
 
@@ -82,7 +84,7 @@ func NewIndex(cfg Config) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Index{cfg: cfg, tab: newGramTable(cfg.Q), prevSets: map[string]bool{}}, nil
+	return &Index{cfg: cfg, tab: newGramTable(cfg.Q)}, nil
 }
 
 // Config returns the blocking configuration the index was built with.
@@ -166,28 +168,28 @@ func (ix *Index) add(ctx context.Context, d *bib.Dataset) (*core.Cover, *Delta, 
 	for id := at.records; id < n; id++ {
 		delta.NewEntities = append(delta.NewEntities, core.EntityID(id))
 	}
-	ix.cover = cover
 
-	// Phase 3 — diff against the previous cover, by content (Changed)
-	// and by id (Additive). Set ids are stable under ingestion, so the
-	// id-wise subset test detects neighborhoods that SHRANK relative to
-	// their predecessor — the case that invalidates warm starts.
-	next := make(map[string]bool, len(ix.cover.Sets))
-	delta.Additive = true
-	for i, set := range ix.cover.Sets {
-		key := setKey(set)
-		next[key] = true
-		if !ix.prevSets[key] {
+	// Phase 3 — diff against the previous cover by content, each way through
+	// the other cover's containment index: a new set with no equal
+	// predecessor is Changed, and a previous set inside no new set —
+	// a neighborhood that SHRANK, the case that invalidates warm starts —
+	// is Regressed.
+	prev := ix.cover
+	for i, set := range cover.Sets {
+		if prev == nil || superset(prev, set, func(j int32) bool { return len(prev.Sets[j]) == len(set) }) < 0 {
 			delta.Changed = append(delta.Changed, int32(i))
 		}
-		if i < len(ix.prevByID) && !subsetOf(ix.prevByID[i], set) {
-			delta.Additive = false
-			delta.Regressed = append(delta.Regressed, int32(i))
+	}
+	if prev != nil {
+		for i, set := range prev.Sets {
+			if superset(cover, set, func(int32) bool { return true }) < 0 {
+				delta.Regressed = append(delta.Regressed, int32(i))
+			}
 		}
 	}
-	ix.prevSets = next
-	ix.prevByID = ix.cover.Sets
-	return ix.cover, delta, nil
+	delta.Additive = len(delta.Regressed) == 0
+	ix.cover = cover
+	return cover, delta, nil
 }
 
 // ingest inserts the records past those the table holds into it, scores the
@@ -230,21 +232,6 @@ func (ix *Index) ingest(ctx context.Context, d *bib.Dataset) (*core.Cover, error
 	return finishCover(ctx, d, ix.cfg, ix.emit())
 }
 
-// subsetOf reports a ⊆ b for ascending-sorted entity slices.
-func subsetOf(a, b []core.EntityID) bool {
-	j := 0
-	for _, e := range a {
-		for j < len(b) && b[j] < e {
-			j++
-		}
-		if j >= len(b) || b[j] != e {
-			return false
-		}
-		j++
-	}
-	return true
-}
-
 // emit runs the canopy emission loop of CanopiesContext over the cached
 // candidate lists (already loose-filtered and in row order).
 func (ix *Index) emit() [][]core.EntityID {
@@ -253,13 +240,4 @@ func (ix *Index) emit() [][]core.EntityID {
 		e.emit(core.EntityID(seed), ix.cands[row])
 	}
 	return e.canopies
-}
-
-// setKey renders a sorted entity slice as a map key for content diffing.
-func setKey(set []core.EntityID) string {
-	b := make([]byte, 0, len(set)*4)
-	for _, e := range set {
-		b = append(b, byte(e), byte(e>>8), byte(e>>16), byte(e>>24))
-	}
-	return string(b)
 }

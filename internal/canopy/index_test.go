@@ -83,9 +83,15 @@ func TestIndexAddMatchesBuildCover(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					prev := ix.Cover()
 					got, delta, err := ix.Add(context.Background(), union)
 					if err != nil {
 						t.Fatal(err)
+					}
+					checkDeltaByContent(t, prev, got, delta)
+					// The old scans pruned by brute force, over the prefix.
+					if want := finishCoverOld(union, DefaultConfig(), canopiesOld(refNames(union), DefaultConfig())); !reflect.DeepEqual(got.Sets, want) {
+						t.Fatalf("batch %d: incremental cover differs from the old scans over %d records", bi, len(ingested))
 					}
 					// Add filled union's name table (ingest reads the normalized
 					// names off it, finishCover the levels); candidates read off
@@ -101,14 +107,6 @@ func TestIndexAddMatchesBuildCover(t *testing.T) {
 					if len(delta.NewEntities) != len(batch) {
 						t.Fatalf("batch %d: delta reports %d new entities, want %d",
 							bi, len(delta.NewEntities), len(batch))
-					}
-					// Every changed id must be in range; unchanged sets must
-					// really have an identical predecessor (checked on the
-					// next Add via prevSets, here just bounds).
-					for _, id := range delta.Changed {
-						if id < 0 || int(id) >= got.Len() {
-							t.Fatalf("batch %d: changed id %d out of range [0,%d)", bi, id, got.Len())
-						}
 					}
 				}
 				if ix.Len() != len(records) {
@@ -223,7 +221,8 @@ func FuzzIndexAdd(f *testing.F) {
 			if err != nil {
 				t.Skip("records rejected by dataset synthesis")
 			}
-			got, _, err := ix.Add(context.Background(), union)
+			prev := ix.Cover()
+			got, delta, err := ix.Add(context.Background(), union)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,8 +230,52 @@ func FuzzIndexAdd(f *testing.F) {
 				t.Fatalf("batch %d: incremental cover diverges from scratch rebuild on %d fuzz records",
 					bi, len(ingested))
 			}
+			checkTotalAndMaximal(t, union, got)
+			checkDeltaByContent(t, prev, got, delta)
 		}
 	})
+}
+
+// checkDeltaByContent holds an Add's delta to a brute-force diff of the
+// covers before and after it (prev nil before the first Add): Changed lists
+// the new sets equal to no previous set, Regressed the previous sets inside
+// no new set, and Additive is true exactly when there are none of those.
+func checkDeltaByContent(t testing.TB, prev, cur *core.Cover, delta *Delta) {
+	t.Helper()
+	var prevSets [][]core.EntityID
+	if prev != nil {
+		prevSets = prev.Sets
+	}
+	member := make([]map[core.EntityID]bool, cur.Len())
+	for i, set := range cur.Sets {
+		member[i] = map[core.EntityID]bool{}
+		for _, e := range set {
+			member[i][e] = true
+		}
+	}
+	inSomeNewSet := func(set []core.EntityID) bool {
+		for j := range member {
+			if !slices.ContainsFunc(set, func(e core.EntityID) bool { return !member[j][e] }) {
+				return true
+			}
+		}
+		return false
+	}
+	var changed, regressed []int32
+	for i, set := range cur.Sets {
+		if !slices.ContainsFunc(prevSets, func(p []core.EntityID) bool { return slices.Equal(p, set) }) {
+			changed = append(changed, int32(i))
+		}
+	}
+	for i, set := range prevSets {
+		if !inSomeNewSet(set) {
+			regressed = append(regressed, int32(i))
+		}
+	}
+	if !slices.Equal(delta.Changed, changed) || !slices.Equal(delta.Regressed, regressed) || delta.Additive != (len(regressed) == 0) {
+		t.Fatalf("delta: changed %v, regressed %v, additive %v; brute force: changed %v, regressed %v",
+			delta.Changed, delta.Regressed, delta.Additive, changed, regressed)
+	}
 }
 
 // fuzzRecords turns fuzz bytes into ingestible records: NUL-separated

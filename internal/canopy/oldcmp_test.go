@@ -320,12 +320,48 @@ func alignedExpandIntoOld(d *bib.Dataset, pairSets, sets [][]core.EntityID, maxA
 	return out
 }
 
-// finishCoverOld is the set construction of finishCover over the old scans.
+// finishCoverOld is the set construction of finishCover over the old scans,
+// pruned by brute force.
 func finishCoverOld(d *bib.Dataset, cfg Config, canopies [][]core.EntityID) [][]core.EntityID {
 	if cfg.FullBoundary {
-		return expandBoundaryOld(canopies, d.Coauthor())
+		return dropSubsumedOld(expandBoundaryOld(canopies, d.Coauthor()))
 	}
-	return alignedExpandIntoOld(d, canopies, greedyTotalCoverOld(canopies, d.Coauthor()), cfg.MaxAligned)
+	return dropSubsumedOld(alignedExpandIntoOld(d, canopies, greedyTotalCoverOld(canopies, d.Coauthor()), cfg.MaxAligned))
+}
+
+// dropSubsumedOld is dropSubsumed by brute force: each set is tested against
+// every other through a membership map, and dropped when another contains it
+// and is larger or, being equal, comes first.
+func dropSubsumedOld(sets [][]core.EntityID) [][]core.EntityID {
+	member := make([]map[core.EntityID]bool, len(sets))
+	for i, set := range sets {
+		member[i] = map[core.EntityID]bool{}
+		for _, e := range set {
+			member[i][e] = true
+		}
+	}
+	within := func(i, j int) bool {
+		for e := range member[i] {
+			if !member[j][e] {
+				return false
+			}
+		}
+		return true
+	}
+	var out [][]core.EntityID
+	for i, set := range sets {
+		dropped := false
+		for j := range sets {
+			if j != i && within(i, j) && (len(member[j]) > len(member[i]) || j < i) {
+				dropped = true
+				break
+			}
+		}
+		if !dropped {
+			out = append(out, set)
+		}
+	}
+	return out
 }
 
 // oracleDatasets are the datasets the name table is pinned on: the three

@@ -18,13 +18,15 @@ import (
 // cached candidate lists and the previous cover. The gram dictionary, the
 // rows' gram ids and the postings are rebuilt on load by opening the rows
 // again in order (gram ids are handed out in order of first appearance, so
-// they come out as they were), the previous cover's content keys from its
-// sets. The format is gob over a mirror struct — slices only, so saving one
-// state twice gives the same bytes — behind a magic line naming the version;
-// it is a cache, so a failed load (garbage, an older version, ids out of
-// range) is recoverable by replaying records through a fresh index.
+// they come out as they were), the previous cover's containment index from
+// its sets. The format is gob over a mirror struct — slices only, so saving
+// one state twice gives the same bytes — behind a magic line naming the
+// version; it is a cache, so a failed load (garbage, an older version, ids
+// out of range) is recoverable by replaying records through a fresh index.
+// Version 4 holds a non-redundant cover; a version-3 blob's cover may keep
+// neighborhoods contained in others, so it is replayed rather than loaded.
 
-const indexBlobMagic = "CEMP3\n"
+const indexBlobMagic = "CEMP4\n"
 
 // indexWire mirrors Index with exported fields for gob.
 type indexWire struct {
@@ -110,13 +112,11 @@ func LoadIndex(data []byte) (*Index, error) {
 	ix.tab.rowOf, ix.cands, ix.cnt = w.RowOf, w.Cands, make([]int32, rows)
 	if w.HasCover {
 		for i, set := range w.Sets {
-			if !ascendingBelow(set, n) {
-				return nil, fmt.Errorf("canopy: index blob cover set %d: members not ascending in [0,%d)", i, n)
+			if len(set) == 0 || !ascendingBelow(set, n) {
+				return nil, fmt.Errorf("canopy: index blob cover set %d: empty, or members not ascending in [0,%d)", i, n)
 			}
-			ix.prevSets[setKey(set)] = true
 		}
 		ix.cover = core.NewCover(n, w.Sets)
-		ix.prevByID = ix.cover.Sets
 	}
 	return ix, nil
 }

@@ -82,12 +82,12 @@ func TestLoadIndexRejectsGarbage(t *testing.T) {
 		t.Fatal("LoadIndex accepted a corrupt gob body")
 	}
 	// The previous layouts (gram maps + string-keyed postings; a gram-table
-	// row per record) are refused by their magic, naming both versions,
-	// before any decoding.
-	for _, old := range []string{"CEMP1", "CEMP2"} {
+	// row per record; a cover that may keep subsumed neighborhoods) are
+	// refused by their magic, naming both versions, before any decoding.
+	for _, old := range []string{"CEMP1", "CEMP2", "CEMP3"} {
 		if _, err := LoadIndex([]byte(old + "\nwhatever")); err == nil ||
-			!strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "CEMP3") {
-			t.Fatalf("LoadIndex on a %s blob: err = %v, want a version error naming %s and CEMP3", old, err, old)
+			!strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "CEMP4") {
+			t.Fatalf("LoadIndex on a %s blob: err = %v, want a version error naming %s and CEMP4", old, err, old)
 		}
 	}
 	ix, err := NewIndex(DefaultConfig())

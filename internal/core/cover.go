@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -21,21 +20,18 @@ type Cover struct {
 }
 
 // NewCover wraps neighborhood sets over an entity universe of size n and
-// builds the containment index. Each neighborhood is sorted and deduped.
+// builds the containment index. Each neighborhood is copied, sorted and
+// deduped; blocking hands over sets already sorted, which are not sorted
+// again.
 func NewCover(n int, sets [][]EntityID) *Cover {
 	c := &Cover{Sets: make([][]EntityID, len(sets)), NumEntities: n}
 	for i, s := range sets {
 		dup := make([]EntityID, len(s))
 		copy(dup, s)
-		sort.Slice(dup, func(a, b int) bool { return dup[a] < dup[b] })
-		out := dup[:0]
-		for j, e := range dup {
-			if j > 0 && dup[j-1] == e {
-				continue
-			}
-			out = append(out, e)
+		if !slices.IsSorted(dup) {
+			slices.Sort(dup)
 		}
-		c.Sets[i] = out
+		c.Sets[i] = slices.Compact(dup)
 	}
 	c.buildIndex()
 	return c

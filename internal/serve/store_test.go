@@ -2,6 +2,13 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -9,6 +16,7 @@ import (
 	"time"
 
 	cem "repro"
+	"repro/internal/wire"
 	"repro/match"
 )
 
@@ -147,6 +155,112 @@ func TestServiceStoreKillRestart(t *testing.T) {
 	}
 	if got.RenderMatches() != renderPipelineMatches(cold) {
 		t.Error("store kill + restart diverges from the uninterrupted run")
+	}
+}
+
+// TestRecoverRefusedStoreSnapshot is the path a state directory written
+// before covers dropped subsumed neighborhoods takes: its store snapshot
+// and its round trail fingerprint more neighborhoods than the cover now
+// rebuilt over the same records. Neither may be trusted, so Recover logs
+// the refused reopen, replays the journal through the engine and serves
+// the byte-identical match set; the replay rewrites the snapshot, so the
+// next restart reopens it again.
+func TestRecoverRefusedStoreSnapshot(t *testing.T) {
+	records := testRecords(t, cem.HEPTH)
+	state := t.TempDir()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	restart := func(cfg Config) *Service {
+		t.Helper()
+		cfg.StateDir, cfg.Store, cfg.Batching = state, "disk", fastBatching
+		svc, err := New(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+
+	svc := restart(Config{})
+	for _, b := range batchCuts(records) {
+		ingestWait(t, svc, b)
+	}
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want := svc.Snapshot()
+
+	// Forge the older build's fingerprint: one neighborhood more, in the
+	// snapshot blob and in every record of the round trail.
+	forged, err := filepath.Glob(filepath.Join(state, "checkpoint", "round-*.ckpt"))
+	if err != nil || len(forged) == 0 {
+		t.Fatalf("no round trail to forge (%v)", err)
+	}
+	for _, path := range append(forged, filepath.Join(state, "store", "blob", "snapshot", "latest")) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck, err := wire.UnmarshalCheckpoint(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck.Neighborhoods++
+		ck.Visits = append(ck.Visits, 0)
+		if data, err = ck.Marshal(wire.Binary); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var mu sync.Mutex
+	var logs []string
+	svc2 := restart(Config{Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}})
+	srv := httptest.NewServer(svc2)
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/matches")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(body) != want.RenderMatches() || resp.Header.Get("X-Emserve-Seq") != fmt.Sprint(want.Seq) {
+		t.Errorf("/matches after the refused reopen: seq %s, %d bytes; want seq %d, %d bytes",
+			resp.Header.Get("X-Emserve-Seq"), len(body), want.Seq, len(want.RenderMatches()))
+	}
+	if n := svc2.metrics.StoreReopens.Value(); n != 0 {
+		t.Errorf("emserve_store_reopens_total = %d, want 0 (the snapshot disagrees with the cover)", n)
+	}
+	if calls := svc2.pipe.Stats().MatcherCalls; calls == 0 {
+		t.Error("no matcher calls: the journal was not replayed through the engine")
+	}
+	mu.Lock()
+	refused := slices.ContainsFunc(logs, func(l string) bool {
+		return strings.Contains(l, "store reopen failed, replaying the journal") && strings.Contains(l, "disagrees with the snapshot")
+	})
+	mu.Unlock()
+	if !refused {
+		t.Errorf("Recover did not log the refused reopen; logged %q", logs)
+	}
+	if err := svc2.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	svc3 := restart(Config{})
+	defer svc3.Kill()
+	if got := svc3.Snapshot(); got.Seq != want.Seq || got.RenderMatches() != want.RenderMatches() {
+		t.Errorf("restart after the replay: seq %d, %d matches; want seq %d, %d", got.Seq, got.Matches(), want.Seq, want.Matches())
+	}
+	if n := svc3.metrics.StoreReopens.Value(); n != 1 {
+		t.Errorf("restart after the replay: emserve_store_reopens_total = %d, want 1 (the replay rewrote the snapshot)", n)
 	}
 }
 

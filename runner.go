@@ -277,9 +277,9 @@ func (r *Runner) RunFrom(ctx context.Context, s Scheme, snap *Snapshot, activeSe
 		return nil, fmt.Errorf("cem: snapshot spans %d entities but the cover holds %d (snapshots only embed into grown experiments)",
 			snap.Entities, r.exp.Cover.NumEntities)
 	}
-	if snap.Neighborhoods > r.exp.Cover.Len() {
-		return nil, fmt.Errorf("cem: snapshot spans %d neighborhoods but the cover holds %d (snapshots only embed into grown experiments)",
-			snap.Neighborhoods, r.exp.Cover.Len())
+	if snap.Candidates > r.exp.Table.Len() {
+		return nil, fmt.Errorf("cem: snapshot spans %d candidate pairs but the experiment holds %d (snapshots only embed into grown experiments)",
+			snap.Candidates, r.exp.Table.Len())
 	}
 	warm := &core.WarmStart{Evidence: snap.Evidence, Messages: snap.Messages, Active: activeSeed}
 	return r.run(ctx, s, r.backend, warm, false)

@@ -168,21 +168,19 @@ func TestParallelNoMPIdenticalToSerial(t *testing.T) {
 }
 
 // TestContextCancellationAbortsMMP: canceling the context promptly
-// aborts a long MMP run with ctx.Err().
+// aborts a long MMP run with ctx.Err(). The cancel lands after the first
+// neighborhood evaluation, so the run is mid-flight however fast it is.
 func TestContextCancellationAbortsMMP(t *testing.T) {
 	exp, err := cem.New(cem.NewDataset(cem.HEPTH, 0.5, 42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner, err := exp.Runner(cem.MatcherMLN)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runner, err := exp.Runner(cem.MatcherMLN, cem.WithProgress(func(match.ProgressEvent) { cancel() }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
 	start := time.Now()
 	res, err := runner.Run(ctx, cem.SchemeMMP)
 	elapsed := time.Since(start)

@@ -19,12 +19,15 @@ type Snapshot struct {
 	// Matcher is the registry name of the producing matcher; verified by
 	// RunFrom like the checkpoint trail's matcher stamp. Empty opts out.
 	Matcher string
-	// Neighborhoods and Entities fingerprint the cover the snapshot was
-	// taken over. A continuation may run over a *larger* cover (that is
-	// the point of delta ingestion — entity ids are stable under append)
-	// but never a smaller one.
+	// Neighborhoods, Entities and Candidates fingerprint the experiment
+	// the snapshot was taken over. A continuation may run over a *grown*
+	// one (entity ids are stable under append, and a cover that only grew
+	// keeps every candidate pair) but never one with fewer entities or
+	// candidates; a grown cover may hold fewer neighborhoods, one having
+	// swallowed others. Zero Candidates opts out of its check.
 	Neighborhoods int
 	Entities      int
+	Candidates    int
 	// Evidence is the run's final match set as packed pair keys — the
 	// committed V+ a continuation starts from.
 	Evidence []match.PairKey
@@ -54,6 +57,7 @@ func (e *Experiment) Snapshot(res *Result) (*Snapshot, error) {
 		Matcher:       res.Matcher,
 		Neighborhoods: e.Cover.Len(),
 		Entities:      e.Cover.NumEntities,
+		Candidates:    e.Table.Len(),
 		Evidence:      matches.SortedKeys(),
 	}
 	for _, msg := range res.Messages {

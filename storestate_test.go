@@ -141,7 +141,8 @@ func TestStoreStateReopen(t *testing.T) {
 
 // TestStoreStateReopenOldIndexBlob pins that the index blob is a cache:
 // a store whose postings blob carries the previous format's magic (as
-// every store written before the gram-table layout does) still reopens,
+// every store written before covers dropped subsumed neighborhoods does)
+// still reopens,
 // by replaying the records through a fresh index, to the byte-identical
 // cover, and keeps ingesting incrementally.
 func TestStoreStateReopenOldIndexBlob(t *testing.T) {
@@ -166,10 +167,10 @@ func TestStoreStateReopenOldIndexBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(blob, []byte("CEMP3\n")) {
-		t.Fatalf("index blob starts %q, want the CEMP3 magic", blob[:6])
+	if !bytes.HasPrefix(blob, []byte("CEMP4\n")) {
+		t.Fatalf("index blob starts %q, want the CEMP4 magic", blob[:6])
 	}
-	old := append([]byte("CEMP2\n"), blob[6:]...)
+	old := append([]byte("CEMP3\n"), blob[6:]...)
 	if err := s.SaveBlob(match.KindPostings, "latest", old); err != nil {
 		t.Fatal(err)
 	}
