@@ -6,10 +6,12 @@ GOFLAGS  ?=
 # The hot-path micro-benchmarks `make bench` prints: the scheme executors
 # (the matching hot path this engine optimizes), the blocking stage, cover
 # preparation over the shared candidate table, and the matcher-level
-# micro-benchmarks (grounding, warm Match, and the verdict-memo
-# hit/miss/maximal paths). Gains are claimed with bench-pair, not these.
+# micro-benchmarks (grounding, warm Match, the verdict-memo
+# hit/miss/maximal paths, and MAP inference on the largest HEPTH-like 0.4
+# neighborhood, on one network and as MatchIDs solves it). Gains are
+# claimed with bench-pair, not these.
 SCHEME_BENCH   = ^Benchmark(NoMP|SMP|MMP|UB|Full|Blocking|Pipeline|Setup|PrepareCover|Grid)
-MATCHER_BENCH  = ^Benchmark(New|MatchWarm|MemoHit|MemoMiss|MemoMaximal)$$
+MATCHER_BENCH  = ^Benchmark(New|MatchWarm|MemoHit|MemoMiss|MemoMaximal|SolveMAP)$$
 # The storage-backend RSS benchmark matches the million-reference corpus
 # once per backend in a child process and reports the kernel-measured
 # peak RSS (maxrss-mb). Always 1x: each iteration is a full-corpus run.
@@ -132,8 +134,10 @@ bench-pair:
 	bash scripts/bench-pair.sh $(WORKLOAD) $(PARENT) $(N) $(SEED)
 
 # fuzz smoke-runs the correctness-critical fuzz targets: dense-vs-naive
-# scoring, the engine's evidence bitset against a plain pair set, the
-# candidate table (search, scoping, support join) against brute force,
+# scoring, the verdict memo against the unmemoized matcher, the closed-form
+# MAP solves against Dinic's network, the engine's evidence bitset against a
+# plain pair set, the candidate table (search, scoping, support join) against
+# brute force,
 # the ground-once rules engine against the evaluator it replaced,
 # the wire codec round trip, the name kernels against their
 # retained references (both Jaro loops; and NameLevel's symmetry, which the
@@ -148,6 +152,9 @@ fuzz:
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzNameLevelSymmetric$$' -fuzztime 10s ./internal/similarity/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzLevelCacheModel$$' -fuzztime 10s ./internal/bib/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz FuzzDenseLogScore -fuzztime 10s ./internal/mln/
+	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzMemoDifferential$$' -fuzztime 10s ./internal/mln/
+	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzPairMAP$$' -fuzztime 10s ./internal/mln/
+	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzSolveSmall$$' -fuzztime 10s ./internal/mln/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzEvidenceModel$$' -fuzztime 10s ./internal/core/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzCandidateTable$$' -fuzztime 10s ./internal/core/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzDenseMatchesOld$$' -fuzztime 10s ./internal/rules/

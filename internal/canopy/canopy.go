@@ -686,7 +686,7 @@ func alignedExpandInto(d *bib.Dataset, pairSets, sets [][]core.EntityID, maxAlig
 				expanded = append(expanded, e)
 			}
 		}
-		groups.similarPairs(pairSets[si], func(a, b core.EntityID) {
+		groups.similarPairs(pairSets[si], func(a, b core.EntityID, _ similarity.Level) {
 			// Gather the coauthor combinations (cheap, no similarity
 			// yet), order them by the ingestion-stable priority, and
 			// only then test name similarity, stopping at maxAligned
@@ -899,21 +899,29 @@ func Levels(pairs []SimilarPair) []similarity.Level {
 // The levels come from d.Names(). When d is the dataset the cover was built
 // on, the canopies' class pairs — most of what a neighborhood holds — were
 // scored by BuildCover, and only the pairs that totality patching and
-// aligned expansion brought together are scored here.
+// aligned expansion brought together are scored here. Each level is read
+// once per class pair of a neighborhood and carried with its pairs, never
+// looked up again per candidate.
 func CandidatePairs(d *bib.Dataset, cover *core.Cover) []SimilarPair {
-	names := d.Names()
-	groups := newClassGroups(names)
-	// later[a]: every b > a similar to a, once per neighborhood they share.
-	later := make([][]core.EntityID, d.NumRefs())
+	if d.NumRefs() > 1<<30 {
+		panic(fmt.Sprintf("canopy: %d references do not fit a candidate row word", d.NumRefs()))
+	}
+	groups := newClassGroups(d.Names())
+	// later[a]: b<<2 | level for every b > a similar to a, once per
+	// neighborhood they share. The level is a function of (a, b), so equal
+	// pairs have equal words and sort next to each other.
+	later := make([][]uint32, d.NumRefs())
 	for _, set := range cover.Sets {
-		groups.similarPairs(set, func(a, b core.EntityID) { later[a] = append(later[a], b) })
+		groups.similarPairs(set, func(a, b core.EntityID, l similarity.Level) {
+			later[a] = append(later[a], uint32(b)<<2|uint32(l))
+		})
 	}
 	var out []SimilarPair
-	for a, bs := range later {
-		slices.Sort(bs)
-		for _, b := range slices.Compact(bs) {
-			p := core.Pair{A: core.EntityID(a), B: b}
-			out = append(out, SimilarPair{Pair: p, Level: names.RefLevel(p.A, p.B)})
+	for a, row := range later {
+		slices.Sort(row)
+		for _, w := range slices.Compact(row) {
+			p := core.Pair{A: core.EntityID(a), B: core.EntityID(w >> 2)}
+			out = append(out, SimilarPair{Pair: p, Level: similarity.Level(w & 3)})
 		}
 	}
 	return out

@@ -22,12 +22,12 @@ func newClassGroups(t *bib.NameTable) *classGroups {
 	return &classGroups{t: t, slot: make([]int32, t.Classes()), mark: make([]int32, t.Classes())}
 }
 
-// similarPairs calls fn(a, b), a < b, for every pair of distinct members of
-// set whose names have a non-zero level — each pair once, in no particular
-// order. It looks one level up per pair of classes present in set and walks
-// member products only under the non-zero ones, so a neighborhood of many
-// references and few names costs its class pairs plus its output.
-func (g *classGroups) similarPairs(set []core.EntityID, fn func(a, b core.EntityID)) {
+// similarPairs calls fn(a, b, l), a < b, for every pair of distinct members
+// of set whose names have a non-zero level l — each pair once, in no
+// particular order. It looks one level up per pair of classes present in set
+// and walks member products only under the non-zero ones, so a neighborhood
+// of many references and few names costs its class pairs plus its output.
+func (g *classGroups) similarPairs(set []core.EntityID, fn func(a, b core.EntityID, l similarity.Level)) {
 	g.gen++
 	n := 0
 	for _, e := range set {
@@ -45,20 +45,23 @@ func (g *classGroups) similarPairs(set []core.EntityID, fn func(a, b core.Entity
 	}
 	for i, xs := range g.members[:n] {
 		cx := g.t.Class(xs[0])
-		if len(xs) > 1 && g.t.Level(cx, cx) != similarity.LevelNone {
-			for k, x := range xs {
-				for _, y := range xs[k+1:] {
-					fn(min(x, y), max(x, y))
+		if len(xs) > 1 {
+			if l := g.t.Level(cx, cx); l != similarity.LevelNone {
+				for k, x := range xs {
+					for _, y := range xs[k+1:] {
+						fn(min(x, y), max(x, y), l)
+					}
 				}
 			}
 		}
 		for _, ys := range g.members[i+1 : n] {
-			if g.t.Level(cx, g.t.Class(ys[0])) == similarity.LevelNone {
+			l := g.t.Level(cx, g.t.Class(ys[0]))
+			if l == similarity.LevelNone {
 				continue
 			}
 			for _, x := range xs {
 				for _, y := range ys {
-					fn(min(x, y), max(x, y))
+					fn(min(x, y), max(x, y), l)
 				}
 			}
 		}

@@ -11,8 +11,9 @@ package maxflow
 
 import "math"
 
-// eps is the tolerance below which residual capacity counts as exhausted.
-const eps = 1e-12
+// Eps is the tolerance at or below which residual capacity counts as
+// exhausted, for max-flow and min-cut alike.
+const Eps = 1e-12
 
 // Graph is a flow network over vertices [0, n).
 type Graph struct {
@@ -96,7 +97,7 @@ func (g *Graph) bfs(s, t int) bool {
 	for at := 0; at < len(queue); at++ {
 		v := queue[at]
 		for a := g.head[v]; a != -1; a = g.next[a] {
-			if g.cap_[a] > eps && g.level[g.to[a]] < 0 {
+			if g.cap_[a] > Eps && g.level[g.to[a]] < 0 {
 				g.level[g.to[a]] = g.level[v] + 1
 				queue = append(queue, g.to[a])
 			}
@@ -114,11 +115,11 @@ func (g *Graph) dfs(v, t int, f float64) float64 {
 	for ; g.iter[v] != -1; g.iter[v] = g.next[g.iter[v]] {
 		a := g.iter[v]
 		u := g.to[a]
-		if g.cap_[a] <= eps || g.level[u] != g.level[v]+1 {
+		if g.cap_[a] <= Eps || g.level[u] != g.level[v]+1 {
 			continue
 		}
 		d := g.dfs(int(u), t, math.Min(f, g.cap_[a]))
-		if d > eps {
+		if d > Eps {
 			g.cap_[a] -= d
 			g.cap_[a^1] += d
 			return d
@@ -145,7 +146,7 @@ func (g *Graph) MaxFlow(s, t int) float64 {
 		copy(g.iter, g.head)
 		for {
 			f := g.dfs(s, t, math.Inf(1))
-			if f <= eps {
+			if f <= Eps {
 				break
 			}
 			flow += f
@@ -162,7 +163,8 @@ func (g *Graph) MinCutSource(s int) []bool {
 
 // MinCutSourceInto is MinCutSource writing into a caller-provided buffer
 // (len ≥ n, reused across solves); the buffer's first n entries are
-// overwritten and returned.
+// overwritten and returned. The source side is exactly the vertices
+// reachable from s over residual capacity > Eps, with no other tie-break.
 func (g *Graph) MinCutSourceInto(s int, seen []bool) []bool {
 	seen = seen[:g.n]
 	for i := range seen {
@@ -174,7 +176,7 @@ func (g *Graph) MinCutSourceInto(s int, seen []bool) []bool {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for a := g.head[v]; a != -1; a = g.next[a] {
-			if g.cap_[a] > eps && !seen[g.to[a]] {
+			if g.cap_[a] > Eps && !seen[g.to[a]] {
 				seen[g.to[a]] = true
 				stack = append(stack, g.to[a])
 			}

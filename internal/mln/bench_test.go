@@ -17,8 +17,13 @@ type benchEnv struct {
 // benchGround builds the HEPTH-like 0.25 corpus the scheme benchmarks
 // use and returns its grounding inputs.
 func benchGround(b testing.TB) (env benchEnv, cands []Candidate) {
+	return benchGroundAt(b, 0.25)
+}
+
+// benchGroundAt is benchGround at another HEPTH-like scale.
+func benchGroundAt(b testing.TB, scale float64) (env benchEnv, cands []Candidate) {
 	b.Helper()
-	ds := datagen.MustGenerate(datagen.HEPTHLike(0.25, 42))
+	ds := datagen.MustGenerate(datagen.HEPTHLike(scale, 42))
 	cover := canopy.BuildCover(ds, canopy.DefaultConfig())
 	sp := canopy.CandidatePairs(ds, cover)
 	cands = make([]Candidate, len(sp))
@@ -75,8 +80,13 @@ func largestNeighborhood(c *core.Cover) int {
 // returns the matcher with its largest neighborhood — the shared setup
 // of the memoization benchmarks.
 func benchPrepared(b *testing.B) (*Matcher, []core.EntityID) {
+	return benchPreparedAt(b, 0.25)
+}
+
+// benchPreparedAt is benchPrepared at another HEPTH-like scale.
+func benchPreparedAt(b *testing.B, scale float64) (*Matcher, []core.EntityID) {
 	b.Helper()
-	env, cands := benchGround(b)
+	env, cands := benchGroundAt(b, scale)
 	m, err := New(env.d, cands, PaperWeights())
 	if err != nil {
 		b.Fatal(err)
@@ -105,19 +115,21 @@ func BenchmarkMemoHit(b *testing.B) {
 }
 
 // BenchmarkMemoMiss measures the worst case for the memo: the relevant
-// evidence flips every iteration, so every lookup invalidates, resolves
-// from scratch and re-stores. The delta against BenchmarkMatchWarm at
-// the pre-memo baseline is the layer's overhead on never-hitting
-// workloads.
+// evidence cycles through one state more than a scope has ways, so the
+// least recently used way is always the one needed next and every lookup
+// invalidates, resolves from scratch and re-stores. The delta against
+// BenchmarkMatchWarm at the pre-memo baseline is the layer's overhead on
+// never-hitting workloads.
 func BenchmarkMemoMiss(b *testing.B) {
 	m, entities := benchPrepared(b)
-	flip := m.Candidates(entities)[0]
-	empty, one := core.NewPairSet(), core.NewPairSet(flip)
-	evidence := []core.PairSet{empty, one}
+	evidence := []core.PairSet{core.NewPairSet()}
+	for _, p := range m.Candidates(entities)[:memoWays] {
+		evidence = append(evidence, core.NewPairSet(p))
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Match(entities, evidence[i%2], nil)
+		m.Match(entities, evidence[i%len(evidence)], nil)
 	}
 	b.StopTimer()
 	if st := m.CacheStats(); st.Hits > 1 {

@@ -229,9 +229,11 @@ func (m *Matcher) CandidateTable() *core.CandidateTable { return m.table }
 // ascending ids of the matched in-scope candidates.
 //
 // On prepared cover neighborhoods the call first consults the scope's
-// verdict memo (memo.go): when the read-set fingerprint matches the
-// cached entry, the cached match set is returned without building or
+// verdict memo (memo.go): when the read-set fingerprint matches one of
+// the cached verdicts, its match set is returned without building or
 // solving the submodel — provably the set recomputation would produce.
+// Otherwise the submodel is solved by solveSmall, which builds a flow
+// network only for its components of three or more variables.
 func (m *Matcher) MatchIDs(entities []core.EntityID, pos, neg *core.Evidence) []int32 {
 	ws := m.getWS()
 	defer m.putWS(ws)
@@ -247,9 +249,7 @@ func (m *Matcher) MatchIDs(entities []core.EntityID, pos, neg *core.Evidence) []
 		ws.x = make([]bool, len(lm.free))
 	}
 	x := ws.x[:len(lm.free)]
-	if len(lm.free) > 0 {
-		solveMAPInto(lm.eff, lm.edges, x)
-	}
+	solveSmall(lm.eff, lm.deg, lm.edges, x, &ws.small)
 	// One sweep in scope order — id order — over the decided positions
 	// (in-scope positive evidence is echoed) and the solved ones.
 	out := ws.out[:0]

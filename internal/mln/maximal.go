@@ -1,7 +1,6 @@
 package mln
 
 import (
-	"bytes"
 	"slices"
 
 	"repro/internal/core"
@@ -66,12 +65,14 @@ func (m *Matcher) MaximalMessages(entities []core.EntityID, mPlus, neg, base cor
 // (clamping a variable can only entail variables in its own component,
 // so each probe solves just its component), probes only free pairs that
 // can reach a non-negative score under total local support, and derives
-// the mutual-entailment groups from the probe solutions. Probe solves
-// draw their flow networks from the shared solver pool and all component
-// bookkeeping from the pooled workspace.
+// the mutual-entailment groups from the probe solutions. A probe on a
+// two-variable component — nearly all of them on the bibliographic corpora
+// — is pairMAP; larger components draw their flow networks from the shared
+// solver pool, and all component bookkeeping comes from the pooled
+// workspace. calls counts every probe either way.
 // Prepared cover neighborhoods consult the scope's verdict memo first:
-// when the read-set fingerprint matches the cached entry AND base equals
-// the cached match verdict (the Step-5 protocol — MatchIDs feeds its
+// when the read-set fingerprint matches a cached way AND base equals
+// that way's match verdict (the Step-5 protocol — MatchIDs feeds its
 // output straight back in), the cached message list is returned as a deep
 // copy, skipping every probe solve. calls reports the cached probe count
 // so run statistics stay identical with memoization on or off.
@@ -80,34 +81,12 @@ func (m *Matcher) MaximalMessagesIDs(entities []core.EntityID, mPlus, neg *core.
 	defer m.putWS(ws)
 	sc := m.scopeOf(entities, ws)
 	if key := m.memoKey(sc, mPlus, neg, ws); key != nil {
-		e := sc.memo.Load()
-		if e == nil {
-			m.cacheMisses.Add(1)
-		} else {
-			store := false
-			e.mu.Lock()
-			switch {
-			case !e.valid:
-				m.cacheMisses.Add(1)
-			case !bytes.Equal(e.states, key):
-				m.cacheInvals.Add(1)
-			case e.msgsValid && slices.Equal(base, e.match):
-				m.cacheHits.Add(1)
-				msgs, calls = copyMsgs(e.msgs), e.msgCalls
-				e.mu.Unlock()
-				return msgs, calls
-			default:
-				m.cacheMisses.Add(1)
-				// Cache the computed messages only for Step-5 callers
-				// (base equals the cached match verdict): any other base
-				// changes the probe set, so the verdict is not the
-				// memoizable one.
-				store = slices.Equal(base, e.match)
-			}
-			e.mu.Unlock()
-			if store {
-				defer func() { m.memoStoreMsgs(e, key, msgs, calls) }()
-			}
+		cached, cachedCalls, hit, store := m.memoMsgs(sc, key, base)
+		if hit {
+			return cached, cachedCalls
+		}
+		if store {
+			defer func() { m.memoStoreMsgs(sc, key, msgs, calls) }()
 		}
 	}
 	lm := m.buildLocal(sc, mPlus, neg, ws)
@@ -229,7 +208,12 @@ func (m *Matcher) MaximalMessagesIDs(entities []core.EntityID, mPlus, neg *core.
 		for pi, li := range mm.probes {
 			copy(mm.subUnary, mm.subEff[:k])
 			mm.subUnary[li] = clampWeight
-			solveMAPInto(mm.subUnary[:k], compEdges, mm.probeOut[pi*k:(pi+1)*k])
+			out := mm.probeOut[pi*k : (pi+1)*k]
+			if k == 2 && len(compEdges) == 1 {
+				out[0], out[1] = pairMAP(mm.subUnary[0], mm.subUnary[1], compEdges[0].W)
+			} else {
+				solveMAPInto(mm.subUnary[:k], compEdges, out)
+			}
 			calls++
 		}
 		// Mutual entailment: probes p, q are grouped when each appears in

@@ -1,29 +1,40 @@
 package mln
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/bib"
 	"repro/internal/canopy"
 	"repro/internal/core"
 	"repro/internal/datagen"
+	emnet "repro/internal/net"
+	"repro/internal/wire"
 )
 
 // memoEnv holds two matchers over the same grounding: memo with the
 // verdict memo on (the default), ref with it off — the naive reference
 // every differential check below compares against.
 type memoEnv struct {
+	d     *bib.Dataset
 	cover *core.Cover
 	memo  *Matcher
 	ref   *Matcher
 }
 
 func memoGround(t testing.TB, seed int64) memoEnv {
+	return memoGroundAt(t, 0.08, seed)
+}
+
+// memoGroundAt is memoGround on a HEPTH-like corpus of the given scale.
+func memoGroundAt(t testing.TB, scale float64, seed int64) memoEnv {
 	t.Helper()
-	d := datagen.MustGenerate(datagen.HEPTHLike(0.08, seed))
+	d := datagen.MustGenerate(datagen.HEPTHLike(scale, seed))
 	cover := canopy.BuildCover(d, canopy.DefaultConfig())
 	sp := canopy.CandidatePairs(d, cover)
 	cands := make([]Candidate, len(sp))
@@ -41,7 +52,7 @@ func memoGround(t testing.TB, seed int64) memoEnv {
 	ref.SetMemoization(false)
 	memo.PrepareCover(cover)
 	ref.PrepareCover(cover)
-	return memoEnv{cover, memo, ref}
+	return memoEnv{d, cover, memo, ref}
 }
 
 // checkNeighborhood compares the memoized and unmemoized verdicts of one
@@ -118,6 +129,162 @@ func TestMemoDifferentialGrowth(t *testing.T) {
 	}
 	if ref := env.ref.CacheStats(); ref.Lookups() != 0 {
 		t.Fatalf("reference matcher consulted the memo: %+v", ref)
+	}
+}
+
+// TestMemoWays drives one scope's ways through every store path — a new
+// way, the way already holding the fingerprint, a way emptied by
+// SetWeights, and the least recently used way, whose slices are recycled —
+// and checks the lookups and message verdicts each leaves behind.
+func TestMemoWays(t *testing.T) {
+	m := &Matcher{}
+	p := &prepared{skel: make([]scope, 1)}
+	m.prep.Store(p)
+	sc := &p.skel[0]
+	key := func(i int) []uint8 { return []uint8{stFilled, stFilled | uint8(i)} }
+	hit := func(i int) bool {
+		got, ok := m.memoMatch(sc, key(i))
+		if ok && !slices.Equal(got, []int32{int32(i)}) {
+			t.Fatalf("way of key %d holds match %v", i, got)
+		}
+		return ok
+	}
+	want := func(hits, misses, invals int64) {
+		t.Helper()
+		if st := m.CacheStats(); st != (core.CacheReport{Hits: hits, Misses: misses, Invalidations: invals}) {
+			t.Fatalf("counters = %+v, want %d/%d/%d", st, hits, misses, invals)
+		}
+	}
+
+	if hit(1) {
+		t.Fatal("hit on a scope that never stored")
+	}
+	for i := 1; i <= memoWays; i++ {
+		m.memoStoreMatch(sc, key(i), []int32{int32(i)})
+		if n := len(sc.memo.Load().ways); n != i {
+			t.Fatalf("%d stores left %d ways", i, n)
+		}
+	}
+	want(0, 1, 0)
+	if !hit(2) || hit(9) {
+		t.Fatal("lookups over four full ways")
+	}
+	want(1, 1, 1)
+	m.memoStoreMsgs(sc, key(1), [][]core.Pair{{{A: 1, B: 2}}}, 3)
+	m.memoStoreMatch(sc, key(1), []int32{1}) // the way holding key 1: messages survive
+	if msgs, calls, ok, _ := m.memoMsgs(sc, key(1), []int32{1}); !ok || calls != 3 || len(msgs) != 1 {
+		t.Fatalf("message verdict of key 1 = %v, %d, %v", msgs, calls, ok)
+	}
+	if _, _, ok, store := m.memoMsgs(sc, key(1), []int32{7}); ok || store {
+		t.Fatal("a base other than the cached match served or stored messages")
+	}
+	want(2, 2, 1)
+
+	// Key 3 is now the least recently used: 4 was stored after it, and 1
+	// and 2 were used since.
+	e := sc.memo.Load()
+	victim := &e.ways[2]
+	backing := &victim.states[0]
+	m.memoStoreMatch(sc, key(5), []int32{5})
+	if len(e.ways) != memoWays || !slices.Equal(victim.states, key(5)) || &victim.states[0] != backing {
+		t.Fatalf("eviction did not recycle the least recently used way: %+v", e.ways)
+	}
+	if hit(3) || !hit(5) || !hit(4) || !hit(1) || !hit(2) {
+		t.Fatal("lookups after evicting key 3")
+	}
+
+	// SetWeights empties every way; the next store reuses one.
+	m.invalidateMemos()
+	want(6, 2, 2+memoWays)
+	if hit(5) {
+		t.Fatal("hit after invalidation")
+	}
+	m.memoStoreMatch(sc, key(6), []int32{6})
+	if len(e.ways) != memoWays || !hit(6) {
+		t.Fatalf("store after invalidation grew the ways or missed: %d ways", len(e.ways))
+	}
+	want(7, 3, 2+memoWays)
+}
+
+// memoWayStates copies the fingerprint of every valid way of every
+// prepared scope, by scope and way index.
+func memoWayStates(m *Matcher) [][]string {
+	p := m.prep.Load()
+	out := make([][]string, len(p.skel))
+	for i := range p.skel {
+		if e := p.skel[i].memo.Load(); e != nil {
+			for _, w := range e.ways {
+				s := ""
+				if w.used != 0 {
+					s = string(w.states)
+				}
+				out[i] = append(out[i], s)
+			}
+		}
+	}
+	return out
+}
+
+// TestMemoAcrossRuns runs one experiment's scheme sequence — NO-MP, SMP,
+// MMP, sharded K=2 on both codecs — on a memo-on matcher and a memo-off
+// one. Every run's matches and RunStats (but Cache and the clocks) must be
+// identical; the last run must be served from the ways the earlier ones
+// filled; and both paths a store can take past the first way — a new way
+// and an eviction — must fire.
+func TestMemoAcrossRuns(t *testing.T) {
+	env := memoGroundAt(t, 0.4, 2001)
+	runs := []struct {
+		name string
+		run  func(cfg core.Config) (*core.Result, error)
+	}{
+		{"nomp", func(cfg core.Config) (*core.Result, error) { return core.NoMP(context.Background(), cfg) }},
+		{"smp", func(cfg core.Config) (*core.Result, error) { return core.SMP(context.Background(), cfg) }},
+		{"mmp", func(cfg core.Config) (*core.Result, error) { return core.MMP(context.Background(), cfg) }},
+		{"sharded", func(cfg core.Config) (*core.Result, error) {
+			return core.RunBackend(context.Background(), cfg, "SMP", &emnet.Backend{Workers: 2}, core.CheckpointConfig{})
+		}},
+		{"sharded-net", func(cfg core.Config) (*core.Result, error) {
+			b := &emnet.Backend{Workers: 2, Opts: emnet.Options{Format: wire.JSON}}
+			return core.RunBackend(context.Background(), cfg, "SMP", b, core.CheckpointConfig{})
+		}},
+	}
+	grew, evicted := false, false
+	prev := memoWayStates(env.memo)
+	for _, r := range runs {
+		var res [2]*core.Result
+		for i, m := range []*Matcher{env.memo, env.ref} {
+			var err error
+			if res[i], err = r.run(core.Config{Cover: env.cover, Matcher: m, Relation: env.d.Coauthor()}); err != nil {
+				t.Fatalf("%s: %v", r.name, err)
+			}
+		}
+		if !res[0].Matches.Equal(res[1].Matches) {
+			t.Fatalf("%s: memoized matches diverged", r.name)
+		}
+		got, want := res[0].Stats, res[1].Stats
+		for _, st := range []*core.RunStats{&got, &want} {
+			st.Cache, st.Elapsed, st.MatcherTime = core.CacheReport{}, 0, 0
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: memoized RunStats %+v, want %+v", r.name, got, want)
+		}
+		t.Logf("%s: %v calls=%d evals=%d", r.name, res[0].Stats.Cache, res[0].Stats.MatcherCalls, res[0].Stats.Evaluations)
+		if r.name == "sharded-net" {
+			if rate := res[0].Stats.Cache.HitRate(); rate < 0.9 {
+				t.Errorf("sharded-net hit rate %.3f < 0.9 (%v)", rate, res[0].Stats.Cache)
+			}
+		}
+		cur := memoWayStates(env.memo)
+		for i := range cur {
+			grew = grew || len(cur[i]) > max(len(prev[i]), 1)
+			for j := range min(len(prev[i]), len(cur[i])) {
+				evicted = evicted || prev[i][j] != "" && prev[i][j] != cur[i][j]
+			}
+		}
+		prev = cur
+	}
+	if !grew || !evicted {
+		t.Fatalf("store paths left unexercised: new way %v, eviction %v", grew, evicted)
 	}
 }
 
@@ -232,7 +399,7 @@ var fuzzMemoEnv = sync.OnceValue(func() *memoEnv {
 	ref.SetMemoization(false)
 	memo.PrepareCover(cover)
 	ref.PrepareCover(cover)
-	return &memoEnv{cover, memo, ref}
+	return &memoEnv{d, cover, memo, ref}
 })
 
 // FuzzMemoDifferential drives arbitrary evidence sequences against both

@@ -40,7 +40,7 @@ type boundaryEdge struct {
 // scope is the skeleton of one neighborhood: its scoped candidate ids
 // (ascending; the table's own list for a prepared neighborhood), the
 // local interaction list and the out-of-scope boundary. memo holds the
-// scope's last verdict (see memo.go).
+// scope's cached verdicts (see memo.go).
 type scope struct {
 	ids      []int32
 	edges    []scopeEdge
@@ -151,8 +151,9 @@ type workspace struct {
 	x     []bool
 	out   []int32 // MatchIDs' output before it is copied out
 
-	eph scope          // ephemeral skeleton for non-cover entity slices
-	mm  maximalScratch // MaximalMessages component bookkeeping
+	eph   scope          // ephemeral skeleton for non-cover entity slices
+	mm    maximalScratch // MaximalMessages component bookkeeping
+	small smallScratch   // MatchIDs' network for components of ≥ 3 variables
 }
 
 // getWS hands out a clean workspace.
@@ -185,6 +186,19 @@ func newWorkspace(numPairs int) *workspace {
 	return ws
 }
 
+// evidenceState is candidate pair id's state byte: stFilled plus its
+// evidence membership bits.
+func evidenceState(id int32, pos, neg *core.Evidence) uint8 {
+	v := stFilled
+	if pos.HasID(id) {
+		v |= stPos
+	}
+	if neg.HasID(id) {
+		v |= stNeg
+	}
+	return v
+}
+
 // fillState reads the evidence bits of candidate pair id into the state
 // vector (once per id per call) and returns the state.
 func (ws *workspace) fillState(id int32, pos, neg *core.Evidence) uint8 {
@@ -192,13 +206,7 @@ func (ws *workspace) fillState(id int32, pos, neg *core.Evidence) uint8 {
 	if v != 0 {
 		return v
 	}
-	v = stFilled
-	if pos.HasID(id) {
-		v |= stPos
-	}
-	if neg.HasID(id) {
-		v |= stNeg
-	}
+	v = evidenceState(id, pos, neg)
 	ws.state[id] = v
 	ws.touched = append(ws.touched, id)
 	return v

@@ -117,6 +117,85 @@ func solveMAPInto(unary []float64, edges []Edge, out []bool) {
 	copy(out, side[:n])
 }
 
+// pairMAP is solveMAPInto on two variables joined by one edge, in closed
+// form: the float operations Dinic performs on that four-vertex network.
+// With c = −u − w/2 (an edge with w ≤ 0 gets no arc but still shifts c),
+// there is at most one augmenting path, s→p→q→t or s→q→p→t; Dinic sends
+// min(+Inf, source, w/2, sink) along it, and the answer is reachability
+// from s at > maxflow.Eps. FuzzPairMAP holds it to solveMAPInto.
+func pairMAP(up, uq, w float64) (xp, xq bool) {
+	cp, cq := -up-w/2, -uq-w/2
+	srcP, snkP := max(-cp, 0), max(cp, 0)
+	srcQ, snkQ := max(-cq, 0), max(cq, 0)
+	pq, qp := max(w/2, 0), max(w/2, 0) // the undirected edge's residuals
+	const eps = maxflow.Eps
+	if srcP > eps && pq > eps && snkQ > eps {
+		f := min(srcP, pq, snkQ)
+		srcP, pq, qp, snkQ = srcP-f, pq-f, qp+f, snkQ-f
+	} else if srcQ > eps && qp > eps && snkP > eps {
+		f := min(srcQ, qp, snkP)
+		srcQ, qp, pq, snkP = srcQ-f, qp-f, pq+f, snkP-f
+	}
+	return srcP > eps || srcQ > eps && qp > eps, srcQ > eps || srcP > eps && pq > eps
+}
+
+// smallScratch is solveSmall's network model and its renumbering.
+type smallScratch struct {
+	idx   []int32 // variable -> index in the network, -1 when decided in closed form
+	unary []float64
+	edges []Edge
+	x     []bool
+}
+
+// solveSmall is solveMAPInto on a model whose variable i has deg[i] edges,
+// with a network only for its components of three or more variables. A
+// variable of degree 0 is a lone source arc: x = unary > Eps. Two degree-1
+// variables joined by one edge are pairMAP. The rest share one network, in
+// ascending variable order with the edges in their original order, so every
+// arc list and augmentation on a component is the whole-model network's:
+// components share only s and t, and after max-flow t is unreachable.
+// FuzzSolveSmall holds it to solveMAPInto.
+func solveSmall(unary []float64, deg []int32, edges []Edge, out []bool, sc *smallScratch) {
+	sc.idx = grow(sc.idx, len(unary))
+	for i, d := range deg {
+		sc.idx[i] = -1
+		if d == 0 {
+			out[i] = unary[i] > maxflow.Eps
+		}
+	}
+	rest := false
+	for _, e := range edges {
+		if deg[e.I] == 1 && deg[e.J] == 1 {
+			out[e.I], out[e.J] = pairMAP(unary[e.I], unary[e.J], e.W)
+		} else {
+			sc.idx[e.I], sc.idx[e.J], rest = 0, 0, true
+		}
+	}
+	if !rest {
+		return
+	}
+	sc.unary = sc.unary[:0]
+	for i, k := range sc.idx {
+		if k >= 0 {
+			sc.idx[i] = int32(len(sc.unary))
+			sc.unary = append(sc.unary, unary[i])
+		}
+	}
+	sc.edges = sc.edges[:0]
+	for _, e := range edges {
+		if k := sc.idx[e.I]; k >= 0 {
+			sc.edges = append(sc.edges, Edge{I: int(k), J: int(sc.idx[e.J]), W: e.W})
+		}
+	}
+	sc.x = grow(sc.x, len(sc.unary))
+	solveMAPInto(sc.unary, sc.edges, sc.x)
+	for i, k := range sc.idx {
+		if k >= 0 {
+			out[i] = sc.x[k]
+		}
+	}
+}
+
 // ScoreAssignment evaluates f(x) for an assignment (test helper and
 // promotion checks).
 func ScoreAssignment(unary []float64, edges []Edge, x []bool) float64 {

@@ -225,8 +225,8 @@ func (m *Metrics) WritePrometheus(w io.Writer, g GaugeValues) error {
 	counter("emserve_update_errors_total", "Updates that failed (the batch was not committed).", m.UpdateErrors.Value())
 	counter("emserve_matcher_calls_total", "Matcher.Match invocations across all committed updates.", m.MatcherCalls.Value())
 	counter("emserve_memo_hits_total", "Matcher verdict-memo hits across all committed updates.", m.MemoHits.Value())
-	counter("emserve_memo_misses_total", "Matcher verdict-memo misses (computed fresh, no cached entry).", m.MemoMisses.Value())
-	counter("emserve_memo_invalidations_total", "Matcher verdict-memo invalidations (cached entry's relevant evidence changed).", m.MemoInvals.Value())
+	counter("emserve_memo_misses_total", "Matcher verdict-memo misses (computed fresh, no cached verdict).", m.MemoMisses.Value())
+	counter("emserve_memo_invalidations_total", "Matcher verdict-memo invalidations (no cached verdict holds the relevant evidence).", m.MemoInvals.Value())
 	counter("emserve_reassignments_total", "Partitions replayed on a live worker after a worker death or round-deadline breach.", m.Reassignments.Value())
 	counter("emserve_retried_sends_total", "Transport sends retried after a transient error.", m.RetriedSends.Value())
 	counter("emserve_late_batches_dropped_total", "Stale-epoch shard batches dropped (a zombie worker answered a reassigned partition).", m.LateBatches.Value())
