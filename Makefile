@@ -41,12 +41,13 @@ vet:
 	$(GO) vet $(GOFLAGS) ./...
 
 # bench prints the hot-path benchmark table; its last command is the blocking
-# stage at the workloads' sizes and at scale 8, batch and incremental.
+# stage at the workloads' sizes and at scale 8, batch and incremental, and
+# its cover and candidate steps as a cold run pays for them.
 bench:
 	$(GO) test $(GOFLAGS) -run '^$$' -bench '$(SCHEME_BENCH)' -benchmem -benchtime $(BENCHTIME) .
 	$(GO) test $(GOFLAGS) -run '^$$' -bench '$(MATCHER_BENCH)' -benchmem -benchtime $(MATCHER_BENCHTIME) ./internal/mln/
 	$(GO) test $(GOFLAGS) -run '^$$' -bench '^BenchmarkRulesSMP' -benchmem -benchtime 20x -cpu 1 ./internal/rules/
-	$(GO) test $(GOFLAGS) -run '^$$' -bench '^Benchmark(Canopies|IndexAdd)$$' -benchmem -benchtime $(BENCHTIME) ./internal/canopy/
+	$(GO) test $(GOFLAGS) -run '^$$' -bench '^Benchmark(Canopies|IndexAdd|BuildCoverHEPTH|FinishCoverHEPTH|CandidatePairsHEPTH)$$' -benchmem -benchtime $(BENCHTIME) ./internal/canopy/
 
 # cover runs the test suite with a coverage profile and grades it
 # against the committed ratchet; cover-check grades an existing
@@ -141,8 +142,9 @@ bench-pair:
 # the ground-once rules engine against the evaluator it replaced,
 # the wire codec round trip, the name kernels against their
 # retained references (both Jaro loops; and NameLevel's symmetry, which the
-# dataset's level cache relies on), that cache's open-addressed table
-# against a plain map, and blocking — sharded vs serial canopies, the row
+# dataset's level cache relies on), the open-addressed table of blocking's
+# pair relations (that cache, the aligned memo, the candidates) against a
+# plain map, and blocking — sharded vs serial canopies, the row
 # scorer vs the per-record one it replaced, incremental vs scratch covers,
 # index blob loading, and the durability trail over arbitrary directory
 # listings (the nightly CI job runs every Fuzz* target, found by name, for
@@ -150,7 +152,7 @@ bench-pair:
 fuzz:
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzJaroMatchesReference$$' -fuzztime 10s ./internal/similarity/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzNameLevelSymmetric$$' -fuzztime 10s ./internal/similarity/
-	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzLevelCacheModel$$' -fuzztime 10s ./internal/bib/
+	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzTableModel$$' -fuzztime 10s ./internal/flat/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz FuzzDenseLogScore -fuzztime 10s ./internal/mln/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzMemoDifferential$$' -fuzztime 10s ./internal/mln/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzPairMAP$$' -fuzztime 10s ./internal/mln/

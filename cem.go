@@ -276,16 +276,12 @@ func setup(d *match.Dataset, opts Options, cover *core.Cover) (*Experiment, erro
 		return nil, fmt.Errorf("cem: %w", err)
 	}
 
-	truth := match.NewPairSet()
-	for p := range d.TruePairs() {
-		truth.Add(match.MakePair(p[0], p[1]))
-	}
 	e := &Experiment{
 		Dataset:    d,
 		Cover:      cover,
 		Candidates: cands,
 		Table:      table,
-		Truth:      truth,
+		Truth:      truthOf(d),
 		opts:       opts,
 		built:      map[string]match.Matcher{},
 	}
@@ -303,6 +299,31 @@ func setup(d *match.Dataset, opts Options, cover *core.Cover) (*Experiment, erro
 	e.MLN = mlnM.(*mln.Matcher)
 	e.Rules = rulesM.(*rules.Matcher)
 	return e, nil
+}
+
+// truthOf is d.TruePairs as one PairSet: the labeled references are grouped
+// by author, and the Σ C(k, 2) pairs of the groups go into a set sized to
+// hold them.
+func truthOf(d *match.Dataset) match.PairSet {
+	byAuthor := map[bib.AuthorID][]match.EntityID{}
+	for i := range d.Refs {
+		if t := d.Refs[i].True; t >= 0 {
+			byAuthor[t] = append(byAuthor[t], match.EntityID(i))
+		}
+	}
+	pairs := 0
+	for _, refs := range byAuthor {
+		pairs += len(refs) * (len(refs) - 1) / 2
+	}
+	truth := make(match.PairSet, pairs)
+	for _, refs := range byAuthor {
+		for i, a := range refs {
+			for _, b := range refs[i+1:] {
+				truth.Add(match.Pair{A: a, B: b})
+			}
+		}
+	}
+	return truth
 }
 
 // matcherContext assembles the factory input for this experiment.

@@ -49,6 +49,33 @@ func TestSetupWiring(t *testing.T) {
 	}
 }
 
+// TestTruthIsTruePairs: the experiment's truth set is exactly
+// Dataset.TruePairs — on generated corpora, and on records whose gold labels
+// are sparse, negative (unknown) or shared by every record.
+func TestTruthIsTruePairs(t *testing.T) {
+	datasets := []*bib.Dataset{NewDataset(HEPTH, 0.2, 3), NewDataset(DBLP, 0.2, 3), NewDataset(People, 0.2, 3)}
+	for _, golds := range [][]int32{{7, -1, 1 << 30, 7, -5, 1 << 30, 7, -1, 0}, {3, 3, 3, 3}, {-1, -1}, {5}} {
+		recs := make([]bib.Record, len(golds))
+		for i, g := range golds {
+			recs[i] = bib.Record{Name: "A. Smith", Group: int32(i / 2), Gold: g}
+		}
+		d, err := bib.DatasetFromRecords("golds", recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		datasets = append(datasets, d)
+	}
+	for _, d := range datasets {
+		want := core.NewPairSet()
+		for p := range d.TruePairs() {
+			want.Add(core.MakePair(p[0], p[1]))
+		}
+		if truth := truthOf(d); !truth.Equal(want) {
+			t.Errorf("%s: truth has %d pairs, TruePairs %d, or a pair differs", d.Name, truth.Len(), want.Len())
+		}
+	}
+}
+
 // TestNewDatasetKinds covers the three presets and determinism.
 func TestNewDatasetKinds(t *testing.T) {
 	for _, kind := range []DatasetKind{HEPTH, DBLP, DBLPBig} {

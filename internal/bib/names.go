@@ -1,6 +1,9 @@
 package bib
 
-import "repro/internal/similarity"
+import (
+	"repro/internal/flat"
+	"repro/internal/similarity"
+)
 
 // NameTable is a dataset's references quotiented by parsed name, and the
 // only place the blocking stage calls the NameLevel kernel. Every reference
@@ -21,11 +24,17 @@ type NameTable struct {
 	names []similarity.Name // class -> the parsed name its references share
 	full  []string          // class -> names[class].String(), rendered once
 	self  []uint8           // class -> the level of the name with itself
-	pairs levelCache        // unordered pair of distinct classes -> level
+	// The scored pairs of distinct classes: one word per pair, its
+	// flat.Pair key with the level in the two payload bits. NameLevel is
+	// symmetric (FuzzNameLevelSymmetric pins it), so the entry does not
+	// depend on the order the pair was asked in. The table is sized by what
+	// it holds — three eighths to three quarters full once grown, 11-21
+	// bytes per scored pair — not by the square of the class count.
+	pairs *flat.Table[struct{}]
 }
 
 func newNameTable(refs []Reference) *NameTable {
-	t := &NameTable{class: make([]int32, len(refs)), pairs: newLevelCache()}
+	t := &NameTable{class: make([]int32, len(refs)), pairs: flat.New[struct{}](0, levelMask)}
 	ids := map[similarity.Name]int32{}
 	for i := range refs {
 		name := similarity.ParseName(refs[i].Name)
@@ -61,13 +70,13 @@ func (t *NameTable) Level(x, y int32) similarity.Level {
 	if x == y {
 		return similarity.Level(t.self[x])
 	}
-	key := pairKey(x, y)
-	i := t.pairs.find(key)
-	if e := t.pairs.slots[i]; e != 0 {
-		return similarity.Level(e & levelMask)
+	key := flat.Pair(x, y)
+	i, ok := t.pairs.Find(key)
+	if ok {
+		return similarity.Level(t.pairs.Word(i) & levelMask)
 	}
 	l := similarity.NameLevelRendered(t.names[x], t.names[y], t.full[x], t.full[y])
-	t.pairs.fill(i, key|uint64(l))
+	t.pairs.Insert(i, key|uint64(l), struct{}{})
 	return l
 }
 
@@ -79,67 +88,7 @@ func (t *NameTable) RefLevel(a, b RefID) similarity.Level {
 // Scored returns how many distinct class pairs Level has scored so far —
 // the number of NameLevel evaluations the dataset has cost, since a scored
 // pair is never scored again.
-func (t *NameTable) Scored() int { return t.pairs.n }
+func (t *NameTable) Scored() int { return t.pairs.Len() }
 
-// levelCache is the set of scored class pairs: open addressing over one
-// word per pair, which holds the pair and its level. Class ids are below
-// 2^31 and a level is two bits, so an entry is x<<33 | y<<2 | level with
-// x < y — never 0, which marks an empty slot (y >= 1). NameLevel is
-// symmetric (FuzzNameLevelSymmetric pins it), so the entry does not depend
-// on the order the pair was asked in. The table is sized by what it holds —
-// three eighths to three quarters full once grown, 11-21 bytes per scored
-// pair — not by the square of the class count.
-type levelCache struct {
-	slots []uint64 // power-of-two length
-	n     int      // occupied slots
-	shift uint     // 64 - log2(len(slots)): a hash's top bits index slots
-}
-
-const (
-	levelMask          = 3
-	levelCacheMinShift = 6 // a new cache has 1<<6 slots
-)
-
-func newLevelCache() levelCache {
-	return levelCache{slots: make([]uint64, 1<<levelCacheMinShift), shift: 64 - levelCacheMinShift}
-}
-
-// pairKey is the entry of the unordered pair {x, y}, x != y, at level 0.
-func pairKey(x, y int32) uint64 {
-	if y < x {
-		x, y = y, x
-	}
-	return uint64(x)<<33 | uint64(y)<<2
-}
-
-// find returns the slot holding key's pair or, if the pair is not cached,
-// the empty slot where fill must put it. There always is one: fill keeps a
-// quarter of the slots empty.
-func (c *levelCache) find(key uint64) int {
-	mask := len(c.slots) - 1
-	// Fibonacci hashing: consecutive class ids differ in the key's low and
-	// middle bits, which the multiplication spreads into the top ones.
-	for i := int(key * 0x9E3779B97F4A7C15 >> c.shift); ; i = (i + 1) & mask {
-		if e := c.slots[i]; e == 0 || e&^levelMask == key {
-			return i
-		}
-	}
-}
-
-// fill stores entry e in the empty slot i that find returned for it, and
-// doubles the table once it is three quarters full.
-func (c *levelCache) fill(i int, e uint64) {
-	c.slots[i] = e
-	c.n++
-	if c.n*4 < len(c.slots)*3 {
-		return
-	}
-	old := c.slots
-	c.slots = make([]uint64, 2*len(old))
-	c.shift--
-	for _, e := range old {
-		if e != 0 {
-			c.slots[c.find(e&^levelMask)] = e
-		}
-	}
-}
+// levelMask selects a level, two bits, from a word of the scored pairs.
+const levelMask = 3

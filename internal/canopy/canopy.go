@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/bib"
 	"repro/internal/core"
+	"repro/internal/flat"
 	"repro/internal/graph"
 	"repro/internal/similarity"
 )
@@ -239,25 +240,13 @@ func (t *gramTable) truncate(m tableMark) {
 	}
 }
 
-// indexMembers rebuilds the row -> records CSR from rowOf: one counting pass,
-// into the arrays of the last call.
+// indexMembers rebuilds the row -> records CSR from rowOf.
 func (t *gramTable) indexMembers() {
-	off := append(t.memberOff[:0], make([]int32, len(t.names)+1)...)
-	for _, row := range t.rowOf {
-		off[row+1]++
-	}
-	for row := range t.names {
-		off[row+1] += off[row]
-	}
-	members := slices.Grow(t.members[:0], len(t.rowOf))[:len(t.rowOf)]
-	for rec, row := range t.rowOf {
-		members[off[row]] = core.EntityID(rec)
-		off[row]++
-	}
-	// Every off[row] now sits at the end of its row: shift back by one.
-	copy(off[1:], off)
-	off[0] = 0
-	t.memberOff, t.members = off, members
+	t.memberOff, t.members = flat.Bucket(len(t.names), func(yield func(int32, core.EntityID)) {
+		for rec, row := range t.rowOf {
+			yield(row, core.EntityID(rec))
+		}
+	})
 }
 
 // membersOf returns row's records, ascending (as of the last indexMembers).
@@ -664,6 +653,12 @@ func AlignedExpand(d *bib.Dataset, sets [][]core.EntityID, maxAligned int) [][]c
 // order differs, which cannot show: each driving pair contributes its own
 // endpoints, independently of the others, to a set that is sorted at the
 // end.
+//
+// What a driving pair contributes depends on the pair alone — N(a) × N(b),
+// the priority order, the levels, maxAligned — while overlapping canopies
+// repeat it (HEPTH-like 0.5: 36 561 occurrences of 8 451 distinct pairs).
+// So the endpoints are computed at a pair's first occurrence, into one arena
+// indexed through a flat table, and every occurrence only stamps them.
 func alignedExpandInto(d *bib.Dataset, pairSets, sets [][]core.EntityID, maxAligned int) [][]core.EntityID {
 	if maxAligned <= 0 {
 		return sets
@@ -673,45 +668,62 @@ func alignedExpandInto(d *bib.Dataset, pairSets, sets [][]core.EntityID, maxAlig
 	groups := newClassGroups(names)
 	out := make([][]core.EntityID, len(sets))
 	member := make([]int32, d.NumRefs()) // member[e] == si+1: e is in out[si]
-	var combos []alignedPair             // reused scratch
+	// Driving pair -> its ordinal i, whose endpoints are ends[off[i]:off[i+1]].
+	// Sized for one distinct pair per pair-set entry, which it is within a
+	// factor of three on the generated corpora; beyond that it grows.
+	entries := 0
+	for _, set := range pairSets {
+		entries += len(set)
+	}
+	memo := flat.New[int32](entries, 0)
+	off := make([]int32, 1, entries+1)
+	var ends []core.EntityID
+	var combos []alignedPair // reused scratch
 	for si, set := range sets {
 		stamp := int32(si + 1)
 		expanded := append([]core.EntityID(nil), set...)
 		for _, e := range set {
 			member[e] = stamp
 		}
-		add := func(e core.EntityID) {
-			if member[e] != stamp {
-				member[e] = stamp
-				expanded = append(expanded, e)
-			}
-		}
 		groups.similarPairs(pairSets[si], func(a, b core.EntityID, _ similarity.Level) {
-			// Gather the coauthor combinations (cheap, no similarity
-			// yet), order them by the ingestion-stable priority, and
-			// only then test name similarity, stopping at maxAligned
-			// qualifying pairs — the comparisons stay proportional to
-			// the scan prefix, not the full product.
-			combos = combos[:0]
-			for _, c1 := range rel.Neighbors(a) {
-				for _, c2 := range rel.Neighbors(b) {
-					if c1 != c2 {
-						combos = append(combos, alignedPair{c1: c1, c2: c2})
+			key := flat.Pair(a, b)
+			slot, seen := memo.Find(key)
+			i := int32(len(off) - 1)
+			if seen {
+				i = memo.Value(slot)
+			} else {
+				// Gather the coauthor combinations (cheap, no similarity
+				// yet), order them by the ingestion-stable priority, and
+				// only then test name similarity, stopping at maxAligned
+				// qualifying pairs — the comparisons stay proportional to
+				// the scan prefix, not the full product.
+				combos = combos[:0]
+				for _, c1 := range rel.Neighbors(a) {
+					for _, c2 := range rel.Neighbors(b) {
+						if c1 != c2 {
+							combos = append(combos, alignedPair{c1: c1, c2: c2})
+						}
 					}
 				}
+				slices.SortFunc(combos, alignedPair.compare)
+				taken := 0
+				for _, q := range combos {
+					if taken >= maxAligned {
+						break
+					}
+					if names.RefLevel(q.c1, q.c2) != similarity.LevelNone {
+						ends = append(ends, q.c1, q.c2)
+						taken++
+					}
+				}
+				memo.Insert(slot, key, i)
+				off = append(off, int32(len(ends)))
 			}
-			slices.SortFunc(combos, alignedPair.compare)
-			taken := 0
-			for _, q := range combos {
-				if taken >= maxAligned {
-					break
+			for _, e := range ends[off[i]:off[i+1]] {
+				if member[e] != stamp {
+					member[e] = stamp
+					expanded = append(expanded, e)
 				}
-				if names.RefLevel(q.c1, q.c2) == similarity.LevelNone {
-					continue
-				}
-				add(q.c1)
-				add(q.c2)
-				taken++
 			}
 		})
 		slices.Sort(expanded)
@@ -778,13 +790,14 @@ func BuildCoverContext(ctx context.Context, d *bib.Dataset, cfg Config, shards i
 // Set membership in all three steps is a stamp array over entity ids, and
 // name similarity the dataset's name table (d.Names(), which the caller's
 // canopy step has usually built already and CandidatePairs reads next), so
-// the cost is the cover's size, the similar pairs' coauthor products and one
-// NameLevel per class pair not scored before — no per-set or per-pair hash
-// map.
+// the cost is the cover's size, one probe of a flat table per driving pair,
+// the distinct driving pairs' coauthor products and one NameLevel per class
+// pair not scored before — no per-set or per-pair Go map.
 //
-// Every neighborhood contained in another is dropped (dropSubsumed): for the
-// monotone matchers the schemes assume, C ⊆ C′ derives nothing C′ does not,
-// so no fixpoint moves, and every pair of C lies in C′, so no candidate does.
+// Every neighborhood contained in another is dropped (dropSubsumed) before
+// the cover is built: for the monotone matchers the schemes assume, C ⊆ C′
+// derives nothing C′ does not, so no fixpoint moves, and every pair of C lies
+// in C′, so no candidate does.
 func finishCover(ctx context.Context, d *bib.Dataset, cfg Config, canopies [][]core.EntityID) (*core.Cover, error) {
 	var sets [][]core.EntityID
 	if cfg.FullBoundary {
@@ -807,39 +820,49 @@ func finishCover(ctx context.Context, d *bib.Dataset, cfg Config, canopies [][]c
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return dropSubsumed(core.NewCover(d.NumRefs(), sets)), nil
+	return core.NewCover(d.NumRefs(), dropSubsumed(d.NumRefs(), sets)), nil
 }
 
-// dropSubsumed returns c without every set that is a subset of another set;
-// of equal sets the lowest id stays, and the survivors keep their order.
-func dropSubsumed(c *core.Cover) *core.Cover {
-	keep := make([][]core.EntityID, 0, c.Len())
-	for i, set := range c.Sets {
-		if superset(c, set, func(j int32) bool { return len(c.Sets[j]) > len(set) || j < int32(i) }) < 0 {
+// dropSubsumed returns sets — ascending, distinct, non-empty, over entities
+// [0, n) — without every set that is a subset of another; of equal sets the
+// lowest id stays, and the survivors keep their order. The sets holding each
+// entity are indexed in one counting pass, so the cover is built once, from
+// the survivors.
+func dropSubsumed(n int, sets [][]core.EntityID) [][]core.EntityID {
+	off, in := flat.Bucket(n, func(yield func(core.EntityID, int32)) {
+		for i, set := range sets {
+			for _, e := range set {
+				yield(e, int32(i))
+			}
+		}
+	})
+	holding := func(e core.EntityID) []int32 { return in[off[e]:off[e+1]] }
+	keep := make([][]core.EntityID, 0, len(sets))
+	for i, set := range sets {
+		if superset(sets, holding, n, set, func(j int32) bool { return len(sets[j]) > len(set) || j < int32(i) }) < 0 {
 			keep = append(keep, set)
 		}
 	}
-	if len(keep) == c.Len() {
-		return c
-	}
-	return core.NewCover(c.NumEntities, keep)
+	return keep
 }
 
-// superset returns the id of a set of c that holds every member of the
-// ascending, non-empty set and satisfies ok, or -1: only the sets holding
-// set's rarest member are merge-tested. Members past c's entities are in none.
-func superset(c *core.Cover, set []core.EntityID, ok func(j int32) bool) int32 {
-	if int(set[len(set)-1]) >= c.NumEntities {
+// superset returns the id of one of sets that holds every member of the
+// ascending, non-empty set and satisfies ok, or -1. holding(e) lists, in
+// ascending order, the ids of the sets holding an entity e < n; only those
+// holding set's rarest member are merge-tested, and a member past n is in
+// none.
+func superset(sets [][]core.EntityID, holding func(core.EntityID) []int32, n int, set []core.EntityID, ok func(j int32) bool) int32 {
+	if int(set[len(set)-1]) >= n {
 		return -1
 	}
-	rarest := c.Containing(set[0])
+	rarest := holding(set[0])
 	for _, e := range set[1:] {
-		if ids := c.Containing(e); len(ids) < len(rarest) {
+		if ids := holding(e); len(ids) < len(rarest) {
 			rarest = ids
 		}
 	}
 	for _, j := range rarest {
-		if ok(j) && subsetOf(set, c.Sets[j]) {
+		if ok(j) && subsetOf(set, sets[j]) {
 			return j
 		}
 	}
@@ -893,8 +916,10 @@ func Levels(pairs []SimilarPair) []similarity.Level {
 // level and no pair outside one is. On abbreviated corpora that is an order
 // of magnitude fewer steps than pairs (HEPTH-like 0.5, seed 42: 314 k
 // in-neighborhood reference pairs, 27 k name pairs, 14.7 k of them distinct,
-// 9.3 k candidates). Only emitted pairs are deduplicated: overlapping
-// neighborhoods emit a pair once each, into the list of its lower endpoint.
+// 9.3 k candidates). Overlapping neighborhoods emit a pair once each (34 k
+// times there), so emission deduplicates: a pair is kept, with its level in
+// the key's payload bits, in a flat table the first time it is emitted, and
+// only the distinct pairs are ordered.
 //
 // The levels come from d.Names(). When d is the dataset the cover was built
 // on, the canopies' class pairs — most of what a neighborhood holds — were
@@ -903,25 +928,33 @@ func Levels(pairs []SimilarPair) []similarity.Level {
 // once per class pair of a neighborhood and carried with its pairs, never
 // looked up again per candidate.
 func CandidatePairs(d *bib.Dataset, cover *core.Cover) []SimilarPair {
-	if d.NumRefs() > 1<<30 {
-		panic(fmt.Sprintf("canopy: %d references do not fit a candidate row word", d.NumRefs()))
-	}
 	groups := newClassGroups(d.Names())
-	// later[a]: b<<2 | level for every b > a similar to a, once per
-	// neighborhood they share. The level is a function of (a, b), so equal
-	// pairs have equal words and sort next to each other.
-	later := make([][]uint32, d.NumRefs())
+	// Sized for one candidate per cover entry, which it is within a factor
+	// of three on the generated corpora; beyond that it grows.
+	seen := flat.New[struct{}](cover.ComputeStats().TotalEntries, 0)
 	for _, set := range cover.Sets {
 		groups.similarPairs(set, func(a, b core.EntityID, l similarity.Level) {
-			later[a] = append(later[a], uint32(b)<<2|uint32(l))
+			key := flat.Pair(a, b) | uint64(l)
+			if slot, ok := seen.Find(key); !ok {
+				seen.Insert(slot, key, struct{}{})
+			}
 		})
 	}
-	var out []SimilarPair
-	for a, row := range later {
-		slices.Sort(row)
-		for _, w := range slices.Compact(row) {
-			p := core.Pair{A: core.EntityID(a), B: core.EntityID(w >> 2)}
-			out = append(out, SimilarPair{Pair: p, Level: similarity.Level(w & 3)})
+	// Order by (A, B): place the keys by A, then sort each A's few keys —
+	// flat.Pair keys order as the pairs do.
+	off, keys := flat.Bucket(d.NumRefs(), func(yield func(int32, uint64)) {
+		for k := range seen.All() {
+			yield(int32(k>>33), k)
+		}
+	})
+	for a := range d.NumRefs() {
+		slices.Sort(keys[off[a]:off[a+1]])
+	}
+	out := make([]SimilarPair, len(keys))
+	for i, k := range keys {
+		out[i] = SimilarPair{
+			Pair:  core.Pair{A: core.EntityID(k >> 33), B: core.EntityID(k >> 2 & (1<<31 - 1))},
+			Level: similarity.Level(k & 3),
 		}
 	}
 	return out

@@ -176,13 +176,13 @@ func (ix *Index) add(ctx context.Context, d *bib.Dataset) (*core.Cover, *Delta, 
 	// is Regressed.
 	prev := ix.cover
 	for i, set := range cover.Sets {
-		if prev == nil || superset(prev, set, func(j int32) bool { return len(prev.Sets[j]) == len(set) }) < 0 {
+		if prev == nil || superset(prev.Sets, prev.Containing, prev.NumEntities, set, func(j int32) bool { return len(prev.Sets[j]) == len(set) }) < 0 {
 			delta.Changed = append(delta.Changed, int32(i))
 		}
 	}
 	if prev != nil {
 		for i, set := range prev.Sets {
-			if superset(cover, set, func(int32) bool { return true }) < 0 {
+			if superset(cover.Sets, cover.Containing, cover.NumEntities, set, func(int32) bool { return true }) < 0 {
 				delta.Regressed = append(delta.Regressed, int32(i))
 			}
 		}

@@ -1,10 +1,13 @@
 package eval
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/unionfind"
 )
 
 func TestClustersFromMatches(t *testing.T) {
@@ -119,4 +122,136 @@ func TestBCubedFromMatches(t *testing.T) {
 	if !approx(m.Precision, 1) || !approx(m.Recall, 1) {
 		t.Errorf("exact match set scored %v", m)
 	}
+}
+
+// clustersFromMatchesOld and bCubedOld are ClustersFromMatches and BCubed as
+// they were before the dense contingency count — a map from root to cluster
+// id, member lists in two maps and a fresh membership map per entity — kept
+// as the oracle for the rewrite.
+func clustersFromMatchesOld(n int, matches core.PairSet) []int32 {
+	dsu := unionfind.New(n)
+	for p := range matches.All() {
+		dsu.Union(int(p.A), int(p.B))
+	}
+	ids := make([]int32, n)
+	next := int32(0)
+	seen := map[int]int32{}
+	for i := 0; i < n; i++ {
+		r := dsu.Find(i)
+		id, ok := seen[r]
+		if !ok {
+			id = next
+			next++
+			seen[r] = id
+		}
+		ids[i] = id
+	}
+	return ids
+}
+
+func bCubedOld(predicted, gold []int32) PRF {
+	n := len(predicted)
+	if n == 0 || len(gold) != n {
+		return PRF{Precision: 1, Recall: 1, F1: 1}
+	}
+	predMembers := map[int32][]int32{}
+	goldMembers := map[int32][]int32{}
+	for i := 0; i < n; i++ {
+		predMembers[predicted[i]] = append(predMembers[predicted[i]], int32(i))
+		goldMembers[gold[i]] = append(goldMembers[gold[i]], int32(i))
+	}
+	var sumP, sumR float64
+	for i := 0; i < n; i++ {
+		pc := predMembers[predicted[i]]
+		gc := goldMembers[gold[i]]
+		inGold := map[int32]bool{}
+		for _, e := range gc {
+			inGold[e] = true
+		}
+		overlap := 0
+		for _, e := range pc {
+			if inGold[e] {
+				overlap++
+			}
+		}
+		sumP += float64(overlap) / float64(len(pc))
+		sumR += float64(overlap) / float64(len(gc))
+	}
+	out := PRF{
+		Precision: sumP / float64(n),
+		Recall:    sumR / float64(n),
+	}
+	if out.Precision+out.Recall > 0 {
+		out.F1 = 2 * out.Precision * out.Recall / (out.Precision + out.Recall)
+	}
+	return out
+}
+
+// TestBCubedMatchesOld: on random labelings — all singletons, one cluster,
+// clusters of hundreds, gold ids that are sparse, negative or extreme, and
+// slices of unequal length — BCubed gives the old P, R and F1 to the bit
+// (==, not approximately), and ClustersFromMatches the old ids for the
+// closure of random match sets, scored against the same gold.
+func TestBCubedMatchesOld(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	labelings := map[string]func(n int) []int32{
+		"singletons": func(n int) []int32 {
+			out := make([]int32, n)
+			for i := range out {
+				out[i] = int32(i)
+			}
+			return out
+		},
+		"one":      func(n int) []int32 { return make([]int32, n) },
+		"hundreds": func(n int) []int32 { return randomLabels(rng, n, 1+n/300, 0) },
+		"small":    func(n int) []int32 { return randomLabels(rng, n, 1+n/3, 0) },
+		"sparse":   func(n int) []int32 { return randomLabels(rng, n, 1+n/5, 1_000_003) },
+		"negative": func(n int) []int32 { return randomLabels(rng, n, 1+n/4, -7) },
+		"extreme": func(n int) []int32 {
+			ids := []int32{math.MinInt32, -1, 0, math.MaxInt32, 5}
+			out := make([]int32, n)
+			for i := range out {
+				out[i] = ids[rng.Intn(len(ids))]
+			}
+			return out
+		},
+	}
+	for trial := 0; trial < 24; trial++ {
+		n := []int{0, 1, 2, 7, 60, 600}[trial%6] + rng.Intn(4)
+		for pn, pred := range labelings {
+			for gn, gold := range labelings {
+				p, g := pred(n), gold(n)
+				if got, want := BCubed(p, g), bCubedOld(p, g); got != want {
+					t.Fatalf("n=%d predicted %s, gold %s: BCubed %+v, old %+v", n, pn, gn, got, want)
+				}
+			}
+		}
+		g := labelings["hundreds"](n)
+		if got, want := BCubed(g, g[:n/2]), bCubedOld(g, g[:n/2]); got != want {
+			t.Fatalf("n=%d, gold of length %d: BCubed %+v, old %+v", n, n/2, got, want)
+		}
+		matches := core.NewPairSet()
+		for k := rng.Intn(2*n + 1); k > 0 && n > 1; k-- {
+			if a, b := int32(rng.Intn(n)), int32(rng.Intn(n)); a != b {
+				matches.Add(core.MakePair(a, b))
+			}
+		}
+		ids, old := ClustersFromMatches(n, matches), clustersFromMatchesOld(n, matches)
+		if !slices.Equal(ids, old) {
+			t.Fatalf("n=%d, %d matches: ClustersFromMatches %v, old %v", n, matches.Len(), ids, old)
+		}
+		if got, want := BCubedFromMatches(matches, g), bCubedOld(old, g); got != want {
+			t.Fatalf("n=%d, %d matches: BCubedFromMatches %+v, old %+v", n, matches.Len(), got, want)
+		}
+	}
+}
+
+// randomLabels draws n labels from k clusters of random sizes, numbered from
+// base in steps of 3 (so not dense).
+func randomLabels(rng *rand.Rand, n, k int, base int32) []int32 {
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = base + 3*int32(rng.Intn(k))
+	}
+	return out
 }
