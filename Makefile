@@ -40,14 +40,19 @@ fmt:
 vet:
 	$(GO) vet $(GOFLAGS) ./...
 
-# bench prints the hot-path benchmark table; its last command is the blocking
-# stage at the workloads' sizes and at scale 8, batch and incremental, and
-# its cover and candidate steps as a cold run pays for them.
+# bench prints the hot-path benchmark table; its blocking command is the
+# blocking stage at the workloads' sizes and at scale 8, batch and
+# incremental, and its cover and candidate steps as a cold run pays for
+# them. The last two are the warm path: the serve-ingest stream folded
+# through Pipeline.Update (per batch, with the kernel calls and name parses
+# the stream made), and the same stream POSTed to an in-process service.
 bench:
 	$(GO) test $(GOFLAGS) -run '^$$' -bench '$(SCHEME_BENCH)' -benchmem -benchtime $(BENCHTIME) .
 	$(GO) test $(GOFLAGS) -run '^$$' -bench '$(MATCHER_BENCH)' -benchmem -benchtime $(MATCHER_BENCHTIME) ./internal/mln/
 	$(GO) test $(GOFLAGS) -run '^$$' -bench '^BenchmarkRulesSMP' -benchmem -benchtime 20x -cpu 1 ./internal/rules/
 	$(GO) test $(GOFLAGS) -run '^$$' -bench '^Benchmark(Canopies|IndexAdd|BuildCoverHEPTH|FinishCoverHEPTH|CandidatePairsHEPTH)$$' -benchmem -benchtime $(BENCHTIME) ./internal/canopy/
+	$(GO) test $(GOFLAGS) -run '^$$' -bench '^BenchmarkUpdateFold$$' -benchmem -benchtime $(BENCHTIME) .
+	$(GO) test $(GOFLAGS) -run '^$$' -bench '^BenchmarkIngest$$' -benchmem -benchtime $(BENCHTIME) ./internal/serve/
 
 # cover runs the test suite with a coverage profile and grades it
 # against the committed ratchet; cover-check grades an existing

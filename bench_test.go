@@ -202,6 +202,45 @@ func BenchmarkPipelinePeopleRules(b *testing.B) {
 	benchPipeline(b, cem.People, 0.7, program, cem.SchemeSMP)
 }
 
+// BenchmarkUpdateFold is the warm path without HTTP, journal or store: the
+// serve-ingest benchmark workload's stream (DBLP-like 0.5, seed 42, in
+// 32-record batches) folded through Pipeline.Update on a fresh pipeline
+// per iteration. Besides time per batch it counts the work the batches'
+// name tables did themselves — NameLevel kernel calls (scored) and names
+// parsed — which a stream that extends its dataset pays once per class
+// pair and once per record.
+func BenchmarkUpdateFold(b *testing.B) {
+	const batch = 32
+	records, err := cem.GenerateRecords(cem.DBLP, 0.5, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	batches := (len(records) + batch - 1) / batch
+	scored, parsed := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pipe, err := cem.NewPipeline()
+		if err != nil {
+			b.Fatal(err)
+		}
+		var res *cem.PipelineResult
+		for lo := 0; lo < len(records); lo += batch {
+			if res, err = pipe.Update(ctx, res, records[lo:min(lo+batch, len(records))]); err != nil {
+				b.Fatal(err)
+			}
+			names := res.Experiment.Dataset.Names()
+			refs, pairs := names.Kept()
+			scored += names.Scored() - pairs
+			parsed += res.Records - refs
+		}
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N*batches), "ms/batch")
+	b.ReportMetric(float64(scored)/float64(b.N), "scored/op")
+	b.ReportMetric(float64(parsed)/float64(b.N), "parsed/op")
+}
+
 // BenchmarkSetup measures cover construction plus matcher grounding.
 func BenchmarkSetup(b *testing.B) {
 	d := cem.NewDataset(cem.HEPTH, 0.25, 42)

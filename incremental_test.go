@@ -24,6 +24,7 @@ import (
 	"testing"
 
 	cem "repro"
+	"repro/internal/bib"
 	"repro/internal/canopy"
 	"repro/match"
 )
@@ -695,6 +696,72 @@ func TestUpdateForkedPrior(t *testing.T) {
 	}
 	if got, want := renderMatches(fork.Result), renderMatches(cold.Result); got != want {
 		t.Errorf("forked-prior update diverges from its cold run: %s", firstDiff(got, want))
+	}
+}
+
+// TestUpdateInheritsNameTable: along an Update chain each batch's name
+// table continues the prior's — every class pair the prior scored is held
+// at the same level, so Scored() never falls — and the kernel calls the
+// batches make of their own add up to the final Scored(): the stream scores
+// each class pair once, and parses each record once. The tight pipeline's
+// small neighborhoods force cold re-runs on some batches, which inherit all
+// the same.
+func TestUpdateInheritsNameTable(t *testing.T) {
+	records, err := cem.GenerateRecords(cem.DBLP, 0.25, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batches [][]cem.Record
+	for i, b := range streamBatches(records) {
+		for lo, step := 0, max(1, len(b)/(1+3*min(i, 1))); lo < len(b); lo += step {
+			batches = append(batches, b[lo:min(lo+step, len(b))])
+		}
+	}
+	for _, opts := range [][]cem.PipelineOption{nil, {cem.WithMaxNeighborhood(8)}} {
+		pipe, err := cem.NewPipeline(append(opts, cem.WithScheme(cem.SchemeSMP))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res *cem.PipelineResult
+		spent, parsed, rebuilt := 0, 0, 0
+		for i, batch := range batches {
+			var prior *bib.NameTable
+			if res != nil {
+				prior = res.Experiment.Dataset.Names()
+			}
+			if res, err = pipe.Update(context.Background(), res, batch); err != nil {
+				t.Fatal(err)
+			}
+			if res.ForcedRerun {
+				rebuilt++
+			}
+			names := res.Experiment.Dataset.Names()
+			refs, pairs := names.Kept()
+			spent += names.Scored() - pairs
+			parsed += res.Records - refs
+			if prior == nil {
+				continue
+			}
+			if refs != res.Records-len(batch) || pairs != prior.Scored() || names.Scored() < prior.Scored() {
+				t.Fatalf("batch %d: kept (%d refs, %d pairs) and scored %d, the prior had %d refs and %d pairs",
+					i, refs, pairs, names.Scored(), res.Records-len(batch), prior.Scored())
+			}
+			scored := names.Scored()
+			for p, l := range prior.ScoredPairs() {
+				if got := names.Level(p[0], p[1]); got != l {
+					t.Fatalf("batch %d: class pair %v at level %d, the prior's table says %d", i, p, got, l)
+				}
+			}
+			if names.Scored() != scored {
+				t.Fatalf("batch %d: %d of the prior's class pairs are missing from its table", i, names.Scored()-scored)
+			}
+		}
+		final := res.Experiment.Dataset.Names().Scored()
+		if spent != final || parsed != len(records) {
+			t.Errorf("%d batches made %d kernel calls and parsed %d records; the final table holds %d pairs over %d records",
+				len(batches), spent, parsed, final, len(records))
+		}
+		t.Logf("%d batches (%d forced re-runs): %d kernel calls, %d records parsed", len(batches), rebuilt, spent, parsed)
 	}
 }
 

@@ -48,8 +48,9 @@ type Dataset struct {
 	Papers []Paper
 
 	// Derived state, built on first use and dropped by InvalidateCoauthor.
-	coauthor *graph.Graph // the Coauthor relation over references
-	names    *NameTable   // the references quotiented by parsed name
+	coauthor *graph.Graph      // the Coauthor relation over references
+	names    *NameTable        // the references quotiented by parsed name
+	groups   map[int32]PaperID // record group -> paper; nil unless built from records
 }
 
 // NumRefs returns the number of author-reference entities.
@@ -75,10 +76,11 @@ func (d *Dataset) NumAuthors() int {
 // Coauthor and Names build lazily and without synchronization: the first
 // call of either must not race with any other use of the dataset. The
 // blocking stage makes both first calls on the goroutine that runs it,
-// before the round engine fans the dataset out to its workers, and
-// concurrent Pipeline.Update forks each synthesize their own Dataset. Once
-// built the graph is read-only and safe to share; the name table is not
-// (see Names).
+// before the round engine fans the dataset out to its workers. Concurrent
+// Pipeline.Update forks each get their own Dataset from Extend, which reads
+// the prior's and never builds on it: it calls neither method, and inherits
+// a name table only when one is already built. Once built the graph is
+// read-only and safe to share; the name table is not (see Names).
 func (d *Dataset) Coauthor() *graph.Graph {
 	if d.coauthor != nil {
 		return d.coauthor
@@ -105,9 +107,11 @@ func (d *Dataset) Coauthor() *graph.Graph {
 //
 // A table that no longer has one entry per reference (Refs grew or shrank
 // since it was built) is rebuilt; after renaming a reference in place, call
-// InvalidateCoauthor. Lookups fill the table's level cache, so unlike the
+// InvalidateCoauthor. Extend hands its result a continuation of a built,
+// current table. Lookups fill the table's level cache, so unlike the
 // Coauthor graph it stays single-goroutine after it is built: the blocking
-// stage, its only reader, is serial wherever it compares names.
+// stage, its only writer, is serial wherever it compares names, and Extend
+// reads it only once that stage is done.
 func (d *Dataset) Names() *NameTable {
 	if d.names == nil || len(d.names.class) != len(d.Refs) {
 		d.names = newNameTable(d.Refs)
@@ -116,8 +120,9 @@ func (d *Dataset) Names() *NameTable {
 }
 
 // InvalidateCoauthor drops every cached derivation of the dataset — the
-// Coauthor graph and the name table; call after mutating Papers or Refs.
-func (d *Dataset) InvalidateCoauthor() { d.coauthor, d.names = nil, nil }
+// Coauthor graph, the name table and the record groups Extend continues;
+// call after mutating Papers or Refs.
+func (d *Dataset) InvalidateCoauthor() { d.coauthor, d.names, d.groups = nil, nil, nil }
 
 // TruePairs returns the ground-truth match set: every unordered pair of
 // references with the same true author. References with an unknown label

@@ -1,6 +1,9 @@
 package bib
 
 import (
+	"iter"
+	"slices"
+
 	"repro/internal/flat"
 	"repro/internal/similarity"
 )
@@ -18,7 +21,9 @@ import (
 // names) needs few evaluations.
 //
 // The table is derived state of Dataset.Refs, exactly as Coauthor is of
-// Papers: get it from Dataset.Names, never store it.
+// Papers: get it from Dataset.Names, never store it. Dataset.Extend gives
+// its result a continuation of the table (extend), so a stream of extended
+// datasets parses each reference and scores each class pair once.
 type NameTable struct {
 	class []int32           // reference -> class of its parsed name
 	names []similarity.Name // class -> the parsed name its references share
@@ -30,27 +35,44 @@ type NameTable struct {
 	// depend on the order the pair was asked in. The table is sized by what
 	// it holds — three eighths to three quarters full once grown, 11-21
 	// bytes per scored pair — not by the square of the class count.
-	pairs *flat.Table[struct{}]
+	pairs               *flat.Table[struct{}]
+	keptRefs, keptPairs int // taken over by extend: references parsed, pairs scored
 }
 
 func newNameTable(refs []Reference) *NameTable {
-	t := &NameTable{class: make([]int32, len(refs)), pairs: flat.New[struct{}](0, levelMask)}
-	ids := map[similarity.Name]int32{}
+	return (&NameTable{pairs: flat.New[struct{}](0, levelMask)}).extend(refs)
+}
+
+// extend returns the table of t's references followed by refs, leaving t
+// as it was: t's slices are shared up to their length and only appended to
+// past it, and its scored pairs are copied.
+func (t *NameTable) extend(refs []Reference) *NameTable {
+	u := &NameTable{
+		class: append(make([]int32, 0, len(t.class)+len(refs)), t.class...),
+		names: slices.Clip(t.names), full: slices.Clip(t.full), self: slices.Clip(t.self),
+		pairs: t.pairs.Clone(), keptRefs: len(t.class), keptPairs: t.pairs.Len(),
+	}
+	// Rebuilt, not kept and cloned: hashing the names into a presized map
+	// measured cheaper than maps.Clone (Go 1.24, 400-5 000 classes).
+	ids := make(map[similarity.Name]int32, len(t.names)+len(refs))
+	for c, name := range t.names {
+		ids[name] = int32(c)
+	}
 	for i := range refs {
 		name := similarity.ParseName(refs[i].Name)
 		c, ok := ids[name]
 		if !ok {
-			c = int32(len(t.names))
+			c = int32(len(u.names))
 			ids[name] = c
-			t.names = append(t.names, name)
-			t.full = append(t.full, name.String())
+			u.names = append(u.names, name)
+			u.full = append(u.full, name.String())
 			// Decided by string equality alone, so worth no cache slot;
 			// LevelNone for a name with no last token.
-			t.self = append(t.self, uint8(similarity.NameLevel(name, name)))
+			u.self = append(u.self, uint8(similarity.NameLevel(name, name)))
 		}
-		t.class[i] = c
+		u.class = append(u.class, c)
 	}
-	return t
+	return u
 }
 
 // Classes returns the number of distinct parsed names.
@@ -87,8 +109,26 @@ func (t *NameTable) RefLevel(a, b RefID) similarity.Level {
 
 // Scored returns how many distinct class pairs Level has scored so far —
 // the number of NameLevel evaluations the dataset has cost, since a scored
-// pair is never scored again.
+// pair is never scored again — counting those of the tables it continues.
 func (t *NameTable) Scored() int { return t.pairs.Len() }
+
+// Kept returns how many references and scored class pairs the table took
+// over from the table Extend continued (zero for a table built fresh): this
+// table parsed len(references) − refs names and made Scored() − pairs
+// kernel calls of its own.
+func (t *NameTable) Kept() (refs, pairs int) { return t.keptRefs, t.keptPairs }
+
+// ScoredPairs yields every class pair Level has scored, smaller class
+// first, with its level, in no particular order.
+func (t *NameTable) ScoredPairs() iter.Seq2[[2]int32, similarity.Level] {
+	return func(yield func([2]int32, similarity.Level) bool) {
+		for w := range t.pairs.All() {
+			if !yield([2]int32{int32(w >> 33), int32(w>>2) & (1<<31 - 1)}, similarity.Level(w&levelMask)) {
+				return
+			}
+		}
+	}
+}
 
 // levelMask selects a level, two bits, from a word of the scored pairs.
 const levelMask = 3

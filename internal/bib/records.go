@@ -2,8 +2,11 @@ package bib
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -46,40 +49,64 @@ func DatasetFromRecords(name string, recs []Record) (*Dataset, error) {
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("bib: no records")
 	}
-	d := &Dataset{Name: name, Refs: make([]Reference, 0, len(recs))}
-	paperOf := map[int32]PaperID{}
+	return (&Dataset{groups: map[int32]PaperID{}}).Extend(name, recs)
+}
+
+// ErrNotFromRecords is returned by Extend for a dataset DatasetFromRecords
+// did not build.
+var ErrNotFromRecords = errors.New("bib: dataset was not built from records")
+
+// Extend returns what DatasetFromRecords(name, d's records followed by recs)
+// returns, lowering only recs: d's references and papers are copied, and a
+// built and current name table of d is continued (NameTable), so only recs'
+// names are parsed and the class pairs d scored stay scored. d is read and
+// never written, not even by its lazy Names or Coauthor, so any number of
+// goroutines may extend one dataset at once.
+func (d *Dataset) Extend(name string, recs []Record) (*Dataset, error) {
+	if d.groups == nil {
+		return nil, ErrNotFromRecords
+	}
+	e := &Dataset{
+		Name:   name,
+		Refs:   append(make([]Reference, 0, len(d.Refs)+len(recs)), d.Refs...),
+		Papers: slices.Clone(d.Papers),
+		groups: maps.Clone(d.groups),
+	}
 	// Surface strings repeat heavily (the same rendered author name
 	// appears on many references); interning stores each distinct one
 	// once, which is what keeps a large streamed corpus's reference
 	// table from duplicating every repeated name.
 	names := store.NewInterner()
-	for i, r := range recs {
+	for _, r := range recs {
+		rid := RefID(len(e.Refs))
 		if r.Name == "" {
-			return nil, fmt.Errorf("bib: record %d has an empty name", i)
+			return nil, fmt.Errorf("bib: record %d has an empty name", rid)
 		}
-		var pid PaperID
-		if r.Group < 0 {
-			pid = PaperID(len(d.Papers))
-			d.Papers = append(d.Papers, Paper{Title: fmt.Sprintf("record-%d", i)})
-		} else if known, ok := paperOf[r.Group]; ok {
-			pid = known
-		} else {
-			pid = PaperID(len(d.Papers))
-			d.Papers = append(d.Papers, Paper{Title: fmt.Sprintf("group-%d", r.Group)})
-			paperOf[r.Group] = pid
+		pid, ok := e.groups[r.Group]
+		if !ok {
+			pid = PaperID(len(e.Papers))
+			if r.Group < 0 {
+				e.Papers = append(e.Papers, Paper{Title: fmt.Sprintf("record-%d", rid)})
+			} else {
+				e.Papers = append(e.Papers, Paper{Title: fmt.Sprintf("group-%d", r.Group)})
+				e.groups[r.Group] = pid
+			}
 		}
-		rid := RefID(len(d.Refs))
-		gold := r.Gold
-		if gold < 0 {
-			gold = -1
+		e.Refs = append(e.Refs, Reference{Name: names.Intern(r.Name), Paper: pid, True: max(r.Gold, -1)})
+		// A paper of d lends its list: copy it before it grows.
+		refs := e.Papers[pid].Refs
+		if int(pid) < len(d.Papers) {
+			refs = slices.Clip(refs)
 		}
-		d.Refs = append(d.Refs, Reference{Name: names.Intern(r.Name), Paper: pid, True: gold})
-		d.Papers[pid].Refs = append(d.Papers[pid].Refs, rid)
+		e.Papers[pid].Refs = append(refs, rid)
 	}
-	if err := d.Validate(); err != nil {
+	if err := e.Validate(); err != nil {
 		return nil, fmt.Errorf("bib: records produced an invalid dataset: %w", err)
 	}
-	return d, nil
+	if t := d.names; t != nil && len(t.class) == len(d.Refs) {
+		e.names = t.extend(e.Refs[len(d.Refs):])
+	}
+	return e, nil
 }
 
 // The on-disk record format is line-oriented TSV, mirroring the dataset

@@ -88,6 +88,13 @@ func (t *Table[V]) Insert(i int, word uint64, v V) {
 // Len returns the number of keys stored.
 func (t *Table[V]) Len() int { return t.n }
 
+// Clone returns a copy of the table that shares no storage with it.
+func (t *Table[V]) Clone() *Table[V] {
+	c := *t
+	c.keys, c.vals = slices.Clone(t.keys), slices.Clone(t.vals)
+	return &c
+}
+
 // All yields every stored word, payload included, with its value, in slot
 // order — an order that depends on the table's history, not only on its
 // contents.

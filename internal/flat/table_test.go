@@ -93,6 +93,43 @@ func TestNewHoldsHint(t *testing.T) {
 	}
 }
 
+// TestClone: a clone holds what the table held, and inserts into either —
+// through growths on both sides — never show in the other.
+func TestClone(t *testing.T) {
+	insert := func(tab *Table[int32], k int32) {
+		slot, found := tab.Find(Pair(0, k))
+		if found {
+			t.Fatalf("key %d already present", k)
+		}
+		tab.Insert(slot, Pair(0, k)|uint64(k&3), k)
+	}
+	has := func(tab *Table[int32], k int32) bool {
+		slot, found := tab.Find(Pair(0, k))
+		if found && (tab.Word(slot) != Pair(0, k)|uint64(k&3) || tab.Value(slot) != k) {
+			t.Fatalf("key %d holds (%#x, %d)", k, tab.Word(slot), tab.Value(slot))
+		}
+		return found
+	}
+	orig := New[int32](0, 3)
+	for k := int32(1); k <= 40; k++ {
+		insert(orig, k)
+	}
+	clone := orig.Clone()
+	for k := int32(41); k <= 200; k++ {
+		insert(orig, 2*k)
+		insert(clone, 2*k+1)
+	}
+	if orig.Len() != 200 || clone.Len() != 200 {
+		t.Fatalf("lengths %d and %d, want 200 each", orig.Len(), clone.Len())
+	}
+	for k := int32(1); k <= 401; k++ {
+		inOrig, inClone := k <= 40 || k >= 82 && k%2 == 0, k <= 40 || k >= 83 && k%2 == 1
+		if has(orig, k) != inOrig || has(clone, k) != inClone {
+			t.Fatalf("key %d: in table %v, in clone %v", k, has(orig, k), has(clone, k))
+		}
+	}
+}
+
 // TestPairOrder: Pair is symmetric, never 0, leaves the payload bits clear,
 // and orders as the pairs do, by smaller id and then larger.
 func TestPairOrder(t *testing.T) {

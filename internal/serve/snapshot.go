@@ -2,11 +2,12 @@ package serve
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	cem "repro"
+	"repro/internal/flat"
 	"repro/internal/unionfind"
 )
 
@@ -31,64 +32,68 @@ type Committed struct {
 	// arrival order) that carry it; names is the inverse.
 	keys  map[string][]int32
 	names []string
-	// partners is the adjacency of the match set: entity id → matched
-	// entity ids, ascending.
-	partners map[int32][]int32
+	// partners is the adjacency of the match set in CSR form: entity id's
+	// matched entity ids, ascending, are partners[partnerOff[id]:partnerOff[id+1]].
+	partnerOff, partners []int32
 	// clusterOf[id] is the id's cluster root under the transitive
-	// closure of the match set; clusters maps each root to its members,
-	// ascending. Singleton entities are their own root and appear in
-	// clusters only on lookup (see Cluster).
-	clusterOf []int32
-	clusters  map[int32][]int32
+	// closure of the match set; the members of root's cluster, ascending,
+	// are clusters[clusterOff[root]:clusterOff[root+1]]. Singleton entities
+	// are their own root with an empty range, answered on lookup (see
+	// clusterMembers).
+	clusterOf            []int32
+	clusterOff, clusters []int32
 }
 
 // emptyCommitted is the state before the first batch.
 func emptyCommitted() *Committed {
-	return &Committed{At: time.Now(), keys: map[string][]int32{}, partners: map[int32][]int32{}, clusters: map[int32][]int32{}}
+	return &Committed{At: time.Now(), keys: map[string][]int32{}}
 }
 
 // newCommitted derives the read structures from a pipeline result.
 func newCommitted(seq int, res *cem.PipelineResult) *Committed {
-	c := &Committed{
-		Seq:      seq,
-		Result:   res,
-		At:       time.Now(),
-		keys:     map[string][]int32{},
-		partners: map[int32][]int32{},
-		clusters: map[int32][]int32{},
-	}
+	c := &Committed{Seq: seq, Result: res, At: time.Now(), keys: map[string][]int32{}}
 	refs := res.Experiment.Dataset.Refs
-	c.names = make([]string, len(refs))
+	n := len(refs)
+	c.names = make([]string, n)
 	for i := range refs {
 		c.names[i] = refs[i].Name
 		c.keys[refs[i].Name] = append(c.keys[refs[i].Name], int32(i))
 	}
-	dsu := unionfind.New(len(refs))
-	for p := range res.Matches.All() {
-		c.partners[p.A] = append(c.partners[p.A], p.B)
-		c.partners[p.B] = append(c.partners[p.B], p.A)
-		dsu.Union(int(p.A), int(p.B))
-	}
-	for id := range c.partners {
-		sort.Slice(c.partners[id], func(i, j int) bool { return c.partners[id][i] < c.partners[id][j] })
-	}
-	c.clusterOf = make([]int32, len(refs))
-	for i := range refs {
-		root := int32(dsu.Find(i))
-		c.clusterOf[i] = root
-	}
-	// Materialize only non-singleton clusters; singleton lookups answer
-	// from clusterOf directly.
-	for i := range refs {
-		root := c.clusterOf[i]
-		if len(c.partners[int32(i)]) > 0 {
-			c.clusters[root] = append(c.clusters[root], int32(i))
+	c.partnerOff, c.partners = flat.Bucket(n, func(yield func(int32, int32)) {
+		for p := range res.Matches.All() {
+			yield(p.A, p.B)
+			yield(p.B, p.A)
+		}
+	})
+	dsu := unionfind.New(n)
+	for id := range n {
+		row := c.partnersOf(int32(id))
+		slices.Sort(row)
+		for _, q := range row {
+			if int(q) > id {
+				dsu.Union(id, int(q))
+			}
 		}
 	}
-	for root := range c.clusters {
-		sort.Slice(c.clusters[root], func(i, j int) bool { return c.clusters[root][i] < c.clusters[root][j] })
+	c.clusterOf = make([]int32, n)
+	for i := range n {
+		c.clusterOf[i] = int32(dsu.Find(i))
 	}
+	// Materialize only non-singleton clusters, members in ascending order;
+	// singleton lookups answer from clusterOf directly.
+	c.clusterOff, c.clusters = flat.Bucket(n, func(yield func(int32, int32)) {
+		for i := range int32(n) {
+			if len(c.partnersOf(i)) > 0 {
+				yield(c.clusterOf[i], i)
+			}
+		}
+	})
 	return c
+}
+
+// partnersOf returns id's matched entity ids, ascending.
+func (c *Committed) partnersOf(id int32) []int32 {
+	return c.partners[c.partnerOff[id]:c.partnerOff[id+1]]
 }
 
 // Records returns the number of records in this state.
@@ -164,7 +169,7 @@ func (c *Committed) Lookup(key string) (RecordView, bool) {
 		v.Entities[i] = EntityView{
 			ID:      id,
 			Key:     key,
-			Matches: c.refViews(c.partners[id]),
+			Matches: c.refViews(c.partnersOf(id)),
 			Cluster: c.refViews(c.clusterMembers(id)),
 		}
 	}
@@ -174,7 +179,8 @@ func (c *Committed) Lookup(key string) (RecordView, bool) {
 // clusterMembers returns the ids in id's transitive-closure component,
 // ascending, always including id itself.
 func (c *Committed) clusterMembers(id int32) []int32 {
-	if members, ok := c.clusters[c.clusterOf[id]]; ok {
+	root := c.clusterOf[id]
+	if members := c.clusters[c.clusterOff[root]:c.clusterOff[root+1]]; len(members) > 0 {
 		return members
 	}
 	return []int32{id}

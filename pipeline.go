@@ -410,8 +410,7 @@ func (p *Pipeline) Update(ctx context.Context, prior *PipelineResult, newRecords
 	}
 	base := len(records)
 	records = append(records, newRecords...)
-	raw, labeled := toBibRecords(records)
-	d, err := bib.DatasetFromRecords(p.name, raw)
+	d, labeled, err := p.extend(prior, records, base)
 	if err != nil {
 		return nil, fmt.Errorf("cem: pipeline update: %w", err)
 	}
@@ -503,6 +502,21 @@ func (p *Pipeline) carryOver(ctx context.Context, prior *PipelineResult) (*canop
 	// would not match this pipeline's cold runs, so replay fresh.
 	index, err := p.rebuildIndex(ctx, records)
 	return index, records, err
+}
+
+// extend returns the dataset of records, the prior's extended by those from
+// base on when it has one, and whether every record is labeled.
+func (p *Pipeline) extend(prior *PipelineResult, records []Record, base int) (*bib.Dataset, bool, error) {
+	raw, labeled := toBibRecords(records[base:])
+	if prior != nil {
+		d, err := prior.Experiment.Dataset.Extend(p.name, raw)
+		if !errors.Is(err, bib.ErrNotFromRecords) {
+			return d, labeled && prior.Labeled, err
+		}
+	}
+	raw, labeled = toBibRecords(records)
+	d, err := bib.DatasetFromRecords(p.name, raw)
+	return d, labeled, err
 }
 
 // rebuildIndex replays records through a fresh delta index.
