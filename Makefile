@@ -12,10 +12,6 @@ GOFLAGS  ?=
 # claimed with bench-pair, not these.
 SCHEME_BENCH   = ^Benchmark(NoMP|SMP|MMP|UB|Full|Blocking|Pipeline|Setup|PrepareCover|Grid)
 MATCHER_BENCH  = ^Benchmark(New|MatchWarm|MemoHit|MemoMiss|MemoMaximal|SolveMAP)$$
-# The storage-backend RSS benchmark matches the million-reference corpus
-# once per backend in a child process and reports the kernel-measured
-# peak RSS (maxrss-mb). Always 1x: each iteration is a full-corpus run.
-STORE_BENCH    = ^BenchmarkMillionStoreRSS$$
 BENCHTIME     ?= 5x
 # The matcher micro-benchmarks are microsecond-scale; at single-digit
 # iteration counts their numbers are dominated by pool warm-up and
@@ -23,7 +19,7 @@ BENCHTIME     ?= 5x
 # their own, much higher iteration floor.
 MATCHER_BENCHTIME ?= 500x
 
-.PHONY: build test race bench bench-rss cover cover-check fuzz fmt vet clean service-smoke chaos-smoke store-smoke bench-smoke bench-frozen bench-pair scale-test
+.PHONY: build test race bench cover cover-check fuzz fmt vet clean service-smoke chaos-smoke store-smoke bench-smoke bench-frozen bench-pair
 
 build:
 	$(GO) build $(GOFLAGS) ./...
@@ -69,18 +65,6 @@ cover-check:
 	echo "total coverage: $${total}% (committed floor: $${floor}%)"; \
 	awk -v t="$$total" -v f="$$floor" 'BEGIN { exit (t + 0 < f + 0) ? 1 : 0 }' \
 	  || { echo "FAIL: total coverage $${total}% dropped below the committed floor $${floor}%"; exit 1; }
-
-# bench-rss prints the storage backends' peak-RSS table for the
-# million-reference corpus.
-bench-rss:
-	$(GO) test $(GOFLAGS) -run '^$$' -bench '$(STORE_BENCH)' -benchtime 1x -timeout 60m -v ./internal/store/
-
-# scale-test runs the gated bounded-RSS acceptance test: the
-# million-reference corpus matched under both storage backends, the
-# disk store asserted under an absolute RSS bound the mem store
-# exceeds. Needs several GB of RAM and a few minutes.
-scale-test:
-	STORE_SCALE_TEST=1 $(GO) test $(GOFLAGS) -run '^TestMillionStoreRSS$$' -count=1 -v -timeout 60m ./internal/store/
 
 # service-smoke drives the emserve binary end to end as a black box:
 # start, POST, GET, SIGTERM, assert a clean checkpoint, restart into the

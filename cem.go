@@ -78,7 +78,7 @@ const (
 	// DBLPBig is the DBLP regime at grid scale (§6.3).
 	DBLPBig DatasetKind = "dblp-big"
 	// Million is the DBLP regime sized to ~1M references at scale 1.0 —
-	// the larger-than-RAM storage trajectory corpus (see WithStore).
+	// the scale corpus for runs beyond the benchmark sizes.
 	Million DatasetKind = "million"
 	// People is the second end-to-end domain: household-snapshot person
 	// dedup over typed-field composite keys (name | street | phone |

@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		wAddrs   = fs.String("worker-addrs", "", "comma-separated emworker addresses (host:port or unix:/path.sock) for the sharded backend's workers; implies -backend sharded")
 		ckptDir  = fs.String("checkpoint-dir", "", "persist a checkpoint after every round to this directory")
 		resume   = fs.Bool("resume", false, "continue the run from -checkpoint-dir instead of starting over")
-		stName   = fs.String("store", "", "storage backend for run state: "+strings.Join(cem.Stores(), " | ")+"; evidence is mirrored per round, -records/-ingest also save a reopenable snapshot")
+		stName   = fs.String("store", "", "storage backend for run state: "+strings.Join(cem.Stores(), " | ")+"; -records/-ingest save a reopenable snapshot into it")
 		stateDir = fs.String("state-dir", "", "root directory of a disk-backed -store (the store lives under <dir>/store)")
 		rulesF   = fs.String("rules-file", "", "declarative rules program; compiles and registers it, selecting it as the matcher")
 		progress = fs.Bool("progress", false, "print a line per neighborhood evaluation")
@@ -90,6 +90,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *stateDir != "" && *stName == "mem" {
 		return fmt.Errorf("-state-dir is meaningless with -store mem (nothing is persisted); use -store disk")
+	}
+	if *stName == "mem" {
+		return fmt.Errorf("-store mem persists nothing past this process; drop -store or use -store disk -state-dir DIR")
 	}
 	if *rulesF != "" {
 		name, err := cem.LoadRulesFile(*rulesF)
@@ -121,6 +124,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if modes > 1 {
 		return fmt.Errorf("-in, -records and -ingest are mutually exclusive")
+	}
+	if *stName != "" && *records == "" && *ingest == "" {
+		return fmt.Errorf("-store saves the state of a -records or -ingest run; a -kind/-in run has none to save")
 	}
 	if *ingest != "" && *resume {
 		return fmt.Errorf("-ingest replays a fresh stream; it cannot be combined with -resume")
@@ -154,7 +160,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		defer st.Close()
-		opts = append(opts, cem.WithOpenedStore(st))
 	}
 	if *closure {
 		opts = append(opts, cem.WithTransitiveClosure())

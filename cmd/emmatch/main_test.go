@@ -54,6 +54,12 @@ func TestFlagValidation(t *testing.T) {
 		{"state dir with mem store",
 			[]string{"-store", "mem", "-state-dir", "x"},
 			"-state-dir is meaningless with -store mem"},
+		{"mem store",
+			[]string{"-store", "mem", "-records", "r.tsv"},
+			"-store mem persists nothing"},
+		{"store on a generated corpus",
+			[]string{"-store", "disk", "-state-dir", "x", "-kind", "dblp"},
+			"-store saves the state of a -records or -ingest run"},
 		{"state dir without store",
 			[]string{"-state-dir", "x"},
 			"-state-dir requires -store"},

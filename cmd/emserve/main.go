@@ -5,10 +5,10 @@
 // from the last committed snapshot while updates run. With -state-dir
 // the service journals every accepted batch and checkpoints every
 // matching round, so SIGTERM (graceful drain) or even a kill restarts
-// into the identical state. Adding -store disk keeps the accumulated
-// match state in a disk-backed segment store under the state directory:
-// every commit saves a reopenable snapshot, and a restart reopens it
-// with zero matcher work instead of replaying the journal. /metrics
+// into the identical state. Adding -store disk keeps the completed state
+// in a disk-backed store under the state directory: every commit saves a
+// reopenable snapshot, and a restart reopens it with zero matcher work
+// instead of replaying the journal. /metrics
 // speaks the Prometheus text format.
 //
 // Usage:

@@ -1,12 +1,13 @@
 package cem_test
 
 // The conformance matrix: every way this repository can place a run's
-// neighborhood evaluations × every evidence store × matcher × scheme, on
-// the golden corpora, checked against the paper's three properties —
-// consistency (Theorems 2 and 4: the output is the pinned fixture no
-// matter the placement, the evaluation order or the store), soundness
-// (SMP, MMP ⊆ FULL) and MMP ⊇ SMP ⊇ NO-MP. Two option rows hold the
-// logical knobs (transitive closure, negative evidence) to the same
+// neighborhood evaluations × matcher × scheme, on the golden corpora,
+// checked against the paper's three properties — consistency (Theorems 2
+// and 4: the output is the pinned fixture no matter the placement or the
+// evaluation order), soundness (SMP, MMP ⊆ FULL) and MMP ⊇ SMP ⊇ NO-MP.
+// Two store rows save every round run's completed state through the
+// "mem" and the "disk" store and read the snapshot back. Two option rows
+// hold the logical knobs (transitive closure, negative evidence) to the same
 // placement-independence, and a cover-refinement row holds the licence for
 // the non-redundant cover: blocking's cover plus redundant neighborhoods —
 // duplicates and subsets of its own — must give the fixtures exactly. Run
@@ -24,6 +25,7 @@ import (
 
 	cem "repro"
 	"repro/internal/core"
+	"repro/internal/grid"
 	emnet "repro/internal/net"
 	"repro/internal/wire"
 	"repro/match"
@@ -51,7 +53,7 @@ func (b shuffledBackend) RunRounds(_ context.Context, _ *match.RoundPlan, d *mat
 // execution is one placement: a runner option, or the simulated grid.
 type execution struct {
 	name string
-	opt  cem.RunnerOption // nil: Runner.RunGrid
+	opt  cem.RunnerOption // nil: the simulated grid's backend
 }
 
 func executions() []execution {
@@ -74,10 +76,18 @@ func executions() []execution {
 
 // run executes one scheme under the execution on a fresh runner carrying
 // the row's option (nil for none).
-func (ex execution) run(t *testing.T, exp *cem.Experiment, matcher string, scheme cem.Scheme, rowOpt cem.RunnerOption) (match.PairSet, *cem.Runner) {
+func (ex execution) run(t *testing.T, exp *cem.Experiment, matcher string, scheme cem.Scheme, rowOpt cem.RunnerOption) *cem.Result {
 	t.Helper()
+	placement := ex.opt
+	if placement == nil { // the grid's clock times one run: a fresh backend each
+		b, err := grid.NewBackend(cem.GridConfig{Machines: 4, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		placement = cem.WithBackend(b)
+	}
 	var opts []cem.RunnerOption
-	for _, o := range []cem.RunnerOption{rowOpt, ex.opt} {
+	for _, o := range []cem.RunnerOption{rowOpt, placement} {
 		if o != nil {
 			opts = append(opts, o)
 		}
@@ -86,18 +96,38 @@ func (ex execution) run(t *testing.T, exp *cem.Experiment, matcher string, schem
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.opt == nil {
-		res, err := runner.RunGrid(context.Background(), scheme, cem.GridConfig{Machines: 4, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Matches, runner
-	}
 	res, err := runner.Run(context.Background(), scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Matches, runner
+	return res
+}
+
+// checkSaved saves a completed round run through st, as a service commit
+// does, and requires the snapshot blob to carry exactly the run's M+ and
+// its outstanding maximal messages.
+func checkSaved(t *testing.T, st match.Store, exp *cem.Experiment, res *cem.Result) {
+	t.Helper()
+	if err := cem.SaveState(st, &cem.PipelineResult{Result: res, Experiment: exp}, 1); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := st.OpenBlob(match.KindSnapshot, "latest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := wire.UnmarshalCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameKey := func(k uint64, p match.PairKey) bool { return k == uint64(p) }
+	if !slices.EqualFunc(ck.Delta, res.Matches.SortedKeys(), sameKey) {
+		t.Errorf("%s: the saved snapshot holds %d pairs, the run matched %d", res.Scheme, len(ck.Delta), res.Matches.Len())
+	}
+	if !slices.EqualFunc(ck.Messages, res.Messages, func(keys []uint64, msg []match.Pair) bool {
+		return slices.EqualFunc(keys, msg, func(k uint64, p match.Pair) bool { return sameKey(k, p.Key()) })
+	}) {
+		t.Errorf("%s: the saved snapshot holds %d messages, the run left %d", res.Scheme, len(ck.Messages), len(res.Messages))
+	}
 }
 
 func wholeSet(s cem.Scheme) bool { return s == cem.SchemeFull || s == cem.SchemeUB }
@@ -147,7 +177,7 @@ func TestConformance(t *testing.T) {
 				if err != nil {
 					t.Fatalf("missing fixture (run `go test -run TestGoldenMatchSets -update`): %v", err)
 				}
-				ref[scheme], _ = placements[0].run(t, exp, matcher, scheme, nil)
+				ref[scheme] = placements[0].run(t, exp, matcher, scheme, nil).Matches
 				if got := renderPairs(ref[scheme]); got != string(want) {
 					t.Fatalf("%s: reference run diverges from its fixture: %s", path, firstDiff(got, string(want)))
 				}
@@ -160,7 +190,7 @@ func TestConformance(t *testing.T) {
 				name    string
 				exp     *cem.Experiment // nil: the fixture's experiment
 				opt     cem.RunnerOption
-				store   bool
+				store   *storeVariant // the completed runs are saved through it
 				schemes []cem.Scheme
 				want    func(cem.Scheme) match.PairSet
 			}
@@ -171,14 +201,14 @@ func TestConformance(t *testing.T) {
 			shared := []cem.Scheme{cem.SchemeNoMP, cem.SchemeSMP}
 			negOpt, negative := cem.WithNegativeEvidence(match.NewPairSet(victim)), map[cem.Scheme]match.PairSet{}
 			for _, s := range shared {
-				negative[s], _ = placements[0].run(t, exp, matcher, s, negOpt)
+				negative[s] = placements[0].run(t, exp, matcher, s, negOpt).Matches
 				if negative[s].Has(victim) {
 					t.Errorf("%s/%s: negative evidence ignored: victim pair matched", matcher, s)
 				}
 			}
 			rows := []row{{name: "nostore", schemes: goldenMatrix[matcher], want: fixtures}}
 			for _, sv := range storeVariants(t) {
-				rows = append(rows, row{name: sv.name, opt: sv.opt, store: true, schemes: goldenMatrix[matcher], want: fixtures})
+				rows = append(rows, row{name: sv.name, store: &sv, schemes: goldenMatrix[matcher], want: fixtures})
 			}
 			rows = append(rows,
 				row{name: "refined", exp: redundant, schemes: goldenMatrix[matcher], want: fixtures},
@@ -194,27 +224,22 @@ func TestConformance(t *testing.T) {
 						if r.exp != nil {
 							rexp = r.exp
 						}
+						var st match.Store
+						if r.store != nil {
+							st = r.store.open(t)
+						}
 						got := map[cem.Scheme]match.PairSet{}
 						for _, scheme := range r.schemes {
 							if wholeSet(scheme) && i > 0 {
-								continue // no placement to vary: once per row, the store idle
+								continue // no placement to vary: once per row, nothing saved
 							}
-							matches, runner := ex.run(t, rexp, matcher, scheme, r.opt)
-							got[scheme] = matches
-							if want := r.want(scheme); !matches.Equal(want) {
-								t.Errorf("%s: match set diverges: %s", scheme, firstDiff(renderPairs(matches), renderPairs(want)))
+							res := ex.run(t, rexp, matcher, scheme, r.opt)
+							got[scheme] = res.Matches
+							if want := r.want(scheme); !res.Matches.Equal(want) {
+								t.Errorf("%s: match set diverges: %s", scheme, firstDiff(renderPairs(res.Matches), renderPairs(want)))
 							}
-							if !r.store || wholeSet(scheme) {
-								continue
-							}
-							// After a round run the store holds exactly its M+.
-							st, err := runner.Store()
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !slices.EqualFunc(evidenceKeys(t, st), matches.SortedKeys(),
-								func(a uint64, b match.PairKey) bool { return a == uint64(b) }) {
-								t.Errorf("%s: the store's evidence stream is not the run's match set", scheme)
+							if st != nil && !wholeSet(scheme) {
+								checkSaved(t, st, rexp, res)
 							}
 						}
 						smp := got[cem.SchemeSMP]
@@ -224,7 +249,7 @@ func TestConformance(t *testing.T) {
 						if mmp, ok := got[cem.SchemeMMP]; ok && !smp.Subset(mmp) {
 							t.Error("MMP lost SMP matches")
 						}
-						if r.opt == nil || r.store {
+						if r.opt == nil {
 							for _, s := range []cem.Scheme{cem.SchemeSMP, cem.SchemeMMP} {
 								if !got[s].Subset(ref[cem.SchemeFull]) {
 									t.Errorf("%s is unsound: not contained in FULL", s)

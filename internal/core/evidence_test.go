@@ -1,8 +1,8 @@
 package core_test
 
 import (
-	"fmt"
 	"math/rand"
+	"os"
 	"slices"
 	"testing"
 
@@ -10,99 +10,96 @@ import (
 	"repro/internal/testmodel"
 )
 
-// recordingStore is a minimal EvidenceStore capturing the driver's
-// clear/put protocol.
-type recordingStore struct {
-	keys   map[uint64]struct{}
-	clears int
-	puts   int
-}
-
-func newRecordingStore() *recordingStore {
-	return &recordingStore{keys: map[uint64]struct{}{}}
-}
-
-func (r *recordingStore) ClearEvidence() error {
-	r.clears++
-	r.keys = map[uint64]struct{}{}
-	return nil
-}
-
-func (r *recordingStore) PutEvidence(keys []uint64) error {
-	r.puts++
-	for i, k := range keys {
-		a, b := uint32(k>>32), uint32(k)
-		if a >= b || b >= 1<<31 {
-			return fmt.Errorf("batch key %d (%#x) violates the pair-key contract", i, k)
+// readTrail decodes every round record of a checkpoint trail in round
+// order, failing unless each record's evidence delta is a strictly
+// increasing batch of valid pair keys (the wire delta contract).
+func readTrail(t *testing.T, dir string) []*core.State {
+	t.Helper()
+	var recs []*core.State
+	for _, f := range trailFiles(t, dir) {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if i > 0 && keys[i-1] >= k {
-			return fmt.Errorf("batch not strictly increasing at %d", i)
+		st, err := core.DecodeState(data)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
 		}
-		r.keys[k] = struct{}{}
+		for i, k := range st.Evidence {
+			if a, b := uint32(k>>32), uint32(k); a >= b || b >= 1<<31 {
+				t.Fatalf("%s: delta key %d (%#x) violates the pair-key contract", f, i, uint64(k))
+			}
+			if i > 0 && st.Evidence[i-1] >= k {
+				t.Fatalf("%s: delta not strictly increasing at %d", f, i)
+			}
+		}
+		if st.Header.Round != len(recs)+1 {
+			t.Fatalf("%s carries round %d, want %d", f, st.Header.Round, len(recs)+1)
+		}
+		recs = append(recs, st)
 	}
-	return nil
+	return recs
 }
 
-func (r *recordingStore) sorted() []core.PairKey {
-	out := make([]core.PairKey, 0, len(r.keys))
-	for k := range r.keys {
-		out = append(out, core.PairKey(k))
+// trailEvidence is the union of a trail's round deltas, ascending.
+func trailEvidence(recs []*core.State) []core.PairKey {
+	var keys []core.PairKey
+	for _, r := range recs {
+		keys = append(keys, r.Evidence...)
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }
 
-// TestEvidenceStoreMirrorsRun pins the driver invariant: after any
-// round-based run, the evidence store holds exactly the result's
-// accumulated M+, and every batch obeyed the wire key contract.
+// TestEvidenceStoreMirrorsRun pins the trail's evidence invariant: after
+// any round-based run, the round deltas union to exactly the result's
+// accumulated M+, and every delta obeyed the wire key contract.
 func TestEvidenceStoreMirrorsRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 10; trial++ {
 		m, cover := testmodel.Random(rng)
 		for _, scheme := range []string{"NO-MP", "SMP", "MMP"} {
-			es := newRecordingStore()
-			cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation(), Evidence: es}
-			res, err := core.RunBackend(bg, cfg, scheme, core.PoolBackend{}, core.CheckpointConfig{})
+			dir := t.TempDir()
+			cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
+			res, err := core.RunBackend(bg, cfg, scheme, core.PoolBackend{}, core.CheckpointConfig{Dir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if es.clears == 0 {
-				t.Fatalf("%s: cold run never cleared the evidence store", scheme)
-			}
-			if got, want := es.sorted(), res.Matches.SortedKeys(); !slices.Equal(got, want) {
-				t.Fatalf("%s: store holds %d keys, result %d", scheme, len(got), len(want))
+			if got, want := trailEvidence(readTrail(t, dir)), res.Matches.SortedKeys(); !slices.Equal(got, want) {
+				t.Fatalf("%s: trail holds %d keys, result %d", scheme, len(got), len(want))
 			}
 		}
 	}
 }
 
-// TestEvidenceStoreWarmStart pins the warm-start protocol: the store is
-// reset to the seed, then accumulates the continuation's deltas, ending
-// equal to the warm fixpoint.
+// TestEvidenceStoreWarmStart pins the warm-start protocol: the trail's
+// first record is the seed, and the continuation's deltas union with it
+// to the warm fixpoint.
 func TestEvidenceStoreWarmStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	m, cover := testmodel.Random(rng)
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 	cold := runOn(t, cfg, "SMP", core.PoolBackend{})
 
-	es := newRecordingStore()
-	cfg.Evidence = es
-	warm := &core.WarmStart{
-		Evidence: cold.Matches.SortedKeys(),
-		Active:   []int32{0},
-	}
-	res, err := core.RunBackendFrom(bg, cfg, "SMP", core.PoolBackend{}, core.CheckpointConfig{}, warm)
+	dir := t.TempDir()
+	seed := cold.Matches.SortedKeys()
+	warm := &core.WarmStart{Evidence: seed, Active: []int32{0}}
+	res, err := core.RunBackendFrom(bg, cfg, "SMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir}, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := es.sorted(), res.Matches.SortedKeys(); !slices.Equal(got, want) {
-		t.Fatalf("warm store holds %d keys, result %d", len(got), len(want))
+	recs := readTrail(t, dir)
+	if len(recs) == 0 || !slices.Equal(recs[0].Evidence, seed) {
+		t.Fatal("the warm trail's first record is not the seed")
+	}
+	if got, want := trailEvidence(recs), res.Matches.SortedKeys(); !slices.Equal(got, want) {
+		t.Fatalf("warm trail holds %d keys, result %d", len(got), len(want))
 	}
 }
 
-// TestEvidenceStoreResume pins the resume protocol: resuming a
-// checkpoint trail resets the store to the trail's accumulated state
-// (never unioned with a previous run's leftovers).
+// TestEvidenceStoreResume pins the resume protocol: resuming a trail cut
+// back to its first round rebuilds the uninterrupted run's result, and
+// the continued trail again unions to it.
 func TestEvidenceStoreResume(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	m, cover := testmodel.Random(rng)
@@ -113,11 +110,11 @@ func TestEvidenceStoreResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	es := newRecordingStore()
-	// Poison the store: a resume must clear this leftover, not merge it.
-	es.keys[1<<40|7] = struct{}{}
-	cfg.Evidence = es
+	for _, f := range trailFiles(t, dir)[1:] {
+		if err := os.Remove(f); err != nil {
+			t.Fatal(err)
+		}
+	}
 	resumed, err := core.RunBackend(bg, cfg, "SMP", core.PoolBackend{},
 		core.CheckpointConfig{Dir: dir, Resume: true})
 	if err != nil {
@@ -126,7 +123,7 @@ func TestEvidenceStoreResume(t *testing.T) {
 	if !resumed.Matches.Equal(full.Matches) {
 		t.Fatal("resume diverged from the original run")
 	}
-	if got, want := es.sorted(), resumed.Matches.SortedKeys(); !slices.Equal(got, want) {
-		t.Fatalf("resumed store holds %d keys, result %d", len(got), len(want))
+	if got, want := trailEvidence(readTrail(t, dir)), resumed.Matches.SortedKeys(); !slices.Equal(got, want) {
+		t.Fatalf("resumed trail holds %d keys, result %d", len(got), len(want))
 	}
 }

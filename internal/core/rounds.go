@@ -86,11 +86,6 @@ func newRoundDriver(plan *RoundPlan, ck CheckpointConfig) (*RoundDriver, error) 
 			return nil, err
 		}
 	}
-	// A fresh run owns the store: clear it so the segments accumulate
-	// exactly this run's evidence.
-	if err := resetEvidence(plan.Config.Evidence, nil); err != nil {
-		return nil, err
-	}
 	d.active = allNeighborhoods(plan.Config.Cover.Len())
 	d.done = len(d.active) == 0
 	return d, nil
@@ -188,9 +183,8 @@ func (d *RoundDriver) Reduce(j Job) {
 // it promotes sound maximal messages (Algorithm 3 Step 7), derives the
 // next active set from the neighborhoods the round's new pairs affect
 // (a neighborhood Evaluate ran after a pair was reduced already had it
-// as evidence, and is not re-activated by it), mirrors the evidence
-// delta into the store and persists a checkpoint when configured. The
-// delta is available from RoundDelta afterwards.
+// as evidence, and is not re-activated by it) and persists a checkpoint
+// when configured. The delta is available from RoundDelta afterwards.
 func (d *RoundDriver) EndRound() error {
 	if d.store != nil {
 		d.promote()
@@ -211,17 +205,11 @@ func (d *RoundDriver) EndRound() error {
 		d.active = affected
 	}
 
-	if d.trail != nil || d.plan.Config.Evidence != nil {
-		delta := d.RoundDelta()
-		if err := putEvidence(d.plan.Config.Evidence, delta); err != nil {
-			return err
-		}
-		if d.trail != nil {
-			d.res.Stats.Elapsed = d.prior + time.Since(d.start) // running elapsed, persisted
-			return d.checkpoint(delta)
-		}
+	if d.trail == nil {
+		return nil
 	}
-	return nil
+	d.res.Stats.Elapsed = d.prior + time.Since(d.start) // running elapsed, persisted
+	return d.checkpoint(d.RoundDelta())
 }
 
 // FinishRound is the batch form of the central Reduce: jobs are the

@@ -38,13 +38,6 @@ type Config struct {
 	// neighborhood evaluation (from the reducing goroutine in parallel
 	// runs). Callbacks must be fast; they sit on the scheduling path.
 	Progress func(ProgressEvent)
-
-	// Evidence, when non-nil, mirrors the round driver's accumulated
-	// M+ into external storage: cleared (and re-seeded) at run start,
-	// then appended one sorted delta per completed round, so the store
-	// always holds exactly the current run's evidence. FULL and UB have
-	// no rounds and never consult it.
-	Evidence EvidenceStore
 }
 
 // workers normalizes Parallelism to an effective worker count.

@@ -38,9 +38,9 @@ type WarmStart struct {
 // seed is the one installer of prior state into a freshly initialized
 // driver, for a warm start and a checkpoint resume alike: the evidence
 // becomes the accumulated match set, outstanding messages refill the
-// store, the active set replaces the all-neighborhoods round 1, and the
-// evidence store restarts from the seed. A resume (the state of a trail:
-// Round > 0) also restores the trail's round counter, visits and stats.
+// store and the active set replaces the all-neighborhoods round 1. A
+// resume (the state of a trail: Round > 0) also restores the trail's
+// round counter, visits and stats.
 // A warm start sets the round counter to 1 — the continuation's first
 // round is a re-activation round (round 2), so undecided-free
 // neighborhoods may be discharged as skips — and, when checkpointing,
@@ -78,17 +78,10 @@ func (d *RoundDriver) seed(st *State) error {
 	} else {
 		d.round = 1
 	}
-	if d.trail == nil && d.plan.Config.Evidence == nil {
+	if d.trail == nil || resumed {
 		return nil
 	}
-	delta := d.ev.SortedKeys()
-	if err := resetEvidence(d.plan.Config.Evidence, delta); err != nil {
-		return err
-	}
-	if d.trail != nil && !resumed {
-		return d.checkpoint(delta)
-	}
-	return nil
+	return d.checkpoint(d.ev.SortedKeys())
 }
 
 // RunBackendFrom is RunBackend continued from a warm-start seed instead

@@ -55,11 +55,9 @@ func WithJournal(dir string) CommitterOption {
 // WithStore persists every committed state into s (cem.SaveState after
 // each successful update, before the state is published), so a restart
 // reopens the store snapshot — Pipeline.Reopen, zero matcher calls —
-// instead of replaying the journal through the engine. The store must be
-// the same one the pipeline's runner carries (cem.WithOpenedStore): the
-// runner mirrors evidence into it round by round, the committer adds the
-// snapshot and postings blobs per commit. The committer does not close
-// the store.
+// instead of replaying the journal through the engine. The committer is
+// the store's one writer: the snapshot and postings blobs, per commit. It
+// does not close the store.
 func WithStore(s match.Store) CommitterOption {
 	return func(c *Committer) { c.store = s }
 }

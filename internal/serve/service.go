@@ -55,19 +55,16 @@ type Config struct {
 	// record journal (every accepted batch, written before it is
 	// applied), StateDir/checkpoint the matching-round trail
 	// (cem.WithCheckpointDir), and — with Store set — StateDir/store the
-	// storage backend's segments and blobs. Restarting a service on the
-	// same StateDir recovers the identical committed state. Empty =
-	// ephemeral.
+	// storage backend's blobs. Restarting a service on the same StateDir
+	// recovers the identical committed state. Empty = ephemeral.
 	StateDir string
 	// Store names a registered storage backend (cem.Stores: "mem",
-	// "disk", ...) opened under StateDir/store and threaded through the
-	// pipeline and the committer: the runner mirrors evidence into it
-	// round by round, every commit saves a full state snapshot, and a
-	// restart REOPENS that snapshot — zero matcher calls, zero trail
-	// replay — instead of folding the journal back through the engine.
-	// "disk" keeps the accumulated match state out of process RSS.
-	// Requires StateDir; empty keeps the journal + checkpoint-trail
-	// recovery path only.
+	// "disk", ...) opened under StateDir/store and handed to the
+	// committer: it holds the completed state, the snapshot and postings
+	// blobs every commit saves, and a restart REOPENS that snapshot —
+	// zero matcher calls, zero trail replay — instead of folding the
+	// journal back through the engine. Requires StateDir; empty keeps the
+	// journal + checkpoint-trail recovery path only.
 	Store string
 
 	// Batching bounds the ingest batcher (see BatcherConfig).
@@ -159,7 +156,6 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: opening store: %w", err)
 		}
-		ropts = append(ropts, cem.WithOpenedStore(st))
 	}
 	failed := func(err error) (*Service, error) {
 		if st != nil {

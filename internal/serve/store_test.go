@@ -16,6 +16,7 @@ import (
 	"time"
 
 	cem "repro"
+	"repro/internal/store"
 	"repro/internal/wire"
 	"repro/match"
 )
@@ -262,6 +263,110 @@ func TestRecoverRefusedStoreSnapshot(t *testing.T) {
 	if n := svc3.metrics.StoreReopens.Value(); n != 1 {
 		t.Errorf("restart after the replay: emserve_store_reopens_total = %d, want 1 (the replay rewrote the snapshot)", n)
 	}
+}
+
+// TestRecoverStateDirWithSegments is the path a state directory written
+// by a build that also mirrored M+ into evidence segments takes: the
+// segments are still verified when the store opens, but recovery reads
+// only the blobs, so the restart reopens the snapshot with zero matcher
+// calls, serves the byte-identical match set, keeps warm-starting, and
+// never touches the segments again.
+func TestRecoverStateDirWithSegments(t *testing.T) {
+	records := testRecords(t, cem.HEPTH)
+	batches := batchCuts(records)
+	state := t.TempDir()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	svc, err := New(context.Background(), Config{StateDir: state, Store: "disk", Batching: fastBatching})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches[:3] {
+		ingestWait(t, svc, b)
+	}
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want := svc.Snapshot()
+
+	// Leave the committed M+ behind as segments, in two batches, as the
+	// earlier build's per-round mirror did.
+	st, err := store.Open("disk", store.WithDir(filepath.Join(state, "store")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := rekeyed(want.Result.Matches.SortedKeys())
+	for _, batch := range [][]uint64{keys[:len(keys)/2], keys[len(keys)/2:]} {
+		if err := st.PutEvidence(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segments := func() []string {
+		t.Helper()
+		files, err := filepath.Glob(filepath.Join(state, "store", "ev-*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	left := segments()
+	if len(left) == 0 {
+		t.Fatal("no evidence segment was written")
+	}
+
+	svc2, err := New(context.Background(), Config{StateDir: state, Store: "disk", Batching: fastBatching})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Kill()
+	if n := svc2.metrics.StoreReopens.Value(); n != 1 {
+		t.Errorf("emserve_store_reopens_total = %d, want 1", n)
+	}
+	if calls := svc2.pipe.Stats().MatcherCalls; calls != 0 {
+		t.Errorf("restart made %d matcher calls, want 0", calls)
+	}
+	srv := httptest.NewServer(svc2)
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/matches")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(body) != want.RenderMatches() {
+		t.Errorf("/matches after the restart: %d bytes, want %d", len(body), len(want.RenderMatches()))
+	}
+
+	last := ingestWait(t, svc2, batches[3])
+	if !last.Result.WarmStarted {
+		t.Error("the batch after the restart did not warm-start")
+	}
+	cold, err := testPipeline(t).Run(context.Background(), records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last.RenderMatches() != renderPipelineMatches(cold) {
+		t.Error("the stream continued past the restart diverges from the cold run")
+	}
+	if got := segments(); !slices.Equal(got, left) {
+		t.Errorf("the service touched the old segments: %v, was %v", got, left)
+	}
+}
+
+// rekeyed converts pair keys to the store's raw form.
+func rekeyed(keys []match.PairKey) []uint64 {
+	out := make([]uint64, len(keys))
+	for i, k := range keys {
+		out[i] = uint64(k)
+	}
+	return out
 }
 
 // TestServiceStoreConfigValidation pins the config failure modes: a

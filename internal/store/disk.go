@@ -338,18 +338,6 @@ func (d *Disk) EvidenceLen() (int, error) {
 	return n, err
 }
 
-// ClearEvidence implements Store.
-func (d *Disk) ClearEvidence() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.trail.Clear(); err != nil {
-		return err
-	}
-	d.segs = nil
-	d.cache.clear()
-	return nil
-}
-
 // blobPath maps a blob to its file, validating both path components.
 func (d *Disk) blobPath(kind, name string) (string, error) {
 	if err := checkBlobName(kind); err != nil {

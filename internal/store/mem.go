@@ -10,11 +10,10 @@ func init() {
 	Register("mem", func(o Options) (Store, error) { return NewMem(), nil })
 }
 
-// Mem is the in-memory store: the maps the engine always kept, behind
-// the Store interface. It is the default — byte-identical behavior to
-// the pre-Store engine — and the reference implementation the disk
-// store is differentially tested against. State dies with the process;
-// a service on a mem store recovers from the journal, not the store.
+// Mem is the in-memory store: process maps behind the Store interface,
+// and the reference implementation the disk store is differentially
+// tested against. State dies with the process; a service on a mem store
+// recovers from the journal, not the store.
 type Mem struct {
 	mu       sync.RWMutex
 	evidence map[uint64]struct{}
@@ -77,14 +76,6 @@ func (m *Mem) EvidenceLen() (int, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return len(m.evidence), nil
-}
-
-// ClearEvidence implements Store.
-func (m *Mem) ClearEvidence() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.evidence = map[uint64]struct{}{}
-	return nil
 }
 
 // SaveBlob implements Store.

@@ -1,12 +1,11 @@
-// Package store is the engine's storage abstraction: everything the
-// matcher state machine persists — the accumulated evidence set, the
-// blocking index (canopy postings), and run snapshots — goes through a
-// Store, so the same pipeline can keep its state in process maps (the
-// "mem" store, the default: exactly the behavior the engine always had)
-// or on disk (the "disk" store: append-only segment files of
-// difference-encoded sorted PairKey batches over the internal/wire
-// codec, for corpora whose state should not live in RSS and for
-// services that reopen state on restart instead of replaying trails).
+// Package store is the engine's storage abstraction: the state of a
+// completed run — the run snapshot and the blocking index (canopy
+// postings) — goes through a Store as named blobs, so the same pipeline
+// can keep it in process maps (the "mem" store) or on disk (the "disk"
+// store, for services that reopen state on restart instead of replaying
+// trails). A Store also offers an evidence-set API (append-only segment
+// files of difference-encoded sorted PairKey batches over the
+// internal/wire codec on disk); the engine writes no evidence into it.
 //
 // The package also owns the one durability protocol, Trail (trail.go):
 // the disk store's segments and blobs, the service journal and the
@@ -43,11 +42,10 @@ const (
 	KindPostings = "postings"
 )
 
-// Store is the persistence boundary of one matching state: evidence
-// (the accumulated M+ as packed pair keys), and named blobs (blocking
-// postings, run snapshots). Implementations must be safe for concurrent
-// readers with one writer; the engine's reduce path is single-writer by
-// design.
+// Store is the persistence boundary of one matching state: named blobs
+// (blocking postings, run snapshots) and an evidence set of packed pair
+// keys. Implementations must be safe for concurrent readers with one
+// writer.
 type Store interface {
 	// Name returns the registry name the store was opened under.
 	Name() string
@@ -65,10 +63,6 @@ type Store interface {
 	EvidenceRange(lo, hi uint64, yield func(uint64) bool) error
 	// EvidenceLen returns the number of distinct evidence keys.
 	EvidenceLen() (int, error)
-	// ClearEvidence empties the evidence set. The engine clears at the
-	// start of every cold run so the store always holds exactly the
-	// current run's accumulated evidence.
-	ClearEvidence() error
 
 	// SaveBlob durably replaces the named blob (KindSnapshot,
 	// KindPostings, or any caller-chosen namespace). Names are

@@ -183,16 +183,6 @@ func TestStoreConformance(t *testing.T) {
 				t.Fatal("SaveBlob accepted a slash in the name")
 			}
 
-			// Clear drops evidence but not blobs.
-			if err := s.ClearEvidence(); err != nil {
-				t.Fatalf("ClearEvidence: %v", err)
-			}
-			if n, err := s.EvidenceLen(); err != nil || n != 0 {
-				t.Fatalf("EvidenceLen after clear = %d, %v", n, err)
-			}
-			if _, err := s.OpenBlob(KindSnapshot, "latest"); err != nil {
-				t.Fatalf("blob lost after ClearEvidence: %v", err)
-			}
 			if err := s.Flush(); err != nil {
 				t.Fatalf("Flush: %v", err)
 			}
@@ -224,22 +214,12 @@ func TestDiskMatchesMemProperty(t *testing.T) {
 		}
 	}
 	for step := 0; step < 60; step++ {
-		switch rng.Intn(10) {
-		case 0:
-			if err := mem.ClearEvidence(); err != nil {
-				t.Fatal(err)
-			}
-			if err := disk.ClearEvidence(); err != nil {
-				t.Fatal(err)
-			}
-		default:
-			keys := sortedKeys(rng, 1+rng.Intn(300))
-			if err := mem.PutEvidence(keys); err != nil {
-				t.Fatal(err)
-			}
-			if err := disk.PutEvidence(keys); err != nil {
-				t.Fatal(err)
-			}
+		keys := sortedKeys(rng, 1+rng.Intn(300))
+		if err := mem.PutEvidence(keys); err != nil {
+			t.Fatal(err)
+		}
+		if err := disk.PutEvidence(keys); err != nil {
+			t.Fatal(err)
 		}
 		check(step)
 	}

@@ -7,11 +7,12 @@ import "repro/internal/store"
 // — the same arrangement the Matcher and Backend aliases above provide
 // for matchers and executors.
 
-// Store is the engine's persistence boundary: the accumulated evidence
-// set (packed pair keys) plus named blobs (run snapshots, blocking
-// postings). Register implementations with cem.RegisterStore; the
-// built-ins are "mem" (process maps, the default) and "disk"
-// (append-only difference-encoded segment files).
+// Store is the engine's persistence boundary for completed state: named
+// blobs (run snapshots, blocking postings) that cem.SaveState writes and
+// cem.Pipeline.Reopen reads, plus an evidence-set API (packed pair keys)
+// the engine itself does not write. Register implementations with
+// cem.RegisterStore; the built-ins are "mem" (process maps) and "disk"
+// (files committed through one durable protocol).
 type Store = store.Store
 
 // StoreOptions is the resolved open-time configuration a StoreFactory
@@ -19,8 +20,7 @@ type Store = store.Store
 type StoreOptions = store.Options
 
 // StoreOption mutates StoreOptions — the functional options accepted by
-// cem.WithStore and cem.OpenStore (cem.WithStoreDir and friends build
-// them).
+// cem.OpenStore (cem.WithStoreDir and friends build them).
 type StoreOption = store.Option
 
 // StoreFactory opens a Store from resolved options.

@@ -41,8 +41,6 @@ type Runner struct {
 	closure     bool
 	backend     match.Backend
 	ckptDir     string
-	store       match.Store  // WithOpenedStore
-	storeh      *storeHandle // WithStore (lazily opened, shared across runs)
 }
 
 // RunnerOption customizes a Runner.
@@ -112,10 +110,9 @@ func WithShardCount(k int) RunnerOption {
 // recover a killed run. It survives the death of the process, not a
 // power cut (it is not fsynced; a record torn that way is set aside on
 // resume and the run continues from the round before it). It is not the
-// only persistence the engine has —
-// completed state lives in a Store (see WithStore): a disk store holds
-// the accumulated evidence in segment files and reopens on restart with
-// no replay at all. The two compose; a long-lived service typically
+// only persistence the engine has — completed state lives in a Store
+// (see SaveState): its snapshot blob reopens on restart with no replay at
+// all (Pipeline.Reopen). The two compose; a long-lived service typically
 // wants both (trail for mid-run kills, store for completed state).
 func WithCheckpointDir(dir string) RunnerOption {
 	return func(r *Runner) { r.ckptDir = dir }
@@ -201,14 +198,10 @@ func (r *Runner) Resume(ctx context.Context, s Scheme) (*Result, error) {
 // seed; FULL and UB are whole-set calls. Every result is sealed.
 func (r *Runner) run(ctx context.Context, s Scheme, b match.Backend, warm *core.WarmStart, resume bool) (*Result, error) {
 	cfg := r.coreConfig()
-	st, err := r.evidenceStore()
-	if err != nil {
-		return nil, err
-	}
-	if st != nil {
-		cfg.Evidence = st
-	}
-	var raw *core.Result
+	var (
+		raw *core.Result
+		err error
+	)
 	switch cs := coreScheme(s); {
 	case cs != "":
 		if b == nil {
@@ -295,7 +288,7 @@ type GridResult = grid.Result
 // RunGrid executes one scheme with the simulated grid (§6.3) as the
 // backend: the engine's own parallel rounds, timed on a simulated
 // G-machine clock. It is a Run in every other respect — the runner's
-// options (stats, progress, closure, store, checkpoints) all apply. An
+// options (stats, progress, closure, checkpoints) all apply. An
 // invalid configuration (e.g. zero machines) is reported as an error up
 // front.
 func (r *Runner) RunGrid(ctx context.Context, s Scheme, gcfg GridConfig) (*GridResult, error) {

@@ -67,7 +67,7 @@ curl -fsS -X POST --data-binary @"$workdir/batch2.tsv" "$base/records?wait=1" \
 
 matches_before="$(curl -fsS "$base/matches")"
 stats_before="$(curl -fsS "$base/stats")"
-ls "$state"/store/ev-*.seg >/dev/null 2>&1 || fail "disk store wrote no evidence segments"
+[ -f "$state/store/blob/snapshot/latest" ] && ! ls "$state"/store/ev-*.seg >/dev/null 2>&1 || fail "disk store holds no snapshot blob, or wrote evidence segments"
 
 echo "== SIGKILL (no drain)"
 kill -9 "$server_pid"

@@ -14,11 +14,10 @@ import (
 )
 
 // Store-backed state: SaveState persists a completed pipeline result
-// into a Store (evidence is already there, mirrored round by round when
-// the runner carries the store; SaveState adds the snapshot blob and
-// the blocking postings blob), and Pipeline.Reopen restores the result
-// from the store without running the matcher at all — the
-// restart-without-replay path a disk-backed service uses.
+// into a Store as two blobs — the snapshot (M+ and the outstanding
+// maximal messages) and the blocking postings — and Pipeline.Reopen
+// restores the result from the store without running the matcher at
+// all — the restart-without-replay path a disk-backed service uses.
 
 // stateBlobName is the snapshot/postings blob both sides agree on.
 const stateBlobName = "latest"
@@ -27,9 +26,9 @@ const stateBlobName = "latest"
 // snapshot blob (a wire.Checkpoint carrying the run's provenance, its
 // pre-closure evidence, outstanding maximal messages, and seq as the
 // commit sequence number) plus — when res carries streaming blocking
-// state — a postings blob with the serialized delta index. Evidence
-// segments are the runner's business; SaveState only writes blobs, so
-// it is cheap relative to a run and safe to call once per commit.
+// state — a postings blob with the serialized delta index. These blobs
+// are the one durable copy of a completed run's state; SaveState is cheap
+// relative to a run and safe to call once per commit.
 func SaveState(s match.Store, res *PipelineResult, seq int) error {
 	if s == nil {
 		return fmt.Errorf("cem: SaveState needs a store")

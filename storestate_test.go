@@ -39,11 +39,7 @@ func TestStoreStateReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := cem.NewPipeline(
-		cem.WithMatcher(cem.MatcherMLN),
-		cem.WithScheme(cem.SchemeSMP),
-		cem.WithRunnerOptions(cem.WithOpenedStore(s)),
-	)
+	pipe, err := cem.NewPipeline(cem.WithMatcher(cem.MatcherMLN), cem.WithScheme(cem.SchemeSMP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +53,6 @@ func TestStoreStateReopen(t *testing.T) {
 	res, err := pipe.Update(ctx, first, records[half:])
 	if err != nil {
 		t.Fatal(err)
-	}
-	// The store's evidence mirrors the run's accumulated M+.
-	var stored int
-	if stored, err = s.EvidenceLen(); err != nil {
-		t.Fatal(err)
-	}
-	if stored != res.Matches.Len() {
-		t.Fatalf("store holds %d evidence keys, result has %d matches", stored, res.Matches.Len())
 	}
 	const seq = 5
 	if err := cem.SaveState(s, res, seq); err != nil {
@@ -80,11 +68,7 @@ func TestStoreStateReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	pipe2, err := cem.NewPipeline(
-		cem.WithMatcher(cem.MatcherMLN),
-		cem.WithScheme(cem.SchemeSMP),
-		cem.WithRunnerOptions(cem.WithOpenedStore(s2)),
-	)
+	pipe2, err := cem.NewPipeline(cem.WithMatcher(cem.MatcherMLN), cem.WithScheme(cem.SchemeSMP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +105,8 @@ func TestStoreStateReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The live continuation runs store-less (the original store was
-	// closed with its process); only the outputs are compared.
+	// The live continuation never saw a restart; only the outputs are
+	// compared.
 	livePipe, err := cem.NewPipeline(cem.WithMatcher(cem.MatcherMLN), cem.WithScheme(cem.SchemeSMP))
 	if err != nil {
 		t.Fatal(err)
@@ -206,11 +190,15 @@ func TestStoreStateReopenOldIndexBlob(t *testing.T) {
 }
 
 // TestStoreStateReopenValidation pins Reopen's failure modes: no saved
-// snapshot, wrong record stream, wrong matcher.
+// snapshot, wrong record stream, wrong matcher — and OpenStore's refusal
+// of an unregistered backend.
 func TestStoreStateReopenValidation(t *testing.T) {
 	ctx := context.Background()
 	records := storeRecords(t)
 
+	if _, err := cem.OpenStore("bogus"); err == nil {
+		t.Fatal("OpenStore accepted an unregistered name")
+	}
 	empty, err := cem.OpenStore("mem")
 	if err != nil {
 		t.Fatal(err)
@@ -286,48 +274,5 @@ func TestStoreStateReopenValidation(t *testing.T) {
 	}
 	if _, _, err := pipe.Reopen(ctx, records, s); err == nil {
 		t.Fatal("Reopen accepted evidence with a negative entity id")
-	}
-}
-
-// TestWithStoreLazySharing pins that WithStore opens the named store
-// once and shares it across every run of the pipeline.
-func TestWithStoreLazySharing(t *testing.T) {
-	ctx := context.Background()
-	records := storeRecords(t)
-	dir := filepath.Join(t.TempDir(), "store")
-	pipe, err := cem.NewPipeline(
-		cem.WithMatcher(cem.MatcherMLN),
-		cem.WithScheme(cem.SchemeSMP),
-		cem.WithRunnerOptions(cem.WithStore("disk", cem.WithStoreDir(dir))),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res1, err := pipe.Run(ctx, records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A second run re-clears and re-fills the same store.
-	res2, err := pipe.Run(ctx, records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := renderMatches(res2.Result), renderMatches(res1.Result); got != want {
-		t.Fatalf("second run diverged: %s", firstDiff(got, want))
-	}
-	s, err := cem.OpenStore("disk", cem.WithStoreDir(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	n, err := s.EvidenceLen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != res2.Matches.Len() {
-		t.Fatalf("store holds %d keys, run produced %d matches", n, res2.Matches.Len())
-	}
-	if _, err := cem.OpenStore("bogus"); err == nil {
-		t.Fatal("OpenStore accepted an unregistered name")
 	}
 }
