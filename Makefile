@@ -19,7 +19,7 @@ BENCHTIME     ?= 5x
 # their own, much higher iteration floor.
 MATCHER_BENCHTIME ?= 500x
 
-.PHONY: build test race bench cover cover-check fuzz fmt vet clean service-smoke chaos-smoke store-smoke bench-smoke bench-frozen bench-pair
+.PHONY: build test race bench cover cover-check fuzz fmt vet clean chaos-smoke store-smoke bench-smoke bench-frozen bench-pair
 
 build:
 	$(GO) build $(GOFLAGS) ./...
@@ -66,18 +66,12 @@ cover-check:
 	awk -v t="$$total" -v f="$$floor" 'BEGIN { exit (t + 0 < f + 0) ? 1 : 0 }' \
 	  || { echo "FAIL: total coverage $${total}% dropped below the committed floor $${floor}%"; exit 1; }
 
-# service-smoke drives the emserve binary end to end as a black box:
-# start, POST, GET, SIGTERM, assert a clean checkpoint, restart into the
-# identical state. CI runs it as its own job.
-service-smoke:
-	bash scripts/service-smoke.sh
-
-# store-smoke drives the disk storage backend end to end as a black
-# box: start emserve -store disk, ingest, SIGKILL with no drain,
-# restart, assert the byte-identical state was recovered by reopening
-# the store snapshot with ZERO neighborhood evaluations (the matcher
-# counter stays 0), then keep ingesting incrementally. CI runs it as
-# its own job.
+# store-smoke drives the emserve binary on a state directory end to end
+# as a black box: start, POST, GET, SIGTERM, assert the directory is a
+# journal plus a store, restart, POST, SIGKILL with no drain, restart.
+# Each restart must serve the byte-identical state reopened from the store
+# snapshot with ZERO neighborhood evaluations (the matcher counter stays
+# 0). CI runs it as its own job.
 store-smoke:
 	bash scripts/store-smoke.sh
 

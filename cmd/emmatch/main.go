@@ -6,7 +6,10 @@
 // With -ingest it replays a STREAM of record batches through the
 // incremental pipeline: the first batch runs cold, every further batch
 // updates the blocking index in place and warm-starts the matcher from
-// the previous result.
+// the previous result. With -state-dir DIR, a -records or -ingest run
+// also saves its completed state into a disk store under DIR/store,
+// which Pipeline.Reopen (and emserve on the same state directory)
+// restarts from.
 //
 // Usage:
 //
@@ -15,6 +18,7 @@
 //	emmatch -kind hepth -parallel 8 -progress
 //	emmatch -records records.tsv -scheme smp -shards 4 -bcubed
 //	emmatch -ingest day1.tsv,day2.tsv,day3.tsv -scheme smp -v
+//	emmatch -records records.tsv -state-dir run2/
 //	emmatch -kind hepth -backend sharded -backend-shards 4 -checkpoint-dir run1/
 //	emmatch -kind hepth -scheme smp -checkpoint-dir run1/ -resume
 //	emmatch -kind hepth -worker-addrs 127.0.0.1:7401,127.0.0.1:7402
@@ -68,8 +72,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		wAddrs   = fs.String("worker-addrs", "", "comma-separated emworker addresses (host:port or unix:/path.sock) for the sharded backend's workers; implies -backend sharded")
 		ckptDir  = fs.String("checkpoint-dir", "", "persist a checkpoint after every round to this directory")
 		resume   = fs.Bool("resume", false, "continue the run from -checkpoint-dir instead of starting over")
-		stName   = fs.String("store", "", "storage backend for run state: "+strings.Join(cem.Stores(), " | ")+"; -records/-ingest save a reopenable snapshot into it")
-		stateDir = fs.String("state-dir", "", "root directory of a disk-backed -store (the store lives under <dir>/store)")
+		stateDir = fs.String("state-dir", "", "-records/-ingest save a reopenable state snapshot into a disk store under <dir>/store")
 		rulesF   = fs.String("rules-file", "", "declarative rules program; compiles and registers it, selecting it as the matcher")
 		progress = fs.Bool("progress", false, "print a line per neighborhood evaluation")
 		verbose  = fs.Bool("v", false, "print run statistics")
@@ -81,18 +84,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	if *resume && *ckptDir == "" {
 		return fmt.Errorf("-resume requires -checkpoint-dir")
-	}
-	if *stateDir != "" && *stName == "" {
-		return fmt.Errorf("-state-dir requires -store")
-	}
-	if *stName == "disk" && *stateDir == "" {
-		return fmt.Errorf("-store disk requires -state-dir (the segment store needs a directory)")
-	}
-	if *stateDir != "" && *stName == "mem" {
-		return fmt.Errorf("-state-dir is meaningless with -store mem (nothing is persisted); use -store disk")
-	}
-	if *stName == "mem" {
-		return fmt.Errorf("-store mem persists nothing past this process; drop -store or use -store disk -state-dir DIR")
 	}
 	if *rulesF != "" {
 		name, err := cem.LoadRulesFile(*rulesF)
@@ -125,8 +116,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if modes > 1 {
 		return fmt.Errorf("-in, -records and -ingest are mutually exclusive")
 	}
-	if *stName != "" && *records == "" && *ingest == "" {
-		return fmt.Errorf("-store saves the state of a -records or -ingest run; a -kind/-in run has none to save")
+	if *stateDir != "" && *records == "" && *ingest == "" {
+		return fmt.Errorf("-state-dir saves the state of a -records or -ingest run; a -kind/-in run has none to save")
 	}
 	if *ingest != "" && *resume {
 		return fmt.Errorf("-ingest replays a fresh stream; it cannot be combined with -resume")
@@ -150,13 +141,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		opts = append(opts, cem.WithCheckpointDir(*ckptDir))
 	}
 	var st match.Store
-	if *stName != "" {
-		var sopts []cem.StoreOption
-		if *stateDir != "" {
-			sopts = append(sopts, cem.WithStoreDir(filepath.Join(*stateDir, "store")))
-		}
+	if *stateDir != "" {
 		var err error
-		if st, err = cem.OpenStore(*stName, sopts...); err != nil {
+		if st, err = cem.OpenStore("disk", cem.WithStoreDir(filepath.Join(*stateDir, "store"))); err != nil {
 			return err
 		}
 		defer st.Close()

@@ -48,21 +48,23 @@ func TestFlagValidation(t *testing.T) {
 		{"unknown flag",
 			[]string{"-no-such-flag"},
 			"flag provided but not defined"},
+		// -state-dir alone means a disk store; command lines of the retired
+		// -store flag stay refused.
 		{"disk store without state dir",
 			[]string{"-store", "disk"},
-			"-store disk requires -state-dir"},
+			"flag provided but not defined: -store"},
 		{"state dir with mem store",
 			[]string{"-store", "mem", "-state-dir", "x"},
-			"-state-dir is meaningless with -store mem"},
+			"flag provided but not defined: -store"},
 		{"mem store",
 			[]string{"-store", "mem", "-records", "r.tsv"},
-			"-store mem persists nothing"},
+			"flag provided but not defined: -store"},
 		{"store on a generated corpus",
-			[]string{"-store", "disk", "-state-dir", "x", "-kind", "dblp"},
-			"-store saves the state of a -records or -ingest run"},
+			[]string{"-state-dir", "x", "-kind", "dblp"},
+			"-state-dir saves the state of a -records or -ingest run"},
 		{"state dir without store",
 			[]string{"-state-dir", "x"},
-			"-state-dir requires -store"},
+			"-state-dir saves the state of a -records or -ingest run"},
 		{"worker addrs with pool backend",
 			[]string{"-backend", "pool", "-worker-addrs", "127.0.0.1:1"},
 			"-worker-addrs requires -backend sharded"},
@@ -167,12 +169,22 @@ func writeBatches(t *testing.T, dir string, cuts ...float64) []string {
 
 // TestIngestReplaysStream runs the -ingest mode end to end on a real
 // (small) corpus split into three batches and checks the per-batch
-// reports and the final match count against a cold pipeline run.
+// reports, the final match count against a cold pipeline run, and the
+// state -state-dir saved.
 func TestIngestReplaysStream(t *testing.T) {
 	paths := writeBatches(t, t.TempDir(), 0.6, 0.8, 1.0)
-	out, err := runQuiet(t, "-ingest", strings.Join(paths, ","), "-scheme", "smp", "-v")
+	state := t.TempDir()
+	out, err := runQuiet(t, "-ingest", strings.Join(paths, ","), "-scheme", "smp", "-v", "-state-dir", state)
 	if err != nil {
 		t.Fatalf("ingest run: %v", err)
+	}
+	st, err := cem.OpenStore("disk", cem.WithStoreDir(filepath.Join(state, "store")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if seq, err := cem.StateSeq(st); err != nil || seq != 3 {
+		t.Errorf("-state-dir holds the state of seq %d (%v), want 3", seq, err)
 	}
 	for _, want := range []string{"batch 1/3", "batch 2/3", "batch 3/3", "[cold]"} {
 		if !strings.Contains(out, want) {

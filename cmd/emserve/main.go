@@ -3,18 +3,16 @@
 // are coalesced into delta batches and applied through Pipeline.Update;
 // reads (/records/{key}, /cluster/{key}, /matches, /stats) are served
 // from the last committed snapshot while updates run. With -state-dir
-// the service journals every accepted batch and checkpoints every
-// matching round, so SIGTERM (graceful drain) or even a kill restarts
-// into the identical state. Adding -store disk keeps the completed state
-// in a disk-backed store under the state directory: every commit saves a
-// reopenable snapshot, and a restart reopens it with zero matcher work
-// instead of replaying the journal. /metrics
-// speaks the Prometheus text format.
+// the service journals every accepted batch before applying it and saves
+// every committed state into a disk store under the state directory, so
+// SIGTERM (graceful drain) or even a kill restarts into the identical
+// state: the restart reopens the stored snapshot with zero matcher work
+// and replays only the journaled batches past it. /metrics speaks the
+// Prometheus text format.
 //
 // Usage:
 //
 //	emserve -addr 127.0.0.1:8080 -state-dir /var/lib/emserve
-//	emserve -state-dir /var/lib/emserve -store disk
 //	emserve -scheme smp -matcher mln -max-batch 512 -max-delay 100ms
 package main
 
@@ -51,8 +49,7 @@ func run(args []string, stdout, stderr io.Writer, sigs chan os.Signal, ready cha
 	fs.SetOutput(stderr)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8080", "listen address")
-		state    = fs.String("state", "", "durable state directory (journal + checkpoints + store); empty = ephemeral")
-		stName   = fs.String("store", "", "storage backend under <state>/store: "+strings.Join(cem.Stores(), " | ")+"; empty = journal/checkpoint recovery only")
+		state    = fs.String("state", "", "durable state directory (journal + disk store); empty = ephemeral")
 		matcher  = fs.String("matcher", "mln", "matcher: "+strings.Join(cem.Matchers(), " | "))
 		scheme   = fs.String("scheme", "smp", "scheme: nomp | smp | mmp (incremental path required)")
 		shards   = fs.Int("shards", 0, "blocking shards for the cold first batch (0 = one per CPU)")
@@ -68,12 +65,6 @@ func run(args []string, stdout, stderr io.Writer, sigs chan os.Signal, ready cha
 	fs.StringVar(state, "state-dir", "", "alias of -state")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *stName == "mem" {
-		return fmt.Errorf("-store mem persists nothing across restarts; drop -store (journal/checkpoint recovery) or use -store disk")
-	}
-	if *stName != "" && *state == "" {
-		return fmt.Errorf("-store %s requires -state-dir", *stName)
 	}
 	if *rulesF != "" {
 		name, err := cem.LoadRulesFile(*rulesF)
@@ -105,7 +96,6 @@ func run(args []string, stdout, stderr io.Writer, sigs chan os.Signal, ready cha
 		Parallelism:     *parallel,
 		DatasetName:     *dataset,
 		StateDir:        *state,
-		Store:           *stName,
 		Batching: serve.BatcherConfig{
 			MaxBatch: *maxBatch,
 			MaxDelay: *maxDelay,

@@ -86,62 +86,58 @@ func trailFiles(t *testing.T, dir string) []string {
 // TestCheckpointResumeAtEveryBoundary: a checkpointed run truncated
 // after round r (exactly what a kill between rounds leaves on disk)
 // must resume to the uninterrupted run's match set, with statistics that
-// only grew past the checkpointed values — for every r, every scheme,
-// both codecs.
+// only grew past the checkpointed values — for every r and every scheme.
 func TestCheckpointResumeAtEveryBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 10; trial++ {
 		m, cover := testmodel.Random(rng)
 		cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 		for _, scheme := range []string{"SMP", "MMP"} {
-			for _, format := range []wire.Format{wire.Binary, wire.JSON} {
-				dir := t.TempDir()
-				ck := core.CheckpointConfig{Dir: dir, Format: format}
-				full, err := core.RunBackend(bg, cfg, scheme, core.PoolBackend{}, ck)
-				if err != nil {
-					t.Fatal(err)
-				}
-				files := trailFiles(t, dir)
-				if len(files) == 0 {
-					t.Fatalf("%s: no checkpoints written", scheme)
-				}
-				for r := 0; r < len(files); r++ {
-					// Simulate a kill after round r: rounds r+1.. vanish.
-					trunc := t.TempDir()
-					var ckStats core.RunStats
-					for i := 0; i < r; i++ {
-						raw, err := os.ReadFile(files[i])
+			dir := t.TempDir()
+			full, err := core.RunBackend(bg, cfg, scheme, core.PoolBackend{}, core.CheckpointConfig{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			files := trailFiles(t, dir)
+			if len(files) == 0 {
+				t.Fatalf("%s: no checkpoints written", scheme)
+			}
+			for r := 0; r < len(files); r++ {
+				// Simulate a kill after round r: rounds r+1.. vanish.
+				trunc := t.TempDir()
+				var ckStats core.RunStats
+				for i := 0; i < r; i++ {
+					raw, err := os.ReadFile(files[i])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i == r-1 {
+						w, err := wire.UnmarshalCheckpoint(raw)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if i == r-1 {
-							w, err := wire.UnmarshalCheckpoint(raw)
-							if err != nil {
-								t.Fatal(err)
-							}
-							ckStats.Evaluations = w.Stats.Evaluations
-							ckStats.MatcherCalls = w.Stats.MatcherCalls
-							ckStats.MessagesSent = w.Stats.MessagesSent
-						}
-						if err := os.WriteFile(filepath.Join(trunc, filepath.Base(files[i])), raw, 0o644); err != nil {
-							t.Fatal(err)
-						}
+						ckStats.Evaluations = w.Stats.Evaluations
+						ckStats.MatcherCalls = w.Stats.MatcherCalls
+						ckStats.MessagesSent = w.Stats.MessagesSent
 					}
-					resumed, err := core.RunBackend(bg, cfg, scheme, &emnet.Backend{Workers: 2, Opts: emnet.Options{Format: format}},
-						core.CheckpointConfig{Dir: trunc, Format: format, Resume: true})
-					if err != nil {
-						t.Fatalf("%s: resume after round %d: %v", scheme, r, err)
+					if err := os.WriteFile(filepath.Join(trunc, filepath.Base(files[i])), raw, 0o644); err != nil {
+						t.Fatal(err)
 					}
-					if !resumed.Matches.Equal(full.Matches) {
-						t.Errorf("%s: resume after round %d diverges: %d vs %d matches",
-							scheme, r, resumed.Matches.Len(), full.Matches.Len())
-					}
-					if resumed.Stats.Evaluations < ckStats.Evaluations ||
-						resumed.Stats.MatcherCalls < ckStats.MatcherCalls ||
-						resumed.Stats.MessagesSent < ckStats.MessagesSent {
-						t.Errorf("%s: resume after round %d lost statistics: %v < checkpointed %v",
-							scheme, r, resumed.Stats, ckStats)
-					}
+				}
+				resumed, err := core.RunBackend(bg, cfg, scheme, &emnet.Backend{Workers: 2},
+					core.CheckpointConfig{Dir: trunc, Resume: true})
+				if err != nil {
+					t.Fatalf("%s: resume after round %d: %v", scheme, r, err)
+				}
+				if !resumed.Matches.Equal(full.Matches) {
+					t.Errorf("%s: resume after round %d diverges: %d vs %d matches",
+						scheme, r, resumed.Matches.Len(), full.Matches.Len())
+				}
+				if resumed.Stats.Evaluations < ckStats.Evaluations ||
+					resumed.Stats.MatcherCalls < ckStats.MatcherCalls ||
+					resumed.Stats.MessagesSent < ckStats.MessagesSent {
+					t.Errorf("%s: resume after round %d lost statistics: %v < checkpointed %v",
+						scheme, r, resumed.Stats, ckStats)
 				}
 			}
 		}

@@ -19,9 +19,6 @@ type CheckpointConfig struct {
 	// Dir is the checkpoint directory; empty disables checkpointing. A
 	// fresh (non-resume) run clears previous round files from Dir first.
 	Dir string
-	// Format selects the wire codec for new checkpoint files (default
-	// compact binary). Resume accepts either format regardless.
-	Format wire.Format
 	// Resume continues a previous run from Dir instead of starting over.
 	// An empty Dir resumes into a fresh run; a completed trail
 	// reconstructs the final result without evaluating anything.
@@ -47,11 +44,11 @@ type State struct {
 	Messages [][]Pair
 }
 
-// Marshal encodes the state as a wire.Checkpoint in the given format.
-func (s *State) Marshal(f wire.Format) ([]byte, error) {
+// Marshal encodes the state as a binary wire.Checkpoint.
+func (s *State) Marshal() ([]byte, error) {
 	ck := s.Header
 	ck.Delta, ck.Messages = rekey[uint64](s.Evidence), messagesToWire(s.Messages)
-	return ck.Marshal(f)
+	return ck.Marshal(wire.Binary)
 }
 
 func stateOf(ck *wire.Checkpoint) *State {
@@ -141,7 +138,7 @@ func (d *RoundDriver) checkpoint(delta []PairKey) error {
 	if d.store != nil {
 		st.Messages = d.store.Messages()
 	}
-	b, err := st.Marshal(d.ck.Format)
+	b, err := st.Marshal()
 	if err != nil {
 		return fmt.Errorf("core: encoding checkpoint round %d: %w", d.round, err)
 	}

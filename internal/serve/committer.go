@@ -148,10 +148,10 @@ func (c *Committer) apply(ctx context.Context, records []cem.Record) (*Committed
 	}
 	state := newCommitted(prior.Seq+1, res)
 	if c.store != nil {
-		// Durable-state-first: the snapshot is written before the state is
-		// published, so a SaveState failure leaves the previous committed
-		// state in place and the batch in the journal — a restart replays
-		// it, nothing is lost and nothing half-published.
+		// Durable-state-first: the state is saved before it is published. A
+		// SaveState error leaves the store's snapshot at the previous seq,
+		// so the failed batch is like any rejected one: nothing is
+		// published, and Apply drops it from the journal.
 		if err := cem.SaveState(c.store, res, state.Seq); err != nil {
 			if c.metrics != nil {
 				c.metrics.UpdateErrors.Inc()
@@ -231,19 +231,14 @@ func (c *Committer) log(format string, args ...any) {
 }
 
 // Recover rebuilds the committed state from the journal: the service's
-// restart path. It scans the journal, restores the strongest base the
-// journal covers, and folds the batches past that base through
-// Pipeline.Update exactly as they were originally applied — equivalent by
-// the incremental differential guarantee. The bases, strongest first:
-// the store snapshot SaveState wrote at the last commit (WithStore; zero
-// matcher work, see reopenFromStore), which leaves only batches accepted
-// but killed before their commit completed; with tryResume (the pipeline
-// was built with a checkpoint directory), Pipeline.Resume over the full
-// journaled stream — a clean shutdown leaves a completed round trail, so
-// the matcher is not called at all, and a kill mid-update a partial one
-// that resumes at the first unfinished round; else the empty state, and
-// every batch is replayed. Returns the number of journaled batches
-// restored.
+// restart path. It scans the journal, restores the base — the store
+// snapshot SaveState wrote at the last commit (WithStore; zero matcher
+// work, see reopenFromStore), else the empty state — and folds the
+// batches past that base through Pipeline.Update exactly as they were
+// originally applied, equivalent by the incremental differential
+// guarantee; past a snapshot, those are only the batches accepted but
+// killed before their commit completed. Returns the number of journaled
+// batches restored.
 //
 // A crash can tear the journal itself: die inside a journal commit and
 // the trailing batch file may hold half a record line, or parse cleanly
@@ -253,7 +248,7 @@ func (c *Committer) log(format string, args ...any) {
 // — and the intact prefix is restored. A damaged file anywhere BUT the
 // tail is a hard error: dropping it would silently lose the committed
 // batches journaled after it.
-func (c *Committer) Recover(ctx context.Context, tryResume bool) (int, error) {
+func (c *Committer) Recover(ctx context.Context) (int, error) {
 	if c.journal == nil {
 		return 0, nil
 	}
@@ -272,21 +267,12 @@ func (c *Committer) Recover(ctx context.Context, tryResume bool) (int, error) {
 		return 0, fmt.Errorf("serve: recover: %w", err)
 	}
 	c.journalSeq = len(batches)
-	// A base that cannot serve — no snapshot yet, a trail that predates the
-	// last batch because the process died before its first round boundary —
-	// falls through to the next: the journal stays the source of truth.
+	// A snapshot that cannot serve (none yet, one the journal does not
+	// cover, one Reopen refuses) leaves the empty base: the journal stays
+	// the source of truth.
 	base := 0
 	if c.store != nil {
 		base = c.reopenFromStore(ctx, batches)
-	}
-	if base == 0 && tryResume && ctx.Err() == nil {
-		if res, err := c.pipe.Resume(ctx, slices.Concat(batches...)); err == nil {
-			c.cur.Store(newCommitted(len(batches), res))
-			base = len(batches)
-		}
-	}
-	if base == 0 && ctx.Err() != nil {
-		return 0, ctx.Err()
 	}
 	for i, recs := range batches[base:] {
 		if _, err := c.apply(ctx, recs); err != nil {

@@ -6,11 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	cem "repro"
-	"repro/match"
 )
 
 // testRecords returns the standard golden-seed corpus in record form.
@@ -108,8 +106,8 @@ func renderPipelineMatches(res *cem.PipelineResult) string {
 }
 
 // TestCommitterJournalRecoverFold: a fresh committer on the same
-// journal replays the batches into the identical state (no checkpoint
-// trail involved) and continues the stream at the right seq.
+// journal (and no store) replays the batches into the identical state and
+// continues the stream at the right seq.
 func TestCommitterJournalRecoverFold(t *testing.T) {
 	records := testRecords(t, cem.HEPTH)
 	ctx := context.Background()
@@ -131,7 +129,7 @@ func TestCommitterJournalRecoverFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := c2.Recover(ctx, false)
+	n, err := c2.Recover(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,53 +160,6 @@ func TestCommitterJournalRecoverFold(t *testing.T) {
 	}
 	if last.RenderMatches() != renderPipelineMatches(cold) {
 		t.Error("recovered + continued stream diverges from the cold run")
-	}
-}
-
-// TestCommitterRecoverResume: with a checkpoint trail from a clean
-// shutdown, recovery resumes the completed trail — identical state and
-// no neighborhood is re-evaluated in this process. (The resumed
-// result's RunStats stay cumulative — they credit the original run's
-// matcher calls, as checkpoint_test's monotonicity contract requires —
-// so "no new work" is asserted via progress events, which only fire
-// when a round actually executes.)
-func TestCommitterRecoverResume(t *testing.T) {
-	records := testRecords(t, cem.HEPTH)
-	ctx := context.Background()
-	state := t.TempDir()
-	journal := filepath.Join(state, "journal")
-	ckpt := filepath.Join(state, "checkpoint")
-
-	c1, err := NewCommitter(testPipeline(t, cem.WithCheckpointDir(ckpt)), WithJournal(journal))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, batch := range batchCuts(records) {
-		if _, err := c1.Apply(ctx, batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := c1.Snapshot()
-
-	var evals atomic.Int64
-	pipe2 := testPipeline(t, cem.WithCheckpointDir(ckpt),
-		cem.WithProgress(func(match.ProgressEvent) { evals.Add(1) }))
-	c2, err := NewCommitter(pipe2, WithJournal(journal))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c2.Recover(ctx, true); err != nil {
-		t.Fatal(err)
-	}
-	got := c2.Snapshot()
-	if got.Seq != want.Seq || got.RenderMatches() != want.RenderMatches() {
-		t.Errorf("resumed state diverges: seq %d vs %d", got.Seq, want.Seq)
-	}
-	if n := evals.Load(); n != 0 {
-		t.Errorf("resume of a completed trail evaluated %d neighborhoods, want 0", n)
-	}
-	if stats := pipe2.Stats(); stats.Runs != 1 || stats.Updates != 0 {
-		t.Errorf("resume took the replay path: stats %+v, want 1 run / 0 updates", stats)
 	}
 }
 
@@ -411,7 +362,7 @@ func TestCommitterJournalTruncationAtEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := c.Recover(ctx, false)
+		n, err := c.Recover(ctx)
 		if err != nil {
 			t.Fatalf("cut at byte %d/%d: recover failed: %v", cut, len(lastData), err)
 		}
@@ -450,7 +401,7 @@ func TestCommitterJournalTruncationAtEveryByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Recover(ctx, false); err != nil {
+	if _, err := c.Recover(ctx); err != nil {
 		t.Fatal(err)
 	}
 	relast, err := c.Apply(ctx, tail)
@@ -479,7 +430,7 @@ func TestCommitterJournalTruncationAtEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := ci.Recover(ctx, false)
+		n, err := ci.Recover(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -525,7 +476,7 @@ func TestCommitterRecoverRefusesMidStreamCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.Recover(ctx, false); err == nil {
+	if _, err := c2.Recover(ctx); err == nil {
 		t.Fatal("recover accepted a journal with mid-stream corruption")
 	} else if !strings.Contains(err.Error(), "batch-000001.tsv") {
 		t.Errorf("error does not name the damaged file: %v", err)

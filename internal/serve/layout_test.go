@@ -13,53 +13,46 @@ import (
 )
 
 // TestStateDirLayout pins what a service leaves under its state
-// directory — the on-disk compatibility the smoke scripts, and a state
-// directory written by an earlier build, rely on: the journal, the round
-// trail and (with a store) the two blobs — no evidence segment — under
-// these names and no others, with no temp file left after a clean
-// shutdown.
+// directory — the on-disk compatibility the smoke script, and a state
+// directory written by an earlier build, rely on: the journal and the
+// store's two blobs — no round trail, no evidence segment — under these
+// names and no others, with no temp file left after a clean shutdown.
 func TestStateDirLayout(t *testing.T) {
 	records := testRecords(t, cem.HEPTH)
-	base := []string{
-		"checkpoint/round-000001.ckpt",
-		"checkpoint/round-000002.ckpt",
-		"checkpoint/round-000003.ckpt",
+	want := []string{
 		"journal/batch-000001.tsv",
 		"journal/batch-000002.tsv",
 		"journal/batch-000003.tsv",
+		"store/blob/postings/latest",
+		"store/blob/snapshot/latest",
 	}
-	for storeName, want := range map[string][]string{
-		"":     base,
-		"disk": append(slices.Clone(base), "store/blob/postings/latest", "store/blob/snapshot/latest"),
-	} {
-		state := t.TempDir()
-		svc, err := New(context.Background(), Config{StateDir: state, Store: storeName, Batching: fastBatching})
-		if err != nil {
-			t.Fatal(err)
+	state := t.TempDir()
+	svc, err := New(context.Background(), Config{StateDir: state, Batching: fastBatching})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batchCuts(records)[:3] {
+		ingestWait(t, svc, b)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	err = filepath.WalkDir(state, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
 		}
-		for _, b := range batchCuts(records)[:3] {
-			ingestWait(t, svc, b)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		defer cancel()
-		if err := svc.Shutdown(ctx); err != nil {
-			t.Fatal(err)
-		}
-		var got []string
-		err = filepath.WalkDir(state, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() {
-				return err
-			}
-			rel, _ := filepath.Rel(state, path)
-			got = append(got, filepath.ToSlash(rel))
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		slices.Sort(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("store %q: the state directory holds\n%v\nwant\n%v", storeName, got, want)
-		}
+		rel, _ := filepath.Rel(state, path)
+		got = append(got, filepath.ToSlash(rel))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the state directory holds\n%v\nwant\n%v", got, want)
 	}
 }

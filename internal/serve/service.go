@@ -20,7 +20,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -33,7 +32,7 @@ import (
 
 // Config assembles a Service. The zero value serves the default
 // pipeline (SMP × mln) ephemerally (no state directory: nothing
-// journaled, nothing checkpointed, no restart).
+// journaled, nothing stored, no restart).
 type Config struct {
 	// Matcher and Scheme select the pipeline ("mln"/"rules"/registered;
 	// nomp/smp/mmp — the scheme must have an incremental path).
@@ -53,18 +52,13 @@ type Config struct {
 
 	// StateDir is the service's durable root: StateDir/journal holds the
 	// record journal (every accepted batch, written before it is
-	// applied), StateDir/checkpoint the matching-round trail
-	// (cem.WithCheckpointDir), and — with Store set — StateDir/store the
-	// storage backend's blobs. Restarting a service on the same StateDir
-	// recovers the identical committed state. Empty = ephemeral.
+	// applied) and StateDir/store the store the committer saves every
+	// committed state into. Restarting a service on the same StateDir
+	// reopens the stored state and replays only the journaled batches past
+	// it. Empty = ephemeral.
 	StateDir string
-	// Store names a registered storage backend (cem.Stores: "mem",
-	// "disk", ...) opened under StateDir/store and handed to the
-	// committer: it holds the completed state, the snapshot and postings
-	// blobs every commit saves, and a restart REOPENS that snapshot —
-	// zero matcher calls, zero trail replay — instead of folding the
-	// journal back through the engine. Requires StateDir; empty keeps the
-	// journal + checkpoint-trail recovery path only.
+	// Store names the registered storage backend (cem.Stores) opened
+	// under StateDir/store; empty means "disk". Requires StateDir.
 	Store string
 
 	// Batching bounds the ingest batcher (see BatcherConfig).
@@ -79,7 +73,7 @@ type Config struct {
 
 // Service is the HTTP matching service. Build with New, mount it as an
 // http.Handler, and stop it with Shutdown (graceful drain) or Kill
-// (abort in-flight work; the journal + checkpoint trail recover it).
+// (abort in-flight work; the journal and the store recover it).
 type Service struct {
 	cfg       Config
 	pipe      *cem.Pipeline
@@ -89,7 +83,7 @@ type Service struct {
 	mux       *http.ServeMux
 	started   time.Time
 
-	store      match.Store // nil unless Config.Store named one
+	store      match.Store // nil without a state directory
 	storeClose sync.Once
 
 	applyCancel context.CancelFunc
@@ -136,18 +130,13 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 	if cfg.Parallelism > 1 {
 		ropts = append(ropts, cem.WithParallelism(cfg.Parallelism))
 	}
-	checkpointing := false
-	if cfg.StateDir != "" {
-		if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
-			return nil, fmt.Errorf("serve: state dir: %w", err)
-		}
-		ropts = append(ropts, cem.WithCheckpointDir(filepath.Join(cfg.StateDir, "checkpoint")))
-		checkpointing = true
+	if cfg.StateDir == "" && cfg.Store != "" {
+		return nil, fmt.Errorf("serve: a store (%q) requires a state directory", cfg.Store)
 	}
 	var st match.Store
-	if cfg.Store != "" {
-		if cfg.StateDir == "" {
-			return nil, fmt.Errorf("serve: a store (%q) requires a state directory", cfg.Store)
+	if cfg.StateDir != "" {
+		if cfg.Store == "" {
+			cfg.Store = "disk"
 		}
 		var err error
 		st, err = cem.OpenStore(cfg.Store,
@@ -178,11 +167,8 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 	}
 
 	copts := []CommitterOption{WithMetrics(m)}
-	if cfg.StateDir != "" {
-		copts = append(copts, WithJournal(filepath.Join(cfg.StateDir, "journal")))
-	}
 	if st != nil {
-		copts = append(copts, WithStore(st))
+		copts = append(copts, WithJournal(filepath.Join(cfg.StateDir, "journal")), WithStore(st))
 	}
 	if cfg.Logf != nil {
 		copts = append(copts, WithCommitterLog(cfg.Logf))
@@ -191,7 +177,7 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 	if err != nil {
 		return failed(err)
 	}
-	if _, err := committer.Recover(ctx, checkpointing); err != nil {
+	if _, err := committer.Recover(ctx); err != nil {
 		return failed(err)
 	}
 
@@ -223,12 +209,11 @@ func (s *Service) Ingest(ctx context.Context, records []cem.Record) (<-chan Appl
 }
 
 // Shutdown drains gracefully: no new ingests are accepted, everything
-// already queued is flushed through the committer (journaled and
-// checkpointed as usual), then the service stops. After Shutdown returns
-// nil, a New on the same StateDir restarts into the identical state —
-// with a completed checkpoint trail, without re-running the matcher.
-// ctx bounds the drain; on expiry the in-flight update is aborted (it
-// recovers on restart like a kill).
+// already queued is flushed through the committer (journaled and stored
+// as usual), then the service stops. After Shutdown returns nil, a New on
+// the same StateDir reopens the identical state from the store, without
+// calling the matcher. ctx bounds the drain; on expiry the in-flight
+// update is aborted (it recovers on restart like a kill).
 func (s *Service) Shutdown(ctx context.Context) error {
 	start := time.Now()
 	done := make(chan struct{})

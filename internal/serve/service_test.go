@@ -11,12 +11,10 @@ import (
 	"net/url"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	cem "repro"
-	"repro/match"
 )
 
 // fastBatching keeps test latency low: tiny flush delay, small batches.
@@ -295,156 +293,10 @@ func TestServiceConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestServiceShutdownRestart: a graceful shutdown drains the batcher and
-// leaves a completed checkpoint trail; a restart on the same StateDir
-// recovers the byte-identical state without evaluating a single
-// neighborhood, and the stream continues at the next seq.
-func TestServiceShutdownRestart(t *testing.T) {
-	records := testRecords(t, cem.HEPTH)
-	state := t.TempDir()
+// TestServiceShutdownRestart runs shutdownReopen on a state directory
+// that names no store backend, which opens the disk store.
+func TestServiceShutdownRestart(t *testing.T) { shutdownReopen(t, "") }
 
-	svc, err := New(context.Background(), Config{StateDir: state, Batching: fastBatching})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batches := batchCuts(records)
-	for _, b := range batches[:3] {
-		ingestWait(t, svc, b)
-	}
-	// The last batch is NOT waited for: Shutdown must flush it.
-	if _, err := svc.Ingest(context.Background(), batches[3]); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	if err := svc.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	want := svc.Snapshot()
-	if want.Records() != len(records) {
-		t.Fatalf("shutdown flushed %d records, want %d (drain lost the queued batch)", want.Records(), len(records))
-	}
-	if _, err := svc.Ingest(context.Background(), batches[0]); err == nil {
-		t.Fatal("ingest accepted after shutdown")
-	}
-
-	var evals atomic.Int64
-	svc2, err := New(context.Background(), Config{
-		StateDir: state, Batching: fastBatching,
-		RunnerOptions: []cem.RunnerOption{cem.WithProgress(func(match.ProgressEvent) { evals.Add(1) })},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc2.Kill()
-	got := svc2.Snapshot()
-	if got.Seq != want.Seq || got.RenderMatches() != want.RenderMatches() {
-		t.Fatalf("restart diverges: seq %d vs %d, %d vs %d matches",
-			got.Seq, want.Seq, got.Matches(), want.Matches())
-	}
-	if n := evals.Load(); n != 0 {
-		t.Errorf("restart after clean shutdown evaluated %d neighborhoods, want 0 (checkpoint trail resume)", n)
-	}
-
-	// The stream continues: a fresh batch lands at the next seq and the
-	// total still matches a cold run over the same arrival order.
-	extra, err := cem.GenerateRecords(cem.DBLP, 0.05, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := ingestWait(t, svc2, extra)
-	if last.Seq != want.Seq+1 {
-		t.Errorf("post-restart batch at seq %d, want %d", last.Seq, want.Seq+1)
-	}
-	cold, err := testPipeline(t).Run(context.Background(), append(append([]cem.Record{}, records...), extra...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last.RenderMatches() != renderPipelineMatches(cold) {
-		t.Error("restarted + continued stream diverges from the cold run")
-	}
-}
-
-// TestServiceKillRestart: a service killed in the middle of an update
-// (at a round boundary, mid-batch) restarts into exactly the state an
-// uninterrupted service would have reached — the journaled batch is
-// not lost, not duplicated, and the final match set equals the cold
-// run over the same arrival order.
-func TestServiceKillRestart(t *testing.T) {
-	records := testRecords(t, cem.HEPTH)
-	state := t.TempDir()
-	batches := batchCuts(records)
-
-	// Arm a progress hook that cancels the service's root context at the
-	// second round of the batch it is armed for — the checkpoint_test
-	// kill idiom, here at the service level.
-	ctx, cancel := context.WithCancel(context.Background())
-	var armed atomic.Bool
-	var once sync.Once
-	svc, err := New(ctx, Config{
-		StateDir: state, Batching: fastBatching,
-		RunnerOptions: []cem.RunnerOption{cem.WithProgress(func(e match.ProgressEvent) {
-			if armed.Load() && e.Round >= 2 {
-				once.Do(cancel)
-			}
-		})},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestWait(t, svc, batches[0])
-
-	armed.Store(true)
-	done, err := svc.Ingest(context.Background(), batches[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case res := <-done:
-		if res.Err == nil {
-			t.Fatal("kill mid-batch did not abort the update (batch committed)")
-		}
-	case <-time.After(2 * time.Minute):
-		t.Fatal("killed batch never resolved")
-	}
-	svc.Kill()
-	if svc.Snapshot().Seq != 1 {
-		t.Fatalf("killed service exposes seq %d, want the last committed 1", svc.Snapshot().Seq)
-	}
-
-	// Restart: the journal holds both batches (the interrupted one was
-	// accepted); recovery finishes the interrupted commit.
-	svc2, err := New(context.Background(), Config{StateDir: state, Batching: fastBatching})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc2.Kill()
-	got := svc2.Snapshot()
-	if got.Seq != 2 {
-		t.Fatalf("restart recovered to seq %d, want 2 (interrupted batch finished)", got.Seq)
-	}
-	wantRecs := len(batches[0]) + len(batches[1])
-	if got.Records() != wantRecs {
-		t.Fatalf("restart holds %d records, want %d (lost or duplicated records)", got.Records(), wantRecs)
-	}
-	cold, err := testPipeline(t).Run(context.Background(), records[:wantRecs])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.RenderMatches() != renderPipelineMatches(cold) {
-		t.Error("kill + restart diverges from the uninterrupted run")
-	}
-
-	// The remaining batches stream in as if nothing happened.
-	var last *Committed
-	for _, b := range batches[2:] {
-		last = ingestWait(t, svc2, b)
-	}
-	coldAll, err := testPipeline(t).Run(context.Background(), records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last.RenderMatches() != renderPipelineMatches(coldAll) {
-		t.Error("post-kill stream diverges from the cold run over the full corpus")
-	}
-}
+// TestServiceKillRestart runs killRestart on a state directory that
+// names no store backend, which opens the disk store.
+func TestServiceKillRestart(t *testing.T) { killRestart(t, "") }

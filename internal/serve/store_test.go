@@ -2,8 +2,10 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -21,23 +23,31 @@ import (
 	"repro/match"
 )
 
-// TestServiceStoreShutdownReopen pins the restart-without-replay
-// contract at the service level: a service on a disk store shuts down
-// gracefully, and the restart reopens the store snapshot — the matcher
-// is not called, not a single neighborhood is evaluated, and the
-// committed state is byte-identical. This is strictly stronger than the
-// checkpoint-trail restart (TestServiceShutdownRestart), which replays
-// the trail even though it skips the matcher.
-func TestServiceStoreShutdownReopen(t *testing.T) {
+// TestServiceStoreShutdownReopen runs shutdownReopen on a state
+// directory that names its store backend.
+func TestServiceStoreShutdownReopen(t *testing.T) { shutdownReopen(t, "disk") }
+
+// shutdownReopen pins the restart-without-replay contract at the
+// service level: a service on a state directory with the given store
+// backend drains its queue on a graceful shutdown, refuses ingest after
+// it, and the restart reopens the store snapshot — the matcher is not
+// called, not a single neighborhood is evaluated, and the committed
+// state is byte-identical — then continues the stream at the next seq.
+func shutdownReopen(t *testing.T, backend string) {
 	records := testRecords(t, cem.HEPTH)
 	state := t.TempDir()
 
-	svc, err := New(context.Background(), Config{StateDir: state, Store: "disk", Batching: fastBatching})
+	svc, err := New(context.Background(), Config{StateDir: state, Store: backend, Batching: fastBatching})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range batchCuts(records) {
+	batches := batchCuts(records)
+	for _, b := range batches[:3] {
 		ingestWait(t, svc, b)
+	}
+	// The last batch is NOT waited for: Shutdown must flush it.
+	if _, err := svc.Ingest(context.Background(), batches[3]); err != nil {
+		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -45,10 +55,16 @@ func TestServiceStoreShutdownReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := svc.Snapshot()
+	if want.Records() != len(records) {
+		t.Fatalf("shutdown flushed %d records, want %d (drain lost the queued batch)", want.Records(), len(records))
+	}
+	if _, err := svc.Ingest(context.Background(), batches[0]); err == nil {
+		t.Fatal("ingest accepted after shutdown")
+	}
 
 	var evals atomic.Int64
 	svc2, err := New(context.Background(), Config{
-		StateDir: state, Store: "disk", Batching: fastBatching,
+		StateDir: state, Store: backend, Batching: fastBatching,
 		RunnerOptions: []cem.RunnerOption{cem.WithProgress(func(match.ProgressEvent) { evals.Add(1) })},
 	})
 	if err != nil {
@@ -98,20 +114,28 @@ func TestServiceStoreShutdownReopen(t *testing.T) {
 	}
 }
 
-// TestServiceStoreKillRestart: killed mid-update on a disk store, the
-// restart reopens the snapshot of the last COMMITTED batch and folds
-// only the interrupted batch through the engine — nothing lost, nothing
-// duplicated, final state equal to the uninterrupted run.
-func TestServiceStoreKillRestart(t *testing.T) {
+// TestServiceStoreKillRestart runs killRestart on a state directory
+// that names its store backend.
+func TestServiceStoreKillRestart(t *testing.T) { killRestart(t, "disk") }
+
+// killRestart: a service on a state directory with the given store
+// backend, killed mid-update (at a round boundary, mid-batch), restarts
+// by reopening the snapshot of the last COMMITTED batch and folding only
+// the interrupted batch through the engine — the journaled batch is not
+// lost, not duplicated, the state equals the uninterrupted run, and the
+// remaining batches stream in as if nothing happened.
+func killRestart(t *testing.T, backend string) {
 	records := testRecords(t, cem.HEPTH)
 	state := t.TempDir()
 	batches := batchCuts(records)
 
+	// Arm a progress hook that cancels the service's root context at the
+	// second round of the batch it is armed for.
 	ctx, cancel := context.WithCancel(context.Background())
 	var armed atomic.Bool
 	var once sync.Once
 	svc, err := New(ctx, Config{
-		StateDir: state, Store: "disk", Batching: fastBatching,
+		StateDir: state, Store: backend, Batching: fastBatching,
 		RunnerOptions: []cem.RunnerOption{cem.WithProgress(func(e match.ProgressEvent) {
 			if armed.Load() && e.Round >= 2 {
 				once.Do(cancel)
@@ -137,8 +161,11 @@ func TestServiceStoreKillRestart(t *testing.T) {
 		t.Fatal("killed batch never resolved")
 	}
 	svc.Kill()
+	if svc.Snapshot().Seq != 1 {
+		t.Fatalf("killed service exposes seq %d, want the last committed 1", svc.Snapshot().Seq)
+	}
 
-	svc2, err := New(context.Background(), Config{StateDir: state, Store: "disk", Batching: fastBatching})
+	svc2, err := New(context.Background(), Config{StateDir: state, Store: backend, Batching: fastBatching})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,22 +177,116 @@ func TestServiceStoreKillRestart(t *testing.T) {
 	if n := svc2.metrics.StoreReopens.Value(); n != 1 {
 		t.Errorf("emserve_store_reopens_total = %d, want 1 (seq-1 snapshot reopened before the fold)", n)
 	}
-	cold, err := testPipeline(t).Run(context.Background(), records[:len(batches[0])+len(batches[1])])
+	wantRecs := len(batches[0]) + len(batches[1])
+	if got.Records() != wantRecs {
+		t.Fatalf("restart holds %d records, want %d (lost or duplicated records)", got.Records(), wantRecs)
+	}
+	cold, err := testPipeline(t).Run(context.Background(), records[:wantRecs])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.RenderMatches() != renderPipelineMatches(cold) {
 		t.Error("store kill + restart diverges from the uninterrupted run")
 	}
+
+	// The remaining batches stream in as if nothing happened.
+	var last *Committed
+	for _, b := range batches[2:] {
+		last = ingestWait(t, svc2, b)
+	}
+	coldAll, err := testPipeline(t).Run(context.Background(), records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last.RenderMatches() != renderPipelineMatches(coldAll) {
+		t.Error("post-kill stream diverges from the cold run over the full corpus")
+	}
+}
+
+// failingStore fails the next postings write after arm is set, once.
+type failingStore struct {
+	match.Store
+	arm bool
+}
+
+func (s *failingStore) SaveBlob(kind, name string, data []byte) error {
+	if s.arm && kind == match.KindPostings {
+		s.arm = false
+		return errors.New("injected postings write failure")
+	}
+	return s.Store.SaveBlob(kind, name, data)
+}
+
+// TestCommitterSaveStateFailure: a commit whose state save fails part way
+// leaves the store's snapshot at the previous seq, so the batch is
+// rejected like any other — the next batch takes its seq, and a restart
+// reopens that batch's state, not the rejected one's.
+func TestCommitterSaveStateFailure(t *testing.T) {
+	records := testRecords(t, cem.HEPTH)
+	batches := batchCuts(records)
+	ctx := context.Background()
+	state := t.TempDir()
+	journal := filepath.Join(state, "journal")
+	open := func() *failingStore {
+		t.Helper()
+		st, err := cem.OpenStore("disk", cem.WithStoreDir(filepath.Join(state, "store")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return &failingStore{Store: st}
+	}
+
+	st := open()
+	c, err := NewCommitter(testPipeline(t), WithJournal(journal), WithStore(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Apply(ctx, batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	st.arm = true
+	if _, err := c.Apply(ctx, batches[1]); err == nil {
+		t.Fatal("a batch whose postings write failed committed")
+	}
+	if seq, err := cem.StateSeq(st); c.Snapshot().Seq != 1 || err != nil || seq != 1 {
+		t.Fatalf("after the failed save: published seq %d, stored seq %d (%v); want 1 and 1", c.Snapshot().Seq, seq, err)
+	}
+	next, err := c.Apply(ctx, batches[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Seq != 2 {
+		t.Fatalf("the batch after the failed one committed at seq %d, want 2", next.Seq)
+	}
+
+	m := NewMetrics()
+	c2, err := NewCommitter(testPipeline(t), WithJournal(journal), WithStore(open()), WithMetrics(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c2.Recover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.StoreReopens.Value(); c2.Snapshot().Seq != 2 || n != 1 {
+		t.Errorf("restart at seq %d with %d store reopens, want seq 2 reopened once", c2.Snapshot().Seq, n)
+	}
+	cold, err := testPipeline(t).Run(ctx, slices.Concat(batches[0], batches[2]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c2.Snapshot().RenderMatches() != renderPipelineMatches(cold) {
+		t.Error("the reopened state diverges from a cold run over the committed batches")
+	}
 }
 
 // TestRecoverRefusedStoreSnapshot is the path a state directory written
 // before covers dropped subsumed neighborhoods takes: its store snapshot
-// and its round trail fingerprint more neighborhoods than the cover now
-// rebuilt over the same records. Neither may be trusted, so Recover logs
-// the refused reopen, replays the journal through the engine and serves
-// the byte-identical match set; the replay rewrites the snapshot, so the
-// next restart reopens it again.
+// fingerprints more neighborhoods than the cover now rebuilt over the
+// same records. It may not be trusted, so Recover logs the refused
+// reopen, replays the journal through the engine and serves the
+// byte-identical match set; the replay rewrites the snapshot, so the next
+// restart reopens it again.
 func TestRecoverRefusedStoreSnapshot(t *testing.T) {
 	records := testRecords(t, cem.HEPTH)
 	state := t.TempDir()
@@ -173,7 +294,7 @@ func TestRecoverRefusedStoreSnapshot(t *testing.T) {
 	defer cancel()
 	restart := func(cfg Config) *Service {
 		t.Helper()
-		cfg.StateDir, cfg.Store, cfg.Batching = state, "disk", fastBatching
+		cfg.StateDir, cfg.Batching = state, fastBatching
 		svc, err := New(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -190,29 +311,23 @@ func TestRecoverRefusedStoreSnapshot(t *testing.T) {
 	}
 	want := svc.Snapshot()
 
-	// Forge the older build's fingerprint: one neighborhood more, in the
-	// snapshot blob and in every record of the round trail.
-	forged, err := filepath.Glob(filepath.Join(state, "checkpoint", "round-*.ckpt"))
-	if err != nil || len(forged) == 0 {
-		t.Fatalf("no round trail to forge (%v)", err)
+	// Forge the older build's fingerprint: one neighborhood more.
+	path := filepath.Join(state, "store", "blob", "snapshot", "latest")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, path := range append(forged, filepath.Join(state, "store", "blob", "snapshot", "latest")) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ck, err := wire.UnmarshalCheckpoint(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ck.Neighborhoods++
-		ck.Visits = append(ck.Visits, 0)
-		if data, err = ck.Marshal(wire.Binary); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	ck, err := wire.UnmarshalCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Neighborhoods++
+	ck.Visits = append(ck.Visits, 0)
+	if data, err = ck.Marshal(wire.Binary); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	var mu sync.Mutex
@@ -265,38 +380,122 @@ func TestRecoverRefusedStoreSnapshot(t *testing.T) {
 	}
 }
 
-// TestRecoverStateDirWithSegments is the path a state directory written
-// by a build that also mirrored M+ into evidence segments takes: the
-// segments are still verified when the store opens, but recovery reads
-// only the blobs, so the restart reopens the snapshot with zero matcher
-// calls, serves the byte-identical match set, keeps warm-starting, and
-// never touches the segments again.
+// TestRecoverStateDirWithSegments covers the state directories earlier
+// builds left, each beside its journal:
+//   - a store that also holds evidence segments (a per-round mirror of M+):
+//     the segments are still verified when the store opens, but recovery
+//     reads only the blobs, so the restart reopens the snapshot with zero
+//     matcher calls;
+//   - a round trail under checkpoint/ and no store: the restart replays the
+//     journal into a new store.
+//
+// Either way the service serves the byte-identical match set, keeps
+// warm-starting, and never reads, writes or removes the older files.
 func TestRecoverStateDirWithSegments(t *testing.T) {
 	records := testRecords(t, cem.HEPTH)
 	batches := batchCuts(records)
-	state := t.TempDir()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-
-	svc, err := New(context.Background(), Config{StateDir: state, Store: "disk", Batching: fastBatching})
+	cold, err := testPipeline(t).Run(ctx, records)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range batches[:3] {
+
+	for _, tc := range []struct {
+		name string
+		// leave writes batches[:3] into the state directory as the earlier
+		// build did and returns the committed state.
+		leave   func(t *testing.T, state string) *Committed
+		older   string // glob of the files the earlier build left
+		reopens int64
+	}{
+		{"segments", func(t *testing.T, state string) *Committed {
+			return leaveSegments(t, state, batches[:3])
+		}, "store/ev-*.seg", 1},
+		{"trail-only", func(t *testing.T, state string) *Committed {
+			pipe := testPipeline(t, cem.WithCheckpointDir(filepath.Join(state, "checkpoint")))
+			c, err := NewCommitter(pipe, WithJournal(filepath.Join(state, "journal")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range batches[:3] {
+				if _, err := c.Apply(ctx, b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return c.Snapshot()
+		}, "checkpoint/round-*.ckpt", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			state := t.TempDir()
+			want := tc.leave(t, state)
+			left := readFiles(t, state, tc.older)
+			if len(left) == 0 {
+				t.Fatalf("no %s was left behind", tc.older)
+			}
+
+			svc, err := New(context.Background(), Config{StateDir: state, Batching: fastBatching})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Kill()
+			if n := svc.metrics.StoreReopens.Value(); n != tc.reopens {
+				t.Errorf("emserve_store_reopens_total = %d, want %d", n, tc.reopens)
+			}
+			if calls := svc.pipe.Stats().MatcherCalls; (calls == 0) != (tc.reopens == 1) {
+				t.Errorf("restart made %d matcher calls with %d store reopens", calls, tc.reopens)
+			}
+			srv := httptest.NewServer(svc)
+			defer srv.Close()
+			resp, err := http.Get(srv.URL + "/matches")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(body) != want.RenderMatches() {
+				t.Errorf("/matches after the restart: %d bytes, want %d", len(body), len(want.RenderMatches()))
+			}
+
+			last := ingestWait(t, svc, batches[3])
+			if !last.Result.WarmStarted {
+				t.Error("the batch after the restart did not warm-start")
+			}
+			if last.RenderMatches() != renderPipelineMatches(cold) {
+				t.Error("the stream continued past the restart diverges from the cold run")
+			}
+			if got := readFiles(t, state, tc.older); !maps.Equal(got, left) {
+				t.Errorf("the service touched the older files %s", tc.older)
+			}
+		})
+	}
+}
+
+// leaveSegments serves batches into state, then leaves the committed M+
+// behind as evidence segments, in two batches, as an earlier build's
+// per-round mirror did.
+func leaveSegments(t *testing.T, state string, batches [][]cem.Record) *Committed {
+	t.Helper()
+	svc, err := New(context.Background(), Config{StateDir: state, Batching: fastBatching})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
 		ingestWait(t, svc, b)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
 	if err := svc.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	want := svc.Snapshot()
-
-	// Leave the committed M+ behind as segments, in two batches, as the
-	// earlier build's per-round mirror did.
 	st, err := store.Open("disk", store.WithDir(filepath.Join(state, "store")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := rekeyed(want.Result.Matches.SortedKeys())
+	keys := rekeyed(svc.Snapshot().Result.Matches.SortedKeys())
 	for _, batch := range [][]uint64{keys[:len(keys)/2], keys[len(keys)/2:]} {
 		if err := st.PutEvidence(batch); err != nil {
 			t.Fatal(err)
@@ -305,59 +504,26 @@ func TestRecoverStateDirWithSegments(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segments := func() []string {
-		t.Helper()
-		files, err := filepath.Glob(filepath.Join(state, "store", "ev-*.seg"))
+	return svc.Snapshot()
+}
+
+// readFiles returns the contents of the files under dir matching glob,
+// keyed by path.
+func readFiles(t *testing.T, dir, glob string) map[string]string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, glob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return files
+		out[p] = string(data)
 	}
-	left := segments()
-	if len(left) == 0 {
-		t.Fatal("no evidence segment was written")
-	}
-
-	svc2, err := New(context.Background(), Config{StateDir: state, Store: "disk", Batching: fastBatching})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc2.Kill()
-	if n := svc2.metrics.StoreReopens.Value(); n != 1 {
-		t.Errorf("emserve_store_reopens_total = %d, want 1", n)
-	}
-	if calls := svc2.pipe.Stats().MatcherCalls; calls != 0 {
-		t.Errorf("restart made %d matcher calls, want 0", calls)
-	}
-	srv := httptest.NewServer(svc2)
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/matches")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(body) != want.RenderMatches() {
-		t.Errorf("/matches after the restart: %d bytes, want %d", len(body), len(want.RenderMatches()))
-	}
-
-	last := ingestWait(t, svc2, batches[3])
-	if !last.Result.WarmStarted {
-		t.Error("the batch after the restart did not warm-start")
-	}
-	cold, err := testPipeline(t).Run(context.Background(), records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last.RenderMatches() != renderPipelineMatches(cold) {
-		t.Error("the stream continued past the restart diverges from the cold run")
-	}
-	if got := segments(); !slices.Equal(got, left) {
-		t.Errorf("the service touched the old segments: %v, was %v", got, left)
-	}
+	return out
 }
 
 // rekeyed converts pair keys to the store's raw form.

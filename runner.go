@@ -112,8 +112,9 @@ func WithShardCount(k int) RunnerOption {
 // resume and the run continues from the round before it). It is not the
 // only persistence the engine has — completed state lives in a Store
 // (see SaveState): its snapshot blob reopens on restart with no replay at
-// all (Pipeline.Reopen). The two compose; a long-lived service typically
-// wants both (trail for mid-run kills, store for completed state).
+// all (Pipeline.Reopen). A batch run wants the trail for mid-run kills; a
+// long-lived service journals its input beside its store and reruns an
+// interrupted batch from the journal instead.
 func WithCheckpointDir(dir string) RunnerOption {
 	return func(r *Runner) { r.ckptDir = dir }
 }

@@ -13,9 +13,9 @@ import (
 // register third-party implementations with RegisterStore.
 
 // RegisterStore makes a storage backend available under name to
-// OpenStore and the -store flags of emmatch/emserve. It
-// panics if name is empty, factory is nil, or name is taken (call it
-// from an init function, like RegisterMatcher).
+// OpenStore and serve.Config.Store. It panics if name is empty, factory
+// is nil, or name is taken (call it from an init function, like
+// RegisterMatcher).
 func RegisterStore(name string, factory match.StoreFactory) {
 	store.Register(name, factory)
 }

@@ -28,7 +28,9 @@ const stateBlobName = "latest"
 // commit sequence number) plus — when res carries streaming blocking
 // state — a postings blob with the serialized delta index. These blobs
 // are the one durable copy of a completed run's state; SaveState is cheap
-// relative to a run and safe to call once per commit.
+// relative to a run and safe to call once per commit. The snapshot is the
+// commit point and is written last: when SaveState fails, the store's
+// snapshot (and so StateSeq) is still the previous one.
 func SaveState(s match.Store, res *PipelineResult, seq int) error {
 	if s == nil {
 		return fmt.Errorf("cem: SaveState needs a store")
@@ -52,23 +54,25 @@ func SaveState(s match.Store, res *PipelineResult, seq int) error {
 		Done:          true,
 		Visits:        make([]int, snap.Neighborhoods),
 	}}
-	data, err := st.Marshal(wire.Binary)
+	data, err := st.Marshal()
 	if err != nil {
 		return fmt.Errorf("cem: encoding state snapshot: %w", err)
-	}
-	if err := s.SaveBlob(match.KindSnapshot, stateBlobName, data); err != nil {
-		return err
 	}
 	if res.index != nil {
 		postings, err := res.index.Save()
 		if err != nil {
 			return err
 		}
+		// Postings newer than the snapshot are a cache miss on Reopen (their
+		// record count disagrees), never a wrong state.
 		if err := s.SaveBlob(match.KindPostings, stateBlobName, postings); err != nil {
 			return err
 		}
 	}
-	return s.Flush()
+	if err := s.Flush(); err != nil {
+		return err
+	}
+	return s.SaveBlob(match.KindSnapshot, stateBlobName, data)
 }
 
 // openState reads, decodes and validates the snapshot blob SaveState
