@@ -120,7 +120,8 @@ bench-pair:
 # fuzz smoke-runs the correctness-critical fuzz targets: dense-vs-naive
 # scoring, the verdict memo against the unmemoized matcher, the closed-form
 # MAP solves against Dinic's network, the engine's evidence bitset against a
-# plain pair set, the candidate table (search, scoping, support join) against
+# plain pair set, the message store's DSU against a list of merged pair
+# sets, the candidate table (search, scoping, support join) against
 # brute force,
 # the ground-once rules engine against the evaluator it replaced,
 # the wire codec round trip, the name kernels against their
@@ -141,6 +142,7 @@ fuzz:
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzPairMAP$$' -fuzztime 10s ./internal/mln/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzSolveSmall$$' -fuzztime 10s ./internal/mln/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzEvidenceModel$$' -fuzztime 10s ./internal/core/
+	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzMessageStoreModel$$' -fuzztime 10s ./internal/core/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzCandidateTable$$' -fuzztime 10s ./internal/core/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzDenseMatchesOld$$' -fuzztime 10s ./internal/rules/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/wire/

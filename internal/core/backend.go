@@ -140,7 +140,7 @@ func (PoolBackend) RunRounds(ctx context.Context, plan *RoundPlan, d *RoundDrive
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			d.Reduce(d.Evaluate(id))
+			d.Reduce(d.evaluate(id, &d.arena))
 		}
 		if err := d.EndRound(); err != nil {
 			return err

@@ -51,10 +51,13 @@ type DenseProbabilistic interface {
 	DenseMatcher
 	Probabilistic
 
-	// MaximalMessagesIDs is MaximalMessenger.MaximalMessages with the
-	// evidence in dense form and base — MatchIDs' output under the same
-	// evidence — as an ascending id list.
-	MaximalMessagesIDs(entities []EntityID, mPlus, neg *Evidence, base []int32) (msgs [][]Pair, calls int)
+	// MatchMessagesIDs is one MMP evaluation in id form: it returns
+	// MatchIDs(entities, mPlus, neg) and appends to msgs the maximal
+	// messages under that match set — what MaximalMessenger.MaximalMessages
+	// derives with it as base — in candidate ids, one group per message of
+	// two or more. calls counts the conditioned probes. msgs belongs to
+	// the caller: a matcher neither keeps it nor reads what it held.
+	MatchMessagesIDs(entities []EntityID, mPlus, neg *Evidence, msgs *MessageIDs) (ids []int32, calls int)
 
 	// ScoreSetDeltaIDs is DeltaScorer.ScoreSetDelta for add given as ids
 	// that s does not hold.

@@ -28,7 +28,15 @@ func (p *RoundPlan) JobToWire(j *Job) wire.Job {
 			w.Matches = append(w.Matches, uint64(k))
 		}
 	}
-	w.Msgs = messagesToWire(j.msgs)
+	w.Msgs = messagesToWire(j.pairMsgs)
+	for i := range j.msgs.Len() {
+		msg := j.msgs.At(i)
+		keys := make([]uint64, len(msg))
+		for x, id := range msg {
+			keys[x] = uint64(p.table.pairs[id].Key())
+		}
+		w.Msgs = append(w.Msgs, keys)
+	}
 	return w
 }
 
@@ -59,6 +67,6 @@ func (p *RoundPlan) JobFromWire(w *wire.Job) Job {
 			j.keys = append(j.keys, PairKey(k))
 		}
 	}
-	j.msgs = messagesFromWire(w.Msgs)
+	j.pairMsgs = messagesFromWire(w.Msgs) // the store resolves them to ids
 	return j
 }

@@ -161,7 +161,7 @@ type DeltaScorer interface {
 // COMPUTEMAXIMAL (Algorithm 2). The semantics must match the generic
 // probe-based construction: msgs are the connected components of the
 // mutual-entailment graph over unmatched candidate pairs (singleton
-// components may be omitted — the schedulers drop them). calls reports
+// components may be omitted — ComputeMaximal drops them). calls reports
 // the number of conditioned inference runs for accounting.
 type MaximalMessenger interface {
 	MaximalMessages(entities []EntityID, mPlus, neg, base PairSet) (msgs [][]Pair, calls int)

@@ -1,110 +1,181 @@
 package core
 
 import (
+	"slices"
+
+	"repro/internal/flat"
 	"repro/internal/unionfind"
 )
 
-// MessageStore maintains the set T of maximal messages of Algorithm 3,
-// keeping it closed under the (T ∪ TC)* operation: overlapping messages
-// are replaced by their union (sound by Proposition 3(ii)). The closure
-// is maintained incrementally with a union-find keyed by pair.
-type MessageStore struct {
-	idOf  map[PairKey]int
-	pairs []Pair
-	// cand[i] is pairs[i]'s candidate id in the run's evidence table, -1
-	// outside it (always, for a store without one): resolved once when
-	// the pair enters the store, so promotion tests membership by bit.
-	cand   []int32
-	table  *CandidateTable // the table cand refers to; nil for a bare store
-	dsu    *unionfind.DSU
-	cached [][]int // memoized components(); nil after a mutating Add
+// MessageIDs is a list of maximal messages in candidate-id form, as one
+// CSR: message i is IDs[Ends[i-1]:Ends[i]] (from 0 for the first). It is
+// what a DenseProbabilistic matcher appends an evaluation's messages to,
+// and a Job carries. The zero value is empty; Reset keeps the capacity.
+type MessageIDs struct {
+	IDs  []int32
+	Ends []int32
 }
 
-func NewMessageStore() *MessageStore { return newMessageStore(nil) }
+// Len returns the number of messages; none for a nil list.
+func (m *MessageIDs) Len() int {
+	if m == nil {
+		return 0
+	}
+	return len(m.Ends)
+}
+
+// At returns message i; read-only.
+func (m *MessageIDs) At(i int) []int32 { return m.IDs[m.start(i):m.Ends[i]] }
+
+func (m *MessageIDs) start(i int) int32 {
+	if i == 0 {
+		return 0
+	}
+	return m.Ends[i-1]
+}
+
+// Reset empties the list, keeping its capacity.
+func (m *MessageIDs) Reset() { m.IDs, m.Ends = m.IDs[:0], m.Ends[:0] }
+
+// AppendFrom adds src's messages from index from on.
+func (m *MessageIDs) AppendFrom(src *MessageIDs, from int) {
+	if from >= src.Len() {
+		return
+	}
+	start := src.start(from)
+	off := int32(len(m.IDs)) - start
+	m.IDs = append(m.IDs, src.IDs[start:]...)
+	n := len(m.Ends)
+	for m.Ends = append(m.Ends, src.Ends[from:]...); n < len(m.Ends); n++ {
+		m.Ends[n] += off
+	}
+}
+
+// MessageStore maintains the set T of maximal messages of Algorithm 3,
+// keeping it closed under the (T ∪ TC)* operation: overlapping messages
+// are replaced by their union (sound by Proposition 3(ii)). Each distinct
+// pair holds one store slot, and a union-find over the slots maintains
+// the closure incrementally. A candidate id of the run's table finds its
+// slot in a dense array over the table; only a pair outside the table —
+// a warm seed's vanished candidate, or any pair of a matcher without the
+// dense extension — goes through a map.
+type MessageStore struct {
+	table  *CandidateTable // the table candidate ids refer to; nil for a bare store
+	slotOf []int32         // candidate id -> slot+1, 0 for none; allocated at the first id
+	over   map[PairKey]int32
+	pairs  []Pair  // slot -> pair
+	cand   []int32 // slot -> candidate id, -1 outside the table: promotion tests bits
+	dsu    *unionfind.DSU
+	comps  MessageIDs // memoized components(), valid while fresh
+	fresh  bool
+	comp   []int32 // components' scratch: root slot -> component number, from 1
+}
 
 // newMessageStore returns a store whose pairs are resolved against a
 // plan's candidate table.
 func newMessageStore(table *CandidateTable) *MessageStore {
-	return &MessageStore{idOf: map[PairKey]int{}, table: table, dsu: unionfind.New(0)}
+	return &MessageStore{table: table, over: map[PairKey]int32{}, dsu: unionfind.New(0)}
 }
 
-func (st *MessageStore) pairID(p Pair) int {
-	if id, ok := st.idOf[p.Key()]; ok {
-		return id
+// idSlot returns candidate id's slot, opening one on first sight.
+func (st *MessageStore) idSlot(id int32) int {
+	if st.slotOf == nil {
+		st.slotOf = make([]int32, st.table.Len())
 	}
-	id := len(st.pairs)
-	st.idOf[p.Key()] = id
-	st.pairs = append(st.pairs, p)
-	cand, ok := st.table.Find(p)
-	if !ok {
-		cand = -1
+	if s := st.slotOf[id]; s > 0 {
+		return int(s - 1)
 	}
-	st.cand = append(st.cand, cand)
-	st.dsu.Grow(id + 1)
-	return id
+	st.slotOf[id] = int32(len(st.pairs)) + 1
+	return st.newSlot(st.table.pairs[id], id)
 }
 
-// Add inserts one maximal message (a set of correlated pairs) and merges
-// it with any overlapping messages already in the store. The memoized
-// component view survives Adds that change nothing structurally — the
-// common case once the message set has converged.
+// pairSlot is idSlot for a pair, by its candidate id when it has one.
+func (st *MessageStore) pairSlot(p Pair) int {
+	if id, ok := st.table.Find(p); ok {
+		return st.idSlot(id)
+	}
+	if s, ok := st.over[p.Key()]; ok {
+		return int(s)
+	}
+	st.over[p.Key()] = int32(len(st.pairs))
+	return st.newSlot(p, -1)
+}
+
+func (st *MessageStore) newSlot(p Pair, cand int32) int {
+	s := len(st.pairs)
+	st.pairs, st.cand = append(st.pairs, p), append(st.cand, cand)
+	st.dsu.Grow(s + 1)
+	st.fresh = false
+	return s
+}
+
+// union merges the messages holding slots a and b. The memoized
+// components survive merges that change nothing — the common case once
+// the message set has converged.
+func (st *MessageStore) union(a, b int) {
+	if st.dsu.Union(a, b) {
+		st.fresh = false
+	}
+}
+
+// AddIDs inserts one maximal message given as candidate ids of the
+// store's table and merges it with any overlapping messages already in
+// the store.
+func (st *MessageStore) AddIDs(msg []int32) {
+	for _, id := range msg {
+		st.union(st.idSlot(msg[0]), st.idSlot(id))
+	}
+}
+
+// Add is AddIDs for a message given as pairs.
 func (st *MessageStore) Add(msg []Pair) {
-	if len(msg) == 0 {
-		return
-	}
-	before := len(st.pairs)
-	first := st.pairID(msg[0])
-	changed := len(st.pairs) != before
-	for _, p := range msg[1:] {
-		if st.dsu.Union(first, st.pairID(p)) {
-			changed = true
-		}
-	}
-	if changed {
-		st.cached = nil
+	for _, p := range msg {
+		st.union(st.pairSlot(msg[0]), st.pairSlot(p))
 	}
 }
 
 // components returns the current disjoint maximal messages — the
-// connected components of the store — as lists of indices into pairs and
-// cand, in deterministic order. The result is memoized until the next
-// mutating Add — the promotion fixpoint rescans the store many times
-// between mutations — and is read-only.
-func (st *MessageStore) components() [][]int {
-	if st.cached != nil {
-		return st.cached
+// connected components of the store — as a CSR of slots, laid out by one
+// counting pass: components in the order of their first-inserted slot,
+// each ascending. The result is memoized until the next Add that changes
+// the store — the promotion fixpoint rescans it many times between
+// mutations — and is read-only.
+func (st *MessageStore) components() *MessageIDs {
+	if st.fresh {
+		return &st.comps
 	}
-	byRoot := map[int][]int{}
-	var rootOrder []int
-	for id := range st.pairs {
-		r := st.dsu.Find(id)
-		if _, ok := byRoot[r]; !ok {
-			rootOrder = append(rootOrder, r)
+	n, k := len(st.pairs), int32(0)
+	st.comp = slices.Grow(st.comp[:0], n)[:n]
+	clear(st.comp)
+	for s := range n {
+		if r := st.dsu.Find(s); st.comp[r] == 0 {
+			k++
+			st.comp[r] = k
 		}
-		byRoot[r] = append(byRoot[r], id)
 	}
-	out := make([][]int, 0, len(rootOrder))
-	for _, r := range rootOrder {
-		out = append(out, byRoot[r])
-	}
-	st.cached = out
-	return out
+	off, slots := flat.Bucket(int(k), func(yield func(int32, int32)) {
+		for s := range n {
+			yield(st.comp[st.dsu.Find(s)]-1, int32(s))
+		}
+	})
+	st.comps, st.fresh = MessageIDs{IDs: slots, Ends: off[1:]}, true
+	return &st.comps
 }
 
 // Messages returns the current disjoint maximal messages in deterministic
-// order, as fresh slices.
+// order, as fresh slices over one backing array.
 func (st *MessageStore) Messages() [][]Pair {
-	comps := st.components()
-	if len(comps) == 0 {
+	c := st.components()
+	if c.Len() == 0 {
 		return nil
 	}
-	out := make([][]Pair, len(comps))
-	for i, comp := range comps {
-		msg := make([]Pair, len(comp))
-		for x, id := range comp {
-			msg[x] = st.pairs[id]
-		}
-		out[i] = msg
+	flat := make([]Pair, len(c.IDs))
+	for x, s := range c.IDs {
+		flat[x] = st.pairs[s]
+	}
+	out := make([][]Pair, c.Len())
+	for i := range out {
+		out[i] = flat[c.start(i):c.Ends[i]:c.Ends[i]]
 	}
 	return out
 }
@@ -118,13 +189,18 @@ func (st *MessageStore) Size() int { return len(st.pairs) }
 // when each appears in the other's conditioned output, and the connected
 // components of the correlation graph are the maximal messages
 // (Lemma 1 proves each component is maximal for well-behaved matchers).
+// Singleton components are dropped, a MaximalMessenger's too: {p}
+// promotes exactly when p's conditional gain turns non-negative, which
+// the evidence-driven re-evaluation of p's neighborhood derives anyway
+// (monotonicity).
 //
 // base must be E(C, M+) — the unconditioned output — so that already-
 // matched pairs are excluded from probing. The number of matcher calls is
 // returned for accounting.
 func ComputeMaximal(m Matcher, entities []EntityID, mPlus, neg, base PairSet) (msgs [][]Pair, calls int) {
 	if mm, ok := m.(MaximalMessenger); ok {
-		return mm.MaximalMessages(entities, mPlus, neg, base)
+		msgs, calls = mm.MaximalMessages(entities, mPlus, neg, base)
+		return slices.DeleteFunc(msgs, func(msg []Pair) bool { return len(msg) < 2 }), calls
 	}
 	filter, hasFilter := m.(ProbeFilter)
 	var probes []Pair
@@ -175,7 +251,9 @@ func ComputeMaximal(m Matcher, entities []EntityID, mPlus, neg, base PairSet) (m
 		byRoot[r] = append(byRoot[r], p)
 	}
 	for _, r := range order {
-		msgs = append(msgs, byRoot[r])
+		if len(byRoot[r]) >= 2 {
+			msgs = append(msgs, byRoot[r])
+		}
 	}
 	return msgs, calls
 }

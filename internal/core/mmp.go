@@ -30,12 +30,14 @@ func MMP(ctx context.Context, cfg Config) (*Result, error) {
 // with sound M+ implies M ⊆ E(E) (proof of Theorem 4).
 func (d *RoundDriver) promote() {
 	st, ev, stats := d.store, d.ev, &d.res.Stats
-	var missing []int // store indices; reused across messages
-	var ids []int32   // their candidate ids, while all are candidates
-	var pairs []Pair  // their pairs, for a matcher scored in pair form
+	var missing []int32 // store slots; reused across messages
+	var ids []int32     // their candidate ids, while all are candidates
+	var pairs []Pair    // their pairs, for a matcher scored in pair form
 	for again := true; again; {
 		again = false
-		for _, msg := range st.components() {
+		comps := st.components()
+		for c := 0; c < comps.Len(); c++ {
+			msg := comps.At(c)
 			// Skip messages already subsumed by the match set.
 			missing, ids = missing[:0], ids[:0]
 			for _, i := range msg {

@@ -10,18 +10,22 @@ import (
 // Job is the outcome of one neighborhood evaluation: the unit a backend's
 // Map side hands to the driver's Reduce.
 type Job struct {
-	id int32
+	id      int32
+	skipped bool // re-activation discharged without a matcher call
 	// The match set, as what the plan's evidence is made of: ids holds
 	// candidate ids (all of a dense matcher's output), keys the pairs
 	// outside the candidate table (all of any other matcher's). Both
 	// ascending.
-	ids     []int32
-	keys    []PairKey
-	msgs    [][]Pair // maximal messages (MMP rounds only)
-	active  int      // active decisions at evaluation time
-	dur     time.Duration
-	calls   int  // matcher calls (1 + conditioned probes for MMP)
-	skipped bool // re-activation discharged without a matcher call
+	ids  []int32
+	keys []PairKey
+	// The maximal messages (MMP rounds only), split the same way: msgs in
+	// candidate ids (a dense matcher's), pairMsgs as pairs (any other
+	// matcher's, and every job decoded from the wire).
+	msgs     *MessageIDs
+	pairMsgs [][]Pair
+	active   int // active decisions at evaluation time
+	dur      time.Duration
+	calls    int // matcher calls (1 + conditioned probes for MMP)
 }
 
 // Skipped reports whether the re-activation was discharged without a
@@ -52,11 +56,18 @@ func allNeighborhoods(n int) []int32 {
 // (re-activation rounds only; see RunStats.Skips). It is a read-only use
 // of the plan and safe to call concurrently.
 //
-// A dense matcher is evaluated in id form, start to finish. Any other
+// A dense matcher is evaluated in id form, start to finish — under MMP in
+// one MatchMessagesIDs call, its messages a CSR of candidate ids. Any other
 // matcher gets the evidence's overflow set — all of it, under an empty
 // table — and its output is brought into engine form here, the one place
 // a match set is sorted.
 func (p *RoundPlan) Evaluate(id int32, evidence *Evidence, allowSkip bool) Job {
+	return p.evaluate(id, evidence, allowSkip, nil)
+}
+
+// evaluate is Evaluate with a dense matcher's messages in arena, reset
+// first and held by the job; nil gives the job a list of its own.
+func (p *RoundPlan) evaluate(id int32, evidence *Evidence, allowSkip bool, arena *MessageIDs) Job {
 	cfg := &p.Config
 	entities := cfg.Cover.Sets[id]
 	j := Job{id: id, calls: 1}
@@ -70,16 +81,21 @@ func (p *RoundPlan) Evaluate(id int32, evidence *Evidence, allowSkip bool) Job {
 	}
 	t0 := time.Now()
 	var probes int
-	if p.dense != nil {
-		j.ids = p.dense.MatchIDs(entities, evidence, p.negative)
-		if p.WithMessages {
-			j.msgs, probes = p.denseProb.MaximalMessagesIDs(entities, evidence, p.negative, j.ids)
+	switch {
+	case p.denseProb != nil:
+		if arena == nil {
+			arena = new(MessageIDs)
 		}
-	} else {
+		arena.Reset()
+		j.ids, probes = p.denseProb.MatchMessagesIDs(entities, evidence, p.negative, arena)
+		j.msgs = arena
+	case p.dense != nil:
+		j.ids = p.dense.MatchIDs(entities, evidence, p.negative)
+	default:
 		pos := evidence.Overflow()
 		mc := cfg.Matcher.Match(entities, pos, cfg.Negative)
 		if p.WithMessages {
-			j.msgs, probes = ComputeMaximal(p.Prob, entities, pos, cfg.Negative, mc)
+			j.pairMsgs, probes = ComputeMaximal(p.Prob, entities, pos, cfg.Negative, mc)
 		}
 		j.keys = mc.SortedKeys()
 	}

@@ -95,9 +95,9 @@ func (s *RunStats) TotalActive() int {
 }
 
 func (s RunStats) String() string {
-	base := fmt.Sprintf("n=%d evals=%d calls=%d skips=%d maxRevisit=%d msgs=%d maximal=%d promoted=%d elapsed=%v",
+	base := fmt.Sprintf("n=%d evals=%d calls=%d skips=%d maxRevisit=%d msgs=%d maximal=%d promoted=%d checks=%d elapsed=%v",
 		s.Neighborhoods, s.Evaluations, s.MatcherCalls, s.Skips, s.MaxRevisits,
-		s.MessagesSent, s.MaximalMessages, s.PromotedSets, s.Elapsed)
+		s.MessagesSent, s.MaximalMessages, s.PromotedSets, s.ScoreChecks, s.Elapsed)
 	if s.Cache.Lookups() > 0 {
 		base += " " + s.Cache.String()
 	}

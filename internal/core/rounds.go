@@ -24,6 +24,7 @@ type RoundDriver struct {
 	ev     *Evidence // M+
 	visits []int
 	store  *MessageStore // MMP only
+	arena  MessageIDs    // a one-worker pool's job messages, reused job to job
 	ck     CheckpointConfig
 	trail  *store.Trail // the checkpoint trail; nil when not checkpointing
 
@@ -134,17 +135,20 @@ func (d *RoundDriver) AllowSkip() bool {
 // Evaluate runs one neighborhood of the current round against the
 // driver's own Snapshot — for backends that schedule work but do not
 // distribute state. Besides reading, it writes only id's own seen slot.
-func (d *RoundDriver) Evaluate(id int32) Job {
+func (d *RoundDriver) Evaluate(id int32) Job { return d.evaluate(id, nil) }
+
+// evaluate is Evaluate with the job's messages in arena: a backend that
+// reduces each job before it evaluates the next needs only one.
+func (d *RoundDriver) evaluate(id int32, arena *MessageIDs) Job {
 	d.seen[id] = int32(d.ev.Mark() - d.roundMark)
-	return d.plan.Evaluate(id, d.Snapshot(), d.AllowSkip())
+	return d.plan.evaluate(id, d.Snapshot(), d.AllowSkip(), arena)
 }
 
 // Reduce merges one evaluated job of the current round into the global
 // state: its matches join M+ (a job lists them in packed-key order, so
 // the round's evidence delta is reproducible run-to-run) and its maximal
-// messages join the store — minus singletons: {p} promotes exactly when
-// p's conditional gain turns non-negative, which the evidence-driven
-// re-evaluation of p's neighborhood derives anyway (monotonicity).
+// messages join the store, each counted in RunStats.MaximalMessages (no
+// job carries a singleton: see ComputeMaximal).
 // Reducing in Active() order keeps counters, progress events and the
 // delta order reproducible; the output does not depend on the order
 // (consistency). A backend that reduces each job before evaluating the
@@ -169,11 +173,12 @@ func (d *RoundDriver) Reduce(j Job) {
 		d.ev.AddKey(k)
 	}
 	if d.store != nil {
-		stats.MaximalMessages += len(j.msgs)
-		for _, msg := range j.msgs {
-			if len(msg) >= 2 {
-				d.store.Add(msg)
-			}
+		stats.MaximalMessages += j.msgs.Len() + len(j.pairMsgs)
+		for i := range j.msgs.Len() {
+			d.store.AddIDs(j.msgs.At(i))
+		}
+		for _, msg := range j.pairMsgs {
+			d.store.Add(msg)
 		}
 	}
 	d.plan.Config.emit(d.plan.Scheme, j.id, d.round+1, stats.Evaluations, d.ev.Len())

@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/testmodel"
+	"repro/internal/unionfind"
 )
 
 // pairNames resolves a match set to names for readable failures.
@@ -272,5 +274,79 @@ func TestStatsPlumbing(t *testing.T) {
 	}
 	if res.Scheme != "SMP" {
 		t.Errorf("scheme = %q", res.Scheme)
+	}
+}
+
+// messageCounter is a one-worker backend that, before it reduces a job,
+// derives the neighborhood's maximal messages with a naive Algorithm 2 of
+// its own: it counts the groups of two or more pairs — what the message
+// store takes — and the singleton groups, which it does not.
+type messageCounter struct {
+	m                   *testmodel.Model
+	entered, singletons int
+}
+
+func (b *messageCounter) RunRounds(ctx context.Context, plan *core.RoundPlan, d *core.RoundDriver) error {
+	for !d.Done() {
+		for _, id := range d.Active() {
+			pos := d.Snapshot().Overflow() // a matcher without a table: all of M+
+			j := d.Evaluate(id)
+			if !j.Skipped() {
+				entities := plan.Config.Cover.Sets[id]
+				base := b.m.Match(entities, pos, nil)
+				var probes []core.Pair
+				for _, p := range b.m.Candidates(entities) {
+					if !base.Has(p) && !pos.Has(p) {
+						probes = append(probes, p)
+					}
+				}
+				outs := make([]core.PairSet, len(probes))
+				for i, p := range probes {
+					outs[i] = b.m.Match(entities, pos.WithPair(p), nil)
+				}
+				dsu := unionfind.New(len(probes))
+				for i := range probes {
+					for k := i + 1; k < len(probes); k++ {
+						if outs[i].Has(probes[k]) && outs[k].Has(probes[i]) {
+							dsu.Union(i, k)
+						}
+					}
+				}
+				for _, group := range dsu.Sets() {
+					if len(group) >= 2 {
+						b.entered++
+					} else {
+						b.singletons++
+					}
+				}
+			}
+			d.Reduce(j)
+		}
+		if err := d.EndRound(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestMaximalMessagesCountsWhatEntersTheStore pins RunStats.MaximalMessages
+// for a Type-II matcher without a MaximalMessages of its own: it counts
+// the messages that enter the store, as it does for the built-in MLN —
+// not the singleton groups of the generic Algorithm 2, which never do.
+func TestMaximalMessagesCountsWhatEntersTheStore(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	entered, singletons := 0, 0
+	for trial := 0; trial < 20; trial++ {
+		m, cover := testmodel.Random(rng)
+		b := &messageCounter{m: m}
+		res := runOn(t, core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}, "MMP", b)
+		if res.Stats.MaximalMessages != b.entered {
+			t.Fatalf("trial %d: MaximalMessages = %d, want the %d messages that entered the store (%d singletons)",
+				trial, res.Stats.MaximalMessages, b.entered, b.singletons)
+		}
+		entered, singletons = entered+b.entered, singletons+b.singletons
+	}
+	if entered == 0 || singletons == 0 {
+		t.Fatalf("fixtures derived %d messages and %d singletons; the test needs both", entered, singletons)
 	}
 }

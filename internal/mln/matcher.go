@@ -232,41 +232,45 @@ func (m *Matcher) CandidateTable() *core.CandidateTable { return m.table }
 // verdict memo (memo.go): when the read-set fingerprint matches one of
 // the cached verdicts, its match set is returned without building or
 // solving the submodel — provably the set recomputation would produce.
-// Otherwise the submodel is solved by solveSmall, which builds a flow
-// network only for its components of three or more variables.
 func (m *Matcher) MatchIDs(entities []core.EntityID, pos, neg *core.Evidence) []int32 {
 	ws := m.getWS()
 	defer m.putWS(ws)
 	sc := m.scopeOf(entities, ws)
-	memoKey := m.memoKey(sc, pos, neg, ws)
-	if memoKey != nil {
-		if out, ok := m.memoMatch(sc, memoKey); ok {
+	key := m.memoKey(sc, pos, neg, ws)
+	if key != nil {
+		if out, _, ok := m.memoLookup(sc, key, nil, 1); ok {
 			return out
 		}
 	}
-	lm := m.buildLocal(sc, pos, neg, ws)
-	if cap(ws.x) < len(lm.free) {
-		ws.x = make([]bool, len(lm.free))
+	_, _, out := m.solve(sc, ws)
+	if key != nil {
+		m.memoStore(sc, key, out, nil, 0, 0)
 	}
-	x := ws.x[:len(lm.free)]
-	solveSmall(lm.eff, lm.deg, lm.edges, x, &ws.small)
+	return slices.Clone(out)
+}
+
+// solve builds sc's conditioned submodel and solves it with solveSmall,
+// which builds a flow network only for components of three or more
+// variables. It returns the submodel, its MAP assignment and the matched
+// in-scope ids, ascending; all three are views into the workspace.
+func (m *Matcher) solve(sc *scope, ws *workspace) (localModel, []bool, []int32) {
+	lm := m.buildLocal(sc, ws)
+	ws.x = grow(ws.x, len(lm.free))
+	solveSmall(lm.eff, lm.deg, lm.edges, ws.x, &ws.small)
 	// One sweep in scope order — id order — over the decided positions
 	// (in-scope positive evidence is echoed) and the solved ones.
 	out := ws.out[:0]
 	for pi, id := range sc.ids {
 		if fi := ws.slots[pi]; fi >= 0 {
-			if x[fi] {
+			if ws.x[fi] {
 				out = append(out, id)
 			}
-		} else if v := ws.state[id]; v&stNeg == 0 && v&stPos != 0 {
+		} else if v := ws.fp[pi]; v&stNeg == 0 && v&stPos != 0 {
 			out = append(out, id)
 		}
 	}
 	ws.out = out
-	if memoKey != nil {
-		m.memoStoreMatch(sc, memoKey, out)
-	}
-	return slices.Clone(out)
+	return lm, ws.x, out
 }
 
 var (

@@ -11,10 +11,11 @@ import (
 // achievable score in a ground model.
 const clampWeight = 1e9
 
-// maximalScratch is the flat working memory of one MaximalMessages call,
+// maximalScratch is the flat working memory of one Algorithm 2 run,
 // pooled inside the workspace. Components are materialized by counting
-// sort over union-find roots instead of per-root maps, so a call
-// allocates only the message slices it actually returns.
+// sort over union-find roots instead of per-root maps, and messages are
+// written straight into the caller's CSR, so a run allocates nothing once
+// the pools and that CSR are warm.
 type maximalScratch struct {
 	rootOf   []int32 // free var -> component root (-1 for isolated vars)
 	varCnt   []int32 // per root: member count, then consumed as fill cursor
@@ -30,7 +31,7 @@ type maximalScratch struct {
 	probes   []int32
 	probeOut []bool  // len(probes) × component-size probe outputs, flat
 	grpCnt   []int32 // per probe root: entailment-group size
-	msgIdx   []int32 // per probe root: output message index (-1 until seen)
+	fill     []int32 // per probe root: next write position in the CSR (-1 until seen)
 	dsuComp  *unionfind.DSU
 	dsuProbe *unionfind.DSU
 }
@@ -43,67 +44,67 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// MaximalMessages implements core.MaximalMessenger: MaximalMessagesIDs
-// with the evidence and base translated to dense form first. A pair of
-// base outside the candidate table is dropped — only candidates are ever
-// probed.
+// MaximalMessages implements core.MaximalMessenger by way of the fused
+// evaluation, its messages translated to pairs. base is E(C, mPlus) by the
+// interface's contract — the match set the evaluation solves for anyway —
+// so it is not read. The call consults the verdict memo once.
 func (m *Matcher) MaximalMessages(entities []core.EntityID, mPlus, neg, base core.PairSet) (msgs [][]core.Pair, calls int) {
-	ids := make([]int32, 0, len(base))
-	for k := range base {
-		if id, ok := m.table.Find(k.Pair()); ok {
-			ids = append(ids, id)
+	var ids core.MessageIDs
+	_, calls = m.matchMessages(entities, core.EvidenceOf(m.table, mPlus), core.EvidenceOf(m.table, neg), &ids, 1)
+	for i := range ids.Len() {
+		msg := make([]core.Pair, len(ids.At(i)))
+		for x, id := range ids.At(i) {
+			msg[x] = m.table.Pair(id)
 		}
+		msgs = append(msgs, msg)
 	}
-	slices.Sort(ids)
-	return m.MaximalMessagesIDs(entities, core.EvidenceOf(m.table, mPlus), core.EvidenceOf(m.table, neg), ids)
+	return msgs, calls
 }
 
-// MaximalMessagesIDs implements core.DenseProbabilistic — a specialized
-// Algorithm 2 for the ground MLN. It builds the conditioned submodel
-// once (from the prepared neighborhood skeleton when available),
-// decomposes it into connected components of the local interaction graph
-// (clamping a variable can only entail variables in its own component,
-// so each probe solves just its component), probes only free pairs that
-// can reach a non-negative score under total local support, and derives
-// the mutual-entailment groups from the probe solutions. A probe on a
-// two-variable component — nearly all of them on the bibliographic corpora
-// — is pairMAP; larger components draw their flow networks from the shared
-// solver pool, and all component bookkeeping comes from the pooled
-// workspace. calls counts every probe either way.
-// Prepared cover neighborhoods consult the scope's verdict memo first:
-// when the read-set fingerprint matches a cached way AND base equals
-// that way's match verdict (the Step-5 protocol — MatchIDs feeds its
-// output straight back in), the cached message list is returned as a deep
-// copy, skipping every probe solve. calls reports the cached probe count
-// so run statistics stay identical with memoization on or off.
-func (m *Matcher) MaximalMessagesIDs(entities []core.EntityID, mPlus, neg *core.Evidence, base []int32) (msgs [][]core.Pair, calls int) {
+// MatchMessagesIDs implements core.DenseProbabilistic over one submodel,
+// built from the prepared skeleton when there is one and solved, then
+// probed by a specialized Algorithm 2: per connected component of the
+// local interaction graph (clamping a variable can only entail its own
+// component), each free variable the solution leaves false that can reach
+// a non-negative score under total local support is clamped and its
+// component solved — by pairMAP on two variables, nearly every probe on
+// the bibliographic corpora — and the mutual-entailment groups are the
+// messages. calls counts every probe. A memo hit (memo.go) returns the
+// cached match set, messages and probe count without building anything;
+// the memo is consulted twice, as MatchIDs and a message lookup would.
+func (m *Matcher) MatchMessagesIDs(entities []core.EntityID, mPlus, neg *core.Evidence, msgs *core.MessageIDs) (ids []int32, calls int) {
+	return m.matchMessages(entities, mPlus, neg, msgs, 2)
+}
+
+// matchMessages is MatchMessagesIDs counting lookups memo consultations.
+func (m *Matcher) matchMessages(entities []core.EntityID, mPlus, neg *core.Evidence, msgs *core.MessageIDs, lookups int) (ids []int32, calls int) {
 	ws := m.getWS()
 	defer m.putWS(ws)
 	sc := m.scopeOf(entities, ws)
-	if key := m.memoKey(sc, mPlus, neg, ws); key != nil {
-		cached, cachedCalls, hit, store := m.memoMsgs(sc, key, base)
-		if hit {
-			return cached, cachedCalls
-		}
-		if store {
-			defer func() { m.memoStoreMsgs(sc, key, msgs, calls) }()
+	key := m.memoKey(sc, mPlus, neg, ws)
+	if key != nil {
+		if ids, calls, ok := m.memoLookup(sc, key, msgs, lookups); ok {
+			return ids, calls
 		}
 	}
-	lm := m.buildLocal(sc, mPlus, neg, ws)
+	lm, x, out := m.solve(sc, ws)
+	from := msgs.Len()
+	calls = m.maximal(lm, x, ws, msgs)
+	if key != nil {
+		m.memoStore(sc, key, out, msgs, from, calls)
+	}
+	return slices.Clone(out), calls
+}
+
+// maximal is Algorithm 2 over a solved submodel: it appends the messages
+// of two or more variables to msgs and returns the probe count. x is the
+// MAP assignment — the match set, whose variables are not probed.
+func (m *Matcher) maximal(lm localModel, x []bool, ws *workspace, msgs *core.MessageIDs) (calls int) {
 	n := len(lm.free)
 	if n == 0 {
-		return nil, 0
+		return 0
 	}
 	mm := &ws.mm
-	// Free variables already in base are not probed; the state vector
-	// carries the mark (every scoped id was read by buildLocal, and an id
-	// outside the scope is no free variable).
-	for _, id := range base {
-		if ws.state[id] != 0 {
-			ws.state[id] |= stBase
-		}
-	}
-
 	// Connected components of the local interaction graph. Isolated
 	// variables (degree 0) yield only singleton messages and are dropped.
 	comp := mm.dsuComp
@@ -129,7 +130,7 @@ func (m *Matcher) MaximalMessagesIDs(entities []core.EntityID, mPlus, neg *core.
 		hasComp = true
 	}
 	if !hasComp {
-		return nil, 0
+		return 0
 	}
 	for _, e := range lm.edges {
 		mm.edgeCnt[mm.rootOf[e.I]]++
@@ -176,7 +177,22 @@ func (m *Matcher) MaximalMessagesIDs(entities []core.EntityID, mPlus, neg *core.
 			continue
 		}
 		vars := mm.varsBuf[mm.varOff[r] : mm.varOff[r]+mm.varCnt[r]]
-		if len(vars) < 2 {
+		compEdges := mm.edgesBuf[mm.edgeOff[r] : mm.edgeOff[r]+mm.edgeCnt[r]]
+		if len(vars) == 2 && len(compEdges) == 1 {
+			// Two variables joined by one edge, nearly every component on
+			// the bibliographic corpora: the steps below in closed form.
+			a, b, w := vars[0], vars[1], compEdges[0].W
+			probeA, probeB := !x[a] && mm.localMax[a] >= 0, !x[b] && mm.localMax[b] >= 0
+			if probeA != probeB {
+				calls++
+			} else if probeA {
+				calls += 2
+				_, bIn := pairMAP(clampWeight, lm.eff[b], w)
+				if aIn, _ := pairMAP(lm.eff[a], clampWeight, w); aIn && bIn {
+					msgs.IDs = append(msgs.IDs, lm.free[a], lm.free[b])
+					msgs.Ends = append(msgs.Ends, int32(len(msgs.IDs)))
+				}
+			}
 			continue
 		}
 		// Reindexed submodel for this component.
@@ -185,16 +201,13 @@ func (m *Matcher) MaximalMessagesIDs(entities []core.EntityID, mPlus, neg *core.
 			mm.localIdx[fi] = int32(li)
 			mm.subEff[li] = lm.eff[fi]
 		}
-		compEdges := mm.edgesBuf[mm.edgeOff[r] : mm.edgeOff[r]+mm.edgeCnt[r]]
 		for i, e := range compEdges {
 			compEdges[i] = Edge{I: int(mm.localIdx[e.I]), J: int(mm.localIdx[e.J]), W: e.W}
 		}
 		// Probe each viable variable in the component.
 		mm.probes = mm.probes[:0]
 		for li, fi := range vars {
-			// A free variable is in neither evidence set, so base is the
-			// only set that can already hold it.
-			if ws.state[lm.free[fi]]&stBase != 0 || mm.localMax[fi] < 0 {
+			if x[fi] || mm.localMax[fi] < 0 {
 				continue
 			}
 			mm.probes = append(mm.probes, int32(li))
@@ -209,11 +222,7 @@ func (m *Matcher) MaximalMessagesIDs(entities []core.EntityID, mPlus, neg *core.
 			copy(mm.subUnary, mm.subEff[:k])
 			mm.subUnary[li] = clampWeight
 			out := mm.probeOut[pi*k : (pi+1)*k]
-			if k == 2 && len(compEdges) == 1 {
-				out[0], out[1] = pairMAP(mm.subUnary[0], mm.subUnary[1], compEdges[0].W)
-			} else {
-				solveMAPInto(mm.subUnary[:k], compEdges, out)
-			}
+			solveMAPInto(mm.subUnary[:k], compEdges, out)
 			calls++
 		}
 		// Mutual entailment: probes p, q are grouped when each appears in
@@ -229,29 +238,31 @@ func (m *Matcher) MaximalMessagesIDs(entities []core.EntityID, mPlus, neg *core.
 			}
 		}
 		mm.grpCnt = grow(mm.grpCnt, len(mm.probes))
-		mm.msgIdx = grow(mm.msgIdx, len(mm.probes))
+		mm.fill = grow(mm.fill, len(mm.probes))
 		for pi := range mm.probes {
-			mm.grpCnt[pi], mm.msgIdx[pi] = 0, -1
+			mm.grpCnt[pi], mm.fill[pi] = 0, -1
 		}
 		for pi := range mm.probes {
 			mm.grpCnt[dsu.Find(pi)]++
 		}
 		// Materialize only the non-singleton groups (singletons are
-		// subsumed by evidence-driven re-evaluation), in first-seen order.
+		// subsumed by evidence-driven re-evaluation), in first-seen order:
+		// a group's run of the CSR is reserved when its first member is.
 		for pi, li := range mm.probes {
 			gr := dsu.Find(pi)
 			if mm.grpCnt[gr] < 2 {
 				continue
 			}
-			if mm.msgIdx[gr] < 0 {
-				mm.msgIdx[gr] = int32(len(msgs))
-				msgs = append(msgs, make([]core.Pair, 0, mm.grpCnt[gr]))
+			if mm.fill[gr] < 0 {
+				mm.fill[gr] = int32(len(msgs.IDs))
+				msgs.IDs = append(msgs.IDs, make([]int32, mm.grpCnt[gr])...)
+				msgs.Ends = append(msgs.Ends, int32(len(msgs.IDs)))
 			}
-			mi := mm.msgIdx[gr]
-			msgs[mi] = append(msgs[mi], m.table.Pair(lm.free[vars[li]]))
+			msgs.IDs[mm.fill[gr]] = lm.free[vars[li]]
+			mm.fill[gr]++
 		}
 	}
-	return msgs, calls
+	return calls
 }
 
 var _ core.MaximalMessenger = (*Matcher)(nil)

@@ -15,9 +15,9 @@ import (
 // boundary pairs — often has not changed, and every run of an experiment
 // starts from empty evidence again, passing through states an earlier run
 // already solved. The ground model and the cover are immutable per run,
-// and Match / MaximalMessages are deterministic functions of (skeleton,
-// read-set states), so each prepared scope caches its memoWays most
-// recent verdicts keyed by a fingerprint of exactly those states.
+// and the match set and maximal messages are deterministic functions of
+// (skeleton, read-set states), so each prepared scope caches its memoWays
+// most recent verdicts keyed by a fingerprint of exactly those states.
 //
 // The cache is self-validating: every lookup recomputes the fingerprint
 // and compares it byte-for-byte against each cached way. A hit therefore
@@ -34,13 +34,15 @@ const memoWays = 4
 // states is the fingerprint: the evidence state of every scoped candidate
 // id (in skeleton order) followed by every boundary partner (in
 // boundary-edge order). match is the MatchIDs output. msgs/msgCalls are
-// the MaximalMessages verdict for base = match (Algorithm 3 Step 5), when
-// msgsValid. used is the scope clock at the last hit or store; 0 marks an
-// empty way.
+// the maximal messages under that match set (Algorithm 3 Step 5) as a CSR
+// of candidate ids, and their probe count, when msgsValid: a store copies
+// them in over the way's own capacity, and a hit appends them to the
+// caller's list. used is the scope clock at the last hit or store; 0
+// marks an empty way.
 type memoWay struct {
 	states    []uint8
 	match     []int32
-	msgs      [][]core.Pair
+	msgs      core.MessageIDs
 	msgCalls  int
 	msgsValid bool
 	used      uint64
@@ -86,15 +88,12 @@ func (e *scopeMemo) victim() (w *memoWay) {
 	return w
 }
 
-// memoKey returns the scope's read-set fingerprint in ws.fp, or nil when
+// memoKey reads the scope's read set into ws.fp — the evidence state of
+// every scoped id, then of every boundary partner, which is all that
+// buildLocal reads — and returns it as the memo key, or nil when
 // memoization does not apply (ephemeral scope or memoization disabled).
-// It reads the evidence bits directly, so a hit leaves the workspace's
-// state vector untouched; on a miss buildLocal fills it as usual. The
-// returned slice aliases the workspace; copy before retaining.
+// The returned slice aliases the workspace; copy before retaining.
 func (m *Matcher) memoKey(sc *scope, pos, neg *core.Evidence, ws *workspace) []uint8 {
-	if sc == &ws.eph || m.memoOff {
-		return nil
-	}
 	n := len(sc.ids)
 	ws.fp = grow(ws.fp, n+len(sc.boundary))
 	for i, id := range sc.ids {
@@ -102,6 +101,9 @@ func (m *Matcher) memoKey(sc *scope, pos, neg *core.Evidence, ws *workspace) []u
 	}
 	for j, be := range sc.boundary {
 		ws.fp[n+j] = evidenceState(be.other, pos, neg)
+	}
+	if sc == &ws.eph || m.memoOff {
+		return nil
 	}
 	return ws.fp
 }
@@ -141,26 +143,41 @@ func (m *Matcher) lookup(e *scopeMemo, key []uint8) *memoWay {
 	return nil
 }
 
-// memoMatch consults the scope's cached Match verdicts under the given
-// fingerprint, counting the hit, miss, or invalidation. A hit returns a
-// copy: ways are overwritten in place by later stores.
-func (m *Matcher) memoMatch(sc *scope, key []uint8) ([]int32, bool) {
+// memoLookup consults the scope's cached verdicts under the given
+// fingerprint — the match set, and with msgs the messages too — counting
+// lookups consultations: the way's (a hit, a miss or an invalidation) and
+// for each further one a hit when the way also holds a message verdict,
+// else a miss. A hit returns a copy of the match set (ways are
+// overwritten in place by later stores) and appends the cached messages
+// to msgs.
+func (m *Matcher) memoLookup(sc *scope, key []uint8, msgs *core.MessageIDs, lookups int) ([]int32, int, bool) {
 	e := sc.memo.Load()
 	if e != nil {
 		e.mu.Lock()
 		defer e.mu.Unlock()
 	}
-	w := m.lookup(e, key)
-	if w == nil {
-		return nil, false
+	w := m.lookup(e, key) // counts the first consultation unless it finds a way
+	n := int64(lookups - 1)
+	switch {
+	case w == nil:
+		m.cacheMisses.Add(n)
+		return nil, 0, false
+	case msgs != nil && !w.msgsValid:
+		m.cacheHits.Add(n)
+		m.cacheMisses.Add(1)
+		return nil, 0, false
+	case msgs != nil:
+		msgs.AppendFrom(&w.msgs, 0)
 	}
-	m.cacheHits.Add(1)
-	return slices.Clone(w.match), true
+	m.cacheHits.Add(n + 1)
+	return slices.Clone(w.match), w.msgCalls, true
 }
 
-// memoStoreMatch records a freshly computed Match verdict: on the way
-// already holding key (a concurrent store), else on victim().
-func (m *Matcher) memoStoreMatch(sc *scope, key []uint8, out []int32) {
+// memoStore records a freshly computed verdict — the match set and, when
+// msgs is not nil, the messages from index from on with their probe
+// count — on the way already holding key (a concurrent store, or a match
+// verdict stored without messages), else on victim().
+func (m *Matcher) memoStore(sc *scope, key []uint8, out []int32, msgs *core.MessageIDs, from, calls int) {
 	e := sc.memoEntry()
 	e.mu.Lock()
 	w := e.way(key)
@@ -170,73 +187,13 @@ func (m *Matcher) memoStoreMatch(sc *scope, key []uint8, out []int32) {
 		w.match = append(w.match[:0], out...)
 		w.msgsValid = false
 	}
+	if msgs != nil {
+		w.msgs.Reset()
+		w.msgs.AppendFrom(msgs, from)
+		w.msgCalls, w.msgsValid = calls, true
+	}
 	e.touch(w)
 	e.mu.Unlock()
-}
-
-// memoMsgs is memoMatch for MaximalMessages under base, returning a deep
-// copy on a hit. Otherwise store reports whether the verdict is
-// memoizable: a way holds key and base is its match (the Step-5 caller;
-// any other base changes the probe set).
-func (m *Matcher) memoMsgs(sc *scope, key []uint8, base []int32) (msgs [][]core.Pair, calls int, hit, store bool) {
-	e := sc.memo.Load()
-	if e != nil {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-	}
-	w := m.lookup(e, key)
-	switch {
-	case w == nil:
-		return nil, 0, false, false
-	case w.msgsValid && slices.Equal(base, w.match):
-		m.cacheHits.Add(1)
-		return copyMsgs(w.msgs), w.msgCalls, true, false
-	}
-	m.cacheMisses.Add(1)
-	return nil, 0, false, slices.Equal(base, w.match)
-}
-
-// memoStoreMsgs records a freshly computed MaximalMessages verdict on the
-// way that caches the Match verdict for the same fingerprint. Re-found
-// under the lock: when a concurrent store has evicted that way, the
-// message verdict is discarded.
-func (m *Matcher) memoStoreMsgs(sc *scope, key []uint8, msgs [][]core.Pair, calls int) {
-	e := sc.memo.Load()
-	e.mu.Lock()
-	if w := e.way(key); w != nil {
-		w.msgs = copyMsgsInto(w.msgs, msgs)
-		w.msgCalls = calls
-		w.msgsValid = true
-	}
-	e.mu.Unlock()
-}
-
-// copyMsgs deep-copies a message list so cached verdicts never alias
-// caller-visible slices (callers hand messages to stores that hold them).
-func copyMsgs(msgs [][]core.Pair) [][]core.Pair {
-	if len(msgs) == 0 {
-		return nil
-	}
-	out := make([][]core.Pair, len(msgs))
-	for i, msg := range msgs {
-		out[i] = slices.Clone(msg)
-	}
-	return out
-}
-
-// copyMsgsInto deep-copies src into dst, recycling dst's outer and inner
-// slice capacity.
-func copyMsgsInto(dst, src [][]core.Pair) [][]core.Pair {
-	old := dst[:cap(dst)]
-	dst = dst[:0]
-	for i, msg := range src {
-		var inner []core.Pair
-		if i < len(old) {
-			inner = old[i][:0]
-		}
-		dst = append(dst, append(inner, msg...))
-	}
-	return dst
 }
 
 // SetMemoization enables or disables the verdict memo (enabled by
@@ -270,11 +227,11 @@ func (m *Matcher) invalidateMemos() {
 
 // CacheStats implements core.CacheReporter: cumulative verdict-memo
 // counters since construction. Match and MaximalMessages each consult
-// the memo once per call, so one fully memoized MMP evaluation reports
-// two hits. Per lookup: a hit when some way holds the fingerprint, an
-// invalidation when the scope has valid ways but none holds it, a miss
-// when it has none (or, for MaximalMessages, when the way holding it has
-// no message verdict for the caller's base).
+// the memo once per call and MatchMessagesIDs twice, so one fully
+// memoized MMP evaluation reports two hits. Per lookup: a hit when some
+// way holds the fingerprint, an invalidation when the scope has valid
+// ways but none holds it, a miss when it has none (or, for a message
+// lookup, when the way holding it has no message verdict).
 func (m *Matcher) CacheStats() core.CacheReport {
 	return core.CacheReport{
 		Hits:          m.cacheHits.Load(),

@@ -143,7 +143,7 @@ func TestMemoWays(t *testing.T) {
 	sc := &p.skel[0]
 	key := func(i int) []uint8 { return []uint8{stFilled, stFilled | uint8(i)} }
 	hit := func(i int) bool {
-		got, ok := m.memoMatch(sc, key(i))
+		got, _, ok := m.memoLookup(sc, key(i), nil, 1)
 		if ok && !slices.Equal(got, []int32{int32(i)}) {
 			t.Fatalf("way of key %d holds match %v", i, got)
 		}
@@ -160,7 +160,7 @@ func TestMemoWays(t *testing.T) {
 		t.Fatal("hit on a scope that never stored")
 	}
 	for i := 1; i <= memoWays; i++ {
-		m.memoStoreMatch(sc, key(i), []int32{int32(i)})
+		m.memoStore(sc, key(i), []int32{int32(i)}, nil, 0, 0)
 		if n := len(sc.memo.Load().ways); n != i {
 			t.Fatalf("%d stores left %d ways", i, n)
 		}
@@ -170,22 +170,25 @@ func TestMemoWays(t *testing.T) {
 		t.Fatal("lookups over four full ways")
 	}
 	want(1, 1, 1)
-	m.memoStoreMsgs(sc, key(1), [][]core.Pair{{{A: 1, B: 2}}}, 3)
-	m.memoStoreMatch(sc, key(1), []int32{1}) // the way holding key 1: messages survive
-	if msgs, calls, ok, _ := m.memoMsgs(sc, key(1), []int32{1}); !ok || calls != 3 || len(msgs) != 1 {
-		t.Fatalf("message verdict of key 1 = %v, %d, %v", msgs, calls, ok)
+	msgs := core.MessageIDs{IDs: []int32{9, 1, 2}, Ends: []int32{1, 3}}
+	m.memoStore(sc, key(1), []int32{1}, &msgs, 1, 3)          // the messages from index 1 on
+	m.memoStore(sc, key(1), []int32{1}, nil, 0, 0)            // the way holding key 1: messages survive
+	got := core.MessageIDs{IDs: []int32{7}, Ends: []int32{1}} // a hit appends
+	if ids, calls, ok := m.memoLookup(sc, key(1), &got, 2); !ok || calls != 3 || !slices.Equal(ids, []int32{1}) ||
+		got.Len() != 2 || !slices.Equal(got.At(1), []int32{1, 2}) {
+		t.Fatalf("message verdict of key 1 = %v, %d, %v, %+v", ids, calls, ok, got)
 	}
-	if _, _, ok, store := m.memoMsgs(sc, key(1), []int32{7}); ok || store {
-		t.Fatal("a base other than the cached match served or stored messages")
+	if _, _, ok := m.memoLookup(sc, key(2), &got, 2); ok || got.Len() != 2 {
+		t.Fatal("a way without a message verdict served messages")
 	}
-	want(2, 2, 1)
+	want(4, 2, 1) // a fused lookup counts two consultations
 
-	// Key 3 is now the least recently used: 4 was stored after it, and 1
-	// and 2 were used since.
+	// Key 3 is now the least recently used: 4 was stored after it, and 2
+	// and 1 were used since.
 	e := sc.memo.Load()
 	victim := &e.ways[2]
 	backing := &victim.states[0]
-	m.memoStoreMatch(sc, key(5), []int32{5})
+	m.memoStore(sc, key(5), []int32{5}, nil, 0, 0)
 	if len(e.ways) != memoWays || !slices.Equal(victim.states, key(5)) || &victim.states[0] != backing {
 		t.Fatalf("eviction did not recycle the least recently used way: %+v", e.ways)
 	}
@@ -195,15 +198,15 @@ func TestMemoWays(t *testing.T) {
 
 	// SetWeights empties every way; the next store reuses one.
 	m.invalidateMemos()
-	want(6, 2, 2+memoWays)
+	want(8, 2, 2+memoWays)
 	if hit(5) {
 		t.Fatal("hit after invalidation")
 	}
-	m.memoStoreMatch(sc, key(6), []int32{6})
+	m.memoStore(sc, key(6), []int32{6}, nil, 0, 0)
 	if len(e.ways) != memoWays || !hit(6) {
 		t.Fatalf("store after invalidation grew the ways or missed: %d ways", len(e.ways))
 	}
-	want(7, 3, 2+memoWays)
+	want(9, 3, 2+memoWays)
 }
 
 // memoWayStates copies the fingerprint of every valid way of every

@@ -120,27 +120,26 @@ func (m *Matcher) linkScope(ids []int32, ws *workspace, sc *scope) {
 	}
 }
 
-// Evidence states in the workspace's dense vector. A zero byte means
-// "not translated yet"; translated entries carry stFilled plus the
-// membership bits, so pos∩neg overlaps keep the exact semantics of the
-// original per-set lookups (neg wins for the echo, pos alone drives
-// support bonuses).
+// Evidence states, in the read-set fingerprint and the workspace's dense
+// vector. A zero byte means "not translated yet"; translated entries
+// carry stFilled plus the membership bits, so pos∩neg overlaps keep the
+// exact semantics of the original per-set lookups (neg wins for the echo,
+// pos alone drives support bonuses).
 const (
 	stFilled uint8 = 1 << 7
 	stPos    uint8 = 1
 	stNeg    uint8 = 2
-	stBase   uint8 = 4 // MaximalMessagesIDs only: the id is in base
 )
 
 // workspace is the per-call scratch of one Match / MaximalMessages /
 // LogScore invocation, pooled on the matcher. state and posOf are sized
 // to the global candidate-pair universe.
 type workspace struct {
-	state   []uint8 // dense evidence view, indexed by candidate-pair id
+	state   []uint8 // dense score view (LogScore), indexed by candidate-pair id
 	touched []int32 // state indices to zero on release
 	posOf   []int32 // global pair id -> scope position (-1 outside)
 	slots   []int32 // scope position -> free-variable slot (-1 decided)
-	fp      []uint8 // read-set fingerprint buffer (memo lookups)
+	fp      []uint8 // the read-set states by scope position (see memoKey)
 
 	// localModel backing storage (free/eff/deg/edges) plus the solver
 	// assignment; see buildLocal.
@@ -149,10 +148,10 @@ type workspace struct {
 	deg   []int32
 	edges []Edge
 	x     []bool
-	out   []int32 // MatchIDs' output before it is copied out
+	out   []int32 // the match ids before they are copied out
 
 	eph   scope          // ephemeral skeleton for non-cover entity slices
-	mm    maximalScratch // MaximalMessages component bookkeeping
+	mm    maximalScratch // Algorithm 2's component bookkeeping
 	small smallScratch   // MatchIDs' network for components of ≥ 3 variables
 }
 
@@ -199,19 +198,6 @@ func evidenceState(id int32, pos, neg *core.Evidence) uint8 {
 	return v
 }
 
-// fillState reads the evidence bits of candidate pair id into the state
-// vector (once per id per call) and returns the state.
-func (ws *workspace) fillState(id int32, pos, neg *core.Evidence) uint8 {
-	v := ws.state[id]
-	if v != 0 {
-		return v
-	}
-	v = evidenceState(id, pos, neg)
-	ws.state[id] = v
-	ws.touched = append(ws.touched, id)
-	return v
-}
-
 // localModel is the conditioned submodel of one neighborhood: the free
 // match variables with their effective unary weights (base weight plus
 // evidence-supported groundings) and the in-scope pairwise interactions.
@@ -224,18 +210,19 @@ type localModel struct {
 }
 
 // buildLocal assembles the conditioned submodel from a prebuilt skeleton
-// and the evidence. It leaves ws.slots mapping every scope position to
-// its free-variable slot, -1 for a position the evidence decides.
-func (m *Matcher) buildLocal(sc *scope, pos, neg *core.Evidence, ws *workspace) localModel {
+// and the read-set states memoKey left in ws.fp. It leaves ws.slots
+// mapping every scope position to its free-variable slot, -1 for a
+// position the evidence decides.
+func (m *Matcher) buildLocal(sc *scope, ws *workspace) localModel {
 	var lm localModel
-	n := len(sc.ids)
+	n, st := len(sc.ids), ws.fp
 	if cap(ws.slots) < n {
 		ws.slots = make([]int32, n)
 	}
 	slots := ws.slots[:n]
 	free := ws.free[:0]
 	for pi, id := range sc.ids {
-		if ws.fillState(id, pos, neg) == stFilled { // in neither evidence set: free variable
+		if st[pi] == stFilled { // in neither evidence set: free variable
 			slots[pi] = int32(len(free))
 			free = append(free, id)
 		} else {
@@ -262,20 +249,18 @@ func (m *Matcher) buildLocal(sc *scope, pos, neg *core.Evidence, ws *workspace) 
 			deg[si]++
 			deg[sj]++
 		case si >= 0:
-			if ws.state[sc.ids[e.pj]]&stPos != 0 {
+			if st[e.pj]&stPos != 0 {
 				eff[si] += cw * float64(e.count)
 			}
 		case sj >= 0:
-			if ws.state[sc.ids[e.pi]]&stPos != 0 {
+			if st[e.pi]&stPos != 0 {
 				eff[sj] += cw * float64(e.count)
 			}
 		}
 	}
-	for _, be := range sc.boundary {
-		if si := slots[be.pi]; si >= 0 {
-			if ws.fillState(be.other, pos, neg)&stPos != 0 {
-				eff[si] += cw * float64(be.count)
-			}
+	for j, be := range sc.boundary {
+		if si := slots[be.pi]; si >= 0 && st[n+j]&stPos != 0 {
+			eff[si] += cw * float64(be.count)
 		}
 	}
 	ws.slots, ws.free, ws.edges = slots, free, edges

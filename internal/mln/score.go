@@ -125,26 +125,6 @@ func (m *Matcher) ScoreSetDeltaIDs(add []int32, s *core.Evidence) float64 {
 	return total
 }
 
-// Probeable implements core.ProbeFilter for COMPUTEMAXIMAL: a pair is
-// worth probing only if it has interactions (otherwise its messages are
-// singletons, which the schedulers drop) and its score can turn
-// non-negative under total support. This prunes the probe set from k² to
-// the structurally relevant pairs without changing any output.
-func (m *Matcher) Probeable(p core.Pair) bool {
-	id, ok := m.table.Find(p)
-	if !ok {
-		return false
-	}
-	if len(m.sup.Of(id)) == 0 {
-		return false
-	}
-	best := m.unary[id] + m.w.TieEps
-	for _, e := range m.sup.Of(id) {
-		best += m.w.Coauthor * float64(2*e.N)
-	}
-	return best >= 0
-}
-
 // DecideGiven implements core.ConditionalDecider for the UB oracle: p is
 // matched when its conditional score gain, with every other pair clamped
 // to its membership in given, is non-negative.

@@ -328,7 +328,9 @@ func FuzzSolveSmall(f *testing.F) {
 func BenchmarkSolveMAP(b *testing.B) {
 	m, entities := benchPreparedAt(b, 0.4)
 	ws := m.getWS()
-	lm := m.buildLocal(m.scopeOf(entities, ws), nil, nil, ws)
+	sc := m.scopeOf(entities, ws)
+	m.memoKey(sc, nil, nil, ws) // the read set buildLocal reads
+	lm := m.buildLocal(sc, ws)
 	unary, deg, edges := slices.Clone(lm.eff), slices.Clone(lm.deg), slices.Clone(lm.edges)
 	m.putWS(ws)
 	x := make([]bool, len(unary))

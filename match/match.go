@@ -70,8 +70,14 @@ func NewCandidateTable(n int, pairs []Pair) (*CandidateTable, error) {
 }
 
 // DenseProbabilistic is DenseMatcher for a Type-II matcher: the id forms
-// of the two operations MMP adds.
+// of the two operations MMP adds — one evaluation's match set and maximal
+// messages in a single MatchMessagesIDs call, and the promotion test's
+// score delta.
 type DenseProbabilistic = core.DenseProbabilistic
+
+// MessageIDs is a list of maximal messages as candidate ids in one CSR
+// (message i is IDs[Ends[i-1]:Ends[i]]): what MatchMessagesIDs appends to.
+type MessageIDs = core.MessageIDs
 
 // Evidence is a set of pairs in the engine's dense form: one bit per id
 // of a DenseMatcher's candidate table plus an overflow PairSet for pairs
