@@ -30,7 +30,6 @@ import (
 	"repro/internal/bib"
 	"repro/internal/core"
 	emnet "repro/internal/net"
-	"repro/internal/wire"
 )
 
 func main() {
@@ -69,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer, sigs chan os.Signal, ready cha
 		seed    = fs.Int64("seed", 42, "generation seed")
 		scheme  = fs.String("scheme", "smp", "scheme this worker serves: nomp | smp | mmp")
 		matcher = fs.String("matcher", "mln", "matcher: "+strings.Join(cem.Matchers(), " | "))
-		format  = fs.String("format", "binary", "wire codec for outgoing batches: binary | json")
 		verbose = fs.Bool("v", false, "log worker lifecycle events to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -79,15 +77,6 @@ func run(args []string, stdout, stderr io.Writer, sigs chan os.Signal, ready cha
 	cs := coreScheme(*scheme)
 	if cs == "" {
 		return fmt.Errorf("scheme %q is not round-based; a worker serves nomp, smp or mmp", *scheme)
-	}
-	var wf wire.Format
-	switch *format {
-	case "binary":
-		wf = wire.Binary
-	case "json":
-		wf = wire.JSON
-	default:
-		return fmt.Errorf("unknown -format %q (binary | json)", *format)
 	}
 
 	var (
@@ -153,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer, sigs chan os.Signal, ready cha
 		}
 	}()
 
-	opts := emnet.WorkerOptions{Format: wf, Matcher: *matcher}
+	opts := emnet.WorkerOptions{Matcher: *matcher}
 	if *verbose {
 		opts.Logf = func(f string, a ...any) { fmt.Fprintf(stderr, "emworker: "+f+"\n", a...) }
 	}

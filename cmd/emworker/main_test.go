@@ -19,7 +19,6 @@ func TestFlagValidation(t *testing.T) {
 	}{
 		{"whole-set scheme", []string{"-scheme", "full"}, "not round-based"},
 		{"unknown scheme", []string{"-scheme", "zigzag"}, "not round-based"},
-		{"unknown format", []string{"-format", "xml"}, "unknown -format"},
 		{"unknown flag", []string{"-no-such-flag"}, "flag provided but not defined"},
 	}
 	for _, tc := range cases {

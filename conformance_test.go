@@ -17,7 +17,9 @@ package cem_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
 	"slices"
@@ -56,7 +58,7 @@ type execution struct {
 	opt  cem.RunnerOption // nil: the simulated grid's backend
 }
 
-func executions() []execution {
+func executions(t *testing.T) []execution {
 	ex := []execution{
 		{"pool-1", cem.WithParallelism(1)},
 		{"pool-4", cem.WithParallelism(4)},
@@ -66,12 +68,45 @@ func executions() []execution {
 	for _, k := range []int{1, 2, 4} {
 		ex = append(ex, execution{fmt.Sprintf("sharded-%d", k), cem.WithShardCount(k)})
 	}
-	// The same backend again, its workers speaking the JSON codec.
+	// The same backend again, its worker streams crossing loopback TCP.
 	for _, k := range []int{1, 2} {
-		b := &emnet.Backend{Workers: k, Opts: emnet.Options{Format: wire.JSON}}
+		b := &emnet.Backend{Workers: k, Opts: emnet.Options{Wrap: overLoopback(t)}}
 		ex = append(ex, execution{fmt.Sprintf("sharded-net-%d", k), cem.WithBackend(b)})
 	}
 	return ex
+}
+
+// overLoopback returns an Options.Wrap that carries a worker stream
+// over a loopback TCP connection: the coordinator reads and writes one
+// end of the socket, and a relay copies between the other end and the
+// in-process worker's pipe. Frames then reach both sides as the kernel
+// segments them, the way an attached emworker's do, instead of whole
+// through a synchronous pipe.
+func overLoopback(t *testing.T) func(int, io.ReadWriteCloser) io.ReadWriteCloser {
+	return func(_ int, pipe io.ReadWriteCloser) io.ReadWriteCloser {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Errorf("loopback listen: %v", err)
+			return pipe
+		}
+		defer l.Close()
+		coord, err := net.Dial("tcp", l.Addr().String()) // the listen backlog completes the handshake
+		if err != nil {
+			t.Errorf("loopback dial: %v", err)
+			return pipe
+		}
+		relay, err := l.Accept()
+		if err != nil {
+			coord.Close()
+			t.Errorf("loopback accept: %v", err)
+			return pipe
+		}
+		// Each copy ends when its source closes or fails, and closes its
+		// destination, so a close on either side reaches the other.
+		go func() { _, _ = io.Copy(relay, pipe); relay.Close() }()
+		go func() { _, _ = io.Copy(pipe, relay); pipe.Close() }()
+		return coord
+	}
 }
 
 // run executes one scheme under the execution on a fresh runner carrying
@@ -161,7 +196,7 @@ func refined(t *testing.T, exp *cem.Experiment, seed int64) *cem.Experiment {
 }
 
 func TestConformance(t *testing.T) {
-	placements := executions()
+	placements := executions(t)
 	for _, ds := range goldenSeeds {
 		exp, err := cem.New(cem.NewDataset(ds.kind, ds.scale, ds.seed))
 		if err != nil {

@@ -16,7 +16,6 @@ import (
 	cem "repro"
 	"repro/internal/core"
 	emnet "repro/internal/net"
-	"repro/internal/wire"
 	"repro/match"
 )
 
@@ -70,9 +69,9 @@ func TestDenseEqualsGeneric(t *testing.T) {
 		{"pool-1", 1, func() core.Backend { return core.PoolBackend{} }},
 		{"pool-4", 4, func() core.Backend { return core.PoolBackend{} }},
 		{"sharded-2", 1, func() core.Backend { return cem.NewShardedNetBackend(2) }},
-		// The same backend again, its workers speaking the JSON codec.
+		// The same backend again, its worker streams crossing loopback TCP.
 		{"sharded-net-2", 1, func() core.Backend {
-			return &emnet.Backend{Workers: 2, Opts: emnet.Options{Format: wire.JSON}}
+			return &emnet.Backend{Workers: 2, Opts: emnet.Options{Wrap: overLoopback(t)}}
 		}},
 	}
 	for _, ds := range goldenSeeds {

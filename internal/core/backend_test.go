@@ -46,8 +46,8 @@ func assertSameRun(t *testing.T, label string, got, want *core.Result) {
 // TestShardedMatchesPoolRandom: on random supermodular models, sharded
 // execution (the network backend's in-process workers) must land on the
 // exact output of the pool's snapshot rounds (two workers) — match set
-// AND deterministic statistics — for every shard count and every scheme,
-// in both wire codecs; the one-worker pool, which reduces in order
+// AND deterministic statistics — for every shard count and every scheme;
+// the one-worker pool, which reduces in order
 // instead, shares the match set. This is Theorem 2/4 consistency applied
 // to the backend boundary.
 func TestShardedMatchesPoolRandom(t *testing.T) {
@@ -63,10 +63,8 @@ func TestShardedMatchesPoolRandom(t *testing.T) {
 				t.Errorf("trial %d: %s in-order reduce diverges from snapshot rounds", trial, scheme)
 			}
 			for _, k := range []int{1, 2, 3, 7} {
-				for _, format := range []wire.Format{wire.Binary, wire.JSON} {
-					sharded := runOn(t, cfg, scheme, &emnet.Backend{Workers: k, Opts: emnet.Options{Format: format}})
-					assertSameRun(t, fmt.Sprintf("trial %d %s k=%d fmt=%v", trial, scheme, k, format), sharded, pool)
-				}
+				sharded := runOn(t, cfg, scheme, &emnet.Backend{Workers: k})
+				assertSameRun(t, fmt.Sprintf("trial %d %s k=%d", trial, scheme, k), sharded, pool)
 			}
 		}
 	}

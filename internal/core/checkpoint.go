@@ -57,8 +57,8 @@ func stateOf(ck *wire.Checkpoint) *State {
 	return s
 }
 
-// DecodeState decodes one persisted record (either codec) and validates
-// its pairs over the record's own entity count.
+// DecodeState decodes one persisted record and validates its pairs over
+// the record's own entity count.
 func DecodeState(data []byte) (*State, error) {
 	ck, err := wire.UnmarshalCheckpoint(data)
 	if err != nil {

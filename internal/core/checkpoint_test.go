@@ -12,8 +12,8 @@ import (
 )
 
 // rewriteRecord decodes one round file, lets edit change it, and writes
-// it back in the given codec.
-func rewriteRecord(t *testing.T, path string, format wire.Format, edit func(*wire.Checkpoint)) {
+// it back.
+func rewriteRecord(t *testing.T, path string, edit func(*wire.Checkpoint)) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -24,7 +24,7 @@ func rewriteRecord(t *testing.T, path string, format wire.Format, edit func(*wir
 		t.Fatal(err)
 	}
 	edit(ck)
-	forged, err := ck.Marshal(format)
+	forged, err := ck.Marshal(wire.Binary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,66 +38,99 @@ func rewriteRecord(t *testing.T, path string, format wire.Format, edit func(*wir
 // accepts (a normalized pair) but that names entities the cover does not
 // have must be refused on resume — by the same check a warm-start seed
 // and a reopened store snapshot go through — not folded into M+ and
-// reported as a match, whichever codec the forged record is in.
+// reported as a match.
 func TestResumeRejectsOutOfRangeEvidence(t *testing.T) {
 	m, cover, _ := testmodel.PaperExample()
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 	foreign := uint64(core.MakePair(5000, 6000).Key())
-	for name, format := range map[string]wire.Format{"binary": wire.Binary, "json": wire.JSON} {
-		t.Run("SMP-delta/"+name, func(t *testing.T) {
-			dir := t.TempDir()
-			if _, err := core.RunBackend(bg, cfg, "SMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir}); err != nil {
-				t.Fatal(err)
-			}
-			rewriteRecord(t, trailFiles(t, dir)[0], format, func(ck *wire.Checkpoint) {
-				ck.Delta = append(ck.Delta, foreign)
-			})
-			res, err := core.RunBackend(bg, cfg, "SMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir, Resume: true})
-			if err == nil {
-				t.Errorf("resumed over a delta naming entities 5000 and 6000 of %d; in the result: %v",
-					cover.NumEntities, res.Matches.Has(core.MakePair(5000, 6000)))
-			}
+	t.Run("SMP-delta/binary", func(t *testing.T) {
+		dir := t.TempDir()
+		if _, err := core.RunBackend(bg, cfg, "SMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		rewriteRecord(t, trailFiles(t, dir)[0], func(ck *wire.Checkpoint) {
+			ck.Delta = append(ck.Delta, foreign)
 		})
-		t.Run("MMP-message/"+name, func(t *testing.T) {
-			dir := t.TempDir()
-			if _, err := core.RunBackend(bg, cfg, "MMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir}); err != nil {
-				t.Fatal(err)
-			}
-			files := trailFiles(t, dir)
-			rewriteRecord(t, files[len(files)-1], format, func(ck *wire.Checkpoint) {
-				ck.Messages = append(ck.Messages, []uint64{foreign, foreign + 1})
-			})
-			if _, err := core.RunBackend(bg, cfg, "MMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir, Resume: true}); err == nil {
-				t.Errorf("resumed over a maximal message naming entities beyond the cover's %d", cover.NumEntities)
-			}
+		res, err := core.RunBackend(bg, cfg, "SMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir, Resume: true})
+		if err == nil {
+			t.Errorf("resumed over a delta naming entities 5000 and 6000 of %d; in the result: %v",
+				cover.NumEntities, res.Matches.Has(core.MakePair(5000, 6000)))
+		}
+	})
+	t.Run("MMP-message/binary", func(t *testing.T) {
+		dir := t.TempDir()
+		if _, err := core.RunBackend(bg, cfg, "MMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		files := trailFiles(t, dir)
+		rewriteRecord(t, files[len(files)-1], func(ck *wire.Checkpoint) {
+			ck.Messages = append(ck.Messages, []uint64{foreign, foreign + 1})
 		})
-	}
+		if _, err := core.RunBackend(bg, cfg, "MMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir, Resume: true}); err == nil {
+			t.Errorf("resumed over a maximal message naming entities beyond the cover's %d", cover.NumEntities)
+		}
+	})
 }
 
-// TestResumeReadsJSONTrail: trails are written in the binary codec, but
-// a record in the JSON codec (an older trail, or one edited by hand)
-// still resumes: a completed trail re-marshalled record by record
-// rebuilds the same result without calling the matcher.
-func TestResumeReadsJSONTrail(t *testing.T) {
-	m, cover, _ := testmodel.PaperExample()
-	wrapped := &countingMatcher{Model: m}
-	cfg := core.Config{Cover: cover, Matcher: wrapped, Relation: m.Relation()}
+// plantTrail copies a trail into a fresh directory with record i
+// replaced by damage(its bytes), and returns the directory.
+func plantTrail(t *testing.T, files []string, i int, damage func([]byte) []byte) string {
+	t.Helper()
 	dir := t.TempDir()
-	full, err := core.RunBackend(bg, cfg, "MMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir})
+	for j, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j == i {
+			raw = damage(raw)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestResumeRefusesJSONRecord: the only codec is binary, so a round
+// record in the JSON envelope older builds could write (now only a hand
+// edit) is an unreadable record like any other. As the newest record it
+// is quarantined and the resume continues from the round before it to
+// the uninterrupted result; as an earlier record it fails the resume with
+// an error that names the file.
+func TestResumeRefusesJSONRecord(t *testing.T) {
+	m, cover, _ := testmodel.PaperExample()
+	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
+	src := t.TempDir()
+	full, err := core.RunBackend(bg, cfg, "MMP", core.PoolBackend{}, core.CheckpointConfig{Dir: src})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range trailFiles(t, dir) {
-		rewriteRecord(t, f, wire.JSON, func(*wire.Checkpoint) {})
+	files := trailFiles(t, src)
+	if len(files) < 2 {
+		t.Fatalf("the trail has %d records; the test needs a record before the JSON one", len(files))
 	}
-	wrapped.calls.Store(0)
-	resumed, err := core.RunBackend(bg, cfg, "MMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir, Resume: true})
+	toJSON := func([]byte) []byte { return []byte(`{"cemw":1,"type":3,"msg":{"scheme":"MMP","round":1}}`) }
+	resume := func(dir string) (*core.Result, error) {
+		return core.RunBackend(bg, cfg, "MMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir, Resume: true})
+	}
+
+	last := len(files) - 1
+	dir := plantTrail(t, files, last, toJSON)
+	resumed, err := resume(dir)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("resume over a JSON last record: %v", err)
 	}
-	if !resumed.Matches.Equal(full.Matches) || wrapped.calls.Load() != 0 {
-		t.Errorf("JSON trail resumed to %d matches with %d matcher calls; want %d with 0",
-			resumed.Matches.Len(), wrapped.calls.Load(), full.Matches.Len())
+	if _, err := os.Stat(filepath.Join(dir, filepath.Base(files[last])+".corrupt")); err != nil {
+		t.Errorf("JSON last record not quarantined: %v", err)
+	}
+	if !resumed.Matches.Equal(full.Matches) {
+		t.Errorf("resumed to %d matches, the uninterrupted run has %d", resumed.Matches.Len(), full.Matches.Len())
+	}
+
+	first := filepath.Base(files[0])
+	if _, err := resume(plantTrail(t, files, 0, toJSON)); err == nil || !strings.Contains(err.Error(), first) {
+		t.Errorf("resume over a JSON first record: %v, want an error naming %s", err, first)
 	}
 }
 
@@ -127,16 +160,7 @@ func TestCheckpointTrailTruncationAtEveryByte(t *testing.T) {
 		}
 		// plant copies the trail with record i cut to n bytes.
 		plant := func(i, n int) string {
-			dir := t.TempDir()
-			for j, raw := range records {
-				if j == i {
-					raw = raw[:n]
-				}
-				if err := os.WriteFile(filepath.Join(dir, filepath.Base(files[j])), raw, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return dir
+			return plantTrail(t, files, i, func(raw []byte) []byte { return raw[:n] })
 		}
 		resume := func(dir string) (*core.Result, error) {
 			return core.RunBackend(bg, cfg, scheme, core.PoolBackend{}, core.CheckpointConfig{Dir: dir, Resume: true})

@@ -136,18 +136,6 @@ type ConditionalDecider interface {
 	DecideGiven(p Pair, given PairSet) bool
 }
 
-// ProbeFilter is an optional matcher extension used by COMPUTEMAXIMAL
-// (Algorithm 2) to skip candidate pairs that can never participate in a
-// useful maximal message — typically pairs whose score stays negative
-// under *any* evidence, or pairs with no interactions (their singleton
-// messages are subsumed by the evidence-driven re-evaluation SMP/MMP
-// already perform). Skipping such probes changes no output, only cost:
-// the probe set shrinks from k² to the pairs that can actually entail or
-// be entailed.
-type ProbeFilter interface {
-	Probeable(p Pair) bool
-}
-
 // DeltaScorer lets a Probabilistic matcher evaluate the promotion test of
 // Algorithm 3 Step 7 incrementally: ScoreSetDelta returns
 // LogScore(s ∪ add) − LogScore(s) without materializing the union. For

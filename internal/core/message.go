@@ -202,16 +202,11 @@ func ComputeMaximal(m Matcher, entities []EntityID, mPlus, neg, base PairSet) (m
 		msgs, calls = mm.MaximalMessages(entities, mPlus, neg, base)
 		return slices.DeleteFunc(msgs, func(msg []Pair) bool { return len(msg) < 2 }), calls
 	}
-	filter, hasFilter := m.(ProbeFilter)
 	var probes []Pair
 	for _, p := range m.Candidates(entities) {
-		if base.Has(p) || mPlus.Has(p) || neg.Has(p) {
-			continue
+		if !base.Has(p) && !mPlus.Has(p) && !neg.Has(p) {
+			probes = append(probes, p)
 		}
-		if hasFilter && !filter.Probeable(p) {
-			continue
-		}
-		probes = append(probes, p)
 	}
 	if len(probes) == 0 {
 		return nil, 0

@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	emnet "repro/internal/net"
-	"repro/internal/wire"
 )
 
 // memoEnv holds two matchers over the same grounding: memo with the
@@ -229,7 +228,7 @@ func memoWayStates(m *Matcher) [][]string {
 }
 
 // TestMemoAcrossRuns runs one experiment's scheme sequence — NO-MP, SMP,
-// MMP, sharded K=2 on both codecs — on a memo-on matcher and a memo-off
+// MMP, sharded K=2 — on a memo-on matcher and a memo-off
 // one. Every run's matches and RunStats (but Cache and the clocks) must be
 // identical; the last run must be served from the ways the earlier ones
 // filled; and both paths a store can take past the first way — a new way
@@ -245,10 +244,6 @@ func TestMemoAcrossRuns(t *testing.T) {
 		{"mmp", func(cfg core.Config) (*core.Result, error) { return core.MMP(context.Background(), cfg) }},
 		{"sharded", func(cfg core.Config) (*core.Result, error) {
 			return core.RunBackend(context.Background(), cfg, "SMP", &emnet.Backend{Workers: 2}, core.CheckpointConfig{})
-		}},
-		{"sharded-net", func(cfg core.Config) (*core.Result, error) {
-			b := &emnet.Backend{Workers: 2, Opts: emnet.Options{Format: wire.JSON}}
-			return core.RunBackend(context.Background(), cfg, "SMP", b, core.CheckpointConfig{})
 		}},
 	}
 	grew, evicted := false, false
@@ -272,9 +267,9 @@ func TestMemoAcrossRuns(t *testing.T) {
 			t.Fatalf("%s: memoized RunStats %+v, want %+v", r.name, got, want)
 		}
 		t.Logf("%s: %v calls=%d evals=%d", r.name, res[0].Stats.Cache, res[0].Stats.MatcherCalls, res[0].Stats.Evaluations)
-		if r.name == "sharded-net" {
+		if r.name == "sharded" {
 			if rate := res[0].Stats.Cache.HitRate(); rate < 0.9 {
-				t.Errorf("sharded-net hit rate %.3f < 0.9 (%v)", rate, res[0].Stats.Cache)
+				t.Errorf("sharded hit rate %.3f < 0.9 (%v)", rate, res[0].Stats.Cache)
 			}
 		}
 		cur := memoWayStates(env.memo)

@@ -161,10 +161,7 @@ func newCoordinator(b *Backend, plan *core.RoundPlan, d *core.RoundDriver) *coor
 		} else {
 			// Local in-process workers built from the coordinator's own
 			// plan — same protocol, no sockets.
-			c.spawn = LocalSpawner(plan.Config, plan.Scheme, WorkerOptions{
-				Format:  b.Opts.Format,
-				Matcher: c.matcher,
-			})
+			c.spawn = LocalSpawner(plan.Config, plan.Scheme, WorkerOptions{Matcher: c.matcher})
 		}
 	}
 	if plan.Exchange {
@@ -268,7 +265,7 @@ func (c *coordinator) connect(ctx context.Context, s *slot) error {
 		Entities:      c.plan.Config.Cover.NumEntities,
 		HeartbeatNS:   int64(c.opts.heartbeatInterval()),
 	}
-	enc, err := hello.Marshal(c.opts.Format)
+	enc, err := hello.Marshal(wire.Binary)
 	if err != nil {
 		conn.Close()
 		return err
@@ -453,7 +450,7 @@ func (c *coordinator) dispatch(ctx context.Context, round, p int, st *partState,
 		Keys:      c.catchup(s, lenAt),
 		IDs:       st.ids,
 	}
-	enc, err := a.Marshal(c.opts.Format)
+	enc, err := a.Marshal(wire.Binary)
 	if err != nil {
 		return err
 	}

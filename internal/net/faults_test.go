@@ -10,7 +10,6 @@ import (
 	emnet "repro/internal/net"
 	"repro/internal/net/faultnet"
 	"repro/internal/testmodel"
-	"repro/internal/wire"
 )
 
 // faultyBackend builds a sharded backend whose every stream — both
@@ -116,17 +115,14 @@ func TestNetTornStreams(t *testing.T) {
 	}
 }
 
-// TestNetFaultsBothFormats: the JSON codec under the same fault
-// schedules — framing faults are codec-agnostic.
-func TestNetFaultsBothFormats(t *testing.T) {
+// TestNetFaultsMMP: MMP on the paper's example — whose promotions
+// depend on maximal messages crossing the wire — under dropped and
+// duplicated data frames.
+func TestNetFaultsMMP(t *testing.T) {
 	m, cover, _ := testmodel.PaperExample()
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 	pool := poolRef(t, cfg, "MMP")
-	for _, format := range []wire.Format{wire.Binary, wire.JSON} {
-		inj := faultnet.New(faultnet.Plan{Seed: 11, DropRate: 0.2, DupRate: 0.2})
-		b := faultyBackend(cfg, "MMP", 2, inj)
-		b.Opts.Format = format
-		res := runOn(t, cfg, "MMP", b)
-		assertSameRun(t, fmt.Sprintf("faults fmt=%v", format), res, pool)
-	}
+	inj := faultnet.New(faultnet.Plan{Seed: 11, DropRate: 0.2, DupRate: 0.2})
+	res := runOn(t, cfg, "MMP", faultyBackend(cfg, "MMP", 2, inj))
+	assertSameRun(t, "faults", res, pool)
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	emnet "repro/internal/net"
 	"repro/internal/testmodel"
-	"repro/internal/wire"
 )
 
 var bg = context.Background()
@@ -59,8 +58,8 @@ var netSchemes = []string{"NO-MP", "SMP", "MMP"}
 
 // TestNetMatchesPoolRandom: with no faults, the network backend must
 // land on the pool backend's exact output — match set AND deterministic
-// statistics — for every worker count, every round-based scheme, both
-// wire codecs, and report no resilience events. The core package's
+// statistics — for every worker count and every round-based scheme, and
+// report no resilience events. The core package's
 // TestShardedMatchesPoolRandom pins the same contract on other models.
 func TestNetMatchesPoolRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -70,13 +69,11 @@ func TestNetMatchesPoolRandom(t *testing.T) {
 		for _, scheme := range netSchemes {
 			pool := poolRef(t, cfg, scheme)
 			for _, k := range []int{1, 2, 3} {
-				for _, format := range []wire.Format{wire.Binary, wire.JSON} {
-					net := runOn(t, cfg, scheme, &emnet.Backend{Workers: k, Opts: emnet.Options{Format: format}})
-					label := fmt.Sprintf("trial %d %s k=%d fmt=%v", trial, scheme, k, format)
-					assertSameRun(t, label, net, pool)
-					if r := net.Stats; r.Reassignments+r.RetriedSends+r.LateBatchesDropped != 0 {
-						t.Errorf("%s: fault-free run reports resilience events: %v", label, r)
-					}
+				net := runOn(t, cfg, scheme, &emnet.Backend{Workers: k})
+				label := fmt.Sprintf("trial %d %s k=%d", trial, scheme, k)
+				assertSameRun(t, label, net, pool)
+				if r := net.Stats; r.Reassignments+r.RetriedSends+r.LateBatchesDropped != 0 {
+					t.Errorf("%s: fault-free run reports resilience events: %v", label, r)
 				}
 			}
 		}

@@ -3,15 +3,13 @@ package net
 import (
 	"io"
 	"time"
-
-	"repro/internal/wire"
 )
 
 // Options tunes the coordinator's supervision of its workers. The zero
-// value is fully usable: local in-process workers, generous deadlines,
-// binary wire format. The handshake's matcher label is not an option: it
-// is the run's own (core.CheckpointConfig.Matcher, set by cem.Runner to
-// the registry name).
+// value is fully usable: local in-process workers, generous deadlines.
+// The handshake's matcher label is not an option: it is the run's own
+// (core.CheckpointConfig.Matcher, set by cem.Runner to the registry
+// name).
 type Options struct {
 	// RoundDeadline bounds one partition assignment: if the assigned
 	// worker neither heartbeats nor returns its batch within it, the
@@ -34,10 +32,6 @@ type Options struct {
 	// Seed feeds the backoff jitter; fixed so fault-injection runs are
 	// reproducible. 0 means 1.
 	Seed int64
-
-	// Format selects the wire codec for coordinator→worker traffic
-	// (workers answer in their own configured format; both sides sniff).
-	Format wire.Format
 
 	// Spawn overrides how worker streams are created. nil means: dial
 	// Addrs when the backend has addresses, else spawn local in-process
@@ -96,9 +90,6 @@ func (o *Options) logf(format string, args ...any) {
 
 // WorkerOptions tunes one worker process (or goroutine).
 type WorkerOptions struct {
-	// Format selects the wire codec for worker→coordinator batches.
-	Format wire.Format
-
 	// Matcher labels the worker's model (cmd/emworker: its -matcher
 	// registry name) for the handshake fingerprint. A coordinator whose
 	// run carries a different non-empty label refuses the worker; empty

@@ -79,7 +79,7 @@ func ServeConn(ctx context.Context, cfg core.Config, scheme string, rw io.ReadWr
 				replica.AddKey(core.PairKey(k))
 			}
 		}
-		enc, err := evaluateAssign(ctx, conn, plan, replica, a, worker, heartbeat, opts.Format)
+		enc, err := evaluateAssign(ctx, conn, plan, replica, a, worker, heartbeat)
 		if err != nil {
 			return err
 		}
@@ -112,7 +112,7 @@ func workerHandshake(conn *Conn, plan *core.RoundPlan, opts WorkerOptions) (int,
 		Entities:      plan.Config.Cover.NumEntities,
 		HeartbeatNS:   hello.HeartbeatNS,
 	}
-	enc, err := ack.Marshal(opts.Format)
+	enc, err := ack.Marshal(wire.Binary)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -145,11 +145,11 @@ func fingerprintMismatch(a, b *wire.Hello) error {
 // returns the encoded epoch-tagged batch. A heartbeat goroutine keeps
 // the coordinator's deadline at bay while the evaluation runs.
 func evaluateAssign(ctx context.Context, conn *Conn, plan *core.RoundPlan, replica *core.Evidence,
-	a *wire.Assign, worker int, heartbeat time.Duration, format wire.Format) ([]byte, error) {
+	a *wire.Assign, worker int, heartbeat time.Duration) ([]byte, error) {
 	stop := make(chan struct{})
 	if heartbeat > 0 {
 		hb := &wire.Heartbeat{Worker: worker, Round: a.Round, Part: a.Part}
-		if enc, err := hb.Marshal(format); err == nil {
+		if enc, err := hb.Marshal(wire.Binary); err == nil {
 			go func() {
 				t := time.NewTicker(heartbeat)
 				defer t.Stop()
@@ -176,7 +176,7 @@ func evaluateAssign(ctx context.Context, conn *Conn, plan *core.RoundPlan, repli
 		j := plan.Evaluate(id, replica, a.AllowSkip)
 		batch.Jobs[i] = plan.JobToWire(&j)
 	}
-	return batch.Marshal(format)
+	return batch.Marshal(wire.Binary)
 }
 
 // Serve accepts coordinator connections on l, one run at a time — the

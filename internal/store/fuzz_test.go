@@ -10,8 +10,8 @@ import (
 // segment format: any byte string that decodes successfully re-encodes
 // to the identical bytes. Combined with the corpus seeds below, the
 // fuzzer both hunts decoder crashes on garbage and proves the format
-// has no non-canonical degrees of freedom (JSON payloads, sloppy
-// varints, preamble slack, trailing bytes).
+// has no non-canonical degrees of freedom (sloppy varints, preamble
+// slack, trailing bytes).
 func FuzzSegmentRoundTrip(f *testing.F) {
 	// Valid seeds at several shapes.
 	seedBlocks := [][][]uint64{

@@ -28,9 +28,9 @@ import (
 // The encoding is canonical: a segment that decodes successfully
 // re-encodes to the identical bytes (FuzzSegmentRoundTrip pins this).
 // Decoding therefore rejects every non-canonical degree of freedom:
-// JSON payloads, non-minimal varints (payloads are re-marshaled and
-// byte-compared), preambles disagreeing with their payload, blocks out
-// of order or overlapping, and trailing garbage.
+// non-minimal varints (payloads are re-marshaled and byte-compared),
+// preambles disagreeing with their payload, blocks out of order or
+// overlapping, and trailing garbage.
 
 const (
 	segVersion          = 1

@@ -2,20 +2,13 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 )
 
-// magic opens every binary message. JSON messages open with '{', so the
-// two codecs are sniffable from the first byte.
+// magic opens every message.
 var magic = [4]byte{'C', 'E', 'M', 'W'}
 
-// isBinary reports whether b opens with the binary magic.
-func isBinary(b []byte) bool {
-	return len(b) >= len(magic) && string(b[:len(magic)]) == string(magic[:])
-}
-
-// encoder builds a binary message: magic, version, type tag, then
+// encoder builds a message: magic, version, type tag, then
 // varint-encoded payload fields.
 type encoder struct {
 	buf []byte
@@ -67,7 +60,7 @@ func (e *encoder) keyGroups(groups [][]uint64) {
 
 func (e *encoder) bytes() []byte { return e.buf }
 
-// decoder consumes a binary message, collecting the first error instead
+// decoder consumes a message, collecting the first error instead
 // of forcing err checks on every field read. Length-prefixed fields are
 // bounds-checked against the remaining input (every element costs at
 // least one byte), so corrupt counts cannot trigger huge allocations.
@@ -77,9 +70,11 @@ type decoder struct {
 	err error
 }
 
+// newDecoder checks the header — magic, version, message type — of
+// input that may come from anywhere: a socket, a file, a fuzzer.
 func newDecoder(b []byte, wantType byte) (*decoder, error) {
-	if !isBinary(b) {
-		return nil, fmt.Errorf("wire: not a binary message")
+	if len(b) < len(magic) || string(b[:len(magic)]) != string(magic[:]) {
+		return nil, fmt.Errorf("wire: not a wire message (bad magic)")
 	}
 	d := &decoder{buf: b, off: len(magic)}
 	if len(b) < len(magic)+2 {
@@ -191,39 +186,6 @@ func (d *decoder) finish() error {
 	}
 	if d.off != len(d.buf) {
 		return fmt.Errorf("wire: %d trailing bytes after message", len(d.buf)-d.off)
-	}
-	return nil
-}
-
-// jsonEnvelope wraps every JSON message with the format version and the
-// message type, mirroring the binary header.
-type jsonEnvelope struct {
-	Version int             `json:"cemw"`
-	Type    int             `json:"type"`
-	Msg     json.RawMessage `json:"msg"`
-}
-
-func marshalJSON(msgType byte, v any) ([]byte, error) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(jsonEnvelope{Version: Version, Type: int(msgType), Msg: raw})
-}
-
-func unmarshalJSON(b []byte, wantType byte, v any) error {
-	var env jsonEnvelope
-	if err := json.Unmarshal(b, &env); err != nil {
-		return fmt.Errorf("wire: %w", err)
-	}
-	if env.Version != Version {
-		return fmt.Errorf("wire: unsupported version %d (want %d)", env.Version, Version)
-	}
-	if env.Type != int(wantType) {
-		return fmt.Errorf("wire: message type %d, want %d", env.Type, wantType)
-	}
-	if err := json.Unmarshal(env.Msg, v); err != nil {
-		return fmt.Errorf("wire: %w", err)
 	}
 	return nil
 }

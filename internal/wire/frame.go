@@ -19,8 +19,8 @@ import (
 //	magic "CEMF" | version (1 byte) | frame type (1 byte) |
 //	payload length (uint32, big endian) | payload
 //
-// The payload of a data frame is itself a wire message in either codec
-// (the framing layer does not look inside). Truncation anywhere — a torn
+// The payload of a data frame is itself a wire message (the framing
+// layer does not look inside). Truncation anywhere — a torn
 // connection, a partial write, a crashed peer — is reported as the typed
 // ErrTruncated, never a panic and never a silent short read, so callers
 // can distinguish "the stream ended mid-frame" (retry/reassign) from a
@@ -154,14 +154,14 @@ const (
 // opts out, as in checkpoints), cover sizes — so a worker grounded on a
 // different corpus or model is rejected before any work is assigned.
 type Hello struct {
-	Worker        int    `json:"worker"` // worker id (coordinator side: the slot being greeted)
-	Scheme        string `json:"scheme"`
-	Matcher       string `json:"matcher,omitempty"`
-	Neighborhoods int    `json:"neighborhoods"`
-	Entities      int    `json:"entities"`
+	Worker        int // worker id (coordinator side: the slot being greeted)
+	Scheme        string
+	Matcher       string
+	Neighborhoods int
+	Entities      int
 	// HeartbeatNS asks the worker to heartbeat at this interval while
 	// evaluating (coordinator→worker; workers echo it back untouched).
-	HeartbeatNS int64 `json:"heartbeat_ns"`
+	HeartbeatNS int64
 }
 
 // Assign hands one partition of one round to a worker. Keys is the
@@ -174,21 +174,21 @@ type Hello struct {
 // and a returned batch carrying a stale epoch is discarded, never
 // double-applied.
 type Assign struct {
-	Round     int      `json:"round"`
-	Epoch     int      `json:"epoch"`
-	Part      int      `json:"part"`
-	FromRound int      `json:"from_round"`
-	AllowSkip bool     `json:"allow_skip,omitempty"`
-	Keys      []uint64 `json:"keys"` // strictly increasing catch-up evidence
-	IDs       []int32  `json:"ids"`  // active ids of the partition, ascending
+	Round     int
+	Epoch     int
+	Part      int
+	FromRound int
+	AllowSkip bool
+	Keys      []uint64 // strictly increasing catch-up evidence
+	IDs       []int32  // active ids of the partition, ascending
 }
 
 // Heartbeat is the worker's periodic liveness signal while an
 // assignment is being evaluated.
 type Heartbeat struct {
-	Worker int `json:"worker"`
-	Round  int `json:"round"`
-	Part   int `json:"part"`
+	Worker int
+	Round  int
+	Part   int
 }
 
 func (h *Hello) validate() error {
@@ -228,13 +228,10 @@ func (h *Heartbeat) validate() error {
 	return nonNegative("heartbeat counters", int64(h.Worker), int64(h.Round), int64(h.Part))
 }
 
-// Marshal serializes the hello in the given format.
-func (h *Hello) Marshal(f Format) ([]byte, error) {
+// Marshal serializes the hello.
+func (h *Hello) Marshal(Format) ([]byte, error) {
 	if err := h.validate(); err != nil {
 		return nil, err
-	}
-	if f == JSON {
-		return marshalJSON(typeHello, h)
 	}
 	e := newEncoder(typeHello)
 	e.uvarint(uint64(h.Worker))
@@ -246,39 +243,33 @@ func (h *Hello) Marshal(f Format) ([]byte, error) {
 	return e.bytes(), nil
 }
 
-// UnmarshalHello decodes a Hello (either codec).
+// UnmarshalHello decodes and validates a Hello.
 func UnmarshalHello(b []byte) (*Hello, error) {
-	var h Hello
-	if isBinary(b) {
-		dec, err := newDecoder(b, typeHello)
-		if err != nil {
-			return nil, err
-		}
-		h.Worker = int(dec.uvarint("worker"))
-		h.Scheme = dec.str("scheme")
-		h.Matcher = dec.str("matcher")
-		h.Neighborhoods = int(dec.uvarint("neighborhoods"))
-		h.Entities = int(dec.uvarint("entities"))
-		h.HeartbeatNS = int64(dec.uvarint("heartbeat_ns"))
-		if err := dec.finish(); err != nil {
-			return nil, err
-		}
-	} else if err := unmarshalJSON(b, typeHello, &h); err != nil {
+	dec, err := newDecoder(b, typeHello)
+	if err != nil {
+		return nil, err
+	}
+	h := &Hello{
+		Worker:        int(dec.uvarint("worker")),
+		Scheme:        dec.str("scheme"),
+		Matcher:       dec.str("matcher"),
+		Neighborhoods: int(dec.uvarint("neighborhoods")),
+		Entities:      int(dec.uvarint("entities")),
+		HeartbeatNS:   int64(dec.uvarint("heartbeat_ns")),
+	}
+	if err := dec.finish(); err != nil {
 		return nil, err
 	}
 	if err := h.validate(); err != nil {
 		return nil, err
 	}
-	return &h, nil
+	return h, nil
 }
 
-// Marshal serializes the assignment in the given format.
-func (a *Assign) Marshal(f Format) ([]byte, error) {
+// Marshal serializes the assignment.
+func (a *Assign) Marshal(Format) ([]byte, error) {
 	if err := a.validate(); err != nil {
 		return nil, err
-	}
-	if f == JSON {
-		return marshalJSON(typeAssign, a)
 	}
 	e := newEncoder(typeAssign)
 	e.uvarint(uint64(a.Round))
@@ -300,52 +291,45 @@ func (a *Assign) Marshal(f Format) ([]byte, error) {
 	return e.bytes(), nil
 }
 
-// UnmarshalAssign decodes an Assign (either codec).
+// UnmarshalAssign decodes and validates an Assign.
 func UnmarshalAssign(b []byte) (*Assign, error) {
-	var a Assign
-	if isBinary(b) {
-		dec, err := newDecoder(b, typeAssign)
-		if err != nil {
-			return nil, err
-		}
-		a.Round = int(dec.uvarint("round"))
-		a.Epoch = int(dec.uvarint("epoch"))
-		a.Part = int(dec.uvarint("part"))
-		a.FromRound = int(dec.uvarint("from_round"))
-		a.AllowSkip = dec.uvarint("allow_skip") != 0
-		a.Keys = dec.sortedKeys("keys")
-		n := dec.count("ids")
-		if n > 0 {
-			a.IDs = make([]int32, n)
-			prev := int64(-1)
-			for i := range a.IDs {
-				prev += int64(dec.uvarint("ids"))
-				if prev > int64(1)<<31-1 {
-					dec.fail("ids", "id overflows int32")
-					prev = 0
-				}
-				a.IDs[i] = int32(prev)
+	dec, err := newDecoder(b, typeAssign)
+	if err != nil {
+		return nil, err
+	}
+	a := &Assign{
+		Round:     int(dec.uvarint("round")),
+		Epoch:     int(dec.uvarint("epoch")),
+		Part:      int(dec.uvarint("part")),
+		FromRound: int(dec.uvarint("from_round")),
+		AllowSkip: dec.uvarint("allow_skip") != 0,
+		Keys:      dec.sortedKeys("keys"),
+	}
+	if n := dec.count("ids"); n > 0 {
+		a.IDs = make([]int32, n)
+		prev := int64(-1)
+		for i := range a.IDs {
+			prev += int64(dec.uvarint("ids"))
+			if prev > int64(1)<<31-1 {
+				dec.fail("ids", "id overflows int32")
+				prev = 0
 			}
+			a.IDs[i] = int32(prev)
 		}
-		if err := dec.finish(); err != nil {
-			return nil, err
-		}
-	} else if err := unmarshalJSON(b, typeAssign, &a); err != nil {
+	}
+	if err := dec.finish(); err != nil {
 		return nil, err
 	}
 	if err := a.validate(); err != nil {
 		return nil, err
 	}
-	return &a, nil
+	return a, nil
 }
 
-// Marshal serializes the heartbeat in the given format.
-func (h *Heartbeat) Marshal(f Format) ([]byte, error) {
+// Marshal serializes the heartbeat.
+func (h *Heartbeat) Marshal(Format) ([]byte, error) {
 	if err := h.validate(); err != nil {
 		return nil, err
-	}
-	if f == JSON {
-		return marshalJSON(typeHeartbeat, h)
 	}
 	e := newEncoder(typeHeartbeat)
 	e.uvarint(uint64(h.Worker))
@@ -354,25 +338,22 @@ func (h *Heartbeat) Marshal(f Format) ([]byte, error) {
 	return e.bytes(), nil
 }
 
-// UnmarshalHeartbeat decodes a Heartbeat (either codec).
+// UnmarshalHeartbeat decodes and validates a Heartbeat.
 func UnmarshalHeartbeat(b []byte) (*Heartbeat, error) {
-	var h Heartbeat
-	if isBinary(b) {
-		dec, err := newDecoder(b, typeHeartbeat)
-		if err != nil {
-			return nil, err
-		}
-		h.Worker = int(dec.uvarint("worker"))
-		h.Round = int(dec.uvarint("round"))
-		h.Part = int(dec.uvarint("part"))
-		if err := dec.finish(); err != nil {
-			return nil, err
-		}
-	} else if err := unmarshalJSON(b, typeHeartbeat, &h); err != nil {
+	dec, err := newDecoder(b, typeHeartbeat)
+	if err != nil {
+		return nil, err
+	}
+	h := &Heartbeat{
+		Worker: int(dec.uvarint("worker")),
+		Round:  int(dec.uvarint("round")),
+		Part:   int(dec.uvarint("part")),
+	}
+	if err := dec.finish(); err != nil {
 		return nil, err
 	}
 	if err := h.validate(); err != nil {
 		return nil, err
 	}
-	return &h, nil
+	return h, nil
 }

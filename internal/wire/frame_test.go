@@ -142,35 +142,26 @@ func TestControlMessageValidation(t *testing.T) {
 		&Heartbeat{Round: -1},
 	}
 	for i, m := range bad {
-		for _, format := range []Format{Binary, JSON} {
-			if _, err := m.Marshal(format); err == nil {
-				t.Errorf("case %d (%T, format %v): invalid message marshaled", i, m, format)
-			}
+		if _, err := m.Marshal(Binary); err == nil {
+			t.Errorf("case %d (%T): invalid message marshaled", i, m)
 		}
 	}
 }
 
-func TestControlMessageRoundTripJSON(t *testing.T) {
+func TestControlMessageRoundTrip(t *testing.T) {
 	a := &Assign{Round: 7, Epoch: 2, Part: 1, FromRound: 4,
 		Keys: []uint64{2<<32 | 9}, IDs: []int32{0, 7}}
-	b, err := a.Marshal(JSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalAssign(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, a) {
-		t.Fatalf("JSON round trip mutated assign:\ngot:  %+v\nwant: %+v", got, a)
-	}
+	roundTrip(t, a,
+		func() ([]byte, error) { return a.Marshal(Binary) },
+		func(b []byte) (any, error) { return UnmarshalAssign(b) })
+	h := &Hello{Worker: 1, Scheme: "MMP", Matcher: "mln", Neighborhoods: 4, Entities: 12, HeartbeatNS: 1e6}
+	roundTrip(t, h,
+		func() ([]byte, error) { return h.Marshal(Binary) },
+		func(b []byte) (any, error) { return UnmarshalHello(b) })
 	hb := &Heartbeat{Worker: 3, Round: 9, Part: 2}
-	if b, err = hb.Marshal(JSON); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := UnmarshalHeartbeat(b); err != nil || !reflect.DeepEqual(got, hb) {
-		t.Fatalf("heartbeat JSON round trip: %+v, %v", got, err)
-	}
+	roundTrip(t, hb,
+		func() ([]byte, error) { return hb.Marshal(Binary) },
+		func(b []byte) (any, error) { return UnmarshalHeartbeat(b) })
 }
 
 // randFrameStream encodes a random mix of frames.
@@ -180,7 +171,7 @@ func randFrameStream(rng *rand.Rand) []byte {
 	for i := 0; i < n; i++ {
 		var payload []byte
 		ft := FrameHello + byte(rng.Intn(int(FrameHeartbeat)))
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0:
 			payload, _ = (&Hello{Worker: rng.Intn(8), Scheme: "SMP",
 				Neighborhoods: rng.Intn(50), Entities: rng.Intn(150)}).Marshal(Binary)
@@ -189,7 +180,9 @@ func randFrameStream(rng *rand.Rand) []byte {
 				Keys: randKeys(rng, rng.Intn(10))}).Marshal(Binary)
 		case 2:
 			payload, _ = randBatch(rng).Marshal(Binary)
-		case 3: // raw junk payload: frames carry opaque bytes
+		case 3:
+			payload, _ = (&Heartbeat{Worker: rng.Intn(8), Round: rng.Intn(9), Part: rng.Intn(4)}).Marshal(Binary)
+		case 4: // raw junk payload: frames carry opaque bytes
 			payload = make([]byte, rng.Intn(32))
 			rng.Read(payload)
 		}
@@ -203,7 +196,7 @@ func randFrameStream(rng *rand.Rand) []byte {
 // fail with the typed ErrTruncated (or io.EOF exactly at a frame
 // boundary) — the torn-connection guarantee the distributed backend's
 // retry path relies on. Control-message payloads are additionally
-// round-tripped through both codecs.
+// round-tripped.
 func FuzzFrameRoundTrip(f *testing.F) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 8; i++ {
@@ -229,14 +222,19 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			// Control payloads must round-trip losslessly or be rejected;
 			// either way, never panic.
 			if h, err := UnmarshalHello(payload); err == nil {
-				reEncode(t, h,
-					func(f Format) ([]byte, error) { return h.Marshal(f) },
+				roundTrip(t, h,
+					func() ([]byte, error) { return h.Marshal(Binary) },
 					func(b []byte) (any, error) { return UnmarshalHello(b) })
 			}
 			if a, err := UnmarshalAssign(payload); err == nil {
-				reEncode(t, a,
-					func(f Format) ([]byte, error) { return a.Marshal(f) },
+				roundTrip(t, a,
+					func() ([]byte, error) { return a.Marshal(Binary) },
 					func(b []byte) (any, error) { return UnmarshalAssign(b) })
+			}
+			if hb, err := UnmarshalHeartbeat(payload); err == nil {
+				roundTrip(t, hb,
+					func() ([]byte, error) { return hb.Marshal(Binary) },
+					func(b []byte) (any, error) { return UnmarshalHeartbeat(b) })
 			}
 		}
 

@@ -6,16 +6,12 @@
 // a delta batch is canonical: two equal sets always serialize to the
 // same bytes.
 //
-// Two interchangeable codecs are provided. The binary codec (magic
-// "CEMW") is the compact default: varint fields with sorted key lists
-// difference-encoded, typically several times smaller than JSON. The
-// JSON codec is self-describing and diffable, for debugging and
-// cross-tool interchange. Decoding sniffs the format from the leading
-// bytes, so readers accept either; both codecs carry the same format
-// version and message type tags, and decoding validates structural
-// invariants (sorted keys, valid normalized pairs, non-negative
-// counters) so corrupt or foreign input is reported as an error rather
-// than smuggled into the engine.
+// There is one codec, binary: the magic "CEMW", a format version byte, a
+// message type byte, then varint fields with sorted key lists
+// difference-encoded. Decoding checks the magic, version and type and
+// validates structural invariants (sorted keys, valid normalized pairs,
+// non-negative counters), so corrupt or foreign input is reported as an
+// error rather than smuggled into the engine.
 //
 // The package deliberately depends on nothing inside the engine: keys
 // are plain uint64s and ids plain int32s, so the wire format is stable
@@ -28,22 +24,21 @@ import (
 	"unicode/utf8"
 )
 
-// Format selects a codec.
+// Format names a codec. Binary is the only one; every Marshal still
+// takes a Format because bench/schemes.go, which must stay byte-for-byte
+// unchanged between benchmark revisions, calls Delta.Marshal(Binary) and
+// ShardBatch.Marshal(Binary). Removing the parameter waits for the next
+// change that revises the benchmark.
 type Format int
 
-const (
-	// Binary is the compact varint codec (magic "CEMW"). Default.
-	Binary Format = iota
-	// JSON is the self-describing textual codec.
-	JSON
-)
+// Binary is the varint codec (magic "CEMW").
+const Binary Format = 0
 
 // Version is the wire-format version stamped into every message. Readers
 // reject versions they do not know.
 const Version = 1
 
-// Message type tags (binary: one byte after the version; JSON: the
-// "type" field).
+// Message type tags: one byte after the version.
 const (
 	typeDelta      = 1
 	typeShardBatch = 2
@@ -54,8 +49,8 @@ const (
 // increasing order: one round's newly decided pairs, or one block of a
 // disk store's evidence segment (Round is then the block ordinal).
 type Delta struct {
-	Round int      `json:"round"`
-	Keys  []uint64 `json:"keys"` // strictly increasing valid PairKeys
+	Round int
+	Keys  []uint64 // strictly increasing valid PairKeys
 }
 
 // Job is the serialized outcome of one neighborhood evaluation, the
@@ -63,13 +58,13 @@ type Delta struct {
 // Msgs are the neighborhood's maximal messages (MMP only), order- and
 // grouping-preserving (promotion scans them in generation order).
 type Job struct {
-	ID      int32      `json:"id"`
-	Skipped bool       `json:"skipped,omitempty"`
-	Active  int        `json:"active"`
-	Calls   int        `json:"calls"`
-	Dur     int64      `json:"dur_ns"`
-	Matches []uint64   `json:"matches"`
-	Msgs    [][]uint64 `json:"msgs,omitempty"`
+	ID      int32
+	Skipped bool
+	Active  int
+	Calls   int
+	Dur     int64
+	Matches []uint64
+	Msgs    [][]uint64
 }
 
 // ShardBatch is one partition's serialized output for one round: the
@@ -79,27 +74,27 @@ type Job struct {
 // reassigned after a deadline breach — a slow "zombie" worker's late
 // batch must not be double-applied).
 type ShardBatch struct {
-	Round int   `json:"round"`
-	Shard int   `json:"shard"`
-	Epoch int   `json:"epoch,omitempty"`
-	Jobs  []Job `json:"jobs"`
+	Round int
+	Shard int
+	Epoch int
+	Jobs  []Job
 }
 
 // Stats mirrors the engine's RunStats in wire-stable form (durations as
 // nanoseconds).
 type Stats struct {
-	Neighborhoods   int   `json:"neighborhoods"`
-	MatcherCalls    int   `json:"matcher_calls"`
-	Evaluations     int   `json:"evaluations"`
-	MaxRevisits     int   `json:"max_revisits"`
-	MessagesSent    int   `json:"messages_sent"`
-	MaximalMessages int   `json:"maximal_messages"`
-	PromotedSets    int   `json:"promoted_sets"`
-	ScoreChecks     int   `json:"score_checks"`
-	Skips           int   `json:"skips"`
-	ElapsedNS       int64 `json:"elapsed_ns"`
-	MatcherTimeNS   int64 `json:"matcher_time_ns"`
-	ActiveSizes     []int `json:"active_sizes"`
+	Neighborhoods   int
+	MatcherCalls    int
+	Evaluations     int
+	MaxRevisits     int
+	MessagesSent    int
+	MaximalMessages int
+	PromotedSets    int
+	ScoreChecks     int
+	Skips           int
+	ElapsedNS       int64
+	MatcherTimeNS   int64
+	ActiveSizes     []int
 }
 
 // Checkpoint is the durable record written after every completed round:
@@ -114,17 +109,17 @@ type Stats struct {
 // (Matcher is a caller-chosen label, e.g. the registry name; empty
 // opts out of the matcher check for anonymous matchers).
 type Checkpoint struct {
-	Scheme        string     `json:"scheme"`
-	Matcher       string     `json:"matcher,omitempty"`
-	Neighborhoods int        `json:"neighborhoods"`
-	Entities      int        `json:"entities"`
-	Round         int        `json:"round"`
-	Done          bool       `json:"done,omitempty"`
-	Delta         []uint64   `json:"delta"`  // strictly increasing
-	Active        []int32    `json:"active"` // next round's active set, ascending
-	Messages      [][]uint64 `json:"messages,omitempty"`
-	Visits        []int      `json:"visits"`
-	Stats         Stats      `json:"stats"`
+	Scheme        string
+	Matcher       string
+	Neighborhoods int
+	Entities      int
+	Round         int
+	Done          bool
+	Delta         []uint64 // strictly increasing
+	Active        []int32  // next round's active set, ascending
+	Messages      [][]uint64
+	Visits        []int
+	Stats         Stats
 }
 
 // Duration returns the job's matcher time.
@@ -170,7 +165,8 @@ func nonNegative(field string, vs ...int64) error {
 	return nil
 }
 
-// validate checks the structural invariants shared by both codecs.
+// validate checks the structural invariants every encode and decode
+// enforces.
 func (d *Delta) validate() error {
 	if err := nonNegative("delta.round", int64(d.Round)); err != nil {
 		return err
@@ -250,13 +246,10 @@ func (c *Checkpoint) validate() error {
 	return nil
 }
 
-// Marshal serializes the delta in the given format.
-func (d *Delta) Marshal(f Format) ([]byte, error) {
+// Marshal serializes the delta.
+func (d *Delta) Marshal(Format) ([]byte, error) {
 	if err := d.validate(); err != nil {
 		return nil, err
-	}
-	if f == JSON {
-		return marshalJSON(typeDelta, d)
 	}
 	e := newEncoder(typeDelta)
 	e.uvarint(uint64(d.Round))
@@ -264,13 +257,10 @@ func (d *Delta) Marshal(f Format) ([]byte, error) {
 	return e.bytes(), nil
 }
 
-// Marshal serializes the batch in the given format.
-func (b *ShardBatch) Marshal(f Format) ([]byte, error) {
+// Marshal serializes the batch.
+func (b *ShardBatch) Marshal(Format) ([]byte, error) {
 	if err := b.validate(); err != nil {
 		return nil, err
-	}
-	if f == JSON {
-		return marshalJSON(typeShardBatch, b)
 	}
 	e := newEncoder(typeShardBatch)
 	e.uvarint(uint64(b.Round))
@@ -294,14 +284,16 @@ func (b *ShardBatch) Marshal(f Format) ([]byte, error) {
 	return e.bytes(), nil
 }
 
-// Marshal serializes the checkpoint in the given format.
-func (c *Checkpoint) Marshal(f Format) ([]byte, error) {
+// Marshal serializes the checkpoint.
+func (c *Checkpoint) Marshal(Format) ([]byte, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	if f == JSON {
-		return marshalJSON(typeCheckpoint, c)
-	}
+	return c.encode(), nil
+}
+
+// encode writes c without validating it.
+func (c *Checkpoint) encode() []byte {
 	e := newEncoder(typeCheckpoint)
 	e.str(c.Scheme)
 	e.str(c.Matcher)
@@ -341,128 +333,111 @@ func (c *Checkpoint) Marshal(f Format) ([]byte, error) {
 	for _, a := range s.ActiveSizes {
 		e.uvarint(uint64(a))
 	}
-	return e.bytes(), nil
+	return e.bytes()
 }
 
-// UnmarshalDelta decodes a Delta, sniffing the codec from the leading
-// bytes and validating structure.
+// UnmarshalDelta decodes and validates a Delta.
 func UnmarshalDelta(b []byte) (*Delta, error) {
-	var d Delta
-	if isBinary(b) {
-		dec, err := newDecoder(b, typeDelta)
-		if err != nil {
-			return nil, err
-		}
-		d.Round = int(dec.uvarint("round"))
-		d.Keys = dec.sortedKeys("keys")
-		if err := dec.finish(); err != nil {
-			return nil, err
-		}
-	} else if err := unmarshalJSON(b, typeDelta, &d); err != nil {
+	dec, err := newDecoder(b, typeDelta)
+	if err != nil {
+		return nil, err
+	}
+	d := &Delta{Round: int(dec.uvarint("round")), Keys: dec.sortedKeys("keys")}
+	if err := dec.finish(); err != nil {
 		return nil, err
 	}
 	if err := d.validate(); err != nil {
 		return nil, err
 	}
-	return &d, nil
+	return d, nil
 }
 
-// UnmarshalShardBatch decodes a ShardBatch (either codec).
+// UnmarshalShardBatch decodes and validates a ShardBatch.
 func UnmarshalShardBatch(b []byte) (*ShardBatch, error) {
-	var sb ShardBatch
-	if isBinary(b) {
-		dec, err := newDecoder(b, typeShardBatch)
-		if err != nil {
-			return nil, err
-		}
-		sb.Round = int(dec.uvarint("round"))
-		sb.Shard = int(dec.uvarint("shard"))
-		sb.Epoch = int(dec.uvarint("epoch"))
-		n := dec.count("jobs")
-		sb.Jobs = make([]Job, n)
-		for i := range sb.Jobs {
-			j := &sb.Jobs[i]
-			j.ID = int32(dec.uvarint("job.id"))
-			j.Skipped = dec.uvarint("job.skipped") != 0
-			j.Active = int(dec.uvarint("job.active"))
-			j.Calls = int(dec.uvarint("job.calls"))
-			j.Dur = int64(dec.uvarint("job.dur"))
-			j.Matches = dec.sortedKeys("job.matches")
-			j.Msgs = dec.keyGroups("job.msgs")
-		}
-		if err := dec.finish(); err != nil {
-			return nil, err
-		}
-	} else if err := unmarshalJSON(b, typeShardBatch, &sb); err != nil {
+	dec, err := newDecoder(b, typeShardBatch)
+	if err != nil {
+		return nil, err
+	}
+	sb := &ShardBatch{
+		Round: int(dec.uvarint("round")),
+		Shard: int(dec.uvarint("shard")),
+		Epoch: int(dec.uvarint("epoch")),
+	}
+	sb.Jobs = make([]Job, dec.count("jobs"))
+	for i := range sb.Jobs {
+		j := &sb.Jobs[i]
+		j.ID = int32(dec.uvarint("job.id"))
+		j.Skipped = dec.uvarint("job.skipped") != 0
+		j.Active = int(dec.uvarint("job.active"))
+		j.Calls = int(dec.uvarint("job.calls"))
+		j.Dur = int64(dec.uvarint("job.dur"))
+		j.Matches = dec.sortedKeys("job.matches")
+		j.Msgs = dec.keyGroups("job.msgs")
+	}
+	if err := dec.finish(); err != nil {
 		return nil, err
 	}
 	if err := sb.validate(); err != nil {
 		return nil, err
 	}
-	return &sb, nil
+	return sb, nil
 }
 
-// UnmarshalCheckpoint decodes a Checkpoint (either codec).
+// UnmarshalCheckpoint decodes and validates a Checkpoint.
 func UnmarshalCheckpoint(b []byte) (*Checkpoint, error) {
-	var c Checkpoint
-	if isBinary(b) {
-		dec, err := newDecoder(b, typeCheckpoint)
-		if err != nil {
-			return nil, err
-		}
-		c.Scheme = dec.str("scheme")
-		c.Matcher = dec.str("matcher")
-		c.Neighborhoods = int(dec.uvarint("neighborhoods"))
-		c.Entities = int(dec.uvarint("entities"))
-		c.Round = int(dec.uvarint("round"))
-		c.Done = dec.uvarint("done") != 0
-		c.Delta = dec.sortedKeys("delta")
-		n := dec.count("active")
-		if n > 0 {
-			c.Active = make([]int32, n)
-			prev := int64(-1)
-			for i := range c.Active {
-				prev += int64(dec.uvarint("active"))
-				if prev > int64(1)<<31-1 {
-					dec.fail("active", "id overflows int32")
-					prev = 0
-				}
-				c.Active[i] = int32(prev)
+	dec, err := newDecoder(b, typeCheckpoint)
+	if err != nil {
+		return nil, err
+	}
+	c := &Checkpoint{
+		Scheme:        dec.str("scheme"),
+		Matcher:       dec.str("matcher"),
+		Neighborhoods: int(dec.uvarint("neighborhoods")),
+		Entities:      int(dec.uvarint("entities")),
+		Round:         int(dec.uvarint("round")),
+		Done:          dec.uvarint("done") != 0,
+		Delta:         dec.sortedKeys("delta"),
+	}
+	if n := dec.count("active"); n > 0 {
+		c.Active = make([]int32, n)
+		prev := int64(-1)
+		for i := range c.Active {
+			prev += int64(dec.uvarint("active"))
+			if prev > int64(1)<<31-1 {
+				dec.fail("active", "id overflows int32")
+				prev = 0
 			}
+			c.Active[i] = int32(prev)
 		}
-		c.Messages = dec.keyGroups("messages")
-		nv := dec.count("visits")
-		c.Visits = make([]int, nv)
-		for i := range c.Visits {
-			c.Visits[i] = int(dec.uvarint("visits"))
+	}
+	c.Messages = dec.keyGroups("messages")
+	c.Visits = make([]int, dec.count("visits"))
+	for i := range c.Visits {
+		c.Visits[i] = int(dec.uvarint("visits"))
+	}
+	s := &c.Stats
+	s.Neighborhoods = int(dec.uvarint("stats"))
+	s.MatcherCalls = int(dec.uvarint("stats"))
+	s.Evaluations = int(dec.uvarint("stats"))
+	s.MaxRevisits = int(dec.uvarint("stats"))
+	s.MessagesSent = int(dec.uvarint("stats"))
+	s.MaximalMessages = int(dec.uvarint("stats"))
+	s.PromotedSets = int(dec.uvarint("stats"))
+	s.ScoreChecks = int(dec.uvarint("stats"))
+	s.Skips = int(dec.uvarint("stats"))
+	s.ElapsedNS = int64(dec.uvarint("stats"))
+	s.MatcherTimeNS = int64(dec.uvarint("stats"))
+	if na := dec.count("stats.active_sizes"); na > 0 {
+		s.ActiveSizes = make([]int, na)
+		for i := range s.ActiveSizes {
+			s.ActiveSizes[i] = int(dec.uvarint("stats.active_sizes"))
 		}
-		s := &c.Stats
-		s.Neighborhoods = int(dec.uvarint("stats"))
-		s.MatcherCalls = int(dec.uvarint("stats"))
-		s.Evaluations = int(dec.uvarint("stats"))
-		s.MaxRevisits = int(dec.uvarint("stats"))
-		s.MessagesSent = int(dec.uvarint("stats"))
-		s.MaximalMessages = int(dec.uvarint("stats"))
-		s.PromotedSets = int(dec.uvarint("stats"))
-		s.ScoreChecks = int(dec.uvarint("stats"))
-		s.Skips = int(dec.uvarint("stats"))
-		s.ElapsedNS = int64(dec.uvarint("stats"))
-		s.MatcherTimeNS = int64(dec.uvarint("stats"))
-		na := dec.count("stats.active_sizes")
-		if na > 0 {
-			s.ActiveSizes = make([]int, na)
-			for i := range s.ActiveSizes {
-				s.ActiveSizes[i] = int(dec.uvarint("stats.active_sizes"))
-			}
-		}
-		if err := dec.finish(); err != nil {
-			return nil, err
-		}
-	} else if err := unmarshalJSON(b, typeCheckpoint, &c); err != nil {
+	}
+	if err := dec.finish(); err != nil {
 		return nil, err
 	}
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	return &c, nil
+	return c, nil
 }

@@ -1,11 +1,17 @@
 package wire
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 )
+
+// The random messages below are in the decoder's form, so a round trip
+// compares with reflect.DeepEqual: an empty key list is nil, a batch's
+// job list is allocated even when empty.
 
 // randKeys produces n strictly increasing valid pair keys.
 func randKeys(rng *rand.Rand, n int) []uint64 {
@@ -21,7 +27,7 @@ func randKeys(rng *rand.Rand, n int) []uint64 {
 		}
 		set[uint64(a)<<32|uint64(uint32(b))] = struct{}{}
 	}
-	keys := make([]uint64, 0, n)
+	var keys []uint64
 	for k := range set {
 		keys = append(keys, k)
 	}
@@ -48,9 +54,9 @@ func randDelta(rng *rand.Rand) *Delta {
 }
 
 func randBatch(rng *rand.Rand) *ShardBatch {
-	b := &ShardBatch{Round: rng.Intn(100), Shard: rng.Intn(16), Epoch: rng.Intn(5)}
-	for i := 0; i < rng.Intn(8); i++ {
-		b.Jobs = append(b.Jobs, Job{
+	b := &ShardBatch{Round: rng.Intn(100), Shard: rng.Intn(16), Epoch: rng.Intn(5), Jobs: make([]Job, rng.Intn(8))}
+	for i := range b.Jobs {
+		b.Jobs[i] = Job{
 			ID:      rng.Int31n(500),
 			Skipped: rng.Intn(4) == 0,
 			Active:  rng.Intn(40),
@@ -58,7 +64,7 @@ func randBatch(rng *rand.Rand) *ShardBatch {
 			Dur:     rng.Int63n(1e9),
 			Matches: randKeys(rng, rng.Intn(20)),
 			Msgs:    randGroups(rng, rng.Intn(3)),
-		})
+		}
 	}
 	return b
 }
@@ -100,119 +106,46 @@ func randCheckpoint(rng *rand.Rand) *Checkpoint {
 	return c
 }
 
-// TestRoundTripProperty: for randomly generated messages, both codecs
-// round-trip to an identical value, and the two codecs decode to the
-// same value as each other.
+// TestRoundTripProperty: randomly generated messages round-trip to an
+// identical value.
 func TestRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 300; i++ {
 		d := randDelta(rng)
 		roundTrip(t, d,
-			func(f Format) ([]byte, error) { return d.Marshal(f) },
+			func() ([]byte, error) { return d.Marshal(Binary) },
 			func(b []byte) (any, error) { return UnmarshalDelta(b) })
 
 		sb := randBatch(rng)
 		roundTrip(t, sb,
-			func(f Format) ([]byte, error) { return sb.Marshal(f) },
+			func() ([]byte, error) { return sb.Marshal(Binary) },
 			func(b []byte) (any, error) { return UnmarshalShardBatch(b) })
 
 		c := randCheckpoint(rng)
 		roundTrip(t, c,
-			func(f Format) ([]byte, error) { return c.Marshal(f) },
+			func() ([]byte, error) { return c.Marshal(Binary) },
 			func(b []byte) (any, error) { return UnmarshalCheckpoint(b) })
 	}
 }
 
-func roundTrip(t *testing.T, want any, marshal func(Format) ([]byte, error), unmarshal func([]byte) (any, error)) {
+// roundTrip asserts that want marshals, and decodes back to itself.
+func roundTrip(t *testing.T, want any, marshal func() ([]byte, error), unmarshal func([]byte) (any, error)) {
 	t.Helper()
-	var decoded []any
-	for _, f := range []Format{Binary, JSON} {
-		b, err := marshal(f)
-		if err != nil {
-			t.Fatalf("marshal(%v): %v", f, err)
-		}
-		got, err := unmarshal(b)
-		if err != nil {
-			t.Fatalf("unmarshal(%v): %v\ninput: %q", f, err, b)
-		}
-		if !equalMsg(got, want) {
-			t.Fatalf("round trip through %v diverged:\ngot:  %+v\nwant: %+v", f, got, want)
-		}
-		decoded = append(decoded, got)
+	b, err := marshal()
+	if err != nil {
+		t.Fatalf("marshal: %v\nmsg: %+v", err, want)
 	}
-	if !reflect.DeepEqual(normalize(decoded[0]), normalize(decoded[1])) {
-		t.Fatalf("binary and JSON decode disagree:\nbinary: %+v\njson:   %+v", decoded[0], decoded[1])
+	got, err := unmarshal(b)
+	if err != nil {
+		t.Fatalf("unmarshal: %v\ninput: %q", err, b)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip diverged:\ngot:  %+v\nwant: %+v", got, want)
 	}
 }
 
-// equalMsg compares ignoring nil-vs-empty slice differences (JSON decodes
-// empty lists as empty non-nil slices; binary as nil).
-func equalMsg(got, want any) bool {
-	return reflect.DeepEqual(normalize(got), normalize(want))
-}
-
-func normalize(v any) any {
-	switch m := v.(type) {
-	case *Delta:
-		c := *m
-		c.Keys = normKeys(c.Keys)
-		return c
-	case *ShardBatch:
-		c := *m
-		c.Jobs = append([]Job(nil), c.Jobs...)
-		if len(c.Jobs) == 0 {
-			c.Jobs = nil
-		}
-		for i := range c.Jobs {
-			c.Jobs[i].Matches = normKeys(c.Jobs[i].Matches)
-			c.Jobs[i].Msgs = normGroups(c.Jobs[i].Msgs)
-		}
-		return c
-	case *Assign:
-		c := *m
-		c.Keys = normKeys(c.Keys)
-		if len(c.IDs) == 0 {
-			c.IDs = nil
-		}
-		return c
-	case *Checkpoint:
-		c := *m
-		c.Delta = normKeys(c.Delta)
-		c.Messages = normGroups(c.Messages)
-		if len(c.Active) == 0 {
-			c.Active = nil
-		}
-		if len(c.Visits) == 0 {
-			c.Visits = nil
-		}
-		if len(c.Stats.ActiveSizes) == 0 {
-			c.Stats.ActiveSizes = nil
-		}
-		return c
-	}
-	return v
-}
-
-func normKeys(k []uint64) []uint64 {
-	if len(k) == 0 {
-		return nil
-	}
-	return k
-}
-
-func normGroups(g [][]uint64) [][]uint64 {
-	if len(g) == 0 {
-		return nil
-	}
-	out := make([][]uint64, len(g))
-	for i := range g {
-		out[i] = normKeys(g[i])
-	}
-	return out
-}
-
-// TestBinaryCompact: the binary codec should beat JSON by a wide margin
-// on realistic delta batches (the whole point of difference-encoding).
+// TestBinaryCompact: difference-encoding should store a realistic delta
+// batch in well under the bytes of its keys as plain varints.
 func TestBinaryCompact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	d := &Delta{Round: 3, Keys: randKeys(rng, 500)}
@@ -220,17 +153,17 @@ func TestBinaryCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	js, err := d.Marshal(JSON)
-	if err != nil {
-		t.Fatal(err)
+	plain := 0
+	for _, k := range d.Keys {
+		plain += len(binary.AppendUvarint(nil, k))
 	}
-	if len(bin)*2 > len(js) {
-		t.Errorf("binary delta not compact: %d bytes binary vs %d JSON", len(bin), len(js))
+	if len(bin)*4 > plain*3 {
+		t.Errorf("binary delta not compact: %d bytes, %d as plain varints", len(bin), plain)
 	}
 }
 
-// TestRejectsInvalid: structurally invalid messages fail to decode (and
-// to encode) in both codecs.
+// TestRejectsInvalid: structurally invalid messages fail to encode, and
+// fail to decode when their bytes are written anyway.
 func TestRejectsInvalid(t *testing.T) {
 	if _, err := (&Delta{Keys: []uint64{5}}).Marshal(Binary); err != nil {
 		t.Errorf("key 5 = pair (0,5) should be valid, got %v", err)
@@ -248,18 +181,51 @@ func TestRejectsInvalid(t *testing.T) {
 			t.Errorf("Marshal accepted invalid delta %+v", d)
 		}
 	}
-	if _, err := UnmarshalDelta([]byte(`{"cemw":1,"type":1,"msg":{"round":1,"keys":[18446744073709551615]}}`)); err == nil {
-		t.Error("UnmarshalDelta accepted an invalid key via JSON")
+
+	// The decode side, on bytes written by the encoder, which does not
+	// validate.
+	delta := func(msgType byte, keys ...uint64) []byte {
+		e := newEncoder(msgType)
+		e.uvarint(1)
+		e.sortedKeys(keys)
+		return e.bytes()
 	}
-	if _, err := UnmarshalDelta([]byte(`{"cemw":2,"type":1,"msg":{"round":1,"keys":[]}}`)); err == nil {
-		t.Error("UnmarshalDelta accepted a future version")
+	future, badMagic := delta(typeDelta), delta(typeDelta)
+	future[len(magic)], badMagic[0] = Version+1, 'X'
+	for name, b := range map[string][]byte{
+		"an out-of-range key":        delta(typeDelta, 1<<64-1),
+		"a future version":           future,
+		"a bad magic":                badMagic,
+		"a checkpoint-typed message": delta(typeCheckpoint),
+	} {
+		if _, err := UnmarshalDelta(b); err == nil {
+			t.Errorf("UnmarshalDelta accepted %s", name)
+		}
 	}
-	if _, err := UnmarshalDelta([]byte(`{"cemw":1,"type":3,"msg":{}}`)); err == nil {
-		t.Error("UnmarshalDelta accepted a checkpoint-typed message")
-	}
-	// A checkpoint whose visit count disagrees with the neighborhood count.
-	if _, err := UnmarshalCheckpoint([]byte(`{"cemw":1,"type":3,"msg":{"scheme":"SMP","neighborhoods":3,"entities":9,"round":1,"delta":[],"active":[],"visits":[1],"stats":{"neighborhoods":3,"matcher_calls":0,"evaluations":0,"max_revisits":0,"messages_sent":0,"maximal_messages":0,"promoted_sets":0,"score_checks":0,"skips":0,"elapsed_ns":0,"matcher_time_ns":0,"active_sizes":[]}}}`)); err == nil {
+	c := &Checkpoint{Scheme: "SMP", Neighborhoods: 3, Entities: 9, Round: 1, Visits: []int{1},
+		Stats: Stats{Neighborhoods: 3}}
+	if _, err := UnmarshalCheckpoint(c.encode()); err == nil {
 		t.Error("UnmarshalCheckpoint accepted mismatched visits length")
+	}
+
+	// A message in the JSON envelope older builds wrote is not a wire
+	// message: every decoder refuses it.
+	decoders := []struct {
+		typ    int
+		decode func([]byte) error
+	}{
+		{typeDelta, func(b []byte) error { _, err := UnmarshalDelta(b); return err }},
+		{typeShardBatch, func(b []byte) error { _, err := UnmarshalShardBatch(b); return err }},
+		{typeCheckpoint, func(b []byte) error { _, err := UnmarshalCheckpoint(b); return err }},
+		{typeHello, func(b []byte) error { _, err := UnmarshalHello(b); return err }},
+		{typeAssign, func(b []byte) error { _, err := UnmarshalAssign(b); return err }},
+		{typeHeartbeat, func(b []byte) error { _, err := UnmarshalHeartbeat(b); return err }},
+	}
+	for _, d := range decoders {
+		env := fmt.Sprintf(`{"cemw":%d,"type":%d,"msg":{"round":1}}`, Version, d.typ)
+		if err := d.decode([]byte(env)); err == nil {
+			t.Errorf("the decoder of type %d accepted a JSON envelope", d.typ)
+		}
 	}
 }
 

@@ -38,15 +38,6 @@ type StoreOption = match.StoreOption
 // ignored by "mem".
 func WithStoreDir(dir string) StoreOption { return store.WithDir(dir) }
 
-// WithStoreCompactEvery sets how many evidence segment files may
-// accumulate before a put compacts them into one (disk store; 0 means
-// the default).
-func WithStoreCompactEvery(n int) StoreOption { return store.WithCompactEvery(n) }
-
-// WithStoreBlockKeys bounds the keys per difference-encoded block in
-// new segments (disk store; 0 means the default).
-func WithStoreBlockKeys(n int) StoreOption { return store.WithBlockKeys(n) }
-
 // WithStoreLog installs a logger for store recovery events (e.g. a
 // quarantined torn segment).
 func WithStoreLog(logf func(format string, args ...any)) StoreOption {
