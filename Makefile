@@ -150,6 +150,7 @@ fuzz:
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzCanopiesMatchOld$$' -fuzztime 10s ./internal/canopy/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzIndexAdd$$' -fuzztime 10s ./internal/canopy/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzLoadIndex$$' -fuzztime 10s ./internal/canopy/
+	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzStateBlob$$' -fuzztime 10s .
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzTrailScan$$' -fuzztime 10s ./internal/store/
 
 clean:

@@ -80,9 +80,9 @@ type Config struct {
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
-	case c.Loose <= 0 || c.Loose > 1:
+	case !(c.Loose > 0 && c.Loose <= 1): // also refuses NaN
 		return fmt.Errorf("canopy: Loose = %v out of (0,1]", c.Loose)
-	case c.Tight < c.Loose || c.Tight > 1:
+	case !(c.Tight >= c.Loose && c.Tight <= 1):
 		return fmt.Errorf("canopy: Tight = %v out of [Loose,1]", c.Tight)
 	case c.Q <= 0:
 		return fmt.Errorf("canopy: Q = %d, want > 0", c.Q)

@@ -350,11 +350,7 @@ type blockingState struct {
 
 func stateOf(t *testing.T, ix *Index) blockingState {
 	t.Helper()
-	blob, err := ix.Save()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blockingState{blob, ix.tab.ids, ix.tab.rows, ix.tab.grams, ix.tab.postings, ix.cnt}
+	return blockingState{ix.Save(nil), ix.tab.ids, ix.tab.rows, ix.tab.grams, ix.tab.postings, ix.cnt}
 }
 
 // TestIndexAddIsAllOrNothing cancels an Add at every context check it makes

@@ -603,11 +603,7 @@ func checkMatchesOldScorer(t *testing.T, names []string, cfg Config, shardCounts
 		if _, _, err := ix.Add(ctx, d); err != nil {
 			t.Fatal(err)
 		}
-		blob, err := ix.Save()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ix, err = LoadIndex(blob); err != nil {
+		if ix, err = LoadIndex(ix.Save(nil)); err != nil {
 			t.Fatal(err)
 		}
 	}

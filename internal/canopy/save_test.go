@@ -3,7 +3,8 @@ package canopy
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
+	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -33,11 +34,7 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	blob, err := ix.Save()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadIndex(blob)
+	loaded, err := LoadIndex(ix.Save(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,39 +70,48 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestLoadIndexRejectsGarbage pins the failure modes: wrong magic,
-// an older blob version, truncated gob, inconsistent payload.
+// an older blob version, a corrupt or truncated body.
 func TestLoadIndexRejectsGarbage(t *testing.T) {
 	if _, err := LoadIndex([]byte("not a postings blob")); err == nil {
 		t.Fatal("LoadIndex accepted garbage")
 	}
 	if _, err := LoadIndex([]byte(indexBlobMagic + "trailing junk")); err == nil {
-		t.Fatal("LoadIndex accepted a corrupt gob body")
+		t.Fatal("LoadIndex accepted a corrupt body")
 	}
-	// The previous layouts (gram maps + string-keyed postings; a gram-table
-	// row per record; a cover that may keep subsumed neighborhoods) are
-	// refused by their magic, naming both versions, before any decoding.
-	for _, old := range []string{"CEMP1", "CEMP2", "CEMP3"} {
+	// The previous layouts (gob throughout; gram maps + string-keyed
+	// postings; a gram-table row per record; a cover that may keep subsumed
+	// neighborhoods; candidate similarities stored) are refused by their
+	// magic, naming both versions, before any decoding.
+	for _, old := range []string{"CEMP1", "CEMP2", "CEMP3", "CEMP4"} {
 		if _, err := LoadIndex([]byte(old + "\nwhatever")); err == nil ||
-			!strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "CEMP4") {
-			t.Fatalf("LoadIndex on a %s blob: err = %v, want a version error naming %s and CEMP4", old, err, old)
+			!strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "CEMP5") {
+			t.Fatalf("LoadIndex on a %s blob: err = %v, want a version error naming %s and CEMP5", old, err, old)
 		}
 	}
 	ix, err := NewIndex(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := ix.Save()
-	if err != nil {
-		t.Fatal(err)
+	blob := ix.Save(nil)
+	if _, err := LoadIndex(blob); err != nil {
+		t.Fatalf("an empty index does not reload: %v", err)
 	}
-	if _, err := LoadIndex(blob[:len(blob)-4]); err == nil {
-		t.Fatal("LoadIndex accepted a truncated blob")
+	for i := len(indexBlobMagic); i < len(blob); i++ {
+		if _, err := LoadIndex(blob[:i]); err == nil {
+			t.Fatalf("LoadIndex accepted the blob truncated to %d of %d bytes", i, len(blob))
+		}
+	}
+	if _, err := LoadIndex(append(blob, 0)); err == nil {
+		t.Fatal("LoadIndex accepted a trailing byte")
 	}
 }
 
-// savedWire returns the decoded wire form of a small saved index, for
-// tests to corrupt and re-encode.
-func savedWire(t testing.TB) indexWire {
+// savedIndex returns a small index as LoadIndex restores it from its blob,
+// for tests to corrupt in place and save again: Save writes the fields as
+// they are, so each corruption below reaches LoadIndex as a blob. Its five
+// records are in four rows: john smith {0, 2}, jon smith {1}, the gramless
+// "." {3} and x {4}.
+func savedIndex(t testing.TB) *Index {
 	t.Helper()
 	recs := []bib.Record{
 		{Name: "john smith", Group: 0, Gold: -1}, {Name: "jon smith", Group: 1, Gold: -1},
@@ -123,60 +129,118 @@ func savedWire(t testing.TB) indexWire {
 	if _, _, err := ix.Add(context.Background(), d); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := ix.Save()
+	loaded, err := LoadIndex(ix.Save(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var w indexWire
-	if err := gob.NewDecoder(bytes.NewReader(blob[len(indexBlobMagic):])).Decode(&w); err != nil {
-		t.Fatal(err)
-	}
-	return w
+	return loaded
 }
 
-func encodeWire(t testing.TB, w indexWire) []byte {
-	t.Helper()
-	buf := bytes.NewBufferString(indexBlobMagic)
-	if err := gob.NewEncoder(buf).Encode(&w); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestLoadIndexValidatesIDs: a well-formed gob whose ids do not fit the
+// TestLoadIndexValidatesIDs: a well-formed blob whose ids do not fit the
 // sizes they index used to load and panic in the next emit or Add; every
-// such blob must be refused at load. savedWire's five records are in four
-// rows: john smith {0, 2}, jon smith {1}, the gramless "." {3} and x {4}.
+// such blob must be refused at load.
 func TestLoadIndexValidatesIDs(t *testing.T) {
-	if w := savedWire(t); !slices.Equal(w.RowOf, []int32{0, 1, 0, 2, 3}) || len(w.Names) != 4 || len(w.Cands[0]) != 2 || len(w.Cands[2]) != 0 {
-		t.Fatalf("the wire form is not the one the corruptions below address: %+v", w)
+	if ix := savedIndex(t); !slices.Equal(ix.tab.rowOf, []int32{0, 1, 0, 2, 3}) || len(ix.tab.names) != 4 || len(ix.cands[0]) != 2 || len(ix.cands[2]) != 0 {
+		t.Fatalf("the index is not the one the corruptions below address: rows %v, names %q, candidates %v", ix.tab.rowOf, ix.tab.names, ix.cands)
 	}
-	if _, err := LoadIndex(encodeWire(t, savedWire(t))); err != nil {
-		t.Fatalf("the uncorrupted wire form does not load: %v", err)
-	}
-	for name, corrupt := range map[string]func(w *indexWire){
-		"candidate row >= rows":     func(w *indexWire) { w.Cands[0][len(w.Cands[0])-1].ID = 4 },
-		"negative candidate row":    func(w *indexWire) { w.Cands[1][0].ID = -1 },
-		"candidates not ascending":  func(w *indexWire) { w.Cands[0][0], w.Cands[0][1] = w.Cands[0][1], w.Cands[0][0] },
-		"duplicate candidate":       func(w *indexWire) { w.Cands[0][1] = w.Cands[0][0] },
-		"row not its own candidate": func(w *indexWire) { w.Cands[3] = nil },
-		"candidates without grams":  func(w *indexWire) { w.Cands[2] = []scored{{ID: 2, Sim: 1}} },
-		"duplicate name":            func(w *indexWire) { w.Names[1] = w.Names[0] },
-		"fewer candidate lists":     func(w *indexWire) { w.Cands = w.Cands[:len(w.Cands)-1] },
-		"fewer names than rows":     func(w *indexWire) { w.Names, w.Cands = w.Names[:3], w.Cands[:3] },
-		"record row >= rows":        func(w *indexWire) { w.RowOf[4] = 4 },
-		"negative record row":       func(w *indexWire) { w.RowOf[0] = -1 },
-		"rows not in arrival order": func(w *indexWire) { w.RowOf[0], w.RowOf[1] = 1, 0 },
-		"record skips a row":        func(w *indexWire) { w.RowOf[3] = 3 },
-		"row without a record":      func(w *indexWire) { w.RowOf[4] = 0 },
-		"cover member >= N":         func(w *indexWire) { w.Sets[0][len(w.Sets[0])-1] = 99 },
-		"negative cover member":     func(w *indexWire) { w.Sets[0][0] = -1 },
+	for name, corrupt := range map[string]func(ix *Index){
+		"candidate row >= rows":     func(ix *Index) { ix.cands[0][len(ix.cands[0])-1].ID = 4 },
+		"negative candidate row":    func(ix *Index) { ix.cands[1][0].ID = -1 },
+		"candidates not ascending":  func(ix *Index) { ix.cands[0][0], ix.cands[0][1] = ix.cands[0][1], ix.cands[0][0] },
+		"duplicate candidate":       func(ix *Index) { ix.cands[0][1] = ix.cands[0][0] },
+		"row not its own candidate": func(ix *Index) { ix.cands[3] = nil },
+		"candidates without grams":  func(ix *Index) { ix.cands[2] = []scored{{ID: 2, Sim: 1}} },
+		"duplicate name":            func(ix *Index) { ix.tab.names[1] = ix.tab.names[0] },
+		"fewer candidate lists":     func(ix *Index) { ix.cands = ix.cands[:len(ix.cands)-1] },
+		"fewer names than rows":     func(ix *Index) { ix.tab.names, ix.cands = ix.tab.names[:3], ix.cands[:3] },
+		"record row >= rows":        func(ix *Index) { ix.tab.rowOf[4] = 4 },
+		"negative record row":       func(ix *Index) { ix.tab.rowOf[0] = -1 },
+		"rows not in arrival order": func(ix *Index) { ix.tab.rowOf[0], ix.tab.rowOf[1] = 1, 0 },
+		"record skips a row":        func(ix *Index) { ix.tab.rowOf[3] = 3 },
+		"row without a record":      func(ix *Index) { ix.tab.rowOf[4] = 0 },
+		"cover member >= N":         func(ix *Index) { ix.cover.Sets[0][len(ix.cover.Sets[0])-1] = 99 },
+		"negative cover member":     func(ix *Index) { ix.cover.Sets[0][0] = -1 },
+		"cover members not ascending": func(ix *Index) {
+			set := ix.cover.Sets[0]
+			set[0], set[len(set)-1] = set[len(set)-1], set[0]
+		},
+		"empty cover set": func(ix *Index) { ix.cover.Sets[0] = nil },
+		"NaN threshold":   func(ix *Index) { ix.cfg.Loose = math.NaN() },
 	} {
-		w := savedWire(t)
-		corrupt(&w)
-		if ix, err := LoadIndex(encodeWire(t, w)); err == nil {
+		ix := savedIndex(t)
+		corrupt(ix)
+		if ix, err := LoadIndex(ix.Save(nil)); err == nil {
 			t.Errorf("%s: LoadIndex accepted the blob (index of %d records)", name, ix.Len())
 		}
+	}
+}
+
+// TestLoadIndexRefusesDissimilarCandidate: a candidate list may only name
+// rows at q-gram similarity >= Loose. A blob listing a dissimilar row — here
+// "x" beside "john smith", both ways round so the lists stay symmetric — is
+// refused; a version that loaded it would emit a canopy Canopies never
+// builds, and the next Add's cover would differ from BuildCover's.
+func TestLoadIndexRefusesDissimilarCandidate(t *testing.T) {
+	ix := savedIndex(t)
+	if ix.tab.names[0] != "john smith" || ix.tab.names[3] != "x" {
+		t.Fatalf("rows 0 and 3 are %q and %q, want john smith and x", ix.tab.names[0], ix.tab.names[3])
+	}
+	if sim := ix.tab.similarity(0, 3); sim >= ix.cfg.Loose {
+		t.Fatalf("john smith and x have similarity %v, not below Loose %v", sim, ix.cfg.Loose)
+	}
+	ix.cands[0] = append(ix.cands[0], scored{ID: 3, Sim: 1})
+	ix.cands[3] = append([]scored{{ID: 0, Sim: 1}}, ix.cands[3]...)
+	if _, err := LoadIndex(ix.Save(nil)); err == nil || !strings.Contains(err.Error(), "below Loose") {
+		t.Fatalf("LoadIndex of a blob listing a dissimilar candidate: err = %v, want a below-Loose refusal", err)
+	}
+}
+
+// TestLoadIndexRecomputesSimilarities: the blob stores candidate rows only,
+// so what an index held as a candidate's similarity cannot survive a save —
+// every similarity is recomputed from the rows' gram sets, and a reloaded
+// index continues to BuildCover's cover on the union. (A format that stored
+// similarities loaded raised ones as they were, and the next Add's cover
+// then kept a set fewer than BuildCover's.)
+func TestLoadIndexRecomputesSimilarities(t *testing.T) {
+	records := bib.ToRecords(datagen.MustGenerate(datagen.DBLPLike(0.3, 42)))
+	half := len(records) / 2
+	first, err := bib.DatasetFromRecords("sim", records[:half])
+	if err != nil {
+		t.Fatal(err)
+	}
+	union, err := bib.DatasetFromRecords("sim", records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := NewIndex(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ix.Add(context.Background(), first); err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(ix.cands)
+	for row, cands := range ix.cands {
+		want[row] = slices.Clone(cands)
+		for j := range cands {
+			if int(cands[j].ID) != row {
+				cands[j].Sim = 1 // raised past Tight: every candidate "well covered"
+			}
+		}
+	}
+	loaded, err := LoadIndex(ix.Save(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loaded.cands, want) {
+		t.Fatal("the reloaded candidate lists differ from the ones probe scored")
+	}
+	cover, _, err := loaded.Add(context.Background(), union)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !coversEqual(cover, BuildCover(union, DefaultConfig())) {
+		t.Fatal("a reloaded index continues to a cover that differs from BuildCover on the union")
 	}
 }
 
@@ -202,22 +266,12 @@ func TestIndexSaveDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for range 2 {
-			blob, err := ix.Save()
-			if err != nil {
-				t.Fatal(err)
-			}
-			blobs = append(blobs, blob)
-		}
+		blobs = append(blobs, ix.Save(nil), ix.Save(nil))
 		loaded, err := LoadIndex(blobs[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := loaded.Save()
-		if err != nil {
-			t.Fatal(err)
-		}
-		blobs = append(blobs, blob)
+		blobs = append(blobs, loaded.Save(nil))
 	}
 	for i, blob := range blobs {
 		if !bytes.Equal(blob, blobs[0]) {
@@ -226,25 +280,34 @@ func TestIndexSaveDeterministic(t *testing.T) {
 	}
 }
 
-// FuzzLoadIndex: no blob makes LoadIndex panic, and one that loads is
-// safe to keep using — an Add that brings no new records runs emission
-// and cover construction (when the blob carried no cover) or returns the
-// loaded cover, and neither may index out of range.
+// FuzzLoadIndex: no blob makes LoadIndex panic, one that loads re-saves to
+// the same bytes, and it is safe to keep using — an Add that brings no new
+// records runs emission and cover construction (when the blob carried no
+// cover) or returns the loaded cover, and neither may index out of range.
 func FuzzLoadIndex(f *testing.F) {
-	w := savedWire(f)
-	f.Add(encodeWire(f, w))
-	w.HasCover, w.Sets = false, nil
-	f.Add(encodeWire(f, w))
+	ix := savedIndex(f)
+	f.Add(ix.Save(nil))
+	ix.cover = nil
+	f.Add(ix.Save(nil))
 	f.Add([]byte(indexBlobMagic))
-	f.Add([]byte("CEMP2\n"))
-	w = savedWire(f)
-	w.RowOf = append(w.RowOf, 1, 3, 0) // more records in known rows
-	f.Add(encodeWire(f, w))
-	w.RowOf[2], w.Cands[1] = 7, append(w.Cands[1], scored{ID: 9, Sim: 0.5}) // ids past every range
-	f.Add(encodeWire(f, w))
+	f.Add([]byte("CEMP4\n"))
+	ix = savedIndex(f)
+	ix.tab.rowOf = append(ix.tab.rowOf, 1, 3, 0) // more records in known rows
+	f.Add(ix.Save(nil))
+	ix.tab.rowOf[2], ix.cands[1] = 7, append(ix.cands[1], scored{ID: 9}) // ids past every range
+	f.Add(ix.Save(nil))
+	ix = savedIndex(f)
+	ix.cands[0] = append(ix.cands[0], scored{ID: 3}) // a dissimilar candidate
+	f.Add(ix.Save(nil))
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		ix, err := LoadIndex(blob)
-		if err != nil || ix.Len() == 0 || ix.Len() > 1<<10 {
+		if err != nil {
+			return
+		}
+		if again := ix.Save(nil); !bytes.Equal(again, blob) {
+			t.Fatalf("a blob that loads re-saves to different bytes:\n%x\n%x", blob, again)
+		}
+		if ix.Len() == 0 || ix.Len() > 1<<10 {
 			return
 		}
 		recs := make([]bib.Record, ix.Len())

@@ -57,15 +57,19 @@ func stateOf(ck *wire.Checkpoint) *State {
 	return s
 }
 
-// DecodeState decodes one persisted record and validates its pairs over
-// the record's own entity count.
-func DecodeState(data []byte) (*State, error) {
-	ck, err := wire.UnmarshalCheckpoint(data)
+// DecodeState decodes the persisted record data starts with, validates its
+// pairs over the record's own entity count and returns the bytes after it
+// (a store's state blob appends the blocking index to its record).
+func DecodeState(data []byte) (*State, []byte, error) {
+	ck, rest, err := wire.UnmarshalCheckpointPrefix(data)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s := stateOf(ck)
-	return s, validPairs(s.Evidence, s.Messages, ck.Entities)
+	if err := validPairs(s.Evidence, s.Messages, ck.Entities); err != nil {
+		return nil, nil, err
+	}
+	return s, rest, nil
 }
 
 // rekey converts a key list between PairKey and the raw uint64 form the

@@ -21,9 +21,9 @@ func readTrail(t *testing.T, dir string) []*core.State {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := core.DecodeState(data)
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
+		st, rest, err := core.DecodeState(data)
+		if err != nil || len(rest) > 0 {
+			t.Fatalf("%s: %v (%d bytes after the record)", f, err, len(rest))
 		}
 		for i, k := range st.Evidence {
 			if a, b := uint32(k>>32), uint32(k); a >= b || b >= 1<<31 {

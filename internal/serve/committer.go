@@ -56,8 +56,8 @@ func WithJournal(dir string) CommitterOption {
 // each successful update, before the state is published), so a restart
 // reopens the store snapshot — Pipeline.Reopen, zero matcher calls —
 // instead of replaying the journal through the engine. The committer is
-// the store's one writer: the snapshot and postings blobs, per commit. It
-// does not close the store.
+// the store's one writer: one state blob (snapshot and postings) per
+// commit. It does not close the store.
 func WithStore(s match.Store) CommitterOption {
 	return func(c *Committer) { c.store = s }
 }

@@ -15,15 +15,15 @@ import (
 // TestStateDirLayout pins what a service leaves under its state
 // directory — the on-disk compatibility the smoke script, and a state
 // directory written by an earlier build, rely on: the journal and the
-// store's two blobs — no round trail, no evidence segment — under these
-// names and no others, with no temp file left after a clean shutdown.
+// store's one state blob — no round trail, no evidence segment, no
+// separate postings blob — under these names and no others, with no temp
+// file left after a clean shutdown.
 func TestStateDirLayout(t *testing.T) {
 	records := testRecords(t, cem.HEPTH)
 	want := []string{
 		"journal/batch-000001.tsv",
 		"journal/batch-000002.tsv",
 		"journal/batch-000003.tsv",
-		"store/blob/postings/latest",
 		"store/blob/snapshot/latest",
 	}
 	state := t.TempDir()

@@ -203,24 +203,24 @@ func killRestart(t *testing.T, backend string) {
 	}
 }
 
-// failingStore fails the next postings write after arm is set, once.
+// failingStore fails the next state-blob write after arm is set, once.
 type failingStore struct {
 	match.Store
 	arm bool
 }
 
 func (s *failingStore) SaveBlob(kind, name string, data []byte) error {
-	if s.arm && kind == match.KindPostings {
+	if s.arm && kind == match.KindSnapshot {
 		s.arm = false
-		return errors.New("injected postings write failure")
+		return errors.New("injected state write failure")
 	}
 	return s.Store.SaveBlob(kind, name, data)
 }
 
-// TestCommitterSaveStateFailure: a commit whose state save fails part way
-// leaves the store's snapshot at the previous seq, so the batch is
-// rejected like any other — the next batch takes its seq, and a restart
-// reopens that batch's state, not the rejected one's.
+// TestCommitterSaveStateFailure: a commit whose state write fails
+// publishes nothing and leaves the store's state at the previous seq, so
+// the batch is rejected like any other — the next batch takes its seq,
+// and a restart reopens that batch's state, not the rejected one's.
 func TestCommitterSaveStateFailure(t *testing.T) {
 	records := testRecords(t, cem.HEPTH)
 	batches := batchCuts(records)
@@ -247,7 +247,7 @@ func TestCommitterSaveStateFailure(t *testing.T) {
 	}
 	st.arm = true
 	if _, err := c.Apply(ctx, batches[1]); err == nil {
-		t.Fatal("a batch whose postings write failed committed")
+		t.Fatal("a batch whose state write failed committed")
 	}
 	if seq, err := cem.StateSeq(st); c.Snapshot().Seq != 1 || err != nil || seq != 1 {
 		t.Fatalf("after the failed save: published seq %d, stored seq %d (%v); want 1 and 1", c.Snapshot().Seq, seq, err)
@@ -317,7 +317,7 @@ func TestRecoverRefusedStoreSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck, err := wire.UnmarshalCheckpoint(data)
+	ck, postings, err := wire.UnmarshalCheckpointPrefix(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,6 +326,7 @@ func TestRecoverRefusedStoreSnapshot(t *testing.T) {
 	if data, err = ck.Marshal(wire.Binary); err != nil {
 		t.Fatal(err)
 	}
+	data = append(data, postings...)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -471,6 +472,84 @@ func TestRecoverStateDirWithSegments(t *testing.T) {
 				t.Errorf("the service touched the older files %s", tc.older)
 			}
 		})
+	}
+}
+
+// TestRecoverTwoBlobStateDir restarts the layout builds before the one-blob
+// state left: the store's snapshot blob a bare checkpoint, the blocking
+// index in a second blob under store/blob/postings/. The bare checkpoint
+// reads as a state blob without a postings section, so the restart reopens
+// it — zero matcher calls — with the index rebuilt from the journal's
+// records, serves the byte-identical match set and keeps warm-starting; the
+// postings blob is never read, written or removed.
+func TestRecoverTwoBlobStateDir(t *testing.T) {
+	records := testRecords(t, cem.HEPTH)
+	batches := batchCuts(records)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	state := t.TempDir()
+	svc, err := New(context.Background(), Config{StateDir: state, Batching: fastBatching})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches[:3] {
+		ingestWait(t, svc, b)
+	}
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want := svc.Snapshot()
+
+	// Split the state blob the way the older build wrote it.
+	blobs := filepath.Join(state, "store", "blob")
+	data, err := os.ReadFile(filepath.Join(blobs, "snapshot", "latest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, postings, err := wire.UnmarshalCheckpointPrefix(data)
+	if err != nil || len(postings) == 0 {
+		t.Fatalf("the state blob has a %d-byte postings section (%v)", len(postings), err)
+	}
+	if err := os.WriteFile(filepath.Join(blobs, "snapshot", "latest"), data[:len(data)-len(postings)], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(blobs, "postings"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte("CEMP4\n"), postings[len("CEMP5\n"):]...)
+	if err := os.WriteFile(filepath.Join(blobs, "postings", "latest"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	left := readFiles(t, state, "store/blob/postings/*")
+
+	svc2, err := New(context.Background(), Config{StateDir: state, Batching: fastBatching})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Kill()
+	if n := svc2.metrics.StoreReopens.Value(); n != 1 {
+		t.Errorf("emserve_store_reopens_total = %d, want 1", n)
+	}
+	if calls := svc2.pipe.Stats().MatcherCalls; calls != 0 {
+		t.Errorf("the restart made %d matcher calls, want 0", calls)
+	}
+	if got := svc2.Snapshot(); got.Seq != want.Seq || got.RenderMatches() != want.RenderMatches() {
+		t.Errorf("the restart serves seq %d, %d bytes of matches; want seq %d, %d bytes",
+			got.Seq, len(got.RenderMatches()), want.Seq, len(want.RenderMatches()))
+	}
+	last := ingestWait(t, svc2, batches[3])
+	if !last.Result.WarmStarted {
+		t.Error("the batch after the restart did not warm-start")
+	}
+	cold, err := testPipeline(t).Run(ctx, slices.Concat(batches[:4]...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last.RenderMatches() != renderPipelineMatches(cold) {
+		t.Error("the stream continued past the restart diverges from the cold run")
+	}
+	if got := readFiles(t, state, "store/blob/postings/*"); !maps.Equal(got, left) {
+		t.Error("the service touched the older postings blob")
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package store is the engine's storage abstraction: the state of a
-// completed run — the run snapshot and the blocking index (canopy
-// postings) — goes through a Store as named blobs, so the same pipeline
-// can keep it in process maps (the "mem" store) or on disk (the "disk"
-// store, for services that reopen state on restart instead of replaying
+// completed run — the run snapshot followed by the blocking index (canopy
+// postings), one blob — goes through a Store, so the same pipeline can
+// keep it in process maps (the "mem" store) or on disk (the "disk" store,
+// for services that reopen state on restart instead of replaying
 // trails). A Store also offers an evidence-set API (append-only segment
 // files of difference-encoded sorted PairKey batches over the
 // internal/wire codec on disk); the engine writes no evidence into it.
@@ -30,21 +30,18 @@ import (
 // ErrNotFound reports a blob lookup that matched nothing.
 var ErrNotFound = errors.New("store: not found")
 
-// Blob kinds used by the engine. Stores treat kinds as opaque
-// namespaces; these constants only fix the convention shared by the
-// snapshot plumbing and the service.
-const (
-	// KindSnapshot holds serialized run snapshots (wire.Checkpoint
-	// payloads stamped by the cem snapshot plumbing).
-	KindSnapshot = "snapshot"
-	// KindPostings holds serialized blocking state (the canopy gram
-	// table and cached candidate lists).
-	KindPostings = "postings"
-)
+// KindSnapshot is the blob kind the engine uses. Stores treat kinds as
+// opaque namespaces; the constant only fixes the convention shared by the
+// snapshot plumbing and the service. Its blobs are state blobs: a
+// wire.Checkpoint stamped by the cem snapshot plumbing, followed by the
+// serialized blocking state (the canopy names, rows, candidate lists and
+// cover) when the run was a streaming one. An older build kept the
+// blocking state in a second blob of kind "postings", which nothing reads.
+const KindSnapshot = "snapshot"
 
 // Store is the persistence boundary of one matching state: named blobs
-// (blocking postings, run snapshots) and an evidence set of packed pair
-// keys. Implementations must be safe for concurrent readers with one
+// (the engine writes one, its state blob) and an evidence set of packed
+// pair keys. Implementations must be safe for concurrent readers with one
 // writer.
 type Store interface {
 	// Name returns the registry name the store was opened under.
@@ -64,9 +61,9 @@ type Store interface {
 	// EvidenceLen returns the number of distinct evidence keys.
 	EvidenceLen() (int, error)
 
-	// SaveBlob durably replaces the named blob (KindSnapshot,
-	// KindPostings, or any caller-chosen namespace). Names are
-	// restricted to [A-Za-z0-9._-]+.
+	// SaveBlob durably replaces the named blob (KindSnapshot or any
+	// caller-chosen namespace); the replacement is the commit point of
+	// the state it holds. Names are restricted to [A-Za-z0-9._-]+.
 	SaveBlob(kind, name string, data []byte) error
 	// OpenBlob returns the named blob, or ErrNotFound.
 	OpenBlob(kind, name string) ([]byte, error)

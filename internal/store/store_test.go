@@ -163,8 +163,8 @@ func TestStoreConformance(t *testing.T) {
 			if err := s.SaveBlob(KindSnapshot, "latest", []byte("v2")); err != nil {
 				t.Fatalf("SaveBlob replace: %v", err)
 			}
-			if err := s.SaveBlob(KindPostings, "latest", []byte("p")); err != nil {
-				t.Fatalf("SaveBlob postings: %v", err)
+			if err := s.SaveBlob("other", "latest", []byte("p")); err != nil {
+				t.Fatalf("SaveBlob under another kind: %v", err)
 			}
 			data, err := s.OpenBlob(KindSnapshot, "latest")
 			if err != nil || string(data) != "v2" {

@@ -385,9 +385,23 @@ func UnmarshalShardBatch(b []byte) (*ShardBatch, error) {
 
 // UnmarshalCheckpoint decodes and validates a Checkpoint.
 func UnmarshalCheckpoint(b []byte) (*Checkpoint, error) {
-	dec, err := newDecoder(b, typeCheckpoint)
+	c, rest, err := UnmarshalCheckpointPrefix(b)
 	if err != nil {
 		return nil, err
+	}
+	if len(rest) > 0 {
+		return nil, fmt.Errorf("wire: %d trailing bytes after message", len(rest))
+	}
+	return c, nil
+}
+
+// UnmarshalCheckpointPrefix decodes and validates the Checkpoint b starts
+// with and returns the bytes after it, for a record that carries more than
+// the checkpoint (a store's state blob appends the blocking index).
+func UnmarshalCheckpointPrefix(b []byte) (*Checkpoint, []byte, error) {
+	dec, err := newDecoder(b, typeCheckpoint)
+	if err != nil {
+		return nil, nil, err
 	}
 	c := &Checkpoint{
 		Scheme:        dec.str("scheme"),
@@ -433,11 +447,11 @@ func UnmarshalCheckpoint(b []byte) (*Checkpoint, error) {
 			s.ActiveSizes[i] = int(dec.uvarint("stats.active_sizes"))
 		}
 	}
-	if err := dec.finish(); err != nil {
-		return nil, err
+	if dec.err != nil {
+		return nil, nil, dec.err
 	}
 	if err := c.validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return c, nil
+	return c, b[dec.off:], nil
 }

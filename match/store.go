@@ -8,11 +8,12 @@ import "repro/internal/store"
 // for matchers and executors.
 
 // Store is the engine's persistence boundary for completed state: named
-// blobs (run snapshots, blocking postings) that cem.SaveState writes and
-// cem.Pipeline.Reopen reads, plus an evidence-set API (packed pair keys)
-// the engine itself does not write. Register implementations with
-// cem.RegisterStore; the built-ins are "mem" (process maps) and "disk"
-// (files committed through one durable protocol).
+// blobs — cem.SaveState writes one per commit, the run snapshot followed
+// by the blocking postings, and cem.Pipeline.Reopen reads it back — plus
+// an evidence-set API (packed pair keys) the engine itself does not
+// write. Register implementations with cem.RegisterStore; the built-ins
+// are "mem" (process maps) and "disk" (files committed through one
+// durable protocol).
 type Store = store.Store
 
 // StoreOptions is the resolved open-time configuration a StoreFactory
@@ -29,9 +30,6 @@ type StoreFactory = store.Factory
 // ErrBlobNotFound reports a Store blob lookup that matched nothing.
 var ErrBlobNotFound = store.ErrNotFound
 
-// Blob kinds the engine itself uses (stores treat kinds as opaque
-// namespaces).
-const (
-	KindSnapshot = store.KindSnapshot
-	KindPostings = store.KindPostings
-)
+// KindSnapshot is the blob kind of the state blob the engine writes
+// (stores treat kinds as opaque namespaces).
+const KindSnapshot = store.KindSnapshot

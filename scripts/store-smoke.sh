@@ -107,7 +107,7 @@ server_pid=""
 
 echo "== assert the state directory is a journal plus a store"
 layout="$(cd "$state" && find . -type f | sort | tr '\n' ' ')"
-want="./journal/batch-000001.tsv ./journal/batch-000002.tsv ./store/blob/postings/latest ./store/blob/snapshot/latest "
+want="./journal/batch-000001.tsv ./journal/batch-000002.tsv ./store/blob/snapshot/latest "
 [ "$layout" = "$want" ] || fail "state directory holds '$layout', want '$want'"
 
 echo "== restart after SIGTERM"

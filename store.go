@@ -6,10 +6,10 @@ import (
 )
 
 // Storage backends. A Store is where a completed run's state lives: the
-// snapshot and blocking-postings blobs SaveState writes and
+// state blob (snapshot, then blocking postings) SaveState writes and
 // Pipeline.Reopen restarts from, so a restarted service reopens its state
-// instead of replaying work. The "mem" store keeps the blobs in process
-// maps; the "disk" store commits them to files. Open one with OpenStore;
+// instead of replaying work. The "mem" store keeps blobs in process maps;
+// the "disk" store commits them to files. Open one with OpenStore;
 // register third-party implementations with RegisterStore.
 
 // RegisterStore makes a storage backend available under name to

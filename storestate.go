@@ -2,7 +2,6 @@ package cem
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -14,23 +13,23 @@ import (
 )
 
 // Store-backed state: SaveState persists a completed pipeline result
-// into a Store as two blobs — the snapshot (M+ and the outstanding
-// maximal messages) and the blocking postings — and Pipeline.Reopen
+// into a Store as one blob — the snapshot (M+ and the outstanding maximal
+// messages) followed by the blocking postings — and Pipeline.Reopen
 // restores the result from the store without running the matcher at
 // all — the restart-without-replay path a disk-backed service uses.
 
-// stateBlobName is the snapshot/postings blob both sides agree on.
+// stateBlobName is the state blob both sides agree on.
 const stateBlobName = "latest"
 
-// SaveState persists res into s as the store's current state: a
-// snapshot blob (a wire.Checkpoint carrying the run's provenance, its
-// pre-closure evidence, outstanding maximal messages, and seq as the
-// commit sequence number) plus — when res carries streaming blocking
-// state — a postings blob with the serialized delta index. These blobs
-// are the one durable copy of a completed run's state; SaveState is cheap
-// relative to a run and safe to call once per commit. The snapshot is the
-// commit point and is written last: when SaveState fails, the store's
-// snapshot (and so StateSeq) is still the previous one.
+// SaveState persists res into s as the store's current state: one blob of
+// kind match.KindSnapshot holding a wire.Checkpoint (the run's provenance,
+// its pre-closure evidence, outstanding maximal messages, and seq as the
+// commit sequence number) followed — when res carries streaming blocking
+// state — by the postings section, the serialized delta index. The blob
+// is the one durable copy of a completed run's state; SaveState is cheap
+// relative to a run and safe to call once per commit. Replacing the blob
+// is the commit point: when SaveState fails, the store's state (and so
+// StateSeq) is still the previous one.
 func SaveState(s match.Store, res *PipelineResult, seq int) error {
 	if s == nil {
 		return fmt.Errorf("cem: SaveState needs a store")
@@ -59,15 +58,7 @@ func SaveState(s match.Store, res *PipelineResult, seq int) error {
 		return fmt.Errorf("cem: encoding state snapshot: %w", err)
 	}
 	if res.index != nil {
-		postings, err := res.index.Save()
-		if err != nil {
-			return err
-		}
-		// Postings newer than the snapshot are a cache miss on Reopen (their
-		// record count disagrees), never a wrong state.
-		if err := s.SaveBlob(match.KindPostings, stateBlobName, postings); err != nil {
-			return err
-		}
+		data = res.index.Save(data)
 	}
 	if err := s.Flush(); err != nil {
 		return err
@@ -75,22 +66,25 @@ func SaveState(s match.Store, res *PipelineResult, seq int) error {
 	return s.SaveBlob(match.KindSnapshot, stateBlobName, data)
 }
 
-// openState reads, decodes and validates the snapshot blob SaveState
-// last wrote into s. A store with no saved snapshot returns
-// match.ErrBlobNotFound (wrapped).
-func openState(s match.Store) (*core.State, error) {
+// openState reads, decodes and validates the state blob SaveState last
+// wrote into s, returning the snapshot and the postings section after it
+// (empty when the blob has none: a result without streaming blocking
+// state, or a bare snapshot an older build wrote beside a separate
+// postings blob, which is never read). A store with no saved state
+// returns match.ErrBlobNotFound (wrapped).
+func openState(s match.Store) (*core.State, []byte, error) {
 	if s == nil {
-		return nil, fmt.Errorf("cem: reading saved state needs a store")
+		return nil, nil, fmt.Errorf("cem: reading saved state needs a store")
 	}
 	data, err := s.OpenBlob(match.KindSnapshot, stateBlobName)
 	if err != nil {
-		return nil, fmt.Errorf("cem: reading state snapshot: %w", err)
+		return nil, nil, fmt.Errorf("cem: reading state snapshot: %w", err)
 	}
-	st, err := core.DecodeState(data)
+	st, postings, err := core.DecodeState(data)
 	if err != nil {
-		return nil, fmt.Errorf("cem: state snapshot: %w", err)
+		return nil, nil, fmt.Errorf("cem: state snapshot: %w", err)
 	}
-	return st, nil
+	return st, postings, nil
 }
 
 // StateSeq reads the commit sequence number of the state snapshot
@@ -98,7 +92,7 @@ func openState(s match.Store) (*core.State, error) {
 // no saved snapshot returns match.ErrBlobNotFound (wrapped) — callers
 // use this to decide how many journaled batches a Reopen would cover.
 func StateSeq(s match.Store) (int, error) {
-	st, err := openState(s)
+	st, _, err := openState(s)
 	if err != nil {
 		return 0, err
 	}
@@ -109,19 +103,19 @@ func StateSeq(s match.Store) (int, error) {
 // returning the rebuilt result and the saved commit sequence number.
 // records must be the exact record stream the saved state was built
 // over (a service keeps it in its journal); the matcher is NEVER
-// invoked — the match set comes from the snapshot blob, and the
-// blocking state comes from the postings blob when present (falling
-// back to replaying the records through a fresh index, which is
-// blocking-only work). The returned result carries the streaming state
+// invoked — the match set comes from the state blob's snapshot, and the
+// blocking state from its postings section when present (falling back to
+// replaying the records through a fresh index, which is blocking-only
+// work). The returned result carries the streaming state
 // Update needs, so ingestion continues incrementally exactly as if the
 // process had never died. Run statistics are not persisted; the
 // reopened result's Stats are zero apart from structural counts.
 //
-// A store with no saved snapshot returns match.ErrBlobNotFound
+// A store with no saved state returns match.ErrBlobNotFound
 // (wrapped): the caller decides whether that means "fresh store" or
 // "corruption".
 func (p *Pipeline) Reopen(ctx context.Context, records []Record, s match.Store) (*PipelineResult, int, error) {
-	st, err := openState(s)
+	st, postings, err := openState(s)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -142,7 +136,7 @@ func (p *Pipeline) Reopen(ctx context.Context, records []Record, s match.Store) 
 	if err != nil {
 		return nil, 0, fmt.Errorf("cem: reopening state: %w", err)
 	}
-	index, err := p.reopenIndex(ctx, records, s)
+	index, err := p.reopenIndex(ctx, records, postings)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -174,19 +168,17 @@ func (p *Pipeline) Reopen(ctx context.Context, records []Record, s match.Store) 
 	}, labeled, 0), ck.Round, nil
 }
 
-// reopenIndex restores the blocking state: from the postings blob when
-// one is present and consistent with this pipeline, otherwise by
+// reopenIndex restores the blocking state: from the state blob's postings
+// section when it has one consistent with this pipeline, otherwise by
 // replaying the records through a fresh delta index.
-func (p *Pipeline) reopenIndex(ctx context.Context, records []Record, s match.Store) (*canopy.Index, error) {
-	blob, err := s.OpenBlob(match.KindPostings, stateBlobName)
-	if err == nil {
-		ix, lerr := canopy.LoadIndex(blob)
-		if lerr == nil && ix.Config() == p.blocking && ix.Len() == len(records) && ix.Cover() != nil {
+func (p *Pipeline) reopenIndex(ctx context.Context, records []Record, postings []byte) (*canopy.Index, error) {
+	if len(postings) > 0 {
+		ix, err := canopy.LoadIndex(postings)
+		if err == nil && ix.Config() == p.blocking && ix.Len() == len(records) && ix.Cover() != nil {
 			return ix, nil
 		}
-		// A stale or foreign postings blob is a cache miss, not an error.
-	} else if !errors.Is(err, match.ErrBlobNotFound) {
-		return nil, err
+		// An older-format or foreign postings section is a cache miss, not
+		// an error.
 	}
 	return p.rebuildIndex(ctx, records)
 }

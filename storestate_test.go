@@ -7,6 +7,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	cem "repro"
@@ -123,19 +124,27 @@ func TestStoreStateReopen(t *testing.T) {
 	}
 }
 
-// TestStoreStateReopenOldIndexBlob pins that the index blob is a cache:
-// a store whose postings blob carries the previous format's magic (as
-// every store written before covers dropped subsumed neighborhoods does)
-// still reopens,
-// by replaying the records through a fresh index, to the byte-identical
-// cover, and keeps ingesting incrementally.
-func TestStoreStateReopenOldIndexBlob(t *testing.T) {
-	ctx := context.Background()
-	records := storeRecords(t)
-	s, err := cem.OpenStore("mem")
+// splitState splits a state blob into its snapshot checkpoint and the
+// postings section after it.
+func splitState(t *testing.T, blob []byte) (*wire.Checkpoint, []byte) {
+	t.Helper()
+	ck, postings, err := wire.UnmarshalCheckpointPrefix(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ck, postings
+}
+
+// TestStoreStateReopenOldIndexBlob pins that the postings section of the
+// state blob is a cache: a state blob whose section carries the previous
+// format's magic, one whose section was saved under another blocking
+// configuration, and one with no section at all — the bare snapshot an
+// older build wrote beside a separate postings blob — each still reopen,
+// by replaying the records through a fresh index, to the byte-identical
+// cover with zero matcher calls, and keep ingesting incrementally.
+func TestStoreStateReopenOldIndexBlob(t *testing.T) {
+	ctx := context.Background()
+	records := storeRecords(t)
 	pipe, err := cem.NewPipeline(cem.WithMatcher(cem.MatcherMLN), cem.WithScheme(cem.SchemeSMP))
 	if err != nil {
 		t.Fatal(err)
@@ -144,36 +153,14 @@ func TestStoreStateReopenOldIndexBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cem.SaveState(s, res, 1); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := s.OpenBlob(match.KindPostings, "latest")
+	saved, err := cem.OpenStore("mem")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(blob, []byte("CEMP4\n")) {
-		t.Fatalf("index blob starts %q, want the CEMP4 magic", blob[:6])
-	}
-	old := append([]byte("CEMP3\n"), blob[6:]...)
-	if err := s.SaveBlob(match.KindPostings, "latest", old); err != nil {
+	if err := cem.SaveState(saved, res, 1); err != nil {
 		t.Fatal(err)
-	}
-
-	reopened, _, err := pipe.Reopen(ctx, records, s)
-	if err != nil {
-		t.Fatalf("Reopen over an old-magic index blob: %v", err)
-	}
-	if !reflect.DeepEqual(reopened.Experiment.Cover.Sets, res.Experiment.Cover.Sets) {
-		t.Fatal("cover rebuilt by replay differs from the saved run's")
-	}
-	if got, want := renderMatches(reopened.Result), renderMatches(res.Result); got != want {
-		t.Fatalf("reopened matches diverge: %s", firstDiff(got, want))
 	}
 	extra, err := cem.GenerateRecords(cem.HEPTH, 0.05, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := pipe.Update(ctx, reopened, extra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +168,115 @@ func TestStoreStateReopenOldIndexBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := renderMatches(after.Result), renderMatches(live.Result); got != want {
-		t.Fatalf("post-reopen update diverges from the live stream: %s", firstDiff(got, want))
+	blob, err := saved.OpenBlob(match.KindSnapshot, "latest")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !after.WarmStarted {
-		t.Fatal("post-reopen update did not warm-start: the replayed index is not incremental")
+	_, postings := splitState(t, blob)
+	snapshot := blob[:len(blob)-len(postings)]
+	if !bytes.HasPrefix(postings, []byte("CEMP5\n")) {
+		t.Fatalf("the postings section starts %q, want the CEMP5 magic", postings[:min(6, len(postings))])
+	}
+	// The one configuration field a foreign section differs in: MaxAligned,
+	// the first uvarint after the two 8-byte thresholds and Q.
+	const maxAligned = len("CEMP5\n") + 8 + 8 + 1
+	foreign := slices.Clone(postings)
+	foreign[maxAligned]++
+
+	for name, section := range map[string][]byte{
+		"old magic":  append([]byte("CEMP4\n"), postings[6:]...),
+		"foreign":    foreign,
+		"no section": nil,
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, err := cem.OpenStore("mem")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.SaveBlob(match.KindSnapshot, "latest", slices.Concat(snapshot, section)); err != nil {
+				t.Fatal(err)
+			}
+			pipe2, err := cem.NewPipeline(cem.WithMatcher(cem.MatcherMLN), cem.WithScheme(cem.SchemeSMP))
+			if err != nil {
+				t.Fatal(err)
+			}
+			reopened, _, err := pipe2.Reopen(ctx, records, s)
+			if err != nil {
+				t.Fatalf("Reopen: %v", err)
+			}
+			if calls := pipe2.Stats().MatcherCalls; calls != 0 {
+				t.Fatalf("Reopen made %d matcher calls", calls)
+			}
+			if !reflect.DeepEqual(reopened.Experiment.Cover.Sets, res.Experiment.Cover.Sets) {
+				t.Fatal("cover rebuilt by replay differs from the saved run's")
+			}
+			if got, want := renderMatches(reopened.Result), renderMatches(res.Result); got != want {
+				t.Fatalf("reopened matches diverge: %s", firstDiff(got, want))
+			}
+			after, err := pipe2.Update(ctx, reopened, extra)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := renderMatches(after.Result), renderMatches(live.Result); got != want {
+				t.Fatalf("post-reopen update diverges from the live stream: %s", firstDiff(got, want))
+			}
+			if !after.WarmStarted {
+				t.Fatal("post-reopen update did not warm-start: the replayed index is not incremental")
+			}
+		})
+	}
+}
+
+// countingStore counts the blobs written through it.
+type countingStore struct {
+	match.Store
+	saves int
+}
+
+func (s *countingStore) SaveBlob(kind, name string, data []byte) error {
+	s.saves++
+	return s.Store.SaveBlob(kind, name, data)
+}
+
+// TestSaveStateWritesOneBlob: a commit of streaming state is one blob
+// write — snapshot and postings together — so one rename commits both.
+func TestSaveStateWritesOneBlob(t *testing.T) {
+	ctx := context.Background()
+	records := storeRecords(t)
+	mem, err := cem.OpenStore("mem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &countingStore{Store: mem}
+	pipe, err := cem.NewPipeline(cem.WithMatcher(cem.MatcherMLN), cem.WithScheme(cem.SchemeSMP))
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(records) / 2
+	res, err := pipe.Update(ctx, nil, records[:half])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq, batch := range [][]cem.Record{nil, records[half:]} {
+		if batch != nil {
+			if res, err = pipe.Update(ctx, res, batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.saves = 0
+		if err := cem.SaveState(s, res, seq+1); err != nil {
+			t.Fatal(err)
+		}
+		if s.saves != 1 {
+			t.Fatalf("SaveState at seq %d wrote %d blobs, want 1", seq+1, s.saves)
+		}
+	}
+	reopened, seq, err := pipe.Reopen(ctx, records, mem)
+	if err != nil || seq != 2 {
+		t.Fatalf("Reopen: seq %d, %v; want seq 2", seq, err)
+	}
+	if got, want := renderMatches(reopened.Result), renderMatches(res.Result); got != want {
+		t.Fatalf("reopened matches diverge: %s", firstDiff(got, want))
 	}
 }
 
@@ -240,10 +331,7 @@ func TestStoreStateReopenValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck, err := wire.UnmarshalCheckpoint(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck, _ := splitState(t, blob)
 	// So is a maximal message naming entities past the saved stream: it
 	// is refused here, not when a later Update seeds a run with it.
 	n := uint64(len(records))
@@ -280,4 +368,58 @@ func TestStoreStateReopenValidation(t *testing.T) {
 	if _, _, err := pipe.Reopen(ctx, records, s); err == nil {
 		t.Fatal("Reopen accepted evidence with a negative entity id")
 	}
+}
+
+// FuzzStateBlob: no state blob — a snapshot checkpoint, a postings section
+// after it, or neither — makes StateSeq or Reopen panic, and a blob that
+// reopens agrees with StateSeq on its sequence number.
+func FuzzStateBlob(f *testing.F) {
+	ctx := context.Background()
+	records, err := cem.GenerateRecords(cem.HEPTH, 0.03, 7)
+	if err != nil {
+		f.Fatal(err)
+	}
+	pipe, err := cem.NewPipeline(cem.WithMatcher(cem.MatcherMLN), cem.WithScheme(cem.SchemeSMP))
+	if err != nil {
+		f.Fatal(err)
+	}
+	res, err := pipe.Update(ctx, nil, records)
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, err := cem.OpenStore("mem")
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := cem.SaveState(s, res, 3); err != nil {
+		f.Fatal(err)
+	}
+	blob, err := s.OpenBlob(match.KindSnapshot, "latest")
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, postings, err := wire.UnmarshalCheckpointPrefix(blob)
+	if err != nil {
+		f.Fatal(err)
+	}
+	snapshot := blob[:len(blob)-len(postings)]
+	f.Add(blob)
+	f.Add(snapshot)
+	f.Add(blob[:len(blob)-len(postings)/2])
+	f.Add(slices.Concat(snapshot, []byte("CEMP4\n"), postings[6:]))
+	f.Add(snapshot[:len(snapshot)/2])
+	f.Add([]byte("CEMW"))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		s, err := cem.OpenStore("mem")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SaveBlob(match.KindSnapshot, "latest", blob); err != nil {
+			t.Fatal(err)
+		}
+		seq, seqErr := cem.StateSeq(s)
+		if _, got, err := pipe.Reopen(ctx, records, s); err == nil && (seqErr != nil || got != seq) {
+			t.Fatalf("Reopen at seq %d, StateSeq %d (%v)", got, seq, seqErr)
+		}
+	})
 }
