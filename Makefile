@@ -122,7 +122,7 @@ bench-pair:
 # MAP solves against Dinic's network, the engine's evidence bitset against a
 # plain pair set, the message store's DSU against a list of merged pair
 # sets, the candidate table (search, scoping, support join) against
-# brute force,
+# brute force, re-activation's entity-level walk against the per-visit one,
 # the ground-once rules engine against the evaluator it replaced,
 # the wire codec round trip, the name kernels against their
 # retained references (both Jaro loops; and NameLevel's symmetry, which the
@@ -144,6 +144,7 @@ fuzz:
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzEvidenceModel$$' -fuzztime 10s ./internal/core/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzMessageStoreModel$$' -fuzztime 10s ./internal/core/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzCandidateTable$$' -fuzztime 10s ./internal/core/
+	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzAffectedMatchesOld$$' -fuzztime 10s ./internal/core/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzDenseMatchesOld$$' -fuzztime 10s ./internal/rules/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime 10s ./internal/wire/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzShardedCanopiesIdentical$$' -fuzztime 10s ./internal/canopy/

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/graph"
@@ -152,38 +153,23 @@ func (s CoverStats) String() string {
 // soundness and consistency (re-running an unaffected neighborhood is a
 // no-op for an idempotent matcher).
 func (c *Cover) Affected(newMatches []Pair, rel *graph.Graph) []int32 {
-	return c.affectedUnseen(newMatches, rel, nil, make([]bool, c.Len()))
+	return c.affectedUnseen(newMatches, rel, nil, c.newReach())
 }
 
 // affectedUnseen is Affected for a neighborhood that may have seen a
 // prefix of newMatches already: seen[id] (when non-nil) is the number of
 // leading pairs neighborhood id was evaluated against, and only a later
-// pair re-activates it. marks is scratch, one entry per neighborhood, all
-// false on entry and again on return — a caller with many rounds keeps it.
-func (c *Cover) affectedUnseen(newMatches []Pair, rel *graph.Graph, seen []int32, marks []bool) []int32 {
+// pair re-activates it. The pairs are walked last to first, so each
+// entity they touch is visited once, at the last pair touching it — the
+// one that re-activates the most. s is the walk's scratch: a caller with
+// many rounds keeps it.
+func (c *Cover) affectedUnseen(newMatches []Pair, rel *graph.Graph, seen []int32, s *reach) []int32 {
+	s.begin()
 	var out []int32
-	visit := func(e EntityID, i int) {
-		for _, id := range c.containing[e] {
-			if !marks[id] && (seen == nil || i >= int(seen[id])) {
-				marks[id] = true
-				out = append(out, id)
-			}
-		}
-	}
-	for i, p := range newMatches {
-		visit(p.A, i)
-		visit(p.B, i)
-		if rel != nil {
-			for _, u := range rel.Neighbors(p.A) {
-				visit(u, i)
-			}
-			for _, u := range rel.Neighbors(p.B) {
-				visit(u, i)
-			}
-		}
-	}
-	for _, id := range out {
-		marks[id] = false
+	for i := len(newMatches) - 1; i >= 0; i-- {
+		p := newMatches[i]
+		out = c.reachFrom(p.A, i, rel, seen, s, out)
+		out = c.reachFrom(p.B, i, rel, seen, s, out)
 	}
 	slices.Sort(out)
 	return out
@@ -195,24 +181,73 @@ func (c *Cover) affectedUnseen(newMatches []Pair, rel *graph.Graph, seen []int32
 // neighborhoods whose scope or boundary evidence a batch of new entities
 // can touch. rel may be nil, in which case only containment applies.
 func (c *Cover) AffectedEntities(entities []EntityID, rel *graph.Graph) []int32 {
-	marks := make([]bool, c.Len())
+	s := c.newReach()
+	s.begin()
 	var out []int32
-	visit := func(e EntityID) {
-		for _, id := range c.containing[e] {
-			if !marks[id] {
-				marks[id] = true
-				out = append(out, id)
-			}
-		}
-	}
 	for _, e := range entities {
-		visit(e)
-		if rel != nil {
-			for _, u := range rel.Neighbors(e) {
-				visit(u)
-			}
-		}
+		out = c.reachFrom(e, 0, rel, nil, s, out)
 	}
 	slices.Sort(out)
+	return out
+}
+
+// reach is the scratch of Neighbor(·) walks: per neighborhood and per
+// entity, the mark of the last walk that reached it. A walk takes two
+// fresh marks — an entity at the first is visited, at the second expanded
+// too — so nothing is cleared between walks, except all of it once the
+// marks wrap.
+type reach struct {
+	hoods []uint8 // mark: in the walk's result
+	ents  []uint8 // mark-1: visited; mark: expanded
+	mark  uint8
+}
+
+// newReach returns the scratch for walks over c.
+func (c *Cover) newReach() *reach {
+	return &reach{hoods: make([]uint8, c.Len()), ents: make([]uint8, c.NumEntities)}
+}
+
+// begin starts a walk.
+func (s *reach) begin() {
+	if s.mark >= math.MaxUint8-1 {
+		clear(s.hoods)
+		clear(s.ents)
+		s.mark = 0
+	}
+	s.mark += 2
+}
+
+// reachFrom adds to out, at new-pair index i, the neighborhoods
+// containing e or an entity adjacent to e in rel (when non-nil) that the
+// walk has not reached, and that seen (when non-nil) does not exclude:
+// neighborhood id is reached only when i >= seen[id]. Each entity is
+// expanded and visited once per walk; a walk that goes by descending i
+// so visits it at the last index touching it.
+func (c *Cover) reachFrom(e EntityID, i int, rel *graph.Graph, seen []int32, s *reach, out []int32) []int32 {
+	if s.ents[e] == s.mark {
+		return out
+	}
+	out = c.visit(e, i, seen, s, out)
+	s.ents[e] = s.mark
+	if rel != nil {
+		for _, u := range rel.Neighbors(e) {
+			out = c.visit(u, i, seen, s, out)
+		}
+	}
+	return out
+}
+
+// visit is reachFrom for e alone, without its rel neighbors.
+func (c *Cover) visit(e EntityID, i int, seen []int32, s *reach, out []int32) []int32 {
+	if s.ents[e] >= s.mark-1 {
+		return out // visited already, at an index no lower than i
+	}
+	s.ents[e] = s.mark - 1
+	for _, id := range c.containing[e] {
+		if s.hoods[id] != s.mark && (seen == nil || i >= int(seen[id])) {
+			s.hoods[id] = s.mark
+			out = append(out, id)
+		}
+	}
 	return out
 }

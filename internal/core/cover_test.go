@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -113,12 +114,29 @@ func TestAffectedUnseen(t *testing.T) {
 	c := NewCover(4, [][]EntityID{{0, 1}, {1, 2}, {2, 3}})
 	pairs := []Pair{MakePair(0, 1), MakePair(2, 3)}
 	// 0 saw nothing; 1 saw (0,1) but not (2,3); 2 saw both.
-	// The scratch marks come back clean, so a second round reuses them.
-	marks := make([]bool, c.Len())
+	// One scratch serves every round.
+	marks := c.newReach()
 	for round := 0; round < 2; round++ {
 		got := c.affectedUnseen(pairs, nil, []int32{0, 1, 2}, marks)
 		if len(got) != 2 || got[0] != 0 || got[1] != 1 {
 			t.Errorf("round %d: affectedUnseen = %v, want [0 1]", round, got)
+		}
+	}
+}
+
+// TestReachMarksWrap: a walk marks what it reaches with a mark of its own,
+// and the marks cycle every 127 walks; a neighborhood last reached a whole
+// cycle ago is still reached again.
+func TestReachMarksWrap(t *testing.T) {
+	c := NewCover(4, [][]EntityID{{0, 1}, {2, 3}})
+	s := c.newReach()
+	for walk := 0; walk < 4*127; walk++ {
+		pairs, want := []Pair{MakePair(2, 3)}, []int32{1}
+		if walk%127 == 0 {
+			pairs, want = []Pair{MakePair(0, 1)}, []int32{0}
+		}
+		if got := c.affectedUnseen(pairs, nil, nil, s); !slices.Equal(got, want) {
+			t.Fatalf("walk %d: affectedUnseen(%v) = %v, want %v", walk, pairs, got, want)
 		}
 	}
 }

@@ -185,6 +185,27 @@ func (e *Evidence) AddKey(k PairKey) bool {
 	if id, ok := e.table.Find(k.Pair()); ok {
 		return e.AddID(id)
 	}
+	return e.addOver(k)
+}
+
+// AddAscending inserts a strictly increasing list of packed keys — a
+// sharded worker's catch-up, as the wire carries it — resolving them
+// against the table in one merge walk (CandidateTable.FindFrom) where
+// AddKey would search for each.
+func (e *Evidence) AddAscending(keys []uint64) {
+	from := 0 // the keys ascend, so the ids do
+	for _, k := range keys {
+		if id, ok := e.table.FindFrom(from, PairKey(k)); ok {
+			e.AddID(id)
+			from = int(id) + 1
+		} else {
+			e.addOver(PairKey(k))
+		}
+	}
+}
+
+// addOver inserts a pair outside the table and reports whether it was new.
+func (e *Evidence) addOver(k PairKey) bool {
 	if !e.setOver(k) {
 		return false
 	}

@@ -130,6 +130,16 @@ func FuzzEvidenceModel(f *testing.F) {
 				from = int(id) + 1
 			}
 		}
+		// A replica caught up in one AddAscending call holds the same set.
+		keys := make([]uint64, 0, model.Len())
+		for _, k := range model.SortedKeys() {
+			keys = append(keys, uint64(k))
+		}
+		replica := NewEvidence(tbl)
+		replica.AddAscending(keys)
+		if got := replica.SortedKeys(); !slices.Equal(got, model.SortedKeys()) || !replica.Overflow().Equal(over) {
+			t.Fatalf("AddAscending(model) = %v, model %v", got, model.SortedKeys())
+		}
 	})
 }
 
@@ -165,6 +175,30 @@ func TestFindIDNeverIndexesByKey(t *testing.T) {
 		ev := NewEvidence(table)
 		if ev.HasKey(k) {
 			t.Errorf("HasKey(%#x) on an empty set", uint64(k))
+		}
+	}
+}
+
+// TestAddAscendingMatchesAddKey: a catch-up resolved in one merge walk
+// sets what one AddKey per key sets — runs of consecutive ids, gaps, and
+// overflow keys between and past them.
+func TestAddAscendingMatchesAddKey(t *testing.T) {
+	table := mustTable(t, 6, []Pair{{0, 1}, {0, 2}, {1, 2}, {1, 4}, {2, 5}, {3, 4}, {4, 5}})
+	var keys []uint64
+	for _, p := range []Pair{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {2, 3}, {2, 5}, {3, 4}, {4, 5}, {4, 6}} {
+		keys = append(keys, uint64(p.Key()))
+	}
+	slices.Sort(keys)
+	for n := 0; n <= len(keys); n++ {
+		for lo := 0; lo <= n; lo++ {
+			want, got := NewEvidence(table), NewEvidence(table)
+			for _, k := range keys[lo:n] {
+				want.AddKey(PairKey(k))
+			}
+			got.AddAscending(keys[lo:n])
+			if !slices.Equal(got.SortedKeys(), want.SortedKeys()) || !got.Overflow().Equal(want.Overflow()) {
+				t.Fatalf("AddAscending(keys[%d:%d]) = %v, AddKey each %v", lo, n, got.SortedKeys(), want.SortedKeys())
+			}
 		}
 	}
 }

@@ -8,9 +8,9 @@ import (
 
 // JobToWire serializes one evaluation result for shipment to the central
 // reducer: what a sharded worker (internal/net, in-process or
-// cmd/emworker) returns in its ShardBatch. The match set travels as
-// ascending packed keys, whichever form the job holds it in, so the bytes
-// do not depend on the matcher's form.
+// cmd/emworker) returns in its ShardBatch. The job's matches — those its
+// evidence lacked — travel as ascending packed keys, whichever form the
+// job holds them in, so the bytes do not depend on the matcher's form.
 func (p *RoundPlan) JobToWire(j *Job) wire.Job {
 	w := wire.Job{
 		ID:      j.id,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,10 +13,12 @@ import (
 type Job struct {
 	id      int32
 	skipped bool // re-activation discharged without a matcher call
-	// The match set, as what the plan's evidence is made of: ids holds
-	// candidate ids (all of a dense matcher's output), keys the pairs
-	// outside the candidate table (all of any other matcher's). Both
-	// ascending.
+	// The matches the job's evidence lacked (those it held are in M+
+	// already), in the form the plan's evidence takes: ids holds candidate
+	// ids (a dense matcher's output), keys the pairs outside the candidate
+	// table (any other matcher's). Both ascending. A sharded worker thus
+	// ships only what its replica lacked, and Reduce walks only what may
+	// be new.
 	ids  []int32
 	keys []PairKey
 	// The maximal messages (MMP rounds only), split the same way: msgs in
@@ -54,7 +57,9 @@ func allNeighborhoods(n int) []int32 {
 // additionally run COMPUTEMAXIMAL; allowSkip discharges neighborhoods
 // with no undecided in-scope pair without calling the matcher
 // (re-activation rounds only; see RunStats.Skips). It is a read-only use
-// of the plan and safe to call concurrently.
+// of the plan and safe to call concurrently. The job lists only the
+// matches the evidence lacks: by the Backend contract the evidence is
+// part of M+ when the job is reduced, so the rest would change nothing.
 //
 // A dense matcher is evaluated in id form, start to finish — under MMP in
 // one MatchMessagesIDs call, its messages a CSR of candidate ids. Any other
@@ -101,6 +106,12 @@ func (p *RoundPlan) evaluate(id int32, evidence *Evidence, allowSkip bool, arena
 	}
 	j.calls += probes
 	j.dur = time.Since(t0)
+	if evidence.Len() > 0 {
+		// The lists are the job's own (fresh from the matcher by
+		// contract), so they are compacted in place.
+		j.ids = slices.DeleteFunc(j.ids, evidence.HasID)
+		j.keys = slices.DeleteFunc(j.keys, evidence.HasKey)
+	}
 	return j
 }
 

@@ -36,7 +36,7 @@ type RoundDriver struct {
 	// round already had as evidence (0 for snapshot and replica rounds):
 	// only a later pair re-activates it.
 	seen    []int32
-	marks   []bool // Cover.affectedUnseen's scratch, all false between calls
+	marks   *reach // Cover.affectedUnseen's scratch, kept from round to round
 	lastNew []Pair // the just-finished round's new pairs (reduce order)
 	round   int    // last completed round
 	done    bool
@@ -63,7 +63,7 @@ func newRoundDriver(plan *RoundPlan, ck CheckpointConfig) (*RoundDriver, error) 
 	d.res.Stats.Neighborhoods = plan.Config.Cover.Len()
 	d.visits = make([]int, plan.Config.Cover.Len())
 	d.seen = make([]int32, plan.Config.Cover.Len())
-	d.marks = make([]bool, plan.Config.Cover.Len())
+	d.marks = plan.Config.Cover.newReach()
 	if plan.WithMessages {
 		d.store = newMessageStore(plan.table)
 	}

@@ -75,9 +75,7 @@ func ServeConn(ctx context.Context, cfg core.Config, scheme string, rw io.ReadWr
 			if a.FromRound == 0 && replica.Len() > 0 {
 				replica = plan.NewEvidence() // full-sync resets the replica
 			}
-			for _, k := range a.Keys {
-				replica.AddKey(core.PairKey(k))
-			}
+			replica.AddAscending(a.Keys)
 		}
 		enc, err := evaluateAssign(ctx, conn, plan, replica, a, worker, heartbeat)
 		if err != nil {

@@ -54,9 +54,12 @@ type Delta struct {
 }
 
 // Job is the serialized outcome of one neighborhood evaluation, the
-// per-neighborhood payload of a ShardBatch. Matches are sorted PairKeys;
-// Msgs are the neighborhood's maximal messages (MMP only), order- and
-// grouping-preserving (promotion scans them in generation order).
+// per-neighborhood payload of a ShardBatch. Matches are sorted PairKeys,
+// and only those the worker's replica lacked when the job ran: the rest
+// are in the coordinator's M+ already, so reducing the list reaches the
+// same M+ as reducing the whole match set. Msgs are the neighborhood's
+// maximal messages (MMP only), order- and grouping-preserving (promotion
+// scans them in generation order).
 type Job struct {
 	ID      int32
 	Skipped bool
