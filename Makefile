@@ -19,7 +19,7 @@ BENCHTIME     ?= 5x
 # their own, much higher iteration floor.
 MATCHER_BENCHTIME ?= 500x
 
-.PHONY: build test race bench cover cover-check fuzz fmt vet clean chaos-smoke store-smoke bench-smoke bench-frozen bench-pair
+.PHONY: build test race bench cover cover-check fuzz fmt vet docs-check clean chaos-smoke store-smoke bench-smoke bench-frozen bench-pair
 
 build:
 	$(GO) build $(GOFLAGS) ./...
@@ -35,6 +35,13 @@ fmt:
 
 vet:
 	$(GO) vet $(GOFLAGS) ./...
+
+# docs-check fails when the README names a path that does not exist: the
+# package of a `go run ./…` command, or a code-span path in one of the
+# cmd, internal, scripts, testdata, match or examples trees. CI runs it in
+# the lint job.
+docs-check:
+	bash scripts/docs-check.sh README.md
 
 # bench prints the hot-path benchmark table; its blocking command is the
 # blocking stage at the workloads' sizes and at scale 8, batch and

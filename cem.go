@@ -121,9 +121,6 @@ type Report = eval.Report
 // PRF holds precision, recall and F1 (pairwise or B-cubed).
 type PRF = eval.PRF
 
-// MLNWeights are the built-in Markov-Logic matcher's rule weights.
-type MLNWeights = mln.Weights
-
 // CacheReport is one run's verdict-memo accounting (hits, misses,
 // invalidations), reported in RunStats.Cache by matchers that memoize —
 // the built-in MLN matcher does. Aliased so external modules can read
@@ -135,19 +132,17 @@ type CacheReport = match.CacheReport
 type Options struct {
 	// Canopy controls cover construction.
 	Canopy CanopyConfig
-	// MLNWeights are the Markov-Logic rule weights.
-	MLNWeights MLNWeights
 	// Rules is the RULES program.
 	Rules []match.Rule
 }
 
-// DefaultOptions returns the paper's configuration: default canopies,
-// Appendix B MLN weights, and the Appendix B rule program.
+// DefaultOptions returns the paper's configuration: default canopies and
+// the Appendix B rule program. The MLN matcher always grounds with the
+// Appendix B weights.
 func DefaultOptions() Options {
 	return Options{
-		Canopy:     canopy.DefaultConfig(),
-		MLNWeights: mln.PaperWeights(),
-		Rules:      rules.PaperRules(),
+		Canopy: canopy.DefaultConfig(),
+		Rules:  rules.PaperRules(),
 	}
 }
 
@@ -158,11 +153,6 @@ type Option func(*Options)
 // from DefaultOptions().Canopy).
 func WithCanopy(c CanopyConfig) Option {
 	return func(o *Options) { o.Canopy = c }
-}
-
-// WithMLNWeights overrides the built-in MLN matcher's rule weights.
-func WithMLNWeights(w MLNWeights) Option {
-	return func(o *Options) { o.MLNWeights = w }
 }
 
 // WithRules overrides the built-in RULES matcher's rule program.

@@ -119,6 +119,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *stateDir != "" && *records == "" && *ingest == "" {
 		return fmt.Errorf("-state-dir saves the state of a -records or -ingest run; a -kind/-in run has none to save")
 	}
+	if (*shards != 0 || *maxNbr != 0) && *records == "" && *ingest == "" {
+		return fmt.Errorf("-shards and -max-neighborhood configure the blocking of a -records or -ingest run; a -kind/-in run uses the experiment's cover")
+	}
 	if *ingest != "" && *resume {
 		return fmt.Errorf("-ingest replays a fresh stream; it cannot be combined with -resume")
 	}

@@ -65,6 +65,15 @@ func TestFlagValidation(t *testing.T) {
 		{"state dir without store",
 			[]string{"-state-dir", "x"},
 			"-state-dir saves the state of a -records or -ingest run"},
+		{"shards on a generated corpus",
+			[]string{"-kind", "hepth", "-scale", "0.1", "-shards", "2"},
+			"-shards and -max-neighborhood configure the blocking of a -records or -ingest run"},
+		{"max neighborhood on a generated corpus",
+			[]string{"-kind", "hepth", "-scale", "0.1", "-max-neighborhood", "2"},
+			"-shards and -max-neighborhood configure the blocking of a -records or -ingest run"},
+		{"max neighborhood on a dataset file",
+			[]string{"-in", "a.tsv", "-max-neighborhood", "2"},
+			"-shards and -max-neighborhood configure the blocking of a -records or -ingest run"},
 		{"worker addrs with pool backend",
 			[]string{"-backend", "pool", "-worker-addrs", "127.0.0.1:1"},
 			"-worker-addrs requires -backend sharded"},

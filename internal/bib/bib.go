@@ -223,15 +223,6 @@ func (s Stats) String() string {
 		s.Refs, s.Papers, s.Authors, s.CoauthorEdges, s.MaxClusterSize, s.TrueMatchPairs)
 }
 
-// SortedRefIDs returns 0..n-1 — convenience for building covers.
-func (d *Dataset) SortedRefIDs() []RefID {
-	out := make([]RefID, len(d.Refs))
-	for i := range out {
-		out[i] = RefID(i)
-	}
-	return out
-}
-
 // RefsByAuthor groups reference ids by ground-truth author, each group
 // sorted ascending. Used by tests and evaluation.
 func (d *Dataset) RefsByAuthor() map[AuthorID][]RefID {

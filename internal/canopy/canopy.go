@@ -618,10 +618,10 @@ func GreedyTotalCover(sets [][]core.EntityID, rel *graph.Graph) [][]core.EntityI
 	return out
 }
 
-// AlignedExpand grows each canopy with bounded relational context: for
-// every name-similar pair (a, b) inside the canopy, the endpoints of up
-// to maxAligned aligned coauthor pairs — (c1, c2) with c1 ∈ N(a),
-// c2 ∈ N(b) and similar names — are added.
+// alignedExpandInto grows each canopy with bounded relational context: for
+// every name-similar pair (a, b) inside it, the endpoints of up to
+// maxAligned aligned coauthor pairs — (c1, c2) with c1 ∈ N(a), c2 ∈ N(b)
+// and similar names — are added.
 //
 // When more than maxAligned pairs qualify, the kept ones are those with
 // the EARLIEST-ingested endpoints: candidates are ranked by highest
@@ -631,19 +631,16 @@ func GreedyTotalCover(sets [][]core.EntityID, rel *graph.Graph) [][]core.EntityI
 // all-old pair — the selection, and with it the whole cover, is stable
 // under record ingestion (the property the incremental Index relies
 // on). The result is NOT necessarily total; run GreedyTotalCover first.
-func AlignedExpand(d *bib.Dataset, sets [][]core.EntityID, maxAligned int) [][]core.EntityID {
-	return alignedExpandInto(d, sets, sets, maxAligned)
-}
-
-// alignedExpandInto is AlignedExpand with the pair source decoupled from
-// the expansion target: the name-similar (a, b) pairs driving the
-// expansion are enumerated over pairSets[i], while members are added to
-// (a copy of) sets[i]. BuildCover passes the raw canopies as the pair
-// source and the totality-patched sets as the target — patch members are
-// co-located for Definition 7, not name-similar, so scanning them for
-// driving pairs would cost quadratic similarity work for nothing, and
-// the canopy pair source is append-stable under ingestion by
-// construction. pairSets[i] must be a subset of sets[i].
+//
+// The pair source is decoupled from the expansion target: the
+// name-similar (a, b) pairs driving the expansion are enumerated over
+// pairSets[i], while members are added to (a copy of) sets[i].
+// BuildCover passes the raw canopies as the pair source and the
+// totality-patched sets as the target — patch members are co-located for
+// Definition 7, not name-similar, so scanning them for driving pairs
+// would cost quadratic similarity work for nothing, and the canopy pair
+// source is append-stable under ingestion by construction. pairSets[i]
+// must be a subset of sets[i].
 //
 // Both similarity tests go through the dataset's name table: the driving
 // pairs of a pair set are the member products of its similar name classes
@@ -736,7 +733,7 @@ func alignedExpandInto(d *bib.Dataset, pairSets, sets [][]core.EntityID, maxAlig
 type alignedPair struct{ c1, c2 core.EntityID }
 
 // compare ranks by highest endpoint ascending, then lowest endpoint,
-// then c1 — the ingestion-stable priority of AlignedExpand (a strict
+// then c1 — the ingestion-stable priority of alignedExpandInto (a strict
 // total order over distinct combinations).
 func (p alignedPair) compare(q alignedPair) int {
 	pmax, pmin := p.c1, p.c2

@@ -204,18 +204,3 @@ func (s PairSet) WithPair(p Pair) PairSet {
 	out.Add(p)
 	return out
 }
-
-// SortPairs orders a pair slice by packed key (A, then B) in place.
-func SortPairs(pairs []Pair) {
-	slices.SortFunc(pairs, func(a, b Pair) int {
-		ka, kb := a.Key(), b.Key()
-		switch {
-		case ka < kb:
-			return -1
-		case ka > kb:
-			return 1
-		default:
-			return 0
-		}
-	})
-}

@@ -56,9 +56,6 @@ func (g *Graph) Reset(n int) {
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
 
-// Arcs returns the number of directed arcs (including residual arcs).
-func (g *Graph) Arcs() int { return len(g.to) }
-
 // AddEdge adds a directed edge u→v with capacity c (and the implicit
 // residual arc v→u with capacity 0). Zero and negative capacities are
 // clamped to 0, which keeps callers' energy constructions simple.

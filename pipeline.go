@@ -35,7 +35,6 @@ type Pipeline struct {
 	matcher    string
 	scheme     Scheme
 	runnerOpts []RunnerOption
-	expOpts    []Option
 
 	stats pipelineCounters
 }
@@ -173,13 +172,6 @@ func WithScheme(s Scheme) PipelineOption {
 // evidence).
 func WithRunnerOptions(opts ...RunnerOption) PipelineOption {
 	return func(p *Pipeline) { p.runnerOpts = append(p.runnerOpts, opts...) }
-}
-
-// WithExperimentOptions forwards options to experiment construction
-// (matcher weights, rule programs). The blocking configuration is
-// governed by WithBlocking, not WithCanopy.
-func WithExperimentOptions(opts ...Option) PipelineOption {
-	return func(p *Pipeline) { p.expOpts = append(p.expOpts, opts...) }
 }
 
 // WithDatasetName names the synthesized dataset (for reports and logs).
@@ -333,12 +325,7 @@ func (p *Pipeline) run(ctx context.Context, records []Record, resume bool) (*Pip
 // cover blocking produced — the one place a run, an update and a reopen
 // turn the pipeline's configuration into something executable.
 func (p *Pipeline) build(d *bib.Dataset, cover *core.Cover) (*Experiment, *Runner, error) {
-	opts := DefaultOptions()
-	for _, o := range p.expOpts {
-		o(&opts)
-	}
-	opts.Canopy = p.blocking // WithCanopy must not desync from the built cover
-	exp, err := setup(d, opts, cover)
+	exp, err := setup(d, DefaultOptions(), cover)
 	if err != nil {
 		return nil, nil, err
 	}

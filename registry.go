@@ -204,7 +204,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return mln.Ground(mc.Dataset, t, levels, mc.Options.MLNWeights)
+		return mln.Ground(mc.Dataset, t, levels, mln.PaperWeights())
 	})
 	RegisterMatcher(MatcherRules, func(mc MatcherContext) (match.Matcher, error) {
 		t, levels, err := mc.grounding()

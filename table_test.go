@@ -79,3 +79,82 @@ func TestBuiltinsShareOneTable(t *testing.T) {
 		check(fmt.Sprintf("update %d", bi), res.Experiment)
 	}
 }
+
+// TestSupportsKeepPaperPairs pins why FULL's ground network stays small:
+// the coauthor graph links the references of one paper (of one group on
+// the people-like corpus), so a support joining candidate (a, b) to
+// (c1, c2) — c1 a coauthor of a, c2 of b — joins two candidates over the
+// same unordered pair of papers. Every connected component of the
+// support graph therefore lies inside one paper pair and has at most
+// K_a·K_b variables, K being the number of references on each paper.
+func TestSupportsKeepPaperPairs(t *testing.T) {
+	exps := map[string]*cem.Experiment{}
+	for _, ds := range goldenSeeds {
+		exp, err := cem.New(cem.NewDataset(ds.kind, ds.scale, ds.seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		exps[string(ds.kind)] = exp
+	}
+	records, err := cem.GenerateRecords(cem.People, 0.25, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := cem.NewPipeline(cem.WithMatcher(loadProgram(t, filepath.Join("testdata", "rules", "people.rules"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pipe.Run(context.Background(), records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exps["people"] = res.Experiment
+
+	for name, exp := range exps {
+		t.Run(name, func(t *testing.T) {
+			d, table := exp.Dataset, exp.Table
+			papers := func(p match.Pair) [2]int {
+				x, y := int(d.Refs[p.A].Paper), int(d.Refs[p.B].Paper)
+				return [2]int{min(x, y), max(x, y)}
+			}
+			parent := make([]int32, table.Len())
+			for i := range parent {
+				parent[i] = int32(i)
+			}
+			var find func(int32) int32
+			find = func(i int32) int32 {
+				if parent[i] != i {
+					parent[i] = find(parent[i])
+				}
+				return parent[i]
+			}
+			sup := table.Supports(d.Coauthor())
+			edges := 0
+			for id := int32(0); int(id) < table.Len(); id++ {
+				for _, s := range sup.Of(id) {
+					if got, want := papers(table.Pair(s.ID)), papers(table.Pair(id)); got != want {
+						t.Fatalf("support %v of %v spans papers %v, want %v", table.Pair(s.ID), table.Pair(id), got, want)
+					}
+					parent[find(id)] = find(s.ID)
+					edges++
+				}
+			}
+			size := map[int32]int{}
+			for id := int32(0); int(id) < table.Len(); id++ {
+				size[find(id)]++
+			}
+			largest := 0
+			for root, n := range size {
+				pp := papers(table.Pair(root))
+				if bound := len(d.Papers[pp[0]].Refs) * len(d.Papers[pp[1]].Refs); n > bound {
+					t.Errorf("component of %v has %d variables, more than K_a·K_b = %d", table.Pair(root), n, bound)
+				}
+				largest = max(largest, n)
+			}
+			if edges == 0 || largest < 2 {
+				t.Fatalf("%d support edges, largest component %d: the check is vacuous", edges, largest)
+			}
+			t.Logf("%d candidates, %d support edges, %d components, largest %d", table.Len(), edges, len(size), largest)
+		})
+	}
+}
