@@ -266,6 +266,7 @@ func BenchmarkPrepareCover(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		mlnM, rulesM := builtins(b, exp)
 		fresh := func() *match.Cover {
 			return &match.Cover{Sets: exp.Cover.Sets, NumEntities: exp.Cover.NumEntities}
 		}
@@ -275,7 +276,7 @@ func BenchmarkPrepareCover(b *testing.B) {
 				b.StopTimer()
 				c := fresh()
 				b.StartTimer()
-				exp.MLN.PrepareCover(c)
+				mlnM.PrepareCover(c)
 			}
 		})
 		b.Run(fmt.Sprintf("rules-after-mln/hepth-%v", scale), func(b *testing.B) {
@@ -283,9 +284,9 @@ func BenchmarkPrepareCover(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				c := fresh()
-				exp.MLN.PrepareCover(c)
+				mlnM.PrepareCover(c)
 				b.StartTimer()
-				exp.Rules.PrepareCover(c)
+				rulesM.PrepareCover(c)
 			}
 		})
 	}
@@ -297,15 +298,19 @@ func BenchmarkGridSMP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	runner, err := exp.Runner(cem.MatcherMLN)
-	if err != nil {
-		b.Fatal(err)
-	}
 	g := grid.Config{Machines: 8, RoundOverhead: 0, Seed: 1}
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runner.RunGrid(ctx, cem.SchemeSMP, g); err != nil {
+		gb, err := grid.NewBackend(g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runner, err := exp.Runner(cem.MatcherMLN, cem.WithBackend(gb))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := runner.Run(ctx, cem.SchemeSMP); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -44,10 +44,10 @@
 // neighborhoods, reduce the new evidence centrally, re-activate the
 // affected ones, stop at the fixpoint — and a Backend only decides where
 // each round's evaluations run: the shared-memory pool
-// (WithParallelism), the sharded workers (WithShardCount, or
-// NewShardedNetBackend with emworker addresses), or the simulated grid
-// (Runner.RunGrid). None of them changes
-// the output (consistency, Theorems 2 and 4).
+// (WithParallelism) by default, or whatever WithBackend names — the
+// sharded workers (WithShardCount, or NewShardedNetBackend with emworker
+// addresses). None of them changes the output (consistency, Theorems 2
+// and 4).
 package cem
 
 import (
@@ -59,8 +59,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/eval"
-	"repro/internal/mln"
-	"repro/internal/rules"
 	"repro/internal/unionfind"
 	"repro/match"
 )
@@ -132,18 +130,14 @@ type CacheReport = match.CacheReport
 type Options struct {
 	// Canopy controls cover construction.
 	Canopy CanopyConfig
-	// Rules is the RULES program.
-	Rules []match.Rule
 }
 
-// DefaultOptions returns the paper's configuration: default canopies and
-// the Appendix B rule program. The MLN matcher always grounds with the
-// Appendix B weights.
+// DefaultOptions returns the paper's configuration: default canopies. The
+// built-in matchers always ground the paper's Appendix B programs — the
+// MLN weights and the RULES program; another program registers a matcher
+// of its own (RegisterRuleProgram, RegisterMatcher).
 func DefaultOptions() Options {
-	return Options{
-		Canopy: canopy.DefaultConfig(),
-		Rules:  rules.PaperRules(),
-	}
+	return Options{Canopy: canopy.DefaultConfig()}
 }
 
 // Option customizes experiment construction (New).
@@ -153,11 +147,6 @@ type Option func(*Options)
 // from DefaultOptions().Canopy).
 func WithCanopy(c CanopyConfig) Option {
 	return func(o *Options) { o.Canopy = c }
-}
-
-// WithRules overrides the built-in RULES matcher's rule program.
-func WithRules(rs []match.Rule) Option {
-	return func(o *Options) { o.Rules = rs }
 }
 
 // NewDataset generates a synthetic corpus of the given kind. Scale 1.0 is
@@ -216,16 +205,14 @@ func datagenConfig(kind DatasetKind, scale float64, seed int64) (datagen.Config,
 }
 
 // Experiment is a fully wired instance: dataset, total cover, candidate
-// pairs and their table (Candidates[i] is the table's pair i), the
-// built-in matchers ground over that table, and ground truth. Build one
-// with New.
+// pairs and their table (Candidates[i] is the table's pair i), and ground
+// truth. Matchers are ground over the table on the first Runner that
+// names them; Runner.Matcher returns the instance. Build one with New.
 type Experiment struct {
 	Dataset    *match.Dataset
 	Cover      *core.Cover
 	Candidates []match.Candidate
 	Table      *match.CandidateTable
-	MLN        *mln.Matcher
-	Rules      *rules.Matcher
 	Truth      match.PairSet
 
 	opts Options
@@ -235,9 +222,8 @@ type Experiment struct {
 }
 
 // New builds the total cover (canopies + Coauthor boundary), derives the
-// candidate pairs, grounds the built-in matchers, and collects ground
-// truth. Registered third-party matchers are instantiated lazily, on the
-// first Runner that names them.
+// candidate pairs, and collects ground truth. Matchers, built-in or
+// registered, are ground lazily, on the first Runner that names them.
 func New(d *match.Dataset, options ...Option) (*Experiment, error) {
 	opts := DefaultOptions()
 	for _, o := range options {
@@ -266,7 +252,7 @@ func setup(d *match.Dataset, opts Options, cover *core.Cover) (*Experiment, erro
 		return nil, fmt.Errorf("cem: %w", err)
 	}
 
-	e := &Experiment{
+	return &Experiment{
 		Dataset:    d,
 		Cover:      cover,
 		Candidates: cands,
@@ -274,21 +260,7 @@ func setup(d *match.Dataset, opts Options, cover *core.Cover) (*Experiment, erro
 		Truth:      truthOf(d),
 		opts:       opts,
 		built:      map[string]match.Matcher{},
-	}
-	// Ground the built-ins eagerly through their registered factories —
-	// the same path third-party matchers take — and keep the typed
-	// handles for weight learning and direct probing.
-	mlnM, err := e.matcher(MatcherMLN)
-	if err != nil {
-		return nil, err
-	}
-	rulesM, err := e.matcher(MatcherRules)
-	if err != nil {
-		return nil, err
-	}
-	e.MLN = mlnM.(*mln.Matcher)
-	e.Rules = rulesM.(*rules.Matcher)
-	return e, nil
+	}, nil
 }
 
 // truthOf is d.TruePairs as one PairSet: the labeled references are grouped

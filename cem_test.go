@@ -8,6 +8,7 @@ import (
 	"repro/internal/canopy"
 	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/grid"
 )
 
 // run is a test helper: execute a scheme through the Runner API and
@@ -41,8 +42,14 @@ func TestSetupWiring(t *testing.T) {
 	if len(exp.Candidates) == 0 {
 		t.Error("no candidate pairs")
 	}
-	if exp.MLN.NumPairs() != len(exp.Candidates) || exp.Rules.NumPairs() != len(exp.Candidates) {
-		t.Error("matchers ground a different pair universe than the candidates")
+	for _, name := range []string{MatcherMLN, MatcherRules} {
+		r, err := exp.Runner(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := r.Matcher().(interface{ NumPairs() int }).NumPairs(); n != len(exp.Candidates) {
+			t.Errorf("%s grounds %d pairs, the experiment has %d candidates", name, n, len(exp.Candidates))
+		}
 	}
 	if exp.Truth.Len() == 0 {
 		t.Error("no ground-truth pairs")
@@ -243,41 +250,54 @@ func TestTransitiveClosureHelper(t *testing.T) {
 }
 
 // TestRunGridHonorsRunnerOptions: the grid is a backend of the one run
-// path, so the runner's options apply to it — stats and progress fire,
-// and the grid's job count is the run's evaluation count (skipped
-// re-activations are not jobs).
+// path (WithBackend), so the runner's options apply to it — progress
+// fires, and the grid's job count is the run's evaluation count (skipped
+// re-activations are not jobs). UB has no rounds and leaves the grid's
+// clock untouched.
 func TestRunGridHonorsRunnerOptions(t *testing.T) {
 	exp, err := New(NewDataset(DBLP, 0.2, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats []core.RunStats
+	b, err := grid.NewBackend(gridDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
 	events, lastRound := 0, 0
-	r, err := exp.Runner(MatcherMLN,
-		WithStats(func(s core.RunStats) { stats = append(stats, s) }),
+	r, err := exp.Runner(MatcherMLN, WithBackend(b),
 		WithProgress(func(e core.ProgressEvent) { events++; lastRound = e.Round }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gres, err := r.RunGrid(context.Background(), SchemeSMP, gridDefaults())
+	res, err := r.Run(context.Background(), SchemeSMP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats) != 1 {
-		t.Fatalf("WithStats fired %d times on RunGrid, want 1", len(stats))
-	}
-	if events != stats[0].Evaluations || gres.JobsRun != stats[0].Evaluations {
+	stats, gres := res.Stats, b.Result(res.Result)
+	if events != stats.Evaluations || gres.JobsRun != stats.Evaluations {
 		t.Errorf("progress events = %d, grid jobs = %d, want the run's %d evaluations",
-			events, gres.JobsRun, stats[0].Evaluations)
+			events, gres.JobsRun, stats.Evaluations)
 	}
-	if stats[0].Skips == 0 {
+	if stats.Skips == 0 {
 		t.Error("no re-activation was skipped on the grid; the job/evaluation identity was not exercised")
 	}
 	if lastRound != gres.Rounds || gres.Rounds < 2 {
 		t.Errorf("last progress round = %d, grid rounds = %d, want equal and ≥ 2", lastRound, gres.Rounds)
 	}
-	if _, err := r.RunGrid(context.Background(), SchemeUB, gridDefaults()); err == nil {
-		t.Error("UB on the grid must be rejected")
+	idle, err := grid.NewBackend(gridDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ub, err := exp.Runner(MatcherMLN, WithBackend(idle))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ubRes, err := ub.Run(context.Background(), SchemeUB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := idle.Result(ubRes.Result); g.Rounds != 0 || g.JobsRun != 0 {
+		t.Errorf("UB ran %d rounds, %d jobs on the grid; it has no rounds", g.Rounds, g.JobsRun)
 	}
 }
 

@@ -67,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		parallel = fs.Int("parallel", 1, "concurrent neighborhood evaluations")
 		shards   = fs.Int("shards", 0, "blocking shards for -records (0 = one per CPU; -ingest's delta index blocks serially)")
 		maxNbr   = fs.Int("max-neighborhood", 0, "canopy size bound for -records/-ingest (0 = unbounded)")
-		backend  = fs.String("backend", "", "execution backend: "+strings.Join(cem.Backends(), " | ")+" (empty = default pool)")
+		backend  = fs.String("backend", "", "execution backend: pool | sharded (empty = default pool)")
 		bShards  = fs.Int("backend-shards", 0, "in-process worker count for -backend sharded (0 = one per CPU)")
 		wAddrs   = fs.String("worker-addrs", "", "comma-separated emworker addresses (host:port or unix:/path.sock) for the sharded backend's workers; implies -backend sharded")
 		ckptDir  = fs.String("checkpoint-dir", "", "persist a checkpoint after every round to this directory")
@@ -133,12 +133,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 			addrs[i] = strings.TrimSpace(addrs[i])
 		}
 		opts = append(opts, cem.WithBackend(cem.NewShardedNetBackend(0, addrs...)))
-	} else if *backend != "" {
-		b, err := cem.NewBackend(*backend, *bShards)
-		if err != nil {
-			return err
+	} else {
+		switch *backend {
+		case "", "pool":
+		case "sharded":
+			opts = append(opts, cem.WithShardCount(*bShards))
+		default:
+			return fmt.Errorf("unknown backend %q (want pool or sharded)", *backend)
 		}
-		opts = append(opts, cem.WithBackend(b))
 	}
 	if *ckptDir != "" {
 		opts = append(opts, cem.WithCheckpointDir(*ckptDir))

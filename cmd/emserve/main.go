@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer, sigs chan os.Signal, ready cha
 	fs.SetOutput(stderr)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8080", "listen address")
-		state    = fs.String("state", "", "durable state directory (journal + disk store); empty = ephemeral")
+		state    = fs.String("state-dir", "", "durable state directory (journal + disk store); empty = ephemeral")
 		matcher  = fs.String("matcher", "mln", "matcher: "+strings.Join(cem.Matchers(), " | "))
 		scheme   = fs.String("scheme", "smp", "scheme: nomp | smp | mmp (incremental path required)")
 		shards   = fs.Int("shards", 0, "blocking shards for the cold first batch (0 = one per CPU)")
@@ -62,7 +62,6 @@ func run(args []string, stdout, stderr io.Writer, sigs chan os.Signal, ready cha
 		queueCap = fs.Int("queue-cap", 64, "queued ingest requests before producers block (backpressure)")
 		drain    = fs.Duration("drain-timeout", time.Minute, "graceful-shutdown bound; an overrunning drain is aborted (the journal recovers it)")
 	)
-	fs.StringVar(state, "state-dir", "", "alias of -state")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -23,7 +23,7 @@ func startServer(t *testing.T, state string) (base string, sigs chan os.Signal, 
 	errc = make(chan error, 1)
 	out = &bytes.Buffer{}
 	go func() {
-		errc <- run([]string{"-addr", "127.0.0.1:0", "-state", state, "-max-delay", "5ms"},
+		errc <- run([]string{"-addr", "127.0.0.1:0", "-state-dir", state, "-max-delay", "5ms"},
 			out, io.Discard, sigs, ready)
 	}()
 	select {

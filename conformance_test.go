@@ -115,7 +115,7 @@ func (ex execution) run(t *testing.T, exp *cem.Experiment, matcher string, schem
 	t.Helper()
 	placement := ex.opt
 	if placement == nil { // the grid's clock times one run: a fresh backend each
-		b, err := grid.NewBackend(cem.GridConfig{Machines: 4, Seed: 1})
+		b, err := grid.NewBackend(grid.Config{Machines: 4, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -101,6 +101,7 @@ func TestDenseEqualsGeneric(t *testing.T) {
 		if !vanished.Valid() {
 			t.Fatal("fixture has no in-scope non-candidate pair")
 		}
+		mlnM, rulesM := builtins(t, exp)
 		all := make([]int32, exp.Cover.Len())
 		for i := range all {
 			all[i] = int32(i)
@@ -112,8 +113,8 @@ func TestDenseEqualsGeneric(t *testing.T) {
 			generic match.Matcher
 			schemes []string
 		}{
-			{"mln", exp.MLN, pairFormProb{pairForm{exp.MLN}}, []string{"NO-MP", "SMP", "MMP"}},
-			{"rules", exp.Rules, pairForm{exp.Rules}, []string{"NO-MP", "SMP"}},
+			{"mln", mlnM, pairFormProb{pairForm{mlnM}}, []string{"NO-MP", "SMP", "MMP"}},
+			{"rules", rulesM, pairForm{rulesM}, []string{"NO-MP", "SMP"}},
 		} {
 			if _, ok := tc.dense.(core.DenseMatcher); !ok {
 				t.Fatalf("%s: the built-in matcher lost its dense extension", tc.name)

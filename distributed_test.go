@@ -14,9 +14,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 
@@ -163,21 +161,10 @@ func TestDistributedFaultSchedules(t *testing.T) {
 	}
 }
 
-// TestShardedDefaultsToOneWorkerPerCPU: "sharded" is the one sharded
-// backend in the registry, built by the same constructor as
-// NewShardedNetBackend, and with no worker count it spawns one
-// in-process worker per CPU — the rule BackendFactory documents.
+// TestShardedDefaultsToOneWorkerPerCPU: NewShardedNetBackend with no
+// worker count spawns one in-process worker per CPU — the rule it
+// documents for k < 1.
 func TestShardedDefaultsToOneWorkerPerCPU(t *testing.T) {
-	if got := cem.Backends(); !slices.Equal(got, []string{"pool", "sharded"}) {
-		t.Fatalf("Backends() = %v, want [pool sharded]", got)
-	}
-	three, err := cem.NewBackend("sharded", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(three, cem.NewShardedNetBackend(3)) {
-		t.Errorf(`NewBackend("sharded", 3) = %#v, want NewShardedNetBackend(3)`, three)
-	}
 
 	exp, err := cem.New(cem.NewDataset(cem.HEPTH, 0.25, 42))
 	if err != nil {
@@ -187,13 +174,10 @@ func TestShardedDefaultsToOneWorkerPerCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cem.NewBackend("sharded", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := cem.NewShardedNetBackend(0)
 	nb, ok := b.(*emnet.Backend)
 	if !ok {
-		t.Fatalf(`NewBackend("sharded", 0) is a %T, want *net.Backend`, b)
+		t.Fatalf("NewShardedNetBackend(0) is a %T, want *net.Backend", b)
 	}
 	local := emnet.LocalSpawner(workerConfig(exp, runner), "SMP", emnet.WorkerOptions{})
 	slots := map[int]bool{} // the coordinator spawns from one goroutine

@@ -60,6 +60,7 @@ func TestEvidenceContract(t *testing.T) {
 	if foreign.Len() == 0 {
 		t.Fatal("fixture has no foreign pair")
 	}
+	mlnM, rulesM := builtins(t, exp)
 	all := make([]match.EntityID, exp.Dataset.NumRefs())
 	for i := range all {
 		all[i] = match.EntityID(i)
@@ -70,8 +71,8 @@ func TestEvidenceContract(t *testing.T) {
 		matcher match.Matcher
 		scheme  string
 	}{
-		{"mln", exp.MLN, "MMP"},
-		{"rules", exp.Rules, "SMP"},
+		{"mln", mlnM, "MMP"},
+		{"rules", rulesM, "SMP"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := core.Config{Cover: exp.Cover, Matcher: tc.matcher, Relation: co}

@@ -483,77 +483,67 @@ func TestUpdateStaleTrailRejected(t *testing.T) {
 	}
 }
 
-// TestRunFromValidation pins the snapshot plumbing's error paths at the
-// public Runner surface.
+// TestRunFromValidation pins what a warm start may continue. A prior is a
+// fixpoint of one matcher under one scheme, so a prior from another
+// matcher or another scheme — like one from another blocking config —
+// forces a cold run on an additive delta, matching the target pipeline's
+// cold Run; and a pipeline whose scheme has no rounds (FULL, UB) has no
+// incremental path at all.
 func TestRunFromValidation(t *testing.T) {
-	small, err := cem.New(cem.NewDataset(cem.DBLP, 0.1, 7))
+	records, err := cem.GenerateRecords(cem.DBLP, 0.25, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := cem.New(cem.NewDataset(cem.DBLP, 0.25, 42))
+	batches := streamBatches(records)
+	union := append(append([]cem.Record(nil), batches[0]...), batches[1]...)
+	pipeline := func(matcher string, s cem.Scheme) *cem.Pipeline {
+		p, err := cem.NewPipeline(cem.WithMatcher(matcher), cem.WithScheme(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	smp := pipeline(cem.MatcherMLN, cem.SchemeSMP)
+	prior, err := smp.Update(context.Background(), nil, batches[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner, err := big.Runner(cem.MatcherMLN)
+	// The control: the prior's own pipeline continues it warm, so the
+	// delta is additive and only the prior's provenance decides below.
+	own, err := smp.Update(context.Background(), prior, batches[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	smallRunner, err := small.Runner(cem.MatcherMLN)
-	if err != nil {
-		t.Fatal(err)
+	if !own.WarmStarted {
+		t.Fatal("the prior's own pipeline ran the delta cold; the fixture's delta is not additive")
 	}
-	res, err := smallRunner.Run(context.Background(), cem.SchemeSMP)
-	if err != nil {
-		t.Fatal(err)
+	for _, target := range []struct {
+		name string
+		pipe *cem.Pipeline
+	}{
+		{"matcher", pipeline(cem.MatcherRules, cem.SchemeSMP)},
+		{"scheme", pipeline(cem.MatcherMLN, cem.SchemeMMP)},
+		{"both", pipeline(cem.MatcherRules, cem.SchemeNoMP)},
+	} {
+		cross, err := target.pipe.Update(context.Background(), prior, batches[1])
+		if err != nil {
+			t.Fatalf("%s: a foreign prior was refused: %v", target.name, err)
+		}
+		if cross.WarmStarted || !cross.ForcedRerun {
+			t.Errorf("%s: foreign prior warm=%v forced=%v, want a forced cold run", target.name, cross.WarmStarted, cross.ForcedRerun)
+		}
+		cold, err := target.pipe.Run(context.Background(), union)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := renderMatches(cross.Result), renderMatches(cold.Result); got != want {
+			t.Errorf("%s: update from a foreign prior diverges from the cold run: %s", target.name, firstDiff(got, want))
+		}
 	}
-	snap, err := small.Snapshot(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := runner.RunFrom(context.Background(), cem.SchemeSMP, nil, nil); err == nil {
-		t.Error("RunFrom accepted a nil snapshot")
-	}
-	if _, err := runner.RunFrom(context.Background(), cem.SchemeFull, snap, nil); err == nil {
-		t.Error("RunFrom accepted FULL (no round structure)")
-	}
-	if _, err := runner.RunFrom(context.Background(), cem.SchemeMMP, snap, nil); err == nil {
-		t.Error("RunFrom accepted a scheme different from the snapshot's")
-	}
-	rules, err := big.Runner(cem.MatcherRules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rules.RunFrom(context.Background(), cem.SchemeSMP, snap, nil); err == nil {
-		t.Error("RunFrom accepted a snapshot from a different matcher")
-	}
-	// Shrinking: a snapshot over MORE entities than the target cover.
-	bigRes, err := runner.Run(context.Background(), cem.SchemeSMP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bigSnap, err := big.Snapshot(bigRes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := smallRunner.RunFrom(context.Background(), cem.SchemeSMP, bigSnap, nil); err == nil {
-		t.Error("RunFrom accepted a snapshot spanning more entities than the cover")
-	}
-	// Over as many entities but more candidates: a cover that only grew
-	// keeps every candidate pair, so this one did not grow from it.
-	forged := *snap
-	forged.Candidates = small.Table.Len() + 1
-	if _, err := smallRunner.RunFrom(context.Background(), cem.SchemeSMP, &forged, nil); err == nil {
-		t.Error("RunFrom accepted a snapshot spanning more candidate pairs than the experiment")
-	}
-	// The happy path: continuing the same experiment with an empty seed
-	// is a no-op that returns the snapshot's own matches.
-	idle, err := smallRunner.RunFrom(context.Background(), cem.SchemeSMP, snap, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !idle.Matches.Equal(res.Matches) {
-		t.Error("empty-seed RunFrom diverges from the snapshot run")
+	for _, s := range []cem.Scheme{cem.SchemeFull, cem.SchemeUB} {
+		if _, err := pipeline(cem.MatcherMLN, s).Update(context.Background(), prior, batches[1]); err == nil {
+			t.Errorf("Update accepted the %s scheme (no incremental path)", s)
+		}
 	}
 }
 
@@ -614,22 +604,31 @@ func TestUpdateAcrossBlockingConfigs(t *testing.T) {
 }
 
 // TestSnapshotRejectsWholeSetSchemes: FULL and UB results have no round
-// structure and cannot seed continuations.
+// structure, so they save no state a pipeline could reopen and continue.
 func TestSnapshotRejectsWholeSetSchemes(t *testing.T) {
-	exp, err := cem.New(cem.NewDataset(cem.DBLP, 0.1, 7))
+	records, err := cem.GenerateRecords(cem.DBLP, 0.1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner, err := exp.Runner(cem.MatcherMLN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := runner.Run(context.Background(), cem.SchemeFull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := exp.Snapshot(res); err == nil {
-		t.Error("Snapshot accepted a FULL result")
+	for _, s := range []cem.Scheme{cem.SchemeFull, cem.SchemeUB} {
+		pipe, err := cem.NewPipeline(cem.WithScheme(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := pipe.Run(context.Background(), records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := cem.OpenStore("mem")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cem.SaveState(st, res, 1); err == nil {
+			t.Errorf("SaveState accepted a %s result", s)
+		}
+		if _, err := cem.StateSeq(st); !errors.Is(err, match.ErrBlobNotFound) {
+			t.Errorf("a refused %s save left state behind: %v", s, err)
+		}
 	}
 }
 

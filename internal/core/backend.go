@@ -107,7 +107,8 @@ func (p *RoundPlan) NewEvidence() *Evidence { return NewEvidence(p.table) }
 // which form the matcher took. The built-in backends are PoolBackend, the
 // sharded coordinator of internal/net (workers with private replicas,
 // in-process or cmd/emworker processes) and internal/grid's simulated
-// clock over the pool.
+// clock over the pool; a cem.Runner runs on the one cem.WithBackend
+// hands it, the pool when none.
 type Backend interface {
 	RunRounds(ctx context.Context, plan *RoundPlan, driver *RoundDriver) error
 }

@@ -148,6 +148,16 @@ func run(exp *cem.Experiment, matcher string, s cem.Scheme, cfg Config, opts ...
 	return r.Run(context.Background(), s)
 }
 
+// mlnOf returns the experiment's built-in MLN matcher — the instance
+// every runner of it naming MatcherMLN shares.
+func mlnOf(exp *cem.Experiment) (*mln.Matcher, error) {
+	r, err := exp.Runner(cem.MatcherMLN)
+	if err != nil {
+		return nil, err
+	}
+	return r.Matcher().(*mln.Matcher), nil
+}
+
 // accuracyTable runs the given schemes with a matcher and tabulates
 // P/R/F1 (figures 3a, 3b, 4a, 4b).
 func accuracyTable(id, title string, kind cem.DatasetKind, matcher string, schemes []cem.Scheme, cfg Config) (*Table, error) {
@@ -297,6 +307,10 @@ func Fig3f(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	m, err := mlnOf(exp)
+	if err != nil {
+		return nil, err
+	}
 	n := exp.Cover.Len()
 	steps := max(2, cfg.Fig3fSteps)
 	t := &Table{
@@ -332,13 +346,13 @@ func Fig3f(cfg Config) (*Table, error) {
 		done := 0
 		for s, k := range ks {
 			for ; done < k; done++ {
-				for _, p := range exp.MLN.Candidates(sets[done]) {
+				for _, p := range m.Candidates(sets[done]) {
 					seen.Add(p)
 				}
 			}
 			prefix := sets[:k]
 			sub := core.NewCover(exp.Cover.NumEntities, prefix)
-			cfgCore := core.Config{Cover: sub, Matcher: exp.MLN, Relation: exp.Dataset.Coauthor()}
+			cfgCore := core.Config{Cover: sub, Matcher: m, Relation: exp.Dataset.Coauthor()}
 
 			// FULL EM over the union of the prefix's entities: one inference
 			// problem spanning all the prefix's matching decisions.
@@ -353,7 +367,7 @@ func Fig3f(cfg Config) (*Table, error) {
 				entities = append(entities, e)
 			}
 			fullStart := time.Now()
-			exp.MLN.Match(entities, nil, nil)
+			m.Match(entities, nil, nil)
 			acc[s].fullWall += time.Since(fullStart)
 			acc[s].fullCost += modeledCost([]int{seen.Len()}, cfg.CostExponent)
 			acc[s].decisions += float64(seen.Len())
@@ -397,11 +411,6 @@ func Table1(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	runner, err := exp.Runner(cem.MatcherMLN, cem.WithParallelism(cfg.Parallelism))
-	if err != nil {
-		return nil, err
-	}
-	ctx := context.Background()
 	// Simulated service times follow the Alchemy-like cost model (the
 	// paper's single-machine runs took hours on DBLP-BIG; our exact
 	// solver is orders of magnitude faster, so measured times would be
@@ -420,21 +429,22 @@ func Table1(cfg Config) (*Table, error) {
 		Title:  fmt.Sprintf("grid running times, DBLP-BIG-like, %d machines", cfg.Machines),
 		Header: []string{"scheme", "single-machine", "grid", "speedup", "rounds", "jobs"},
 	}
-	runs := []struct {
-		name string
-		run  func() (*grid.Result, error)
-	}{
-		{"NO-MP", func() (*grid.Result, error) { return runner.RunGrid(ctx, cem.SchemeNoMP, g) }},
-		{"SMP", func() (*grid.Result, error) { return runner.RunGrid(ctx, cem.SchemeSMP, g) }},
-		{"MMP", func() (*grid.Result, error) { return runner.RunGrid(ctx, cem.SchemeMMP, g) }},
-	}
-	for _, r := range runs {
-		res, err := r.run()
+	for _, s := range []struct {
+		name   string
+		scheme cem.Scheme
+	}{{"NO-MP", cem.SchemeNoMP}, {"SMP", cem.SchemeSMP}, {"MMP", cem.SchemeMMP}} {
+		// A fresh grid per scheme: its clock accumulates over the run.
+		b, err := grid.NewBackend(g)
 		if err != nil {
 			return nil, err
 		}
+		raw, err := run(exp, cem.MatcherMLN, s.scheme, cfg, cem.WithBackend(b))
+		if err != nil {
+			return nil, err
+		}
+		res := b.Result(raw.Result)
 		t.Rows = append(t.Rows, []string{
-			r.name,
+			s.name,
 			res.SimulatedSingleTime.Round(time.Millisecond).String(),
 			res.SimulatedGridTime.Round(time.Millisecond).String(),
 			fmt.Sprintf("%.1f", res.Speedup),
@@ -575,7 +585,11 @@ func LearnedWeights(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		learned, err := mln.Learn(train.MLN, train.Cover, train.Truth, mln.DefaultLearnConfig())
+		trainM, err := mlnOf(train)
+		if err != nil {
+			return nil, err
+		}
+		learned, err := mln.Learn(trainM, train.Cover, train.Truth, mln.DefaultLearnConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -586,6 +600,12 @@ func LearnedWeights(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The runs below build their runners on held's cached instance,
+		// so setting its weights reweights them.
+		heldM, err := mlnOf(held)
+		if err != nil {
+			return nil, err
+		}
 		for _, variant := range []struct {
 			name string
 			w    mln.Weights
@@ -593,7 +613,7 @@ func LearnedWeights(cfg Config) (*Table, error) {
 			{"paper", mln.PaperWeights()},
 			{"learned", learned},
 		} {
-			if err := held.MLN.SetWeights(variant.w); err != nil {
+			if err := heldM.SetWeights(variant.w); err != nil {
 				return nil, err
 			}
 			res, err := run(held, cem.MatcherMLN, cem.SchemeSMP, cfg)
@@ -606,7 +626,7 @@ func LearnedWeights(cfg Config) (*Table, error) {
 				fmtF(r.PRF.Precision), fmtF(r.PRF.Recall), fmtF(r.PRF.F1),
 			})
 		}
-		if err := held.MLN.SetWeights(mln.PaperWeights()); err != nil {
+		if err := heldM.SetWeights(mln.PaperWeights()); err != nil {
 			return nil, err
 		}
 	}

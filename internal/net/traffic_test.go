@@ -132,7 +132,11 @@ func TestNetShipsOnlyNewMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hepth := core.Config{Cover: exp.Cover, Matcher: exp.MLN, Relation: exp.Dataset.Coauthor()}
+	runner, err := exp.Runner(cem.MatcherMLN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hepth := core.Config{Cover: exp.Cover, Matcher: runner.Matcher(), Relation: exp.Dataset.Coauthor()}
 	// Shipped and unfiltered match keys per scheme, whatever the worker
 	// count: every partition runs against the round-start snapshot.
 	pinned := map[string][2]int{"SMP": {3346, 11351}, "MMP": {3326, 7974}}

@@ -57,8 +57,8 @@ type Config struct {
 	// reopens the stored state and replays only the journaled batches past
 	// it. Empty = ephemeral.
 	StateDir string
-	// Store names the registered storage backend (cem.Stores) opened
-	// under StateDir/store; empty means "disk". Requires StateDir.
+	// Store names the built-in store (cem.OpenStore: "mem" or "disk")
+	// opened under StateDir/store; empty means "disk". Requires StateDir.
 	Store string
 
 	// Batching bounds the ingest batcher (see BatcherConfig).

@@ -615,12 +615,12 @@ func rekeyed(keys []match.PairKey) []uint64 {
 }
 
 // TestServiceStoreConfigValidation pins the config failure modes: a
-// store without a state directory, and an unregistered backend name.
+// store without a state directory, and an unknown store name.
 func TestServiceStoreConfigValidation(t *testing.T) {
 	if _, err := New(context.Background(), Config{Store: "disk"}); err == nil {
 		t.Fatal("New accepted a store without a state directory")
 	}
 	if _, err := New(context.Background(), Config{StateDir: t.TempDir(), Store: "bogus"}); err == nil {
-		t.Fatal("New accepted an unregistered store name")
+		t.Fatal("New accepted an unknown store name")
 	}
 }

@@ -12,10 +12,6 @@ import (
 	"sync"
 )
 
-func init() {
-	Register("disk", func(o Options) (Store, error) { return OpenDisk(o) })
-}
-
 // Disk is the log-structured on-disk store: evidence lives in
 // append-only segment files (ev-NNNNNNNN.seg, see segment.go) under the
 // root directory, blobs under blob/<kind>/<name>. The segments are a

@@ -6,10 +6,6 @@ import (
 	"sync"
 )
 
-func init() {
-	Register("mem", func(o Options) (Store, error) { return NewMem(), nil })
-}
-
 // Mem is the in-memory store: process maps behind the Store interface,
 // and the reference implementation the disk store is differentially
 // tested against. State dies with the process; a service on a mem store

@@ -12,10 +12,10 @@
 // engine's checkpoint trail are committed and recovered through it, and
 // nothing else in the module renames, fsyncs or quarantines a file.
 //
-// Stores register by name (database/sql style); third-party
-// implementations use the aliases exported by the public match package
-// and never import internal packages. Keys are plain packed pair keys
-// (uint64, high half A, low half B, A < B) — the same representation
+// Open builds a store by name, "mem" or "disk"; any other implementation
+// of Store (aliased by the public match package as match.Store) is handed
+// to the engine as a value. Keys are plain packed pair keys (uint64, high
+// half A, low half B, A < B) — the same representation
 // internal/wire speaks — so the package imports nothing of the engine
 // but internal/wire, and the engine (internal/core) imports it.
 package store
@@ -23,8 +23,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 )
 
 // ErrNotFound reports a blob lookup that matched nothing.
@@ -44,7 +42,8 @@ const KindSnapshot = "snapshot"
 // pair keys. Implementations must be safe for concurrent readers with one
 // writer.
 type Store interface {
-	// Name returns the registry name the store was opened under.
+	// Name returns the store's name ("mem", "disk", or an
+	// implementation's own).
 	Name() string
 
 	// PutEvidence appends one batch of evidence keys. Keys must be
@@ -114,58 +113,20 @@ func WithLog(logf func(format string, args ...any)) Option {
 	return func(o *Options) { o.Logf = logf }
 }
 
-// Factory opens a store from resolved options.
-type Factory func(Options) (Store, error)
-
-var (
-	regMu     sync.RWMutex
-	factories = map[string]Factory{}
-)
-
-// Register makes a store implementation available under name. It
-// panics if name is empty, factory is nil, or name is already taken —
-// registration happens from init functions, where a conflict is a
-// programming error (database/sql.Register semantics).
-func Register(name string, factory Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if name == "" {
-		panic("store: Register with empty name")
-	}
-	if factory == nil {
-		panic("store: Register with nil factory for " + name)
-	}
-	if _, dup := factories[name]; dup {
-		panic("store: Register called twice for " + name)
-	}
-	factories[name] = factory
-}
-
-// Names returns the registered store names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(factories))
-	for name := range factories {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Open builds the named store with the given options.
+// Open builds the named store — "mem" or "disk" — with the given
+// options; any other name is refused.
 func Open(name string, opts ...Option) (Store, error) {
-	regMu.RLock()
-	factory, ok := factories[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("store: unknown store %q (registered: %v)", name, Names())
-	}
 	var o Options
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return factory(o)
+	switch name {
+	case "mem":
+		return NewMem(), nil
+	case "disk":
+		return OpenDisk(o)
+	}
+	return nil, fmt.Errorf("store: unknown store %q (want mem or disk)", name)
 }
 
 // Keys collects the full evidence set of a store as a sorted slice —

@@ -29,11 +29,14 @@ func sortedKeys(rng *rand.Rand, n int) []uint64 {
 	return keys
 }
 
-// openEach builds one instance of every registered store for a test.
+// storeNames are the stores Open builds.
+var storeNames = []string{"mem", "disk"}
+
+// openEach builds one instance of every built-in store for a test.
 func openEach(t *testing.T) map[string]Store {
 	t.Helper()
 	stores := map[string]Store{}
-	for _, name := range Names() {
+	for _, name := range storeNames {
 		s, err := Open(name, WithDir(filepath.Join(t.TempDir(), name)), WithBlockKeys(64), WithCompactEvery(4))
 		if err != nil {
 			t.Fatalf("Open(%q): %v", name, err)
@@ -44,43 +47,23 @@ func openEach(t *testing.T) map[string]Store {
 	return stores
 }
 
+// TestRegistryHasBothBackends: Open builds exactly the two built-ins, each
+// under its own name, and refuses every other name.
 func TestRegistryHasBothBackends(t *testing.T) {
-	names := Names()
-	want := map[string]bool{"mem": false, "disk": false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
+	for name, s := range openEach(t) {
+		if s.Name() != name {
+			t.Errorf("Open(%q) built a store named %q", name, s.Name())
 		}
 	}
-	for n, seen := range want {
-		if !seen {
-			t.Fatalf("registry %v is missing %q", names, n)
+	for _, name := range []string{"", "no-such-store", "Disk", "sharded"} {
+		if _, err := Open(name, WithDir(t.TempDir())); err == nil {
+			t.Errorf("Open(%q) succeeded", name)
 		}
-	}
-	if _, err := Open("no-such-store"); err == nil {
-		t.Fatal("Open of unknown store succeeded")
-	}
-}
-
-func TestRegisterPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"empty name":  func() { Register("", func(Options) (Store, error) { return NewMem(), nil }) },
-		"nil factory": func() { Register("x-nil", nil) },
-		"duplicate":   func() { Register("mem", func(Options) (Store, error) { return NewMem(), nil }) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Register with %s did not panic", name)
-				}
-			}()
-			fn()
-		}()
 	}
 }
 
 // TestStoreConformance runs the same API contract against every
-// registered backend.
+// built-in store.
 func TestStoreConformance(t *testing.T) {
 	for name, s := range openEach(t) {
 		t.Run(name, func(t *testing.T) {

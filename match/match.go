@@ -137,8 +137,9 @@ type ProgressEvent = core.ProgressEvent
 // merge, message promotion, re-activation, checkpointing). Built-in
 // backends: the shared-memory worker pool (default) and the
 // shard-partitioned backend exchanging serialized evidence deltas.
-// Select one with cem.WithBackend or cem.NewBackend; custom backends
-// drive the RoundDriver's Evaluate/Reduce/EndRound cycle.
+// A run takes one through cem.WithBackend (cem.NewShardedNetBackend and
+// cem.WithShardCount build the sharded one) and the pool otherwise;
+// custom backends drive the RoundDriver's Evaluate/Reduce/EndRound cycle.
 type Backend = core.Backend
 
 // RoundPlan is the immutable description of a round-based run handed to

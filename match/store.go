@@ -3,29 +3,22 @@ package match
 import "repro/internal/store"
 
 // Storage-layer aliases. Third-party Store implementations are written
-// against these (plus cem.RegisterStore) and never import repro/internal
-// — the same arrangement the Matcher and Backend aliases above provide
-// for matchers and executors.
+// against these and never import repro/internal — the same arrangement the
+// Matcher and Backend aliases above provide for matchers and executors.
 
 // Store is the engine's persistence boundary for completed state: named
 // blobs — cem.SaveState writes one per commit, the run snapshot followed
 // by the blocking postings, and cem.Pipeline.Reopen reads it back — plus
 // an evidence-set API (packed pair keys) the engine itself does not
-// write. Register implementations with cem.RegisterStore; the built-ins
-// are "mem" (process maps) and "disk" (files committed through one
-// durable protocol).
+// write. cem.OpenStore opens the built-ins, "mem" (process maps) and
+// "disk" (files committed through one durable protocol); SaveState and
+// Reopen take any implementation as a value.
 type Store = store.Store
 
-// StoreOptions is the resolved open-time configuration a StoreFactory
-// receives.
-type StoreOptions = store.Options
-
-// StoreOption mutates StoreOptions — the functional options accepted by
-// cem.OpenStore (cem.WithStoreDir and friends build them).
+// StoreOption configures a built-in store at open time — the functional
+// options accepted by cem.OpenStore (cem.WithStoreDir and friends build
+// them).
 type StoreOption = store.Option
-
-// StoreFactory opens a Store from resolved options.
-type StoreFactory = store.Factory
 
 // ErrBlobNotFound reports a Store blob lookup that matched nothing.
 var ErrBlobNotFound = store.ErrNotFound

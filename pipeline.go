@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -377,11 +378,10 @@ func (p *Pipeline) result(out *PipelineResult, labeled bool, ingested int) *Pipe
 // record is labeled; unlabeled streams skip them without error. Schemes
 // without round structure (FULL, UB) have no incremental path.
 //
-// A prior produced under a different blocking configuration is detected
-// (its evidence is another cover's fixpoint) and likewise forces a cold
-// run; matcher and experiment options are NOT fingerprinted — hand a
-// prior only to Pipelines sharing them (the matcher name itself is
-// checked by the snapshot plumbing).
+// A prior produced under a different blocking configuration, matcher or
+// scheme is detected (its evidence is another run's fixpoint) and likewise
+// forces a cold run; runner options are NOT fingerprinted — hand a prior
+// only to Pipelines sharing them.
 func (p *Pipeline) Update(ctx context.Context, prior *PipelineResult, newRecords []Record) (*PipelineResult, error) {
 	if len(newRecords) == 0 {
 		return nil, fmt.Errorf("cem: pipeline update: no new records")
@@ -421,24 +421,25 @@ func (p *Pipeline) Update(ctx context.Context, prior *PipelineResult, newRecords
 	blockingTime := time.Since(start)
 
 	start = time.Now()
-	var res *Result
-	if prior == nil || !delta.Additive || prior.blocking != p.blocking {
-		// First batch; or the delta rearranged existing neighborhoods (a
-		// total-cover boundary member moved, shrinking some set relative
-		// to its predecessor); or the prior was produced under a
-		// different blocking configuration (its evidence is another
-		// cover's fixpoint): prior evidence is no longer guaranteed to
-		// be re-derivable from scratch, so a full cold run is forced.
-		// The streaming blocking state still carries over — later
-		// additive batches warm-start again.
-		res, err = runner.Run(ctx, p.scheme)
-	} else {
-		snap, serr := prior.Experiment.Snapshot(prior.Result)
-		if serr != nil {
-			return nil, serr
+	// A cold run unless the prior's evidence is a fixpoint this run can
+	// continue: on the first batch; when the delta rearranged existing
+	// neighborhoods (a total-cover boundary member moved, shrinking some
+	// set relative to its predecessor); or when the prior came from
+	// another blocking configuration, matcher or scheme, prior evidence is
+	// no longer guaranteed to be re-derivable from scratch, so a full cold
+	// run is forced. The streaming blocking state still carries over —
+	// later additive batches warm-start again.
+	warm := prior != nil && delta.Additive && prior.blocking == p.blocking &&
+		prior.Matcher == p.matcher && prior.Scheme == coreScheme(p.scheme)
+	var seed *core.WarmStart
+	if warm {
+		seed = &core.WarmStart{
+			Evidence: slices.Collect(maps.Keys(prior.evidence())),
+			Messages: prior.Messages,
+			Active:   affectedByDelta(exp, prior.Experiment, delta),
 		}
-		res, err = runner.RunFrom(ctx, p.scheme, snap, affectedByDelta(exp, prior.Experiment, delta))
 	}
+	res, err := runner.run(ctx, p.scheme, seed, false)
 	if err != nil {
 		return nil, err
 	}
@@ -448,8 +449,8 @@ func (p *Pipeline) Update(ctx context.Context, prior *PipelineResult, newRecords
 		Experiment:   exp,
 		BlockingTime: blockingTime,
 		MatchingTime: time.Since(start),
-		WarmStarted:  prior != nil && delta.Additive && prior.blocking == p.blocking,
-		ForcedRerun:  prior != nil && !(delta.Additive && prior.blocking == p.blocking),
+		WarmStarted:  warm,
+		ForcedRerun:  prior != nil && !warm,
 		records:      records,
 		index:        index,
 	}, labeled, len(newRecords))

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	cem "repro"
+	"repro/internal/grid"
 )
 
 // TestPipelineShardedIdenticalToSerial is the acceptance check: on the
@@ -307,30 +308,38 @@ func TestPipelineCancellation(t *testing.T) {
 }
 
 // TestRunGridSurfacesConfigErrors: an invalid grid configuration is an
-// error from the public API, not a panic deep in internal/grid.
+// error where the grid backend is built, before any run, and a valid one
+// runs as a WithBackend placement.
 func TestRunGridSurfacesConfigErrors(t *testing.T) {
 	exp, err := cem.New(cem.NewDataset(cem.DBLP, 0.15, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner, err := exp.Runner(cem.MatcherRules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []cem.GridConfig{
+	for _, bad := range []grid.Config{
 		{Machines: 0},
 		{Machines: -3},
 		{Machines: 4, RoundOverhead: -time.Second},
 		{Machines: 4, Workers: -1},
 	} {
-		if _, err := runner.RunGrid(context.Background(), cem.SchemeSMP, bad); err == nil {
+		if _, err := grid.NewBackend(bad); err == nil {
 			t.Errorf("invalid grid config %+v accepted", bad)
 		}
 	}
 	// A valid config still works.
-	if _, err := runner.RunGrid(context.Background(), cem.SchemeSMP,
-		cem.GridConfig{Machines: 4, Seed: 1}); err != nil {
-		t.Errorf("valid grid config rejected: %v", err)
+	b, err := grid.NewBackend(grid.Config{Machines: 4, Seed: 1})
+	if err != nil {
+		t.Fatalf("valid grid config rejected: %v", err)
+	}
+	runner, err := exp.Runner(cem.MatcherRules, cem.WithBackend(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runner.Run(context.Background(), cem.SchemeSMP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := b.Result(res.Result); g.JobsRun != res.Stats.Evaluations {
+		t.Errorf("grid ran %d jobs for %d evaluations", g.JobsRun, res.Stats.Evaluations)
 	}
 }
 

@@ -112,16 +112,11 @@ func lookupMatcher(name string) (MatcherFactory, bool) {
 	return f, ok
 }
 
-// NewPoolBackend returns the default execution backend: rounds mapped
-// on an in-process worker pool over shared memory, with the worker count
-// taken from WithParallelism.
-func NewPoolBackend() match.Backend { return core.PoolBackend{} }
-
 // NewShardedNetBackend returns the sharded execution backend
-// (registered as "sharded"; WithShardCount(k) is shorthand for it with no
-// addresses): a coordinator owning the central reduce plus k workers,
-// each evaluating neighborhood i mod k against a private evidence replica
-// and speaking the wire codec over framed streams. With no addrs the
+// (WithShardCount(k) is shorthand for it with no addresses): a
+// coordinator owning the central reduce plus k workers, each evaluating
+// neighborhood i mod k against a private evidence replica and speaking
+// the wire codec over framed streams. With no addrs the
 // workers run in-process over pipes (every byte still crosses the codec),
 // one per CPU for k < 1; addrs attach cmd/emworker processes instead, one
 // slot per address ("host:port" or "unix:/path.sock"), and k is ignored.
@@ -137,68 +132,9 @@ func NewShardedNetBackend(k int, addrs ...string) match.Backend {
 	return &emnet.Backend{Workers: k, Addrs: addrs}
 }
 
-// BackendFactory builds an execution backend. shards is the partition
-// count for partitioned backends (< 1 means one per CPU); backends
-// without partitions ignore it.
-type BackendFactory func(shards int) (match.Backend, error)
-
-var (
-	backendMu       sync.RWMutex
-	backendRegistry = map[string]BackendFactory{}
-)
-
-// RegisterBackend makes an execution backend available by name (to
-// WithBackend call sites that select backends from configuration, and
-// to the emmatch -backend flag). Like RegisterMatcher it panics on an
-// empty name, a nil factory, or a duplicate registration.
-func RegisterBackend(name string, factory BackendFactory) {
-	if name == "" {
-		panic("cem: RegisterBackend with empty name")
-	}
-	if factory == nil {
-		panic("cem: RegisterBackend with nil factory for " + name)
-	}
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	if _, dup := backendRegistry[name]; dup {
-		panic("cem: RegisterBackend called twice for " + name)
-	}
-	backendRegistry[name] = factory
-}
-
-// Backends returns the sorted names of all registered execution
-// backends.
-func Backends() []string {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	names := make([]string, 0, len(backendRegistry))
-	for name := range backendRegistry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// NewBackend builds a registered backend by name.
-func NewBackend(name string, shards int) (match.Backend, error) {
-	backendMu.RLock()
-	factory, ok := backendRegistry[name]
-	backendMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("cem: unknown backend %q (registered: %v)", name, Backends())
-	}
-	return factory(shards)
-}
-
-// The built-in matchers and backends register through the same public
-// path as third-party ones.
+// The built-in matchers register through the same public path as
+// third-party ones.
 func init() {
-	RegisterBackend("pool", func(int) (match.Backend, error) {
-		return NewPoolBackend(), nil
-	})
-	RegisterBackend("sharded", func(shards int) (match.Backend, error) {
-		return NewShardedNetBackend(shards), nil
-	})
 	RegisterMatcher(MatcherMLN, func(mc MatcherContext) (match.Matcher, error) {
 		t, levels, err := mc.grounding()
 		if err != nil {
@@ -211,6 +147,6 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return rules.Ground(mc.Dataset, t, levels, nil, mc.Options.Rules)
+		return rules.Ground(mc.Dataset, t, levels, nil, rules.PaperRules())
 	})
 }

@@ -16,6 +16,8 @@ import (
 	"testing"
 
 	cem "repro"
+	"repro/internal/canopy"
+	"repro/internal/rules"
 	"repro/match"
 )
 
@@ -39,6 +41,20 @@ func loadProgram(t testing.TB, path string) string {
 		t.Fatalf("loading %s: %v", path, err)
 	}
 	programs[path] = name
+	return name
+}
+
+// registerHand registers, once per name, a matcher grounding the
+// hand-written rule program rs, and returns the name.
+func registerHand(name string, rs []match.Rule) string {
+	programsMu.Lock()
+	defer programsMu.Unlock()
+	if _, ok := programs[name]; !ok {
+		cem.RegisterMatcher(name, func(mc cem.MatcherContext) (match.Matcher, error) {
+			return rules.Ground(mc.Dataset, mc.Table, canopy.Levels(mc.Candidates), nil, rs)
+		})
+		programs[name] = name
+	}
 	return name
 }
 
@@ -134,7 +150,7 @@ func TestLoadRulesFile(t *testing.T) {
 func TestRulesFileDifferential(t *testing.T) {
 	progs := []struct {
 		file   string
-		rules  []match.Rule // nil = the engine's default (PaperRules)
+		rules  []match.Rule // nil = the built-in rules matcher (PaperRules)
 		pinned bool         // also compare against the <ds>-rules-<scheme>.golden fixtures
 	}{
 		{"paper.rules", nil, true},
@@ -161,15 +177,15 @@ func TestRulesFileDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var handOpts []cem.Option
+			hand := cem.MatcherRules
 			if prog.rules != nil {
-				handOpts = append(handOpts, cem.WithRules(prog.rules))
+				hand = registerHand("hand-"+prog.file, prog.rules)
 			}
-			handExp, err := cem.New(d, handOpts...)
+			handExp, err := cem.New(d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			handRunner, err := handExp.Runner(cem.MatcherRules)
+			handRunner, err := handExp.Runner(hand)
 			if err != nil {
 				t.Fatal(err)
 			}

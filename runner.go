@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/grid"
 	"repro/match"
 )
 
@@ -21,10 +20,18 @@ type Result struct {
 	Closed bool
 
 	// preClosure is the raw match set before transitive closure was
-	// applied (nil when Closed is false). Snapshots seed continuations
-	// from it: the engine's internal evidence is always the unclosed
-	// set, and closure re-composes at the end of every run.
+	// applied (nil when Closed is false). Warm starts and saved state
+	// take the evidence from it: the engine's internal evidence is always
+	// the unclosed set, and closure re-composes at the end of every run.
 	preClosure match.PairSet
+}
+
+// evidence returns the result's raw (pre-closure) match set.
+func (r *Result) evidence() match.PairSet {
+	if r.preClosure != nil {
+		return r.preClosure
+	}
+	return r.Matches
 }
 
 // Runner executes schemes for one experiment with one matcher under a
@@ -37,7 +44,6 @@ type Runner struct {
 	parallelism int
 	negative    match.PairSet
 	progress    func(match.ProgressEvent)
-	stats       func(match.RunStats)
 	closure     bool
 	backend     match.Backend
 	ckptDir     string
@@ -60,12 +66,6 @@ func WithParallelism(n int) RunnerOption {
 // scheduling path.
 func WithProgress(fn func(match.ProgressEvent)) RunnerOption {
 	return func(r *Runner) { r.progress = fn }
-}
-
-// WithStats installs a callback that receives the run statistics after
-// every completed Run.
-func WithStats(fn func(match.RunStats)) RunnerOption {
-	return func(r *Runner) { r.stats = fn }
 }
 
 // WithTransitiveClosure applies the transitive closure to the match set
@@ -173,7 +173,7 @@ func coreScheme(s Scheme) string {
 // shared-memory pool unless WithBackend says otherwise); FULL and UB are
 // single whole-set matcher calls.
 func (r *Runner) Run(ctx context.Context, s Scheme) (*Result, error) {
-	return r.run(ctx, s, r.backend, nil, false)
+	return r.run(ctx, s, nil, false)
 }
 
 // Resume continues a previous checkpointed run of scheme s from the
@@ -191,13 +191,13 @@ func (r *Runner) Resume(ctx context.Context, s Scheme) (*Result, error) {
 	if coreScheme(s) == "" {
 		return nil, fmt.Errorf("cem: scheme %q does not checkpoint (no round structure)", s)
 	}
-	return r.run(ctx, s, r.backend, nil, true)
+	return r.run(ctx, s, nil, true)
 }
 
 // run is the one execution path: a round scheme goes to the engine's
-// round driver on backend b (nil means the pool), cold or from a warm
-// seed; FULL and UB are whole-set calls. Every result is sealed.
-func (r *Runner) run(ctx context.Context, s Scheme, b match.Backend, warm *core.WarmStart, resume bool) (*Result, error) {
+// round driver on the runner's backend (nil means the pool), cold or from
+// a warm seed; FULL and UB are whole-set calls. Every result is sealed.
+func (r *Runner) run(ctx context.Context, s Scheme, warm *core.WarmStart, resume bool) (*Result, error) {
 	cfg := r.coreConfig()
 	var (
 		raw *core.Result
@@ -205,6 +205,7 @@ func (r *Runner) run(ctx context.Context, s Scheme, b match.Backend, warm *core.
 	)
 	switch cs := coreScheme(s); {
 	case cs != "":
+		b := r.backend
 		if b == nil {
 			b = core.PoolBackend{}
 		}
@@ -223,86 +224,13 @@ func (r *Runner) run(ctx context.Context, s Scheme, b match.Backend, warm *core.
 	return r.seal(raw), nil
 }
 
-// seal applies the runner's post-processing (transitive closure, stats
-// callback) to a raw engine result and wraps it with provenance.
+// seal applies the runner's post-processing (transitive closure) to a raw
+// engine result and wraps it with provenance.
 func (r *Runner) seal(raw *core.Result) *Result {
 	res := &Result{Result: raw, Matcher: r.name, Closed: r.closure}
 	if r.closure {
 		res.preClosure = raw.Matches
 		raw.Matches = r.exp.TransitiveClosure(raw.Matches)
 	}
-	if r.stats != nil {
-		r.stats(raw.Stats)
-	}
 	return res
-}
-
-// RunFrom executes scheme s as a warm-started continuation: the run is
-// seeded with a prior snapshot's evidence and outstanding maximal
-// messages, and only the neighborhoods in activeSeed (plus whatever
-// their new matches re-activate) are evaluated — the incremental
-// counterpart of Run after records were ingested on top of the snapshot
-// run. The snapshot may come from a smaller experiment: its entity
-// space must embed into the current cover's (ids stable, only appended),
-// which is exactly what Pipeline.Update guarantees.
-//
-// The continuation runs on the runner's backend like any other run. With
-// WithCheckpointDir the seed itself is persisted as the trail's first
-// record, so a killed continuation resumes through the ordinary
-// Runner.Resume path. For
-// well-behaved delta-monotone matchers the result is identical to a
-// cold Run over the grown experiment (see the incremental differential
-// harness); schemes without round structure (FULL, UB) have no
-// incremental path and are rejected.
-func (r *Runner) RunFrom(ctx context.Context, s Scheme, snap *Snapshot, activeSeed []int32) (*Result, error) {
-	if snap == nil {
-		return nil, fmt.Errorf("cem: RunFrom requires a snapshot (use Run for cold runs)")
-	}
-	if coreScheme(s) == "" {
-		return nil, fmt.Errorf("cem: scheme %q has no incremental path (no round structure)", s)
-	}
-	if snap.Scheme != "" && snap.Scheme != s {
-		return nil, fmt.Errorf("cem: snapshot was taken from scheme %q, continuing %q", snap.Scheme, s)
-	}
-	if snap.Matcher != "" && snap.Matcher != r.name {
-		return nil, fmt.Errorf("cem: snapshot was produced by matcher %q, continuing with %q", snap.Matcher, r.name)
-	}
-	if snap.Entities > r.exp.Cover.NumEntities {
-		return nil, fmt.Errorf("cem: snapshot spans %d entities but the cover holds %d (snapshots only embed into grown experiments)",
-			snap.Entities, r.exp.Cover.NumEntities)
-	}
-	if snap.Candidates > r.exp.Table.Len() {
-		return nil, fmt.Errorf("cem: snapshot spans %d candidate pairs but the experiment holds %d (snapshots only embed into grown experiments)",
-			snap.Candidates, r.exp.Table.Len())
-	}
-	warm := &core.WarmStart{Evidence: snap.Evidence, Messages: snap.Messages, Active: activeSeed}
-	return r.run(ctx, s, r.backend, warm, false)
-}
-
-// GridConfig configures the simulated grid executor (§6.3). Aliased so
-// external modules can build one without importing internal packages.
-type GridConfig = grid.Config
-
-// GridResult is the outcome of a simulated-grid run.
-type GridResult = grid.Result
-
-// RunGrid executes one scheme with the simulated grid (§6.3) as the
-// backend: the engine's own parallel rounds, timed on a simulated
-// G-machine clock. It is a Run in every other respect — the runner's
-// options (stats, progress, closure, checkpoints) all apply. An
-// invalid configuration (e.g. zero machines) is reported as an error up
-// front.
-func (r *Runner) RunGrid(ctx context.Context, s Scheme, gcfg GridConfig) (*GridResult, error) {
-	b, err := grid.NewBackend(gcfg)
-	if err != nil {
-		return nil, fmt.Errorf("cem: grid config: %w", err)
-	}
-	if coreScheme(s) == "" {
-		return nil, fmt.Errorf("cem: scheme %q not supported on the grid", s)
-	}
-	res, err := r.run(ctx, s, b, nil, false)
-	if err != nil {
-		return nil, err
-	}
-	return b.Result(res.Result), nil
 }

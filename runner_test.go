@@ -205,18 +205,16 @@ func TestContextCancellationAbortsMMP(t *testing.T) {
 	}
 }
 
-// TestRunnerOptions exercises WithStats, WithProgress,
-// WithTransitiveClosure and WithNegativeEvidence end to end.
+// TestRunnerOptions exercises WithProgress, WithTransitiveClosure and
+// WithNegativeEvidence end to end.
 func TestRunnerOptions(t *testing.T) {
 	exp, err := cem.New(cem.NewDataset(cem.DBLP, 0.2, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats []match.RunStats
 	var events []match.ProgressEvent
 	runner, err := exp.Runner(cem.MatcherRules,
 		cem.WithTransitiveClosure(),
-		cem.WithStats(func(s match.RunStats) { stats = append(stats, s) }),
 		cem.WithProgress(func(e match.ProgressEvent) { events = append(events, e) }),
 	)
 	if err != nil {
@@ -232,11 +230,11 @@ func TestRunnerOptions(t *testing.T) {
 	if !exp.TransitiveClosure(res.Matches).Equal(res.Matches) {
 		t.Error("closed result is not transitively closed")
 	}
-	if len(stats) != 1 || stats[0].Evaluations == 0 {
-		t.Errorf("stats callback: %+v", stats)
+	if res.Stats.Evaluations == 0 {
+		t.Errorf("run stats: %+v", res.Stats)
 	}
-	if len(events) != stats[0].Evaluations {
-		t.Errorf("%d progress events for %d evaluations", len(events), stats[0].Evaluations)
+	if len(events) != res.Stats.Evaluations {
+		t.Errorf("%d progress events for %d evaluations", len(events), res.Stats.Evaluations)
 	}
 
 	// Negative evidence suppresses the negated pairs in the output.

@@ -8,24 +8,13 @@ import (
 // Storage backends. A Store is where a completed run's state lives: the
 // state blob (snapshot, then blocking postings) SaveState writes and
 // Pipeline.Reopen restarts from, so a restarted service reopens its state
-// instead of replaying work. The "mem" store keeps blobs in process maps;
-// the "disk" store commits them to files. Open one with OpenStore;
-// register third-party implementations with RegisterStore.
+// instead of replaying work. SaveState and Reopen take any match.Store;
+// OpenStore opens the two built-ins: "mem" keeps blobs in process maps,
+// "disk" commits them to files.
 
-// RegisterStore makes a storage backend available under name to
-// OpenStore and serve.Config.Store. It panics if name is empty, factory
-// is nil, or name is taken (call it from an init function, like
-// RegisterMatcher).
-func RegisterStore(name string, factory match.StoreFactory) {
-	store.Register(name, factory)
-}
-
-// Stores returns the registered storage backend names, sorted.
-func Stores() []string { return store.Names() }
-
-// OpenStore opens the named storage backend directly — for inspecting
-// state outside a run, or for handing a ready store to SaveState and
-// Pipeline.Reopen. The caller owns Close.
+// OpenStore opens the built-in store name, "mem" or "disk" (any other name
+// is an error) — for inspecting state outside a run, or for handing a
+// ready store to SaveState and Pipeline.Reopen. The caller owns Close.
 func OpenStore(name string, opts ...match.StoreOption) (match.Store, error) {
 	return store.Open(name, opts...)
 }

@@ -40,18 +40,18 @@ func SaveState(s match.Store, res *PipelineResult, seq int) error {
 	if seq < 0 {
 		return fmt.Errorf("cem: SaveState sequence %d is negative", seq)
 	}
-	snap, err := res.Experiment.Snapshot(res.Result)
-	if err != nil {
-		return err
+	if schemeFromCore(res.Scheme) == "" {
+		return fmt.Errorf("cem: SaveState: scheme %q results have no round structure to continue", res.Scheme)
 	}
-	st := &core.State{Evidence: snap.Evidence, Messages: snap.Messages, Header: wire.Checkpoint{
+	cover := res.Experiment.Cover
+	st := &core.State{Evidence: res.evidence().SortedKeys(), Messages: res.Messages, Header: wire.Checkpoint{
 		Scheme:        res.Scheme,
 		Matcher:       res.Matcher,
-		Neighborhoods: snap.Neighborhoods,
-		Entities:      snap.Entities,
+		Neighborhoods: cover.Len(),
+		Entities:      cover.NumEntities,
 		Round:         seq,
 		Done:          true,
-		Visits:        make([]int, snap.Neighborhoods),
+		Visits:        make([]int, cover.Len()),
 	}}
 	data, err := st.Marshal()
 	if err != nil {
@@ -181,4 +181,18 @@ func (p *Pipeline) reopenIndex(ctx context.Context, records []Record, postings [
 		// an error.
 	}
 	return p.rebuildIndex(ctx, records)
+}
+
+// schemeFromCore maps the engine's canonical scheme name back to the
+// public constant ("" for whole-set schemes, which save no state).
+func schemeFromCore(s string) Scheme {
+	switch s {
+	case "NO-MP":
+		return SchemeNoMP
+	case "SMP":
+		return SchemeSMP
+	case "MMP":
+		return SchemeMMP
+	}
+	return ""
 }

@@ -282,13 +282,13 @@ func TestSaveStateWritesOneBlob(t *testing.T) {
 
 // TestStoreStateReopenValidation pins Reopen's failure modes: no saved
 // snapshot, wrong record stream, wrong matcher — and OpenStore's refusal
-// of an unregistered backend.
+// of a name other than "mem" or "disk".
 func TestStoreStateReopenValidation(t *testing.T) {
 	ctx := context.Background()
 	records := storeRecords(t)
 
 	if _, err := cem.OpenStore("bogus"); err == nil {
-		t.Fatal("OpenStore accepted an unregistered name")
+		t.Fatal("OpenStore accepted an unknown name")
 	}
 	empty, err := cem.OpenStore("mem")
 	if err != nil {

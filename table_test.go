@@ -7,8 +7,25 @@ import (
 	"testing"
 
 	cem "repro"
+	"repro/internal/mln"
+	"repro/internal/rules"
 	"repro/match"
 )
+
+// builtins returns the experiment's two built-in matchers: the instances
+// its runners naming them share.
+func builtins(tb testing.TB, exp *cem.Experiment) (*mln.Matcher, *rules.Matcher) {
+	tb.Helper()
+	var ms [2]match.Matcher
+	for i, name := range []string{cem.MatcherMLN, cem.MatcherRules} {
+		r, err := exp.Runner(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ms[i] = r.Matcher()
+	}
+	return ms[0].(*mln.Matcher), ms[1].(*rules.Matcher)
+}
 
 // TestBuiltinsShareOneTable: an experiment has one candidate table. Both
 // built-in matchers and a registered rules program are ground over that
@@ -35,16 +52,17 @@ func TestBuiltinsShareOneTable(t *testing.T) {
 				t.Fatalf("%s: candidate %d is %v, table id %d is %v", when, i, c.Pair, i, exp.Table.Pair(int32(i)))
 			}
 		}
-		matchers := map[string]match.DenseMatcher{"mln": exp.MLN, "rules": exp.Rules, program: named}
+		mlnM, rulesM := builtins(t, exp)
+		matchers := map[string]match.DenseMatcher{"mln": mlnM, "rules": rulesM, program: named}
 		for name, m := range matchers {
 			if m.CandidateTable() != exp.Table {
 				t.Errorf("%s: %s is ground over a table of its own", when, name)
 			}
 		}
-		exp.MLN.PrepareCover(exp.Cover)
+		mlnM.PrepareCover(exp.Cover)
 		scoped := make([][]int32, len(exp.Cover.Sets))
 		for i, set := range exp.Cover.Sets {
-			scoped[i] = exp.MLN.ScopeIDs(set)
+			scoped[i] = mlnM.ScopeIDs(set)
 		}
 		for name, m := range matchers {
 			m.PrepareCover(exp.Cover)
