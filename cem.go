@@ -119,12 +119,6 @@ type Report = eval.Report
 // PRF holds precision, recall and F1 (pairwise or B-cubed).
 type PRF = eval.PRF
 
-// CacheReport is one run's verdict-memo accounting (hits, misses,
-// invalidations), reported in RunStats.Cache by matchers that memoize —
-// the built-in MLN matcher does. Aliased so external modules can read
-// the report without importing internal packages.
-type CacheReport = match.CacheReport
-
 // Options is the experiment configuration the functional Option helpers
 // of New edit; matcher factories read it from MatcherContext.
 type Options struct {

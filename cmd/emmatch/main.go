@@ -336,10 +336,11 @@ func runPipeline(path string, cfg pipelineConfig, stdout io.Writer) error {
 // over Pipeline.Update — delta blocking plus warm-started matching), so
 // the CLI replay and emserve's serving semantics cannot drift. One
 // report is printed per batch, annotated with whether the batch
-// warm-started or forced a full re-run; -v appends the pipeline's
-// cumulative counters at the end of the stream.
+// warm-started or forced a full re-run; -v appends the stream's
+// cumulative counters, as the committer's metrics counted them.
 func runIngest(paths []string, cfg pipelineConfig, stdout io.Writer) error {
 	var committer *serve.Committer
+	m := serve.NewMetrics()
 	for i, path := range paths {
 		path = strings.TrimSpace(path)
 		if path == "" {
@@ -354,7 +355,7 @@ func runIngest(paths []string, cfg pipelineConfig, stdout io.Writer) error {
 			if err != nil {
 				return err
 			}
-			copts := []serve.CommitterOption{}
+			copts := []serve.CommitterOption{serve.WithMetrics(m)}
 			if cfg.store != nil {
 				copts = append(copts, serve.WithStore(cfg.store))
 			}
@@ -377,12 +378,13 @@ func runIngest(paths []string, cfg pipelineConfig, stdout io.Writer) error {
 		cfg.report(stdout, fmt.Sprintf("batch %d/%d %s [%s]", i+1, len(paths), path, mode), res)
 	}
 	if cfg.verbose && committer != nil {
-		s := committer.Pipeline().Stats()
 		fmt.Fprintf(stdout, "cumulative: %d updates (%d cold, %d warm, %d forced), %d matcher calls over %d records\n",
-			s.Updates, s.ColdStarts, s.WarmStarted, s.ForcedReruns, s.MatcherCalls, s.RecordsIngested)
-		if lookups := s.CacheHits + s.CacheMisses + s.CacheInvalidations; lookups > 0 {
+			m.CommittedBatches.Value(), m.UpdatesCold.Value(), m.UpdatesWarm.Value(), m.UpdatesForced.Value(),
+			m.MatcherCalls.Value(), m.CommittedRecords.Value())
+		hits, invals := m.MemoHits.Value(), m.MemoInvals.Value()
+		if lookups := hits + m.MemoMisses.Value() + invals; lookups > 0 {
 			fmt.Fprintf(stdout, "verdict memo: %d hits / %d lookups (%.0f%% hit rate, %d invalidations)\n",
-				s.CacheHits, lookups, 100*float64(s.CacheHits)/float64(lookups), s.CacheInvalidations)
+				hits, lookups, 100*float64(hits)/float64(lookups), invals)
 		}
 	}
 	return nil

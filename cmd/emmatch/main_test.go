@@ -2,8 +2,11 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -204,14 +207,44 @@ func TestIngestReplaysStream(t *testing.T) {
 		t.Errorf("ingest output reports no incremental batches:\n%s", out)
 	}
 	if !strings.Contains(out, "cumulative: 3 updates (1 cold,") {
-		t.Errorf("-v output lacks the cumulative pipeline counters:\n%s", out)
+		t.Errorf("-v output lacks the cumulative counters:\n%s", out)
 	}
-
-	// The stream must land on the cold pipeline's match count.
 	records, err := cem.GenerateRecords(cem.DBLP, 0.1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// The cumulative line is the sum of the per-batch reports: its
+	// matcher calls add up the batches' stats lines, its record count is
+	// the stream length, and the verdict memo's hits add up theirs.
+	sum := func(re string) (total int) {
+		for _, m := range regexp.MustCompile(re).FindAllStringSubmatch(out, -1) {
+			n, _ := strconv.Atoi(m[1])
+			total += n
+		}
+		return total
+	}
+	calls, hits := sum(`(?m)^stats: .* calls=(\d+) `), sum(`(?m)^stats: .* cacheHits=(\d+) `)
+	var updates, colds, warm, forced, cumCalls, cumRecords int
+	if _, err := fmt.Sscanf(out[strings.Index(out, "cumulative: "):],
+		"cumulative: %d updates (%d cold, %d warm, %d forced), %d matcher calls over %d records",
+		&updates, &colds, &warm, &forced, &cumCalls, &cumRecords); err != nil {
+		t.Fatalf("parsing the cumulative line: %v\n%s", err, out)
+	}
+	if cumCalls != calls || calls == 0 {
+		t.Errorf("cumulative line counts %d matcher calls, the batches' stats lines %d", cumCalls, calls)
+	}
+	if cumRecords != len(records) {
+		t.Errorf("cumulative line counts %d records, the stream holds %d", cumRecords, len(records))
+	}
+	if warm != strings.Count(out, "[warm]") || forced != strings.Count(out, "full re-run") {
+		t.Errorf("cumulative line counts %d warm and %d forced batches:\n%s", warm, forced, out)
+	}
+	if hits > 0 && !strings.Contains(out, "verdict memo: "+itoa(hits)+" hits / ") {
+		t.Errorf("verdict memo line does not carry the batches' %d hits:\n%s", hits, out)
+	}
+
+	// The stream must land on the cold pipeline's match count.
 	pipe, err := cem.NewPipeline(cem.WithScheme(cem.SchemeSMP), cem.WithDatasetName("dblp-stream"))
 	if err != nil {
 		t.Fatal(err)

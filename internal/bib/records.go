@@ -118,9 +118,30 @@ func (d *Dataset) Extend(name string, recs []Record) (*Dataset, error) {
 // Group and gold may be -1 (ungrouped / unlabeled). Names are the final
 // field and may contain spaces.
 
-// WriteRecords serializes records to w in the TSV format above. Names
-// containing line breaks cannot be represented in the line-oriented
-// format and are rejected rather than silently corrupting the output.
+// maxLine bounds one line of the format, its newline included: ReadRecords
+// refuses a longer one.
+const maxLine = 1 << 20
+
+// maxName is the longest name a record line holds whatever its group and
+// gold ids: the line is two int32 fields, two tabs, the name and a newline.
+const maxName = maxLine - len("-2147483648\t-2147483648\t\n")
+
+// CheckName reports why a record name cannot be written in the format so
+// that ReadRecords reads it back: it holds a line break, or it is longer
+// than maxName. WriteRecords refuses such names rather than write output
+// that is corrupt or unreadable.
+func CheckName(name string) error {
+	if strings.ContainsAny(name, "\n\r") {
+		return errors.New("name contains a line break")
+	}
+	if len(name) > maxName {
+		return fmt.Errorf("name is %d bytes, over the %d a record line holds", len(name), maxName)
+	}
+	return nil
+}
+
+// WriteRecords serializes records to w in the TSV format above. A name
+// CheckName refuses fails the write.
 func WriteRecords(w io.Writer, name string, recs []Record) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "# records %s\n", name); err != nil {
@@ -128,8 +149,8 @@ func WriteRecords(w io.Writer, name string, recs []Record) error {
 	}
 	for i := range recs {
 		r := &recs[i]
-		if strings.ContainsAny(r.Name, "\n\r") {
-			return fmt.Errorf("bib: record %d: name contains a line break", i)
+		if err := CheckName(r.Name); err != nil {
+			return fmt.Errorf("bib: record %d: %w", i, err)
 		}
 		if _, err := fmt.Fprintf(bw, "%d\t%d\t%s\n", r.Group, r.Gold, r.Name); err != nil {
 			return err
@@ -141,7 +162,7 @@ func WriteRecords(w io.Writer, name string, recs []Record) error {
 // ReadRecords parses records in the format produced by WriteRecords.
 func ReadRecords(r io.Reader) (name string, recs []Record, err error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, maxLine), maxLine)
 	// Interning collapses repeated surface names to one string each as
 	// the stream parses (and detaches kept names from whole-line backing
 	// arrays).

@@ -2,7 +2,11 @@ package bib
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -115,6 +119,34 @@ func TestWriteRecordsRejectsLineBreaks(t *testing.T) {
 		if err := WriteRecords(&buf, "x", []Record{{Name: name, Group: -1, Gold: -1}}); err == nil {
 			t.Errorf("WriteRecords accepted name %q", name)
 		}
+	}
+}
+
+// TestWriteRecordsWritesOnlyReadableLines: the longest name WriteRecords
+// accepts reads back at the widest group and gold ids, and one byte more
+// is refused by WriteRecords because ReadRecords could not read its line.
+func TestWriteRecordsWritesOnlyReadableLines(t *testing.T) {
+	const wide = math.MinInt32
+	longest := strings.Repeat("n", maxName)
+	recs := []Record{{Name: longest, Group: wide, Gold: wide}, {Name: "after", Group: wide, Gold: wide}}
+	var buf bytes.Buffer
+	if err := WriteRecords(&buf, "long", recs); err != nil {
+		t.Fatalf("WriteRecords refused a %d-byte name: %v", maxName, err)
+	}
+	if _, got, err := ReadRecords(&buf); err != nil || !reflect.DeepEqual(got, recs) {
+		t.Fatalf("a %d-byte name does not read back: %v", maxName, err)
+	}
+
+	over := longest + "n"
+	if err := CheckName(over); err == nil {
+		t.Fatalf("CheckName accepted a %d-byte name", len(over))
+	}
+	if err := WriteRecords(io.Discard, "long", []Record{{Name: over, Group: -1, Gold: -1}}); err == nil {
+		t.Fatalf("WriteRecords accepted a %d-byte name", len(over))
+	}
+	line := fmt.Sprintf("%d\t%d\t%s\n", wide, wide, over)
+	if _, _, err := ReadRecords(strings.NewReader(line + line)); err == nil {
+		t.Fatalf("ReadRecords read a %d-byte line: the bound is not tight", len(line))
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	cem "repro"
+	"repro/internal/bib"
 	"repro/internal/store"
 	"repro/match"
 )
@@ -88,29 +89,24 @@ func NewCommitter(pipe *cem.Pipeline, opts ...CommitterOption) (*Committer, erro
 	return c, nil
 }
 
-// Pipeline returns the pipeline the committer applies batches through
-// (for cumulative Pipeline.Stats reporting).
-func (c *Committer) Pipeline() *cem.Pipeline { return c.pipe }
-
 // Snapshot returns the current committed state. Never nil; before the
 // first commit it is the empty Seq-0 state.
 func (c *Committer) Snapshot() *Committed { return c.cur.Load() }
 
 // Apply journals and applies one batch of records, publishing the new
 // state on success. Batches are applied strictly serially (callers may
-// race; a mutex orders them). On failure nothing is published; a batch
-// that failed because the context was canceled (a shutdown or kill mid
-// update) KEEPS its journal entry — the records were accepted, and
+// race; a mutex orders them). A batch with a key checkKeys refuses is
+// refused before it is journaled. On failure nothing is published; a
+// batch that failed because the context was canceled (a shutdown or kill
+// mid update) KEEPS its journal entry — the records were accepted, and
 // Recover finishes the interrupted commit on restart. Any other failure
 // (invalid records) removes the journal entry and reports the error.
 func (c *Committer) Apply(ctx context.Context, records []cem.Record) (*Committed, error) {
 	if len(records) == 0 {
 		return nil, fmt.Errorf("serve: empty batch")
 	}
-	for i, r := range records {
-		if r.RecordKey() == "" {
-			return nil, fmt.Errorf("serve: record %d has an empty key", i)
-		}
+	if err := checkKeys(records); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -186,6 +182,23 @@ func (c *Committer) apply(ctx context.Context, records []cem.Record) (*Committed
 	}
 	c.cur.Store(state)
 	return state, nil
+}
+
+// checkKeys refuses a batch whose records the journal cannot hold: an
+// empty key, or one bib.CheckName refuses (a line break, or a line longer
+// than a journal read takes back). The service refuses such a batch at
+// its door, before it can share a journal entry with accepted requests.
+func checkKeys(records []cem.Record) error {
+	for i, r := range records {
+		key := r.RecordKey()
+		if key == "" {
+			return fmt.Errorf("record %d has an empty key", i)
+		}
+		if err := bib.CheckName(key); err != nil {
+			return fmt.Errorf("record %d: key %w", i, err)
+		}
+	}
+	return nil
 }
 
 // journalFooter marks the end of a fully written journal file: a

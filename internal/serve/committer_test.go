@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	cem "repro"
+	"repro/match"
 )
 
 // testRecords returns the standard golden-seed corpus in record form.
@@ -64,11 +65,13 @@ func TestCommitterFoldMatchesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err := NewCommitter(testPipeline(t), WithMetrics(NewMetrics()))
+	m := NewMetrics()
+	c, err := NewCommitter(testPipeline(t), WithMetrics(m))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var last *Committed
+	var sum match.RunStats
 	for i, batch := range batchCuts(records) {
 		last, err = c.Apply(ctx, batch)
 		if err != nil {
@@ -80,6 +83,14 @@ func TestCommitterFoldMatchesCold(t *testing.T) {
 		if i > 0 && !last.Result.WarmStarted {
 			t.Errorf("batch %d did not warm-start", i+1)
 		}
+		st := last.Result.Stats
+		sum.MatcherCalls += st.MatcherCalls
+		sum.Cache.Hits += st.Cache.Hits
+		sum.Cache.Misses += st.Cache.Misses
+		sum.Cache.Invalidations += st.Cache.Invalidations
+		sum.Reassignments += st.Reassignments
+		sum.RetriedSends += st.RetriedSends
+		sum.LateBatchesDropped += st.LateBatchesDropped
 	}
 	if got, want := last.RenderMatches(), renderPipelineMatches(cold); got != want {
 		t.Errorf("streamed matches diverge from cold run:\nstream: %d bytes\ncold:   %d bytes", len(got), len(want))
@@ -87,9 +98,32 @@ func TestCommitterFoldMatchesCold(t *testing.T) {
 	if snap := c.Snapshot(); snap != last {
 		t.Error("Snapshot does not return the last committed state")
 	}
-	stats := c.Pipeline().Stats()
-	if stats.Updates != 4 || stats.WarmStarted != 3 || stats.ColdStarts != 1 {
-		t.Errorf("pipeline stats = %+v, want 4 updates = 1 cold + 3 warm", stats)
+	// The metrics count each committed update once: their counters are
+	// the sums of the updates' RunStats.
+	if b, cold, warm, forced := m.CommittedBatches.Value(), m.UpdatesCold.Value(), m.UpdatesWarm.Value(), m.UpdatesForced.Value(); b != 4 || cold != 1 || warm != 3 || forced != 0 {
+		t.Errorf("metrics count %d batches = %d cold + %d warm + %d forced, want 4 = 1 cold + 3 warm", b, cold, warm, forced)
+	}
+	if got := m.CommittedRecords.Value(); got != int64(len(records)) {
+		t.Errorf("metrics count %d committed records, want %d", got, len(records))
+	}
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"matcher calls", m.MatcherCalls.Value(), int64(sum.MatcherCalls)},
+		{"memo hits", m.MemoHits.Value(), sum.Cache.Hits},
+		{"memo misses", m.MemoMisses.Value(), sum.Cache.Misses},
+		{"memo invalidations", m.MemoInvals.Value(), sum.Cache.Invalidations},
+		{"reassignments", m.Reassignments.Value(), int64(sum.Reassignments)},
+		{"retried sends", m.RetriedSends.Value(), int64(sum.RetriedSends)},
+		{"late batches", m.LateBatches.Value(), int64(sum.LateBatchesDropped)},
+	} {
+		if c.got != c.want {
+			t.Errorf("metrics count %d %s, the committed updates' RunStats sum to %d", c.got, c.name, c.want)
+		}
+	}
+	if sum.MatcherCalls == 0 || sum.Cache.Misses == 0 {
+		t.Errorf("the stream made %d matcher calls and %d memo misses, want both > 0", sum.MatcherCalls, sum.Cache.Misses)
 	}
 }
 
@@ -179,8 +213,17 @@ func TestCommitterRejectsBadBatch(t *testing.T) {
 	}
 	before := c.Snapshot()
 
-	if _, err := c.Apply(ctx, []cem.Record{cem.BasicRecord{Key: "", Group: -1, Gold: -1}}); err == nil {
-		t.Fatal("empty-key batch accepted")
+	// Keys the journal cannot hold, or not read back, are refused before
+	// they are journaled.
+	for name, key := range map[string]string{
+		"empty":      "",
+		"line break": "doe\nj",
+		"1 MiB":      strings.Repeat("x", 1<<20+10),
+	} {
+		batch := []cem.Record{records[50], cem.BasicRecord{Key: key, Group: -1, Gold: -1}}
+		if _, err := c.Apply(ctx, batch); err == nil {
+			t.Fatalf("batch with a %s key accepted", name)
+		}
 	}
 	if _, err := c.Apply(ctx, nil); err == nil {
 		t.Fatal("empty batch accepted")
@@ -202,6 +245,13 @@ func TestCommitterRejectsBadBatch(t *testing.T) {
 	}
 	if m, _ := filepath.Glob(filepath.Join(dir, "batch-000002.tsv")); len(m) != 1 {
 		t.Error("next batch did not journal as batch-000002.tsv")
+	}
+	c2, err := NewCommitter(testPipeline(t), WithJournal(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c2.Recover(ctx); n != 2 || err != nil {
+		t.Errorf("Recover restored %d batches (%v), want 2", n, err)
 	}
 }
 

@@ -6,13 +6,19 @@
 // immutable snapshot through an atomic pointer swap. Reads (record,
 // cluster and match-set lookups) are served concurrently from the last
 // committed snapshot while the next update runs — snapshot isolation
-// without locks on the read path. A Prometheus-text /metrics endpoint
-// exports ingest lag, queue depth, warm-vs-cold update ratios, matcher
-// calls per batch and per-round latency histograms.
+// without locks on the read path.
+//
+// A stream's work is counted once, in Metrics: the Committer adds each
+// committed update's RunStats (matcher calls, verdict memo, resilience
+// counters) and its warm, forced or cold mode into it. The
+// Prometheus-text /metrics endpoint exports those counts beside ingest
+// lag, queue depth and per-round latency histograms; /stats reports the
+// committed state and its last update.
 //
 // The package is intentionally reusable below the HTTP surface:
-// Committer alone drives `emmatch -ingest` batch replay, so the CLI
-// replay and the serving path share one commit implementation.
+// Committer alone drives `emmatch -ingest` batch replay (its -v totals
+// are a Metrics the CLI hands the committer), so the CLI replay and the
+// serving path share one commit implementation.
 package serve
 
 import (
@@ -76,7 +82,6 @@ type Config struct {
 // (abort in-flight work; the journal and the store recover it).
 type Service struct {
 	cfg       Config
-	pipe      *cem.Pipeline
 	metrics   *Metrics
 	committer *Committer
 	batcher   *Batcher
@@ -184,7 +189,6 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 	applyCtx, cancel := context.WithCancel(ctx)
 	s := &Service{
 		cfg:         cfg,
-		pipe:        pipe,
 		metrics:     m,
 		committer:   committer,
 		batcher:     NewBatcher(applyCtx, cfg.Batching, committer.Apply, m),
@@ -203,9 +207,24 @@ func (s *Service) Snapshot() *Committed { return s.committer.Snapshot() }
 func (s *Service) Metrics() *Metrics { return s.metrics }
 
 // Ingest enqueues records programmatically — the same path POST /records
-// takes. The returned channel receives the commit result.
+// takes, refusing the same keys. The returned channel receives the
+// commit result.
 func (s *Service) Ingest(ctx context.Context, records []cem.Record) (<-chan ApplyResult, error) {
+	if err := s.admit(records); err != nil {
+		return nil, err
+	}
 	return s.batcher.Enqueue(ctx, records)
+}
+
+// admit refuses a batch the journal could not hold (see checkKeys) before
+// it is enqueued: queued, it would be coalesced with other requests, and
+// the journal's refusal would fail them all.
+func (s *Service) admit(records []cem.Record) error {
+	if err := checkKeys(records); err != nil {
+		s.metrics.RejectedRecords.Add(int64(len(records)))
+		return fmt.Errorf("serve: %w", err)
+	}
+	return nil
 }
 
 // Shutdown drains gracefully: no new ingests are accepted, everything
@@ -319,12 +338,9 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, fmt.Errorf("empty batch"))
 		return
 	}
-	for i, rec := range records {
-		if rec.RecordKey() == "" {
-			s.metrics.RejectedRecords.Add(int64(len(records)))
-			s.badRequest(w, fmt.Errorf("record %d has an empty key", i))
-			return
-		}
+	if err := s.admit(records); err != nil {
+		s.badRequest(w, err)
+		return
 	}
 
 	done, err := s.batcher.Enqueue(r.Context(), records)
@@ -386,22 +402,21 @@ func (s *Service) handleMatches(w http.ResponseWriter, r *http.Request) {
 
 // statsResponse is the /stats JSON document.
 type statsResponse struct {
-	Seq            int               `json:"seq"`
-	Records        int               `json:"records"`
-	Entities       int               `json:"entities"`
-	MatchPairs     int               `json:"match_pairs"`
-	CommittedAt    time.Time         `json:"committed_at"`
-	UptimeSeconds  float64           `json:"uptime_seconds"`
-	QueueRequests  int               `json:"queue_requests"`
-	QueueRecords   int               `json:"queue_records"`
-	IngestLag      float64           `json:"ingest_lag_seconds"`
-	Pipeline       cem.PipelineStats `json:"pipeline"`
-	Matcher        string            `json:"matcher"`
-	Scheme         string            `json:"scheme"`
-	LastWarm       bool              `json:"last_update_warm"`
-	LastForced     bool              `json:"last_update_forced"`
-	LastBlockingMS float64           `json:"last_blocking_ms"`
-	LastMatchingMS float64           `json:"last_matching_ms"`
+	Seq            int       `json:"seq"`
+	Records        int       `json:"records"`
+	Entities       int       `json:"entities"`
+	MatchPairs     int       `json:"match_pairs"`
+	CommittedAt    time.Time `json:"committed_at"`
+	UptimeSeconds  float64   `json:"uptime_seconds"`
+	QueueRequests  int       `json:"queue_requests"`
+	QueueRecords   int       `json:"queue_records"`
+	IngestLag      float64   `json:"ingest_lag_seconds"`
+	Matcher        string    `json:"matcher"`
+	Scheme         string    `json:"scheme"`
+	LastWarm       bool      `json:"last_update_warm"`
+	LastForced     bool      `json:"last_update_forced"`
+	LastBlockingMS float64   `json:"last_blocking_ms"`
+	LastMatchingMS float64   `json:"last_matching_ms"`
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -417,15 +432,14 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		QueueRequests: qreqs,
 		QueueRecords:  qrecs,
 		IngestLag:     oldest.Seconds(),
-		Pipeline:      s.pipe.Stats(),
 		Matcher:       s.cfg.Matcher,
 		Scheme:        string(s.cfg.Scheme),
 	}
 	if snap.Result != nil {
 		resp.LastWarm = snap.Result.WarmStarted
 		resp.LastForced = snap.Result.ForcedRerun
-		resp.LastBlockingMS = float64(snap.Result.BlockingTime.Milliseconds())
-		resp.LastMatchingMS = float64(snap.Result.MatchingTime.Milliseconds())
+		resp.LastBlockingMS = float64(snap.Result.BlockingTime) / float64(time.Millisecond)
+		resp.LastMatchingMS = float64(snap.Result.MatchingTime) / float64(time.Millisecond)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

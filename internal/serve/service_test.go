@@ -144,15 +144,22 @@ func TestServiceHTTPEndToEnd(t *testing.T) {
 		t.Errorf("/matches seq header %q, want %d", seq, snap.Seq)
 	}
 
-	// /stats reflects the pipeline counters; /metrics speaks Prometheus.
+	// /stats reports the committed state and its last update, stage
+	// times to the nanosecond; /metrics counts the updates and speaks
+	// Prometheus.
 	resp, _ = http.Get(srv.URL + "/stats")
 	var st statsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if st.Seq != snap.Seq || st.Records != len(records) || st.Pipeline.Updates != 2 {
-		t.Errorf("/stats = %+v, want seq %d over %d records after 2 updates", st, snap.Seq, len(records))
+	if st.Seq != snap.Seq || st.Records != len(records) || st.LastWarm != snap.Result.WarmStarted {
+		t.Errorf("/stats = %+v, want seq %d over %d records", st, snap.Seq, len(records))
+	}
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	if st.LastBlockingMS != ms(snap.Result.BlockingTime) || st.LastMatchingMS != ms(snap.Result.MatchingTime) {
+		t.Errorf("/stats last update took %v ms blocking, %v ms matching; the snapshot says %v, %v",
+			st.LastBlockingMS, st.LastMatchingMS, snap.Result.BlockingTime, snap.Result.MatchingTime)
 	}
 	resp, _ = http.Get(srv.URL + "/metrics")
 	prom, _ := io.ReadAll(resp.Body)

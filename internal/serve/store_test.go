@@ -79,7 +79,7 @@ func shutdownReopen(t *testing.T, backend string) {
 	if n := evals.Load(); n != 0 {
 		t.Errorf("store restart evaluated %d neighborhoods, want 0 (reopen, not replay)", n)
 	}
-	if calls := svc2.pipe.Stats().MatcherCalls; calls != 0 {
+	if calls := svc2.metrics.MatcherCalls.Value(); calls != 0 {
 		t.Errorf("store restart made %d matcher calls, want 0", calls)
 	}
 	if n := svc2.metrics.StoreReopens.Value(); n != 1 {
@@ -356,7 +356,7 @@ func TestRecoverRefusedStoreSnapshot(t *testing.T) {
 	if n := svc2.metrics.StoreReopens.Value(); n != 0 {
 		t.Errorf("emserve_store_reopens_total = %d, want 0 (the snapshot disagrees with the cover)", n)
 	}
-	if calls := svc2.pipe.Stats().MatcherCalls; calls == 0 {
+	if calls := svc2.metrics.MatcherCalls.Value(); calls == 0 {
 		t.Error("no matcher calls: the journal was not replayed through the engine")
 	}
 	mu.Lock()
@@ -443,7 +443,7 @@ func TestRecoverStateDirWithSegments(t *testing.T) {
 			if n := svc.metrics.StoreReopens.Value(); n != tc.reopens {
 				t.Errorf("emserve_store_reopens_total = %d, want %d", n, tc.reopens)
 			}
-			if calls := svc.pipe.Stats().MatcherCalls; (calls == 0) != (tc.reopens == 1) {
+			if calls := svc.metrics.MatcherCalls.Value(); (calls == 0) != (tc.reopens == 1) {
 				t.Errorf("restart made %d matcher calls with %d store reopens", calls, tc.reopens)
 			}
 			srv := httptest.NewServer(svc)
@@ -530,7 +530,7 @@ func TestRecoverTwoBlobStateDir(t *testing.T) {
 	if n := svc2.metrics.StoreReopens.Value(); n != 1 {
 		t.Errorf("emserve_store_reopens_total = %d, want 1", n)
 	}
-	if calls := svc2.pipe.Stats().MatcherCalls; calls != 0 {
+	if calls := svc2.metrics.MatcherCalls.Value(); calls != 0 {
 		t.Errorf("the restart made %d matcher calls, want 0", calls)
 	}
 	if got := svc2.Snapshot(); got.Seq != want.Seq || got.RenderMatches() != want.RenderMatches() {
@@ -622,5 +622,92 @@ func TestServiceStoreConfigValidation(t *testing.T) {
 	}
 	if _, err := New(context.Background(), Config{StateDir: t.TempDir(), Store: "bogus"}); err == nil {
 		t.Fatal("New accepted an unknown store name")
+	}
+}
+
+// TestServiceRefusesUnjournalableKeys: a key the journal cannot hold — a
+// line break, through the JSON or the TSV door or Ingest — is refused
+// before it is enqueued. Queued, it would share a journal entry with an
+// accepted request coalesced beside it, and the journal's refusal would
+// lose that batch too.
+func TestServiceRefusesUnjournalableKeys(t *testing.T) {
+	batches := batchCuts(testRecords(t, cem.HEPTH))
+	slow := BatcherConfig{MaxBatch: 1 << 16, MaxDelay: 300 * time.Millisecond, QueueCap: 32}
+	svc, err := New(context.Background(), Config{StateDir: t.TempDir(), Batching: slow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Kill()
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
+	post := func(contentType, body string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/records", contentType, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	var tsv strings.Builder
+	if err := cem.WriteRecords(&tsv, "good", batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	if code := post("text/tab-separated-values", tsv.String()); code != http.StatusAccepted {
+		t.Fatalf("good batch: status %d, want 202", code)
+	}
+	if code := post("application/json", `[{"key":"doe\nj"}]`); code != http.StatusBadRequest {
+		t.Errorf("JSON key with a line feed: status %d, want 400", code)
+	}
+	if code := post("text/tab-separated-values", "-1\t-1\tdoe\rj\n"); code != http.StatusBadRequest {
+		t.Errorf("TSV key with a carriage return: status %d, want 400", code)
+	}
+	if _, err := svc.Ingest(context.Background(), []cem.Record{cem.KeyRecord("doe\nj")}); err == nil {
+		t.Error("Ingest accepted a key with a line break")
+	}
+	last := ingestWait(t, svc, batches[1])
+	if want := len(batches[0]) + len(batches[1]); last.Records() != want {
+		t.Errorf("committed %d records at seq %d, want the %d of both good batches", last.Records(), last.Seq, want)
+	}
+	if n := svc.metrics.RejectedRecords.Value(); n != 3 {
+		t.Errorf("emserve_rejected_records_total = %d, want 3", n)
+	}
+}
+
+// TestServiceRestartsAfterLongKey: a key whose journal line would be
+// longer than a journal read takes back is refused at the door, so every
+// acknowledged state restarts.
+func TestServiceRestartsAfterLongKey(t *testing.T) {
+	batches := batchCuts(testRecords(t, cem.HEPTH))
+	state := t.TempDir()
+	svc, err := New(context.Background(), Config{StateDir: state, Batching: fastBatching})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
+	long := fmt.Sprintf(`[{"key":%q}]`, strings.Repeat("x", 1<<20+10))
+	resp, err := http.Post(srv.URL+"/records?wait=1", "application/json", strings.NewReader(long))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("1 MiB key: status %d, want 400", resp.StatusCode)
+	}
+	ingestWait(t, svc, batches[0])
+	want := ingestWait(t, svc, batches[1])
+	svc.Kill()
+
+	svc2, err := New(context.Background(), Config{StateDir: state, Batching: fastBatching})
+	if err != nil {
+		t.Fatalf("restart after an acknowledged state: %v", err)
+	}
+	defer svc2.Kill()
+	if got := svc2.Snapshot(); got.Seq != want.Seq || got.RenderMatches() != want.RenderMatches() {
+		t.Errorf("restart serves seq %d, %d matches; want seq %d, %d", got.Seq, got.Matches(), want.Seq, want.Matches())
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bib"
@@ -23,10 +22,12 @@ import (
 // size/overlap bounds, executes the configured scheme with any
 // registered matcher through the Runner, and scores the result.
 //
-// Build with NewPipeline; a Pipeline's configuration is immutable after
-// construction and it is safe for concurrent Run/Update calls. The only
-// mutable state is the cumulative Stats counters, which accumulate
-// atomically across every completed run.
+// Build with NewPipeline. A Pipeline is immutable after construction:
+// it keeps no state across calls, so it is safe for concurrent
+// Run/Update calls, and everything a call produced — matches, run
+// statistics, the streaming state the next Update continues — is in its
+// PipelineResult. A caller that wants a stream's totals sums the
+// results' Stats (the online service counts them in its metrics).
 type Pipeline struct {
 	name       string
 	blocking   CanopyConfig
@@ -36,95 +37,6 @@ type Pipeline struct {
 	matcher    string
 	scheme     Scheme
 	runnerOpts []RunnerOption
-
-	stats pipelineCounters
-}
-
-// PipelineStats is a point-in-time copy of a Pipeline's cumulative
-// counters: every completed Run/Resume/Update on the pipeline adds to
-// them, so a long-lived ingestion loop (or a serving process) can report
-// warm-vs-cold ratios and total matcher work without threading per-call
-// results around. Read with Pipeline.Stats; failed calls contribute
-// nothing.
-type PipelineStats struct {
-	// Runs counts completed Run/Resume calls (cold full passes).
-	Runs int64
-	// Updates counts completed Update calls, split below by how the
-	// matching stage executed: ColdStarts (nil prior — the stream's
-	// first batch), WarmStarted (the incremental fast path), and
-	// ForcedReruns (a non-additive delta or a foreign prior forced a
-	// full cold re-run). The three always sum to Updates.
-	Updates      int64
-	ColdStarts   int64
-	WarmStarted  int64
-	ForcedReruns int64
-	// MatcherCalls sums Matcher.Match invocations across every completed
-	// run — the paper's primary cost metric, accumulated stream-wide.
-	MatcherCalls int64
-	// RecordsIngested sums the record counts handed to Run (all records)
-	// and Update (the new batch only): the total stream length so far
-	// when one pipeline owns the whole stream.
-	RecordsIngested int64
-	// CacheHits/CacheMisses/CacheInvalidations accumulate the per-run
-	// verdict-memo reports (RunStats.Cache) across every completed run —
-	// all zero when the configured matcher keeps no memo. Warm Updates
-	// on a long-lived matcher are where hits concentrate: neighborhoods
-	// re-activated by a delta whose relevant evidence did not change are
-	// served from cache.
-	CacheHits          int64
-	CacheMisses        int64
-	CacheInvalidations int64
-	// Reassignments/RetriedSends/LateBatchesDropped accumulate the
-	// per-run resilience counters (RunStats) across every completed run
-	// — all zero unless the pipeline executes on the supervised sharded
-	// backend and it had faults to absorb. Nonzero values mean the stream
-	// survived worker deaths or transport faults; the output is
-	// unaffected by construction, so these measure degraded throughput,
-	// not degraded answers.
-	Reassignments      int64
-	RetriedSends       int64
-	LateBatchesDropped int64
-}
-
-// pipelineCounters is the internal atomic form of PipelineStats.
-type pipelineCounters struct {
-	runs, updates, coldStarts, warmStarted, forcedReruns atomic.Int64
-	matcherCalls, recordsIngested                        atomic.Int64
-	cacheHits, cacheMisses, cacheInvals                  atomic.Int64
-	reassignments, retriedSends, lateDropped             atomic.Int64
-}
-
-// addRun folds one completed run's per-run reports (verdict memo,
-// resilience) into the cumulative counters.
-func (c *pipelineCounters) addRun(s *match.RunStats) {
-	c.cacheHits.Add(s.Cache.Hits)
-	c.cacheMisses.Add(s.Cache.Misses)
-	c.cacheInvals.Add(s.Cache.Invalidations)
-	c.reassignments.Add(int64(s.Reassignments))
-	c.retriedSends.Add(int64(s.RetriedSends))
-	c.lateDropped.Add(int64(s.LateBatchesDropped))
-}
-
-// Stats returns a snapshot of the pipeline's cumulative counters. The
-// fields are read individually (not under one lock), so a snapshot taken
-// concurrently with a committing run may straddle that run's increments;
-// each counter is itself always consistent.
-func (p *Pipeline) Stats() PipelineStats {
-	return PipelineStats{
-		Runs:               p.stats.runs.Load(),
-		Updates:            p.stats.updates.Load(),
-		ColdStarts:         p.stats.coldStarts.Load(),
-		WarmStarted:        p.stats.warmStarted.Load(),
-		ForcedReruns:       p.stats.forcedReruns.Load(),
-		MatcherCalls:       p.stats.matcherCalls.Load(),
-		RecordsIngested:    p.stats.recordsIngested.Load(),
-		CacheHits:          p.stats.cacheHits.Load(),
-		CacheMisses:        p.stats.cacheMisses.Load(),
-		CacheInvalidations: p.stats.cacheInvals.Load(),
-		Reassignments:      p.stats.reassignments.Load(),
-		RetriedSends:       p.stats.retriedSends.Load(),
-		LateBatchesDropped: p.stats.lateDropped.Load(),
-	}
 }
 
 // PipelineOption customizes a Pipeline.
@@ -312,14 +224,13 @@ func (p *Pipeline) run(ctx context.Context, records []Record, resume bool) (*Pip
 	if err != nil {
 		return nil, err
 	}
-	p.stats.runs.Add(1)
 	return p.result(&PipelineResult{
 		Result:       res,
 		Experiment:   exp,
 		BlockingTime: blockingTime,
 		MatchingTime: time.Since(start),
 		records:      append([]Record(nil), records...),
-	}, labeled, len(records)), nil
+	}, labeled), nil
 }
 
 // build makes the experiment and its runner for a dataset under the
@@ -335,10 +246,8 @@ func (p *Pipeline) build(d *bib.Dataset, cover *core.Cover) (*Experiment, *Runne
 }
 
 // result completes the outcome of one call: record count and blocking
-// stamp, metrics when every record is labeled, and the run's statistics
-// folded into the cumulative counters. ingested is how many records the
-// call added to the stream (none for a reopen).
-func (p *Pipeline) result(out *PipelineResult, labeled bool, ingested int) *PipelineResult {
+// stamp, and metrics when every record is labeled.
+func (p *Pipeline) result(out *PipelineResult, labeled bool) *PipelineResult {
 	out.Records, out.Labeled, out.blocking = len(out.records), labeled, p.blocking
 	if labeled {
 		report := out.Experiment.Evaluate(out.Result)
@@ -346,9 +255,6 @@ func (p *Pipeline) result(out *PipelineResult, labeled bool, ingested int) *Pipe
 		out.Report = &report
 		out.BCubed = &bcubed
 	}
-	p.stats.matcherCalls.Add(int64(out.Stats.MatcherCalls))
-	p.stats.recordsIngested.Add(int64(ingested))
-	p.stats.addRun(&out.Stats)
 	return out
 }
 
@@ -444,7 +350,7 @@ func (p *Pipeline) Update(ctx context.Context, prior *PipelineResult, newRecords
 		return nil, err
 	}
 
-	out := p.result(&PipelineResult{
+	return p.result(&PipelineResult{
 		Result:       res,
 		Experiment:   exp,
 		BlockingTime: blockingTime,
@@ -453,17 +359,7 @@ func (p *Pipeline) Update(ctx context.Context, prior *PipelineResult, newRecords
 		ForcedRerun:  prior != nil && !warm,
 		records:      records,
 		index:        index,
-	}, labeled, len(newRecords))
-	p.stats.updates.Add(1)
-	switch {
-	case out.WarmStarted:
-		p.stats.warmStarted.Add(1)
-	case out.ForcedRerun:
-		p.stats.forcedReruns.Add(1)
-	default:
-		p.stats.coldStarts.Add(1)
-	}
-	return out, nil
+	}, labeled), nil
 }
 
 // carryOver extracts (or reconstructs) the streaming blocking state of a

@@ -3,7 +3,13 @@
 # package of a `go run ./…` command, or a path in one of the cmd,
 # internal, scripts, testdata, match or examples trees written in an
 # inline code span.
-# A glob must match at least one file. Run from the repository root:
+# A glob must match at least one file.
+#
+# It also holds README.md to the public surface in testdata/api.txt, in
+# both directions: every `cem.X` the README names, and every `WithX(`
+# option it names bare or as `cem.WithX(`, must be in the surface, and
+# every `With…` function of package repro must be named in the README.
+# Run from the repository root:
 #
 #	bash scripts/docs-check.sh [doc ...]   (default README.md; make docs-check)
 set -euo pipefail
@@ -33,4 +39,25 @@ for doc in "${@:-README.md}"; do
 		} | sort -u
 	)
 done
+readme=README.md api=testdata/api.txt
+text=$(tr '\n' ' ' <"$readme")
+while read -r name; do
+	if ! grep -qE "^repro (const|var|func|type) $name( |\(|\$)" "$api"; then
+		echo "$readme: \`cem.$name\` is not in $api"
+		missing=1
+	fi
+done < <(grep -oE 'cem\.[A-Z][A-Za-z0-9_]*' <<<"$text" | sed 's/^cem\.//' | sort -u)
+while read -r opt; do
+	if ! grep -q "^repro func $opt(" "$api"; then
+		echo "$readme: option \`$opt(\` is not in $api"
+		missing=1
+	fi
+done < <(grep -oE '([A-Za-z_][A-Za-z0-9_]*\.)?With[A-Z][A-Za-z0-9]*\(' <<<"$text" |
+	grep -E '^(cem\.)?With' | sed -E 's/^cem\.//; s/\($//' | sort -u)
+while read -r opt; do
+	if ! grep -qw "$opt" "$readme"; then
+		echo "$readme: \`$opt\` (in $api) is named nowhere"
+		missing=1
+	fi
+done < <(grep -oE '^repro func With[A-Za-z0-9]*' "$api" | sed 's/^repro func //')
 exit $missing

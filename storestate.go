@@ -165,7 +165,7 @@ func (p *Pipeline) Reopen(ctx context.Context, records []Record, s match.Store) 
 		BlockingTime: blockingTime,
 		records:      append([]Record(nil), records...),
 		index:        index,
-	}, labeled, 0), ck.Round, nil
+	}, labeled), ck.Round, nil
 }
 
 // reopenIndex restores the blocking state: from the state blob's postings
