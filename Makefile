@@ -6,12 +6,12 @@ GOFLAGS  ?=
 # The hot-path micro-benchmarks `make bench` prints: the scheme executors
 # (the matching hot path this engine optimizes), the blocking stage, cover
 # preparation over the shared candidate table, and the matcher-level
-# micro-benchmarks (grounding, warm Match, the verdict-memo
-# hit/miss/maximal paths, and MAP inference on the largest HEPTH-like 0.4
+# micro-benchmarks (grounding, warm Match, the verdict memo's hit and
+# miss paths, and MAP inference on the largest HEPTH-like 0.4
 # neighborhood, on one network and as MatchIDs solves it). Gains are
 # claimed with bench-pair, not these.
 SCHEME_BENCH   = ^Benchmark(NoMP|SMP|MMP|UB|Full|Blocking|Pipeline|Setup|PrepareCover|Grid)
-MATCHER_BENCH  = ^Benchmark(New|MatchWarm|MemoHit|MemoMiss|MemoMaximal|SolveMAP)$$
+MATCHER_BENCH  = ^Benchmark(New|MatchWarm|MemoHit|MemoMiss|SolveMAP)$$
 BENCHTIME     ?= 5x
 # The matcher micro-benchmarks are microsecond-scale; at single-digit
 # iteration counts their numbers are dominated by pool warm-up and

@@ -91,9 +91,14 @@ func (ix *Index) Save(dst []byte) []byte {
 
 // LoadIndex restores an index saved with Save. The restored index is
 // fully equivalent to the one that was saved: further Adds produce
-// byte-identical covers and deltas. Every id in the blob is checked and
-// every candidate's similarity recomputed, so a blob that loads cannot make
-// a later Add index out of range or emit a canopy Canopies would not.
+// byte-identical covers and deltas. A load verifies that every name is
+// listed once and every record's row is one seen before it or the next;
+// that every id fits the size it indexes and every id list ascends; that
+// each candidate list holds its own row exactly when the row has grams;
+// that every candidate's similarity, recomputed from the gram sets,
+// reaches Loose; and that the lists are symmetric, y listing x exactly
+// when x lists y. So a blob that loads cannot make a later Add index out
+// of range or emit a canopy Canopies would not.
 func LoadIndex(data []byte) (*Index, error) {
 	header, body, _ := bytes.Cut(data, []byte("\n"))
 	if want := indexBlobMagic[:len(indexBlobMagic)-1]; string(header) != want {
@@ -166,6 +171,20 @@ func LoadIndex(data []byte) (*Index, error) {
 			return nil, fmt.Errorf("canopy: index blob row %d: candidate list disagrees with its grams", row)
 		}
 		cands[row] = list
+	}
+	// Similarity is symmetric, so y must list x exactly when x lists y.
+	// Rows in ascending order consume each list in its own order: y's
+	// cursor must meet x at every x that lists y. Every entry consumes one,
+	// so no list can be left with an entry unmet.
+	cur := make([]int32, rows)
+	for x, list := range cands {
+		for _, c := range list {
+			y := c.ID
+			if int(cur[y]) == len(cands[y]) || cands[y][cur[y]].ID != int32(x) {
+				return nil, fmt.Errorf("canopy: index blob candidate lists not symmetric: row %d lists row %d, whose list disagrees", x, y)
+			}
+			cur[y]++
+		}
 	}
 	ix.tab.rowOf, ix.cands, ix.cnt = rowOf, cands, make([]int32, rows)
 	if r.flag() {

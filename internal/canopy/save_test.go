@@ -195,6 +195,26 @@ func TestLoadIndexRefusesDissimilarCandidate(t *testing.T) {
 	}
 }
 
+// TestLoadIndexRefusesAsymmetricCandidates: similarity is symmetric, so a
+// candidate list names y exactly when y's names x. A blob where "john smith"
+// lists "jon smith" but not the other way round, or the reverse, used to
+// load, and its index emitted canopies Canopies never builds.
+func TestLoadIndexRefusesAsymmetricCandidates(t *testing.T) {
+	for _, drop := range [][2]int{{0, 1}, {1, 0}} {
+		ix := savedIndex(t)
+		if ix.tab.names[0] != "john smith" || ix.tab.names[1] != "jon smith" ||
+			len(ix.cands[0]) != 2 || len(ix.cands[1]) != 2 || ix.cands[0][1].ID != 1 || ix.cands[1][0].ID != 0 {
+			t.Fatalf("rows 0 and 1 are %q and %q with candidates %v and %v, want john smith and jon smith listing both",
+				ix.tab.names[0], ix.tab.names[1], ix.cands[0], ix.cands[1])
+		}
+		x, y := drop[0], drop[1]
+		ix.cands[x] = slices.DeleteFunc(ix.cands[x], func(c scored) bool { return c.ID == int32(y) })
+		if _, err := LoadIndex(ix.Save(nil)); err == nil {
+			t.Errorf("LoadIndex accepted a blob where row %d does not list row %d but row %d lists row %d", x, y, y, x)
+		}
+	}
+}
+
 // TestLoadIndexRecomputesSimilarities: the blob stores candidate rows only,
 // so what an index held as a candidate's similarity cannot survive a save —
 // every similarity is recomputed from the rows' gram sets, and a reloaded

@@ -84,10 +84,12 @@ func prepareScopes(cfg *Config) bool {
 }
 
 // CacheReporter is an optional matcher extension exposing cumulative
-// verdict-memo counters (see CacheReport). The schedulers snapshot the
-// counters at run start and report the end-of-run delta in
-// RunStats.Cache; a memo must never change the matcher's output — hits
-// have to return exactly the verdict recomputation would produce.
+// verdict-memo counters (see CacheReport), one lookup per call the
+// matcher answers through its memo — for the MLN matcher, a Match on a
+// prepared neighborhood. The schedulers snapshot the counters at run
+// start and report the end-of-run delta in RunStats.Cache; a memo must
+// never change the matcher's output — hits have to return exactly the
+// verdict recomputation would produce.
 type CacheReporter interface {
 	CacheStats() CacheReport
 }

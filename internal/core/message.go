@@ -37,20 +37,6 @@ func (m *MessageIDs) start(i int) int32 {
 // Reset empties the list, keeping its capacity.
 func (m *MessageIDs) Reset() { m.IDs, m.Ends = m.IDs[:0], m.Ends[:0] }
 
-// AppendFrom adds src's messages from index from on.
-func (m *MessageIDs) AppendFrom(src *MessageIDs, from int) {
-	if from >= src.Len() {
-		return
-	}
-	start := src.start(from)
-	off := int32(len(m.IDs)) - start
-	m.IDs = append(m.IDs, src.IDs[start:]...)
-	n := len(m.Ends)
-	for m.Ends = append(m.Ends, src.Ends[from:]...); n < len(m.Ends); n++ {
-		m.Ends[n] += off
-	}
-}
-
 // MessageStore maintains the set T of maximal messages of Algorithm 3,
 // keeping it closed under the (T ∪ TC)* operation: overlapping messages
 // are replaced by their union (sound by Proposition 3(ii)). Each distinct

@@ -47,16 +47,17 @@ type RunStats struct {
 	MatcherTime time.Duration // time spent inside Matcher.Match
 
 	// Cache is the run's verdict-memo report for matchers implementing
-	// CacheReporter (zero otherwise): how many Match/MaximalMessages
-	// consultations were served from the matcher's cross-neighborhood
-	// memo, recomputed fresh, or recomputed because the neighborhood's
-	// relevant evidence changed. Memoization never changes the run's
-	// output or the counters above (hits return the verdict recomputation
-	// would produce, and cached probe counts are re-reported) — Cache is
-	// pure savings accounting. The report is a start/end counter delta on
-	// the matcher, so runs sharing one matcher concurrently may attribute
-	// each other's traffic; checkpointed trails do not persist it (a
-	// resumed run reports only its own process's cache activity).
+	// CacheReporter (zero otherwise): how many of the matcher's memo
+	// consultations were served from its cross-neighborhood memo,
+	// recomputed fresh, or recomputed because the neighborhood's relevant
+	// evidence changed. Which calls consult it is the matcher's choice:
+	// the MLN matcher memoizes Match verdicts only, so its MMP runs report
+	// none. Memoization never changes the run's output or the counters
+	// above (hits return the verdict recomputation would produce) — Cache
+	// is pure savings accounting. The report is a start/end counter delta
+	// on the matcher, so runs sharing one matcher concurrently may
+	// attribute each other's traffic; checkpointed trails do not persist
+	// it (a resumed run reports only its own process's cache activity).
 	Cache CacheReport
 
 	// Resilience counters, maintained by distributed backends

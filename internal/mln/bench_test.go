@@ -95,8 +95,8 @@ func benchPreparedAt(b *testing.B, scale float64) (*Matcher, []core.EntityID) {
 	return m, env.cover.Sets[largestNeighborhood(env.cover)]
 }
 
-// BenchmarkMemoHit measures the steady-state memo hit: fingerprint the
-// read set, byte-compare, materialize the cached verdict. This is what a
+// BenchmarkMemoHit measures the steady-state memo hit: read the read
+// set, byte-compare, materialize the cached verdict. This is what a
 // re-activated neighborhood with unchanged relevant evidence costs in
 // place of a full MAP solve (BenchmarkMemoMiss).
 func BenchmarkMemoHit(b *testing.B) {
@@ -134,20 +134,5 @@ func BenchmarkMemoMiss(b *testing.B) {
 	b.StopTimer()
 	if st := m.CacheStats(); st.Hits > 1 {
 		b.Fatalf("miss benchmark hit the cache: %+v", st)
-	}
-}
-
-// BenchmarkMemoMaximal measures a fully memoized MMP evaluation:
-// Match + MaximalMessages both served from cache (the hit path that
-// skips every probe solve of Algorithm 2).
-func BenchmarkMemoMaximal(b *testing.B) {
-	m, entities := benchPrepared(b)
-	pos := core.NewPairSet()
-	base := m.Match(entities, pos, nil)
-	m.MaximalMessages(entities, pos, nil, base) // populate
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MaximalMessages(entities, pos, nil, base)
 	}
 }

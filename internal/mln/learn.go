@@ -137,7 +137,14 @@ func Learn(m *Matcher, cover *core.Cover, truth core.PairSet, cfg LearnConfig) (
 			}
 			m.w = w
 			m.applyWeights()
-			pred := m.Match(entities, nil, nil)
+			// Predicted afresh: the memo holds verdicts of other weights.
+			ws := m.getWS()
+			_, _, out := m.solveFresh(entities, nil, nil, ws)
+			pred := core.NewPairSet()
+			for _, id := range out {
+				pred.Add(m.table.Pair(id))
+			}
+			m.putWS(ws)
 
 			gf := m.featureCounts(ids, gold)
 			pf := m.featureCounts(ids, pred)

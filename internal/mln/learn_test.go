@@ -1,6 +1,7 @@
 package mln
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/canopy"
@@ -152,5 +153,41 @@ func TestFeatureCounts(t *testing.T) {
 	f = m.featureCounts(ids, core.NewPairSet(rastogi))
 	if f.coau != 0 || f.sim[2] != 1 {
 		t.Errorf("single-pair features = %+v", f)
+	}
+}
+
+// TestLearnIgnoresWarmMemo: Learn re-weights between its predictions, so
+// a memo warmed by an earlier run must not answer them, and what Learn
+// predicts under its trial weights must not be cached for later runs.
+// After a NO-MP run, Learn must return a memo-off twin's weights, and a
+// second NO-MP run must still equal the twin's.
+func TestLearnIgnoresWarmMemo(t *testing.T) {
+	env := memoGroundAt(t, 0.4, 2001)
+	truth := core.NewPairSet()
+	for p := range env.d.TruePairs() {
+		truth.Add(core.MakePair(p[0], p[1]))
+	}
+	nomp := func(m *Matcher) core.PairSet {
+		res, err := core.NoMP(context.Background(), core.Config{Cover: env.cover, Matcher: m, Relation: env.d.Coauthor()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Matches
+	}
+	nomp(env.memo)
+	cfg := LearnConfig{Epochs: 2, Rate: 0.5, Seed: 1}
+	got, err := Learn(env.memo, env.cover, truth, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Learn(env.ref, env.cover, truth, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("Learn after a run = %+v, want the twin's %+v", got, want)
+	}
+	if !nomp(env.memo).Equal(nomp(env.ref)) {
+		t.Fatal("NO-MP after Learn diverged from the twin's")
 	}
 }

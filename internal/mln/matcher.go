@@ -80,7 +80,7 @@ func (w Weights) Validate() error {
 // shares with the engine and with any other matcher ground over the same
 // candidates. What is the MLN's own: the weights, the level column, the
 // unary scores, and per prepared neighborhood the interaction skeleton
-// and the verdict memo.
+// and the verdict memo of its MatchIDs results.
 type Matcher struct {
 	w        Weights
 	table    *core.CandidateTable
@@ -228,25 +228,35 @@ func (m *Matcher) CandidateTable() *core.CandidateTable { return m.table }
 // wraps: the evidence is read by candidate id, the output is the
 // ascending ids of the matched in-scope candidates.
 //
-// On prepared cover neighborhoods the call first consults the scope's
-// verdict memo (memo.go): when the read-set fingerprint matches one of
-// the cached verdicts, its match set is returned without building or
-// solving the submodel — provably the set recomputation would produce.
+// On a prepared cover neighborhood, with memoization on, the call first
+// consults the scope's verdict memo (memo.go): when one of the cached
+// verdicts was solved under the same read set, its match set is returned
+// without building or solving the submodel — provably the set
+// recomputation would produce — and otherwise the fresh verdict is stored.
 func (m *Matcher) MatchIDs(entities []core.EntityID, pos, neg *core.Evidence) []int32 {
 	ws := m.getWS()
 	defer m.putWS(ws)
 	sc := m.scopeOf(entities, ws)
-	key := m.memoKey(sc, pos, neg, ws)
-	if key != nil {
-		if out, _, ok := m.memoLookup(sc, key, nil, 1); ok {
+	key := readSet(sc, pos, neg, ws)
+	memo := sc != &ws.eph && !m.memoOff
+	if memo {
+		if out, ok := m.memoLookup(sc, key); ok {
 			return out
 		}
 	}
 	_, _, out := m.solve(sc, ws)
-	if key != nil {
-		m.memoStore(sc, key, out, nil, 0, 0)
+	if memo {
+		m.memoStore(sc, key, out)
 	}
 	return slices.Clone(out)
+}
+
+// solveFresh is MatchIDs without the memo — scope, read set, solve — for
+// MatchMessagesIDs and Learn. Its results are solve's, views into ws.
+func (m *Matcher) solveFresh(entities []core.EntityID, pos, neg *core.Evidence, ws *workspace) (localModel, []bool, []int32) {
+	sc := m.scopeOf(entities, ws)
+	readSet(sc, pos, neg, ws)
+	return m.solve(sc, ws)
 }
 
 // solve builds sc's conditioned submodel and solves it with solveSmall,

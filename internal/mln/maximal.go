@@ -47,10 +47,10 @@ func grow[T any](s []T, n int) []T {
 // MaximalMessages implements core.MaximalMessenger by way of the fused
 // evaluation, its messages translated to pairs. base is E(C, mPlus) by the
 // interface's contract — the match set the evaluation solves for anyway —
-// so it is not read. The call consults the verdict memo once.
+// so it is not read. Like MatchMessagesIDs it leaves the verdict memo alone.
 func (m *Matcher) MaximalMessages(entities []core.EntityID, mPlus, neg, base core.PairSet) (msgs [][]core.Pair, calls int) {
 	var ids core.MessageIDs
-	_, calls = m.matchMessages(entities, core.EvidenceOf(m.table, mPlus), core.EvidenceOf(m.table, neg), &ids, 1)
+	_, calls = m.MatchMessagesIDs(entities, core.EvidenceOf(m.table, mPlus), core.EvidenceOf(m.table, neg), &ids)
 	for i := range ids.Len() {
 		msg := make([]core.Pair, len(ids.At(i)))
 		for x, id := range ids.At(i) {
@@ -69,30 +69,14 @@ func (m *Matcher) MaximalMessages(entities []core.EntityID, mPlus, neg, base cor
 // a non-negative score under total local support is clamped and its
 // component solved — by pairMAP on two variables, nearly every probe on
 // the bibliographic corpora — and the mutual-entailment groups are the
-// messages. calls counts every probe. A memo hit (memo.go) returns the
-// cached match set, messages and probe count without building anything;
-// the memo is consulted twice, as MatchIDs and a message lookup would.
+// messages. calls counts every probe. The verdict memo is neither read nor
+// filled: an MMP evaluation's evidence rarely repeats, so caching its
+// verdicts cost more than it saved.
 func (m *Matcher) MatchMessagesIDs(entities []core.EntityID, mPlus, neg *core.Evidence, msgs *core.MessageIDs) (ids []int32, calls int) {
-	return m.matchMessages(entities, mPlus, neg, msgs, 2)
-}
-
-// matchMessages is MatchMessagesIDs counting lookups memo consultations.
-func (m *Matcher) matchMessages(entities []core.EntityID, mPlus, neg *core.Evidence, msgs *core.MessageIDs, lookups int) (ids []int32, calls int) {
 	ws := m.getWS()
 	defer m.putWS(ws)
-	sc := m.scopeOf(entities, ws)
-	key := m.memoKey(sc, mPlus, neg, ws)
-	if key != nil {
-		if ids, calls, ok := m.memoLookup(sc, key, msgs, lookups); ok {
-			return ids, calls
-		}
-	}
-	lm, x, out := m.solve(sc, ws)
-	from := msgs.Len()
+	lm, x, out := m.solveFresh(entities, mPlus, neg, ws)
 	calls = m.maximal(lm, x, ws, msgs)
-	if key != nil {
-		m.memoStore(sc, key, out, msgs, from, calls)
-	}
 	return slices.Clone(out), calls
 }
 

@@ -132,17 +132,18 @@ func TestMemoDifferentialGrowth(t *testing.T) {
 }
 
 // TestMemoWays drives one scope's ways through every store path — a new
-// way, the way already holding the fingerprint, a way emptied by
-// SetWeights, and the least recently used way, whose slices are recycled —
-// and checks the lookups and message verdicts each leaves behind.
+// way, the way already holding the read set, a way emptied by SetWeights,
+// and the least recently used way, whose slices are recycled — and checks
+// the lookups each leaves behind.
 func TestMemoWays(t *testing.T) {
 	m := &Matcher{}
 	p := &prepared{skel: make([]scope, 1)}
 	m.prep.Store(p)
 	sc := &p.skel[0]
+	e := &sc.memo
 	key := func(i int) []uint8 { return []uint8{stFilled, stFilled | uint8(i)} }
 	hit := func(i int) bool {
-		got, _, ok := m.memoLookup(sc, key(i), nil, 1)
+		got, ok := m.memoLookup(sc, key(i))
 		if ok && !slices.Equal(got, []int32{int32(i)}) {
 			t.Fatalf("way of key %d holds match %v", i, got)
 		}
@@ -159,8 +160,8 @@ func TestMemoWays(t *testing.T) {
 		t.Fatal("hit on a scope that never stored")
 	}
 	for i := 1; i <= memoWays; i++ {
-		m.memoStore(sc, key(i), []int32{int32(i)}, nil, 0, 0)
-		if n := len(sc.memo.Load().ways); n != i {
+		m.memoStore(sc, key(i), []int32{int32(i)})
+		if n := len(e.ways); n != i {
 			t.Fatalf("%d stores left %d ways", i, n)
 		}
 	}
@@ -169,25 +170,16 @@ func TestMemoWays(t *testing.T) {
 		t.Fatal("lookups over four full ways")
 	}
 	want(1, 1, 1)
-	msgs := core.MessageIDs{IDs: []int32{9, 1, 2}, Ends: []int32{1, 3}}
-	m.memoStore(sc, key(1), []int32{1}, &msgs, 1, 3)          // the messages from index 1 on
-	m.memoStore(sc, key(1), []int32{1}, nil, 0, 0)            // the way holding key 1: messages survive
-	got := core.MessageIDs{IDs: []int32{7}, Ends: []int32{1}} // a hit appends
-	if ids, calls, ok := m.memoLookup(sc, key(1), &got, 2); !ok || calls != 3 || !slices.Equal(ids, []int32{1}) ||
-		got.Len() != 2 || !slices.Equal(got.At(1), []int32{1, 2}) {
-		t.Fatalf("message verdict of key 1 = %v, %d, %v, %+v", ids, calls, ok, got)
+	m.memoStore(sc, key(1), []int32{1}) // the way holding key 1
+	if !slices.Equal(e.ways[0].states, key(1)) || !slices.Equal(e.ways[1].states, key(2)) {
+		t.Fatalf("a store of a held key overwrote another way: %+v", e.ways)
 	}
-	if _, _, ok := m.memoLookup(sc, key(2), &got, 2); ok || got.Len() != 2 {
-		t.Fatal("a way without a message verdict served messages")
-	}
-	want(4, 2, 1) // a fused lookup counts two consultations
 
 	// Key 3 is now the least recently used: 4 was stored after it, and 2
 	// and 1 were used since.
-	e := sc.memo.Load()
 	victim := &e.ways[2]
 	backing := &victim.states[0]
-	m.memoStore(sc, key(5), []int32{5}, nil, 0, 0)
+	m.memoStore(sc, key(5), []int32{5})
 	if len(e.ways) != memoWays || !slices.Equal(victim.states, key(5)) || &victim.states[0] != backing {
 		t.Fatalf("eviction did not recycle the least recently used way: %+v", e.ways)
 	}
@@ -197,54 +189,62 @@ func TestMemoWays(t *testing.T) {
 
 	// SetWeights empties every way; the next store reuses one.
 	m.invalidateMemos()
-	want(8, 2, 2+memoWays)
+	want(5, 1, 2+memoWays)
 	if hit(5) {
 		t.Fatal("hit after invalidation")
 	}
-	m.memoStore(sc, key(6), []int32{6}, nil, 0, 0)
+	m.memoStore(sc, key(6), []int32{6})
 	if len(e.ways) != memoWays || !hit(6) {
 		t.Fatalf("store after invalidation grew the ways or missed: %d ways", len(e.ways))
 	}
-	want(9, 3, 2+memoWays)
+	want(6, 2, 2+memoWays)
 }
 
-// memoWayStates copies the fingerprint of every valid way of every
+// memoWayStates copies the key of every valid way of every
 // prepared scope, by scope and way index.
 func memoWayStates(m *Matcher) [][]string {
 	p := m.prep.Load()
 	out := make([][]string, len(p.skel))
 	for i := range p.skel {
-		if e := p.skel[i].memo.Load(); e != nil {
-			for _, w := range e.ways {
-				s := ""
-				if w.used != 0 {
-					s = string(w.states)
-				}
-				out[i] = append(out[i], s)
+		for _, w := range p.skel[i].memo.ways {
+			s := ""
+			if w.used != 0 {
+				s = string(w.states)
 			}
+			out[i] = append(out[i], s)
 		}
 	}
 	return out
 }
 
 // TestMemoAcrossRuns runs one experiment's scheme sequence — NO-MP, SMP,
-// MMP, sharded K=2 — on a memo-on matcher and a memo-off
-// one. Every run's matches and RunStats (but Cache and the clocks) must be
-// identical; the last run must be served from the ways the earlier ones
-// filled; and both paths a store can take past the first way — a new way
-// and an eviction — must fire.
+// MMP, sharded K=2, then NO-MP and SMP under V− evidence — on a memo-on
+// matcher and a memo-off one. Every run's matches and RunStats (but Cache
+// and the clocks) must be identical; MMP must leave the memo alone; the
+// sharded run must be served from the ways the earlier ones filled; and
+// both paths a store can take past the first way — a new way and an
+// eviction — must fire.
 func TestMemoAcrossRuns(t *testing.T) {
 	env := memoGroundAt(t, 0.4, 2001)
+	negative := core.NewPairSet()
+	for i, p := range env.memo.Pairs() {
+		if i%5 == 0 {
+			negative.Add(p)
+		}
+	}
 	runs := []struct {
 		name string
+		neg  core.PairSet
 		run  func(cfg core.Config) (*core.Result, error)
 	}{
-		{"nomp", func(cfg core.Config) (*core.Result, error) { return core.NoMP(context.Background(), cfg) }},
-		{"smp", func(cfg core.Config) (*core.Result, error) { return core.SMP(context.Background(), cfg) }},
-		{"mmp", func(cfg core.Config) (*core.Result, error) { return core.MMP(context.Background(), cfg) }},
-		{"sharded", func(cfg core.Config) (*core.Result, error) {
+		{"nomp", nil, func(cfg core.Config) (*core.Result, error) { return core.NoMP(context.Background(), cfg) }},
+		{"smp", nil, func(cfg core.Config) (*core.Result, error) { return core.SMP(context.Background(), cfg) }},
+		{"mmp", nil, func(cfg core.Config) (*core.Result, error) { return core.MMP(context.Background(), cfg) }},
+		{"sharded", nil, func(cfg core.Config) (*core.Result, error) {
 			return core.RunBackend(context.Background(), cfg, "SMP", &emnet.Backend{Workers: 2}, core.CheckpointConfig{})
 		}},
+		{"nomp-neg", negative, func(cfg core.Config) (*core.Result, error) { return core.NoMP(context.Background(), cfg) }},
+		{"smp-neg", negative, func(cfg core.Config) (*core.Result, error) { return core.SMP(context.Background(), cfg) }},
 	}
 	grew, evicted := false, false
 	prev := memoWayStates(env.memo)
@@ -252,7 +252,8 @@ func TestMemoAcrossRuns(t *testing.T) {
 		var res [2]*core.Result
 		for i, m := range []*Matcher{env.memo, env.ref} {
 			var err error
-			if res[i], err = r.run(core.Config{Cover: env.cover, Matcher: m, Relation: env.d.Coauthor()}); err != nil {
+			cfg := core.Config{Cover: env.cover, Matcher: m, Relation: env.d.Coauthor(), Negative: r.neg}
+			if res[i], err = r.run(cfg); err != nil {
 				t.Fatalf("%s: %v", r.name, err)
 			}
 		}
@@ -267,9 +268,14 @@ func TestMemoAcrossRuns(t *testing.T) {
 			t.Fatalf("%s: memoized RunStats %+v, want %+v", r.name, got, want)
 		}
 		t.Logf("%s: %v calls=%d evals=%d", r.name, res[0].Stats.Cache, res[0].Stats.MatcherCalls, res[0].Stats.Evaluations)
-		if r.name == "sharded" {
-			if rate := res[0].Stats.Cache.HitRate(); rate < 0.9 {
-				t.Errorf("sharded hit rate %.3f < 0.9 (%v)", rate, res[0].Stats.Cache)
+		switch c := res[0].Stats.Cache; r.name {
+		case "mmp":
+			if c.Lookups() != 0 {
+				t.Errorf("MMP consulted the memo: %v", c)
+			}
+		case "sharded":
+			if rate := c.HitRate(); rate < 0.9 {
+				t.Errorf("sharded hit rate %.3f < 0.9 (%v)", rate, c)
 			}
 		}
 		cur := memoWayStates(env.memo)
@@ -283,6 +289,41 @@ func TestMemoAcrossRuns(t *testing.T) {
 	}
 	if !grew || !evicted {
 		t.Fatalf("store paths left unexercised: new way %v, eviction %v", grew, evicted)
+	}
+}
+
+// TestMemoConcurrentMatch evaluates one neighborhood from several
+// goroutines at once under more evidence states than it has ways, so
+// lookups, stores and evictions on one scope interleave: every verdict
+// must equal the memo-off reference's.
+func TestMemoConcurrentMatch(t *testing.T) {
+	env := memoGround(t, 17)
+	entities := env.cover.Sets[largestNeighborhood(env.cover)]
+	evidence := []core.PairSet{core.NewPairSet()}
+	for _, p := range env.memo.Candidates(entities)[:memoWays] {
+		evidence = append(evidence, core.NewPairSet(p))
+	}
+	want := make([]core.PairSet, len(evidence))
+	for i, pos := range evidence {
+		want[i] = env.ref.Match(entities, pos, nil)
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 100 {
+				k := (g + i/3) % len(evidence)
+				if got := env.memo.Match(entities, evidence[k], nil); !got.Equal(want[k]) {
+					t.Errorf("goroutine %d, call %d: memoized Match diverged under evidence state %d", g, i, k)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := env.memo.CacheStats(); st.Hits == 0 || st.Invalidations == 0 {
+		t.Fatalf("concurrent calls left hits or invalidations untouched: %+v", st)
 	}
 }
 

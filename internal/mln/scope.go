@@ -2,7 +2,6 @@ package mln
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/unionfind"
@@ -39,13 +38,13 @@ type boundaryEdge struct {
 
 // scope is the skeleton of one neighborhood: its scoped candidate ids
 // (ascending; the table's own list for a prepared neighborhood), the
-// local interaction list and the out-of-scope boundary. memo holds the
-// scope's cached verdicts (see memo.go).
+// local interaction list and the out-of-scope boundary. memo holds a
+// prepared scope's cached verdicts (see memo.go).
 type scope struct {
 	ids      []int32
 	edges    []scopeEdge
 	boundary []boundaryEdge
-	memo     atomic.Pointer[scopeMemo]
+	memo     scopeMemo
 }
 
 // prepared is one cover's preparation: the table's scoping of it and, by
@@ -120,7 +119,7 @@ func (m *Matcher) linkScope(ids []int32, ws *workspace, sc *scope) {
 	}
 }
 
-// Evidence states, in the read-set fingerprint and the workspace's dense
+// Evidence states, in the read set and the workspace's dense
 // vector. A zero byte means "not translated yet"; translated entries
 // carry stFilled plus the membership bits, so pos∩neg overlaps keep the
 // exact semantics of the original per-set lookups (neg wins for the echo,
@@ -139,7 +138,7 @@ type workspace struct {
 	touched []int32 // state indices to zero on release
 	posOf   []int32 // global pair id -> scope position (-1 outside)
 	slots   []int32 // scope position -> free-variable slot (-1 decided)
-	fp      []uint8 // the read-set states by scope position (see memoKey)
+	fp      []uint8 // the read-set states by scope position (see readSet)
 
 	// localModel backing storage (free/eff/deg/edges) plus the solver
 	// assignment; see buildLocal.
@@ -198,6 +197,22 @@ func evidenceState(id int32, pos, neg *core.Evidence) uint8 {
 	return v
 }
 
+// readSet fills ws.fp with sc's read set — the evidence state of every
+// scoped id, then of every boundary partner, which is all that buildLocal
+// reads — and returns it. The slice aliases the workspace; copy before
+// retaining.
+func readSet(sc *scope, pos, neg *core.Evidence, ws *workspace) []uint8 {
+	n := len(sc.ids)
+	ws.fp = grow(ws.fp, n+len(sc.boundary))
+	for i, id := range sc.ids {
+		ws.fp[i] = evidenceState(id, pos, neg)
+	}
+	for j, be := range sc.boundary {
+		ws.fp[n+j] = evidenceState(be.other, pos, neg)
+	}
+	return ws.fp
+}
+
 // localModel is the conditioned submodel of one neighborhood: the free
 // match variables with their effective unary weights (base weight plus
 // evidence-supported groundings) and the in-scope pairwise interactions.
@@ -210,7 +225,7 @@ type localModel struct {
 }
 
 // buildLocal assembles the conditioned submodel from a prebuilt skeleton
-// and the read-set states memoKey left in ws.fp. It leaves ws.slots
+// and the read-set states readSet left in ws.fp. It leaves ws.slots
 // mapping every scope position to its free-variable slot, -1 for a
 // position the evidence decides.
 func (m *Matcher) buildLocal(sc *scope, ws *workspace) localModel {

@@ -329,7 +329,7 @@ func BenchmarkSolveMAP(b *testing.B) {
 	m, entities := benchPreparedAt(b, 0.4)
 	ws := m.getWS()
 	sc := m.scopeOf(entities, ws)
-	m.memoKey(sc, nil, nil, ws) // the read set buildLocal reads
+	readSet(sc, nil, nil, ws) // the read set buildLocal reads
 	lm := m.buildLocal(sc, ws)
 	unary, deg, edges := slices.Clone(lm.eff), slices.Clone(lm.deg), slices.Clone(lm.edges)
 	m.putWS(ws)
