@@ -10,7 +10,7 @@ GOFLAGS  ?=
 # miss paths, and MAP inference on the largest HEPTH-like 0.4
 # neighborhood, on one network and as MatchIDs solves it). Gains are
 # claimed with bench-pair, not these.
-SCHEME_BENCH   = ^Benchmark(NoMP|SMP|MMP|UB|Full|Blocking|Pipeline|Setup|PrepareCover|Grid)
+SCHEME_BENCH   = ^Benchmark(NoMP|SMP|MMP|UB|Full|Blocking|Pipeline|Setup|PrepareCover)
 MATCHER_BENCH  = ^Benchmark(New|MatchWarm|MemoHit|MemoMiss|SolveMAP)$$
 BENCHTIME     ?= 5x
 # The matcher micro-benchmarks are microsecond-scale; at single-digit

@@ -48,27 +48,13 @@ func TestPublicSurface(t *testing.T) {
 }
 
 // surface lists the exported declarations of the package in dir, each
-// line prefixed with the import path.
+// line prefixed with the import path. An alias into one of this module's
+// internal packages also lists its target's exported methods, interface
+// methods and struct fields under the alias name: they are the contract
+// the alias exports.
 func surface(t *testing.T, path, dir string) []string {
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var files []*ast.File
-	for _, p := range pkgs {
-		for name, f := range p.Files {
-			if filepath.Dir(name) == filepath.Clean(dir) {
-				files = append(files, f)
-			}
-		}
-	}
-	p, err := doc.NewFromFiles(fset, files, path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, imports := parseDoc(t, fset, path, dir)
 	src := func(n ast.Node) string {
 		var b bytes.Buffer
 		if err := printer.Fprint(&b, fset, n); err != nil {
@@ -91,12 +77,39 @@ func surface(t *testing.T, path, dir string) []string {
 	}
 	funcs := func(kind string, fs []*doc.Func) {
 		for _, f := range fs {
-			recv := ""
-			if f.Decl.Recv != nil {
-				recv = "(" + src(f.Decl.Recv.List[0].Type) + ") "
+			f.Decl.Body, f.Decl.Doc = nil, nil
+			add(kind, strings.TrimPrefix(src(f.Decl), "func "))
+		}
+	}
+	// members lists typ's methods and its struct fields or interface
+	// methods, each under name.
+	members := func(name string, typ *doc.Type) {
+		for _, f := range typ.Methods {
+			recv := strings.Replace(src(f.Decl.Recv.List[0].Type), typ.Name, name, 1)
+			add("method", "("+recv+") "+f.Name+strings.TrimPrefix(src(f.Decl.Type), "func"))
+		}
+		switch st := typ.Decl.Specs[0].(*ast.TypeSpec).Type.(type) {
+		case *ast.StructType:
+			for _, f := range st.Fields.List {
+				names := f.Names
+				if names == nil { // embedded: named by its type
+					tn := strings.TrimPrefix(src(f.Type), "*")
+					names = []*ast.Ident{ast.NewIdent(tn[strings.LastIndex(tn, ".")+1:])}
+				}
+				for _, n := range names {
+					if n.IsExported() {
+						add("field", name+"."+n.Name+" "+src(f.Type))
+					}
+				}
 			}
-			f.Decl.Body, f.Decl.Doc, f.Decl.Recv = nil, nil, nil
-			add(kind, recv+strings.TrimPrefix(src(f.Decl), "func "))
+		case *ast.InterfaceType:
+			for _, m := range st.Methods.List {
+				for _, n := range m.Names {
+					if n.IsExported() {
+						add("method", "("+name+") "+n.Name+strings.TrimPrefix(src(m.Type), "func"))
+					}
+				}
+			}
 		}
 	}
 	values("const", p.Consts)
@@ -106,32 +119,12 @@ func surface(t *testing.T, path, dir string) []string {
 		values("const", typ.Consts)
 		values("var", typ.Vars)
 		funcs("func", typ.Funcs)
-		funcs("method", typ.Methods)
 		spec := typ.Decl.Specs[0].(*ast.TypeSpec)
-		switch st := spec.Type.(type) {
+		switch spec.Type.(type) {
 		case *ast.StructType:
 			add("type", typ.Name+" struct")
-			for _, f := range st.Fields.List {
-				names := f.Names
-				if names == nil { // embedded: named by its type
-					name := strings.TrimPrefix(src(f.Type), "*")
-					names = []*ast.Ident{ast.NewIdent(name[strings.LastIndex(name, ".")+1:])}
-				}
-				for _, n := range names {
-					if n.IsExported() {
-						add("field", typ.Name+"."+n.Name+" "+src(f.Type))
-					}
-				}
-			}
 		case *ast.InterfaceType:
 			add("type", typ.Name+" interface")
-			for _, m := range st.Methods.List {
-				for _, n := range m.Names {
-					if n.IsExported() {
-						add("method", "("+typ.Name+") "+n.Name+strings.TrimPrefix(src(m.Type), "func"))
-					}
-				}
-			}
 		default:
 			sep := " "
 			if spec.Assign.IsValid() {
@@ -139,8 +132,71 @@ func surface(t *testing.T, path, dir string) []string {
 			}
 			add("type", typ.Name+sep+src(spec.Type))
 		}
+		members(typ.Name, typ)
+		if target := aliasTarget(t, fset, spec, imports); target != nil {
+			members(typ.Name, target)
+		}
 	}
 	return out
+}
+
+// parseDoc parses the non-test files of the package in dir and returns
+// its exported documentation and the import path of every package name
+// its files import.
+func parseDoc(t *testing.T, fset *token.FileSet, path, dir string) (*doc.Package, map[string]string) {
+	t.Helper()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*ast.File
+	imports := map[string]string{}
+	for _, p := range pkgs {
+		for name, f := range p.Files {
+			if filepath.Dir(name) != filepath.Clean(dir) {
+				continue
+			}
+			files = append(files, f)
+			for _, imp := range f.Imports {
+				ip := strings.Trim(imp.Path.Value, `"`)
+				name := ip[strings.LastIndex(ip, "/")+1:]
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				imports[name] = ip
+			}
+		}
+	}
+	p, err := doc.NewFromFiles(fset, files, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, imports
+}
+
+// aliasTarget returns the documentation of the type spec aliases when it
+// is an alias of a type in one of this module's internal packages, and nil
+// otherwise.
+func aliasTarget(t *testing.T, fset *token.FileSet, spec *ast.TypeSpec, imports map[string]string) *doc.Type {
+	sel, ok := spec.Type.(*ast.SelectorExpr)
+	if !spec.Assign.IsValid() || !ok {
+		return nil
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	if !ok || !strings.HasPrefix(imports[pkg.Name], "repro/internal/") {
+		return nil
+	}
+	path := imports[pkg.Name]
+	p, _ := parseDoc(t, fset, path, strings.TrimPrefix(path, "repro/"))
+	for _, typ := range p.Types {
+		if typ.Name == sel.Sel.Name {
+			return typ
+		}
+	}
+	t.Fatalf("%s aliases %s.%s, which %s does not declare", spec.Name.Name, pkg.Name, sel.Sel.Name, path)
+	return nil
 }
 
 // surfaceDiff lists the lines only one side has.

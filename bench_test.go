@@ -18,7 +18,6 @@ import (
 
 	cem "repro"
 	"repro/internal/experiments"
-	"repro/internal/grid"
 	"repro/match"
 )
 
@@ -289,29 +288,5 @@ func BenchmarkPrepareCover(b *testing.B) {
 				rulesM.PrepareCover(c)
 			}
 		})
-	}
-}
-
-// BenchmarkGridSMP measures the simulated-grid rounds-based executor.
-func BenchmarkGridSMP(b *testing.B) {
-	exp, err := cem.New(cem.NewDataset(cem.DBLP, 0.25, 42))
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := grid.Config{Machines: 8, RoundOverhead: 0, Seed: 1}
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gb, err := grid.NewBackend(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		runner, err := exp.Runner(cem.MatcherMLN, cem.WithBackend(gb))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := runner.Run(ctx, cem.SchemeSMP); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

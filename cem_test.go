@@ -2,13 +2,13 @@ package cem
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/bib"
 	"repro/internal/canopy"
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/grid"
 )
 
 // run is a test helper: execute a scheme through the Runner API and
@@ -249,23 +249,19 @@ func TestTransitiveClosureHelper(t *testing.T) {
 	}
 }
 
-// TestRunGridHonorsRunnerOptions: the grid is a backend of the one run
-// path (WithBackend), so the runner's options apply to it — progress
-// fires, and the grid's job count is the run's evaluation count (skipped
-// re-activations are not jobs). UB has no rounds and leaves the grid's
-// clock untouched.
+// TestRunGridHonorsRunnerOptions: the run record Table 1's grid clock
+// replays comes from the runner's options on any placement, the sharded
+// backend included — progress fires once per evaluation, in the reduce
+// order of RunStats.ActiveSizes (skipped re-activations are in neither),
+// with 1-based nondecreasing rounds. UB has no rounds and records nothing.
 func TestRunGridHonorsRunnerOptions(t *testing.T) {
 	exp, err := New(NewDataset(DBLP, 0.2, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := grid.NewBackend(gridDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	events, lastRound := 0, 0
-	r, err := exp.Runner(MatcherMLN, WithBackend(b),
-		WithProgress(func(e core.ProgressEvent) { events++; lastRound = e.Round }))
+	var rounds []int
+	record := WithProgress(func(e core.ProgressEvent) { rounds = append(rounds, e.Round) })
+	r, err := exp.Runner(MatcherMLN, WithShardCount(2), record)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,31 +269,27 @@ func TestRunGridHonorsRunnerOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, gres := res.Stats, b.Result(res.Result)
-	if events != stats.Evaluations || gres.JobsRun != stats.Evaluations {
-		t.Errorf("progress events = %d, grid jobs = %d, want the run's %d evaluations",
-			events, gres.JobsRun, stats.Evaluations)
+	stats := res.Stats
+	if len(rounds) != stats.Evaluations || len(stats.ActiveSizes) != stats.Evaluations {
+		t.Errorf("progress events = %d, active sizes = %d, want the run's %d evaluations",
+			len(rounds), len(stats.ActiveSizes), stats.Evaluations)
 	}
 	if stats.Skips == 0 {
-		t.Error("no re-activation was skipped on the grid; the job/evaluation identity was not exercised")
+		t.Error("no re-activation was skipped; the event/evaluation identity was not exercised")
 	}
-	if lastRound != gres.Rounds || gres.Rounds < 2 {
-		t.Errorf("last progress round = %d, grid rounds = %d, want equal and ≥ 2", lastRound, gres.Rounds)
+	if len(rounds) == 0 || rounds[0] != 1 || !slices.IsSorted(rounds) || rounds[len(rounds)-1] < 2 {
+		t.Errorf("progress rounds run %v…, want 1-based, nondecreasing and reaching ≥ 2", rounds[:min(len(rounds), 5)])
 	}
-	idle, err := grid.NewBackend(gridDefaults())
+	rounds = nil
+	ub, err := exp.Runner(MatcherMLN, WithShardCount(2), record)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ub, err := exp.Runner(MatcherMLN, WithBackend(idle))
-	if err != nil {
+	if _, err := ub.Run(context.Background(), SchemeUB); err != nil {
 		t.Fatal(err)
 	}
-	ubRes, err := ub.Run(context.Background(), SchemeUB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := idle.Result(ubRes.Result); g.Rounds != 0 || g.JobsRun != 0 {
-		t.Errorf("UB ran %d rounds, %d jobs on the grid; it has no rounds", g.Rounds, g.JobsRun)
+	if len(rounds) != 0 {
+		t.Errorf("UB recorded %d progress events; it has no rounds", len(rounds))
 	}
 }
 

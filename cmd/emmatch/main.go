@@ -107,6 +107,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *wAddrs != "" && *backend != "" && *backend != "sharded" {
 		return fmt.Errorf("-worker-addrs requires -backend sharded (got -backend %q)", *backend)
 	}
+	if *wAddrs != "" && *bShards != 0 {
+		return fmt.Errorf("-backend-shards counts in-process workers; -worker-addrs attaches one worker per address: give one of them")
+	}
 	modes := 0
 	for _, m := range []string{*in, *records, *ingest} {
 		if m != "" {

@@ -80,6 +80,9 @@ func TestFlagValidation(t *testing.T) {
 		{"worker addrs with pool backend",
 			[]string{"-backend", "pool", "-worker-addrs", "127.0.0.1:1"},
 			"-worker-addrs requires -backend sharded"},
+		{"backend shards with worker addrs",
+			[]string{"-backend", "sharded", "-backend-shards", "4", "-worker-addrs", "127.0.0.1:1,127.0.0.1:2"},
+			"-backend-shards counts in-process workers"},
 		{"retired backend name",
 			[]string{"-backend", "sharded-net"},
 			`unknown backend "sharded-net"`},

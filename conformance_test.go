@@ -27,7 +27,6 @@ import (
 
 	cem "repro"
 	"repro/internal/core"
-	"repro/internal/grid"
 	emnet "repro/internal/net"
 	"repro/internal/wire"
 	"repro/match"
@@ -52,10 +51,10 @@ func (b shuffledBackend) RunRounds(_ context.Context, _ *match.RoundPlan, d *mat
 	return nil
 }
 
-// execution is one placement: a runner option, or the simulated grid.
+// execution is one placement: a runner option.
 type execution struct {
 	name string
-	opt  cem.RunnerOption // nil: the simulated grid's backend
+	opt  cem.RunnerOption
 }
 
 func executions(t *testing.T) []execution {
@@ -63,7 +62,9 @@ func executions(t *testing.T) []execution {
 		{"pool-1", cem.WithParallelism(1)},
 		{"pool-4", cem.WithParallelism(4)},
 		{"shuffled", cem.WithBackend(shuffledBackend{rand.New(rand.NewSource(7))})},
-		{"grid", nil},
+		// Table 1's placement: the fewest pool workers that map every round
+		// against its round-start evidence, the run its grid clock replays.
+		{"grid", cem.WithParallelism(2)},
 	}
 	for _, k := range []int{1, 2, 4} {
 		ex = append(ex, execution{fmt.Sprintf("sharded-%d", k), cem.WithShardCount(k)})
@@ -113,16 +114,8 @@ func overLoopback(t *testing.T) func(int, io.ReadWriteCloser) io.ReadWriteCloser
 // the row's option (nil for none).
 func (ex execution) run(t *testing.T, exp *cem.Experiment, matcher string, scheme cem.Scheme, rowOpt cem.RunnerOption) *cem.Result {
 	t.Helper()
-	placement := ex.opt
-	if placement == nil { // the grid's clock times one run: a fresh backend each
-		b, err := grid.NewBackend(grid.Config{Machines: 4, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		placement = cem.WithBackend(b)
-	}
 	var opts []cem.RunnerOption
-	for _, o := range []cem.RunnerOption{rowOpt, placement} {
+	for _, o := range []cem.RunnerOption{rowOpt, ex.opt} {
 		if o != nil {
 			opts = append(opts, o)
 		}

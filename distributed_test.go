@@ -35,7 +35,7 @@ func workerConfig(exp *cem.Experiment, runner *cem.Runner) core.Config {
 // dropped frame costs milliseconds.
 func faultyNetBackend(exp *cem.Experiment, runner *cem.Runner, scheme string, k int, inj *faultnet.Injector) *emnet.Backend {
 	opts := emnet.Options{
-		RoundDeadline:     500 * time.Millisecond,
+		RoundDeadline:     150 * time.Millisecond,
 		HeartbeatInterval: 50 * time.Millisecond,
 		RetryBackoff:      2 * time.Millisecond,
 		MaxRetries:        6,

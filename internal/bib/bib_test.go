@@ -182,6 +182,27 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
+// TestReadRefusesIDsOutsideInt32: an author or cite id that does not fit
+// the int32 it is stored in is refused with its line, not wrapped onto
+// another id; the int32 extremes still load.
+func TestReadRefusesIDsOutsideInt32(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"P\tt\t2000\t-\nR\t0\t4294967297\tA. Smith\n", "line 2: bad author id"},
+		{"P\tt\t2000\t-\nP\tu\t2001\t4294967296\n", "line 2: bad cite"},
+	} {
+		if _, err := Read(strings.NewReader(c.in)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q: err = %v, want %q", c.in, err, c.want)
+		}
+	}
+	d, err := Read(strings.NewReader("P\tt\t2000\t-\nR\t0\t-1\ta\nR\t0\t2147483647\tb\n"))
+	if err != nil {
+		t.Fatalf("int32 extremes refused: %v", err)
+	}
+	if d.Refs[0].True != -1 || d.Refs[1].True != 2147483647 {
+		t.Errorf("author ids = %d, %d; want -1, 2147483647", d.Refs[0].True, d.Refs[1].True)
+	}
+}
+
 func TestReadSkipsCommentsAndBlanks(t *testing.T) {
 	in := "# dataset x\n\n# a comment\nP\tt\t2000\t-\nR\t0\t0\tAlice Smith\n"
 	d, err := Read(strings.NewReader(in))

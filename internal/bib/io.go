@@ -79,7 +79,7 @@ func Read(r io.Reader) (*Dataset, error) {
 			p := Paper{Title: fields[1], Year: year}
 			if fields[3] != "-" {
 				for _, part := range strings.Split(fields[3], ",") {
-					c, err := strconv.Atoi(part)
+					c, err := strconv.ParseInt(part, 10, 32)
 					if err != nil {
 						return nil, fmt.Errorf("bib: line %d: bad cite: %v", line, err)
 					}
@@ -95,7 +95,7 @@ func Read(r io.Reader) (*Dataset, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bib: line %d: bad paper id: %v", line, err)
 			}
-			truth, err := strconv.Atoi(fields[2])
+			truth, err := strconv.ParseInt(fields[2], 10, 32)
 			if err != nil {
 				return nil, fmt.Errorf("bib: line %d: bad author id: %v", line, err)
 			}

@@ -97,18 +97,17 @@ func (p *RoundPlan) NewEvidence() *Evidence { return NewEvidence(p.table) }
 // identical match set for well-behaved matchers.
 //
 // The contract per round: evaluate every id in driver.Active() —
-// driver.Evaluate, driver.MapRound, or plan.Evaluate against a replica
-// equal to driver.Snapshot() at round start — and reduce the jobs in
+// driver.Evaluate, or plan.Evaluate against a replica equal to
+// driver.Snapshot() at round start — and reduce the jobs in
 // active-set order, with driver.FinishRound or Reduce…EndRound. Repeat
 // until driver.Done(). Evidence changes hands as *Evidence in process
 // (Snapshot, plan.NewEvidence, AddKey for a received delta) and as
 // ascending packed keys on the wire (Snapshot().SortedKeys, RoundDelta,
 // plan.JobToWire / JobFromWire): a backend never sees, and never needs,
-// which form the matcher took. The built-in backends are PoolBackend, the
-// sharded coordinator of internal/net (workers with private replicas,
-// in-process or cmd/emworker processes) and internal/grid's simulated
-// clock over the pool; a cem.Runner runs on the one cem.WithBackend
-// hands it, the pool when none.
+// which form the matcher took. The built-in backends are PoolBackend and
+// the sharded coordinator of internal/net (workers with private replicas,
+// in-process or cmd/emworker processes); a cem.Runner runs on the one
+// cem.WithBackend hands it, the pool when none.
 type Backend interface {
 	RunRounds(ctx context.Context, plan *RoundPlan, driver *RoundDriver) error
 }
@@ -128,7 +127,7 @@ func (PoolBackend) RunRounds(ctx context.Context, plan *RoundPlan, d *RoundDrive
 	workers := plan.Config.workers()
 	for !d.Done() {
 		if workers > 1 {
-			jobs, err := d.MapRound(ctx, workers)
+			jobs, err := d.mapRound(ctx, workers)
 			if err != nil {
 				return err
 			}

@@ -35,13 +35,6 @@ type Job struct {
 // matcher call (see RunStats.Skips).
 func (j *Job) Skipped() bool { return j.skipped }
 
-// ActiveDecisions is the number of in-scope candidate pairs the evidence
-// had not decided when the job ran (its RunStats.ActiveSizes entry).
-func (j *Job) ActiveDecisions() int { return j.active }
-
-// Duration is the measured wall time of the job's matcher work.
-func (j *Job) Duration() time.Duration { return j.dur }
-
 // allNeighborhoods returns the ids 0..n-1.
 func allNeighborhoods(n int) []int32 {
 	ids := make([]int32, n)
@@ -115,7 +108,7 @@ func (p *RoundPlan) evaluate(id int32, evidence *Evidence, allowSkip bool, arena
 	return j
 }
 
-// MapRound evaluates the round's active set concurrently, on at most
+// mapRound evaluates the round's active set concurrently, on at most
 // workers goroutines, against the round-start Snapshot — the Map side of
 // a shared-memory round. The jobs come back in Active() order, ready for
 // FinishRound. A canceled ctx aborts the round; started evaluations
@@ -126,7 +119,7 @@ func (p *RoundPlan) evaluate(id int32, evidence *Evidence, allowSkip bool, arena
 // cheap evaluation. Runs stay short against the round (at least eight per
 // worker), so a few large neighborhoods still spread over the workers;
 // jobs[i] is positional, so the schedule is invisible in the result.
-func (d *RoundDriver) MapRound(ctx context.Context, workers int) ([]Job, error) {
+func (d *RoundDriver) mapRound(ctx context.Context, workers int) ([]Job, error) {
 	ids := d.Active()
 	jobs := make([]Job, len(ids))
 	workers = max(1, min(workers, len(ids)))

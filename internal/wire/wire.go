@@ -20,7 +20,6 @@ package wire
 
 import (
 	"fmt"
-	"time"
 	"unicode/utf8"
 )
 
@@ -124,9 +123,6 @@ type Checkpoint struct {
 	Visits        []int
 	Stats         Stats
 }
-
-// Duration returns the job's matcher time.
-func (j *Job) Duration() time.Duration { return time.Duration(j.Dur) }
 
 // validKey reports whether k packs a normalized non-reflexive pair of
 // non-negative int32 ids (A < B).

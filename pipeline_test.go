@@ -12,7 +12,7 @@ import (
 	"time"
 
 	cem "repro"
-	"repro/internal/grid"
+	"repro/internal/experiments"
 )
 
 // TestPipelineShardedIdenticalToSerial is the acceptance check: on the
@@ -307,39 +307,25 @@ func TestPipelineCancellation(t *testing.T) {
 	}
 }
 
-// TestRunGridSurfacesConfigErrors: an invalid grid configuration is an
-// error where the grid backend is built, before any run, and a valid one
-// runs as a WithBackend placement.
+// TestRunGridSurfacesConfigErrors: Table 1 refuses a grid it cannot
+// simulate — no machines, a negative round overhead — with an error
+// naming the knob.
 func TestRunGridSurfacesConfigErrors(t *testing.T) {
-	exp, err := cem.New(cem.NewDataset(cem.DBLP, 0.15, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []grid.Config{
-		{Machines: 0},
-		{Machines: -3},
-		{Machines: 4, RoundOverhead: -time.Second},
-		{Machines: 4, Workers: -1},
+	for _, c := range []struct {
+		machines int
+		overhead time.Duration
+		knob     string
+	}{
+		{0, 0, "Machines"},
+		{-3, time.Second, "Machines"},
+		{4, -time.Second, "RoundOverhead"},
 	} {
-		if _, err := grid.NewBackend(bad); err == nil {
-			t.Errorf("invalid grid config %+v accepted", bad)
+		cfg := experiments.Default()
+		cfg.Machines, cfg.RoundOverhead = c.machines, c.overhead
+		if _, err := experiments.Table1(cfg); err == nil || !strings.Contains(err.Error(), c.knob) {
+			t.Errorf("Machines = %d, RoundOverhead = %v: err = %v, want a refusal naming %s",
+				c.machines, c.overhead, err, c.knob)
 		}
-	}
-	// A valid config still works.
-	b, err := grid.NewBackend(grid.Config{Machines: 4, Seed: 1})
-	if err != nil {
-		t.Fatalf("valid grid config rejected: %v", err)
-	}
-	runner, err := exp.Runner(cem.MatcherRules, cem.WithBackend(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := runner.Run(context.Background(), cem.SchemeSMP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := b.Result(res.Result); g.JobsRun != res.Stats.Evaluations {
-		t.Errorf("grid ran %d jobs for %d evaluations", g.JobsRun, res.Stats.Evaluations)
 	}
 }
 
