@@ -19,7 +19,7 @@ BENCHTIME     ?= 5x
 # their own, much higher iteration floor.
 MATCHER_BENCHTIME ?= 500x
 
-.PHONY: build test race bench cover cover-check fuzz fmt vet docs-check clean chaos-smoke store-smoke bench-smoke bench-frozen bench-pair
+.PHONY: build test race bench bench-once cover cover-check fuzz fmt vet docs-check clean chaos-smoke store-smoke bench-smoke bench-frozen bench-pair
 
 build:
 	$(GO) build $(GOFLAGS) ./...
@@ -56,6 +56,14 @@ bench:
 	$(GO) test $(GOFLAGS) -run '^$$' -bench '^Benchmark(Canopies|IndexAdd|BuildCoverHEPTH|FinishCoverHEPTH|CandidatePairsHEPTH)$$' -benchmem -benchtime $(BENCHTIME) ./internal/canopy/
 	$(GO) test $(GOFLAGS) -run '^$$' -bench '^BenchmarkUpdateFold$$' -benchmem -benchtime $(BENCHTIME) .
 	$(GO) test $(GOFLAGS) -run '^$$' -bench '^BenchmarkIngest$$' -benchmem -benchtime $(BENCHTIME) ./internal/serve/
+
+# bench-once runs every benchmark of the module for one iteration: a
+# benchmark that checks itself (BenchmarkMemoHit fails unless every
+# iteration hits, BenchmarkMemoMiss unless none does) or no longer
+# compiles fails here, not at the next `make bench`. About 15 s on 2 vCPUs.
+# CI runs it in the test job.
+bench-once:
+	$(GO) test $(GOFLAGS) -run '^$$' -bench . -benchtime 1x ./...
 
 # cover runs the test suite with a coverage profile and grades it
 # against the committed ratchet; cover-check grades an existing

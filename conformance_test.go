@@ -23,6 +23,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
 
 	cem "repro"
@@ -186,6 +187,48 @@ func refined(t *testing.T, exp *cem.Experiment, seed int64) *cem.Experiment {
 		t.Fatalf("refined cover: %d sets and %d candidates, from %d and %d", out.Cover.Len(), out.Table.Len(), exp.Cover.Len(), exp.Table.Len())
 	}
 	return out
+}
+
+// TestConcurrentCovers runs SMP over the experiment's cover and over a
+// refinement of it at the same time, on one built-in matcher. Each run's
+// PrepareCover replaces the other's, so a run can name a neighborhood of a
+// cover the matcher no longer holds prepared, which it must then scope
+// afresh. Every result must equal the run over its cover alone.
+func TestConcurrentCovers(t *testing.T) {
+	exp, err := cem.New(cem.NewDataset(cem.HEPTH, 0.25, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	covers := []*core.Cover{exp.Cover, refined(t, exp, 42).Cover}
+	mlnM, rulesM := builtins(t, exp)
+	for _, m := range []match.Matcher{mlnM, rulesM} {
+		run := func(c *core.Cover) match.PairSet {
+			res, err := core.SMP(context.Background(), core.Config{Cover: c, Matcher: m, Relation: exp.Dataset.Coauthor()})
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			return res.Matches
+		}
+		alone := make([]match.PairSet, len(covers))
+		for i, c := range covers {
+			alone[i] = run(c)
+		}
+		var wg sync.WaitGroup
+		for i, c := range covers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 3 {
+					if got := run(c); !got.Equal(alone[i]) {
+						t.Errorf("%T, cover %d: a concurrent run matched %d pairs, alone %d", m, i, got.Len(), alone[i].Len())
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
 }
 
 func TestConformance(t *testing.T) {

@@ -40,6 +40,7 @@ type RoundPlan struct {
 	dense     DenseMatcher
 	denseProb DenseProbabilistic // dense, for plans WithMessages
 	table     *CandidateTable    // dense's candidate table; nil without one
+	scopes    *Scopes            // the table's scoping of Config.Cover
 	negative  *Evidence          // Config.Negative over the table
 }
 
@@ -75,6 +76,7 @@ func NewRoundPlan(cfg Config, scheme string) (*RoundPlan, error) {
 		if plan.table = plan.dense.CandidateTable(); plan.table == nil {
 			return nil, fmt.Errorf("core: dense matcher %T has no candidate table", cfg.Matcher)
 		}
+		plan.scopes = plan.table.PrepareCover(cfg.Cover)
 		plan.negative = EvidenceOf(plan.table, cfg.Negative)
 	}
 	return plan, nil

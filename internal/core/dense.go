@@ -24,7 +24,8 @@ import "math/bits"
 // (MatcherContext.Table), or one it built with NewCandidateTable.
 //
 // The extension includes ScopePreparer, and with it the candidate-closure
-// property: MatchIDs(E, …) ⊆ ScopeIDs(E).
+// property: Candidates(E) are the table's pairs inside E, and
+// MatchIDs(c, nb, …) lists only ids the table scopes to c.Sets[nb].
 type DenseMatcher interface {
 	Matcher
 	ScopePreparer
@@ -33,16 +34,13 @@ type DenseMatcher interface {
 	// nil.
 	CandidateTable() *CandidateTable
 
-	// ScopeIDs returns the ids of Candidates(entities), ascending. For a
-	// neighborhood of the prepared cover it is the cached list; read-only.
-	// A matcher over a shared table returns the table's ScopeIDs.
-	ScopeIDs(entities []EntityID) []int32
-
-	// MatchIDs is Match in id form: pos and neg are evidence over this
-	// matcher's table (either may be nil), read by HasID only — a pair in
-	// their overflow is no match variable and changes nothing, per the
-	// evidence contract. The result is a fresh ascending id list.
-	MatchIDs(entities []EntityID, pos, neg *Evidence) []int32
+	// MatchIDs is Match in id form on neighborhood nb of cover c: by that
+	// number on the prepared cover, scoped afresh on any other. pos and neg
+	// are evidence over this matcher's table (either may be nil), read by
+	// HasID only — a pair in their overflow is no match variable and
+	// changes nothing, per the evidence contract. The result is a fresh
+	// ascending id list.
+	MatchIDs(c *Cover, nb int32, pos, neg *Evidence) []int32
 }
 
 // DenseProbabilistic is DenseMatcher for a Type-II matcher: the two
@@ -52,12 +50,12 @@ type DenseProbabilistic interface {
 	Probabilistic
 
 	// MatchMessagesIDs is one MMP evaluation in id form: it returns
-	// MatchIDs(entities, mPlus, neg) and appends to msgs the maximal
-	// messages under that match set — what MaximalMessenger.MaximalMessages
-	// derives with it as base — in candidate ids, one group per message of
-	// two or more. calls counts the conditioned probes. msgs belongs to
-	// the caller: a matcher neither keeps it nor reads what it held.
-	MatchMessagesIDs(entities []EntityID, mPlus, neg *Evidence, msgs *MessageIDs) (ids []int32, calls int)
+	// MatchIDs(c, nb, mPlus, neg) and appends to msgs the maximal messages
+	// under that match set — what MaximalMessenger.MaximalMessages derives
+	// with it as base — in candidate ids, one group per message of two or
+	// more. calls counts the conditioned probes. msgs belongs to the
+	// caller: a matcher neither keeps it nor reads what it held.
+	MatchMessagesIDs(c *Cover, nb int32, mPlus, neg *Evidence, msgs *MessageIDs) (ids []int32, calls int)
 
 	// ScoreSetDeltaIDs is DeltaScorer.ScoreSetDelta for add given as ids
 	// that s does not hold.
@@ -111,14 +109,16 @@ func EvidenceOf(table *CandidateTable, set PairSet) *Evidence {
 	return e
 }
 
-// MatchByIDs is Matcher.Match for a DenseMatcher, by way of MatchIDs: the
-// evidence sets are translated to dense form — in full, once per call —
-// and the id list back to a PairSet. It is the whole PairSet-form Match of
-// a matcher whose inference runs on ids; the engine, which calls often,
-// calls MatchIDs itself.
+// MatchByIDs is Matcher.Match for a DenseMatcher, by way of MatchIDs on
+// the entities as a cover of one neighborhood: the evidence sets are
+// translated to dense form — in full, once per call — and the id list back
+// to a PairSet. It is the whole PairSet-form Match of a matcher whose
+// inference runs on ids; the engine, which calls often, calls MatchIDs
+// itself.
 func MatchByIDs(m DenseMatcher, entities []EntityID, pos, neg PairSet) PairSet {
 	table := m.CandidateTable()
-	ids := m.MatchIDs(entities, EvidenceOf(table, pos), EvidenceOf(table, neg))
+	one := &Cover{Sets: [][]EntityID{entities}}
+	ids := m.MatchIDs(one, 0, EvidenceOf(table, pos), EvidenceOf(table, neg))
 	out := make(PairSet, len(ids))
 	for _, id := range ids {
 		out.Add(table.pairs[id])

@@ -70,3 +70,7 @@ func (p *RoundPlan) JobFromWire(w *wire.Job) Job {
 	j.pairMsgs = messagesFromWire(w.Msgs) // the store resolves them to ids
 	return j
 }
+
+// ValidateJob is validPairs for a job decoded from a peer's batch: its
+// matches outside the table and its message pairs, over n entities.
+func ValidateJob(j *Job, n int) error { return validPairs(j.keys, j.pairMsgs, n) }

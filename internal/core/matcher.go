@@ -35,7 +35,7 @@ type Matcher interface {
 	// similarity-candidate pairs). COMPUTEMAXIMAL (Algorithm 2), FULL and
 	// the UB oracle iterate over these; the result is the caller's — the
 	// built-in matchers materialize it from their table's scoped ids on
-	// each call, and the dense round path never asks (it reads ScopeIDs).
+	// each call, and the dense round path never asks (it reads Scopes).
 	Candidates(entities []EntityID) []Pair
 }
 
@@ -44,7 +44,7 @@ type Matcher interface {
 // model are immutable for the whole run — only evidence grows — so a
 // matcher can precompute each neighborhood's scoped candidate set, local
 // interaction structure and out-of-scope boundary once, turning every
-// subsequent Match call on a cover neighborhood into an array walk over a
+// subsequent evaluation of a cover neighborhood into an array walk over a
 // prebuilt skeleton instead of per-call map building. The scoped
 // candidate sets are the CandidateTable's (CandidateTable.PrepareCover):
 // matchers over one table share them, and each adds only what is its own.
@@ -53,7 +53,7 @@ type Matcher interface {
 // Match/Candidates (schedulers may share a matcher across runs); calls
 // with covers the matcher has not seen replace the previous preparation.
 // Matchers must keep answering correctly for entity slices outside the
-// prepared cover.
+// prepared cover, and for the neighborhoods of any other cover.
 //
 // Implementing ScopePreparer additionally asserts the candidate-closure
 // property: Match(E, pos, neg) ⊆ Candidates(E) — with the evidence
@@ -64,9 +64,10 @@ type Matcher interface {
 // outside their candidate enumeration (e.g. an interleaved transitive
 // closure) must not implement this interface.
 //
-// DenseMatcher builds on this interface: its ScopeIDs is the prepared
-// neighborhood's candidate list as ids, which is what turns the
-// undecided-candidate count above into a walk over evidence bits.
+// DenseMatcher builds on this interface: the table's Scopes of the
+// prepared cover list each neighborhood's candidates as ids, which is
+// what turns the undecided-candidate count above into a walk over
+// evidence bits.
 type ScopePreparer interface {
 	PrepareCover(c *Cover)
 }

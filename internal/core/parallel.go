@@ -70,7 +70,7 @@ func (p *RoundPlan) evaluate(id int32, evidence *Evidence, allowSkip bool, arena
 	entities := cfg.Cover.Sets[id]
 	j := Job{id: id, calls: 1}
 	if p.dense != nil {
-		j.active = evidence.CountUnset(p.dense.ScopeIDs(entities))
+		j.active = evidence.CountUnset(p.scopes.IDs(id))
 	} else {
 		j.active = activeDecisions(cfg.Matcher, entities, evidence.Overflow())
 	}
@@ -85,10 +85,10 @@ func (p *RoundPlan) evaluate(id int32, evidence *Evidence, allowSkip bool, arena
 			arena = new(MessageIDs)
 		}
 		arena.Reset()
-		j.ids, probes = p.denseProb.MatchMessagesIDs(entities, evidence, p.negative, arena)
+		j.ids, probes = p.denseProb.MatchMessagesIDs(cfg.Cover, id, evidence, p.negative, arena)
 		j.msgs = arena
 	case p.dense != nil:
-		j.ids = p.dense.MatchIDs(entities, evidence, p.negative)
+		j.ids = p.dense.MatchIDs(cfg.Cover, id, evidence, p.negative)
 	default:
 		pos := evidence.Overflow()
 		mc := cfg.Matcher.Match(entities, pos, cfg.Negative)

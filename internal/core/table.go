@@ -36,15 +36,16 @@ type CandidateTable struct {
 	pairs []Pair
 	first []int32 // entity e -> first id with A == e; len n+1
 
-	scopes atomic.Pointer[CoverScopes[Scope]]
+	scopes atomic.Pointer[Scopes]
 	marks  sync.Pool // *entityMarks, all clear between uses
 
 	joinMu sync.Mutex
 	join   *Supports
 }
 
-// entityMarks is the membership scratch of one scoping pass.
-type entityMarks struct{ in []bool }
+// entityMarks is the membership scratch of one scoping pass: 1 marks an
+// entity of the slice, 2 one whose candidate range was walked.
+type entityMarks struct{ in []uint8 }
 
 // TableOf builds the table of the pairs of cands — candidates in any
 // form, read through pair — over the entities [0, n), and returns with it
@@ -82,7 +83,7 @@ func TableOf[C any](n int, cands []C, pair func(C) Pair) (*CandidateTable, []C, 
 	for e := 0; e < n; e++ {
 		t.first[e+1] += t.first[e]
 	}
-	t.marks.New = func() any { return &entityMarks{in: make([]bool, n)} }
+	t.marks.New = func() any { return &entityMarks{in: make([]uint8, n)} }
 	return t, cands, nil
 }
 
@@ -158,15 +159,21 @@ func (t *CandidateTable) search(lo, hi int, k PairKey) (int32, bool) {
 	return 0, false
 }
 
-// Scope is one neighborhood of a prepared cover as the table sees it: the
-// ids of the candidates with both endpoints inside, ascending. Index
-// numbers the cover's non-empty neighborhoods 0, 1, … in cover order, so
-// a matcher can keep its own per-neighborhood state in a slice beside the
-// table's.
-type Scope struct {
-	Index int32
-	IDs   []int32
+// Scopes is one cover as a candidate table sees it: for every
+// neighborhood, by its number in the cover, the ids of the candidates with
+// both endpoints inside, ascending. CandidateTable.PrepareCover builds it;
+// a matcher keeps its own per-neighborhood state in a slice indexed the
+// same way.
+type Scopes struct {
+	cover *Cover
+	ids   [][]int32
 }
+
+// Cover returns the cover the scoping is of.
+func (s *Scopes) Cover() *Cover { return s.cover }
+
+// IDs returns the scoped ids of neighborhood nb. Read-only.
+func (s *Scopes) IDs(nb int32) []int32 { return s.ids[nb] }
 
 // PrepareCover scopes every neighborhood of c — once per cover, however
 // many matchers over this table are handed it — and returns the scoping.
@@ -174,69 +181,55 @@ type Scope struct {
 // state of its own holds on to the returned value, which stays valid
 // after another cover replaces it here. Safe to call concurrently with
 // every other method.
-func (t *CandidateTable) PrepareCover(c *Cover) *CoverScopes[Scope] {
-	if cs := t.scopes.Load(); cs.Covers(c) {
-		return cs
+func (t *CandidateTable) PrepareCover(c *Cover) *Scopes {
+	if s := t.scopes.Load(); s != nil && s.cover == c {
+		return s
 	}
 	// Each neighborhood is scoped into the reused buffer and copied out at
 	// exact size: appending into fresh lists pays a regrowth series each.
+	s := &Scopes{cover: c, ids: make([][]int32, c.Len())}
 	var buf []int32
-	index := int32(0)
-	cs := BuildCoverScopes(c, func(set []EntityID) *Scope {
+	for nb, set := range c.Sets {
 		buf = t.AppendScopeIDs(buf[:0], set)
-		s := &Scope{Index: index, IDs: slices.Clone(buf)}
-		index++
-		return s
-	})
-	t.scopes.Store(cs)
-	return cs
-}
-
-// Scope returns the prepared scope of a cover neighborhood, or nil when
-// the entity slice is not a neighborhood of the last prepared cover.
-func (t *CandidateTable) Scope(entities []EntityID) *Scope {
-	return t.scopes.Load().Lookup(entities)
-}
-
-// ScopeIDs returns the ids of the candidates with both endpoints in the
-// entity set, ascending: the cached list (read-only) for a neighborhood
-// of the prepared cover, a fresh one for any other slice.
-func (t *CandidateTable) ScopeIDs(entities []EntityID) []int32 {
-	if s := t.Scope(entities); s != nil {
-		return s.IDs
+		s.ids[nb] = slices.Clone(buf)
 	}
-	return t.AppendScopeIDs(nil, entities)
+	t.scopes.Store(s)
+	return s
 }
 
-// AppendScopeIDs scopes an arbitrary entity slice — in any order; FULL's
-// whole set, a test's subset — appending its candidate ids, ascending, to
-// dst.
+// AppendScopeIDs scopes an arbitrary entity slice — in any order, an
+// entity listed any number of times; FULL's whole set, a test's subset —
+// appending its candidate ids, ascending and each once, to dst.
 func (t *CandidateTable) AppendScopeIDs(dst []int32, entities []EntityID) []int32 {
 	mk := t.marks.Get().(*entityMarks)
 	defer t.marks.Put(mk)
 	in := mk.in
 	for _, e := range entities {
-		in[e] = true
+		in[e] = 1
 	}
 	lo := len(dst)
 	for _, e := range entities {
+		if in[e] == 2 {
+			continue
+		}
+		in[e] = 2
 		for id := t.first[e]; id < t.first[e+1]; id++ {
-			if in[t.pairs[id].B] {
+			if in[t.pairs[id].B] != 0 {
 				dst = append(dst, id)
 			}
 		}
 	}
 	for _, e := range entities {
-		in[e] = false
+		in[e] = 0
 	}
 	slices.Sort(dst[lo:])
 	return dst
 }
 
 // Candidates returns the candidate pairs with both endpoints in the
-// entity set, in (A, B) order, materialized from ScopeIDs on each call.
+// entity set, in (A, B) order, materialized on each call.
 func (t *CandidateTable) Candidates(entities []EntityID) []Pair {
-	ids := t.ScopeIDs(entities)
+	ids := t.AppendScopeIDs(nil, entities)
 	out := make([]Pair, len(ids))
 	for i, id := range ids {
 		out[i] = t.pairs[id]

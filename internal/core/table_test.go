@@ -66,6 +66,52 @@ func TestCandidateTableValidation(t *testing.T) {
 	}
 }
 
+// scopeByDefinition lists the ids of the candidates with both endpoints
+// in the entity set.
+func scopeByDefinition(model []Pair, set []EntityID) []int32 {
+	var ids []int32
+	for id, p := range model {
+		if slices.Contains(set, p.A) && slices.Contains(set, p.B) {
+			ids = append(ids, int32(id))
+		}
+	}
+	return ids
+}
+
+// TestCoverScopes: a cover's scoping lists every neighborhood by its
+// number — empty and unsorted ones included — as the definition does; it
+// is built once per cover, and a held scoping stays valid after another
+// cover replaces it in the table.
+func TestCoverScopes(t *testing.T) {
+	model := []Pair{{0, 1}, {0, 3}, {1, 2}, {1, 3}, {2, 3}, {3, 5}, {4, 5}}
+	table := mustTable(t, 6, model)
+	c := &Cover{NumEntities: 6, Sets: [][]EntityID{{0, 1, 2}, {}, {5, 3, 4}, {3, 1, 0, 2}, {4}}}
+	scopes := table.PrepareCover(c)
+	if scopes.Cover() != c {
+		t.Fatal("the scoping is not of the prepared cover")
+	}
+	if table.PrepareCover(c) != scopes {
+		t.Fatal("a second PrepareCover of the same cover scoped it again")
+	}
+	check := func(when string) {
+		t.Helper()
+		for nb, set := range c.Sets {
+			if got, want := scopes.IDs(int32(nb)), scopeByDefinition(model, set); !slices.Equal(got, want) {
+				t.Fatalf("%s: neighborhood %d %v scoped to %v, want %v", when, nb, set, got, want)
+			}
+		}
+	}
+	check("prepared")
+	other := &Cover{NumEntities: 6, Sets: [][]EntityID{{1, 3}}}
+	if next := table.PrepareCover(other); next == scopes || next.Cover() != other {
+		t.Fatal("another cover did not replace the table's scoping")
+	}
+	check("replaced")
+	if table.PrepareCover(c) == scopes {
+		t.Fatal("the table kept a replaced scoping")
+	}
+}
+
 // supportsByDefinition is the N(a) × N(b) grid the support join is
 // defined by: shared counts the c1 = c2 combinations, and every other
 // combination that is a candidate — the candidate itself excepted —
@@ -160,8 +206,9 @@ func FuzzCandidateTable(f *testing.F) {
 			}
 		}
 
-		// Scoping: the whole set, a scripted subset, both reversed, the
-		// empty slice — unprepared, then as the neighborhoods of a cover.
+		// Scoping: the whole set, a scripted subset, both reversed, a set
+		// listing every entity twice, the empty slice — unprepared, then
+		// as the neighborhoods of a cover.
 		var all, subset []EntityID
 		for e := 0; e < n; e++ {
 			all = append(all, EntityID(e))
@@ -170,21 +217,12 @@ func FuzzCandidateTable(f *testing.F) {
 			}
 		}
 		rev := func(s []EntityID) []EntityID { r := slices.Clone(s); slices.Reverse(r); return r }
-		sets := [][]EntityID{all, subset, rev(all), rev(subset), {}}
-		scopeOf := func(set []EntityID) []int32 {
-			var ids []int32
-			for id, p := range model {
-				if slices.Contains(set, p.A) && slices.Contains(set, p.B) {
-					ids = append(ids, int32(id))
-				}
-			}
-			return ids
-		}
-		check := func(when string) {
-			for _, set := range sets {
-				want := scopeOf(set)
-				if got := table.ScopeIDs(set); !slices.Equal(got, want) {
-					t.Fatalf("%s: ScopeIDs(%v) = %v, want %v", when, set, got, want)
+		sets := [][]EntityID{all, subset, rev(all), rev(subset), append(rev(all), all...), {}}
+		check := func(when string, ids func(nb int) []int32) {
+			for nb, set := range sets {
+				want := scopeByDefinition(model, set)
+				if got := ids(nb); !slices.Equal(got, want) {
+					t.Fatalf("%s: scope of %v = %v, want %v", when, set, got, want)
 				}
 				cands := table.Candidates(set)
 				if len(cands) != len(want) {
@@ -197,32 +235,9 @@ func FuzzCandidateTable(f *testing.F) {
 				}
 			}
 		}
-		check("unprepared")
-		cover := &Cover{NumEntities: n, Sets: sets}
-		cs := table.PrepareCover(cover)
-		if table.PrepareCover(cover) != cs {
-			t.Fatal("a second PrepareCover of the same cover scoped it again")
-		}
-		check("prepared")
-		seen := map[int32]bool{}
-		for _, set := range sets {
-			s := table.Scope(set)
-			if (s == nil) != (len(set) == 0) {
-				t.Fatalf("Scope(%v) = %v", set, s)
-			}
-			if s != nil {
-				if seen[s.Index] || int(s.Index) >= len(sets) {
-					t.Fatalf("scope index %d reused or out of range", s.Index)
-				}
-				seen[s.Index] = true
-				if got := table.ScopeIDs(set); len(got) > 0 && &got[0] != &s.IDs[0] {
-					t.Fatal("ScopeIDs of a prepared neighborhood is not the cached list")
-				}
-			}
-		}
-		if table.Scope(slices.Clone(all)) != nil {
-			t.Fatal("Scope answered for a slice outside the cover")
-		}
+		check("unprepared", func(nb int) []int32 { return table.AppendScopeIDs(nil, sets[nb]) })
+		scopes := table.PrepareCover(&Cover{NumEntities: n, Sets: sets})
+		check("prepared", func(nb int) []int32 { return scopes.IDs(int32(nb)) })
 
 		// The support join, computed once per table and graph.
 		sup := table.Supports(co)

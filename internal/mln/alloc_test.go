@@ -13,9 +13,10 @@ import (
 
 // TestMatchAllocs bounds the allocations of one warm match on a prepared
 // cover neighborhood, in the id form the engine calls — the returned id
-// list is the only allocation (measured 1) — and in the PairSet form,
-// which adds the result set (measured 5). The pre-engine cost was ~100
-// allocations per call on this fixture.
+// list is the only allocation (measured 1) — and of the same entities in
+// the PairSet form, which scopes them afresh as a one-set cover and adds
+// the result set (measured 7). The pre-engine cost was ~100 allocations
+// per call on this fixture.
 func TestMatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -26,15 +27,16 @@ func TestMatchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.PrepareCover(env.cover)
-	entities := env.cover.Sets[largestNeighborhood(env.cover)]
+	nb := int32(largestNeighborhood(env.cover))
+	entities := env.cover.Sets[nb]
 	ev := core.NewEvidence(m.CandidateTable())
-	m.MatchIDs(entities, ev, nil) // warm the pools
+	m.MatchIDs(env.cover, nb, ev, nil) // warm the pools
 	for _, form := range []struct {
 		name      string
 		call      func()
 		maxAllocs float64
 	}{
-		{"MatchIDs", func() { m.MatchIDs(entities, ev, nil) }, 4},
+		{"MatchIDs", func() { m.MatchIDs(env.cover, nb, ev, nil) }, 4},
 		{"Match", func() { m.Match(entities, nil, nil) }, 12},
 	} {
 		if avg := testing.AllocsPerRun(50, form.call); avg > form.maxAllocs {
@@ -57,12 +59,12 @@ func TestMaximalMessagesAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.PrepareCover(env.cover)
-	entities := env.cover.Sets[largestNeighborhood(env.cover)]
+	nb := int32(largestNeighborhood(env.cover))
 	mPlus := core.NewEvidence(m.CandidateTable())
 	var msgs core.MessageIDs
 	call := func() {
 		msgs.Reset()
-		m.MatchMessagesIDs(entities, mPlus, nil, &msgs)
+		m.MatchMessagesIDs(env.cover, nb, mPlus, nil, &msgs)
 	}
 	call() // warm the pools
 	if msgs.Len() == 0 {

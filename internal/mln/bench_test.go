@@ -46,23 +46,16 @@ func BenchmarkNew(b *testing.B) {
 	}
 }
 
-// BenchmarkMatchWarm measures one Match call on a fixed warm neighborhood
-// after PrepareCover: the per-call cost SMP/MMP multiply by
-// Evaluations × rounds.
+// BenchmarkMatchWarm measures one MatchIDs call on a fixed warm
+// neighborhood after PrepareCover, as the engine makes it: the per-call
+// cost SMP/MMP multiply by Evaluations × rounds.
 func BenchmarkMatchWarm(b *testing.B) {
-	env, cands := benchGround(b)
-	m, err := New(env.d, cands, PaperWeights())
-	if err != nil {
-		b.Fatal(err)
-	}
-	m.PrepareCover(env.cover)
-	id := largestNeighborhood(env.cover)
-	entities := env.cover.Sets[id]
-	pos := core.NewPairSet()
+	m, c, nb := benchPrepared(b)
+	pos := core.NewEvidence(m.CandidateTable())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Match(entities, pos, nil)
+		m.MatchIDs(c, nb, pos, nil)
 	}
 }
 
@@ -77,14 +70,14 @@ func largestNeighborhood(c *core.Cover) int {
 }
 
 // benchPrepared grounds the HEPTH corpus, prepares the cover, and
-// returns the matcher with its largest neighborhood — the shared setup
-// of the memoization benchmarks.
-func benchPrepared(b *testing.B) (*Matcher, []core.EntityID) {
+// returns the matcher with the cover and the number of its largest
+// neighborhood — the shared setup of the warm-match benchmarks.
+func benchPrepared(b *testing.B) (*Matcher, *core.Cover, int32) {
 	return benchPreparedAt(b, 0.25)
 }
 
 // benchPreparedAt is benchPrepared at another HEPTH-like scale.
-func benchPreparedAt(b *testing.B, scale float64) (*Matcher, []core.EntityID) {
+func benchPreparedAt(b *testing.B, scale float64) (*Matcher, *core.Cover, int32) {
 	b.Helper()
 	env, cands := benchGroundAt(b, scale)
 	m, err := New(env.d, cands, PaperWeights())
@@ -92,7 +85,7 @@ func benchPreparedAt(b *testing.B, scale float64) (*Matcher, []core.EntityID) {
 		b.Fatal(err)
 	}
 	m.PrepareCover(env.cover)
-	return m, env.cover.Sets[largestNeighborhood(env.cover)]
+	return m, env.cover, int32(largestNeighborhood(env.cover))
 }
 
 // BenchmarkMemoHit measures the steady-state memo hit: read the read
@@ -100,13 +93,13 @@ func benchPreparedAt(b *testing.B, scale float64) (*Matcher, []core.EntityID) {
 // re-activated neighborhood with unchanged relevant evidence costs in
 // place of a full MAP solve (BenchmarkMemoMiss).
 func BenchmarkMemoHit(b *testing.B) {
-	m, entities := benchPrepared(b)
-	pos := core.NewPairSet()
-	m.Match(entities, pos, nil) // populate
+	m, c, nb := benchPrepared(b)
+	pos := core.NewEvidence(m.CandidateTable())
+	m.MatchIDs(c, nb, pos, nil) // populate
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Match(entities, pos, nil)
+		m.MatchIDs(c, nb, pos, nil)
 	}
 	b.StopTimer()
 	if st := m.CacheStats(); st.Hits < int64(b.N) {
@@ -121,15 +114,17 @@ func BenchmarkMemoHit(b *testing.B) {
 // BenchmarkMatchWarm at the pre-memo baseline is the layer's overhead on
 // never-hitting workloads.
 func BenchmarkMemoMiss(b *testing.B) {
-	m, entities := benchPrepared(b)
-	evidence := []core.PairSet{core.NewPairSet()}
-	for _, p := range m.Candidates(entities)[:memoWays] {
-		evidence = append(evidence, core.NewPairSet(p))
+	m, c, nb := benchPrepared(b)
+	evidence := []*core.Evidence{core.NewEvidence(m.CandidateTable())}
+	for _, id := range m.table.AppendScopeIDs(nil, c.Sets[nb])[:memoWays] {
+		e := core.NewEvidence(m.CandidateTable())
+		e.AddID(id)
+		evidence = append(evidence, e)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Match(entities, evidence[i%len(evidence)], nil)
+		m.MatchIDs(c, nb, evidence[i%len(evidence)], nil)
 	}
 	b.StopTimer()
 	if st := m.CacheStats(); st.Hits > 1 {

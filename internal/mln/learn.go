@@ -111,6 +111,7 @@ func Learn(m *Matcher, cover *core.Cover, truth core.PairSet, cfg LearnConfig) (
 	}
 	w := m.w
 	var sum Weights
+	var ids []int32
 	samples := 0
 
 	accumulate := func() {
@@ -124,8 +125,7 @@ func Learn(m *Matcher, cover *core.Cover, truth core.PairSet, cfg LearnConfig) (
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, ni := range order {
-			entities := cover.Sets[ni]
-			ids := m.ScopeIDs(entities)
+			ids = m.table.AppendScopeIDs(ids[:0], cover.Sets[ni])
 			if len(ids) == 0 {
 				continue
 			}
@@ -139,7 +139,7 @@ func Learn(m *Matcher, cover *core.Cover, truth core.PairSet, cfg LearnConfig) (
 			m.applyWeights()
 			// Predicted afresh: the memo holds verdicts of other weights.
 			ws := m.getWS()
-			_, _, out := m.solveFresh(entities, nil, nil, ws)
+			_, _, out := m.solveFresh(cover, int32(ni), nil, nil, ws)
 			pred := core.NewPairSet()
 			for _, id := range out {
 				pred.Add(m.table.Pair(id))

@@ -138,7 +138,7 @@ func TestFeatureCounts(t *testing.T) {
 	})
 	m := newMatcher(t, d)
 	all := allRefs(d)
-	ids := m.ScopeIDs(all)
+	ids := m.table.AppendScopeIDs(nil, all)
 	rastogi, dalvi := core.MakePair(0, 2), core.MakePair(1, 3)
 
 	f := m.featureCounts(ids, core.NewPairSet(rastogi, dalvi))

@@ -228,15 +228,15 @@ func (m *Matcher) CandidateTable() *core.CandidateTable { return m.table }
 // wraps: the evidence is read by candidate id, the output is the
 // ascending ids of the matched in-scope candidates.
 //
-// On a prepared cover neighborhood, with memoization on, the call first
-// consults the scope's verdict memo (memo.go): when one of the cached
-// verdicts was solved under the same read set, its match set is returned
-// without building or solving the submodel — provably the set
+// On a neighborhood of the prepared cover, with memoization on, the call
+// first consults the scope's verdict memo (memo.go): when one of the
+// cached verdicts was solved under the same read set, its match set is
+// returned without building or solving the submodel — provably the set
 // recomputation would produce — and otherwise the fresh verdict is stored.
-func (m *Matcher) MatchIDs(entities []core.EntityID, pos, neg *core.Evidence) []int32 {
+func (m *Matcher) MatchIDs(c *core.Cover, nb int32, pos, neg *core.Evidence) []int32 {
 	ws := m.getWS()
 	defer m.putWS(ws)
-	sc := m.scopeOf(entities, ws)
+	sc := m.scopeOf(c, nb, ws)
 	key := readSet(sc, pos, neg, ws)
 	memo := sc != &ws.eph && !m.memoOff
 	if memo {
@@ -253,8 +253,8 @@ func (m *Matcher) MatchIDs(entities []core.EntityID, pos, neg *core.Evidence) []
 
 // solveFresh is MatchIDs without the memo — scope, read set, solve — for
 // MatchMessagesIDs and Learn. Its results are solve's, views into ws.
-func (m *Matcher) solveFresh(entities []core.EntityID, pos, neg *core.Evidence, ws *workspace) (localModel, []bool, []int32) {
-	sc := m.scopeOf(entities, ws)
+func (m *Matcher) solveFresh(c *core.Cover, nb int32, pos, neg *core.Evidence, ws *workspace) (localModel, []bool, []int32) {
+	sc := m.scopeOf(c, nb, ws)
 	readSet(sc, pos, neg, ws)
 	return m.solve(sc, ws)
 }

@@ -47,10 +47,13 @@ func grow[T any](s []T, n int) []T {
 // MaximalMessages implements core.MaximalMessenger by way of the fused
 // evaluation, its messages translated to pairs. base is E(C, mPlus) by the
 // interface's contract — the match set the evaluation solves for anyway —
-// so it is not read. Like MatchMessagesIDs it leaves the verdict memo alone.
+// so it is not read. The entity set is evaluated as a cover of one
+// neighborhood, scoped afresh. Like MatchMessagesIDs it leaves the
+// verdict memo alone.
 func (m *Matcher) MaximalMessages(entities []core.EntityID, mPlus, neg, base core.PairSet) (msgs [][]core.Pair, calls int) {
 	var ids core.MessageIDs
-	_, calls = m.MatchMessagesIDs(entities, core.EvidenceOf(m.table, mPlus), core.EvidenceOf(m.table, neg), &ids)
+	one := &core.Cover{Sets: [][]core.EntityID{entities}}
+	_, calls = m.MatchMessagesIDs(one, 0, core.EvidenceOf(m.table, mPlus), core.EvidenceOf(m.table, neg), &ids)
 	for i := range ids.Len() {
 		msg := make([]core.Pair, len(ids.At(i)))
 		for x, id := range ids.At(i) {
@@ -62,20 +65,20 @@ func (m *Matcher) MaximalMessages(entities []core.EntityID, mPlus, neg, base cor
 }
 
 // MatchMessagesIDs implements core.DenseProbabilistic over one submodel,
-// built from the prepared skeleton when there is one and solved, then
-// probed by a specialized Algorithm 2: per connected component of the
+// built from the prepared skeleton when c is the prepared cover and solved,
+// then probed by a specialized Algorithm 2: per connected component of the
 // local interaction graph (clamping a variable can only entail its own
-// component), each free variable the solution leaves false that can reach
-// a non-negative score under total local support is clamped and its
-// component solved — by pairMAP on two variables, nearly every probe on
-// the bibliographic corpora — and the mutual-entailment groups are the
+// component), each free variable the solution leaves false that can reach a
+// non-negative score under total local support is clamped and its component
+// solved — by pairMAP on two variables, nearly every probe on the
+// bibliographic corpora — and the mutual-entailment groups are the
 // messages. calls counts every probe. The verdict memo is neither read nor
 // filled: an MMP evaluation's evidence rarely repeats, so caching its
 // verdicts cost more than it saved.
-func (m *Matcher) MatchMessagesIDs(entities []core.EntityID, mPlus, neg *core.Evidence, msgs *core.MessageIDs) (ids []int32, calls int) {
+func (m *Matcher) MatchMessagesIDs(c *core.Cover, nb int32, mPlus, neg *core.Evidence, msgs *core.MessageIDs) (ids []int32, calls int) {
 	ws := m.getWS()
 	defer m.putWS(ws)
-	lm, x, out := m.solveFresh(entities, mPlus, neg, ws)
+	lm, x, out := m.solveFresh(c, nb, mPlus, neg, ws)
 	calls = m.maximal(lm, x, ws, msgs)
 	return slices.Clone(out), calls
 }

@@ -54,13 +54,27 @@ func memoGroundAt(t testing.TB, scale float64, seed int64) memoEnv {
 	return memoEnv{d, cover, memo, ref}
 }
 
-// checkNeighborhood compares the memoized and unmemoized verdicts of one
-// neighborhood under one evidence state: Match output, MaximalMessages
-// output and probe count, and the global LogScore of the match set.
-func checkNeighborhood(t *testing.T, env memoEnv, entities []core.EntityID, pos, neg core.PairSet) {
+// matchNB is MatchIDs — the form the engine calls, and the one the memo
+// answers on a neighborhood of the prepared cover — with the evidence and
+// the match set as PairSets.
+func matchNB(m *Matcher, c *core.Cover, nb int, pos, neg core.PairSet) core.PairSet {
+	t := m.CandidateTable()
+	out := core.NewPairSet()
+	for _, id := range m.MatchIDs(c, int32(nb), core.EvidenceOf(t, pos), core.EvidenceOf(t, neg)) {
+		out.Add(t.Pair(id))
+	}
+	return out
+}
+
+// checkNeighborhood compares the memoized and unmemoized verdicts of
+// neighborhood nb under one evidence state: MatchIDs output,
+// MaximalMessages output and probe count, and the global LogScore of the
+// match set.
+func checkNeighborhood(t *testing.T, env memoEnv, nb int, pos, neg core.PairSet) {
 	t.Helper()
-	gotM := env.memo.Match(entities, pos, neg)
-	wantM := env.ref.Match(entities, pos, neg)
+	entities := env.cover.Sets[nb]
+	gotM := matchNB(env.memo, env.cover, nb, pos, neg)
+	wantM := matchNB(env.ref, env.cover, nb, pos, neg)
 	if !gotM.Equal(wantM) {
 		t.Fatalf("memoized Match diverged: %d pairs vs %d", gotM.Len(), wantM.Len())
 	}
@@ -105,8 +119,8 @@ func TestMemoDifferentialGrowth(t *testing.T) {
 			// Two consecutive evaluations per neighborhood: the second runs
 			// against unchanged evidence, so it must be served from cache
 			// without changing the answer.
-			checkNeighborhood(t, env, env.cover.Sets[id], pos, neg)
-			checkNeighborhood(t, env, env.cover.Sets[id], pos, neg)
+			checkNeighborhood(t, env, id, pos, neg)
+			checkNeighborhood(t, env, id, pos, neg)
 		}
 		// Grow the evidence the way SMP does: adopt some of the model's
 		// own matches, plus a few arbitrary candidates.
@@ -298,7 +312,8 @@ func TestMemoAcrossRuns(t *testing.T) {
 // must equal the memo-off reference's.
 func TestMemoConcurrentMatch(t *testing.T) {
 	env := memoGround(t, 17)
-	entities := env.cover.Sets[largestNeighborhood(env.cover)]
+	nb := largestNeighborhood(env.cover)
+	entities := env.cover.Sets[nb]
 	evidence := []core.PairSet{core.NewPairSet()}
 	for _, p := range env.memo.Candidates(entities)[:memoWays] {
 		evidence = append(evidence, core.NewPairSet(p))
@@ -314,7 +329,7 @@ func TestMemoConcurrentMatch(t *testing.T) {
 			defer wg.Done()
 			for i := range 100 {
 				k := (g + i/3) % len(evidence)
-				if got := env.memo.Match(entities, evidence[k], nil); !got.Equal(want[k]) {
+				if got := matchNB(env.memo, env.cover, nb, evidence[k], nil); !got.Equal(want[k]) {
 					t.Errorf("goroutine %d, call %d: memoized Match diverged under evidence state %d", g, i, k)
 					return
 				}
@@ -327,18 +342,26 @@ func TestMemoConcurrentMatch(t *testing.T) {
 	}
 }
 
-// TestMemoScopedToPreparedCover pins where memoization applies: entity
-// slices outside the prepared cover take the ephemeral path and must
-// never touch the counters, and a nil-prepared matcher never memoizes.
+// TestMemoScopedToPreparedCover pins where memoization applies: only
+// MatchIDs on a neighborhood of the prepared cover. Entity slices — a
+// cover set among them — and the neighborhoods of any other cover take
+// the ephemeral path and must never touch the counters.
 func TestMemoScopedToPreparedCover(t *testing.T) {
 	env := memoGround(t, 5)
 	sub := slices.Clone(env.cover.Sets[0])
 	sub = sub[:len(sub)-1] // not a cover set → ephemeral scope
+	other := &core.Cover{NumEntities: env.cover.NumEntities, Sets: slices.Clone(env.cover.Sets)}
 	before := env.memo.CacheStats()
 	got := env.memo.Match(sub, nil, nil)
 	want := env.ref.Match(sub, nil, nil)
 	if !got.Equal(want) {
 		t.Fatalf("ephemeral Match diverged")
+	}
+	if got, want := env.memo.Match(env.cover.Sets[0], nil, nil), matchNB(env.ref, env.cover, 0, nil, nil); !got.Equal(want) {
+		t.Fatalf("Match of a cover set diverged")
+	}
+	if got, want := matchNB(env.memo, other, 0, nil, nil), matchNB(env.ref, env.cover, 0, nil, nil); !got.Equal(want) {
+		t.Fatalf("MatchIDs on another cover diverged")
 	}
 	if after := env.memo.CacheStats(); after != before {
 		t.Fatalf("ephemeral evaluation touched the memo: %+v -> %+v", before, after)
@@ -350,9 +373,8 @@ func TestMemoScopedToPreparedCover(t *testing.T) {
 // evaluation must agree with an unmemoized matcher under the new weights.
 func TestSetWeightsInvalidatesMemo(t *testing.T) {
 	env := memoGround(t, 9)
-	entities := env.cover.Sets[0]
-	env.memo.Match(entities, nil, nil)
-	env.memo.Match(entities, nil, nil) // populate + hit
+	matchNB(env.memo, env.cover, 0, nil, nil)
+	matchNB(env.memo, env.cover, 0, nil, nil) // populate + hit
 	if st := env.memo.CacheStats(); st.Hits == 0 {
 		t.Fatalf("no hit before re-weighting: %+v", st)
 	}
@@ -368,15 +390,14 @@ func TestSetWeightsInvalidatesMemo(t *testing.T) {
 	if after := env.memo.CacheStats(); after.Invalidations <= before.Invalidations {
 		t.Fatalf("SetWeights dropped no cached verdicts: %+v -> %+v", before, after)
 	}
-	checkNeighborhood(t, env, entities, nil, nil)
+	checkNeighborhood(t, env, 0, nil, nil)
 }
 
-// TestScopeForRejectsRecycledBackingArray is the regression test for the
-// skeleton-aliasing bug: prepared scopes were keyed by (&set[0], len)
-// alone, so rebuilding a cover set in place over the same backing array
-// — same pointer, same length, different entities — reused the stale
-// skeleton. The prepared matcher must answer exactly like an unprepared
-// one for the new contents.
+// TestScopeForRejectsRecycledBackingArray is the regression test for a
+// skeleton-aliasing bug of slice-address keying: an entity slice rebuilt
+// in place over a cover set's backing array — same pointer, same length,
+// different entities — must be answered for its new contents, exactly as
+// an unprepared matcher answers.
 func TestScopeForRejectsRecycledBackingArray(t *testing.T) {
 	env := memoGround(t, 13)
 	a, b := -1, -1
@@ -443,7 +464,7 @@ var fuzzMemoEnv = sync.OnceValue(func() *memoEnv {
 
 // FuzzMemoDifferential drives arbitrary evidence sequences against both
 // matchers: whatever pairs the bytes select as V+/V−, the memoized
-// Match and MaximalMessages verdicts of every visited neighborhood must
+// MatchIDs and MaximalMessages verdicts of every visited neighborhood must
 // equal the unmemoized ones. Each neighborhood is visited twice per
 // evidence state so cache hits (not just misses) are what is compared.
 func FuzzMemoDifferential(f *testing.F) {
@@ -461,8 +482,8 @@ func FuzzMemoDifferential(f *testing.F) {
 		grow := pickPairs(env.memo, posBytes)
 		for step := 0; ; step++ {
 			for range 2 { // second visit: unchanged evidence, hit path
-				gotM := env.memo.Match(entities, pos, neg)
-				wantM := env.ref.Match(entities, pos, neg)
+				gotM := matchNB(env.memo, env.cover, id, pos, neg)
+				wantM := matchNB(env.ref, env.cover, id, pos, neg)
 				if !gotM.Equal(wantM) {
 					t.Fatalf("step %d: memoized Match diverged", step)
 				}

@@ -10,8 +10,8 @@ import (
 // This file implements the matcher's side of core.ScopePreparer: the
 // cover and the ground model are immutable for a whole run — only
 // evidence grows — so everything that depends on (model, neighborhood)
-// alone is computed once per cover and reused by every Match /
-// Candidates / MaximalMessages call. Per-call state (the evidence
+// alone is computed once per cover and reused by every MatchIDs /
+// MatchMessagesIDs call that names a neighborhood of it. Per-call state (the evidence
 // translation and solver inputs) lives in pooled workspaces holding a
 // dense state vector indexed by candidate-pair id, so all scoring and
 // conditioning inside a call is O(1) slice indexing instead of hashed
@@ -48,9 +48,9 @@ type scope struct {
 }
 
 // prepared is one cover's preparation: the table's scoping of it and, by
-// core.Scope.Index, this matcher's skeletons over those scopes.
+// neighborhood number, this matcher's skeletons over those scopes.
 type prepared struct {
-	scopes *core.CoverScopes[core.Scope]
+	scopes *core.Scopes
 	skel   []scope
 }
 
@@ -58,40 +58,25 @@ type prepared struct {
 // cover — done once however many matchers share the table — and link
 // every neighborhood's interaction skeleton over its ids. Idempotent per
 // cover; a different cover replaces the previous preparation atomically,
-// so concurrent Match calls are safe either way (they fall back to the
-// ephemeral path when their entity slice is unknown).
+// so concurrent calls are safe either way (one naming a neighborhood of
+// another cover takes the ephemeral path).
 func (m *Matcher) PrepareCover(c *core.Cover) {
-	if p := m.prep.Load(); p != nil && p.scopes.Covers(c) {
+	if p := m.prep.Load(); p != nil && p.scopes.Cover() == c {
 		return
 	}
-	cs := m.table.PrepareCover(c)
+	s := m.table.PrepareCover(c)
 	ws := m.getWS()
 	defer m.putWS(ws)
 	// Linked in the workspace's reused skeleton, then copied out at exact
 	// size: appending into a fresh scope pays a regrowth series per list.
-	p := &prepared{scopes: cs, skel: make([]scope, c.Len())}
-	for _, set := range c.Sets {
-		if s := cs.Lookup(set); s != nil {
-			m.linkScope(s.IDs, ws, &ws.eph)
-			sk := &p.skel[s.Index]
-			sk.ids, sk.edges, sk.boundary = s.IDs, slices.Clone(ws.eph.edges), slices.Clone(ws.eph.boundary)
-		}
+	p := &prepared{scopes: s, skel: make([]scope, c.Len())}
+	for nb := range p.skel {
+		ids := s.IDs(int32(nb))
+		m.linkScope(ids, ws, &ws.eph)
+		sk := &p.skel[nb]
+		sk.ids, sk.edges, sk.boundary = ids, slices.Clone(ws.eph.edges), slices.Clone(ws.eph.boundary)
 	}
 	m.prep.Store(p)
-}
-
-// ScopeIDs implements core.DenseMatcher: the table's.
-func (m *Matcher) ScopeIDs(entities []core.EntityID) []int32 { return m.table.ScopeIDs(entities) }
-
-// scopeFor returns the prepared skeleton for a cover neighborhood, or
-// nil when the entity slice is not part of the prepared cover.
-func (m *Matcher) scopeFor(entities []core.EntityID) *scope {
-	if p := m.prep.Load(); p != nil {
-		if s := p.scopes.Lookup(entities); s != nil {
-			return &p.skel[s.Index]
-		}
-	}
-	return nil
 }
 
 // linkScope assembles the interactions of the scoped ids into sc's edge
@@ -149,7 +134,7 @@ type workspace struct {
 	x     []bool
 	out   []int32 // the match ids before they are copied out
 
-	eph   scope          // ephemeral skeleton for non-cover entity slices
+	eph   scope          // ephemeral skeleton of a neighborhood outside the prepared cover
 	mm    maximalScratch // Algorithm 2's component bookkeeping
 	small smallScratch   // MatchIDs' network for components of ≥ 3 variables
 }
@@ -283,15 +268,15 @@ func (m *Matcher) buildLocal(sc *scope, ws *workspace) localModel {
 	return lm
 }
 
-// scopeOf resolves the skeleton for an entity slice: the prepared one
-// for cover neighborhoods, or an ephemeral skeleton built into the
-// workspace for arbitrary slices (tests, the weight learner, whole-set
-// runs).
-func (m *Matcher) scopeOf(entities []core.EntityID, ws *workspace) *scope {
-	if sc := m.scopeFor(entities); sc != nil {
-		return sc
+// scopeOf resolves the skeleton of neighborhood nb of cover c: the
+// prepared one when c is the prepared cover, or an ephemeral skeleton
+// built into the workspace over c.Sets[nb] for any other (Match's one-set
+// covers, the weight learner's, a concurrent run over another cover).
+func (m *Matcher) scopeOf(c *core.Cover, nb int32, ws *workspace) *scope {
+	if p := m.prep.Load(); p != nil && p.scopes.Cover() == c {
+		return &p.skel[nb]
 	}
-	ws.eph.ids = m.table.AppendScopeIDs(ws.eph.ids[:0], entities)
+	ws.eph.ids = m.table.AppendScopeIDs(ws.eph.ids[:0], c.Sets[nb])
 	m.linkScope(ws.eph.ids, ws, &ws.eph)
 	return &ws.eph
 }

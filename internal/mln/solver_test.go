@@ -326,9 +326,9 @@ func FuzzSolveSmall(f *testing.F) {
 // 0.4 neighborhood under empty evidence: whole on one network
 // (solveMAPInto), small as MatchIDs does (solveSmall).
 func BenchmarkSolveMAP(b *testing.B) {
-	m, entities := benchPreparedAt(b, 0.4)
+	m, c, nb := benchPreparedAt(b, 0.4)
 	ws := m.getWS()
-	sc := m.scopeOf(entities, ws)
+	sc := m.scopeOf(c, nb, ws)
 	readSet(sc, nil, nil, ws) // the read set buildLocal reads
 	lm := m.buildLocal(sc, ws)
 	unary, deg, edges := slices.Clone(lm.eff), slices.Clone(lm.deg), slices.Clone(lm.edges)

@@ -415,6 +415,9 @@ func (c *coordinator) runRound(ctx context.Context) error {
 				p, round, cursor[p]-1, wj.ID, id)
 		}
 		jobs[i] = c.plan.JobFromWire(wj)
+		if err := core.ValidateJob(&jobs[i], c.plan.Config.Cover.NumEntities); err != nil {
+			return fmt.Errorf("net: worker %d partition %d round %d: %w", parts[p].worker, p, round, err)
+		}
 	}
 	if err := d.FinishRound(jobs); err != nil {
 		return err

@@ -69,6 +69,10 @@ func ServeConn(ctx context.Context, cfg core.Config, scheme string, rw io.ReadWr
 		if err != nil {
 			return fmt.Errorf("net: worker %d: bad assign: %w", worker, err)
 		}
+		// The decoder checked that the ids ascend from 0 or above.
+		if n := len(a.IDs); n > 0 && int(a.IDs[n-1]) >= cfg.Cover.Len() {
+			return fmt.Errorf("net: worker %d: bad assign: neighborhood %d outside a cover of %d", worker, a.IDs[n-1], cfg.Cover.Len())
+		}
 		opts.logf("worker %d: round %d: evaluating partition %d (%d neighborhoods, %d catch-up keys)",
 			worker, a.Round, a.Part, len(a.IDs), len(a.Keys))
 		if plan.Exchange {

@@ -38,8 +38,9 @@ func BenchmarkRulesSMPHEPTH(b *testing.B) {
 }
 
 // TestRulesMatchAllocs bounds the allocations of one Match call on a
-// prepared neighborhood by a constant: the returned set and pool
-// variance, whatever the size of the evidence. The evaluator before this
+// cover's largest neighborhood by a constant: the returned set, the
+// one-set cover and the evidence translation, whatever the size of the
+// evidence. The evaluator before this
 // one cloned pos on every call (and, for seeded programs, unioned the
 // seeds into it), so its count grew with |pos|.
 func TestRulesMatchAllocs(t *testing.T) {

@@ -4,17 +4,15 @@ import "repro/internal/core"
 
 // PrepareCover implements core.ScopePreparer: finish the grounding and
 // have the table scope the cover — a no-op when another matcher over the
-// same table already prepared it. Safe to call concurrently with Match.
+// same table already prepared it — and keep the scoping. Safe to call
+// concurrently with Match.
 func (m *Matcher) PrepareCover(c *core.Cover) {
 	m.lower()
-	m.table.PrepareCover(c)
+	m.scopes.Store(m.table.PrepareCover(c))
 }
 
 // CandidateTable implements core.DenseMatcher.
 func (m *Matcher) CandidateTable() *core.CandidateTable { return m.table }
-
-// ScopeIDs implements core.DenseMatcher: the table's.
-func (m *Matcher) ScopeIDs(entities []core.EntityID) []int32 { return m.table.ScopeIDs(entities) }
 
 // Candidates implements core.Matcher: the table's candidates over the
 // entity set, in (A, B) order, materialized on each call.
@@ -39,7 +37,7 @@ type workspace struct {
 	state   []uint8 // dense view of evidence ∪ seeds ∪ derived, by candidate id
 	touched []int32 // state indices to zero on release
 	open    []int32 // scoped candidates still underived
-	eph     []int32 // scoped ids of a slice outside the prepared cover
+	eph     []int32 // scoped ids of a neighborhood outside the prepared cover
 }
 
 // read returns candidate id's state, reading its seed and evidence bits
@@ -75,16 +73,17 @@ func (m *Matcher) Match(entities []core.EntityID, pos, neg core.PairSet) core.Pa
 // ascending ids of the in-scope equals candidates not so suppressed.
 // Nothing is copied: evidence is read through, one bit test per touched
 // candidate, and the returned list is the only allocation.
-func (m *Matcher) MatchIDs(entities []core.EntityID, pos, neg *core.Evidence) []int32 {
+func (m *Matcher) MatchIDs(c *core.Cover, nb int32, pos, neg *core.Evidence) []int32 {
 	m.lower()
 	ws := m.wsPool.Get().(*workspace)
-	// The prepared list for a cover neighborhood; any other slice (FULL's
-	// whole entity set, tests) is scoped into the workspace.
+	// The prepared list for a neighborhood of the prepared cover; any other
+	// (Match's one-set covers: FULL's whole entity set, tests) is scoped
+	// into the workspace.
 	var ids []int32
-	if s := m.table.Scope(entities); s != nil {
-		ids = s.IDs
+	if s := m.scopes.Load(); s != nil && s.Cover() == c {
+		ids = s.IDs(nb)
 	} else {
-		ws.eph = m.table.AppendScopeIDs(ws.eph[:0], entities)
+		ws.eph = m.table.AppendScopeIDs(ws.eph[:0], c.Sets[nb])
 		ids = ws.eph
 	}
 	open := ws.open[:0]

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bib"
 	"repro/internal/core"
@@ -147,6 +148,9 @@ type Matcher struct {
 	sup       *core.Supports
 	lowerOnce sync.Once
 
+	// scopes is the table's scoping of the prepared cover
+	// (core.ScopePreparer); wsPool recycles per-call workspaces.
+	scopes atomic.Pointer[core.Scopes]
 	wsPool sync.Pool
 }
 

@@ -39,24 +39,28 @@ type Cover = core.Cover
 
 // ScopePreparer is the optional matcher extension the schedulers invoke
 // once per run with the run's cover, letting a matcher precompute
-// per-neighborhood state (the cover and the model are immutable during a
-// run; only evidence grows). Matchers must keep answering correctly for
-// entity slices outside the prepared cover.
+// per-neighborhood state, found again by neighborhood number (the cover
+// and the model are immutable during a run; only evidence grows).
+// Matchers must keep answering correctly for entity slices outside the
+// prepared cover, and for the neighborhoods of any other cover.
 type ScopePreparer = core.ScopePreparer
 
 // DenseMatcher is the optional, output-neutral matcher extension that
 // publishes the matcher's candidate numbering (its CandidateTable) so the
 // engine can carry evidence as a bitset over those ids and exchange match
-// sets as id lists instead of hashing pairs. Both built-in matchers
-// implement it; a matcher without it runs through the same engine on
-// PairSets.
+// sets as id lists instead of hashing pairs. The engine names the
+// neighborhood it evaluates by its number in the run's cover
+// (MatchIDs(c, nb, …)), and a dense matcher's Candidates(E) are its
+// table's pairs inside E. Both built-in matchers implement it; a matcher
+// without it runs through the same engine on PairSets.
 type DenseMatcher = core.DenseMatcher
 
 // CandidateTable is the ground candidate relation of one experiment: every
 // match variable, numbered in strictly ascending PairKey order and
 // validated where it was built, with the pair → id search (Find), the
-// per-neighborhood scoped ids of the prepared cover (PrepareCover,
-// ScopeIDs, Candidates) and the coauthor support join (Supports). An
+// scoped ids of each neighborhood of the prepared cover by its number
+// (PrepareCover), any entity set's candidates (Candidates,
+// AppendScopeIDs) and the coauthor support join (Supports). An
 // experiment builds one and hands it to every matcher factory as
 // MatcherContext.Table; a DenseMatcher adopts it rather than numbering
 // pairs itself.
@@ -85,8 +89,9 @@ type MessageIDs = core.MessageIDs
 type Evidence = core.Evidence
 
 // MatchByIDs is the PairSet-form Match of a DenseMatcher, by way of its
-// MatchIDs: implement Match as `return match.MatchByIDs(m, entities, pos,
-// neg)` and keep one inference core.
+// MatchIDs over the entities as a cover of one neighborhood: implement
+// Match as `return match.MatchByIDs(m, entities, pos, neg)` and keep one
+// inference core.
 func MatchByIDs(m DenseMatcher, entities []EntityID, pos, neg PairSet) PairSet {
 	return core.MatchByIDs(m, entities, pos, neg)
 }

@@ -30,8 +30,8 @@ func builtins(tb testing.TB, exp *cem.Experiment) (*mln.Matcher, *rules.Matcher)
 // TestBuiltinsShareOneTable: an experiment has one candidate table. Both
 // built-in matchers and a registered rules program are ground over that
 // very value — after cem.New and after every Pipeline.Update — and once
-// one of them has prepared the cover the others find the scoping done: all
-// three answer ScopeIDs with the same cached lists.
+// one of them has prepared the cover the others find the scoping done:
+// the table keeps the one Scopes all three were handed.
 func TestBuiltinsShareOneTable(t *testing.T) {
 	program := loadProgram(t, filepath.Join("testdata", "rules", "paper.rules"))
 	check := func(when string, exp *cem.Experiment) {
@@ -60,17 +60,11 @@ func TestBuiltinsShareOneTable(t *testing.T) {
 			}
 		}
 		mlnM.PrepareCover(exp.Cover)
-		scoped := make([][]int32, len(exp.Cover.Sets))
-		for i, set := range exp.Cover.Sets {
-			scoped[i] = mlnM.ScopeIDs(set)
-		}
+		scoped := exp.Table.PrepareCover(exp.Cover)
 		for name, m := range matchers {
 			m.PrepareCover(exp.Cover)
-			for i, set := range exp.Cover.Sets {
-				got := m.ScopeIDs(set)
-				if len(got) != len(scoped[i]) || (len(got) > 0 && &got[0] != &scoped[i][0]) {
-					t.Fatalf("%s: %s scoped neighborhood %d again", when, name, i)
-				}
+			if exp.Table.PrepareCover(exp.Cover) != scoped {
+				t.Fatalf("%s: %s scoped the cover again", when, name)
 			}
 		}
 	}
