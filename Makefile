@@ -123,14 +123,19 @@ bench-frozen:
 # parent/change pairs of one benchmark workload (the parent checked out into
 # a temporary worktree, the change being the work tree), then per end-to-end
 # metric both medians, quartiles, pairs won and the verdict by the rule in
-# bench/README.md. About 50 s per pair.
+# bench/README.md. About 50 s per pair. BENCH=Name pairs the Go benchmark
+# BenchmarkName of package PKG (default the module root) instead, run with
+# -benchtime $(BENCHTIME); WORKLOAD and SEED are then unused.
 #   make bench-pair WORKLOAD=hepth-schemes PARENT=HEAD~1 N=10 SEED=42
+#   make bench-pair BENCH=Ingest PKG=./internal/serve/ PARENT=HEAD~1 N=10
 WORKLOAD ?= hepth-schemes
 PARENT   ?= HEAD
 N        ?= 10
 SEED     ?= 42
+BENCH    ?=
+PKG      ?= .
 bench-pair:
-	bash scripts/bench-pair.sh $(WORKLOAD) $(PARENT) $(N) $(SEED)
+	BENCH='$(BENCH)' PKG='$(PKG)' BENCHTIME='$(BENCHTIME)' bash scripts/bench-pair.sh $(WORKLOAD) $(PARENT) $(N) $(SEED)
 
 # fuzz smoke-runs the correctness-critical fuzz targets: dense-vs-naive
 # scoring, the verdict memo against the unmemoized matcher, the closed-form

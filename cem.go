@@ -226,13 +226,15 @@ func New(d *match.Dataset, options ...Option) (*Experiment, error) {
 	if err := opts.Canopy.Validate(); err != nil {
 		return nil, fmt.Errorf("cem: %w", err)
 	}
-	return setup(d, opts, nil)
+	return setup(d, opts, nil, nil)
 }
 
 // setup wires an experiment, building the cover from opts.Canopy unless
 // a prebuilt one is supplied (the Pipeline path, which constructs its
-// cover sharded and under a context).
-func setup(d *match.Dataset, opts Options, cover *core.Cover) (*Experiment, error) {
+// cover sharded and under a context), and enumerating the cover's
+// candidates unless they are supplied (Update's, carried across an
+// additive batch).
+func setup(d *match.Dataset, opts Options, cover *core.Cover, cands []match.Candidate) (*Experiment, error) {
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("cem: invalid dataset: %w", err)
 	}
@@ -241,7 +243,10 @@ func setup(d *match.Dataset, opts Options, cover *core.Cover) (*Experiment, erro
 	}
 	// The one candidate table of the experiment: blocking's pairs,
 	// validated here and handed to every matcher factory by reference.
-	table, cands, err := tableOf(d, canopy.CandidatePairs(d, cover))
+	if cands == nil {
+		cands = canopy.CandidatePairs(d, cover)
+	}
+	table, cands, err := tableOf(d, cands)
 	if err != nil {
 		return nil, fmt.Errorf("cem: %w", err)
 	}

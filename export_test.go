@@ -13,5 +13,5 @@ var AffectedByDelta = affectedByDelta
 // NewWithCover wires an experiment over a given cover instead of the one
 // blocking builds, for the conformance matrix's cover-refinement rows.
 func NewWithCover(d *match.Dataset, cover *core.Cover) (*Experiment, error) {
-	return setup(d, DefaultOptions(), cover)
+	return setup(d, DefaultOptions(), cover, nil)
 }

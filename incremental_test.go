@@ -90,7 +90,8 @@ func affectedByDeltaOld(exp, old *cem.Experiment, delta *canopy.Delta) []int32 {
 // affectedOracle follows one Update chain under the default blocking
 // configuration with a blocking index of its own, which yields the delta
 // each Update saw, and holds the warm-start seed of every batch to the old
-// computation.
+// computation and the candidate table, carried or not, to the enumeration
+// of the whole cover.
 type affectedOracle struct {
 	index *canopy.Index
 	prior *cem.PipelineResult
@@ -98,6 +99,9 @@ type affectedOracle struct {
 
 func (o *affectedOracle) check(t *testing.T, res *cem.PipelineResult) {
 	t.Helper()
+	if want := canopy.CandidatePairs(res.Experiment.Dataset, res.Experiment.Cover); !slices.Equal(res.Experiment.Candidates, want) {
+		t.Errorf("after %d records: %d candidates, enumerating the cover gives %d", res.Records, len(res.Experiment.Candidates), len(want))
+	}
 	if o.index == nil {
 		var err error
 		if o.index, err = canopy.NewIndex(cem.DefaultOptions().Canopy); err != nil {
@@ -843,5 +847,65 @@ func TestUpdatePriorFromRun(t *testing.T) {
 	}
 	if got, want := renderMatches(final.Result), renderMatches(cold.Result); got != want {
 		t.Errorf("Run-seeded incremental chain diverges from cold run: %s", firstDiff(got, want))
+	}
+}
+
+// TestUpdateNonAdditiveEnumeratesCandidates pins a stream whose second batch
+// is not additive — a four-reference neighborhood cap makes an arrival
+// displace canopy members — and on which the carried candidate table would
+// be wrong: the prior's candidates merged with the changed sets' pairs keep
+// pairs no set of the new cover holds. Update must force a cold run and
+// enumerate the whole cover, so its table and matches equal a cold run's.
+func TestUpdateNonAdditiveEnumeratesCandidates(t *testing.T) {
+	records, err := cem.GenerateRecords(cem.DBLP, 0.1, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := arrival(rand.New(rand.NewSource(0)), records)[:2]
+	pipe, err := cem.NewPipeline(cem.WithScheme(cem.SchemeSMP), cem.WithMaxNeighborhood(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior, err := pipe.Update(context.Background(), nil, batches[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pipe.Update(context.Background(), prior, batches[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.ForcedRerun {
+		t.Fatalf("the pinned batch was additive (warm=%v); the stream no longer exercises the non-additive path", res.WarmStarted)
+	}
+
+	// The delta the Update saw, from an index of the test's own.
+	cfg := cem.DefaultOptions().Canopy
+	cfg.MaxNeighborhood = 4
+	ix, err := canopy.NewIndex(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ix.Add(context.Background(), prior.Experiment.Dataset); err != nil {
+		t.Fatal(err)
+	}
+	cover, delta, err := ix.Add(context.Background(), res.Experiment.Dataset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := canopy.CandidatePairs(res.Experiment.Dataset, cover)
+	if carried := canopy.CarriedCandidatePairs(res.Experiment.Dataset, cover, prior.Experiment.Candidates, delta.Changed); slices.Equal(carried, full) {
+		t.Fatalf("carrying the table is exact on this batch too (%d candidates); the stream no longer tells the two paths apart", len(full))
+	}
+
+	cold, err := pipe.Run(context.Background(), append(slices.Clone(batches[0]), batches[1]...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Experiment.Candidates, full) || !slices.Equal(res.Experiment.Candidates, cold.Experiment.Candidates) {
+		t.Errorf("update has %d candidates; enumerating the cover gives %d, a cold run %d",
+			len(res.Experiment.Candidates), len(full), len(cold.Experiment.Candidates))
+	}
+	if got, want := renderMatches(res.Result), renderMatches(cold.Result); got != want {
+		t.Errorf("non-additive update diverges from the cold run: %s", firstDiff(got, want))
 	}
 }

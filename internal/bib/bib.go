@@ -11,7 +11,7 @@ package bib
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -231,7 +231,7 @@ func (d *Dataset) RefsByAuthor() map[AuthorID][]RefID {
 		out[d.Refs[i].True] = append(out[d.Refs[i].True], RefID(i))
 	}
 	for _, v := range out {
-		sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
+		slices.Sort(v)
 	}
 	return out
 }

@@ -57,7 +57,8 @@ func coversEqual(a, b *core.Cover) bool {
 // TestIndexAddMatchesBuildCover is the delta-ingestion blocking property:
 // for random arrival sequences (shuffled record order, random batch
 // boundaries), the cover after every Index.Add is identical to rebuilding
-// from scratch over the records ingested so far.
+// from scratch over the records ingested so far, and after every additive
+// Add the candidates carried from the previous cover are the cover's.
 func TestIndexAddMatchesBuildCover(t *testing.T) {
 	for _, preset := range []datagen.Config{
 		datagen.HEPTHLike(0.25, 42),
@@ -77,6 +78,7 @@ func TestIndexAddMatchesBuildCover(t *testing.T) {
 					t.Fatal(err)
 				}
 				var ingested []bib.Record
+				var prevCands []SimilarPair
 				for bi, batch := range batches {
 					ingested = append(ingested, batch...)
 					union, err := bib.DatasetFromRecords(preset.Name, ingested)
@@ -96,9 +98,16 @@ func TestIndexAddMatchesBuildCover(t *testing.T) {
 					// Add filled union's name table (ingest reads the normalized
 					// names off it, finishCover the levels); candidates read off
 					// that warm table are the old scan's.
-					if cands, old := CandidatePairs(union, got), candidatePairsOld(union, got); !slices.Equal(cands, old) {
+					cands := CandidatePairs(union, got)
+					if old := candidatePairsOld(union, got); !slices.Equal(cands, old) {
 						t.Fatalf("batch %d: %d candidates after Add, old scan %d, or a pair or level differs", bi, len(cands), len(old))
 					}
+					if prev != nil && delta.Additive {
+						if carried := CarriedCandidatePairs(union, got, prevCands, delta.Changed); !slices.Equal(carried, cands) {
+							t.Fatalf("batch %d: %d candidates carried over %d changed sets, %d enumerated", bi, len(carried), len(delta.Changed), len(cands))
+						}
+					}
+					prevCands = cands
 					want := BuildCover(union, DefaultConfig())
 					if !coversEqual(got, want) {
 						t.Fatalf("batch %d: incremental cover differs from scratch rebuild over %d records",

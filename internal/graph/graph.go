@@ -4,7 +4,7 @@
 // index used by the message-passing schedulers (§5).
 package graph
 
-import "sort"
+import "slices"
 
 // Graph is an immutable undirected graph over vertices [0, n) stored in
 // CSR (compressed sparse row) form. Build one with a Builder.
@@ -55,7 +55,7 @@ func (b *Builder) Build() *Graph {
 	for v := 0; v < b.n; v++ {
 		lo, hi := deg[v], deg[v+1]
 		nbrs := adj[lo:hi]
-		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
+		slices.Sort(nbrs)
 		start := len(out)
 		for i, u := range nbrs {
 			if i > 0 && nbrs[i-1] == u {
@@ -88,8 +88,8 @@ func (g *Graph) Neighbors(v int32) []int32 {
 // HasEdge reports whether {u, v} is an edge, by binary search.
 func (g *Graph) HasEdge(u, v int32) bool {
 	nbrs := g.Neighbors(u)
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= v })
-	return i < len(nbrs) && nbrs[i] == v
+	_, ok := slices.BinarySearch(nbrs, v)
+	return ok
 }
 
 // Edges returns the number of undirected edges.

@@ -19,7 +19,7 @@ import (
 
 // Committer owns the single-writer commit path of the online service:
 // batches of records are applied serially through Pipeline.Update, each
-// batch optionally journaled to disk before it runs, and every
+// batch optionally journaled to disk while it runs, and every
 // successful update is published as a new immutable Committed snapshot
 // via an atomic pointer swap. Readers call Snapshot at any time and get
 // the last committed state, never a torn intermediate.
@@ -43,9 +43,10 @@ type Committer struct {
 type CommitterOption func(*Committer)
 
 // WithJournal persists every incoming batch to dir (created if missing)
-// as batch-NNNNNN.tsv BEFORE applying it — a durable store.Trail, so an
-// acknowledged batch survives a power cut, not only a crash mid-update:
-// Recover replays the journal into an identical state. Without a journal
+// as batch-NNNNNN.tsv, complete before any state that includes it is
+// saved or published — a durable store.Trail, so an acknowledged batch
+// survives a power cut, not only a crash mid-update: Recover replays the
+// journal into an identical state. Without a journal
 // the committer is ephemeral (the replay-CLI mode).
 func WithJournal(dir string) CommitterOption {
 	return func(c *Committer) {
@@ -96,11 +97,23 @@ func (c *Committer) Snapshot() *Committed { return c.cur.Load() }
 // Apply journals and applies one batch of records, publishing the new
 // state on success. Batches are applied strictly serially (callers may
 // race; a mutex orders them). A batch with a key checkKeys refuses is
-// refused before it is journaled. On failure nothing is published; a
-// batch that failed because the context was canceled (a shutdown or kill
-// mid update) KEEPS its journal entry — the records were accepted, and
-// Recover finishes the interrupted commit on restart. Any other failure
-// (invalid records) removes the journal entry and reports the error.
+// refused before it is journaled.
+//
+// The journal entry is written on a goroutine while Pipeline.Update runs;
+// Apply waits for both, and only then saves the state (WithStore) and
+// publishes it (commit). So a journal entry is complete before any state that
+// includes its batch is saved or published — the invariant Recover and its
+// torn-tail quarantine rely on. On failure nothing is saved or published:
+//   - A journal error is returned as is. An Update that succeeded beside it
+//     has still advanced the pipeline's shared blocking index, so the next
+//     batch's Update finds the index past its prior and rebuilds it from
+//     the committed records (canopy.ErrStale), as after a SaveState
+//     failure.
+//   - A batch that failed because the context was canceled (a shutdown or
+//     kill mid update) KEEPS its journal entry — the records were
+//     accepted, and Recover finishes the interrupted commit on restart.
+//   - Any other failure (invalid records, a SaveState error) removes the
+//     journal entry, once its write has finished, and reports the error.
 func (c *Committer) Apply(ctx context.Context, records []cem.Record) (*Committed, error) {
 	if len(records) == 0 {
 		return nil, fmt.Errorf("serve: empty batch")
@@ -111,10 +124,19 @@ func (c *Committer) Apply(ctx context.Context, records []cem.Record) (*Committed
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	if err := c.journalBatch(records); err != nil {
-		return nil, err
+	journaled := make(chan error, 1)
+	go func() { journaled <- c.journalBatch(records) }()
+	start := time.Now()
+	res, err := c.update(ctx, records)
+	took := time.Since(start)
+	// journalSeq is the goroutine's until its result arrives.
+	if jerr := <-journaled; jerr != nil {
+		return nil, jerr
 	}
-	state, err := c.apply(ctx, records)
+	var state *Committed
+	if err == nil {
+		state, err = c.commit(records, res, took)
+	}
 	if err != nil && c.journal != nil && ctx.Err() == nil {
 		// The batch itself was rejected (not a kill): drop it from the
 		// journal so a restart does not replay a poison batch. Best
@@ -125,35 +147,42 @@ func (c *Committer) Apply(ctx context.Context, records []cem.Record) (*Committed
 	return state, err
 }
 
-// apply runs one Update and publishes the result. Caller holds mu.
-func (c *Committer) apply(ctx context.Context, records []cem.Record) (*Committed, error) {
-	prior := c.cur.Load()
-	start := time.Now()
+// update runs Pipeline.Update on the committed state. Caller holds mu.
+func (c *Committer) update(ctx context.Context, records []cem.Record) (*cem.PipelineResult, error) {
 	if c.metrics != nil {
 		c.metrics.BeginUpdate()
 	}
-	res, err := c.pipe.Update(ctx, prior.Result, records)
+	res, err := c.pipe.Update(ctx, c.cur.Load().Result, records)
 	if c.metrics != nil {
 		c.metrics.EndUpdate()
-	}
-	if err != nil {
-		if c.metrics != nil {
+		if err != nil {
 			c.metrics.UpdateErrors.Inc()
 		}
-		return nil, err
 	}
-	state := newCommitted(prior.Seq+1, res)
+	return res, err
+}
+
+// commit saves the result of an update that took took and publishes it as
+// the next state. The state's read views are built on a goroutine while
+// the state is saved: both only read res. Caller holds mu.
+func (c *Committer) commit(records []cem.Record, res *cem.PipelineResult, took time.Duration) (*Committed, error) {
+	seq := c.cur.Load().Seq + 1
+	built := make(chan *Committed, 1)
+	go func() { built <- newCommitted(seq, res) }()
+	var err error
 	if c.store != nil {
+		err = cem.SaveState(c.store, res, seq)
+	}
+	state := <-built
+	if err != nil {
 		// Durable-state-first: the state is saved before it is published. A
 		// SaveState error leaves the store's snapshot at the previous seq,
 		// so the failed batch is like any rejected one: nothing is
 		// published, and Apply drops it from the journal.
-		if err := cem.SaveState(c.store, res, state.Seq); err != nil {
-			if c.metrics != nil {
-				c.metrics.UpdateErrors.Inc()
-			}
-			return nil, fmt.Errorf("serve: saving store state at seq %d: %w", state.Seq, err)
+		if c.metrics != nil {
+			c.metrics.UpdateErrors.Inc()
 		}
+		return nil, fmt.Errorf("serve: saving store state at seq %d: %w", seq, err)
 	}
 	if c.metrics != nil {
 		m := c.metrics
@@ -174,7 +203,7 @@ func (c *Committer) apply(ctx context.Context, records []cem.Record) (*Committed
 		m.Reassignments.Add(int64(res.Stats.Reassignments))
 		m.RetriedSends.Add(int64(res.Stats.RetriedSends))
 		m.LateBatches.Add(int64(res.Stats.LateBatchesDropped))
-		m.UpdateSeconds.Observe(time.Since(start).Seconds())
+		m.UpdateSeconds.Observe(took.Seconds())
 		m.BlockingSeconds.Observe(res.BlockingTime.Seconds())
 		m.MatchingSeconds.Observe(res.MatchingTime.Seconds())
 		m.BatchRecords.Observe(float64(len(records)))
@@ -208,7 +237,7 @@ func checkKeys(records []cem.Record) error {
 // of a torn file as a complete batch.
 const journalFooter = "# journal-end %d\n"
 
-// journalBatch commits a batch to the journal before it is applied: the
+// journalBatch commits a batch to the journal, beside its Update: the
 // records TSV and the footer, as one entry. A no-op without a journal.
 func (c *Committer) journalBatch(records []cem.Record) error {
 	if c.journal == nil {
@@ -256,11 +285,11 @@ func (c *Committer) log(format string, args ...any) {
 // A crash can tear the journal itself: die inside a journal commit and
 // the trailing batch file may hold half a record line, or parse cleanly
 // yet stop short of its commit footer. Such a file describes a batch that
-// was never applied (journaling strictly precedes Update), so the scan
-// quarantines it — renamed to <file>.corrupt, counted in metrics, logged
-// — and the intact prefix is restored. A damaged file anywhere BUT the
-// tail is a hard error: dropping it would silently lose the committed
-// batches journaled after it.
+// was never committed: Apply completes a journal entry before any state
+// that includes its batch is saved or published. So the scan quarantines
+// it (renamed to <file>.corrupt, counted in metrics, logged) and restores
+// the intact prefix. A damaged file anywhere BUT the tail is a hard error:
+// dropping it would silently lose the committed batches journaled after it.
 func (c *Committer) Recover(ctx context.Context) (int, error) {
 	if c.journal == nil {
 		return 0, nil
@@ -288,7 +317,12 @@ func (c *Committer) Recover(ctx context.Context) (int, error) {
 		base = c.reopenFromStore(ctx, batches)
 	}
 	for i, recs := range batches[base:] {
-		if _, err := c.apply(ctx, recs); err != nil {
+		start := time.Now()
+		res, err := c.update(ctx, recs)
+		if err == nil {
+			_, err = c.commit(recs, res, time.Since(start))
+		}
+		if err != nil {
 			return base + i, fmt.Errorf("serve: recover: replaying batch %d: %w", base+i+1, err)
 		}
 	}

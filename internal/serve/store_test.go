@@ -280,6 +280,86 @@ func TestCommitterSaveStateFailure(t *testing.T) {
 	}
 }
 
+// TestCommitterJournalFailure: a journal write fails while the batch's
+// Update, running beside it, succeeds. Apply returns the error and nothing
+// is saved or published; the Update has advanced the pipeline's shared
+// blocking index all the same, so the next batch rebuilds it from the
+// committed records and lands on a cold run's matches, and a restart
+// recovers the same state.
+func TestCommitterJournalFailure(t *testing.T) {
+	records := testRecords(t, cem.HEPTH)
+	batches := batchCuts(records)
+	ctx := context.Background()
+	state := t.TempDir()
+	journal := filepath.Join(state, "journal")
+	open := func() match.Store {
+		t.Helper()
+		st, err := cem.OpenStore("disk", cem.WithStoreDir(filepath.Join(state, "store")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
+
+	st := open()
+	c, err := NewCommitter(testPipeline(t), WithJournal(journal), WithStore(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Apply(ctx, batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	// A regular file where the journal directory was: the next journal
+	// commit cannot create its entry.
+	aside := journal + ".aside"
+	if err := os.Rename(journal, aside); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(journal, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Apply(ctx, batches[1]); err == nil || !strings.Contains(err.Error(), "journal") {
+		t.Fatalf("Apply with an unwritable journal returned %v, want the journal error", err)
+	}
+	if seq, err := cem.StateSeq(st); c.Snapshot().Seq != 1 || err != nil || seq != 1 {
+		t.Fatalf("after the failed journal write: published seq %d, stored seq %d (%v); want 1 and 1", c.Snapshot().Seq, seq, err)
+	}
+	if err := os.Remove(journal); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(aside, journal); err != nil {
+		t.Fatal(err)
+	}
+
+	next, err := c.Apply(ctx, batches[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Seq != 2 {
+		t.Fatalf("the batch after the failed one committed at seq %d, want 2", next.Seq)
+	}
+	cold, err := testPipeline(t).Run(ctx, slices.Concat(batches[0], batches[2]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderPipelineMatches(cold)
+	if next.RenderMatches() != want {
+		t.Error("the batch after the failed journal write diverges from a cold run over the committed batches")
+	}
+
+	c2, err := NewCommitter(testPipeline(t), WithJournal(journal), WithStore(open()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c2.Recover(ctx); err != nil || n != 2 {
+		t.Fatalf("Recover restored %d batches (%v), want 2", n, err)
+	}
+	if c2.Snapshot().Seq != 2 || c2.Snapshot().RenderMatches() != want {
+		t.Errorf("the restart is at seq %d and diverges from the committed state", c2.Snapshot().Seq)
+	}
+}
+
 // TestRecoverRefusedStoreSnapshot is the path a state directory written
 // before covers dropped subsumed neighborhoods takes: its store snapshot
 // fingerprints more neighborhoods than the cover now rebuilt over the

@@ -2,7 +2,7 @@ package store
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -58,7 +58,7 @@ func (m *Mem) EvidenceRange(lo, hi uint64, yield func(uint64) bool) error {
 		}
 	}
 	m.mu.RUnlock()
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	for _, k := range keys {
 		if !yield(k) {
 			return nil
@@ -112,7 +112,7 @@ func (m *Mem) ListBlobs(kind string) ([]string, error) {
 	for name := range m.blobs[kind] {
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names, nil
 }
 

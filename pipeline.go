@@ -209,7 +209,7 @@ func (p *Pipeline) run(ctx context.Context, records []Record, resume bool) (*Pip
 		return nil, err
 	}
 
-	exp, runner, err := p.build(d, cover)
+	exp, runner, err := p.build(d, cover, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -235,9 +235,10 @@ func (p *Pipeline) run(ctx context.Context, records []Record, resume bool) (*Pip
 
 // build makes the experiment and its runner for a dataset under the
 // cover blocking produced — the one place a run, an update and a reopen
-// turn the pipeline's configuration into something executable.
-func (p *Pipeline) build(d *bib.Dataset, cover *core.Cover) (*Experiment, *Runner, error) {
-	exp, err := setup(d, DefaultOptions(), cover)
+// turn the pipeline's configuration into something executable. cands are
+// the cover's candidates when the caller has them, else nil.
+func (p *Pipeline) build(d *bib.Dataset, cover *core.Cover, cands []match.Candidate) (*Experiment, *Runner, error) {
+	exp, err := setup(d, DefaultOptions(), cover, cands)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -261,8 +262,11 @@ func (p *Pipeline) result(out *PipelineResult, labeled bool) *PipelineResult {
 // Update ingests a batch of new records on top of a prior result — the
 // incremental execution path. The blocking stage is updated in place
 // (canopy.Index.Add scores only the arriving batch against the q-gram
-// index and re-emits the cover, byte-identical to a scratch rebuild),
-// and the matching stage is warm-started from the prior run's evidence
+// index and re-emits the cover, byte-identical to a scratch rebuild).
+// When the delta is additive and the prior's own index advanced, the
+// candidate table is carried: the prior's candidates merged with the pairs
+// of the changed neighborhoods, the same table enumerating the whole cover
+// gives. The matching stage is warm-started from the prior run's evidence
 // and outstanding maximal messages with an initial active set limited to
 // the neighborhoods the delta touched: changed or new cover sets, sets
 // containing a new entity or one of its coauthors, and sets reached by
@@ -320,7 +324,15 @@ func (p *Pipeline) Update(ctx context.Context, prior *PipelineResult, newRecords
 		return nil, err
 	}
 
-	exp, runner, err := p.build(d, cover)
+	// The candidate table is carried when this batch only grew the prior's
+	// own cover: the prior's candidates plus the pairs of the changed sets.
+	// Sharing the prior's index means sharing its blocking config. A rebuilt
+	// or foreign index, or a non-additive delta, enumerates the whole cover.
+	var cands []match.Candidate
+	if prior != nil && index == prior.index && delta.Additive {
+		cands = canopy.CarriedCandidatePairs(d, cover, prior.Experiment.Candidates, delta.Changed)
+	}
+	exp, runner, err := p.build(d, cover, cands)
 	if err != nil {
 		return nil, err
 	}

@@ -146,7 +146,7 @@ func (p *Pipeline) Reopen(ctx context.Context, records []Record, s match.Store) 
 			cover.Len(), ck.Neighborhoods)
 	}
 
-	exp, runner, err := p.build(d, cover)
+	exp, runner, err := p.build(d, cover, nil)
 	if err != nil {
 		return nil, 0, err
 	}
