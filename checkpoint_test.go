@@ -1,165 +1,36 @@
 package cem_test
 
-// Checkpoint/resume regression tests over the golden corpora: a run
-// killed (via context cancellation) after any round boundary must, once
-// resumed from the on-disk trail, land on the byte-identical golden
-// fixture — and its statistics must be monotone over the checkpointed
-// values (a resume may redo the interrupted round, never lose one).
+// Checkpoint/resume over the golden corpora: a run killed after any round
+// boundary and resumed from its on-disk trail lands on the golden fixture.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"testing"
 
 	cem "repro"
-	"repro/internal/wire"
 	"repro/match"
 )
 
-// checkpointMatrix: the neighborhood schemes of the golden matrix (FULL
-// and UB have no round structure, nothing to checkpoint).
-var checkpointMatrix = map[string][]cem.Scheme{
-	cem.MatcherMLN:   {cem.SchemeNoMP, cem.SchemeSMP, cem.SchemeMMP},
-	cem.MatcherRules: {cem.SchemeNoMP, cem.SchemeSMP},
-}
-
-// lastCheckpoint decodes the highest-round checkpoint in dir; nil when
-// the trail is empty.
-func lastCheckpoint(t *testing.T, dir string) *wire.Checkpoint {
-	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "round-*.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) == 0 {
-		return nil
-	}
-	sort.Strings(files)
-	raw, err := os.ReadFile(files[len(files)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck, err := wire.UnmarshalCheckpoint(raw)
-	if err != nil {
-		t.Fatalf("decoding %s: %v", files[len(files)-1], err)
-	}
-	return ck
-}
-
-// assertMonotone fails if any deterministic counter shrank from the
-// checkpointed snapshot to the resumed run's final statistics.
-func assertMonotone(t *testing.T, ck *wire.Checkpoint, got match.RunStats) {
-	t.Helper()
-	if ck == nil {
-		return
-	}
-	s := ck.Stats
-	type c struct {
-		name     string
-		was, now int
-	}
-	for _, x := range []c{
-		{"Evaluations", s.Evaluations, got.Evaluations},
-		{"MatcherCalls", s.MatcherCalls, got.MatcherCalls},
-		{"MessagesSent", s.MessagesSent, got.MessagesSent},
-		{"MaximalMessages", s.MaximalMessages, got.MaximalMessages},
-		{"PromotedSets", s.PromotedSets, got.PromotedSets},
-		{"ScoreChecks", s.ScoreChecks, got.ScoreChecks},
-		{"Skips", s.Skips, got.Skips},
-		{"ActiveSizes", len(s.ActiveSizes), len(got.ActiveSizes)},
-	} {
-		if x.now < x.was {
-			t.Errorf("resumed %s = %d below checkpointed %d", x.name, x.now, x.was)
-		}
-	}
-}
-
 // TestCheckpointKillResumeGolden kills a checkpointed run after every
-// round boundary r (r = 0 via an already-canceled context, r ≥ 1 by
-// canceling at the first progress event of round r, which lets round r
-// reduce and checkpoint, then aborts round r+1) and resumes it — for
-// every scheme×matcher golden combination on both corpora. The resumed
-// run must reproduce the golden fixture byte-for-byte. The kill runs on
-// the pool backend; the resume continues the same trail on the sharded
+// round boundary r, for every scheme × matcher golden combination with
+// round structure on both corpora, and resumes it. The kill runs on the
+// pool backend and the resume continues the same trail on the sharded
 // backend, so the trail format is proven backend-portable.
 func TestCheckpointKillResumeGolden(t *testing.T) {
-	for _, ds := range goldenSeeds {
-		exp, err := cem.New(cem.NewDataset(ds.kind, ds.scale, ds.seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for matcher, schemes := range checkpointMatrix {
+	for _, c := range goldenSeeds {
+		for matcher, schemes := range map[string][]cem.Scheme{
+			cem.MatcherMLN:   {cem.SchemeNoMP, cem.SchemeSMP, cem.SchemeMMP},
+			cem.MatcherRules: {cem.SchemeNoMP, cem.SchemeSMP},
+		} {
 			for _, scheme := range schemes {
-				name := fmt.Sprintf("%s-%s-%s", ds.kind, matcher, scheme)
-				t.Run(name, func(t *testing.T) {
-					want, err := os.ReadFile(filepath.Join("testdata", "golden", name+".golden"))
-					if err != nil {
-						t.Fatalf("missing fixture: %v", err)
-					}
-
-					// Reference run: learn the round count R of the trail.
-					refDir := t.TempDir()
-					refRunner, err := exp.Runner(matcher, cem.WithCheckpointDir(refDir), cem.WithParallelism(2))
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := refRunner.Run(context.Background(), scheme)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := renderMatches(res); got != string(want) {
-						t.Fatalf("checkpointed run diverges from fixture: %s", firstDiff(got, string(want)))
-					}
-					last := lastCheckpoint(t, refDir)
-					if last == nil || !last.Done {
-						t.Fatal("completed run left no Done checkpoint")
-					}
-					rounds := last.Round
-
-					for r := 0; r <= rounds; r++ {
-						dir := t.TempDir()
-						ctx, cancel := context.WithCancel(context.Background())
-						opts := []cem.RunnerOption{cem.WithCheckpointDir(dir), cem.WithParallelism(2)}
-						if r > 0 {
-							target := r
-							opts = append(opts, cem.WithProgress(func(e match.ProgressEvent) {
-								if e.Round == target {
-									cancel()
-								}
-							}))
-						} else {
-							cancel() // kill before any round completes
+				t.Run(fmt.Sprintf("%s-%s-%s", c.kind, matcher, scheme), func(t *testing.T) {
+					for kill := 1; kill < 64; kill++ {
+						sc := scenario{corpus: c, matcher: matcher, scheme: scheme, place: "sharded-2", kill: kill}
+						if !theorems(t, sc).killed {
+							break // the run finished before the kill: every boundary was cut
 						}
-						killed, err := exp.Runner(matcher, opts...)
-						if err != nil {
-							t.Fatal(err)
-						}
-						_, err = killed.Run(ctx, scheme)
-						cancel()
-						if err != nil && !errors.Is(err, context.Canceled) {
-							t.Fatalf("kill after round %d: unexpected error %v", r, err)
-						}
-						ck := lastCheckpoint(t, dir)
-
-						// Resume the trail on the sharded backend.
-						resumer, err := exp.Runner(matcher,
-							cem.WithCheckpointDir(dir), cem.WithShardCount(2))
-						if err != nil {
-							t.Fatal(err)
-						}
-						resumed, err := resumer.Resume(context.Background(), scheme)
-						if err != nil {
-							t.Fatalf("resume after round %d: %v", r, err)
-						}
-						if got := renderMatches(resumed); got != string(want) {
-							t.Errorf("resume after round %d diverges from fixture: %s",
-								r, firstDiff(got, string(want)))
-						}
-						assertMonotone(t, ck, resumed.Stats)
 					}
 				})
 			}

@@ -89,6 +89,9 @@ func TestFlagValidation(t *testing.T) {
 		{"missing rules file",
 			[]string{"-rules-file", "no-such-file.rules"},
 			"reading rules file"},
+		{"shards with ingest",
+			[]string{"-ingest", "a.tsv,b.tsv", "-shards", "2"},
+			"-shards blocks a -records run; -ingest's delta index blocks serially"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,6 +101,33 @@ func TestFlagValidation(t *testing.T) {
 				t.Fatalf("run(%v) = %v, want error containing %q", tc.args, err, tc.want)
 			}
 		})
+	}
+}
+
+// TestWholeSetSchemesRefused: FULL and UB results have no round
+// structure, so -state-dir has nothing to save and -ingest nothing to
+// continue. The flag checks refuse both before a store directory exists.
+func TestWholeSetSchemesRefused(t *testing.T) {
+	for _, scheme := range []string{"full", "ub"} {
+		for _, tc := range []struct {
+			args []string
+			want string
+		}{
+			{[]string{"-records", "r.tsv", "-state-dir"}, "-state-dir and -ingest keep a run's round state; -scheme " + scheme},
+			{[]string{"-ingest", "a.tsv,b.tsv", "-state-dir"}, "-state-dir and -ingest keep a run's round state; -scheme " + scheme},
+		} {
+			dir := t.TempDir()
+			args := append(tc.args, dir, "-scheme", scheme)
+			if _, err := runQuiet(t, args...); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("run(%v) = %v, want an error containing %q", args, err, tc.want)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "store")); !os.IsNotExist(err) {
+				t.Errorf("run(%v) created %s/store", args, dir)
+			}
+		}
+		if _, err := runQuiet(t, "-ingest", "a.tsv", "-scheme", scheme); err == nil || !strings.Contains(err.Error(), "-scheme "+scheme+" has none") {
+			t.Errorf("-ingest with -scheme %s = %v, want a refusal", scheme, err)
+		}
 	}
 }
 

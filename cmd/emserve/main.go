@@ -52,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer, sigs chan os.Signal, ready cha
 		state    = fs.String("state-dir", "", "durable state directory (journal + disk store); empty = ephemeral")
 		matcher  = fs.String("matcher", "mln", "matcher: "+strings.Join(cem.Matchers(), " | "))
 		scheme   = fs.String("scheme", "smp", "scheme: nomp | smp | mmp (incremental path required)")
-		shards   = fs.Int("shards", 0, "blocking shards for the cold first batch (0 = one per CPU)")
 		maxNbr   = fs.Int("max-neighborhood", 0, "canopy size bound (0 = unbounded)")
 		parallel = fs.Int("parallel", 1, "concurrent neighborhood evaluations")
 		dataset  = fs.String("dataset", "emserve", "dataset name reported in snapshots")
@@ -90,7 +89,6 @@ func run(args []string, stdout, stderr io.Writer, sigs chan os.Signal, ready cha
 	svc, err := serve.New(context.Background(), serve.Config{
 		Matcher:         *matcher,
 		Scheme:          cem.Scheme(*scheme),
-		Shards:          *shards,
 		MaxNeighborhood: *maxNbr,
 		Parallelism:     *parallel,
 		DatasetName:     *dataset,

@@ -1,18 +1,9 @@
 package cem_test
 
-// The conformance matrix: every way this repository can place a run's
-// neighborhood evaluations × matcher × scheme, on the golden corpora,
-// checked against the paper's three properties — consistency (Theorems 2
-// and 4: the output is the pinned fixture no matter the placement or the
-// evaluation order), soundness (SMP, MMP ⊆ FULL) and MMP ⊇ SMP ⊇ NO-MP.
-// Two store rows save every round run's completed state through the
-// "mem" and the "disk" store and read the snapshot back. Two option rows
-// hold the logical knobs (transitive closure, negative evidence) to the same
-// placement-independence, and a cover-refinement row holds the licence for
-// the non-redundant cover: blocking's cover plus redundant neighborhoods —
-// duplicates and subsets of its own — must give the fixtures exactly. Run
-// under -race in CI, this is also the data-race gauntlet of the concurrent
-// backends.
+// The conformance matrix — every placement × matcher × scheme on the
+// golden corpora, through the theorem checker — and the schedules and
+// covers the checker varies: a seeded shuffled backend, the sharded
+// backend over loopback TCP, and redundant or merged sets.
 
 import (
 	"context"
@@ -20,16 +11,12 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"os"
-	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
 
 	cem "repro"
 	"repro/internal/core"
-	emnet "repro/internal/net"
-	"repro/internal/wire"
 	"repro/match"
 )
 
@@ -50,32 +37,6 @@ func (b shuffledBackend) RunRounds(_ context.Context, _ *match.RoundPlan, d *mat
 		}
 	}
 	return nil
-}
-
-// execution is one placement: a runner option.
-type execution struct {
-	name string
-	opt  cem.RunnerOption
-}
-
-func executions(t *testing.T) []execution {
-	ex := []execution{
-		{"pool-1", cem.WithParallelism(1)},
-		{"pool-4", cem.WithParallelism(4)},
-		{"shuffled", cem.WithBackend(shuffledBackend{rand.New(rand.NewSource(7))})},
-		// Table 1's placement: the fewest pool workers that map every round
-		// against its round-start evidence, the run its grid clock replays.
-		{"grid", cem.WithParallelism(2)},
-	}
-	for _, k := range []int{1, 2, 4} {
-		ex = append(ex, execution{fmt.Sprintf("sharded-%d", k), cem.WithShardCount(k)})
-	}
-	// The same backend again, its worker streams crossing loopback TCP.
-	for _, k := range []int{1, 2} {
-		b := &emnet.Backend{Workers: k, Opts: emnet.Options{Wrap: overLoopback(t)}}
-		ex = append(ex, execution{fmt.Sprintf("sharded-net-%d", k), cem.WithBackend(b)})
-	}
-	return ex
 }
 
 // overLoopback returns an Options.Wrap that carries a worker stream
@@ -111,70 +72,26 @@ func overLoopback(t *testing.T) func(int, io.ReadWriteCloser) io.ReadWriteCloser
 	}
 }
 
-// run executes one scheme under the execution on a fresh runner carrying
-// the row's option (nil for none).
-func (ex execution) run(t *testing.T, exp *cem.Experiment, matcher string, scheme cem.Scheme, rowOpt cem.RunnerOption) *cem.Result {
-	t.Helper()
-	var opts []cem.RunnerOption
-	for _, o := range []cem.RunnerOption{rowOpt, ex.opt} {
-		if o != nil {
-			opts = append(opts, o)
-		}
-	}
-	runner, err := exp.Runner(matcher, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := runner.Run(context.Background(), scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// checkSaved saves a completed round run through st, as a service commit
-// does, and requires the snapshot blob to carry exactly the run's M+ and
-// its outstanding maximal messages.
-func checkSaved(t *testing.T, st match.Store, exp *cem.Experiment, res *cem.Result) {
-	t.Helper()
-	if err := cem.SaveState(st, &cem.PipelineResult{Result: res, Experiment: exp}, 1); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := st.OpenBlob(match.KindSnapshot, "latest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck, err := wire.UnmarshalCheckpoint(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameKey := func(k uint64, p match.PairKey) bool { return k == uint64(p) }
-	if !slices.EqualFunc(ck.Delta, res.Matches.SortedKeys(), sameKey) {
-		t.Errorf("%s: the saved snapshot holds %d pairs, the run matched %d", res.Scheme, len(ck.Delta), res.Matches.Len())
-	}
-	if !slices.EqualFunc(ck.Messages, res.Messages, func(keys []uint64, msg []match.Pair) bool {
-		return slices.EqualFunc(keys, msg, func(k uint64, p match.Pair) bool { return sameKey(k, p.Key()) })
-	}) {
-		t.Errorf("%s: the saved snapshot holds %d messages, the run left %d", res.Scheme, len(ck.Messages), len(res.Messages))
-	}
-}
-
-func wholeSet(s cem.Scheme) bool { return s == cem.SchemeFull || s == cem.SchemeUB }
-
-// refined is exp over its cover plus redundant neighborhoods: for every
-// fourth set, on average, a duplicate of a random set or a random non-empty
-// subset of one, each inserted at a random position, so the original sets'
-// ids move too.
-func refined(t *testing.T, exp *cem.Experiment, seed int64) *cem.Experiment {
+// perturb is exp over its cover with about every fourth set changed:
+// "redundant" inserts, at a random position, a duplicate of a random set
+// or a non-empty subset of one, so the original sets' ids move too;
+// "merged" joins a random set with another.
+func perturb(t *testing.T, exp *cem.Experiment, how string, seed int64) *cem.Experiment {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	sets := slices.Clone(exp.Cover.Sets)
-	for range len(sets) / 4 {
+	for range (len(sets) + 3) / 4 {
 		extra := slices.Clone(sets[rng.Intn(len(sets))])
+		if how == "merged" {
+			i := rng.Intn(len(sets))
+			extra = append(extra, sets[i]...)
+			slices.Sort(extra)
+			sets[i] = slices.Compact(extra)
+			continue
+		}
 		if rng.Intn(2) == 0 {
-			extra = slices.DeleteFunc(extra, func(core.EntityID) bool { return rng.Intn(3) == 0 })
-			if len(extra) == 0 {
-				continue
+			if sub := slices.DeleteFunc(slices.Clone(extra), func(core.EntityID) bool { return rng.Intn(3) == 0 }); len(sub) > 0 {
+				extra = sub
 			}
 		}
 		sets = slices.Insert(sets, rng.Intn(len(sets)+1), extra)
@@ -183,8 +100,8 @@ func refined(t *testing.T, exp *cem.Experiment, seed int64) *cem.Experiment {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Cover.Len() <= exp.Cover.Len() || out.Table.Len() != exp.Table.Len() {
-		t.Fatalf("refined cover: %d sets and %d candidates, from %d and %d", out.Cover.Len(), out.Table.Len(), exp.Cover.Len(), exp.Table.Len())
+	if how == "redundant" && (out.Cover.Len() <= exp.Cover.Len() || out.Table.Len() != exp.Table.Len()) {
+		t.Fatalf("redundant cover: %d sets and %d candidates, from %d and %d", out.Cover.Len(), out.Table.Len(), exp.Cover.Len(), exp.Table.Len())
 	}
 	return out
 }
@@ -199,7 +116,7 @@ func TestConcurrentCovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	covers := []*core.Cover{exp.Cover, refined(t, exp, 42).Cover}
+	covers := []*core.Cover{exp.Cover, perturb(t, exp, "redundant", 42).Cover}
 	mlnM, rulesM := builtins(t, exp)
 	for _, m := range []match.Matcher{mlnM, rulesM} {
 		run := func(c *core.Cover) match.PairSet {
@@ -231,100 +148,34 @@ func TestConcurrentCovers(t *testing.T) {
 	}
 }
 
+// TestConformance runs every placement × matcher × scheme on the golden
+// corpora, in six rows: no store, the "mem" and the "disk" store (every
+// round run's completed state saved and read back), redundant sets, and
+// the two logical options, transitive closure and negative evidence.
 func TestConformance(t *testing.T) {
-	placements := executions(t)
-	for _, ds := range goldenSeeds {
-		exp, err := cem.New(cem.NewDataset(ds.kind, ds.scale, ds.seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		redundant := refined(t, exp, ds.seed)
+	placements := []string{"pool-1", "pool-4", "shuffled", "grid", "sharded-1", "sharded-2", "sharded-4", "sharded-net-1", "sharded-net-2"}
+	for _, c := range goldenSeeds {
 		for _, matcher := range []string{cem.MatcherMLN, cem.MatcherRules} {
-			// The reference: the default placement, held to the fixtures.
-			ref := map[cem.Scheme]match.PairSet{}
-			for _, scheme := range goldenMatrix[matcher] {
-				path := filepath.Join("testdata", "golden", fmt.Sprintf("%s-%s-%s.golden", ds.kind, matcher, scheme))
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("missing fixture (run `go test -run TestGoldenMatchSets -update`): %v", err)
+			for _, row := range []string{"nostore", "mem", "disk", "refined", "closure", "negative"} {
+				sc := scenario{corpus: c, matcher: matcher}
+				schemes := goldenMatrix[matcher]
+				switch row {
+				case "mem", "disk":
+					sc.store = row
+				case "refined":
+					sc.cover = "redundant"
+				case "closure":
+					sc.closure, schemes = true, schemes[:2]
+				case "negative":
+					sc.evidence, schemes = row, schemes[:2]
 				}
-				ref[scheme] = placements[0].run(t, exp, matcher, scheme, nil).Matches
-				if got := renderPairs(ref[scheme]); got != string(want) {
-					t.Fatalf("%s: reference run diverges from its fixture: %s", path, firstDiff(got, string(want)))
-				}
-			}
-			victim := ref[cem.SchemeSMP].Sorted()[0] // a pair SMP matches: the negative row's V−
-
-			// A row fixes the logical configuration; every placement must
-			// land on the row's one expected output per scheme.
-			type row struct {
-				name    string
-				exp     *cem.Experiment // nil: the fixture's experiment
-				opt     cem.RunnerOption
-				store   *storeVariant // the completed runs are saved through it
-				schemes []cem.Scheme
-				want    func(cem.Scheme) match.PairSet
-			}
-			fixtures := func(s cem.Scheme) match.PairSet { return ref[s] }
-			// The option rows run the schemes both matchers share. V− binds
-			// matcher calls, not MMP's message promotion, so "the victim
-			// stays unmatched" is a claim about NO-MP and SMP only.
-			shared := []cem.Scheme{cem.SchemeNoMP, cem.SchemeSMP}
-			negOpt, negative := cem.WithNegativeEvidence(match.NewPairSet(victim)), map[cem.Scheme]match.PairSet{}
-			for _, s := range shared {
-				negative[s] = placements[0].run(t, exp, matcher, s, negOpt).Matches
-				if negative[s].Has(victim) {
-					t.Errorf("%s/%s: negative evidence ignored: victim pair matched", matcher, s)
-				}
-			}
-			rows := []row{{name: "nostore", schemes: goldenMatrix[matcher], want: fixtures}}
-			for _, sv := range storeVariants(t) {
-				rows = append(rows, row{name: sv.name, store: &sv, schemes: goldenMatrix[matcher], want: fixtures})
-			}
-			rows = append(rows,
-				row{name: "refined", exp: redundant, schemes: goldenMatrix[matcher], want: fixtures},
-				row{name: "closure", opt: cem.WithTransitiveClosure(), schemes: shared,
-					want: func(s cem.Scheme) match.PairSet { return exp.TransitiveClosure(ref[s]) }},
-				row{name: "negative", opt: negOpt, schemes: shared,
-					want: func(s cem.Scheme) match.PairSet { return negative[s] }})
-
-			for _, r := range rows {
-				for i, ex := range placements {
-					t.Run(fmt.Sprintf("%s/%s/%s/%s", ds.kind, matcher, r.name, ex.name), func(t *testing.T) {
-						rexp := exp
-						if r.exp != nil {
-							rexp = r.exp
-						}
-						var st match.Store
-						if r.store != nil {
-							st = r.store.open(t)
-						}
-						got := map[cem.Scheme]match.PairSet{}
-						for _, scheme := range r.schemes {
-							if wholeSet(scheme) && i > 0 {
-								continue // no placement to vary: once per row, nothing saved
-							}
-							res := ex.run(t, rexp, matcher, scheme, r.opt)
-							got[scheme] = res.Matches
-							if want := r.want(scheme); !res.Matches.Equal(want) {
-								t.Errorf("%s: match set diverges: %s", scheme, firstDiff(renderPairs(res.Matches), renderPairs(want)))
-							}
-							if st != nil && !wholeSet(scheme) {
-								checkSaved(t, st, rexp, res)
-							}
-						}
-						smp := got[cem.SchemeSMP]
-						if !got[cem.SchemeNoMP].Subset(smp) {
-							t.Error("SMP lost NO-MP matches")
-						}
-						if mmp, ok := got[cem.SchemeMMP]; ok && !smp.Subset(mmp) {
-							t.Error("MMP lost SMP matches")
-						}
-						if r.opt == nil {
-							for _, s := range []cem.Scheme{cem.SchemeSMP, cem.SchemeMMP} {
-								if !got[s].Subset(ref[cem.SchemeFull]) {
-									t.Errorf("%s is unsound: not contained in FULL", s)
-								}
+				for i, place := range placements {
+					t.Run(fmt.Sprintf("%s/%s/%s/%s", c.kind, matcher, row, place), func(t *testing.T) {
+						sc := sc
+						sc.place = place
+						for _, sc.scheme = range schemes {
+							if roundScheme(sc.scheme) || i == 0 { // a whole-set scheme has no placement to vary
+								theorems(t, sc)
 							}
 						}
 					})

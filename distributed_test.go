@@ -1,19 +1,13 @@
 package cem_test
 
-// Fixture-level fault-injection differentials for the sharded backend:
-// a worker killed at every round boundary, and seeded
-// drop/delay/duplicate schedules, must all land byte-identically on
-// the uninterrupted pool run's match set. These run the real HEPTH
-// seed corpus with the MLN matcher — the same ground the golden
-// fixtures pin — so transport faults are exercised against real
-// evidence-exchange traffic, not toy models.
+// Fault injection on the sharded backend, as runners over the theorem
+// checker: a worker killed at every round boundary, and seeded
+// drop/delay/duplicate schedules, must all land on the uninterrupted pool
+// run's match set.
 
 import (
 	"context"
-	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -30,81 +24,32 @@ func workerConfig(exp *cem.Experiment, runner *cem.Runner) core.Config {
 	return core.Config{Cover: exp.Cover, Matcher: runner.Matcher(), Relation: exp.Dataset.Coauthor()}
 }
 
-// faultyNetBackend assembles a sharded backend whose streams run
-// through the injector, with supervision timings tight enough that a
-// dropped frame costs milliseconds.
-func faultyNetBackend(exp *cem.Experiment, runner *cem.Runner, scheme string, k int, inj *faultnet.Injector) *emnet.Backend {
+// faultyNetBackend assembles a sharded backend whose in-process workers
+// ground cfg and whose streams run through the injector, with supervision
+// timings tight enough that a dropped frame costs milliseconds.
+func faultyNetBackend(cfg core.Config, scheme string, k int, inj *faultnet.Injector) *emnet.Backend {
 	opts := emnet.Options{
 		RoundDeadline:     150 * time.Millisecond,
 		HeartbeatInterval: 50 * time.Millisecond,
 		RetryBackoff:      2 * time.Millisecond,
 		MaxRetries:        6,
 	}
-	opts.Spawn = inj.Spawner(emnet.LocalSpawner(workerConfig(exp, runner), scheme, emnet.WorkerOptions{Wrap: inj.WrapWorker}))
+	opts.Spawn = inj.Spawner(emnet.LocalSpawner(cfg, scheme, emnet.WorkerOptions{Wrap: inj.WrapWorker}))
 	return &emnet.Backend{Workers: k, Opts: opts}
-}
-
-// coreSchemeName maps the public scheme to the engine's canonical name
-// for worker-side plan construction.
-func coreSchemeName(s cem.Scheme) string {
-	switch s {
-	case cem.SchemeNoMP:
-		return "NO-MP"
-	case cem.SchemeSMP:
-		return "SMP"
-	case cem.SchemeMMP:
-		return "MMP"
-	}
-	return ""
 }
 
 // TestDistributedKillAtEveryRound: on the HEPTH seed corpus, SIGKILL a
 // worker at every round boundary of the run — it receives the round's
-// assignment, then its stream dies for good. Every interrupted fleet
-// must render the exact fixture match set the pool backend produces,
-// and must report the reassignment that absorbed the loss.
+// assignment, then its stream dies for good. Every interrupted fleet must
+// land on the pool's match set and report the reassignment that absorbed
+// the loss, and the schedule must bite at least twice.
 func TestDistributedKillAtEveryRound(t *testing.T) {
-	exp, err := cem.New(cem.NewDataset(cem.HEPTH, 0.25, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, scheme := range []cem.Scheme{cem.SchemeSMP, cem.SchemeMMP} {
-		runner, err := exp.Runner(cem.MatcherMLN)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool, err := runner.Run(context.Background(), scheme)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := renderMatches(pool)
-
 		kills := 0
-		const victim = 1
 		for round := 1; round <= 8; round++ {
-			inj := faultnet.New(faultnet.Plan{
-				Seed:        int64(round),
-				KillAtRound: map[int]int{victim: round},
-				Permadead:   true,
-			})
-			b := faultyNetBackend(exp, runner, coreSchemeName(scheme), 3, inj)
-			killed, err := exp.Runner(cem.MatcherMLN, cem.WithBackend(b))
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := killed.Run(context.Background(), scheme)
-			if err != nil {
-				t.Fatalf("%s kill at round %d: a killed worker must never fail the run: %v", scheme, round, err)
-			}
-			if got := renderMatches(res); got != want {
-				t.Errorf("%s kill at round %d: match set diverges: %s", scheme, round, firstDiff(got, want))
-			}
-			if !inj.Killed(victim) {
-				continue // the victim drew no assignment that round (or the run was over)
-			}
-			kills++
-			if res.Stats.Reassignments < 1 {
-				t.Errorf("%s kill at round %d: worker died but Reassignments = %d", scheme, round, res.Stats.Reassignments)
+			plan := faultnet.Plan{Seed: int64(round), KillAtRound: map[int]int{1: round}, Permadead: true}
+			if o := theorems(t, scenario{corpus: goldenSeeds[0], matcher: cem.MatcherMLN, scheme: scheme, fault: &plan}); o.inj.Killed(1) {
+				kills++
 			}
 		}
 		if kills < 2 {
@@ -114,48 +59,21 @@ func TestDistributedKillAtEveryRound(t *testing.T) {
 }
 
 // TestDistributedFaultSchedules: three seeded drop/delay/duplicate
-// schedules per golden corpus × matcher, each faulted fleet compared
-// against the PINNED fixture file — the same bytes the fault-free
-// golden suite asserts. Schedules perturb which worker computes what
-// and when — never what the run outputs.
+// schedules per golden corpus × matcher. Schedules perturb which worker
+// computes what and when — never what the run outputs. The faulted fleets
+// wait out their round deadlines side by side.
 func TestDistributedFaultSchedules(t *testing.T) {
-	for _, ds := range []cem.DatasetKind{cem.HEPTH, cem.DBLP} {
-		exp, err := cem.New(cem.NewDataset(ds, 0.25, 42))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, c := range goldenSeeds {
 		for _, matcher := range []string{cem.MatcherMLN, cem.MatcherRules} {
-			fixture := filepath.Join("testdata", "golden",
-				fmt.Sprintf("%s-%s-%s.golden", ds, matcher, cem.SchemeSMP))
-			want, err := os.ReadFile(fixture)
-			if err != nil {
-				t.Fatalf("missing fixture %s: %v", fixture, err)
-			}
-			runner, err := exp.Runner(matcher)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sc := scenario{corpus: c, matcher: matcher, scheme: cem.SchemeSMP}
+			sc.ref(t, sc.scheme)
 			for seed := int64(1); seed <= 3; seed++ {
-				inj := faultnet.New(faultnet.Plan{
-					Seed:      seed,
-					DropRate:  0.1,
-					DupRate:   0.15,
-					DelayRate: 0.25,
-					MaxDelay:  3 * time.Millisecond,
+				t.Run("", func(t *testing.T) {
+					t.Parallel()
+					sc := sc
+					sc.fault = &faultnet.Plan{Seed: seed, DropRate: 0.1, DupRate: 0.15, DelayRate: 0.25, MaxDelay: 3 * time.Millisecond}
+					theorems(t, sc)
 				})
-				b := faultyNetBackend(exp, runner, "SMP", 3, inj)
-				faulty, err := exp.Runner(matcher, cem.WithBackend(b))
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := faulty.Run(context.Background(), cem.SchemeSMP)
-				if err != nil {
-					t.Fatalf("%s-%s seed %d: faulted run failed: %v", ds, matcher, seed, err)
-				}
-				if got := renderMatches(res); got != string(want) {
-					t.Errorf("%s-%s seed %d: match set diverges from %s: %s",
-						ds, matcher, seed, fixture, firstDiff(got, string(want)))
-				}
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package cem
 
 import (
+	"context"
+
 	"repro/internal/core"
 	"repro/match"
 )
@@ -15,3 +17,16 @@ var AffectedByDelta = affectedByDelta
 func NewWithCover(d *match.Dataset, cover *core.Cover) (*Experiment, error) {
 	return setup(d, DefaultOptions(), cover, nil)
 }
+
+// RunWarm runs a round scheme from a warm seed, as Pipeline.Update does,
+// for the evidence-contract checks of the theorem checker.
+func RunWarm(ctx context.Context, r *Runner, s Scheme, warm *core.WarmStart) (*Result, error) {
+	return r.run(ctx, s, warm, false)
+}
+
+// LookupMatcher returns a registered matcher's factory, for the checker's
+// pair-form twins.
+var LookupMatcher = lookupMatcher
+
+// CoreScheme is the engine's name of a round scheme.
+var CoreScheme = coreScheme

@@ -31,14 +31,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden match-set fixtures
 
 // goldenSeeds pins the corpora: the same scale/seed the identity and
 // benchmark tests use.
-var goldenSeeds = []struct {
-	kind  cem.DatasetKind
-	scale float64
-	seed  int64
-}{
-	{cem.HEPTH, 0.25, 42},
-	{cem.DBLP, 0.25, 42},
-}
+var goldenSeeds = []corpus{{cem.HEPTH, 0.25, 42}, {cem.DBLP, 0.25, 42}}
 
 // goldenMatrix lists every scheme each built-in matcher supports (MMP
 // needs a Type-II matcher, UB a conditional decider — MLN only).

@@ -1,15 +1,13 @@
 package cem_test
 
-// Randomized differential harness for the incremental execution path:
-// records arrive in seeded random order and random batch splits, are
-// ingested with Pipeline.Update (delta blocking + warm-started
-// matching), and the result after the final batch must be BYTE-IDENTICAL
-// to a cold Pipeline.Run over the union — for every scheme, on the pool
-// and the sharded backend alike — while spending strictly fewer matcher
-// calls than the cold run. This is the empirical form of the paper's
-// consistency guarantees applied to delta ingestion: re-activating only
-// the neighborhoods an arrival touches reaches the same fixpoint as
-// re-running everything.
+// The incremental execution path: records arrive in seeded random order
+// and random batch splits and are ingested with Pipeline.Update (delta
+// blocking + warm-started matching). The differentials are runners over
+// the theorem checker: the result after the final batch must equal a cold
+// Pipeline.Run over the union, for every scheme, on the pool and the
+// sharded backend alike, while every trailing batch spends strictly fewer
+// matcher calls than the cold run — re-activating only the neighborhoods
+// an arrival touches reaches the same fixpoint as re-running everything.
 
 import (
 	"context"
@@ -28,31 +26,6 @@ import (
 	"repro/internal/canopy"
 	"repro/match"
 )
-
-// arrival is one randomized ingestion sequence: a shuffled record order
-// cut into a base batch (55–75% of the corpus) followed by small
-// trailing batches (1–8% each) — the steady-state streaming regime.
-func arrival(rng *rand.Rand, records []cem.Record) [][]cem.Record {
-	recs := append([]cem.Record(nil), records...)
-	rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
-	n := len(recs)
-	batches := [][]cem.Record{}
-	lo := 0
-	for lo < n {
-		var hi int
-		if lo == 0 {
-			hi = n*11/20 + rng.Intn(n/5+1) // 55–75%
-		} else {
-			hi = lo + 1 + rng.Intn(n*8/100+1) // 1–8%
-		}
-		if hi > n {
-			hi = n
-		}
-		batches = append(batches, recs[lo:hi])
-		lo = hi
-	}
-	return batches
-}
 
 // affectedByDeltaOld is the warm-start seed computation as it stood before
 // the candidate table — a hash set of every old candidate, a map of seen
@@ -121,12 +94,10 @@ func (o *affectedOracle) check(t *testing.T, res *cem.PipelineResult) {
 	o.prior = res
 }
 
-// ingest folds Update over an arrival sequence and asserts the warm-path
-// invariants: every trailing batch warm-starts (the arrival splits used
-// here keep the cover additive) and, when a cold reference is supplied,
-// every warm-started update spends strictly fewer matcher calls than the
-// cold run — the whole point of delta ingestion.
-func ingest(t *testing.T, pipe *cem.Pipeline, batches [][]cem.Record, cold *cem.PipelineResult) *cem.PipelineResult {
+// ingest folds Update over an arrival sequence, holds every batch to the
+// affected-set oracle, and requires every trailing batch to warm-start
+// (the arrival splits used here keep the cover additive).
+func ingest(t *testing.T, pipe *cem.Pipeline, batches [][]cem.Record) *cem.PipelineResult {
 	t.Helper()
 	var res *cem.PipelineResult
 	var err error
@@ -137,77 +108,28 @@ func ingest(t *testing.T, pipe *cem.Pipeline, batches [][]cem.Record, cold *cem.
 			t.Fatalf("update %d: %v", bi, err)
 		}
 		oracle.check(t, res)
-		if bi == 0 {
-			continue
-		}
-		if !res.WarmStarted {
+		if bi > 0 && !res.WarmStarted {
 			t.Errorf("update %d (%d records) did not warm-start (forced rerun: %v)",
 				bi, len(batch), res.ForcedRerun)
-		}
-		if cold != nil && res.Stats.MatcherCalls >= cold.Stats.MatcherCalls {
-			t.Errorf("update %d (%d records): %d matcher calls, cold run needs only %d — no incremental savings",
-				bi, len(batch), res.Stats.MatcherCalls, cold.Stats.MatcherCalls)
 		}
 	}
 	return res
 }
 
-// incrementalMatrix: every scheme with round structure, on the in-order
-// one-worker pool and on a snapshot-round backend. FULL and UB have no
-// incremental path.
-var incrementalBackends = []struct {
-	name string
-	opt  cem.RunnerOption
-}{
-	{"pool", cem.WithParallelism(1)},
-	{"sharded4", cem.WithShardCount(4)},
-}
-
-// TestIncrementalMatchesColdRun is the acceptance harness: 5 arrival
-// seeds × both corpora × {nomp, smp, mmp} × {pool, sharded K=4}, each
-// asserting byte-identical results and strict matcher-call savings.
+// TestIncrementalMatchesColdRun: 5 arrival seeds × both corpora ×
+// {nomp, smp, mmp} × {pool, sharded K=4}.
 func TestIncrementalMatchesColdRun(t *testing.T) {
-	for _, ds := range goldenSeeds {
-		records, err := cem.GenerateRecords(ds.kind, ds.scale, ds.seed)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, c := range goldenSeeds {
 		for seed := int64(0); seed < 5; seed++ {
-			batches := arrival(rand.New(rand.NewSource(seed)), records)
-			var union []cem.Record
-			for _, b := range batches {
-				union = append(union, b...)
-			}
 			for _, scheme := range []cem.Scheme{cem.SchemeNoMP, cem.SchemeSMP, cem.SchemeMMP} {
-				// One cold reference per scheme: backends are output-identical
-				// (consistency), and the two-worker pool's snapshot rounds are
-				// the matcher-call ceiling the savings are graded against.
-				coldPipe, err := cem.NewPipeline(
-					cem.WithScheme(scheme),
-					cem.WithRunnerOptions(cem.WithParallelism(2)),
-				)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cold, err := coldPipe.Run(context.Background(), union)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := renderMatches(cold.Result)
-				for _, backend := range incrementalBackends {
-					t.Run(fmt.Sprintf("%s-seed%d-%s-%s", ds.kind, seed, scheme, backend.name), func(t *testing.T) {
-						pipe, err := cem.NewPipeline(
-							cem.WithScheme(scheme),
-							cem.WithRunnerOptions(backend.opt),
-						)
-						if err != nil {
-							t.Fatal(err)
-						}
-						res := ingest(t, pipe, batches, cold)
-						if got := renderMatches(res.Result); got != want {
-							t.Errorf("incremental result diverges from cold run over %d records in %d batches: %s",
-								len(union), len(batches), firstDiff(got, want))
-						}
+				sc := scenario{corpus: c, matcher: cem.MatcherMLN, scheme: scheme, split: split{n: -1, seed: seed}, warm: "grid"}
+				sc.cold(t)
+				for _, backend := range []struct{ name, place string }{{"pool", "pool-1"}, {"sharded4", "sharded-4"}} {
+					t.Run(fmt.Sprintf("%s-seed%d-%s-%s", c.kind, seed, scheme, backend.name), func(t *testing.T) {
+						t.Parallel()
+						sc := sc
+						sc.place = backend.place
+						theorems(t, sc)
 					})
 				}
 			}
@@ -215,82 +137,46 @@ func TestIncrementalMatchesColdRun(t *testing.T) {
 	}
 }
 
-// TestIncrementalPrefixesMatchColdRuns sharpens the harness on one
-// arrival per corpus: after EVERY batch, the incremental state equals a
-// cold run over exactly the records ingested so far — the incremental
-// path is indistinguishable at every prefix, not just at the end.
+// TestIncrementalPrefixesMatchColdRuns sharpens the harness on one arrival
+// per corpus: after EVERY batch the incremental state equals a cold run
+// over exactly the records ingested so far.
 func TestIncrementalPrefixesMatchColdRuns(t *testing.T) {
-	for _, ds := range goldenSeeds {
-		records, err := cem.GenerateRecords(ds.kind, ds.scale, ds.seed)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range goldenSeeds {
+		sc := scenario{corpus: c, matcher: cem.MatcherMLN, scheme: cem.SchemeSMP, split: split{n: -1, seed: 11}}
+		for k := range sc.batches(t) {
+			sc.split.upto = k + 1
+			theorems(t, sc)
 		}
-		batches := arrival(rand.New(rand.NewSource(11)), records)
-		pipe, err := cem.NewPipeline(cem.WithScheme(cem.SchemeSMP))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var res *cem.PipelineResult
-		var prefix []cem.Record
-		var oracle affectedOracle
-		for bi, batch := range batches {
-			prefix = append(prefix, batch...)
-			res, err = pipe.Update(context.Background(), res, batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oracle.check(t, res)
-			cold, err := pipe.Run(context.Background(), prefix)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := renderMatches(res.Result), renderMatches(cold.Result); got != want {
-				t.Errorf("%s: prefix after batch %d (%d records) diverges from cold run: %s",
-					ds.kind, bi, len(prefix), firstDiff(got, want))
+	}
+}
+
+// TestIncrementalRulesMatcher runs the harness for the Type-I rules
+// matcher (NO-MP and SMP), with and without the end-of-run transitive
+// closure: the closure must compose with warm starts (continuations are
+// seeded from the raw pre-closure evidence).
+func TestIncrementalRulesMatcher(t *testing.T) {
+	for _, c := range goldenSeeds {
+		for _, scheme := range []cem.Scheme{cem.SchemeNoMP, cem.SchemeSMP} {
+			for _, closure := range []bool{false, true} {
+				theorems(t, scenario{corpus: c, matcher: cem.MatcherRules, scheme: scheme, closure: closure,
+					split: split{n: -1, seed: 2}, warm: "pool-1"})
 			}
 		}
 	}
 }
 
-// TestIncrementalRulesMatcher runs the differential harness for the
-// Type-I rules matcher (NO-MP and SMP; it is not probabilistic), with
-// and without the end-of-run transitive closure — the closure must
-// compose with warm starts (continuations are seeded from the raw
-// pre-closure evidence).
-func TestIncrementalRulesMatcher(t *testing.T) {
-	for _, ds := range goldenSeeds {
-		records, err := cem.GenerateRecords(ds.kind, ds.scale, ds.seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batches := arrival(rand.New(rand.NewSource(2)), records)
-		var union []cem.Record
-		for _, b := range batches {
-			union = append(union, b...)
-		}
-		for _, scheme := range []cem.Scheme{cem.SchemeNoMP, cem.SchemeSMP} {
-			for _, closure := range []bool{false, true} {
-				opts := []cem.PipelineOption{
-					cem.WithMatcher(cem.MatcherRules),
-					cem.WithScheme(scheme),
-				}
-				if closure {
-					opts = append(opts, cem.WithRunnerOptions(cem.WithTransitiveClosure()))
-				}
-				pipe, err := cem.NewPipeline(opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cold, err := pipe.Run(context.Background(), union)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res := ingest(t, pipe, batches, cold)
-				if got, want := renderMatches(res.Result), renderMatches(cold.Result); got != want {
-					t.Errorf("%s/rules/%s closure=%v: incremental diverges: %s",
-						ds.kind, scheme, closure, firstDiff(got, want))
-				}
-			}
+// TestIncrementalStoreBackends runs the randomized ingestion harness with
+// each storage backend holding the committed state: every batch is saved
+// with SaveState, as the service's committer does, and the last save
+// reopens — at the last batch's sequence, with zero matcher calls — to the
+// cold run's exact result, with the usual warm-start savings on the way.
+func TestIncrementalStoreBackends(t *testing.T) {
+	for _, c := range goldenSeeds {
+		for _, store := range []string{"mem", "disk"} {
+			t.Run(fmt.Sprintf("%s-%s", c.kind, store), func(t *testing.T) {
+				theorems(t, scenario{corpus: c, matcher: cem.MatcherMLN, scheme: cem.SchemeSMP, store: store,
+					split: split{n: -1, seed: 3}, warm: "pool-1"})
+			})
 		}
 	}
 }
@@ -325,7 +211,7 @@ func TestGoldenStreamingFixtures(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res := ingest(t, pipe, batches, nil)
+				res := ingest(t, pipe, batches)
 				got := renderMatches(res.Result)
 				path := filepath.Join("testdata", "golden", name+".golden")
 				if *updateGolden {
@@ -364,7 +250,7 @@ func TestUpdateUnlabeledStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := ingest(t, pipe, streamBatches(stripped), nil)
+	res := ingest(t, pipe, streamBatches(stripped))
 	if res.Labeled {
 		t.Error("unlabeled stream reported Labeled")
 	}
@@ -377,7 +263,7 @@ func TestUpdateUnlabeledStream(t *testing.T) {
 
 	// The labels must not influence matching: the unlabeled stream's
 	// match set equals the labeled one's.
-	labeled := ingest(t, pipe, streamBatches(records), nil)
+	labeled := ingest(t, pipe, streamBatches(records))
 	if !res.Matches.Equal(labeled.Matches) {
 		t.Error("labels changed the match set")
 	}

@@ -138,3 +138,60 @@ func TestNetFaultOutOfRangeMatch(t *testing.T) {
 		t.Fatalf("a match outside the run's entities gave %v, want an error naming worker 0", err)
 	}
 }
+
+// strayBatchTap writes, ahead of the first batch any worker sends, a
+// batch of the round before it for partition shard, with no jobs.
+type strayBatchTap struct {
+	io.ReadWriteCloser
+	shard int
+	once  *sync.Once
+}
+
+func (f strayBatchTap) Write(b []byte) (int, error) {
+	var err error
+	if ft, payload, rerr := wire.ReadFrame(bytes.NewReader(b)); rerr == nil && ft == wire.FrameBatch {
+		f.once.Do(func() {
+			var batch *wire.ShardBatch
+			if batch, err = wire.UnmarshalShardBatch(payload); err != nil {
+				return
+			}
+			stray := &wire.ShardBatch{Round: batch.Round - 1, Shard: f.shard, Epoch: batch.Epoch}
+			var enc []byte
+			if enc, err = stray.Marshal(wire.Binary); err != nil {
+				return
+			}
+			frame, _ := wire.AppendFrame(nil, wire.FrameBatch, enc)
+			_, err = f.ReadWriteCloser.Write(frame)
+		})
+	}
+	if err != nil {
+		return 0, err
+	}
+	return f.ReadWriteCloser.Write(b)
+}
+
+// TestNetFaultStrayPartition: a late batch of an earlier round for a
+// partition with no work this round is dropped and counted, and the
+// output does not move; a batch for a partition past the workers' count
+// fails the round.
+func TestNetFaultStrayPartition(t *testing.T) {
+	m, cover, _ := testmodel.PaperExample()
+	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
+	k := cover.Len() + 1 // neighborhood id % k: partition k-1 never has work
+	stray := func(shard int) *emnet.Backend {
+		once := new(sync.Once)
+		tap := func(_ int, rw io.ReadWriteCloser) io.ReadWriteCloser { return strayBatchTap{rw, shard, once} }
+		return &emnet.Backend{Workers: k, Opts: emnet.Options{
+			Spawn: emnet.LocalSpawner(cfg, "SMP", emnet.WorkerOptions{Wrap: tap}),
+		}}
+	}
+	res := runOn(t, cfg, "SMP", stray(k-1))
+	assertSameRun(t, "stray batch for an idle partition", res, poolRef(t, cfg, "SMP"))
+	if res.Stats.LateBatchesDropped != 1 {
+		t.Errorf("one stray batch, LateBatchesDropped = %d", res.Stats.LateBatchesDropped)
+	}
+	_, err := core.RunBackend(bg, cfg, "SMP", stray(k), core.CheckpointConfig{})
+	if err == nil || !strings.Contains(err.Error(), "unknown partition") {
+		t.Fatalf("a batch for partition %d of %d gave %v, want an unknown-partition error", k, k, err)
+	}
+}

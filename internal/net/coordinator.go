@@ -625,14 +625,16 @@ func (c *coordinator) handleFrame(ev event, round int, parts []*partState, lenAt
 		if err != nil {
 			return 0, fmt.Errorf("net: worker %d round %d: bad batch: %w", ev.worker, round, err)
 		}
-		st := partOK(parts, batch.Shard)
-		if st == nil {
+		if batch.Shard < 0 || batch.Shard >= len(parts) {
 			return 0, fmt.Errorf("net: worker %d returned a batch for unknown partition %d", ev.worker, batch.Shard)
 		}
-		if batch.Round != round || batch.Epoch != st.epoch || st.accounted {
+		// A partition with no work this round (nil) can still get a late
+		// batch of an earlier round; it is dropped like any other.
+		st := parts[batch.Shard]
+		if st == nil || batch.Round != round || batch.Epoch != st.epoch || st.accounted {
 			c.d.AccountResilience(0, 0, 1)
-			c.opts.logf("net: dropped late batch from worker %d (partition %d round %d epoch %d; current round %d epoch %d)",
-				ev.worker, batch.Shard, batch.Round, batch.Epoch, round, st.epoch)
+			c.opts.logf("net: dropped late batch from worker %d (partition %d round %d epoch %d; current round %d)",
+				ev.worker, batch.Shard, batch.Round, batch.Epoch, round)
 			return 0, nil
 		}
 		if len(batch.Jobs) != len(st.ids) {

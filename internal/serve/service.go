@@ -44,9 +44,7 @@ type Config struct {
 	// nomp/smp/mmp — the scheme must have an incremental path).
 	Matcher string
 	Scheme  cem.Scheme
-	// Shards is the blocking shard count for cold runs; MaxNeighborhood
-	// bounds canopy cores (0 = unbounded).
-	Shards          int
+	// MaxNeighborhood bounds canopy cores (0 = unbounded).
 	MaxNeighborhood int
 	// Parallelism is the matcher-stage worker count.
 	Parallelism int
@@ -163,7 +161,6 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 		cem.WithDatasetName(cfg.DatasetName),
 		cem.WithMatcher(cfg.Matcher),
 		cem.WithScheme(cfg.Scheme),
-		cem.WithShards(cfg.Shards),
 		cem.WithMaxNeighborhood(cfg.MaxNeighborhood),
 		cem.WithRunnerOptions(ropts...),
 	)

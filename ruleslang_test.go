@@ -44,15 +44,13 @@ func loadProgram(t testing.TB, path string) string {
 	return name
 }
 
-// registerHand registers, once per name, a matcher grounding the
-// hand-written rule program rs, and returns the name.
-func registerHand(name string, rs []match.Rule) string {
+// registerOnce registers factory under name unless a factory already
+// holds it, and returns the name.
+func registerOnce(name string, factory cem.MatcherFactory) string {
 	programsMu.Lock()
 	defer programsMu.Unlock()
 	if _, ok := programs[name]; !ok {
-		cem.RegisterMatcher(name, func(mc cem.MatcherContext) (match.Matcher, error) {
-			return rules.Ground(mc.Dataset, mc.Table, canopy.Levels(mc.Candidates), nil, rs)
-		})
+		cem.RegisterMatcher(name, factory)
 		programs[name] = name
 	}
 	return name
@@ -142,76 +140,40 @@ func TestLoadRulesFile(t *testing.T) {
 	}
 }
 
-// TestRulesFileDifferential is the tentpole guarantee: each fixture
-// rules file produces byte-identical match sets to its handwritten
-// []match.Rule equivalent on every golden corpus and scheme the rules
-// matcher supports; the paper program additionally lands on the on-disk
-// rules fixtures.
+// TestRulesFileDifferential: each fixture rules file runs exactly as its
+// handwritten []match.Rule equivalent, counters included, on every golden
+// corpus and scheme the rules matcher supports; the paper program also
+// lands on the on-disk rules fixtures.
 func TestRulesFileDifferential(t *testing.T) {
-	progs := []struct {
-		file   string
-		rules  []match.Rule // nil = the built-in rules matcher (PaperRules)
-		pinned bool         // also compare against the <ds>-rules-<scheme>.golden fixtures
-	}{
-		{"paper.rules", nil, true},
-		{"strict.rules", []match.Rule{
-			{Level: match.LevelStrong, MinCoauthorMatches: 1},
-			{Level: match.LevelMedium, MinCoauthorMatches: 2},
-		}, false},
-		{"lenient.rules", []match.Rule{
-			{Level: match.LevelStrong, MinCoauthorMatches: 0},
-			{Level: match.LevelMedium, MinCoauthorMatches: 0},
-			{Level: match.LevelWeak, MinCoauthorMatches: 1},
-		}, false},
-	}
-	schemes := []cem.Scheme{cem.SchemeNoMP, cem.SchemeSMP, cem.SchemeFull}
-	for _, ds := range goldenSeeds {
-		d := cem.NewDataset(ds.kind, ds.scale, ds.seed)
-		for _, prog := range progs {
-			name := loadProgram(t, filepath.Join("testdata", "rules", prog.file))
-			fileExp, err := cem.New(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fileRunner, err := fileExp.Runner(name)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, c := range goldenSeeds {
+		for _, prog := range []struct {
+			file  string
+			rules []match.Rule // nil: the built-in rules matcher (PaperRules), and its fixtures
+		}{
+			{"paper.rules", nil},
+			{"strict.rules", []match.Rule{
+				{Level: match.LevelStrong, MinCoauthorMatches: 1},
+				{Level: match.LevelMedium, MinCoauthorMatches: 2},
+			}},
+			{"lenient.rules", []match.Rule{
+				{Level: match.LevelStrong, MinCoauthorMatches: 0},
+				{Level: match.LevelMedium, MinCoauthorMatches: 0},
+				{Level: match.LevelWeak, MinCoauthorMatches: 1},
+			}},
+		} {
 			hand := cem.MatcherRules
 			if prog.rules != nil {
-				hand = registerHand("hand-"+prog.file, prog.rules)
+				hand = registerOnce("hand-"+prog.file, func(mc cem.MatcherContext) (match.Matcher, error) {
+					return rules.Ground(mc.Dataset, mc.Table, canopy.Levels(mc.Candidates), nil, prog.rules)
+				})
 			}
-			handExp, err := cem.New(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			handRunner, err := handExp.Runner(hand)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, scheme := range schemes {
-				t.Run(fmt.Sprintf("%s-%s-%s", ds.kind, prog.file, scheme), func(t *testing.T) {
-					fres, err := fileRunner.Run(context.Background(), scheme)
-					if err != nil {
-						t.Fatal(err)
-					}
-					hres, err := handRunner.Run(context.Background(), scheme)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, want := renderMatches(fres), renderMatches(hres)
-					if got != want {
-						t.Errorf("rules file diverges from handwritten program: %s", firstDiff(got, want))
-					}
-					if prog.pinned {
-						path := filepath.Join("testdata", "golden",
-							fmt.Sprintf("%s-%s-%s.golden", ds.kind, cem.MatcherRules, scheme))
-						fixture, err := os.ReadFile(path)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got != string(fixture) {
-							t.Errorf("rules file diverges from %s: %s", path, firstDiff(got, string(fixture)))
+			for _, scheme := range goldenMatrix[cem.MatcherRules] {
+				t.Run(fmt.Sprintf("%s-%s-%s", c.kind, prog.file, scheme), func(t *testing.T) {
+					o := theorems(t, scenario{corpus: c, matcher: loadProgram(t, filepath.Join("testdata", "rules", prog.file)), twin: hand, scheme: scheme})
+					if prog.rules == nil {
+						want := scenario{corpus: c, matcher: cem.MatcherRules}.ref(t, scheme)
+						if got, want := renderMatches(o.res), renderMatches(want); got != want {
+							t.Errorf("rules file diverges from the rules fixture: %s", firstDiff(got, want))
 						}
 					}
 				})
