@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		closure  = fs.Bool("closure", false, "apply transitive closure to the output before scoring")
 		bcubed   = fs.Bool("bcubed", false, "also print the B-cubed cluster metric")
 		parallel = fs.Int("parallel", 1, "concurrent neighborhood evaluations")
-		shards   = fs.Int("shards", 0, "blocking shards for -records (0 = one per CPU)")
+		shards   = fs.Int("shards", 0, "blocking shards for -records and -ingest (0 = one per CPU)")
 		maxNbr   = fs.Int("max-neighborhood", 0, "canopy size bound for -records/-ingest (0 = unbounded)")
 		backend  = fs.String("backend", "", "execution backend: pool | sharded (empty = default pool)")
 		bShards  = fs.Int("backend-shards", 0, "in-process worker count for -backend sharded (0 = one per CPU)")
@@ -127,9 +127,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *ingest != "" && *resume {
 		return fmt.Errorf("-ingest replays a fresh stream; it cannot be combined with -resume")
-	}
-	if *ingest != "" && *shards != 0 {
-		return fmt.Errorf("-shards blocks a -records run; -ingest's delta index blocks serially")
 	}
 	if s := cem.Scheme(*scheme); (s == cem.SchemeFull || s == cem.SchemeUB) && *stateDir+*ingest != "" {
 		return fmt.Errorf("-state-dir and -ingest keep a run's round state; -scheme %s has none", *scheme)

@@ -89,9 +89,6 @@ func TestFlagValidation(t *testing.T) {
 		{"missing rules file",
 			[]string{"-rules-file", "no-such-file.rules"},
 			"reading rules file"},
-		{"shards with ingest",
-			[]string{"-ingest", "a.tsv,b.tsv", "-shards", "2"},
-			"-shards blocks a -records run; -ingest's delta index blocks serially"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -210,6 +207,28 @@ func writeBatches(t *testing.T, dir string, cuts ...float64) []string {
 		lo = hi
 	}
 	return paths
+}
+
+// TestIngestShardsAgree: -shards reaches the blocking index an -ingest
+// stream carries from batch to batch, and the reports do not depend on it:
+// one and four shards print the same batches but for their timings.
+func TestIngestShardsAgree(t *testing.T) {
+	paths := strings.Join(writeBatches(t, t.TempDir(), 0.3, 1.0), ",")
+	timings := regexp.MustCompile(`\(blocking [^,]*, matching [^)]*\)`)
+	var outs []string
+	for _, shards := range []string{"1", "4"} {
+		out, err := runQuiet(t, "-ingest", paths, "-scheme", "smp", "-shards", shards)
+		if err != nil {
+			t.Fatalf("-shards %s: %v", shards, err)
+		}
+		outs = append(outs, timings.ReplaceAllString(out, "(timings)"))
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("-ingest reports differ between -shards 1 and -shards 4:\n%s\nvs\n%s", outs[0], outs[1])
+	}
+	if !strings.Contains(outs[0], "batch 2/2") {
+		t.Fatalf("-ingest report lacks its second batch:\n%s", outs[0])
+	}
 }
 
 // TestIngestReplaysStream runs the -ingest mode end to end on a real

@@ -3,6 +3,7 @@ package cem
 import (
 	"context"
 
+	"repro/internal/canopy"
 	"repro/internal/core"
 	"repro/match"
 )
@@ -30,3 +31,7 @@ var LookupMatcher = lookupMatcher
 
 // CoreScheme is the engine's name of a round scheme.
 var CoreScheme = coreScheme
+
+// IndexOf returns a pipeline result's blocking index, for the checks that
+// a Run's index is the one its Updates advance and its state blob saves.
+func IndexOf(r *PipelineResult) *canopy.Index { return r.index }

@@ -698,8 +698,8 @@ func TestUpdateConcurrentForks(t *testing.T) {
 	}
 }
 
-// TestUpdatePriorFromRun: a prior produced by Run (no streaming index)
-// is upgraded transparently — Update replays the records once, then
+// TestUpdatePriorFromRun: a prior produced by Run carries its blocking
+// index, so Update advances that index — no replay of the Run's records —
 // warm-starts, and the result still matches the cold union run.
 func TestUpdatePriorFromRun(t *testing.T) {
 	records, err := cem.GenerateRecords(cem.DBLP, 0.25, 42)
@@ -716,12 +716,19 @@ func TestUpdatePriorFromRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix := cem.IndexOf(prior)
+	if ix == nil || ix.Len() != len(batches[0]) {
+		t.Fatal("the Run result carries no blocking index over its records")
+	}
 	mid, err := pipe.Update(context.Background(), prior, batches[1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !mid.WarmStarted {
 		t.Error("update on a Run-produced prior did not warm-start")
+	}
+	if cem.IndexOf(mid) != ix || ix.Len() != len(batches[0])+len(batches[1]) {
+		t.Error("update on a Run-produced prior rebuilt its blocking index instead of advancing the Run's")
 	}
 	final, err := pipe.Update(context.Background(), mid, batches[2])
 	if err != nil {

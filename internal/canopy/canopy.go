@@ -9,11 +9,12 @@
 //
 // Canopy scoring is over distinct normalized names, not references: the
 // q-gram table (gramTable) holds one row per distinct name — gram ids,
-// posting entries, counters — scores a row at most once, by counting along
-// its postings, and only emission turns candidate rows into the references
-// that carry them. Batch construction (CanopiesContext) and the incremental
-// Index share the table, the probe and the emitter; the per-record scorer
-// they replaced is the oracle in oldcmp_test.go.
+// posting entries, counters — scores a similar pair of rows once, by
+// counting along the later row's postings, and only emission (emitter) turns
+// candidate rows into the references that carry them. Blocking is one index:
+// a cold run (BuildCoverContext, CanopiesContext) is an Index's first add,
+// and an incremental one its later adds; the per-record scorer it replaced
+// is the oracle in oldcmp_test.go.
 //
 // Wherever blocking needs the discretized name similarity — the pairs that
 // drive aligned expansion, the candidate pairs handed to the matchers — it
@@ -134,8 +135,8 @@ type scored struct {
 	Sim float64
 }
 
-// gramTable is the inverted q-gram index both blocking paths score against,
-// a table over DISTINCT normalized names: references whose names normalize to
+// gramTable is the inverted q-gram index an Index scores against, a table
+// over DISTINCT normalized names: references whose names normalize to
 // one string share a row, and everything the scorer reads — gram lists,
 // postings, counters — is per row. Two references of one row have the same
 // grams, hence the same similarity to everything, so a row is scored once
@@ -273,18 +274,20 @@ func minShared(n int, loose float64) int32 {
 	return int32(c)
 }
 
-// probe returns, in ascending row order, every row whose gram set has
-// Jaccard >= loose with row x's. Walking the postings of x's grams visits
-// each (row, shared gram) incidence exactly once, so a counter per row is the
-// intersection size c and sim = c / (|x|+|y|-c) without reading a gram set
-// again. Both loops are dense: the count is a bare increment — no
+// probe returns, in ascending row order, every row at or before x whose gram
+// set has Jaccard >= loose with row x's: a similar pair of rows is found
+// once, from its later row (Index.score merges the lists symmetrically).
+// Walking the postings of x's grams — ascending, so each walk stops past x —
+// visits each (row, shared gram) incidence exactly once, so a counter per row
+// is the intersection size c and sim = c / (|x|+|y|-c) without reading a
+// gram set again. Both loops are dense: the count is a bare increment — no
 // first-touch test, no list of touched rows — and one in-order, read-only
-// scan of the counters then drops nearly every row on the integer bound
-// minShared and scores the few that pass it; the scan order is the output
-// order, and one clear resets the counters (measured against clearing inside
-// the scan: the store per row cost more than the second pass). cnt holds a
-// zero per row, before and after. A row is its own candidate (sim 1); one
-// with no grams has none.
+// scan of the counters up to x then drops nearly every row on the integer
+// bound minShared and scores the few that pass it; the scan order is the
+// output order, and one clear resets the counters (measured against clearing
+// inside the scan: the store per row cost more than the second pass). cnt
+// holds a zero per row, before and after. A row is its own candidate (sim
+// 1); one with no grams has none.
 func (t *gramTable) probe(x int32, loose float64, cnt []int32) []scored {
 	gs := t.grams[x]
 	if len(gs) == 0 {
@@ -292,12 +295,15 @@ func (t *gramTable) probe(x int32, loose float64, cnt []int32) []scored {
 	}
 	for _, g := range gs {
 		for _, y := range t.postings[g] {
+			if y > x {
+				break
+			}
 			cnt[y]++
 		}
 	}
 	need := minShared(len(gs), loose)
 	var out []scored
-	cnt = cnt[:len(t.grams)]
+	cnt = cnt[:x+1]
 	for y, c := range cnt {
 		if c < need {
 			continue
@@ -362,104 +368,42 @@ func (e *emitter) emit(seed core.EntityID, rows []scored) {
 	e.canopies = append(e.canopies, canopy)
 }
 
-// batchPerShard is how many seeds each shard's worker is handed per parallel
-// round. A seed removed from the pool by an earlier seed of the same round
-// has had its row scored speculatively, so the batch bounds wasted work.
-const batchPerShard = 32
-
 // CanopiesContext is Canopies with context cancellation and sharded
-// execution: names are normalized in parallel and inserted serially into
-// one gramTable; scoring — one counting probe per distinct normalized name
-// that seeds a canopy, however many references carry it — runs on a pool of
-// `shards` workers (shards <= 0 means GOMAXPROCS), while canopy emission
-// stays serial in ascending seed order. A row's candidate list depends only
-// on the immutable gram table, never on the evolving seed pool, so the
-// output is byte-identical for every shard count, including 1. A canceled
-// context aborts between rounds with ctx.Err().
-//
-// Each worker keeps a private counter array of one int32 per row, so
-// working memory is O(shards·rows) on top of the gram table and the scored
-// rows' candidate lists; on very large corpora, bound shards accordingly
-// rather than defaulting to one per core.
+// execution: the names, normalized in parallel, are the first add of an
+// index of `shards` scoring workers (shards <= 0 means GOMAXPROCS), and its
+// serial emission gives the same canopies for every shard count. A canceled
+// context aborts between probes with ctx.Err(). Each worker past the first
+// keeps a counter per distinct name, so bound shards on very large corpora.
 func CanopiesContext(ctx context.Context, names []string, cfg Config, shards int) ([][]core.EntityID, error) {
-	shards = scoringShards(shards, len(names))
 	norm := make([]string, len(names))
-	if err := eachShard(ctx, len(names), shards, func(lo, hi int) {
+	if err := eachShard(ctx, len(names), scoringShards(shards, len(names)), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			norm[i] = normalize(names[i])
 		}
 	}); err != nil {
 		return nil, err
 	}
-	return canopiesOfNormalized(ctx, norm, cfg, shards)
+	ix := newIndex(cfg, shards)
+	for _, s := range norm {
+		ix.tab.insert(s)
+	}
+	if err := ix.score(ctx, 0); err != nil {
+		return nil, err
+	}
+	return ix.emit(), nil
 }
 
-// scoringShards resolves a shard count: GOMAXPROCS when unset, and never
-// more workers than there are seed batches to score.
+// rowsPerShard is the fewest new rows a scoring worker is started for: a
+// worker past the first allocates a counter per row of the table.
+const rowsPerShard = 32
+
+// scoringShards resolves a shard count for n new rows: GOMAXPROCS when
+// unset, and never more workers than there are rowsPerShard rows to score.
 func scoringShards(shards, n int) int {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	return max(1, min(shards, (n+batchPerShard-1)/batchPerShard))
-}
-
-// canopiesOfNormalized is CanopiesContext over names already in normalized
-// form, which BuildCoverContext reads off the dataset's name table instead
-// of parsing every reference again. shards is a scoringShards result.
-func canopiesOfNormalized(ctx context.Context, norm []string, cfg Config, shards int) ([][]core.EntityID, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	n := len(norm)
-	tab := newGramTable(cfg.Q)
-	for _, s := range norm {
-		tab.insert(s)
-	}
-	e := newEmitter(cfg, tab)
-	cands := make([][]scored, len(tab.names)) // row -> loose candidate rows, once scored
-	queued := make([]bool, len(tab.names))    // row is scored, or about to be
-	cnt := make([][]int32, shards)
-	for w := range cnt {
-		cnt[w] = make([]int32, len(tab.names))
-	}
-	seeds := make([]core.EntityID, 0, shards*batchPerShard)
-	todo := make([]int32, 0, cap(seeds))
-	for next := 0; next < n; {
-		// Gather the next round of in-pool seeds, and the rows among them
-		// that no earlier seed had scored.
-		seeds, todo = seeds[:0], todo[:0]
-		for next < n && len(seeds) < cap(seeds) {
-			if !e.removed[next] {
-				seeds = append(seeds, core.EntityID(next))
-				if row := tab.rowOf[next]; !queued[row] {
-					queued[row] = true
-					todo = append(todo, row)
-				}
-			}
-			next++
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Parallel phase: score every such row.
-		var wg sync.WaitGroup
-		for w := 0; w < min(shards, len(todo)); w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(todo); i += shards {
-					cands[todo[i]] = tab.probe(todo[i], cfg.Loose, cnt[w])
-				}
-			}(w)
-		}
-		wg.Wait()
-		// Serial phase: emit canopies in seed order, honoring removals
-		// made by earlier seeds of the same round.
-		for _, seed := range seeds {
-			e.emit(seed, cands[tab.rowOf[seed]])
-		}
-	}
-	return e.canopies, nil
+	return max(1, min(shards, n/rowsPerShard))
 }
 
 // capCanopy cuts cands, in place, to the seed plus the k-1 most similar
@@ -757,30 +701,26 @@ func (p alignedPair) compare(q alignedPair) int {
 // BuildCover constructs the total cover for a bibliography dataset:
 // canopies over reference names, expanded with bounded aligned context
 // (cfg.MaxAligned) and patched to totality w.r.t. Coauthor — or fully
-// boundary-expanded when cfg.FullBoundary is set.
+// boundary-expanded when cfg.FullBoundary is set. It panics on an invalid
+// cfg.
 func BuildCover(d *bib.Dataset, cfg Config) *core.Cover {
 	cover, err := BuildCoverContext(context.Background(), d, cfg, 1)
 	if err != nil {
-		panic(err) // unreachable: background context, serial execution
+		panic(err) // a background context never cancels: cfg is invalid
 	}
 	return cover
 }
 
 // BuildCoverContext is BuildCover with context cancellation and sharded
-// canopy construction (shards <= 0 means GOMAXPROCS). The cover is
-// byte-identical for every shard count; a canceled context aborts with
-// ctx.Err().
+// canopy scoring (shards <= 0 means GOMAXPROCS): the cover of BuildIndex.
+// The cover is byte-identical for every shard count; a canceled context
+// aborts with ctx.Err().
 func BuildCoverContext(ctx context.Context, d *bib.Dataset, cfg Config, shards int) (*core.Cover, error) {
-	names := d.Names()
-	norm := make([]string, d.NumRefs())
-	for i := range norm {
-		norm[i] = names.Normalized(bib.RefID(i))
-	}
-	canopies, err := canopiesOfNormalized(ctx, norm, cfg, scoringShards(shards, len(norm)))
+	ix, err := BuildIndex(ctx, d, cfg, shards)
 	if err != nil {
 		return nil, err
 	}
-	return finishCover(ctx, d, cfg, canopies)
+	return ix.cover, nil
 }
 
 // finishCover turns canopies into the total cover, batch or incremental.

@@ -245,8 +245,9 @@ func TestCandidatePairs(t *testing.T) {
 
 // TestProbeCountsSharedGrams drives the counting probe directly: records of
 // one normalized name share a row, the similarity is |A∩B| / |A∪B| over
-// distinct grams, candidate rows come back in ascending order, the loose
-// threshold filters, and the counters are clean for the next probe.
+// distinct grams, candidate rows come back in ascending order and none past
+// the probed row, the loose threshold filters, and the counters are clean
+// for the next probe.
 func TestProbeCountsSharedGrams(t *testing.T) {
 	tab := newGramTable(2)
 	var rows []int32
@@ -268,12 +269,17 @@ func TestProbeCountsSharedGrams(t *testing.T) {
 		t.Fatalf("grams(abab) = %v, want its two distinct grams ab, ba, ascending", got)
 	}
 	cnt := make([]int32, len(tab.names))
-	const abc = 1 // {ab, bc}
-	want := []scored{{ID: 0, Sim: 1.0 / 3.0}, {ID: 1, Sim: 1}, {ID: 4, Sim: 1.0 / 3.0}}
+	const abc, abab = 1, 4 // {ab, bc}, {ab, ba}
+	// abc shares ab with abab too, but abab is a later row: its own probe
+	// finds the pair.
+	want := []scored{{ID: 0, Sim: 1.0 / 3.0}, {ID: 1, Sim: 1}}
 	for round := 0; round < 2; round++ { // twice: the counters must have been reset
 		if got := tab.probe(abc, 0.1, cnt); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: probe(abc) = %v, want %v", round, got, want)
 		}
+	}
+	if got, want := tab.probe(abab, 0.1, cnt), []scored{{ID: 1, Sim: 1.0 / 3.0}, {ID: 4, Sim: 1}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("probe(abab) = %v, want %v", got, want)
 	}
 	if got := tab.probe(abc, 0.5, cnt); !reflect.DeepEqual(got, want[1:2]) {
 		t.Errorf("probe(abc, loose 0.5) = %v, want only its own row", got)
@@ -300,34 +306,23 @@ func BenchmarkBuildCoverHEPTH(b *testing.B) {
 	}
 }
 
-// serialWork counts what scoring names costs when seeds are taken strictly
-// one at a time: the table's rows, the rows probed (those of a seed still in
-// the pool when its turn comes; a sharded round scores a few more, ahead of
-// the removals of its own earlier seeds) and the incidences those probes
-// count — the sum, over a probed row's grams, of the posting lengths.
-func serialWork(tb testing.TB, names []string, cfg Config) (rows, probes, incidences int) {
+// scoringWork counts what scoring names costs: the table's rows, the rows
+// probed (every row with grams, each once) and the incidences those probes
+// count — the sum, over a probed row's grams, of the posting entries at or
+// before the row.
+func scoringWork(tb testing.TB, names []string, cfg Config) (rows, probes, incidences int) {
 	tb.Helper()
 	tab := newGramTable(cfg.Q)
 	for _, name := range names {
 		tab.insert(normalize(name))
 	}
-	e := newEmitter(cfg, tab)
-	cnt := make([]int32, len(tab.names))
-	cands := make([][]scored, len(tab.names))
-	probed := make([]bool, len(tab.names))
-	for seed, row := range tab.rowOf {
-		if !e.removed[seed] && !probed[row] {
-			probed[row] = true
+	for x, gs := range tab.grams {
+		if len(gs) > 0 {
 			probes++
-			for _, g := range tab.grams[row] {
-				incidences += len(tab.postings[g])
-			}
-			cands[row] = tab.probe(row, cfg.Loose, cnt)
 		}
-		e.emit(core.EntityID(seed), cands[row])
-	}
-	if !reflect.DeepEqual(e.canopies, Canopies(names, cfg)) {
-		tb.Fatal("one seed at a time gives other canopies than Canopies")
+		for _, g := range gs {
+			incidences += slices.Index(tab.postings[g], int32(x)) + 1 // x is in its grams' postings
+		}
 	}
 	return len(tab.names), probes, incidences
 }
@@ -336,7 +331,7 @@ func serialWork(tb testing.TB, names []string, cfg Config) (rows, probes, incide
 // canopy.canopies_s; nearly all of a cold run on workload dblp-cold, which
 // is DBLP-like 1.0), on the committed workloads' corpora and one step up in
 // size, with the work behind the time: rows/op distinct normalized names,
-// probes/op and incidences/op as serialWork counts them.
+// probes/op and incidences/op as scoringWork counts them.
 func BenchmarkCanopies(b *testing.B) {
 	for _, corpus := range []struct {
 		name  string
@@ -359,7 +354,7 @@ func BenchmarkCanopies(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/shards=%d", corpus.name, shards), func(b *testing.B) {
 				if names == nil {
 					names = corpus.names()
-					rows, probes, incidences = serialWork(b, names, DefaultConfig())
+					rows, probes, incidences = scoringWork(b, names, DefaultConfig())
 				}
 				b.ReportAllocs()
 				b.ResetTimer()

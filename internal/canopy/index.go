@@ -10,15 +10,16 @@ import (
 	"repro/internal/core"
 )
 
-// Index is the mutable blocking state of the incremental ingestion path:
-// the gramTable of BuildCover — one row per distinct normalized name, its
-// interned gram ids and their postings, and each record's row — plus a
-// cached loose-candidate list per row. New records are absorbed with Add,
-// which probes the table only for the names the arriving suffix brings for
-// the first time (a record with a known name just joins its row, and the
-// candidate list of a row can only *grow* under ingestion, because postings
-// are append-only), and then re-emits canopies and the total cover from the
-// cached lists, expanding rows to their records as it goes.
+// Index is the blocking state of a dataset's records: the gramTable — one
+// row per distinct normalized name, its interned gram ids and their
+// postings, and each record's row — plus a cached loose-candidate list per
+// row. It is the one canopy scorer. A cold cover is an index's first Add
+// (BuildIndex), and every later Add absorbs appended records: it scores only
+// the rows the arriving suffix opens (a record with a known name just joins
+// its row, and the candidate list of a row can only *grow* under ingestion,
+// because postings are append-only), and then re-emits canopies and the
+// total cover from the cached lists, expanding rows to their records as it
+// goes.
 //
 // The cover Add produces is byte-identical to rebuilding from scratch
 // with BuildCover on the union dataset — the property the differential
@@ -33,11 +34,12 @@ import (
 // first one's ingestion. Callers advancing a shared stream from a known
 // base should use AddFrom, which detects that atomically.
 type Index struct {
-	cfg Config
+	cfg    Config
+	shards int // scoring workers of an Add, as scoringShards resolves them
 
 	mu    sync.Mutex
 	tab   *gramTable  // rows, gram ids and postings of the records ingested so far
-	cnt   []int32     // counting state of the (serialized) probes: a zero per row
+	cnt   []int32     // the first scoring worker's counters: a zero per row
 	cands [][]scored  // loose candidate rows per row, ascending
 	cover *core.Cover // cover built by the last Add; the next Add diffs against it
 }
@@ -78,13 +80,31 @@ type Delta struct {
 	Regressed []int32
 }
 
-// NewIndex returns an empty delta index. The configuration is validated
-// once here; Add never re-validates.
+// NewIndex returns an empty index that scores on one worker. The
+// configuration is validated once here; Add never re-validates.
 func NewIndex(cfg Config) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Index{cfg: cfg, tab: newGramTable(cfg.Q)}, nil
+	return newIndex(cfg, 1), nil
+}
+
+// BuildIndex returns an index of `shards` scoring workers (shards <= 0 means
+// GOMAXPROCS) that has added d: its Cover is BuildCover(d, cfg), and further
+// Adds extend it. A canceled ctx aborts with ctx.Err().
+func BuildIndex(ctx context.Context, d *bib.Dataset, cfg Config, shards int) (*Index, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	ix := newIndex(cfg, shards)
+	if _, _, err := ix.Add(ctx, d); err != nil {
+		return nil, err
+	}
+	return ix, nil
+}
+
+func newIndex(cfg Config, shards int) *Index {
+	return &Index{cfg: cfg, shards: shards, tab: newGramTable(cfg.Q)}
 }
 
 // Config returns the blocking configuration the index was built with.
@@ -113,11 +133,11 @@ func (ix *Index) Cover() *core.Cover {
 // guarantees for appended record batches.
 //
 // Cost is proportional to the delta: each name not seen before is scored
-// once against the gram table (exactly one probe per row, as in Canopies),
-// old rows are never re-scored, and only canopy emission plus cover
-// patching — bookkeeping over cached candidate lists — runs over the
-// full corpus. A canceled ctx aborts with ctx.Err() and leaves the index
-// exactly as it was before the call, so the same Add can simply be retried.
+// once against the rows before it (Index.score), old rows are never
+// re-scored, and only canopy emission plus cover patching — bookkeeping over
+// cached candidate lists — runs over the full corpus. A canceled ctx aborts
+// with ctx.Err() and leaves the index exactly as it was before the call, so
+// the same Add can simply be retried.
 func (ix *Index) Add(ctx context.Context, d *bib.Dataset) (*core.Cover, *Delta, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -197,43 +217,70 @@ func (ix *Index) add(ctx context.Context, d *bib.Dataset) (*core.Cover, *Delta, 
 // It leaves ix.cover to the caller, who commits it on success and rolls the
 // suffix back on error.
 func (ix *Index) ingest(ctx context.Context, d *bib.Dataset) (*core.Cover, error) {
-	// Phase 1 — score the arriving names. Inserting a row into the table
-	// *before* probing makes the row its own candidate (Jaccard 1 ≥ Loose),
-	// exactly as the batch scorer's self-probe does, and lets later records
-	// of the same batch see earlier ones.
-	names := d.Names()
+	names, from := d.Names(), len(ix.tab.names)
 	for id := len(ix.tab.rowOf); id < d.NumRefs(); id++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		row, fresh := ix.tab.insert(names.Normalized(bib.RefID(id)))
-		if !fresh {
-			continue // its row is scored; emission finds the record there
-		}
-		ix.cnt = append(ix.cnt, 0)
-		own := ix.tab.probe(row, ix.cfg.Loose, ix.cnt)
-		for _, c := range own {
-			if c.ID != row {
-				// The candidate relation is symmetric and new rows exceed
-				// all previous ones, so appending keeps cands[c.ID] in
-				// ascending order.
-				ix.cands[c.ID] = append(ix.cands[c.ID], scored{ID: row, Sim: c.Sim})
-			}
-		}
-		ix.cands = append(ix.cands, own)
+		ix.tab.insert(names.Normalized(bib.RefID(id)))
 	}
-
-	// Phase 2 — re-emit canopies over the full corpus from the cached
-	// candidate lists (the serial emission of CanopiesContext, with the
-	// scoring already done) and build the total cover as BuildCover does.
+	if err := ix.score(ctx, from); err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return finishCover(ctx, d, ix.cfg, ix.emit())
 }
 
-// emit runs the canopy emission loop of CanopiesContext over the cached
-// candidate lists (already loose-filtered and in row order).
+// score probes the rows from `from` on, each against the rows at or before
+// it only — so a similar pair of rows is counted once, from its later row —
+// dealt round-robin to scoringShards workers, the first on the calling
+// goroutine with the index's own counters. A serial pass then merges in
+// ascending row order: a row's list is its own probe, and the row is
+// appended to the list of each earlier candidate, which keeps every list
+// ascending and, similarity being symmetric, equal to a whole-table probe.
+// ctx is checked before every probe; on ctx.Err() the lists of the rows
+// before `from` are as they were.
+func (ix *Index) score(ctx context.Context, from int) error {
+	rows := len(ix.tab.names)
+	ix.cnt = append(ix.cnt, make([]int32, rows-len(ix.cnt))...)
+	ix.cands = append(ix.cands, make([][]scored, rows-from)...)
+	fresh := ix.cands[from:]
+	workers := scoringShards(ix.shards, len(fresh))
+	errs := make([]error, workers)
+	probeRows := func(w int, cnt []int32) {
+		for i := w; i < len(fresh); i += workers {
+			if errs[w] = ctx.Err(); errs[w] != nil {
+				return
+			}
+			fresh[i] = ix.tab.probe(int32(from+i), ix.cfg.Loose, cnt)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			probeRows(w, make([]int32, rows))
+		}()
+	}
+	probeRows(0, ix.cnt)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	for x := int32(from); x < int32(rows); x++ {
+		for _, c := range ix.cands[x] {
+			if c.ID != x {
+				ix.cands[c.ID] = append(ix.cands[c.ID], scored{ID: x, Sim: c.Sim})
+			}
+		}
+	}
+	return nil
+}
+
+// emit runs the canopy emission loop over the candidate lists (already
+// loose-filtered and in row order).
 func (ix *Index) emit() [][]core.EntityID {
 	e := newEmitter(ix.cfg, ix.tab)
 	for seed, row := range ix.tab.rowOf {

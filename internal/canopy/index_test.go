@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bib"
@@ -205,24 +206,23 @@ func TestNewIndexValidates(t *testing.T) {
 }
 
 // FuzzIndexAdd feeds arbitrary name/group material through random batch
-// splits and checks the incremental cover against the scratch rebuild —
-// the nightly-fuzzed version of TestIndexAddMatchesBuildCover.
+// splits, then a batch of at least 64 further names (wideBatch), into an
+// index of 1, 2 or 4 scoring workers, and checks the incremental cover
+// against the scratch rebuild after every batch — the nightly-fuzzed
+// version of TestIndexAddMatchesBuildCover.
 func FuzzIndexAdd(f *testing.F) {
-	f.Add([]byte("a smith\x00b smyth\x00c jones\x00a smith\x00d s\x00bb jones"), uint16(0), int64(1))
-	f.Add([]byte("x\x00y\x00z"), uint16(3), int64(9))
-	f.Add([]byte("j doe\x00j d\x00jane doe\x00john doe\x00j doe"), uint16(2), int64(3))
-	f.Fuzz(func(t *testing.T, raw []byte, groups uint16, seed int64) {
+	f.Add([]byte("a smith\x00b smyth\x00c jones\x00a smith\x00d s\x00bb jones"), uint16(0), int64(1), uint8(1))
+	f.Add([]byte("x\x00y\x00z"), uint16(3), int64(9), uint8(2))
+	f.Add([]byte("j doe\x00j d\x00jane doe\x00john doe\x00j doe"), uint16(2), int64(3), uint8(0))
+	f.Fuzz(func(t *testing.T, raw []byte, groups uint16, seed int64, shards uint8) {
 		recs := fuzzRecords(raw, groups)
 		if len(recs) == 0 {
 			t.Skip("no usable records")
 		}
 		rng := rand.New(rand.NewSource(seed))
-		batches := splitBatches(rng, recs, 4)
+		batches := append(splitBatches(rng, recs, 4), wideBatch(recs))
 
-		ix, err := NewIndex(DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		ix := newIndex(DefaultConfig(), []int{1, 2, 4}[shards%3])
 		var ingested []bib.Record
 		for bi, batch := range batches {
 			ingested = append(ingested, batch...)
@@ -243,6 +243,18 @@ func FuzzIndexAdd(f *testing.F) {
 			checkDeltaByContent(t, prev, got, delta)
 		}
 	})
+}
+
+// wideBatch returns 64 records after recs: each of recs' names, cycled, with
+// a two-letter last name of its own, and their groups — a batch of enough
+// new names for an Add to score them on more than one worker.
+func wideBatch(recs []bib.Record) []bib.Record {
+	out := make([]bib.Record, 2*rowsPerShard)
+	for i := range out {
+		out[i] = recs[i%len(recs)]
+		out[i].Name += fmt.Sprintf(" %c%c", 'a'+i%26, 'a'+i/26)
+	}
+	return out
 }
 
 // checkDeltaByContent holds an Add's delta to a brute-force diff of the
@@ -332,17 +344,23 @@ func fuzzRecords(raw []byte, groups uint16) []bib.Record {
 }
 
 // cancelAt is a context whose Err reports cancellation from its k-th call
-// on: a cancellation landing exactly at the k-th check inside one Add.
+// on: a cancellation landing exactly at the k-th check inside one Add. The
+// count is atomic, as the workers of a sharded Add check concurrently.
 type cancelAt struct {
 	context.Context
-	k int
+	k atomic.Int64
+}
+
+func newCancelAt(ctx context.Context, k int) *cancelAt {
+	c := &cancelAt{Context: ctx}
+	c.k.Store(int64(k))
+	return c
 }
 
 func (c *cancelAt) Err() error {
-	if c.k <= 0 {
+	if c.k.Add(-1) < 0 {
 		return context.Canceled
 	}
-	c.k--
 	return nil
 }
 
@@ -363,13 +381,27 @@ func stateOf(t *testing.T, ix *Index) blockingState {
 }
 
 // TestIndexAddIsAllOrNothing cancels an Add at every context check it makes
-// — before each record of the batch, before emission, and the two inside
-// finishCover — and requires the index to be exactly where it was: same
-// length, same cover, same rows, members, dictionary and postings, and after
-// the same Add is retried the same cover, delta and state as an index that
-// never saw a cancellation.
+// — before each probe of a row the batch opens, before emission, and the two
+// inside finishCover — and requires the index to be exactly where it was:
+// same length, same cover, same rows, members, dictionary and postings, and
+// after the same Add is retried the same cover, delta and state as an index
+// that never saw a cancellation. It does so on one scoring worker, and on
+// four over a batch that opens enough rows to start more than one.
 func TestIndexAddIsAllOrNothing(t *testing.T) {
-	records := bib.ToRecords(datagen.MustGenerate(datagen.HEPTHLike(0.05, 42)))
+	for _, tc := range []struct {
+		corpus datagen.Config
+		shards int
+	}{
+		{datagen.HEPTHLike(0.05, 42), 1},
+		{datagen.DBLPLike(0.25, 42), 4},
+	} {
+		t.Run(fmt.Sprintf("%s/shards=%d", tc.corpus.Name, tc.shards), func(t *testing.T) {
+			checkAddIsAllOrNothing(t, bib.ToRecords(datagen.MustGenerate(tc.corpus)), tc.shards)
+		})
+	}
+}
+
+func checkAddIsAllOrNothing(t *testing.T, records []bib.Record, shards int) {
 	base := 2 * len(records) / 3
 	first, err := bib.DatasetFromRecords("atomic", records[:base])
 	if err != nil {
@@ -381,10 +413,7 @@ func TestIndexAddIsAllOrNothing(t *testing.T) {
 	}
 	ctx := context.Background()
 	grown := func() *Index {
-		ix, err := NewIndex(DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		ix := newIndex(DefaultConfig(), shards)
 		if _, _, err := ix.Add(ctx, first); err != nil {
 			t.Fatal(err)
 		}
@@ -398,14 +427,18 @@ func TestIndexAddIsAllOrNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := stateOf(t, ref)
-	if len(after.grams) == len(before.grams) || len(after.postings) == len(before.postings) {
+	fresh := len(after.grams) - len(before.grams)
+	if fresh == 0 || len(after.postings) == len(before.postings) {
 		t.Fatalf("the batch brings no new name or no new gram (%d rows, %d grams after it): nothing to roll back", len(after.grams), len(after.postings))
 	}
+	if shards > 1 && scoringShards(shards, fresh) < 2 {
+		t.Fatalf("the batch opens %d rows: too few to score on more than one worker", fresh)
+	}
 
-	checks := len(records) - base + 3
+	checks := fresh + 3
 	for k := 0; k <= checks; k++ {
 		ix := grown()
-		_, _, err := ix.Add(&cancelAt{Context: ctx, k: k}, union)
+		_, _, err := ix.Add(newCancelAt(ctx, k), union)
 		if k == checks {
 			if err != nil {
 				t.Fatalf("Add makes more than %d context checks: %v", checks, err)

@@ -543,9 +543,9 @@ func recordScores(tab *gramTable, rows []scored) []scored {
 // checkMatchesOldScorer pins the row scorer against the per-record map scorer
 // on one name list and configuration: every record's candidates — its row's,
 // expanded — with bit-identical similarities, and identical canopies, from
-// the probe itself, from the batch path at each shard count and from the
-// incremental index fed in three chunks and reloaded from its blob in
-// between.
+// the scorer over all names at each shard count, from the batch path at each
+// shard count and from the incremental index fed in three chunks and
+// reloaded from its blob in between.
 func checkMatchesOldScorer(t *testing.T, names []string, cfg Config, shardCounts ...int) {
 	t.Helper()
 	ctx := context.Background()
@@ -563,15 +563,17 @@ func checkMatchesOldScorer(t *testing.T, names []string, cfg Config, shardCounts
 		}
 	}
 
-	tab := newGramTable(cfg.Q)
-	for _, name := range names {
-		tab.insert(normalize(name))
-	}
-	tab.indexMembers()
-	cnt := make([]int32, len(tab.names))
-	sameAsOld("probe", tab, func(row int32) []scored { return tab.probe(row, cfg.Loose, cnt) })
-
 	for _, shards := range shardCounts {
+		scorer := newIndex(cfg, shards)
+		for _, name := range names {
+			scorer.tab.insert(normalize(name))
+		}
+		if err := scorer.score(ctx, 0); err != nil {
+			t.Fatal(err)
+		}
+		scorer.tab.indexMembers()
+		sameAsOld(fmt.Sprintf("scorer shards=%d", shards), scorer.tab, func(row int32) []scored { return scorer.cands[row] })
+
 		got, err := CanopiesContext(ctx, names, cfg, shards)
 		if err != nil {
 			t.Fatal(err)
@@ -603,7 +605,7 @@ func checkMatchesOldScorer(t *testing.T, names []string, cfg Config, shardCounts
 		if _, _, err := ix.Add(ctx, d); err != nil {
 			t.Fatal(err)
 		}
-		if ix, err = LoadIndex(ix.Save(nil)); err != nil {
+		if ix, err = LoadIndex(ix.Save(nil), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -712,11 +714,11 @@ func TestIntegerBoundKeepsExactThreshold(t *testing.T) {
 			x[i] = 0x80 + byte(i) // distinct 1-grams; the table takes any string
 		}
 		tab := newGramTable(1)
-		for _, s := range []string{string(x), string(x[:tc.hit]), string(x[:tc.hit-1])} {
+		for _, s := range []string{string(x[:tc.hit]), string(x[:tc.hit-1]), string(x)} {
 			tab.insert(s)
 		}
-		got := tab.probe(0, tc.loose, make([]int32, len(tab.names)))
-		if want := []scored{{ID: 0, Sim: 1}, {ID: 1, Sim: float64(tc.hit) / float64(tc.n)}}; !reflect.DeepEqual(got, want) {
+		got := tab.probe(2, tc.loose, make([]int32, len(tab.names)))
+		if want := []scored{{ID: 0, Sim: float64(tc.hit) / float64(tc.n)}, {ID: 2, Sim: 1}}; !reflect.DeepEqual(got, want) {
 			t.Errorf("Loose %v, probe of the %d-gram row = %v, want %v: %d shared grams is exactly Loose", tc.loose, tc.n, got, want, tc.hit)
 		}
 	}

@@ -89,9 +89,9 @@ func (ix *Index) Save(dst []byte) []byte {
 	return dst
 }
 
-// LoadIndex restores an index saved with Save. The restored index is
-// fully equivalent to the one that was saved: further Adds produce
-// byte-identical covers and deltas. A load verifies that every name is
+// LoadIndex restores an index saved with Save, to score on `shards`
+// workers as BuildIndex's do. The restored index is fully equivalent to the
+// one that was saved: further Adds produce byte-identical covers and deltas. A load verifies that every name is
 // listed once and every record's row is one seen before it or the next;
 // that every id fits the size it indexes and every id list ascends; that
 // each candidate list holds its own row exactly when the row has grams;
@@ -99,7 +99,7 @@ func (ix *Index) Save(dst []byte) []byte {
 // reaches Loose; and that the lists are symmetric, y listing x exactly
 // when x lists y. So a blob that loads cannot make a later Add index out
 // of range or emit a canopy Canopies would not.
-func LoadIndex(data []byte) (*Index, error) {
+func LoadIndex(data []byte, shards int) (*Index, error) {
 	header, body, _ := bytes.Cut(data, []byte("\n"))
 	if want := indexBlobMagic[:len(indexBlobMagic)-1]; string(header) != want {
 		return nil, fmt.Errorf("canopy: index blob is version %.16q, this build reads %q", header, want)
@@ -110,10 +110,10 @@ func LoadIndex(data []byte) (*Index, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	ix, err := NewIndex(cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("canopy: index blob config: %w", err)
 	}
+	ix := newIndex(cfg, shards)
 	for range r.count() {
 		s := r.str()
 		if r.err != nil {

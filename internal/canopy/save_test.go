@@ -34,7 +34,7 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loaded, err := LoadIndex(ix.Save(nil))
+	loaded, err := LoadIndex(ix.Save(nil), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +72,10 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 // TestLoadIndexRejectsGarbage pins the failure modes: wrong magic,
 // an older blob version, a corrupt or truncated body.
 func TestLoadIndexRejectsGarbage(t *testing.T) {
-	if _, err := LoadIndex([]byte("not a postings blob")); err == nil {
+	if _, err := LoadIndex([]byte("not a postings blob"), 1); err == nil {
 		t.Fatal("LoadIndex accepted garbage")
 	}
-	if _, err := LoadIndex([]byte(indexBlobMagic + "trailing junk")); err == nil {
+	if _, err := LoadIndex([]byte(indexBlobMagic+"trailing junk"), 1); err == nil {
 		t.Fatal("LoadIndex accepted a corrupt body")
 	}
 	// The previous layouts (gob throughout; gram maps + string-keyed
@@ -83,7 +83,7 @@ func TestLoadIndexRejectsGarbage(t *testing.T) {
 	// neighborhoods; candidate similarities stored) are refused by their
 	// magic, naming both versions, before any decoding.
 	for _, old := range []string{"CEMP1", "CEMP2", "CEMP3", "CEMP4"} {
-		if _, err := LoadIndex([]byte(old + "\nwhatever")); err == nil ||
+		if _, err := LoadIndex([]byte(old+"\nwhatever"), 1); err == nil ||
 			!strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "CEMP5") {
 			t.Fatalf("LoadIndex on a %s blob: err = %v, want a version error naming %s and CEMP5", old, err, old)
 		}
@@ -93,15 +93,15 @@ func TestLoadIndexRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := ix.Save(nil)
-	if _, err := LoadIndex(blob); err != nil {
+	if _, err := LoadIndex(blob, 1); err != nil {
 		t.Fatalf("an empty index does not reload: %v", err)
 	}
 	for i := len(indexBlobMagic); i < len(blob); i++ {
-		if _, err := LoadIndex(blob[:i]); err == nil {
+		if _, err := LoadIndex(blob[:i], 1); err == nil {
 			t.Fatalf("LoadIndex accepted the blob truncated to %d of %d bytes", i, len(blob))
 		}
 	}
-	if _, err := LoadIndex(append(blob, 0)); err == nil {
+	if _, err := LoadIndex(append(blob, 0), 1); err == nil {
 		t.Fatal("LoadIndex accepted a trailing byte")
 	}
 }
@@ -129,7 +129,7 @@ func savedIndex(t testing.TB) *Index {
 	if _, _, err := ix.Add(context.Background(), d); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadIndex(ix.Save(nil))
+	loaded, err := LoadIndex(ix.Save(nil), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestLoadIndexValidatesIDs(t *testing.T) {
 	} {
 		ix := savedIndex(t)
 		corrupt(ix)
-		if ix, err := LoadIndex(ix.Save(nil)); err == nil {
+		if ix, err := LoadIndex(ix.Save(nil), 1); err == nil {
 			t.Errorf("%s: LoadIndex accepted the blob (index of %d records)", name, ix.Len())
 		}
 	}
@@ -190,7 +190,7 @@ func TestLoadIndexRefusesDissimilarCandidate(t *testing.T) {
 	}
 	ix.cands[0] = append(ix.cands[0], scored{ID: 3, Sim: 1})
 	ix.cands[3] = append([]scored{{ID: 0, Sim: 1}}, ix.cands[3]...)
-	if _, err := LoadIndex(ix.Save(nil)); err == nil || !strings.Contains(err.Error(), "below Loose") {
+	if _, err := LoadIndex(ix.Save(nil), 1); err == nil || !strings.Contains(err.Error(), "below Loose") {
 		t.Fatalf("LoadIndex of a blob listing a dissimilar candidate: err = %v, want a below-Loose refusal", err)
 	}
 }
@@ -209,7 +209,7 @@ func TestLoadIndexRefusesAsymmetricCandidates(t *testing.T) {
 		}
 		x, y := drop[0], drop[1]
 		ix.cands[x] = slices.DeleteFunc(ix.cands[x], func(c scored) bool { return c.ID == int32(y) })
-		if _, err := LoadIndex(ix.Save(nil)); err == nil {
+		if _, err := LoadIndex(ix.Save(nil), 1); err == nil {
 			t.Errorf("LoadIndex accepted a blob where row %d does not list row %d but row %d lists row %d", x, y, y, x)
 		}
 	}
@@ -248,7 +248,7 @@ func TestLoadIndexRecomputesSimilarities(t *testing.T) {
 			}
 		}
 	}
-	loaded, err := LoadIndex(ix.Save(nil))
+	loaded, err := LoadIndex(ix.Save(nil), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestIndexSaveDeterministic(t *testing.T) {
 			}
 		}
 		blobs = append(blobs, ix.Save(nil), ix.Save(nil))
-		loaded, err := LoadIndex(blobs[0])
+		loaded, err := LoadIndex(blobs[0], 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +320,7 @@ func FuzzLoadIndex(f *testing.F) {
 	ix.cands[0] = append(ix.cands[0], scored{ID: 3}) // a dissimilar candidate
 	f.Add(ix.Save(nil))
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		ix, err := LoadIndex(blob)
+		ix, err := LoadIndex(blob, 1)
 		if err != nil {
 			return
 		}

@@ -133,6 +133,8 @@ type coordinator struct {
 	// snapshot followed by each round's delta. The snapshot at the start
 	// of a round is always a prefix, so per-worker catch-up is a slice.
 	evLog []uint64
+	// negative is the run's V−, ascending, as every Hello carries it.
+	negative []uint64
 	// epoch per partition, bumped on every dispatch; a batch tagged with
 	// anything but the current epoch is late and dropped.
 	epoch []int
@@ -163,6 +165,9 @@ func newCoordinator(b *Backend, plan *core.RoundPlan, d *core.RoundDriver) *coor
 			// plan — same protocol, no sockets.
 			c.spawn = LocalSpawner(plan.Config, plan.Scheme, WorkerOptions{Matcher: c.matcher})
 		}
+	}
+	for _, k := range plan.Config.Negative.SortedKeys() {
+		c.negative = append(c.negative, uint64(k))
 	}
 	if plan.Exchange {
 		if snap := d.Snapshot(); snap != nil {
@@ -264,6 +269,7 @@ func (c *coordinator) connect(ctx context.Context, s *slot) error {
 		Neighborhoods: c.plan.Config.Cover.Len(),
 		Entities:      c.plan.Config.Cover.NumEntities,
 		HeartbeatNS:   int64(c.opts.heartbeatInterval()),
+		Negative:      c.negative,
 	}
 	enc, err := hello.Marshal(wire.Binary)
 	if err != nil {

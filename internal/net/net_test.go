@@ -158,3 +158,51 @@ func TestNetOverSockets(t *testing.T) {
 	})
 	assertSameRun(t, "socketed run", net, pool)
 }
+
+// TestAttachedWorkerEvaluatesUnderRunsNegative: a worker serving from a
+// configuration without V− — as emworker does, which has no V− input —
+// evaluates under the V− of the coordinator's run, which its Hello
+// carries: the attached run lands on the in-process run's output and
+// matches no V− pair.
+func TestAttachedWorkerEvaluatesUnderRunsNegative(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ctx, cancel := context.WithCancel(bg)
+	defer cancel()
+	ran := 0
+	for trial := 0; trial < 6; trial++ {
+		m, cover := testmodel.Random(rng)
+		bare := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
+		for _, scheme := range []string{"SMP", "MMP"} {
+			free := poolRef(t, bare, scheme)
+			keys := free.Matches.SortedKeys()
+			if len(keys) < 2 {
+				continue
+			}
+			cfg := bare
+			cfg.Negative = core.NewPairSet()
+			for i := 0; i < len(keys); i += 2 {
+				cfg.Negative.AddKey(keys[i])
+			}
+			want := runOn(t, cfg, scheme, &emnet.Backend{Workers: 2})
+			assertSameRun(t, "in-process workers", want, poolRef(t, cfg, scheme))
+
+			l, err := stdnet.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go emnet.Serve(ctx, l, bare, scheme, emnet.WorkerOptions{})
+			got := runOn(t, cfg, scheme, &emnet.Backend{Addrs: []string{l.Addr().String()}})
+			ran++
+			label := fmt.Sprintf("trial %d %s", trial, scheme)
+			assertSameRun(t, label+": attached worker", got, want)
+			for p := range got.Matches.All() {
+				if cfg.Negative.Has(p) {
+					t.Errorf("%s: attached worker matched V− pair %v", label, p)
+				}
+			}
+		}
+	}
+	if ran == 0 {
+		t.Fatal("no model had two matches to split into V− and the rest")
+	}
+}

@@ -15,7 +15,8 @@ import (
 // ServeConn runs one worker over one coordinator connection until the
 // coordinator closes it (clean io.EOF returns nil) or the stream
 // fails. The worker reconstructs the identical round plan from its own
-// configuration — the model is never serialized — and the handshake
+// configuration — the model is never serialized — under the V− the
+// coordinator's Hello carries, which replaces cfg.Negative; the handshake
 // fingerprint (scheme, matcher label, cover sizes) refuses a
 // coordinator grounded on a different corpus or model.
 //
@@ -29,13 +30,20 @@ import (
 // stale epoch and is dropped by the coordinator.
 func ServeConn(ctx context.Context, cfg core.Config, scheme string, rw io.ReadWriteCloser, opts WorkerOptions) error {
 	defer rw.Close()
-	plan, err := core.NewRoundPlan(cfg, scheme)
+	conn := NewConn(rw)
+	hello, err := workerHandshake(conn, cfg.Cover, scheme, opts)
 	if err != nil {
 		return err
 	}
-	conn := NewConn(rw)
-
-	worker, heartbeat, err := workerHandshake(conn, plan, opts)
+	worker, heartbeat := hello.Worker, time.Duration(hello.HeartbeatNS)
+	cfg.Negative = nil
+	if len(hello.Negative) > 0 {
+		cfg.Negative = core.NewPairSet()
+		for _, k := range hello.Negative {
+			cfg.Negative.AddKey(core.PairKey(k))
+		}
+	}
+	plan, err := core.NewRoundPlan(cfg, scheme)
 	if err != nil {
 		return err
 	}
@@ -92,39 +100,39 @@ func ServeConn(ctx context.Context, cfg core.Config, scheme string, rw io.ReadWr
 }
 
 // workerHandshake answers the coordinator's Hello and verifies the run
-// fingerprints match. Returns the assigned worker id and the requested
-// heartbeat interval.
-func workerHandshake(conn *Conn, plan *core.RoundPlan, opts WorkerOptions) (int, time.Duration, error) {
+// fingerprints match. Returns the coordinator's Hello: the assigned worker
+// id, the requested heartbeat interval and the run's V−.
+func workerHandshake(conn *Conn, cover *core.Cover, scheme string, opts WorkerOptions) (*wire.Hello, error) {
 	ft, payload, err := conn.Recv()
 	if err != nil {
-		return 0, 0, fmt.Errorf("net: worker handshake: %w", err)
+		return nil, fmt.Errorf("net: worker handshake: %w", err)
 	}
 	if ft != wire.FrameHello {
-		return 0, 0, fmt.Errorf("net: worker handshake: got frame type %d, want hello", ft)
+		return nil, fmt.Errorf("net: worker handshake: got frame type %d, want hello", ft)
 	}
 	hello, err := wire.UnmarshalHello(payload)
 	if err != nil {
-		return 0, 0, fmt.Errorf("net: worker handshake: %w", err)
+		return nil, fmt.Errorf("net: worker handshake: %w", err)
 	}
 	ack := &wire.Hello{
 		Worker:        hello.Worker,
-		Scheme:        plan.Scheme,
+		Scheme:        scheme,
 		Matcher:       opts.Matcher,
-		Neighborhoods: plan.Config.Cover.Len(),
-		Entities:      plan.Config.Cover.NumEntities,
+		Neighborhoods: cover.Len(),
+		Entities:      cover.NumEntities,
 		HeartbeatNS:   hello.HeartbeatNS,
 	}
 	enc, err := ack.Marshal(wire.Binary)
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
 	if err := conn.Send(wire.FrameHelloAck, enc); err != nil {
-		return 0, 0, fmt.Errorf("net: worker handshake: %w", err)
+		return nil, fmt.Errorf("net: worker handshake: %w", err)
 	}
 	if err := fingerprintMismatch(hello, ack); err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	return hello.Worker, time.Duration(hello.HeartbeatNS), nil
+	return hello, nil
 }
 
 // fingerprintMismatch compares the two sides' run fingerprints. Empty

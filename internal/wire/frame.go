@@ -32,9 +32,10 @@ var frameMagic = [4]byte{'C', 'E', 'M', 'F'}
 
 // FrameVersion is the framing-layer version, independent of the message
 // Version (a framing change does not invalidate persisted checkpoints).
-// It changes whenever a frame type is added or retired, so a fleet mixing
-// builds is refused at its first frame rather than failing mid-run.
-const FrameVersion = 2
+// It changes whenever a frame type is added, retired or reshaped (3: the
+// Hello carries V−), so a fleet mixing builds is refused at its first frame
+// rather than failing mid-run.
+const FrameVersion = 3
 
 // frameHeaderLen is magic + version + type + uint32 length.
 const frameHeaderLen = 4 + 1 + 1 + 4
@@ -162,6 +163,10 @@ type Hello struct {
 	// HeartbeatNS asks the worker to heartbeat at this interval while
 	// evaluating (coordinator→worker; workers echo it back untouched).
 	HeartbeatNS int64
+	// Negative is the run's V− evidence, strictly increasing pair keys
+	// (coordinator→worker; workers echo none): a worker evaluates under
+	// the coordinator's V−, not its own configuration's.
+	Negative []uint64
 }
 
 // Assign hands one partition of one round to a worker. Keys is the
@@ -197,6 +202,9 @@ func (h *Hello) validate() error {
 	}
 	if !utf8.ValidString(h.Matcher) {
 		return fmt.Errorf("wire: hello.matcher is not valid UTF-8")
+	}
+	if err := checkSortedKeys("hello.negative", h.Negative); err != nil {
+		return err
 	}
 	return nonNegative("hello counters",
 		int64(h.Worker), int64(h.Neighborhoods), int64(h.Entities), h.HeartbeatNS)
@@ -240,6 +248,7 @@ func (h *Hello) Marshal(Format) ([]byte, error) {
 	e.uvarint(uint64(h.Neighborhoods))
 	e.uvarint(uint64(h.Entities))
 	e.uvarint(uint64(h.HeartbeatNS))
+	e.sortedKeys(h.Negative)
 	return e.bytes(), nil
 }
 
@@ -256,6 +265,7 @@ func UnmarshalHello(b []byte) (*Hello, error) {
 		Neighborhoods: int(dec.uvarint("neighborhoods")),
 		Entities:      int(dec.uvarint("entities")),
 		HeartbeatNS:   int64(dec.uvarint("heartbeat_ns")),
+		Negative:      dec.sortedKeys("negative"),
 	}
 	if err := dec.finish(); err != nil {
 		return nil, err

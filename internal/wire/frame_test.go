@@ -135,6 +135,7 @@ func TestControlMessageValidation(t *testing.T) {
 	}{
 		&Hello{Worker: -1},
 		&Hello{Scheme: string([]byte{0xff, 0xfe})},
+		&Hello{Negative: []uint64{2<<32 | 9, 1<<32 | 3}}, // V− keys not ascending
 		&Assign{Round: 2, FromRound: 3},
 		&Assign{Keys: []uint64{5<<32 | 2}}, // invalid pair key (A >= B)
 		&Assign{IDs: []int32{4, 2}},
@@ -154,7 +155,8 @@ func TestControlMessageRoundTrip(t *testing.T) {
 	roundTrip(t, a,
 		func() ([]byte, error) { return a.Marshal(Binary) },
 		func(b []byte) (any, error) { return UnmarshalAssign(b) })
-	h := &Hello{Worker: 1, Scheme: "MMP", Matcher: "mln", Neighborhoods: 4, Entities: 12, HeartbeatNS: 1e6}
+	h := &Hello{Worker: 1, Scheme: "MMP", Matcher: "mln", Neighborhoods: 4, Entities: 12, HeartbeatNS: 1e6,
+		Negative: []uint64{1<<32 | 3, 2<<32 | 9}}
 	roundTrip(t, h,
 		func() ([]byte, error) { return h.Marshal(Binary) },
 		func(b []byte) (any, error) { return UnmarshalHello(b) })

@@ -50,12 +50,12 @@ func WithBlocking(c CanopyConfig) PipelineOption {
 	return func(p *Pipeline) { p.blocking = c }
 }
 
-// WithShards runs the blocking stage on n worker shards. The constructed
-// cover is byte-identical for every shard count; shards only buy wall
-// clock. n = 0 (the default) means one shard per CPU; negative counts
-// are rejected by NewPipeline. Blocking keeps O(shards·records) working
-// memory (a per-worker dedupe array), so bound n explicitly on very
-// large corpora.
+// WithShards scores blocking's canopies on n worker shards, in a cold run
+// and in every Update of its stream. The constructed cover is
+// byte-identical for every shard count; shards only buy wall clock. n = 0
+// (the default) means one shard per CPU; negative counts are rejected by
+// NewPipeline. Scoring keeps a counter per distinct name for each shard,
+// so bound n explicitly on very large corpora.
 func WithShards(n int) PipelineOption {
 	return func(p *Pipeline) { p.shards = n }
 }
@@ -163,22 +163,18 @@ type PipelineResult struct {
 	// equivalence with from-scratch matching.
 	ForcedRerun bool
 
-	// records is the full ingested record stream (in arrival order) and
-	// index the mutable blocking state — the carry-over Update needs to
-	// ingest the next batch incrementally. index is nil when the result
-	// came from Run (Update then replays the records once to rebuild it).
-	// blocking stamps the configuration that produced this result: a
-	// prior built under a DIFFERENT blocking config cannot seed a warm
-	// start (its evidence is another cover's fixpoint), so Update forces
-	// a cold run for it.
-	records  []Record
-	index    *canopy.Index
-	blocking CanopyConfig
+	// index is the blocking state of Experiment.Dataset's records — the
+	// carry-over Update needs to ingest the next batch incrementally. Its
+	// configuration is the one that produced this result: a prior built
+	// under a DIFFERENT blocking config cannot seed a warm start (its
+	// evidence is another cover's fixpoint), so Update forces a cold run
+	// for it.
+	index *canopy.Index
 }
 
 // Run executes the pipeline on the given records. The context cancels
-// both the blocking stage (between sharded scoring rounds) and the
-// matching stage (between neighborhood evaluations).
+// both the blocking stage (between canopy probes) and the matching stage
+// (between neighborhood evaluations).
 func (p *Pipeline) Run(ctx context.Context, records []Record) (*PipelineResult, error) {
 	return p.run(ctx, records, false)
 }
@@ -204,12 +200,12 @@ func (p *Pipeline) run(ctx context.Context, records []Record, resume bool) (*Pip
 	if err != nil {
 		return nil, fmt.Errorf("cem: pipeline: %w", err)
 	}
-	cover, err := canopy.BuildCoverContext(ctx, d, p.blocking, p.shards)
+	index, err := canopy.BuildIndex(ctx, d, p.blocking, p.shards)
 	if err != nil {
 		return nil, err
 	}
 
-	exp, runner, err := p.build(d, cover, nil)
+	exp, runner, err := p.build(d, index.Cover(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +225,7 @@ func (p *Pipeline) run(ctx context.Context, records []Record, resume bool) (*Pip
 		Experiment:   exp,
 		BlockingTime: blockingTime,
 		MatchingTime: time.Since(start),
-		records:      append([]Record(nil), records...),
+		index:        index,
 	}, labeled), nil
 }
 
@@ -238,7 +234,7 @@ func (p *Pipeline) run(ctx context.Context, records []Record, resume bool) (*Pip
 // turn the pipeline's configuration into something executable. cands are
 // the cover's candidates when the caller has them, else nil.
 func (p *Pipeline) build(d *bib.Dataset, cover *core.Cover, cands []match.Candidate) (*Experiment, *Runner, error) {
-	exp, err := setup(d, DefaultOptions(), cover, cands)
+	exp, err := setup(d, Options{Canopy: p.blocking}, cover, cands)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -246,10 +242,10 @@ func (p *Pipeline) build(d *bib.Dataset, cover *core.Cover, cands []match.Candid
 	return exp, runner, err
 }
 
-// result completes the outcome of one call: record count and blocking
-// stamp, and metrics when every record is labeled.
+// result completes the outcome of one call: record count, and metrics when
+// every record is labeled.
 func (p *Pipeline) result(out *PipelineResult, labeled bool) *PipelineResult {
-	out.Records, out.Labeled, out.blocking = len(out.records), labeled, p.blocking
+	out.Records, out.Labeled = out.Experiment.Dataset.NumRefs(), labeled
 	if labeled {
 		report := out.Experiment.Evaluate(out.Result)
 		bcubed := out.Experiment.EvaluateBCubed(out.Result)
@@ -273,14 +269,13 @@ func (p *Pipeline) result(out *PipelineResult, labeled bool) *PipelineResult {
 // candidate pairs the delta introduced. Everything else stays at its
 // prior fixpoint unless a new match re-activates it.
 //
-// prior == nil runs the first batch cold (equivalent to Run) while
-// retaining the streaming blocking state, so a fold of Update over a
-// record stream is the canonical ingestion loop. The delta index scores
-// arrivals serially (WithShards applies to Run's from-scratch blocking
-// only). Updates from the same prior may run concurrently or fork a
-// stream: the index advance is atomic, and a branch that lost the race
-// (or holds a stale prior) transparently rebuilds its own blocking
-// state from its own records. For the built-in
+// prior == nil runs the first batch cold, as Run does, so a fold of Update
+// over a record stream is the canonical ingestion loop; a prior from Run
+// or Update carries its blocking index, which scores the arrivals on the
+// pipeline's shards. Updates from the same prior may run concurrently or
+// fork a stream: the index advance is atomic, and a branch that lost the
+// race (or holds a stale prior) transparently rebuilds its own blocking
+// state from the prior's dataset. For the built-in
 // (delta-monotone, well-behaved) matchers the result after every batch
 // is identical to a cold Run over all records ingested so far — the
 // property the incremental differential harness pins — at a fraction of
@@ -300,23 +295,33 @@ func (p *Pipeline) Update(ctx context.Context, prior *PipelineResult, newRecords
 		return nil, fmt.Errorf("cem: pipeline update: scheme %q has no incremental path", p.scheme)
 	}
 
-	start := time.Now()
-	index, records, err := p.carryOver(ctx, prior)
-	if err != nil {
-		return nil, err
+	if prior == nil {
+		return p.run(ctx, newRecords, false)
 	}
-	base := len(records)
-	records = append(records, newRecords...)
-	d, labeled, err := p.extend(prior, records, base)
+	if prior.index == nil {
+		return nil, fmt.Errorf("cem: pipeline update: prior result carries no ingestion state (was it produced by this Pipeline?)")
+	}
+
+	start := time.Now()
+	before := prior.Experiment.Dataset
+	base := before.NumRefs()
+	raw, labeled := toBibRecords(newRecords)
+	d, err := before.Extend(p.name, raw)
 	if err != nil {
 		return nil, fmt.Errorf("cem: pipeline update: %w", err)
 	}
-	cover, delta, err := index.AddFrom(ctx, d, base)
-	if errors.Is(err, canopy.ErrStale) {
-		// Another Update advanced the shared index past this prior (a
-		// forked or concurrent stream): this branch's view is outdated,
-		// so rebuild its own blocking state from its own records.
-		if index, err = p.rebuildIndex(ctx, records[:base]); err == nil {
+	index, same := prior.index, prior.index.Config() == p.blocking
+	var cover *core.Cover
+	var delta *canopy.Delta
+	if same {
+		cover, delta, err = index.AddFrom(ctx, d, base)
+	}
+	if !same || errors.Is(err, canopy.ErrStale) {
+		// The prior's index was built under another blocking configuration
+		// (the prior came through another Pipeline), or another Update
+		// advanced it past this prior (a forked or concurrent stream):
+		// rebuild this branch's blocking state from the prior's dataset.
+		if index, err = p.rebuildIndex(ctx, before); err == nil {
 			cover, delta, err = index.AddFrom(ctx, d, base)
 		}
 	}
@@ -329,7 +334,7 @@ func (p *Pipeline) Update(ctx context.Context, prior *PipelineResult, newRecords
 	// Sharing the prior's index means sharing its blocking config. A rebuilt
 	// or foreign index, or a non-additive delta, enumerates the whole cover.
 	var cands []match.Candidate
-	if prior != nil && index == prior.index && delta.Additive {
+	if index == prior.index && delta.Additive {
 		cands = canopy.CarriedCandidatePairs(d, cover, prior.Experiment.Candidates, delta.Changed)
 	}
 	exp, runner, err := p.build(d, cover, cands)
@@ -340,14 +345,14 @@ func (p *Pipeline) Update(ctx context.Context, prior *PipelineResult, newRecords
 
 	start = time.Now()
 	// A cold run unless the prior's evidence is a fixpoint this run can
-	// continue: on the first batch; when the delta rearranged existing
-	// neighborhoods (a total-cover boundary member moved, shrinking some
-	// set relative to its predecessor); or when the prior came from
-	// another blocking configuration, matcher or scheme, prior evidence is
-	// no longer guaranteed to be re-derivable from scratch, so a full cold
-	// run is forced. The streaming blocking state still carries over —
+	// continue: when the delta rearranged existing neighborhoods (a
+	// total-cover boundary member moved, shrinking some set relative to its
+	// predecessor), or when the prior came from another blocking
+	// configuration, matcher or scheme, prior evidence is no longer
+	// guaranteed to be re-derivable from scratch, so a full cold run is
+	// forced. The streaming blocking state still carries over —
 	// later additive batches warm-start again.
-	warm := prior != nil && delta.Additive && prior.blocking == p.blocking &&
+	warm := delta.Additive && same &&
 		prior.Matcher == p.matcher && prior.Scheme == coreScheme(p.scheme)
 	var seed *core.WarmStart
 	if warm {
@@ -368,68 +373,20 @@ func (p *Pipeline) Update(ctx context.Context, prior *PipelineResult, newRecords
 		BlockingTime: blockingTime,
 		MatchingTime: time.Since(start),
 		WarmStarted:  warm,
-		ForcedRerun:  prior != nil && !warm,
-		records:      records,
+		ForcedRerun:  !warm,
 		index:        index,
-	}, labeled), nil
+	}, labeled && prior.Labeled), nil
 }
 
-// carryOver extracts (or reconstructs) the streaming blocking state of a
-// prior result and returns it with a private copy of the prior records.
-// A prior produced by Run carries no index; its records are replayed
-// through a fresh one — a one-time cost, after which every Update is
-// incremental. The returned index may still be shared with other
-// branches of an Update chain; Update advances it through AddFrom,
-// which detects a stale base atomically and triggers a fresh rebuild.
-func (p *Pipeline) carryOver(ctx context.Context, prior *PipelineResult) (*canopy.Index, []Record, error) {
-	if prior == nil {
-		index, err := canopy.NewIndex(p.blocking)
-		return index, nil, err
-	}
-	if len(prior.records) == 0 {
-		return nil, nil, fmt.Errorf("cem: pipeline update: prior result carries no ingestion state (was it produced by this Pipeline?)")
-	}
-	records := append([]Record(nil), prior.records...)
-	if prior.index != nil && prior.index.Config() == p.blocking {
-		return prior.index, records, nil
-	}
-	// No index (prior from Run), or one built under a DIFFERENT blocking
-	// configuration (the prior came through another Pipeline): its cover
-	// would not match this pipeline's cold runs, so replay fresh.
-	index, err := p.rebuildIndex(ctx, records)
-	return index, records, err
-}
-
-// extend returns the dataset of records, the prior's extended by those from
-// base on when it has one, and whether every record is labeled.
-func (p *Pipeline) extend(prior *PipelineResult, records []Record, base int) (*bib.Dataset, bool, error) {
-	raw, labeled := toBibRecords(records[base:])
-	if prior != nil {
-		d, err := prior.Experiment.Dataset.Extend(p.name, raw)
-		if !errors.Is(err, bib.ErrNotFromRecords) {
-			return d, labeled && prior.Labeled, err
-		}
-	}
-	raw, labeled = toBibRecords(records)
-	d, err := bib.DatasetFromRecords(p.name, raw)
-	return d, labeled, err
-}
-
-// rebuildIndex replays records through a fresh delta index.
-func (p *Pipeline) rebuildIndex(ctx context.Context, records []Record) (*canopy.Index, error) {
-	index, err := canopy.NewIndex(p.blocking)
+// rebuildIndex builds a private blocking index over the records of d, a
+// prior's dataset, on a copy of d, so that no name level it scores is
+// written into the prior's table.
+func (p *Pipeline) rebuildIndex(ctx context.Context, d *bib.Dataset) (*canopy.Index, error) {
+	own, err := d.Extend(p.name, nil)
 	if err != nil {
 		return nil, err
 	}
-	raw, _ := toBibRecords(records)
-	d, err := bib.DatasetFromRecords(p.name, raw)
-	if err != nil {
-		return nil, err
-	}
-	if _, _, err := index.Add(ctx, d); err != nil {
-		return nil, err
-	}
-	return index, nil
+	return canopy.BuildIndex(ctx, own, p.blocking, p.shards)
 }
 
 // affectedByDelta assembles the warm-start active seed: the cover ids an

@@ -8,11 +8,13 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	cem "repro"
 	"repro/internal/experiments"
+	"repro/match"
 )
 
 // TestPipelineShardedIdenticalToSerial is the acceptance check: on the
@@ -181,6 +183,63 @@ func TestMaxNeighborhoodCommutesWithBlocking(t *testing.T) {
 	}
 	if before == unbounded {
 		t.Errorf("bound had no effect (%d neighborhoods with and without)", before)
+	}
+}
+
+// blockingSeen records the blocking configuration each "blocking-probe"
+// matcher was built under.
+var blockingSeen struct {
+	sync.Mutex
+	cfgs []cem.CanopyConfig
+}
+
+func init() {
+	cem.RegisterMatcher("blocking-probe", func(mc cem.MatcherContext) (match.Matcher, error) {
+		blockingSeen.Lock()
+		blockingSeen.cfgs = append(blockingSeen.cfgs, mc.Options.Canopy)
+		blockingSeen.Unlock()
+		rules, _ := cem.LookupMatcher(cem.MatcherRules)
+		return rules(mc)
+	})
+}
+
+// TestPipelineMatchersSeeItsBlocking: a matcher factory's context carries
+// the pipeline's blocking configuration — WithBlocking's, bounded by
+// WithMaxNeighborhood — on Run and on Update alike.
+func TestPipelineMatchersSeeItsBlocking(t *testing.T) {
+	records, err := cem.GenerateRecords(cem.DBLP, 0.1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocking := cem.DefaultOptions().Canopy
+	blocking.Loose, blocking.MaxAligned = 0.5, 2
+	pipe, err := cem.NewPipeline(cem.WithMatcher("blocking-probe"), cem.WithScheme(cem.SchemeSMP),
+		cem.WithBlocking(blocking), cem.WithMaxNeighborhood(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blockingSeen.Lock()
+	blockingSeen.cfgs = nil
+	blockingSeen.Unlock()
+	half := len(records) / 2
+	res, err := pipe.Run(context.Background(), records[:half])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pipe.Update(context.Background(), res, records[half:]); err != nil {
+		t.Fatal(err)
+	}
+	want := blocking
+	want.MaxNeighborhood = 6
+	blockingSeen.Lock()
+	defer blockingSeen.Unlock()
+	if len(blockingSeen.cfgs) != 2 {
+		t.Fatalf("the probe matcher was built %d times, want once per call", len(blockingSeen.cfgs))
+	}
+	for i, got := range blockingSeen.cfgs {
+		if got != want {
+			t.Errorf("build %d: the matcher saw blocking %+v, the pipeline blocks with %+v", i, got, want)
+		}
 	}
 }
 

@@ -70,13 +70,16 @@ func WithProgress(fn func(match.ProgressEvent)) RunnerOption {
 
 // WithTransitiveClosure applies the transitive closure to the match set
 // at the end of every run — the Appendix A post-processing step the
-// paper prescribes for the RULES matcher.
+// paper prescribes for the RULES matcher. The closure runs after the
+// rounds, so it can output a pair WithNegativeEvidence forbids.
 func WithTransitiveClosure() RunnerOption {
 	return func(r *Runner) { r.closure = true }
 }
 
 // WithNegativeEvidence seeds the run with V− — pairs known NOT to match,
-// passed to every matcher invocation (Definition 1).
+// passed to every matcher invocation (Definition 1), attached sharded
+// workers included. V− binds the matcher calls only: WithTransitiveClosure
+// may still join a V− pair.
 func WithNegativeEvidence(neg match.PairSet) RunnerOption {
 	return func(r *Runner) { r.negative = neg }
 }

@@ -105,10 +105,9 @@ func StateSeq(s match.Store) (int, error) {
 // over (a service keeps it in its journal); the matcher is NEVER
 // invoked — the match set comes from the state blob's snapshot, and the
 // blocking state from its postings section when present (falling back to
-// replaying the records through a fresh index, which is blocking-only
-// work). The returned result carries the streaming state
-// Update needs, so ingestion continues incrementally exactly as if the
-// process had never died. Run statistics are not persisted; the
+// building the index over the records, which is blocking-only work). The
+// returned result carries the streaming state Update needs, so ingestion
+// continues incrementally exactly as if the process had never died. Run statistics are not persisted; the
 // reopened result's Stats are zero apart from structural counts.
 //
 // A store with no saved state returns match.ErrBlobNotFound
@@ -136,7 +135,7 @@ func (p *Pipeline) Reopen(ctx context.Context, records []Record, s match.Store) 
 	if err != nil {
 		return nil, 0, fmt.Errorf("cem: reopening state: %w", err)
 	}
-	index, err := p.reopenIndex(ctx, records, postings)
+	index, err := p.reopenIndex(ctx, d, postings)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -163,24 +162,23 @@ func (p *Pipeline) Reopen(ctx context.Context, records []Record, s match.Store) 
 		Result:       runner.seal(rawRes),
 		Experiment:   exp,
 		BlockingTime: blockingTime,
-		records:      append([]Record(nil), records...),
 		index:        index,
 	}, labeled), ck.Round, nil
 }
 
-// reopenIndex restores the blocking state: from the state blob's postings
-// section when it has one consistent with this pipeline, otherwise by
-// replaying the records through a fresh delta index.
-func (p *Pipeline) reopenIndex(ctx context.Context, records []Record, postings []byte) (*canopy.Index, error) {
+// reopenIndex restores the blocking state of d: from the state blob's
+// postings section when it has one consistent with this pipeline, otherwise
+// by building the index over d as a cold run does.
+func (p *Pipeline) reopenIndex(ctx context.Context, d *bib.Dataset, postings []byte) (*canopy.Index, error) {
 	if len(postings) > 0 {
-		ix, err := canopy.LoadIndex(postings)
-		if err == nil && ix.Config() == p.blocking && ix.Len() == len(records) && ix.Cover() != nil {
+		ix, err := canopy.LoadIndex(postings, p.shards)
+		if err == nil && ix.Config() == p.blocking && ix.Len() == d.NumRefs() && ix.Cover() != nil {
 			return ix, nil
 		}
 		// An older-format or foreign postings section is a cache miss, not
 		// an error.
 	}
-	return p.rebuildIndex(ctx, records)
+	return canopy.BuildIndex(ctx, d, p.blocking, p.shards)
 }
 
 // schemeFromCore maps the engine's canonical scheme name back to the

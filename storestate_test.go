@@ -137,7 +137,7 @@ func splitState(t *testing.T, blob []byte) (*wire.Checkpoint, []byte) {
 // format's magic, one whose section was saved under another blocking
 // configuration, and one with no section at all — the bare snapshot an
 // older build wrote beside a separate postings blob — each still reopen,
-// by replaying the records through a fresh index, to the byte-identical
+// by building the index over the records, to the byte-identical
 // cover with zero matcher calls, and keep ingesting incrementally.
 func TestStoreStateReopenOldIndexBlob(t *testing.T) {
 	ctx := context.Background()
@@ -205,7 +205,7 @@ func TestStoreStateReopenOldIndexBlob(t *testing.T) {
 				t.Fatalf("Reopen made %d matcher calls", calls)
 			}
 			if !reflect.DeepEqual(reopened.Experiment.Cover.Sets, res.Experiment.Cover.Sets) {
-				t.Fatal("cover rebuilt by replay differs from the saved run's")
+				t.Fatal("cover rebuilt from the records differs from the saved run's")
 			}
 			if got, want := renderMatches(reopened.Result), renderMatches(res.Result); got != want {
 				t.Fatalf("reopened matches diverge: %s", firstDiff(got, want))
@@ -218,7 +218,7 @@ func TestStoreStateReopenOldIndexBlob(t *testing.T) {
 				t.Fatalf("post-reopen update diverges from the live stream: %s", firstDiff(got, want))
 			}
 			if !after.WarmStarted {
-				t.Fatal("post-reopen update did not warm-start: the replayed index is not incremental")
+				t.Fatal("post-reopen update did not warm-start: the rebuilt index is not incremental")
 			}
 		})
 	}
@@ -274,6 +274,48 @@ func TestSaveStateWritesOneBlob(t *testing.T) {
 	}
 	if got, want := renderMatches(reopened.Result), renderMatches(res.Result); got != want {
 		t.Fatalf("reopened matches diverge: %s", firstDiff(got, want))
+	}
+}
+
+// TestSaveStateOfRunWritesPostings: a Run result carries its blocking
+// index, so its state blob holds a postings section, and a Reopen from it
+// is as incremental as one from an Update's.
+func TestSaveStateOfRunWritesPostings(t *testing.T) {
+	ctx := context.Background()
+	records := storeRecords(t)
+	pipe, err := cem.NewPipeline(cem.WithMatcher(cem.MatcherMLN), cem.WithScheme(cem.SchemeSMP))
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(records) / 2
+	res, err := pipe.Run(ctx, records[:half])
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := cem.OpenStore("mem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cem.SaveState(s, res, 1); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := s.OpenBlob(match.KindSnapshot, "latest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, postings := splitState(t, blob); !bytes.HasPrefix(postings, []byte("CEMP5\n")) {
+		t.Fatalf("the state blob of a Run result has no postings section (%d bytes after the snapshot)", len(postings))
+	}
+	reopened, _, err := pipe.Reopen(ctx, records[:half], s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := pipe.Update(ctx, reopened, records[half:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !after.WarmStarted {
+		t.Error("an update on the reopened Run state did not warm-start")
 	}
 }
 

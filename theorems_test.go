@@ -321,10 +321,8 @@ func (sc scenario) variant(t *testing.T, w *world, matcher string, o *outcome) *
 	opts := append(sc.options(t), placement(t, sc.place))
 	if sc.fault != nil {
 		o.inj = faultnet.New(*sc.fault)
+		// The worker config has no V−, as an emworker's: the Hello carries it.
 		cfg := workerConfig(w.exp, runner(t, w.exp, matcher))
-		if sc.evidence == "negative" {
-			cfg.Negative = sc.negative(t) // no wire field carries V−: a spawned worker is handed it
-		}
 		opts = append(opts, cem.WithBackend(faultyNetBackend(cfg, cem.CoreScheme(sc.scheme), 3, o.inj)))
 	}
 	var res *cem.Result
