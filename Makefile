@@ -9,7 +9,9 @@ GOFLAGS  ?=
 # micro-benchmarks (grounding, warm Match, the verdict memo's hit and
 # miss paths, and MAP inference on the largest HEPTH-like 0.4
 # neighborhood, on one network and as MatchIDs solves it). Gains are
-# claimed with bench-pair, not these.
+# claimed with bench-pair, not these. The Pipeline rows include
+# BenchmarkPipelineScaleHepth, a cold run at HEPTH-like 8 that also reports
+# its name-kernel calls (about 3 s a run on 2 vCPUs).
 SCHEME_BENCH   = ^Benchmark(NoMP|SMP|MMP|UB|Full|Blocking|Pipeline|Setup|PrepareCover)
 MATCHER_BENCH  = ^Benchmark(New|MatchWarm|MemoHit|MemoMiss|SolveMAP)$$
 BENCHTIME     ?= 5x
@@ -60,10 +62,11 @@ bench:
 # bench-once runs every benchmark of the module for one iteration: a
 # benchmark that checks itself (BenchmarkMemoHit fails unless every
 # iteration hits, BenchmarkMemoMiss unless none does) or no longer
-# compiles fails here, not at the next `make bench`. About 15 s on 2 vCPUs.
-# CI runs it in the test job.
+# compiles fails here, not at the next `make bench`. -short skips the
+# scale benchmarks (BenchmarkPipelineScaleHepth), which take seconds each.
+# About 15 s on 2 vCPUs. CI runs it in the test job.
 bench-once:
-	$(GO) test $(GOFLAGS) -run '^$$' -bench . -benchtime 1x ./...
+	$(GO) test $(GOFLAGS) -short -run '^$$' -bench . -benchtime 1x ./...
 
 # cover runs the test suite with a coverage profile and grades it
 # against the committed ratchet; cover-check grades an existing

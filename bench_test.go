@@ -201,6 +201,43 @@ func BenchmarkPipelinePeopleRules(b *testing.B) {
 	benchPipeline(b, cem.People, 0.7, program, cem.SchemeSMP)
 }
 
+// BenchmarkPipelineScaleHepth is a cold Pipeline.Run at HEPTH-like 8
+// (seed 42, one blocking shard, one matching worker): the scale at which
+// blocking's name similarity, not the matcher, is the question. Outside
+// the timer it reports the run's name-kernel calls (last-name pairs plus
+// spelled-out class pairs, NameTable.Scored), its candidate pairs and its
+// cover entries (the sum of the neighborhood sizes). A run takes seconds
+// and builds 0.25 GB, so -short skips it.
+func BenchmarkPipelineScaleHepth(b *testing.B) {
+	if testing.Short() {
+		b.Skip("HEPTH-like 8 takes seconds a run")
+	}
+	records, err := cem.GenerateRecords(cem.HEPTH, 8, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pipe, err := cem.NewPipeline(cem.WithShards(1), cem.WithRunnerOptions(cem.WithParallelism(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var res *cem.PipelineResult
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res, err = pipe.Run(context.Background(), records); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	entries := 0
+	for _, set := range res.Experiment.Cover.Sets {
+		entries += len(set)
+	}
+	b.ReportMetric(float64(res.Experiment.Dataset.Names().Scored()), "kernel_calls")
+	b.ReportMetric(float64(len(res.Experiment.Candidates)), "candidates")
+	b.ReportMetric(float64(entries), "cover_entries")
+}
+
 // BenchmarkUpdateFold is the warm path without HTTP, journal or store: the
 // serve-ingest benchmark workload's stream (DBLP-like 0.5, seed 42, in
 // 32-record batches) folded through Pipeline.Update on a fresh pipeline

@@ -199,25 +199,26 @@ func datagenConfig(kind DatasetKind, scale float64, seed int64) (datagen.Config,
 }
 
 // Experiment is a fully wired instance: dataset, total cover, candidate
-// pairs and their table (Candidates[i] is the table's pair i), and ground
-// truth. Matchers are ground over the table on the first Runner that
-// names them; Runner.Matcher returns the instance. Build one with New.
+// pairs and their table (Candidates[i] is the table's pair i); ground
+// truth is the dataset's labels. Matchers are ground over the table on the
+// first Runner that names them; Runner.Matcher returns the instance. Build
+// one with New.
 type Experiment struct {
 	Dataset    *match.Dataset
 	Cover      *core.Cover
 	Candidates []match.Candidate
 	Table      *match.CandidateTable
-	Truth      match.PairSet
 
-	opts Options
+	opts  Options
+	truth func() match.PairSet // truthOf(Dataset), built on first use
 
 	mu    sync.Mutex
 	built map[string]match.Matcher // lazily built registry matchers
 }
 
-// New builds the total cover (canopies + Coauthor boundary), derives the
-// candidate pairs, and collects ground truth. Matchers, built-in or
-// registered, are ground lazily, on the first Runner that names them.
+// New builds the total cover (canopies + Coauthor boundary) and derives the
+// candidate pairs. Matchers, built-in or registered, are ground lazily, on
+// the first Runner that names them.
 func New(d *match.Dataset, options ...Option) (*Experiment, error) {
 	opts := DefaultOptions()
 	for _, o := range options {
@@ -256,11 +257,15 @@ func setup(d *match.Dataset, opts Options, cover *core.Cover, cands []match.Cand
 		Cover:      cover,
 		Candidates: cands,
 		Table:      table,
-		Truth:      truthOf(d),
 		opts:       opts,
+		truth:      sync.OnceValue(func() match.PairSet { return truthOf(d) }),
 		built:      map[string]match.Matcher{},
 	}, nil
 }
+
+// Truth returns the ground-truth matches, d.TruePairs as one PairSet, built
+// on the first call. Evaluation does not need it: it counts from the labels.
+func (e *Experiment) Truth() match.PairSet { return e.truth() }
 
 // truthOf is d.TruePairs as one PairSet: the labeled references are grouped
 // by author, and the Σ C(k, 2) pairs of the groups go into a set sized to
@@ -317,13 +322,13 @@ func (e *Experiment) matcher(name string) (match.Matcher, error) {
 
 // Evaluate scores a result against ground truth (no reference run).
 func (e *Experiment) Evaluate(res *Result) eval.Report {
-	return eval.Evaluate(res.Result, e.Truth, nil)
+	return eval.EvaluateLabels(res.Result, e.gold(), nil)
 }
 
 // EvaluateAgainst scores a result against ground truth and a reference
 // run (for soundness/completeness, §2.2.1).
 func (e *Experiment) EvaluateAgainst(res *Result, reference match.PairSet) eval.Report {
-	return eval.Evaluate(res.Result, e.Truth, reference)
+	return eval.EvaluateLabels(res.Result, e.gold(), reference)
 }
 
 // EvaluateBCubed computes the B-cubed cluster metric of a result: the
@@ -332,11 +337,17 @@ func (e *Experiment) EvaluateAgainst(res *Result, reference match.PairSet) eval.
 // pairwise precision/recall with the cluster-level view common in entity
 // resolution.
 func (e *Experiment) EvaluateBCubed(res *Result) eval.PRF {
+	return eval.BCubedFromMatches(res.Matches, e.gold())
+}
+
+// gold returns the ground-truth author of every reference, negative where
+// the reference is unlabeled.
+func (e *Experiment) gold() []int32 {
 	gold := make([]int32, e.Dataset.NumRefs())
 	for i := range e.Dataset.Refs {
 		gold[i] = e.Dataset.Refs[i].True
 	}
-	return eval.BCubedFromMatches(res.Matches, gold)
+	return gold
 }
 
 // TransitiveClosure returns the transitive closure of a match set over

@@ -9,6 +9,7 @@ import (
 	"repro/internal/canopy"
 	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/similarity"
 )
 
 // run is a test helper: execute a scheme through the Runner API and
@@ -51,7 +52,7 @@ func TestSetupWiring(t *testing.T) {
 			t.Errorf("%s grounds %d pairs, the experiment has %d candidates", name, n, len(exp.Candidates))
 		}
 	}
-	if exp.Truth.Len() == 0 {
+	if exp.Truth().Len() == 0 {
 		t.Error("no ground-truth pairs")
 	}
 }
@@ -338,11 +339,12 @@ func TestEvaluateAgainst(t *testing.T) {
 }
 
 // TestSetupScoresEachNamePairOnce: a cold New — cover construction, then
-// candidate enumeration — costs one NameLevel evaluation per distinct
-// unordered pair of name classes either stage asks about, because both read
-// the dataset's one name table. Run apart, each on its own freshly built
-// dataset, the two stages score every pair of the canopies twice over; that
-// sum is what a table per stage cost.
+// candidate enumeration — costs one kernel evaluation per distinct pair
+// either stage asks about, of either kind the name table scores: a pair of
+// distinct last names, and a pair of distinct spelled-out classes whose last
+// names are similar. Both stages read the dataset's one name table. Run
+// apart, each on its own freshly built dataset, the two stages score every
+// pair of the canopies twice over; that sum is what a table per stage cost.
 func TestSetupScoresEachNamePairOnce(t *testing.T) {
 	fresh := func() *bib.Dataset { return NewDataset(People, 0.25, 42) }
 	d := fresh()
@@ -353,25 +355,38 @@ func TestSetupScoresEachNamePairOnce(t *testing.T) {
 	names := d.Names()
 	once := names.Scored()
 
-	// Every pair candidate enumeration needs — two distinct classes sharing
-	// a neighborhood — is in the table New left behind, so asking for all of
-	// them again scores nothing.
-	needed := map[[2]int32]bool{}
+	// Every pair candidate enumeration needs — two distinct last names, or
+	// two distinct spelled-out classes under similar last names, sharing a
+	// neighborhood — is in the table New left behind, so asking for every
+	// class pair of every neighborhood again scores nothing.
+	needed := map[[3]int32]bool{}            // {smaller id, larger id, 1 for last names}
+	spelled := make([]bool, names.Classes()) // class -> its first name is not an initial
+	for r := range d.Refs {
+		spelled[names.Class(bib.RefID(r))] = !similarity.ParseName(d.Refs[r].Name).Abbreviated()
+	}
 	for _, set := range exp.Cover.Sets {
 		for i, a := range set {
 			for _, b := range set[i+1:] {
-				if x, y := names.Class(a), names.Class(b); x != y {
-					needed[[2]int32{min(x, y), max(x, y)}] = true
-					names.Level(x, y)
+				x, y := names.Class(a), names.Class(b)
+				if x == y {
+					continue
 				}
+				u, v := names.Last(x), names.Last(y)
+				if u != v {
+					needed[[3]int32{min(u, v), max(u, v), 1}] = true
+				}
+				if names.LastLevel(u, v) != similarity.LevelNone && spelled[x] && spelled[y] {
+					needed[[3]int32{min(x, y), max(x, y), 0}] = true
+				}
+				names.Level(x, y)
 			}
 		}
 	}
 	if len(needed) == 0 || once < len(needed) {
-		t.Fatalf("New scored %d class pairs, its neighborhoods hold %d distinct ones", once, len(needed))
+		t.Fatalf("New scored %d pairs, its neighborhoods hold %d distinct ones", once, len(needed))
 	}
 	if again := names.Scored(); again != once {
-		t.Errorf("%d class pairs of the cover were not scored by New", again-once)
+		t.Errorf("%d pairs of the cover were not scored by New", again-once)
 	}
 
 	coverOnly := fresh()
@@ -383,8 +398,8 @@ func TestSetupScoresEachNamePairOnce(t *testing.T) {
 		t.Errorf("candidate enumeration alone scored %d pairs, the cover holds %d", candidatesOnly.Names().Scored(), len(needed))
 	}
 	if once >= apart || once > coverOnly.Names().Scored()+len(needed) {
-		t.Errorf("New scored %d class pairs; cover construction alone scores %d and candidate enumeration alone %d",
+		t.Errorf("New scored %d pairs; cover construction alone scores %d and candidate enumeration alone %d",
 			once, coverOnly.Names().Scored(), candidatesOnly.Names().Scored())
 	}
-	t.Logf("class pairs scored: %d by New, %d + %d by the two stages apart", once, coverOnly.Names().Scored(), candidatesOnly.Names().Scored())
+	t.Logf("pairs scored: %d by New, %d + %d by the two stages apart", once, coverOnly.Names().Scored(), candidatesOnly.Names().Scored())
 }

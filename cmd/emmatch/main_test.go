@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	cem "repro"
@@ -128,8 +129,17 @@ func TestWholeSetSchemesRefused(t *testing.T) {
 	}
 }
 
-// writeRulesFile drops a rules program into a temp file. Each test uses
-// a distinct program name: the registry is process-global.
+// programs numbers the rules programs the tests of this process register.
+var programs atomic.Int32
+
+// programName returns prefix plus a number no earlier call in this process
+// returned: the registry is process-global, so every run of a test that
+// registers a program names it afresh.
+func programName(prefix string) string {
+	return fmt.Sprintf("%s-%d", prefix, programs.Add(1))
+}
+
+// writeRulesFile drops a rules program into a temp file.
 func writeRulesFile(t *testing.T, src string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "prog.rules")
@@ -143,10 +153,11 @@ func writeRulesFile(t *testing.T, src string) string {
 // matcher; an explicitly contradicting -matcher must be rejected, an
 // agreeing one accepted.
 func TestRulesFileMatcherConflict(t *testing.T) {
-	path := writeRulesFile(t, "program cli-conflict\nmatch level 3\n")
+	name := programName("cli-conflict")
+	path := writeRulesFile(t, "program "+name+"\nmatch level 3\n")
 	if _, err := runQuiet(t, "-rules-file", path, "-matcher", "mln"); err == nil {
 		t.Fatal("conflicting -matcher accepted")
-	} else if !strings.Contains(err.Error(), `named "cli-conflict" but -matcher asks for "mln"`) {
+	} else if !strings.Contains(err.Error(), fmt.Sprintf(`named %q but -matcher asks for "mln"`, name)) {
 		t.Fatalf("conflict error = %v", err)
 	}
 	// A bad program surfaces its position.
@@ -161,7 +172,7 @@ func TestRulesFileMatcherConflict(t *testing.T) {
 // TestRulesFileEndToEnd drives the people corpus through the binary's
 // classic path programmed only by a rules file.
 func TestRulesFileEndToEnd(t *testing.T) {
-	path := writeRulesFile(t, `program cli-people
+	path := writeRulesFile(t, "program "+programName("cli-people")+`
 fields name, street, phone, zip
 level 3 when phone equal
 level 2 when name jaro >= 0.85 and zip equal

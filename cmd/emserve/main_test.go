@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 
@@ -148,20 +150,21 @@ func TestEmserveStoreFlagValidation(t *testing.T) {
 // TestEmserveRulesFile: -rules-file programs the service's matcher; a
 // contradicting -matcher is rejected.
 func TestEmserveRulesFile(t *testing.T) {
+	// The registry is process-global: each run names its programs afresh.
+	run1 := rulesRuns.Add(1)
 	path := filepath.Join(t.TempDir(), "prog.rules")
-	if err := os.WriteFile(path, []byte("program srv-prog\nmatch level 3\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(fmt.Sprintf("program srv-prog-%d\nmatch level 3\n", run1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	err := run([]string{"-rules-file", path, "-matcher", "mln"}, io.Discard, io.Discard, nil, nil)
-	if err == nil || !strings.Contains(err.Error(), `-matcher asks for "mln"`) {
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf(`program is named "srv-prog-%d" but -matcher asks for "mln"`, run1)) {
 		t.Fatalf("conflicting -matcher not rejected: %v", err)
 	}
 	// With no -matcher the program is selected; a bad listen address
 	// then fails past matcher resolution, proving the program loaded.
-	// (The registry is process-global, so this run needs its own
-	// program name.)
+	// (This run needs a program name of its own too.)
 	path2 := filepath.Join(t.TempDir(), "prog2.rules")
-	if err := os.WriteFile(path2, []byte("program srv-prog2\nmatch level 3\n"), 0o644); err != nil {
+	if err := os.WriteFile(path2, []byte(fmt.Sprintf("program srv-prog2-%d\nmatch level 3\n", run1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	err = run([]string{"-rules-file", path2, "-addr", "256.0.0.1:bad"}, io.Discard, io.Discard, nil, nil)
@@ -169,6 +172,9 @@ func TestEmserveRulesFile(t *testing.T) {
 		t.Fatalf("rules-file service did not reach the listen stage: %v", err)
 	}
 }
+
+// rulesRuns numbers the runs of TestEmserveRulesFile in this process.
+var rulesRuns atomic.Int32
 
 // TestEmserveRejectsUnknownFlag keeps the flag surface honest.
 func TestEmserveRejectsUnknownFlag(t *testing.T) {

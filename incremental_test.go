@@ -589,10 +589,10 @@ func TestUpdateForkedPrior(t *testing.T) {
 }
 
 // TestUpdateInheritsNameTable: along an Update chain each batch's name
-// table continues the prior's — every class pair the prior scored is held
-// at the same level, so Scored() never falls — and the kernel calls the
-// batches make of their own add up to the final Scored(): the stream scores
-// each class pair once, and parses each record once. The tight pipeline's
+// table continues the prior's — every last-name and class pair the prior
+// scored is held at the same level, so Scored() never falls — and the kernel
+// calls the batches make of their own add up to the final Scored(): the
+// stream scores each pair once, and parses each record once. The tight pipeline's
 // small neighborhoods force cold re-runs on some batches, which inherit all
 // the same.
 func TestUpdateInheritsNameTable(t *testing.T) {
@@ -637,12 +637,16 @@ func TestUpdateInheritsNameTable(t *testing.T) {
 			}
 			scored := names.Scored()
 			for p, l := range prior.ScoredPairs() {
-				if got := names.Level(p[0], p[1]); got != l {
-					t.Fatalf("batch %d: class pair %v at level %d, the prior's table says %d", i, p, got, l)
+				level := names.Level
+				if p.Last {
+					level = names.LastLevel
+				}
+				if got := level(p.X, p.Y); got != l {
+					t.Fatalf("batch %d: pair %+v at level %d, the prior's table says %d", i, p, got, l)
 				}
 			}
 			if names.Scored() != scored {
-				t.Fatalf("batch %d: %d of the prior's class pairs are missing from its table", i, names.Scored()-scored)
+				t.Fatalf("batch %d: %d of the prior's scored pairs are missing from its table", i, names.Scored()-scored)
 			}
 		}
 		final := res.Experiment.Dataset.Names().Scored()

@@ -108,7 +108,7 @@ func (d *Dataset) Coauthor() *graph.Graph {
 // A table that no longer has one entry per reference (Refs grew or shrank
 // since it was built) is rebuilt; after renaming a reference in place, call
 // InvalidateCoauthor. Extend hands its result a continuation of a built,
-// current table. Lookups fill the table's level cache, so unlike the
+// current table. Lookups fill the table's level memos, so unlike the
 // Coauthor graph it stays single-goroutine after it is built: the blocking
 // stage, its only writer, is serial wherever it compares names, and Extend
 // reads it only once that stage is done.

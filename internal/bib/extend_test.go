@@ -8,6 +8,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/similarity"
 )
 
 // extendNames is the name pool of the Extend tests: repeated spellings of a
@@ -47,10 +49,19 @@ func frozen(d *Dataset) *Dataset {
 		f.names = &NameTable{
 			class: slices.Clone(whole(t.class)), names: slices.Clone(whole(t.names)),
 			full: slices.Clone(whole(t.full)), self: slices.Clone(whole(t.self)),
-			pairs: t.pairs.Clone(), keptRefs: t.keptRefs, keptPairs: t.keptPairs,
+			last: slices.Clone(whole(t.last)), lasts: slices.Clone(whole(t.lasts)),
+			lastPairs: t.lastPairs.Clone(), pairs: t.pairs.Clone(), keptRefs: t.keptRefs, keptPairs: t.keptPairs,
 		}
 	}
 	return f
+}
+
+// scoredLevel asks t for the level of a pair ScoredPairs yielded.
+func scoredLevel(t *NameTable, p ScoredPair) similarity.Level {
+	if p.Last {
+		return t.LastLevel(p.X, p.Y)
+	}
+	return t.Level(p.X, p.Y)
 }
 
 // scoreSome asks the table for a random half of its class pairs, so a prior
@@ -92,8 +103,8 @@ func checkExtended(t *testing.T, prior, e, want *Dataset) {
 		}
 		scored := e.names.Scored()
 		for p, l := range prior.names.ScoredPairs() {
-			if got := e.names.Level(p[0], p[1]); got != l {
-				t.Fatalf("inherited class pair %v at level %d, the prior scored %d", p, got, l)
+			if got := scoredLevel(e.names, p); got != l {
+				t.Fatalf("inherited pair %+v at level %d, the prior scored %d", p, got, l)
 			}
 		}
 		if e.names.Scored() != scored {

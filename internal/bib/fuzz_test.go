@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/similarity"
 )
 
 // FuzzRead: arbitrary input must never panic, and any dataset that
@@ -34,6 +36,38 @@ func FuzzRead(f *testing.F) {
 		if len(d2.Refs) != len(d.Refs) || len(d2.Papers) != len(d.Papers) {
 			t.Fatalf("round trip changed sizes: %d/%d vs %d/%d",
 				len(d.Refs), len(d.Papers), len(d2.Refs), len(d2.Papers))
+		}
+	})
+}
+
+// FuzzNameTableLevel: the name table resolves a pair through its last names
+// first and keeps a class entry only for two spelled-out names, and none of
+// that shows: RefLevel of any two references equals NameLevel of their
+// parsed names, in both orders, whichever memo entry an earlier question
+// filled. The four references are built from two first and two last tokens
+// — initials, empty first names, names with no tokens at all, case and
+// punctuation variants — so they share last names, classes, or neither.
+func FuzzNameTableLevel(f *testing.F) {
+	f.Add("v.", "rastogi", "vibhor", "Rastogi,")
+	f.Add("", "dalvi", "n", "dalvy")
+	f.Add("v", "rastogi", "n.", "rastogy")
+	f.Add("", "", ".", "x")
+	f.Add("jose maria", "garofalakis", "J", "garofalakes")
+	f.Add("John", "smith", "jane", "SMITH")
+	f.Add("a b", "", "A.B.", "c")
+	f.Fuzz(func(t *testing.T, first1, last1, first2, last2 string) {
+		d := &Dataset{Name: "fuzz"}
+		for _, name := range []string{first1 + " " + last1, first2 + " " + last2, first1 + " " + last2, first2 + " " + last1} {
+			d.Refs = append(d.Refs, Reference{Name: name})
+		}
+		tab := d.Names()
+		for a := range RefID(len(d.Refs)) {
+			for b := range RefID(len(d.Refs)) {
+				want := similarity.NameLevel(similarity.ParseName(d.Refs[a].Name), similarity.ParseName(d.Refs[b].Name))
+				if got := tab.RefLevel(a, b); got != want {
+					t.Fatalf("RefLevel(%q, %q) = %d, NameLevel %d", d.Refs[a].Name, d.Refs[b].Name, got, want)
+				}
+			}
 		}
 	})
 }

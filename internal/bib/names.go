@@ -10,37 +10,47 @@ import (
 
 // NameTable is a dataset's references quotiented by parsed name, and the
 // only place the blocking stage calls the NameLevel kernel. Every reference
-// is parsed once and given the dense id of its name's class (ids in order
-// of first appearance, so appending references never renumbers a class);
-// the level of two references is the level of their classes, scored once
-// per unordered class pair and cached. That is sound because NameLevel
-// reads nothing but the two parsed names: references of one class are
-// interchangeable in every similarity test, so a neighborhood's
-// name-similar pairs are the member products of its similar class pairs,
-// and a corpus with few distinct names (HEPTH-like: 1461 references, 370
-// names) needs few evaluations.
+// is parsed once and given the dense id of its name's class, and every
+// class the dense id of its last name (ids in order of first appearance, so
+// appending references never renumbers one). The level of two references is
+// the level of their classes, which reads nothing but the two parsed names:
+// references of one class are interchangeable in every similarity test, so
+// a neighborhood's name-similar pairs are the member products of its
+// similar class pairs.
+//
+// A class pair is resolved through its last names first
+// (similarity.LastLevel, scored once per unordered pair of distinct last
+// names and memoized): dissimilar last names make the pair LevelNone, and an
+// abbreviated pair is its initials test and its last-name level. Only two
+// spelled-out names with similar last names need the full kernel, scored
+// once per class pair and cached. Most class pairs are settled by a last-name
+// pair many of them share (HEPTH-like 0.5: 2 991 last-name pairs and 148
+// class pairs scored, where a cache of every class pair scored 15 671).
 //
 // The table is derived state of Dataset.Refs, exactly as Coauthor is of
 // Papers: get it from Dataset.Names, never store it. Dataset.Extend gives
 // its result a continuation of the table (extend), so a stream of extended
-// datasets parses each reference and scores each class pair once.
+// datasets parses each reference and scores each pair once.
 type NameTable struct {
 	class []int32           // reference -> class of its parsed name
 	names []similarity.Name // class -> the parsed name its references share
 	full  []string          // class -> names[class].String(), rendered once
 	self  []uint8           // class -> the level of the name with itself
-	// The scored pairs of distinct classes: one word per pair, its
-	// flat.Pair key with the level in the two payload bits. NameLevel is
-	// symmetric (FuzzNameLevelSymmetric pins it), so the entry does not
-	// depend on the order the pair was asked in. The table is sized by what
-	// it holds — three eighths to three quarters full once grown, 11-21
-	// bytes per scored pair — not by the square of the class count.
-	pairs               *flat.Table[struct{}]
+	last  []int32           // class -> id of its last name
+	lasts []string          // last-name id -> the last name
+	// The scored pairs: one word per pair, its flat.Pair key with the level
+	// in the two payload bits — of distinct last names in lastPairs, of
+	// distinct spelled-out classes with similar last names in pairs. Both
+	// kernels are symmetric (FuzzNameLevelSymmetric pins it), so an entry
+	// does not depend on the order the pair was asked in. The tables are
+	// sized by what they hold — three eighths to three quarters full once
+	// grown, 11-21 bytes per scored pair — not by the square of the ids.
+	lastPairs, pairs    *flat.Table[struct{}]
 	keptRefs, keptPairs int // taken over by extend: references parsed, pairs scored
 }
 
 func newNameTable(refs []Reference) *NameTable {
-	return (&NameTable{pairs: flat.New[struct{}](0, levelMask)}).extend(refs)
+	return (&NameTable{lastPairs: flat.New[struct{}](0, levelMask), pairs: flat.New[struct{}](0, levelMask)}).extend(refs)
 }
 
 // extend returns the table of t's references followed by refs, leaving t
@@ -50,13 +60,18 @@ func (t *NameTable) extend(refs []Reference) *NameTable {
 	u := &NameTable{
 		class: append(make([]int32, 0, len(t.class)+len(refs)), t.class...),
 		names: slices.Clip(t.names), full: slices.Clip(t.full), self: slices.Clip(t.self),
-		pairs: t.pairs.Clone(), keptRefs: len(t.class), keptPairs: t.pairs.Len(),
+		last: slices.Clip(t.last), lasts: slices.Clip(t.lasts),
+		lastPairs: t.lastPairs.Clone(), pairs: t.pairs.Clone(), keptRefs: len(t.class), keptPairs: t.Scored(),
 	}
 	// Rebuilt, not kept and cloned: hashing the names into a presized map
 	// measured cheaper than maps.Clone (Go 1.24, 400-5 000 classes).
 	ids := make(map[similarity.Name]int32, len(t.names)+len(refs))
 	for c, name := range t.names {
 		ids[name] = int32(c)
+	}
+	lastIDs := make(map[string]int32, len(t.lasts)+len(refs))
+	for l, last := range t.lasts {
+		lastIDs[last] = int32(l)
 	}
 	for i := range refs {
 		name := similarity.ParseName(refs[i].Name)
@@ -69,6 +84,13 @@ func (t *NameTable) extend(refs []Reference) *NameTable {
 			// Decided by string equality alone, so worth no cache slot;
 			// LevelNone for a name with no last token.
 			u.self = append(u.self, uint8(similarity.NameLevel(name, name)))
+			l, ok := lastIDs[name.Last]
+			if !ok {
+				l = int32(len(u.lasts))
+				lastIDs[name.Last] = l
+				u.lasts = append(u.lasts, name.Last)
+			}
+			u.last = append(u.last, l)
 		}
 		u.class = append(u.class, c)
 	}
@@ -85,20 +107,53 @@ func (t *NameTable) Class(r RefID) int32 { return t.class[r] }
 // (ParseName(name).String()): the string the canopy q-grams are cut from.
 func (t *NameTable) Normalized(r RefID) string { return t.full[t.class[r]] }
 
+// Lasts returns the number of distinct last names.
+func (t *NameTable) Lasts() int { return len(t.lasts) }
+
+// Last returns the last-name id of class c.
+func (t *NameTable) Last(c int32) int32 { return t.last[c] }
+
 // Level returns the name-similarity level of classes x and y, in either
-// order. A miss costs the kernel's Jaro-Winkler scores and nothing else:
-// both names are already parsed and rendered.
+// order: NameLevel of their names, settled by their last names' level
+// (LastLevel) unless both are spelled out and their last names similar.
+// A miss of either memo costs its kernel and nothing else: the names are
+// already parsed and rendered.
 func (t *NameTable) Level(x, y int32) similarity.Level {
 	if x == y {
 		return similarity.Level(t.self[x])
 	}
-	key := flat.Pair(x, y)
-	i, ok := t.pairs.Find(key)
-	if ok {
-		return similarity.Level(t.pairs.Word(i) & levelMask)
+	a, b := t.names[x], t.names[y]
+	if ll := t.LastLevel(t.last[x], t.last[y]); ll == similarity.LevelNone || a.Abbreviated() || b.Abbreviated() {
+		if !similarity.InitialsAgree(a, b) {
+			return similarity.LevelNone
+		}
+		return ll
 	}
-	l := similarity.NameLevelRendered(t.names[x], t.names[y], t.full[x], t.full[y])
-	t.pairs.Insert(i, key|uint64(l), struct{}{})
+	return memo(t.pairs, flat.Pair(x, y), func() similarity.Level {
+		return similarity.NameLevelRendered(a, b, t.full[x], t.full[y])
+	})
+}
+
+// LastLevel returns similarity.LastLevel of last names u and v, in either
+// order, scoring each pair of distinct last names once.
+func (t *NameTable) LastLevel(u, v int32) similarity.Level {
+	if u == v {
+		return similarity.LastLevel(t.lasts[u], t.lasts[u]) // string equality decides it
+	}
+	return memo(t.lastPairs, flat.Pair(u, v), func() similarity.Level {
+		return similarity.LastLevel(t.lasts[u], t.lasts[v])
+	})
+}
+
+// memo returns the level pairs holds for key, scoring and storing it on a
+// miss.
+func memo(pairs *flat.Table[struct{}], key uint64, score func() similarity.Level) similarity.Level {
+	i, ok := pairs.Find(key)
+	if ok {
+		return similarity.Level(pairs.Word(i) & levelMask)
+	}
+	l := score()
+	pairs.Insert(i, key|uint64(l), struct{}{})
 	return l
 }
 
@@ -107,24 +162,35 @@ func (t *NameTable) RefLevel(a, b RefID) similarity.Level {
 	return t.Level(t.class[a], t.class[b])
 }
 
-// Scored returns how many distinct class pairs Level has scored so far —
-// the number of NameLevel evaluations the dataset has cost, since a scored
-// pair is never scored again — counting those of the tables it continues.
-func (t *NameTable) Scored() int { return t.pairs.Len() }
+// Scored returns how many kernel evaluations the table has made so far —
+// distinct last-name pairs scored by LastLevel plus distinct spelled-out
+// class pairs scored by NameLevel, since a scored pair is never scored
+// again — counting those of the tables it continues.
+func (t *NameTable) Scored() int { return t.lastPairs.Len() + t.pairs.Len() }
 
-// Kept returns how many references and scored class pairs the table took
-// over from the table Extend continued (zero for a table built fresh): this
-// table parsed len(references) − refs names and made Scored() − pairs
+// Kept returns how many references and scored pairs of both kinds the table
+// took over from the table Extend continued (zero for a table built fresh):
+// this table parsed len(references) − refs names and made Scored() − pairs
 // kernel calls of its own.
 func (t *NameTable) Kept() (refs, pairs int) { return t.keptRefs, t.keptPairs }
 
-// ScoredPairs yields every class pair Level has scored, smaller class
-// first, with its level, in no particular order.
-func (t *NameTable) ScoredPairs() iter.Seq2[[2]int32, similarity.Level] {
-	return func(yield func([2]int32, similarity.Level) bool) {
-		for w := range t.pairs.All() {
-			if !yield([2]int32{int32(w >> 33), int32(w>>2) & (1<<31 - 1)}, similarity.Level(w&levelMask)) {
-				return
+// ScoredPair is one kernel evaluation of a NameTable: a pair of distinct
+// last-name ids when Last is set (LastLevel), else of distinct class ids
+// (Level), smaller id first.
+type ScoredPair struct {
+	X, Y int32
+	Last bool
+}
+
+// ScoredPairs yields every pair the table has scored, of both kinds, with
+// its level, in no particular order.
+func (t *NameTable) ScoredPairs() iter.Seq2[ScoredPair, similarity.Level] {
+	return func(yield func(ScoredPair, similarity.Level) bool) {
+		for i, pairs := range []*flat.Table[struct{}]{t.lastPairs, t.pairs} {
+			for w := range pairs.All() {
+				if !yield(ScoredPair{int32(w >> 33), int32(w>>2) & (1<<31 - 1), i == 0}, similarity.Level(w&levelMask)) {
+					return
+				}
 			}
 		}
 	}

@@ -10,13 +10,17 @@ import (
 // TestNameTableLevels: the table's level of two references is NameLevel of
 // their parsed names — x == y and both argument orders included, asked twice
 // so hits are checked as well as misses — over enough distinct names to grow
-// the cache several times; and each distinct pair is scored exactly once.
+// both memos several times; and each distinct pair of either kind is scored
+// exactly once: every pair of distinct last names the classes carry, and
+// every pair of distinct spelled-out classes whose last names are similar.
 func TestNameTableLevels(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	firsts := []string{"vibhor", "v", "nilesh", "n.", "minos", "", "jose maria", "Vibhor"}
-	lasts := []string{"rastogi", "rastogy", "dalvi", "dalvy", "garofalakis", "rastogi,"}
+	lasts := []string{"rastogi", "rastogy", "rastogie", "dalvi", "dalvy", "Dalvi", "garofalakis", "garofalakes",
+		"suciu", "sucu", "halevy", "halevi", "widom", "widon", "ullman", "ulman", "abiteboul", "abitebol",
+		"vianu", "viannu", "vardi", "vardy", "rastogi,"}
 	d := &Dataset{Name: "names"}
-	for i := 0; i < 90; i++ {
+	for i := 0; i < 400; i++ {
 		name := firsts[rng.Intn(len(firsts))] + " " + lasts[rng.Intn(len(lasts))]
 		if i%30 == 0 {
 			name = "." // parses to no name at all: level none even with itself
@@ -34,25 +38,50 @@ func TestNameTableLevels(t *testing.T) {
 			t.Fatalf("Normalized(%d) = %q, want %q", i, got, want)
 		}
 	}
-	pairs := map[[2]similarity.Name]bool{}
+	lastPairs, classPairs := map[[2]string]bool{}, map[[2]similarity.Name]bool{}
 	for pass := 0; pass < 2; pass++ {
 		for a := range d.Refs {
 			for b := range d.Refs {
-				want := similarity.NameLevel(parsed[a], parsed[b])
+				p, q := parsed[a], parsed[b]
+				want := similarity.NameLevel(p, q)
 				if got := tab.RefLevel(RefID(a), RefID(b)); got != want {
 					t.Fatalf("pass %d: RefLevel(%q, %q) = %d, NameLevel %d", pass, d.Refs[a].Name, d.Refs[b].Name, got, want)
 				}
-				if parsed[a] != parsed[b] && !pairs[[2]similarity.Name{parsed[b], parsed[a]}] {
-					pairs[[2]similarity.Name{parsed[a], parsed[b]}] = true
+				if p == q {
+					continue
+				}
+				if p.Last != q.Last && !lastPairs[[2]string{q.Last, p.Last}] {
+					lastPairs[[2]string{p.Last, q.Last}] = true
+				}
+				spelled := !p.Abbreviated() && !q.Abbreviated() && similarity.LastLevel(p.Last, q.Last) != similarity.LevelNone
+				if spelled && !classPairs[[2]similarity.Name{q, p}] {
+					classPairs[[2]similarity.Name{p, q}] = true
 				}
 			}
 		}
 	}
-	if tab.Scored() != len(pairs) {
-		t.Errorf("scored %d class pairs, the references have %d distinct unordered ones", tab.Scored(), len(pairs))
+	scored := map[ScoredPair]bool{}
+	lastN := 0
+	for p, l := range tab.ScoredPairs() {
+		if p.X >= p.Y || scored[p] {
+			t.Fatalf("ScoredPairs yielded %+v out of order or twice", p)
+		}
+		scored[p] = true
+		want := similarity.NameLevel(tab.names[p.X], tab.names[p.Y])
+		if p.Last {
+			lastN++
+			want = similarity.LastLevel(tab.lasts[p.X], tab.lasts[p.Y])
+		}
+		if l != want {
+			t.Fatalf("ScoredPairs yielded %+v at level %d, the kernel says %d", p, l, want)
+		}
 	}
-	if tab.Scored() < 3*64 {
-		t.Errorf("%d pairs scored: the test must take a new 64-slot table through two growths", tab.Scored())
+	if lastN != len(lastPairs) || tab.Scored()-lastN != len(classPairs) || tab.Scored() != len(scored) {
+		t.Errorf("scored %d last-name pairs and %d class pairs; the references have %d distinct unordered last-name pairs and %d spelled-out class pairs under similar last names",
+			lastN, tab.Scored()-lastN, len(lastPairs), len(classPairs))
+	}
+	if lastN < 3*64 || tab.Scored()-lastN < 3*64 {
+		t.Errorf("%d last-name and %d class pairs scored: the test must take each new 64-slot memo through two growths", lastN, tab.Scored()-lastN)
 	}
 }
 

@@ -59,7 +59,7 @@ var ErrNotFromRecords = errors.New("bib: dataset was not built from records")
 // Extend returns what DatasetFromRecords(name, d's records followed by recs)
 // returns, lowering only recs: d's references and papers are copied, and a
 // built and current name table of d is continued (NameTable), so only recs'
-// names are parsed and the class pairs d scored stay scored. d is read and
+// names are parsed and the pairs d scored stay scored. d is read and
 // never written, not even by its lazy Names or Coauthor, so any number of
 // goroutines may extend one dataset at once.
 func (d *Dataset) Extend(name string, recs []Record) (*Dataset, error) {

@@ -19,11 +19,13 @@
 // Wherever blocking needs the discretized name similarity — the pairs that
 // drive aligned expansion, the candidate pairs handed to the matchers — it
 // asks the dataset's name table (bib.Dataset.Names): references are grouped
-// by parsed name, the level is evaluated once per pair of distinct names per
-// dataset — BuildCover, Index.Add and CandidatePairs all read the one table,
-// so what cover construction scored candidate enumeration finds scored — and
-// reference pairs are only walked under name pairs that are similar
-// (classGroups, names.go).
+// by parsed name and names by last name, a level is evaluated once per pair
+// of distinct last names, and once per pair of spelled-out names the last
+// names do not settle, per dataset — BuildCover, Index.Add and
+// CandidatePairs all read the one table, so what cover construction scored
+// candidate enumeration finds scored — and name pairs are only looked at
+// under last names that are similar, reference pairs only under name pairs
+// that are (classGroups, names.go).
 package canopy
 
 import (
@@ -891,11 +893,11 @@ func Levels(pairs []SimilarPair) []similarity.Level {
 // only the distinct pairs are ordered.
 //
 // The levels come from d.Names(). When d is the dataset the cover was built
-// on, the canopies' class pairs — most of what a neighborhood holds — were
-// scored by BuildCover, and only the pairs that totality patching and
-// aligned expansion brought together are scored here. Each level is read
-// once per class pair of a neighborhood and carried with its pairs, never
-// looked up again per candidate.
+// on, the canopies' last-name and class pairs — most of what a neighborhood
+// holds — were scored by BuildCover, and only the pairs that totality
+// patching and aligned expansion brought together are scored here. Each
+// level is read once per similar class pair of a neighborhood and carried
+// with its pairs, never looked up again per candidate.
 func CandidatePairs(d *bib.Dataset, cover *core.Cover) []SimilarPair {
 	return candidatePairs(d, cover.Sets)
 }

@@ -30,20 +30,48 @@ func PrecisionRecall(predicted, truth core.PairSet) PRF {
 			tp++
 		}
 	}
-	out := PRF{
-		TP: tp,
-		FP: predicted.Len() - tp,
-		FN: truth.Len() - tp,
+	return prf(tp, predicted.Len(), truth.Len())
+}
+
+// PrecisionRecallLabels is PrecisionRecall against the truth gold labels
+// define: entities a and b are a true pair when gold[a] == gold[b] >= 0. It
+// counts from the labels in O(|predicted| + len(gold)) and never builds the
+// truth set, whose size is the sum of C(k, 2) over the label counts k.
+// Every entity of predicted must index gold.
+func PrecisionRecallLabels(predicted core.PairSet, gold []int32) PRF {
+	tp := 0
+	for k := range predicted {
+		p := k.Pair()
+		if g := gold[p.A]; g >= 0 && g == gold[p.B] {
+			tp++
+		}
 	}
-	if predicted.Len() == 0 {
+	count := make(map[int32]int, len(gold)/4)
+	for _, g := range gold {
+		if g >= 0 {
+			count[g]++
+		}
+	}
+	truth := 0
+	for _, k := range count {
+		truth += k * (k - 1) / 2
+	}
+	return prf(tp, predicted.Len(), truth)
+}
+
+// prf is the PRF of tp true positives among predicted matches, against
+// truth true pairs.
+func prf(tp, predicted, truth int) PRF {
+	out := PRF{TP: tp, FP: predicted - tp, FN: truth - tp}
+	if predicted == 0 {
 		out.Precision = 1
 	} else {
-		out.Precision = float64(tp) / float64(predicted.Len())
+		out.Precision = float64(tp) / float64(predicted)
 	}
-	if truth.Len() == 0 {
+	if truth == 0 {
 		out.Recall = 1
 	} else {
-		out.Recall = float64(tp) / float64(truth.Len())
+		out.Recall = float64(tp) / float64(truth)
 	}
 	if out.Precision+out.Recall > 0 {
 		out.F1 = 2 * out.Precision * out.Recall / (out.Precision + out.Recall)
@@ -89,13 +117,17 @@ type Report struct {
 // Evaluate builds a Report for a run against ground truth and an optional
 // reference run (pass nil reference to skip soundness/completeness).
 func Evaluate(res *core.Result, truth core.PairSet, reference core.PairSet) Report {
-	r := Report{
-		Scheme:       res.Scheme,
-		PRF:          PrecisionRecall(res.Matches, truth),
-		Soundness:    1,
-		Completeness: 1,
-		Stats:        res.Stats,
-	}
+	return report(res, PrecisionRecall(res.Matches, truth), reference)
+}
+
+// EvaluateLabels is Evaluate against the truth gold labels define
+// (PrecisionRecallLabels).
+func EvaluateLabels(res *core.Result, gold []int32, reference core.PairSet) Report {
+	return report(res, PrecisionRecallLabels(res.Matches, gold), reference)
+}
+
+func report(res *core.Result, m PRF, reference core.PairSet) Report {
+	r := Report{Scheme: res.Scheme, PRF: m, Soundness: 1, Completeness: 1, Stats: res.Stats}
 	if reference != nil {
 		r.Soundness = Soundness(res.Matches, reference)
 		r.Completeness = Completeness(res.Matches, reference)

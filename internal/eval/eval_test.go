@@ -2,11 +2,14 @@ package eval
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bib"
 	"repro/internal/core"
+	"repro/internal/datagen"
 )
 
 func ps(pairs ...[2]int32) core.PairSet {
@@ -147,5 +150,95 @@ func TestSubsetAlwaysSound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPrecisionRecallLabelsMatchesTruthSet: counted from the gold labels,
+// precision and recall equal PrecisionRecall against the set of true pairs,
+// field for field, on all five generated corpus kinds — against random match
+// sets, against the truth itself, and against nothing — and on random
+// labelings with unlabeled entities and sparse, negative label ids.
+func TestPrecisionRecallLabelsMatchesTruthSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	check := func(name string, gold []int32, truth core.PairSet) {
+		t.Helper()
+		n := len(gold)
+		for trial := 0; trial < 6; trial++ {
+			predicted := core.NewPairSet()
+			switch trial {
+			case 0: // nothing predicted
+			case 1:
+				predicted = truth.Clone()
+			default:
+				// Random pairs, and pairs near the truth: a true pair with one
+				// end moved, so both hits and misses are common.
+				for k := range truth {
+					p := k.Pair()
+					switch rng.Intn(3) {
+					case 0:
+						predicted.Add(p)
+					case 1:
+						if b := core.EntityID(rng.Intn(n)); b != p.A {
+							predicted.Add(core.MakePair(p.A, b))
+						}
+					}
+				}
+				for k := rng.Intn(n + 1); k > 0 && n > 1; k-- {
+					if a, b := core.EntityID(rng.Intn(n)), core.EntityID(rng.Intn(n)); a != b {
+						predicted.Add(core.MakePair(a, b))
+					}
+				}
+			}
+			if got, want := PrecisionRecallLabels(predicted, gold), PrecisionRecall(predicted, truth); got != want {
+				t.Fatalf("%s trial %d: from labels %+v, from the truth set %+v", name, trial, got, want)
+			}
+		}
+	}
+	truthOf := func(d *bib.Dataset) core.PairSet {
+		truth := core.NewPairSet()
+		for p := range d.TruePairs() {
+			truth.Add(core.MakePair(p[0], p[1]))
+		}
+		return truth
+	}
+	for _, d := range []*bib.Dataset{
+		datagen.MustGenerate(datagen.HEPTHLike(0.1, 42)),
+		datagen.MustGenerate(datagen.DBLPLike(0.1, 42)),
+		datagen.MustGenerate(datagen.DBLPBigLike(0.01, 42)),
+		datagen.MustGenerate(datagen.MillionLike(0.0002, 42)),
+		func() *bib.Dataset {
+			d, err := bib.DatasetFromRecords("people", datagen.MustGeneratePeople(datagen.PeopleLike(0.1, 42)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}(),
+	} {
+		gold := make([]int32, len(d.Refs))
+		for i := range d.Refs {
+			gold[i] = d.Refs[i].True
+		}
+		truth := truthOf(d)
+		if truth.Len() == 0 {
+			t.Fatalf("%s: no true pairs", d.Name)
+		}
+		t.Logf("%s: %d references, %d true pairs", d.Name, len(d.Refs), truth.Len())
+		check(d.Name, gold, truth)
+	}
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(80)
+		gold := make([]int32, n)
+		for i := range gold {
+			gold[i] = int32(rng.Intn(1+n/3)*1_000_003 - 7) // some negative: unlabeled
+		}
+		truth := core.NewPairSet()
+		for a := range n {
+			for b := a + 1; b < n; b++ {
+				if gold[a] >= 0 && gold[a] == gold[b] {
+					truth.Add(core.MakePair(core.EntityID(a), core.EntityID(b)))
+				}
+			}
+		}
+		check("random", gold, truth)
 	}
 }

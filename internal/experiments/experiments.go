@@ -624,7 +624,7 @@ func LearnedWeights(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		learned, err := mln.Learn(trainM, train.Cover, train.Truth, mln.DefaultLearnConfig())
+		learned, err := mln.Learn(trainM, train.Cover, train.Truth(), mln.DefaultLearnConfig())
 		if err != nil {
 			return nil, err
 		}

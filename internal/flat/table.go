@@ -1,8 +1,8 @@
 // Package flat lays relations out in flat arrays instead of Go maps and
 // per-key slices. Table is the open-addressed hash table the blocking stage
-// keeps its pair relations in: the name table's scored class pairs (bib),
-// the aligned context of each driving pair and the distinct candidate pairs
-// (canopy). Its keys are nonzero uint64 words, typically a packed pair
+// keeps its pair relations in: the name table's scored last-name and class
+// pairs (bib), the aligned context of each driving pair and the distinct
+// candidate pairs (canopy). Its keys are nonzero uint64 words, typically a packed pair
 // (Pair). A Go map keyed by the same words lost the aligned-context memo its
 // whole gain when it was tried: two flat arrays probe and grow for less.
 // Bucket groups values by a dense key in one counting pass (CSR).

@@ -40,3 +40,25 @@ func FuzzJaro(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLastLevelBoundsNameLevel: the last names bound a pair's level, which
+// is what lets bib.NameTable settle most pairs from a last-name memo: a
+// non-zero NameLevel implies a non-zero LastLevel, and an abbreviated pair
+// whose initials agree has exactly its LastLevel.
+func FuzzLastLevelBoundsNameLevel(f *testing.F) {
+	f.Add("V. Rastogi", "Vibhor Rastogy")
+	f.Add("rastogi", "v rastogi")
+	f.Add("John Smith", "Jon Smith")
+	f.Add("a b", ".")
+	f.Add("N. Dalvi", "M. Dalvi")
+	f.Fuzz(func(t *testing.T, a, b string) {
+		na, nb := ParseName(a), ParseName(b)
+		nl, ll := NameLevel(na, nb), LastLevel(na.Last, nb.Last)
+		if nl != LevelNone && ll == LevelNone {
+			t.Fatalf("%q/%q: NameLevel %d under LastLevel none", a, b, nl)
+		}
+		if (na.Abbreviated() || nb.Abbreviated()) && InitialsAgree(na, nb) && nl != ll {
+			t.Fatalf("%q/%q: abbreviated pair with agreeing initials at NameLevel %d, LastLevel %d", a, b, nl, ll)
+		}
+	})
+}

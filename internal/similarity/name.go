@@ -108,18 +108,10 @@ func nameLevel(a, b Name, as, bs string) Level {
 		return LevelNone
 	}
 	if a.Abbreviated() || b.Abbreviated() {
-		if a.First != "" && b.First != "" && a.First[0] != b.First[0] {
+		if !InitialsAgree(a, b) {
 			return LevelNone
 		}
-		ls := JaroWinkler(a.Last, b.Last)
-		switch {
-		case ls >= lastMediumThreshold:
-			return LevelMedium
-		case ls >= lastWeakThreshold:
-			return LevelWeak
-		default:
-			return LevelNone
-		}
+		return LastLevel(a.Last, b.Last)
 	}
 	// Identical spelled-out names are the only Level-3 evidence.
 	if a == b {
@@ -130,7 +122,7 @@ func nameLevel(a, b Name, as, bs string) Level {
 	// "Jane Smith" shares most of its characters but is no candidate).
 	// The guards run first: they reject most pairs, on short strings,
 	// before the full names are concatenated and scored.
-	if JaroWinkler(a.Last, b.Last) < lastWeakThreshold {
+	if LastLevel(a.Last, b.Last) == LevelNone {
 		return LevelNone
 	}
 	if a.First != "" && b.First != "" && JaroWinkler(a.First, b.First) < firstCompatibility {
@@ -148,6 +140,32 @@ func nameLevel(a, b Name, as, bs string) Level {
 	default:
 		return LevelNone
 	}
+}
+
+// LastLevel discretizes the Jaro-Winkler similarity of two last names:
+// LevelNone when either is empty or the score is below 0.82, LevelWeak from
+// 0.82 and LevelMedium from 0.92. Names whose last names are LevelNone are
+// LevelNone, and an abbreviated pair whose initials agree is its LastLevel,
+// so only two spelled-out names with similar last names need NameLevel.
+func LastLevel(a, b string) Level {
+	if a == "" || b == "" {
+		return LevelNone
+	}
+	switch s := JaroWinkler(a, b); {
+	case s >= lastMediumThreshold:
+		return LevelMedium
+	case s >= lastWeakThreshold:
+		return LevelWeak
+	default:
+		return LevelNone
+	}
+}
+
+// InitialsAgree reports whether the first name blocks of a and b start
+// with the same letter, or either is absent: the test an abbreviated pair
+// must pass before its last names decide its level.
+func InitialsAgree(a, b Name) bool {
+	return a.First == "" || b.First == "" || a.First[0] == b.First[0]
 }
 
 // StringLevel parses both raw strings and discretizes their similarity.

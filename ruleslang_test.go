@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	cem "repro"
@@ -110,20 +111,25 @@ func TestRegisterRuleProgramCollision(t *testing.T) {
 	}
 }
 
+// loadRuns numbers the runs of TestLoadRulesFile in this process.
+var loadRuns atomic.Int32
+
 func TestLoadRulesFile(t *testing.T) {
 	if _, err := cem.LoadRulesFile(filepath.Join(t.TempDir(), "absent.rules")); err == nil {
 		t.Fatal("loading a missing file succeeded")
 	}
+	// The registry is process-global: each run registers a name of its own.
+	want := fmt.Sprintf("load-file-test-%d", loadRuns.Add(1))
 	path := filepath.Join(t.TempDir(), "t.rules")
-	if err := os.WriteFile(path, []byte("program load-file-test\nmatch level 3\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("program "+want+"\nmatch level 3\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	name, err := cem.LoadRulesFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name != "load-file-test" {
-		t.Errorf("name = %q", name)
+	if name != want {
+		t.Errorf("name = %q, the file names %q", name, want)
 	}
 	found := false
 	for _, m := range cem.Matchers() {

@@ -217,7 +217,7 @@ func (r *Runner) run(ctx context.Context, s Scheme, warm *core.WarmStart, resume
 	case s == SchemeFull:
 		raw, err = core.Full(ctx, cfg)
 	case s == SchemeUB:
-		raw, err = core.UB(ctx, cfg, r.exp.Truth)
+		raw, err = core.UB(ctx, cfg, r.exp.Truth())
 	default:
 		return nil, fmt.Errorf("cem: unknown scheme %q", s)
 	}
