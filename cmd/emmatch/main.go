@@ -263,12 +263,14 @@ type pipelineConfig struct {
 
 // newPipeline assembles the pipeline both modes run on.
 func (c pipelineConfig) newPipeline(name string) (*cem.Pipeline, error) {
+	blocking := cem.DefaultOptions().Canopy
+	blocking.MaxNeighborhood = c.maxNbr
 	return cem.NewPipeline(
 		cem.WithDatasetName(name),
 		cem.WithMatcher(c.matcher),
 		cem.WithScheme(cem.Scheme(c.scheme)),
 		cem.WithShards(c.shards),
-		cem.WithMaxNeighborhood(c.maxNbr),
+		cem.WithBlocking(blocking),
 		cem.WithRunnerOptions(c.runnerOpts...),
 	)
 }

@@ -452,7 +452,7 @@ func TestUpdateAcrossBlockingConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := cem.NewPipeline(cem.WithScheme(cem.SchemeSMP), cem.WithMaxNeighborhood(8))
+	tight, err := cem.NewPipeline(cem.WithScheme(cem.SchemeSMP), boundedBlocking(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,7 +606,7 @@ func TestUpdateInheritsNameTable(t *testing.T) {
 			batches = append(batches, b[lo:min(lo+step, len(b))])
 		}
 	}
-	for _, opts := range [][]cem.PipelineOption{nil, {cem.WithMaxNeighborhood(8)}} {
+	for _, opts := range [][]cem.PipelineOption{nil, {boundedBlocking(8)}} {
 		pipe, err := cem.NewPipeline(append(opts, cem.WithScheme(cem.SchemeSMP))...)
 		if err != nil {
 			t.Fatal(err)
@@ -759,7 +759,7 @@ func TestUpdateNonAdditiveEnumeratesCandidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	batches := arrival(rand.New(rand.NewSource(0)), records)[:2]
-	pipe, err := cem.NewPipeline(cem.WithScheme(cem.SchemeSMP), cem.WithMaxNeighborhood(4))
+	pipe, err := cem.NewPipeline(cem.WithScheme(cem.SchemeSMP), boundedBlocking(4))
 	if err != nil {
 		t.Fatal(err)
 	}

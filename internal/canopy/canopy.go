@@ -7,9 +7,9 @@
 // constructing a total cover over Similar using Canopies, and then taking
 // the boundary of each neighborhood with respect to other relations").
 //
-// Canopy scoring is over distinct normalized names, not references: the
-// q-gram table (gramTable) holds one row per distinct name — gram ids,
-// posting entries, counters — scores a similar pair of rows once, by
+// Canopy scoring is over name classes, not references: the q-gram table
+// (gramTable) holds one row per class of the dataset's name table — gram
+// ids, posting entries, counters — scores a similar pair of rows once, by
 // counting along the later row's postings, and only emission (emitter) turns
 // candidate rows into the references that carry them. Blocking is one index:
 // a cold run (BuildCoverContext, CanopiesContext) is an Index's first add,
@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/bib"
 	"repro/internal/core"
@@ -74,9 +73,11 @@ type Config struct {
 	// members (ties broken by ascending id). Records dropped by the cap
 	// stay in the seed pool, so they still seed canopies of their own and
 	// the result remains a cover. This is the paper's "sizes of
-	// neighborhoods are bounded" knob at the blocking stage; the later
-	// relational expansion (MaxAligned, totality patching) may still grow
-	// neighborhoods past the cap by a bounded amount.
+	// neighborhoods are bounded" knob at the blocking stage, and it bounds
+	// canopy cores only, not finished neighborhoods: totality patching and
+	// relational expansion (MaxAligned) grow a set past the cap by an
+	// amount nothing bounds — 2.6–2.7× the cap at million-like 0.1, and the
+	// mean set still grows with the corpus.
 	MaxNeighborhood int
 }
 
@@ -108,12 +109,6 @@ func DefaultConfig() Config {
 	return Config{Loose: 0.42, Tight: 0.85, Q: 2, MaxAligned: 1}
 }
 
-// normalize renders a reference name into canonical "first last" form so
-// that punctuation and case do not affect gram overlap.
-func normalize(name string) string {
-	return similarity.ParseName(name).String()
-}
-
 // Canopies clusters the given names into (possibly overlapping) canopies
 // and returns each canopy as a list of indices into names. Every name is
 // in at least one canopy. Seeds are processed in ascending index order,
@@ -138,51 +133,51 @@ type scored struct {
 }
 
 // gramTable is the inverted q-gram index an Index scores against, a table
-// over DISTINCT normalized names: references whose names normalize to
-// one string share a row, and everything the scorer reads — gram lists,
-// postings, counters — is per row. Two references of one row have the same
-// grams, hence the same similarity to everything, so a row is scored once
-// and its references stand or fall together; only emission (emitter) walks
-// references. Each distinct byte q-gram is interned to a dense id when a row
-// first contains it; after insert nothing on the scoring path is keyed by
-// string.
+// over the dataset's name classes (bib.NameTable): row c is class c, whose
+// references share one parsed name and so one normalized string, and
+// everything the scorer reads — gram lists, postings, counters — is per row.
+// Two references of one row have the same grams, hence the same similarity
+// to everything, so a row is scored once and its references stand or fall
+// together; only emission (emitter) walks references. The table keeps no
+// names and no record → row map: the name table numbers classes in order of
+// first appearance, so the rows a batch opens are the classes its references
+// bring, in that order. Each distinct byte q-gram is interned to a dense id
+// when a row first contains it; after open nothing on the scoring path is
+// keyed by string.
 type gramTable struct {
 	q        int
 	ids      map[string]int32 // gram dictionary, consulted once per gram of a new row
-	rows     map[string]int32 // normalized name -> row
-	names    []string         // row -> normalized name, rows in order of first appearance
 	grams    [][]int32        // row -> ascending distinct gram ids
 	postings [][]int32        // gram id -> rows, ascending as rows only append
-	rowOf    []int32          // record -> row
-
-	// row -> its records, ascending, as CSR; derived from rowOf by
-	// indexMembers and stale after an insert until it is called again.
-	memberOff []int32
-	members   []core.EntityID
 }
 
 func newGramTable(q int) *gramTable {
-	return &gramTable{q: q, ids: map[string]int32{}, rows: map[string]int32{}}
+	return &gramTable{q: q, ids: map[string]int32{}}
 }
 
-// insert appends the record with normalized name s and reports its row and
-// whether the record opened it.
-func (t *gramTable) insert(s string) (row int32, fresh bool) {
-	row, fresh = t.rowFor(s)
-	t.rowOf = append(t.rowOf, row)
-	return row, fresh
-}
-
-// rowFor returns the row of normalized name s, opening it when s is new. A
-// row's grams are the byte q-grams of s, or s itself when it is shorter than
-// q; "" has none.
-func (t *gramTable) rowFor(s string) (row int32, fresh bool) {
-	if row, ok := t.rows[s]; ok {
-		return row, false
+// openRows opens, in order, the row of each class that references
+// [from, to) of names bring: a reference whose class is the next row opens
+// it. It fails unless the rows then are the table's classes one for one
+// (names must extend the references the rows came from), leaving the rows
+// it opened to the caller's truncate.
+func (t *gramTable) openRows(names *bib.NameTable, from, to int) error {
+	for r := bib.RefID(from); r < bib.RefID(to); r++ {
+		if c := names.Class(r); int(c) == len(t.grams) {
+			t.open(names.Normalized(r))
+		} else if int(c) > len(t.grams) {
+			return fmt.Errorf("canopy: reference %d is in name class %d past the %d rows indexed: the dataset does not extend the indexed records", r, c, len(t.grams))
+		}
 	}
-	row = int32(len(t.names))
-	t.rows[s] = row
-	t.names = append(t.names, s)
+	if len(t.grams) != names.Classes() {
+		return fmt.Errorf("canopy: %d rows indexed for %d name classes: the dataset does not extend the indexed records", len(t.grams), names.Classes())
+	}
+	return nil
+}
+
+// open appends the row of normalized name s. Its grams are the byte q-grams
+// of s, or s itself when it is shorter than q; "" has none.
+func (t *gramTable) open(s string) {
+	row := int32(len(t.grams))
 	q := min(t.q, len(s))
 	gs := make([]int32, 0, len(s)-q+1)
 	for i := 0; q > 0 && i+q <= len(s); i++ {
@@ -194,12 +189,11 @@ func (t *gramTable) rowFor(s string) (row int32, fresh bool) {
 		t.postings[g] = append(t.postings[g], row)
 	}
 	t.grams = append(t.grams, gs)
-	return row, true
 }
 
-// intern returns the id of gram g, a substring of a row name: the table
-// keeps every row name, so keying the dictionary by the substring pins
-// nothing more.
+// intern returns the id of gram g, a substring of a class's normalized name:
+// the name table keeps every such name, so keying the dictionary by the
+// substring pins nothing more.
 func (t *gramTable) intern(g string) int32 {
 	id, ok := t.ids[g]
 	if !ok {
@@ -211,25 +205,21 @@ func (t *gramTable) intern(g string) int32 {
 }
 
 // tableMark is a gramTable's size at one moment; truncate returns to it.
-type tableMark struct{ records, rows, dict int }
+type tableMark struct{ rows, dict int }
 
 func (t *gramTable) mark() tableMark {
-	return tableMark{records: len(t.rowOf), rows: len(t.names), dict: len(t.postings)}
+	return tableMark{rows: len(t.grams), dict: len(t.postings)}
 }
 
-// truncate undoes every insert since m was taken. Row and gram ids are
-// handed out in order, so exactly the rows from m.rows on and the grams from
-// m.dict on were first seen since.
+// truncate undoes every open since m was taken. Row and gram ids are handed
+// out in order, so exactly the rows from m.rows on and the grams from m.dict
+// on were first seen since.
 func (t *gramTable) truncate(m tableMark) {
-	t.rowOf = t.rowOf[:m.records]
-	for row := len(t.names) - 1; row >= m.rows; row-- {
+	for row := len(t.grams) - 1; row >= m.rows; row-- {
 		for _, g := range t.grams[row] {
 			t.postings[g] = t.postings[g][:len(t.postings[g])-1] // ascending: row is last
 		}
-		delete(t.rows, t.names[row])
 	}
-	clear(t.names[m.rows:])
-	t.names = t.names[:m.rows]
 	clear(t.grams[m.rows:])
 	t.grams = t.grams[:m.rows]
 	if len(t.postings) > m.dict {
@@ -241,20 +231,6 @@ func (t *gramTable) truncate(m tableMark) {
 		clear(t.postings[m.dict:])
 		t.postings = t.postings[:m.dict]
 	}
-}
-
-// indexMembers rebuilds the row -> records CSR from rowOf.
-func (t *gramTable) indexMembers() {
-	t.memberOff, t.members = flat.Bucket(len(t.names), func(yield func(int32, core.EntityID)) {
-		for rec, row := range t.rowOf {
-			yield(row, core.EntityID(rec))
-		}
-	})
-}
-
-// membersOf returns row's records, ascending (as of the last indexMembers).
-func (t *gramTable) membersOf(row int32) []core.EntityID {
-	return t.members[t.memberOff[row]:t.memberOff[row+1]]
 }
 
 // minShared returns the least intersection size c a row of n > 0 grams can
@@ -323,16 +299,29 @@ func (t *gramTable) probe(x int32, loose float64, cnt []int32) []scored {
 // the pool — the records of those rows — and removes that canopy's tightly
 // similar members from the pool.
 type emitter struct {
-	cfg      Config
-	tab      *gramTable // members indexed
-	removed  []bool     // per record: no longer in the seed pool
-	canopies [][]core.EntityID
-	kept     []scored // scratch: the seed's record-level candidates
+	cfg       Config
+	memberOff []int32 // row -> its records, ascending, as CSR
+	members   []core.EntityID
+	removed   []bool // per record: no longer in the seed pool
+	canopies  [][]core.EntityID
+	kept      []scored // scratch: the seed's record-level candidates
 }
 
-func newEmitter(cfg Config, tab *gramTable) *emitter {
-	tab.indexMembers()
-	return &emitter{cfg: cfg, tab: tab, removed: make([]bool, len(tab.rowOf))}
+// newEmitter indexes the records of each row: the references of each of
+// d's name classes.
+func newEmitter(cfg Config, d *bib.Dataset) *emitter {
+	names := d.Names()
+	off, members := flat.Bucket(names.Classes(), func(yield func(int32, core.EntityID)) {
+		for r := range bib.RefID(d.NumRefs()) {
+			yield(names.Class(r), r)
+		}
+	})
+	return &emitter{cfg: cfg, memberOff: off, members: members, removed: make([]bool, d.NumRefs())}
+}
+
+// membersOf returns row's records, ascending.
+func (e *emitter) membersOf(row int32) []core.EntityID {
+	return e.members[e.memberOff[row]:e.memberOff[row+1]]
 }
 
 // emit emits seed's canopy given the candidates of its row, unless an
@@ -345,7 +334,7 @@ func (e *emitter) emit(seed core.EntityID, rows []scored) {
 	}
 	kept := e.kept[:0]
 	for _, r := range rows {
-		for _, rec := range e.tab.membersOf(r.ID) {
+		for _, rec := range e.membersOf(r.ID) {
 			kept = append(kept, scored{ID: rec, Sim: r.Sim})
 		}
 	}
@@ -371,28 +360,29 @@ func (e *emitter) emit(seed core.EntityID, rows []scored) {
 }
 
 // CanopiesContext is Canopies with context cancellation and sharded
-// execution: the names, normalized in parallel, are the first add of an
-// index of `shards` scoring workers (shards <= 0 means GOMAXPROCS), and its
-// serial emission gives the same canopies for every shard count. A canceled
-// context aborts between probes with ctx.Err(). Each worker past the first
-// keeps a counter per distinct name, so bound shards on very large corpora.
+// execution: the names are a names-only dataset, whose name classes are the
+// rows of an index of `shards` scoring workers (shards <= 0 means
+// GOMAXPROCS), and its serial emission gives the same canopies for every
+// shard count. A canceled context aborts between probes with ctx.Err(). Each
+// worker past the first keeps a counter per distinct name, so bound shards
+// on very large corpora.
 func CanopiesContext(ctx context.Context, names []string, cfg Config, shards int) ([][]core.EntityID, error) {
-	norm := make([]string, len(names))
-	if err := eachShard(ctx, len(names), scoringShards(shards, len(names)), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			norm[i] = normalize(names[i])
-		}
-	}); err != nil {
-		return nil, err
-	}
+	d := namesDataset(names)
 	ix := newIndex(cfg, shards)
-	for _, s := range norm {
-		ix.tab.insert(s)
-	}
-	if err := ix.score(ctx, 0); err != nil {
+	if err := ix.open(ctx, d); err != nil {
 		return nil, err
 	}
-	return ix.emit(), nil
+	return ix.emit(d), nil
+}
+
+// namesDataset returns a dataset of references with the given names and no
+// papers: enough for its name table.
+func namesDataset(names []string) *bib.Dataset {
+	d := &bib.Dataset{Refs: make([]bib.Reference, len(names))}
+	for i, name := range names {
+		d.Refs[i].Name = name
+	}
+	return d
 }
 
 // rowsPerShard is the fewest new rows a scoring worker is started for: a
@@ -422,36 +412,6 @@ func capCanopy(cands []scored, seed core.EntityID, k int) []scored {
 		return cmp.Or(cmp.Compare(rank(b), rank(a)), cmp.Compare(a.ID, b.ID))
 	})
 	return cands[:k]
-}
-
-// eachShard splits [0, n) into `shards` contiguous blocks and runs fn on
-// each concurrently, unless ctx is already canceled.
-func eachShard(ctx context.Context, n, shards int, fn func(lo, hi int)) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if shards > n {
-		shards = n
-	}
-	if shards <= 1 {
-		fn(0, n)
-		return nil
-	}
-	var wg sync.WaitGroup
-	per := (n + shards - 1) / shards
-	for lo := 0; lo < n; lo += per {
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return nil
 }
 
 // ExpandBoundary grows every neighborhood by its boundary w.r.t. rel:

@@ -244,31 +244,26 @@ func TestCandidatePairs(t *testing.T) {
 }
 
 // TestProbeCountsSharedGrams drives the counting probe directly: records of
-// one normalized name share a row, the similarity is |A∩B| / |A∪B| over
+// one name class share a row, the similarity is |A∩B| / |A∪B| over
 // distinct grams, candidate rows come back in ascending order and none past
 // the probed row, the loose threshold filters, and the counters are clean
 // for the next probe.
 func TestProbeCountsSharedGrams(t *testing.T) {
+	d := namesDataset([]string{"bcd", "abc", "", "x", "abab", "abc"})
 	tab := newGramTable(2)
-	var rows []int32
-	for _, s := range []string{"bcd", "abc", "", "x", "abab", "abc"} {
-		row, fresh := tab.insert(s)
-		if want := len(rows) < 5; fresh != want {
-			t.Fatalf("insert(%q) opened a row: %v, want %v", s, fresh, want)
-		}
-		rows = append(rows, row)
+	if err := tab.openRows(d.Names(), 0, d.NumRefs()); err != nil {
+		t.Fatal(err)
 	}
-	if want := []int32{0, 1, 2, 3, 4, 1}; !slices.Equal(rows, want) || !slices.Equal(tab.rowOf, want) {
-		t.Fatalf("rows of the six records = %v (table %v), want %v: the two abc share one", rows, tab.rowOf, want)
+	if len(tab.grams) != 5 {
+		t.Fatalf("six records opened %d rows, want 5: the two abc share one", len(tab.grams))
 	}
-	tab.indexMembers()
-	if got := tab.membersOf(1); !slices.Equal(got, []core.EntityID{1, 5}) {
+	if got := newEmitter(DefaultConfig(), d).membersOf(1); !slices.Equal(got, []core.EntityID{1, 5}) {
 		t.Fatalf("records of row abc = %v, want [1 5]", got)
 	}
 	if got := tab.grams[4]; len(got) != 2 || got[0] >= got[1] {
 		t.Fatalf("grams(abab) = %v, want its two distinct grams ab, ba, ascending", got)
 	}
-	cnt := make([]int32, len(tab.names))
+	cnt := make([]int32, len(tab.grams))
 	const abc, abab = 1, 4 // {ab, bc}, {ab, ba}
 	// abc shares ab with abab too, but abab is a later row: its own probe
 	// finds the pair.
@@ -313,8 +308,8 @@ func BenchmarkBuildCoverHEPTH(b *testing.B) {
 func scoringWork(tb testing.TB, names []string, cfg Config) (rows, probes, incidences int) {
 	tb.Helper()
 	tab := newGramTable(cfg.Q)
-	for _, name := range names {
-		tab.insert(normalize(name))
+	if err := tab.openRows(namesDataset(names).Names(), 0, len(names)); err != nil {
+		tb.Fatal(err)
 	}
 	for x, gs := range tab.grams {
 		if len(gs) > 0 {
@@ -324,7 +319,7 @@ func scoringWork(tb testing.TB, names []string, cfg Config) (rows, probes, incid
 			incidences += slices.Index(tab.postings[g], int32(x)) + 1 // x is in its grams' postings
 		}
 	}
-	return len(tab.names), probes, incidences
+	return len(tab.grams), probes, incidences
 }
 
 // BenchmarkCanopies is the canopy-scoring stage on its own (bench metric

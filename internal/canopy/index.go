@@ -11,9 +11,9 @@ import (
 )
 
 // Index is the blocking state of a dataset's records: the gramTable — one
-// row per distinct normalized name, its interned gram ids and their
-// postings, and each record's row — plus a cached loose-candidate list per
-// row. It is the one canopy scorer. A cold cover is an index's first Add
+// row per name class of the dataset's name table (bib.Dataset.Names), its
+// interned gram ids and their postings — plus a cached loose-candidate list
+// per row. It is the one canopy scorer. A cold cover is an index's first Add
 // (BuildIndex), and every later Add absorbs appended records: it scores only
 // the rows the arriving suffix opens (a record with a known name just joins
 // its row, and the candidate list of a row can only *grow* under ingestion,
@@ -38,6 +38,7 @@ type Index struct {
 	shards int // scoring workers of an Add, as scoringShards resolves them
 
 	mu    sync.Mutex
+	n     int         // records ingested so far
 	tab   *gramTable  // rows, gram ids and postings of the records ingested so far
 	cnt   []int32     // the first scoring worker's counters: a zero per row
 	cands [][]scored  // loose candidate rows per row, ascending
@@ -115,7 +116,7 @@ func (ix *Index) Config() Config { return ix.cfg }
 func (ix *Index) Len() int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	return len(ix.tab.rowOf)
+	return ix.n
 }
 
 // Cover returns the cover built by the last Add (nil before the first).
@@ -130,7 +131,9 @@ func (ix *Index) Cover() *core.Cover {
 // cover over all of d, and reports the delta. The caller owns dataset
 // synthesis: d must extend the previously ingested records in place
 // (names of records [0, ix.Len()) unchanged), which DatasetFromRecords
-// guarantees for appended record batches.
+// and Dataset.Extend guarantee for appended record batches. The rows are
+// d's name classes, read from d.Names(); the index keeps no names of its
+// own.
 //
 // Cost is proportional to the delta: each name not seen before is scored
 // once against the rows before it (Index.score), old rows are never
@@ -152,18 +155,18 @@ func (ix *Index) Add(ctx context.Context, d *bib.Dataset) (*core.Cover, *Delta, 
 func (ix *Index) AddFrom(ctx context.Context, d *bib.Dataset, base int) (*core.Cover, *Delta, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if at := len(ix.tab.rowOf); at != base {
-		return nil, nil, fmt.Errorf("%w (index at %d, caller at %d)", ErrStale, at, base)
+	if ix.n != base {
+		return nil, nil, fmt.Errorf("%w (index at %d, caller at %d)", ErrStale, ix.n, base)
 	}
 	return ix.add(ctx, d)
 }
 
 func (ix *Index) add(ctx context.Context, d *bib.Dataset) (*core.Cover, *Delta, error) {
 	n, at := d.NumRefs(), ix.tab.mark()
-	if n < at.records {
-		return nil, nil, fmt.Errorf("canopy: index holds %d records but dataset has %d (records must only be appended)", at.records, n)
+	if n < ix.n {
+		return nil, nil, fmt.Errorf("canopy: index holds %d records but dataset has %d (records must only be appended)", ix.n, n)
 	}
-	if n == at.records && ix.cover != nil {
+	if n == ix.n && ix.cover != nil {
 		// Nothing arrived: the cover is unchanged, which is trivially
 		// additive.
 		return ix.cover, &Delta{Additive: true}, nil
@@ -184,8 +187,8 @@ func (ix *Index) add(ctx context.Context, d *bib.Dataset) (*core.Cover, *Delta, 
 		}
 		return nil, nil, err
 	}
-	delta := &Delta{NewEntities: make([]core.EntityID, 0, n-at.records)}
-	for id := at.records; id < n; id++ {
+	delta := &Delta{NewEntities: make([]core.EntityID, 0, n-ix.n)}
+	for id := ix.n; id < n; id++ {
 		delta.NewEntities = append(delta.NewEntities, core.EntityID(id))
 	}
 
@@ -208,26 +211,31 @@ func (ix *Index) add(ctx context.Context, d *bib.Dataset) (*core.Cover, *Delta, 
 		}
 	}
 	delta.Additive = len(delta.Regressed) == 0
-	ix.cover = cover
+	ix.n, ix.cover = n, cover
 	return cover, delta, nil
 }
 
-// ingest inserts the records past those the table holds into it, scores the
-// rows they open into the candidate lists and builds the cover over all of d.
-// It leaves ix.cover to the caller, who commits it on success and rolls the
-// suffix back on error.
+// ingest opens and scores the rows of the records past those ingested and
+// builds the cover over all of d. It leaves ix.n and ix.cover to the caller,
+// who commits them on success and rolls the rows back on error.
 func (ix *Index) ingest(ctx context.Context, d *bib.Dataset) (*core.Cover, error) {
-	names, from := d.Names(), len(ix.tab.names)
-	for id := len(ix.tab.rowOf); id < d.NumRefs(); id++ {
-		ix.tab.insert(names.Normalized(bib.RefID(id)))
-	}
-	if err := ix.score(ctx, from); err != nil {
+	if err := ix.open(ctx, d); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return finishCover(ctx, d, ix.cfg, ix.emit())
+	return finishCover(ctx, d, ix.cfg, ix.emit(d))
+}
+
+// open opens the rows the records of d past the ingested ones bring — the
+// name classes they are the first of — and scores them.
+func (ix *Index) open(ctx context.Context, d *bib.Dataset) error {
+	from := len(ix.tab.grams)
+	if err := ix.tab.openRows(d.Names(), ix.n, d.NumRefs()); err != nil {
+		return err
+	}
+	return ix.score(ctx, from)
 }
 
 // score probes the rows from `from` on, each against the rows at or before
@@ -240,7 +248,7 @@ func (ix *Index) ingest(ctx context.Context, d *bib.Dataset) (*core.Cover, error
 // ctx is checked before every probe; on ctx.Err() the lists of the rows
 // before `from` are as they were.
 func (ix *Index) score(ctx context.Context, from int) error {
-	rows := len(ix.tab.names)
+	rows := len(ix.tab.grams)
 	ix.cnt = append(ix.cnt, make([]int32, rows-len(ix.cnt))...)
 	ix.cands = append(ix.cands, make([][]scored, rows-from)...)
 	fresh := ix.cands[from:]
@@ -280,11 +288,12 @@ func (ix *Index) score(ctx context.Context, from int) error {
 }
 
 // emit runs the canopy emission loop over the candidate lists (already
-// loose-filtered and in row order).
-func (ix *Index) emit() [][]core.EntityID {
-	e := newEmitter(ix.cfg, ix.tab)
-	for seed, row := range ix.tab.rowOf {
-		e.emit(core.EntityID(seed), ix.cands[row])
+// loose-filtered and in row order), each record of d seeding with its
+// class's.
+func (ix *Index) emit(d *bib.Dataset) [][]core.EntityID {
+	e, names := newEmitter(ix.cfg, d), d.Names()
+	for seed := range bib.RefID(d.NumRefs()) {
+		e.emit(seed, ix.cands[names.Class(seed)])
 	}
 	return e.canopies
 }

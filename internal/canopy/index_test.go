@@ -164,7 +164,7 @@ func TestIndexEmitMatchesOldAlgorithm(t *testing.T) {
 			for i := range ingested {
 				names[i] = ingested[i].Name
 			}
-			if got, want := ix.emit(), canopiesOld(names, DefaultConfig()); !reflect.DeepEqual(got, want) {
+			if got, want := ix.emit(union), canopiesOld(names, DefaultConfig()); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: index canopies after %d records differ from the old serial algorithm",
 					preset.Name, len(ingested))
 			}
@@ -195,6 +195,35 @@ func TestIndexAddRejectsShrunkDataset(t *testing.T) {
 	}
 	if _, _, err := ix.Add(context.Background(), short); err == nil {
 		t.Fatal("Add accepted a dataset with fewer records than already ingested")
+	}
+}
+
+// TestIndexAddRejectsOtherClasses: the rows are the dataset's name classes,
+// so a dataset whose ingested records hold more classes than the index has
+// rows — it renamed a record the index already holds — is refused, and the
+// index is left as it was.
+func TestIndexAddRejectsOtherClasses(t *testing.T) {
+	first, err := bib.DatasetFromRecords("t", []bib.Record{{Name: "a smith", Group: 0, Gold: -1}, {Name: "a smith", Group: 1, Gold: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	renamed, err := bib.DatasetFromRecords("t", []bib.Record{{Name: "a smith", Group: 0, Gold: -1}, {Name: "b jones", Group: 1, Gold: -1}, {Name: "c brown", Group: 1, Gold: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := NewIndex(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ix.Add(context.Background(), first); err != nil {
+		t.Fatal(err)
+	}
+	before := stateOf(t, ix)
+	if _, _, err := ix.Add(context.Background(), renamed); err == nil {
+		t.Fatal("Add accepted a dataset whose ingested records have more name classes than the index has rows")
+	}
+	if ix.Len() != 2 || !reflect.DeepEqual(stateOf(t, ix), before) {
+		t.Fatal("a refused Add moved the index")
 	}
 }
 
@@ -365,19 +394,19 @@ func (c *cancelAt) Err() error {
 }
 
 // blockingState is everything an Add writes before it can fail, for
-// comparison between indexes: the saved blob covers names, rows of records
-// and candidate lists, and the table's derived half — gram dictionary, name
-// lookup, gram lists, postings — and the probe counters are read directly.
+// comparison between indexes: the saved blob covers the record count and
+// candidate lists, and the table's derived half — gram dictionary, gram
+// lists, postings — and the probe counters are read directly.
 type blockingState struct {
 	blob            []byte
-	ids, rows       map[string]int32
+	ids             map[string]int32
 	grams, postings [][]int32
 	cnt             []int32
 }
 
 func stateOf(t *testing.T, ix *Index) blockingState {
 	t.Helper()
-	return blockingState{ix.Save(nil), ix.tab.ids, ix.tab.rows, ix.tab.grams, ix.tab.postings, ix.cnt}
+	return blockingState{ix.Save(nil), ix.tab.ids, ix.tab.grams, ix.tab.postings, ix.cnt}
 }
 
 // TestIndexAddIsAllOrNothing cancels an Add at every context check it makes

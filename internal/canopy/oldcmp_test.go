@@ -42,6 +42,12 @@ func jaccardOld(a, b map[string]int) float64 {
 	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
+// normalize renders a reference name into canonical "first last" form so
+// that punctuation and case do not affect gram overlap.
+func normalize(name string) string {
+	return similarity.ParseName(name).String()
+}
+
 // scoresOld returns every record's loose candidates, ascending by id,
 // with their similarities.
 func scoresOld(names []string, cfg Config) [][]scored {
@@ -529,10 +535,10 @@ func duplicatedCorpus(rng *rand.Rand, bases int) []string {
 
 // recordScores expands candidate rows to the records in them, ascending by
 // id: what the per-record scorer lists for every record of the probed row.
-func recordScores(tab *gramTable, rows []scored) []scored {
+func recordScores(e *emitter, rows []scored) []scored {
 	var out []scored
 	for _, r := range rows {
-		for _, rec := range tab.membersOf(r.ID) {
+		for _, rec := range e.membersOf(r.ID) {
 			out = append(out, scored{ID: rec, Sim: r.Sim})
 		}
 	}
@@ -550,13 +556,15 @@ func checkMatchesOldScorer(t *testing.T, names []string, cfg Config, shardCounts
 	t.Helper()
 	ctx := context.Background()
 	wantScores, want := scoresOld(names, cfg), canopiesOld(names, cfg)
-	sameAsOld := func(what string, tab *gramTable, cands func(row int32) []scored) {
+	sameAsOld := func(what string, d *bib.Dataset, cands [][]scored) {
 		t.Helper()
-		byRow := make([][]scored, len(tab.names))
+		e := newEmitter(cfg, d)
+		byRow := make([][]scored, len(cands))
 		for row := range byRow {
-			byRow[row] = recordScores(tab, cands(int32(row)))
+			byRow[row] = recordScores(e, cands[row])
 		}
-		for i, row := range tab.rowOf {
+		for i := range names {
+			row := d.Names().Class(bib.RefID(i))
 			if !sameScores(byRow[row], wantScores[i]) { // == on the float64 similarities, via DeepEqual
 				t.Fatalf("%s: candidates of %d %q = %v, old scorer %v", what, i, names[i], byRow[row], wantScores[i])
 			}
@@ -564,15 +572,11 @@ func checkMatchesOldScorer(t *testing.T, names []string, cfg Config, shardCounts
 	}
 
 	for _, shards := range shardCounts {
-		scorer := newIndex(cfg, shards)
-		for _, name := range names {
-			scorer.tab.insert(normalize(name))
-		}
-		if err := scorer.score(ctx, 0); err != nil {
+		scorer, d := newIndex(cfg, shards), namesDataset(names)
+		if err := scorer.open(ctx, d); err != nil {
 			t.Fatal(err)
 		}
-		scorer.tab.indexMembers()
-		sameAsOld(fmt.Sprintf("scorer shards=%d", shards), scorer.tab, func(row int32) []scored { return scorer.cands[row] })
+		sameAsOld(fmt.Sprintf("scorer shards=%d", shards), d, scorer.cands)
 
 		got, err := CanopiesContext(ctx, names, cfg, shards)
 		if err != nil {
@@ -594,25 +598,25 @@ func checkMatchesOldScorer(t *testing.T, names []string, cfg Config, shardCounts
 		}
 		recs[i] = bib.Record{Name: name, Group: -1, Gold: -1}
 	}
+	var d *bib.Dataset
 	for _, hi := range []int{len(recs) / 3, 2 * len(recs) / 3, len(recs)} {
 		if hi == 0 {
 			continue
 		}
-		d, err := bib.DatasetFromRecords("oracle", recs[:hi])
-		if err != nil {
+		if d, err = bib.DatasetFromRecords("oracle", recs[:hi]); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := ix.Add(ctx, d); err != nil {
 			t.Fatal(err)
 		}
-		if ix, err = LoadIndex(ix.Save(nil), 1); err != nil {
+		if ix, err = LoadIndex(ix.Save(nil), d, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := ix.emit(); !reflect.DeepEqual(got, want) {
+	if got := ix.emit(d); !reflect.DeepEqual(got, want) {
 		t.Fatal("index canopies differ from the old algorithm")
 	}
-	sameAsOld("index", ix.tab, func(row int32) []scored { return ix.cands[row] })
+	sameAsOld("index", d, ix.cands)
 }
 
 // TestRefactorMatchesOldAlgorithm pins the row scorer against the map
@@ -715,9 +719,9 @@ func TestIntegerBoundKeepsExactThreshold(t *testing.T) {
 		}
 		tab := newGramTable(1)
 		for _, s := range []string{string(x[:tc.hit]), string(x[:tc.hit-1]), string(x)} {
-			tab.insert(s)
+			tab.open(s)
 		}
-		got := tab.probe(2, tc.loose, make([]int32, len(tab.names)))
+		got := tab.probe(2, tc.loose, make([]int32, len(tab.grams)))
 		if want := []scored{{ID: 0, Sim: float64(tc.hit) / float64(tc.n)}, {ID: 2, Sim: 1}}; !reflect.DeepEqual(got, want) {
 			t.Errorf("Loose %v, probe of the %d-gram row = %v, want %v: %d shared grams is exactly Loose", tc.loose, tc.n, got, want, tc.hit)
 		}

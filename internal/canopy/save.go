@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/bib"
 	"repro/internal/core"
 )
 
@@ -16,36 +17,38 @@ import (
 // index in the same blob as the run snapshot, after it; on restart,
 // LoadIndex restores the full blocking state so ingestion resumes
 // incrementally without re-probing the corpus. The section holds what
-// cannot be derived — the distinct normalized names in row order, each
-// record's row, the rows' candidate rows and the previous cover. The gram
-// dictionary, the rows' gram ids and the postings are rebuilt on load by
-// opening the rows again in order (gram ids are handed out in order of
-// first appearance, so they come out as they were), each candidate's
-// similarity from the two rows' gram sets with probe's own expression, and
-// the previous cover's containment index from its sets.
+// cannot be derived from the dataset the index was built over — the rows'
+// candidate rows and the previous cover — and two counts to check that
+// dataset against. The rows are the dataset's name classes, so the names,
+// the gram dictionary, the rows' gram ids and the postings are rebuilt on
+// load by opening the rows again from the dataset (gram ids are handed out
+// in order of first appearance, so they come out as they were), each
+// candidate's similarity from the two rows' gram sets with probe's own
+// expression, and the previous cover's containment index from its sets.
 //
 // The layout is flat: the magic line naming the version, Loose and Tight
 // as 8 little-endian IEEE 754 bytes each, then uvarints — Q, MaxAligned,
-// FullBoundary (0 or 1) and MaxNeighborhood; the name count and each name
-// as its byte length and bytes; the record count and each record's row;
-// the candidate-list count and per row its length and candidate rows; 0
-// before the first Add or 1 and the set count, then per cover set its
-// length and members. A run of ascending ids is written as the first id and
-// then the gap to each next one. Every count is bounded by the bytes that
-// remain and every varint must be minimal, so a section that loads re-saves
-// to the same bytes, and one state always saves to the same bytes. The
-// section is a cache: a failed load (garbage, an older version, ids out of
-// range, a candidate below Loose) is recoverable by replaying records
-// through a fresh index. Versions up to 4 were gob; a version-3 blob's
-// cover may keep neighborhoods contained in others.
+// FullBoundary (0 or 1) and MaxNeighborhood; the record count; the
+// candidate-list count (the row count) and per row its length and candidate
+// rows; 0 before the first Add or 1 and the set count, then per cover set
+// its length and members. A run of ascending ids is written as the first id
+// and then the gap to each next one. Every count of what follows is bounded
+// by the bytes that remain and every varint must be minimal, so a section
+// that loads re-saves to the same bytes, and one state always saves to the
+// same bytes. The section is a cache: a failed load (garbage, an older
+// version, another dataset's counts, ids out of range, a candidate below
+// Loose) is recoverable by replaying records through a fresh index.
+// Versions up to 4 were gob; a version-3 blob's cover may keep
+// neighborhoods contained in others; version 5 also held the normalized
+// names and each record's row.
 
-const indexBlobMagic = "CEMP5\n"
+const indexBlobMagic = "CEMP6\n"
 
 // Save appends the index's full blocking state to dst, in the layout above.
 func (ix *Index) Save(dst []byte) []byte {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	cfg, tab := &ix.cfg, ix.tab
+	cfg := &ix.cfg
 	dst = append(dst, indexBlobMagic...)
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(cfg.Loose))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(cfg.Tight))
@@ -53,18 +56,9 @@ func (ix *Index) Save(dst []byte) []byte {
 	if cfg.FullBoundary {
 		full = 1
 	}
-	for _, v := range []int{cfg.Q, cfg.MaxAligned, full, cfg.MaxNeighborhood, len(tab.names)} {
+	for _, v := range []int{cfg.Q, cfg.MaxAligned, full, cfg.MaxNeighborhood, ix.n, len(ix.cands)} {
 		dst = binary.AppendUvarint(dst, uint64(v))
 	}
-	for _, s := range tab.names {
-		dst = binary.AppendUvarint(dst, uint64(len(s)))
-		dst = append(dst, s...)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(tab.rowOf)))
-	for _, row := range tab.rowOf {
-		dst = binary.AppendUvarint(dst, uint64(row))
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(ix.cands)))
 	for _, cands := range ix.cands {
 		dst = binary.AppendUvarint(dst, uint64(len(cands)))
 		prev := int64(0)
@@ -89,17 +83,19 @@ func (ix *Index) Save(dst []byte) []byte {
 	return dst
 }
 
-// LoadIndex restores an index saved with Save, to score on `shards`
-// workers as BuildIndex's do. The restored index is fully equivalent to the
-// one that was saved: further Adds produce byte-identical covers and deltas. A load verifies that every name is
-// listed once and every record's row is one seen before it or the next;
+// LoadIndex restores an index saved with Save over the records of d, to
+// score on `shards` workers as BuildIndex's do. d must be the dataset the
+// saved index had added last (or one with the same names); the restored
+// index is then fully equivalent to the one that was saved: further Adds
+// produce byte-identical covers and deltas. A load verifies that the blob
+// counts d's records and d's name classes, one candidate list per class;
 // that every id fits the size it indexes and every id list ascends; that
 // each candidate list holds its own row exactly when the row has grams;
-// that every candidate's similarity, recomputed from the gram sets,
-// reaches Loose; and that the lists are symmetric, y listing x exactly
-// when x lists y. So a blob that loads cannot make a later Add index out
-// of range or emit a canopy Canopies would not.
-func LoadIndex(data []byte, shards int) (*Index, error) {
+// that every candidate's similarity, recomputed from the gram sets of d's
+// names, reaches Loose; and that the lists are symmetric, y listing x
+// exactly when x lists y. So a blob that loads cannot make a later Add index
+// out of range or emit a canopy Canopies would not.
+func LoadIndex(data []byte, d *bib.Dataset, shards int) (*Index, error) {
 	header, body, _ := bytes.Cut(data, []byte("\n"))
 	if want := indexBlobMagic[:len(indexBlobMagic)-1]; string(header) != want {
 		return nil, fmt.Errorf("canopy: index blob is version %.16q, this build reads %q", header, want)
@@ -107,47 +103,26 @@ func LoadIndex(data []byte, shards int) (*Index, error) {
 	r := &reader{b: body}
 	cfg := Config{Loose: r.float(), Tight: r.float(), Q: r.int(), MaxAligned: r.int()}
 	cfg.FullBoundary, cfg.MaxNeighborhood = r.flag(), r.int()
+	records := r.uvarint()
 	if r.err != nil {
 		return nil, r.err
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("canopy: index blob config: %w", err)
 	}
-	ix := newIndex(cfg, shards)
-	for range r.count() {
-		s := r.str()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if _, fresh := ix.tab.rowFor(s); !fresh {
-			return nil, fmt.Errorf("canopy: index blob lists name %q twice", s)
-		}
+	names := d.Names()
+	if records != uint64(d.NumRefs()) {
+		return nil, fmt.Errorf("canopy: index blob holds %d records, the dataset %d", records, d.NumRefs())
 	}
-	// Rows are numbered in order of first appearance, so a record is in a row
-	// seen before it or in the next one, and every row has a record.
-	rows := len(ix.tab.names)
-	rowOf := make([]int32, r.count())
-	seen := 0
-	for i := range rowOf {
-		row := r.uvarint()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if row > uint64(seen) || row >= uint64(rows) {
-			return nil, fmt.Errorf("canopy: index blob record %d: row %d, want one of the %d seen so far or the next of %d", i, row, seen, rows)
-		}
-		rowOf[i] = int32(row)
-		if int(row) == seen {
-			seen++
-		}
-	}
-	if seen != rows {
-		return nil, fmt.Errorf("canopy: index blob inconsistent: %d of %d names have no record", rows-seen, rows)
-	}
+	rows := names.Classes()
 	if lists := r.count(); r.err != nil {
 		return nil, r.err
 	} else if lists != rows {
-		return nil, fmt.Errorf("canopy: index blob inconsistent: %d names, %d candidate lists", rows, lists)
+		return nil, fmt.Errorf("canopy: index blob holds %d candidate lists, the dataset %d name classes", lists, rows)
+	}
+	ix := newIndex(cfg, shards)
+	if err := ix.tab.openRows(names, 0, d.NumRefs()); err != nil {
+		return nil, err // unreachable: a dataset's classes are numbered in order
 	}
 	cands := make([][]scored, rows)
 	var ids []int32
@@ -186,9 +161,9 @@ func LoadIndex(data []byte, shards int) (*Index, error) {
 			cur[y]++
 		}
 	}
-	ix.tab.rowOf, ix.cands, ix.cnt = rowOf, cands, make([]int32, rows)
+	ix.n, ix.cands, ix.cnt = d.NumRefs(), cands, make([]int32, rows)
 	if r.flag() {
-		n := len(rowOf)
+		n := ix.n
 		sets := make([][]core.EntityID, r.count())
 		for i := range sets {
 			if sets[i] = r.ascending(nil, n); r.err != nil {
@@ -287,16 +262,6 @@ func (r *reader) float() float64 {
 	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
 	r.b = r.b[8:]
 	return v
-}
-
-func (r *reader) str() string {
-	n := r.count()
-	if r.err != nil {
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
 }
 
 // ascending appends to dst a run of ids written as the first id and the

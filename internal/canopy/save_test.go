@@ -34,7 +34,7 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loaded, err := LoadIndex(ix.Save(nil), 1)
+	loaded, err := LoadIndex(ix.Save(nil), firstHalf, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,20 +72,22 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 // TestLoadIndexRejectsGarbage pins the failure modes: wrong magic,
 // an older blob version, a corrupt or truncated body.
 func TestLoadIndexRejectsGarbage(t *testing.T) {
-	if _, err := LoadIndex([]byte("not a postings blob"), 1); err == nil {
+	empty := &bib.Dataset{}
+	if _, err := LoadIndex([]byte("not a postings blob"), empty, 1); err == nil {
 		t.Fatal("LoadIndex accepted garbage")
 	}
-	if _, err := LoadIndex([]byte(indexBlobMagic+"trailing junk"), 1); err == nil {
+	if _, err := LoadIndex([]byte(indexBlobMagic+"trailing junk"), empty, 1); err == nil {
 		t.Fatal("LoadIndex accepted a corrupt body")
 	}
 	// The previous layouts (gob throughout; gram maps + string-keyed
 	// postings; a gram-table row per record; a cover that may keep subsumed
-	// neighborhoods; candidate similarities stored) are refused by their
-	// magic, naming both versions, before any decoding.
-	for _, old := range []string{"CEMP1", "CEMP2", "CEMP3", "CEMP4"} {
-		if _, err := LoadIndex([]byte(old+"\nwhatever"), 1); err == nil ||
-			!strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "CEMP5") {
-			t.Fatalf("LoadIndex on a %s blob: err = %v, want a version error naming %s and CEMP5", old, err, old)
+	// neighborhoods; candidate similarities stored; names and each record's
+	// row stored) are refused by their magic, naming both versions, before
+	// any decoding.
+	for _, old := range []string{"CEMP1", "CEMP2", "CEMP3", "CEMP4", "CEMP5"} {
+		if _, err := LoadIndex([]byte(old+"\nwhatever"), empty, 1); err == nil ||
+			!strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "CEMP6") {
+			t.Fatalf("LoadIndex on a %s blob: err = %v, want a version error naming %s and CEMP6", old, err, old)
 		}
 	}
 	ix, err := NewIndex(DefaultConfig())
@@ -93,25 +95,26 @@ func TestLoadIndexRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := ix.Save(nil)
-	if _, err := LoadIndex(blob, 1); err != nil {
+	if _, err := LoadIndex(blob, empty, 1); err != nil {
 		t.Fatalf("an empty index does not reload: %v", err)
 	}
 	for i := len(indexBlobMagic); i < len(blob); i++ {
-		if _, err := LoadIndex(blob[:i], 1); err == nil {
+		if _, err := LoadIndex(blob[:i], empty, 1); err == nil {
 			t.Fatalf("LoadIndex accepted the blob truncated to %d of %d bytes", i, len(blob))
 		}
 	}
-	if _, err := LoadIndex(append(blob, 0), 1); err == nil {
+	if _, err := LoadIndex(append(blob, 0), empty, 1); err == nil {
 		t.Fatal("LoadIndex accepted a trailing byte")
 	}
 }
 
 // savedIndex returns a small index as LoadIndex restores it from its blob,
-// for tests to corrupt in place and save again: Save writes the fields as
-// they are, so each corruption below reaches LoadIndex as a blob. Its five
-// records are in four rows: john smith {0, 2}, jon smith {1}, the gramless
+// and the dataset it was built over, for tests to corrupt the index in place
+// and save it again: Save writes the fields as they are, so each corruption
+// below reaches LoadIndex as a blob. Its five records are in four rows, the
+// dataset's name classes: john smith {0, 2}, jon smith {1}, the gramless
 // "." {3} and x {4}.
-func savedIndex(t testing.TB) *Index {
+func savedIndex(t testing.TB) (*Index, *bib.Dataset) {
 	t.Helper()
 	recs := []bib.Record{
 		{Name: "john smith", Group: 0, Gold: -1}, {Name: "jon smith", Group: 1, Gold: -1},
@@ -129,19 +132,19 @@ func savedIndex(t testing.TB) *Index {
 	if _, _, err := ix.Add(context.Background(), d); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadIndex(ix.Save(nil), 1)
+	loaded, err := LoadIndex(ix.Save(nil), d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return loaded
+	return loaded, d
 }
 
 // TestLoadIndexValidatesIDs: a well-formed blob whose ids do not fit the
 // sizes they index used to load and panic in the next emit or Add; every
 // such blob must be refused at load.
 func TestLoadIndexValidatesIDs(t *testing.T) {
-	if ix := savedIndex(t); !slices.Equal(ix.tab.rowOf, []int32{0, 1, 0, 2, 3}) || len(ix.tab.names) != 4 || len(ix.cands[0]) != 2 || len(ix.cands[2]) != 0 {
-		t.Fatalf("the index is not the one the corruptions below address: rows %v, names %q, candidates %v", ix.tab.rowOf, ix.tab.names, ix.cands)
+	if ix, d := savedIndex(t); ix.n != 5 || len(ix.tab.grams) != 4 || d.Names().Class(2) != 0 || len(ix.cands[0]) != 2 || len(ix.cands[2]) != 0 {
+		t.Fatalf("the index is not the one the corruptions below address: %d records, %d rows, candidates %v", ix.n, len(ix.tab.grams), ix.cands)
 	}
 	for name, corrupt := range map[string]func(ix *Index){
 		"candidate row >= rows":     func(ix *Index) { ix.cands[0][len(ix.cands[0])-1].ID = 4 },
@@ -150,14 +153,10 @@ func TestLoadIndexValidatesIDs(t *testing.T) {
 		"duplicate candidate":       func(ix *Index) { ix.cands[0][1] = ix.cands[0][0] },
 		"row not its own candidate": func(ix *Index) { ix.cands[3] = nil },
 		"candidates without grams":  func(ix *Index) { ix.cands[2] = []scored{{ID: 2, Sim: 1}} },
-		"duplicate name":            func(ix *Index) { ix.tab.names[1] = ix.tab.names[0] },
 		"fewer candidate lists":     func(ix *Index) { ix.cands = ix.cands[:len(ix.cands)-1] },
-		"fewer names than rows":     func(ix *Index) { ix.tab.names, ix.cands = ix.tab.names[:3], ix.cands[:3] },
-		"record row >= rows":        func(ix *Index) { ix.tab.rowOf[4] = 4 },
-		"negative record row":       func(ix *Index) { ix.tab.rowOf[0] = -1 },
-		"rows not in arrival order": func(ix *Index) { ix.tab.rowOf[0], ix.tab.rowOf[1] = 1, 0 },
-		"record skips a row":        func(ix *Index) { ix.tab.rowOf[3] = 3 },
-		"row without a record":      func(ix *Index) { ix.tab.rowOf[4] = 0 },
+		"more candidate lists":      func(ix *Index) { ix.cands = append(ix.cands, nil) },
+		"fewer records":             func(ix *Index) { ix.n-- },
+		"more records":              func(ix *Index) { ix.n++ },
 		"cover member >= N":         func(ix *Index) { ix.cover.Sets[0][len(ix.cover.Sets[0])-1] = 99 },
 		"negative cover member":     func(ix *Index) { ix.cover.Sets[0][0] = -1 },
 		"cover members not ascending": func(ix *Index) {
@@ -167,9 +166,9 @@ func TestLoadIndexValidatesIDs(t *testing.T) {
 		"empty cover set": func(ix *Index) { ix.cover.Sets[0] = nil },
 		"NaN threshold":   func(ix *Index) { ix.cfg.Loose = math.NaN() },
 	} {
-		ix := savedIndex(t)
+		ix, d := savedIndex(t)
 		corrupt(ix)
-		if ix, err := LoadIndex(ix.Save(nil), 1); err == nil {
+		if ix, err := LoadIndex(ix.Save(nil), d, 1); err == nil {
 			t.Errorf("%s: LoadIndex accepted the blob (index of %d records)", name, ix.Len())
 		}
 	}
@@ -181,16 +180,16 @@ func TestLoadIndexValidatesIDs(t *testing.T) {
 // refused; a version that loaded it would emit a canopy Canopies never
 // builds, and the next Add's cover would differ from BuildCover's.
 func TestLoadIndexRefusesDissimilarCandidate(t *testing.T) {
-	ix := savedIndex(t)
-	if ix.tab.names[0] != "john smith" || ix.tab.names[3] != "x" {
-		t.Fatalf("rows 0 and 3 are %q and %q, want john smith and x", ix.tab.names[0], ix.tab.names[3])
+	ix, d := savedIndex(t)
+	if names := d.Names(); names.Class(0) != 0 || names.Class(4) != 3 || names.Normalized(0) != "john smith" || names.Normalized(4) != "x" {
+		t.Fatalf("records 0 and 4 are %q and %q, want john smith and x in rows 0 and 3", names.Normalized(0), names.Normalized(4))
 	}
 	if sim := ix.tab.similarity(0, 3); sim >= ix.cfg.Loose {
 		t.Fatalf("john smith and x have similarity %v, not below Loose %v", sim, ix.cfg.Loose)
 	}
 	ix.cands[0] = append(ix.cands[0], scored{ID: 3, Sim: 1})
 	ix.cands[3] = append([]scored{{ID: 0, Sim: 1}}, ix.cands[3]...)
-	if _, err := LoadIndex(ix.Save(nil), 1); err == nil || !strings.Contains(err.Error(), "below Loose") {
+	if _, err := LoadIndex(ix.Save(nil), d, 1); err == nil || !strings.Contains(err.Error(), "below Loose") {
 		t.Fatalf("LoadIndex of a blob listing a dissimilar candidate: err = %v, want a below-Loose refusal", err)
 	}
 }
@@ -201,15 +200,15 @@ func TestLoadIndexRefusesDissimilarCandidate(t *testing.T) {
 // load, and its index emitted canopies Canopies never builds.
 func TestLoadIndexRefusesAsymmetricCandidates(t *testing.T) {
 	for _, drop := range [][2]int{{0, 1}, {1, 0}} {
-		ix := savedIndex(t)
-		if ix.tab.names[0] != "john smith" || ix.tab.names[1] != "jon smith" ||
+		ix, d := savedIndex(t)
+		if names := d.Names(); names.Class(1) != 1 || names.Normalized(0) != "john smith" || names.Normalized(1) != "jon smith" ||
 			len(ix.cands[0]) != 2 || len(ix.cands[1]) != 2 || ix.cands[0][1].ID != 1 || ix.cands[1][0].ID != 0 {
 			t.Fatalf("rows 0 and 1 are %q and %q with candidates %v and %v, want john smith and jon smith listing both",
-				ix.tab.names[0], ix.tab.names[1], ix.cands[0], ix.cands[1])
+				names.Normalized(0), names.Normalized(1), ix.cands[0], ix.cands[1])
 		}
 		x, y := drop[0], drop[1]
 		ix.cands[x] = slices.DeleteFunc(ix.cands[x], func(c scored) bool { return c.ID == int32(y) })
-		if _, err := LoadIndex(ix.Save(nil), 1); err == nil {
+		if _, err := LoadIndex(ix.Save(nil), d, 1); err == nil {
 			t.Errorf("LoadIndex accepted a blob where row %d does not list row %d but row %d lists row %d", x, y, y, x)
 		}
 	}
@@ -248,7 +247,7 @@ func TestLoadIndexRecomputesSimilarities(t *testing.T) {
 			}
 		}
 	}
-	loaded, err := LoadIndex(ix.Save(nil), 1)
+	loaded, err := LoadIndex(ix.Save(nil), first, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,9 +276,9 @@ func TestIndexSaveDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var d *bib.Dataset
 		for _, hi := range []int{len(records) / 2, len(records)} {
-			d, err := bib.DatasetFromRecords("det", records[:hi])
-			if err != nil {
+			if d, err = bib.DatasetFromRecords("det", records[:hi]); err != nil {
 				t.Fatal(err)
 			}
 			if _, _, err := ix.Add(ctx, d); err != nil {
@@ -287,7 +286,7 @@ func TestIndexSaveDeterministic(t *testing.T) {
 			}
 		}
 		blobs = append(blobs, ix.Save(nil), ix.Save(nil))
-		loaded, err := LoadIndex(blobs[0], 1)
+		loaded, err := LoadIndex(blobs[0], d, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,43 +299,33 @@ func TestIndexSaveDeterministic(t *testing.T) {
 	}
 }
 
-// FuzzLoadIndex: no blob makes LoadIndex panic, one that loads re-saves to
-// the same bytes, and it is safe to keep using — an Add that brings no new
-// records runs emission and cover construction (when the blob carried no
-// cover) or returns the loaded cover, and neither may index out of range.
+// FuzzLoadIndex: no blob makes LoadIndex panic over savedIndex's dataset,
+// one that loads re-saves to the same bytes, and it is safe to keep using —
+// an Add of the same dataset runs emission and cover construction (when the
+// blob carried no cover) or returns the loaded cover, and neither may index
+// out of range.
 func FuzzLoadIndex(f *testing.F) {
-	ix := savedIndex(f)
+	ix, d := savedIndex(f)
 	f.Add(ix.Save(nil))
 	ix.cover = nil
 	f.Add(ix.Save(nil))
 	f.Add([]byte(indexBlobMagic))
-	f.Add([]byte("CEMP4\n"))
-	ix = savedIndex(f)
-	ix.tab.rowOf = append(ix.tab.rowOf, 1, 3, 0) // more records in known rows
+	f.Add([]byte("CEMP5\n"))
+	ix, _ = savedIndex(f)
+	ix.n += 3 // more records than the dataset
 	f.Add(ix.Save(nil))
-	ix.tab.rowOf[2], ix.cands[1] = 7, append(ix.cands[1], scored{ID: 9}) // ids past every range
+	ix.n, ix.cands[1] = 5, append(ix.cands[1], scored{ID: 9}) // an id past every range
 	f.Add(ix.Save(nil))
-	ix = savedIndex(f)
+	ix, _ = savedIndex(f)
 	ix.cands[0] = append(ix.cands[0], scored{ID: 3}) // a dissimilar candidate
 	f.Add(ix.Save(nil))
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		ix, err := LoadIndex(blob, 1)
+		ix, err := LoadIndex(blob, d, 1)
 		if err != nil {
 			return
 		}
 		if again := ix.Save(nil); !bytes.Equal(again, blob) {
 			t.Fatalf("a blob that loads re-saves to different bytes:\n%x\n%x", blob, again)
-		}
-		if ix.Len() == 0 || ix.Len() > 1<<10 {
-			return
-		}
-		recs := make([]bib.Record, ix.Len())
-		for i := range recs {
-			recs[i] = bib.Record{Name: "n", Group: int32(i % 3), Gold: -1}
-		}
-		d, err := bib.DatasetFromRecords("fuzz", recs)
-		if err != nil {
-			t.Fatal(err)
 		}
 		cover, _, err := ix.Add(context.Background(), d)
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	cem "repro"
+	"repro/match"
 )
 
 // BenchmarkIngest is the serve-ingest benchmark workload's writer without
@@ -17,7 +18,9 @@ import (
 // batches to /records?wait=1 of an in-process service on a fresh disk-store
 // state directory per iteration, each POST answered once its batch is
 // committed. Everything a POST pays is timed — HTTP, journal, Update, store
-// commit and the published snapshot — and reported per POST.
+// commit and the published snapshot — and reported per POST, beside
+// state_bytes/post: the size of the state blob each commit leaves in the
+// store, read outside the timer.
 func BenchmarkIngest(b *testing.B) {
 	const batch = 32
 	records, err := cem.GenerateRecords(cem.DBLP, 0.5, 42)
@@ -42,6 +45,7 @@ func BenchmarkIngest(b *testing.B) {
 		}
 		bodies = append(bodies, body)
 	}
+	stateBytes := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -66,6 +70,13 @@ func BenchmarkIngest(b *testing.B) {
 			if err != nil || resp.StatusCode != http.StatusOK || ack.Seq != seq+1 {
 				b.Fatalf("POST %d: status %d, ack %+v, %v", seq, resp.StatusCode, ack, err)
 			}
+			b.StopTimer()
+			blob, err := svc.store.OpenBlob(match.KindSnapshot, "latest")
+			if err != nil {
+				b.Fatal(err)
+			}
+			stateBytes += len(blob)
+			b.StartTimer()
 		}
 		b.StopTimer()
 		srv.Close()
@@ -73,4 +84,5 @@ func BenchmarkIngest(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N*len(bodies)), "ms/post")
+	b.ReportMetric(float64(stateBytes)/float64(b.N*len(bodies)), "state_bytes/post")
 }

@@ -157,11 +157,13 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 	}
 	ropts = append(ropts, cfg.RunnerOptions...)
 
+	blocking := cem.DefaultOptions().Canopy
+	blocking.MaxNeighborhood = cfg.MaxNeighborhood
 	pipe, err := cem.NewPipeline(
 		cem.WithDatasetName(cfg.DatasetName),
 		cem.WithMatcher(cfg.Matcher),
 		cem.WithScheme(cfg.Scheme),
-		cem.WithMaxNeighborhood(cfg.MaxNeighborhood),
+		cem.WithBlocking(blocking),
 		cem.WithRunnerOptions(ropts...),
 	)
 	if err != nil {

@@ -596,7 +596,7 @@ func TestRecoverTwoBlobStateDir(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(blobs, "postings"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	old := append([]byte("CEMP4\n"), postings[len("CEMP5\n"):]...)
+	old := append([]byte("CEMP4\n"), postings[len("CEMP6\n"):]...)
 	if err := os.WriteFile(filepath.Join(blobs, "postings", "latest"), old, 0o644); err != nil {
 		t.Fatal(err)
 	}

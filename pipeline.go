@@ -31,8 +31,6 @@ import (
 type Pipeline struct {
 	name       string
 	blocking   CanopyConfig
-	maxNbr     int
-	maxNbrSet  bool
 	shards     int
 	matcher    string
 	scheme     Scheme
@@ -43,9 +41,9 @@ type Pipeline struct {
 type PipelineOption func(*Pipeline)
 
 // WithBlocking overrides the blocking configuration (canopy thresholds,
-// q-gram size, relational context bounds). Start from
-// DefaultOptions().Canopy. The configuration is validated by
-// NewPipeline.
+// q-gram size, relational context bounds, the canopy core bound
+// MaxNeighborhood). Start from DefaultOptions().Canopy. The configuration
+// is validated by NewPipeline.
 func WithBlocking(c CanopyConfig) PipelineOption {
 	return func(p *Pipeline) { p.blocking = c }
 }
@@ -58,15 +56,6 @@ func WithBlocking(c CanopyConfig) PipelineOption {
 // so bound n explicitly on very large corpora.
 func WithShards(n int) PipelineOption {
 	return func(p *Pipeline) { p.shards = n }
-}
-
-// WithMaxNeighborhood bounds every canopy core to at most k records (the
-// seed plus its k-1 most similar neighbors): the paper's "sizes of
-// neighborhoods are bounded" regime, which trades per-neighborhood
-// matcher cost for message traffic. k = 0 removes the bound. The bound
-// composes with WithBlocking in either order.
-func WithMaxNeighborhood(k int) PipelineOption {
-	return func(p *Pipeline) { p.maxNbr, p.maxNbrSet = k, true }
 }
 
 // WithMatcher selects the registered matcher the pipeline runs
@@ -105,9 +94,6 @@ func NewPipeline(opts ...PipelineOption) (*Pipeline, error) {
 	}
 	for _, o := range opts {
 		o(p)
-	}
-	if p.maxNbrSet {
-		p.blocking.MaxNeighborhood = p.maxNbr
 	}
 	if err := p.blocking.Validate(); err != nil {
 		return nil, fmt.Errorf("cem: pipeline blocking config: %w", err)

@@ -154,36 +154,12 @@ func TestPipelineKeyOnlyRecords(t *testing.T) {
 	}
 }
 
-// TestMaxNeighborhoodCommutesWithBlocking: WithMaxNeighborhood is not
-// lost when WithBlocking appears after it.
-func TestMaxNeighborhoodCommutesWithBlocking(t *testing.T) {
-	records, err := cem.GenerateRecords(cem.DBLP, 0.15, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(opts ...cem.PipelineOption) int {
-		t.Helper()
-		pipe, err := cem.NewPipeline(append(opts,
-			cem.WithMatcher(cem.MatcherRules), cem.WithScheme(cem.SchemeNoMP))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := pipe.Run(context.Background(), records)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Experiment.Cover.ComputeStats().Neighborhoods
-	}
-	blocking := cem.DefaultOptions().Canopy
-	before := run(cem.WithMaxNeighborhood(4), cem.WithBlocking(blocking))
-	after := run(cem.WithBlocking(blocking), cem.WithMaxNeighborhood(4))
-	unbounded := run(cem.WithBlocking(blocking))
-	if before != after {
-		t.Errorf("option order changed the cover: %d vs %d neighborhoods", before, after)
-	}
-	if before == unbounded {
-		t.Errorf("bound had no effect (%d neighborhoods with and without)", before)
-	}
+// boundedBlocking is the default blocking with every canopy core bounded to
+// k records.
+func boundedBlocking(k int) cem.PipelineOption {
+	cfg := cem.DefaultOptions().Canopy
+	cfg.MaxNeighborhood = k
+	return cem.WithBlocking(cfg)
 }
 
 // blockingSeen records the blocking configuration each "blocking-probe"
@@ -204,17 +180,17 @@ func init() {
 }
 
 // TestPipelineMatchersSeeItsBlocking: a matcher factory's context carries
-// the pipeline's blocking configuration — WithBlocking's, bounded by
-// WithMaxNeighborhood — on Run and on Update alike.
+// the pipeline's blocking configuration — WithBlocking's, canopy core
+// bound included — on Run and on Update alike.
 func TestPipelineMatchersSeeItsBlocking(t *testing.T) {
 	records, err := cem.GenerateRecords(cem.DBLP, 0.1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	blocking := cem.DefaultOptions().Canopy
-	blocking.Loose, blocking.MaxAligned = 0.5, 2
+	blocking.Loose, blocking.MaxAligned, blocking.MaxNeighborhood = 0.5, 2, 6
 	pipe, err := cem.NewPipeline(cem.WithMatcher("blocking-probe"), cem.WithScheme(cem.SchemeSMP),
-		cem.WithBlocking(blocking), cem.WithMaxNeighborhood(6))
+		cem.WithBlocking(blocking))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +206,6 @@ func TestPipelineMatchersSeeItsBlocking(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := blocking
-	want.MaxNeighborhood = 6
 	blockingSeen.Lock()
 	defer blockingSeen.Unlock()
 	if len(blockingSeen.cfgs) != 2 {
@@ -290,7 +265,7 @@ func TestPipelineOptionValidation(t *testing.T) {
 	if _, err := cem.NewPipeline(cem.WithMatcher("")); err == nil {
 		t.Error("empty matcher accepted")
 	}
-	if _, err := cem.NewPipeline(cem.WithMaxNeighborhood(-2)); err == nil {
+	if _, err := cem.NewPipeline(boundedBlocking(-2)); err == nil {
 		t.Error("negative neighborhood bound accepted")
 	}
 	pipe, err := cem.NewPipeline(cem.WithMatcher("no-such-matcher"))
@@ -312,7 +287,7 @@ func TestPipelineOptionValidation(t *testing.T) {
 }
 
 // TestPipelineMaxNeighborhoodBound: the size bound flows from the
-// option into blocking; tighter bounds mean more, smaller
+// blocking configuration into blocking; tighter bounds mean more, smaller
 // neighborhoods.
 func TestPipelineMaxNeighborhoodBound(t *testing.T) {
 	records, err := cem.GenerateRecords(cem.HEPTH, 0.25, 42)
@@ -323,7 +298,7 @@ func TestPipelineMaxNeighborhoodBound(t *testing.T) {
 		pipe, err := cem.NewPipeline(
 			cem.WithMatcher(cem.MatcherRules),
 			cem.WithScheme(cem.SchemeNoMP),
-			cem.WithMaxNeighborhood(bound),
+			boundedBlocking(bound),
 		)
 		if err != nil {
 			t.Fatal(err)

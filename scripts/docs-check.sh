@@ -9,6 +9,9 @@
 # both directions: every `cem.X` the README names, and every `WithX(`
 # option it names bare or as `cem.WithX(`, must be in the surface, and
 # every `With…` function of package repro must be named in the README.
+# And README.md may be no larger, in bytes, than the committed ceiling in
+# readme_ceiling.txt, which only ever moves down: lower it when the README
+# shrinks, never raise it to let a README grow.
 # Run from the repository root:
 #
 #	bash scripts/docs-check.sh [doc ...]   (default README.md; make docs-check)
@@ -60,4 +63,9 @@ while read -r opt; do
 		missing=1
 	fi
 done < <(grep -oE '^repro func With[A-Za-z0-9]*' "$api" | sed 's/^repro func //')
+size=$(wc -c <"$readme") ceiling=$(cat readme_ceiling.txt)
+if ((size > ceiling)); then
+	echo "$readme: $size bytes, over the committed ceiling of $ceiling (readme_ceiling.txt)"
+	missing=1
+fi
 exit $missing

@@ -171,8 +171,8 @@ func (p *Pipeline) Reopen(ctx context.Context, records []Record, s match.Store) 
 // by building the index over d as a cold run does.
 func (p *Pipeline) reopenIndex(ctx context.Context, d *bib.Dataset, postings []byte) (*canopy.Index, error) {
 	if len(postings) > 0 {
-		ix, err := canopy.LoadIndex(postings, p.shards)
-		if err == nil && ix.Config() == p.blocking && ix.Len() == d.NumRefs() && ix.Cover() != nil {
+		ix, err := canopy.LoadIndex(postings, d, p.shards)
+		if err == nil && ix.Config() == p.blocking && ix.Cover() != nil {
 			return ix, nil
 		}
 		// An older-format or foreign postings section is a cache miss, not

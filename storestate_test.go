@@ -171,17 +171,17 @@ func TestStoreStateReopenOldIndexBlob(t *testing.T) {
 	}
 	_, postings := splitState(t, blob)
 	snapshot := blob[:len(blob)-len(postings)]
-	if !bytes.HasPrefix(postings, []byte("CEMP5\n")) {
-		t.Fatalf("the postings section starts %q, want the CEMP5 magic", postings[:min(6, len(postings))])
+	if !bytes.HasPrefix(postings, []byte("CEMP6\n")) {
+		t.Fatalf("the postings section starts %q, want the CEMP6 magic", postings[:min(6, len(postings))])
 	}
 	// The one configuration field a foreign section differs in: MaxAligned,
 	// the first uvarint after the two 8-byte thresholds and Q.
-	const maxAligned = len("CEMP5\n") + 8 + 8 + 1
+	const maxAligned = len("CEMP6\n") + 8 + 8 + 1
 	foreign := slices.Clone(postings)
 	foreign[maxAligned]++
 
 	for name, section := range map[string][]byte{
-		"old magic":  append([]byte("CEMP4\n"), postings[6:]...),
+		"old magic":  append([]byte("CEMP5\n"), postings[6:]...),
 		"foreign":    foreign,
 		"no section": nil,
 	} {
@@ -303,7 +303,7 @@ func TestSaveStateOfRunWritesPostings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, postings := splitState(t, blob); !bytes.HasPrefix(postings, []byte("CEMP5\n")) {
+	if _, postings := splitState(t, blob); !bytes.HasPrefix(postings, []byte("CEMP6\n")) {
 		t.Fatalf("the state blob of a Run result has no postings section (%d bytes after the snapshot)", len(postings))
 	}
 	reopened, _, err := pipe.Reopen(ctx, records[:half], s)
@@ -445,7 +445,7 @@ func FuzzStateBlob(f *testing.F) {
 	f.Add(blob)
 	f.Add(snapshot)
 	f.Add(blob[:len(blob)-len(postings)/2])
-	f.Add(slices.Concat(snapshot, []byte("CEMP4\n"), postings[6:]))
+	f.Add(slices.Concat(snapshot, []byte("CEMP5\n"), postings[6:]))
 	f.Add(snapshot[:len(snapshot)/2])
 	f.Add([]byte("CEMW"))
 	f.Fuzz(func(t *testing.T, blob []byte) {
