@@ -38,13 +38,14 @@ fmt:
 vet:
 	$(GO) vet $(GOFLAGS) ./...
 
-# docs-check fails when the README names a path that does not exist: the
-# package of a `go run ./…` command, or a code-span path in one of the
-# cmd, internal, scripts, testdata, match or examples trees, when it and
-# testdata/api.txt disagree, or when it is larger than readme_ceiling.txt
-# (a ceiling that only moves down). CI runs it in the lint job.
+# docs-check fails when the README or the verify skill names a path that
+# does not exist: the package of a `go run ./…` command, or a code-span
+# path in one of the cmd, internal, scripts, testdata, match or examples
+# trees; or when the README and testdata/api.txt disagree, or the README
+# is larger than readme_ceiling.txt (a ceiling that only moves down). CI
+# runs it in the lint job.
 docs-check:
-	bash scripts/docs-check.sh README.md
+	bash scripts/docs-check.sh README.md .claude/skills/verify/SKILL.md
 
 # bench prints the hot-path benchmark table; its blocking command is the
 # blocking stage at the workloads' sizes and at scale 8, batch and

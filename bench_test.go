@@ -205,9 +205,11 @@ func BenchmarkPipelinePeopleRules(b *testing.B) {
 // (seed 42, one blocking shard, one matching worker): the scale at which
 // blocking's name similarity, not the matcher, is the question. Outside
 // the timer it reports the run's name-kernel calls (last-name pairs plus
-// spelled-out class pairs, NameTable.Scored), its candidate pairs and its
-// cover entries (the sum of the neighborhood sizes). A run takes seconds
-// and builds 0.25 GB, so -short skips it.
+// spelled-out class pairs, NameTable.Scored), its candidate pairs, its
+// cover entries (the sum of the neighborhood sizes), its largest
+// neighborhood, and its scope entries (the candidate ids scoped into each
+// neighborhood, summed over the cover). A run takes seconds and builds
+// 0.25 GB, so -short skips it.
 func BenchmarkPipelineScaleHepth(b *testing.B) {
 	if testing.Short() {
 		b.Skip("HEPTH-like 8 takes seconds a run")
@@ -229,13 +231,18 @@ func BenchmarkPipelineScaleHepth(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	entries := 0
-	for _, set := range res.Experiment.Cover.Sets {
+	exp := res.Experiment
+	scopes := exp.Table.PrepareCover(exp.Cover)
+	entries, scoped := 0, 0
+	for nb, set := range exp.Cover.Sets {
 		entries += len(set)
+		scoped += len(scopes.IDs(int32(nb)))
 	}
-	b.ReportMetric(float64(res.Experiment.Dataset.Names().Scored()), "kernel_calls")
-	b.ReportMetric(float64(len(res.Experiment.Candidates)), "candidates")
+	b.ReportMetric(float64(exp.Dataset.Names().Scored()), "kernel_calls")
+	b.ReportMetric(float64(len(exp.Candidates)), "candidates")
 	b.ReportMetric(float64(entries), "cover_entries")
+	b.ReportMetric(float64(exp.Cover.MaxSize()), "max_set")
+	b.ReportMetric(float64(scoped), "scope_entries")
 }
 
 // BenchmarkUpdateFold is the warm path without HTTP, journal or store: the

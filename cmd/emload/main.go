@@ -236,17 +236,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var want bytes.Buffer
-	pairs := cold.Matches.Sorted()
-	fmt.Fprintf(&want, "# %d matches\n", len(pairs))
-	for _, p := range pairs {
-		fmt.Fprintf(&want, "%d %d\n", p.A, p.B)
-	}
-	if dump != want.String() {
+	want := serve.RenderMatches(cold.Matches)
+	if dump != want {
 		return fmt.Errorf("FAIL: served matches diverge from the offline cold run over the arrival order (%d vs %d bytes)",
-			len(dump), want.Len())
+			len(dump), len(want))
 	}
-	fmt.Fprintf(stdout, "emload: PASS (%d matches byte-identical to the offline cold run)\n", len(pairs))
+	fmt.Fprintf(stdout, "emload: PASS (%d matches byte-identical to the offline cold run)\n", len(cold.Matches))
 	return nil
 }
 

@@ -236,18 +236,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// dumpMatches writes the final match set in the canonical fixture form:
-// a count header plus one sorted "a b" pair per line. Two runs agree iff
-// their dump files are byte-identical — the contract chaos-smoke checks
-// across process boundaries.
+// dumpMatches writes the final match set in the canonical fixture form
+// (serve.RenderMatches). Two runs agree iff their dump files are
+// byte-identical — the contract chaos-smoke checks across process
+// boundaries.
 func dumpMatches(path string, matches match.PairSet) error {
-	var b strings.Builder
-	pairs := matches.Sorted()
-	fmt.Fprintf(&b, "# %d matches\n", len(pairs))
-	for _, p := range pairs {
-		fmt.Fprintf(&b, "%d %d\n", p.A, p.B)
-	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
+	return os.WriteFile(path, []byte(serve.RenderMatches(matches)), 0o644)
 }
 
 // pipelineConfig bundles the pipeline-mode options shared by -records

@@ -24,6 +24,7 @@ import (
 	"testing"
 
 	cem "repro"
+	"repro/internal/serve"
 	"repro/match"
 )
 
@@ -46,15 +47,7 @@ func renderMatches(res *cem.Result) string { return renderPairs(res.Matches) }
 
 // renderPairs is the canonical fixture form: one "a b" pair per line,
 // sorted, with a count header for readable diffs.
-func renderPairs(matches match.PairSet) string {
-	pairs := matches.Sorted()
-	var b strings.Builder
-	fmt.Fprintf(&b, "# %d matches\n", len(pairs))
-	for _, p := range pairs {
-		fmt.Fprintf(&b, "%d %d\n", p.A, p.B)
-	}
-	return b.String()
-}
+func renderPairs(matches match.PairSet) string { return serve.RenderMatches(matches) }
 
 func TestGoldenMatchSets(t *testing.T) {
 	for _, ds := range goldenSeeds {

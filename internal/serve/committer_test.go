@@ -128,16 +128,8 @@ func TestCommitterFoldMatchesCold(t *testing.T) {
 }
 
 // renderPipelineMatches renders a PipelineResult's matches in the
-// canonical fixture form (the snapshot's RenderMatches counterpart).
-func renderPipelineMatches(res *cem.PipelineResult) string {
-	var b strings.Builder
-	pairs := res.Matches.Sorted()
-	fmt.Fprintf(&b, "# %d matches\n", len(pairs))
-	for _, p := range pairs {
-		fmt.Fprintf(&b, "%d %d\n", p.A, p.B)
-	}
-	return b.String()
-}
+// canonical fixture form.
+func renderPipelineMatches(res *cem.PipelineResult) string { return RenderMatches(res.Matches) }
 
 // TestCommitterJournalRecoverFold: a fresh committer on the same
 // journal (and no store) replays the batches into the identical state and

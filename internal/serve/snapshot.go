@@ -9,6 +9,7 @@ import (
 	cem "repro"
 	"repro/internal/flat"
 	"repro/internal/unionfind"
+	"repro/match"
 )
 
 // Committed is one immutable committed state of the service: the
@@ -206,20 +207,24 @@ func (c *Committed) Cluster(key string) (ClusterView, bool) {
 	return v, true
 }
 
-// RenderMatches serializes the snapshot's match set in the repo's
-// canonical fixture form — one "a b" pair per line, sorted, with a count
-// header — so a served state can be diffed byte-for-byte against an
-// offline run (the load harness's identity check).
-func (c *Committed) RenderMatches() string {
+// RenderMatches serializes a match set in the repo's canonical fixture
+// form — a "# N matches" header, then one sorted "a b" pair per line — the
+// one form in which emmatch -dump, a served /matches body and emload's
+// offline run are compared byte for byte across processes.
+func RenderMatches(matches match.PairSet) string {
+	pairs := matches.Sorted()
 	var b strings.Builder
-	if c.Result == nil {
-		fmt.Fprintf(&b, "# 0 matches\n")
-		return b.String()
-	}
-	pairs := c.Result.Matches.Sorted()
 	fmt.Fprintf(&b, "# %d matches\n", len(pairs))
 	for _, p := range pairs {
 		fmt.Fprintf(&b, "%d %d\n", p.A, p.B)
 	}
 	return b.String()
+}
+
+// RenderMatches renders the snapshot's match set (package RenderMatches).
+func (c *Committed) RenderMatches() string {
+	if c.Result == nil {
+		return RenderMatches(nil)
+	}
+	return RenderMatches(c.Result.Matches)
 }

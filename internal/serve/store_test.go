@@ -18,7 +18,6 @@ import (
 	"time"
 
 	cem "repro"
-	"repro/internal/store"
 	"repro/internal/wire"
 	"repro/match"
 )
@@ -464,9 +463,8 @@ func TestRecoverRefusedStoreSnapshot(t *testing.T) {
 // TestRecoverStateDirWithSegments covers the state directories earlier
 // builds left, each beside its journal:
 //   - a store that also holds evidence segments (a per-round mirror of M+):
-//     the segments are still verified when the store opens, but recovery
-//     reads only the blobs, so the restart reopens the snapshot with zero
-//     matcher calls;
+//     the store never reads them and recovery reads only the blobs, so the
+//     restart reopens the snapshot with zero matcher calls;
 //   - a round trail under checkpoint/ and no store: the restart replays the
 //     journal into a new store.
 //
@@ -633,9 +631,10 @@ func TestRecoverTwoBlobStateDir(t *testing.T) {
 	}
 }
 
-// leaveSegments serves batches into state, then leaves the committed M+
-// behind as evidence segments, in two batches, as an earlier build's
-// per-round mirror did.
+// leaveSegments serves batches into state, then leaves evidence segments
+// beside the store's files as an earlier build's per-round mirror did. No
+// encoder of that format remains, so their bytes are arbitrary: the store
+// never reads them.
 func leaveSegments(t *testing.T, state string, batches [][]cem.Record) *Committed {
 	t.Helper()
 	svc, err := New(context.Background(), Config{StateDir: state, Batching: fastBatching})
@@ -650,18 +649,10 @@ func leaveSegments(t *testing.T, state string, batches [][]cem.Record) *Committe
 	if err := svc.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Open("disk", store.WithDir(filepath.Join(state, "store")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := rekeyed(svc.Snapshot().Result.Matches.SortedKeys())
-	for _, batch := range [][]uint64{keys[:len(keys)/2], keys[len(keys)/2:]} {
-		if err := st.PutEvidence(batch); err != nil {
+	for seq, data := range []string{"CEMS\x01 a segment", "CEMS\x01 another"} {
+		if err := os.WriteFile(filepath.Join(state, "store", fmt.Sprintf("ev-%08d.seg", seq+1)), []byte(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
 	}
 	return svc.Snapshot()
 }
@@ -681,15 +672,6 @@ func readFiles(t *testing.T, dir, glob string) map[string]string {
 			t.Fatal(err)
 		}
 		out[p] = string(data)
-	}
-	return out
-}
-
-// rekeyed converts pair keys to the store's raw form.
-func rekeyed(keys []match.PairKey) []uint64 {
-	out := make([]uint64, len(keys))
-	for i, k := range keys {
-		out[i] = uint64(k)
 	}
 	return out
 }

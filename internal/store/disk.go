@@ -7,46 +7,38 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/wire"
 )
 
-// Disk is the log-structured on-disk store: evidence lives in
-// append-only segment files (ev-NNNNNNNN.seg, see segment.go) under the
-// root directory, blobs under blob/<kind>/<name>. The segments are a
-// durable Trail and blobs commit through the same function, so a crash
-// can never leave a torn file under a committed name and a returned put
-// survives a power cut; what a crash DURING a commit leaves behind, open
-// repairs by the trail's rules (orphans removed, a torn trailing segment
-// quarantined, damage anywhere else a hard error).
-//
-// Reads never materialize the evidence set: each segment keeps only a
-// sparse in-memory index (one 32-byte entry per block of ≤ BlockKeys
-// keys), point and range lookups decode single blocks on demand through
-// a small cache, and iteration streams a k-way merge across segments.
-// Once more than CompactEvery segments accumulate, a put compacts them
-// into one merged, deduplicated segment.
+// Disk is the on-disk store: blobs under blob/<kind>/<name>, and the
+// evidence set in memory, persisted as a durable Trail of entries
+// (evidence-NNNNNNNN.delta) under the root directory. Each PutEvidence
+// batch is one entry, a binary wire.Delta whose Round is the entry's
+// sequence number; once more than compactEvery entries accumulate, a put
+// commits the whole set as the next entry and removes the older ones.
+// Blobs commit through the same function, so a crash can never leave a
+// torn file under a committed name and a returned put survives a power
+// cut; what a crash DURING a commit leaves behind, open repairs by the
+// trail's rules (orphans removed, a torn trailing entry quarantined,
+// damage anywhere else a hard error). The ev-*.seg files of older builds
+// are not the trail's own: they are never read, renamed or removed.
 type Disk struct {
-	trail        Trail
-	blockKeys    int
-	compactEvery int
+	trail Trail
 
-	mu      sync.RWMutex
-	segs    []*diskSegment
-	nextSeq int
-	cache   *blockCache
-	closed  bool
+	mu     sync.RWMutex
+	keys   []uint64 // the evidence set, ascending and distinct; replaced, never written in place
+	seqs   []int    // the trail's entries, ascending
+	closed bool
 }
 
-// diskSegment is one open segment: its path and sparse block index.
-type diskSegment struct {
-	path   string
-	seq    int
-	blocks []segBlock
-}
-
-const segFormat = "ev-%08d.seg"
+const (
+	evidenceFormat = "evidence-%08d.delta"
+	// compactEvery is the entry count past which a put compacts.
+	compactEvery = 8
+)
 
 // OpenDisk opens (creating if needed) a disk store rooted at o.Dir.
 func OpenDisk(o Options) (*Disk, error) { return openDisk(o, osFS{}) }
@@ -58,38 +50,24 @@ func openDisk(o Options, sys fsys) (*Disk, error) {
 	if err := sys.MkdirAll(o.Dir); err != nil {
 		return nil, fmt.Errorf("store: disk dir: %w", err)
 	}
-	d := &Disk{
-		trail:        Trail{Dir: o.Dir, Format: segFormat, Durable: true, Logf: o.Logf, fs: sys},
-		blockKeys:    o.BlockKeys,
-		compactEvery: o.CompactEvery,
-		cache:        newBlockCache(16),
-	}
-	if d.blockKeys <= 0 {
-		d.blockKeys = defaultBlockKeys
-	}
-	if d.compactEvery <= 0 {
-		d.compactEvery = defaultCompactEvery
-	}
-	// Every segment is fully verified: the whole file decodes and
-	// re-encodes canonically.
-	if err := d.trail.Scan(d.addSegment); err != nil {
+	d := &Disk{trail: Trail{Dir: o.Dir, Format: evidenceFormat, Durable: true, Logf: o.Logf, fs: sys}}
+	if err := d.trail.Scan(d.load); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// addSegment verifies one segment's bytes and appends its sparse index.
-func (d *Disk) addSegment(seq int, data []byte) error {
-	seg := &diskSegment{path: d.trail.Path(seq), seq: seq}
-	err := walkSegment(data, func(meta segBlock, _ []uint64) error {
-		seg.blocks = append(seg.blocks, meta)
-		return nil
-	})
+// load verifies one evidence entry and merges its keys into the set.
+func (d *Disk) load(seq int, data []byte) error {
+	delta, err := wire.UnmarshalDelta(data)
 	if err != nil {
 		return err
 	}
-	d.segs = append(d.segs, seg)
-	d.nextSeq = seq + 1
+	if delta.Round != seq {
+		return fmt.Errorf("store: evidence entry carries sequence number %d", delta.Round)
+	}
+	d.keys = union(d.keys, delta.Keys)
+	d.seqs = append(d.seqs, seq)
 	return nil
 }
 
@@ -99,17 +77,9 @@ func (d *Disk) Name() string { return "disk" }
 // Dir returns the store's root directory.
 func (d *Disk) Dir() string { return d.trail.Dir }
 
-// Segments returns the current segment-file count (diagnostics and
-// compaction tests).
-func (d *Disk) Segments() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.segs)
-}
-
-// PutEvidence implements Store: the batch becomes one new segment file,
-// committed atomically; crossing the compaction threshold merges every
-// segment into one.
+// PutEvidence implements Store: the batch becomes the trail's next entry,
+// committed atomically; crossing the compaction threshold commits the
+// whole set as one entry.
 func (d *Disk) PutEvidence(keys []uint64) error {
 	if err := checkBatch(keys); err != nil {
 		return err
@@ -122,217 +92,97 @@ func (d *Disk) PutEvidence(keys []uint64) error {
 	if d.closed {
 		return fmt.Errorf("store: disk store is closed")
 	}
-	if err := d.writeSegment(keys); err != nil {
+	if err := d.commit(keys); err != nil {
 		return err
 	}
-	if len(d.segs) > d.compactEvery {
+	d.keys = union(d.keys, keys)
+	if len(d.seqs) > compactEvery {
 		return d.compact()
 	}
 	return nil
 }
 
-// writeSegment encodes keys as the next segment and commits it. Caller
-// holds mu.
-func (d *Disk) writeSegment(keys []uint64) error {
-	data, err := encodeSegment(splitBlocks(keys, d.blockKeys))
+// commit writes keys as the trail's next entry. Caller holds mu.
+func (d *Disk) commit(keys []uint64) error {
+	seq := 0
+	if n := len(d.seqs); n > 0 {
+		seq = d.seqs[n-1] + 1
+	}
+	data, err := (&wire.Delta{Round: seq, Keys: keys}).Marshal(wire.Binary)
 	if err != nil {
+		return fmt.Errorf("store: encoding evidence: %w", err)
+	}
+	if err := d.trail.Commit(seq, data); err != nil {
 		return err
 	}
-	if err := d.trail.Commit(d.nextSeq, data); err != nil {
-		return err
-	}
-	if err := d.addSegment(d.nextSeq, data); err != nil {
-		return fmt.Errorf("store: re-reading just-written segment: %w", err)
-	}
+	d.seqs = append(d.seqs, seq)
 	return nil
 }
 
-// compact merges every segment into one deduplicated segment and
-// removes the inputs. Crash safety needs no journal: the merged segment
-// commits under a NEW sequence number before any input is removed, and
-// evidence has set semantics, so a crash at any point leaves a
-// directory whose union is unchanged. Caller holds mu.
+// compact commits the whole set as one entry and removes the others.
+// Crash safety needs no journal: the merged entry commits under a NEW
+// sequence number before any older one is removed, and evidence has set
+// semantics, so a crash at any point leaves a directory whose union is
+// unchanged. Caller holds mu.
 func (d *Disk) compact() error {
-	var merged []uint64
-	if err := d.rangeLocked(0, ^uint64(0), func(k uint64) bool {
-		merged = append(merged, k)
-		return true
-	}); err != nil {
+	old := d.seqs
+	if err := d.commit(d.keys); err != nil {
 		return err
 	}
-	old := d.segs
-	if err := d.writeSegment(merged); err != nil {
-		return err
-	}
-	d.segs = d.segs[len(old):]
-	for _, seg := range old {
-		if err := d.trail.Remove(seg.seq); err != nil {
+	d.seqs = d.seqs[len(old):]
+	for _, seq := range old {
+		if err := d.trail.Remove(seq); err != nil {
 			return err
 		}
 	}
-	d.cache.clear()
 	return nil
 }
 
-// blockKeysAt loads one block's keys, via the cache.
-func (d *Disk) blockKeysAt(seg *diskSegment, bi int) ([]uint64, error) {
-	meta := seg.blocks[bi]
-	if keys, ok := d.cache.get(seg.path, meta.off); ok {
-		return keys, nil
+// union returns the ascending, distinct union of two ascending, distinct
+// key slices in a new slice.
+func union(a, b []uint64) []uint64 {
+	out := make([]uint64, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case b[0] < a[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
 	}
-	f, err := os.Open(seg.path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	payload := make([]byte, meta.plen)
-	if _, err := f.ReadAt(payload, int64(meta.off)); err != nil {
-		return nil, fmt.Errorf("store: reading block of %s: %w", filepath.Base(seg.path), err)
-	}
-	var prevMax uint64
-	if bi > 0 {
-		prevMax = seg.blocks[bi-1].max
-	}
-	keys, err := decodeBlock(payload, bi, meta, prevMax)
-	if err != nil {
-		return nil, err
-	}
-	d.cache.put(seg.path, meta.off, keys)
-	return keys, nil
+	return append(append(out, a...), b...)
+}
+
+// evidence returns the current set. A put replaces the slice and never
+// writes into it, so the caller reads it without the lock.
+func (d *Disk) evidence() []uint64 {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.keys
 }
 
 // HasEvidence implements Store.
 func (d *Disk) HasEvidence(key uint64) (bool, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	for i := len(d.segs) - 1; i >= 0; i-- {
-		seg := d.segs[i]
-		bi := sort.Search(len(seg.blocks), func(j int) bool { return seg.blocks[j].max >= key })
-		if bi == len(seg.blocks) || seg.blocks[bi].min > key {
-			continue
-		}
-		keys, err := d.blockKeysAt(seg, bi)
-		if err != nil {
-			return false, err
-		}
-		ki := sort.Search(len(keys), func(j int) bool { return keys[j] >= key })
-		if ki < len(keys) && keys[ki] == key {
-			return true, nil
-		}
-	}
-	return false, nil
+	_, ok := slices.BinarySearch(d.evidence(), key)
+	return ok, nil
 }
 
-// segCursor streams one segment's keys within [lo, hi).
-type segCursor struct {
-	d    *Disk
-	seg  *diskSegment
-	hi   uint64
-	bi   int
-	keys []uint64
-	ki   int
-	cur  uint64
-	done bool
-}
-
-func (c *segCursor) advance() error {
-	for {
-		if c.keys != nil && c.ki < len(c.keys) {
-			k := c.keys[c.ki]
-			c.ki++
-			if k >= c.hi {
-				c.done = true
-				return nil
-			}
-			c.cur = k
-			return nil
-		}
-		if c.bi >= len(c.seg.blocks) {
-			c.done = true
-			return nil
-		}
-		keys, err := c.d.blockKeysAt(c.seg, c.bi)
-		if err != nil {
-			return err
-		}
-		c.bi++
-		c.keys, c.ki = keys, 0
-	}
-}
-
-// newSegCursor positions a cursor at the first key >= lo.
-func (d *Disk) newSegCursor(seg *diskSegment, lo, hi uint64) (*segCursor, error) {
-	c := &segCursor{d: d, seg: seg, hi: hi}
-	c.bi = sort.Search(len(seg.blocks), func(j int) bool { return seg.blocks[j].max >= lo })
-	if c.bi == len(seg.blocks) {
-		c.done = true
-		return c, nil
-	}
-	keys, err := d.blockKeysAt(seg, c.bi)
-	if err != nil {
-		return nil, err
-	}
-	c.bi++
-	c.keys = keys
-	c.ki = sort.Search(len(keys), func(j int) bool { return keys[j] >= lo })
-	if err := c.advance(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// EvidenceRange implements Store: an ascending, deduplicated k-way
-// merge across the (typically few, post-compaction one) segments.
+// EvidenceRange implements Store.
 func (d *Disk) EvidenceRange(lo, hi uint64, yield func(uint64) bool) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.rangeLocked(lo, hi, yield)
-}
-
-func (d *Disk) rangeLocked(lo, hi uint64, yield func(uint64) bool) error {
-	cursors := make([]*segCursor, 0, len(d.segs))
-	for _, seg := range d.segs {
-		c, err := d.newSegCursor(seg, lo, hi)
-		if err != nil {
-			return err
-		}
-		if !c.done {
-			cursors = append(cursors, c)
-		}
-	}
-	for {
-		var best *segCursor
-		for _, c := range cursors {
-			if c.done {
-				continue
-			}
-			if best == nil || c.cur < best.cur {
-				best = c
-			}
-		}
-		if best == nil {
-			return nil
-		}
-		k := best.cur
-		for _, c := range cursors {
-			for !c.done && c.cur == k {
-				if err := c.advance(); err != nil {
-					return err
-				}
-			}
-		}
-		if !yield(k) {
+	keys := d.evidence()
+	i, _ := slices.BinarySearch(keys, lo)
+	for _, k := range keys[i:] {
+		if k >= hi || !yield(k) {
 			return nil
 		}
 	}
+	return nil
 }
 
-// EvidenceLen implements Store (an exact, merged distinct count).
-func (d *Disk) EvidenceLen() (int, error) {
-	n := 0
-	err := d.EvidenceRange(0, ^uint64(0), func(uint64) bool { n++; return true })
-	return n, err
-}
+// EvidenceLen implements Store.
+func (d *Disk) EvidenceLen() (int, error) { return len(d.evidence()), nil }
 
 // blobPath maps a blob to its file, validating both path components.
 func (d *Disk) blobPath(kind, name string) (string, error) {
@@ -345,7 +195,7 @@ func (d *Disk) blobPath(kind, name string) (string, error) {
 	return filepath.Join(d.trail.Dir, "blob", kind, name), nil
 }
 
-// SaveBlob implements Store: the same durable commit as a segment.
+// SaveBlob implements Store: the same durable commit as an evidence entry.
 func (d *Disk) SaveBlob(kind, name string, data []byte) error {
 	path, err := d.blobPath(kind, name)
 	if err != nil {
@@ -389,55 +239,5 @@ func (d *Disk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.closed = true
-	d.cache.clear()
 	return nil
-}
-
-// blockCache is a tiny FIFO cache of decoded blocks, keyed by
-// (segment path, payload offset). Point lookups on a hot range keep
-// re-decoding the same block otherwise.
-type blockCache struct {
-	mu    sync.Mutex
-	cap   int
-	order []blockKey
-	m     map[blockKey][]uint64
-}
-
-type blockKey struct {
-	path string
-	off  int
-}
-
-func newBlockCache(capacity int) *blockCache {
-	return &blockCache{cap: capacity, m: map[blockKey][]uint64{}}
-}
-
-func (c *blockCache) get(path string, off int) ([]uint64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys, ok := c.m[blockKey{path, off}]
-	return keys, ok
-}
-
-func (c *blockCache) put(path string, off int, keys []uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := blockKey{path, off}
-	if _, dup := c.m[k]; dup {
-		return
-	}
-	if len(c.order) >= c.cap {
-		oldest := c.order[0]
-		c.order = c.order[1:]
-		delete(c.m, oldest)
-	}
-	c.order = append(c.order, k)
-	c.m[k] = keys
-}
-
-func (c *blockCache) clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order = nil
-	c.m = map[blockKey][]uint64{}
 }

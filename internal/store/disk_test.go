@@ -1,21 +1,25 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/wire"
 )
 
-// writeDiskFixture builds a disk store with a few segments and returns
-// the directory, the segment paths (ascending), and the expected keys.
+// writeDiskFixture builds a disk store with a few evidence entries and
+// returns the directory, the entry paths (ascending), and the expected keys.
 func writeDiskFixture(t *testing.T, batches int) (string, []string, []uint64) {
 	t.Helper()
 	dir := t.TempDir()
-	d, err := OpenDisk(Options{Dir: dir, BlockKeys: 16, CompactEvery: 100})
+	d, err := OpenDisk(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,20 +36,20 @@ func writeDiskFixture(t *testing.T, batches int) (string, []string, []uint64) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	paths, err := filepath.Glob(filepath.Join(dir, "ev-*.seg"))
+	paths, err := filepath.Glob(filepath.Join(dir, "evidence-*.delta"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(paths) != batches {
-		t.Fatalf("fixture wrote %d segments, want %d", len(paths), batches)
+		t.Fatalf("fixture wrote %d entries, want %d", len(paths), batches)
 	}
 	return dir, paths, want
 }
 
-// TestDiskTrailingTruncationQuarantine corrupts the TRAILING segment at
-// every possible truncation point and at every single byte, and asserts
-// the store always reopens with that segment quarantined and every
-// earlier segment intact — the same recovery contract the service
+// TestDiskTrailingTruncationQuarantine corrupts the TRAILING evidence
+// entry at every possible truncation point and at every single byte, and
+// asserts the store always reopens with that entry quarantined and every
+// earlier entry intact — the same recovery contract the service
 // journal gives its trailing batch.
 func TestDiskTrailingTruncationQuarantine(t *testing.T) {
 	dir, paths, _ := writeDiskFixture(t, 3)
@@ -54,7 +58,7 @@ func TestDiskTrailingTruncationQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Expected survivors: keys of all but the last segment.
+	// Expected survivors: keys of all but the last entry.
 	var survivors []uint64
 	{
 		if err := os.Remove(last); err != nil {
@@ -80,7 +84,7 @@ func TestDiskTrailingTruncationQuarantine(t *testing.T) {
 			logged = append(logged, f)
 		}})
 		if err != nil {
-			t.Fatalf("reopen with damaged trailing segment failed: %v", err)
+			t.Fatalf("reopen with damaged trailing entry failed: %v", err)
 		}
 		got, err := Keys(d)
 		if err != nil {
@@ -88,7 +92,7 @@ func TestDiskTrailingTruncationQuarantine(t *testing.T) {
 		}
 		d.Close()
 		if !reflect.DeepEqual(got, survivors) {
-			t.Fatalf("damaged trailing segment: got %d keys, want %d survivors", len(got), len(survivors))
+			t.Fatalf("damaged trailing entry: got %d keys, want %d survivors", len(got), len(survivors))
 		}
 		if len(logged) == 0 {
 			t.Fatal("quarantine was not logged")
@@ -126,11 +130,9 @@ func TestDiskTrailingTruncationQuarantine(t *testing.T) {
 			if gerr != nil {
 				t.Fatalf("byte %d: Keys: %v", i, gerr)
 			}
-			// A flip either leaves a still-valid segment (then the full
-			// set must round-trip — happens only if the flip is caught
-			// by canonicality, which rejects everything, so really:
-			// quarantined) or the segment is quarantined and survivors
-			// remain. Either way earlier segments are intact.
+			// A flip either leaves a still-valid entry (then the full
+			// set must round-trip) or the entry is quarantined and
+			// survivors remain. Either way earlier entries are intact.
 			for _, k := range survivors {
 				found := false
 				for _, g := range got {
@@ -154,22 +156,20 @@ func TestDiskTrailingTruncationQuarantine(t *testing.T) {
 	})
 }
 
-// survivorsPlus returns survivors ∪ the pristine segment's keys — what a
-// reopen must see when the trailing segment is intact.
+// survivorsPlus returns survivors ∪ the pristine entry's keys — what a
+// reopen must see when the trailing entry is intact.
 func survivorsPlus(survivors []uint64, pristine []byte, t *testing.T) []uint64 {
 	t.Helper()
-	blocks, err := parseSegment(pristine)
+	delta, err := wire.UnmarshalDelta(pristine)
 	if err != nil {
-		t.Fatalf("pristine segment does not parse: %v", err)
+		t.Fatalf("pristine entry does not decode: %v", err)
 	}
 	set := map[uint64]struct{}{}
 	for _, k := range survivors {
 		set[k] = struct{}{}
 	}
-	for _, b := range blocks {
-		for _, k := range b {
-			set[k] = struct{}{}
-		}
+	for _, k := range delta.Keys {
+		set[k] = struct{}{}
 	}
 	out := make([]uint64, 0, len(set))
 	for k := range set {
@@ -187,9 +187,9 @@ func sortU64(s []uint64) {
 	}
 }
 
-// TestDiskNonTrailingDamageIsFatal pins that damage to any segment
+// TestDiskNonTrailingDamageIsFatal pins that damage to any evidence entry
 // OTHER than the trailing one refuses to open: quarantining it would
-// silently drop evidence that later segments build on.
+// silently drop evidence that later entries build on.
 func TestDiskNonTrailingDamageIsFatal(t *testing.T) {
 	dir, paths, _ := writeDiskFixture(t, 3)
 	first := paths[0]
@@ -201,7 +201,7 @@ func TestDiskNonTrailingDamageIsFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := OpenDisk(Options{Dir: dir}); err == nil {
-		t.Fatal("store opened despite a damaged non-trailing segment")
+		t.Fatal("store opened despite a damaged non-trailing entry")
 	} else if !strings.Contains(err.Error(), "not the trailing entry") {
 		t.Fatalf("unexpected error: %v", err)
 	}
@@ -212,7 +212,7 @@ func TestDiskNonTrailingDamageIsFatal(t *testing.T) {
 // state.
 func TestDiskOrphanTmpRemoved(t *testing.T) {
 	dir, _, want := writeDiskFixture(t, 2)
-	orphan := filepath.Join(dir, fmt.Sprintf(segFormat, 99)+".tmp")
+	orphan := filepath.Join(dir, fmt.Sprintf(evidenceFormat, 99)+".tmp")
 	if err := os.WriteFile(orphan, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -277,4 +277,140 @@ func TestDiskClosedRejectsWrites(t *testing.T) {
 	if err := d.PutEvidence([]uint64{pk(1, 2)}); err == nil {
 		t.Fatal("PutEvidence succeeded on a closed store")
 	}
+}
+
+// TestDiskIgnoresOlderSegments pins that the ev-*.seg files an older
+// build left beside the evidence entries are not the store's: a damaged
+// first one does not stop the store from opening, none of their bytes
+// reach the evidence set, and a put and a compaction leave them
+// byte-identical.
+func TestDiskIgnoresOlderSegments(t *testing.T) {
+	dir := t.TempDir()
+	older := map[string][]byte{
+		"ev-00000000.seg": []byte("CEMS\x01 torn before its first block"),
+		"ev-00000001.seg": []byte("any bytes an older build wrote"),
+	}
+	for name, data := range older {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	want := map[uint64]struct{}{}
+	put := func(d *Disk, batches int) {
+		t.Helper()
+		for i := 0; i < batches; i++ {
+			keys := sortedKeys(rng, 25)
+			for _, k := range keys {
+				want[k] = struct{}{}
+			}
+			if err := d.PutEvidence(keys); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(d *Disk, when string) {
+		t.Helper()
+		got, err := Keys(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSorted := make([]uint64, 0, len(want))
+		for k := range want {
+			wantSorted = append(wantSorted, k)
+		}
+		sortU64(wantSorted)
+		if !reflect.DeepEqual(got, wantSorted) {
+			t.Fatalf("%s: Keys returned %d keys, want the %d put", when, len(got), len(wantSorted))
+		}
+		for name, data := range older {
+			if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("%s: %s changed: %q, %v", when, name, got, err)
+			}
+		}
+	}
+
+	d, err := OpenDisk(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("opening beside older segments: %v", err)
+	}
+	put(d, 2)
+	d.Close()
+	if d, err = OpenDisk(Options{Dir: dir}); err != nil {
+		t.Fatalf("reopening beside older segments and evidence entries: %v", err)
+	}
+	check(d, "after a put")
+	put(d, compactEvery-1)
+	if n, _ := filepath.Glob(filepath.Join(dir, "evidence-*.delta")); len(n) != 1 {
+		t.Fatalf("%d evidence entries after %d puts, want one compacted entry", len(n), compactEvery+1)
+	}
+	check(d, "after a compaction")
+	d.Close()
+	if d, err = OpenDisk(Options{Dir: dir}); err != nil {
+		t.Fatalf("reopening after the compaction: %v", err)
+	}
+	defer d.Close()
+	check(d, "after a reopen")
+}
+
+// TestDiskConcurrentReaders: readers that range, count and look up the
+// evidence while one writer puts (and compacts) always see an ascending,
+// distinct set that never shrinks.
+func TestDiskConcurrentReaders(t *testing.T) {
+	d, err := OpenDisk(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	batches := make([][]uint64, 2*compactEvery)
+	rng := rand.New(rand.NewSource(17))
+	for i := range batches {
+		batches[i] = sortedKeys(rng, 30)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen := 0
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				got, err := Keys(d)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(got) < seen {
+					t.Errorf("the set shrank from %d to %d keys", seen, len(got))
+					return
+				}
+				seen = len(got)
+				for i := 1; i < len(got); i++ {
+					if got[i-1] >= got[i] {
+						t.Errorf("keys not ascending and distinct at %d", i)
+						return
+					}
+				}
+				if len(got) > 0 {
+					if ok, err := d.HasEvidence(got[len(got)/2]); err != nil || !ok {
+						t.Errorf("HasEvidence of a ranged key = %v, %v", ok, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for _, b := range batches {
+		if err := d.PutEvidence(b); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
 }

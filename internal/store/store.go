@@ -3,12 +3,12 @@
 // postings), one blob — goes through a Store, so the same pipeline can
 // keep it in process maps (the "mem" store) or on disk (the "disk" store,
 // for services that reopen state on restart instead of replaying
-// trails). A Store also offers an evidence-set API (append-only segment
-// files of difference-encoded sorted PairKey batches over the
-// internal/wire codec on disk); the engine writes no evidence into it.
+// trails). A Store also offers an evidence-set API, which the disk store
+// keeps in memory and persists as a trail of internal/wire deltas; the
+// engine writes no evidence into it.
 //
 // The package also owns the one durability protocol, Trail (trail.go):
-// the disk store's segments and blobs, the service journal and the
+// the disk store's evidence and blobs, the service journal and the
 // engine's checkpoint trail are committed and recovered through it, and
 // nothing else in the module renames, fsyncs or quarantines a file.
 //
@@ -83,15 +83,8 @@ type Options struct {
 	// Dir is the root directory of a disk-backed store (required by
 	// "disk", ignored by "mem").
 	Dir string
-	// CompactEvery bounds the evidence segment count: once more than
-	// this many segment files accumulate, a Put triggers compaction
-	// into a single merged segment. 0 means the implementation default.
-	CompactEvery int
-	// BlockKeys bounds the keys per difference-encoded block inside a
-	// segment (the unit of decode-on-demand). 0 means the default.
-	BlockKeys int
-	// Logf, when set, receives recovery events (e.g. quarantined
-	// segments). Nil is silent.
+	// Logf, when set, receives recovery events (e.g. a quarantined
+	// evidence entry). Nil is silent.
 	Logf func(format string, args ...any)
 }
 
@@ -101,12 +94,6 @@ type Option func(*Options)
 
 // WithDir roots a disk-backed store at dir.
 func WithDir(dir string) Option { return func(o *Options) { o.Dir = dir } }
-
-// WithCompactEvery sets the segment-count compaction threshold.
-func WithCompactEvery(n int) Option { return func(o *Options) { o.CompactEvery = n } }
-
-// WithBlockKeys sets the keys-per-block bound of new segments.
-func WithBlockKeys(n int) Option { return func(o *Options) { o.BlockKeys = n } }
 
 // WithLog installs a logger for store recovery events.
 func WithLog(logf func(format string, args ...any)) Option {

@@ -37,7 +37,7 @@ func openEach(t *testing.T) map[string]Store {
 	t.Helper()
 	stores := map[string]Store{}
 	for _, name := range storeNames {
-		s, err := Open(name, WithDir(filepath.Join(t.TempDir(), name)), WithBlockKeys(64), WithCompactEvery(4))
+		s, err := Open(name, WithDir(filepath.Join(t.TempDir(), name)))
 		if err != nil {
 			t.Fatalf("Open(%q): %v", name, err)
 		}
@@ -179,7 +179,7 @@ func TestStoreConformance(t *testing.T) {
 func TestDiskMatchesMemProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	mem := NewMem()
-	disk, err := OpenDisk(Options{Dir: t.TempDir(), BlockKeys: 32, CompactEvery: 3})
+	disk, err := OpenDisk(Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestDiskMatchesMemProperty(t *testing.T) {
 func TestDiskReopenEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(7))
-	d1, err := OpenDisk(Options{Dir: dir, BlockKeys: 16, CompactEvery: 4})
+	d1, err := OpenDisk(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,10 +274,10 @@ func TestDiskReopenEquivalence(t *testing.T) {
 	}
 }
 
-// TestDiskCompaction pins that compaction bounds the segment count and
-// preserves the merged set exactly.
+// TestDiskCompaction pins that compaction bounds the evidence entry count
+// and preserves the merged set exactly.
 func TestDiskCompaction(t *testing.T) {
-	d, err := OpenDisk(Options{Dir: t.TempDir(), BlockKeys: 8, CompactEvery: 3})
+	d, err := OpenDisk(Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +292,8 @@ func TestDiskCompaction(t *testing.T) {
 		if err := d.PutEvidence(keys); err != nil {
 			t.Fatal(err)
 		}
-		if n := d.Segments(); n > 3+1 {
-			t.Fatalf("after put %d: %d segments, compaction threshold 3", i, n)
+		if n, _ := filepath.Glob(filepath.Join(d.Dir(), "evidence-*.delta")); len(n) > compactEvery+1 {
+			t.Fatalf("after put %d: %d entries, compaction threshold %d", i, len(n), compactEvery)
 		}
 	}
 	got, err := Keys(d)
@@ -313,35 +313,6 @@ func TestDiskCompaction(t *testing.T) {
 func TestDiskRequiresDir(t *testing.T) {
 	if _, err := Open("disk"); err == nil {
 		t.Fatal("disk store opened without a directory")
-	}
-}
-
-func TestSegmentEncodeRejectsBadBlocks(t *testing.T) {
-	cases := map[string][][]uint64{
-		"empty block":    {{}},
-		"overlap":        {{pk(1, 2), pk(1, 3)}, {pk(1, 3)}},
-		"order reversed": {{pk(4, 5)}, {pk(1, 2)}},
-	}
-	for name, blocks := range cases {
-		if _, err := encodeSegment(blocks); err == nil {
-			t.Errorf("encodeSegment(%s) succeeded", name)
-		}
-	}
-}
-
-func TestSplitBlocks(t *testing.T) {
-	keys := make([]uint64, 10)
-	for i := range keys {
-		keys[i] = pk(uint32(i), uint32(i+1))
-	}
-	blocks := splitBlocks(keys, 4)
-	if len(blocks) != 3 || len(blocks[0]) != 4 || len(blocks[2]) != 2 {
-		t.Fatalf("splitBlocks sizes = %v", func() (ns []int) {
-			for _, b := range blocks {
-				ns = append(ns, len(b))
-			}
-			return
-		}())
 	}
 }
 

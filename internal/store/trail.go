@@ -11,7 +11,7 @@ import (
 )
 
 // Trail is the one commit-and-recover protocol for state kept as a
-// directory of numbered files, each written whole: evidence segments, the
+// directory of numbered files, each written whole: the disk store's evidence, the
 // service journal and the checkpoint trail are all Trails, differing only
 // in file name, durability and what makes an entry valid.
 //

@@ -28,17 +28,19 @@ type trailClient struct {
 func trailClients(t testing.TB) []trailClient {
 	return []trailClient{
 		{
-			name: "segment", format: segFormat, durable: true,
+			// The disk store's evidence entries.
+			name: "segment", format: evidenceFormat, durable: true,
 			entry: func(seq int) []byte {
 				keys := sortedKeys(rand.New(rand.NewSource(int64(seq))), 40+seq)
-				data, err := encodeSegment(splitBlocks(keys, 16))
+				data, err := (&wire.Delta{Round: seq, Keys: keys}).Marshal(wire.Binary)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return data
 			},
 			verify: func(data []byte) error {
-				return walkSegment(data, func(segBlock, []uint64) error { return nil })
+				_, err := wire.UnmarshalDelta(data)
+				return err
 			},
 		},
 		{
@@ -228,7 +230,7 @@ func TestTrail(t *testing.T) {
 	}
 
 	t.Run("missing-dir", func(t *testing.T) {
-		tr := &Trail{Dir: filepath.Join(t.TempDir(), "never-created"), Format: segFormat}
+		tr := &Trail{Dir: filepath.Join(t.TempDir(), "never-created"), Format: evidenceFormat}
 		if err := tr.Scan(func(int, []byte) error { return errors.New("called") }); err != nil {
 			t.Errorf("Scan of a missing directory: %v", err)
 		}
@@ -389,7 +391,7 @@ func sweepRound(gen string, seq int) []byte {
 // first error, which is the simulated death of the process.
 func sweepScript(root string, fs fsys) (out sweepOutcome) {
 	out.journal, out.pending = map[int]string{}, map[int]string{}
-	d, err := openDisk(Options{Dir: filepath.Join(root, "store"), CompactEvery: 3, BlockKeys: 8}, fs)
+	d, err := openDisk(Options{Dir: filepath.Join(root, "store")}, fs)
 	if err != nil {
 		return out
 	}
@@ -560,7 +562,7 @@ func FuzzTrailScan(f *testing.F) {
 	f.Add([]byte("\x10orphan\xff\x20quarantined\xff\x31foreign\xff\x02ok"), uint8(1))
 	f.Add([]byte("\x33notes.tmp\xff\x00bad\xff\x01ok"), uint8(2))
 	f.Add([]byte{}, uint8(0))
-	formats := []string{segFormat, "batch-%06d.tsv", "round-%06d.ckpt"}
+	formats := []string{evidenceFormat, "batch-%06d.tsv", "round-%06d.ckpt"}
 	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789.-_%"
 
 	f.Fuzz(func(t *testing.T, listing []byte, pick uint8) {

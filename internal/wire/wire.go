@@ -45,8 +45,8 @@ const (
 )
 
 // Delta is a batch of evidence as packed PairKeys in strictly
-// increasing order: one round's newly decided pairs, or one block of a
-// disk store's evidence segment (Round is then the block ordinal).
+// increasing order: one round's newly decided pairs, or one entry of a
+// disk store's evidence trail (Round is then the entry's sequence number).
 type Delta struct {
 	Round int
 	Keys  []uint64 // strictly increasing valid PairKeys

@@ -11,8 +11,9 @@ import "repro/internal/store"
 // by the blocking postings, and cem.Pipeline.Reopen reads it back — plus
 // an evidence-set API (packed pair keys) the engine itself does not
 // write. cem.OpenStore opens the built-ins, "mem" (process maps) and
-// "disk" (files committed through one durable protocol); SaveState and
-// Reopen take any implementation as a value.
+// "disk" (blobs committed through one durable protocol, evidence held in
+// memory and persisted through the same); SaveState and Reopen take any
+// implementation as a value.
 type Store = store.Store
 
 // StoreOption configures a built-in store at open time — the functional

@@ -28,7 +28,7 @@ type StoreOption = match.StoreOption
 func WithStoreDir(dir string) StoreOption { return store.WithDir(dir) }
 
 // WithStoreLog installs a logger for store recovery events (e.g. a
-// quarantined torn segment).
+// quarantined torn evidence entry).
 func WithStoreLog(logf func(format string, args ...any)) StoreOption {
 	return store.WithLog(logf)
 }
