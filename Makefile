@@ -50,9 +50,10 @@ docs-check:
 # bench prints the hot-path benchmark table; its blocking command is the
 # blocking stage at the workloads' sizes and at scale 8, batch and
 # incremental, and its cover and candidate steps as a cold run pays for
-# them. The last two are the warm path: the serve-ingest stream folded
+# them. The next two are the warm path: the serve-ingest stream folded
 # through Pipeline.Update (per batch, with the kernel calls and name parses
 # the stream made), and the same stream POSTed to an in-process service.
+# The last is a restart: Pipeline.Reopen of a saved stream.
 bench:
 	$(GO) test $(GOFLAGS) -run '^$$' -bench '$(SCHEME_BENCH)' -benchmem -benchtime $(BENCHTIME) .
 	$(GO) test $(GOFLAGS) -run '^$$' -bench '$(MATCHER_BENCH)' -benchmem -benchtime $(MATCHER_BENCHTIME) ./internal/mln/
@@ -60,6 +61,7 @@ bench:
 	$(GO) test $(GOFLAGS) -run '^$$' -bench '^Benchmark(Canopies|IndexAdd|BuildCoverHEPTH|FinishCoverHEPTH|CandidatePairsHEPTH)$$' -benchmem -benchtime $(BENCHTIME) ./internal/canopy/
 	$(GO) test $(GOFLAGS) -run '^$$' -bench '^BenchmarkUpdateFold$$' -benchmem -benchtime $(BENCHTIME) .
 	$(GO) test $(GOFLAGS) -run '^$$' -bench '^BenchmarkIngest$$' -benchmem -benchtime $(BENCHTIME) ./internal/serve/
+	$(GO) test $(GOFLAGS) -run '^$$' -bench '^BenchmarkReopen$$' -benchmem -benchtime $(BENCHTIME) .
 
 # bench-once runs every benchmark of the module for one iteration: a
 # benchmark that checks itself (BenchmarkMemoHit fails unless every
@@ -178,7 +180,6 @@ fuzz:
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzShardedCanopiesIdentical$$' -fuzztime 10s ./internal/canopy/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzCanopiesMatchOld$$' -fuzztime 10s ./internal/canopy/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzIndexAdd$$' -fuzztime 10s ./internal/canopy/
-	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzLoadIndex$$' -fuzztime 10s ./internal/canopy/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzStateBlob$$' -fuzztime 10s .
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzTrailScan$$' -fuzztime 10s ./internal/store/
 

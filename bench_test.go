@@ -284,6 +284,64 @@ func BenchmarkUpdateFold(b *testing.B) {
 	b.ReportMetric(float64(parsed)/float64(b.N), "parsed/op")
 }
 
+// BenchmarkReopen times what a restart pays for saved state: Pipeline.Reopen
+// from a disk store, which builds the dataset and the blocking index over the
+// records and seals the snapshot without a matcher call. Outside the timer
+// each corpus (seed 42, one blocking shard) is streamed through Update in
+// four batches and saved with SaveState; blob_bytes is the state blob the
+// stream left. dblp-0.5 is the serve-ingest workload's corpus. hepth-8 takes
+// seconds a reopen and a minute to stream, so -short skips it.
+func BenchmarkReopen(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		kind  cem.DatasetKind
+		scale float64
+	}{{"dblp-0.5", cem.DBLP, 0.5}, {"hepth-1", cem.HEPTH, 1}, {"hepth-8", cem.HEPTH, 8}} {
+		b.Run(tc.name, func(b *testing.B) {
+			if testing.Short() && tc.scale > 1 {
+				b.Skip("HEPTH-like 8 takes a minute to stream")
+			}
+			records, err := cem.GenerateRecords(tc.kind, tc.scale, 42)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pipe, err := cem.NewPipeline(cem.WithShards(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			var res *cem.PipelineResult
+			const batches = 4
+			for k := range batches {
+				lo, hi := k*len(records)/batches, (k+1)*len(records)/batches
+				if res, err = pipe.Update(ctx, res, records[lo:hi]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			s, err := cem.OpenStore("disk", cem.WithStoreDir(filepath.Join(b.TempDir(), "store")))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			if err := cem.SaveState(s, res, batches); err != nil {
+				b.Fatal(err)
+			}
+			blob, err := s.OpenBlob(match.KindSnapshot, "latest")
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := pipe.Reopen(ctx, records, s); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(blob)), "blob_bytes")
+		})
+	}
+}
+
 // BenchmarkSetup measures cover construction plus matcher grounding.
 func BenchmarkSetup(b *testing.B) {
 	d := cem.NewDataset(cem.HEPTH, 0.25, 42)

@@ -394,11 +394,13 @@ func (c *cancelAt) Err() error {
 }
 
 // blockingState is everything an Add writes before it can fail, for
-// comparison between indexes: the saved blob covers the record count and
-// candidate lists, and the table's derived half — gram dictionary, gram
-// lists, postings — and the probe counters are read directly.
+// comparison between indexes: the record count, the candidate lists, the
+// cover's sets, the table's gram dictionary, gram lists and postings, and
+// the probe counters.
 type blockingState struct {
-	blob            []byte
+	n               int
+	cands           [][]scored
+	sets            [][]core.EntityID
 	ids             map[string]int32
 	grams, postings [][]int32
 	cnt             []int32
@@ -406,7 +408,11 @@ type blockingState struct {
 
 func stateOf(t *testing.T, ix *Index) blockingState {
 	t.Helper()
-	return blockingState{ix.Save(nil), ix.tab.ids, ix.tab.grams, ix.tab.postings, ix.cnt}
+	var sets [][]core.EntityID
+	if ix.cover != nil {
+		sets = ix.cover.Sets
+	}
+	return blockingState{ix.n, ix.cands, sets, ix.tab.ids, ix.tab.grams, ix.tab.postings, ix.cnt}
 }
 
 // TestIndexAddIsAllOrNothing cancels an Add at every context check it makes

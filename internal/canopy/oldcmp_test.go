@@ -550,8 +550,7 @@ func recordScores(e *emitter, rows []scored) []scored {
 // on one name list and configuration: every record's candidates — its row's,
 // expanded — with bit-identical similarities, and identical canopies, from
 // the scorer over all names at each shard count, from the batch path at each
-// shard count and from the incremental index fed in three chunks and
-// reloaded from its blob in between.
+// shard count and from the incremental index fed in three chunks.
 func checkMatchesOldScorer(t *testing.T, names []string, cfg Config, shardCounts ...int) {
 	t.Helper()
 	ctx := context.Background()
@@ -609,9 +608,6 @@ func checkMatchesOldScorer(t *testing.T, names []string, cfg Config, shardCounts
 		if _, _, err := ix.Add(ctx, d); err != nil {
 			t.Fatal(err)
 		}
-		if ix, err = LoadIndex(ix.Save(nil), d, 1); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if got := ix.emit(d); !reflect.DeepEqual(got, want) {
 		t.Fatal("index canopies differ from the old algorithm")
@@ -661,9 +657,8 @@ func TestRefactorMatchesOldAlgorithm(t *testing.T) {
 // share one row, but a record without grams is not its own candidate, let
 // alone its namesakes', so each is a canopy by itself — as the per-record
 // scorer has it, batch, sharded and from the index, whose three chunks
-// (checkMatchesOldScorer) each add records to the gramless row and are each
-// followed by a Save and LoadIndex. ("-" normalizes to itself, one gram: its
-// records do share a canopy.)
+// (checkMatchesOldScorer) each add records to the gramless row. ("-"
+// normalizes to itself, one gram: its records do share a canopy.)
 func TestGramlessNamesStaySingletons(t *testing.T) {
 	names := []string{".", "John Smith", ",", ".", "john smith", "-", "...", "Jon Smith", ".", "-"}
 	gramless := map[core.EntityID]bool{0: true, 2: true, 3: true, 6: true, 8: true}

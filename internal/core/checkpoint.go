@@ -57,19 +57,20 @@ func stateOf(ck *wire.Checkpoint) *State {
 	return s
 }
 
-// DecodeState decodes the persisted record data starts with, validates its
-// pairs over the record's own entity count and returns the bytes after it
-// (a store's state blob appends the blocking index to its record).
-func DecodeState(data []byte) (*State, []byte, error) {
-	ck, rest, err := wire.UnmarshalCheckpointPrefix(data)
+// DecodeState decodes the persisted record data starts with and validates
+// its pairs over the record's own entity count. Bytes after the record are
+// ignored: a store's state blob written by an older build appends a
+// blocking-index section, which the cover rebuilt from the records replaces.
+func DecodeState(data []byte) (*State, error) {
+	ck, _, err := wire.UnmarshalCheckpointPrefix(data)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s := stateOf(ck)
 	if err := validPairs(s.Evidence, s.Messages, ck.Entities); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return s, rest, nil
+	return s, nil
 }
 
 // rekey converts a key list between PairKey and the raw uint64 form the

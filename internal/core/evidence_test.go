@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/testmodel"
+	"repro/internal/wire"
 )
 
 // readTrail decodes every round record of a checkpoint trail in round
@@ -21,9 +22,12 @@ func readTrail(t *testing.T, dir string) []*core.State {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, rest, err := core.DecodeState(data)
-		if err != nil || len(rest) > 0 {
-			t.Fatalf("%s: %v (%d bytes after the record)", f, err, len(rest))
+		if _, err := wire.UnmarshalCheckpoint(data); err != nil {
+			t.Fatalf("%s is not exactly one checkpoint: %v", f, err)
+		}
+		st, err := core.DecodeState(data)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
 		}
 		for i, k := range st.Evidence {
 			if a, b := uint32(k>>32), uint32(k); a >= b || b >= 1<<31 {

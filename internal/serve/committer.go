@@ -58,7 +58,7 @@ func WithJournal(dir string) CommitterOption {
 // each successful update, before the state is published), so a restart
 // reopens the store snapshot — Pipeline.Reopen, zero matcher calls —
 // instead of replaying the journal through the engine. The committer is
-// the store's one writer: one state blob (snapshot and postings) per
+// the store's one writer: one state blob (the run snapshot) per
 // commit. It does not close the store.
 func WithStore(s match.Store) CommitterOption {
 	return func(c *Committer) { c.store = s }

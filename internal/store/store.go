@@ -1,9 +1,8 @@
 // Package store is the engine's storage abstraction: the state of a
-// completed run — the run snapshot followed by the blocking index (canopy
-// postings), one blob — goes through a Store, so the same pipeline can
-// keep it in process maps (the "mem" store) or on disk (the "disk" store,
-// for services that reopen state on restart instead of replaying
-// trails). A Store also offers an evidence-set API, which the disk store
+// completed run — the run snapshot, one blob — goes through a Store, so
+// the same pipeline can keep it in process maps (the "mem" store) or on
+// disk (the "disk" store, for services that reopen state on restart
+// instead of replaying trails). A Store also offers an evidence-set API, which the disk store
 // keeps in memory and persists as a trail of internal/wire deltas; the
 // engine writes no evidence into it.
 //
@@ -30,11 +29,10 @@ var ErrNotFound = errors.New("store: not found")
 
 // KindSnapshot is the blob kind the engine uses. Stores treat kinds as
 // opaque namespaces; the constant only fixes the convention shared by the
-// snapshot plumbing and the service. Its blobs are state blobs: a
-// wire.Checkpoint stamped by the cem snapshot plumbing, followed by the
-// serialized blocking state (the canopy names, rows, candidate lists and
-// cover) when the run was a streaming one. An older build kept the
-// blocking state in a second blob of kind "postings", which nothing reads.
+// snapshot plumbing and the service. Its blobs are state blobs: one
+// wire.Checkpoint stamped by the cem snapshot plumbing. Older builds
+// appended the serialized blocking index after it, or kept it in a second
+// blob of kind "postings"; neither is read.
 const KindSnapshot = "snapshot"
 
 // Store is the persistence boundary of one matching state: named blobs

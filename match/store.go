@@ -7,8 +7,8 @@ import "repro/internal/store"
 // Matcher and Backend aliases above provide for matchers and executors.
 
 // Store is the engine's persistence boundary for completed state: named
-// blobs — cem.SaveState writes one per commit, the run snapshot followed
-// by the blocking postings, and cem.Pipeline.Reopen reads it back — plus
+// blobs — cem.SaveState writes one per commit, the run snapshot, and
+// cem.Pipeline.Reopen reads it back — plus
 // an evidence-set API (packed pair keys) the engine itself does not
 // write. cem.OpenStore opens the built-ins, "mem" (process maps) and
 // "disk" (blobs committed through one durable protocol, evidence held in

@@ -180,18 +180,8 @@ func (p *Pipeline) run(ctx context.Context, records []Record, resume bool) (*Pip
 	if len(records) == 0 {
 		return nil, fmt.Errorf("cem: pipeline: no records")
 	}
-	raw, labeled := toBibRecords(records)
 	start := time.Now()
-	d, err := bib.DatasetFromRecords(p.name, raw)
-	if err != nil {
-		return nil, fmt.Errorf("cem: pipeline: %w", err)
-	}
-	index, err := canopy.BuildIndex(ctx, d, p.blocking, p.shards)
-	if err != nil {
-		return nil, err
-	}
-
-	exp, runner, err := p.build(d, index.Cover(), nil)
+	index, exp, runner, labeled, err := p.block(ctx, records)
 	if err != nil {
 		return nil, err
 	}
@@ -213,6 +203,24 @@ func (p *Pipeline) run(ctx context.Context, records []Record, resume bool) (*Pip
 		MatchingTime: time.Since(start),
 		index:        index,
 	}, labeled), nil
+}
+
+// block is a cold run's blocking stage: the dataset of records, its
+// blocking index built on the pipeline's shards, and the experiment and
+// runner over the index's cover. Run, Resume and Reopen all block this way;
+// labeled reports whether every record carried a gold label.
+func (p *Pipeline) block(ctx context.Context, records []Record) (*canopy.Index, *Experiment, *Runner, bool, error) {
+	raw, labeled := toBibRecords(records)
+	d, err := bib.DatasetFromRecords(p.name, raw)
+	if err != nil {
+		return nil, nil, nil, false, fmt.Errorf("cem: pipeline: %w", err)
+	}
+	index, err := canopy.BuildIndex(ctx, d, p.blocking, p.shards)
+	if err != nil {
+		return nil, nil, nil, false, err
+	}
+	exp, runner, err := p.build(d, index.Cover(), nil)
+	return index, exp, runner, labeled, err
 }
 
 // build makes the experiment and its runner for a dataset under the

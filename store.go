@@ -6,7 +6,7 @@ import (
 )
 
 // Storage backends. A Store is where a completed run's state lives: the
-// state blob (snapshot, then blocking postings) SaveState writes and
+// state blob (the snapshot of M+ and the outstanding messages) SaveState writes and
 // Pipeline.Reopen restarts from, so a restarted service reopens its state
 // instead of replaying work. SaveState and Reopen take any match.Store;
 // OpenStore opens the two built-ins: "mem" keeps blobs in process maps,

@@ -5,18 +5,17 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bib"
-	"repro/internal/canopy"
 	"repro/internal/core"
 	"repro/internal/wire"
 	"repro/match"
 )
 
 // Store-backed state: SaveState persists a completed pipeline result
-// into a Store as one blob — the snapshot (M+ and the outstanding maximal
-// messages) followed by the blocking postings — and Pipeline.Reopen
-// restores the result from the store without running the matcher at
-// all — the restart-without-replay path a disk-backed service uses.
+// into a Store as one blob — the snapshot of M+ and the outstanding
+// maximal messages — and Pipeline.Reopen restores the result from the
+// store without running the matcher at all — the restart-without-replay
+// path a disk-backed service uses. Blocking is not saved: the cover is a
+// deterministic function of the records, so Reopen builds it again.
 
 // stateBlobName is the state blob both sides agree on.
 const stateBlobName = "latest"
@@ -24,12 +23,11 @@ const stateBlobName = "latest"
 // SaveState persists res into s as the store's current state: one blob of
 // kind match.KindSnapshot holding a wire.Checkpoint (the run's provenance,
 // its pre-closure evidence, outstanding maximal messages, and seq as the
-// commit sequence number) followed — when res carries streaming blocking
-// state — by the postings section, the serialized delta index. The blob
-// is the one durable copy of a completed run's state; SaveState is cheap
-// relative to a run and safe to call once per commit. Replacing the blob
-// is the commit point: when SaveState fails, the store's state (and so
-// StateSeq) is still the previous one.
+// commit sequence number) and nothing after it. The blob is the one
+// durable copy of a completed run's state; SaveState is cheap relative to
+// a run and safe to call once per commit. Replacing the blob is the commit
+// point: when SaveState fails, the store's state (and so StateSeq) is
+// still the previous one.
 func SaveState(s match.Store, res *PipelineResult, seq int) error {
 	if s == nil {
 		return fmt.Errorf("cem: SaveState needs a store")
@@ -57,9 +55,6 @@ func SaveState(s match.Store, res *PipelineResult, seq int) error {
 	if err != nil {
 		return fmt.Errorf("cem: encoding state snapshot: %w", err)
 	}
-	if res.index != nil {
-		data = res.index.Save(data)
-	}
 	if err := s.Flush(); err != nil {
 		return err
 	}
@@ -67,24 +62,21 @@ func SaveState(s match.Store, res *PipelineResult, seq int) error {
 }
 
 // openState reads, decodes and validates the state blob SaveState last
-// wrote into s, returning the snapshot and the postings section after it
-// (empty when the blob has none: a result without streaming blocking
-// state, or a bare snapshot an older build wrote beside a separate
-// postings blob, which is never read). A store with no saved state
-// returns match.ErrBlobNotFound (wrapped).
-func openState(s match.Store) (*core.State, []byte, error) {
+// wrote into s. A store with no saved state returns match.ErrBlobNotFound
+// (wrapped).
+func openState(s match.Store) (*core.State, error) {
 	if s == nil {
-		return nil, nil, fmt.Errorf("cem: reading saved state needs a store")
+		return nil, fmt.Errorf("cem: reading saved state needs a store")
 	}
 	data, err := s.OpenBlob(match.KindSnapshot, stateBlobName)
 	if err != nil {
-		return nil, nil, fmt.Errorf("cem: reading state snapshot: %w", err)
+		return nil, fmt.Errorf("cem: reading state snapshot: %w", err)
 	}
-	st, postings, err := core.DecodeState(data)
+	st, err := core.DecodeState(data)
 	if err != nil {
-		return nil, nil, fmt.Errorf("cem: state snapshot: %w", err)
+		return nil, fmt.Errorf("cem: state snapshot: %w", err)
 	}
-	return st, postings, nil
+	return st, nil
 }
 
 // StateSeq reads the commit sequence number of the state snapshot
@@ -92,7 +84,7 @@ func openState(s match.Store) (*core.State, []byte, error) {
 // no saved snapshot returns match.ErrBlobNotFound (wrapped) — callers
 // use this to decide how many journaled batches a Reopen would cover.
 func StateSeq(s match.Store) (int, error) {
-	st, _, err := openState(s)
+	st, err := openState(s)
 	if err != nil {
 		return 0, err
 	}
@@ -102,19 +94,21 @@ func StateSeq(s match.Store) (int, error) {
 // Reopen restores the pipeline state SaveState persisted into s,
 // returning the rebuilt result and the saved commit sequence number.
 // records must be the exact record stream the saved state was built
-// over (a service keeps it in its journal); the matcher is NEVER
-// invoked — the match set comes from the state blob's snapshot, and the
-// blocking state from its postings section when present (falling back to
-// building the index over the records, which is blocking-only work). The
-// returned result carries the streaming state Update needs, so ingestion
-// continues incrementally exactly as if the process had never died. Run statistics are not persisted; the
-// reopened result's Stats are zero apart from structural counts.
+// over (a service keeps it in its journal). Blocking runs as in Run — the
+// dataset, the index and the cover built from the records — and the
+// matcher is NEVER invoked: the match set and the outstanding messages
+// come from the snapshot, whose scheme, matcher, entity count and set count
+// must agree with the pipeline and the rebuilt cover. The returned result
+// carries the streaming state Update needs, so ingestion continues
+// incrementally exactly as if the process had never died. Run statistics
+// are not persisted; the reopened result's Stats are zero apart from
+// structural counts.
 //
 // A store with no saved state returns match.ErrBlobNotFound
 // (wrapped): the caller decides whether that means "fresh store" or
 // "corruption".
 func (p *Pipeline) Reopen(ctx context.Context, records []Record, s match.Store) (*PipelineResult, int, error) {
-	st, postings, err := openState(s)
+	st, err := openState(s)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -130,24 +124,14 @@ func (p *Pipeline) Reopen(ctx context.Context, records []Record, s match.Store) 
 	}
 
 	start := time.Now()
-	raw, labeled := toBibRecords(records)
-	d, err := bib.DatasetFromRecords(p.name, raw)
-	if err != nil {
-		return nil, 0, fmt.Errorf("cem: reopening state: %w", err)
-	}
-	index, err := p.reopenIndex(ctx, d, postings)
+	index, exp, runner, labeled, err := p.block(ctx, records)
 	if err != nil {
 		return nil, 0, err
 	}
-	cover := index.Cover()
-	if cover == nil || cover.Len() != ck.Neighborhoods || cover.NumEntities != ck.Entities {
+	cover := exp.Cover
+	if cover.Len() != ck.Neighborhoods {
 		return nil, 0, fmt.Errorf("cem: reopened blocking state (%d sets) disagrees with the snapshot (%d sets) — were the records the saved stream?",
 			cover.Len(), ck.Neighborhoods)
-	}
-
-	exp, runner, err := p.build(d, cover, nil)
-	if err != nil {
-		return nil, 0, err
 	}
 	blockingTime := time.Since(start)
 
@@ -164,21 +148,6 @@ func (p *Pipeline) Reopen(ctx context.Context, records []Record, s match.Store) 
 		BlockingTime: blockingTime,
 		index:        index,
 	}, labeled), ck.Round, nil
-}
-
-// reopenIndex restores the blocking state of d: from the state blob's
-// postings section when it has one consistent with this pipeline, otherwise
-// by building the index over d as a cold run does.
-func (p *Pipeline) reopenIndex(ctx context.Context, d *bib.Dataset, postings []byte) (*canopy.Index, error) {
-	if len(postings) > 0 {
-		ix, err := canopy.LoadIndex(postings, d, p.shards)
-		if err == nil && ix.Config() == p.blocking && ix.Cover() != nil {
-			return ix, nil
-		}
-		// An older-format or foreign postings section is a cache miss, not
-		// an error.
-	}
-	return canopy.BuildIndex(ctx, d, p.blocking, p.shards)
 }
 
 // schemeFromCore maps the engine's canonical scheme name back to the

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -17,7 +18,7 @@ import (
 
 // storeRecords synthesizes a small labeled record stream for the
 // store-state tests.
-func storeRecords(t *testing.T) []cem.Record {
+func storeRecords(t testing.TB) []cem.Record {
 	t.Helper()
 	records, err := cem.GenerateRecords(cem.HEPTH, 0.15, 7)
 	if err != nil {
@@ -44,8 +45,7 @@ func TestStoreStateReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Ingest in two batches so the saved state carries streaming
-	// blocking state (the postings blob).
+	// Ingest in two batches so the saved state is a streaming one.
 	half := len(records) / 2
 	first, err := pipe.Update(ctx, nil, records[:half])
 	if err != nil {
@@ -117,28 +117,41 @@ func TestStoreStateReopen(t *testing.T) {
 		t.Fatalf("post-reopen update diverges from the live stream: %s", firstDiff(got, want))
 	}
 	if !afterReopen.WarmStarted {
-		t.Fatal("post-reopen update did not warm-start (postings blob not honored?)")
+		t.Fatal("post-reopen update did not warm-start")
 	}
 }
 
-// splitState splits a state blob into its snapshot checkpoint and the
-// postings section after it.
-func splitState(t *testing.T, blob []byte) (*wire.Checkpoint, []byte) {
+// parentBlob reads the state blob an older build saved of
+// pipe.Update(nil, storeRecords(t)) at sequence 1: the snapshot checkpoint
+// followed by that build's blocking-index section (format CEMP6).
+func parentBlob(t testing.TB) []byte {
 	t.Helper()
-	ck, postings, err := wire.UnmarshalCheckpointPrefix(blob)
+	blob, err := os.ReadFile(filepath.Join("testdata", "state-cemp6.blob"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ck, postings
+	return blob
 }
 
-// TestStoreStateReopenOldIndexBlob pins that the postings section of the
-// state blob is a cache: a state blob whose section carries the previous
-// format's magic, one whose section was saved under another blocking
-// configuration, and one with no section at all — the bare snapshot an
-// older build wrote beside a separate postings blob — each still reopen,
-// by building the index over the records, to the byte-identical
-// cover with zero matcher calls, and keep ingesting incrementally.
+// splitState splits a state blob into its snapshot checkpoint and the
+// bytes after it.
+func splitState(t testing.TB, blob []byte) (*wire.Checkpoint, []byte) {
+	t.Helper()
+	ck, rest, err := wire.UnmarshalCheckpointPrefix(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ck, rest
+}
+
+// TestStoreStateReopenOldIndexBlob pins that the blocking-index section an
+// older build appended to the state blob is ignored: the blob that build
+// saved, the same with the section's magic of the format before it, with a
+// section saved under another blocking configuration, and with no section
+// at all — the bare snapshot a still older build wrote beside a separate
+// postings blob — each reopen, by building the index over the records, to
+// the cover and matches of this build's run, with zero matcher calls, and
+// keep ingesting incrementally.
 func TestStoreStateReopenOldIndexBlob(t *testing.T) {
 	ctx := context.Background()
 	records := storeRecords(t)
@@ -150,13 +163,6 @@ func TestStoreStateReopenOldIndexBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	saved, err := cem.OpenStore("mem")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cem.SaveState(saved, res, 1); err != nil {
-		t.Fatal(err)
-	}
 	extra, err := cem.GenerateRecords(cem.HEPTH, 0.05, 99)
 	if err != nil {
 		t.Fatal(err)
@@ -165,23 +171,21 @@ func TestStoreStateReopenOldIndexBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := saved.OpenBlob(match.KindSnapshot, "latest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, postings := splitState(t, blob)
-	snapshot := blob[:len(blob)-len(postings)]
-	if !bytes.HasPrefix(postings, []byte("CEMP6\n")) {
-		t.Fatalf("the postings section starts %q, want the CEMP6 magic", postings[:min(6, len(postings))])
+	blob := parentBlob(t)
+	_, section := splitState(t, blob)
+	snapshot := blob[:len(blob)-len(section)]
+	if !bytes.HasPrefix(section, []byte("CEMP6\n")) {
+		t.Fatalf("the older blob's section starts %q, want the CEMP6 magic", section[:min(6, len(section))])
 	}
 	// The one configuration field a foreign section differs in: MaxAligned,
 	// the first uvarint after the two 8-byte thresholds and Q.
 	const maxAligned = len("CEMP6\n") + 8 + 8 + 1
-	foreign := slices.Clone(postings)
+	foreign := slices.Clone(section)
 	foreign[maxAligned]++
 
 	for name, section := range map[string][]byte{
-		"old magic":  append([]byte("CEMP5\n"), postings[6:]...),
+		"parent":     section,
+		"old magic":  append([]byte("CEMP5\n"), section[6:]...),
 		"foreign":    foreign,
 		"no section": nil,
 	} {
@@ -197,9 +201,9 @@ func TestStoreStateReopenOldIndexBlob(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reopened, _, err := pipe2.Reopen(ctx, records, s)
-			if err != nil {
-				t.Fatalf("Reopen: %v", err)
+			reopened, seq, err := pipe2.Reopen(ctx, records, s)
+			if err != nil || seq != 1 {
+				t.Fatalf("Reopen: seq %d, %v; want seq 1", seq, err)
 			}
 			if calls := reopened.Stats.MatcherCalls; calls != 0 {
 				t.Fatalf("Reopen made %d matcher calls", calls)
@@ -236,7 +240,7 @@ func (s *countingStore) SaveBlob(kind, name string, data []byte) error {
 }
 
 // TestSaveStateWritesOneBlob: a commit of streaming state is one blob
-// write — snapshot and postings together — so one rename commits both.
+// write, so one rename commits it.
 func TestSaveStateWritesOneBlob(t *testing.T) {
 	ctx := context.Background()
 	records := storeRecords(t)
@@ -277,18 +281,14 @@ func TestSaveStateWritesOneBlob(t *testing.T) {
 	}
 }
 
-// TestSaveStateOfRunWritesPostings: a Run result carries its blocking
-// index, so its state blob holds a postings section, and a Reopen from it
-// is as incremental as one from an Update's.
-func TestSaveStateOfRunWritesPostings(t *testing.T) {
+// TestSaveStateWritesOneCheckpoint: the state blob is exactly one
+// wire.Checkpoint, with nothing after it, whether SaveState is handed a Run
+// result, an Update result or a result reopened from the store; and a
+// Reopen of a Run result's state is as incremental as one of an Update's.
+func TestSaveStateWritesOneCheckpoint(t *testing.T) {
 	ctx := context.Background()
 	records := storeRecords(t)
 	pipe, err := cem.NewPipeline(cem.WithMatcher(cem.MatcherMLN), cem.WithScheme(cem.SchemeSMP))
-	if err != nil {
-		t.Fatal(err)
-	}
-	half := len(records) / 2
-	res, err := pipe.Run(ctx, records[:half])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,16 +296,25 @@ func TestSaveStateOfRunWritesPostings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cem.SaveState(s, res, 1); err != nil {
-		t.Fatal(err)
+	save := func(what string, res *cem.PipelineResult, seq int) {
+		t.Helper()
+		if err := cem.SaveState(s, res, seq); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := s.OpenBlob(match.KindSnapshot, "latest")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := wire.UnmarshalCheckpoint(blob); err != nil {
+			t.Errorf("the state blob of %s is not exactly one checkpoint: %v", what, err)
+		}
 	}
-	blob, err := s.OpenBlob(match.KindSnapshot, "latest")
+	half := len(records) / 2
+	res, err := pipe.Run(ctx, records[:half])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, postings := splitState(t, blob); !bytes.HasPrefix(postings, []byte("CEMP6\n")) {
-		t.Fatalf("the state blob of a Run result has no postings section (%d bytes after the snapshot)", len(postings))
-	}
+	save("a Run result", res, 1)
 	reopened, _, err := pipe.Reopen(ctx, records[:half], s)
 	if err != nil {
 		t.Fatal(err)
@@ -317,6 +326,11 @@ func TestSaveStateOfRunWritesPostings(t *testing.T) {
 	if !after.WarmStarted {
 		t.Error("an update on the reopened Run state did not warm-start")
 	}
+	save("an Update result", after, 2)
+	if reopened, _, err = pipe.Reopen(ctx, records, s); err != nil {
+		t.Fatal(err)
+	}
+	save("a reopened result", reopened, 3)
 }
 
 // TestStoreStateReopenValidation pins Reopen's failure modes: no saved
@@ -409,15 +423,13 @@ func TestStoreStateReopenValidation(t *testing.T) {
 	}
 }
 
-// FuzzStateBlob: no state blob — a snapshot checkpoint, a postings section
-// after it, or neither — makes StateSeq or Reopen panic, and a blob that
-// reopens agrees with StateSeq on its sequence number.
+// FuzzStateBlob: no state blob — a snapshot checkpoint, an older build's
+// blocking-index section after it, or neither — makes StateSeq or Reopen
+// panic, and a blob that reopens agrees with StateSeq on its sequence
+// number.
 func FuzzStateBlob(f *testing.F) {
 	ctx := context.Background()
-	records, err := cem.GenerateRecords(cem.HEPTH, 0.03, 7)
-	if err != nil {
-		f.Fatal(err)
-	}
+	records := storeRecords(f)
 	pipe, err := cem.NewPipeline(cem.WithMatcher(cem.MatcherMLN), cem.WithScheme(cem.SchemeSMP))
 	if err != nil {
 		f.Fatal(err)
@@ -433,19 +445,16 @@ func FuzzStateBlob(f *testing.F) {
 	if err := cem.SaveState(s, res, 3); err != nil {
 		f.Fatal(err)
 	}
-	blob, err := s.OpenBlob(match.KindSnapshot, "latest")
+	snapshot, err := s.OpenBlob(match.KindSnapshot, "latest")
 	if err != nil {
 		f.Fatal(err)
 	}
-	_, postings, err := wire.UnmarshalCheckpointPrefix(blob)
-	if err != nil {
-		f.Fatal(err)
-	}
-	snapshot := blob[:len(blob)-len(postings)]
-	f.Add(blob)
+	parent := parentBlob(f)
+	_, section := splitState(f, parent)
+	f.Add(parent)
 	f.Add(snapshot)
-	f.Add(blob[:len(blob)-len(postings)/2])
-	f.Add(slices.Concat(snapshot, []byte("CEMP5\n"), postings[6:]))
+	f.Add(parent[:len(parent)-len(section)/2])
+	f.Add(slices.Concat(snapshot, []byte("CEMP5\n"), section[6:]))
 	f.Add(snapshot[:len(snapshot)/2])
 	f.Add([]byte("CEMW"))
 	f.Fuzz(func(t *testing.T, blob []byte) {
