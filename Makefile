@@ -155,6 +155,8 @@ bench-pair:
 # retained references (both Jaro loops; and NameLevel's symmetry, which the
 # dataset's level cache relies on), the name table's levels against the
 # kernel (its classes are the only name partition blocking reads), the
+# records reader (no panic, and a file it reads writes and reads back
+# equal), the
 # open-addressed table of blocking's
 # pair relations (that cache, the aligned memo, the candidates) against a
 # plain map, and blocking — sharded vs serial canopies, the row
@@ -166,6 +168,7 @@ fuzz:
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzJaroMatchesReference$$' -fuzztime 10s ./internal/similarity/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzNameLevelSymmetric$$' -fuzztime 10s ./internal/similarity/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzNameTableLevel$$' -fuzztime 10s ./internal/bib/
+	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime 10s ./internal/bib/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzTableModel$$' -fuzztime 10s ./internal/flat/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz FuzzDenseLogScore -fuzztime 10s ./internal/mln/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzMemoDifferential$$' -fuzztime 10s ./internal/mln/

@@ -1,13 +1,12 @@
-// Command emgen generates the synthetic bibliography corpora used by the
-// experiments (HEPTH-like, DBLP-like, DBLP-BIG-like) and prints their
-// statistics, optionally writing the dataset in the TSV format understood
-// by emmatch.
+// Command emgen generates the synthetic corpora used by the experiments
+// and writes them as a records TSV (a reference a line: paper as group,
+// true author as gold label, name), the corpus file emmatch, emworker and
+// emserve read. With -stats it prints their statistics instead.
 //
 // Usage:
 //
 //	emgen -kind hepth -scale 1.0 -seed 42 -out hepth.tsv
 //	emgen -kind dblp -stats
-//	emgen -kind dblp -records -out records.tsv   (raw records for emmatch -records)
 package main
 
 import (
@@ -22,12 +21,11 @@ import (
 
 func main() {
 	var (
-		kind    = flag.String("kind", "hepth", "corpus kind: hepth | dblp | dblp-big | million | people")
-		scale   = flag.Float64("scale", 1.0, "size multiplier (1.0 ≈ a few thousand references)")
-		seed    = flag.Int64("seed", 42, "generation seed (deterministic output)")
-		out     = flag.String("out", "", "output file (default: stdout; - for stdout)")
-		stats   = flag.Bool("stats", false, "print dataset and cover statistics instead of the dataset")
-		records = flag.Bool("records", false, "write raw records (for emmatch -records) instead of the dataset")
+		kind  = flag.String("kind", "hepth", "corpus kind: hepth | dblp | dblp-big | million | people")
+		scale = flag.Float64("scale", 1.0, "size multiplier (1.0 ≈ a few thousand references)")
+		seed  = flag.Int64("seed", 42, "generation seed (deterministic output)")
+		out   = flag.String("out", "", "output file (default: stdout; - for stdout)")
+		stats = flag.Bool("stats", false, "print dataset and cover statistics instead of the records")
 	)
 	flag.Parse()
 
@@ -60,14 +58,7 @@ func main() {
 		}()
 		w = f
 	}
-	if *records {
-		if err := bib.WriteRecords(w, d.Name, bib.ToRecords(d)); err != nil {
-			fmt.Fprintf(os.Stderr, "emgen: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := bib.Write(w, d); err != nil {
+	if err := bib.WriteRecords(w, d.Name, bib.ToRecords(d)); err != nil {
 		fmt.Fprintf(os.Stderr, "emgen: %v\n", err)
 		os.Exit(1)
 	}

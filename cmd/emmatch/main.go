@@ -1,19 +1,19 @@
 // Command emmatch runs one message-passing scheme with one matcher on a
-// dataset (read from a TSV file produced by emgen, or generated on the
-// fly) and prints the evaluation report. With -records it instead runs
-// the full ingestion pipeline on a raw records file (emgen -records):
-// blocking, cover construction, matching and evaluation in one pass.
-// With -ingest it replays a STREAM of record batches through the
-// incremental pipeline: the first batch runs cold, every further batch
-// updates the blocking index in place and warm-starts the matcher from
-// the previous result. With -state-dir DIR, a -records or -ingest run
-// also saves its completed state into a disk store under DIR/store,
-// which Pipeline.Reopen (and emserve on the same state directory)
-// restarts from.
+// records corpus and prints the evaluation report. The corpus is a
+// records TSV file written by emgen (read with -records) or generated on
+// the fly (-kind, -scale, -seed); either way the run is the full
+// ingestion pipeline: blocking, cover construction, matching and
+// evaluation in one pass. With -ingest it replays a STREAM of record
+// batches through the incremental pipeline: the first batch runs cold,
+// every further batch updates the blocking index in place and
+// warm-starts the matcher from the previous result. With -state-dir DIR,
+// a run also saves its completed state (for -ingest, the state after the
+// last batch) into a disk store under DIR/store, which Pipeline.Reopen
+// (and emserve on the same state directory) restarts from.
 //
 // Usage:
 //
-//	emmatch -in hepth.tsv -scheme mmp -matcher mln
+//	emmatch -records hepth.tsv -scheme mmp -matcher mln
 //	emmatch -kind dblp -scale 0.5 -scheme smp -matcher rules -closure
 //	emmatch -kind hepth -parallel 8 -progress
 //	emmatch -records records.tsv -scheme smp -shards 4 -bcubed
@@ -21,7 +21,7 @@
 //	emmatch -records records.tsv -state-dir run2/
 //	emmatch -kind hepth -backend sharded -backend-shards 4 -checkpoint-dir run1/
 //	emmatch -kind hepth -scheme smp -checkpoint-dir run1/ -resume
-//	emmatch -kind hepth -worker-addrs 127.0.0.1:7401,127.0.0.1:7402
+//	emmatch -records hepth.tsv -worker-addrs 127.0.0.1:7401,127.0.0.1:7402
 //	emmatch -kind people -scale 0.25 -rules-file people.rules -scheme smp
 package main
 
@@ -35,7 +35,6 @@ import (
 	"strings"
 
 	cem "repro"
-	"repro/internal/bib"
 	"repro/internal/serve"
 	"repro/match"
 )
@@ -54,8 +53,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("emmatch", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		in       = fs.String("in", "", "dataset TSV file (from emgen); empty to generate")
-		records  = fs.String("records", "", "raw records TSV file (from emgen -records); runs the full pipeline")
+		records  = fs.String("records", "", "records TSV file (from emgen); empty to generate")
 		ingest   = fs.String("ingest", "", "comma-separated record TSV files replayed as an incremental stream")
 		kind     = fs.String("kind", "hepth", "generated corpus kind: hepth | dblp | dblp-big | million | people")
 		scale    = fs.Float64("scale", 0.5, "generated corpus scale")
@@ -65,14 +63,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		closure  = fs.Bool("closure", false, "apply transitive closure to the output before scoring")
 		bcubed   = fs.Bool("bcubed", false, "also print the B-cubed cluster metric")
 		parallel = fs.Int("parallel", 1, "concurrent neighborhood evaluations")
-		shards   = fs.Int("shards", 0, "blocking shards for -records and -ingest (0 = one per CPU)")
-		maxNbr   = fs.Int("max-neighborhood", 0, "canopy size bound for -records/-ingest (0 = unbounded)")
+		shards   = fs.Int("shards", 0, "blocking shards (0 = one per CPU)")
+		maxNbr   = fs.Int("max-neighborhood", 0, "canopy size bound (0 = unbounded)")
 		backend  = fs.String("backend", "", "execution backend: pool | sharded (empty = default pool)")
 		bShards  = fs.Int("backend-shards", 0, "in-process worker count for -backend sharded (0 = one per CPU)")
 		wAddrs   = fs.String("worker-addrs", "", "comma-separated emworker addresses (host:port or unix:/path.sock) for the sharded backend's workers; implies -backend sharded")
 		ckptDir  = fs.String("checkpoint-dir", "", "persist a checkpoint after every round to this directory")
 		resume   = fs.Bool("resume", false, "continue the run from -checkpoint-dir instead of starting over")
-		stateDir = fs.String("state-dir", "", "-records/-ingest save a reopenable state snapshot into a disk store under <dir>/store")
+		stateDir = fs.String("state-dir", "", "save a reopenable state snapshot into a disk store under <dir>/store")
 		rulesF   = fs.String("rules-file", "", "declarative rules program; compiles and registers it, selecting it as the matcher")
 		progress = fs.Bool("progress", false, "print a line per neighborhood evaluation")
 		verbose  = fs.Bool("v", false, "print run statistics")
@@ -110,20 +108,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *wAddrs != "" && *bShards != 0 {
 		return fmt.Errorf("-backend-shards counts in-process workers; -worker-addrs attaches one worker per address: give one of them")
 	}
-	modes := 0
-	for _, m := range []string{*in, *records, *ingest} {
-		if m != "" {
-			modes++
-		}
+	if *wAddrs != "" && *maxNbr > 0 {
+		return fmt.Errorf("-worker-addrs: workers block with the default canopy bounds, so -max-neighborhood would run the coordinator on another cover")
 	}
-	if modes > 1 {
-		return fmt.Errorf("-in, -records and -ingest are mutually exclusive")
-	}
-	if *stateDir != "" && *records == "" && *ingest == "" {
-		return fmt.Errorf("-state-dir saves the state of a -records or -ingest run; a -kind/-in run has none to save")
-	}
-	if (*shards != 0 || *maxNbr != 0) && *records == "" && *ingest == "" {
-		return fmt.Errorf("-shards and -max-neighborhood configure the blocking of a -records or -ingest run; a -kind/-in run uses the experiment's cover")
+	if *records != "" && *ingest != "" {
+		return fmt.Errorf("-records and -ingest are mutually exclusive")
 	}
 	if *ingest != "" && *resume {
 		return fmt.Errorf("-ingest replays a fresh stream; it cannot be combined with -resume")
@@ -172,80 +161,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 	pcfg := pipelineConfig{
 		scheme: *scheme, matcher: *matcher, shards: *shards, maxNbr: *maxNbr,
 		bcubed: *bcubed, verbose: *verbose, resume: *resume, runnerOpts: opts,
-		store: st,
+		store: st, dump: *dump,
 	}
 	if *ingest != "" {
 		return runIngest(strings.Split(*ingest, ","), pcfg, stdout)
 	}
-	if *records != "" {
-		return runPipeline(*records, pcfg, stdout)
-	}
-
-	var d *bib.Dataset
-	if *in != "" {
-		f, err := os.Open(*in)
-		if err != nil {
-			return err
-		}
-		var rerr error
-		d, rerr = bib.Read(f)
-		f.Close()
-		if rerr != nil {
-			return rerr
-		}
-	} else {
-		var err error
-		d, err = cem.GenerateDataset(cem.DatasetKind(*kind), *scale, *seed)
-		if err != nil {
-			return err
-		}
-	}
-
-	exp, err := cem.New(d)
+	name, recs, err := corpus(*records, cem.DatasetKind(*kind), *scale, *seed)
 	if err != nil {
 		return err
 	}
-	runner, err := exp.Runner(*matcher, opts...)
-	if err != nil {
-		return err
-	}
-	var res *cem.Result
-	if *resume {
-		res, err = runner.Resume(context.Background(), cem.Scheme(*scheme))
-	} else {
-		res, err = runner.Run(context.Background(), cem.Scheme(*scheme))
-	}
-	if err != nil {
-		return err
-	}
-	report := exp.Evaluate(res)
-	fmt.Fprintf(stdout, "dataset %s: %s\n", d.Name, d.ComputeStats())
-	fmt.Fprintf(stdout, "cover: %s\n", exp.Cover.ComputeStats())
-	fmt.Fprintln(stdout, report)
-	if *bcubed {
-		fmt.Fprintf(stdout, "B³:    %v\n", exp.EvaluateBCubed(res))
-	}
-	if *verbose {
-		fmt.Fprintf(stdout, "stats: %s\n", res.Stats)
-	}
-	if *dump != "" {
-		if err := dumpMatches(*dump, res.Matches); err != nil {
-			return err
-		}
-	}
-	return nil
+	return runPipeline(name, recs, pcfg, stdout)
 }
 
-// dumpMatches writes the final match set in the canonical fixture form
-// (serve.RenderMatches). Two runs agree iff their dump files are
-// byte-identical — the contract chaos-smoke checks across process
-// boundaries.
-func dumpMatches(path string, matches match.PairSet) error {
-	return os.WriteFile(path, []byte(serve.RenderMatches(matches)), 0o644)
-}
-
-// pipelineConfig bundles the pipeline-mode options shared by -records
-// and -ingest.
+// pipelineConfig bundles the options a run and an -ingest stream share.
 type pipelineConfig struct {
 	scheme, matcher string
 	shards, maxNbr  int
@@ -253,9 +181,10 @@ type pipelineConfig struct {
 	resume          bool
 	runnerOpts      []cem.RunnerOption
 	store           match.Store
+	dump            string
 }
 
-// newPipeline assembles the pipeline both modes run on.
+// newPipeline assembles the pipeline every mode runs on.
 func (c pipelineConfig) newPipeline(name string) (*cem.Pipeline, error) {
 	blocking := cem.DefaultOptions().Canopy
 	blocking.MaxNeighborhood = c.maxNbr
@@ -269,10 +198,23 @@ func (c pipelineConfig) newPipeline(name string) (*cem.Pipeline, error) {
 	)
 }
 
-// report prints one pipeline result.
+// dumpMatches writes the final match set to the -dump-matches file, if
+// one is named, in the canonical fixture form (serve.RenderMatches). Two
+// runs agree iff their dump files are byte-identical — the contract
+// chaos-smoke checks across process boundaries.
+func (c pipelineConfig) dumpMatches(matches match.PairSet) error {
+	if c.dump == "" {
+		return nil
+	}
+	return os.WriteFile(c.dump, []byte(serve.RenderMatches(matches)), 0o644)
+}
+
+// report prints one pipeline result: its size, the dataset and cover it
+// ran on, and the metrics when every record is labeled. Stage timings are
+// printed with -v only, so two runs of one corpus print the same report.
 func (c pipelineConfig) report(w io.Writer, label string, res *cem.PipelineResult) {
-	fmt.Fprintf(w, "%s: %d records, %d matches (blocking %v, matching %v)\n",
-		label, res.Records, res.Matches.Len(), res.BlockingTime, res.MatchingTime)
+	fmt.Fprintf(w, "%s: %d records, %d matches\n", label, res.Records, res.Matches.Len())
+	fmt.Fprintf(w, "dataset %s: %s\n", res.Experiment.Dataset.Name, res.Experiment.Dataset.ComputeStats())
 	fmt.Fprintf(w, "cover: %s\n", res.Experiment.Cover.ComputeStats())
 	if res.Labeled {
 		fmt.Fprintln(w, *res.Report)
@@ -283,6 +225,7 @@ func (c pipelineConfig) report(w io.Writer, label string, res *cem.PipelineResul
 		fmt.Fprintln(w, "(unlabeled records: no metrics)")
 	}
 	if c.verbose {
+		fmt.Fprintf(w, "time: blocking %v, matching %v\n", res.BlockingTime, res.MatchingTime)
 		fmt.Fprintf(w, "stats: %s\n", res.Stats)
 	}
 }
@@ -304,13 +247,22 @@ func readRecordsFile(path string) (string, []cem.Record, error) {
 	return name, recs, nil
 }
 
-// runPipeline is the -records path: raw records → blocking → matching →
-// metrics through the public Pipeline API.
-func runPipeline(path string, cfg pipelineConfig, stdout io.Writer) error {
-	name, recs, err := readRecordsFile(path)
-	if err != nil {
-		return err
+// corpus returns a run's records and their name: the -records file, or
+// else the -kind corpus as emgen writes it.
+func corpus(path string, kind cem.DatasetKind, scale float64, seed int64) (string, []cem.Record, error) {
+	if path != "" {
+		return readRecordsFile(path)
 	}
+	d, err := cem.GenerateDataset(kind, scale, seed)
+	if err != nil {
+		return "", nil, err
+	}
+	return d.Name, cem.RecordsFromDataset(d), nil
+}
+
+// runPipeline is every run but -ingest: records → blocking → matching →
+// metrics through the public Pipeline API.
+func runPipeline(name string, recs []cem.Record, cfg pipelineConfig, stdout io.Writer) error {
 	pipe, err := cfg.newPipeline(name)
 	if err != nil {
 		return err
@@ -329,6 +281,9 @@ func runPipeline(path string, cfg pipelineConfig, stdout io.Writer) error {
 			return err
 		}
 	}
+	if err := cfg.dumpMatches(res.Matches); err != nil {
+		return err
+	}
 	cfg.report(stdout, "records "+name, res)
 	return nil
 }
@@ -341,7 +296,10 @@ func runPipeline(path string, cfg pipelineConfig, stdout io.Writer) error {
 // warm-started or forced a full re-run; -v appends the stream's
 // cumulative counters, as the committer's metrics counted them.
 func runIngest(paths []string, cfg pipelineConfig, stdout io.Writer) error {
-	var committer *serve.Committer
+	var (
+		committer *serve.Committer
+		res       *cem.PipelineResult
+	)
 	m := serve.NewMetrics()
 	for i, path := range paths {
 		path = strings.TrimSpace(path)
@@ -369,7 +327,7 @@ func runIngest(paths []string, cfg pipelineConfig, stdout io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("batch %d (%s): %w", i+1, path, err)
 		}
-		res := state.Result
+		res = state.Result
 		mode := "cold"
 		switch {
 		case res.WarmStarted:
@@ -379,7 +337,10 @@ func runIngest(paths []string, cfg pipelineConfig, stdout io.Writer) error {
 		}
 		cfg.report(stdout, fmt.Sprintf("batch %d/%d %s [%s]", i+1, len(paths), path, mode), res)
 	}
-	if cfg.verbose && committer != nil {
+	if err := cfg.dumpMatches(res.Matches); err != nil {
+		return err
+	}
+	if cfg.verbose {
 		fmt.Fprintf(stdout, "cumulative: %d updates (%d cold, %d warm, %d forced), %d matcher calls over %d records\n",
 			m.CommittedBatches.Value(), m.UpdatesCold.Value(), m.UpdatesWarm.Value(), m.UpdatesForced.Value(),
 			m.MatcherCalls.Value(), m.CommittedRecords.Value())

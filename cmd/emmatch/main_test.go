@@ -40,9 +40,14 @@ func TestFlagValidation(t *testing.T) {
 		{"backend shards with pool backend",
 			[]string{"-backend", "pool", "-backend-shards", "4"},
 			"-backend-shards requires -backend sharded"},
+		// The dataset file format and its -in flag are retired; their
+		// command lines stay refused.
 		{"in and records together",
 			[]string{"-in", "a.tsv", "-records", "b.tsv"},
-			"mutually exclusive"},
+			"flag provided but not defined: -in"},
+		{"max neighborhood on a dataset file",
+			[]string{"-in", "a.tsv", "-max-neighborhood", "2"},
+			"flag provided but not defined: -in"},
 		{"records and ingest together",
 			[]string{"-records", "b.tsv", "-ingest", "c.tsv"},
 			"mutually exclusive"},
@@ -63,27 +68,17 @@ func TestFlagValidation(t *testing.T) {
 		{"mem store",
 			[]string{"-store", "mem", "-records", "r.tsv"},
 			"flag provided but not defined: -store"},
-		{"store on a generated corpus",
-			[]string{"-state-dir", "x", "-kind", "dblp"},
-			"-state-dir saves the state of a -records or -ingest run"},
-		{"state dir without store",
-			[]string{"-state-dir", "x"},
-			"-state-dir saves the state of a -records or -ingest run"},
-		{"shards on a generated corpus",
-			[]string{"-kind", "hepth", "-scale", "0.1", "-shards", "2"},
-			"-shards and -max-neighborhood configure the blocking of a -records or -ingest run"},
-		{"max neighborhood on a generated corpus",
-			[]string{"-kind", "hepth", "-scale", "0.1", "-max-neighborhood", "2"},
-			"-shards and -max-neighborhood configure the blocking of a -records or -ingest run"},
-		{"max neighborhood on a dataset file",
-			[]string{"-in", "a.tsv", "-max-neighborhood", "2"},
-			"-shards and -max-neighborhood configure the blocking of a -records or -ingest run"},
 		{"worker addrs with pool backend",
 			[]string{"-backend", "pool", "-worker-addrs", "127.0.0.1:1"},
 			"-worker-addrs requires -backend sharded"},
 		{"backend shards with worker addrs",
 			[]string{"-backend", "sharded", "-backend-shards", "4", "-worker-addrs", "127.0.0.1:1,127.0.0.1:2"},
 			"-backend-shards counts in-process workers"},
+		// Workers block with the default bounds: a bounded coordinator
+		// would run on another cover.
+		{"worker addrs with max neighborhood",
+			[]string{"-worker-addrs", "127.0.0.1:1", "-max-neighborhood", "2"},
+			"-worker-addrs: workers block with the default canopy bounds"},
 		{"retired backend name",
 			[]string{"-backend", "sharded-net"},
 			`unknown backend "sharded-net"`},
@@ -169,8 +164,8 @@ func TestRulesFileMatcherConflict(t *testing.T) {
 	}
 }
 
-// TestRulesFileEndToEnd drives the people corpus through the binary's
-// classic path programmed only by a rules file.
+// TestRulesFileEndToEnd drives the generated people corpus through the
+// binary, programmed only by a rules file.
 func TestRulesFileEndToEnd(t *testing.T) {
 	path := writeRulesFile(t, "program "+programName("cli-people")+`
 fields name, street, phone, zip
@@ -188,6 +183,67 @@ match level 2
 	}
 	if !strings.Contains(out, "P=") {
 		t.Errorf("report lacks metrics:\n%s", out)
+	}
+}
+
+// TestEveryModeRunsOnePipeline: a generated corpus, its records file and a
+// one-batch stream of that file are one run. -dump-matches writes
+// byte-identical files for all three, and -state-dir saves the state of a
+// generated run as it does for the others.
+func TestEveryModeRunsOnePipeline(t *testing.T) {
+	dir := t.TempDir()
+	d, err := cem.GenerateDataset(cem.HEPTH, 0.1, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "hepth.tsv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cem.WriteRecords(f, d.Name, cem.RecordsFromDataset(d)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	state := filepath.Join(dir, "state")
+	modes := [][]string{
+		{"-kind", "hepth", "-scale", "0.1", "-seed", "42", "-state-dir", state},
+		{"-records", path},
+		{"-ingest", path},
+	}
+	var dumps []string
+	for i, mode := range modes {
+		dump := filepath.Join(dir, fmt.Sprintf("matches-%d.txt", i))
+		out, err := runQuiet(t, append(mode, "-scheme", "smp", "-dump-matches", dump)...)
+		if err != nil {
+			t.Fatalf("run %v: %v", mode, err)
+		}
+		if !strings.Contains(out, "dataset hepth-like: ") {
+			t.Errorf("run %v: report lacks the dataset line:\n%s", mode, out)
+		}
+		raw, err := os.ReadFile(dump)
+		if err != nil {
+			t.Fatalf("run %v wrote no -dump-matches file: %v", mode, err)
+		}
+		dumps = append(dumps, string(raw))
+	}
+	if !strings.HasPrefix(dumps[0], "# ") || strings.HasPrefix(dumps[0], "# 0 ") {
+		t.Fatalf("the generated run dumped no matches:\n%.200s", dumps[0])
+	}
+	for i := 1; i < len(dumps); i++ {
+		if dumps[i] != dumps[0] {
+			t.Errorf("run %v dumped other matches than run %v", modes[i], modes[0])
+		}
+	}
+	st, err := cem.OpenStore("disk", cem.WithStoreDir(filepath.Join(state, "store")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if seq, err := cem.StateSeq(st); err != nil || seq != 1 {
+		t.Errorf("-state-dir of a generated run holds the state of seq %d (%v), want 1", seq, err)
 	}
 }
 

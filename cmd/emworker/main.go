@@ -1,18 +1,19 @@
 // Command emworker runs one worker process of the sharded backend: it
-// grounds the same experiment a coordinator runs (dataset, matcher,
-// cover — the model is never serialized) and serves partition
-// assignments over a TCP or unix socket until signaled. A coordinator
-// attaches via emmatch -worker-addrs (or cem.NewShardedNetBackend with
-// addresses), and the handshake fingerprint — scheme, cover sizes and
-// the -matcher name against the run's matcher — refuses coordinators
-// grounded on a different corpus or model. SIGKILLing an emworker mid-run
-// makes the coordinator reassign its partitions — the run finishes on
-// the surviving workers with identical output.
+// grounds the same experiment a coordinator runs (corpus, matcher, cover
+// under the default blocking — the model is never serialized) and serves
+// partition assignments over a TCP or unix socket until signaled. A
+// coordinator attaches via emmatch -worker-addrs (or
+// cem.NewShardedNetBackend with addresses), and the handshake
+// fingerprint — scheme, cover sizes and the -matcher name against the
+// run's matcher — refuses coordinators grounded on a different corpus or
+// model. SIGKILLing an emworker mid-run makes the coordinator reassign
+// its partitions — the run finishes on the surviving workers with
+// identical output.
 //
 // Usage:
 //
 //	emworker -listen 127.0.0.1:7401 -kind hepth -scheme smp -matcher mln
-//	emworker -listen unix:/tmp/w0.sock -in hepth.tsv -scheme mmp
+//	emworker -listen unix:/tmp/w0.sock -records hepth.tsv -scheme mmp
 package main
 
 import (
@@ -62,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer, sigs chan os.Signal, ready cha
 	fs.SetOutput(stderr)
 	var (
 		listen  = fs.String("listen", "127.0.0.1:0", "listen address: host:port or unix:/path.sock")
-		in      = fs.String("in", "", "dataset TSV file (from emgen); empty to generate")
+		records = fs.String("records", "", "records TSV file (from emgen); empty to generate")
 		kind    = fs.String("kind", "hepth", "generated corpus kind: hepth | dblp | dblp-big | million")
 		scale   = fs.Float64("scale", 0.5, "generated corpus scale")
 		seed    = fs.Int64("seed", 42, "generation seed")
@@ -83,17 +84,12 @@ func run(args []string, stdout, stderr io.Writer, sigs chan os.Signal, ready cha
 		d   *bib.Dataset
 		err error
 	)
-	if *in != "" {
-		f, err := os.Open(*in)
-		if err != nil {
-			return err
-		}
-		d, err = bib.Read(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	} else if d, err = cem.GenerateDataset(cem.DatasetKind(*kind), *scale, *seed); err != nil {
+	if *records != "" {
+		d, err = readRecordsFile(*records)
+	} else {
+		d, err = cem.GenerateDataset(cem.DatasetKind(*kind), *scale, *seed)
+	}
+	if err != nil {
 		return err
 	}
 	exp, err := cem.New(d)
@@ -150,4 +146,19 @@ func run(args []string, stdout, stderr io.Writer, sigs chan os.Signal, ready cha
 		return err
 	}
 	return nil
+}
+
+// readRecordsFile loads a records TSV as the dataset a coordinator's
+// Pipeline synthesizes from the same file.
+func readRecordsFile(path string) (*bib.Dataset, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	name, recs, err := bib.ReadRecords(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return bib.DatasetFromRecords(name, recs)
 }

@@ -3,11 +3,13 @@ package main
 import (
 	"context"
 	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 
 	cem "repro"
+	"repro/match"
 )
 
 // TestFlagValidation pins the CLI's argument checks.
@@ -94,6 +96,75 @@ func TestWorkerServesCoordinator(t *testing.T) {
 	if !strings.Contains(out.String(), "emworker: SMP mln on 127.0.0.1:") {
 		t.Errorf("startup banner missing from stdout: %q", out.String())
 	}
+
+	t.Run("records", func(t *testing.T) { workerServesRecords(t, d) })
+}
+
+// workerServesRecords: an emworker reading a records file serves the
+// Pipeline a coordinator runs over the same file, and the distributed run
+// equals the pool run.
+func workerServesRecords(t *testing.T, d *match.Dataset) {
+	path := filepath.Join(t.TempDir(), "records.tsv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cem.WriteRecords(f, d.Name, cem.RecordsFromDataset(d)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sigs := make(chan os.Signal, 1)
+	ready := make(chan string, 1)
+	done := make(chan error, 1)
+	var out, errBuf strings.Builder
+	go func() {
+		done <- run([]string{"-listen", "127.0.0.1:0", "-records", path, "-scheme", "smp", "-matcher", "mln"},
+			&out, &errBuf, sigs, ready)
+	}()
+	var addr string
+	select {
+	case addr = <-ready:
+	case err := <-done:
+		t.Fatalf("worker over %s: %v", path, err)
+	}
+	name, recs, err := readFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runPipe := func(opts ...cem.RunnerOption) *cem.PipelineResult {
+		t.Helper()
+		pipe, err := cem.NewPipeline(cem.WithDatasetName(name), cem.WithScheme(cem.SchemeSMP), cem.WithRunnerOptions(opts...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := pipe.Run(context.Background(), recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	pool := runPipe()
+	res := runPipe(cem.WithBackend(cem.NewShardedNetBackend(0, addr)))
+	if !res.Matches.Equal(pool.Matches) || res.Matches.Len() == 0 {
+		t.Errorf("distributed pipeline diverges from pool: %d vs %d matches", res.Matches.Len(), pool.Matches.Len())
+	}
+
+	sigs <- syscall.SIGTERM
+	if err := <-done; err != nil {
+		t.Fatalf("worker shutdown: %v", err)
+	}
+}
+
+// readFile reads a records file as a coordinator does.
+func readFile(path string) (string, []cem.Record, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", nil, err
+	}
+	defer f.Close()
+	return cem.ReadRecords(f)
 }
 
 // TestWorkerRefusesOtherMatcher: an emworker grounded with -matcher rules

@@ -1,7 +1,6 @@
 package bib
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -132,84 +131,5 @@ func TestRefsByAuthor(t *testing.T) {
 	}
 	if g := groups[0]; len(g) != 2 || g[0] != 0 || g[1] != 2 {
 		t.Errorf("author 0 group = %v", g)
-	}
-}
-
-func TestRoundTrip(t *testing.T) {
-	d := tiny()
-	var buf bytes.Buffer
-	if err := Write(&buf, d); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	d2, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if d2.Name != d.Name {
-		t.Errorf("name %q != %q", d2.Name, d.Name)
-	}
-	if len(d2.Refs) != len(d.Refs) || len(d2.Papers) != len(d.Papers) {
-		t.Fatalf("sizes differ after round trip")
-	}
-	for i := range d.Refs {
-		if d.Refs[i] != d2.Refs[i] {
-			t.Errorf("ref %d: %+v != %+v", i, d.Refs[i], d2.Refs[i])
-		}
-	}
-	for i := range d.Papers {
-		if d.Papers[i].Title != d2.Papers[i].Title || d.Papers[i].Year != d2.Papers[i].Year {
-			t.Errorf("paper %d differs", i)
-		}
-		if len(d.Papers[i].Cites) != len(d2.Papers[i].Cites) {
-			t.Errorf("paper %d cites differ", i)
-		}
-	}
-}
-
-func TestReadErrors(t *testing.T) {
-	cases := []string{
-		"X\tfoo\n",                    // unknown record
-		"P\tonly-two-fields\n",        // bad P arity
-		"P\ttitle\tnotyear\t-\n",      // bad year
-		"R\t0\t0\tname\n",             // ref before any paper
-		"P\tt\t2000\t-\nR\t5\t0\tx\n", // ref to unknown paper
-		"P\tt\t2000\tbad\n",           // bad citation list
-	}
-	for i, c := range cases {
-		if _, err := Read(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d: malformed input accepted", i)
-		}
-	}
-}
-
-// TestReadRefusesIDsOutsideInt32: an author or cite id that does not fit
-// the int32 it is stored in is refused with its line, not wrapped onto
-// another id; the int32 extremes still load.
-func TestReadRefusesIDsOutsideInt32(t *testing.T) {
-	for _, c := range []struct{ in, want string }{
-		{"P\tt\t2000\t-\nR\t0\t4294967297\tA. Smith\n", "line 2: bad author id"},
-		{"P\tt\t2000\t-\nP\tu\t2001\t4294967296\n", "line 2: bad cite"},
-	} {
-		if _, err := Read(strings.NewReader(c.in)); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%q: err = %v, want %q", c.in, err, c.want)
-		}
-	}
-	d, err := Read(strings.NewReader("P\tt\t2000\t-\nR\t0\t-1\ta\nR\t0\t2147483647\tb\n"))
-	if err != nil {
-		t.Fatalf("int32 extremes refused: %v", err)
-	}
-	if d.Refs[0].True != -1 || d.Refs[1].True != 2147483647 {
-		t.Errorf("author ids = %d, %d; want -1, 2147483647", d.Refs[0].True, d.Refs[1].True)
-	}
-}
-
-func TestReadSkipsCommentsAndBlanks(t *testing.T) {
-	in := "# dataset x\n\n# a comment\nP\tt\t2000\t-\nR\t0\t0\tAlice Smith\n"
-	d, err := Read(strings.NewReader(in))
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if d.Name != "x" || len(d.Refs) != 1 || d.Refs[0].Name != "Alice Smith" {
-		t.Errorf("parsed dataset wrong: %+v", d)
 	}
 }

@@ -109,14 +109,15 @@ func (d *Dataset) Extend(name string, recs []Record) (*Dataset, error) {
 	return e, nil
 }
 
-// The on-disk record format is line-oriented TSV, mirroring the dataset
-// format of io.go:
+// The on-disk record format — the one corpus format the commands read and
+// write — is line-oriented TSV:
 //
 //	# records <name>
 //	<group>\t<gold>\t<name>
 //
 // Group and gold may be -1 (ungrouped / unlabeled). Names are the final
-// field and may contain spaces.
+// field and may contain spaces. Other lines starting with # and blank
+// lines are skipped.
 
 // maxLine bounds one line of the format, its newline included: ReadRecords
 // refuses a longer one.
@@ -140,9 +141,12 @@ func CheckName(name string) error {
 	return nil
 }
 
-// WriteRecords serializes records to w in the TSV format above. A name
-// CheckName refuses fails the write.
+// WriteRecords serializes records to w in the TSV format above. A corpus
+// or record name CheckName refuses fails the write.
 func WriteRecords(w io.Writer, name string, recs []Record) error {
+	if err := CheckName(name); err != nil {
+		return fmt.Errorf("bib: corpus name: %w", err)
+	}
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "# records %s\n", name); err != nil {
 		return err

@@ -75,12 +75,28 @@ func TestTruePairsSkipsUnknownLabels(t *testing.T) {
 	}
 }
 
+// goodRecords write and read back unchanged; FuzzReadRecords starts from
+// their file.
+var goodRecords = []Record{
+	{Name: "V. Rastogi", Group: 0, Gold: 4},
+	{Name: "Name With Spaces", Group: -1, Gold: -1},
+	{Name: "N. Dalvi", Group: 0, Gold: 12},
+}
+
+// badRecordInputs are files ReadRecords refuses; FuzzReadRecords starts
+// from them too.
+var badRecordInputs = []string{
+	"",                       // no records
+	"0\tnotanumber\tName\n",  // bad gold
+	"x\t1\tName\n",           // bad group
+	"justonefield\n",         // too few fields
+	"4294967296\t0\tName\n",  // group overflows int32 (must not wrap to 0)
+	"0\t2147483648\tName\n",  // gold overflows int32 (must not wrap negative)
+	"0\t-2147483649\tName\n", // gold underflows int32
+}
+
 func TestRecordsRoundTrip(t *testing.T) {
-	recs := []Record{
-		{Name: "V. Rastogi", Group: 0, Gold: 4},
-		{Name: "Name With Spaces", Group: -1, Gold: -1},
-		{Name: "N. Dalvi", Group: 0, Gold: 12},
-	}
+	recs := goodRecords
 	var buf bytes.Buffer
 	if err := WriteRecords(&buf, "round-trip", recs); err != nil {
 		t.Fatal(err)
@@ -98,26 +114,23 @@ func TestRecordsRoundTrip(t *testing.T) {
 }
 
 func TestReadRecordsErrors(t *testing.T) {
-	for _, bad := range []string{
-		"",                       // no records
-		"0\tnotanumber\tName\n",  // bad gold
-		"x\t1\tName\n",           // bad group
-		"justonefield\n",         // too few fields
-		"4294967296\t0\tName\n",  // group overflows int32 (must not wrap to 0)
-		"0\t2147483648\tName\n",  // gold overflows int32 (must not wrap negative)
-		"0\t-2147483649\tName\n", // gold underflows int32
-	} {
+	for _, bad := range badRecordInputs {
 		if _, _, err := ReadRecords(bytes.NewBufferString(bad)); err == nil {
 			t.Errorf("ReadRecords(%q): no error", bad)
 		}
 	}
 }
 
+// TestWriteRecordsRejectsLineBreaks: a line break in a record name, or in
+// the corpus name (a line of the file too), would read back as other
+// lines, so WriteRecords refuses either.
 func TestWriteRecordsRejectsLineBreaks(t *testing.T) {
 	for _, name := range []string{"bad\nname", "bad\rname", "trailing\n"} {
-		var buf bytes.Buffer
-		if err := WriteRecords(&buf, "x", []Record{{Name: name, Group: -1, Gold: -1}}); err == nil {
+		if err := WriteRecords(io.Discard, "x", []Record{{Name: name, Group: -1, Gold: -1}}); err == nil {
 			t.Errorf("WriteRecords accepted name %q", name)
+		}
+		if err := WriteRecords(io.Discard, name, goodRecords); err == nil || !strings.Contains(err.Error(), "corpus name") {
+			t.Errorf("WriteRecords with corpus name %q = %v, want a refusal of the corpus name", name, err)
 		}
 	}
 }

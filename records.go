@@ -82,7 +82,7 @@ func RecordsFromDataset(d *match.Dataset) []Record {
 }
 
 // ReadRecords parses a raw records TSV (as written by WriteRecords or
-// `emgen -records`): a `# records <name>` header followed by
+// `emgen`): a `# records <name>` header followed by
 // `<group>\t<gold>\t<name>` lines, -1 meaning ungrouped/unlabeled.
 func ReadRecords(r io.Reader) (name string, records []Record, err error) {
 	name, raw, err := bib.ReadRecords(r)

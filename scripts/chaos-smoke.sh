@@ -2,8 +2,9 @@
 # Chaos smoke test: the sharded backend under a REAL
 # worker kill, as a black box with real OS processes.
 #
-#   build -> cold single-process reference run -> start 3 emworker
-#   processes -> run emmatch against the fleet -> SIGKILL one worker the
+#   build -> write one records corpus -> cold single-process reference
+#   run on it -> start 3 emworker processes on the same file -> run
+#   emmatch against the fleet -> SIGKILL one worker the
 #   moment it logs its round-2 assignment -> assert the interrupted
 #   fleet's match set is byte-identical to the reference, the run
 #   reported the reassignment, and the victim is really dead.
@@ -15,7 +16,7 @@
 set -euo pipefail
 
 workdir="$(mktemp -d)"
-corpus=(-kind hepth -scale 2 -seed 42)
+corpus=(-records "$workdir/corpus.tsv")
 scheme=smp
 matcher=mln
 worker_pids=()
@@ -33,6 +34,10 @@ fail() { echo "CHAOS FAIL: $*" >&2; exit 1; }
 echo "== build"
 go build -o "$workdir/emmatch" ./cmd/emmatch
 go build -o "$workdir/emworker" ./cmd/emworker
+go build -o "$workdir/emgen" ./cmd/emgen
+
+echo "== records corpus"
+"$workdir/emgen" -kind hepth -scale 2 -seed 42 -out "$workdir/corpus.tsv"
 
 echo "== cold single-process reference"
 "$workdir/emmatch" "${corpus[@]}" -scheme $scheme -matcher $matcher \
@@ -47,7 +52,7 @@ for i in 0 1 2; do
   worker_pids[$i]=$!
 done
 for i in 0 1 2; do
-  # Startup grounds the full experiment (dataset generation + cover
+  # Startup grounds the full experiment (reading the corpus + cover
   # construction) before listening; allow it half a minute.
   for _ in $(seq 1 600); do
     addr="$(sed -n 's/^emworker: .* on \(127\.0\.0\.1:[0-9]*\) .*/\1/p' "$workdir/w$i.log")"

@@ -81,7 +81,7 @@ go build -o "$workdir/emserve" ./cmd/emserve
 go build -o "$workdir/emgen" ./cmd/emgen
 
 echo "== fixture corpus, cut into two batches, and a third"
-"$workdir/emgen" -kind hepth -scale 0.25 -records -out "$workdir/records.tsv"
+"$workdir/emgen" -kind hepth -scale 0.25 -out "$workdir/records.tsv"
 total=$(($(wc -l < "$workdir/records.tsv") - 1))
 [ "$total" -gt 2 ] || fail "emgen produced a degenerate corpus"
 cut=$((total / 2))
@@ -89,7 +89,7 @@ head -n 1 "$workdir/records.tsv" > "$workdir/batch1.tsv"
 sed -n "2,$((cut + 1))p" "$workdir/records.tsv" >> "$workdir/batch1.tsv"
 head -n 1 "$workdir/records.tsv" > "$workdir/batch2.tsv"
 sed -n "$((cut + 2)),\$p" "$workdir/records.tsv" >> "$workdir/batch2.tsv"
-"$workdir/emgen" -kind dblp -scale 0.05 -seed 7 -records -out "$workdir/batch3.tsv"
+"$workdir/emgen" -kind dblp -scale 0.05 -seed 7 -out "$workdir/batch3.tsv"
 
 echo "== start emserve -state-dir, POST two batches, GET a cluster"
 start
