@@ -41,7 +41,9 @@ vet:
 # docs-check fails when the README or the verify skill names a path that
 # does not exist: the package of a `go run ./…` command, or a code-span
 # path in one of the cmd, internal, scripts, testdata, match or examples
-# trees; or when the README and testdata/api.txt disagree, or the README
+# trees; when a `go run ./cmd/X` command passes a flag X does not define;
+# when the README and testdata/api.txt disagree, a Go block of the README
+# is not an excerpt of the example_test.go example it names, or the README
 # is larger than readme_ceiling.txt (a ceiling that only moves down). CI
 # runs it in the lint job.
 docs-check:

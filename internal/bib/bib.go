@@ -11,7 +11,6 @@ package bib
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/graph"
 )
@@ -221,17 +220,4 @@ func (d *Dataset) ComputeStats() Stats {
 func (s Stats) String() string {
 	return fmt.Sprintf("refs=%d papers=%d authors=%d coauthorEdges=%d maxCluster=%d truePairs=%d",
 		s.Refs, s.Papers, s.Authors, s.CoauthorEdges, s.MaxClusterSize, s.TrueMatchPairs)
-}
-
-// RefsByAuthor groups reference ids by ground-truth author, each group
-// sorted ascending. Used by tests and evaluation.
-func (d *Dataset) RefsByAuthor() map[AuthorID][]RefID {
-	out := map[AuthorID][]RefID{}
-	for i := range d.Refs {
-		out[d.Refs[i].True] = append(out[d.Refs[i].True], RefID(i))
-	}
-	for _, v := range out {
-		slices.Sort(v)
-	}
-	return out
 }

@@ -122,14 +122,3 @@ func TestStats(t *testing.T) {
 		t.Error("counters wrong")
 	}
 }
-
-func TestRefsByAuthor(t *testing.T) {
-	d := tiny()
-	groups := d.RefsByAuthor()
-	if len(groups) != 3 {
-		t.Fatalf("groups = %v", groups)
-	}
-	if g := groups[0]; len(g) != 2 || g[0] != 0 || g[1] != 2 {
-		t.Errorf("author 0 group = %v", g)
-	}
-}

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 
 	"repro/internal/wire"
@@ -215,19 +214,6 @@ func (d *Disk) OpenBlob(kind, name string) ([]byte, error) {
 		return nil, fmt.Errorf("store: blob %s/%s: %w", kind, name, ErrNotFound)
 	}
 	return data, err
-}
-
-// ListBlobs implements Store.
-func (d *Disk) ListBlobs(kind string) ([]string, error) {
-	if err := checkBlobName(kind); err != nil {
-		return nil, err
-	}
-	names, err := d.trail.fs.ReadDir(filepath.Join(d.trail.Dir, "blob", kind))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	// The listing is sorted; an orphan of a crashed SaveBlob is not a blob.
-	return slices.DeleteFunc(names, func(n string) bool { return strings.HasSuffix(n, ".tmp") }), err
 }
 
 // Flush implements Store. Commits are already synchronous (fsync before

@@ -259,8 +259,9 @@ func TestDiskBlobAtomicReplace(t *testing.T) {
 	if len(tmps) != 0 {
 		t.Fatalf("temp files left behind: %v", tmps)
 	}
-	if names, err := d.ListBlobs(KindSnapshot); err != nil || len(names) != 1 {
-		t.Fatalf("ListBlobs = %v, %v", names, err)
+	names, err := os.ReadDir(filepath.Join(d.Dir(), "blob", KindSnapshot))
+	if err != nil || len(names) != 1 || names[0].Name() != "latest" {
+		t.Fatalf("blob directory = %v, %v; want only latest", names, err)
 	}
 }
 

@@ -104,18 +104,6 @@ func (m *Mem) OpenBlob(kind, name string) ([]byte, error) {
 	return append([]byte(nil), data...), nil
 }
 
-// ListBlobs implements Store.
-func (m *Mem) ListBlobs(kind string) ([]string, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	names := make([]string, 0, len(m.blobs[kind]))
-	for name := range m.blobs[kind] {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	return names, nil
-}
-
 // Flush implements Store (a no-op: there is nothing more durable to
 // reach).
 func (m *Mem) Flush() error { return nil }

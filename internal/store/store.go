@@ -64,8 +64,6 @@ type Store interface {
 	SaveBlob(kind, name string, data []byte) error
 	// OpenBlob returns the named blob, or ErrNotFound.
 	OpenBlob(kind, name string) ([]byte, error)
-	// ListBlobs returns the sorted names stored under kind.
-	ListBlobs(kind string) ([]string, error)
 
 	// Flush forces buffered state to durable storage (a no-op for
 	// memory stores).

@@ -103,15 +103,3 @@ func (d *DSU) Sets() map[int][]int {
 	}
 	return out
 }
-
-// SetOf returns all members of the set containing x. O(n).
-func (d *DSU) SetOf(x int) []int {
-	r := d.Find(x)
-	var out []int
-	for i := range d.parent {
-		if d.Find(i) == r {
-			out = append(out, i)
-		}
-	}
-	return out
-}

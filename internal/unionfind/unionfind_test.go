@@ -92,22 +92,6 @@ func TestSets(t *testing.T) {
 	}
 }
 
-func TestSetOf(t *testing.T) {
-	d := New(5)
-	d.Union(0, 2)
-	d.Union(2, 4)
-	got := d.SetOf(0)
-	if len(got) != 3 {
-		t.Fatalf("SetOf(0) = %v, want 3 members", got)
-	}
-	want := map[int]bool{0: true, 2: true, 4: true}
-	for _, m := range got {
-		if !want[m] {
-			t.Errorf("unexpected member %d", m)
-		}
-	}
-}
-
 // TestAgainstNaive cross-checks DSU equivalence classes against a naive
 // O(n^2) reachability model on random union sequences.
 func TestAgainstNaive(t *testing.T) {
