@@ -218,8 +218,9 @@ func (c pipelineConfig) report(w io.Writer, label string, res *cem.PipelineResul
 	fmt.Fprintf(w, "cover: %s\n", res.Experiment.Cover.ComputeStats())
 	if res.Labeled {
 		fmt.Fprintln(w, *res.Report)
-		if c.bcubed {
-			fmt.Fprintf(w, "B³:    %v\n", *res.BCubed)
+		if b := res.BCubed; c.bcubed {
+			// B-cubed is a per-entity average: it has no pair counts.
+			fmt.Fprintf(w, "B³:    P=%.3f R=%.3f F1=%.3f\n", b.Precision, b.Recall, b.F1)
 		}
 	} else {
 		fmt.Fprintln(w, "(unlabeled records: no metrics)")
@@ -294,12 +295,20 @@ func runPipeline(name string, recs []cem.Record, cfg pipelineConfig, stdout io.W
 // the CLI replay and emserve's serving semantics cannot drift. One
 // report is printed per batch, annotated with whether the batch
 // warm-started or forced a full re-run; -v appends the stream's
-// cumulative counters, as the committer's metrics counted them.
-func runIngest(paths []string, cfg pipelineConfig, stdout io.Writer) error {
+// cumulative counters, as the committer's metrics counted them. With a
+// store, each batch's state is checkpointed in the background; every
+// return waits for the last checkpoint, as the caller closes the store
+// next, and a failed one fails the command.
+func runIngest(paths []string, cfg pipelineConfig, stdout io.Writer) (err error) {
 	var (
 		committer *serve.Committer
 		res       *cem.PipelineResult
 	)
+	defer func() {
+		if err != nil && committer != nil {
+			committer.Flush() // the error returned is the first one
+		}
+	}()
 	m := serve.NewMetrics()
 	for i, path := range paths {
 		path = strings.TrimSpace(path)
@@ -336,6 +345,9 @@ func runIngest(paths []string, cfg pipelineConfig, stdout io.Writer) error {
 			mode = "full re-run (non-additive delta)"
 		}
 		cfg.report(stdout, fmt.Sprintf("batch %d/%d %s [%s]", i+1, len(paths), path, mode), res)
+	}
+	if err := committer.Flush(); err != nil {
+		return err
 	}
 	if err := cfg.dumpMatches(res.Matches); err != nil {
 		return err

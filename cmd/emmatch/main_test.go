@@ -444,3 +444,17 @@ func TestResumeOverTruncatedTail(t *testing.T) {
 		t.Errorf("the torn record was not quarantined: %v", err)
 	}
 }
+
+// TestBCubedLine pins the -bcubed report line: B-cubed is an average over
+// entities, so the line carries precision, recall and F1 and no pair
+// counts (eval.BCubed sets none; printed, they read zero).
+func TestBCubedLine(t *testing.T) {
+	out, err := runQuiet(t, "-kind", "hepth", "-scale", "0.1", "-scheme", "smp", "-bcubed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := regexp.MustCompile(`(?m)^B³: .*$`).FindString(out)
+	if !regexp.MustCompile(`^B³:    P=[01]\.\d{3} R=[01]\.\d{3} F1=[01]\.\d{3}$`).MatchString(line) {
+		t.Fatalf("-bcubed printed %q, want \"B³:    P=… R=… F1=…\"; report:\n%s", line, out)
+	}
+}

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -24,6 +25,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 
@@ -31,9 +33,30 @@ import (
 	"repro/internal/bib"
 	"repro/internal/core"
 	emnet "repro/internal/net"
+	"repro/internal/wire"
 )
 
+// holdRoundEnv names a test-only hook, read only by main: set to a round
+// number, the worker evaluates its first assignment of that round and
+// then holds the batch, never sending it, until it is killed or shut
+// down. A test that kills this worker once it logs the round's
+// assignment (scripts/chaos-smoke.sh) then always kills a worker that
+// still owes the coordinator a batch, so the run must reassign it.
+const holdRoundEnv = "EMWORKER_TEST_HOLD_ROUND"
+
+// holdRound is the round whose batch the worker holds (0: none). Test-only:
+// only main sets it, from holdRoundEnv.
+var holdRound int
+
 func main() {
+	if v := os.Getenv(holdRoundEnv); v != "" {
+		r, err := strconv.Atoi(v)
+		if err != nil || r < 1 {
+			fmt.Fprintf(os.Stderr, "emworker: %s=%q is not a round number\n", holdRoundEnv, v)
+			os.Exit(1)
+		}
+		holdRound = r
+	}
 	if err := run(os.Args[1:], os.Stdout, os.Stderr, nil, nil); err != nil {
 		fmt.Fprintf(os.Stderr, "emworker: %v\n", err)
 		os.Exit(1)
@@ -138,6 +161,9 @@ func run(args []string, stdout, stderr io.Writer, sigs chan os.Signal, ready cha
 		}
 	}()
 
+	if holdRound > 0 {
+		l = holdListener{Listener: l, ctx: ctx, round: holdRound}
+	}
 	opts := emnet.WorkerOptions{Matcher: *matcher}
 	if *verbose {
 		opts.Logf = func(f string, a ...any) { fmt.Fprintf(stderr, "emworker: "+f+"\n", a...) }
@@ -161,4 +187,38 @@ func readRecordsFile(path string) (*bib.Dataset, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return bib.DatasetFromRecords(name, recs)
+}
+
+// holdListener wraps each coordinator connection in a holdConn.
+type holdListener struct {
+	net.Listener
+	ctx   context.Context
+	round int
+}
+
+func (l holdListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &holdConn{Conn: c, ctx: l.ctx, round: l.round}, nil
+}
+
+// holdConn is a worker connection under holdRoundEnv: a write of a batch
+// for its round blocks until ctx ends. wire.WriteFrame writes each frame
+// in one Write call, so each Write is one whole frame.
+type holdConn struct {
+	net.Conn
+	ctx   context.Context
+	round int
+}
+
+func (h *holdConn) Write(b []byte) (int, error) {
+	if ft, payload, err := wire.ReadFrame(bytes.NewReader(b)); err == nil && ft == wire.FrameBatch {
+		if batch, err := wire.UnmarshalShardBatch(payload); err == nil && batch.Round == h.round {
+			<-h.ctx.Done()
+			return 0, h.ctx.Err()
+		}
+	}
+	return h.Conn.Write(b)
 }

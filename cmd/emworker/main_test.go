@@ -1,14 +1,19 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 
 	cem "repro"
+	"repro/internal/wire"
 	"repro/match"
 )
 
@@ -205,5 +210,64 @@ func TestWorkerRefusesOtherMatcher(t *testing.T) {
 	sigs <- syscall.SIGTERM
 	if err := <-done; err != nil {
 		t.Fatalf("worker shutdown: %v", err)
+	}
+}
+
+// marshaler is a wire message.
+type marshaler interface {
+	Marshal(wire.Format) ([]byte, error)
+}
+
+// TestHoldConnHoldsItsRound: the test-only hold hook passes every frame
+// but a batch of its round, which it holds until its context ends.
+func TestHoldConnHoldsItsRound(t *testing.T) {
+	frame := func(ft byte, m marshaler) []byte {
+		t.Helper()
+		payload, err := m.Marshal(wire.Binary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := wire.WriteFrame(&buf, ft, payload); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	worker, coordinator := net.Pipe()
+	received := make(chan []byte, 1)
+	go func() {
+		b, _ := io.ReadAll(coordinator)
+		received <- b
+	}()
+	ctx, cancel := context.WithCancel(context.Background())
+	h := &holdConn{Conn: worker, ctx: ctx, round: 2}
+	passed := [][]byte{
+		frame(wire.FrameBatch, &wire.ShardBatch{Round: 1}),
+		frame(wire.FrameHeartbeat, &wire.Heartbeat{Round: 2}),
+		frame(wire.FrameBatch, &wire.ShardBatch{Round: 3}),
+	}
+	for _, f := range passed {
+		if _, err := h.Write(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	held := make(chan error, 1)
+	go func() {
+		_, err := h.Write(frame(wire.FrameBatch, &wire.ShardBatch{Round: 2}))
+		held <- err
+	}()
+	select {
+	case err := <-held:
+		t.Fatalf("the round-2 batch was not held (write returned %v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	cancel()
+	if err := <-held; err == nil {
+		t.Fatal("a held write ended without an error")
+	}
+	h.Close()
+	if got, want := <-received, bytes.Join(passed, nil); !bytes.Equal(got, want) {
+		t.Fatalf("the coordinator received %d bytes, want the %d of the frames not held", len(got), len(want))
 	}
 }

@@ -17,10 +17,11 @@ import (
 // its reader: the DBLP-like 0.5 corpus of seed 42 POSTed in 32-record JSON
 // batches to /records?wait=1 of an in-process service on a fresh disk-store
 // state directory per iteration, each POST answered once its batch is
-// committed. Everything a POST pays is timed — HTTP, journal, Update, store
-// commit and the published snapshot — and reported per POST, beside
+// journaled and published. Everything a POST pays is timed — HTTP, journal,
+// Update and the published snapshot — and reported per POST, beside
 // state_bytes/post: the size of the state blob each commit leaves in the
-// store, read outside the timer.
+// store, read outside the timer once that commit's checkpoint has landed
+// (so the checkpoint a POST leaves running does not overlap the next one).
 func BenchmarkIngest(b *testing.B) {
 	const batch = 32
 	records, err := cem.GenerateRecords(cem.DBLP, 0.5, 42)
@@ -71,6 +72,11 @@ func BenchmarkIngest(b *testing.B) {
 				b.Fatalf("POST %d: status %d, ack %+v, %v", seq, resp.StatusCode, ack, err)
 			}
 			b.StopTimer()
+			// The ack does not wait for the state blob: wait for it here,
+			// outside the timer, so each POST's blob is the one read.
+			if err := svc.committer.Flush(); err != nil {
+				b.Fatal(err)
+			}
 			blob, err := svc.store.OpenBlob(match.KindSnapshot, "latest")
 			if err != nil {
 				b.Fatal(err)

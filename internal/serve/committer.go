@@ -22,7 +22,9 @@ import (
 // batch optionally journaled to disk while it runs, and every
 // successful update is published as a new immutable Committed snapshot
 // via an atomic pointer swap. Readers call Snapshot at any time and get
-// the last committed state, never a torn intermediate.
+// the last committed state, never a torn intermediate. With a store, the
+// published state is then checkpointed into it in the background, beside
+// the next batch (Flush waits for that).
 //
 // The same Committer drives `emmatch -ingest` batch replay (without a
 // journal), so the CLI's replay semantics and the service's serving
@@ -37,6 +39,7 @@ type Committer struct {
 	mu         sync.Mutex // serializes Apply/Recover
 	journalSeq int        // highest journaled batch number
 	cur        atomic.Pointer[Committed]
+	ckpt       *checkpointer // nil without a store
 }
 
 // CommitterOption customizes a Committer.
@@ -44,22 +47,23 @@ type CommitterOption func(*Committer)
 
 // WithJournal persists every incoming batch to dir (created if missing)
 // as batch-NNNNNN.tsv, complete before any state that includes it is
-// saved or published — a durable store.Trail, so an acknowledged batch
+// published or saved — a durable store.Trail, so an acknowledged batch
 // survives a power cut, not only a crash mid-update: Recover replays the
-// journal into an identical state. Without a journal
-// the committer is ephemeral (the replay-CLI mode).
+// journal past the store's state into an identical state. Without a
+// journal the committer is ephemeral (the replay-CLI mode).
 func WithJournal(dir string) CommitterOption {
 	return func(c *Committer) {
 		c.journal = &store.Trail{Dir: dir, Format: "batch-%06d.tsv", Durable: true, Logf: c.quarantined}
 	}
 }
 
-// WithStore persists every committed state into s (cem.SaveState after
-// each successful update, before the state is published), so a restart
-// reopens the store snapshot — Pipeline.Reopen, zero matcher calls —
-// instead of replaying the journal through the engine. The committer is
-// the store's one writer: one state blob (the run snapshot) per
-// commit. It does not close the store.
+// WithStore checkpoints committed states into s (cem.SaveState after a
+// state is published, in the background, beside the next batch), so a
+// restart reopens the store snapshot — Pipeline.Reopen, zero matcher
+// calls — and replays only the journaled batches past it. Under load the
+// newest state is saved and the ones between skipped. The committer is
+// the store's one writer: one state blob, the run snapshot. It does not
+// close the store; call Flush before closing it.
 func WithStore(s match.Store) CommitterOption {
 	return func(c *Committer) { c.store = s }
 }
@@ -70,7 +74,7 @@ func WithMetrics(m *Metrics) CommitterOption {
 }
 
 // WithCommitterLog installs a logger for recovery events (quarantined
-// journal files). Nil (the default) is silent.
+// journal files) and failed checkpoints. Nil (the default) is silent.
 func WithCommitterLog(logf func(format string, args ...any)) CommitterOption {
 	return func(c *Committer) { c.logf = logf }
 }
@@ -86,6 +90,9 @@ func NewCommitter(pipe *cem.Pipeline, opts ...CommitterOption) (*Committer, erro
 	for _, o := range opts {
 		o(c)
 	}
+	if c.store != nil {
+		c.ckpt = newCheckpointer(c.store, c.metrics, c.logf)
+	}
 	c.cur.Store(emptyCommitted())
 	return c, nil
 }
@@ -94,26 +101,51 @@ func NewCommitter(pipe *cem.Pipeline, opts ...CommitterOption) (*Committer, erro
 // first commit it is the empty Seq-0 state.
 func (c *Committer) Snapshot() *Committed { return c.cur.Load() }
 
+// Flush waits until the store holds the newest committed state and
+// returns the error of that state's save, if it failed (the store then
+// keeps the last state that landed; the next commit's checkpoint tries
+// again). It returns once no checkpoint is running or waiting, so call it
+// after the last Apply. Without a store it returns nil at once.
+func (c *Committer) Flush() error {
+	if c.ckpt == nil {
+		return nil
+	}
+	return c.ckpt.flush()
+}
+
+// SavedSeq returns the seq of the state blob the store holds: the last
+// checkpoint that landed, or the state Recover reopened. Zero without a
+// store or before the first.
+func (c *Committer) SavedSeq() int {
+	if c.ckpt == nil {
+		return 0
+	}
+	return c.ckpt.savedSeq()
+}
+
 // Apply journals and applies one batch of records, publishing the new
 // state on success. Batches are applied strictly serially (callers may
 // race; a mutex orders them). A batch with a key checkKeys refuses is
 // refused before it is journaled.
 //
 // The journal entry is written on a goroutine while Pipeline.Update runs;
-// Apply waits for both, and only then saves the state (WithStore) and
-// publishes it (commit). So a journal entry is complete before any state that
-// includes its batch is saved or published — the invariant Recover and its
-// torn-tail quarantine rely on. On failure nothing is saved or published:
+// Apply waits for both, then publishes the state (commit) and returns:
+// the ack waits for the journal, not for the store. The state is saved
+// (WithStore) in the background after that. So a journal entry is
+// complete before any state that includes its batch is published or
+// saved — the invariant Recover and its torn-tail quarantine rely on. A
+// failed save does not fail the batch: it is logged and counted, and a
+// restart replays the batches past the last state that landed. On failure
+// nothing is published or saved:
 //   - A journal error is returned as is. An Update that succeeded beside it
 //     has still advanced the pipeline's shared blocking index, so the next
 //     batch's Update finds the index past its prior and rebuilds it from
-//     the committed records (canopy.ErrStale), as after a SaveState
-//     failure.
+//     the committed records (canopy.ErrStale).
 //   - A batch that failed because the context was canceled (a shutdown or
 //     kill mid update) KEEPS its journal entry — the records were
 //     accepted, and Recover finishes the interrupted commit on restart.
-//   - Any other failure (invalid records, a SaveState error) removes the
-//     journal entry, once its write has finished, and reports the error.
+//   - Any other failure (invalid records) removes the journal entry, once
+//     its write has finished, and reports the error.
 func (c *Committer) Apply(ctx context.Context, records []cem.Record) (*Committed, error) {
 	if len(records) == 0 {
 		return nil, fmt.Errorf("serve: empty batch")
@@ -129,22 +161,28 @@ func (c *Committer) Apply(ctx context.Context, records []cem.Record) (*Committed
 	start := time.Now()
 	res, err := c.update(ctx, records)
 	took := time.Since(start)
+	var state *Committed
+	if err == nil {
+		// The read views only read res: build them while the journal
+		// write may still run. Nothing is published before it is done.
+		state = newCommitted(c.cur.Load().Seq+1, res)
+	}
 	// journalSeq is the goroutine's until its result arrives.
 	if jerr := <-journaled; jerr != nil {
 		return nil, jerr
 	}
-	var state *Committed
-	if err == nil {
-		state, err = c.commit(records, res, took)
+	if err != nil {
+		if c.journal != nil && ctx.Err() == nil {
+			// The batch itself was rejected (not a kill): drop it from the
+			// journal so a restart does not replay a poison batch. Best
+			// effort, as the rejection is what the caller must see.
+			_ = c.journal.Remove(c.journalSeq)
+			c.journalSeq--
+		}
+		return nil, err
 	}
-	if err != nil && c.journal != nil && ctx.Err() == nil {
-		// The batch itself was rejected (not a kill): drop it from the
-		// journal so a restart does not replay a poison batch. Best
-		// effort, as the rejection is what the caller must see.
-		_ = c.journal.Remove(c.journalSeq)
-		c.journalSeq--
-	}
-	return state, err
+	c.commit(records, state, took)
+	return state, nil
 }
 
 // update runs Pipeline.Update on the committed state. Caller holds mu.
@@ -162,28 +200,11 @@ func (c *Committer) update(ctx context.Context, records []cem.Record) (*cem.Pipe
 	return res, err
 }
 
-// commit saves the result of an update that took took and publishes it as
-// the next state. The state's read views are built on a goroutine while
-// the state is saved: both only read res. Caller holds mu.
-func (c *Committer) commit(records []cem.Record, res *cem.PipelineResult, took time.Duration) (*Committed, error) {
-	seq := c.cur.Load().Seq + 1
-	built := make(chan *Committed, 1)
-	go func() { built <- newCommitted(seq, res) }()
-	var err error
-	if c.store != nil {
-		err = cem.SaveState(c.store, res, seq)
-	}
-	state := <-built
-	if err != nil {
-		// Durable-state-first: the state is saved before it is published. A
-		// SaveState error leaves the store's snapshot at the previous seq,
-		// so the failed batch is like any rejected one: nothing is
-		// published, and Apply drops it from the journal.
-		if c.metrics != nil {
-			c.metrics.UpdateErrors.Inc()
-		}
-		return nil, fmt.Errorf("serve: saving store state at seq %d: %w", seq, err)
-	}
+// commit publishes state, the next seq's result of an update of records
+// that took took, then hands it to the checkpointer (WithStore), which
+// saves it while the next batch runs. Caller holds mu.
+func (c *Committer) commit(records []cem.Record, state *Committed, took time.Duration) {
+	res := state.Result
 	if c.metrics != nil {
 		m := c.metrics
 		m.CommittedBatches.Inc()
@@ -210,7 +231,9 @@ func (c *Committer) commit(records []cem.Record, res *cem.PipelineResult, took t
 		m.BatchCalls.Observe(float64(res.Stats.MatcherCalls))
 	}
 	c.cur.Store(state)
-	return state, nil
+	if c.ckpt != nil {
+		c.ckpt.offer(state)
+	}
 }
 
 // checkKeys refuses a batch whose records the journal cannot hold: an
@@ -274,13 +297,14 @@ func (c *Committer) log(format string, args ...any) {
 
 // Recover rebuilds the committed state from the journal: the service's
 // restart path. It scans the journal, restores the base — the store
-// snapshot SaveState wrote at the last commit (WithStore; zero matcher
+// snapshot of the last checkpoint that landed (WithStore; zero matcher
 // work, see reopenFromStore), else the empty state — and folds the
 // batches past that base through Pipeline.Update exactly as they were
 // originally applied, equivalent by the incremental differential
-// guarantee; past a snapshot, those are only the batches accepted but
-// killed before their commit completed. Returns the number of journaled
-// batches restored.
+// guarantee; past a snapshot, those are the batches whose checkpoint had
+// not landed and any accepted but killed before their commit completed.
+// The replayed states are checkpointed like any commit. Returns the
+// number of journaled batches restored.
 //
 // A crash can tear the journal itself: die inside a journal commit and
 // the trailing batch file may hold half a record line, or parse cleanly
@@ -319,20 +343,18 @@ func (c *Committer) Recover(ctx context.Context) (int, error) {
 	for i, recs := range batches[base:] {
 		start := time.Now()
 		res, err := c.update(ctx, recs)
-		if err == nil {
-			_, err = c.commit(recs, res, time.Since(start))
-		}
 		if err != nil {
 			return base + i, fmt.Errorf("serve: recover: replaying batch %d: %w", base+i+1, err)
 		}
+		c.commit(recs, newCommitted(c.cur.Load().Seq+1, res), time.Since(start))
 	}
 	return len(batches), nil
 }
 
-// reopenFromStore attempts the restart-without-replay path: SaveState
-// runs once per committed batch, so a snapshot at seq N covers exactly the
-// first N journaled batches; Pipeline.Reopen rebuilds the state over that
-// record stream from the store without invoking the matcher. On success
+// reopenFromStore attempts the restart-without-replay path: a checkpoint
+// saves only a state whose batches are all journaled, so a snapshot at
+// seq N covers exactly the first N journaled batches; Pipeline.Reopen
+// rebuilds the state over that record stream from the store without invoking the matcher. On success
 // the committed state is installed and N returned; any inconsistency — no
 // snapshot yet, a snapshot the journal does not cover, a reopen
 // validation failure — returns 0: the store is only ever a shortcut.
@@ -355,6 +377,7 @@ func (c *Committer) reopenFromStore(ctx context.Context, batches [][]cem.Record)
 		return 0
 	}
 	c.cur.Store(newCommitted(seq, res))
+	c.ckpt.reopened(seq)
 	if c.metrics != nil {
 		c.metrics.StoreReopens.Inc()
 	}

@@ -110,6 +110,7 @@ type Metrics struct {
 	// Durability.
 	JournalQuarantined Counter // torn trailing journal files renamed .corrupt by Recover
 	StoreReopens       Counter // restarts served by reopening the store snapshot (no replay)
+	StoreSaveErrors    Counter // state-blob saves that failed (their batches stay committed)
 
 	// Reads.
 	Reads     Counter
@@ -199,6 +200,7 @@ type GaugeValues struct {
 	CommittedRecs    int
 	CommittedMatches int
 	CommittedEnts    int
+	StoreSavedSeq    int // seq of the state blob the store holds
 }
 
 // WritePrometheus renders every metric in the Prometheus text format.
@@ -232,6 +234,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, g GaugeValues) error {
 	counter("emserve_late_batches_dropped_total", "Stale-epoch shard batches dropped (a zombie worker answered a reassigned partition).", m.LateBatches.Value())
 	counter("emserve_journal_quarantined_total", "Torn trailing journal files quarantined (renamed .corrupt) during recovery.", m.JournalQuarantined.Value())
 	counter("emserve_store_reopens_total", "Restarts recovered by reopening the store snapshot instead of replaying.", m.StoreReopens.Value())
+	counter("emserve_store_save_errors_total", "State-blob saves that failed; their batches stay committed and a restart replays them from the journal.", m.StoreSaveErrors.Value())
 	counter("emserve_reads_total", "Read requests served from the committed snapshot.", m.Reads.Value())
 	counter("emserve_read_miss_total", "Read lookups of record keys absent from the committed snapshot.", m.ReadMiss.Value())
 	counter("emserve_bad_inputs_total", "Malformed ingest payloads rejected with a client error.", m.BadInputs.Value())
@@ -243,6 +246,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, g GaugeValues) error {
 	gauge("emserve_committed_records", "Records in the committed snapshot.", float64(g.CommittedRecs))
 	gauge("emserve_committed_matches", "Match pairs in the committed snapshot.", float64(g.CommittedMatches))
 	gauge("emserve_committed_entities", "Entity references in the committed snapshot.", float64(g.CommittedEnts))
+	gauge("emserve_store_saved_seq", "Sequence number of the state blob the store holds (behind emserve_committed_seq while a checkpoint is pending).", float64(g.StoreSavedSeq))
 
 	histogram(bw, "emserve_ingest_lag_commit_seconds", "Enqueue-to-commit latency of ingest requests.", m.IngestLag)
 	histogram(bw, "emserve_update_seconds", "Wall time of each Pipeline.Update (blocking + matching).", m.UpdateSeconds)

@@ -274,6 +274,7 @@ func TestPrometheusExposition(t *testing.T) {
 	g := GaugeValues{
 		QueueDepth: 3, PendingRecords: 17, OldestPendingAge: 0.512,
 		CommittedSeq: 4, CommittedRecs: 12, CommittedMatches: 9, CommittedEnts: 30,
+		StoreSavedSeq: 3,
 	}
 	if err := populatedMetrics().WritePrometheus(&buf, g); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
@@ -292,6 +293,7 @@ func TestPrometheusExposition(t *testing.T) {
 		"emserve_late_batches_dropped_total", "emserve_journal_quarantined_total",
 		"emserve_queue_depth", "emserve_ingest_lag_commit_seconds",
 		"emserve_update_seconds", "emserve_shutdown_drain_seconds",
+		"emserve_store_save_errors_total", "emserve_store_saved_seq",
 	} {
 		if _, ok := byName[want]; !ok {
 			t.Fatalf("family %s missing from exposition", want)
@@ -304,6 +306,9 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	if got := byName["emserve_memo_hits_total"].samples[0].value; got != 41 {
 		t.Fatalf("emserve_memo_hits_total = %v, want 41", got)
+	}
+	if got := byName["emserve_store_saved_seq"].samples[0].value; got != 3 {
+		t.Fatalf("emserve_store_saved_seq = %v, want 3", got)
 	}
 	if got := len(byName["emserve_updates_total"].samples); got != 3 {
 		t.Fatalf("emserve_updates_total has %d mode samples, want 3", got)

@@ -24,6 +24,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"path/filepath"
@@ -92,16 +93,22 @@ type Service struct {
 	applyCancel context.CancelFunc
 }
 
-// closeStore closes the service's store exactly once (Shutdown and Kill
-// may both run). Safe on a nil store.
-func (s *Service) closeStore() {
+// closeStore waits for the committer's last checkpoint, then closes the
+// service's store, exactly once (Shutdown and Kill may both run); no save
+// runs during or after the Close. It returns the checkpoint's error: the
+// store then holds an older state, and a restart replays the journal past
+// it. Safe on a nil store. Call it after the batcher has closed.
+func (s *Service) closeStore() error {
+	var err error
 	s.storeClose.Do(func() {
+		err = s.committer.Flush()
 		if s.store != nil {
-			if err := s.store.Close(); err != nil && s.cfg.Logf != nil {
-				s.cfg.Logf("closing store: %v", err)
+			if cerr := s.store.Close(); cerr != nil && s.cfg.Logf != nil {
+				s.cfg.Logf("closing store: %v", cerr)
 			}
 		}
 	})
+	return err
 }
 
 // New builds the pipeline, recovers any journaled state from
@@ -182,6 +189,7 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 		return failed(err)
 	}
 	if _, err := committer.Recover(ctx); err != nil {
+		committer.Flush() // the batches replayed before the failure are being saved
 		return failed(err)
 	}
 
@@ -227,11 +235,14 @@ func (s *Service) admit(records []cem.Record) error {
 }
 
 // Shutdown drains gracefully: no new ingests are accepted, everything
-// already queued is flushed through the committer (journaled and stored
-// as usual), then the service stops. After Shutdown returns nil, a New on
-// the same StateDir reopens the identical state from the store, without
-// calling the matcher. ctx bounds the drain; on expiry the in-flight
-// update is aborted (it recovers on restart like a kill).
+// already queued is flushed through the committer (journaled and
+// published as usual), the last committed state is checkpointed, then the
+// service stops. After Shutdown returns nil, a New on the same StateDir
+// reopens the identical state from the store, without calling the
+// matcher; an error from that last checkpoint is returned, and the
+// restart replays the journal past the state the store holds. ctx bounds
+// the drain; on expiry the in-flight update is aborted (it recovers on
+// restart like a kill).
 func (s *Service) Shutdown(ctx context.Context) error {
 	start := time.Now()
 	done := make(chan struct{})
@@ -242,24 +253,23 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	select {
 	case <-done:
 		s.metrics.ShutdownDrainSec.Observe(time.Since(start).Seconds())
-		s.closeStore()
-		return nil
+		return s.closeStore()
 	case <-ctx.Done():
 		s.applyCancel() // abort the in-flight update; the journal has it
 		<-done
-		s.closeStore()
-		return fmt.Errorf("serve: shutdown drain aborted: %w", ctx.Err())
+		return errors.Join(fmt.Errorf("serve: shutdown drain aborted: %w", ctx.Err()), s.closeStore())
 	}
 }
 
 // Kill aborts the in-flight update immediately (non-graceful stop, for
 // crash testing): queued and in-flight batches fail with a cancellation,
 // but every accepted batch is already journaled, so a restart on the
-// same StateDir recovers them.
+// same StateDir recovers them. It still waits for the running checkpoint
+// before closing the store; a failed one was logged as it failed.
 func (s *Service) Kill() {
 	s.applyCancel()
 	s.batcher.Close()
-	s.closeStore()
+	_ = s.closeStore()
 }
 
 // ServeHTTP implements http.Handler.
@@ -455,6 +465,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		CommittedRecs:    snap.Records(),
 		CommittedMatches: snap.Matches(),
 		CommittedEnts:    snap.Entities(),
+		StoreSavedSeq:    s.committer.SavedSeq(),
 	})
 }
 

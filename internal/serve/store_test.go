@@ -205,21 +205,22 @@ func killRestart(t *testing.T, backend string) {
 // failingStore fails the next state-blob write after arm is set, once.
 type failingStore struct {
 	match.Store
-	arm bool
+	arm atomic.Bool
 }
 
 func (s *failingStore) SaveBlob(kind, name string, data []byte) error {
-	if s.arm && kind == match.KindSnapshot {
-		s.arm = false
+	if kind == match.KindSnapshot && s.arm.CompareAndSwap(true, false) {
 		return errors.New("injected state write failure")
 	}
 	return s.Store.SaveBlob(kind, name, data)
 }
 
-// TestCommitterSaveStateFailure: a commit whose state write fails
-// publishes nothing and leaves the store's state at the previous seq, so
-// the batch is rejected like any other — the next batch takes its seq,
-// and a restart reopens that batch's state, not the rejected one's.
+// TestCommitterSaveStateFailure: a failed checkpoint does not fail its
+// batch. Apply succeeds and publishes the next seq; Flush reports the
+// error, the store keeps the last state that landed and the failure is
+// counted; the next checkpoint saves the newest state. A restart after a
+// failed checkpoint reopens the stored seq, replays the journal past it
+// and equals a cold run over every acknowledged batch.
 func TestCommitterSaveStateFailure(t *testing.T) {
 	records := testRecords(t, cem.HEPTH)
 	batches := batchCuts(records)
@@ -235,47 +236,214 @@ func TestCommitterSaveStateFailure(t *testing.T) {
 		t.Cleanup(func() { st.Close() })
 		return &failingStore{Store: st}
 	}
+	stored := func(st match.Store) int {
+		t.Helper()
+		seq, err := cem.StateSeq(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seq
+	}
 
 	st := open()
-	c, err := NewCommitter(testPipeline(t), WithJournal(journal), WithStore(st))
+	m := NewMetrics()
+	c, err := NewCommitter(testPipeline(t), WithJournal(journal), WithStore(st), WithMetrics(m))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Apply(ctx, batches[0]); err != nil {
+	// apply acknowledges one batch, arming a failure of its checkpoint
+	// first when fail is set, and waits for the checkpoint.
+	apply := func(batch []cem.Record, fail bool) error {
+		t.Helper()
+		st.arm.Store(fail)
+		next, err := c.Apply(ctx, batch)
+		if err != nil {
+			t.Fatalf("Apply: %v (a checkpoint failure must not fail its batch)", err)
+		}
+		if next.Seq != c.Snapshot().Seq {
+			t.Fatalf("Apply returned seq %d, published %d", next.Seq, c.Snapshot().Seq)
+		}
+		return c.Flush()
+	}
+	if err := apply(batches[0], false); err != nil {
 		t.Fatal(err)
 	}
-	st.arm = true
-	if _, err := c.Apply(ctx, batches[1]); err == nil {
-		t.Fatal("a batch whose state write failed committed")
+	if err := apply(batches[1], true); err == nil {
+		t.Fatal("Flush after a failed checkpoint returned nil")
 	}
-	if seq, err := cem.StateSeq(st); c.Snapshot().Seq != 1 || err != nil || seq != 1 {
-		t.Fatalf("after the failed save: published seq %d, stored seq %d (%v); want 1 and 1", c.Snapshot().Seq, seq, err)
+	if pub, seq, n := c.Snapshot().Seq, stored(st), m.StoreSaveErrors.Value(); pub != 2 || seq != 1 || n != 1 || c.SavedSeq() != 1 {
+		t.Fatalf("after the failed checkpoint: published seq %d, stored seq %d (SavedSeq %d), %d save errors; want 2, 1, 1",
+			pub, seq, c.SavedSeq(), n)
 	}
-	next, err := c.Apply(ctx, batches[2])
-	if err != nil {
+	if err := apply(batches[2], false); err != nil {
 		t.Fatal(err)
 	}
-	if next.Seq != 2 {
-		t.Fatalf("the batch after the failed one committed at seq %d, want 2", next.Seq)
+	if seq := stored(st); seq != 3 || c.SavedSeq() != 3 {
+		t.Fatalf("the checkpoint after the failed one stored seq %d (SavedSeq %d), want 3", seq, c.SavedSeq())
+	}
+	if err := apply(batches[3], true); err == nil {
+		t.Fatal("Flush after a failed checkpoint returned nil")
+	}
+	if seq, n := stored(st), m.StoreSaveErrors.Value(); seq != 3 || n != 2 {
+		t.Fatalf("after the second failed checkpoint: stored seq %d, %d save errors; want 3 and 2", seq, n)
 	}
 
-	m := NewMetrics()
-	c2, err := NewCommitter(testPipeline(t), WithJournal(journal), WithStore(open()), WithMetrics(m))
+	m2 := NewMetrics()
+	c2, err := NewCommitter(testPipeline(t), WithJournal(journal), WithStore(open()), WithMetrics(m2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.Recover(ctx); err != nil {
-		t.Fatal(err)
+	if n, err := c2.Recover(ctx); err != nil || n != 4 {
+		t.Fatalf("Recover restored %d batches (%v), want 4", n, err)
 	}
-	if n := m.StoreReopens.Value(); c2.Snapshot().Seq != 2 || n != 1 {
-		t.Errorf("restart at seq %d with %d store reopens, want seq 2 reopened once", c2.Snapshot().Seq, n)
+	if n, calls := m2.StoreReopens.Value(), m2.CommittedBatches.Value(); c2.Snapshot().Seq != 4 || n != 1 || calls != 1 {
+		t.Errorf("restart at seq %d with %d store reopens and %d replayed batches, want seq 4: seq 3 reopened, one batch replayed",
+			c2.Snapshot().Seq, n, calls)
 	}
-	cold, err := testPipeline(t).Run(ctx, slices.Concat(batches[0], batches[2]))
+	cold, err := testPipeline(t).Run(ctx, records)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c2.Snapshot().RenderMatches() != renderPipelineMatches(cold) {
-		t.Error("the reopened state diverges from a cold run over the committed batches")
+		t.Error("the restarted state diverges from a cold run over every acknowledged batch")
+	}
+	if err := c2.Flush(); err != nil || c2.SavedSeq() != 4 {
+		t.Errorf("the replayed state's checkpoint: SavedSeq %d (%v), want 4", c2.SavedSeq(), err)
+	}
+}
+
+// blockingStore holds every state-blob write until release is closed, and
+// records the seq each write leaves in the store beside the journal's
+// length at that moment.
+type blockingStore struct {
+	match.Store
+	journal string
+	entered chan int // the seq of each blocked write, as it blocks
+	release chan struct{}
+
+	mu     sync.Mutex
+	stored [][2]int // {stored seq, journal entries} after each write
+}
+
+func (s *blockingStore) SaveBlob(kind, name string, data []byte) error {
+	if kind != match.KindSnapshot {
+		return s.Store.SaveBlob(kind, name, data)
+	}
+	ck, _, err := wire.UnmarshalCheckpointPrefix(data)
+	if err != nil {
+		return err
+	}
+	s.entered <- ck.Round
+	<-s.release
+	if err := s.Store.SaveBlob(kind, name, data); err != nil {
+		return err
+	}
+	seq, err := cem.StateSeq(s.Store)
+	if err != nil {
+		return err
+	}
+	entries, err := os.ReadDir(s.journal)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.stored = append(s.stored, [2]int{seq, len(entries)})
+	s.mu.Unlock()
+	return nil
+}
+
+// TestCommitterAckBeforeCheckpoint: an acknowledged batch waits for its
+// journal entry, not for the state blob. With the store's blob writes held,
+// batches 1 and 2 are both applied and published while the checkpoint of
+// seq 1 is still blocked — so that save overlaps batch 2's Update (run it
+// under -race). Once released, Flush leaves the store at seq 2, and the
+// stored seq never went down nor past the journal's length.
+func TestCommitterAckBeforeCheckpoint(t *testing.T) {
+	records := testRecords(t, cem.HEPTH)
+	batches := batchCuts(records)
+	ctx := context.Background()
+	state := t.TempDir()
+	inner, err := cem.OpenStore("disk", cem.WithStoreDir(filepath.Join(state, "store")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { inner.Close() })
+	st := &blockingStore{
+		Store:   inner,
+		journal: filepath.Join(state, "journal"),
+		entered: make(chan int, len(batches)),
+		release: make(chan struct{}),
+	}
+	c, err := NewCommitter(testPipeline(t), WithJournal(st.journal), WithStore(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Whatever fails, release the held writes before the store closes.
+	var release sync.Once
+	var applies sync.WaitGroup
+	t.Cleanup(func() {
+		release.Do(func() { close(st.release) })
+		applies.Wait()
+		c.Flush()
+	})
+
+	const bound = time.Minute
+	apply := func(batch []cem.Record) *Committed {
+		t.Helper()
+		done := make(chan *Committed, 1)
+		applies.Add(1)
+		go func() {
+			defer applies.Done()
+			next, err := c.Apply(ctx, batch)
+			if err != nil {
+				t.Error(err)
+			}
+			done <- next
+		}()
+		select {
+		case next := <-done:
+			if next == nil {
+				t.FailNow()
+			}
+			return next
+		case <-time.After(bound):
+			t.Fatalf("Apply did not return within %v while the state blob write was held", bound)
+			return nil
+		}
+	}
+	if got := apply(batches[0]).Seq; got != 1 {
+		t.Fatalf("batch 1 committed at seq %d", got)
+	}
+	select {
+	case seq := <-st.entered:
+		if seq != 1 {
+			t.Fatalf("the first checkpoint saves seq %d, want 1", seq)
+		}
+	case <-time.After(bound):
+		t.Fatal("the checkpoint of seq 1 never started")
+	}
+	if got := apply(batches[1]).Seq; got != 2 || c.Snapshot().Seq != 2 {
+		t.Fatalf("batch 2 committed at seq %d, published %d; want 2", got, c.Snapshot().Seq)
+	}
+	if _, err := cem.StateSeq(inner); !errors.Is(err, match.ErrBlobNotFound) || c.SavedSeq() != 0 {
+		t.Fatalf("a state blob landed while every write was held: SavedSeq %d, %v", c.SavedSeq(), err)
+	}
+
+	release.Do(func() { close(st.release) })
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if seq, err := cem.StateSeq(inner); err != nil || seq != 2 || c.SavedSeq() != 2 {
+		t.Fatalf("after Flush the store holds seq %d (SavedSeq %d, %v), want 2", seq, c.SavedSeq(), err)
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	prev := 0
+	for _, w := range st.stored {
+		if seq, journaled := w[0], w[1]; seq < prev || seq > journaled {
+			t.Errorf("a checkpoint stored seq %d after seq %d with %d journal entries (writes %v)", seq, prev, journaled, st.stored)
+		}
+		prev = w[0]
 	}
 }
 
@@ -320,6 +488,9 @@ func TestCommitterJournalFailure(t *testing.T) {
 	}
 	if _, err := c.Apply(ctx, batches[1]); err == nil || !strings.Contains(err.Error(), "journal") {
 		t.Fatalf("Apply with an unwritable journal returned %v, want the journal error", err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	if seq, err := cem.StateSeq(st); c.Snapshot().Seq != 1 || err != nil || seq != 1 {
 		t.Fatalf("after the failed journal write: published seq %d, stored seq %d (%v); want 1 and 1", c.Snapshot().Seq, seq, err)

@@ -9,6 +9,12 @@
 #   fleet's match set is byte-identical to the reference, the run
 #   reported the reassignment, and the victim is really dead.
 #
+# The victim runs with emworker's test-only hook EMWORKER_TEST_HOLD_ROUND=2:
+# it holds its round-2 batch instead of sending it, so the kill always
+# lands while it still owes the coordinator a batch — without the hold, a
+# worker could answer its last assignment before the watcher's kill, and
+# the run would have nothing to reassign.
+#
 # This is the OS-process counterpart of the in-process fault-injection
 # differentials (distributed_test.go, internal/net/faults_test.go): same
 # scenario, real sockets, real SIGKILL. Run from the repo root (CI runs
@@ -47,7 +53,9 @@ grep -q '^# [1-9]' "$workdir/pool.txt" || fail "reference run produced no matche
 echo "== start 3 emworker processes"
 addrs=()
 for i in 0 1 2; do
-  "$workdir/emworker" "${corpus[@]}" -scheme $scheme -matcher $matcher -v \
+  hold=""
+  [ "$i" = 1 ] && hold=2
+  EMWORKER_TEST_HOLD_ROUND="$hold" "$workdir/emworker" "${corpus[@]}" -scheme $scheme -matcher $matcher -v \
     -listen 127.0.0.1:0 > "$workdir/w$i.log" 2>&1 &
   worker_pids[$i]=$!
 done
@@ -64,7 +72,7 @@ for i in 0 1 2; do
   echo "   worker $i: pid ${worker_pids[$i]} on $addr"
 done
 
-echo "== SIGKILL worker 1 at its round-2 assignment (watcher armed)"
+echo "== SIGKILL worker 1 at its round-2 assignment, its batch held (watcher armed)"
 victim_pid=${worker_pids[1]}
 (
   for _ in $(seq 1 3000); do

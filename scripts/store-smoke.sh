@@ -71,7 +71,18 @@ assert_reopened() {
   fi
 }
 
+# capture: record the committed state, once the store holds it. An ack
+# waits for the journal, not for the state blob, so poll until the
+# store's seq reaches the committed seq (10 s at most): a SIGKILL before
+# that would restart from an older blob and replay the journal past it.
 capture() {
+  committed="$(metric emserve_committed_seq)"
+  for _ in $(seq 1 100); do
+    saved="$(metric emserve_store_saved_seq)"
+    [ "$saved" = "$committed" ] && break
+    sleep 0.1
+  done
+  [ "$saved" = "$committed" ] || fail "the store holds seq '$saved' 10 s after the commit of seq $committed"
   matches_before="$(curl -fsS "$base/matches")"
   stats_before="$(curl -fsS "$base/stats")"
 }

@@ -25,9 +25,12 @@ const stateBlobName = "latest"
 // its pre-closure evidence, outstanding maximal messages, and seq as the
 // commit sequence number) and nothing after it. The blob is the one
 // durable copy of a completed run's state; SaveState is cheap relative to
-// a run and safe to call once per commit. Replacing the blob is the commit
-// point: when SaveState fails, the store's state (and so StateSeq) is
-// still the previous one.
+// a run and safe to call once per commit. Replacing the blob is the
+// store's commit point: when SaveState fails, the store's state (and so
+// StateSeq) is still the previous one. The online service
+// (internal/serve) calls it after a batch is acknowledged, beside the
+// next batch: there the journal entry commits the batch, and the blob is
+// the checkpoint a restart replays the journal from.
 func SaveState(s match.Store, res *PipelineResult, seq int) error {
 	if s == nil {
 		return fmt.Errorf("cem: SaveState needs a store")
