@@ -410,10 +410,10 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
-// TestResumeOverTruncatedTail: a round trail whose newest record was torn
-// (the trail is not fsynced) must not wedge -resume: the record is set
-// aside as *.corrupt and the run continues from the round before it,
-// reporting what the uninterrupted run reported.
+// TestResumeOverTruncatedTail: a checkpoint cut short (only damage from
+// outside can do that: every commit is fsynced) must not wedge -resume:
+// it is set aside as *.corrupt and the run starts fresh, reporting what
+// the uninterrupted run reported.
 func TestResumeOverTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-kind", "hepth", "-scale", "0.1", "-scheme", "smp", "-checkpoint-dir", dir}
@@ -421,27 +421,26 @@ func TestResumeOverTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, _ := filepath.Glob(filepath.Join(dir, "round-*.ckpt"))
-	if len(files) < 2 {
-		t.Fatalf("the run left %d round records, the test needs two", len(files))
+	files, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
+	if len(files) != 1 {
+		t.Fatalf("the run left %d checkpoints, want one", len(files))
 	}
-	last := files[len(files)-1]
-	raw, err := os.ReadFile(last)
+	raw, err := os.ReadFile(files[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(last, raw[:len(raw)/2], 0o644); err != nil {
+	if err := os.WriteFile(files[0], raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := runQuiet(t, append(args, "-resume")...)
 	if err != nil {
-		t.Fatalf("-resume over a truncated last record: %v", err)
+		t.Fatalf("-resume over a truncated checkpoint: %v", err)
 	}
 	if got != want {
 		t.Errorf("resumed report differs from the uninterrupted run:\n%s\nwant:\n%s", got, want)
 	}
-	if _, err := os.Stat(last + ".corrupt"); err != nil {
-		t.Errorf("the torn record was not quarantined: %v", err)
+	if _, err := os.Stat(files[0] + ".corrupt"); err != nil {
+		t.Errorf("the torn checkpoint was not quarantined: %v", err)
 	}
 }
 

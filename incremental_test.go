@@ -273,7 +273,7 @@ func TestUpdateUnlabeledStream(t *testing.T) {
 }
 
 // TestUpdateWarmTrailResume: an Update killed mid-continuation leaves a
-// resumable checkpoint trail (the warm seed is its round-1 record);
+// resumable checkpoint (the warm seed is its first one);
 // Pipeline.Resume over the union records must finish it and land on the
 // uninterrupted Update's exact result.
 func TestUpdateWarmTrailResume(t *testing.T) {
@@ -312,8 +312,7 @@ func TestUpdateWarmTrailResume(t *testing.T) {
 	}
 
 	// Killed continuation: cancel at the first progress event past the
-	// seed round, leaving the synthetic round-1 record (plus possibly
-	// round 2) on disk.
+	// seed round, leaving the seed's checkpoint (or round 2's) on disk.
 	dir := t.TempDir()
 	base, err := build(dir).Update(context.Background(), nil, batches[0])
 	if err != nil {
@@ -331,8 +330,8 @@ func TestUpdateWarmTrailResume(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected the killed update to report cancellation, got %v", err)
 	}
-	if files, _ := filepath.Glob(filepath.Join(dir, "round-*.ckpt")); len(files) == 0 {
-		t.Fatal("killed warm update left no checkpoint trail")
+	if files, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt")); len(files) == 0 {
+		t.Fatal("killed warm update left no checkpoint")
 	}
 
 	resumed, err := build(dir).Resume(context.Background(), union)

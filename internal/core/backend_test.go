@@ -1,11 +1,14 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -70,10 +73,11 @@ func TestShardedMatchesPoolRandom(t *testing.T) {
 	}
 }
 
-// trailFiles returns the sorted round files of a checkpoint directory.
+// trailFiles returns the checkpoint trail of dir: the run's one
+// checkpoint file, or none.
 func trailFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "round-*.ckpt"))
+	files, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,64 +85,114 @@ func trailFiles(t *testing.T, dir string) []string {
 	return files
 }
 
-// TestCheckpointResumeAtEveryBoundary: a checkpointed run truncated
-// after round r (exactly what a kill between rounds leaves on disk)
-// must resume to the uninterrupted run's match set, with statistics that
-// only grew past the checkpointed values — for every r and every scheme.
+// readCheckpoint decodes dir's checkpoint; nil when there is none.
+func readCheckpoint(t *testing.T, dir string) *wire.Checkpoint {
+	t.Helper()
+	files := trailFiles(t, dir)
+	if len(files) == 0 {
+		return nil
+	}
+	if len(files) > 1 {
+		t.Fatalf("%s holds %d checkpoints, want one: %v", dir, len(files), files)
+	}
+	raw, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := wire.UnmarshalCheckpoint(raw)
+	if err != nil {
+		t.Fatalf("decoding %s: %v", files[0], err)
+	}
+	return ck
+}
+
+// killAfter runs scheme on b, checkpointing into a fresh directory, and
+// kills it (cancels its context) at the first progress event of round r.
+// A backend that maps a round before it reduces it — the pool with two
+// workers, the sharded backend — still ends and checkpoints round r and
+// stops before round r+1. killed is false when round r was the last.
+func killAfter(t *testing.T, cfg core.Config, scheme string, b core.Backend, r int) (dir string, killed bool) {
+	t.Helper()
+	dir = t.TempDir()
+	ctx, cancel := context.WithCancel(bg)
+	defer cancel()
+	cfg.Progress = func(e core.ProgressEvent) {
+		if e.Round == r {
+			cancel()
+		}
+	}
+	_, err := core.RunBackend(ctx, cfg, scheme, b, core.CheckpointConfig{Dir: dir})
+	if err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("%s killed in round %d: %v", scheme, r, err)
+	}
+	return dir, err != nil
+}
+
+// TestCheckpointResumeAtEveryBoundary: a checkpointed run killed after
+// round r — on the pool or on sharded-2 — resumes, on the other backend,
+// to the uninterrupted run's match set, with statistics that only grew
+// past the checkpointed values, for every r and every scheme. The
+// checkpoint holds the whole M+: every pair the one after round r-1 held.
 func TestCheckpointResumeAtEveryBoundary(t *testing.T) {
+	// Random models mostly settle in two rounds; the paper's example takes
+	// three, so its kill after round 2 is one no random trial here makes.
+	m, cover, _ := testmodel.PaperExample()
+	models := []core.Config{{Cover: cover, Matcher: m, Relation: m.Relation()}}
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 10; trial++ {
 		m, cover := testmodel.Random(rng)
-		cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
+		models = append(models, core.Config{Cover: cover, Matcher: m, Relation: m.Relation()})
+	}
+	kills := 0
+	for _, cfg := range models {
+		cfg.Parallelism = 2
 		for _, scheme := range []string{"SMP", "MMP"} {
-			dir := t.TempDir()
-			full, err := core.RunBackend(bg, cfg, scheme, core.PoolBackend{}, core.CheckpointConfig{Dir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			files := trailFiles(t, dir)
-			if len(files) == 0 {
-				t.Fatalf("%s: no checkpoints written", scheme)
-			}
-			for r := 0; r < len(files); r++ {
-				// Simulate a kill after round r: rounds r+1.. vanish.
-				trunc := t.TempDir()
-				var ckStats core.RunStats
-				for i := 0; i < r; i++ {
-					raw, err := os.ReadFile(files[i])
-					if err != nil {
-						t.Fatal(err)
+			full := runOn(t, cfg, scheme, core.PoolBackend{})
+			for _, c := range []struct {
+				name         string
+				kill, resume core.Backend
+			}{
+				{"pool", core.PoolBackend{}, &emnet.Backend{Workers: 2}},
+				{"sharded-2", &emnet.Backend{Workers: 2}, core.PoolBackend{}},
+			} {
+				var before []uint64 // M+ after round r-1
+				for r := 1; ; r++ {
+					dir, killed := killAfter(t, cfg, scheme, c.kill, r)
+					if !killed {
+						break
 					}
-					if i == r-1 {
-						w, err := wire.UnmarshalCheckpoint(raw)
-						if err != nil {
-							t.Fatal(err)
+					kills++
+					ck := readCheckpoint(t, dir)
+					if ck == nil || ck.Round != r || ck.Done {
+						t.Fatalf("%s killed on %s after round %d left checkpoint %+v", scheme, c.name, r, ck)
+					}
+					for _, k := range before {
+						if _, ok := slices.BinarySearch(ck.Delta, k); !ok {
+							t.Fatalf("%s on %s: the checkpoint after round %d lost pair %#x of round %d's", scheme, c.name, r, k, r-1)
 						}
-						ckStats.Evaluations = w.Stats.Evaluations
-						ckStats.MatcherCalls = w.Stats.MatcherCalls
-						ckStats.MessagesSent = w.Stats.MessagesSent
 					}
-					if err := os.WriteFile(filepath.Join(trunc, filepath.Base(files[i])), raw, 0o644); err != nil {
-						t.Fatal(err)
+					before = ck.Delta
+					resumed, err := core.RunBackend(bg, cfg, scheme, c.resume,
+						core.CheckpointConfig{Dir: dir, Resume: true})
+					if err != nil {
+						t.Fatalf("%s: resume after round %d on %s: %v", scheme, r, c.name, err)
 					}
-				}
-				resumed, err := core.RunBackend(bg, cfg, scheme, &emnet.Backend{Workers: 2},
-					core.CheckpointConfig{Dir: trunc, Resume: true})
-				if err != nil {
-					t.Fatalf("%s: resume after round %d: %v", scheme, r, err)
-				}
-				if !resumed.Matches.Equal(full.Matches) {
-					t.Errorf("%s: resume after round %d diverges: %d vs %d matches",
-						scheme, r, resumed.Matches.Len(), full.Matches.Len())
-				}
-				if resumed.Stats.Evaluations < ckStats.Evaluations ||
-					resumed.Stats.MatcherCalls < ckStats.MatcherCalls ||
-					resumed.Stats.MessagesSent < ckStats.MessagesSent {
-					t.Errorf("%s: resume after round %d lost statistics: %v < checkpointed %v",
-						scheme, r, resumed.Stats, ckStats)
+					if !resumed.Matches.Equal(full.Matches) {
+						t.Errorf("%s: resume after round %d on %s diverges: %d vs %d matches",
+							scheme, r, c.name, resumed.Matches.Len(), full.Matches.Len())
+					}
+					if resumed.Stats.Evaluations < ck.Stats.Evaluations ||
+						resumed.Stats.MatcherCalls < ck.Stats.MatcherCalls ||
+						resumed.Stats.MessagesSent < ck.Stats.MessagesSent {
+						t.Errorf("%s: resume after round %d on %s lost statistics: %v < checkpointed %+v",
+							scheme, r, c.name, resumed.Stats, ck.Stats)
+					}
 				}
 			}
 		}
+	}
+	if kills == 0 {
+		t.Fatal("no run outlived its first round: no boundary was cut")
 	}
 }
 
@@ -261,32 +315,73 @@ func TestResumeRejectsMessagesOnNonMMP(t *testing.T) {
 	}
 }
 
-// TestFreshRunClearsStaleTrail: starting a non-resume checkpointed run
-// in a dirty directory must not leave a mixed trail behind.
+// TestFreshRunClearsStaleTrail: a fresh (non-resume) checkpointed run
+// in a directory holding another run's checkpoint removes it before its
+// first round, so a kill in round 1 leaves nothing to resume from.
 func TestFreshRunClearsStaleTrail(t *testing.T) {
 	m, cover, _ := testmodel.PaperExample()
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "round-000099.ckpt"), []byte("junk"), 0o644); err != nil {
+	if _, err := core.RunBackend(bg, cfg, "MMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	full, err := core.RunBackend(bg, cfg, "SMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir})
+	if readCheckpoint(t, dir) == nil {
+		t.Fatal("the earlier run left no checkpoint")
+	}
+	// The one-worker pool reduces each job before it evaluates the next,
+	// so a kill at round 1's first event ends the run inside round 1.
+	ctx, cancel := context.WithCancel(bg)
+	killed := cfg
+	killed.Progress = func(core.ProgressEvent) { cancel() }
+	if _, err := core.RunBackend(ctx, killed, "SMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("killed run: %v, want context.Canceled", err)
+	}
+	if files := trailFiles(t, dir); len(files) != 0 {
+		t.Fatalf("a fresh run killed in round 1 left %v", files)
+	}
+	full, err := core.RunBackend(bg, cfg, "SMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := trailFiles(t, dir)
-	for _, f := range files {
-		if filepath.Base(f) == "round-000099.ckpt" {
-			t.Fatal("stale checkpoint survived a fresh run")
+	if want := runOn(t, cfg, "SMP", core.PoolBackend{}); !full.Matches.Equal(want.Matches) {
+		t.Error("resuming after the killed fresh run does not reproduce a cold run")
+	}
+}
+
+// TestOlderRoundFilesUntouched: the round-NNNNNN.ckpt trail of an older
+// build is never read, written or removed: a resume in its directory runs
+// fresh to the uninterrupted result, and a fresh run, its checkpoints and
+// a resume of those leave every round file byte-for-byte as it was.
+func TestOlderRoundFilesUntouched(t *testing.T) {
+	m, cover, _ := testmodel.PaperExample()
+	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
+	dir := t.TempDir()
+	old := map[string][]byte{
+		"round-000001.ckpt": []byte("an older build's round 1"),
+		"round-000002.ckpt": {0xff, 0x00, 0x01},
+	}
+	for name, data := range old {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	resumed, err := core.RunBackend(bg, cfg, "SMP", core.PoolBackend{},
-		core.CheckpointConfig{Dir: dir, Resume: true})
-	if err != nil {
-		t.Fatal(err)
+	want := runOn(t, cfg, "SMP", core.PoolBackend{})
+	for _, resume := range []bool{true, false, true} {
+		res, err := core.RunBackend(bg, cfg, "SMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir, Resume: resume})
+		if err != nil {
+			t.Fatalf("resume=%v: %v", resume, err)
+		}
+		if !res.Matches.Equal(want.Matches) {
+			t.Errorf("resume=%v: %d matches, the uninterrupted run has %d", resume, res.Matches.Len(), want.Matches.Len())
+		}
+		for name, data := range old {
+			if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("resume=%v: %s was touched: %q, %v", resume, name, got, err)
+			}
+		}
 	}
-	if !resumed.Matches.Equal(full.Matches) {
-		t.Error("trail left by a fresh run does not reproduce its result")
+	if q, _ := filepath.Glob(filepath.Join(dir, "*.corrupt")); len(q) != 0 {
+		t.Errorf("quarantined %v", q)
 	}
 }
 

@@ -8,40 +8,69 @@ import (
 )
 
 // CheckpointConfig enables round-boundary checkpointing of a
-// backend-executed run. After every completed round the driver persists
-// {round, evidence delta, next active set, outstanding maximal messages,
-// visit counts, RunStats} to Dir as one wire.Checkpoint file
-// (round-NNNNNN.ckpt), committed through a store.Trail (temp file +
-// rename, no fsync: see newRoundDriver), so the death of the process never
-// leaves a torn record. Replaying the deltas of rounds 1..r rebuilds the
-// evidence set exactly; everything else resumes from the latest record.
+// backend-executed run: every completed round replaces the run's one
+// checkpoint in Dir, a State holding the whole M+, the next active set,
+// the outstanding maximal messages, visit counts and RunStats. It is
+// entry 0 of a store.Trail (checkpoint-000000.ckpt), so a commit is the
+// durable one of Disk.SaveBlob and a crash never leaves it torn.
 type CheckpointConfig struct {
 	// Dir is the checkpoint directory; empty disables checkpointing. A
-	// fresh (non-resume) run clears previous round files from Dir first.
+	// fresh (non-resume) run removes the previous checkpoint first. No
+	// other file in Dir, such as an older build's round-NNNNNN.ckpt, is
+	// read, written or removed.
 	Dir string
-	// Resume continues a previous run from Dir instead of starting over.
-	// An empty Dir resumes into a fresh run; a completed trail
-	// reconstructs the final result without evaluating anything.
+	// Resume continues a previous run from Dir's checkpoint instead of
+	// starting over. Without one the run starts fresh, as it does after
+	// setting aside (*.corrupt) one that does not decode. A completed
+	// run's checkpoint rebuilds the result without evaluating anything.
 	Resume bool
-	// Matcher labels the matcher producing the trail (e.g. its registry
-	// name); it is stamped into every checkpoint and verified on resume,
-	// so a trail cannot silently seed a different matcher's run, and the
-	// sharded backend's handshake refuses workers labeled otherwise. Empty
-	// opts out of both checks (anonymous matchers).
+	// Matcher labels the matcher producing the checkpoint (e.g. its
+	// registry name); a resume checks it (CheckHeader), and the sharded
+	// backend's handshake refuses workers labeled otherwise. Empty opts
+	// out of both checks (anonymous matchers).
 	Matcher string
 }
 
-// State is one persisted record of run state — a round of the checkpoint
-// trail, or a store's snapshot blob — in the engine's types: the
-// wire.Checkpoint header as is (fingerprint, round or commit sequence,
-// active set, visits, stats) and, in place of its raw key lists, the
-// evidence (a round's delta, or a snapshot's whole M+, ascending) and the
-// outstanding maximal messages. Marshal and DecodeState are the only
-// conversions between the two forms.
+const checkpointFormat = "checkpoint-%06d.ckpt"
+
+// State is one persisted record of run state — a run's round checkpoint
+// or a store's state blob — in the engine's types: the wire.Checkpoint
+// header as is (fingerprint, round or commit sequence, active set,
+// visits, stats) and, in place of its raw key lists, the evidence (the
+// whole M+, ascending) and the outstanding maximal messages. Marshal and
+// DecodeState are the only conversions between the two forms.
 type State struct {
 	Header   wire.Checkpoint // Delta and Messages are Marshal's to fill
 	Evidence []PairKey
 	Messages [][]Pair
+}
+
+// Header is the one builder of a persisted state's header: the run's
+// fingerprint — scheme, matcher label, the cover's set and entity counts —
+// and its round (a store's commit sequence), with every visit count zero.
+func Header(scheme, matcher string, cover *Cover, round int) wire.Checkpoint {
+	return wire.Checkpoint{
+		Scheme:        scheme,
+		Matcher:       matcher,
+		Neighborhoods: cover.Len(),
+		Entities:      cover.NumEntities,
+		Round:         round,
+		Visits:        make([]int, cover.Len()),
+	}
+}
+
+// CheckHeader is the one check that a persisted state belongs to the run
+// about to continue from it — a checkpoint to a resume, a state blob to
+// a reopen: the same scheme over a cover with the same set and entity
+// counts, written by the same matcher. A run without a matcher label (an
+// anonymous matcher) checks no label.
+func CheckHeader(h *wire.Checkpoint, scheme, matcher string, cover *Cover) error {
+	if h.Scheme == scheme && (matcher == "" || h.Matcher == matcher) &&
+		h.Neighborhoods == cover.Len() && h.Entities == cover.NumEntities {
+		return nil
+	}
+	return fmt.Errorf("core: saved state of a different run (matcher %q, scheme %s over %d neighborhoods/%d entities; this run: matcher %q, %s over %d/%d)",
+		h.Matcher, h.Scheme, h.Neighborhoods, h.Entities, matcher, scheme, cover.Len(), cover.NumEntities)
 }
 
 // Marshal encodes the state as a binary wire.Checkpoint.
@@ -53,7 +82,7 @@ func (s *State) Marshal() ([]byte, error) {
 
 func stateOf(ck *wire.Checkpoint) *State {
 	s := &State{Header: *ck, Evidence: rekey[PairKey](ck.Delta), Messages: messagesFromWire(ck.Messages)}
-	s.Header.Delta, s.Header.Messages = nil, nil // one copy of a trail's evidence, not two
+	s.Header.Delta, s.Header.Messages = nil, nil // one copy of the evidence, not two
 	return s
 }
 
@@ -108,7 +137,7 @@ func messagesFromWire(groups [][]uint64) [][]Pair {
 }
 
 // validPairs is the one check of evidence and message pairs that come
-// from outside the running engine — a trail, a snapshot blob, a warm
+// from outside the running engine — a checkpoint, a state blob, a warm
 // seed: each must be a normalized pair over the entity ids [0, n).
 func validPairs(evidence []PairKey, messages [][]Pair, n int) error {
 	for _, k := range evidence {
@@ -126,20 +155,12 @@ func validPairs(evidence []PairKey, messages [][]Pair, n int) error {
 	return nil
 }
 
-// checkpoint persists the just-completed round. delta must be the
-// round's evidence delta in ascending key order.
-func (d *RoundDriver) checkpoint(delta []PairKey) error {
-	st := &State{Evidence: delta, Header: wire.Checkpoint{
-		Scheme:        d.plan.Scheme,
-		Matcher:       d.ck.Matcher,
-		Neighborhoods: d.plan.Config.Cover.Len(),
-		Entities:      d.plan.Config.Cover.NumEntities,
-		Round:         d.round,
-		Done:          d.done,
-		Active:        d.active,
-		Visits:        d.visits,
-		Stats:         statsToWire(&d.res.Stats),
-	}}
+// checkpoint replaces the run's checkpoint with its state at the end of
+// the last completed round (or its warm seed).
+func (d *RoundDriver) checkpoint() error {
+	h := Header(d.plan.Scheme, d.ck.Matcher, d.plan.Config.Cover, d.round)
+	h.Done, h.Active, h.Visits, h.Stats = d.done, d.active, d.visits, statsToWire(&d.res.Stats)
+	st := &State{Header: h, Evidence: d.ev.SortedKeys()}
 	if d.store != nil {
 		st.Messages = d.store.Messages()
 	}
@@ -147,53 +168,28 @@ func (d *RoundDriver) checkpoint(delta []PairKey) error {
 	if err != nil {
 		return fmt.Errorf("core: encoding checkpoint round %d: %w", d.round, err)
 	}
-	return d.trail.Commit(d.round, b)
+	return d.trail.Commit(0, b)
 }
 
-// loadTrail reads and verifies the trail and folds it into one State: the
-// latest record's header, every round's delta in round order as its
-// evidence. The rounds must be contiguous 1..r and all fingerprint this
-// run: its plan and, when both sides carry one, its matcher label. A
-// record that does not decode is the trail's business (a torn tail is
-// quarantined, anything else an error); one that decodes but belongs to
-// another run is always an error. Returns nil when the directory holds no
-// checkpoints (resume into a fresh run).
-func (d *RoundDriver) loadTrail() (*State, error) {
-	var (
-		recs  []*State
-		names []string
-	)
-	err := d.trail.Scan(func(seq int, data []byte) error {
+// load reads the run's checkpoint: nil when Dir holds none, or only one
+// that does not decode (the trail sets it aside as *.corrupt); an error
+// when it decodes but belongs to another run.
+func (d *RoundDriver) load() (*State, error) {
+	var st *State
+	err := d.trail.Scan(func(_ int, data []byte) error {
 		ck, err := wire.UnmarshalCheckpoint(data)
-		if err != nil {
-			return err
+		if err == nil {
+			st = stateOf(ck)
 		}
-		recs = append(recs, stateOf(ck))
-		names = append(names, d.trail.Path(seq))
-		return nil
+		return err
 	})
-	if err != nil || len(recs) == 0 {
+	if err != nil || st == nil {
 		return nil, err
 	}
-	cover := d.plan.Config.Cover
-	var evidence []PairKey
-	for i, rec := range recs {
-		h := &rec.Header
-		if h.Round != i+1 {
-			return nil, fmt.Errorf("core: checkpoint trail not contiguous: %s carries round %d, want %d",
-				names[i], h.Round, i+1)
-		}
-		if h.Scheme != d.plan.Scheme || h.Neighborhoods != cover.Len() || h.Entities != cover.NumEntities ||
-			(h.Matcher != "" && d.ck.Matcher != "" && h.Matcher != d.ck.Matcher) {
-			return nil, fmt.Errorf("core: checkpoint %s belongs to a different run (matcher %q, scheme %s over %d neighborhoods/%d entities; resuming matcher %q, %s over %d/%d)",
-				names[i], h.Matcher, h.Scheme, h.Neighborhoods, h.Entities,
-				d.ck.Matcher, d.plan.Scheme, cover.Len(), cover.NumEntities)
-		}
-		evidence = append(evidence, rec.Evidence...)
+	if err := CheckHeader(&st.Header, d.plan.Scheme, d.ck.Matcher, d.plan.Config.Cover); err != nil {
+		return nil, fmt.Errorf("%s: %w", d.trail.Path(0), err)
 	}
-	last := recs[len(recs)-1]
-	last.Evidence = evidence
-	return last, nil
+	return st, nil
 }
 
 func statsToWire(s *RunStats) wire.Stats {

@@ -1,9 +1,9 @@
 package core_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -72,131 +72,78 @@ func TestResumeRejectsOutOfRangeEvidence(t *testing.T) {
 	})
 }
 
-// plantTrail copies a trail into a fresh directory with record i
-// replaced by damage(its bytes), and returns the directory.
-func plantTrail(t *testing.T, files []string, i int, damage func([]byte) []byte) string {
+// plantDamaged runs scheme checkpointed into a fresh directory, then
+// replaces its checkpoint by damage(its bytes), and returns the directory,
+// the checkpoint's path and its intact bytes.
+func plantDamaged(t *testing.T, cfg core.Config, scheme string, damage func([]byte) []byte) (dir, path string, intact []byte) {
 	t.Helper()
-	dir := t.TempDir()
-	for j, f := range files {
-		raw, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j == i {
-			raw = damage(raw)
-		}
-		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	dir = t.TempDir()
+	if _, err := core.RunBackend(bg, cfg, scheme, core.PoolBackend{}, core.CheckpointConfig{Dir: dir}); err != nil {
+		t.Fatal(err)
 	}
-	return dir
-}
-
-// TestResumeRefusesJSONRecord: the only codec is binary, so a round
-// record in the JSON envelope older builds could write (now only a hand
-// edit) is an unreadable record like any other. As the newest record it
-// is quarantined and the resume continues from the round before it to
-// the uninterrupted result; as an earlier record it fails the resume with
-// an error that names the file.
-func TestResumeRefusesJSONRecord(t *testing.T) {
-	m, cover, _ := testmodel.PaperExample()
-	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
-	src := t.TempDir()
-	full, err := core.RunBackend(bg, cfg, "MMP", core.PoolBackend{}, core.CheckpointConfig{Dir: src})
+	files := trailFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("the run left %d checkpoints, want one", len(files))
+	}
+	path = files[0]
+	intact, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := trailFiles(t, src)
-	if len(files) < 2 {
-		t.Fatalf("the trail has %d records; the test needs a record before the JSON one", len(files))
+	if err := os.WriteFile(path, damage(intact), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	toJSON := func([]byte) []byte { return []byte(`{"cemw":1,"type":3,"msg":{"scheme":"MMP","round":1}}`) }
-	resume := func(dir string) (*core.Result, error) {
-		return core.RunBackend(bg, cfg, "MMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir, Resume: true})
-	}
+	return dir, path, intact
+}
 
-	last := len(files) - 1
-	dir := plantTrail(t, files, last, toJSON)
-	resumed, err := resume(dir)
+// resumeOverDamage resumes dir, whose checkpoint does not decode: the
+// checkpoint must be set aside as *.corrupt and the run start fresh,
+// landing on the uninterrupted result want.
+func resumeOverDamage(t *testing.T, cfg core.Config, scheme, dir, path, what string, want *core.Result) {
+	t.Helper()
+	resumed, err := core.RunBackend(bg, cfg, scheme, core.PoolBackend{}, core.CheckpointConfig{Dir: dir, Resume: true})
 	if err != nil {
-		t.Fatalf("resume over a JSON last record: %v", err)
+		t.Fatalf("%s: resume over %s: %v", scheme, what, err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, filepath.Base(files[last])+".corrupt")); err != nil {
-		t.Errorf("JSON last record not quarantined: %v", err)
+	if _, err := os.Stat(path + ".corrupt"); err != nil {
+		t.Fatalf("%s: %s not quarantined: %v", scheme, what, err)
 	}
-	if !resumed.Matches.Equal(full.Matches) {
-		t.Errorf("resumed to %d matches, the uninterrupted run has %d", resumed.Matches.Len(), full.Matches.Len())
-	}
-
-	first := filepath.Base(files[0])
-	if _, err := resume(plantTrail(t, files, 0, toJSON)); err == nil || !strings.Contains(err.Error(), first) {
-		t.Errorf("resume over a JSON first record: %v, want an error naming %s", err, first)
+	if !resumed.Matches.Equal(want.Matches) {
+		t.Fatalf("%s: resume over %s reached %d matches, the uninterrupted run has %d",
+			scheme, what, resumed.Matches.Len(), want.Matches.Len())
 	}
 }
 
-// TestCheckpointTrailTruncationAtEveryByte: the round trail is not
-// fsynced, so a power cut can leave any prefix of the newest record. For
-// every such prefix a resume must quarantine the record and continue from
-// the round before it, landing on the uninterrupted run's result; the
-// same damage to an earlier record is an error that names the file.
-func TestCheckpointTrailTruncationAtEveryByte(t *testing.T) {
+// TestResumeRefusesJSONRecord: the only codec is binary, so a checkpoint
+// in the JSON envelope older builds could write (now only a hand edit) is
+// an unreadable record like any other: a resume sets it aside and runs
+// fresh to the uninterrupted result.
+func TestResumeRefusesJSONRecord(t *testing.T) {
+	m, cover, _ := testmodel.PaperExample()
+	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
+	full := runOn(t, cfg, "MMP", core.PoolBackend{})
+	toJSON := func([]byte) []byte { return []byte(`{"cemw":1,"type":3,"msg":{"scheme":"MMP","round":1}}`) }
+	dir, path, _ := plantDamaged(t, cfg, "MMP", toJSON)
+	resumeOverDamage(t, cfg, "MMP", dir, path, "a JSON checkpoint", full)
+}
+
+// TestCheckpointTruncationAtEveryByte: every commit is fsynced, so only
+// damage from outside can cut a checkpoint. For every prefix a resume
+// must set the checkpoint aside and run fresh, landing on the
+// uninterrupted run's result.
+func TestCheckpointTruncationAtEveryByte(t *testing.T) {
 	m, cover, _ := testmodel.PaperExample()
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 	for _, scheme := range []string{"SMP", "MMP"} {
-		src := t.TempDir()
-		full, err := core.RunBackend(bg, cfg, scheme, core.PoolBackend{}, core.CheckpointConfig{Dir: src})
-		if err != nil {
-			t.Fatal(err)
-		}
-		files := trailFiles(t, src)
-		if len(files) < 2 {
-			t.Fatalf("%s: the trail has %d records; the test needs a record before the torn one", scheme, len(files))
-		}
-		records := make([][]byte, len(files))
-		for i, f := range files {
-			if records[i], err = os.ReadFile(f); err != nil {
+		full := runOn(t, cfg, scheme, core.PoolBackend{})
+		_, src, intact := plantDamaged(t, cfg, scheme, func(raw []byte) []byte { return raw })
+		for cut := 0; cut < len(intact); cut++ {
+			dir := t.TempDir()
+			path := filepath.Join(dir, filepath.Base(src))
+			if err := os.WriteFile(path, intact[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}
-		// plant copies the trail with record i cut to n bytes.
-		plant := func(i, n int) string {
-			return plantTrail(t, files, i, func(raw []byte) []byte { return raw[:n] })
-		}
-		resume := func(dir string) (*core.Result, error) {
-			return core.RunBackend(bg, cfg, scheme, core.PoolBackend{}, core.CheckpointConfig{Dir: dir, Resume: true})
-		}
-
-		last := len(records) - 1
-		before, err := wire.UnmarshalCheckpoint(records[last-1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for cut := 0; cut < len(records[last]); cut++ {
-			dir := plant(last, cut)
-			resumed, err := resume(dir)
-			if err != nil {
-				t.Fatalf("%s: last record cut at byte %d/%d: resume failed: %v", scheme, cut, len(records[last]), err)
-			}
-			torn := filepath.Join(dir, filepath.Base(files[last]))
-			if _, err := os.Stat(torn + ".corrupt"); err != nil {
-				t.Fatalf("%s: cut at byte %d: torn record not quarantined: %v", scheme, cut, err)
-			}
-			if !resumed.Matches.Equal(full.Matches) {
-				t.Fatalf("%s: cut at byte %d: resumed to %d matches, the uninterrupted run has %d",
-					scheme, cut, resumed.Matches.Len(), full.Matches.Len())
-			}
-			if resumed.Stats.Evaluations < before.Stats.Evaluations {
-				t.Fatalf("%s: cut at byte %d: %d evaluations, fewer than the %d checkpointed at round %d",
-					scheme, cut, resumed.Stats.Evaluations, before.Stats.Evaluations, before.Round)
-			}
-		}
-
-		dir := plant(0, len(records[0])/2)
-		if _, err := resume(dir); err == nil || !strings.Contains(err.Error(), filepath.Base(files[0])) {
-			t.Errorf("%s: resume over a torn FIRST record: %v, want an error naming it", scheme, err)
-		}
-		if q, _ := filepath.Glob(filepath.Join(dir, "*.corrupt")); len(q) != 0 {
-			t.Errorf("%s: a non-trailing record was quarantined: %v", scheme, q)
+			resumeOverDamage(t, cfg, scheme, dir, path, fmt.Sprintf("a checkpoint cut at byte %d/%d", cut, len(intact)), full)
 		}
 	}
 }

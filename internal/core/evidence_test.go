@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"slices"
@@ -11,53 +12,40 @@ import (
 	"repro/internal/wire"
 )
 
-// readTrail decodes every round record of a checkpoint trail in round
-// order, failing unless each record's evidence delta is a strictly
-// increasing batch of valid pair keys (the wire delta contract).
-func readTrail(t *testing.T, dir string) []*core.State {
+// checkpointEvidence decodes dir's checkpoint, failing unless it is
+// exactly one record whose evidence is a strictly increasing batch of
+// valid pair keys (the wire delta contract), and returns that evidence.
+func checkpointEvidence(t *testing.T, dir string) []core.PairKey {
 	t.Helper()
-	var recs []*core.State
-	for _, f := range trailFiles(t, dir) {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := wire.UnmarshalCheckpoint(data); err != nil {
-			t.Fatalf("%s is not exactly one checkpoint: %v", f, err)
-		}
-		st, err := core.DecodeState(data)
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		for i, k := range st.Evidence {
-			if a, b := uint32(k>>32), uint32(k); a >= b || b >= 1<<31 {
-				t.Fatalf("%s: delta key %d (%#x) violates the pair-key contract", f, i, uint64(k))
-			}
-			if i > 0 && st.Evidence[i-1] >= k {
-				t.Fatalf("%s: delta not strictly increasing at %d", f, i)
-			}
-		}
-		if st.Header.Round != len(recs)+1 {
-			t.Fatalf("%s carries round %d, want %d", f, st.Header.Round, len(recs)+1)
-		}
-		recs = append(recs, st)
+	files := trailFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("%s holds %d checkpoints, want one", dir, len(files))
 	}
-	return recs
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.UnmarshalCheckpoint(data); err != nil {
+		t.Fatalf("%s is not exactly one checkpoint: %v", files[0], err)
+	}
+	st, err := core.DecodeState(data)
+	if err != nil {
+		t.Fatalf("%s: %v", files[0], err)
+	}
+	for i, k := range st.Evidence {
+		if a, b := uint32(k>>32), uint32(k); a >= b || b >= 1<<31 {
+			t.Fatalf("%s: key %d (%#x) violates the pair-key contract", files[0], i, uint64(k))
+		}
+		if i > 0 && st.Evidence[i-1] >= k {
+			t.Fatalf("%s: evidence not strictly increasing at %d", files[0], i)
+		}
+	}
+	return st.Evidence
 }
 
-// trailEvidence is the union of a trail's round deltas, ascending.
-func trailEvidence(recs []*core.State) []core.PairKey {
-	var keys []core.PairKey
-	for _, r := range recs {
-		keys = append(keys, r.Evidence...)
-	}
-	slices.Sort(keys)
-	return slices.Compact(keys)
-}
-
-// TestEvidenceStoreMirrorsRun pins the trail's evidence invariant: after
-// any round-based run, the round deltas union to exactly the result's
-// accumulated M+, and every delta obeyed the wire key contract.
+// TestEvidenceStoreMirrorsRun pins the checkpoint's evidence invariant:
+// after any round-based run, the checkpoint holds exactly the result's
+// accumulated M+, under the wire key contract.
 func TestEvidenceStoreMirrorsRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 10; trial++ {
@@ -69,55 +57,57 @@ func TestEvidenceStoreMirrorsRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := trailEvidence(readTrail(t, dir)), res.Matches.SortedKeys(); !slices.Equal(got, want) {
-				t.Fatalf("%s: trail holds %d keys, result %d", scheme, len(got), len(want))
+			if got, want := checkpointEvidence(t, dir), res.Matches.SortedKeys(); !slices.Equal(got, want) {
+				t.Fatalf("%s: checkpoint holds %d keys, result %d", scheme, len(got), len(want))
 			}
 		}
 	}
 }
 
-// TestEvidenceStoreWarmStart pins the warm-start protocol: the trail's
-// first record is the seed, and the continuation's deltas union with it
-// to the warm fixpoint.
+// TestEvidenceStoreWarmStart pins the warm-start protocol: the first
+// checkpoint a warm run writes is its seed — a run killed before its
+// first round ends leaves exactly that — and the finished run's
+// checkpoint holds the warm fixpoint.
 func TestEvidenceStoreWarmStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	m, cover := testmodel.Random(rng)
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 	cold := runOn(t, cfg, "SMP", core.PoolBackend{})
 
-	dir := t.TempDir()
 	seed := cold.Matches.SortedKeys()
 	warm := &core.WarmStart{Evidence: seed, Active: []int32{0}}
+	killed, cancel := context.WithCancel(bg)
+	cancel()
+	dir := t.TempDir()
+	if _, err := core.RunBackendFrom(killed, cfg, "SMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir}, warm); err != context.Canceled {
+		t.Fatalf("killed warm run: %v, want context.Canceled", err)
+	}
+	if !slices.Equal(checkpointEvidence(t, dir), seed) {
+		t.Fatal("the warm run's first checkpoint is not the seed")
+	}
+
+	dir = t.TempDir()
 	res, err := core.RunBackendFrom(bg, cfg, "SMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir}, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := readTrail(t, dir)
-	if len(recs) == 0 || !slices.Equal(recs[0].Evidence, seed) {
-		t.Fatal("the warm trail's first record is not the seed")
-	}
-	if got, want := trailEvidence(recs), res.Matches.SortedKeys(); !slices.Equal(got, want) {
-		t.Fatalf("warm trail holds %d keys, result %d", len(got), len(want))
+	if got, want := checkpointEvidence(t, dir), res.Matches.SortedKeys(); !slices.Equal(got, want) {
+		t.Fatalf("warm checkpoint holds %d keys, result %d", len(got), len(want))
 	}
 }
 
-// TestEvidenceStoreResume pins the resume protocol: resuming a trail cut
-// back to its first round rebuilds the uninterrupted run's result, and
-// the continued trail again unions to it.
+// TestEvidenceStoreResume pins the resume protocol: resuming a run
+// killed after its first round rebuilds the uninterrupted run's result,
+// and the resumed run's checkpoint again holds it.
 func TestEvidenceStoreResume(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	m, cover := testmodel.Random(rng)
-	dir := t.TempDir()
-	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
+	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation(), Parallelism: 2}
 
-	full, err := core.RunBackend(bg, cfg, "SMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range trailFiles(t, dir)[1:] {
-		if err := os.Remove(f); err != nil {
-			t.Fatal(err)
-		}
+	full := runOn(t, cfg, "SMP", core.PoolBackend{})
+	dir, killed := killAfter(t, cfg, "SMP", core.PoolBackend{}, 1)
+	if !killed {
+		t.Fatal("the run ended in round 1; the test needs a second round")
 	}
 	resumed, err := core.RunBackend(bg, cfg, "SMP", core.PoolBackend{},
 		core.CheckpointConfig{Dir: dir, Resume: true})
@@ -127,7 +117,7 @@ func TestEvidenceStoreResume(t *testing.T) {
 	if !resumed.Matches.Equal(full.Matches) {
 		t.Fatal("resume diverged from the original run")
 	}
-	if got, want := trailEvidence(readTrail(t, dir)), resumed.Matches.SortedKeys(); !slices.Equal(got, want) {
-		t.Fatalf("resumed trail holds %d keys, result %d", len(got), len(want))
+	if got, want := checkpointEvidence(t, dir), resumed.Matches.SortedKeys(); !slices.Equal(got, want) {
+		t.Fatalf("resumed checkpoint holds %d keys, result %d", len(got), len(want))
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io/fs"
 	"slices"
 	"time"
 
@@ -13,7 +15,7 @@ import (
 // accumulated evidence M+ (an Evidence in the plan's form, materialized
 // as Result.Matches only when the run finishes), the maximal-message
 // store, visit counts, run statistics, the active set, and — when
-// configured — the per-round checkpoint trail. It is the one fixpoint
+// configured — the run's checkpoint. It is the one fixpoint
 // loop's state: every backend drives it round by round. Evaluate may run
 // concurrently between two reduces, for distinct ids; everything else
 // belongs to one goroutine (reduce is central by design, as in the
@@ -26,7 +28,7 @@ type RoundDriver struct {
 	store  *MessageStore // MMP only
 	arena  MessageIDs    // a one-worker pool's job messages, reused job to job
 	ck     CheckpointConfig
-	trail  *store.Trail // the checkpoint trail; nil when not checkpointing
+	trail  *store.Trail // holds the checkpoint, entry 0; nil when not checkpointing
 
 	active []int32
 	// roundMark is where the running round starts in M+'s insertion log:
@@ -45,16 +47,16 @@ type RoundDriver struct {
 	prior time.Duration // elapsed time credited by a resumed checkpoint
 
 	// cacheStart snapshots the matcher's cumulative memo counters at
-	// driver construction; finish() reports the delta. Checkpoint trails
-	// do not persist cache counters, so a resumed run reports only the
+	// driver construction; finish() reports the delta. Checkpoints do
+	// not persist cache counters, so a resumed run reports only the
 	// resuming process's cache activity.
 	cacheStart CacheReport
 }
 
-// newRoundDriver initializes the reduce state, loading a checkpoint
-// trail when ck requests a resume (an empty directory resumes into a
-// fresh run). A fresh checkpointing run clears any stale round files so
-// a later resume can never mix two runs.
+// newRoundDriver initializes the reduce state, loading the checkpoint
+// when ck requests a resume (none resumes into a fresh run). A fresh
+// checkpointing run removes the previous run's checkpoint, so a kill
+// before its first round ends never leaves that one to resume.
 func newRoundDriver(plan *RoundPlan, ck CheckpointConfig) (*RoundDriver, error) {
 	d := &RoundDriver{plan: plan, ck: ck, start: time.Now()}
 	d.cacheStart, _ = cacheSnapshot(plan.Config.Matcher)
@@ -68,23 +70,17 @@ func newRoundDriver(plan *RoundPlan, ck CheckpointConfig) (*RoundDriver, error) 
 		d.store = newMessageStore(plan.table)
 	}
 	if ck.Dir != "" {
-		// NOT fsynced: a round record protects recomputable work, not
-		// accepted input, and three syncs would add a quarter to a service
-		// batch. A power cut may so tear the newest record; a resume
-		// quarantines that one and continues from the round before it.
-		d.trail = &store.Trail{Dir: ck.Dir, Format: "round-%06d.ckpt", Durable: false}
-	}
-	if ck.Resume && d.trail != nil {
-		st, err := d.loadTrail()
-		if err != nil {
-			return nil, err
-		}
-		if st != nil {
-			return d, d.seed(st)
-		}
-	} else if d.trail != nil {
-		if err := d.trail.Clear(); err != nil {
-			return nil, err
+		d.trail = &store.Trail{Dir: ck.Dir, Format: checkpointFormat}
+		if ck.Resume {
+			st, err := d.load()
+			if err != nil {
+				return nil, err
+			}
+			if st != nil {
+				return d, d.seed(st)
+			}
+		} else if err := d.trail.Remove(0); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, fmt.Errorf("core: removing the previous checkpoint: %w", err)
 		}
 	}
 	d.active = allNeighborhoods(plan.Config.Cover.Len())
@@ -120,7 +116,7 @@ func (d *RoundDriver) Snapshot() *Evidence {
 
 // MatcherLabel returns the run's matcher label (CheckpointConfig.Matcher;
 // empty for an anonymous matcher): the fingerprint a distributed backend
-// checks its workers against, as a resume checks a trail.
+// checks its workers against, as a resume checks a checkpoint.
 func (d *RoundDriver) MatcherLabel() string { return d.ck.Matcher }
 
 // AllowSkip reports whether this round's evaluations may discharge
@@ -214,7 +210,7 @@ func (d *RoundDriver) EndRound() error {
 		return nil
 	}
 	d.res.Stats.Elapsed = d.prior + time.Since(d.start) // running elapsed, persisted
-	return d.checkpoint(d.RoundDelta())
+	return d.checkpoint()
 }
 
 // FinishRound is the batch form of the central Reduce: jobs are the
@@ -231,8 +227,8 @@ func (d *RoundDriver) FinishRound(jobs []Job) error {
 // the run's stats: partitions reassigned after a worker death or
 // deadline breach, sends retried after transient errors, and stale-
 // epoch batches dropped. Counters are monotone (negative increments are
-// ignored) and, like the cache report, are per-process — checkpoint
-// trails do not persist them.
+// ignored) and, like the cache report, are per-process — checkpoints do
+// not persist them.
 func (d *RoundDriver) AccountResilience(reassignments, retriedSends, lateDropped int) {
 	if reassignments > 0 {
 		d.res.Stats.Reassignments += reassignments
@@ -278,8 +274,8 @@ func (d *RoundDriver) finish() *Result {
 // RunBackend executes a neighborhood scheme ("NO-MP", "SMP", "MMP") on
 // the given execution backend, with optional round-boundary
 // checkpointing (ck.Dir) and resume (ck.Resume). Resuming a directory
-// whose run already completed rebuilds the result from the checkpoint
-// trail without evaluating anything.
+// whose run already completed rebuilds the result from its checkpoint
+// without evaluating anything.
 func RunBackend(ctx context.Context, cfg Config, scheme string, b Backend, ck CheckpointConfig) (*Result, error) {
 	return RunBackendFrom(ctx, cfg, scheme, b, ck, nil)
 }

@@ -39,13 +39,13 @@ type WarmStart struct {
 // driver, for a warm start and a checkpoint resume alike: the evidence
 // becomes the accumulated match set, outstanding messages refill the
 // store and the active set replaces the all-neighborhoods round 1. A
-// resume (the state of a trail: Round > 0) also restores the trail's
-// round counter, visits and stats.
+// resume (a checkpoint's state: Round > 0) also restores the round
+// counter, visits and stats.
 // A warm start sets the round counter to 1 — the continuation's first
 // round is a re-activation round (round 2), so undecided-free
 // neighborhoods may be discharged as skips — and, when checkpointing,
-// persists the seed as the trail's round-1 record: a warm-started trail
-// is indistinguishable from a cold one and resumes through the ordinary
+// persists the seed as the run's first checkpoint (round 1): a
+// warm-started run killed at any point resumes through the ordinary
 // checkpoint path.
 func (d *RoundDriver) seed(st *State) error {
 	cover, h := d.plan.Config.Cover, &st.Header
@@ -81,17 +81,17 @@ func (d *RoundDriver) seed(st *State) error {
 	if d.trail == nil || resumed {
 		return nil
 	}
-	return d.checkpoint(d.ev.SortedKeys())
+	return d.checkpoint()
 }
 
 // RunBackendFrom is RunBackend continued from a warm-start seed instead
 // of a cold all-neighborhoods round 1 (a nil seed runs cold). A seed and
 // ck.Resume exclude each other — a warm-started checkpointing run writes
-// its seed as the trail's first record, and continuing THAT trail later
-// is an ordinary resume.
+// its seed as its first checkpoint, and continuing from that checkpoint
+// later is an ordinary resume.
 func RunBackendFrom(ctx context.Context, cfg Config, scheme string, b Backend, ck CheckpointConfig, warm *WarmStart) (*Result, error) {
 	if warm != nil && ck.Resume {
-		return nil, fmt.Errorf("core: warm start and checkpoint resume are mutually exclusive (resume a warm-started trail with RunBackend)")
+		return nil, fmt.Errorf("core: warm start and checkpoint resume are mutually exclusive (resume a warm-started checkpoint with RunBackend)")
 	}
 	plan, err := NewRoundPlan(cfg, scheme)
 	if err != nil {

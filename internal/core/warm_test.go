@@ -1,14 +1,13 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
-	"os"
 	"testing"
 
 	"repro/internal/core"
 	emnet "repro/internal/net"
 	"repro/internal/testmodel"
-	"repro/internal/wire"
 )
 
 // warmOf captures a completed run as a warm-start seed.
@@ -69,36 +68,27 @@ func TestWarmStartFixpointStability(t *testing.T) {
 }
 
 // TestWarmStartContinuesFromRoundBoundary: the state after round r of a
-// cold checkpointed run — replayed evidence, next active set, outstanding
-// messages — fed back through RunBackendFrom must finish on the cold
-// run's exact match set, for every r, both backends. Warm continuation
-// is round-boundary resume through the public seed instead of the trail.
+// cold checkpointed run — its checkpoint's evidence, next active set and
+// outstanding messages — fed back through RunBackendFrom must finish on
+// the cold run's exact match set, for every r, both backends. Warm
+// continuation is round-boundary resume through the public seed instead
+// of the checkpoint.
 func TestWarmStartContinuesFromRoundBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 10; trial++ {
 		m, cover := testmodel.Random(rng)
 		cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 		for _, scheme := range []string{"SMP", "MMP"} {
-			dir := t.TempDir()
-			cold, err := core.RunBackend(bg, cfg, scheme, core.PoolBackend{}, core.CheckpointConfig{Dir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			files := trailFiles(t, dir)
-			evidence := core.NewPairSet()
-			for r, f := range files {
-				raw, err := os.ReadFile(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ck, err := wire.UnmarshalCheckpoint(raw)
-				if err != nil {
-					t.Fatal(err)
-				}
+			cold := runOn(t, cfg, scheme, core.PoolBackend{})
+			for r := 1; ; r++ {
+				mapped := cfg
+				mapped.Parallelism = 2
+				dir, killed := killAfter(t, mapped, scheme, core.PoolBackend{}, r)
+				ck := readCheckpoint(t, dir)
+				warm := &core.WarmStart{Active: ck.Active}
 				for _, k := range ck.Delta {
-					evidence.AddKey(core.PairKey(k))
+					warm.Evidence = append(warm.Evidence, core.PairKey(k))
 				}
-				warm := &core.WarmStart{Evidence: evidence.SortedKeys(), Active: ck.Active}
 				for _, g := range ck.Messages {
 					msg := make([]core.Pair, len(g))
 					for i, k := range g {
@@ -109,12 +99,15 @@ func TestWarmStartContinuesFromRoundBoundary(t *testing.T) {
 				for _, b := range []core.Backend{core.PoolBackend{}, &emnet.Backend{Workers: 2}} {
 					res, err := core.RunBackendFrom(bg, cfg, scheme, b, core.CheckpointConfig{}, warm)
 					if err != nil {
-						t.Fatalf("%s: warm continuation from round %d: %v", scheme, r+1, err)
+						t.Fatalf("%s: warm continuation from round %d: %v", scheme, r, err)
 					}
 					if !res.Matches.Equal(cold.Matches) {
 						t.Errorf("%s: warm continuation from round %d diverges: %d vs %d matches",
-							scheme, r+1, res.Matches.Len(), cold.Matches.Len())
+							scheme, r, res.Matches.Len(), cold.Matches.Len())
 					}
+				}
+				if !killed {
+					break
 				}
 			}
 		}
@@ -122,10 +115,10 @@ func TestWarmStartContinuesFromRoundBoundary(t *testing.T) {
 }
 
 // TestWarmStartTrailResumes: a warm-started checkpointing run writes its
-// seed as round 1, so the trail resumes through the ordinary checkpoint
-// path — completed trails rebuild without matcher calls, and truncating
-// the trail back to just the synthetic seed record still converges to
-// the same result.
+// seed as its first checkpoint (round 1), so it resumes through the
+// ordinary checkpoint path — a completed run rebuilds without matcher
+// calls, and a run killed before its first continuation round ends
+// resumes from the seed to the same result.
 func TestWarmStartTrailResumes(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 10; trial++ {
@@ -137,9 +130,8 @@ func TestWarmStartTrailResumes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Continue from the cold round-1 state (its checkpoint delta is
-			// its new matches; emulate with evidence = cold matches and the
-			// full active set) while writing a warm trail.
+			// Continue from the cold result with the full active set while
+			// checkpointing.
 			all := make([]int32, cover.Len())
 			for i := range all {
 				all[i] = int32(i)
@@ -150,39 +142,44 @@ func TestWarmStartTrailResumes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			files := trailFiles(t, dir)
-			if len(files) < 2 {
-				t.Fatalf("%s: warm trail has %d records, want seed + >=1 round", scheme, len(files))
+			if ck := readCheckpoint(t, dir); ck == nil || ck.Round < 2 || !ck.Done {
+				t.Fatalf("%s: warm run's last checkpoint is %+v, want a Done one past the seed round", scheme, ck)
 			}
 
 			wrapped.calls.Store(0)
 			resumed, err := core.RunBackend(bg, cfg, scheme, core.PoolBackend{},
 				core.CheckpointConfig{Dir: dir, Resume: true})
 			if err != nil {
-				t.Fatalf("%s: resuming the completed warm trail: %v", scheme, err)
+				t.Fatalf("%s: resuming the completed warm run: %v", scheme, err)
 			}
 			if wrapped.calls.Load() != 0 {
-				t.Errorf("%s: resuming a completed warm trail called the matcher %d times", scheme, wrapped.calls.Load())
+				t.Errorf("%s: resuming a completed warm run called the matcher %d times", scheme, wrapped.calls.Load())
 			}
 			if !resumed.Matches.Equal(warmRes.Matches) {
-				t.Errorf("%s: warm-trail resume diverges: %d vs %d matches",
+				t.Errorf("%s: warm resume diverges: %d vs %d matches",
 					scheme, resumed.Matches.Len(), warmRes.Matches.Len())
 			}
 
-			// Kill everything after the synthetic seed record and resume:
-			// must re-execute the continuation and land on the same set.
-			for _, f := range files[1:] {
-				if err := os.Remove(f); err != nil {
-					t.Fatal(err)
-				}
+			// Kill a warm run before its first continuation round ends: only
+			// the seed is checkpointed, and the resume must re-execute the
+			// continuation and land on the same set.
+			dir = t.TempDir()
+			killed, cancel := context.WithCancel(bg)
+			cancel()
+			if _, err := core.RunBackendFrom(killed, cfg, scheme, core.PoolBackend{},
+				core.CheckpointConfig{Dir: dir}, warmOf(cold, all)); err != context.Canceled {
+				t.Fatalf("%s: killed warm run: %v, want context.Canceled", scheme, err)
+			}
+			if ck := readCheckpoint(t, dir); ck == nil || ck.Round != 1 {
+				t.Fatalf("%s: killed warm run left checkpoint %+v, want the seed's (round 1)", scheme, ck)
 			}
 			truncated, err := core.RunBackend(bg, cfg, scheme, &emnet.Backend{Workers: 2},
 				core.CheckpointConfig{Dir: dir, Resume: true})
 			if err != nil {
-				t.Fatalf("%s: resuming the truncated warm trail: %v", scheme, err)
+				t.Fatalf("%s: resuming from the seed checkpoint: %v", scheme, err)
 			}
 			if !truncated.Matches.Equal(warmRes.Matches) {
-				t.Errorf("%s: truncated warm-trail resume diverges: %d vs %d matches",
+				t.Errorf("%s: resume from the seed checkpoint diverges: %d vs %d matches",
 					scheme, truncated.Matches.Len(), warmRes.Matches.Len())
 			}
 		}

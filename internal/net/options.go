@@ -93,11 +93,13 @@ type WorkerOptions struct {
 	// Matcher labels the worker's model (cmd/emworker: its -matcher
 	// registry name) for the handshake fingerprint. A coordinator whose
 	// run carries a different non-empty label refuses the worker; empty
-	// on either side opts out, as in checkpoint trails.
+	// on either side opts out.
 	Matcher string
 
-	// Wrap, when non-nil, wraps the worker-side stream — the worker half
-	// of the fault-injection hook.
+	// Wrap, when non-nil, wraps the worker-side stream of a LocalSpawner
+	// worker — the worker half of the fault-injection hook. Only
+	// LocalSpawner applies it: Serve (the accept loop of cmd/emworker)
+	// hands each accepted connection to ServeConn unwrapped.
 	Wrap func(worker int, rw io.ReadWriteCloser) io.ReadWriteCloser
 
 	// Logf, when non-nil, receives worker lifecycle events.

@@ -47,13 +47,13 @@ type CommitterOption func(*Committer)
 
 // WithJournal persists every incoming batch to dir (created if missing)
 // as batch-NNNNNN.tsv, complete before any state that includes it is
-// published or saved — a durable store.Trail, so an acknowledged batch
+// published or saved — a store.Trail, so an acknowledged batch
 // survives a power cut, not only a crash mid-update: Recover replays the
 // journal past the store's state into an identical state. Without a
 // journal the committer is ephemeral (the replay-CLI mode).
 func WithJournal(dir string) CommitterOption {
 	return func(c *Committer) {
-		c.journal = &store.Trail{Dir: dir, Format: "batch-%06d.tsv", Durable: true, Logf: c.quarantined}
+		c.journal = &store.Trail{Dir: dir, Format: "batch-%06d.tsv", Logf: c.quarantined}
 	}
 }
 

@@ -68,8 +68,6 @@ type Config struct {
 
 	// Batching bounds the ingest batcher (see BatcherConfig).
 	Batching BatcherConfig
-	// MaxBodyBytes bounds one POST body (default 8 MiB).
-	MaxBodyBytes int64
 
 	// Logf, when set, receives recovery events (quarantined journal
 	// files). Nil is silent.
@@ -124,9 +122,6 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 	}
 	if cfg.DatasetName == "" {
 		cfg.DatasetName = "emserve"
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 8 << 20
 	}
 	// Matchers resolve lazily (at the first Update), so an unknown name
 	// would otherwise start a service that can never commit a batch.
@@ -312,11 +307,15 @@ type ingestResponse struct {
 	Queued   bool `json:"queued"`            // true when not waited for commit
 }
 
+// maxBodyBytes bounds one POST body: a larger one is refused with 400
+// before any of its records is queued.
+const maxBodyBytes = 8 << 20
+
 // handleIngest parses a batch (JSON array or records TSV), enqueues it,
 // and either acknowledges the enqueue (202) or, with ?wait=1, blocks
 // until the batch's commit and reports the committed state (200).
 func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var records []cem.Record
 	ct := r.Header.Get("Content-Type")
 	if strings.HasPrefix(ct, "application/json") {

@@ -636,8 +636,8 @@ func TestRecoverRefusedStoreSnapshot(t *testing.T) {
 //   - a store that also holds evidence segments (a per-round mirror of M+):
 //     the store never reads them and recovery reads only the blobs, so the
 //     restart reopens the snapshot with zero matcher calls;
-//   - a round trail under checkpoint/ and no store: the restart replays the
-//     journal into a new store.
+//   - a round checkpoint under checkpoint/ and no store: the restart
+//     replays the journal into a new store.
 //
 // Either way the service serves the byte-identical match set, keeps
 // warm-starting, and never reads, writes or removes the older files.
@@ -674,7 +674,7 @@ func TestRecoverStateDirWithSegments(t *testing.T) {
 				}
 			}
 			return c.Snapshot()
-		}, "checkpoint/round-*.ckpt", 0},
+		}, "checkpoint/*.ckpt", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			state := t.TempDir()
@@ -930,5 +930,53 @@ func TestServiceRestartsAfterLongKey(t *testing.T) {
 	defer svc2.Kill()
 	if got := svc2.Snapshot(); got.Seq != want.Seq || got.RenderMatches() != want.RenderMatches() {
 		t.Errorf("restart serves seq %d, %d matches; want seq %d, %d", got.Seq, got.Matches(), want.Seq, want.Matches())
+	}
+}
+
+// TestServiceRefusesOversizedBody: a POST body over 8 MiB is refused
+// with 400, through the TSV and the JSON door, and nothing of it is
+// journaled or committed. Each body ends past the bound with a key the
+// journal cannot hold, so a service that read it whole would refuse it
+// for that key instead, never ingesting the 8 MiB; the TSV reader
+// reports the line the bound cut rather than the bound itself.
+func TestServiceRefusesOversizedBody(t *testing.T) {
+	const bound = 8 << 20
+	state := t.TempDir()
+	svc, err := New(context.Background(), Config{StateDir: state, Batching: fastBatching})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Kill()
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
+
+	var tsv strings.Builder
+	if err := cem.WriteRecords(&tsv, "big", batchCuts(testRecords(t, cem.HEPTH))[0]); err != nil {
+		t.Fatal(err)
+	}
+	tsvBody := strings.Repeat(tsv.String(), bound/tsv.Len()+1) + "-1\t-1\tdoe\rj\n"
+	jsonBody := "[" + strings.Repeat(`{"key":"smith j"},`, bound/18) + `{"key":"doe\nj"}]`
+	for _, c := range []struct{ contentType, body, reason string }{
+		{"text/tab-separated-values", tsvBody, "decoding TSV records"},
+		{"application/json", jsonBody, "too large"},
+	} {
+		if len(c.body) <= bound {
+			t.Fatalf("%s body of %d bytes is not over the %d-byte bound", c.contentType, len(c.body), bound)
+		}
+		resp, err := http.Post(srv.URL+"/records", c.contentType, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), c.reason) {
+			t.Errorf("%s body of %d bytes: status %d (%.80q), want 400 (%q)", c.contentType, len(c.body), resp.StatusCode, msg, c.reason)
+		}
+	}
+	if got := svc.Snapshot(); got.Seq != 0 || got.Records() != 0 {
+		t.Errorf("after the refused bodies the service serves seq %d with %d records, want nothing committed", got.Seq, got.Records())
+	}
+	if journaled, _ := filepath.Glob(filepath.Join(state, "journal", "batch-*")); len(journaled) != 0 {
+		t.Errorf("refused bodies were journaled: %v", journaled)
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // Disk is the on-disk store: blobs under blob/<kind>/<name>, and the
-// evidence set in memory, persisted as a durable Trail of entries
+// evidence set in memory, persisted as a Trail of entries
 // (evidence-NNNNNNNN.delta) under the root directory. Each PutEvidence
 // batch is one entry, a binary wire.Delta whose Round is the entry's
 // sequence number; once more than compactEvery entries accumulate, a put
@@ -49,7 +49,7 @@ func openDisk(o Options, sys fsys) (*Disk, error) {
 	if err := sys.MkdirAll(o.Dir); err != nil {
 		return nil, fmt.Errorf("store: disk dir: %w", err)
 	}
-	d := &Disk{trail: Trail{Dir: o.Dir, Format: evidenceFormat, Durable: true, Logf: o.Logf, fs: sys}}
+	d := &Disk{trail: Trail{Dir: o.Dir, Format: evidenceFormat, Logf: o.Logf, fs: sys}}
 	if err := d.trail.Scan(d.load); err != nil {
 		return nil, err
 	}
@@ -200,7 +200,7 @@ func (d *Disk) SaveBlob(kind, name string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	return commitFile(d.trail.fs, path, data, true)
+	return commitFile(d.trail.fs, path, data)
 }
 
 // OpenBlob implements Store.

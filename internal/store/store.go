@@ -7,8 +7,8 @@
 // engine writes no evidence into it.
 //
 // The package also owns the one durability protocol, Trail (trail.go):
-// the disk store's evidence and blobs, the service journal and the
-// engine's checkpoint trail are committed and recovered through it, and
+// the disk store's evidence and blobs, the service journal and a run's
+// round checkpoint are committed and recovered through it, and
 // nothing else in the module renames, fsyncs or quarantines a file.
 //
 // Open builds a store by name, "mem" or "disk"; any other implementation

@@ -11,18 +11,17 @@ import (
 )
 
 // Trail is the one commit-and-recover protocol for state kept as a
-// directory of numbered files, each written whole: the disk store's evidence, the
-// service journal and the checkpoint trail are all Trails, differing only
-// in file name, durability and what makes an entry valid.
+// directory of numbered files, each written whole: the disk store's
+// evidence, the service journal and a run's checkpoint are all Trails,
+// differing only in file name and what makes an entry valid.
 //
-// Commit is tmp → write → [fsync] → rename → [directory fsync], the
-// bracketed steps when Durable: a crash leaves the old entry or the new
-// one, and a returned Durable commit survives a power cut. A crash DURING
-// a commit leaves a *.tmp orphan or — without the fsync, on filesystems
-// that reorder data and rename — a torn newest entry. Scan repairs both:
-// orphans are removed, and an entry the caller's verifier rejects is
-// renamed *.corrupt when it is the last one (nothing after it exists to
-// lose) and is a hard error anywhere else (later entries build on it).
+// Commit is tmp → write → fsync → rename → directory fsync: a crash
+// leaves the old entry or the new one, and a returned commit survives a
+// power cut. A crash DURING a commit leaves a *.tmp orphan, and damage
+// from outside may leave an entry that does not verify. Scan repairs
+// both: orphans are removed, and an entry the caller's verifier rejects
+// is renamed *.corrupt when it is the last one (nothing after it exists
+// to lose) and is a hard error anywhere else (later entries build on it).
 //
 // Only names that round-trip through Format are the trail's own; every
 // other file in Dir is left alone. Not safe for concurrent use: each
@@ -31,11 +30,8 @@ type Trail struct {
 	// Dir holds the entries; Commit creates it when missing.
 	Dir string
 	// Format names entry seq: an fmt format with one integer verb, e.g.
-	// "round-%06d.ckpt".
+	// "batch-%06d.tsv".
 	Format string
-	// Durable makes Commit fsync the file and its directory. False suits
-	// state that only has to survive the death of the process.
-	Durable bool
 	// Logf, when set, is called once per quarantined entry.
 	Logf func(format string, args ...any)
 
@@ -49,25 +45,11 @@ func (t *Trail) Path(seq int) string {
 
 // Commit creates or replaces entry seq with data.
 func (t *Trail) Commit(seq int, data []byte) error {
-	return commitFile(t.fsys(), t.Path(seq), data, t.Durable)
+	return commitFile(t.fsys(), t.Path(seq), data)
 }
 
 // Remove deletes entry seq.
 func (t *Trail) Remove(seq int) error { return t.fsys().Remove(t.Path(seq)) }
-
-// Clear deletes every entry (and orphan) of the trail.
-func (t *Trail) Clear() error {
-	seqs, err := t.entries()
-	if err != nil {
-		return err
-	}
-	for _, seq := range seqs {
-		if err := t.Remove(seq); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // Scan recovers the trail: each entry's bytes go to verify in ascending
 // sequence order. A verify error on the last entry quarantines it as
@@ -147,10 +129,10 @@ func (t *Trail) fsys() fsys {
 }
 
 // commitFile replaces path with data through a sibling temp file, so a
-// kill at any instant leaves the old file or the new one, never a mix.
-// durable adds the two fsyncs that extend this to a power cut. The
-// directory is created when missing.
-func commitFile(fs fsys, path string, data []byte, durable bool) error {
+// kill at any instant leaves the old file or the new one, never a mix;
+// the two fsyncs extend this to a power cut. The directory is created
+// when missing.
+func commitFile(fs fsys, path string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := fs.MkdirAll(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("store: committing %s: %w", filepath.Base(path), err)
@@ -158,7 +140,7 @@ func commitFile(fs fsys, path string, data []byte, durable bool) error {
 	f, err := fs.Create(tmp)
 	if err == nil {
 		_, err = f.Write(data)
-		if err == nil && durable {
+		if err == nil {
 			err = f.Sync()
 		}
 		if cerr := f.Close(); err == nil {
@@ -172,10 +154,8 @@ func commitFile(fs fsys, path string, data []byte, durable bool) error {
 		_ = fs.Remove(tmp) // best effort: a scan removes what this leaves
 		return fmt.Errorf("store: committing %s: %w", filepath.Base(path), err)
 	}
-	if durable {
-		// Best effort: some platforms refuse to sync a directory handle.
-		_ = fs.SyncDir(filepath.Dir(path))
-	}
+	// Best effort: some platforms refuse to sync a directory handle.
+	_ = fs.SyncDir(filepath.Dir(path))
 	return nil
 }
 

@@ -15,21 +15,20 @@ import (
 )
 
 // trailClient is one of the three users of Trail, reduced to what the
-// protocol sees of it: a file name, a durability, valid bytes for an
-// entry, and the verifier that tells valid from torn.
+// protocol sees of it: a file name, valid bytes for an entry, and the
+// verifier that tells valid from torn.
 type trailClient struct {
-	name    string
-	format  string
-	durable bool
-	entry   func(seq int) []byte
-	verify  func(data []byte) error
+	name   string
+	format string
+	entry  func(seq int) []byte
+	verify func(data []byte) error
 }
 
 func trailClients(t testing.TB) []trailClient {
 	return []trailClient{
 		{
 			// The disk store's evidence entries.
-			name: "segment", format: evidenceFormat, durable: true,
+			name: "segment", format: evidenceFormat,
 			entry: func(seq int) []byte {
 				keys := sortedKeys(rand.New(rand.NewSource(int64(seq))), 40+seq)
 				data, err := (&wire.Delta{Round: seq, Keys: keys}).Marshal(wire.Binary)
@@ -46,7 +45,7 @@ func trailClients(t testing.TB) []trailClient {
 		{
 			// The service journal's shape: record lines, then a footer
 			// line carrying their count.
-			name: "journal-batch", format: "batch-%06d.tsv", durable: true,
+			name: "journal-batch", format: "batch-%06d.tsv",
 			entry: func(seq int) []byte {
 				var b bytes.Buffer
 				fmt.Fprintf(&b, "# batch-%06d\n", seq)
@@ -74,7 +73,9 @@ func trailClients(t testing.TB) []trailClient {
 			},
 		},
 		{
-			name: "round-record", format: "round-%06d.ckpt", durable: false,
+			// A run's round checkpoint: the engine only ever writes entry
+			// 0, but the protocol is the same for any sequence number.
+			name: "round-record", format: "checkpoint-%06d.ckpt",
 			entry: func(seq int) []byte {
 				ck := &wire.Checkpoint{
 					Scheme: "SMP", Matcher: "mln", Neighborhoods: 3, Entities: 100_000, Round: seq,
@@ -124,7 +125,7 @@ func TestTrail(t *testing.T) {
 	for _, c := range trailClients(t) {
 		t.Run(c.name, func(t *testing.T) {
 			newTrail := func(t *testing.T) *Trail {
-				tr := &Trail{Dir: filepath.Join(t.TempDir(), "trail"), Format: c.format, Durable: c.durable}
+				tr := &Trail{Dir: filepath.Join(t.TempDir(), "trail"), Format: c.format}
 				for seq := 1; seq <= 3; seq++ {
 					if err := tr.Commit(seq, c.entry(seq)); err != nil {
 						t.Fatal(err)
@@ -210,22 +211,6 @@ func TestTrail(t *testing.T) {
 				}
 				present(t, tr, foreign)
 			})
-
-			t.Run("clear", func(t *testing.T) {
-				tr := newTrail(t)
-				plant(t, tr, foreign...)
-				if err := tr.Clear(); err != nil {
-					t.Fatal(err)
-				}
-				seqs, _, err := scanned(tr, c.verify)
-				if err != nil || len(seqs) != 0 {
-					t.Fatalf("scan after Clear = %v, %v; want empty", seqs, err)
-				}
-				if got := listDir(t, tr.Dir); len(got) != len(foreign) {
-					t.Errorf("after Clear the directory holds %v, want only %v", got, foreign)
-				}
-				present(t, tr, foreign)
-			})
 		})
 	}
 
@@ -233,9 +218,6 @@ func TestTrail(t *testing.T) {
 		tr := &Trail{Dir: filepath.Join(t.TempDir(), "never-created"), Format: evidenceFormat}
 		if err := tr.Scan(func(int, []byte) error { return errors.New("called") }); err != nil {
 			t.Errorf("Scan of a missing directory: %v", err)
-		}
-		if err := tr.Clear(); err != nil {
-			t.Errorf("Clear of a missing directory: %v", err)
 		}
 	})
 }
@@ -253,9 +235,9 @@ type faultFS struct {
 	// short makes the failing call, when it is a Write, land half its
 	// bytes first.
 	short bool
-	// tear models the power cut a non-Durable trail is exposed to: at the
-	// fault, the newest file that was renamed without an fsync loses its
-	// second half.
+	// tear models a power cut: at the fault, the newest file that was
+	// renamed without an fsync loses its second half. Every commit syncs
+	// before its rename, so no file should be exposed to it.
 	tear     bool
 	synced   map[string]bool
 	volatile string
@@ -408,7 +390,7 @@ func sweepScript(root string, fs fsys) (out sweepOutcome) {
 		}
 	}
 
-	journal := &Trail{Dir: filepath.Join(root, "journal"), Format: "batch-%06d.tsv", Durable: true, fs: fs}
+	journal := &Trail{Dir: filepath.Join(root, "journal"), Format: "batch-%06d.tsv", fs: fs}
 	commit := func(seq int, content string) bool {
 		out.pending[seq] = content
 		if journal.Commit(seq, []byte(content)) != nil {
@@ -429,17 +411,19 @@ func sweepScript(root string, fs fsys) (out sweepOutcome) {
 		return out
 	}
 
-	rounds := &Trail{Dir: filepath.Join(root, "rounds"), Format: "round-%06d.ckpt", Durable: false, fs: fs}
-	for seq := 1; seq <= 3; seq++ {
-		if rounds.Commit(seq, sweepRound("first", seq)) != nil {
+	// A run's checkpoint: each round replaces entry 0, and a fresh run
+	// removes it before its first round.
+	ckpt := &Trail{Dir: filepath.Join(root, "checkpoint"), Format: "checkpoint-%06d.ckpt", fs: fs}
+	for round := 1; round <= 3; round++ {
+		if ckpt.Commit(0, sweepRound("first", round)) != nil {
 			return out
 		}
 	}
-	if rounds.Clear() != nil {
+	if ckpt.Remove(0) != nil {
 		return out
 	}
-	for seq := 1; seq <= 2; seq++ {
-		if rounds.Commit(seq, sweepRound("second", seq)) != nil {
+	for round := 1; round <= 2; round++ {
+		if ckpt.Commit(0, sweepRound("second", round)) != nil {
 			return out
 		}
 	}
@@ -514,7 +498,7 @@ func TestTrailFaultSweep(t *testing.T) {
 			}
 			d.Close()
 
-			journal := &Trail{Dir: filepath.Join(root, "journal"), Format: "batch-%06d.tsv", Durable: true}
+			journal := &Trail{Dir: filepath.Join(root, "journal"), Format: "batch-%06d.tsv"}
 			entries, err := contents(journal)
 			if err != nil {
 				t.Fatalf("%s: scanning the journal: %v", at, err)
@@ -523,22 +507,22 @@ func TestTrailFaultSweep(t *testing.T) {
 				t.Fatalf("%s: journal scans back %v, acknowledged %v (in flight: %v)", at, entries, out.journal, out.pending)
 			}
 
-			rounds := &Trail{Dir: filepath.Join(root, "rounds"), Format: "round-%06d.ckpt", Durable: false}
-			records, err := contents(rounds)
+			ckpt := &Trail{Dir: filepath.Join(root, "checkpoint"), Format: "checkpoint-%06d.ckpt"}
+			records, err := contents(ckpt)
 			if err != nil {
-				t.Fatalf("%s: scanning the round trail: %v", at, err)
+				t.Fatalf("%s: scanning the checkpoint: %v", at, err)
 			}
 			for seq, data := range records {
-				// Not fsynced, so the newest record may be torn: it then
-				// fails a real verifier, which this scan does not have.
-				whole := data == string(sweepRound("first", seq)) || data == string(sweepRound("second", seq))
-				torn := hostile && (strings.HasPrefix(string(sweepRound("first", seq)), data) || strings.HasPrefix(string(sweepRound("second", seq)), data))
-				if !whole && !torn {
-					t.Fatalf("%s: round record %d holds %q", at, seq, data)
+				whole := false
+				for round := 1; round <= 3; round++ {
+					whole = whole || data == string(sweepRound("first", round)) || data == string(sweepRound("second", round))
+				}
+				if seq != 0 || !whole {
+					t.Fatalf("%s: checkpoint entry %d holds %q", at, seq, data)
 				}
 			}
 
-			for _, dir := range []string{"store", "journal", "rounds"} {
+			for _, dir := range []string{"store", "journal", "checkpoint"} {
 				if tmps, _ := filepath.Glob(filepath.Join(root, dir, "*.tmp")); len(tmps) != 0 {
 					t.Fatalf("%s: temp files survived recovery: %v", at, tmps)
 				}
@@ -554,15 +538,14 @@ func TestTrailFaultSweep(t *testing.T) {
 }
 
 // FuzzTrailScan throws arbitrary directory listings and contents at a
-// trail: Scan and Clear must never panic and never remove, rename or
-// rewrite a file that is not the trail's own (an entry, its *.tmp, its
-// *.corrupt).
+// trail: Scan must never panic and never remove, rename or rewrite a file
+// that is not the trail's own (an entry, its *.tmp, its *.corrupt).
 func FuzzTrailScan(f *testing.F) {
 	f.Add([]byte("\x00ok\xff\x01ok\xff\x02torn"), uint8(0))
 	f.Add([]byte("\x10orphan\xff\x20quarantined\xff\x31foreign\xff\x02ok"), uint8(1))
 	f.Add([]byte("\x33notes.tmp\xff\x00bad\xff\x01ok"), uint8(2))
 	f.Add([]byte{}, uint8(0))
-	formats := []string{evidenceFormat, "batch-%06d.tsv", "round-%06d.ckpt"}
+	formats := []string{evidenceFormat, "batch-%06d.tsv", "checkpoint-%06d.ckpt"}
 	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789.-_%"
 
 	f.Fuzz(func(t *testing.T, listing []byte, pick uint8) {
@@ -618,14 +601,5 @@ func FuzzTrailScan(f *testing.F) {
 			return nil
 		})
 		intact("Scan")
-		if err := tr.Clear(); err != nil {
-			t.Fatal(err)
-		}
-		intact("Clear")
-		for _, name := range listDir(t, tr.Dir) {
-			if _, own := tr.seqOf(strings.TrimSuffix(name, ".tmp")); own {
-				t.Fatalf("Clear left the trail's own %q behind", name)
-			}
-		}
 	})
 }

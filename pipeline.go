@@ -166,12 +166,12 @@ func (p *Pipeline) Run(ctx context.Context, records []Record) (*PipelineResult, 
 }
 
 // Resume re-runs the pipeline on the same records but continues the
-// matching stage from the checkpoint trail configured via
+// matching stage from the checkpoint configured via
 // WithRunnerOptions(WithCheckpointDir(dir)) — the recovery path for a
 // pipeline killed mid-matching. Blocking is deterministic for any shard
-// count, so re-running it reconstructs the identical cover the trail
+// count, so re-running it reconstructs the identical cover the checkpoint
 // was written against; the matching stage then picks up at the first
-// unfinished round.
+// unfinished round (Runner.Resume).
 func (p *Pipeline) Resume(ctx context.Context, records []Record) (*PipelineResult, error) {
 	return p.run(ctx, records, true)
 }

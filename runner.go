@@ -102,22 +102,21 @@ func WithShardCount(k int) RunnerOption {
 	return func(r *Runner) { r.backend = NewShardedNetBackend(k) }
 }
 
-// WithCheckpointDir persists a checkpoint to dir after every completed
-// round of a neighborhood-scheme run: the round's evidence delta plus
-// the state needed to restart at the next round boundary, in the
-// internal/wire format. A killed run is continued with Runner.Resume;
-// a fresh Run clears any previous trail in dir first. FULL and UB have
-// no rounds and ignore the option.
+// WithCheckpointDir keeps a checkpoint of a neighborhood-scheme run in
+// dir: after every completed round the run's whole state — its evidence
+// M+, the next active set, outstanding maximal messages, visits and
+// stats — replaces the one checkpoint file, in the internal/wire format
+// of a store's state blob and with the same durable commit (fsync before
+// rename). A killed run is continued with Runner.Resume; a fresh Run
+// removes the previous checkpoint first. Other files in dir, such as the
+// round-NNNNNN.ckpt files of older builds, are never read, written or
+// removed. FULL and UB have no rounds and ignore the option.
 //
-// The trail is the MID-RUN durability mechanism: it replays rounds to
-// recover a killed run. It survives the death of the process, not a
-// power cut (it is not fsynced; a record torn that way is set aside on
-// resume and the run continues from the round before it). It is not the
-// only persistence the engine has — completed state lives in a Store
-// (see SaveState): its snapshot blob reopens on restart with no replay at
-// all (Pipeline.Reopen). A batch run wants the trail for mid-run kills; a
-// long-lived service journals its input beside its store and reruns an
-// interrupted batch from the journal instead.
+// The checkpoint recovers a run killed MID-RUN. Completed state lives in
+// a Store (see SaveState), whose state blob reopens on restart with no
+// run at all (Pipeline.Reopen). A batch run wants the checkpoint for
+// mid-run kills; a long-lived service journals its input beside its
+// store and reruns an interrupted batch from the journal instead.
 func WithCheckpointDir(dir string) RunnerOption {
 	return func(r *Runner) { r.ckptDir = dir }
 }
@@ -180,13 +179,14 @@ func (r *Runner) Run(ctx context.Context, s Scheme) (*Result, error) {
 }
 
 // Resume continues a previous checkpointed run of scheme s from the
-// configured WithCheckpointDir directory: the persisted rounds are
-// replayed from their serialized evidence deltas and execution picks up
-// at the first unfinished round, landing on the same output the
-// uninterrupted run would have produced (consistency). An empty
-// directory resumes into a fresh run; a completed trail rebuilds the
-// result without calling the matcher. The trail must come from the same
-// scheme over the same experiment.
+// configured WithCheckpointDir directory: the checkpoint's state is
+// installed and execution picks up at the first unfinished round,
+// landing on the same output the uninterrupted run would have produced
+// (consistency). A directory without a checkpoint resumes into a fresh
+// run, and so does one whose checkpoint does not decode (it is set aside
+// as *.corrupt); a completed run's checkpoint rebuilds the result without
+// calling the matcher. The checkpoint must come from the same scheme and
+// matcher over the same experiment.
 func (r *Runner) Resume(ctx context.Context, s Scheme) (*Result, error) {
 	if r.ckptDir == "" {
 		return nil, fmt.Errorf("cem: Resume requires WithCheckpointDir")

@@ -3,10 +3,10 @@ package cem
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/wire"
 	"repro/match"
 )
 
@@ -41,19 +41,12 @@ func SaveState(s match.Store, res *PipelineResult, seq int) error {
 	if seq < 0 {
 		return fmt.Errorf("cem: SaveState sequence %d is negative", seq)
 	}
-	if schemeFromCore(res.Scheme) == "" {
+	if !slices.ContainsFunc([]Scheme{SchemeNoMP, SchemeSMP, SchemeMMP}, func(s Scheme) bool { return coreScheme(s) == res.Scheme }) {
 		return fmt.Errorf("cem: SaveState: scheme %q results have no round structure to continue", res.Scheme)
 	}
-	cover := res.Experiment.Cover
-	st := &core.State{Evidence: res.evidence().SortedKeys(), Messages: res.Messages, Header: wire.Checkpoint{
-		Scheme:        res.Scheme,
-		Matcher:       res.Matcher,
-		Neighborhoods: cover.Len(),
-		Entities:      cover.NumEntities,
-		Round:         seq,
-		Done:          true,
-		Visits:        make([]int, cover.Len()),
-	}}
+	h := core.Header(res.Scheme, res.Matcher, res.Experiment.Cover, seq)
+	h.Done = true
+	st := &core.State{Header: h, Evidence: res.evidence().SortedKeys(), Messages: res.Messages}
 	data, err := st.Marshal()
 	if err != nil {
 		return fmt.Errorf("cem: encoding state snapshot: %w", err)
@@ -101,7 +94,8 @@ func StateSeq(s match.Store) (int, error) {
 // dataset, the index and the cover built from the records — and the
 // matcher is NEVER invoked: the match set and the outstanding messages
 // come from the snapshot, whose scheme, matcher, entity count and set count
-// must agree with the pipeline and the rebuilt cover. The returned result
+// must agree with the pipeline and the rebuilt cover (core.CheckHeader,
+// the check a checkpoint resume makes). The returned result
 // carries the streaming state Update needs, so ingestion continues
 // incrementally exactly as if the process had never died. Run statistics
 // are not persisted; the reopened result's Stats are zero apart from
@@ -115,33 +109,21 @@ func (p *Pipeline) Reopen(ctx context.Context, records []Record, s match.Store) 
 	if err != nil {
 		return nil, 0, err
 	}
-	ck := &st.Header
-	if got := schemeFromCore(ck.Scheme); got != p.scheme {
-		return nil, 0, fmt.Errorf("cem: store state was saved from scheme %q, pipeline runs %q", ck.Scheme, p.scheme)
-	}
-	if ck.Matcher != p.matcher {
-		return nil, 0, fmt.Errorf("cem: store state was saved by matcher %q, pipeline runs %q", ck.Matcher, p.matcher)
-	}
-	if ck.Entities != len(records) {
-		return nil, 0, fmt.Errorf("cem: store state spans %d entities but %d records were supplied", ck.Entities, len(records))
-	}
-
 	start := time.Now()
 	index, exp, runner, labeled, err := p.block(ctx, records)
 	if err != nil {
 		return nil, 0, err
 	}
-	cover := exp.Cover
-	if cover.Len() != ck.Neighborhoods {
-		return nil, 0, fmt.Errorf("cem: reopened blocking state (%d sets) disagrees with the snapshot (%d sets) — were the records the saved stream?",
-			cover.Len(), ck.Neighborhoods)
+	ck := &st.Header
+	if err := core.CheckHeader(ck, coreScheme(p.scheme), p.matcher, exp.Cover); err != nil {
+		return nil, 0, fmt.Errorf("cem: the pipeline over these records disagrees with the snapshot: %w", err)
 	}
 	blockingTime := time.Since(start)
 
 	// Fabricate the engine result from the snapshot: evidence and
 	// messages verbatim, no matcher involvement.
 	rawRes := &core.Result{Scheme: ck.Scheme, Matches: core.NewPairSet(), Messages: st.Messages}
-	rawRes.Stats.Neighborhoods = cover.Len()
+	rawRes.Stats.Neighborhoods = ck.Neighborhoods
 	for _, k := range st.Evidence {
 		rawRes.Matches.AddKey(k)
 	}
@@ -151,18 +133,4 @@ func (p *Pipeline) Reopen(ctx context.Context, records []Record, s match.Store) 
 		BlockingTime: blockingTime,
 		index:        index,
 	}, labeled), ck.Round, nil
-}
-
-// schemeFromCore maps the engine's canonical scheme name back to the
-// public constant ("" for whole-set schemes, which save no state).
-func schemeFromCore(s string) Scheme {
-	switch s {
-	case "NO-MP":
-		return SchemeNoMP
-	case "SMP":
-		return SchemeSMP
-	case "MMP":
-		return SchemeMMP
-	}
-	return ""
 }

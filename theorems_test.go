@@ -342,8 +342,8 @@ func (sc scenario) variant(t *testing.T, w *world, matcher string, o *outcome) *
 
 // seeded warm-starts the run from half the reference's matches plus every
 // foreign pair, every neighborhood active: the run must carry the pairs it
-// was seeded with, its trail must open with the seed, and replaying the
-// trail must rebuild the result.
+// was seeded with, its first checkpoint must be the seed, and resuming
+// its checkpoint — the finished one or the seed — must rebuild the result.
 func (sc scenario) seeded(t *testing.T, w *world, matcher string, opts []cem.RunnerOption) *cem.Result {
 	ref := sc.ref(t, sc.scheme)
 	foreign := w.foreign
@@ -369,19 +369,29 @@ func (sc scenario) seeded(t *testing.T, w *world, matcher string, opts []cem.Run
 		warm.Messages = ref.Messages
 	}
 	dir := t.TempDir()
-	opts = append(opts, cem.WithCheckpointDir(dir))
-	res, err := cem.RunWarm(context.Background(), runner(t, w.exp, matcher, opts...), sc.scheme, warm)
+	res, err := cem.RunWarm(context.Background(), runner(t, w.exp, matcher, append(opts, cem.WithCheckpointDir(dir))...), sc.scheme, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lost := foreign.Minus(res.Matches); lost.Len() > 0 {
 		t.Errorf("%v: the run dropped %d of the pairs it was seeded with", sc, lost.Len())
 	}
-	if first := readCheckpoint(t, filepath.Join(dir, "round-000001.ckpt")); !slices.EqualFunc(first.Delta, warm.Evidence, func(a uint64, b match.PairKey) bool { return a == uint64(b) }) {
-		t.Errorf("%v: the trail's seed record holds %d keys, the seed %d", sc, len(first.Delta), len(warm.Evidence))
+	if resumed := resume(t, runner(t, w.exp, matcher, append(opts, cem.WithCheckpointDir(dir))...), sc.scheme); !resumed.Matches.Equal(res.Matches) {
+		t.Errorf("%v: replaying the seeded checkpoint: extra %v, missing %v", sc, resumed.Matches.Minus(res.Matches).Sorted(), res.Matches.Minus(resumed.Matches).Sorted())
 	}
-	if resumed := resume(t, runner(t, w.exp, matcher, opts...), sc.scheme); !resumed.Matches.Equal(res.Matches) {
-		t.Errorf("%v: replaying the seeded trail: extra %v, missing %v", sc, resumed.Matches.Minus(res.Matches).Sorted(), res.Matches.Minus(resumed.Matches).Sorted())
+	// Killed before its first round ends, the run leaves its seed as its
+	// checkpoint, and resuming that lands on the same result.
+	dir = t.TempDir()
+	killed, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := cem.RunWarm(killed, runner(t, w.exp, matcher, append(opts, cem.WithCheckpointDir(dir))...), sc.scheme, warm); !errors.Is(err, context.Canceled) {
+		t.Fatalf("%v: killed seeded run: %v, want context.Canceled", sc, err)
+	}
+	if first := lastCheckpoint(t, dir); first == nil || !slices.EqualFunc(first.Delta, warm.Evidence, func(a uint64, b match.PairKey) bool { return a == uint64(b) }) {
+		t.Errorf("%v: the killed run's checkpoint is not the seed's %d keys", sc, len(warm.Evidence))
+	}
+	if resumed := resume(t, runner(t, w.exp, matcher, append(opts, cem.WithCheckpointDir(dir))...), sc.scheme); !resumed.Matches.Equal(res.Matches) {
+		t.Errorf("%v: resuming the seed checkpoint: extra %v, missing %v", sc, resumed.Matches.Minus(res.Matches).Sorted(), res.Matches.Minus(resumed.Matches).Sorted())
 	}
 	return res
 }
@@ -595,10 +605,9 @@ func checkSaved(t *testing.T, st match.Store, exp *cem.Experiment, res *cem.Resu
 	}
 }
 
-// lastCheckpoint decodes the highest-round checkpoint in dir; nil when
-// the trail is empty.
+// lastCheckpoint decodes the checkpoint in dir; nil when there is none.
 func lastCheckpoint(t *testing.T, dir string) *wire.Checkpoint {
-	files, _ := filepath.Glob(filepath.Join(dir, "round-*.ckpt"))
+	files, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
 	if len(files) == 0 {
 		return nil
 	}
