@@ -169,6 +169,7 @@ bench-pair:
 fuzz:
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzJaroMatchesReference$$' -fuzztime 10s ./internal/similarity/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzNameLevelSymmetric$$' -fuzztime 10s ./internal/similarity/
+	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzParseNameMatchesReference$$' -fuzztime 10s ./internal/similarity/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzNameTableLevel$$' -fuzztime 10s ./internal/bib/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime 10s ./internal/bib/
 	$(GO) test $(GOFLAGS) -run '^$$' -fuzz '^FuzzTableModel$$' -fuzztime 10s ./internal/flat/

@@ -126,23 +126,24 @@ func (d *Dataset) InvalidateCoauthor() { d.coauthor, d.names, d.groups = nil, ni
 // TruePairs returns the ground-truth match set: every unordered pair of
 // references with the same true author. References with an unknown label
 // (True < 0) never pair with anything. Cost is quadratic per author
-// cluster, which matches real label distributions (small clusters).
+// cluster, which matches real label distributions (small clusters). The
+// set is sized to hold the Σ C(k, 2) pairs of the clusters before it is
+// filled.
 func (d *Dataset) TruePairs() map[[2]RefID]bool {
 	byAuthor := map[AuthorID][]RefID{}
 	for i := range d.Refs {
-		if d.Refs[i].True < 0 {
-			continue
+		if t := d.Refs[i].True; t >= 0 {
+			byAuthor[t] = append(byAuthor[t], RefID(i))
 		}
-		byAuthor[d.Refs[i].True] = append(byAuthor[d.Refs[i].True], RefID(i))
 	}
-	out := map[[2]RefID]bool{}
+	pairs := 0
 	for _, refs := range byAuthor {
-		for i := 0; i < len(refs); i++ {
-			for j := i + 1; j < len(refs); j++ {
-				a, b := refs[i], refs[j]
-				if a > b {
-					a, b = b, a
-				}
+		pairs += len(refs) * (len(refs) - 1) / 2
+	}
+	out := make(map[[2]RefID]bool, pairs)
+	for _, refs := range byAuthor {
+		for i, a := range refs { // ascending, so a < b
+			for _, b := range refs[i+1:] {
 				out[[2]RefID{a, b}] = true
 			}
 		}

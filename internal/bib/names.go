@@ -2,7 +2,7 @@ package bib
 
 import (
 	"iter"
-	"slices"
+	"strings"
 
 	"repro/internal/flat"
 	"repro/internal/similarity"
@@ -31,6 +31,12 @@ import (
 // Papers: get it from Dataset.Names, never store it. Dataset.Extend gives
 // its result a continuation of the table (extend), so a stream of extended
 // datasets parses each reference and scores each pair once.
+//
+// What extend builds is sized from counts, not grown: the class column
+// from the reference count, the rendered names and the class dictionary
+// from the reference count (a bound on the classes the references open),
+// and every other per-class column and the last-name dictionary from the
+// class count once the references are classed.
 type NameTable struct {
 	class []int32           // reference -> class of its parsed name
 	names []similarity.Name // class -> the parsed name its references share
@@ -38,6 +44,10 @@ type NameTable struct {
 	self  []uint8           // class -> the level of the name with itself
 	last  []int32           // class -> id of its last name
 	lasts []string          // last-name id -> the last name
+	// The dictionaries: rendered name -> class, last name -> last-name id.
+	// A rendered name determines its parsed name (the last name is what
+	// follows its last space).
+	ids, lastIDs flat.Strings
 	// The scored pairs: one word per pair, its flat.Pair key with the level
 	// in the two payload bits — of distinct last names in lastPairs, of
 	// distinct spelled-out classes with similar last names in pairs. Both
@@ -54,45 +64,56 @@ func newNameTable(refs []Reference) *NameTable {
 }
 
 // extend returns the table of t's references followed by refs, leaving t
-// as it was: t's slices are shared up to their length and only appended to
-// past it, and its scored pairs are copied.
+// as it was: t's columns are copied into columns sized for the result, and
+// its dictionaries and scored pairs are cloned.
 func (t *NameTable) extend(refs []Reference) *NameTable {
 	u := &NameTable{
-		class: append(make([]int32, 0, len(t.class)+len(refs)), t.class...),
-		names: slices.Clip(t.names), full: slices.Clip(t.full), self: slices.Clip(t.self),
-		last: slices.Clip(t.last), lasts: slices.Clip(t.lasts),
+		class:     make([]int32, len(t.class), len(t.class)+len(refs)),
+		full:      make([]string, len(t.full), len(t.full)+len(refs)),
 		lastPairs: t.lastPairs.Clone(), pairs: t.pairs.Clone(), keptRefs: len(t.class), keptPairs: t.Scored(),
 	}
-	// Rebuilt, not kept and cloned: hashing the names into a presized map
-	// measured cheaper than maps.Clone (Go 1.24, 400-5 000 classes).
-	ids := make(map[similarity.Name]int32, len(t.names)+len(refs))
-	for c, name := range t.names {
-		ids[name] = int32(c)
+	copy(u.class, t.class)
+	copy(u.full, t.full)
+	if len(t.full) == 0 {
+		u.ids = flat.NewStrings(len(refs))
+	} else {
+		u.ids = t.ids.Clone()
 	}
-	lastIDs := make(map[string]int32, len(t.lasts)+len(refs))
-	for l, last := range t.lasts {
-		lastIDs[last] = int32(l)
-	}
+	fullOf := func(c int32) string { return u.full[c] }
 	for i := range refs {
-		name := similarity.ParseName(refs[i].Name)
-		c, ok := ids[name]
-		if !ok {
-			c = int32(len(u.names))
-			ids[name] = c
-			u.names = append(u.names, name)
-			u.full = append(u.full, name.String())
-			// Decided by string equality alone, so worth no cache slot;
-			// LevelNone for a name with no last token.
-			u.self = append(u.self, uint8(similarity.NameLevel(name, name)))
-			l, ok := lastIDs[name.Last]
-			if !ok {
-				l = int32(len(u.lasts))
-				lastIDs[name.Last] = l
-				u.lasts = append(u.lasts, name.Last)
-			}
-			u.last = append(u.last, l)
+		_, rendered := similarity.ParseNameRendered(refs[i].Name)
+		c, known := u.ids.ID(rendered, int32(len(u.full)), fullOf)
+		if !known {
+			u.full = append(u.full, rendered)
 		}
 		u.class = append(u.class, c)
+	}
+
+	classes, opened := len(u.full), len(u.full)-len(t.full)
+	u.names = append(make([]similarity.Name, 0, classes), t.names...)
+	u.self = append(make([]uint8, 0, classes), t.self...)
+	u.last = append(make([]int32, 0, classes), t.last...)
+	u.lasts = append(make([]string, 0, len(t.lasts)+opened), t.lasts...)
+	if len(t.lasts) == 0 {
+		u.lastIDs = flat.NewStrings(opened)
+	} else {
+		u.lastIDs = t.lastIDs.Clone()
+	}
+	lastOf := func(l int32) string { return u.lasts[l] }
+	for _, rendered := range u.full[len(t.full):] {
+		name := similarity.Name{Last: rendered} // the parsed name rendered is
+		if i := strings.LastIndexByte(rendered, ' '); i >= 0 {
+			name = similarity.Name{First: rendered[:i], Last: rendered[i+1:]}
+		}
+		u.names = append(u.names, name)
+		// Decided by string equality alone, so worth no cache slot;
+		// LevelNone for a name with no last token.
+		u.self = append(u.self, uint8(similarity.NameLevel(name, name)))
+		l, known := u.lastIDs.ID(name.Last, int32(len(u.lasts)), lastOf)
+		if !known {
+			u.lasts = append(u.lasts, name.Last)
+		}
+		u.last = append(u.last, l)
 	}
 	return u
 }

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/flat"
 	"repro/internal/store"
 )
 
@@ -62,6 +63,10 @@ var ErrNotFromRecords = errors.New("bib: dataset was not built from records")
 // names are parsed and the pairs d scored stay scored. d is read and
 // never written, not even by its lazy Names or Coauthor, so any number of
 // goroutines may extend one dataset at once.
+//
+// What it builds is sized from counts of recs: the references, the name
+// dictionary, and the papers recs open with their reference lists, laid
+// out in one counting pass. A synthesized paper has no title.
 func (d *Dataset) Extend(name string, recs []Record) (*Dataset, error) {
 	if d.groups == nil {
 		return nil, ErrNotFromRecords
@@ -69,36 +74,54 @@ func (d *Dataset) Extend(name string, recs []Record) (*Dataset, error) {
 	e := &Dataset{
 		Name:   name,
 		Refs:   append(make([]Reference, 0, len(d.Refs)+len(recs)), d.Refs...),
-		Papers: slices.Clone(d.Papers),
 		groups: maps.Clone(d.groups),
 	}
 	// Surface strings repeat heavily (the same rendered author name
-	// appears on many references); interning stores each distinct one
-	// once, which is what keeps a large streamed corpus's reference
-	// table from duplicating every repeated name.
-	names := store.NewInterner()
-	for _, r := range recs {
+	// appears on many references); the reference table keeps the first
+	// record's string of each distinct name, so a large streamed corpus's
+	// references do not hold every repeated name.
+	names := flat.NewStrings(len(recs))
+	nameOf := func(r int32) string { return e.Refs[r].Name }
+	pids := make([]PaperID, len(recs))
+	opened := 0 // papers recs open
+	for i, r := range recs {
 		rid := RefID(len(e.Refs))
 		if r.Name == "" {
 			return nil, fmt.Errorf("bib: record %d has an empty name", rid)
 		}
 		pid, ok := e.groups[r.Group]
 		if !ok {
-			pid = PaperID(len(e.Papers))
-			if r.Group < 0 {
-				e.Papers = append(e.Papers, Paper{Title: fmt.Sprintf("record-%d", rid)})
-			} else {
-				e.Papers = append(e.Papers, Paper{Title: fmt.Sprintf("group-%d", r.Group)})
+			pid = PaperID(len(d.Papers) + opened)
+			opened++
+			if r.Group >= 0 {
 				e.groups[r.Group] = pid
 			}
 		}
-		e.Refs = append(e.Refs, Reference{Name: names.Intern(r.Name), Paper: pid, True: max(r.Gold, -1)})
-		// A paper of d lends its list: copy it before it grows.
-		refs := e.Papers[pid].Refs
-		if int(pid) < len(d.Papers) {
-			refs = slices.Clip(refs)
+		pids[i] = pid
+		ref := Reference{Name: r.Name, Paper: pid, True: max(r.Gold, -1)}
+		if first, ok := names.ID(r.Name, rid, nameOf); ok {
+			ref.Name = e.Refs[first].Name
 		}
-		e.Papers[pid].Refs = append(refs, rid)
+		e.Refs = append(e.Refs, ref)
+	}
+	e.Papers = append(make([]Paper, 0, len(d.Papers)+opened), d.Papers...)
+	e.Papers = e.Papers[:len(d.Papers)+opened]
+	base := RefID(len(d.Refs))
+	off, refs := flat.Bucket(opened, func(yield func(int32, RefID)) {
+		for i, pid := range pids {
+			if int(pid) >= len(d.Papers) {
+				yield(pid-PaperID(len(d.Papers)), base+RefID(i))
+			}
+		}
+	})
+	for k := range opened {
+		e.Papers[len(d.Papers)+k].Refs = refs[off[k]:off[k+1]:off[k+1]]
+	}
+	for i, pid := range pids {
+		if int(pid) < len(d.Papers) {
+			// A paper of d lends its list: copy it before it grows.
+			e.Papers[pid].Refs = append(slices.Clip(e.Papers[pid].Refs), base+RefID(i))
+		}
 	}
 	if err := e.Validate(); err != nil {
 		return nil, fmt.Errorf("bib: records produced an invalid dataset: %w", err)
@@ -185,19 +208,17 @@ func ReadRecords(r io.Reader) (name string, recs []Record, err error) {
 		if strings.HasPrefix(text, "#") {
 			continue
 		}
-		fields := strings.SplitN(text, "\t", 3)
-		if len(fields) != 3 {
-			return "", nil, fmt.Errorf("bib: line %d: record wants 3 fields, got %d", line, len(fields))
-		}
-		group, err := strconv.ParseInt(fields[0], 10, 32)
+		rec, err := parseRecord(text)
 		if err != nil {
-			return "", nil, fmt.Errorf("bib: line %d: bad group: %v", line, err)
+			// A read that fails mid-line hands the scanner's last token the
+			// partial line: the read error, not the cut line, is the cause.
+			if rerr := sc.Err(); rerr != nil {
+				return "", nil, fmt.Errorf("bib: reading records: %w", rerr)
+			}
+			return "", nil, fmt.Errorf("bib: line %d: %w", line, err)
 		}
-		gold, err := strconv.ParseInt(fields[1], 10, 32)
-		if err != nil {
-			return "", nil, fmt.Errorf("bib: line %d: bad gold id: %v", line, err)
-		}
-		recs = append(recs, Record{Name: names.Intern(fields[2]), Group: int32(group), Gold: int32(gold)})
+		rec.Name = names.Intern(rec.Name)
+		recs = append(recs, rec)
 	}
 	if err := sc.Err(); err != nil {
 		return "", nil, fmt.Errorf("bib: reading records: %w", err)
@@ -206,4 +227,21 @@ func ReadRecords(r io.Reader) (name string, recs []Record, err error) {
 		return "", nil, fmt.Errorf("bib: no records in input")
 	}
 	return name, recs, nil
+}
+
+// parseRecord parses one record line: group, gold and name, tab-separated.
+func parseRecord(text string) (Record, error) {
+	fields := strings.SplitN(text, "\t", 3)
+	if len(fields) != 3 {
+		return Record{}, fmt.Errorf("record wants 3 fields, got %d", len(fields))
+	}
+	group, err := strconv.ParseInt(fields[0], 10, 32)
+	if err != nil {
+		return Record{}, fmt.Errorf("bad group: %v", err)
+	}
+	gold, err := strconv.ParseInt(fields[1], 10, 32)
+	if err != nil {
+		return Record{}, fmt.Errorf("bad gold id: %v", err)
+	}
+	return Record{Name: fields[2], Group: int32(group), Gold: int32(gold)}, nil
 }

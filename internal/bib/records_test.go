@@ -2,6 +2,7 @@ package bib
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -117,6 +118,35 @@ func TestReadRecordsErrors(t *testing.T) {
 	for _, bad := range badRecordInputs {
 		if _, _, err := ReadRecords(bytes.NewBufferString(bad)); err == nil {
 			t.Errorf("ReadRecords(%q): no error", bad)
+		}
+	}
+}
+
+// failingReader returns its data and then err, as a size-bounded request
+// body does when a read passes the bound.
+type failingReader struct {
+	data string
+	err  error
+}
+
+func (r *failingReader) Read(p []byte) (int, error) {
+	if r.data == "" {
+		return 0, r.err
+	}
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// TestReadRecordsReportsReadError: a reader that fails mid-line leaves a
+// partial last line, and ReadRecords reports the read error, not the line —
+// whether the cut line parses as a record or not.
+func TestReadRecordsReportsReadError(t *testing.T) {
+	cause := errors.New("request body too large")
+	for _, data := range []string{"# records x\n0\t1\tsmith\n2", "0\t1\tsmith\n2\t", "0\t1\tsmith\n2\t3\tjo"} {
+		_, _, err := ReadRecords(&failingReader{data: data, err: cause})
+		if !errors.Is(err, cause) {
+			t.Errorf("input %q cut by a read error: got %v, want the read error", data, err)
 		}
 	}
 }

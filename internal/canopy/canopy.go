@@ -144,11 +144,18 @@ type scored struct {
 // bring, in that order. Each distinct byte q-gram is interned to a dense id
 // when a row first contains it; after open nothing on the scoring path is
 // keyed by string.
+//
+// The rows one openRows call opens are sized from counts, not grown: their
+// gram lists are carved from one arena sized by the names' q-gram counts,
+// the row and posting headers grow once by the rows and grams opened, and a
+// posting list grows once by the number of rows it gains — the lists of the
+// grams the rows bring from one arena sized by their total.
 type gramTable struct {
 	q        int
 	ids      map[string]int32 // gram dictionary, consulted once per gram of a new row
 	grams    [][]int32        // row -> ascending distinct gram ids
 	postings [][]int32        // gram id -> rows, ascending as rows only append
+	gain     []int32          // gram id -> rows post is adding to its postings; zero between calls
 }
 
 func newGramTable(q int) *gramTable {
@@ -157,51 +164,116 @@ func newGramTable(q int) *gramTable {
 
 // openRows opens, in order, the row of each class that references
 // [from, to) of names bring: a reference whose class is the next row opens
-// it. It fails unless the rows then are the table's classes one for one
-// (names must extend the references the rows came from), leaving the rows
-// it opened to the caller's truncate.
+// it. It fails, opening nothing, unless the rows then are the table's
+// classes one for one (names must extend the references the rows came
+// from).
 func (t *gramTable) openRows(names *bib.NameTable, from, to int) error {
+	rows, size := len(t.grams), 0
 	for r := bib.RefID(from); r < bib.RefID(to); r++ {
-		if c := names.Class(r); int(c) == len(t.grams) {
-			t.open(names.Normalized(r))
-		} else if int(c) > len(t.grams) {
-			return fmt.Errorf("canopy: reference %d is in name class %d past the %d rows indexed: the dataset does not extend the indexed records", r, c, len(t.grams))
+		if c := names.Class(r); int(c) == rows {
+			rows++
+			size += gramCount(len(names.Normalized(r)), t.q)
+		} else if int(c) > rows {
+			return fmt.Errorf("canopy: reference %d is in name class %d past the %d rows indexed: the dataset does not extend the indexed records", r, c, rows)
 		}
 	}
-	if len(t.grams) != names.Classes() {
-		return fmt.Errorf("canopy: %d rows indexed for %d name classes: the dataset does not extend the indexed records", len(t.grams), names.Classes())
+	if rows != names.Classes() {
+		return fmt.Errorf("canopy: %d rows indexed for %d name classes: the dataset does not extend the indexed records", rows, names.Classes())
 	}
+	first := len(t.grams)
+	t.grams = slices.Grow(t.grams, rows-first)
+	arena := make([]int32, size)
+	for r := bib.RefID(from); len(t.grams) < rows; r++ {
+		if int(names.Class(r)) == len(t.grams) {
+			arena = t.addRow(names.Normalized(r), arena)
+		}
+	}
+	t.post(first)
 	return nil
 }
 
-// open appends the row of normalized name s. Its grams are the byte q-grams
-// of s, or s itself when it is shorter than q; "" has none.
-func (t *gramTable) open(s string) {
-	row := int32(len(t.grams))
+// gramCount is the number of q-grams, repeats included, of a string of n
+// bytes: the string itself when it is shorter than q, none when empty.
+func gramCount(n, q int) int {
+	if n == 0 {
+		return 0
+	}
+	return n - min(q, n) + 1
+}
+
+// addRow appends the row of normalized name s, its gram list carved from
+// the front of arena, which must hold its q-grams, and returns the rest of
+// arena. Its grams are the byte q-grams of s, or s itself when it is shorter
+// than q; "" has none. The row is not yet in its grams' postings (post).
+func (t *gramTable) addRow(s string, arena []int32) []int32 {
 	q := min(t.q, len(s))
-	gs := make([]int32, 0, len(s)-q+1)
+	gs := arena[:0]
 	for i := 0; q > 0 && i+q <= len(s); i++ {
 		gs = append(gs, t.intern(s[i:i+q]))
 	}
 	slices.Sort(gs)
 	gs = slices.Compact(gs)
-	for _, g := range gs {
-		t.postings[g] = append(t.postings[g], row)
-	}
-	t.grams = append(t.grams, gs)
+	t.grams = append(t.grams, gs[:len(gs):len(gs)])
+	return arena[len(gs):]
 }
 
 // intern returns the id of gram g, a substring of a class's normalized name:
 // the name table keeps every such name, so keying the dictionary by the
-// substring pins nothing more.
+// substring pins nothing more. A new id's posting list is added by post.
 func (t *gramTable) intern(g string) int32 {
 	id, ok := t.ids[g]
 	if !ok {
-		id = int32(len(t.postings))
+		id = int32(len(t.ids))
 		t.ids[g] = id
-		t.postings = append(t.postings, nil)
 	}
 	return id
+}
+
+// post adds the rows from `from` on to the postings of their grams, in row
+// order. It counts the rows each gram gains first, so each list grows once:
+// the lists of grams no earlier row has are carved from one arena, and the
+// others grow in place.
+func (t *gramTable) post(from int) {
+	dict := len(t.ids)
+	t.postings = append(t.postings, make([][]int32, dict-len(t.postings))...)
+	t.gain = append(t.gain, make([]int32, max(0, dict-len(t.gain)))...)
+	rows := t.grams[from:]
+	for _, gs := range rows {
+		for _, g := range gs {
+			t.gain[g]++
+		}
+	}
+	// A gram's first visit of each walk below acts on it and flips its gain:
+	// negative once sized, zero once grown.
+	fresh := 0
+	for _, gs := range rows {
+		for _, g := range gs {
+			if n := t.gain[g]; n > 0 {
+				if cap(t.postings[g]) == 0 {
+					fresh += int(n)
+				}
+				t.gain[g] = -n
+			}
+		}
+	}
+	arena, at := make([]int32, fresh), 0
+	for _, gs := range rows {
+		for _, g := range gs {
+			if n := -int(t.gain[g]); n > 0 {
+				if cap(t.postings[g]) == 0 {
+					t.postings[g], at = arena[at:at:at+n], at+n
+				} else {
+					t.postings[g] = slices.Grow(t.postings[g], n)
+				}
+				t.gain[g] = 0
+			}
+		}
+	}
+	for i, gs := range rows {
+		for _, g := range gs {
+			t.postings[g] = append(t.postings[g], int32(from+i))
+		}
+	}
 }
 
 // tableMark is a gramTable's size at one moment; truncate returns to it.
@@ -252,9 +324,10 @@ func minShared(n int, loose float64) int32 {
 	return int32(c)
 }
 
-// probe returns, in ascending row order, every row at or before x whose gram
-// set has Jaccard >= loose with row x's: a similar pair of rows is found
-// once, from its later row (Index.score merges the lists symmetrically).
+// probeInto appends to out, in ascending row order, every row at or before x
+// whose gram set has Jaccard >= loose with row x's: a similar pair of rows is
+// found once, from its later row (Index.score merges the lists
+// symmetrically).
 // Walking the postings of x's grams — ascending, so each walk stops past x —
 // visits each (row, shared gram) incidence exactly once, so a counter per row
 // is the intersection size c and sim = c / (|x|+|y|-c) without reading a
@@ -266,10 +339,10 @@ func minShared(n int, loose float64) int32 {
 // inside the scan: the store per row cost more than the second pass). cnt
 // holds a zero per row, before and after. A row is its own candidate (sim
 // 1); one with no grams has none.
-func (t *gramTable) probe(x int32, loose float64, cnt []int32) []scored {
+func (t *gramTable) probeInto(x int32, loose float64, cnt []int32, out []scored) []scored {
 	gs := t.grams[x]
 	if len(gs) == 0 {
-		return nil
+		return out
 	}
 	for _, g := range gs {
 		for _, y := range t.postings[g] {
@@ -280,7 +353,6 @@ func (t *gramTable) probe(x int32, loose float64, cnt []int32) []scored {
 		}
 	}
 	need := minShared(len(gs), loose)
-	var out []scored
 	cnt = cnt[:x+1]
 	for y, c := range cnt {
 		if c < need {
@@ -297,13 +369,17 @@ func (t *gramTable) probe(x int32, loose float64, cnt []int32) []scored {
 // emitter is the serial half of Canopies: fed each seed's loose candidate
 // rows in ascending seed order, it emits the canopy of every seed still in
 // the pool — the records of those rows — and removes that canopy's tightly
-// similar members from the pool.
+// similar members from the pool. The canopies are carved from chunks of a
+// record count each, and their list is sized for one canopy per name class
+// — a seed takes its whole class out of the pool, unless MaxNeighborhood
+// caps its canopy or its name has no q-gram — or, under a cap, per record.
 type emitter struct {
 	cfg       Config
 	memberOff []int32 // row -> its records, ascending, as CSR
 	members   []core.EntityID
 	removed   []bool // per record: no longer in the seed pool
 	canopies  [][]core.EntityID
+	arena     arena
 	kept      []scored // scratch: the seed's record-level candidates
 }
 
@@ -316,7 +392,12 @@ func newEmitter(cfg Config, d *bib.Dataset) *emitter {
 			yield(names.Class(r), r)
 		}
 	})
-	return &emitter{cfg: cfg, memberOff: off, members: members, removed: make([]bool, d.NumRefs())}
+	most := names.Classes()
+	if cfg.MaxNeighborhood > 0 {
+		most = d.NumRefs()
+	}
+	return &emitter{cfg: cfg, memberOff: off, members: members, removed: make([]bool, d.NumRefs()),
+		canopies: make([][]core.EntityID, 0, most), arena: arena{chunk: d.NumRefs()}}
 }
 
 // membersOf returns row's records, ascending.
@@ -345,7 +426,7 @@ func (e *emitter) emit(seed core.EntityID, rows []scored) {
 	if e.cfg.MaxNeighborhood > 0 && len(kept) > e.cfg.MaxNeighborhood {
 		kept = capCanopy(kept, seed, e.cfg.MaxNeighborhood)
 	}
-	canopy := make([]core.EntityID, len(kept))
+	canopy := e.arena.take(len(kept))
 	for i, c := range kept {
 		canopy[i] = c.ID
 		if c.Sim >= e.cfg.Tight {
@@ -357,6 +438,23 @@ func (e *emitter) emit(seed core.EntityID, rows []scored) {
 	// interleave.
 	slices.Sort(canopy)
 	e.canopies = append(e.canopies, canopy)
+}
+
+// arena hands out entity lists carved from chunks of at least chunk
+// entities, each list capped at its length so that appending to it moves it.
+type arena struct {
+	free  []core.EntityID
+	chunk int
+}
+
+// take returns a list of n entities.
+func (a *arena) take(n int) []core.EntityID {
+	if len(a.free) < n {
+		a.free = make([]core.EntityID, max(n, a.chunk))
+	}
+	s := a.free[:n:n]
+	a.free = a.free[n:]
+	return s
 }
 
 // CanopiesContext is Canopies with context cancellation and sharded
@@ -470,40 +568,63 @@ func entitySpan(sets [][]core.EntityID, rel *graph.Graph) int {
 // additive and the incremental pipeline warm-start instead of re-running
 // cold; a size-based rule re-routes patches every time any neighborhood
 // grows.
+//
+// The copies of the sets are carved from one array of Σ|set| entities, and
+// the sets holding each entity are one CSR (flat.Bucket) plus an overflow
+// list of the sets patches added it to (patches).
 func GreedyTotalCover(sets [][]core.EntityID, rel *graph.Graph) [][]core.EntityID {
 	out := make([][]core.EntityID, len(sets))
-	containing := make([][]int32, entitySpan(sets, rel))
-	for i, set := range sets {
-		out[i] = append([]core.EntityID(nil), set...)
-		for _, e := range set {
-			containing[e] = append(containing[e], int32(i))
-		}
+	entries := 0
+	for _, set := range sets {
+		entries += len(set)
 	}
-	// Membership lists start ascending and gain only patched (arbitrary)
-	// ids at the tail, so the lowest id is the head unless a patch
-	// undercut it — track the minimum explicitly.
+	copies := arena{chunk: entries}
+	for i, set := range sets {
+		out[i] = copies.take(len(set))
+		copy(out[i], set)
+	}
+	n := entitySpan(sets, rel)
+	off, in := flat.Bucket(n, func(yield func(core.EntityID, int32)) {
+		for i, set := range sets {
+			for _, e := range set {
+				yield(e, int32(i))
+			}
+		}
+	})
+	patched := patches{head: make([]int32, n)}
+	// The sets holding an entity ascend in the CSR, so the lowest id is its
+	// head unless a patch undercut it.
 	lowestWith := func(e core.EntityID) int32 {
 		best := int32(-1)
-		for _, s := range containing[e] {
+		if off[e] < off[e+1] {
+			best = in[off[e]]
+		}
+		patched.any(e, func(s int32) bool {
 			if best < 0 || s < best {
 				best = s
 			}
-		}
+			return false
+		})
 		return best
 	}
 	add := func(s int32, e core.EntityID) {
 		out[s] = append(out[s], e)
-		containing[e] = append(containing[e], s)
+		patched.add(e, s)
 	}
 	// withU[s] == u+1: set s contains u, the endpoint being patched.
 	withU := make([]int32, len(sets))
 	for u := int32(0); u < int32(rel.N()); u++ {
 		stamp := u + 1
-		for _, s := range containing[u] {
+		stamped := func(s int32) bool { return withU[s] == stamp }
+		for _, s := range in[off[u]:off[u+1]] {
 			withU[s] = stamp
 		}
+		patched.any(u, func(s int32) bool {
+			withU[s] = stamp
+			return false
+		})
 		for _, v := range rel.Neighbors(u) {
-			if v <= u || slices.ContainsFunc(containing[v], func(s int32) bool { return withU[s] == stamp }) {
+			if v <= u || slices.ContainsFunc(in[off[v]:off[v+1]], stamped) || patched.any(v, stamped) {
 				continue // the lower endpoint's turn, or one set already holds both
 			}
 			su, sv := lowestWith(u), lowestWith(v)
@@ -522,6 +643,29 @@ func GreedyTotalCover(sets [][]core.EntityID, rel *graph.Graph) [][]core.EntityI
 		slices.Sort(out[i])
 	}
 	return out
+}
+
+// patches lists, per entity, the sets totality patching added it to: a
+// list per entity linked through two flat arrays, newest patch first.
+type patches struct {
+	head      []int32 // entity -> 1 + its newest patch, 0 for none
+	set, next []int32 // patch -> the set it added to; 1 + its entity's previous patch
+}
+
+func (p *patches) add(e core.EntityID, s int32) {
+	p.set, p.next = append(p.set, s), append(p.next, p.head[e])
+	p.head[e] = int32(len(p.set))
+}
+
+// any reports whether fn holds for a set a patch added e to, calling fn on
+// them until it does.
+func (p *patches) any(e core.EntityID, fn func(s int32) bool) bool {
+	for i := p.head[e]; i > 0; i = p.next[i-1] {
+		if fn(p.set[i-1]) {
+			return true
+		}
+	}
+	return false
 }
 
 // alignedExpandInto grows each canopy with bounded relational context: for
@@ -561,7 +705,9 @@ func GreedyTotalCover(sets [][]core.EntityID, rel *graph.Graph) [][]core.EntityI
 // the priority order, the levels, maxAligned — while overlapping canopies
 // repeat it (HEPTH-like 0.5: 36 561 occurrences of 8 451 distinct pairs).
 // So the endpoints are computed at a pair's first occurrence, into one arena
-// indexed through a flat table, and every occurrence only stamps them.
+// indexed through a flat table, and every occurrence only stamps them. Each
+// set is expanded in scratch and then copied, at its size, into chunks of a
+// record count each.
 func alignedExpandInto(d *bib.Dataset, pairSets, sets [][]core.EntityID, maxAligned int) [][]core.EntityID {
 	if maxAligned <= 0 {
 		return sets
@@ -581,10 +727,12 @@ func alignedExpandInto(d *bib.Dataset, pairSets, sets [][]core.EntityID, maxAlig
 	memo := flat.New[int32](entries, 0)
 	off := make([]int32, 1, entries+1)
 	var ends []core.EntityID
-	var combos []alignedPair // reused scratch
+	var combos []alignedPair     // reused scratch
+	var expanded []core.EntityID // reused scratch: the set being expanded
+	sized := arena{chunk: d.NumRefs()}
 	for si, set := range sets {
 		stamp := int32(si + 1)
-		expanded := append([]core.EntityID(nil), set...)
+		expanded = append(expanded[:0], set...)
 		for _, e := range set {
 			member[e] = stamp
 		}
@@ -630,7 +778,8 @@ func alignedExpandInto(d *bib.Dataset, pairSets, sets [][]core.EntityID, maxAlig
 			}
 		})
 		slices.Sort(expanded)
-		out[si] = expanded
+		out[si] = sized.take(len(expanded))
+		copy(out[si], expanded)
 	}
 	return out
 }

@@ -243,6 +243,18 @@ func TestCandidatePairs(t *testing.T) {
 	}
 }
 
+// open appends the row of normalized name s: openRows for one row.
+func (t *gramTable) open(s string) {
+	from := len(t.grams)
+	t.addRow(s, make([]int32, gramCount(len(s), t.q)))
+	t.post(from)
+}
+
+// probe returns probeInto's rows for x in a list of their own.
+func (t *gramTable) probe(x int32, loose float64, cnt []int32) []scored {
+	return t.probeInto(x, loose, cnt, nil)
+}
+
 // TestProbeCountsSharedGrams drives the counting probe directly: records of
 // one name class share a row, the similarity is |A∩B| / |A∪B| over
 // distinct grams, candidate rows come back in ascending order and none past

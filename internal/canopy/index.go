@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/bib"
@@ -241,25 +242,37 @@ func (ix *Index) open(ctx context.Context, d *bib.Dataset) error {
 // score probes the rows from `from` on, each against the rows at or before
 // it only — so a similar pair of rows is counted once, from its later row —
 // dealt round-robin to scoringShards workers, the first on the calling
-// goroutine with the index's own counters. A serial pass then merges in
-// ascending row order: a row's list is its own probe, and the row is
-// appended to the list of each earlier candidate, which keeps every list
-// ascending and, similarity being symmetric, equal to a whole-table probe.
-// ctx is checked before every probe; on ctx.Err() the lists of the rows
-// before `from` are as they were.
+// goroutine with the index's own counters. A worker keeps its probes back to
+// back in chunks, each twice the last. A serial pass then lays the lists out
+// by count and fills them in ascending row order: a fresh row's list is its
+// own probe followed by the later fresh rows that found it, carved from one
+// arena sized by their total, and an earlier row's list grows once by the
+// fresh rows that found it. Every list stays ascending and, similarity being
+// symmetric, equal to a whole-table probe. ctx is checked before every
+// probe; on ctx.Err() the lists of the rows before `from` are as they were.
 func (ix *Index) score(ctx context.Context, from int) error {
 	rows := len(ix.tab.grams)
 	ix.cnt = append(ix.cnt, make([]int32, rows-len(ix.cnt))...)
 	ix.cands = append(ix.cands, make([][]scored, rows-from)...)
 	fresh := ix.cands[from:]
+	own := make([][]scored, len(fresh)) // fresh row -> its probe
 	workers := scoringShards(ix.shards, len(fresh))
 	errs := make([]error, workers)
 	probeRows := func(w int, cnt []int32) {
+		chunk := make([]scored, 0, max(minChunk, len(fresh)/workers))
 		for i := w; i < len(fresh); i += workers {
 			if errs[w] = ctx.Err(); errs[w] != nil {
 				return
 			}
-			fresh[i] = ix.tab.probe(int32(from+i), ix.cfg.Loose, cnt)
+			got := ix.tab.probeInto(int32(from+i), ix.cfg.Loose, cnt, chunk[len(chunk):])
+			if len(got) > cap(chunk)-len(chunk) {
+				// The probe outgrew the chunk and append moved it; later
+				// probes go to a new chunk.
+				chunk = make([]scored, 0, 2*cap(chunk))
+			} else {
+				chunk = chunk[:len(chunk)+len(got)]
+			}
+			own[i] = got
 		}
 	}
 	var wg sync.WaitGroup
@@ -277,8 +290,37 @@ func (ix *Index) score(ctx context.Context, from int) error {
 			return err
 		}
 	}
-	for x := int32(from); x < int32(rows); x++ {
-		for _, c := range ix.cands[x] {
+	gain := ix.cnt // row -> fresh rows that found it; the counters are zero between probes
+	size := 0
+	for i, got := range own {
+		size += len(got)
+		for _, c := range got {
+			if c.ID != int32(from+i) {
+				gain[c.ID]++
+			}
+		}
+	}
+	for _, got := range own {
+		for _, c := range got {
+			if n := gain[c.ID]; int(c.ID) < from && n > 0 {
+				ix.cands[c.ID] = slices.Grow(ix.cands[c.ID], int(n))
+				gain[c.ID] = 0
+			}
+		}
+	}
+	for x := from; x < rows; x++ {
+		size += int(gain[x])
+	}
+	arena, at := make([]scored, size), 0
+	for i, got := range own {
+		n := len(got) + int(gain[from+i])
+		fresh[i], at = arena[at:at:at+n], at+n
+		gain[from+i] = 0
+	}
+	for i, got := range own {
+		x := int32(from + i)
+		ix.cands[x] = append(ix.cands[x], got...)
+		for _, c := range got {
 			if c.ID != x {
 				ix.cands[c.ID] = append(ix.cands[c.ID], scored{ID: x, Sim: c.Sim})
 			}
@@ -286,6 +328,9 @@ func (ix *Index) score(ctx context.Context, from int) error {
 	}
 	return nil
 }
+
+// minChunk is the fewest probe results a scoring worker's first chunk holds.
+const minChunk = 64
 
 // emit runs the canopy emission loop over the candidate lists (already
 // loose-filtered and in row order), each record of d seeding with its

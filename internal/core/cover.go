@@ -5,19 +5,24 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/flat"
 	"repro/internal/graph"
 )
 
 // Cover is a set of neighborhoods whose union is the entity set (§4).
 // Neighborhood i is the slice Sets[i]; entities may appear in several
 // neighborhoods (overlap is what lets simple messages propagate).
+//
+// NewCover lays the cover out flat, sized from counts: the neighborhoods
+// are copied into one array of Σ|Ci| entities, and the containment index is
+// one CSR over entities (flat.Bucket) holding Σ|Ci| neighborhood ids.
 type Cover struct {
 	Sets        [][]EntityID
 	NumEntities int
 
-	// containing[e] = ids of neighborhoods containing entity e, built by
-	// Index().
-	containing [][]int32
+	// The containment index: the ids of the neighborhoods containing entity
+	// e, ascending, are in[off[e]:off[e+1]].
+	off, in []int32
 }
 
 // NewCover wraps neighborhood sets over an entity universe of size n and
@@ -26,37 +31,42 @@ type Cover struct {
 // again.
 func NewCover(n int, sets [][]EntityID) *Cover {
 	c := &Cover{Sets: make([][]EntityID, len(sets)), NumEntities: n}
+	entries := 0
+	for _, s := range sets {
+		entries += len(s)
+	}
+	all := make([]EntityID, entries)
 	for i, s := range sets {
-		dup := make([]EntityID, len(s))
+		dup := all[:len(s):len(s)]
+		all = all[len(s):]
 		copy(dup, s)
 		if !slices.IsSorted(dup) {
 			slices.Sort(dup)
 		}
-		c.Sets[i] = slices.Compact(dup)
+		dup = slices.Compact(dup)
+		c.Sets[i] = dup[:len(dup):len(dup)]
 	}
-	c.buildIndex()
-	return c
-}
-
-func (c *Cover) buildIndex() {
-	c.containing = make([][]int32, c.NumEntities)
-	for i, s := range c.Sets {
-		for _, e := range s {
-			c.containing[e] = append(c.containing[e], int32(i))
+	c.off, c.in = flat.Bucket(n, func(yield func(EntityID, int32)) {
+		for i, s := range c.Sets {
+			for _, e := range s {
+				yield(e, int32(i))
+			}
 		}
-	}
+	})
+	return c
 }
 
 // Len returns the number of neighborhoods.
 func (c *Cover) Len() int { return len(c.Sets) }
 
-// Containing returns the ids of neighborhoods containing entity e.
-func (c *Cover) Containing(e EntityID) []int32 { return c.containing[e] }
+// Containing returns the ids of neighborhoods containing entity e, in
+// ascending order.
+func (c *Cover) Containing(e EntityID) []int32 { return c.in[c.off[e]:c.off[e+1]] }
 
 // IsCover verifies that every entity belongs to at least one neighborhood.
 func (c *Cover) IsCover() bool {
 	for e := 0; e < c.NumEntities; e++ {
-		if len(c.containing[e]) == 0 {
+		if c.off[e] == c.off[e+1] {
 			return false
 		}
 	}
@@ -87,7 +97,7 @@ func (c *Cover) FirstUncovered(rel *graph.Graph) [2]EntityID {
 }
 
 func (c *Cover) shareNeighborhood(u, v EntityID) bool {
-	cu, cv := c.containing[u], c.containing[v]
+	cu, cv := c.Containing(u), c.Containing(v)
 	i, j := 0, 0
 	for i < len(cu) && j < len(cv) {
 		switch {
@@ -243,7 +253,7 @@ func (c *Cover) visit(e EntityID, i int, seen []int32, s *reach, out []int32) []
 		return out // visited already, at an index no lower than i
 	}
 	s.ents[e] = s.mark - 1
-	for _, id := range c.containing[e] {
+	for _, id := range c.Containing(e) {
 		if s.hoods[id] != s.mark && (seen == nil || i >= int(seen[id])) {
 			s.hoods[id] = s.mark
 			out = append(out, id)

@@ -18,7 +18,7 @@ func affectedUnseenOld(c *Cover, newMatches []Pair, rel *graph.Graph, seen []int
 	marks := make([]bool, c.Len())
 	var out []int32
 	visit := func(e EntityID, i int) {
-		for _, id := range c.containing[e] {
+		for _, id := range c.Containing(e) {
 			if !marks[id] && (seen == nil || i >= int(seen[id])) {
 				marks[id] = true
 				out = append(out, id)
@@ -46,7 +46,7 @@ func affectedEntitiesOld(c *Cover, entities []EntityID, rel *graph.Graph) []int3
 	marks := make([]bool, c.Len())
 	var out []int32
 	visit := func(e EntityID) {
-		for _, id := range c.containing[e] {
+		for _, id := range c.Containing(e) {
 			if !marks[id] {
 				marks[id] = true
 				out = append(out, id)

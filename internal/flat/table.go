@@ -1,11 +1,18 @@
 // Package flat lays relations out in flat arrays instead of Go maps and
-// per-key slices. Table is the open-addressed hash table the blocking stage
-// keeps its pair relations in: the name table's scored last-name and class
-// pairs (bib), the aligned context of each driving pair and the distinct
-// candidate pairs (canopy). Its keys are nonzero uint64 words, typically a packed pair
-// (Pair). A Go map keyed by the same words lost the aligned-context memo its
-// whole gain when it was tried: two flat arrays probe and grow for less.
-// Bucket groups values by a dense key in one counting pass (CSR).
+// per-key slices, each sized from a count of what it will hold. Table is the
+// open-addressed hash table the blocking stage keeps its pair relations in:
+// the name table's scored last-name and class pairs (bib), the aligned
+// context of each driving pair and the distinct candidate pairs (canopy).
+// Its keys are nonzero uint64 words, typically a packed pair (Pair). A Go
+// map keyed by the same words lost the aligned-context memo its whole gain
+// when it was tried: two flat arrays probe and grow for less. New sizes a
+// table from a hint; one hinted with the count it will hold never rehashes.
+// Strings is a Table numbering strings by their hashes — the dictionaries of
+// record names, rendered names and last names (bib), sized from the record
+// and class counts. Bucket groups values by a dense key in one counting pass
+// (CSR), allocating the two arrays it returns and nothing else: the cover's
+// containment index (core), the records of each name class and the sets
+// holding each entity (canopy).
 package flat
 
 import (
@@ -122,7 +129,9 @@ func Pair(x, y int32) uint64 {
 
 // Bucket lays out the values each yields by key in one counting pass: those
 // of key k in [0, n), in the order yielded, are vals[off[k]:off[k+1]]. each
-// is called twice and must yield the same both times.
+// is called twice and must yield the same both times. It allocates off and
+// vals and nothing else: while placing, off[k] is key k's next slot, and one
+// shift turns the ends of the keys into their starts.
 func Bucket[V any](n int, each func(yield func(k int32, v V))) (off []int32, vals []V) {
 	off = make([]int32, n+1)
 	each(func(k int32, _ V) { off[k+1]++ })
@@ -130,10 +139,11 @@ func Bucket[V any](n int, each func(yield func(k int32, v V))) (off []int32, val
 		off[k+1] += off[k]
 	}
 	vals = make([]V, off[n])
-	at := slices.Clone(off[:n])
 	each(func(k int32, v V) {
-		vals[at[k]] = v
-		at[k]++
+		vals[off[k]] = v
+		off[k]++
 	})
+	copy(off[1:], off[:n])
+	off[0] = 0
 	return off, vals
 }

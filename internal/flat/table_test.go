@@ -191,3 +191,37 @@ func TestBucket(t *testing.T) {
 		}
 	}
 }
+
+// TestStringsModel numbers strings against a map, through ID and through
+// id with every string on one first key — the path of a hash collision,
+// where each string must walk on to a key of its own.
+func TestStringsModel(t *testing.T) {
+	words := []string{"", "a", "b", "ab", "ba", "smith", "smyth", "a", "smith", "", "zz"}
+	for _, collide := range []bool{false, true} {
+		x, model := NewStrings(2), map[string]int32{}
+		var strs []string
+		str := func(id int32) string { return strs[id] }
+		for round := 0; round < 2; round++ {
+			for _, w := range words {
+				var id int32
+				var ok bool
+				if collide {
+					id, ok = x.id(1, w, int32(len(strs)), str)
+				} else {
+					id, ok = x.ID(w, int32(len(strs)), str)
+				}
+				want, known := model[w]
+				if ok != known || (known && id != want) {
+					t.Fatalf("collide=%v %q: got (%d, %v), model (%d, %v)", collide, w, id, ok, want, known)
+				}
+				if !known {
+					model[w] = id
+					strs = append(strs, w)
+				}
+			}
+		}
+		if x.Len() != len(model) || x.Clone().Len() != len(model) {
+			t.Fatalf("collide=%v: table numbers %d strings, model %d", collide, x.Len(), len(model))
+		}
+	}
+}

@@ -937,8 +937,8 @@ func TestServiceRestartsAfterLongKey(t *testing.T) {
 // with 400, through the TSV and the JSON door, and nothing of it is
 // journaled or committed. Each body ends past the bound with a key the
 // journal cannot hold, so a service that read it whole would refuse it
-// for that key instead, never ingesting the 8 MiB; the TSV reader
-// reports the line the bound cut rather than the bound itself.
+// for that key instead, never ingesting the 8 MiB. Both doors name the
+// bound: the TSV reader reports the read error, not the line it cut.
 func TestServiceRefusesOversizedBody(t *testing.T) {
 	const bound = 8 << 20
 	state := t.TempDir()
@@ -957,7 +957,7 @@ func TestServiceRefusesOversizedBody(t *testing.T) {
 	tsvBody := strings.Repeat(tsv.String(), bound/tsv.Len()+1) + "-1\t-1\tdoe\rj\n"
 	jsonBody := "[" + strings.Repeat(`{"key":"smith j"},`, bound/18) + `{"key":"doe\nj"}]`
 	for _, c := range []struct{ contentType, body, reason string }{
-		{"text/tab-separated-values", tsvBody, "decoding TSV records"},
+		{"text/tab-separated-values", tsvBody, "too large"},
 		{"application/json", jsonBody, "too large"},
 	} {
 		if len(c.body) <= bound {

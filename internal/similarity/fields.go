@@ -34,20 +34,6 @@ func JoinFields(fields []string) string {
 	return strings.Join(fields, " "+FieldSep+" ")
 }
 
-// NormalizeField canonicalizes one field payload the same way ParseName
-// canonicalizes author names: lowercase, '.' and ',' mapped to spaces,
-// whitespace runs collapsed to single spaces, ends trimmed.
-func NormalizeField(s string) string {
-	clean := strings.Map(func(r rune) rune {
-		switch r {
-		case '.', ',':
-			return ' '
-		}
-		return r
-	}, strings.ToLower(s))
-	return strings.Join(strings.Fields(clean), " ")
-}
-
 // The Field* kernels normalize both payloads on every call. A caller that
 // compares one record with many (rules/lang grounds every candidate pair of
 // a record) normalizes each payload once with NormalizeField and calls the

@@ -1,6 +1,9 @@
 package similarity
 
-import "strings"
+import (
+	"strings"
+	"unicode/utf8"
+)
 
 // Level is the discretized similarity bucket used by the matchers, as in
 // Appendix B of the paper: similar(e1, e2, score) with score ∈ {1, 2, 3},
@@ -30,25 +33,89 @@ type Name struct {
 // "F. Last" or "Last" into a Name. Everything before the final token is
 // treated as the first/middle name block.
 func ParseName(raw string) Name {
+	n, _ := ParseNameRendered(raw)
+	return n
+}
+
+// ParseNameRendered returns ParseName(raw) and its String(). The rendering
+// is raw normalized (NormalizeField) and the two names are substrings of
+// it, so a raw name already in normal form costs no allocation and any
+// other one allocation, its normal form.
+func ParseNameRendered(raw string) (Name, string) {
+	s := NormalizeField(raw)
+	switch i := strings.LastIndexByte(s, ' '); {
+	case s == "":
+		return Name{}, ""
+	case i < 0:
+		return Name{Last: s}, s
+	default:
+		return Name{First: s[:i], Last: s[i+1:]}, s
+	}
+}
+
+// NormalizeField canonicalizes one field payload, or an author name for
+// ParseName: lowercase, '.' and ',' mapped to spaces, whitespace runs
+// collapsed to single spaces, ends trimmed. It returns s itself when s is
+// already in that form, and builds the normal form in one allocation when s
+// is ASCII; other input goes through strings.ToLower, strings.Map and
+// strings.Fields.
+func NormalizeField(s string) string {
+	normal := true
+	for i := 0; i < len(s) && normal; i++ {
+		switch c := s[i]; {
+		case c >= utf8.RuneSelf:
+			return normalizeUnicode(s)
+		case c == ' ':
+			normal = i > 0 && i < len(s)-1 && s[i-1] != ' '
+		default:
+			normal = !separates(c) && !('A' <= c && c <= 'Z')
+		}
+	}
+	if normal {
+		return s
+	}
+	var b strings.Builder
+	b.Grow(len(s))
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= utf8.RuneSelf:
+			return normalizeUnicode(s)
+		case separates(c):
+			continue
+		case 'A' <= c && c <= 'Z':
+			c += 'a' - 'A'
+		}
+		if b.Len() > 0 && (i == 0 || separates(s[i-1])) {
+			b.WriteByte(' ')
+		}
+		b.WriteByte(c)
+	}
+	return b.String()
+}
+
+// separates reports whether ASCII byte c ends a token: whitespace as
+// strings.Fields reads it, or a '.' or ',', which NormalizeField maps to a
+// space.
+func separates(c byte) bool {
+	switch c {
+	case ' ', '\t', '\n', '\v', '\f', '\r', '.', ',':
+		return true
+	}
+	return false
+}
+
+// normalizeUnicode is NormalizeField for input with a byte past ASCII, where
+// case mapping and whitespace are Unicode's.
+func normalizeUnicode(s string) string {
 	clean := strings.Map(func(r rune) rune {
 		switch r {
 		case '.', ',':
 			return ' '
 		}
 		return r
-	}, strings.ToLower(raw))
-	fields := strings.Fields(clean)
-	switch len(fields) {
-	case 0:
-		return Name{}
-	case 1:
-		return Name{Last: fields[0]}
-	default:
-		return Name{
-			First: strings.Join(fields[:len(fields)-1], " "),
-			Last:  fields[len(fields)-1],
-		}
-	}
+	}, strings.ToLower(s))
+	return strings.Join(strings.Fields(clean), " ")
 }
 
 // Abbreviated reports whether the first name block is a bare initial.

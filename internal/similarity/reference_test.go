@@ -209,3 +209,62 @@ func FuzzNameLevelSymmetric(f *testing.F) {
 		}
 	})
 }
+
+// parseNameRef is ParseName as a strings.Map, a strings.Fields and a
+// strings.Join, before NormalizeField built the normal form in one pass.
+func parseNameRef(raw string) Name {
+	clean := strings.Map(func(r rune) rune {
+		switch r {
+		case '.', ',':
+			return ' '
+		}
+		return r
+	}, strings.ToLower(raw))
+	fields := strings.Fields(clean)
+	switch len(fields) {
+	case 0:
+		return Name{}
+	case 1:
+		return Name{Last: fields[0]}
+	default:
+		return Name{
+			First: strings.Join(fields[:len(fields)-1], " "),
+			Last:  fields[len(fields)-1],
+		}
+	}
+}
+
+// FuzzParseNameMatchesReference: ParseName is the reference parser on any
+// input — case, punctuation, every whitespace byte strings.Fields splits on,
+// runs of them at either end, bytes past ASCII and invalid UTF-8 — and the
+// rendering ParseNameRendered returns beside it is its String().
+func FuzzParseNameMatchesReference(f *testing.F) {
+	for _, s := range []string{
+		"", " ", "Rastogi", "V. Rastogi", "vibhor rastogi", "  Jose  Maria\tAlvarez ",
+		"a,b.c", "vikram pea | 50 prospect rd |  | 91668", "x\v\f\r\ny", "Ünal Öz", " a\u0085b", "\xffA b",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		got, rendered := ParseNameRendered(raw)
+		if want := parseNameRef(raw); got != want {
+			t.Fatalf("ParseName(%q) = %#v, reference %#v", raw, got, want)
+		}
+		if rendered != got.String() {
+			t.Fatalf("ParseNameRendered(%q) renders %q, String() is %q", raw, rendered, got.String())
+		}
+		if NormalizeField(raw) != rendered {
+			t.Fatalf("NormalizeField(%q) = %q, the parsed name renders %q", raw, NormalizeField(raw), rendered)
+		}
+	})
+}
+
+// TestParseNameAllocations: a name in normal form parses without
+// allocating, and any other ASCII name with one allocation.
+func TestParseNameAllocations(t *testing.T) {
+	for raw, want := range map[string]float64{"vibhor rastogi": 0, "v rastogi": 0, "V. Rastogi": 1, "vikram pea |  | 91668": 1} {
+		if got := testing.AllocsPerRun(10, func() { ParseNameRendered(raw) }); got != want {
+			t.Errorf("ParseNameRendered(%q) allocates %v times, want %v", raw, got, want)
+		}
+	}
+}
