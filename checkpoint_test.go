@@ -1,9 +1,11 @@
 package cem_test
 
-// Checkpoint/resume over the golden corpora: a run killed after any round
-// boundary and resumed from its on-disk trail lands on the golden fixture.
+// Kill/resume: a run killed after any round boundary and continued from
+// its saved state lands on the uninterrupted result, and a saved state
+// that does not decode is set aside before a fresh run.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -13,11 +15,11 @@ import (
 	"repro/match"
 )
 
-// TestCheckpointKillResumeGolden kills a checkpointed run after every
+// TestCheckpointKillResumeGolden kills a run saving its state after every
 // round boundary r, for every scheme × matcher golden combination with
-// round structure on both corpora, and resumes it. The kill runs on the
-// pool backend and the resume continues the same trail on the sharded
-// backend, so the trail format is proven backend-portable.
+// round structure on both corpora, and continues it. The kill runs on the
+// pool backend and the continuation runs on the sharded backend, so the
+// saved state is proven backend-portable.
 func TestCheckpointKillResumeGolden(t *testing.T) {
 	for _, c := range goldenSeeds {
 		for matcher, schemes := range map[string][]cem.Scheme{
@@ -38,30 +40,7 @@ func TestCheckpointKillResumeGolden(t *testing.T) {
 	}
 }
 
-// TestResumeWithoutCheckpointDir: Resume is only meaningful on a
-// checkpoint-configured runner, and only for round-based schemes.
-func TestResumeWithoutCheckpointDir(t *testing.T) {
-	exp, err := cem.New(cem.NewDataset(cem.HEPTH, 0.25, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := exp.Runner(cem.MatcherMLN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plain.Resume(context.Background(), cem.SchemeSMP); err == nil {
-		t.Error("Resume without WithCheckpointDir succeeded")
-	}
-	ck, err := exp.Runner(cem.MatcherMLN, cem.WithCheckpointDir(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ck.Resume(context.Background(), cem.SchemeFull); err == nil {
-		t.Error("Resume of FULL (no round structure) succeeded")
-	}
-}
-
-// TestResumeRejectsDifferentMatcher: a trail written by one matcher must
+// TestResumeRejectsDifferentMatcher: a state written by one matcher must
 // not silently seed another matcher's run — the evidence deltas would
 // hybridize the two outputs.
 func TestResumeRejectsDifferentMatcher(t *testing.T) {
@@ -69,35 +48,35 @@ func TestResumeRejectsDifferentMatcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	mln, err := exp.Runner(cem.MatcherMLN, cem.WithCheckpointDir(dir))
+	st := memStore(t)
+	mln, err := exp.Runner(cem.MatcherMLN, cem.WithStateStore(st))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mln.Run(context.Background(), cem.SchemeSMP); err != nil {
 		t.Fatal(err)
 	}
-	rules, err := exp.Runner(cem.MatcherRules, cem.WithCheckpointDir(dir))
+	rules, err := exp.Runner(cem.MatcherRules, cem.WithStateStore(st))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rules.Resume(context.Background(), cem.SchemeSMP); err == nil {
-		t.Error("resuming an mln-written trail with the rules matcher succeeded")
+	if _, err := cem.Continue(context.Background(), rules, cem.SchemeSMP, st); err == nil {
+		t.Error("continuing an mln-written state with the rules matcher succeeded")
 	}
 }
 
-// TestPipelineResume: a pipeline killed mid-matching resumes through
-// Pipeline.Resume and matches an uninterrupted pipeline run exactly
+// TestPipelineResume: a pipeline killed mid-matching continues through
+// Pipeline.Reopen and matches an uninterrupted pipeline run exactly
 // (blocking is deterministic, so the rebuilt cover equals the one the
-// trail was written against).
+// state was written against).
 func TestPipelineResume(t *testing.T) {
 	records, err := cem.GenerateRecords(cem.HEPTH, 0.25, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(dir string, extra ...cem.RunnerOption) *cem.Pipeline {
+	build := func(st match.Store, extra ...cem.RunnerOption) *cem.Pipeline {
 		t.Helper()
-		ropts := append([]cem.RunnerOption{cem.WithCheckpointDir(dir)}, extra...)
+		ropts := append([]cem.RunnerOption{cem.WithStateStore(st)}, extra...)
 		pipe, err := cem.NewPipeline(
 			cem.WithMatcher(cem.MatcherMLN),
 			cem.WithScheme(cem.SchemeSMP),
@@ -110,14 +89,14 @@ func TestPipelineResume(t *testing.T) {
 		return pipe
 	}
 
-	clean, err := build(t.TempDir()).Run(context.Background(), records)
+	clean, err := build(memStore(t)).Run(context.Background(), records)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	dir := t.TempDir()
+	st := memStore(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	killed := build(dir, cem.WithProgress(func(e match.ProgressEvent) {
+	killed := build(st, cem.WithProgress(func(e match.ProgressEvent) {
 		if e.Round == 1 {
 			cancel()
 		}
@@ -127,12 +106,97 @@ func TestPipelineResume(t *testing.T) {
 	}
 	cancel()
 
-	resumed, err := build(dir).Resume(context.Background(), records)
+	resumed, _, err := build(st).Reopen(context.Background(), records, st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resumed.Matches.Equal(clean.Matches) {
 		t.Errorf("resumed pipeline diverges: %d vs %d matches",
 			resumed.Matches.Len(), clean.Matches.Len())
+	}
+}
+
+// memStore opens a memory store, closed when the test ends.
+func memStore(t *testing.T) match.Store {
+	t.Helper()
+	st, err := cem.OpenStore("mem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// damagedStateRunner returns a runner of scheme over a small corpus that
+// saves into a fresh memory store, the state blob a completed run of it
+// leaves, and the uninterrupted result.
+func damagedStateRunner(t *testing.T, scheme cem.Scheme) (func(match.Store) *cem.Runner, []byte, *cem.Result) {
+	t.Helper()
+	exp, err := cem.New(cem.NewDataset(cem.HEPTH, 0.05, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(st match.Store) *cem.Runner {
+		t.Helper()
+		r, err := exp.Runner(cem.MatcherMLN, cem.WithStateStore(st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	st := memStore(t)
+	full, err := build(st).Run(context.Background(), scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	intact, err := st.OpenBlob(match.KindSnapshot, "latest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return build, intact, full
+}
+
+// resumeOverDamage continues scheme from a store whose state blob is
+// damaged: the blob must be set aside as latest.corrupt and the run start
+// fresh, landing on the uninterrupted result want.
+func resumeOverDamage(t *testing.T, build func(match.Store) *cem.Runner, scheme cem.Scheme, damaged []byte, what string, want *cem.Result) {
+	t.Helper()
+	st := memStore(t)
+	if err := st.SaveBlob(match.KindSnapshot, "latest", damaged); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := cem.Continue(context.Background(), build(st), scheme, st)
+	if err != nil {
+		t.Fatalf("%s: resume over %s: %v", scheme, what, err)
+	}
+	if aside, err := st.OpenBlob(match.KindSnapshot, "latest.corrupt"); err != nil || !bytes.Equal(aside, damaged) {
+		t.Fatalf("%s: %s not set aside: %v", scheme, what, err)
+	}
+	if !resumed.Matches.Equal(want.Matches) {
+		t.Fatalf("%s: resume over %s reached %d matches, the uninterrupted run has %d",
+			scheme, what, resumed.Matches.Len(), want.Matches.Len())
+	}
+}
+
+// TestResumeRefusesJSONRecord: the only codec is binary, so a state in
+// the JSON envelope older builds could write (now only a hand edit) is an
+// unreadable record like any other: a resume sets it aside and runs fresh
+// to the uninterrupted result.
+func TestResumeRefusesJSONRecord(t *testing.T) {
+	build, _, full := damagedStateRunner(t, cem.SchemeMMP)
+	json := []byte(`{"cemw":1,"type":3,"msg":{"scheme":"MMP","round":1}}`)
+	resumeOverDamage(t, build, cem.SchemeMMP, json, "a JSON state", full)
+}
+
+// TestCheckpointTruncationAtEveryByte: every save is durable, so only
+// damage from outside can cut a state blob. For every prefix a resume
+// must set the blob aside and run fresh, landing on the uninterrupted
+// run's result.
+func TestCheckpointTruncationAtEveryByte(t *testing.T) {
+	for _, scheme := range []cem.Scheme{cem.SchemeSMP, cem.SchemeMMP} {
+		build, intact, full := damagedStateRunner(t, scheme)
+		for cut := 0; cut < len(intact); cut++ {
+			resumeOverDamage(t, build, scheme, intact[:cut], fmt.Sprintf("a state cut at byte %d/%d", cut, len(intact)), full)
+		}
 	}
 }

@@ -7,9 +7,12 @@
 // batches through the incremental pipeline: the first batch runs cold,
 // every further batch updates the blocking index in place and
 // warm-starts the matcher from the previous result. With -state-dir DIR,
-// a run also saves its completed state (for -ingest, the state after the
-// last batch) into a disk store under DIR/store, which Pipeline.Reopen
-// (and emserve on the same state directory) restarts from.
+// a run keeps its one state record in a disk store under DIR/store: each
+// completed round while it runs, then the completed state (for -ingest,
+// only the state after each batch). -resume reopens it through
+// Pipeline.Reopen: a completed state is rebuilt with no matcher call, a
+// killed run's state continues its rounds, and a record that does not
+// decode is set aside as latest.corrupt before a fresh run.
 //
 // Usage:
 //
@@ -18,15 +21,15 @@
 //	emmatch -kind hepth -parallel 8 -progress
 //	emmatch -records records.tsv -scheme smp -shards 4 -bcubed
 //	emmatch -ingest day1.tsv,day2.tsv,day3.tsv -scheme smp -v
-//	emmatch -records records.tsv -state-dir run2/
-//	emmatch -kind hepth -backend sharded -backend-shards 4 -checkpoint-dir run1/
-//	emmatch -kind hepth -scheme smp -checkpoint-dir run1/ -resume
+//	emmatch -kind hepth -backend sharded -backend-shards 4 -state-dir run1/
+//	emmatch -kind hepth -scheme smp -state-dir run1/ -resume
 //	emmatch -records hepth.tsv -worker-addrs 127.0.0.1:7401,127.0.0.1:7402
 //	emmatch -kind people -scale 0.25 -rules-file people.rules -scheme smp
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -68,9 +71,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		backend  = fs.String("backend", "", "execution backend: pool | sharded (empty = default pool)")
 		bShards  = fs.Int("backend-shards", 0, "in-process worker count for -backend sharded (0 = one per CPU)")
 		wAddrs   = fs.String("worker-addrs", "", "comma-separated emworker addresses (host:port or unix:/path.sock) for the sharded backend's workers; implies -backend sharded")
-		ckptDir  = fs.String("checkpoint-dir", "", "persist a checkpoint after every round to this directory")
-		resume   = fs.Bool("resume", false, "continue the run from -checkpoint-dir instead of starting over")
-		stateDir = fs.String("state-dir", "", "save a reopenable state snapshot into a disk store under <dir>/store")
+		stateDir = fs.String("state-dir", "", "keep the run's state, saved after every round and at the end, in a disk store under <dir>/store")
+		resume   = fs.Bool("resume", false, "continue the run from -state-dir instead of starting over")
 		rulesF   = fs.String("rules-file", "", "declarative rules program; compiles and registers it, selecting it as the matcher")
 		progress = fs.Bool("progress", false, "print a line per neighborhood evaluation")
 		verbose  = fs.Bool("v", false, "print run statistics")
@@ -80,8 +82,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	if *resume && *ckptDir == "" {
-		return fmt.Errorf("-resume requires -checkpoint-dir")
+	if *resume && *stateDir == "" {
+		return fmt.Errorf("-resume requires -state-dir")
 	}
 	if *rulesF != "" {
 		name, err := cem.LoadRulesFile(*rulesF)
@@ -137,9 +139,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("unknown backend %q (want pool or sharded)", *backend)
 		}
 	}
-	if *ckptDir != "" {
-		opts = append(opts, cem.WithCheckpointDir(*ckptDir))
-	}
 	var st match.Store
 	if *stateDir != "" {
 		var err error
@@ -147,6 +146,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		defer st.Close()
+		if *ingest == "" {
+			// A batch run saves its rounds; a stream's committer owns the
+			// state blob and saves it after each batch instead.
+			opts = append(opts, cem.WithStateStore(st))
+		}
 	}
 	if *closure {
 		opts = append(opts, cem.WithTransitiveClosure())
@@ -270,8 +274,9 @@ func runPipeline(name string, recs []cem.Record, cfg pipelineConfig, stdout io.W
 	}
 	var res *cem.PipelineResult
 	if cfg.resume {
-		res, err = pipe.Resume(context.Background(), recs)
-	} else {
+		res, _, err = pipe.Reopen(context.Background(), recs, cfg.store)
+	}
+	if !cfg.resume || errors.Is(err, match.ErrBlobNotFound) {
 		res, err = pipe.Run(context.Background(), recs)
 	}
 	if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -31,9 +32,9 @@ func TestFlagValidation(t *testing.T) {
 		args []string
 		want string // substring of the expected error
 	}{
-		{"resume without checkpoint dir",
+		{"resume without state dir",
 			[]string{"-resume"},
-			"-resume requires -checkpoint-dir"},
+			"-resume requires -state-dir"},
 		{"backend shards without backend",
 			[]string{"-backend-shards", "4"},
 			"-backend-shards requires -backend sharded"},
@@ -52,7 +53,7 @@ func TestFlagValidation(t *testing.T) {
 			[]string{"-records", "b.tsv", "-ingest", "c.tsv"},
 			"mutually exclusive"},
 		{"ingest with resume",
-			[]string{"-ingest", "a.tsv,b.tsv", "-checkpoint-dir", "x", "-resume"},
+			[]string{"-ingest", "a.tsv,b.tsv", "-state-dir", "x", "-resume"},
 			"cannot be combined with -resume"},
 		{"unknown flag",
 			[]string{"-no-such-flag"},
@@ -410,37 +411,34 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
-// TestResumeOverTruncatedTail: a checkpoint cut short (only damage from
-// outside can do that: every commit is fsynced) must not wedge -resume:
-// it is set aside as *.corrupt and the run starts fresh, reporting what
+// TestResumeOverTruncatedTail: a state blob cut short (only damage from
+// outside can do that: every save is durable) must not wedge -resume: it
+// is set aside as latest.corrupt and the run starts fresh, reporting what
 // the uninterrupted run reported.
 func TestResumeOverTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
-	args := []string{"-kind", "hepth", "-scale", "0.1", "-scheme", "smp", "-checkpoint-dir", dir}
+	args := []string{"-kind", "hepth", "-scale", "0.1", "-scheme", "smp", "-state-dir", dir}
 	want, err := runQuiet(t, args...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
-	if len(files) != 1 {
-		t.Fatalf("the run left %d checkpoints, want one", len(files))
-	}
-	raw, err := os.ReadFile(files[0])
+	blob := filepath.Join(dir, "store", "blob", "snapshot", "latest")
+	raw, err := os.ReadFile(blob)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("the run left no state blob: %v", err)
 	}
-	if err := os.WriteFile(files[0], raw[:len(raw)/2], 0o644); err != nil {
+	if err := os.WriteFile(blob, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := runQuiet(t, append(args, "-resume")...)
 	if err != nil {
-		t.Fatalf("-resume over a truncated checkpoint: %v", err)
+		t.Fatalf("-resume over a truncated state: %v", err)
 	}
 	if got != want {
 		t.Errorf("resumed report differs from the uninterrupted run:\n%s\nwant:\n%s", got, want)
 	}
-	if _, err := os.Stat(files[0] + ".corrupt"); err != nil {
-		t.Errorf("the torn checkpoint was not quarantined: %v", err)
+	if aside, err := os.ReadFile(blob + ".corrupt"); err != nil || !bytes.Equal(aside, raw[:len(raw)/2]) {
+		t.Errorf("the torn state was not set aside: %v", err)
 	}
 }
 

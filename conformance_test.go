@@ -22,14 +22,18 @@ import (
 
 // shuffledBackend is the matrix's adversarial schedule: every round it
 // evaluates the active set one neighborhood at a time in a seeded random
-// order, reducing each before the next.
+// order, reducing each before the next. Like every backend, it stops
+// between evaluations once ctx is cancelled.
 type shuffledBackend struct{ rng *rand.Rand }
 
-func (b shuffledBackend) RunRounds(_ context.Context, _ *match.RoundPlan, d *match.RoundDriver) error {
+func (b shuffledBackend) RunRounds(ctx context.Context, _ *match.RoundPlan, d *match.RoundDriver) error {
 	for !d.Done() {
 		ids := slices.Clone(d.Active())
 		b.rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 		for _, id := range ids {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			d.Reduce(d.Evaluate(id))
 		}
 		if err := d.EndRound(); err != nil {

@@ -2,6 +2,7 @@ package cem
 
 import (
 	"context"
+	"errors"
 
 	"repro/internal/canopy"
 	"repro/internal/core"
@@ -19,10 +20,29 @@ func NewWithCover(d *match.Dataset, cover *core.Cover) (*Experiment, error) {
 	return setup(d, DefaultOptions(), cover, nil)
 }
 
-// RunWarm runs a round scheme from a warm seed, as Pipeline.Update does,
-// for the evidence-contract checks of the theorem checker.
-func RunWarm(ctx context.Context, r *Runner, s Scheme, warm *core.WarmStart) (*Result, error) {
-	return r.run(ctx, s, warm, false)
+// RunFrom runs a round scheme from a State — a warm seed, as
+// Pipeline.Update does, or a saved round boundary — for the checks of the
+// theorem checker.
+func RunFrom(ctx context.Context, r *Runner, s Scheme, from *core.State) (*Result, error) {
+	return r.run(ctx, s, from)
+}
+
+// Continue continues a round scheme over the runner's experiment from the
+// state st holds, as Pipeline.Reopen continues one that is not Done: a
+// store holding none — or only one that does not decode, set aside first
+// — runs cold, and a state of another run is refused.
+func Continue(ctx context.Context, r *Runner, s Scheme, st match.Store) (*Result, error) {
+	from, err := openState(st, true)
+	if errors.Is(err, match.ErrBlobNotFound) {
+		return r.run(ctx, s, nil)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := core.CheckHeader(&from.Header, coreScheme(s), r.name, r.exp.Cover); err != nil {
+		return nil, err
+	}
+	return r.run(ctx, s, from)
 }
 
 // LookupMatcher returns a registered matcher's factory, for the checker's

@@ -273,9 +273,9 @@ func TestUpdateUnlabeledStream(t *testing.T) {
 }
 
 // TestUpdateWarmTrailResume: an Update killed mid-continuation leaves a
-// resumable checkpoint (the warm seed is its first one);
-// Pipeline.Resume over the union records must finish it and land on the
-// uninterrupted Update's exact result.
+// state to continue (the warm seed is its first one); Pipeline.Reopen
+// over the union records must finish it and land on the uninterrupted
+// Update's exact result.
 func TestUpdateWarmTrailResume(t *testing.T) {
 	records, err := cem.GenerateRecords(cem.HEPTH, 0.25, 42)
 	if err != nil {
@@ -284,9 +284,9 @@ func TestUpdateWarmTrailResume(t *testing.T) {
 	batches := streamBatches(records)
 	union := append(append(append([]cem.Record(nil), batches[0]...), batches[1]...), batches[2]...)
 
-	build := func(dir string, extra ...cem.RunnerOption) *cem.Pipeline {
+	build := func(st match.Store, extra ...cem.RunnerOption) *cem.Pipeline {
 		t.Helper()
-		ropts := append([]cem.RunnerOption{cem.WithCheckpointDir(dir)}, extra...)
+		ropts := append([]cem.RunnerOption{cem.WithStateStore(st)}, extra...)
 		pipe, err := cem.NewPipeline(
 			cem.WithScheme(cem.SchemeSMP),
 			cem.WithRunnerOptions(ropts...),
@@ -298,11 +298,11 @@ func TestUpdateWarmTrailResume(t *testing.T) {
 	}
 
 	// Uninterrupted reference: base + one warm update.
-	clean, err := build(t.TempDir()).Update(context.Background(), nil, batches[0])
+	clean, err := build(memStore(t)).Update(context.Background(), nil, batches[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanRes, err := build(t.TempDir()).Update(context.Background(), clean,
+	cleanRes, err := build(memStore(t)).Update(context.Background(), clean,
 		append(append([]cem.Record(nil), batches[1]...), batches[2]...))
 	if err != nil {
 		t.Fatal(err)
@@ -312,14 +312,14 @@ func TestUpdateWarmTrailResume(t *testing.T) {
 	}
 
 	// Killed continuation: cancel at the first progress event past the
-	// seed round, leaving the seed's checkpoint (or round 2's) on disk.
-	dir := t.TempDir()
-	base, err := build(dir).Update(context.Background(), nil, batches[0])
+	// seed round, leaving the seed's state (or round 2's) in the store.
+	st := memStore(t)
+	base, err := build(st).Update(context.Background(), nil, batches[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	killed := build(dir, cem.WithProgress(func(e match.ProgressEvent) {
+	killed := build(st, cem.WithProgress(func(e match.ProgressEvent) {
 		if e.Round >= 2 {
 			cancel()
 		}
@@ -330,11 +330,11 @@ func TestUpdateWarmTrailResume(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected the killed update to report cancellation, got %v", err)
 	}
-	if files, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt")); len(files) == 0 {
-		t.Fatal("killed warm update left no checkpoint")
+	if ck := lastCheckpoint(t, st); ck == nil || ck.Done {
+		t.Fatal("killed warm update left no state to continue")
 	}
 
-	resumed, err := build(dir).Resume(context.Background(), union)
+	resumed, _, err := build(st).Reopen(context.Background(), union, st)
 	if err != nil {
 		t.Fatalf("resuming the warm trail: %v", err)
 	}
@@ -343,20 +343,20 @@ func TestUpdateWarmTrailResume(t *testing.T) {
 	}
 }
 
-// TestUpdateStaleTrailRejected: a checkpoint trail written before a
-// delta fingerprints the pre-delta cover; once ingestion changed the
-// cover, resuming that trail must be refused, not silently replayed
-// against the wrong neighborhoods.
+// TestUpdateStaleTrailRejected: a state saved before a delta
+// fingerprints the pre-delta cover; once ingestion changed the cover,
+// continuing that state must be refused, not silently replayed against
+// the wrong neighborhoods.
 func TestUpdateStaleTrailRejected(t *testing.T) {
 	records, err := cem.GenerateRecords(cem.DBLP, 0.25, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	batches := streamBatches(records)
-	dir := t.TempDir()
+	st := memStore(t)
 	pipe, err := cem.NewPipeline(
 		cem.WithScheme(cem.SchemeSMP),
-		cem.WithRunnerOptions(cem.WithCheckpointDir(dir)),
+		cem.WithRunnerOptions(cem.WithStateStore(st)),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -364,11 +364,11 @@ func TestUpdateStaleTrailRejected(t *testing.T) {
 	if _, err := pipe.Update(context.Background(), nil, batches[0]); err != nil {
 		t.Fatal(err)
 	}
-	// The trail in dir fingerprints the batch-0 cover. Resuming with the
-	// delta ingested (more entities, more neighborhoods) must fail.
+	// The state in st fingerprints the batch-0 cover. Continuing it with
+	// the delta ingested (more entities, more neighborhoods) must fail.
 	union := append(append([]cem.Record(nil), batches[0]...), batches[1]...)
-	if _, err := pipe.Resume(context.Background(), union); err == nil {
-		t.Error("resuming a pre-delta trail against the post-delta cover succeeded")
+	if _, _, err := pipe.Reopen(context.Background(), union, st); err == nil {
+		t.Error("continuing a pre-delta state against the post-delta cover succeeded")
 	}
 }
 

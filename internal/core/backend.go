@@ -92,7 +92,7 @@ func (p *RoundPlan) NewEvidence() *Evidence { return NewEvidence(p.table) }
 // owns the Map side — where and how the active neighborhoods are
 // evaluated each round — while the RoundDriver owns the Reduce side:
 // merging evidence, promoting messages, deriving the next active set,
-// and checkpointing. Theorems 2 and 4 (consistency) are what make the
+// and saving the run's state. Theorems 2 and 4 (consistency) are what make the
 // backend choice invisible in the output: any topology that evaluates
 // each round's active set against at least the round-start evidence —
 // the frozen snapshot, or M+ as it grows within the round — produces the

@@ -9,21 +9,21 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	emnet "repro/internal/net"
+	"repro/internal/store"
 	"repro/internal/testmodel"
 	"repro/internal/wire"
 )
 
-// runOn executes a scheme on a backend with no checkpointing.
+// runOn executes a scheme on a backend, saving nothing.
 func runOn(t *testing.T, cfg core.Config, scheme string, b core.Backend) *core.Result {
 	t.Helper()
-	res, err := core.RunBackend(bg, cfg, scheme, b, core.CheckpointConfig{})
+	res, err := core.RunBackend(bg, cfg, scheme, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,47 +73,67 @@ func TestShardedMatchesPoolRandom(t *testing.T) {
 	}
 }
 
-// trailFiles returns the checkpoint trail of dir: the run's one
-// checkpoint file, or none.
-func trailFiles(t *testing.T, dir string) []string {
-	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(files)
-	return files
+// savingInto returns cfg saving its state into st's state blob, as a
+// runner WithStateStore(st) does.
+func savingInto(cfg core.Config, st store.Store) core.Config {
+	cfg.Save = func(b []byte) error { return st.SaveBlob(store.KindSnapshot, "latest", b) }
+	return cfg
 }
 
-// readCheckpoint decodes dir's checkpoint; nil when there is none.
-func readCheckpoint(t *testing.T, dir string) *wire.Checkpoint {
+// savedBlob returns st's state blob; nil when there is none.
+func savedBlob(t *testing.T, st store.Store) []byte {
 	t.Helper()
-	files := trailFiles(t, dir)
-	if len(files) == 0 {
+	data, err := st.OpenBlob(store.KindSnapshot, "latest")
+	if errors.Is(err, store.ErrNotFound) {
 		return nil
 	}
-	if len(files) > 1 {
-		t.Fatalf("%s holds %d checkpoints, want one: %v", dir, len(files), files)
-	}
-	raw, err := os.ReadFile(files[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck, err := wire.UnmarshalCheckpoint(raw)
+	return data
+}
+
+// readCheckpoint decodes st's state blob; nil when there is none.
+func readCheckpoint(t *testing.T, st store.Store) *wire.Checkpoint {
+	t.Helper()
+	data := savedBlob(t, st)
+	if data == nil {
+		return nil
+	}
+	ck, err := wire.UnmarshalCheckpoint(data)
 	if err != nil {
-		t.Fatalf("decoding %s: %v", files[0], err)
+		t.Fatalf("decoding the state blob: %v", err)
 	}
 	return ck
 }
 
-// killAfter runs scheme on b, checkpointing into a fresh directory, and
-// kills it (cancels its context) at the first progress event of round r.
-// A backend that maps a round before it reduces it — the pool with two
-// workers, the sharded backend — still ends and checkpoints round r and
-// stops before round r+1. killed is false when round r was the last.
-func killAfter(t *testing.T, cfg core.Config, scheme string, b core.Backend, r int) (dir string, killed bool) {
+// resumeFrom continues scheme on b from the state st holds — a cold run
+// when it holds none — saving into st as it goes. The state must be of
+// this run (core.CheckHeader), as Pipeline.Reopen requires.
+func resumeFrom(cfg core.Config, scheme string, b core.Backend, st store.Store) (*core.Result, error) {
+	var from *core.State
+	data, err := st.OpenBlob(store.KindSnapshot, "latest")
+	if err == nil {
+		if from, err = core.DecodeState(data); err == nil {
+			err = core.CheckHeader(&from.Header, scheme, cfg.MatcherLabel, cfg.Cover)
+		}
+	} else if errors.Is(err, store.ErrNotFound) {
+		err = nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	return core.RunBackendFrom(bg, savingInto(cfg, st), scheme, b, from)
+}
+
+// killAfter runs scheme on b, saving into a fresh store, and kills it
+// (cancels its context) at the first progress event of round r. A backend
+// that maps a round before it reduces it — the pool with two workers, the
+// sharded backend — still ends and saves round r and stops before round
+// r+1. killed is false when round r was the last.
+func killAfter(t *testing.T, cfg core.Config, scheme string, b core.Backend, r int) (st store.Store, killed bool) {
 	t.Helper()
-	dir = t.TempDir()
+	st = store.NewMem()
 	ctx, cancel := context.WithCancel(bg)
 	defer cancel()
 	cfg.Progress = func(e core.ProgressEvent) {
@@ -121,18 +141,18 @@ func killAfter(t *testing.T, cfg core.Config, scheme string, b core.Backend, r i
 			cancel()
 		}
 	}
-	_, err := core.RunBackend(ctx, cfg, scheme, b, core.CheckpointConfig{Dir: dir})
+	_, err := core.RunBackend(ctx, savingInto(cfg, st), scheme, b)
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("%s killed in round %d: %v", scheme, r, err)
 	}
-	return dir, err != nil
+	return st, err != nil
 }
 
-// TestCheckpointResumeAtEveryBoundary: a checkpointed run killed after
-// round r — on the pool or on sharded-2 — resumes, on the other backend,
-// to the uninterrupted run's match set, with statistics that only grew
-// past the checkpointed values, for every r and every scheme. The
-// checkpoint holds the whole M+: every pair the one after round r-1 held.
+// TestCheckpointResumeAtEveryBoundary: a run saving its state, killed
+// after round r — on the pool or on sharded-2 — resumes, on the other
+// backend, to the uninterrupted run's match set, with statistics that only
+// grew past the saved values, for every r and every scheme. The saved
+// state holds the whole M+: every pair the one after round r-1 held.
 func TestCheckpointResumeAtEveryBoundary(t *testing.T) {
 	// Random models mostly settle in two rounds; the paper's example takes
 	// three, so its kill after round 2 is one no random trial here makes.
@@ -157,12 +177,12 @@ func TestCheckpointResumeAtEveryBoundary(t *testing.T) {
 			} {
 				var before []uint64 // M+ after round r-1
 				for r := 1; ; r++ {
-					dir, killed := killAfter(t, cfg, scheme, c.kill, r)
+					st, killed := killAfter(t, cfg, scheme, c.kill, r)
 					if !killed {
 						break
 					}
 					kills++
-					ck := readCheckpoint(t, dir)
+					ck := readCheckpoint(t, st)
 					if ck == nil || ck.Round != r || ck.Done {
 						t.Fatalf("%s killed on %s after round %d left checkpoint %+v", scheme, c.name, r, ck)
 					}
@@ -172,8 +192,7 @@ func TestCheckpointResumeAtEveryBoundary(t *testing.T) {
 						}
 					}
 					before = ck.Delta
-					resumed, err := core.RunBackend(bg, cfg, scheme, c.resume,
-						core.CheckpointConfig{Dir: dir, Resume: true})
+					resumed, err := resumeFrom(cfg, scheme, c.resume, st)
 					if err != nil {
 						t.Fatalf("%s: resume after round %d on %s: %v", scheme, r, c.name, err)
 					}
@@ -209,94 +228,85 @@ func (c *countingMatcher) Match(entities []core.EntityID, pos, neg core.PairSet)
 	return c.Model.Match(entities, pos, neg)
 }
 
-// TestResumeCompletedTrail: resuming a finished run's directory rebuilds
-// the result purely from the serialized deltas — zero matcher calls.
+// TestResumeCompletedTrail: resuming a finished run's state rebuilds the
+// result purely from the serialized evidence — zero matcher calls.
 func TestResumeCompletedTrail(t *testing.T) {
 	m, cover, _ := testmodel.PaperExample()
 	wrapped := &countingMatcher{Model: m}
 	cfg := core.Config{Cover: cover, Matcher: wrapped, Relation: m.Relation()}
-	dir := t.TempDir()
-	full, err := core.RunBackend(bg, cfg, "SMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir})
+	st := store.NewMem()
+	full, err := core.RunBackend(bg, savingInto(cfg, st), "SMP", core.PoolBackend{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wrapped.calls.Store(0)
-	resumed, err := core.RunBackend(bg, cfg, "SMP", core.PoolBackend{},
-		core.CheckpointConfig{Dir: dir, Resume: true})
+	resumed, err := resumeFrom(cfg, "SMP", core.PoolBackend{}, st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wrapped.calls.Load() != 0 {
-		t.Errorf("resuming a completed trail called the matcher %d times", wrapped.calls.Load())
+		t.Errorf("resuming a completed state called the matcher %d times", wrapped.calls.Load())
 	}
 	if !resumed.Matches.Equal(full.Matches) {
 		t.Errorf("rebuilt result diverges: %d vs %d matches", resumed.Matches.Len(), full.Matches.Len())
 	}
 }
 
-// TestResumeRejectsForeignTrail: a checkpoint trail from a different
-// scheme or cover must be refused, not silently replayed.
+// TestResumeRejectsForeignTrail: a saved state from a different scheme
+// or cover must be refused, not silently replayed.
 func TestResumeRejectsForeignTrail(t *testing.T) {
 	m, cover, _ := testmodel.PaperExample()
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
-	dir := t.TempDir()
-	if _, err := core.RunBackend(bg, cfg, "SMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir}); err != nil {
+	st := store.NewMem()
+	if _, err := core.RunBackend(bg, savingInto(cfg, st), "SMP", core.PoolBackend{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.RunBackend(bg, cfg, "MMP", core.PoolBackend{},
-		core.CheckpointConfig{Dir: dir, Resume: true}); err == nil {
-		t.Error("resuming an SMP trail as MMP succeeded")
+	if _, err := resumeFrom(cfg, "MMP", core.PoolBackend{}, st); err == nil {
+		t.Error("resuming an SMP state as MMP succeeded")
 	}
 }
 
-// TestResumeRejectsMatcherMismatch: trails are labeled with the matcher
-// that wrote them; a different label on resume is refused (empty labels
-// on either side opt out — anonymous matchers).
+// TestResumeRejectsMatcherMismatch: saved states are labeled with the
+// matcher that wrote them; a different label on resume is refused (empty
+// labels on either side opt out — anonymous matchers).
 func TestResumeRejectsMatcherMismatch(t *testing.T) {
 	m, cover, _ := testmodel.PaperExample()
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
-	dir := t.TempDir()
-	if _, err := core.RunBackend(bg, cfg, "SMP", core.PoolBackend{},
-		core.CheckpointConfig{Dir: dir, Matcher: "mln"}); err != nil {
+	labeled := func(label string) core.Config {
+		c := cfg
+		c.MatcherLabel = label
+		return c
+	}
+	st := store.NewMem()
+	if _, err := core.RunBackend(bg, savingInto(labeled("mln"), st), "SMP", core.PoolBackend{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.RunBackend(bg, cfg, "SMP", core.PoolBackend{},
-		core.CheckpointConfig{Dir: dir, Resume: true, Matcher: "rules"}); err == nil {
-		t.Error("resuming an mln-labeled trail as rules succeeded")
+	if _, err := resumeFrom(labeled("rules"), "SMP", core.PoolBackend{}, st); err == nil {
+		t.Error("resuming an mln-labeled state as rules succeeded")
 	}
-	if _, err := core.RunBackend(bg, cfg, "SMP", core.PoolBackend{},
-		core.CheckpointConfig{Dir: dir, Resume: true, Matcher: "mln"}); err != nil {
+	if _, err := resumeFrom(labeled("mln"), "SMP", core.PoolBackend{}, st); err != nil {
 		t.Errorf("resuming with the matching label failed: %v", err)
 	}
-	if _, err := core.RunBackend(bg, cfg, "SMP", core.PoolBackend{},
-		core.CheckpointConfig{Dir: dir, Resume: true}); err != nil {
-		t.Errorf("unlabeled resume of a labeled trail failed: %v", err)
+	if _, err := resumeFrom(cfg, "SMP", core.PoolBackend{}, st); err != nil {
+		t.Errorf("unlabeled resume of a labeled state failed: %v", err)
 	}
 }
 
-// TestResumeRejectsMessagesOnNonMMP: a trail carrying maximal messages
-// cannot resume a scheme that exchanges none (would otherwise
+// TestResumeRejectsMessagesOnNonMMP: a saved state carrying maximal
+// messages cannot resume a scheme that exchanges none (would otherwise
 // dereference a nil message store).
 func TestResumeRejectsMessagesOnNonMMP(t *testing.T) {
 	m, cover, _ := testmodel.PaperExample()
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
-	dir := t.TempDir()
-	full, err := core.RunBackend(bg, cfg, "SMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir})
+	st := store.NewMem()
+	full, err := core.RunBackend(bg, savingInto(cfg, st), "SMP", core.PoolBackend{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Graft a Messages list onto the final checkpoint (the one whose
-	// messages a resume loads): structurally valid wire, semantically
-	// foreign to SMP.
-	files := trailFiles(t, dir)
-	raw, err := os.ReadFile(files[len(files)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck, err := wire.UnmarshalCheckpoint(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Graft a Messages list onto the final state (the one whose messages
+	// a resume loads): structurally valid wire, semantically foreign to
+	// SMP.
+	ck := readCheckpoint(t, st)
 	keys := full.Matches.SortedKeys()
 	if len(keys) < 2 {
 		t.Skip("needs at least two matches to build a message")
@@ -306,68 +316,98 @@ func TestResumeRejectsMessagesOnNonMMP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(files[len(files)-1], forged, 0o644); err != nil {
+	if err := st.SaveBlob(store.KindSnapshot, "latest", forged); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.RunBackend(bg, cfg, "SMP", core.PoolBackend{},
-		core.CheckpointConfig{Dir: dir, Resume: true}); err == nil {
-		t.Error("resuming an SMP trail carrying maximal messages succeeded")
+	if _, err := resumeFrom(cfg, "SMP", core.PoolBackend{}, st); err == nil {
+		t.Error("resuming an SMP state carrying maximal messages succeeded")
 	}
 }
 
-// TestFreshRunClearsStaleTrail: a fresh (non-resume) checkpointed run
-// in a directory holding another run's checkpoint removes it before its
-// first round, so a kill in round 1 leaves nothing to resume from.
+// TestFreshRunClearsStaleTrail: a fresh run saving into a store holding
+// another run's state replaces it before its first round evaluates, so a
+// kill in round 1 leaves only the fresh run's own start to resume from —
+// which resumes as round 1, the cold run exactly, skips included.
 func TestFreshRunClearsStaleTrail(t *testing.T) {
 	m, cover, _ := testmodel.PaperExample()
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
-	dir := t.TempDir()
-	if _, err := core.RunBackend(bg, cfg, "MMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir}); err != nil {
+	st := store.NewMem()
+	if _, err := core.RunBackend(bg, savingInto(cfg, st), "MMP", core.PoolBackend{}); err != nil {
 		t.Fatal(err)
 	}
-	if readCheckpoint(t, dir) == nil {
-		t.Fatal("the earlier run left no checkpoint")
+	if readCheckpoint(t, st) == nil {
+		t.Fatal("the earlier run left no state")
 	}
 	// The one-worker pool reduces each job before it evaluates the next,
 	// so a kill at round 1's first event ends the run inside round 1.
 	ctx, cancel := context.WithCancel(bg)
-	killed := cfg
+	killed := savingInto(cfg, st)
 	killed.Progress = func(core.ProgressEvent) { cancel() }
-	if _, err := core.RunBackend(ctx, killed, "SMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir}); !errors.Is(err, context.Canceled) {
+	if _, err := core.RunBackend(ctx, killed, "SMP", core.PoolBackend{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("killed run: %v, want context.Canceled", err)
 	}
-	if files := trailFiles(t, dir); len(files) != 0 {
-		t.Fatalf("a fresh run killed in round 1 left %v", files)
+	if ck := readCheckpoint(t, st); ck == nil || ck.Scheme != "SMP" || ck.Round != 0 || ck.Done || len(ck.Delta) != 0 {
+		t.Fatalf("a fresh run killed in round 1 left %+v, want its cold start", ck)
 	}
-	full, err := core.RunBackend(bg, cfg, "SMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir, Resume: true})
+	full, err := resumeFrom(cfg, "SMP", core.PoolBackend{}, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := runOn(t, cfg, "SMP", core.PoolBackend{}); !full.Matches.Equal(want.Matches) {
-		t.Error("resuming after the killed fresh run does not reproduce a cold run")
+	assertSameRun(t, "resuming after the killed fresh run", full, runOn(t, cfg, "SMP", core.PoolBackend{}))
+
+	// A matcher that may skip re-activations shows which round the start
+	// resumes as: round 1 skips nothing, a re-activation round would.
+	skipping := core.Config{Cover: skipCover(), Matcher: skippingMatcher()}
+	st = store.NewMem()
+	canceled, cancel := context.WithCancel(bg)
+	cancel()
+	if _, err := core.RunBackend(canceled, savingInto(skipping, st), "SMP", core.PoolBackend{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("killed run: %v, want context.Canceled", err)
 	}
+	resumed, err := resumeFrom(skipping, "SMP", core.PoolBackend{}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRun(t, "resuming a saved cold start", resumed, runOn(t, skipping, "SMP", core.PoolBackend{}))
 }
 
-// TestOlderRoundFilesUntouched: the round-NNNNNN.ckpt trail of an older
-// build is never read, written or removed: a resume in its directory runs
-// fresh to the uninterrupted result, and a fresh run, its checkpoints and
-// a resume of those leave every round file byte-for-byte as it was.
+// TestOlderRoundFilesUntouched: the files of older builds — the
+// round-NNNNNN.ckpt trail and the checkpoint-000000.ckpt record — are
+// never read, written or removed: a resume in a store beside them runs
+// fresh to the uninterrupted result, and a fresh run, its saves and a
+// resume of those leave every such file byte-for-byte as it was.
 func TestOlderRoundFilesUntouched(t *testing.T) {
 	m, cover, _ := testmodel.PaperExample()
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
 	dir := t.TempDir()
 	old := map[string][]byte{
-		"round-000001.ckpt": []byte("an older build's round 1"),
-		"round-000002.ckpt": {0xff, 0x00, 0x01},
+		"round-000001.ckpt":      []byte("an older build's round 1"),
+		"round-000002.ckpt":      {0xff, 0x00, 0x01},
+		"checkpoint-000000.ckpt": []byte("an older build's checkpoint"),
 	}
 	for name, data := range old {
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
+		for _, at := range []string{dir, filepath.Join(dir, "store")} {
+			if err := os.MkdirAll(at, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(at, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	st, err := store.Open("disk", store.WithDir(filepath.Join(dir, "store")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	want := runOn(t, cfg, "SMP", core.PoolBackend{})
 	for _, resume := range []bool{true, false, true} {
-		res, err := core.RunBackend(bg, cfg, "SMP", core.PoolBackend{}, core.CheckpointConfig{Dir: dir, Resume: resume})
+		var res *core.Result
+		if resume {
+			res, err = resumeFrom(cfg, "SMP", core.PoolBackend{}, st)
+		} else {
+			res, err = core.RunBackend(bg, savingInto(cfg, st), "SMP", core.PoolBackend{})
+		}
 		if err != nil {
 			t.Fatalf("resume=%v: %v", resume, err)
 		}
@@ -375,13 +415,17 @@ func TestOlderRoundFilesUntouched(t *testing.T) {
 			t.Errorf("resume=%v: %d matches, the uninterrupted run has %d", resume, res.Matches.Len(), want.Matches.Len())
 		}
 		for name, data := range old {
-			if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, data) {
-				t.Fatalf("resume=%v: %s was touched: %q, %v", resume, name, got, err)
+			for _, at := range []string{dir, filepath.Join(dir, "store")} {
+				if got, err := os.ReadFile(filepath.Join(at, name)); err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("resume=%v: %s was touched: %q, %v", resume, filepath.Join(at, name), got, err)
+				}
 			}
 		}
 	}
-	if q, _ := filepath.Glob(filepath.Join(dir, "*.corrupt")); len(q) != 0 {
-		t.Errorf("quarantined %v", q)
+	for _, at := range []string{dir, filepath.Join(dir, "store")} {
+		if q, _ := filepath.Glob(filepath.Join(at, "*.corrupt")); len(q) != 0 {
+			t.Errorf("quarantined %v", q)
+		}
 	}
 }
 
@@ -415,7 +459,7 @@ func TestBackendsReturnBareCtxErr(t *testing.T) {
 			if name == "wrapping" {
 				cancel() // never evaluates; blocks on ctx instead
 			}
-			_, err := core.RunBackend(ctx, cfg, scheme, b, core.CheckpointConfig{})
+			_, err := core.RunBackend(ctx, cfg, scheme, b)
 			if err != context.Canceled {
 				t.Errorf("%s/%s: want bare context.Canceled, got %v (type %T)", name, scheme, err, err)
 			}
@@ -432,7 +476,7 @@ func TestBackendsReturnBareDeadlineErr(t *testing.T) {
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), -time.Second)
 		cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
-		_, err := core.RunBackend(ctx, cfg, "SMP", b, core.CheckpointConfig{})
+		_, err := core.RunBackend(ctx, cfg, "SMP", b)
 		if err != context.DeadlineExceeded {
 			t.Errorf("%s: want bare context.DeadlineExceeded, got %v (type %T)", name, err, err)
 		}

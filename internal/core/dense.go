@@ -68,7 +68,7 @@ type DenseProbabilistic interface {
 // replica of it, and the plan's V− are Evidence values.
 //
 // Under a dense matcher the overflow holds only what a warm start or a
-// checkpoint carried in for a candidate that has since vanished:
+// saved state carried in for a candidate that has since vanished:
 // the engine keeps carrying such a pair and the matcher never reads it.
 // Under a matcher without the extension the table is empty, so the
 // overflow is the whole set — and is handed to Match as it is.

@@ -20,7 +20,7 @@ import (
 // singletons, see Reduce — and runs the Step 7 promotion once per round.
 // Cancellation of ctx aborts between neighborhood evaluations.
 func MMP(ctx context.Context, cfg Config) (*Result, error) {
-	return RunBackend(ctx, cfg, "MMP", PoolBackend{}, CheckpointConfig{})
+	return RunBackend(ctx, cfg, "MMP", PoolBackend{})
 }
 
 // promote repeatedly scans the message store for a message M with

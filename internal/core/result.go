@@ -56,14 +56,14 @@ type RunStats struct {
 	// above (hits return the verdict recomputation would produce) — Cache
 	// is pure savings accounting. The report is a start/end counter delta
 	// on the matcher, so runs sharing one matcher concurrently may
-	// attribute each other's traffic; checkpoints do not persist it (a
-	// resumed run reports only its own process's cache activity).
+	// attribute each other's traffic; saved states do not persist it (a
+	// continued run reports only its own process's cache activity).
 	Cache CacheReport
 
 	// Resilience counters, maintained by distributed backends
 	// (internal/net). Like Cache they are per-process savings/cost
-	// accounting, never part of the matching output, and checkpoints do
-	// not persist them — a resumed run reports only its own
+	// accounting, never part of the matching output, and saved states do
+	// not persist them — a continued run reports only its own
 	// process's transport events. All three are monotone within a run.
 
 	// Reassignments counts partitions re-executed on a different worker

@@ -3,19 +3,15 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
-	"io/fs"
 	"slices"
 	"time"
-
-	"repro/internal/store"
 )
 
 // RoundDriver owns the central (Reduce) state of a round-based run: the
 // accumulated evidence M+ (an Evidence in the plan's form, materialized
 // as Result.Matches only when the run finishes), the maximal-message
-// store, visit counts, run statistics, the active set, and — when
-// configured — the run's checkpoint. It is the one fixpoint
+// store, visit counts, run statistics and the active set, saved at every
+// round boundary when Config.Save is set. It is the one fixpoint
 // loop's state: every backend drives it round by round. Evaluate may run
 // concurrently between two reduces, for distinct ids; everything else
 // belongs to one goroutine (reduce is central by design, as in the
@@ -27,8 +23,6 @@ type RoundDriver struct {
 	visits []int
 	store  *MessageStore // MMP only
 	arena  MessageIDs    // a one-worker pool's job messages, reused job to job
-	ck     CheckpointConfig
-	trail  *store.Trail // holds the checkpoint, entry 0; nil when not checkpointing
 
 	active []int32
 	// roundMark is where the running round starts in M+'s insertion log:
@@ -44,21 +38,19 @@ type RoundDriver struct {
 	done    bool
 
 	start time.Time
-	prior time.Duration // elapsed time credited by a resumed checkpoint
+	prior time.Duration // elapsed time credited by a continued state
 
 	// cacheStart snapshots the matcher's cumulative memo counters at
-	// driver construction; finish() reports the delta. Checkpoints do
-	// not persist cache counters, so a resumed run reports only the
-	// resuming process's cache activity.
+	// driver construction; finish() reports the delta. Saved states do
+	// not persist cache counters, so a continued run reports only the
+	// continuing process's cache activity.
 	cacheStart CacheReport
 }
 
-// newRoundDriver initializes the reduce state, loading the checkpoint
-// when ck requests a resume (none resumes into a fresh run). A fresh
-// checkpointing run removes the previous run's checkpoint, so a kill
-// before its first round ends never leaves that one to resume.
-func newRoundDriver(plan *RoundPlan, ck CheckpointConfig) (*RoundDriver, error) {
-	d := &RoundDriver{plan: plan, ck: ck, start: time.Now()}
+// newRoundDriver initializes the reduce state of a cold run: every
+// neighborhood active in round 1.
+func newRoundDriver(plan *RoundPlan) *RoundDriver {
+	d := &RoundDriver{plan: plan, start: time.Now()}
 	d.cacheStart, _ = cacheSnapshot(plan.Config.Matcher)
 	d.res = &Result{Scheme: plan.Scheme}
 	d.ev = plan.NewEvidence()
@@ -69,23 +61,9 @@ func newRoundDriver(plan *RoundPlan, ck CheckpointConfig) (*RoundDriver, error) 
 	if plan.WithMessages {
 		d.store = newMessageStore(plan.table)
 	}
-	if ck.Dir != "" {
-		d.trail = &store.Trail{Dir: ck.Dir, Format: checkpointFormat}
-		if ck.Resume {
-			st, err := d.load()
-			if err != nil {
-				return nil, err
-			}
-			if st != nil {
-				return d, d.seed(st)
-			}
-		} else if err := d.trail.Remove(0); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("core: removing the previous checkpoint: %w", err)
-		}
-	}
 	d.active = allNeighborhoods(plan.Config.Cover.Len())
 	d.done = len(d.active) == 0
-	return d, nil
+	return d
 }
 
 // Done reports whether the run has reached fixpoint (no active
@@ -93,7 +71,7 @@ func newRoundDriver(plan *RoundPlan, ck CheckpointConfig) (*RoundDriver, error) 
 func (d *RoundDriver) Done() bool { return d.done }
 
 // Round returns the number of the round about to execute (1-based;
-// resumed runs continue counting where the checkpoint stopped).
+// continued runs count on from their saved state's round).
 func (d *RoundDriver) Round() int { return d.round + 1 }
 
 // Active returns the ids to evaluate this round, in ascending order.
@@ -114,16 +92,16 @@ func (d *RoundDriver) Snapshot() *Evidence {
 	return d.ev
 }
 
-// MatcherLabel returns the run's matcher label (CheckpointConfig.Matcher;
+// MatcherLabel returns the run's matcher label (Config.MatcherLabel;
 // empty for an anonymous matcher): the fingerprint a distributed backend
-// checks its workers against, as a resume checks a checkpoint.
-func (d *RoundDriver) MatcherLabel() string { return d.ck.Matcher }
+// checks its workers against, as CheckHeader checks a saved state.
+func (d *RoundDriver) MatcherLabel() string { return d.plan.Config.MatcherLabel }
 
 // AllowSkip reports whether this round's evaluations may discharge
 // undecided-free neighborhoods without a matcher call: only past round
 // 1 (every id is then a re-activation) and only for candidate-closure
-// matchers. Resumed runs inherit the property because their round
-// counter continues from the checkpoint.
+// matchers. Continued runs inherit the property because their round
+// counter continues from the saved state.
 func (d *RoundDriver) AllowSkip() bool {
 	return d.plan.CanSkip && d.Round() > 1
 }
@@ -184,7 +162,7 @@ func (d *RoundDriver) Reduce(j Job) {
 // it promotes sound maximal messages (Algorithm 3 Step 7), derives the
 // next active set from the neighborhoods the round's new pairs affect
 // (a neighborhood Evaluate ran after a pair was reduced already had it
-// as evidence, and is not re-activated by it) and persists a checkpoint
+// as evidence, and is not re-activated by it) and saves the run's state
 // when configured. The delta is available from RoundDelta afterwards.
 func (d *RoundDriver) EndRound() error {
 	if d.store != nil {
@@ -205,12 +183,7 @@ func (d *RoundDriver) EndRound() error {
 		}
 		d.active = affected
 	}
-
-	if d.trail == nil {
-		return nil
-	}
-	d.res.Stats.Elapsed = d.prior + time.Since(d.start) // running elapsed, persisted
-	return d.checkpoint()
+	return d.save()
 }
 
 // FinishRound is the batch form of the central Reduce: jobs are the
@@ -227,7 +200,7 @@ func (d *RoundDriver) FinishRound(jobs []Job) error {
 // the run's stats: partitions reassigned after a worker death or
 // deadline breach, sends retried after transient errors, and stale-
 // epoch batches dropped. Counters are monotone (negative increments are
-// ignored) and, like the cache report, are per-process — checkpoints do
+// ignored) and, like the cache report, are per-process — saved states do
 // not persist them.
 func (d *RoundDriver) AccountResilience(reassignments, retriedSends, lateDropped int) {
 	if reassignments > 0 {
@@ -272,12 +245,38 @@ func (d *RoundDriver) finish() *Result {
 }
 
 // RunBackend executes a neighborhood scheme ("NO-MP", "SMP", "MMP") on
-// the given execution backend, with optional round-boundary
-// checkpointing (ck.Dir) and resume (ck.Resume). Resuming a directory
-// whose run already completed rebuilds the result from its checkpoint
-// without evaluating anything.
-func RunBackend(ctx context.Context, cfg Config, scheme string, b Backend, ck CheckpointConfig) (*Result, error) {
-	return RunBackendFrom(ctx, cfg, scheme, b, ck, nil)
+// the given execution backend from a cold round 1.
+func RunBackend(ctx context.Context, cfg Config, scheme string, b Backend) (*Result, error) {
+	return RunBackendFrom(ctx, cfg, scheme, b, nil)
+}
+
+// RunBackendFrom is RunBackend continued from a State instead of a cold
+// round 1 (nil runs cold): a warm seed (WarmState), or a round boundary
+// a run saved — one that is Done rebuilds the result without evaluating
+// anything. The run's first save (Config.Save) is its starting state,
+// made before round 1 evaluates, so it replaces whatever an earlier run
+// left: a run killed in its first round continues from its own start,
+// never from another run's state.
+func RunBackendFrom(ctx context.Context, cfg Config, scheme string, b Backend, from *State) (*Result, error) {
+	plan, err := NewRoundPlan(cfg, scheme)
+	if err != nil {
+		return nil, err
+	}
+	d := newRoundDriver(plan)
+	if from != nil {
+		if err := d.seed(from); err != nil {
+			return nil, err
+		}
+	}
+	if err := d.save(); err != nil {
+		return nil, err
+	}
+	if !d.Done() {
+		if err := driveRounds(ctx, b, plan, d); err != nil {
+			return nil, err
+		}
+	}
+	return d.finish(), nil
 }
 
 // driveRounds delegates to the backend and unifies the cancellation

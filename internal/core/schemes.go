@@ -38,6 +38,18 @@ type Config struct {
 	// neighborhood evaluation (from the reducing goroutine in parallel
 	// runs). Callbacks must be fast; they sit on the scheduling path.
 	Progress func(ProgressEvent)
+
+	// MatcherLabel names the matcher (its registry name; empty for an
+	// anonymous matcher). A saved state records it, CheckHeader checks it,
+	// and the sharded backend's handshake refuses workers labeled
+	// otherwise.
+	MatcherLabel string
+
+	// Save, when non-nil, receives the run's state record (State.Marshal)
+	// before its first round and after every completed round: the one
+	// durable state a killed run continues from (RunBackendFrom). A save
+	// error ends the run.
+	Save func([]byte) error
 }
 
 // workers normalizes Parallelism to an effective worker count.
@@ -67,7 +79,7 @@ func (cfg *Config) emit(scheme string, id int32, round, evaluations, matches int
 // evidence flowing between neighborhoods. Cancellation of ctx aborts
 // between neighborhood evaluations.
 func NoMP(ctx context.Context, cfg Config) (*Result, error) {
-	return RunBackend(ctx, cfg, "NO-MP", PoolBackend{}, CheckpointConfig{})
+	return RunBackend(ctx, cfg, "NO-MP", PoolBackend{})
 }
 
 // Full runs the matcher once on the entire entity set — the FULL
@@ -106,7 +118,7 @@ func Full(ctx context.Context, cfg Config) (*Result, error) {
 // in time O(k²·f(k)·n) — Theorem 3. Rounds run on the pool backend with
 // cfg.Parallelism workers (see Config.Parallelism).
 func SMP(ctx context.Context, cfg Config) (*Result, error) {
-	return RunBackend(ctx, cfg, "SMP", PoolBackend{}, CheckpointConfig{})
+	return RunBackend(ctx, cfg, "SMP", PoolBackend{})
 }
 
 // activeDecisions counts the in-scope candidate pairs not yet decided by

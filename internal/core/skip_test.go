@@ -87,10 +87,10 @@ type preparingMatcher struct {
 
 func (p *preparingMatcher) PrepareCover(c *core.Cover) {}
 
-// TestSkipCountsForScopePreparer: the same re-activation pattern with a
-// candidate-closed ScopePreparer matcher is discharged as a skip, with
-// the output unchanged.
-func TestSkipCountsForScopePreparer(t *testing.T) {
+// skippingMatcher is closureViolator without the out-of-candidates
+// derivation, as a ScopePreparer: over skipCover, SMP skips neighborhood
+// 0's re-activation in round 2.
+func skippingMatcher() *preparingMatcher {
 	m := &preparingMatcher{}
 	m.MatchFn = func(entities []core.EntityID, pos, neg core.PairSet) core.PairSet {
 		out := core.NewPairSet()
@@ -105,8 +105,14 @@ func TestSkipCountsForScopePreparer(t *testing.T) {
 		return out
 	}
 	m.CandidatesFn = closureViolator.CandidatesFn
+	return m
+}
 
-	res, err := core.SMP(context.Background(), core.Config{Cover: skipCover(), Matcher: m})
+// TestSkipCountsForScopePreparer: the same re-activation pattern with a
+// candidate-closed ScopePreparer matcher is discharged as a skip, with
+// the output unchanged.
+func TestSkipCountsForScopePreparer(t *testing.T) {
+	res, err := core.SMP(context.Background(), core.Config{Cover: skipCover(), Matcher: skippingMatcher()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,43 +2,22 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/wire"
 )
 
-// CheckpointConfig enables round-boundary checkpointing of a
-// backend-executed run: every completed round replaces the run's one
-// checkpoint in Dir, a State holding the whole M+, the next active set,
-// the outstanding maximal messages, visit counts and RunStats. It is
-// entry 0 of a store.Trail (checkpoint-000000.ckpt), so a commit is the
-// durable one of Disk.SaveBlob and a crash never leaves it torn.
-type CheckpointConfig struct {
-	// Dir is the checkpoint directory; empty disables checkpointing. A
-	// fresh (non-resume) run removes the previous checkpoint first. No
-	// other file in Dir, such as an older build's round-NNNNNN.ckpt, is
-	// read, written or removed.
-	Dir string
-	// Resume continues a previous run from Dir's checkpoint instead of
-	// starting over. Without one the run starts fresh, as it does after
-	// setting aside (*.corrupt) one that does not decode. A completed
-	// run's checkpoint rebuilds the result without evaluating anything.
-	Resume bool
-	// Matcher labels the matcher producing the checkpoint (e.g. its
-	// registry name); a resume checks it (CheckHeader), and the sharded
-	// backend's handshake refuses workers labeled otherwise. Empty opts
-	// out of both checks (anonymous matchers).
-	Matcher string
-}
-
-const checkpointFormat = "checkpoint-%06d.ckpt"
-
-// State is one persisted record of run state — a run's round checkpoint
-// or a store's state blob — in the engine's types: the wire.Checkpoint
-// header as is (fingerprint, round or commit sequence, active set,
-// visits, stats) and, in place of its raw key lists, the evidence (the
-// whole M+, ascending) and the outstanding maximal messages. Marshal and
-// DecodeState are the only conversions between the two forms.
+// State is the one persisted record of run state — what a run saves
+// after each round (Config.Save) and what a store's state blob holds — in
+// the engine's types: the wire.Checkpoint header as is (fingerprint,
+// round or commit sequence, Done, active set, visits, stats) and, in
+// place of its raw key lists, the evidence (the whole M+, ascending) and
+// the outstanding maximal messages. Marshal and DecodeState are the only
+// conversions between the two forms. A State not Done is a round
+// boundary, and RunBackendFrom continues a run from it: the fixpoint
+// does not depend on evaluation order, so any boundary is a valid state
+// to continue from.
 type State struct {
 	Header   wire.Checkpoint // Delta and Messages are Marshal's to fill
 	Evidence []PairKey
@@ -60,9 +39,8 @@ func Header(scheme, matcher string, cover *Cover, round int) wire.Checkpoint {
 }
 
 // CheckHeader is the one check that a persisted state belongs to the run
-// about to continue from it — a checkpoint to a resume, a state blob to
-// a reopen: the same scheme over a cover with the same set and entity
-// counts, written by the same matcher. A run without a matcher label (an
+// about to continue or reopen it: the same scheme over a cover with the
+// same set and entity counts, written by the same matcher. A run without a matcher label (an
 // anonymous matcher) checks no label.
 func CheckHeader(h *wire.Checkpoint, scheme, matcher string, cover *Cover) error {
 	if h.Scheme == scheme && (matcher == "" || h.Matcher == matcher) &&
@@ -137,8 +115,8 @@ func messagesFromWire(groups [][]uint64) [][]Pair {
 }
 
 // validPairs is the one check of evidence and message pairs that come
-// from outside the running engine — a checkpoint, a state blob, a warm
-// seed: each must be a normalized pair over the entity ids [0, n).
+// from outside the running engine — a saved state or a warm seed: each
+// must be a normalized pair over the entity ids [0, n).
 func validPairs(evidence []PairKey, messages [][]Pair, n int) error {
 	for _, k := range evidence {
 		if p := k.Pair(); !p.ValidOver(n) {
@@ -155,10 +133,77 @@ func validPairs(evidence []PairKey, messages [][]Pair, n int) error {
 	return nil
 }
 
-// checkpoint replaces the run's checkpoint with its state at the end of
-// the last completed round (or its warm seed).
-func (d *RoundDriver) checkpoint() error {
-	h := Header(d.plan.Scheme, d.ck.Matcher, d.plan.Config.Cover, d.round)
+// WarmState is the seed of an incremental continuation: a completed
+// run's evidence (its M+, order irrelevant) and outstanding maximal
+// messages (MMP only), with active the neighborhoods whose input changed
+// since — typically the ones an ingested delta affected. Its round is 1,
+// the prior run's: the continuation's first round re-activates, so
+// undecided-free neighborhoods may be discharged as skips.
+//
+// For a well-behaved matcher whose output over a grown entity set can
+// only grow (delta-monotonicity — both built-in matchers satisfy it),
+// the warm fixpoint equals the cold fixpoint of a from-scratch run on
+// the union, as long as active covers every neighborhood whose entity
+// set, candidate scope or adjacent evidence changed: unchanged
+// neighborhoods are already at fixpoint under the seeded evidence, and
+// any new match derived during the continuation re-activates its
+// affected neighborhoods exactly like any other round delta.
+func WarmState(evidence []PairKey, messages [][]Pair, active []int32) *State {
+	return &State{Header: wire.Checkpoint{Round: 1, Active: active}, Evidence: evidence, Messages: messages}
+}
+
+// seed is the one installer of a State into a freshly initialized
+// driver, a warm seed and a saved round boundary alike: the evidence
+// becomes the accumulated match set, outstanding messages refill the
+// store, the active set (ascending; duplicates removed) replaces the
+// all-neighborhoods round 1, and the round counter, visits and stats
+// continue from the header's.
+func (d *RoundDriver) seed(st *State) error {
+	cover, h := d.plan.Config.Cover, &st.Header
+	if err := validPairs(st.Evidence, st.Messages, cover.NumEntities); err != nil {
+		return err
+	}
+	if len(st.Messages) > 0 && !d.plan.WithMessages {
+		return fmt.Errorf("core: seed carries maximal messages but scheme %s exchanges none", d.plan.Scheme)
+	}
+	for _, id := range h.Active {
+		if id < 0 || int(id) >= cover.Len() {
+			return fmt.Errorf("core: seed active id %d out of range [0,%d)", id, cover.Len())
+		}
+	}
+	if h.Visits != nil {
+		if len(h.Visits) != cover.Len() {
+			return fmt.Errorf("core: seed has %d visit counts for %d neighborhoods", len(h.Visits), cover.Len())
+		}
+		d.visits = h.Visits
+	}
+	for _, k := range st.Evidence {
+		d.ev.AddKey(k)
+	}
+	d.roundMark = d.ev.Mark()
+	for _, msg := range st.Messages {
+		d.store.Add(msg)
+	}
+	active := slices.Clone(h.Active)
+	slices.Sort(active)
+	d.active = slices.Compact(active)
+	d.done = h.Done || len(d.active) == 0
+	d.round, d.res.Stats = h.Round, statsFromWire(&h.Stats)
+	d.res.Stats.Neighborhoods = cover.Len()
+	d.prior = d.res.Stats.Elapsed
+	return nil
+}
+
+// save hands the run's state at the last round boundary to Config.Save,
+// when set: the whole M+, the next active set, the outstanding messages,
+// visits and stats, with the elapsed time so far.
+func (d *RoundDriver) save() error {
+	cfg := &d.plan.Config
+	if cfg.Save == nil {
+		return nil
+	}
+	d.res.Stats.Elapsed = d.prior + time.Since(d.start)
+	h := Header(d.plan.Scheme, cfg.MatcherLabel, cfg.Cover, d.round)
 	h.Done, h.Active, h.Visits, h.Stats = d.done, d.active, d.visits, statsToWire(&d.res.Stats)
 	st := &State{Header: h, Evidence: d.ev.SortedKeys()}
 	if d.store != nil {
@@ -166,30 +211,9 @@ func (d *RoundDriver) checkpoint() error {
 	}
 	b, err := st.Marshal()
 	if err != nil {
-		return fmt.Errorf("core: encoding checkpoint round %d: %w", d.round, err)
+		return fmt.Errorf("core: encoding the state after round %d: %w", d.round, err)
 	}
-	return d.trail.Commit(0, b)
-}
-
-// load reads the run's checkpoint: nil when Dir holds none, or only one
-// that does not decode (the trail sets it aside as *.corrupt); an error
-// when it decodes but belongs to another run.
-func (d *RoundDriver) load() (*State, error) {
-	var st *State
-	err := d.trail.Scan(func(_ int, data []byte) error {
-		ck, err := wire.UnmarshalCheckpoint(data)
-		if err == nil {
-			st = stateOf(ck)
-		}
-		return err
-	})
-	if err != nil || st == nil {
-		return nil, err
-	}
-	if err := CheckHeader(&st.Header, d.plan.Scheme, d.ck.Matcher, d.plan.Config.Cover); err != nil {
-		return nil, fmt.Errorf("%s: %w", d.trail.Path(0), err)
-	}
-	return st, nil
+	return cfg.Save(b)
 }
 
 func statsToWire(s *RunStats) wire.Stats {

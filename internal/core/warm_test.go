@@ -7,16 +7,14 @@ import (
 
 	"repro/internal/core"
 	emnet "repro/internal/net"
+	"repro/internal/store"
 	"repro/internal/testmodel"
+	"repro/internal/wire"
 )
 
 // warmOf captures a completed run as a warm-start seed.
-func warmOf(res *core.Result, active []int32) *core.WarmStart {
-	return &core.WarmStart{
-		Evidence: res.Matches.SortedKeys(),
-		Messages: res.Messages,
-		Active:   active,
-	}
+func warmOf(res *core.Result, active []int32) *core.State {
+	return core.WarmState(res.Matches.SortedKeys(), res.Messages, active)
 }
 
 // TestWarmStartFixpointStability: seeding a run with a completed run's
@@ -31,14 +29,13 @@ func TestWarmStartFixpointStability(t *testing.T) {
 		for _, scheme := range []string{"NO-MP", "SMP", "MMP"} {
 			wrapped := &countingMatcher{Model: m}
 			cfg := core.Config{Cover: cover, Matcher: wrapped, Relation: m.Relation()}
-			cold, err := core.RunBackend(bg, cfg, scheme, core.PoolBackend{}, core.CheckpointConfig{})
+			cold, err := core.RunBackend(bg, cfg, scheme, core.PoolBackend{})
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			wrapped.calls.Store(0)
-			idle, err := core.RunBackendFrom(bg, cfg, scheme, core.PoolBackend{},
-				core.CheckpointConfig{}, warmOf(cold, nil))
+			idle, err := core.RunBackendFrom(bg, cfg, scheme, core.PoolBackend{}, warmOf(cold, nil))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,8 +51,7 @@ func TestWarmStartFixpointStability(t *testing.T) {
 			for i := range all {
 				all[i] = int32(i)
 			}
-			full, err := core.RunBackendFrom(bg, cfg, scheme, &emnet.Backend{Workers: 3},
-				core.CheckpointConfig{}, warmOf(cold, all))
+			full, err := core.RunBackendFrom(bg, cfg, scheme, &emnet.Backend{Workers: 3}, warmOf(cold, all))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,11 +64,11 @@ func TestWarmStartFixpointStability(t *testing.T) {
 }
 
 // TestWarmStartContinuesFromRoundBoundary: the state after round r of a
-// cold checkpointed run — its checkpoint's evidence, next active set and
-// outstanding messages — fed back through RunBackendFrom must finish on
-// the cold run's exact match set, for every r, both backends. Warm
-// continuation is round-boundary resume through the public seed instead
-// of the checkpoint.
+// cold run — its saved evidence, next active set and outstanding
+// messages — fed back through RunBackendFrom as a warm seed must finish
+// on the cold run's exact match set, for every r, both backends. Warm
+// continuation is round-boundary resume through a seed instead of the
+// saved state itself.
 func TestWarmStartContinuesFromRoundBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 10; trial++ {
@@ -83,21 +79,14 @@ func TestWarmStartContinuesFromRoundBoundary(t *testing.T) {
 			for r := 1; ; r++ {
 				mapped := cfg
 				mapped.Parallelism = 2
-				dir, killed := killAfter(t, mapped, scheme, core.PoolBackend{}, r)
-				ck := readCheckpoint(t, dir)
-				warm := &core.WarmStart{Active: ck.Active}
-				for _, k := range ck.Delta {
-					warm.Evidence = append(warm.Evidence, core.PairKey(k))
+				st, killed := killAfter(t, mapped, scheme, core.PoolBackend{}, r)
+				saved, err := core.DecodeState(savedBlob(t, st))
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, g := range ck.Messages {
-					msg := make([]core.Pair, len(g))
-					for i, k := range g {
-						msg[i] = core.PairKey(k).Pair()
-					}
-					warm.Messages = append(warm.Messages, msg)
-				}
+				warm := core.WarmState(saved.Evidence, saved.Messages, saved.Header.Active)
 				for _, b := range []core.Backend{core.PoolBackend{}, &emnet.Backend{Workers: 2}} {
-					res, err := core.RunBackendFrom(bg, cfg, scheme, b, core.CheckpointConfig{}, warm)
+					res, err := core.RunBackendFrom(bg, cfg, scheme, b, warm)
 					if err != nil {
 						t.Fatalf("%s: warm continuation from round %d: %v", scheme, r, err)
 					}
@@ -114,11 +103,11 @@ func TestWarmStartContinuesFromRoundBoundary(t *testing.T) {
 	}
 }
 
-// TestWarmStartTrailResumes: a warm-started checkpointing run writes its
-// seed as its first checkpoint (round 1), so it resumes through the
-// ordinary checkpoint path — a completed run rebuilds without matcher
-// calls, and a run killed before its first continuation round ends
-// resumes from the seed to the same result.
+// TestWarmStartTrailResumes: a warm-started run saving its state saves
+// its seed first (round 1), so it resumes through the ordinary resume
+// path — a completed run rebuilds without matcher calls, and a run killed
+// before its first continuation round ends resumes from the seed to the
+// same result.
 func TestWarmStartTrailResumes(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 10; trial++ {
@@ -126,29 +115,27 @@ func TestWarmStartTrailResumes(t *testing.T) {
 		for _, scheme := range []string{"SMP", "MMP"} {
 			wrapped := &countingMatcher{Model: m}
 			cfg := core.Config{Cover: cover, Matcher: wrapped, Relation: m.Relation()}
-			cold, err := core.RunBackend(bg, cfg, scheme, core.PoolBackend{}, core.CheckpointConfig{})
+			cold, err := core.RunBackend(bg, cfg, scheme, core.PoolBackend{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Continue from the cold result with the full active set while
-			// checkpointing.
+			// saving.
 			all := make([]int32, cover.Len())
 			for i := range all {
 				all[i] = int32(i)
 			}
-			dir := t.TempDir()
-			warmRes, err := core.RunBackendFrom(bg, cfg, scheme, core.PoolBackend{},
-				core.CheckpointConfig{Dir: dir}, warmOf(cold, all))
+			st := store.NewMem()
+			warmRes, err := core.RunBackendFrom(bg, savingInto(cfg, st), scheme, core.PoolBackend{}, warmOf(cold, all))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ck := readCheckpoint(t, dir); ck == nil || ck.Round < 2 || !ck.Done {
-				t.Fatalf("%s: warm run's last checkpoint is %+v, want a Done one past the seed round", scheme, ck)
+			if ck := readCheckpoint(t, st); ck == nil || ck.Round < 2 || !ck.Done {
+				t.Fatalf("%s: warm run's last state is %+v, want a Done one past the seed round", scheme, ck)
 			}
 
 			wrapped.calls.Store(0)
-			resumed, err := core.RunBackend(bg, cfg, scheme, core.PoolBackend{},
-				core.CheckpointConfig{Dir: dir, Resume: true})
+			resumed, err := resumeFrom(cfg, scheme, core.PoolBackend{}, st)
 			if err != nil {
 				t.Fatalf("%s: resuming the completed warm run: %v", scheme, err)
 			}
@@ -161,25 +148,24 @@ func TestWarmStartTrailResumes(t *testing.T) {
 			}
 
 			// Kill a warm run before its first continuation round ends: only
-			// the seed is checkpointed, and the resume must re-execute the
+			// the seed is saved, and the resume must re-execute the
 			// continuation and land on the same set.
-			dir = t.TempDir()
+			st = store.NewMem()
 			killed, cancel := context.WithCancel(bg)
 			cancel()
-			if _, err := core.RunBackendFrom(killed, cfg, scheme, core.PoolBackend{},
-				core.CheckpointConfig{Dir: dir}, warmOf(cold, all)); err != context.Canceled {
+			if _, err := core.RunBackendFrom(killed, savingInto(cfg, st), scheme, core.PoolBackend{},
+				warmOf(cold, all)); err != context.Canceled {
 				t.Fatalf("%s: killed warm run: %v, want context.Canceled", scheme, err)
 			}
-			if ck := readCheckpoint(t, dir); ck == nil || ck.Round != 1 {
-				t.Fatalf("%s: killed warm run left checkpoint %+v, want the seed's (round 1)", scheme, ck)
+			if ck := readCheckpoint(t, st); ck == nil || ck.Round != 1 {
+				t.Fatalf("%s: killed warm run left state %+v, want the seed's (round 1)", scheme, ck)
 			}
-			truncated, err := core.RunBackend(bg, cfg, scheme, &emnet.Backend{Workers: 2},
-				core.CheckpointConfig{Dir: dir, Resume: true})
+			truncated, err := resumeFrom(cfg, scheme, &emnet.Backend{Workers: 2}, st)
 			if err != nil {
-				t.Fatalf("%s: resuming from the seed checkpoint: %v", scheme, err)
+				t.Fatalf("%s: resuming from the seed state: %v", scheme, err)
 			}
 			if !truncated.Matches.Equal(warmRes.Matches) {
-				t.Errorf("%s: resume from the seed checkpoint diverges: %d vs %d matches",
+				t.Errorf("%s: resume from the seed state diverges: %d vs %d matches",
 					scheme, truncated.Matches.Len(), warmRes.Matches.Len())
 			}
 		}
@@ -195,35 +181,28 @@ func TestWarmStartValidation(t *testing.T) {
 	cases := []struct {
 		name   string
 		scheme string
-		ck     core.CheckpointConfig
-		warm   *core.WarmStart
+		warm   *core.State
 	}{
-		{"messages on SMP", "SMP", core.CheckpointConfig{},
-			&core.WarmStart{Messages: [][]core.Pair{msg}}},
-		{"active out of range", "SMP", core.CheckpointConfig{},
-			&core.WarmStart{Active: []int32{int32(cover.Len())}}},
-		{"negative active", "SMP", core.CheckpointConfig{},
-			&core.WarmStart{Active: []int32{-1}}},
-		{"evidence out of range", "SMP", core.CheckpointConfig{},
-			&core.WarmStart{Evidence: []core.PairKey{core.MakePair(0, core.EntityID(cover.NumEntities)).Key()}}},
-		{"reflexive evidence", "SMP", core.CheckpointConfig{},
-			&core.WarmStart{Evidence: []core.PairKey{core.Pair{A: 2, B: 2}.Key()}}},
+		{"messages on SMP", "SMP", core.WarmState(nil, [][]core.Pair{msg}, nil)},
+		{"active out of range", "SMP", core.WarmState(nil, nil, []int32{int32(cover.Len())})},
+		{"negative active", "SMP", core.WarmState(nil, nil, []int32{-1})},
+		{"evidence out of range", "SMP",
+			core.WarmState([]core.PairKey{core.MakePair(0, core.EntityID(cover.NumEntities)).Key()}, nil, nil)},
+		{"reflexive evidence", "SMP", core.WarmState([]core.PairKey{core.Pair{A: 2, B: 2}.Key()}, nil, nil)},
 		// (-2147483648, 2): normalized, B in range, and no entity.
-		{"negative entity in evidence", "SMP", core.CheckpointConfig{},
-			&core.WarmStart{Evidence: []core.PairKey{1<<63 | 2}}},
-		{"negative entity in a message", "MMP", core.CheckpointConfig{},
-			&core.WarmStart{Messages: [][]core.Pair{{{A: -1, B: 2}, core.MakePair(0, 1)}}}},
-		{"warm with resume", "SMP", core.CheckpointConfig{Dir: t.TempDir(), Resume: true},
-			&core.WarmStart{}},
+		{"negative entity in evidence", "SMP", core.WarmState([]core.PairKey{1<<63 | 2}, nil, nil)},
+		{"negative entity in a message", "MMP",
+			core.WarmState(nil, [][]core.Pair{{{A: -1, B: 2}, core.MakePair(0, 1)}}, nil)},
+		{"visits of another cover", "SMP", &core.State{Header: wire.Checkpoint{Visits: make([]int, cover.Len()+1)}}},
 	}
 	for _, tc := range cases {
-		if _, err := core.RunBackendFrom(bg, cfg, tc.scheme, core.PoolBackend{}, tc.ck, tc.warm); err == nil {
+		if _, err := core.RunBackendFrom(bg, cfg, tc.scheme, core.PoolBackend{}, tc.warm); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 
-	// nil warm start degrades to a plain cold run.
-	res, err := core.RunBackendFrom(bg, cfg, "SMP", core.PoolBackend{}, core.CheckpointConfig{}, nil)
+	// A nil seed degrades to a plain cold run.
+	res, err := core.RunBackendFrom(bg, cfg, "SMP", core.PoolBackend{}, nil)
 	if err != nil || res == nil {
 		t.Fatalf("nil warm start: %v", err)
 	}

@@ -255,7 +255,7 @@ func TestMemoAcrossRuns(t *testing.T) {
 		{"smp", nil, func(cfg core.Config) (*core.Result, error) { return core.SMP(context.Background(), cfg) }},
 		{"mmp", nil, func(cfg core.Config) (*core.Result, error) { return core.MMP(context.Background(), cfg) }},
 		{"sharded", nil, func(cfg core.Config) (*core.Result, error) {
-			return core.RunBackend(context.Background(), cfg, "SMP", &emnet.Backend{Workers: 2}, core.CheckpointConfig{})
+			return core.RunBackend(context.Background(), cfg, "SMP", &emnet.Backend{Workers: 2})
 		}},
 		{"nomp-neg", negative, func(cfg core.Config) (*core.Result, error) { return core.NoMP(context.Background(), cfg) }},
 		{"smp-neg", negative, func(cfg core.Config) (*core.Result, error) { return core.SMP(context.Background(), cfg) }},

@@ -133,7 +133,7 @@ func TestNetFaultOutOfRangeMatch(t *testing.T) {
 	b := &emnet.Backend{Workers: 1, Opts: emnet.Options{
 		Spawn: emnet.LocalSpawner(cfg, "SMP", emnet.WorkerOptions{Wrap: tap}),
 	}}
-	_, err := core.RunBackend(bg, cfg, "SMP", b, core.CheckpointConfig{})
+	_, err := core.RunBackend(bg, cfg, "SMP", b)
 	if err == nil || !strings.Contains(err.Error(), "worker 0") {
 		t.Fatalf("a match outside the run's entities gave %v, want an error naming worker 0", err)
 	}
@@ -190,7 +190,7 @@ func TestNetFaultStrayPartition(t *testing.T) {
 	if res.Stats.LateBatchesDropped != 1 {
 		t.Errorf("one stray batch, LateBatchesDropped = %d", res.Stats.LateBatchesDropped)
 	}
-	_, err := core.RunBackend(bg, cfg, "SMP", stray(k), core.CheckpointConfig{})
+	_, err := core.RunBackend(bg, cfg, "SMP", stray(k))
 	if err == nil || !strings.Contains(err.Error(), "unknown partition") {
 		t.Fatalf("a batch for partition %d of %d gave %v, want an unknown-partition error", k, k, err)
 	}

@@ -18,7 +18,7 @@ var bg = context.Background()
 
 func runOn(t *testing.T, cfg core.Config, scheme string, b core.Backend) *core.Result {
 	t.Helper()
-	res, err := core.RunBackend(bg, cfg, scheme, b, core.CheckpointConfig{})
+	res, err := core.RunBackend(bg, cfg, scheme, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestNetBackendReturnsBareCtxErr(t *testing.T) {
 	defer cancel()
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation(),
 		Progress: func(core.ProgressEvent) { cancel() }}
-	_, err := core.RunBackend(ctx, cfg, "SMP", &emnet.Backend{Workers: 2}, core.CheckpointConfig{})
+	_, err := core.RunBackend(ctx, cfg, "SMP", &emnet.Backend{Workers: 2})
 	if err != context.Canceled {
 		t.Fatalf("canceled run returned %v, want bare context.Canceled", err)
 	}
@@ -110,20 +110,21 @@ func TestNetBackendReturnsBareCtxErr(t *testing.T) {
 // run fingerprint (here: a different matcher label) must be refused at
 // handshake, and with no other workers the run fails instead of
 // computing against the wrong model. The coordinator's label is the
-// run's own, CheckpointConfig.Matcher; its in-process workers carry the
-// same one.
+// run's own, Config.MatcherLabel; its in-process workers carry the same
+// one.
 func TestNetHandshakeRejectsMismatch(t *testing.T) {
 	m, cover, _ := testmodel.PaperExample()
 	cfg := core.Config{Cover: cover, Matcher: m, Relation: m.Relation()}
-	labeled := core.CheckpointConfig{Matcher: "model-A"}
+	labeled := cfg
+	labeled.MatcherLabel = "model-A"
 	b := &emnet.Backend{Workers: 1, Opts: emnet.Options{
 		RetryBackoff: time.Millisecond,
 		Spawn:        emnet.LocalSpawner(cfg, "SMP", emnet.WorkerOptions{Matcher: "model-B"}),
 	}}
-	if _, err := core.RunBackend(bg, cfg, "SMP", b, labeled); err == nil {
+	if _, err := core.RunBackend(bg, labeled, "SMP", b); err == nil {
 		t.Fatal("mismatched matcher fingerprint was accepted")
 	}
-	if _, err := core.RunBackend(bg, cfg, "SMP", &emnet.Backend{Workers: 2}, labeled); err != nil {
+	if _, err := core.RunBackend(bg, labeled, "SMP", &emnet.Backend{Workers: 2}); err != nil {
 		t.Fatalf("default workers refused their own run's label: %v", err)
 	}
 }

@@ -8,8 +8,7 @@ import (
 // Options tunes the coordinator's supervision of its workers. The zero
 // value is fully usable: local in-process workers, generous deadlines.
 // The handshake's matcher label is not an option: it is the run's own
-// (core.CheckpointConfig.Matcher, set by cem.Runner to the registry
-// name).
+// (core.Config.MatcherLabel, set by cem.Runner to the registry name).
 type Options struct {
 	// RoundDeadline bounds one partition assignment: if the assigned
 	// worker neither heartbeats nor returns its batch within it, the

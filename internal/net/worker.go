@@ -136,7 +136,7 @@ func workerHandshake(conn *Conn, cover *core.Cover, scheme string, opts WorkerOp
 }
 
 // fingerprintMismatch compares the two sides' run fingerprints. Empty
-// matcher labels opt out of the model check, as in checkpoint trails.
+// matcher labels opt out of the model check, as in saved states.
 func fingerprintMismatch(a, b *wire.Hello) error {
 	if a.Scheme != b.Scheme {
 		return fmt.Errorf("net: scheme mismatch: %q vs %q", a.Scheme, b.Scheme)

@@ -23,7 +23,7 @@ func testRecords(t *testing.T, kind cem.DatasetKind) []cem.Record {
 }
 
 // testPipeline builds the committer's pipeline: SMP × mln, plus any
-// extra runner options (e.g. a checkpoint dir).
+// extra runner options.
 func testPipeline(t *testing.T, ropts ...cem.RunnerOption) *cem.Pipeline {
 	t.Helper()
 	opts := []cem.PipelineOption{

@@ -663,8 +663,7 @@ func TestRecoverStateDirWithSegments(t *testing.T) {
 			return leaveSegments(t, state, batches[:3])
 		}, "store/ev-*.seg", 1},
 		{"trail-only", func(t *testing.T, state string) *Committed {
-			pipe := testPipeline(t, cem.WithCheckpointDir(filepath.Join(state, "checkpoint")))
-			c, err := NewCommitter(pipe, WithJournal(filepath.Join(state, "journal")))
+			c, err := NewCommitter(testPipeline(t), WithJournal(filepath.Join(state, "journal")))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -672,6 +671,14 @@ func TestRecoverStateDirWithSegments(t *testing.T) {
 				if _, err := c.Apply(ctx, b); err != nil {
 					t.Fatal(err)
 				}
+			}
+			// An older build's round checkpoint beside the journal.
+			old := filepath.Join(state, "checkpoint", "checkpoint-000000.ckpt")
+			if err := os.MkdirAll(filepath.Dir(old), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(old, []byte("an older build's round checkpoint"), 0o644); err != nil {
+				t.Fatal(err)
 			}
 			return c.Snapshot()
 		}, "checkpoint/*.ckpt", 0},
@@ -787,6 +794,70 @@ func TestRecoverTwoBlobStateDir(t *testing.T) {
 	}
 	if got := readFiles(t, state, "store/blob/postings/*"); !maps.Equal(got, left) {
 		t.Error("the service touched the older postings blob")
+	}
+}
+
+// TestRecoverNeverContinuesRounds: a state blob that is not Done is a
+// batch run's round boundary, and its Round counts rounds, not commits. A
+// restart must replay the journal over it, never reopen it — even when its
+// round equals the journal's batch count and its fingerprint matches the
+// journaled records — and serve what a cold run over those records matches.
+func TestRecoverNeverContinuesRounds(t *testing.T) {
+	records := testRecords(t, cem.HEPTH)
+	batches := batchCuts(records)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	state := t.TempDir()
+	c, err := NewCommitter(testPipeline(t), WithJournal(filepath.Join(state, "journal")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last *Committed
+	for _, b := range batches[:3] {
+		if last, err = c.Apply(ctx, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := cem.OpenStore("disk", cem.WithStoreDir(filepath.Join(state, "store")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cem.SaveState(st, last.Result, 3); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := st.OpenBlob(match.KindSnapshot, "latest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := wire.UnmarshalCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Done, ck.Round = false, 3
+	if blob, err = ck.Marshal(wire.Binary); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveBlob(match.KindSnapshot, "latest", blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, err := New(context.Background(), Config{StateDir: state, Batching: fastBatching})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Kill()
+	if n := svc.metrics.StoreReopens.Value(); n != 0 {
+		t.Errorf("emserve_store_reopens_total = %d over a round state, want 0", n)
+	}
+	cold, err := testPipeline(t).Run(ctx, slices.Concat(batches[:3]...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := svc.committer.Snapshot().RenderMatches(), renderPipelineMatches(cold); got != want {
+		t.Errorf("served matches after the restart: %d bytes, a cold run's %d", len(got), len(want))
 	}
 }
 

@@ -7,16 +7,17 @@
 // engine writes no evidence into it.
 //
 // The package also owns the one durability protocol, Trail (trail.go):
-// the disk store's evidence and blobs, the service journal and a run's
-// round checkpoint are committed and recovered through it, and
-// nothing else in the module renames, fsyncs or quarantines a file.
+// the disk store's evidence and blobs — a run's one state record among
+// them — and the service journal are committed and recovered through it,
+// and nothing else in the module renames, fsyncs or quarantines a file.
 //
 // Open builds a store by name, "mem" or "disk"; any other implementation
 // of Store (aliased by the public match package as match.Store) is handed
 // to the engine as a value. Keys are plain packed pair keys (uint64, high
 // half A, low half B, A < B) — the same representation
 // internal/wire speaks — so the package imports nothing of the engine
-// but internal/wire, and the engine (internal/core) imports it.
+// but internal/wire, and the engine (internal/core) does not import it:
+// a run saves its state through a plain function (core.Config.Save).
 package store
 
 import (

@@ -12,8 +12,8 @@ import (
 
 // Trail is the one commit-and-recover protocol for state kept as a
 // directory of numbered files, each written whole: the disk store's
-// evidence, the service journal and a run's checkpoint are all Trails,
-// differing only in file name and what makes an entry valid.
+// evidence and the service journal are Trails, differing only in file
+// name and what makes an entry valid.
 //
 // Commit is tmp → write → fsync → rename → directory fsync: a crash
 // leaves the old entry or the new one, and a returned commit survives a

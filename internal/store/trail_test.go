@@ -73,8 +73,8 @@ func trailClients(t testing.TB) []trailClient {
 			},
 		},
 		{
-			// A run's round checkpoint: the engine only ever writes entry
-			// 0, but the protocol is the same for any sequence number.
+			// A binary state record (wire.Checkpoint) per entry: the
+			// protocol under a verifier that decodes a structured record.
 			name: "round-record", format: "checkpoint-%06d.ckpt",
 			entry: func(seq int) []byte {
 				ck := &wire.Checkpoint{
@@ -411,8 +411,8 @@ func sweepScript(root string, fs fsys) (out sweepOutcome) {
 		return out
 	}
 
-	// A run's checkpoint: each round replaces entry 0, and a fresh run
-	// removes it before its first round.
+	// One entry replaced in place: entry 0 committed over itself,
+	// removed, then committed again.
 	ckpt := &Trail{Dir: filepath.Join(root, "checkpoint"), Format: "checkpoint-%06d.ckpt", fs: fs}
 	for round := 1; round <= 3; round++ {
 		if ckpt.Commit(0, sweepRound("first", round)) != nil {

@@ -152,7 +152,7 @@ const (
 // Hello is the handshake message: the coordinator announces the run it
 // is about to distribute, and each worker echoes its own view back. Both
 // sides verify the other's fingerprint — scheme, matcher label (empty
-// opts out, as in checkpoints), cover sizes — so a worker grounded on a
+// opts out, as in saved states), cover sizes — so a worker grounded on a
 // different corpus or model is rejected before any work is assigned.
 type Hello struct {
 	Worker        int // worker id (coordinator side: the slot being greeted)

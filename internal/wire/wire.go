@@ -1,8 +1,8 @@
 // Package wire defines the serialized message formats exchanged by the
-// sharded execution backend and persisted by the checkpoint/resume
-// machinery: evidence deltas, per-shard round results, and round
-// checkpoints. Pair sets travel as packed PairKey uint64 batches in
-// strictly increasing key order (key order = (A, then B) pair order), so
+// sharded execution backend and persisted as a run's state: evidence
+// deltas, per-shard round results, and the state record (Checkpoint).
+// Pair sets travel as packed PairKey uint64 batches in strictly
+// increasing key order (key order = (A, then B) pair order), so
 // a delta batch is canonical: two equal sets always serialize to the
 // same bytes.
 //
@@ -99,15 +99,15 @@ type Stats struct {
 	ActiveSizes     []int
 }
 
-// Checkpoint is the durable record written after every completed round:
-// the round's evidence delta plus everything needed to restart the run
-// at the next round boundary (the next active set, the outstanding
-// maximal messages, per-neighborhood visit counts, and the running
-// statistics). Replaying Delta of rounds 1..r rebuilds the evidence set
-// exactly; the remaining fields come from the latest record alone.
+// Checkpoint is the one durable state record, a store's state blob: a
+// run's state at a round boundary, saved after every completed round, or
+// a completed result. Delta holds the whole evidence set; the rest is
+// everything needed to continue the run from that boundary (the next
+// active set, the outstanding maximal messages, per-neighborhood visit
+// counts, and the running statistics).
 //
 // Scheme, Matcher, Neighborhoods and Entities fingerprint the run:
-// resuming against a different scheme, matcher or cover is rejected
+// continuing against a different scheme, matcher or cover is rejected
 // (Matcher is a caller-chosen label, e.g. the registry name; empty
 // opts out of the matcher check for anonymous matchers).
 type Checkpoint struct {

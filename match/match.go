@@ -139,7 +139,7 @@ type ProgressEvent = core.ProgressEvent
 // Backend executes the rounds of a message-passing scheme: it owns the
 // Map side (where each round's active neighborhoods are evaluated),
 // while the engine's RoundDriver owns the central Reduce (evidence
-// merge, message promotion, re-activation, checkpointing). Built-in
+// merge, message promotion, re-activation, saving the state). Built-in
 // backends: the shared-memory worker pool (default) and the
 // shard-partitioned backend exchanging serialized evidence deltas.
 // A run takes one through cem.WithBackend (cem.NewShardedNetBackend and

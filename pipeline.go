@@ -162,21 +162,6 @@ type PipelineResult struct {
 // both the blocking stage (between canopy probes) and the matching stage
 // (between neighborhood evaluations).
 func (p *Pipeline) Run(ctx context.Context, records []Record) (*PipelineResult, error) {
-	return p.run(ctx, records, false)
-}
-
-// Resume re-runs the pipeline on the same records but continues the
-// matching stage from the checkpoint configured via
-// WithRunnerOptions(WithCheckpointDir(dir)) — the recovery path for a
-// pipeline killed mid-matching. Blocking is deterministic for any shard
-// count, so re-running it reconstructs the identical cover the checkpoint
-// was written against; the matching stage then picks up at the first
-// unfinished round (Runner.Resume).
-func (p *Pipeline) Resume(ctx context.Context, records []Record) (*PipelineResult, error) {
-	return p.run(ctx, records, true)
-}
-
-func (p *Pipeline) run(ctx context.Context, records []Record, resume bool) (*PipelineResult, error) {
 	if len(records) == 0 {
 		return nil, fmt.Errorf("cem: pipeline: no records")
 	}
@@ -187,12 +172,7 @@ func (p *Pipeline) run(ctx context.Context, records []Record, resume bool) (*Pip
 	}
 	blockingTime := time.Since(start)
 	start = time.Now()
-	var res *Result
-	if resume {
-		res, err = runner.Resume(ctx, p.scheme)
-	} else {
-		res, err = runner.Run(ctx, p.scheme)
-	}
+	res, err := runner.Run(ctx, p.scheme)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +187,7 @@ func (p *Pipeline) run(ctx context.Context, records []Record, resume bool) (*Pip
 
 // block is a cold run's blocking stage: the dataset of records, its
 // blocking index built on the pipeline's shards, and the experiment and
-// runner over the index's cover. Run, Resume and Reopen all block this way;
+// runner over the index's cover. Run and Reopen both block this way;
 // labeled reports whether every record carried a gold label.
 func (p *Pipeline) block(ctx context.Context, records []Record) (*canopy.Index, *Experiment, *Runner, bool, error) {
 	raw, labeled := toBibRecords(records)
@@ -290,7 +270,7 @@ func (p *Pipeline) Update(ctx context.Context, prior *PipelineResult, newRecords
 	}
 
 	if prior == nil {
-		return p.run(ctx, newRecords, false)
+		return p.Run(ctx, newRecords)
 	}
 	if prior.index == nil {
 		return nil, fmt.Errorf("cem: pipeline update: prior result carries no ingestion state (was it produced by this Pipeline?)")
@@ -348,15 +328,12 @@ func (p *Pipeline) Update(ctx context.Context, prior *PipelineResult, newRecords
 	// later additive batches warm-start again.
 	warm := delta.Additive && same &&
 		prior.Matcher == p.matcher && prior.Scheme == coreScheme(p.scheme)
-	var seed *core.WarmStart
+	var seed *core.State
 	if warm {
-		seed = &core.WarmStart{
-			Evidence: slices.Collect(maps.Keys(prior.evidence())),
-			Messages: prior.Messages,
-			Active:   affectedByDelta(exp, prior.Experiment, delta),
-		}
+		seed = core.WarmState(slices.Collect(maps.Keys(prior.evidence())), prior.Messages,
+			affectedByDelta(exp, prior.Experiment, delta))
 	}
-	res, err := runner.run(ctx, p.scheme, seed, false)
+	res, err := runner.run(ctx, p.scheme, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -46,7 +46,7 @@ type Runner struct {
 	progress    func(match.ProgressEvent)
 	closure     bool
 	backend     match.Backend
-	ckptDir     string
+	store       match.Store
 }
 
 // RunnerOption customizes a Runner.
@@ -102,23 +102,19 @@ func WithShardCount(k int) RunnerOption {
 	return func(r *Runner) { r.backend = NewShardedNetBackend(k) }
 }
 
-// WithCheckpointDir keeps a checkpoint of a neighborhood-scheme run in
-// dir: after every completed round the run's whole state — its evidence
-// M+, the next active set, outstanding maximal messages, visits and
-// stats — replaces the one checkpoint file, in the internal/wire format
-// of a store's state blob and with the same durable commit (fsync before
-// rename). A killed run is continued with Runner.Resume; a fresh Run
-// removes the previous checkpoint first. Other files in dir, such as the
-// round-NNNNNN.ckpt files of older builds, are never read, written or
-// removed. FULL and UB have no rounds and ignore the option.
+// WithStateStore saves a neighborhood-scheme run's state into s as the
+// store's state blob — the one SaveState writes — before its first round
+// and after every completed round: the whole M+, the next active set,
+// outstanding maximal messages, visits and stats. A killed run continues
+// from it with Pipeline.Reopen, which reopens a completed state and
+// continues one that is not. A fresh run's first save replaces whatever
+// state s held. FULL and UB have no rounds and ignore the option.
 //
-// The checkpoint recovers a run killed MID-RUN. Completed state lives in
-// a Store (see SaveState), whose state blob reopens on restart with no
-// run at all (Pipeline.Reopen). A batch run wants the checkpoint for
-// mid-run kills; a long-lived service journals its input beside its
-// store and reruns an interrupted batch from the journal instead.
-func WithCheckpointDir(dir string) RunnerOption {
-	return func(r *Runner) { r.ckptDir = dir }
+// Only a batch run wants it. A long-lived service journals its input
+// beside its store and reruns an interrupted batch from the journal; its
+// background SaveState owns the state blob.
+func WithStateStore(s match.Store) RunnerOption {
+	return func(r *Runner) { r.store = s }
 }
 
 // Runner builds a scheme executor for the named matcher ("mln", "rules",
@@ -144,14 +140,19 @@ func (r *Runner) Matcher() match.Matcher { return r.matcher }
 
 // coreConfig assembles the framework configuration for this runner.
 func (r *Runner) coreConfig() core.Config {
-	return core.Config{
-		Cover:       r.exp.Cover,
-		Matcher:     r.matcher,
-		Relation:    r.exp.Dataset.Coauthor(),
-		Negative:    r.negative,
-		Parallelism: r.parallelism,
-		Progress:    r.progress,
+	cfg := core.Config{
+		Cover:        r.exp.Cover,
+		Matcher:      r.matcher,
+		Relation:     r.exp.Dataset.Coauthor(),
+		Negative:     r.negative,
+		Parallelism:  r.parallelism,
+		Progress:     r.progress,
+		MatcherLabel: r.name,
 	}
+	if s := r.store; s != nil {
+		cfg.Save = func(b []byte) error { return s.SaveBlob(match.KindSnapshot, stateBlobName, b) }
+	}
+	return cfg
 }
 
 // coreScheme maps a public scheme to the engine's canonical round-based
@@ -175,32 +176,13 @@ func coreScheme(s Scheme) string {
 // shared-memory pool unless WithBackend says otherwise); FULL and UB are
 // single whole-set matcher calls.
 func (r *Runner) Run(ctx context.Context, s Scheme) (*Result, error) {
-	return r.run(ctx, s, nil, false)
-}
-
-// Resume continues a previous checkpointed run of scheme s from the
-// configured WithCheckpointDir directory: the checkpoint's state is
-// installed and execution picks up at the first unfinished round,
-// landing on the same output the uninterrupted run would have produced
-// (consistency). A directory without a checkpoint resumes into a fresh
-// run, and so does one whose checkpoint does not decode (it is set aside
-// as *.corrupt); a completed run's checkpoint rebuilds the result without
-// calling the matcher. The checkpoint must come from the same scheme and
-// matcher over the same experiment.
-func (r *Runner) Resume(ctx context.Context, s Scheme) (*Result, error) {
-	if r.ckptDir == "" {
-		return nil, fmt.Errorf("cem: Resume requires WithCheckpointDir")
-	}
-	if coreScheme(s) == "" {
-		return nil, fmt.Errorf("cem: scheme %q does not checkpoint (no round structure)", s)
-	}
-	return r.run(ctx, s, nil, true)
+	return r.run(ctx, s, nil)
 }
 
 // run is the one execution path: a round scheme goes to the engine's
 // round driver on the runner's backend (nil means the pool), cold or from
-// a warm seed; FULL and UB are whole-set calls. Every result is sealed.
-func (r *Runner) run(ctx context.Context, s Scheme, warm *core.WarmStart, resume bool) (*Result, error) {
+// a State; FULL and UB are whole-set calls. Every result is sealed.
+func (r *Runner) run(ctx context.Context, s Scheme, from *core.State) (*Result, error) {
 	cfg := r.coreConfig()
 	var (
 		raw *core.Result
@@ -212,8 +194,7 @@ func (r *Runner) run(ctx context.Context, s Scheme, warm *core.WarmStart, resume
 		if b == nil {
 			b = core.PoolBackend{}
 		}
-		raw, err = core.RunBackendFrom(ctx, cfg, cs, b,
-			core.CheckpointConfig{Dir: r.ckptDir, Resume: resume, Matcher: r.name}, warm)
+		raw, err = core.RunBackendFrom(ctx, cfg, cs, b, from)
 	case s == SchemeFull:
 		raw, err = core.Full(ctx, cfg)
 	case s == SchemeUB:

@@ -425,8 +425,8 @@ func TestStoreStateReopenValidation(t *testing.T) {
 
 // FuzzStateBlob: no state blob — a snapshot checkpoint, an older build's
 // blocking-index section after it, or neither — makes StateSeq or Reopen
-// panic, and a blob that reopens agrees with StateSeq on its sequence
-// number.
+// panic; a completed state that reopens agrees with StateSeq on its
+// sequence number, and a round state that continues has none.
 func FuzzStateBlob(f *testing.F) {
 	ctx := context.Background()
 	records := storeRecords(f)
@@ -457,6 +457,13 @@ func FuzzStateBlob(f *testing.F) {
 	f.Add(slices.Concat(snapshot, []byte("CEMP5\n"), section[6:]))
 	f.Add(snapshot[:len(snapshot)/2])
 	f.Add([]byte("CEMW"))
+	round, _ := splitState(f, snapshot) // a run's state that is not Done
+	round.Done = false
+	roundBlob, err := round.Marshal(wire.Binary)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(roundBlob)
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		s, err := cem.OpenStore("mem")
 		if err != nil {
@@ -466,7 +473,13 @@ func FuzzStateBlob(f *testing.F) {
 			t.Fatal(err)
 		}
 		seq, seqErr := cem.StateSeq(s)
-		if _, got, err := pipe.Reopen(ctx, records, s); err == nil && (seqErr != nil || got != seq) {
+		ck, _, decodeErr := wire.UnmarshalCheckpointPrefix(blob)
+		if _, got, err := pipe.Reopen(ctx, records, s); err == nil && decodeErr == nil && !ck.Done {
+			// A round state continues: it has no commit sequence.
+			if seqErr == nil || got != 0 {
+				t.Fatalf("Reopen of a round state at seq %d, StateSeq %d (%v)", got, seq, seqErr)
+			}
+		} else if err == nil && (seqErr != nil || got != seq) {
 			t.Fatalf("Reopen at seq %d, StateSeq %d (%v)", got, seq, seqErr)
 		}
 	})

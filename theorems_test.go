@@ -342,8 +342,8 @@ func (sc scenario) variant(t *testing.T, w *world, matcher string, o *outcome) *
 
 // seeded warm-starts the run from half the reference's matches plus every
 // foreign pair, every neighborhood active: the run must carry the pairs it
-// was seeded with, its first checkpoint must be the seed, and resuming
-// its checkpoint — the finished one or the seed — must rebuild the result.
+// was seeded with, its first saved state must be the seed, and continuing
+// its state — the finished one or the seed — must rebuild the result.
 func (sc scenario) seeded(t *testing.T, w *world, matcher string, opts []cem.RunnerOption) *cem.Result {
 	ref := sc.ref(t, sc.scheme)
 	foreign := w.foreign
@@ -361,50 +361,53 @@ func (sc scenario) seeded(t *testing.T, w *world, matcher string, opts []cem.Run
 			seed.Add(p)
 		}
 	}
-	warm := &core.WarmStart{Evidence: seed.SortedKeys()}
+	var active []int32
 	for id := range w.exp.Cover.Sets {
-		warm.Active = append(warm.Active, int32(id))
+		active = append(active, int32(id))
 	}
+	var messages [][]match.Pair
 	if sc.scheme == cem.SchemeMMP {
-		warm.Messages = ref.Messages
+		messages = ref.Messages
 	}
-	dir := t.TempDir()
-	res, err := cem.RunWarm(context.Background(), runner(t, w.exp, matcher, append(opts, cem.WithCheckpointDir(dir))...), sc.scheme, warm)
+	warm := core.WarmState(seed.SortedKeys(), messages, active)
+	st := openStore(t, "mem", "")
+	res, err := cem.RunFrom(context.Background(), runner(t, w.exp, matcher, append(opts, cem.WithStateStore(st))...), sc.scheme, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lost := foreign.Minus(res.Matches); lost.Len() > 0 {
 		t.Errorf("%v: the run dropped %d of the pairs it was seeded with", sc, lost.Len())
 	}
-	if resumed := resume(t, runner(t, w.exp, matcher, append(opts, cem.WithCheckpointDir(dir))...), sc.scheme); !resumed.Matches.Equal(res.Matches) {
-		t.Errorf("%v: replaying the seeded checkpoint: extra %v, missing %v", sc, resumed.Matches.Minus(res.Matches).Sorted(), res.Matches.Minus(resumed.Matches).Sorted())
+	if resumed := resume(t, runner(t, w.exp, matcher, append(opts, cem.WithStateStore(st))...), sc.scheme, st); !resumed.Matches.Equal(res.Matches) {
+		t.Errorf("%v: replaying the seeded run's state: extra %v, missing %v", sc, resumed.Matches.Minus(res.Matches).Sorted(), res.Matches.Minus(resumed.Matches).Sorted())
 	}
 	// Killed before its first round ends, the run leaves its seed as its
-	// checkpoint, and resuming that lands on the same result.
-	dir = t.TempDir()
+	// state, and continuing that lands on the same result.
+	st = openStore(t, "mem", "")
 	killed, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cem.RunWarm(killed, runner(t, w.exp, matcher, append(opts, cem.WithCheckpointDir(dir))...), sc.scheme, warm); !errors.Is(err, context.Canceled) {
+	if _, err := cem.RunFrom(killed, runner(t, w.exp, matcher, append(opts, cem.WithStateStore(st))...), sc.scheme, warm); !errors.Is(err, context.Canceled) {
 		t.Fatalf("%v: killed seeded run: %v, want context.Canceled", sc, err)
 	}
-	if first := lastCheckpoint(t, dir); first == nil || !slices.EqualFunc(first.Delta, warm.Evidence, func(a uint64, b match.PairKey) bool { return a == uint64(b) }) {
-		t.Errorf("%v: the killed run's checkpoint is not the seed's %d keys", sc, len(warm.Evidence))
+	if first := lastCheckpoint(t, st); first == nil || !slices.EqualFunc(first.Delta, warm.Evidence, func(a uint64, b match.PairKey) bool { return a == uint64(b) }) {
+		t.Errorf("%v: the killed run's state is not the seed's %d keys", sc, len(warm.Evidence))
 	}
-	if resumed := resume(t, runner(t, w.exp, matcher, append(opts, cem.WithCheckpointDir(dir))...), sc.scheme); !resumed.Matches.Equal(res.Matches) {
-		t.Errorf("%v: resuming the seed checkpoint: extra %v, missing %v", sc, resumed.Matches.Minus(res.Matches).Sorted(), res.Matches.Minus(resumed.Matches).Sorted())
+	if resumed := resume(t, runner(t, w.exp, matcher, append(opts, cem.WithStateStore(st))...), sc.scheme, st); !resumed.Matches.Equal(res.Matches) {
+		t.Errorf("%v: continuing the seed state: extra %v, missing %v", sc, resumed.Matches.Minus(res.Matches).Sorted(), res.Matches.Minus(resumed.Matches).Sorted())
 	}
 	return res
 }
 
-// resumed kills a checkpointed run on the two-worker pool after round
-// kill-1 (kill 1: before any round completes; kill r+1: at the first
-// progress event of round r, which lets round r checkpoint and aborts
-// round r+1), then resumes the trail as sc places it. The resumed counters
-// never fall below the checkpointed ones, and the trail ends Done.
+// resumed kills a run saving its state on the two-worker pool after round
+// kill-1 (kill 1: before any round completes, leaving its cold start;
+// kill r+1: at the first progress event of round r, which lets round r
+// save and aborts round r+1), then continues the state as sc places it.
+// The continued counters never fall below the saved ones, and the state
+// ends Done.
 func (sc scenario) resumed(t *testing.T, w *world, matcher string, opts []cem.RunnerOption, o *outcome) *cem.Result {
-	dir := t.TempDir()
+	st := openStore(t, "mem", "")
 	ctx, cancel := context.WithCancel(context.Background())
-	kopts := append(sc.options(t), cem.WithCheckpointDir(dir), cem.WithParallelism(2))
+	kopts := append(sc.options(t), cem.WithStateStore(st), cem.WithParallelism(2))
 	if r := sc.kill - 1; r > 0 {
 		kopts = append(kopts, cem.WithProgress(func(e match.ProgressEvent) {
 			if e.Round == r {
@@ -419,17 +422,18 @@ func (sc scenario) resumed(t *testing.T, w *world, matcher string, opts []cem.Ru
 	if o.killed = err != nil; err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("%v: kill: unexpected error %v", sc, err)
 	}
-	ck := lastCheckpoint(t, dir)
-	res := resume(t, runner(t, w.exp, matcher, append(opts, cem.WithCheckpointDir(dir))...), sc.scheme)
+	ck := lastCheckpoint(t, st)
+	res := resume(t, runner(t, w.exp, matcher, append(opts, cem.WithStateStore(st))...), sc.scheme, st)
 	assertMonotone(t, ck, res.Stats)
-	if last := lastCheckpoint(t, dir); last == nil || !last.Done {
-		t.Errorf("%v: the resumed run left no Done checkpoint", sc)
+	if last := lastCheckpoint(t, st); last == nil || !last.Done {
+		t.Errorf("%v: the continued run left no Done state", sc)
 	}
 	return res
 }
 
-func resume(t *testing.T, r *cem.Runner, s cem.Scheme) *cem.Result {
-	res, err := r.Resume(context.Background(), s)
+// resume continues s on r from the state st holds.
+func resume(t *testing.T, r *cem.Runner, s cem.Scheme, st match.Store) *cem.Result {
+	res, err := cem.Continue(context.Background(), r, s, st)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -605,29 +609,24 @@ func checkSaved(t *testing.T, st match.Store, exp *cem.Experiment, res *cem.Resu
 	}
 }
 
-// lastCheckpoint decodes the checkpoint in dir; nil when there is none.
-func lastCheckpoint(t *testing.T, dir string) *wire.Checkpoint {
-	files, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
-	if len(files) == 0 {
+// lastCheckpoint decodes the state blob of st; nil when there is none.
+func lastCheckpoint(t *testing.T, st match.Store) *wire.Checkpoint {
+	raw, err := st.OpenBlob(match.KindSnapshot, "latest")
+	if errors.Is(err, match.ErrBlobNotFound) {
 		return nil
 	}
-	return readCheckpoint(t, slices.Max(files))
-}
-
-func readCheckpoint(t *testing.T, file string) *wire.Checkpoint {
-	raw, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ck, err := wire.UnmarshalCheckpoint(raw)
 	if err != nil {
-		t.Fatalf("decoding %s: %v", file, err)
+		t.Fatalf("decoding the state blob: %v", err)
 	}
 	return ck
 }
 
-// assertMonotone fails if a counter shrank from the checkpointed
-// snapshot to the resumed run's final statistics: a resume may redo the
+// assertMonotone fails if a counter shrank from the saved state to the
+// continued run's final statistics: a continuation may redo the
 // interrupted round, never lose one.
 func assertMonotone(t *testing.T, ck *wire.Checkpoint, got match.RunStats) {
 	if ck == nil {
@@ -811,6 +810,7 @@ func FuzzTheorems(f *testing.F) {
 		{"hepth mln kill-2 negative pairs", 6},
 		{"dblp rules kill-3 redundant", 8},
 		{"dblp rules foreign merged", 13},
+		{"hepth mln mmp shuffled foreign", 27}, // a seeded run killed on the shuffled schedule
 	} {
 		b := make([]byte, len(axes))
 		for _, tok := range strings.Fields(row.values) {
